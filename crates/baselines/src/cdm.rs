@@ -21,7 +21,7 @@ use gola_agg::ReplicatedStates;
 use gola_bootstrap::Estimate;
 use gola_common::{Error, FxHashMap, Result, Row, Value};
 use gola_core::compiled::CompiledBlock;
-use gola_core::executor::join_one;
+use gola_core::join::join_one;
 use gola_core::report::{BatchReport, CellEstimate};
 use gola_core::runtime::{
     CtxMode, GroupCtx, Published, PublishedMember, PublishedScalar, TupleCtx,

@@ -24,7 +24,7 @@ use gola_bootstrap::ConfidenceInterval;
 use gola_common::stats::Welford;
 use gola_common::{Error, FxHashMap, Result, Row, Value};
 use gola_core::compiled::CompiledBlock;
-use gola_core::executor::join_one;
+use gola_core::join::join_one;
 use gola_core::runtime::{CtxMode, GroupCtx, TupleCtx};
 use gola_expr::eval::{eval, eval_predicate, ExactContext};
 use gola_expr::Expr;

@@ -13,6 +13,7 @@ pub mod column;
 pub mod error;
 pub mod fsum;
 pub mod hash;
+pub mod json;
 pub mod rng;
 pub mod row;
 pub mod schema;

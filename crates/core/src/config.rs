@@ -173,10 +173,25 @@ impl OnlineConfig {
         if self.num_batches == 0 {
             return Err(Error::config("num_batches must be >= 1"));
         }
-        if !(0.0..1.0).contains(&self.ci_level) {
+        if !(self.ci_level > 0.0 && self.ci_level < 1.0) {
             return Err(Error::config(format!(
                 "ci_level {} outside (0, 1)",
                 self.ci_level
+            )));
+        }
+        // NaN must not slip past either check: a NaN guard trusts every
+        // group, and a NaN or negative inflation inverts every envelope
+        // (`lo > hi`), silently.
+        if self.min_group_obs.is_nan() || self.min_group_obs < 0.0 {
+            return Err(Error::config(format!(
+                "min_group_obs {} must be >= 0",
+                self.min_group_obs
+            )));
+        }
+        if !self.envelope_inflation.is_finite() || self.envelope_inflation < 0.0 {
+            return Err(Error::config(format!(
+                "envelope_inflation {} must be finite and >= 0",
+                self.envelope_inflation
             )));
         }
         if self.threads == 0 {
@@ -220,8 +235,30 @@ mod tests {
             ..OnlineConfig::default()
         };
         assert!(c.validate().is_err());
+        c.ci_level = 0.0;
+        assert!(c.validate().is_err());
+        c.ci_level = f64::NAN;
+        assert!(c.validate().is_err());
         c.ci_level = 0.95;
         c.threads = 0;
         assert!(c.validate().is_err());
+        let valid = OnlineConfig::default;
+        for bad in [-1.0, f64::NAN] {
+            assert!(valid().with_min_group_obs(bad).validate().is_err());
+            assert!(valid().with_envelope_inflation(bad).validate().is_err());
+        }
+        assert!(valid()
+            .with_envelope_inflation(f64::INFINITY)
+            .validate()
+            .is_err());
+        // The degenerate-but-sound ends stay legal.
+        assert!(valid().with_min_group_obs(0.0).validate().is_ok());
+        assert!(valid().with_envelope_inflation(0.0).validate().is_ok());
+        // Every rejection is the typed config error.
+        let err = valid()
+            .with_envelope_inflation(-3.0)
+            .validate()
+            .unwrap_err();
+        assert!(matches!(err, Error::Config(_)), "{err}");
     }
 }

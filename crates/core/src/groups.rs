@@ -1,0 +1,436 @@
+//! A block's groups as the publish and report stages see them: the
+//! deterministic folds plus the uncertain set's current contribution
+//! ([`effective_states`]), and one way to evaluate a group at point values
+//! and at every bootstrap trial ([`GroupEval`]).
+
+use std::borrow::Cow;
+
+use gola_agg::ReplicatedStates;
+use gola_bootstrap::VariationRange;
+use gola_common::{cmp_values, FxHashMap, Result, Value};
+use gola_expr::eval::{eval, eval_predicate, eval_tri};
+use gola_expr::{BinOp, Expr, RangeVal, Tri};
+
+use crate::compiled::FastScalarCmp;
+use crate::runtime::{
+    entry_mut, sorted_entries, sorted_into_entries, BlockEnv, BlockRuntime, CtxMode, GroupCtx,
+    TupleReader,
+};
+
+/// One group's aggregate states at answer time: borrowed when no uncertain
+/// tuple touches the group, an owned merged snapshot otherwise.
+pub(crate) struct EffGroup<'a> {
+    pub key: Cow<'a, [Value]>,
+    pub states: Cow<'a, ReplicatedStates>,
+    /// *Point support*: the group has a supporting tuple under point
+    /// evaluation — a deterministic fold, or an uncertain tuple whose
+    /// predicate passes at point values. A group fed only by uncertain
+    /// tuples that all fail at point does not exist in the point answer
+    /// (the exact engine never creates it), so callers must not
+    /// materialize or publish it.
+    pub supported: bool,
+}
+
+/// `x (op) y` on floats.
+#[inline(always)]
+pub(crate) fn cmp_op(op: BinOp, x: f64, y: f64) -> bool {
+    match op {
+        BinOp::Lt => x < y,
+        BinOp::LtEq => x <= y,
+        BinOp::Gt => x > y,
+        BinOp::GtEq => x >= y,
+        // golint: allow(float-total-order) -- SQL `=`/`<>` on floats: NaN compares
+        // false/true per IEEE, the defined per-row-deterministic query result;
+        // no ordering is derived from it.
+        BinOp::Eq => x == y,
+        BinOp::NotEq => x != y,
+        _ => false,
+    }
+}
+
+/// Per-trial weight mask for the scalar-comparison fast path: `mask[b] =
+/// weights[b]` when trial `b`'s RHS is non-null and `lx (op) rhs[b]`
+/// holds, else `0`. The operator dispatch happens once per call so each
+/// arm compiles to a tight, bounds-check-free sweep over the trial vector.
+fn fill_cmp_mask(mask: &mut Vec<u32>, weights: &[u32], rhs: &[Option<f64>], op: BinOp, lx: f64) {
+    #[inline(always)]
+    fn sweep(
+        mask: &mut Vec<u32>,
+        weights: &[u32],
+        rhs: &[Option<f64>],
+        lx: f64,
+        f: impl Fn(f64, f64) -> bool,
+    ) {
+        mask.extend(weights.iter().zip(rhs).map(|(&w, &rv)| match rv {
+            Some(y) if f(lx, y) => w,
+            _ => 0,
+        }));
+    }
+    match op {
+        BinOp::Lt => sweep(mask, weights, rhs, lx, |x, y| x < y),
+        BinOp::LtEq => sweep(mask, weights, rhs, lx, |x, y| x <= y),
+        BinOp::Gt => sweep(mask, weights, rhs, lx, |x, y| x > y),
+        BinOp::GtEq => sweep(mask, weights, rhs, lx, |x, y| x >= y),
+        BinOp::Eq => sweep(mask, weights, rhs, lx, |x, y| x == y),
+        BinOp::NotEq => sweep(mask, weights, rhs, lx, |x, y| x != y),
+        _ => sweep(mask, weights, rhs, lx, |_, _| false),
+    }
+}
+
+/// How an uncertain tuple's inclusion is decided, at point values and per
+/// trial. The two fast shapes are pure shortcuts for [`Inclusion::Generic`]
+/// (full predicate evaluation per tuple and trial).
+enum Inclusion<'a> {
+    /// A single membership predicate (Q18-shaped semi-joins whose
+    /// aggregates cannot merge): one hash lookup, then direct reads of the
+    /// published per-trial membership bits.
+    Member(gola_expr::SubqueryId, &'a [Expr], bool),
+    /// `lhs θ f(scalar-ref)`: the LHS evaluates once per tuple, the RHS
+    /// once per (correlation key, trial) — cached at point (index 0) and
+    /// per trial (1 + b).
+    ScalarCmp(&'a FastScalarCmp, FxHashMap<Vec<Value>, Vec<Option<f64>>>),
+    Generic,
+}
+
+impl Inclusion<'_> {
+    /// Does uncertain tuple `i` pass at point values? Also fills `mask`
+    /// with the tuple's bootstrap weight in every trial it passes and `0`
+    /// elsewhere. `key` is scratch space for the predicate's lookup key.
+    fn decide(
+        &mut self,
+        env: &BlockEnv<'_>,
+        reader: &mut TupleReader<'_>,
+        i: usize,
+        weights: &[u32],
+        mask: &mut Vec<u32>,
+        key: &mut Vec<Value>,
+    ) -> Result<bool> {
+        mask.clear();
+        let trials = 0..env.config.bootstrap.trials;
+        match self {
+            Inclusion::Member(id, key_exprs, negated) => {
+                reader.values_into(i, key_exprs, CtxMode::Point, key)?;
+                let entry = env.pubs[id.0].members.get(key.as_slice());
+                // NULL never passes `IN (...)`, negated or not.
+                let null_key = key.iter().any(Value::is_null);
+                let passes = |in_set: bool| !null_key && in_set != *negated;
+                mask.extend(weights.iter().enumerate().map(|(b, &w)| {
+                    let in_set = entry.is_some_and(|m| m.trials.get(b).copied().unwrap_or(m.point));
+                    if passes(in_set) {
+                        w
+                    } else {
+                        0
+                    }
+                }));
+                Ok(passes(entry.is_some_and(|m| m.point)))
+            }
+            Inclusion::ScalarCmp(fsc, cache) => {
+                let lhs = reader.value(i, &fsc.lhs, CtxMode::Point)?.as_f64();
+                reader.values_into(i, &fsc.key, CtxMode::Point, key)?;
+                let rhs = entry_mut(cache, key, || {
+                    std::iter::once(CtxMode::Point)
+                        .chain(trials.map(CtxMode::Trial))
+                        .map(|mode| Ok(eval(&fsc.rhs, &reader.ctx(i, mode))?.as_f64()))
+                        .collect()
+                })?;
+                // A null LHS compares false against every RHS under every
+                // operator: no point support, no trial folds.
+                let Some(lx) = lhs else {
+                    mask.resize(weights.len(), 0);
+                    return Ok(false);
+                };
+                fill_cmp_mask(mask, weights, &rhs[1..], fsc.op, lx);
+                Ok(rhs[0].is_some_and(|y| cmp_op(fsc.op, lx, y)))
+            }
+            Inclusion::Generic => {
+                let mut pass = |mode| -> Result<bool> {
+                    let ctx = reader.ctx(i, mode);
+                    for f in &env.cb.lin_filters {
+                        if !eval_predicate(f, &ctx)? {
+                            return Ok(false);
+                        }
+                    }
+                    Ok(true)
+                };
+                let point = pass(CtxMode::Point)?;
+                // Each trial sees that trial's own upstream values.
+                for (b, &w) in trials.zip(weights) {
+                    let keep = w != 0 && pass(CtxMode::Trial(b))?;
+                    mask.push(if keep { w } else { 0 });
+                }
+                Ok(point)
+            }
+        }
+    }
+}
+
+/// Merge the uncertain set's current contributions into snapshots of the
+/// affected groups; untouched groups are borrowed. Sorted by key: the
+/// result feeds publish chunking and the report's row order, so its order
+/// must not leak hash layout.
+pub(crate) fn effective_states<'a>(
+    env: &BlockEnv<'_>,
+    rt: &'a BlockRuntime,
+) -> Result<Vec<EffGroup<'a>>> {
+    let cb = env.cb;
+    let trials = env.config.bootstrap.trials;
+    let mut out = match &cb.semi_join {
+        Some((id, _, negated)) => semi_join_states(env, rt, *id, *negated),
+        None => uncertain_states(env, rt)?,
+    };
+    // A global aggregate over no data still has one (empty) group.
+    if out.is_empty() && cb.num_keys() == 0 {
+        out.push(EffGroup {
+            key: Cow::Owned(Vec::new()),
+            states: Cow::Owned(ReplicatedStates::new(&cb.agg_kinds, trials)),
+            supported: true,
+        });
+    }
+    Ok(out)
+}
+
+fn uncertain_states<'a>(env: &BlockEnv<'_>, rt: &'a BlockRuntime) -> Result<Vec<EffGroup<'a>>> {
+    let cb = env.cb;
+    let trials = env.config.bootstrap.trials;
+    let mut inclusion = match (&cb.lin_filters[..], &cb.fast_scalar_cmp) {
+        ([Expr::InSubquery { id, key, negated }], _) => Inclusion::Member(*id, key, *negated),
+        (_, Some(fsc)) => Inclusion::ScalarCmp(fsc, FxHashMap::default()),
+        _ => Inclusion::Generic,
+    };
+    // Per touched group: merged states plus point support.
+    let mut touched: FxHashMap<Vec<Value>, (ReplicatedStates, bool)> = FxHashMap::default();
+    // The uncertain set carries its bootstrap weights — computed once when
+    // each tuple entered the set — so no weight kernel runs here no matter
+    // how many batches a tuple stays uncertain.
+    let us = &rt.uncertain;
+    let stride = trials as usize;
+    let mut reader = TupleReader::new(&us.chunk, env.pubs);
+    let mut key: Vec<Value> = Vec::new();
+    let mut args: Vec<Value> = Vec::new();
+    let mut mask: Vec<u32> = Vec::with_capacity(stride);
+    let mut lookup_key: Vec<Value> = Vec::new();
+    for i in 0..us.len() {
+        let weights = &us.weights[i * stride..(i + 1) * stride];
+        reader.values_into(i, &cb.lin_group_by, CtxMode::Point, &mut key)?;
+        reader.values_into(i, &cb.lin_agg_args, CtxMode::Point, &mut args)?;
+        let (states, supported) = entry_mut(&mut touched, &key, || {
+            let det = rt.groups.get(key.as_slice());
+            let base = det
+                .cloned()
+                .unwrap_or_else(|| ReplicatedStates::new(&cb.agg_kinds, trials));
+            Ok((base, det.is_some()))
+        })?;
+        if inclusion.decide(env, &mut reader, i, weights, &mut mask, &mut lookup_key)? {
+            states.update_main(&args);
+            *supported = true;
+        }
+        // Excluded trials are masked to weight 0 (a no-op), so one fused
+        // replica fold per aggregate lane covers every trial.
+        for (j, v) in args.iter().enumerate() {
+            states.fold_value_replicas(j, v, &mask);
+        }
+    }
+    let mut out: Vec<EffGroup<'a>> = Vec::with_capacity(rt.groups.len() + touched.len());
+    for (key, states) in sorted_entries(&rt.groups) {
+        if !touched.contains_key(key) {
+            out.push(EffGroup {
+                key: Cow::Borrowed(key.as_slice()),
+                states: Cow::Borrowed(states),
+                supported: true,
+            });
+        }
+    }
+    for (key, (states, supported)) in sorted_into_entries(touched) {
+        out.push(EffGroup {
+            key: Cow::Owned(key),
+            states: Cow::Owned(states),
+            supported,
+        });
+    }
+    out.sort_by(|a, b| cmp_values(&a.key, &b.key));
+    Ok(out)
+}
+
+/// Combine semi-join partial aggregates: merge, per output group, the
+/// partitions whose membership key currently passes — main states by
+/// point membership, each replica by that trial's membership.
+fn semi_join_states<'a>(
+    env: &BlockEnv<'_>,
+    rt: &'a BlockRuntime,
+    id: gola_expr::SubqueryId,
+    negated: bool,
+) -> Vec<EffGroup<'a>> {
+    let trials = env.config.bootstrap.trials;
+    let members = &env.pubs[id.0].members;
+    let mut merged: FxHashMap<Vec<Value>, (ReplicatedStates, bool)> = FxHashMap::default();
+    // Merge in sorted (mkey, gkey) order: float merge order across
+    // membership partitions is part of the published value, so it must be
+    // a function of the keys alone — never of hash layout.
+    for (mkey, groups) in sorted_entries(&rt.semi_groups) {
+        let entry = members.get(mkey.as_slice());
+        let point_in = entry.is_some_and(|m| m.point) != negated;
+        for (gkey, states) in sorted_entries(groups) {
+            let acc = merged
+                .entry(gkey.clone())
+                .or_insert_with(|| (ReplicatedStates::new(&env.cb.agg_kinds, trials), false));
+            if point_in {
+                acc.0.merge_main(states);
+                // Point support: at least one partition of this group
+                // passes the membership test at point values.
+                acc.1 = true;
+            }
+            for b in 0..trials {
+                let in_set =
+                    entry.is_some_and(|m| m.trials.get(b as usize).copied().unwrap_or(m.point));
+                if in_set != negated {
+                    acc.0.merge_replica(b, states);
+                }
+            }
+        }
+    }
+    sorted_into_entries(merged)
+        .into_iter()
+        .map(|(k, (v, supported))| EffGroup {
+            key: Cow::Owned(k),
+            states: Cow::Owned(v),
+            supported,
+        })
+        .collect()
+}
+
+/// One group under evaluation: its key, its states, the multiplicity `m`
+/// that scales them, and the aggregates' point values. Scalar publish,
+/// membership publish and the root report all evaluate expressions over a
+/// group the same way — at point, then at each trial — through this.
+pub(crate) struct GroupEval<'a> {
+    env: &'a BlockEnv<'a>,
+    pub key: &'a [Value],
+    pub states: &'a ReplicatedStates,
+    pub m: f64,
+    pub point_aggs: Vec<Value>,
+}
+
+impl<'a> GroupEval<'a> {
+    pub(crate) fn new(
+        env: &'a BlockEnv<'a>,
+        key: &'a [Value],
+        states: &'a ReplicatedStates,
+        m: f64,
+    ) -> GroupEval<'a> {
+        let point_aggs = (0..states.num_aggs()).map(|j| states.value(j, m)).collect();
+        GroupEval {
+            env,
+            key,
+            states,
+            m,
+            point_aggs,
+        }
+    }
+
+    fn ctx<'c>(
+        &'c self,
+        aggs: &'c [Value],
+        agg_ranges: Option<&'c [RangeVal]>,
+        mode: CtxMode,
+    ) -> GroupCtx<'c> {
+        GroupCtx {
+            keys: self.key,
+            aggs,
+            agg_ranges,
+            pubs: self.env.pubs,
+            mode,
+        }
+    }
+
+    /// The group at point values.
+    pub(crate) fn point_ctx(&self) -> GroupCtx<'_> {
+        self.ctx(&self.point_aggs, None, CtxMode::Point)
+    }
+
+    /// `f` over the group at each bootstrap trial's values, in trial order.
+    pub(crate) fn for_each_trial(
+        &self,
+        mut f: impl FnMut(&GroupCtx<'_>) -> Result<()>,
+    ) -> Result<()> {
+        let n_aggs = self.point_aggs.len();
+        let mut aggs: Vec<Value> = Vec::with_capacity(n_aggs);
+        for t in 0..self.env.config.bootstrap.trials {
+            aggs.clear();
+            aggs.extend((0..n_aggs).map(|j| self.states.trial_value(j, t, self.m)));
+            f(&self.ctx(&aggs, None, CtxMode::Trial(t)))?;
+        }
+        Ok(())
+    }
+
+    /// Classify the block's HAVING over the aggregates' variation ranges
+    /// (meaningful while the block is live; a finished block's HAVING is
+    /// its point value).
+    pub(crate) fn having_tri(&self) -> Result<Tri> {
+        let ranges: Vec<RangeVal> = (0..self.point_aggs.len())
+            .map(|j| self.agg_range(j))
+            .collect();
+        let ctx = self.ctx(&self.point_aggs, Some(&ranges), CtxMode::Classify);
+        let mut tri = Tri::True;
+        for h in &self.env.cb.block.having {
+            tri = tri.and(eval_tri(h, &ctx)?);
+            if tri == Tri::False {
+                break;
+            }
+        }
+        Ok(tri)
+    }
+
+    /// Variation range of live aggregate `j`, for classification.
+    ///
+    /// Combines three sources of knowledge (paper §3.2 plus two
+    /// engineering refinements documented in DESIGN.md):
+    /// * the bootstrap range `[min(û) − ε, max(û) + ε]` of the
+    ///   multiplicity-scaled replicas;
+    /// * a **monotone lower bound** — COUNT and SUM over non-negative
+    ///   values can only grow, so their raw running total bounds the final
+    ///   value from below *with certainty*;
+    /// * a **small-sample guard** — with fewer than `min_group_obs`
+    ///   observations the bootstrap spread is untrustworthy, so only the
+    ///   monotone bound is used (upper end stays unbounded).
+    fn agg_range(&self, j: usize) -> RangeVal {
+        let lower = self.states.lower_bound(j);
+        match self.point_aggs[j].as_f64() {
+            Some(v) if !self.tiny(j) => {
+                let reps = self.states.replica_values(j, self.m);
+                let vr =
+                    VariationRange::from_replicas(v, &reps, self.env.config.envelope_epsilon());
+                let lo = lower.map_or(vr.lo, |l| vr.lo.max(l));
+                RangeVal::num(lo, vr.hi.max(lo))
+            }
+            _ => match lower {
+                Some(lo) => RangeVal::Num {
+                    lo,
+                    hi: f64::INFINITY,
+                },
+                None => RangeVal::Unknown,
+            },
+        }
+    }
+
+    /// Small-sample guard: with no replicas at all, or fewer than
+    /// `min_group_obs` observations, aggregate `j`'s bootstrap spread is
+    /// not trusted for deterministic classification.
+    pub(crate) fn tiny(&self, j: usize) -> bool {
+        let config = self.env.config;
+        config.bootstrap.trials == 0
+            || self
+                .states
+                .observations(j)
+                .is_some_and(|o| o < config.min_group_obs)
+    }
+}
+
+/// Does the group pass every HAVING conjunct under `ctx`?
+pub(crate) fn having_pass(having: &[Expr], ctx: &GroupCtx<'_>) -> Result<bool> {
+    for h in having {
+        if !eval_predicate(h, ctx)? {
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}

@@ -23,26 +23,39 @@
 //! near-constant per-batch cost.
 //!
 //! Classification uses **committed envelopes**: the intersection of every
-//! variation range a decision was made against. The [`executor`] monitors
+//! variation range a decision was made against. The publish stage monitors
 //! published values (and each bootstrap replica) against the envelopes that
 //! consumers actually relied on; a violation triggers a counted,
 //! failure-driven recomputation of the affected downstream blocks (paper
 //! §3.2's recovery mechanism, scheduled by the Query Controller of §4).
+//!
+//! # Stages
+//!
+//! One module per stage of the per-batch loop, named as the obs spans and
+//! [`BatchTiming`] name them: [`join`] → `classify` → `fold` → `publish` →
+//! `recover` → [`report`], driven by [`step`]. DESIGN.md §3.9 tabulates
+//! what each one reads, returns and may mutate.
 
+pub(crate) mod classify;
 pub mod compiled;
 pub mod config;
 pub(crate) mod contract;
-pub mod executor;
+pub(crate) mod fold;
+pub(crate) mod groups;
+pub mod join;
 pub(crate) mod metrics;
 pub mod pool;
+pub(crate) mod publish;
+pub(crate) mod recover;
 pub mod report;
 pub mod runtime;
 pub mod sched;
 pub mod session;
+pub mod step;
 
 pub use config::OnlineConfig;
-pub use executor::OnlineExecutor;
 pub use gola_plan::QueryContract;
 pub use pool::WorkerPool;
 pub use report::{BatchReport, BatchTiming, CellEstimate, ContractProgress, ContractStop};
 pub use session::{OnlineExecution, OnlineSession, PreparedQuery};
+pub use step::OnlineExecutor;

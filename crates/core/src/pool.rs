@@ -172,6 +172,41 @@ impl WorkerPool {
         self.threads
     }
 
+    /// Apply `f` to every item across the pool and return the results in
+    /// item order — the one parallel shape the stages use. With one thread
+    /// or at most one item this is a plain inline loop (no boxing, no
+    /// queue); otherwise each item is one [`WorkerPool::run`] job, so the
+    /// first panic by item index propagates once every item has finished.
+    pub fn map<T: Send, R: Send>(
+        &self,
+        items: impl IntoIterator<Item = T>,
+        f: impl Fn(T) -> R + Sync,
+    ) -> Vec<R> {
+        let items: Vec<T> = items.into_iter().collect();
+        if self.threads == 1 || items.len() <= 1 {
+            return items.into_iter().map(f).collect();
+        }
+        let mut slots: Vec<Option<R>> = Vec::new();
+        slots.resize_with(items.len(), || None);
+        let f = &f;
+        self.run(
+            items
+                .into_iter()
+                .zip(slots.iter_mut())
+                .map(|(item, slot)| {
+                    Box::new(move || *slot = Some(f(item))) as Box<dyn FnOnce() + Send + '_>
+                })
+                .collect(),
+        );
+        // golint: allow(panic-surface) -- `run` blocks until every job has
+        // executed (a panicking job re-raises above); an empty slot is a
+        // pool bug
+        slots
+            .into_iter()
+            .map(|r| r.expect("pool ran every item"))
+            .collect()
+    }
+
     /// Execute every closure in `jobs`, distributing across the pool's
     /// workers and the calling thread. Blocks until all have finished; if
     /// any panicked, re-raises the first panic (by job order) on the caller.
@@ -320,6 +355,8 @@ mod tests {
         let counter = AtomicUsize::new(0);
         pool.run(jobs_touching(&counter, 17));
         assert_eq!(counter.load(Ordering::Relaxed), 17);
+        let squares: Vec<u64> = (0..17).map(|i| i * i).collect();
+        assert_eq!(pool.map(0..17u64, |i| i * i), squares);
     }
 
     #[test]
@@ -348,8 +385,12 @@ mod tests {
             })
             .collect();
         pool.run(jobs);
-        let total: u64 = sums.iter().map(|s| *s.lock().unwrap()).sum();
-        assert_eq!(total, 999 * 1000 / 2);
+        let by_run: Vec<u64> = sums.iter().map(|s| *s.lock().unwrap()).collect();
+        assert_eq!(by_run.iter().sum::<u64>(), 999 * 1000 / 2);
+        // `map` is the same run with the slots built in: results come back
+        // in item order whichever thread produced them.
+        let by_map = pool.map(data.chunks(250), |chunk| chunk.iter().sum::<u64>());
+        assert_eq!(by_map, by_run);
     }
 
     #[test]
@@ -381,22 +422,24 @@ mod tests {
     fn panic_propagates_after_all_jobs_finish() {
         let pool = WorkerPool::new(4);
         let counter = AtomicUsize::new(0);
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..8)
-            .map(|i| {
-                let c = &counter;
-                Box::new(move || {
-                    if i == 3 {
-                        panic!("job 3 exploded");
-                    }
-                    c.fetch_add(1, Ordering::Relaxed);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        let err = catch_unwind(AssertUnwindSafe(|| pool.run(jobs))).unwrap_err();
-        let msg = err.downcast_ref::<&str>().copied().unwrap_or("");
-        assert_eq!(msg, "job 3 exploded");
-        // Every non-panicking job still ran before the panic re-raised.
-        assert_eq!(counter.load(Ordering::Relaxed), 7);
+        let job = |i: usize| {
+            if i == 3 {
+                panic!("job 3 exploded");
+            }
+            counter.fetch_add(1, Ordering::Relaxed);
+        };
+        let via_run = || {
+            let jobs = (0..8).map(|i| Box::new(move || job(i)) as Box<dyn FnOnce() + Send + '_>);
+            pool.run(jobs.collect())
+        };
+        let via_map = || drop(pool.map(0..8, job));
+        for (ran, drive) in [(7, &via_run as &dyn Fn()), (14, &via_map)] {
+            let err = catch_unwind(AssertUnwindSafe(drive)).unwrap_err();
+            let msg = err.downcast_ref::<&str>().copied().unwrap_or("");
+            assert_eq!(msg, "job 3 exploded");
+            // Every non-panicking job still ran before the panic re-raised.
+            assert_eq!(counter.load(Ordering::Relaxed), ran);
+        }
     }
 
     #[test]

@@ -1,0 +1,342 @@
+//! Stage **publish**: refresh a producer block's externally visible
+//! values — point, per-trial and variation range per group — carry the
+//! committed envelopes forward, and detect **failures**: a relied-upon
+//! value escaping its envelope, a relied-upon membership flipping, or a
+//! relied-upon group vanishing (paper §3.2).
+
+use std::sync::atomic::{AtomicBool, AtomicU8};
+use std::sync::Arc;
+
+use gola_agg::ReplicatedStates;
+use gola_bootstrap::VariationRange;
+use gola_common::{FxHashMap, Result, Row, Value};
+use gola_expr::eval::{eval, eval_predicate};
+use gola_expr::{BinOp, Expr, RangeVal, Tri};
+use gola_plan::BlockRole;
+use gola_storage::Catalog;
+
+use crate::groups::{cmp_op, effective_states, having_pass, EffGroup, GroupEval};
+use crate::join::join_one;
+use crate::runtime::{
+    sorted_into_entries, BlockEnv, BlockRuntime, CtxMode, Published, PublishedMember,
+    PublishedScalar, TupleCtx,
+};
+
+/// Group-entry chunk size for parallel publication.
+const PUB_CHUNK: usize = 64;
+
+/// What the stage reads besides the block's [`BlockEnv`].
+pub(crate) struct PublishInput<'a> {
+    pub rt: &'a BlockRuntime,
+    /// The block's previous publication: envelopes and reliance marks.
+    pub old: &'a Published,
+    /// Multiplicity `k/i` scaling the states to full-data estimates.
+    pub m: f64,
+    /// This is the final batch: the block stops being live.
+    pub last: bool,
+}
+
+/// Per-call constants shared by every group of one publication.
+struct PubCtx<'a> {
+    old: &'a Published,
+    m: f64,
+    live: bool,
+    /// Numeric-only fast HAVING: every conjunct compares an aggregate
+    /// against a numeric constant — `(aggregate, op, constant)` each.
+    numeric_having: Option<Vec<(usize, BinOp, f64)>>,
+}
+
+/// One group's publication result (scalar or membership block).
+enum PubEntry {
+    Scalar(PublishedScalar),
+    Member(PublishedMember),
+}
+
+/// Publication output of one group chunk: `(key, entry, violated)` each.
+/// Keys are interned `Arc` slices so live groups reuse the previous batch's
+/// allocation instead of cloning a `Vec<Value>` every batch.
+type PubChunk = Vec<(Arc<[Value]>, PubEntry, bool)>;
+
+/// Run the stage. Returns the block's new publication and whether a
+/// relied-upon value violated its commitment. Finalizing a group only
+/// reads frozen state, so `PUB_CHUNK`-group chunks run in parallel and
+/// assemble in chunk order.
+pub(crate) fn publish(env: &BlockEnv<'_>, input: PublishInput<'_>) -> Result<(Published, bool)> {
+    let cb = env.cb;
+    let n_keys = cb.num_keys();
+    let mut eff = effective_states(env, input.rt)?;
+    // Groups without point support don't exist in the point answer, so
+    // they must not publish — a consumer would see a group the exact
+    // engine never creates (e.g. COUNT = 0 where the true subquery yields
+    // no row at all). A global aggregate always has exactly one row.
+    eff.retain(|g| g.supported || n_keys == 0);
+    let live = cb.block.is_streaming && !input.last;
+    let p = PubCtx {
+        old: input.old,
+        m: input.m,
+        live,
+        numeric_having: cb.fast_having.as_ref().and_then(|fh| {
+            fh.iter()
+                .map(|(c, op, k)| Some((c.checked_sub(n_keys)?, *op, k.as_f64()?)))
+                .collect()
+        }),
+    };
+    let mut out = Published {
+        live,
+        ..Default::default()
+    };
+    let mut violated = false;
+    for chunk in env
+        .pool
+        .map(eff.chunks(PUB_CHUNK), |chunk| publish_chunk(env, &p, chunk))
+    {
+        for (key, entry, v) in chunk? {
+            violated |= v;
+            match entry {
+                PubEntry::Scalar(s) => {
+                    out.scalars.insert(key, s);
+                }
+                PubEntry::Member(m) => {
+                    out.members.insert(key, m);
+                }
+            }
+        }
+    }
+    // Groups that vanished (their only contributions were uncertain tuples
+    // that resolved to false): decisions that relied on them are void.
+    // Relying on `false` for a vanished member stays correct.
+    // golint: allow(hash-order-leak) -- order-insensitive boolean OR over
+    // vanished groups; no value escapes
+    violated |= (p.old.scalars.iter()).any(|(k, s)| s.is_used() && !out.scalars.contains_key(k));
+    // golint: allow(hash-order-leak) -- as above
+    violated |= (p.old.members.iter())
+        .any(|(k, m)| m.relied_on() == Some(true) && !out.members.contains_key(k));
+    Ok((out, violated))
+}
+
+/// Finalize one chunk of groups.
+fn publish_chunk(env: &BlockEnv<'_>, p: &PubCtx<'_>, chunk: &[EffGroup<'_>]) -> Result<PubChunk> {
+    let scalar = env.cb.block.role == BlockRole::Scalar;
+    chunk
+        .iter()
+        .map(|group| {
+            let key: &[Value] = &group.key;
+            let g = GroupEval::new(env, key, &group.states, p.m);
+            let (entry, violated, prev) = if scalar {
+                let (s, v) = scalar_entry(env, p, &g)?;
+                (
+                    PubEntry::Scalar(s),
+                    v,
+                    p.old.scalars.get_key_value(key).map(|(k, _)| k),
+                )
+            } else {
+                let (m, v) = member_entry(env, p, &g)?;
+                (
+                    PubEntry::Member(m),
+                    v,
+                    p.old.members.get_key_value(key).map(|(k, _)| k),
+                )
+            };
+            Ok((
+                prev.map_or_else(|| Arc::from(key), Arc::clone),
+                entry,
+                violated,
+            ))
+        })
+        .collect()
+}
+
+/// A scalar block's first post-projection expression — its value.
+fn scalar_projection<'a>(env: &BlockEnv<'a>) -> &'a Expr {
+    // golint: allow(panic-surface) -- Scalar blocks are built with a post
+    // projection; MetaPlan construction guarantees it
+    &env.cb
+        .block
+        .post_project
+        .as_ref()
+        .expect("scalar has projection")[0]
+}
+
+/// Finalize one scalar group: point value, per-trial values, envelope
+/// carry and violation check against the previous publication.
+fn scalar_entry(
+    env: &BlockEnv<'_>,
+    p: &PubCtx<'_>,
+    g: &GroupEval<'_>,
+) -> Result<(PublishedScalar, bool)> {
+    let post = scalar_projection(env);
+    let trials = env.config.bootstrap.trials;
+    let (n_keys, n_aggs) = (g.key.len(), g.point_aggs.len());
+    let mut trial_vals: Vec<Value> = Vec::with_capacity(trials as usize);
+    let mut numeric_trials: Vec<f64> = Vec::with_capacity(trials as usize);
+    let mut push = |v: Value| {
+        numeric_trials.extend(v.as_f64());
+        trial_vals.push(v);
+    };
+    let value = match post {
+        // A plain column reference (group key or aggregate) reads the
+        // replicated states directly — no eval context per trial.
+        Expr::Column(c) if *c < n_keys => {
+            (0..trials).for_each(|_| push(g.key[*c].clone()));
+            g.key[*c].clone()
+        }
+        Expr::Column(c) if *c < n_keys + n_aggs => {
+            (0..trials).for_each(|t| push(g.states.trial_value(c - n_keys, t, g.m)));
+            g.point_aggs[c - n_keys].clone()
+        }
+        _ => {
+            g.for_each_trial(|ctx| {
+                push(eval(post, ctx)?);
+                Ok(())
+            })?;
+            eval(post, &g.point_ctx())?
+        }
+    };
+    // Small-sample guard: do not trust the bootstrap range of a scalar
+    // derived from a handful of observations. With no replicas at all
+    // there is no error model — nothing classifies deterministically.
+    let tiny = p.live && (trials == 0 || (0..n_aggs).any(|j| g.tiny(j)));
+    let fresh = match value.as_f64() {
+        _ if tiny => RangeVal::Unknown,
+        Some(v) => {
+            let epsilon = env.config.envelope_epsilon();
+            let vr = VariationRange::from_replicas(v, &numeric_trials, epsilon);
+            RangeVal::num(vr.lo, vr.hi)
+        }
+        None if value.is_null() && p.live => RangeVal::Unknown,
+        None => RangeVal::Exact(value.clone()),
+    };
+    let mut violated = false;
+    let (env_range, used) = match p.old.scalars.get(g.key) {
+        Some(prev) if prev.is_used() => {
+            let inside = value.as_f64().is_some_and(|v| prev.env.contains(v))
+                && numeric_trials.iter().all(|&v| prev.env.contains(v));
+            violated = !inside;
+            if inside {
+                (prev.env.intersect(&fresh).unwrap_or(fresh), true)
+            } else {
+                (fresh, false)
+            }
+        }
+        _ => (fresh, false),
+    };
+    let entry = PublishedScalar {
+        value,
+        trials: trial_vals,
+        env: env_range,
+        used: AtomicBool::new(used),
+    };
+    Ok((entry, violated))
+}
+
+/// Does every `aggregate θ constant` conjunct hold for these aggregates?
+fn all_pass(fh: &[(usize, BinOp, f64)], agg: impl Fn(usize) -> Option<f64>) -> bool {
+    fh.iter()
+        .all(|&(j, op, k)| agg(j).is_some_and(|x| cmp_op(op, x, k)))
+}
+
+/// Finalize one membership group: HAVING at point and per trial, its
+/// range classification, and the check that a relied-upon membership
+/// still holds everywhere.
+fn member_entry(
+    env: &BlockEnv<'_>,
+    p: &PubCtx<'_>,
+    g: &GroupEval<'_>,
+) -> Result<(PublishedMember, bool)> {
+    let trials = env.config.bootstrap.trials;
+    let having = &env.cb.block.having;
+    let mut trial_pass: Vec<bool> = Vec::with_capacity(trials as usize);
+    let point = match &p.numeric_having {
+        Some(fh) => {
+            let trial = |b| all_pass(fh, |j| g.states.trial_value_f64(j, b, g.m));
+            trial_pass.extend((0..trials).map(trial));
+            all_pass(fh, |j| g.point_aggs[j].as_f64())
+        }
+        None => {
+            g.for_each_trial(|ctx| {
+                trial_pass.push(having_pass(having, ctx)?);
+                Ok(())
+            })?;
+            having_pass(having, &g.point_ctx())?
+        }
+    };
+    let tri = if p.live {
+        g.having_tri()?
+    } else {
+        Tri::from(point)
+    };
+    // Reliance carries over (1 = relied on `false`, 2 = on `true`) unless
+    // the point or any trial now contradicts it.
+    let (relied, violated) = match p.old.members.get(g.key).and_then(|prev| prev.relied_on()) {
+        Some(r) if point != r || trial_pass.iter().any(|&t| t != r) => (0, true),
+        Some(r) => (1 + u8::from(r), false),
+        None => (0, false),
+    };
+    let entry = PublishedMember {
+        point,
+        trials: trial_pass,
+        tri,
+        relied: AtomicU8::new(relied),
+    };
+    Ok((entry, violated))
+}
+
+/// Publish a static (non-streaming) block once, exactly: a full table has
+/// no sampling error, so every trial equals the point value and nothing
+/// can ever violate.
+pub(crate) fn publish_static(env: &BlockEnv<'_>, catalog: &Catalog) -> Result<Published> {
+    let cb = env.cb;
+    let trials = env.config.bootstrap.trials as usize;
+    let mut groups: FxHashMap<Vec<Value>, ReplicatedStates> = FxHashMap::default();
+    let mut joined_buf: Vec<Row> = Vec::new();
+    for row in catalog.get(&cb.block.source_table)?.rows() {
+        joined_buf.clear();
+        join_one(&row, env.dims, &cb.block.dims, &mut joined_buf)?;
+        'rows: for joined in &joined_buf {
+            let ctx = TupleCtx {
+                row: joined.values(),
+                pubs: env.pubs,
+                mode: CtxMode::Point,
+            };
+            for f in &cb.block.filters {
+                if !eval_predicate(f, &ctx)? {
+                    continue 'rows;
+                }
+            }
+            let key: Result<Vec<Value>> = cb.block.group_by.iter().map(|g| eval(g, &ctx)).collect();
+            let args: Result<Vec<Value>> =
+                cb.block.aggs.iter().map(|a| eval(&a.arg, &ctx)).collect();
+            groups
+                .entry(key?)
+                .or_insert_with(|| ReplicatedStates::new(&cb.agg_kinds, 0))
+                .update_main(&args?);
+        }
+    }
+    if groups.is_empty() && cb.num_keys() == 0 {
+        groups.insert(Vec::new(), ReplicatedStates::new(&cb.agg_kinds, 0));
+    }
+    let mut out = Published::default();
+    for (key, states) in sorted_into_entries(groups) {
+        let g = GroupEval::new(env, &key, &states, 1.0);
+        if cb.block.role == BlockRole::Scalar {
+            let value = eval(scalar_projection(env), &g.point_ctx())?;
+            let entry = PublishedScalar {
+                trials: vec![value.clone(); trials],
+                env: RangeVal::Exact(value.clone()),
+                value,
+                used: AtomicBool::new(false),
+            };
+            out.scalars.insert(key.into(), entry);
+        } else {
+            let point = having_pass(&cb.block.having, &g.point_ctx())?;
+            let entry = PublishedMember {
+                point,
+                trials: vec![point; trials],
+                tri: Tri::from(point),
+                relied: AtomicU8::new(0),
+            };
+            out.members.insert(key.into(), entry);
+        }
+    }
+    Ok(out)
+}

@@ -1,10 +1,19 @@
-//! Per-batch progress reports — the OLA user interface.
+//! Per-batch progress reports — the OLA user interface — and the stage
+//! that builds one: **report** materializes the root block's current
+//! answer with bootstrap error bars.
 
 use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
 
 use gola_bootstrap::{ConfidenceInterval, Estimate};
-use gola_storage::Table;
+use gola_common::{Result, Row, Value};
+use gola_expr::eval::eval;
+use gola_expr::{Expr, Tri};
+use gola_storage::{Partitioner, Table};
+
+use crate::groups::{effective_states, having_pass, GroupEval};
+use crate::runtime::{BlockEnv, BlockRuntime};
 
 /// The error model of one output cell.
 #[derive(Debug, Clone)]
@@ -233,6 +242,235 @@ impl fmt::Display for BatchReport {
         }
         Ok(())
     }
+}
+
+/// What the report stage reads besides the root block's [`BlockEnv`].
+pub(crate) struct ReportInput<'a> {
+    pub rt: &'a BlockRuntime,
+    pub partitioner: &'a Partitioner,
+    pub batch_index: usize,
+    /// Global multiplicity `k/i`.
+    pub m: f64,
+    pub last: bool,
+    pub uncertain_tuples: usize,
+    pub recomputations: usize,
+}
+
+/// The report stage's output.
+pub(crate) struct ReportOutput {
+    /// Timing fields are left zeroed for the step driver to fill.
+    pub report: BatchReport,
+    /// Per output group (pre-ORDER BY/LIMIT): `(key, certain)` — the
+    /// certainty claim made about it, so the driver can hold the executor
+    /// to its earlier claims.
+    pub claims: Vec<(Vec<Value>, bool)>,
+    /// The global finite-population correction applied to the CIs.
+    pub fpc: f64,
+}
+
+/// One output row before ORDER BY / LIMIT.
+struct OutRow {
+    row: Row,
+    certain: bool,
+    fpc: f64,
+    /// Per output column: that cell's numeric value in each trial.
+    replicas: Vec<Vec<f64>>,
+}
+
+/// Run the stage.
+pub(crate) fn build(env: &BlockEnv<'_>, input: ReportInput<'_>) -> Result<ReportOutput> {
+    let cb = env.cb;
+    let ReportInput {
+        rt,
+        partitioner,
+        batch_index,
+        m,
+        last,
+        ..
+    } = input;
+    // Finite-population correction for the reported CIs: the stream is a
+    // without-replacement sample of a known population, so replica spread
+    // overstates the remaining uncertainty by 1/√(1 − n/N) (see the
+    // gola-bootstrap ci module docs). At the final batch the factor is
+    // pinned to exactly zero — the answer is the full-data answer — rather
+    // than trusting `1 − n/N` to reach 0.0 in floats.
+    //
+    // `N` is the partitioner's **live** population, not a query-start
+    // snapshot: under a growing stream an append strictly widens or holds
+    // the correction, and `last` — the only thing that pins it to exactly
+    // 0.0 — exists only once the stream is closed and drained.
+    let correction = |seen: usize, total: usize| {
+        if last || total == 0 {
+            0.0
+        } else {
+            (1.0 - seen as f64 / total as f64).max(0.0).sqrt()
+        }
+    };
+    let rows_seen = partitioner.rows_seen_through(batch_index);
+    let total_rows = partitioner.total_rows();
+    let fpc = correction(rows_seen, total_rows);
+    let n_keys = cb.num_keys();
+
+    // Per-stratum estimation (DESIGN.md §3.10): when the stream is
+    // stratified on one of this block's group-key columns, each group is a
+    // without-replacement sample of *its own stratum*, so its multiplicity
+    // is `m_h = N_h / n_h` and its FPC is `sqrt(1 - n_h / N_h)` — an
+    // exhausted (rare, oversampled) stratum reaches m_h = 1, fpc_h = 0 and
+    // reports exactly, batches before the uniform design would get there.
+    let strat_key_idx: Option<usize> = partitioner
+        .stratify_column()
+        .and_then(|col| (0..n_keys).find(|&i| cb.block.agg_row_schema.field(i).name == col));
+
+    // Post-projection (identity when absent).
+    let identity: Vec<Expr> = (0..cb.block.agg_row_schema.len()).map(Expr::col).collect();
+    let post: &[Expr] = cb.block.post_project.as_deref().unwrap_or(&identity);
+    // Which output columns carry sampling error at all?
+    let has_error: Vec<bool> = post
+        .iter()
+        .map(|e| {
+            let mut cols = Vec::new();
+            e.collect_columns(&mut cols);
+            cols.iter().any(|&c| c >= n_keys) || e.has_subquery_ref()
+        })
+        .collect();
+
+    let mut rows: Vec<OutRow> = Vec::new();
+    let mut claims: Vec<(Vec<Value>, bool)> = Vec::new();
+    for group in &effective_states(env, rt)? {
+        let key: &[Value] = &group.key;
+        // Group-level multiplicity and FPC: per-stratum when this group's
+        // key column is the stratification column, global otherwise (also
+        // the fallback for keys no stratum matches, e.g. groups keyed on a
+        // derived expression).
+        let (gm, gfpc) = strat_key_idx
+            .and_then(|ki| partitioner.stratum_rate(&key[ki], batch_index))
+            .filter(|&(n_h, _)| n_h > 0)
+            .map_or((m, fpc), |(n_h, cap_h)| {
+                (cap_h as f64 / n_h as f64, correction(n_h, cap_h))
+            });
+        let g = GroupEval::new(env, key, &group.states, gm);
+        // A group with no point support does not exist in the point answer
+        // — the exact engine never creates it — and one failing HAVING at
+        // point values is filtered: neither may appear as an output row.
+        let exists =
+            (group.supported || n_keys == 0) && having_pass(&cb.block.having, &g.point_ctx())?;
+        // Row certainty — "membership in the result can no longer change"
+        // — needs both legs. (a) The group has deterministic support: a
+        // group fed only by uncertain tuples vanishes if they all resolve
+        // false. (b) Any HAVING classifies deterministically true over the
+        // aggregates' variation ranges. After the final batch the answer
+        // is exact, so every row is certain.
+        let certain = exists
+            && (last
+                || ((n_keys == 0 || membership_certain(env, rt, key))
+                    && (cb.block.having.is_empty() || g.having_tri()? == Tri::True)));
+        claims.push((key.to_vec(), certain));
+        if !exists {
+            continue;
+        }
+        let out_vals: Result<Vec<Value>> = post.iter().map(|e| eval(e, &g.point_ctx())).collect();
+        let mut replicas: Vec<Vec<f64>> = vec![Vec::new(); post.len()];
+        g.for_each_trial(|ctx| {
+            for (c, e) in post.iter().enumerate() {
+                if has_error[c] {
+                    replicas[c].extend(eval(e, ctx)?.as_f64());
+                }
+            }
+            Ok(())
+        })?;
+        rows.push(OutRow {
+            row: Row::new(out_vals?),
+            certain,
+            fpc: gfpc,
+            replicas,
+        });
+    }
+
+    // ORDER BY, defaulting to the group key columns; then LIMIT.
+    let by_keys: Vec<(usize, bool)> = (0..n_keys.min(post.len())).map(|i| (i, false)).collect();
+    let order: &[(usize, bool)] = if cb.block.order_by.is_empty() {
+        &by_keys
+    } else {
+        &cb.block.order_by
+    };
+    rows.sort_by(|a, b| {
+        order
+            .iter()
+            .map(|&(idx, desc)| {
+                let ord = a.row.get(idx).total_cmp(b.row.get(idx));
+                if desc {
+                    ord.reverse()
+                } else {
+                    ord
+                }
+            })
+            .find(|ord| ord.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    rows.truncate(cb.block.limit.unwrap_or(usize::MAX));
+
+    let mut estimates = Vec::new();
+    for (out_idx, out) in rows.iter_mut().enumerate() {
+        for (c, reps) in out.replicas.iter_mut().enumerate() {
+            if let Some(v) = out.row.get(c).as_f64().filter(|_| has_error[c]) {
+                estimates.push(CellEstimate {
+                    row: out_idx,
+                    col: c,
+                    estimate: Estimate::new(v, std::mem::take(reps)).with_fpc(out.fpc),
+                });
+            }
+        }
+    }
+    let row_certain = rows.iter().map(|r| r.certain).collect();
+    let table_rows = rows.into_iter().map(|r| r.row).collect();
+    let report = BatchReport {
+        batch_index,
+        // While a growing stream is open, at least one more batch can
+        // always appear — advertise it so `is_final()` never claims
+        // finality for a schedule that can still grow. Static partitioners
+        // are always finalized, so they are unaffected.
+        num_batches: partitioner.num_batches() + usize::from(!partitioner.finalized()),
+        rows_seen,
+        total_rows,
+        multiplicity: m,
+        table: Table::new_unchecked(Arc::clone(&cb.block.output_schema), table_rows),
+        estimates,
+        row_certain,
+        ci_level: env.config.ci_level,
+        uncertain_tuples: input.uncertain_tuples,
+        recomputations: input.recomputations,
+        batch_time: Duration::ZERO,
+        cumulative_time: Duration::ZERO,
+        timing: BatchTiming::default(),
+        contract: None,
+    };
+    Ok(ReportOutput {
+        report,
+        claims,
+        fpc,
+    })
+}
+
+/// Is this group's *presence* in the root output settled? A group backed
+/// by at least one deterministically-folded tuple can never vanish. A
+/// group whose only support is cached uncertain tuples — or, for semi-join
+/// aggregation, partitions whose membership is still range-classified
+/// `Maybe` — disappears if they all resolve false.
+fn membership_certain(env: &BlockEnv<'_>, rt: &BlockRuntime, key: &[Value]) -> bool {
+    let Some((id, _, negated)) = &env.cb.semi_join else {
+        return rt.groups.contains_key(key);
+    };
+    let members = &env.pubs[id.0].members;
+    // Deterministically *in* the (possibly negated) set.
+    let settled = if *negated { Tri::False } else { Tri::True };
+    // golint: allow(hash-order-leak) -- order-insensitive boolean OR over
+    // partitions; no value escapes
+    rt.semi_groups.iter().any(|(mkey, groups)| {
+        groups.contains_key(key)
+            && members
+                .get(mkey.as_slice())
+                .is_some_and(|m| m.tri == settled)
+    })
 }
 
 #[cfg(test)]

@@ -4,9 +4,26 @@ use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use gola_agg::ReplicatedStates;
-use gola_common::{cmp_values, Error, FxHashMap, Result, Value};
-use gola_expr::{EvalContext, RangeVal, SubqueryId, Tri};
+use gola_common::{cmp_values, Error, FxHashMap, Result, Row, Value};
+use gola_expr::{EvalContext, Expr, RangeVal, SubqueryId, Tri};
 use gola_storage::ColumnChunk;
+
+use crate::compiled::CompiledBlock;
+use crate::config::OnlineConfig;
+use crate::pool::WorkerPool;
+
+/// Everything a stage may read about the block it runs for. Frozen while
+/// the stage runs, and `Sync`, so chunk jobs on pool workers share it.
+#[derive(Clone, Copy)]
+pub(crate) struct BlockEnv<'a> {
+    pub cb: &'a CompiledBlock,
+    /// Per dimension join of the block: join key → dimension rows.
+    pub dims: &'a [FxHashMap<Vec<Value>, Vec<Row>>],
+    pub config: &'a OnlineConfig,
+    pub pool: &'a WorkerPool,
+    /// Published output of every block, indexed by block id.
+    pub pubs: &'a [Published],
+}
 
 /// Borrow a hash map's entries in canonical key order ([`cmp_values`]).
 ///
@@ -30,6 +47,20 @@ pub fn sorted_into_entries<V>(map: FxHashMap<Vec<Value>, V>) -> Vec<(Vec<Value>,
     let mut entries: Vec<(Vec<Value>, V)> = map.into_iter().collect();
     entries.sort_by(|a, b| cmp_values(&a.0, &b.0));
     entries
+}
+
+/// `map[key]`, created by `new` on first sight. Probing with the borrowed
+/// slice means the key is cloned once per group, not once per tuple.
+pub(crate) fn entry_mut<'m, V>(
+    map: &'m mut FxHashMap<Vec<Value>, V>,
+    key: &[Value],
+    new: impl FnOnce() -> Result<V>,
+) -> Result<&'m mut V> {
+    if !map.contains_key(key) {
+        map.insert(key.to_vec(), new()?);
+    }
+    // golint: allow(panic-surface) -- inserted above if missing
+    Ok(map.get_mut(key).expect("entry exists"))
 }
 
 /// The uncertain set `Uᵢ` of one block, stored struct-of-arrays: stable
@@ -316,6 +347,64 @@ impl EvalContext for TupleCtx<'_> {
 
     fn member_tri(&self, id: SubqueryId, key: &[Value]) -> Result<Tri> {
         member_tri_impl(self.pubs, id, key, self.mode)
+    }
+}
+
+/// Reads per-tuple expressions off a candidate chunk: a plain column
+/// reference comes straight from the column (the common case — no row
+/// materialization, no expression-tree walk); a general expression
+/// evaluates over a row buffer filled at most once per tuple.
+pub(crate) struct TupleReader<'a> {
+    pub chunk: &'a ColumnChunk,
+    pubs: &'a [Published],
+    rowbuf: Vec<Value>,
+    /// The tuple `rowbuf` currently holds.
+    filled: Option<usize>,
+}
+
+impl<'a> TupleReader<'a> {
+    pub fn new(chunk: &'a ColumnChunk, pubs: &'a [Published]) -> TupleReader<'a> {
+        TupleReader {
+            chunk,
+            pubs,
+            rowbuf: Vec::new(),
+            filled: None,
+        }
+    }
+
+    /// Evaluation context over tuple `i`'s full row.
+    pub fn ctx(&mut self, i: usize, mode: CtxMode) -> TupleCtx<'_> {
+        if self.filled != Some(i) {
+            self.chunk.row_values_into(i, &mut self.rowbuf);
+            self.filled = Some(i);
+        }
+        TupleCtx {
+            row: &self.rowbuf,
+            pubs: self.pubs,
+            mode,
+        }
+    }
+
+    pub fn value(&mut self, i: usize, e: &Expr, mode: CtxMode) -> Result<Value> {
+        match e {
+            Expr::Column(c) => Ok(self.chunk.column(*c).value(i)),
+            e => gola_expr::eval::eval(e, &self.ctx(i, mode)),
+        }
+    }
+
+    /// `exprs` evaluated for tuple `i`, replacing `out`'s contents.
+    pub fn values_into(
+        &mut self,
+        i: usize,
+        exprs: &[Expr],
+        mode: CtxMode,
+        out: &mut Vec<Value>,
+    ) -> Result<()> {
+        out.clear();
+        for e in exprs {
+            out.push(self.value(i, e, mode)?);
+        }
+        Ok(())
     }
 }
 

@@ -10,8 +10,8 @@ use gola_storage::{
 
 use crate::config::OnlineConfig;
 use crate::contract::ContractDriver;
-use crate::executor::OnlineExecutor;
 use crate::report::BatchReport;
+use crate::step::OnlineExecutor;
 
 /// A catalog plus an online configuration; the entry point for running SQL
 /// with progressively-refined answers.
@@ -87,9 +87,10 @@ impl OnlineSession {
         self.execute_prepared(&prepared)
     }
 
-    /// Start online execution of an already-prepared query.
+    /// Start online execution of an already-prepared query on a worker
+    /// pool of its own, sized by [`OnlineConfig::threads`].
     pub fn execute_prepared(&self, prepared: &PreparedQuery) -> Result<OnlineExecution> {
-        self.execute_prepared_inner(prepared, None)
+        self.execute_prepared_with_pool(prepared, OnlineExecutor::own_pool(&self.config))
     }
 
     /// Start online execution on a shared worker pool (the multi-tenant
@@ -101,14 +102,6 @@ impl OnlineSession {
         &self,
         prepared: &PreparedQuery,
         pool: Arc<crate::WorkerPool>,
-    ) -> Result<OnlineExecution> {
-        self.execute_prepared_inner(prepared, Some(pool))
-    }
-
-    fn execute_prepared_inner(
-        &self,
-        prepared: &PreparedQuery,
-        pool: Option<Arc<crate::WorkerPool>>,
     ) -> Result<OnlineExecution> {
         // A stream-backed scan table makes this a *growing* query: the
         // base schedule covers the sealed snapshot at start, and segments
@@ -142,21 +135,13 @@ impl OnlineSession {
                 self.config.partition_seed,
             )?),
         });
-        let executor = match pool {
-            Some(pool) => OnlineExecutor::with_pool(
-                &self.catalog,
-                prepared.meta.clone(),
-                partitioner,
-                self.config.clone(),
-                pool,
-            )?,
-            None => OnlineExecutor::new(
-                &self.catalog,
-                prepared.meta.clone(),
-                partitioner,
-                self.config.clone(),
-            )?,
-        };
+        let executor = OnlineExecutor::with_pool(
+            &self.catalog,
+            prepared.meta.clone(),
+            partitioner,
+            self.config.clone(),
+            pool,
+        )?;
         // A SQL-level contract wins over the config-level default.
         let contract = prepared.meta.contract.or(self.config.contract);
         Ok(OnlineExecution {

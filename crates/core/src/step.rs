@@ -1,0 +1,537 @@
+//! The mini-batch step driver.
+//!
+//! [`OnlineExecutor::step`] runs one mini-batch through the stages, in
+//! topological block order, one module each: [`crate::join`] →
+//! [`crate::classify`] → [`crate::fold`] (together: a block's *ingest*),
+//! [`crate::publish`], [`crate::recover`] on a detected failure, then
+//! [`crate::report`]. The driver owns the state the stages pass between
+//! batches and times each stage into [`BatchTiming`].
+
+use std::sync::{Arc, OnceLock};
+use std::time::Duration;
+
+use gola_common::timing::Stopwatch;
+use gola_common::{Error, FxHashSet, Result, Value};
+use gola_expr::Tri;
+use gola_plan::{BlockRole, MetaPlan};
+use gola_storage::{Catalog, MiniBatch, Partitioner};
+
+use crate::compiled::CompiledBlock;
+use crate::config::OnlineConfig;
+use crate::join::DimMaps;
+use crate::metrics::SessionMetrics;
+use crate::pool::WorkerPool;
+use crate::publish::PublishInput;
+use crate::recover::RecoverInput;
+use crate::report::{BatchReport, BatchTiming, ReportInput};
+use crate::runtime::{BlockEnv, BlockRuntime, Published};
+use crate::{classify, fold, join, publish, recover, report};
+
+/// The online query executor for one prepared query.
+pub struct OnlineExecutor {
+    config: OnlineConfig,
+    pub(crate) meta: MetaPlan,
+    pub(crate) compiled: Vec<CompiledBlock>,
+    pub(crate) partitioner: Arc<Partitioner>,
+    /// Per block: its hashed dimension tables.
+    dims: Vec<DimMaps>,
+    pub(crate) runtimes: Vec<BlockRuntime>,
+    pub(crate) published: Vec<Published>,
+    /// Direct consumers of each block.
+    pub(crate) consumers: Vec<Vec<usize>>,
+    /// Persistent worker pool, alive for the whole query session (workers
+    /// park between batches instead of respawning per ingest). Under the
+    /// multi-tenant scheduler many sessions share one pool
+    /// ([`OnlineExecutor::with_pool`]); batch-granularity preemption means
+    /// at most one session's batch runs on it at a time.
+    pool: Arc<WorkerPool>,
+    /// Lazily resolved per-session metric handles, so a disabled registry
+    /// never registers anything (see [`SessionMetrics`]).
+    session_metrics: OnceLock<SessionMetrics>,
+    batches_done: usize,
+    recomputations: usize,
+    /// Root-block group keys the user has already seen flagged
+    /// `row_certain = true`. A later batch may only break such a claim
+    /// through a counted failure event (see `step`), never silently.
+    claimed_certain: FxHashSet<Vec<Value>>,
+    cumulative: Duration,
+}
+
+impl OnlineExecutor {
+    /// Build an executor: compiles blocks, hashes dimension tables, and
+    /// computes static (non-streaming) blocks exactly.
+    pub fn new(
+        catalog: &Catalog,
+        meta: MetaPlan,
+        partitioner: Arc<Partitioner>,
+        config: OnlineConfig,
+    ) -> Result<OnlineExecutor> {
+        let pool = OnlineExecutor::own_pool(&config);
+        OnlineExecutor::with_pool(catalog, meta, partitioner, config, pool)
+    }
+
+    /// The pool a session that shares none runs on.
+    pub(crate) fn own_pool(config: &OnlineConfig) -> Arc<WorkerPool> {
+        Arc::new(match config.schedule_perturbation {
+            Some(seed) => WorkerPool::with_perturbation(config.threads, seed),
+            None => WorkerPool::new(config.threads),
+        })
+    }
+
+    /// As [`OnlineExecutor::new`], but execute on a caller-provided worker
+    /// pool. The multi-tenant scheduler uses this so every session
+    /// time-slices one shared pool instead of spawning `threads - 1` OS
+    /// threads per session. The determinism contract makes sharing safe:
+    /// reports are bit-identical at any thread count, so the pool's size
+    /// (not `config.threads`) governing physical parallelism cannot change
+    /// any session's output.
+    pub fn with_pool(
+        catalog: &Catalog,
+        meta: MetaPlan,
+        partitioner: Arc<Partitioner>,
+        config: OnlineConfig,
+        pool: Arc<WorkerPool>,
+    ) -> Result<OnlineExecutor> {
+        config.validate()?;
+        let compiled: Vec<CompiledBlock> = meta
+            .blocks
+            .iter()
+            .cloned()
+            .map(CompiledBlock::new)
+            .collect();
+        let dims = compiled
+            .iter()
+            .map(|cb| join::hash_dims(catalog, cb))
+            .collect::<Result<_>>()?;
+        let mut consumers = vec![Vec::new(); compiled.len()];
+        for cb in &compiled {
+            for d in &cb.block.deps {
+                consumers[d.0].push(cb.block.id);
+            }
+        }
+        let mut exec = OnlineExecutor {
+            config,
+            runtimes: compiled.iter().map(|_| BlockRuntime::default()).collect(),
+            published: compiled.iter().map(|_| Published::default()).collect(),
+            meta,
+            compiled,
+            partitioner,
+            dims,
+            consumers,
+            pool,
+            session_metrics: OnceLock::new(),
+            batches_done: 0,
+            recomputations: 0,
+            claimed_certain: FxHashSet::default(),
+            cumulative: Duration::ZERO,
+        };
+        // Static (non-streaming) producers publish once, exactly, in
+        // topological order.
+        for b in exec.meta.order.clone() {
+            let block = &exec.compiled[b].block;
+            if !block.is_streaming && block.role != BlockRole::Root {
+                exec.published[b] = publish::publish_static(&exec.env(b), catalog)?;
+                exec.runtimes[b].static_done = true;
+            }
+        }
+        Ok(exec)
+    }
+
+    /// What the stages may read while they run for block `b`.
+    pub(crate) fn env(&self, b: usize) -> BlockEnv<'_> {
+        BlockEnv {
+            cb: &self.compiled[b],
+            dims: &self.dims[b],
+            config: &self.config,
+            pool: &self.pool,
+            pubs: &self.published,
+        }
+    }
+
+    /// Number of batches processed so far.
+    pub fn batches_done(&self) -> usize {
+        self.batches_done
+    }
+
+    /// Total mini-batches `k`.
+    pub fn num_batches(&self) -> usize {
+        self.partitioner.num_batches()
+    }
+
+    /// Cumulative failure-triggered recomputations.
+    pub fn recomputations(&self) -> usize {
+        self.recomputations
+    }
+
+    /// Total uncertain items across all blocks: cached uncertain tuples
+    /// plus, for live membership producers, the number of group keys whose
+    /// membership is still classified as may-flip.
+    pub fn uncertain_tuples(&self) -> usize {
+        let cached: usize = self.runtimes.iter().map(|r| r.uncertain.len()).sum();
+        let maybe_members: usize = self
+            .published
+            .iter()
+            .filter(|p| p.live)
+            // golint: allow(hash-order-leak) -- counting only; the count is
+            // independent of iteration order
+            .map(|p| p.members.values().filter(|m| m.tri == Tri::Maybe).count())
+            .sum();
+        cached + maybe_members
+    }
+
+    /// Uncertain-set size of one block.
+    pub fn uncertain_in_block(&self, block: usize) -> usize {
+        self.runtimes[block].uncertain.len()
+    }
+
+    /// `true` once every batch has been processed. For a growing query
+    /// this first pulls newly sealed segments into the schedule, so
+    /// "finished" means the stream is closed *and* drained — a query that
+    /// has merely caught up with an open stream is not finished.
+    pub fn is_finished(&self) -> bool {
+        self.partitioner.refresh();
+        self.batches_done == self.partitioner.num_batches() && self.partitioner.finalized()
+    }
+
+    /// Process the next mini-batch and return the refined answer.
+    ///
+    /// Over a growing stream this may **block**: when every visible batch
+    /// is processed but the stream is still open, the step parks on the
+    /// stream's condvar until a segment seals (another mini-batch) or the
+    /// stream closes. Ingest therefore drives query progress directly —
+    /// no polling loop in between.
+    pub fn step(&mut self) -> Result<BatchReport> {
+        if self.is_finished() {
+            return Err(Error::exec("all mini-batches already processed"));
+        }
+        while self.batches_done == self.partitioner.num_batches() {
+            self.partitioner.wait_for_growth();
+            if self.is_finished() {
+                // Closed with nothing new: the true last batch was already
+                // reported (its `last` flag said so), so there is nothing
+                // left to publish.
+                return Err(Error::exec("stream closed with no further batches"));
+            }
+        }
+        let start = Stopwatch::start();
+        let i = self.batches_done;
+        let batch = self.partitioner.batch(i);
+        let m = self.partitioner.multiplicity_after(i);
+        let last = self.partitioner.is_final_batch(i);
+        let _batch_span = gola_obs::span!("batch", index = i);
+
+        let mut timing = BatchTiming {
+            batch_rows: batch.len(),
+            ..Default::default()
+        };
+        let mut violated = Vec::new();
+        // Blocks in the same wavefront are mutually independent, so their
+        // ingests run concurrently; publication follows per wave (in block
+        // order) so later waves classify against fresh envelopes.
+        for wave in self.meta.wavefronts() {
+            let streaming: Vec<usize> = wave
+                .into_iter()
+                .filter(|&b| self.compiled[b].block.is_streaming)
+                .collect();
+            if streaming.is_empty() {
+                continue;
+            }
+            {
+                let _span = gola_obs::span!("ingest");
+                self.ingest_wave(&streaming, &batch, &mut timing)?;
+            }
+            let t_pub = Stopwatch::start();
+            let _span = gola_obs::span!("publish");
+            for &b in &streaming {
+                if self.publish_block(b, m, last)? {
+                    violated.push(b);
+                }
+            }
+            timing.publish += t_pub.elapsed();
+        }
+
+        if !violated.is_empty() {
+            let t_rec = Stopwatch::start();
+            let _span = gola_obs::span!("recover", blocks = violated.len());
+            let input = RecoverInput {
+                violated: &violated,
+                upto: i,
+                m,
+                last,
+            };
+            self.recomputations += recover::recover(self, input)?;
+            timing.recover = t_rec.elapsed();
+        }
+
+        let t_rep = Stopwatch::start();
+        let report_span = gola_obs::span!("report");
+        let root = self.meta.root;
+        let input = ReportInput {
+            rt: &self.runtimes[root],
+            partitioner: &self.partitioner,
+            batch_index: i,
+            m,
+            last,
+            uncertain_tuples: self.uncertain_tuples(),
+            recomputations: self.recomputations,
+        };
+        let out = report::build(&self.env(root), input)?;
+        drop(report_span);
+        let mut report = out.report;
+        // Honor previously reported certainty: once the user has seen a row
+        // flagged `row_certain`, that row may not silently vanish or revert
+        // — the claim is a reliance exactly like a consumer's envelope, and
+        // breaking it (a classification range widened under new data) is a
+        // failure event. There is no state to replay — the claim went only
+        // to the user — so the recovery action is the corrected report
+        // itself, plus the counted recomputation that makes the correction
+        // auditable.
+        let still_certain: FxHashSet<&Vec<Value>> =
+            (out.claims.iter().filter(|(_, c)| *c).map(|(k, _)| k)).collect();
+        let claimed = self.claimed_certain.len();
+        self.claimed_certain
+            .retain(|key| still_certain.contains(key));
+        if self.claimed_certain.len() < claimed {
+            self.recomputations += 1;
+            report.recomputations = self.recomputations;
+        }
+        let newly_certain = out.claims.into_iter().filter(|(_, c)| *c).map(|(k, _)| k);
+        self.claimed_certain.extend(newly_certain);
+        // The report is the root block's publication — same bucket.
+        timing.publish += t_rep.elapsed();
+        self.batches_done += 1;
+        let elapsed = start.elapsed();
+        self.cumulative += elapsed;
+        report.batch_time = elapsed;
+        report.cumulative_time = self.cumulative;
+        report.timing = timing;
+        if gola_obs::enabled() {
+            let metrics = self
+                .session_metrics
+                .get_or_init(|| SessionMetrics::resolve(self.config.session_label.as_deref()));
+            metrics.batches.inc();
+            metrics.fpc.set(out.fpc);
+            metrics.uncertain.set(report.uncertain_tuples as f64);
+            metrics.recomputations.set(report.recomputations as f64);
+            if let Some(ci) = report.ci() {
+                metrics.ci_width.set(ci.width());
+            }
+        }
+        Ok(report)
+    }
+
+    /// Ingest one batch into every block of a wavefront: join → classify →
+    /// fold per block. The blocks are mutually independent, so each is one
+    /// pool item (block-level parallelism composes with the chunk-level
+    /// parallelism inside the stages via the pool's nested-run support).
+    pub(crate) fn ingest_wave(
+        &mut self,
+        blocks: &[usize],
+        batch: &MiniBatch,
+        timing: &mut BatchTiming,
+    ) -> Result<()> {
+        // Take the wave's runtimes out so each item owns its block's state
+        // while sharing `&self`.
+        let taken: Vec<(usize, BlockRuntime)> = blocks
+            .iter()
+            .map(|&b| (b, std::mem::take(&mut self.runtimes[b])))
+            .collect();
+        let this = &*self;
+        let done = this.pool.map(taken, |(b, mut rt)| {
+            let mut t = BatchTiming::default();
+            let result = ingest(&this.env(b), &mut rt, batch, &mut t);
+            (b, rt, t, result)
+        });
+        let mut first_err = Ok(());
+        for (b, rt, t, result) in done {
+            self.runtimes[b] = rt;
+            timing.accumulate(&t);
+            first_err = first_err.and(result);
+        }
+        first_err
+    }
+
+    /// Refresh block `b`'s published output. Returns `true` if a relied-upon
+    /// value violated its committed envelope (failure detected).
+    pub(crate) fn publish_block(&mut self, b: usize, m: f64, last: bool) -> Result<bool> {
+        if self.compiled[b].block.role == BlockRole::Root {
+            return Ok(false);
+        }
+        let old = std::mem::take(&mut self.published[b]);
+        let input = PublishInput {
+            rt: &self.runtimes[b],
+            old: &old,
+            m,
+            last,
+        };
+        let (new_pub, violated) = publish::publish(&self.env(b), input)?;
+        self.published[b] = new_pub;
+        Ok(violated)
+    }
+}
+
+/// One block's ingest of one batch, each stage timed into `timing` under
+/// the span of the same name.
+fn ingest(
+    env: &BlockEnv<'_>,
+    rt: &mut BlockRuntime,
+    batch: &MiniBatch,
+    timing: &mut BatchTiming,
+) -> Result<()> {
+    let t = Stopwatch::start();
+    let span = gola_obs::span!("join");
+    let cand = join::join(env, batch, std::mem::take(&mut rt.uncertain))?;
+    drop(span);
+    timing.join += t.elapsed();
+
+    let t = Stopwatch::start();
+    let span = gola_obs::span!("classify");
+    let classes = classify::classify(env, &cand)?;
+    drop(span);
+    timing.classify += t.elapsed();
+
+    let t = Stopwatch::start();
+    let _span = gola_obs::span!("fold");
+    fold::fold(env, &cand, &classes, rt)?;
+    timing.fold += t.elapsed();
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gola_common::rng::SplitMix64;
+    use gola_common::{DataType, Row, Schema};
+    use gola_storage::{MiniBatchPartitioner, Table};
+
+    /// `t(k, q, x)`: 3000 rows over 60 keys, skewed quantities.
+    fn catalog() -> Catalog {
+        let schema = Arc::new(Schema::from_pairs(&[
+            ("k", DataType::Int),
+            ("q", DataType::Float),
+            ("x", DataType::Float),
+        ]));
+        let mut rng = SplitMix64::new(11);
+        let rows: Vec<Row> = (0..3000)
+            .map(|_| {
+                let k = rng.next_below(60) as i64;
+                let q = 1.0 + 49.0 * rng.next_f64() * rng.next_f64();
+                let x = 100.0 + 900.0 * rng.next_f64() + k as f64;
+                Row::new(vec![Value::Int(k), Value::Float(q), Value::Float(x)])
+            })
+            .collect();
+        let mut catalog = Catalog::new();
+        let table = Table::new_unchecked(schema, rows);
+        catalog.register("t", Arc::new(table)).unwrap();
+        catalog
+    }
+
+    fn executor(catalog: &Catalog, sql: &str, threads: usize) -> OnlineExecutor {
+        let config = OnlineConfig::for_tests(8).with_threads(threads);
+        let session = crate::OnlineSession::new(catalog.clone(), config.clone());
+        let prepared = session.prepare(sql).unwrap();
+        let table = catalog.get(&prepared.stream_table).unwrap();
+        let partitioner = MiniBatchPartitioner::new(table, 8, config.partition_seed).unwrap();
+        let partitioner = Arc::new(Partitioner::Uniform(partitioner));
+        OnlineExecutor::new(catalog, prepared.meta, partitioner, config).unwrap()
+    }
+
+    /// A publication's entries in key order, every bit visible.
+    fn entries(p: &Published) -> Vec<String> {
+        let scalars = p.scalars.iter().map(|(k, v)| format!("{k:?} {v:?}"));
+        let members = p.members.iter().map(|(k, v)| format!("{k:?} {v:?}"));
+        let mut all: Vec<String> = scalars.chain(members).collect();
+        all.sort();
+        all
+    }
+
+    /// The deterministic content of a report (no wall-clock fields).
+    fn answer(r: &BatchReport) -> String {
+        format!(
+            "{:?} {:?} {:?} |U|={} recomputes={}",
+            r.table, r.estimates, r.row_certain, r.uncertain_tuples, r.recomputations
+        )
+    }
+
+    /// `fast_scalar_cmp` and `fast_having` are pure shortcuts: with both
+    /// cleared, every stage seam — classify output, published entries —
+    /// and every report must equal the fast-path run exactly.
+    fn assert_fast_equals_generic(sql: &str, threads: usize) {
+        let catalog = catalog();
+        let mut fast = executor(&catalog, sql, threads);
+        let mut generic = executor(&catalog, sql, threads);
+        let shortcut =
+            |cb: &CompiledBlock| cb.fast_scalar_cmp.is_some() || cb.fast_having.is_some();
+        assert!(
+            fast.compiled.iter().any(shortcut),
+            "query takes no fast path"
+        );
+        for cb in &mut generic.compiled {
+            cb.fast_scalar_cmp = None;
+            cb.fast_having = None;
+        }
+        let mut uncertain_seen = 0;
+        while !fast.is_finished() {
+            let i = fast.batches_done();
+            let batch = fast.partitioner.batch(i);
+            let m = fast.partitioner.multiplicity_after(i);
+            let last = fast.partitioner.is_final_batch(i);
+            for b in 0..fast.compiled.len() {
+                // Same state, same candidates; only the compiled block differs.
+                let env = fast.env(b);
+                let plain = BlockEnv {
+                    cb: &generic.compiled[b],
+                    ..env
+                };
+                let cand = join::join(&env, &batch, Default::default()).unwrap();
+                let classes = classify::classify(&env, &cand).unwrap();
+                assert_eq!(classes, classify::classify(&plain, &cand).unwrap());
+                uncertain_seen += classes.iter().map(|c| c.uncertain_idx.len()).sum::<usize>();
+                if env.cb.block.role == BlockRole::Root {
+                    continue;
+                }
+                let input = || PublishInput {
+                    rt: &fast.runtimes[b],
+                    old: &fast.published[b],
+                    m,
+                    last,
+                };
+                let (by_fast, v_fast) = publish::publish(&env, input()).unwrap();
+                let (by_plain, v_plain) = publish::publish(&plain, input()).unwrap();
+                assert_eq!(
+                    entries(&by_fast),
+                    entries(&by_plain),
+                    "block {b}, batch {i}"
+                );
+                assert_eq!(v_fast, v_plain);
+            }
+            let (a, b) = (fast.step().unwrap(), generic.step().unwrap());
+            assert_eq!(answer(&a), answer(&b), "batch {i}");
+            for (p, q) in fast.published.iter().zip(&generic.published) {
+                assert_eq!(entries(p), entries(q), "after batch {i}");
+            }
+        }
+        assert!(
+            uncertain_seen > 0,
+            "nothing was ever uncertain: vacuous run"
+        );
+    }
+
+    #[test]
+    fn q17_shape_fast_scalar_cmp_equals_generic() {
+        let sql = "SELECT SUM(x) / 7.0 AS s FROM t l \
+                   WHERE q < 0.5 * (SELECT AVG(q) FROM t i WHERE i.k = l.k)";
+        assert_fast_equals_generic(sql, 1);
+        assert_fast_equals_generic(sql, 3);
+    }
+
+    #[test]
+    fn q18_shape_fast_having_equals_generic() {
+        // MEDIAN cannot merge, so the consumer classifies and caches
+        // uncertain tuples against the membership block's HAVING.
+        let sql = "SELECT COUNT(*) AS n, MEDIAN(x) AS mid FROM t WHERE k IN \
+                   (SELECT k FROM t GROUP BY k HAVING SUM(q) > 620)";
+        assert_fast_equals_generic(sql, 1);
+        assert_fast_equals_generic(sql, 3);
+    }
+}

@@ -10,35 +10,15 @@
 use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
 
+use gola_common::json::{push_f64, str_lit};
+
 use crate::registry::{global, Metric};
 
-/// JSON-escape a metric name (names are code-controlled ASCII, but escaping
-/// keeps the exporter total).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+/// `v` as a JSON number, bare when integral (`null` for non-finite).
+fn num(v: f64) -> String {
+    let mut out = String::new();
+    push_f64(&mut out, v, false);
     out
-}
-
-/// Render an `f64` as a JSON value (`null` for non-finite).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // `{}` prints integral floats without a dot; that is still a valid
-        // JSON number, so leave it.
-        s
-    } else {
-        "null".to_string()
-    }
 }
 
 /// Deterministic JSON snapshot of every registered metric.
@@ -49,27 +29,27 @@ pub fn snapshot_json(timings: bool) -> String {
     let mut hists = Vec::new();
     let mut spans = Vec::new();
     for (name, metric) in map.iter() {
-        let name = esc(name);
+        let name = str_lit(name);
         match metric {
             Metric::Counter(c) => {
-                counters.push(format!("\"{name}\": {}", c.load(Ordering::Relaxed)));
+                counters.push(format!("{name}: {}", c.load(Ordering::Relaxed)));
             }
             Metric::Gauge(g) => {
                 gauges.push(format!(
-                    "\"{name}\": {}",
-                    json_f64(f64::from_bits(g.load(Ordering::Relaxed)))
+                    "{name}: {}",
+                    num(f64::from_bits(g.load(Ordering::Relaxed)))
                 ));
             }
             Metric::Histogram(h) => {
                 let count = h.count.load(Ordering::Relaxed);
-                let mut entry = format!("\"{name}\": {{\"count\": {count}");
+                let mut entry = format!("{name}: {{\"count\": {count}");
                 if !h.timing || timings {
                     let _ = write!(
                         entry,
                         ", \"sum\": {}",
-                        json_f64(f64::from_bits(h.sum_bits.load(Ordering::Relaxed)))
+                        num(f64::from_bits(h.sum_bits.load(Ordering::Relaxed)))
                     );
-                    let bounds: Vec<String> = h.bounds.iter().map(|&b| json_f64(b)).collect();
+                    let bounds: Vec<String> = h.bounds.iter().map(|&b| num(b)).collect();
                     let counts: Vec<String> = h
                         .buckets
                         .iter()
@@ -87,15 +67,15 @@ pub fn snapshot_json(timings: bool) -> String {
             }
             Metric::Span(s) => {
                 let count = s.count.load(Ordering::Relaxed);
-                let mut entry = format!("\"{name}\": {{\"count\": {count}");
+                let mut entry = format!("{name}: {{\"count\": {count}");
                 if timings {
                     let secs = s.total_ns.load(Ordering::Relaxed) as f64 / 1e9;
-                    let _ = write!(entry, ", \"total_seconds\": {}", json_f64(secs));
+                    let _ = write!(entry, ", \"total_seconds\": {}", num(secs));
                 }
                 let parents = s.parents.lock().unwrap();
                 let edges: Vec<String> = parents
                     .iter()
-                    .map(|(p, n)| format!("\"{}\": {n}", esc(p)))
+                    .map(|(p, n)| format!("{}: {n}", str_lit(p)))
                     .collect();
                 let _ = write!(entry, ", \"parents\": {{{}}}}}", edges.join(", "));
                 spans.push(entry);
@@ -224,7 +204,7 @@ pub fn prometheus(timings: bool) -> String {
                 if !parents.is_empty() {
                     let _ = writeln!(out, "# TYPE {n}_parent_total counter");
                     for (p, cnt) in parents.iter() {
-                        let _ = writeln!(out, "{n}_parent_total{{parent=\"{}\"}} {cnt}", esc(p));
+                        let _ = writeln!(out, "{n}_parent_total{{parent={}}} {cnt}", str_lit(p));
                     }
                 }
             }

@@ -188,9 +188,13 @@ fn register<T>(
     make: impl FnOnce() -> Metric,
     pick: impl FnOnce(&Metric) -> Option<T>,
 ) -> T {
-    let mut map = global().metrics.lock().unwrap();
-    let metric = map.entry(name.to_string()).or_insert_with(make);
-    pick(metric).unwrap_or_else(|| panic!("metric '{name}' already registered with another type"))
+    // Release the registry before reporting a mismatch: panicking under
+    // the lock would poison it for every later registration.
+    let picked = {
+        let mut map = global().metrics.lock().unwrap();
+        pick(map.entry(name.to_string()).or_insert_with(make))
+    };
+    picked.unwrap_or_else(|| panic!("metric '{name}' already registered with another type"))
 }
 
 /// Build the canonical registry key for a labeled metric:

@@ -12,48 +12,16 @@
 //! (possible in degenerate estimates) render as `null` to stay valid
 //! JSON.
 
+use gola_common::json::{push_f64, push_str_lit};
 use gola_common::Value;
 use gola_core::{BatchReport, ContractStop};
-
-/// Append a JSON string literal.
-fn push_str_lit(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Append a float, `null` when non-finite.
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        // Shortest roundtrip repr, but keep it recognizably a float.
-        let s = format!("{v}");
-        out.push_str(&s);
-        if !s.contains('.') && !s.contains('e') {
-            out.push_str(".0");
-        }
-    } else {
-        out.push_str("null");
-    }
-}
 
 fn push_value(out: &mut String, v: &Value) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         Value::Int(i) => out.push_str(&i.to_string()),
-        Value::Float(f) => push_f64(out, *f),
+        Value::Float(f) => push_f64(out, *f, true),
         Value::Str(s) => push_str_lit(out, s),
     }
 }
@@ -108,15 +76,15 @@ pub fn report_json(report: &BatchReport) -> String {
         out.push_str(",\"col\":");
         out.push_str(&cell.col.to_string());
         out.push_str(",\"value\":");
-        push_f64(&mut out, cell.estimate.value);
+        push_f64(&mut out, cell.estimate.value, true);
         match cell.estimate.ci_percentile(report.ci_level) {
             Some(ci) => {
                 out.push_str(",\"ci\":{\"lo\":");
-                push_f64(&mut out, ci.lo);
+                push_f64(&mut out, ci.lo, true);
                 out.push_str(",\"hi\":");
-                push_f64(&mut out, ci.hi);
+                push_f64(&mut out, ci.hi, true);
                 out.push_str(",\"level\":");
-                push_f64(&mut out, ci.level);
+                push_f64(&mut out, ci.level, true);
                 out.push('}');
             }
             None => out.push_str(",\"ci\":null"),
@@ -134,18 +102,18 @@ pub fn report_json(report: &BatchReport) -> String {
             match progress.contract {
                 gola_core::QueryContract::Error { target, confidence } => {
                     out.push_str("{\"type\":\"error\",\"target\":");
-                    push_f64(&mut out, target);
+                    push_f64(&mut out, target, true);
                     out.push_str(",\"confidence\":");
-                    push_f64(&mut out, confidence);
+                    push_f64(&mut out, confidence, true);
                 }
                 gola_core::QueryContract::Within { seconds } => {
                     out.push_str("{\"type\":\"within\",\"seconds\":");
-                    push_f64(&mut out, seconds);
+                    push_f64(&mut out, seconds, true);
                 }
             }
             out.push_str(",\"achieved_rel_error\":");
             match progress.achieved_rel_error {
-                Some(a) => push_f64(&mut out, a),
+                Some(a) => push_f64(&mut out, a, true),
                 None => out.push_str("null"),
             }
             out.push_str(",\"stop\":");
@@ -159,13 +127,6 @@ pub fn report_json(report: &BatchReport) -> String {
         }
     }
     out.push('}');
-    out
-}
-
-/// A standalone JSON string literal (escaped and quoted).
-pub fn str_lit(s: &str) -> String {
-    let mut out = String::new();
-    push_str_lit(&mut out, s);
     out
 }
 
@@ -187,24 +148,6 @@ pub fn error_json(message: &str, extra: &[(&str, u64)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn string_escaping() {
-        let mut out = String::new();
-        push_str_lit(&mut out, "a\"b\\c\nd\u{1}");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
-    }
-
-    #[test]
-    fn floats_render_roundtrip_and_nonfinite_as_null() {
-        let mut out = String::new();
-        push_f64(&mut out, 1.5);
-        out.push(',');
-        push_f64(&mut out, 3.0);
-        out.push(',');
-        push_f64(&mut out, f64::NAN);
-        assert_eq!(out, "1.5,3.0,null");
-    }
 
     #[test]
     fn error_json_shape() {

@@ -402,7 +402,7 @@ fn append_rows(
         Ok(sealed) => {
             let body = format!(
                 "{{\"table\":{},\"appended\":{sealed},\"watermark\":{},\"segments\":{}}}",
-                json::str_lit(&name),
+                gola_common::json::str_lit(&name),
                 live.watermark(),
                 live.num_segments(),
             );
@@ -466,7 +466,7 @@ fn poll_job(path: &str, stream: &mut TcpStream, shared: &Shared) -> std::io::Res
     body.push(']');
     if let Some(e) = &job.error {
         body.push_str(",\"error\":");
-        body.push_str(&json::str_lit(e));
+        gola_common::json::push_str_lit(&mut body, e);
     }
     body.push('}');
     Response::new(stream).send(200, "application/json", body.as_bytes())

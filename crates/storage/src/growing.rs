@@ -19,7 +19,7 @@
 //!
 //! Determinism: extra batches are materialized once, in seal order, and
 //! cached — `batch(i)` returns bit-identical data on every call, which is
-//! what failure-triggered replay (`executor::recover`) and the
+//! what failure-triggered replay (`gola_core`'s recover stage) and the
 //! threads=1/N contract rely on. Reports are bit-identical across runs
 //! whenever the interleaving of appends/seals/close with executor steps
 //! is the same; *when* data becomes visible under wall-clock-driven

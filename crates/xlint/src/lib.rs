@@ -179,6 +179,7 @@ impl Default for Config {
             ]),
             schedule_blessed: s(&[
                 "crates/bench/",
+                "benchmarks/",
                 "crates/common/src/timing.rs",
                 // The observability clock: the one sanctioned absolute-time
                 // read (export timestamps only, never fed back into results).
@@ -192,7 +193,16 @@ impl Default for Config {
                 "crates/common/src",
             ]),
             panic_scope: s(&[
-                "crates/core/src/executor.rs",
+                // The per-batch stages and their step driver.
+                "crates/core/src/join.rs",
+                "crates/core/src/classify.rs",
+                "crates/core/src/fold.rs",
+                "crates/core/src/groups.rs",
+                "crates/core/src/publish.rs",
+                "crates/core/src/recover.rs",
+                "crates/core/src/report.rs",
+                "crates/core/src/step.rs",
+                "crates/core/src/runtime.rs",
                 "crates/core/src/pool.rs",
                 // The multi-tenant scheduler and HTTP front end: a panic
                 // here takes down every tenant, not one query.

@@ -220,14 +220,14 @@ fn allow_syntax_golden() {
 #[test]
 fn diagnostic_display_format() {
     let d = Diagnostic {
-        file: "crates/core/src/executor.rs".to_string(),
+        file: "crates/core/src/fold.rs".to_string(),
         line: 42,
         rule: Rule::HashOrderLeak,
         message: "iteration over hash-ordered `groups`".to_string(),
     };
     assert_eq!(
         d.to_string(),
-        "crates/core/src/executor.rs:42: hash-order-leak: iteration over hash-ordered `groups`"
+        "crates/core/src/fold.rs:42: hash-order-leak: iteration over hash-ordered `groups`"
     );
 }
 

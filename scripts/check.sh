@@ -310,46 +310,11 @@ if [ "$metrics" -eq 1 ]; then
     step metrics_smoke
 fi
 
-# Bench smoke: a small (20k-row) scaling run as a perf/determinism gate.
-# Fails if any thread count loses bit-identity with the single-thread run,
-# or if threads=1 throughput regresses more than 20% below the checked-in
-# baseline (results/bench_smoke_baseline.json). Single runs on shared hosts
-# are noisy — re-run before treating a marginal failure as a regression.
-bench_smoke() {
-    local out json_line
-    out="$(cargo run --release -q -p gola-bench --bin scaling -- \
-        --rows 20000 --threads-list 1,2 2>&1)" || {
-        printf '%s\n' "$out" >&2
-        return 1
-    }
-    json_line="$(printf '%s\n' "$out" | grep '^json,')" || {
-        echo "    no json line in scaling output" >&2
-        return 1
-    }
-    python3 - "$json_line" results/bench_smoke_baseline.json <<'PY'
-import json
-import sys
-
-run = json.loads(sys.argv[1][len("json,"):])
-base = json.load(open(sys.argv[2]))
-failed = False
-for r in run["results"]:
-    if not r["bit_identical_to_t1"]:
-        print(f"    threads={r['threads']}: NOT bit-identical to threads=1",
-              file=sys.stderr)
-        failed = True
-t1 = next(r for r in run["results"] if r["threads"] == 1)
-floor = 0.8 * base["tuples_per_sec"]
-verdict = "ok" if t1["tuples_per_sec"] >= floor else "REGRESSION"
-print(f"    threads=1: {t1['tuples_per_sec']:.1f} tuples/s "
-      f"(baseline {base['tuples_per_sec']:.1f}, floor {floor:.1f}) {verdict}")
-if t1["tuples_per_sec"] < floor:
-    failed = True
-sys.exit(1 if failed else 0)
-PY
-}
+# Bench smoke: the benchmark spine on its 2k-row shapes — every workload
+# and code path once; it exits non-zero on a failed operation or a lost
+# bit-identity check.
 if [ "$bench_smoke_flag" -eq 1 ]; then
-    step bench_smoke
+    step benchmarks/run.sh --quick
 fi
 
 if [ "$failures" -ne 0 ]; then

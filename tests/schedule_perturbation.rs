@@ -138,23 +138,26 @@ fn perturbed_pool_keeps_panic_order() {
     use g_ola::core::WorkerPool;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
+    let job = |i: usize| {
+        if i == 5 || i == 11 {
+            panic!("job {i} exploded");
+        }
+    };
     for seed in [1u64, 2, 3, 4, 5] {
         let pool = WorkerPool::with_perturbation(4, seed);
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..16)
-            .map(|i| {
-                Box::new(move || {
-                    if i == 5 || i == 11 {
-                        panic!("job {i} exploded");
-                    }
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        let err = catch_unwind(AssertUnwindSafe(|| pool.run(jobs))).unwrap_err();
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default();
-        assert_eq!(msg, "job 5 exploded", "seed {seed}");
+        let via_run = || {
+            let jobs = (0..16).map(|i| Box::new(move || job(i)) as Box<dyn FnOnce() + Send + '_>);
+            pool.run(jobs.collect())
+        };
+        let via_map = || drop(pool.map(0..16, job));
+        for (name, drive) in [("run", &via_run as &dyn Fn()), ("map", &via_map)] {
+            let err = catch_unwind(AssertUnwindSafe(drive)).unwrap_err();
+            let msg = err
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default();
+            assert_eq!(msg, "job 5 exploded", "{name}, seed {seed}");
+        }
     }
 }
