@@ -21,6 +21,6 @@ pub mod state;
 pub mod udaf;
 
 pub use kind::AggKind;
-pub use replicated::ReplicatedStates;
+pub use replicated::{FoldScratch, ReplicatedStates};
 pub use state::AggState;
 pub use udaf::{Udaf, UdafRegistry, UdafState};

@@ -10,10 +10,23 @@
 //! are derived.
 
 use gola_bootstrap::{BootstrapSpec, Estimate};
+use gola_common::fsum::{two_product, RunBuf, WeightedRun};
 use gola_common::Value;
 
 use crate::kind::AggKind;
 use crate::state::AggState;
+
+/// Reusable buffers of [`ReplicatedStates::fold_run`] (one per fold loop).
+#[derive(Debug, Default)]
+pub struct FoldScratch {
+    run: RunBuf,
+    xs: Vec<f64>,
+    /// Both halves of `two_product(x, x)` per tuple (VAR/STDDEV).
+    hi: Vec<f64>,
+    lo: Vec<f64>,
+    /// Per replica: OR of the weights of the run's negative tuples (SUM).
+    neg: Vec<u32>,
+}
 
 /// Main + replica accumulators for a list of aggregates over one group.
 #[derive(Debug, Clone)]
@@ -86,117 +99,157 @@ impl ReplicatedStates {
         }
     }
 
-    /// Fold one tuple in with precomputed replica weights (`weights[b]` is
-    /// the tuple's `Poisson(1)` weight in replica `b`, e.g. one row of
-    /// [`BootstrapSpec::weights_batch`]). Bit-identical to
-    /// [`ReplicatedStates::update`]: each accumulator sees the same update
-    /// sequence, but the loop runs aggregate-major so the argument's null
-    /// check and numeric conversion are hoisted out of the replica loop.
-    pub fn update_with_weights(&mut self, values: &[Value], weights: &[u32]) {
-        debug_assert_eq!(values.len(), self.num_aggs());
-        debug_assert_eq!(weights.len(), self.trials() as usize);
-        for (j, v) in values.iter().enumerate() {
-            self.fold_value(j, v, weights);
-        }
-    }
-
-    /// Fused weight × value fold of one aggregate lane: the main state of
-    /// aggregate `j` updates with weight 1, each replica with the tuple's
-    /// `Poisson(1)` weight scaled in. `x` must equal `v.as_f64().unwrap()`
-    /// and `v` must be non-null — the columnar executor reads `x` straight
-    /// from a typed column vector, so the null check and numeric conversion
-    /// happen once per tuple *column slot* instead of once per replica.
-    /// Bit-identical to lane `j` of [`ReplicatedStates::update_with_weights`].
-    #[inline]
-    pub fn fold_numeric(&mut self, j: usize, v: &Value, x: f64, weights: &[u32]) {
-        let stride = self.num_aggs;
-        self.states[j].update_numeric(v, x, 1.0);
-        // `get_mut(..)`, not `[..]`: with zero replicas the slice start
-        // lies past the main-row-only allocation.
-        for (st, &w) in (self.states.get_mut(stride + j..).unwrap_or_default())
-            .iter_mut()
-            .step_by(stride)
-            .zip(weights)
-        {
-            if w != 0 {
-                st.update_numeric(v, x, w as f64);
-            }
-        }
-    }
-
-    /// Fused fold of one aggregate lane for an arbitrary value (null or
-    /// non-numeric arguments take this path). Bit-identical to lane `j` of
-    /// [`ReplicatedStates::update_with_weights`].
-    #[inline]
-    pub fn fold_value(&mut self, j: usize, v: &Value, weights: &[u32]) {
-        if v.is_null() {
-            // `AggState::update` ignores nulls, so the whole lane is a no-op.
-            return;
-        }
-        if let Some(x) = v.as_f64() {
-            self.fold_numeric(j, v, x, weights);
-        } else {
-            let stride = self.num_aggs;
-            self.states[j].update(v, 1.0);
-            // `get_mut(..)`, not `[..]`: with zero replicas the slice start
-            // lies past the main-row-only allocation.
-            for (st, &w) in (self.states.get_mut(stride + j..).unwrap_or_default())
-                .iter_mut()
-                .step_by(stride)
-                .zip(weights)
-            {
-                if w != 0 {
-                    st.update(v, w as f64);
-                }
-            }
-        }
-    }
-
-    /// Fused fold of one aggregate lane into the *replica* states only: the
-    /// main state is untouched, replica `b` updates with `weights[b]`
-    /// (zeros are no-ops). `x`/`v` contract as in
-    /// [`ReplicatedStates::fold_numeric`]. Callers that decide per-trial
-    /// inclusion separately (uncertain-set evaluation) mask excluded trials
-    /// to weight 0 — bit-identical to calling
-    /// [`ReplicatedStates::update_replica`] for each included trial in
-    /// ascending order.
-    #[inline]
-    pub fn fold_numeric_replicas(&mut self, j: usize, v: &Value, x: f64, weights: &[u32]) {
+    /// Lane `j`'s replica states, in trial order.
+    fn replicas_mut(&mut self, j: usize) -> impl Iterator<Item = &mut AggState> {
         let stride = self.num_aggs;
         // `get_mut(..)`, not `[..]`: with zero replicas the slice start
         // lies past the main-row-only allocation.
-        for (st, &w) in (self.states.get_mut(stride + j..).unwrap_or_default())
+        (self.states.get_mut(stride + j..).unwrap_or_default())
             .iter_mut()
             .step_by(stride)
-            .zip(weights)
-        {
-            if w != 0 {
-                st.update_numeric(v, x, w as f64);
+    }
+
+    /// Fold a *run* of tuples into aggregate lane `j`: `values[t]` is the
+    /// lane's argument on tuple `t`, `rows[t]` the tuple's weight in each
+    /// replica (a row of [`BootstrapSpec::weights_batch`], or a masked
+    /// copy — weight 0 leaves a replica out). With `include_main` the main
+    /// state takes every tuple at weight 1; without it only replicas move
+    /// (uncertain-set evaluation decides main inclusion tuple by tuple and
+    /// uses [`ReplicatedStates::update_main`]).
+    ///
+    /// Equals, bit for bit at every finalize, [`ReplicatedStates::update_main`]
+    /// plus one [`ReplicatedStates::update_replica`] per non-zero weight in
+    /// ascending trial order, tuple after tuple. COUNT and every weight
+    /// tally take the run's integer column totals; SUM/AVG/VAR take the
+    /// exact column sums of a [`WeightedRun`] (VAR: of `x` and of both
+    /// halves of `two_product(x, x)`); MIN/MAX/QUANTILE/UDAF look at every
+    /// value themselves, in run order.
+    pub fn fold_run(
+        &mut self,
+        j: usize,
+        values: &[Value],
+        rows: &[&[u32]],
+        include_main: bool,
+        scratch: &mut FoldScratch,
+    ) {
+        assert_eq!(values.len(), rows.len(), "one weight row per tuple");
+        if !include_main && self.trials() == 0 {
+            return; // no state to fold into
+        }
+        if self.states[j].weight_total_mut().is_none() {
+            for (v, row) in values.iter().zip(rows) {
+                if v.is_null() {
+                    continue;
+                }
+                if include_main {
+                    self.states[j].update(v, 1.0);
+                }
+                for (st, &w) in self.replicas_mut(j).zip(*row) {
+                    if w != 0 {
+                        st.update(v, f64::from(w));
+                    }
+                }
             }
+            return;
+        }
+        // COUNT takes every non-null argument, the sums every numeric one;
+        // the tuples a lane skips leave the run before it is weighed.
+        let counts = matches!(self.states[j], AggState::Count { .. });
+        let arg = |v: &Value| match v {
+            Value::Null => None,
+            _ if counts => Some(0.0),
+            v => v.as_f64(),
+        };
+        let FoldScratch {
+            run,
+            xs,
+            hi,
+            lo,
+            neg,
+        } = scratch;
+        xs.clear();
+        xs.extend(values.iter().filter_map(arg));
+        let kept: Vec<&[u32]>;
+        let rows = if xs.len() == values.len() {
+            rows
+        } else {
+            let taken = rows.iter().zip(values).filter(|(_, v)| arg(v).is_some());
+            kept = taken.map(|(row, _)| *row).collect();
+            &kept
+        };
+        let mut run = WeightedRun::new(rows, self.trials() as usize, include_main, run);
+        let tallies = self.replicas_mut(j).filter_map(AggState::weight_total_mut);
+        for (tally, &total) in tallies.zip(run.totals()) {
+            // Exact: a run's weight total is far below 2^53.
+            *tally += total as f64;
+        }
+        if include_main {
+            if let Some(tally) = self.states[j].weight_total_mut() {
+                *tally += rows.len() as f64;
+            }
+        }
+        if counts {
+            return;
+        }
+        run.sum(xs);
+        self.take_sums(j, &run, rows, include_main, false);
+        if matches!(self.states[j], AggState::Var { .. }) {
+            hi.clear();
+            lo.clear();
+            for (p, e) in xs.iter().map(|&x| two_product(x, x)) {
+                hi.push(p);
+                lo.push(e);
+            }
+            for half in [&*lo, &*hi] {
+                run.sum(half);
+                self.take_sums(j, &run, rows, include_main, true);
+            }
+        }
+        // SUM remembers having seen a negative contribution.
+        if matches!(self.states[j], AggState::Sum { .. }) && xs.iter().any(|&x| x < 0.0) {
+            neg.clear();
+            neg.resize(self.trials() as usize, 0);
+            for (_, row) in xs.iter().zip(rows).filter(|(&x, _)| x < 0.0) {
+                for (n, &w) in neg.iter_mut().zip(*row) {
+                    *n |= w;
+                }
+            }
+            if include_main {
+                self.states[j].mark_negative();
+            }
+            let hit = self.replicas_mut(j).zip(&*neg).filter(|(_, &n)| n != 0);
+            hit.for_each(|(st, _)| st.mark_negative());
         }
     }
 
-    /// Replica-only fold of one aggregate lane for an arbitrary value; see
-    /// [`ReplicatedStates::fold_numeric_replicas`].
-    #[inline]
-    pub fn fold_value_replicas(&mut self, j: usize, v: &Value, weights: &[u32]) {
-        if v.is_null() {
-            return;
-        }
-        if let Some(x) = v.as_f64() {
-            self.fold_numeric_replicas(j, v, x, weights);
-        } else {
-            let stride = self.num_aggs;
-            // `get_mut(..)`, not `[..]`: with zero replicas the slice start
-            // lies past the main-row-only allocation.
-            for (st, &w) in (self.states.get_mut(stride + j..).unwrap_or_default())
-                .iter_mut()
-                .step_by(stride)
-                .zip(weights)
-            {
-                if w != 0 {
-                    st.update(v, w as f64);
+    /// Add the stream `run` summed last into lane `j`'s `Σw·x` sums (or,
+    /// with `squares`, its `Σw·x²` sums): each level's piece with one
+    /// `add`, what the run handed back with one `add_product` per cell.
+    fn take_sums(
+        &mut self,
+        j: usize,
+        run: &WeightedRun<'_>,
+        rows: &[&[u32]],
+        include_main: bool,
+        squares: bool,
+    ) {
+        let trials = self.trials() as usize;
+        let sums = (self.replicas_mut(j)).filter_map(|st| st.exact_sum_mut(squares));
+        for (b, sum) in sums.enumerate() {
+            run.pieces(b).for_each(|piece| sum.add(piece));
+            for &(t, x) in run.leftover() {
+                if rows[t][b] != 0 {
+                    sum.add_product(x, f64::from(rows[t][b]));
                 }
+            }
+        }
+        if let Some(sum) = self.states[j]
+            .exact_sum_mut(squares)
+            .filter(|_| include_main)
+        {
+            run.pieces(trials).for_each(|piece| sum.add(piece));
+            for &(_, x) in run.leftover() {
+                sum.add_product(x, 1.0);
             }
         }
     }
@@ -360,32 +413,6 @@ mod tests {
             b.update(&[Value::Float(t as f64)], t, &s);
         }
         assert_eq!(a.replica_values(0, 1.0), b.replica_values(0, 1.0));
-    }
-
-    #[test]
-    fn update_with_weights_matches_update() {
-        let kinds = [AggKind::Sum, AggKind::Count, AggKind::Avg, AggKind::Min];
-        let s = spec();
-        let mut a = ReplicatedStates::new(&kinds, 64);
-        let mut b = ReplicatedStates::new(&kinds, 64);
-        let mut wbuf = Vec::new();
-        for t in 0..200u64 {
-            let v = [
-                Value::Float(t as f64 - 50.0),
-                Value::Int(1),
-                Value::Float((t % 13) as f64),
-                Value::str(if t % 2 == 0 { "even" } else { "odd" }),
-            ];
-            a.update(&v, t, &s);
-            s.weights_into(t, &mut wbuf);
-            b.update_with_weights(&v, &wbuf);
-        }
-        for j in 0..kinds.len() {
-            assert_eq!(a.value(j, 1.5), b.value(j, 1.5), "agg {j}");
-            for tr in 0..64u32 {
-                assert_eq!(a.trial_value(j, tr, 1.5), b.trial_value(j, tr, 1.5));
-            }
-        }
     }
 
     #[test]

@@ -137,59 +137,37 @@ impl AggState {
         }
     }
 
-    /// [`AggState::update`] with the value's numeric conversion hoisted out:
-    /// `x` must be `value.as_f64().unwrap()` and `value` must be non-null.
-    /// Bit-identical to `update` — callers fold the *same* tuple into many
-    /// bootstrap replicas and must not pay the `Value` match per replica.
-    #[inline]
-    pub fn update_numeric(&mut self, value: &Value, x: f64, weight: f64) {
-        // Bit comparison, not `==`: NaN arguments are legitimate and must
-        // not trip the contract check.
-        debug_assert!(!value.is_null() && value.as_f64().map(f64::to_bits) == Some(x.to_bits()));
-        if weight <= 0.0 {
-            return;
-        }
+    /// The total-weight tally of a summing state (COUNT's count, SUM/AVG's
+    /// `weight_sum`, VAR's `count`) — `None` for the kinds that look at
+    /// every value themselves (MIN/MAX/QUANTILE/UDAF). Run folds bump it by
+    /// a whole run's weight total at once.
+    pub(crate) fn weight_total_mut(&mut self) -> Option<&mut f64> {
         match self {
-            AggState::Count { weight_sum } => *weight_sum += weight,
-            AggState::Sum {
-                sum,
-                weight_sum,
-                saw_negative,
-            } => {
-                // See `update`: `add_product(x, 1.0)` ≡ `add(x)` bit-for-bit
-                // for finite x, and the uniform call avoids a data-dependent
-                // branch per (tuple, replica) cell.
-                sum.add_product(x, weight);
-                *weight_sum += weight;
-                if x < 0.0 {
-                    *saw_negative = true;
-                }
+            AggState::Count { weight_sum }
+            | AggState::Sum { weight_sum, .. }
+            | AggState::Avg { weight_sum, .. } => Some(weight_sum),
+            AggState::Var { acc, .. } => Some(&mut acc.count),
+            _ => None,
+        }
+    }
+
+    /// The exact sum a summing state keeps of `w·x` (SUM/AVG/VAR) or, with
+    /// `squares`, of `w·x²` (VAR).
+    pub(crate) fn exact_sum_mut(&mut self, squares: bool) -> Option<&mut ExactSum> {
+        match self {
+            AggState::Sum { sum, .. } | AggState::Avg { sum, .. } if !squares => Some(sum),
+            AggState::Var { acc, .. } => {
+                let (sum, sumsq) = acc.sums_mut();
+                Some(if squares { sumsq } else { sum })
             }
-            AggState::Avg { sum, weight_sum } => {
-                sum.add_product(x, weight);
-                *weight_sum += weight;
-            }
-            AggState::Min { best } => {
-                let replace = match best {
-                    None => true,
-                    Some(b) => value.total_cmp(b) == std::cmp::Ordering::Less,
-                };
-                if replace {
-                    *best = Some(value.clone());
-                }
-            }
-            AggState::Max { best } => {
-                let replace = match best {
-                    None => true,
-                    Some(b) => value.total_cmp(b) == std::cmp::Ordering::Greater,
-                };
-                if replace {
-                    *best = Some(value.clone());
-                }
-            }
-            AggState::Var { acc, .. } => acc.add_weighted(x, weight),
-            AggState::Quantile(p2) => p2.add_weighted(x, weight),
-            AggState::Udaf(state) => state.update(value, weight),
+            _ => None,
+        }
+    }
+
+    /// Record that a SUM took a negative contribution (no-op elsewhere).
+    pub(crate) fn mark_negative(&mut self) {
+        if let AggState::Sum { saw_negative, .. } = self {
+            *saw_negative = true;
         }
     }
 

@@ -159,19 +159,24 @@ proptest! {
     }
 }
 
-/// Equivalence of the fused per-lane fold kernels against the row-major
-/// reference path. `update_with_weights`/`fold_*` are documented
-/// bit-identical to updating main + each replica in ascending trial order
-/// through `AggState::update`; these tests hold them to it — to the last
-/// bit, across every aggregate kind, null/non-numeric arguments, zero
-/// weights, and replica counts (including zero).
-mod fold_kernel_equivalence {
-    use gola_agg::{AggKind, ReplicatedStates};
+/// Equivalence of the run fold against the row-major reference path.
+/// `ReplicatedStates::fold_run` is documented bit-identical, at every
+/// finalize, to updating main + each replica in ascending trial order
+/// through `AggState::update`, tuple after tuple; this holds it to that —
+/// on every lane kind, run lengths from 1 to a full 1024-tuple chunk,
+/// trial counts {0, 1, 100}, biased and masked and all-zero weight rows,
+/// and values picked to break a pre-rounding kernel.
+mod run_fold_equivalence {
+    use std::sync::Arc;
+
+    use gola_agg::udaf::GeometricMean;
+    use gola_agg::{AggKind, FoldScratch, ReplicatedStates};
+    use gola_bootstrap::BootstrapSpec;
+    use gola_common::rng::SplitMix64;
     use gola_common::Value;
     use proptest::prelude::*;
 
-    /// One lane per aggregate kind so the strided replica walk crosses a
-    /// non-trivial stride.
+    /// One lane per aggregate kind.
     fn kinds() -> Vec<AggKind> {
         vec![
             AggKind::Count,
@@ -181,55 +186,94 @@ mod fold_kernel_equivalence {
             AggKind::Max,
             AggKind::VarPop,
             AggKind::StdDev,
+            AggKind::Quantile(0.5),
+            AggKind::Udaf(Arc::new(GeometricMean)),
         ]
     }
 
-    /// Lane arguments: small float lattice (Min/Max tie-breaks), signed
-    /// zero and NaN edges, ints, strings (non-numeric: SUM ignores, MIN
-    /// orders), and NULLs (whole-lane no-op).
-    fn lane_val() -> BoxedStrategy<Value> {
-        prop_oneof![
-            (-8i32..8).prop_map(|i| Value::Float(i as f64 * 0.25)),
-            (-8i32..8).prop_map(|i| Value::Float(i as f64 * 0.25)),
-            (-100i64..100).prop_map(Value::Int),
-            Just(Value::Float(-0.0)),
-            Just(Value::Float(f64::NAN)),
-            Just(Value::str("s")),
-            Just(Value::str("t")),
-            Just(Value::Null),
-        ]
-        .boxed()
-    }
-
-    /// Rows of (per-lane argument values, per-replica weights). Weights are
-    /// generated at the maximum trial count and truncated to `trials` by
-    /// the test, since strategies cannot depend on another generated value.
-    fn rows() -> BoxedStrategy<Vec<(Vec<Value>, Vec<u32>)>> {
-        prop::collection::vec(
-            (
-                prop::collection::vec(lane_val(), 7),
-                prop::collection::vec(0u32..4, 8),
+    /// A lane argument from value family `family`: families keep a run's
+    /// magnitudes related (one column's worth), `7` mixes them all.
+    fn lane_val(rng: &mut SplitMix64, family: u64) -> Value {
+        let unit = |rng: &mut SplitMix64| rng.next_f64() - 0.5;
+        let pick = |rng: &mut SplitMix64, xs: &[f64]| xs[rng.next_below(xs.len() as u64) as usize];
+        match if family == 7 {
+            rng.next_below(7)
+        } else {
+            family
+        } {
+            // Conviva-like: positive, a few binades.
+            0 => Value::Float(rng.next_f64() * 300.0),
+            // Small lattice: MIN/MAX ties, exact cancellation.
+            1 => Value::Float((rng.next_below(17) as f64 - 8.0) * 0.25),
+            // Mixed signs over 80 binades.
+            2 => Value::Float(unit(rng) * 2f64.powi(rng.next_below(80) as i32 - 40)),
+            // ±1e300 beside ±1e-300, subnormals, signed zeros.
+            3 => Value::Float(
+                unit(rng) * pick(rng, &[1e300, 1e-300, 1e-310, 5e-324, 0.0, -0.0, 1.0]),
             ),
-            0..40,
-        )
-        .boxed()
+            // Non-finite values among ordinary ones.
+            4 => Value::Float(pick(
+                rng,
+                &[
+                    f64::NAN,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    1.5,
+                    -2.25,
+                    1e308,
+                    -1e308,
+                ],
+            )),
+            // Integers above 2^53, as ints (converted) and as floats.
+            5 => Value::Int((1i64 << 53) + rng.next_below(1 << 20) as i64 - (1 << 19)),
+            // Nulls, strings, bools, small ints: the skipping rules.
+            _ => match rng.next_below(5) {
+                0 => Value::Null,
+                1 => Value::str(if rng.next_below(2) == 0 { "s" } else { "t" }),
+                2 => Value::Bool(rng.next_below(2) == 0),
+                _ => Value::Int(rng.next_below(200) as i64 - 100),
+            },
+        }
+    }
+
+    /// One run: per lane the tuples' arguments, and per tuple a weight row.
+    struct Run {
+        lanes: Vec<Vec<Value>>,
+        weights: Vec<Vec<u32>>,
+    }
+
+    fn run(rng: &mut SplitMix64, spec: &BootstrapSpec) -> Run {
+        // Mostly short runs (many-group shapes), sometimes a full chunk.
+        let n = match rng.next_below(8) {
+            0 => 1,
+            1..=4 => 1 + rng.next_below(12) as usize,
+            5 | 6 => 1 + rng.next_below(200) as usize,
+            _ => 1 + rng.next_below(1024) as usize,
+        };
+        let first_id = rng.next_u64() >> 1;
+        let mut weights = Vec::new();
+        let mut row = Vec::new();
+        for t in 0..n as u64 {
+            spec.weights_into(first_id + t, &mut row);
+            match rng.next_below(6) {
+                // An all-zero row; a masked row (uncertain-set shape).
+                0 => row.iter_mut().for_each(|w| *w = 0),
+                1 => row.iter_mut().for_each(|w| *w *= rng.next_below(2) as u32),
+                _ => {}
+            }
+            weights.push(row.clone());
+        }
+        let family = rng.next_below(8);
+        let lanes = (0..kinds().len())
+            .map(|_| (0..n).map(|_| lane_val(rng, family)).collect())
+            .collect();
+        Run { lanes, weights }
     }
 
     fn bits_eq(a: &Value, b: &Value) -> bool {
         match (a, b) {
             (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
             _ => a == b,
-        }
-    }
-
-    /// Row-major reference: main with weight 1, then each replica in
-    /// ascending order through the scalar `AggState::update` path.
-    fn reference_update(rs: &mut ReplicatedStates, values: &[Value], weights: &[u32]) {
-        rs.update_main(values);
-        for (b, &w) in weights.iter().enumerate() {
-            if w != 0 {
-                rs.update_replica(b as u32, values, w as f64);
-            }
         }
     }
 
@@ -258,62 +302,52 @@ mod fold_kernel_equivalence {
                         reference.trial_value(j, b, scale)
                     );
                 }
+                prop_assert_eq!(kernel.lower_bound(j), reference.lower_bound(j), "{}", what);
+                prop_assert_eq!(
+                    kernel.observations(j),
+                    reference.observations(j),
+                    "{}",
+                    what
+                );
             }
         }
         Ok(())
     }
 
     proptest! {
-        /// Full fold (main + replicas): `update_with_weights` and direct
-        /// `fold_numeric`/`fold_value` calls, bit for bit against the
-        /// row-major reference.
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        /// Two runs in a row (the second lands on non-empty states), with
+        /// and without the main state, against the row-major reference.
         #[test]
-        fn fused_fold_matches_row_major(data in rows(), trials in 0u32..8) {
-            let ks = kinds();
-            let mut via_tuple = ReplicatedStates::new(&ks, trials);
-            let mut via_lane = ReplicatedStates::new(&ks, trials);
-            let mut reference = ReplicatedStates::new(&ks, trials);
-            for (values, wfull) in &data {
-                let weights = &wfull[..trials as usize];
-                via_tuple.update_with_weights(values, weights);
-                for (j, v) in values.iter().enumerate() {
-                    // Exercise the numeric entry point directly where its
-                    // contract (non-null, x == as_f64) is satisfiable.
-                    match v.as_f64() {
-                        Some(x) if !v.is_null() => via_lane.fold_numeric(j, v, x, weights),
-                        _ => via_lane.fold_value(j, v, weights),
-                    }
-                }
-                reference_update(&mut reference, values, weights);
-            }
-            assert_states_match(&via_tuple, &reference, trials, "update_with_weights")?;
-            assert_states_match(&via_lane, &reference, trials, "fold_numeric/fold_value")?;
-        }
-
-        /// Replica-only fold: `fold_numeric_replicas`/`fold_value_replicas`
-        /// leave main untouched and match ascending `update_replica` calls.
-        #[test]
-        fn replica_only_fold_matches_row_major(data in rows(), trials in 0u32..8) {
+        fn run_fold_matches_row_major(seed in any::<u64>(), include_main in any::<bool>()) {
+            let mut rng = SplitMix64::new(seed);
+            let trials = [0, 1, 100][rng.next_below(3) as usize];
+            let bias = [0, 0, 1, 3][rng.next_below(4) as usize];
+            let spec = BootstrapSpec::new(trials, rng.next_u64()).with_weight_bias(bias);
             let ks = kinds();
             let mut kernel = ReplicatedStates::new(&ks, trials);
             let mut reference = ReplicatedStates::new(&ks, trials);
-            for (values, wfull) in &data {
-                let weights = &wfull[..trials as usize];
-                for (j, v) in values.iter().enumerate() {
-                    match v.as_f64() {
-                        Some(x) if !v.is_null() => kernel.fold_numeric_replicas(j, v, x, weights),
-                        _ => kernel.fold_value_replicas(j, v, weights),
-                    }
+            let mut scratch = FoldScratch::default();
+            for _ in 0..2 {
+                let run = run(&mut rng, &spec);
+                let rows: Vec<&[u32]> = run.weights.iter().map(Vec::as_slice).collect();
+                for (j, values) in run.lanes.iter().enumerate() {
+                    kernel.fold_run(j, values, &rows, include_main, &mut scratch);
                 }
-                for (b, &w) in weights.iter().enumerate() {
-                    if w != 0 {
-                        reference.update_replica(b as u32, values, w as f64);
+                for (t, row) in rows.iter().enumerate() {
+                    let values: Vec<Value> = run.lanes.iter().map(|l| l[t].clone()).collect();
+                    if include_main {
+                        reference.update_main(&values);
+                    }
+                    for (b, &w) in row.iter().enumerate() {
+                        if w != 0 {
+                            reference.update_replica(b as u32, &values, f64::from(w));
+                        }
                     }
                 }
             }
-            assert_states_match(&kernel, &reference, trials, "fold_*_replicas")?;
-            // Main states never touched: still empty.
-            prop_assert!(kernel.is_empty());
+            assert_states_match(&kernel, &reference, trials, "fold_run")?;
+            prop_assert_eq!(kernel.is_empty(), reference.is_empty());
         }
     }
 }

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
-use gola_agg::{AggKind, ReplicatedStates};
+use gola_agg::{AggKind, FoldScratch, ReplicatedStates};
 use gola_bootstrap::BootstrapSpec;
 use gola_common::rng::poisson_weight;
 use gola_common::{row, DataType, Schema, Value};
@@ -115,6 +115,31 @@ fn bench_agg_updates(c: &mut Criterion) {
             t = t.wrapping_add(1);
         })
     });
+    // The executor's fold: (SUM, AVG) tuples as one group's runs, weights
+    // generated up front as the step does. One iteration folds one run;
+    // the elements/s column compares with `replicated_update_100_trials`.
+    let ids: Vec<u64> = (0..1024).collect();
+    let mut matrix = Vec::new();
+    spec.weights_batch(&ids, &mut matrix);
+    let rows: Vec<&[u32]> = matrix.chunks(100).collect();
+    let xs: Vec<Value> = (ids.iter())
+        .map(|&t| Value::Float(12.5 + t as f64 * 0.37))
+        .collect();
+    for len in [1usize, 8, 1024] {
+        g.throughput(Throughput::Elements(len as u64));
+        g.bench_function(&format!("fold_run_100_trials/{len}"), |b| {
+            let mut rs = ReplicatedStates::new(&kinds, 100);
+            let mut scratch = FoldScratch::default();
+            let mut start = 0;
+            b.iter(|| {
+                let (xs, rows) = (&xs[start..start + len], &rows[start..start + len]);
+                for j in 0..kinds.len() {
+                    rs.fold_run(j, black_box(xs), black_box(rows), true, &mut scratch);
+                }
+                start = (start + len) % (1024 - len + 1);
+            })
+        });
+    }
     g.finish();
 }
 

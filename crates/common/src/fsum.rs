@@ -11,13 +11,19 @@
 //! floating-point expansion — a list of non-overlapping components whose
 //! mathematical sum is *exactly* the sum of everything added — using only
 //! error-free transforms ([`two_sum`], [`two_product`]). Because the
-//! representation is exact, [`ExactSum::value`] (the correctly-rounded
-//! top of a compressed expansion) depends only on the *multiset* of inputs,
-//! never on the order they arrived or how partial sums were merged.
+//! representation is exact, [`ExactSum::value`] (the exact total rounded
+//! once, to nearest-even) depends only on the *multiset* of inputs, never
+//! on the order they arrived or how partial sums were merged.
+//!
+//! [`RunSums`] is the bulk form: the exact weighted sums of a whole *run*
+//! of values against many weight columns at once, in plain vectorizable
+//! `f64` arithmetic, by pre-rounding the values onto a common grid first.
 //!
 //! References: J. R. Shewchuk, "Adaptive Precision Floating-Point
-//! Arithmetic and Fast Robust Geometric Predicates" (1997) — GROW-EXPANSION
-//! and COMPRESS.
+//! Arithmetic and Fast Robust Geometric Predicates" (1997) —
+//! GROW-EXPANSION; the final rounding is the one of CPython's `math.fsum`;
+//! the pre-rounding is ExtractVector of S. M. Rump, T. Ogita, S. Oishi,
+//! "Accurate Floating-Point Summation" (2008).
 
 /// Error-free transform: returns `(s, e)` with `s = fl(a + b)` and
 /// `a + b = s + e` exactly (Knuth's TwoSum; no magnitude precondition).
@@ -131,59 +137,214 @@ impl ExactSum {
         self.comps.is_empty() && self.special == 0.0
     }
 
-    /// The correctly-rounded value of the exact sum: COMPRESS the expansion
-    /// and return its top component (within half an ulp of the true total,
-    /// per Shewchuk Theorem 23). Deterministic per input multiset.
+    /// The exact sum rounded once, to nearest-even — so a pure function of
+    /// the real number the expansion represents, whatever its components.
+    ///
+    /// Sums the components from the top while the partial sum stays exact;
+    /// the first inexact step leaves `hi` (the rounded total so far) and
+    /// `lo` (what it dropped). Everything below `lo` is smaller than `lo`,
+    /// so `hi` is already the answer unless `lo` is exactly half an ulp of
+    /// `hi` — a tie that round-to-even broke without seeing the lower
+    /// components. The next one's sign says on which side of the tie the
+    /// exact total lies (the correction of CPython's `math.fsum`).
     pub fn value(&self) -> f64 {
         if self.special != 0.0 {
             return self.special;
         }
-        let m = self.comps.len();
-        match m {
-            0 => 0.0,
-            1 => self.comps[0],
-            _ => {
-                // Stack buffer for the overwhelmingly common short case.
-                let mut buf = [0.0f64; 16];
-                if m <= buf.len() {
-                    buf[..m].copy_from_slice(&self.comps);
-                    compress_top(&mut buf[..m])
-                } else {
-                    let mut v = self.comps.clone();
-                    compress_top(&mut v)
+        let Some((&top, mut rest)) = self.comps.split_last() else {
+            return 0.0;
+        };
+        let (mut hi, mut lo) = (top, 0.0);
+        while let Some((&c, below)) = rest.split_last() {
+            rest = below;
+            (hi, lo) = fast_two_sum(hi, c);
+            if lo != 0.0 {
+                break;
+            }
+        }
+        if let Some(&next) = rest.last() {
+            if (lo < 0.0 && next < 0.0) || (lo > 0.0 && next > 0.0) {
+                let twice = lo * 2.0;
+                let away = hi + twice;
+                // Exact only when `lo` is half an ulp of `hi`.
+                if away - hi == twice {
+                    hi = away;
                 }
             }
         }
+        hi
     }
 }
 
-/// Shewchuk COMPRESS over a scratch expansion (increasing magnitude,
-/// non-overlapping); returns the largest output component, which carries
-/// the correctly-rounded total.
-fn compress_top(g: &mut [f64]) -> f64 {
-    let m = g.len();
-    // Downward pass: absorb components into Q top-down, parking each
-    // rounded partial at the top of the scratch space.
-    let mut q = g[m - 1];
-    let mut bottom = m - 1;
-    for i in (0..m - 1).rev() {
-        let (s, small) = fast_two_sum(q, g[i]);
-        q = s;
-        if small != 0.0 {
-            g[bottom] = q;
-            bottom -= 1;
-            q = small;
+/// Pre-rounding levels a run gets before what is still left of its values
+/// is handed back ([`WeightedRun::leftover`]). A level takes the top
+/// `53 − K` bits off every remainder (`K` ≈ 11 for a 1024-tuple run), so six
+/// consume doubles spread over ~200 binades; a wider run hands back tails.
+const MAX_LEVELS: usize = 6;
+
+/// Headroom bits `K` past which a level would extract too little to be
+/// worth a sweep (weights near `u32::MAX`): the whole run is handed back.
+const MAX_HEADROOM: u64 = 40;
+
+/// Reusable buffers of [`WeightedRun`]s (one per fold loop, not per run).
+#[derive(Debug, Default)]
+pub struct RunBuf {
+    totals: Vec<u64>,
+    /// `pieces[l * cols + c]`: level `l`'s exact partial sum of column `c`.
+    pieces: Vec<f64>,
+    rem: Vec<f64>,
+    leftover: Vec<(usize, f64)>,
+}
+
+/// Exact weighted sums of a *run* of values: `Σ_t rows[t][c] · x[t]` for
+/// every weight column `c` at once (and, with `unit`, `Σ_t x[t]` as one more
+/// column), computed by sweeps of plain `f64` multiply-adds.
+///
+/// **Why plain arithmetic is exact here.** Let `2^ex` bound every `|x[t]|`
+/// and `2^K` every column's weight total (`K ≥ 2`). A level adds and
+/// subtracts `σ = 1.5 · 2^E`, `E = ex + K − 1`: since `|x| < 2^(E−1)`,
+/// `σ + x` stays inside `σ`'s binade, so it rounds `x` to the nearest
+/// multiple `q` of `u = ulp(σ) = 2^(ex+K−53)` and both `q = (σ + x) − σ`
+/// and the remainder `x − q` are error-free. (A power-of-two `σ` would let
+/// a negative `x` drop the sum into the binade below, whose ulp is `u/2` —
+/// one more bit of headroom; the `1.5` keeps both signs on one grid.) Now
+/// `|q| ≤ 2^ex`, so every product `w · q` and every partial sum of a
+/// column is a multiple of `u` no larger than `2^ex · 2^K = 2^53 · u` —
+/// exactly representable, hence every operation of the sweep is exact and
+/// its order irrelevant. The remainders (at most `u/2`) get the next
+/// level, until none is left. Each level's column sum is handed out as one
+/// exact piece ([`WeightedRun::pieces`]); adding the pieces to an
+/// [`ExactSum`] leaves it representing the same real number as one
+/// `add_product` per (tuple, column) would — so `value()` cannot differ.
+///
+/// **What is handed back** ([`WeightedRun::leftover`]) for `add_product`:
+/// non-finite values, everything if `σ` would overflow (`|x|` within `2^K`
+/// of `f64::MAX`) or the weights leave no headroom, and remainders that
+/// outlive [`MAX_LEVELS`]. All are properties of the run's values and
+/// weights alone.
+pub struct WeightedRun<'a> {
+    rows: &'a [&'a [u32]],
+    /// Weight columns (`rows[t].len()`); the unit column, if any, follows.
+    width: usize,
+    unit: bool,
+    headroom: u64,
+    levels: usize,
+    buf: &'a mut RunBuf,
+}
+
+impl<'a> WeightedRun<'a> {
+    /// Start a run over `rows` (one weight row of `width` columns per
+    /// tuple): totals every column.
+    pub fn new(rows: &'a [&'a [u32]], width: usize, unit: bool, buf: &'a mut RunBuf) -> Self {
+        buf.totals.clear();
+        buf.totals.resize(width, 0);
+        for row in rows {
+            debug_assert_eq!(row.len(), width);
+            for (t, &w) in buf.totals.iter_mut().zip(*row) {
+                *t += u64::from(w);
+            }
+        }
+        let unit_total = if unit { rows.len() as u64 } else { 0 };
+        let bound = buf.totals.iter().copied().fold(unit_total, u64::max);
+        // Smallest K ≥ 2 with 2^K ≥ bound.
+        let headroom = u64::from(64 - bound.saturating_sub(1).leading_zeros()).max(2);
+        WeightedRun {
+            rows,
+            width,
+            unit,
+            headroom,
+            levels: 0,
+            buf,
         }
     }
-    g[bottom] = q;
-    // Upward pass: re-accumulate bottom-up (Q starts as the parked bottom
-    // component); the final Q is the top component of the compressed
-    // expansion.
-    for &c in g.iter().take(m).skip(bottom + 1) {
-        let (s, _small) = fast_two_sum(c, q);
-        q = s;
+
+    fn cols(&self) -> usize {
+        self.width + usize::from(self.unit)
     }
-    q
+
+    /// `Σ_t rows[t][c]` per weight column.
+    pub fn totals(&self) -> &[u64] {
+        &self.buf.totals
+    }
+
+    /// Sum the value stream `xs` (one per row) against every column;
+    /// replaces the previous stream's [`pieces`](Self::pieces) and
+    /// [`leftover`](Self::leftover).
+    pub fn sum(&mut self, xs: &[f64]) {
+        assert_eq!(xs.len(), self.rows.len(), "one value per weight row");
+        let cols = self.cols();
+        let buf = &mut *self.buf;
+        buf.pieces.clear();
+        buf.leftover.clear();
+        buf.rem.clear();
+        buf.rem.extend_from_slice(xs);
+        self.levels = 0;
+        let mut top = 0u64;
+        // The largest magnitude, as bits (which order like the magnitudes).
+        for (t, r) in buf.rem.iter_mut().enumerate() {
+            if r.is_finite() {
+                top = top.max(r.abs().to_bits());
+            } else {
+                buf.leftover.push((t, *r));
+                *r = 0.0;
+            }
+        }
+        while top != 0 {
+            // Biased exponent of σ: that of the largest remainder, plus K.
+            let sigma_exp = (top >> 52) + self.headroom;
+            if self.levels == MAX_LEVELS || self.headroom > MAX_HEADROOM || sigma_exp > 2045 {
+                let rest = buf.rem.iter().enumerate().filter(|(_, r)| **r != 0.0);
+                buf.leftover.extend(rest.map(|(t, r)| (t, *r)));
+                break;
+            }
+            let sigma = f64::from_bits(sigma_exp << 52 | 1 << 51);
+            buf.pieces.resize((self.levels + 1) * cols, 0.0);
+            let acc = &mut buf.pieces[self.levels * cols..];
+            let (acc, unit_acc) = acc.split_at_mut(self.width);
+            top = 0;
+            for (r, row) in buf.rem.iter_mut().zip(self.rows) {
+                if *r == 0.0 {
+                    continue;
+                }
+                let q = (sigma + *r) - sigma;
+                *r -= q;
+                top = top.max(r.abs().to_bits());
+                // Plain `f64` accumulation, and exact: every product and
+                // partial sum is a multiple of ulp(σ) of at most 2^53 ulps
+                // (see the type's doc).
+                for (a, &w) in acc.iter_mut().zip(*row) {
+                    *a += f64::from(w) * q;
+                }
+                if let Some(a) = unit_acc.first_mut() {
+                    *a += q;
+                }
+            }
+            self.levels += 1;
+        }
+        // Fold each level's piece into the one above it (error-free), so a
+        // column whose sum fits one double — every weight-1 or -2 column of
+        // a one-tuple run — hands out one non-zero piece, not one per level.
+        for l in (1..self.levels).rev() {
+            let (above, below) = buf.pieces[(l - 1) * cols..].split_at_mut(cols);
+            for (a, b) in above.iter_mut().zip(&mut below[..cols]) {
+                (*a, *b) = two_sum(*a, *b);
+            }
+        }
+    }
+
+    /// Exact pieces of column `c`'s sum (`c == width`: the unit column),
+    /// at most one per level; zero pieces included.
+    pub fn pieces(&self, c: usize) -> impl Iterator<Item = f64> + '_ {
+        let cols = self.cols();
+        debug_assert!(c < cols);
+        (0..self.levels).map(move |l| self.buf.pieces[l * cols + c])
+    }
+
+    /// `(row, value)` pairs no level consumed: the caller owes every column
+    /// `c` an `add_product(value, rows[row][c])`.
+    pub fn leftover(&self) -> &[(usize, f64)] {
+        &self.buf.leftover
+    }
 }
 
 /// Exact weighted first and second moments, for VAR_POP / STDDEV.
@@ -234,6 +395,12 @@ impl ExactVariance {
     #[inline]
     pub fn add(&mut self, x: f64) {
         self.add_weighted(x, 1.0);
+    }
+
+    /// The `Σw·x` and `Σw·x²` sums, for bulk folds that feed them a
+    /// [`WeightedRun`] of `x`, and of both halves of `two_product(x, x)`.
+    pub fn sums_mut(&mut self) -> (&mut ExactSum, &mut ExactSum) {
+        (&mut self.sum, &mut self.sumsq)
     }
 
     /// Merge another accumulator (exact, order-insensitive).
@@ -321,6 +488,125 @@ mod tests {
         b.merge(&a);
         assert_eq!(fwd.value().to_bits(), rev.value().to_bits());
         assert_eq!(fwd.value().to_bits(), b.value().to_bits());
+    }
+
+    /// Found by random search over few-bit inputs: with the old COMPRESS
+    /// finish the forward order parked a remainder that was an exact
+    /// half-ulp tie and double-rounded, one ulp above the reversed and the
+    /// shard-merged orders.
+    #[test]
+    fn value_breaks_half_ulp_ties_by_the_lower_components() {
+        let xs = [
+            2748779069440.0,
+            -81920.0,
+            -0.625,
+            3940649673949184.0,
+            2.0816681711721685e-17,
+            -0.125,
+        ];
+        let sum_of = |order: &mut dyn Iterator<Item = &f64>| {
+            let mut s = ExactSum::new();
+            order.for_each(|&x| s.add(x));
+            s
+        };
+        let fwd = sum_of(&mut xs.iter());
+        let rev = sum_of(&mut xs.iter().rev());
+        let mut merged = sum_of(&mut xs[..3].iter());
+        merged.merge(&sum_of(&mut xs[3..].iter()));
+        // The exact total is 3943398452936703.25 + 2^-55.5…: just above the
+        // tie between …703 and …703.5, so it rounds up to …703.5.
+        let expect = 3.9433984529367035e15f64;
+        assert_eq!(fwd.value().to_bits(), expect.to_bits());
+        assert_eq!(rev.value().to_bits(), expect.to_bits());
+        assert_eq!(merged.value().to_bits(), expect.to_bits());
+        // A tie with nothing below it still goes to even.
+        let mut tie = ExactSum::new();
+        tie.add(2f64.powi(53));
+        tie.add(1.0);
+        assert_eq!(tie.value(), 2f64.powi(53));
+        tie.add(2f64.powi(-60));
+        assert_eq!(tie.value(), 2f64.powi(53) + 2.0);
+    }
+
+    /// Reference for [`WeightedRun`]: one `add_product` per cell.
+    fn cellwise(xs: &[f64], rows: &[&[u32]], c: Option<usize>) -> ExactSum {
+        let mut s = ExactSum::new();
+        for (&x, row) in xs.iter().zip(rows) {
+            s.add_product(x, c.map_or(1.0, |c| f64::from(row[c])));
+        }
+        s
+    }
+
+    /// Column `c`'s sum from a run, the way a caller assembles it.
+    fn from_run(run: &WeightedRun<'_>, rows: &[&[u32]], c: Option<usize>) -> ExactSum {
+        let mut s = ExactSum::new();
+        let width = rows.first().map_or(0, |r| r.len());
+        run.pieces(c.unwrap_or(width)).for_each(|p| s.add(p));
+        for &(t, x) in run.leftover() {
+            s.add_product(x, c.map_or(1.0, |c| f64::from(rows[t][c])));
+        }
+        s
+    }
+
+    #[test]
+    fn weighted_run_equals_cellwise_products() {
+        let mut rng = SplitMix64::new(3);
+        let mut buf = RunBuf::default();
+        for (n, spread) in [(1usize, 0i32), (2, 3), (8, 40), (300, 12), (1024, 150)] {
+            let xs: Vec<f64> = (0..n)
+                .map(|_| {
+                    let e = rng.next_below(spread as u64 + 1) as i32 - spread / 2;
+                    (rng.next_f64() - 0.5) * 2f64.powi(e)
+                })
+                .collect();
+            let flat: Vec<u32> = (0..n * 7).map(|_| rng.next_below(5) as u32).collect();
+            let rows: Vec<&[u32]> = flat.chunks(7).collect();
+            let mut run = WeightedRun::new(&rows, 7, true, &mut buf);
+            let totals: Vec<u64> = (0..7)
+                .map(|c| rows.iter().map(|r| u64::from(r[c])).sum())
+                .collect();
+            assert_eq!(run.totals(), totals);
+            run.sum(&xs);
+            assert!(run.leftover().is_empty(), "n={n}: {:?}", run.leftover());
+            for c in (0..7).map(Some).chain([None]) {
+                let (a, b) = (from_run(&run, &rows, c), cellwise(&xs, &rows, c));
+                assert_eq!(a.value().to_bits(), b.value().to_bits(), "n={n} c={c:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn weighted_run_hands_back_what_it_cannot_bin() {
+        let mut buf = RunBuf::default();
+        let w = |ws: &'static [u32]| ws;
+        // Non-finite values and a value too close to f64::MAX for σ.
+        let xs = [1.5, f64::INFINITY, -0.0, f64::NAN, 3.25];
+        let rows = [w(&[1, 0]), w(&[2, 1]), w(&[3, 3]), w(&[0, 1]), w(&[1, 2])];
+        let mut run = WeightedRun::new(&rows, 2, false, &mut buf);
+        run.sum(&xs);
+        let back: Vec<usize> = run.leftover().iter().map(|&(t, _)| t).collect();
+        assert_eq!(back, [1, 3]);
+        assert_eq!(run.pieces(0).sum::<f64>(), 1.5 + 3.25);
+        assert_eq!(run.pieces(1).sum::<f64>(), 6.5);
+        run.sum(&[f64::MAX, 1.0, 0.0, 0.0, -f64::MAX]);
+        assert_eq!(run.leftover().len(), 3, "σ would overflow: all handed back");
+        assert_eq!(run.pieces(0).count(), 0);
+        // Wider than MAX_LEVELS can consume: the tails come back, and the
+        // assembled sums still match.
+        let wide: Vec<f64> = (0..40).map(|i| 2f64.powi(-25 * i) * 1.000000123).collect();
+        let ones: Vec<&[u32]> = (0..40).map(|_| w(&[1, 3])).collect();
+        let mut run = WeightedRun::new(&ones, 2, true, &mut buf);
+        run.sum(&wide);
+        assert!(!run.leftover().is_empty());
+        for c in [Some(0), Some(1), None] {
+            let (a, b) = (from_run(&run, &ones, c), cellwise(&wide, &ones, c));
+            assert_eq!(a.value().to_bits(), b.value().to_bits(), "c={c:?}");
+        }
+        // No headroom at all under u32::MAX-sized weights: handed back.
+        let huge = [w(&[u32::MAX]); 600];
+        let mut run = WeightedRun::new(&huge, 1, false, &mut buf);
+        run.sum(&[1.0; 600]);
+        assert_eq!(run.leftover().len(), 600);
     }
 
     #[test]

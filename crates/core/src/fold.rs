@@ -17,13 +17,24 @@
 
 use std::collections::hash_map::Entry;
 
-use gola_agg::{AggKind, ReplicatedStates};
-use gola_common::{ColumnData, FxHashMap, Result, Value};
-use gola_expr::Expr;
+use gola_agg::{AggKind, FoldScratch, ReplicatedStates};
+use gola_common::{row_u32, FxHashMap, Result, Value};
 
 use crate::classify::{ChunkClass, CHUNK};
-use crate::join::Candidates;
+use crate::join::{BatchWeights, Candidates};
 use crate::runtime::{entry_mut, BlockEnv, BlockRuntime, CtxMode, TupleReader, UncertainSet};
+
+/// The batch rows whose bootstrap weights this stage will read for one
+/// block: every new candidate classification folds or leaves uncertain.
+pub(crate) fn weights_needed<'a>(
+    cand: &'a Candidates,
+    classes: &'a [ChunkClass],
+) -> impl Iterator<Item = u32> + 'a {
+    classes.iter().enumerate().flat_map(move |(ci, class)| {
+        let kept = class.folds.iter().chain(&class.uncertain_idx);
+        kept.filter_map(move |&r| cand.batch_row(ci * CHUNK + r as usize))
+    })
+}
 
 /// Run the stage. Mutates `rt` only: `groups`/`semi_groups` gain the
 /// folds, `uncertain` is replaced by the still-uncertain candidates.
@@ -31,13 +42,15 @@ pub(crate) fn fold(
     env: &BlockEnv<'_>,
     cand: &Candidates,
     classes: &[ChunkClass],
+    weights: &BatchWeights,
     rt: &mut BlockRuntime,
 ) -> Result<()> {
     let mergeable = env.cb.agg_kinds.iter().all(AggKind::is_mergeable);
     if mergeable && classes.len() > 1 && env.pool.threads() > 1 {
         let shards = env.pool.map(classes.iter().enumerate(), |(ci, class)| {
             let mut shard = BlockRuntime::default();
-            fold_chunk(env, cand, ci, class, &mut shard, &mut Vec::new()).map(|()| shard)
+            let mut scratch = FoldScratch::default();
+            fold_chunk(env, cand, weights, ci, class, &mut shard, &mut scratch).map(|()| shard)
         });
         let _merge_span = gola_obs::span!("merge");
         for shard in shards {
@@ -51,16 +64,16 @@ pub(crate) fn fold(
             }
         }
     } else {
-        let mut wbuf: Vec<u32> = Vec::new();
+        let mut scratch = FoldScratch::default();
         for (ci, class) in classes.iter().enumerate() {
-            fold_chunk(env, cand, ci, class, rt, &mut wbuf)?;
+            fold_chunk(env, cand, weights, ci, class, rt, &mut scratch)?;
         }
     }
 
     // The still-uncertain tuples, in candidate order (chunk order ×
     // chunk-relative index order). Carried tuples keep their cached
-    // bootstrap weights; tuples entering the set get theirs from one
-    // batched kernel call, so publish never recomputes a weight.
+    // bootstrap weights; tuples entering the set copy their row of the
+    // step's matrix, so publish never recomputes a weight.
     let keep: Vec<usize> = classes
         .iter()
         .enumerate()
@@ -71,12 +84,10 @@ pub(crate) fn fold(
                 .map(move |&r| ci * CHUNK + r as usize)
         })
         .collect();
-    let spec = &env.config.bootstrap;
-    let mut wbuf: Vec<u32> = Vec::new();
-    let mut weights = cand.weights_of(spec, keep.iter().copied(), &mut wbuf);
-    let mut kept_weights: Vec<u32> = Vec::with_capacity(keep.len() * spec.trials as usize);
+    let trials = env.config.bootstrap.trials as usize;
+    let mut kept_weights: Vec<u32> = Vec::with_capacity(keep.len() * trials);
     for &i in &keep {
-        kept_weights.extend_from_slice(weights.next(i));
+        kept_weights.extend_from_slice(cand.weights_of(weights, i));
     }
     rt.uncertain = UncertainSet {
         tuple_ids: keep.iter().map(|&i| cand.ids[i]).collect(),
@@ -104,73 +115,77 @@ fn merge_groups(
     }
 }
 
-/// Fold chunk `ci`'s deterministic-true tuples into `rt` with batched
-/// bootstrap weights (one flat `tuples × trials` buffer, `wbuf`, instead of
-/// a hash chain per cell).
+/// Fold chunk `ci`'s deterministic-true tuples into `rt`, one *run* per
+/// group the chunk touches: the tuples are bucketed by group first, so
+/// every (group, aggregate lane) takes its tuples' values and weight rows
+/// in a single [`ReplicatedStates::fold_run`] instead of one exact update
+/// per (tuple, replica). A run keeps candidate order, which is all the
+/// order-sensitive states (MIN/MAX ties, QUANTILE, UDAF) can see: each
+/// state only ever meets its own group's tuples.
 fn fold_chunk(
     env: &BlockEnv<'_>,
     cand: &Candidates,
+    weights: &BatchWeights,
     ci: usize,
     class: &ChunkClass,
     rt: &mut BlockRuntime,
-    wbuf: &mut Vec<u32>,
+    scratch: &mut FoldScratch,
 ) -> Result<()> {
     let cb = env.cb;
-    let spec = &env.config.bootstrap;
-    let folds = class.folds.iter().map(|&r| ci * CHUNK + r as usize);
-    let mut weights = cand.weights_of(spec, folds.clone(), wbuf);
     let mut reader = TupleReader::new(&cand.chunk, env.pubs);
-    let new_states = || Ok(ReplicatedStates::new(&cb.agg_kinds, spec.trials));
+    // Semi-join aggregation keys the partial aggregates by the membership
+    // key first, so a slot's key is `member key ++ group key`.
+    let member_key = cb.semi_join.as_ref().map_or(&[][..], |(_, key, _)| key);
+    let mut slots: FxHashMap<Vec<Value>, u32> = FxHashMap::default();
+    // (slot, candidate) per folded tuple.
+    let mut members: Vec<(u32, usize)> = Vec::with_capacity(class.folds.len());
     let mut key: Vec<Value> = Vec::new();
-    for i in folds {
-        let w = weights.next(i);
+    for &r in &class.folds {
+        let i = ci * CHUNK + r as usize;
+        reader.values_into(i, member_key, CtxMode::Point, &mut key)?;
+        // NULL never passes `IN (...)`.
+        if key.iter().any(Value::is_null) {
+            continue;
+        }
+        for e in &cb.lin_group_by {
+            key.push(reader.value(i, e, CtxMode::Point)?);
+        }
+        let fresh = row_u32(slots.len());
+        members.push((*entry_mut(&mut slots, &key, || Ok(fresh))?, i));
+    }
+    // Stable: a run keeps candidate order.
+    members.sort_by_key(|&(slot, _)| slot);
+    let mut keys: Vec<&[Value]> = vec![&[]; slots.len()];
+    // golint: allow(hash-order-leak) -- each key lands at its own slot
+    // index; the visit order leaves no trace
+    for (key, &slot) in &slots {
+        keys[slot as usize] = key;
+    }
+    let trials = env.config.bootstrap.trials;
+    let mut rows: Vec<&[u32]> = Vec::new();
+    let mut lanes: Vec<Vec<Value>> = vec![Vec::new(); cb.lin_agg_args.len()];
+    for run in members.chunk_by(|a, b| a.0 == b.0) {
+        let (mkey, gkey) = keys[run[0].0 as usize].split_at(member_key.len());
         let groups = match &cb.semi_join {
-            // Semi-join aggregation keys the partial aggregates by the
-            // membership key first; NULL never passes `IN (...)`.
-            Some((_, member_key, _)) => {
-                reader.values_into(i, member_key, CtxMode::Point, &mut key)?;
-                if key.iter().any(Value::is_null) {
-                    continue;
-                }
-                entry_mut(&mut rt.semi_groups, &key, || Ok(FxHashMap::default()))?
-            }
+            Some(_) => entry_mut(&mut rt.semi_groups, mkey, || Ok(FxHashMap::default()))?,
             None => &mut rt.groups,
         };
-        reader.values_into(i, &cb.lin_group_by, CtxMode::Point, &mut key)?;
-        let states = entry_mut(groups, &key, new_states)?;
-        fold_args(&mut reader, i, &cb.lin_agg_args, states, w)?;
-    }
-    Ok(())
-}
-
-/// Fold tuple `i`'s aggregate arguments into `states` with the fused
-/// weight × value kernels: a valid numeric column skips `Value`
-/// materialization per (tuple, replica); anything else goes through
-/// `fold_value`, which is bit-identical lane for lane.
-fn fold_args(
-    reader: &mut TupleReader<'_>,
-    i: usize,
-    args: &[Expr],
-    states: &mut ReplicatedStates,
-    weights: &[u32],
-) -> Result<()> {
-    for (j, e) in args.iter().enumerate() {
-        if let Expr::Column(c) = e {
-            let col = reader.chunk.column(*c);
-            match col.data() {
-                ColumnData::Float(xs) if col.is_valid(i) => {
-                    states.fold_numeric(j, &Value::Float(xs[i]), xs[i], weights);
-                    continue;
-                }
-                ColumnData::Int(xs) if col.is_valid(i) => {
-                    states.fold_numeric(j, &Value::Int(xs[i]), xs[i] as f64, weights);
-                    continue;
-                }
-                _ => {}
+        let states = entry_mut(groups, gkey, || {
+            Ok(ReplicatedStates::new(&cb.agg_kinds, trials))
+        })?;
+        rows.clear();
+        rows.extend(run.iter().map(|&(_, i)| cand.weights_of(weights, i)));
+        lanes.iter_mut().for_each(Vec::clear);
+        // Tuple-major, so a computed argument fills the row buffer once
+        // per tuple.
+        for &(_, i) in run {
+            for (lane, e) in lanes.iter_mut().zip(&cb.lin_agg_args) {
+                lane.push(reader.value(i, e, CtxMode::Point)?);
             }
         }
-        let v = reader.value(i, e, CtxMode::Point)?;
-        states.fold_value(j, &v, weights);
+        for (j, values) in lanes.iter().enumerate() {
+            states.fold_run(j, values, &rows, true, scratch);
+        }
     }
     Ok(())
 }

@@ -5,12 +5,13 @@
 
 use std::borrow::Cow;
 
-use gola_agg::ReplicatedStates;
+use gola_agg::{FoldScratch, ReplicatedStates};
 use gola_bootstrap::VariationRange;
 use gola_common::{cmp_values, FxHashMap, Result, Value};
 use gola_expr::eval::{eval, eval_predicate, eval_tri};
 use gola_expr::{BinOp, Expr, RangeVal, Tri};
 
+use crate::classify::CHUNK;
 use crate::compiled::FastScalarCmp;
 use crate::runtime::{
     entry_mut, sorted_entries, sorted_into_entries, BlockEnv, BlockRuntime, CtxMode, GroupCtx,
@@ -93,9 +94,10 @@ enum Inclusion<'a> {
 }
 
 impl Inclusion<'_> {
-    /// Does uncertain tuple `i` pass at point values? Also fills `mask`
-    /// with the tuple's bootstrap weight in every trial it passes and `0`
-    /// elsewhere. `key` is scratch space for the predicate's lookup key.
+    /// Does uncertain tuple `i` pass at point values? Also appends to
+    /// `mask` the tuple's row: its bootstrap weight in every trial it
+    /// passes and `0` elsewhere. `key` is scratch space for the predicate's
+    /// lookup key.
     fn decide(
         &mut self,
         env: &BlockEnv<'_>,
@@ -105,7 +107,6 @@ impl Inclusion<'_> {
         mask: &mut Vec<u32>,
         key: &mut Vec<Value>,
     ) -> Result<bool> {
-        mask.clear();
         let trials = 0..env.config.bootstrap.trials;
         match self {
             Inclusion::Member(id, key_exprs, negated) => {
@@ -136,7 +137,7 @@ impl Inclusion<'_> {
                 // A null LHS compares false against every RHS under every
                 // operator: no point support, no trial folds.
                 let Some(lx) = lhs else {
-                    mask.resize(weights.len(), 0);
+                    mask.resize(mask.len() + weights.len(), 0);
                     return Ok(false);
                 };
                 fill_cmp_mask(mask, weights, &rhs[1..], fsc.op, lx);
@@ -197,38 +198,18 @@ fn uncertain_states<'a>(env: &BlockEnv<'_>, rt: &'a BlockRuntime) -> Result<Vec<
         (_, Some(fsc)) => Inclusion::ScalarCmp(fsc, FxHashMap::default()),
         _ => Inclusion::Generic,
     };
-    // Per touched group: merged states plus point support.
-    let mut touched: FxHashMap<Vec<Value>, (ReplicatedStates, bool)> = FxHashMap::default();
     // The uncertain set carries its bootstrap weights — computed once when
     // each tuple entered the set — so no weight kernel runs here no matter
     // how many batches a tuple stays uncertain.
     let us = &rt.uncertain;
     let stride = trials as usize;
     let mut reader = TupleReader::new(&us.chunk, env.pubs);
+    // The uncertain tuples of each group they touch, in set order.
+    let mut touched: FxHashMap<Vec<Value>, Vec<usize>> = FxHashMap::default();
     let mut key: Vec<Value> = Vec::new();
-    let mut args: Vec<Value> = Vec::new();
-    let mut mask: Vec<u32> = Vec::with_capacity(stride);
-    let mut lookup_key: Vec<Value> = Vec::new();
     for i in 0..us.len() {
-        let weights = &us.weights[i * stride..(i + 1) * stride];
         reader.values_into(i, &cb.lin_group_by, CtxMode::Point, &mut key)?;
-        reader.values_into(i, &cb.lin_agg_args, CtxMode::Point, &mut args)?;
-        let (states, supported) = entry_mut(&mut touched, &key, || {
-            let det = rt.groups.get(key.as_slice());
-            let base = det
-                .cloned()
-                .unwrap_or_else(|| ReplicatedStates::new(&cb.agg_kinds, trials));
-            Ok((base, det.is_some()))
-        })?;
-        if inclusion.decide(env, &mut reader, i, weights, &mut mask, &mut lookup_key)? {
-            states.update_main(&args);
-            *supported = true;
-        }
-        // Excluded trials are masked to weight 0 (a no-op), so one fused
-        // replica fold per aggregate lane covers every trial.
-        for (j, v) in args.iter().enumerate() {
-            states.fold_value_replicas(j, v, &mask);
-        }
+        entry_mut(&mut touched, &key, || Ok(Vec::new()))?.push(i);
     }
     let mut out: Vec<EffGroup<'a>> = Vec::with_capacity(rt.groups.len() + touched.len());
     for (key, states) in sorted_entries(&rt.groups) {
@@ -240,7 +221,43 @@ fn uncertain_states<'a>(env: &BlockEnv<'_>, rt: &'a BlockRuntime) -> Result<Vec<
             });
         }
     }
-    for (key, (states, supported)) in sorted_into_entries(touched) {
+    let mut scratch = FoldScratch::default();
+    let mut args: Vec<Value> = Vec::new();
+    let mut lanes: Vec<Vec<Value>> = vec![Vec::new(); cb.lin_agg_args.len()];
+    let mut masks: Vec<u32> = Vec::new();
+    let mut lookup_key: Vec<Value> = Vec::new();
+    for (key, tuples) in sorted_into_entries(touched) {
+        // A snapshot of the group's deterministic states takes the
+        // uncertain contributions.
+        let det = rt.groups.get(key.as_slice());
+        let mut states =
+            (det.cloned()).unwrap_or_else(|| ReplicatedStates::new(&cb.agg_kinds, trials));
+        let mut supported = det.is_some();
+        // Main inclusion is per tuple, at point values. The replicas take
+        // the group's tuples as runs (of at most a chunk, which bounds the
+        // mask buffer): excluded trials are masked to weight 0 — a no-op —
+        // so one replica-only run per aggregate lane covers every trial.
+        for run in tuples.chunks(CHUNK) {
+            masks.clear();
+            lanes.iter_mut().for_each(Vec::clear);
+            for &i in run {
+                let weights = &us.weights[i * stride..][..stride];
+                reader.values_into(i, &cb.lin_agg_args, CtxMode::Point, &mut args)?;
+                if inclusion.decide(env, &mut reader, i, weights, &mut masks, &mut lookup_key)? {
+                    states.update_main(&args);
+                    supported = true;
+                }
+                for (lane, v) in lanes.iter_mut().zip(args.drain(..)) {
+                    lane.push(v);
+                }
+            }
+            let rows: Vec<&[u32]> = (0..run.len())
+                .map(|t| &masks[t * stride..][..stride])
+                .collect();
+            for (j, values) in lanes.iter().enumerate() {
+                states.fold_run(j, values, &rows, false, &mut scratch);
+            }
+        }
         out.push(EffGroup {
             key: Cow::Owned(key),
             states: Cow::Owned(states),

@@ -6,13 +6,15 @@
 //! batch re-examines it against fresher envelopes.
 
 use gola_bootstrap::BootstrapSpec;
-use gola_common::{Bitmap, FxHashMap, Result, Row, Value};
+use gola_common::{row_u32, Bitmap, FxHashMap, Result, Row, Value};
 use gola_expr::eval::{eval, eval_predicate, ExactContext};
 use gola_expr::vector::predicate_mask;
 use gola_expr::Expr;
 use gola_storage::{Catalog, ColumnChunk, MiniBatch};
 
+use crate::classify::CHUNK;
 use crate::compiled::CompiledBlock;
+use crate::pool::WorkerPool;
 use crate::runtime::{BlockEnv, CtxMode, TupleCtx, TupleReader, UncertainSet};
 
 /// Per dimension join of one block: join key → dimension rows.
@@ -53,52 +55,91 @@ pub(crate) struct Candidates {
     /// keep the bootstrap weights cached there (`carried_len × trials`).
     pub carried_len: usize,
     pub carried_weights: Vec<u32>,
+    /// Per new candidate (those after the carried ones): the batch row it
+    /// came from, which is where [`BatchWeights`] keeps its weights.
+    pub batch_rows: Vec<u32>,
 }
 
 impl Candidates {
-    /// Bootstrap weights for `selection` (candidate indices, walked once
-    /// in this order): the batched kernel runs over the new tuples among
-    /// them only — carried ones already have theirs.
-    pub(crate) fn weights_of<'a>(
-        &'a self,
-        spec: &BootstrapSpec,
-        selection: impl Iterator<Item = usize>,
-        fresh: &'a mut Vec<u32>,
-    ) -> CandWeights<'a> {
-        let new_ids: Vec<u64> = selection
-            .filter(|&i| i >= self.carried_len)
-            .map(|i| self.ids[i])
-            .collect();
-        spec.weights_batch(&new_ids, fresh);
-        CandWeights {
-            cand: self,
-            fresh,
-            stride: spec.trials as usize,
-            next_fresh: 0,
+    /// The batch row of candidate `i`, `None` for a carried one.
+    pub(crate) fn batch_row(&self, i: usize) -> Option<u32> {
+        Some(self.batch_rows[i.checked_sub(self.carried_len)?])
+    }
+
+    /// Bootstrap weights of candidate `i`: a carried tuple's cached row,
+    /// a new tuple's row of the step's shared matrix.
+    pub(crate) fn weights_of<'a>(&'a self, fresh: &'a BatchWeights, i: usize) -> &'a [u32] {
+        match self.batch_row(i) {
+            Some(row) => fresh.row(row),
+            None => &self.carried_weights[i * fresh.trials..][..fresh.trials],
         }
     }
 }
 
-/// Cursor over the weights of a [`Candidates::weights_of`] selection.
-pub(crate) struct CandWeights<'a> {
-    cand: &'a Candidates,
-    fresh: &'a [u32],
-    stride: usize,
-    next_fresh: usize,
+/// The bootstrap weights of one mini-batch's tuples, generated at most
+/// once per step however many blocks fold the tuple: weights are a pure
+/// function of `(tuple id, trial, seed)`, so every block of every wave
+/// reads the same rows. Rows are generated on first need — a wave asks for
+/// the batch rows its blocks will fold or keep uncertain — so a query whose
+/// certain filters drop most of a batch does not pay for the dropped rows.
+/// Lives for one step (`batch_rows × trials × 4` bytes at most).
+pub(crate) struct BatchWeights {
+    trials: usize,
+    /// Batch row → row of `data`, `NONE` until a block needs the tuple.
+    slot: Vec<u32>,
+    /// `generated × trials`, row-major.
+    data: Vec<u32>,
+    generated: usize,
 }
 
-impl<'a> CandWeights<'a> {
-    /// Weights of candidate `i`, which must be the selection's next one: a
-    /// carried tuple indexes its cached slice by position, a new one
-    /// consumes the kernel's output in selection order.
-    pub(crate) fn next(&mut self, i: usize) -> &'a [u32] {
-        let (src, at) = if i < self.cand.carried_len {
-            (self.cand.carried_weights.as_slice(), i)
-        } else {
-            self.next_fresh += 1;
-            (self.fresh, self.next_fresh - 1)
-        };
-        &src[at * self.stride..(at + 1) * self.stride]
+const NONE: u32 = u32::MAX;
+
+impl BatchWeights {
+    pub(crate) fn new(batch: &MiniBatch, spec: &BootstrapSpec) -> BatchWeights {
+        BatchWeights {
+            trials: spec.trials as usize,
+            slot: vec![NONE; batch.len()],
+            data: Vec::new(),
+            generated: 0,
+        }
+    }
+
+    /// Generate the rows among `need` (batch rows) that no earlier call
+    /// generated, [`CHUNK`] tuples per pool item.
+    pub(crate) fn extend(
+        &mut self,
+        spec: &BootstrapSpec,
+        pool: &WorkerPool,
+        batch: &MiniBatch,
+        need: impl Iterator<Item = u32>,
+    ) {
+        let mut ids: Vec<u64> = Vec::new();
+        for row in need {
+            let slot = &mut self.slot[row as usize];
+            if *slot == NONE {
+                *slot = row_u32(self.generated + ids.len());
+                ids.push(batch.tuple_ids[row as usize]);
+            }
+        }
+        self.generated += ids.len();
+        if ids.is_empty() || self.trials == 0 {
+            return;
+        }
+        let start = self.data.len();
+        self.data.resize(start + ids.len() * self.trials, 0);
+        let parts = self.data[start..].chunks_mut(CHUNK * self.trials);
+        pool.map(ids.chunks(CHUNK).zip(parts), |(ids, out)| {
+            spec.weights_fill(ids, out)
+        });
+    }
+
+    fn row(&self, batch_row: u32) -> &[u32] {
+        let slot = self.slot[batch_row as usize];
+        debug_assert_ne!(
+            slot, NONE,
+            "weights of batch row {batch_row} never requested"
+        );
+        &self.data[slot as usize * self.trials..][..self.trials]
     }
 }
 
@@ -108,26 +149,28 @@ pub(crate) fn join(
     batch: &MiniBatch,
     carried: UncertainSet,
 ) -> Result<Candidates> {
-    let (new_ids, new_chunk) = new_candidates(env, batch)?;
+    let (batch_rows, new_chunk) = new_candidates(env, batch)?;
     let mut ids = carried.tuple_ids;
     let carried_len = ids.len();
-    ids.extend_from_slice(&new_ids);
+    ids.extend(batch_rows.iter().map(|&r| batch.tuple_ids[r as usize]));
     Ok(Candidates {
         chunk: carried.chunk.concat(&new_chunk),
         ids,
         carried_len,
         carried_weights: carried.weights,
+        batch_rows,
     })
 }
 
 /// Join one batch against the block's dimensions, apply the certain
-/// filters, and project to lineage columns.
+/// filters, and project to lineage columns; returns each surviving
+/// candidate's batch row beside the projection.
 ///
 /// Without dimension joins this is vectorized: certain filters the kernel
 /// supports become selection bitmaps, and the lineage projection of the
 /// survivors is an `Arc` bump (all rows pass) or a typed gather — no `Row`
 /// is ever materialized.
-fn new_candidates(env: &BlockEnv<'_>, batch: &MiniBatch) -> Result<(Vec<u64>, ColumnChunk)> {
+fn new_candidates(env: &BlockEnv<'_>, batch: &MiniBatch) -> Result<(Vec<u32>, ColumnChunk)> {
     let cb = env.cb;
     if cb.block.dims.is_empty() {
         let chunk = batch.chunk();
@@ -142,8 +185,9 @@ fn new_candidates(env: &BlockEnv<'_>, batch: &MiniBatch) -> Result<(Vec<u64>, Co
                 (None, _) => fallback.push(f),
             }
         }
+        let all_rows = || (0..row_u32(len)).collect();
         if mask.is_none() && fallback.is_empty() {
-            return Ok((batch.tuple_ids.clone(), lineage));
+            return Ok((all_rows(), lineage));
         }
         let mut reader = TupleReader::new(chunk, env.pubs);
         let mut sel: Vec<usize> = Vec::new();
@@ -159,17 +203,17 @@ fn new_candidates(env: &BlockEnv<'_>, batch: &MiniBatch) -> Result<(Vec<u64>, Co
             sel.push(i);
         }
         if sel.len() == len {
-            return Ok((batch.tuple_ids.clone(), lineage));
+            return Ok((all_rows(), lineage));
         }
-        let ids = sel.iter().map(|&i| batch.tuple_ids[i]).collect();
-        return Ok((ids, lineage.gather(&sel)));
+        let rows = sel.iter().map(|&i| row_u32(i)).collect();
+        return Ok((rows, lineage.gather(&sel)));
     }
     // Dimension joins stay row-at-a-time (broadcast hash join), then the
     // joined lineage rows transpose back into a columnar chunk.
-    let mut ids: Vec<u64> = Vec::new();
+    let mut batch_rows: Vec<u32> = Vec::new();
     let mut rows: Vec<Row> = Vec::new();
     let mut joined_buf: Vec<Row> = Vec::new();
-    for (tid, fact_row) in batch.iter() {
+    for (r, (_, fact_row)) in batch.iter().enumerate() {
         joined_buf.clear();
         join_one(&fact_row, env.dims, &cb.block.dims, &mut joined_buf)?;
         'joined: for joined in &joined_buf {
@@ -183,12 +227,12 @@ fn new_candidates(env: &BlockEnv<'_>, batch: &MiniBatch) -> Result<(Vec<u64>, Co
                     continue 'joined;
                 }
             }
-            ids.push(tid);
+            batch_rows.push(row_u32(r));
             rows.push(joined.project(&cb.lineage_cols));
         }
     }
     let chunk = ColumnChunk::from_rows_untyped(cb.lineage_cols.len(), &rows);
-    Ok((ids, chunk))
+    Ok((batch_rows, chunk))
 }
 
 /// Join one fact row against the block's broadcast dimensions, appending

@@ -4,6 +4,7 @@
 
 use gola_common::{FxHashSet, Result};
 
+use crate::join::BatchWeights;
 use crate::report::BatchTiming;
 use crate::step::OnlineExecutor;
 
@@ -47,7 +48,8 @@ pub(crate) fn recover(exec: &mut OnlineExecutor, input: RecoverInput<'_>) -> Res
         let mut scratch = BatchTiming::default();
         for j in 0..=input.upto {
             let batch = exec.partitioner.batch(j);
-            exec.ingest_wave(&replay, &batch, &mut scratch)?;
+            let mut weights = BatchWeights::new(&batch, &exec.config.bootstrap);
+            exec.ingest_wave(&replay, &batch, &mut weights, &mut scratch)?;
         }
         // Publish once per block, from fresh (post-replay) state.
         for &b in &replay {

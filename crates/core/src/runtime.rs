@@ -351,9 +351,10 @@ impl EvalContext for TupleCtx<'_> {
 }
 
 /// Reads per-tuple expressions off a candidate chunk: a plain column
-/// reference comes straight from the column (the common case — no row
-/// materialization, no expression-tree walk); a general expression
-/// evaluates over a row buffer filled at most once per tuple.
+/// reference comes straight from the column and a literal is itself (the
+/// common cases — no row materialization, no expression-tree walk); a
+/// general expression evaluates over a row buffer filled at most once per
+/// tuple.
 pub(crate) struct TupleReader<'a> {
     pub chunk: &'a ColumnChunk,
     pubs: &'a [Published],
@@ -388,6 +389,8 @@ impl<'a> TupleReader<'a> {
     pub fn value(&mut self, i: usize, e: &Expr, mode: CtxMode) -> Result<Value> {
         match e {
             Expr::Column(c) => Ok(self.chunk.column(*c).value(i)),
+            // `COUNT(*)`'s argument: no reason to fill the row buffer.
+            Expr::Literal(v) => Ok(v.clone()),
             e => gola_expr::eval::eval(e, &self.ctx(i, mode)),
         }
     }

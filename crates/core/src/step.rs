@@ -16,20 +16,21 @@ use gola_expr::Tri;
 use gola_plan::{BlockRole, MetaPlan};
 use gola_storage::{Catalog, MiniBatch, Partitioner};
 
+use crate::classify::ChunkClass;
 use crate::compiled::CompiledBlock;
 use crate::config::OnlineConfig;
-use crate::join::DimMaps;
+use crate::join::{BatchWeights, Candidates, DimMaps};
 use crate::metrics::SessionMetrics;
 use crate::pool::WorkerPool;
 use crate::publish::PublishInput;
 use crate::recover::RecoverInput;
 use crate::report::{BatchReport, BatchTiming, ReportInput};
-use crate::runtime::{BlockEnv, BlockRuntime, Published};
+use crate::runtime::{BlockEnv, BlockRuntime, Published, UncertainSet};
 use crate::{classify, fold, join, publish, recover, report};
 
 /// The online query executor for one prepared query.
 pub struct OnlineExecutor {
-    config: OnlineConfig,
+    pub(crate) config: OnlineConfig,
     pub(crate) meta: MetaPlan,
     pub(crate) compiled: Vec<CompiledBlock>,
     pub(crate) partitioner: Arc<Partitioner>,
@@ -225,6 +226,7 @@ impl OnlineExecutor {
             ..Default::default()
         };
         let mut violated = Vec::new();
+        let mut weights = BatchWeights::new(&batch, &self.config.bootstrap);
         // Blocks in the same wavefront are mutually independent, so their
         // ingests run concurrently; publication follows per wave (in block
         // order) so later waves classify against fresh envelopes.
@@ -238,7 +240,7 @@ impl OnlineExecutor {
             }
             {
                 let _span = gola_obs::span!("ingest");
-                self.ingest_wave(&streaming, &batch, &mut timing)?;
+                self.ingest_wave(&streaming, &batch, &mut weights, &mut timing)?;
             }
             let t_pub = Stopwatch::start();
             let _span = gola_obs::span!("publish");
@@ -324,10 +326,15 @@ impl OnlineExecutor {
     /// fold per block. The blocks are mutually independent, so each is one
     /// pool item (block-level parallelism composes with the chunk-level
     /// parallelism inside the stages via the pool's nested-run support).
+    /// Between classify and fold the wave meets once, to generate the
+    /// bootstrap weights its folds will read — each tuple's once per step,
+    /// whichever blocks and waves need it (`weights` carries them from wave
+    /// to wave); that time is fold time.
     pub(crate) fn ingest_wave(
         &mut self,
         blocks: &[usize],
         batch: &MiniBatch,
+        weights: &mut BatchWeights,
         timing: &mut BatchTiming,
     ) -> Result<()> {
         // Take the wave's runtimes out so each item owns its block's state
@@ -337,10 +344,29 @@ impl OnlineExecutor {
             .map(|&b| (b, std::mem::take(&mut self.runtimes[b])))
             .collect();
         let this = &*self;
-        let done = this.pool.map(taken, |(b, mut rt)| {
+        let classified = this.pool.map(taken, |(b, mut rt)| {
             let mut t = BatchTiming::default();
-            let result = ingest(&this.env(b), &mut rt, batch, &mut t);
+            let carried = std::mem::take(&mut rt.uncertain);
+            let result = join_classify(&this.env(b), batch, carried, &mut t);
             (b, rt, t, result)
+        });
+
+        let t_weights = Stopwatch::start();
+        let ready = (classified.iter()).filter_map(|(_, _, _, result)| result.as_ref().ok());
+        let needed = ready.flat_map(|(cand, classes)| fold::weights_needed(cand, classes));
+        weights.extend(&this.config.bootstrap, &this.pool, batch, needed);
+        timing.fold += t_weights.elapsed();
+
+        let weights = &*weights;
+        let done = this.pool.map(classified, |(b, mut rt, mut t, result)| {
+            let folded = result.and_then(|(cand, classes)| {
+                let t_fold = Stopwatch::start();
+                let _span = gola_obs::span!("fold");
+                let folded = fold::fold(&this.env(b), &cand, &classes, weights, &mut rt);
+                t.fold += t_fold.elapsed();
+                folded
+            });
+            (b, rt, t, folded)
         });
         let mut first_err = Ok(());
         for (b, rt, t, result) in done {
@@ -370,31 +396,25 @@ impl OnlineExecutor {
     }
 }
 
-/// One block's ingest of one batch, each stage timed into `timing` under
-/// the span of the same name.
-fn ingest(
+/// The first two stages of one block's ingest of one batch, each timed into
+/// `timing` under the span of the same name.
+fn join_classify(
     env: &BlockEnv<'_>,
-    rt: &mut BlockRuntime,
     batch: &MiniBatch,
+    carried: UncertainSet,
     timing: &mut BatchTiming,
-) -> Result<()> {
+) -> Result<(Candidates, Vec<ChunkClass>)> {
     let t = Stopwatch::start();
     let span = gola_obs::span!("join");
-    let cand = join::join(env, batch, std::mem::take(&mut rt.uncertain))?;
+    let cand = join::join(env, batch, carried)?;
     drop(span);
     timing.join += t.elapsed();
 
     let t = Stopwatch::start();
-    let span = gola_obs::span!("classify");
+    let _span = gola_obs::span!("classify");
     let classes = classify::classify(env, &cand)?;
-    drop(span);
     timing.classify += t.elapsed();
-
-    let t = Stopwatch::start();
-    let _span = gola_obs::span!("fold");
-    fold::fold(env, &cand, &classes, rt)?;
-    timing.fold += t.elapsed();
-    Ok(())
+    Ok((cand, classes))
 }
 
 #[cfg(test)]

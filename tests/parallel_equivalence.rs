@@ -5,8 +5,9 @@
 //!
 //! This holds because ingest uses fixed-size candidate chunks whose
 //! boundaries are independent of the thread count, folds each chunk into a
-//! private shard, and merges shards in chunk index order — so the float
-//! operation sequence per accumulator never changes.
+//! private shard, and merges shards in chunk index order — and every
+//! mergeable aggregate state finalizes to a function of the multiset it
+//! folded, however the folds were cut into runs and shards.
 
 use std::sync::Arc;
 
@@ -192,4 +193,28 @@ fn tpch_queries_thread_invariant() {
     check(&catalog, "Q17", tpch::Q17);
     check(&catalog, "Q18", tpch::Q18);
     check(&catalog, "Q20", tpch::Q20);
+}
+
+/// Batches of several chunks, so `threads = 2` takes the shard-and-merge
+/// fold while `threads = 1` folds chunk after chunk into the block: a
+/// chunk's tuples reach each group as one run, and runs cut at different
+/// places must still add up to the same bits. Q17 is the many-group,
+/// short-run shape (a few tuples per part and chunk); C2 the scalar nested
+/// one (whole chunks as single runs, STDDEV's three value streams).
+#[test]
+fn multi_chunk_batches_thread_invariant() {
+    let tpch_rows = TpchGenerator::default().generate(9000);
+    let conviva_rows = ConvivaGenerator::default().generate(9000);
+    for (name, sql, table_name, table) in [
+        ("Q17", tpch::Q17, "lineitem_denorm", tpch_rows),
+        ("C2", conviva::C2, "sessions", conviva_rows),
+    ] {
+        let mut catalog = Catalog::new();
+        catalog.register(table_name, Arc::new(table)).unwrap();
+        // 3 batches of 3000 rows: three 1024-candidate chunks each.
+        let config = |threads| OnlineConfig::for_tests(3).with_threads(threads);
+        let seq = run_with(&catalog, sql, config(1));
+        let par = run_with(&catalog, sql, config(2));
+        assert_identical(name, &seq, &par);
+    }
 }

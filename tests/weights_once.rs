@@ -1,0 +1,47 @@
+//! Bootstrap weights are generated once per tuple and step, however many
+//! lineage blocks fold the tuple: C2's three streaming blocks (AVG and
+//! STDDEV over every session, and the root over the slow ones) read one
+//! shared matrix, and a tuple entering an uncertain set copies its row
+//! instead of regenerating it.
+//!
+//! Counted through the weight kernel's own `gola_obs` instruments. One
+//! test function only: the registry is process-global.
+
+use std::sync::Arc;
+
+use g_ola::core::{OnlineConfig, OnlineSession};
+use g_ola::obs;
+use g_ola::storage::Catalog;
+use g_ola::workloads::{conviva, ConvivaGenerator};
+
+#[test]
+fn c2_generates_each_tuples_weights_once() {
+    let (rows, batches, trials) = (6000u64, 8u64, 32u64);
+    let mut catalog = Catalog::new();
+    let table = ConvivaGenerator::default().generate(rows as usize);
+    catalog.register("sessions", Arc::new(table)).unwrap();
+    let cells = obs::counter("bootstrap.weight_cells");
+    let calls = obs::duration_histogram("bootstrap.weights_seconds");
+    for threads in [1, 2] {
+        obs::set_enabled(true);
+        obs::reset();
+        let config = OnlineConfig::for_tests(batches as usize)
+            .with_trials(trials as u32)
+            .with_threads(threads);
+        let session = OnlineSession::new(catalog.clone(), config);
+        let stream = session.execute_online(conviva::C2).expect("query compiles");
+        let reports: Vec<_> = stream.map(|r| r.expect("batch succeeds")).collect();
+        obs::set_enabled(false);
+        assert_eq!(reports.len() as u64, batches);
+        assert_eq!(
+            reports.iter().map(|r| r.recomputations).max(),
+            Some(0),
+            "a replayed batch regenerates its weights; pick a run without one"
+        );
+        // Every session is folded by the two scalar blocks, so every
+        // tuple's weights are needed — and generated exactly once.
+        assert_eq!(cells.get(), rows * trials, "threads={threads}");
+        // 750-row batches fit one kernel call each.
+        assert_eq!(calls.count(), batches, "threads={threads}");
+    }
+}
