@@ -143,6 +143,51 @@ fn bench_agg_updates(c: &mut Criterion) {
     g.finish();
 }
 
+/// One `effective_states` call over a fixed uncertain set at B = 100 —
+/// what every step's publish/report pays for the tuples classification
+/// left open; the elements/s column is per uncertain tuple. Q17 sweeps
+/// ~2.3k tuples over ~400 correlation keys; C2 has one RHS of two scalar
+/// references and, at this size, never more than ~300 uncertain tuples
+/// (its set after the last batch).
+fn bench_uncertain_reeval(c: &mut Criterion) {
+    use gola_core::{OnlineConfig, OnlineSession};
+    use gola_workloads::{conviva, tpch, ConvivaGenerator, TpchGenerator};
+
+    let mut g = c.benchmark_group("core");
+    let cases = [
+        (
+            "q17",
+            tpch::Q17,
+            "lineitem_denorm",
+            TpchGenerator::default().generate(60_000),
+        ),
+        (
+            "c2",
+            conviva::C2,
+            "sessions",
+            ConvivaGenerator::default().generate(60_000),
+        ),
+    ];
+    for (name, sql, table, data) in cases {
+        let mut catalog = gola_storage::Catalog::new();
+        catalog.register(table, Arc::new(data)).unwrap();
+        let config = OnlineConfig::default().with_batches(20).with_trials(100);
+        let session = OnlineSession::new(catalog, config.with_threads(1));
+        let mut run = session.execute_online(sql).unwrap();
+        // Stop at the first batch that leaves 2k tuples uncertain, or at
+        // the end of the data.
+        let big =
+            |run: &gola_core::OnlineExecution| run.executor().reevaluate_root().unwrap().0 >= 2000;
+        while !big(&run) && run.next().is_some() {}
+        let (tuples, _) = run.executor().reevaluate_root().unwrap();
+        g.throughput(Throughput::Elements(tuples as u64));
+        g.bench_function(&format!("uncertain_reeval/{name}"), |b| {
+            b.iter(|| black_box(run.executor().reevaluate_root().unwrap()))
+        });
+    }
+    g.finish();
+}
+
 fn bench_bootstrap_weights(c: &mut Criterion) {
     let mut g = c.benchmark_group("bootstrap");
     g.throughput(Throughput::Elements(1));
@@ -204,6 +249,7 @@ criterion_group!(
     bench_expr_eval,
     bench_classification,
     bench_agg_updates,
+    bench_uncertain_reeval,
     bench_bootstrap_weights,
     bench_partitioner,
     bench_hash_probe

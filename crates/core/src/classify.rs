@@ -6,6 +6,7 @@
 //! idempotent atomic store, so fixed-size chunks classify in parallel for
 //! *every* block, including ones whose aggregates cannot merge.
 
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 
 use gola_common::{row_u32, FxHashMap, Result, Value};
@@ -86,43 +87,60 @@ fn classify_chunk(
     Ok(out)
 }
 
-/// Scalar-comparison fast classification: cache the RHS variation range
-/// (and the producer's published entry, for reliance marking) per
-/// correlation key, so each tuple classifies with two float comparisons
+/// One conjunct's RHS at one correlation key: its variation range and
+/// which of the call's `entries` it was read from (for reliance marking).
+type RhsAtKey = (RangeVal, Range<usize>);
+
+/// Scalar-comparison fast classification: cache each conjunct's RHS
+/// variation range (and the producers' published entries) per correlation
+/// key, so each tuple classifies with two float comparisons per conjunct
 /// instead of a generic interval evaluation.
 fn classify_scalar_cmp(
     env: &BlockEnv<'_>,
-    fsc: &FastScalarCmp,
+    fscs: &[FastScalarCmp],
     reader: &mut TupleReader<'_>,
     start: usize,
     len: usize,
     out: &mut ChunkClass,
 ) -> Result<()> {
-    let mut refs = Vec::new();
-    fsc.rhs.collect_subquery_refs(&mut refs);
-    let producer = &env.pubs[refs[0].0];
-    let mut cache: FxHashMap<Vec<Value>, (RangeVal, Option<&PublishedScalar>)> =
-        FxHashMap::default();
-    let mut skey: Vec<Value> = Vec::with_capacity(fsc.key.len());
+    let mut caches: Vec<FxHashMap<Vec<Value>, RhsAtKey>> = vec![FxHashMap::default(); fscs.len()];
+    // Every published entry some cached RHS was read from (one arena, so a
+    // cache miss allocates nothing of its own), and the current tuple's.
+    let mut entries: Vec<&PublishedScalar> = Vec::new();
+    let mut relied: Vec<&PublishedScalar> = Vec::new();
+    let mut skey: Vec<Value> = Vec::new();
     for r in 0..len {
         let i = start + r;
-        reader.values_into(i, &fsc.key, CtxMode::Classify, &mut skey)?;
-        let lhs = reader.value(i, &fsc.lhs, CtxMode::Classify)?;
-        let (rhs, ps) = entry_mut(&mut cache, &skey, || {
-            let range = eval_range(&fsc.rhs, &reader.ctx(i, CtxMode::Classify))?;
-            Ok((range, producer.scalars.get(skey.as_slice())))
-        })?;
-        match classify_cmp(&lhs, fsc.op, rhs) {
-            Tri::Maybe => out.uncertain_idx.push(row_u32(r)),
-            tri => {
-                // The decision relies on this key's envelope.
-                if let Some(ps) = ps {
-                    ps.used.store(true, Ordering::Relaxed);
+        let mut tri = Tri::True;
+        relied.clear();
+        for (fsc, cache) in fscs.iter().zip(&mut caches) {
+            reader.values_into(i, &fsc.key, CtxMode::Classify, &mut skey)?;
+            let lhs = reader.value(i, &fsc.lhs, CtxMode::Classify)?;
+            let (range, read) = entry_mut(cache, &skey, || {
+                // `skey` is every reference's key, one after the other.
+                let (from, mut rest) = (entries.len(), skey.as_slice());
+                for &(id, n) in &fsc.refs {
+                    let (own, tail) = rest.split_at(n);
+                    entries.extend(env.pubs[id.0].scalars.get(own));
+                    rest = tail;
                 }
-                if tri == Tri::True {
-                    out.folds.push(row_u32(r));
-                }
-            }
+                let range = eval_range(&fsc.rhs, &reader.ctx(i, CtxMode::Classify))?;
+                Ok((range, from..entries.len()))
+            })?;
+            tri = tri.and(classify_cmp(&lhs, fsc.op, range));
+            relied.extend_from_slice(&entries[read.clone()]);
+        }
+        if tri == Tri::Maybe {
+            out.uncertain_idx.push(row_u32(r));
+            continue;
+        }
+        // The decision relies on every conjunct's envelopes at this
+        // tuple's keys, like `mark_reliance`.
+        for ps in &relied {
+            ps.used.store(true, Ordering::Relaxed);
+        }
+        if tri == Tri::True {
+            out.folds.push(row_u32(r));
         }
     }
     Ok(())

@@ -44,88 +44,97 @@ pub struct CompiledBlock {
     /// `agg-row-column θ constant`, the per-(group × trial) membership test
     /// reduces to direct comparisons. `(column, op, constant)` triples.
     pub fast_having: Option<Vec<(usize, gola_expr::BinOp, gola_common::Value)>>,
-    /// Fast scalar-comparison filter: the single uncertain predicate has
-    /// the shape `row-expr θ f(scalar-ref)` where `f`'s only row
-    /// dependence is the correlation key. Per-trial re-evaluation of the
-    /// uncertain set then caches `f` per (correlation key, trial) instead
-    /// of evaluating the full expression per (tuple, trial).
-    pub fast_scalar_cmp: Option<FastScalarCmp>,
+    /// Fast scalar-comparison filters: every uncertain predicate has the
+    /// shape `row-expr θ f(scalar-refs)` where `f`'s only row dependence is
+    /// the references' correlation keys — one entry per conjunct of
+    /// `lin_filters`, in order. Classification and per-trial re-evaluation
+    /// of the uncertain set then evaluate `f` once per correlation key
+    /// instead of once per tuple (and trial).
+    pub fast_scalar_cmp: Option<Vec<FastScalarCmp>>,
 }
 
-/// Precompiled `lhs θ rhs(scalar-ref)` uncertain filter (lineage coords).
+/// Precompiled `lhs θ rhs(scalar-refs)` uncertain filter (lineage coords).
 #[derive(Debug, Clone)]
 pub struct FastScalarCmp {
     pub op: gola_expr::BinOp,
     /// Row-only side (no subquery references).
     pub lhs: Expr,
-    /// Side containing exactly one scalar reference; row columns appear
-    /// only inside that reference's key expressions.
+    /// Side containing one or more scalar references; row columns appear
+    /// only inside the references' key expressions.
     pub rhs: Expr,
-    /// The scalar reference's key expressions (lineage coords).
+    /// Every reference's key expressions, in reference order (lineage
+    /// coords): `rhs` is a function of these values alone.
     pub key: Vec<Expr>,
+    /// The references in that order.
+    pub refs: Vec<RhsRef>,
 }
 
-/// `e` qualifies as a cacheable RHS: exactly one `ScalarRef`, no membership
-/// references, and every row column sits inside that ref's keys.
-fn cacheable_rhs(e: &Expr) -> Option<Vec<Expr>> {
-    fn walk(e: &Expr, refs: &mut Vec<Vec<Expr>>, outside_cols: &mut bool) {
+/// One scalar reference of a [`FastScalarCmp::rhs`]: its producer and how
+/// many of [`FastScalarCmp::key`]'s expressions are its own.
+pub type RhsRef = (gola_expr::SubqueryId, usize);
+
+/// `e` qualifies as a cacheable RHS: at least one `ScalarRef`, no
+/// membership references, and every row column sits inside a ref's keys
+/// (which themselves hold no reference). Returns [`FastScalarCmp::key`]
+/// and [`FastScalarCmp::refs`].
+fn cacheable_rhs(e: &Expr) -> Option<(Vec<Expr>, Vec<RhsRef>)> {
+    fn walk(e: &Expr, keys: &mut Vec<Expr>, refs: &mut Vec<RhsRef>) -> bool {
         match e {
-            Expr::ScalarRef { key, .. } => refs.push(key.clone()),
-            Expr::InSubquery { .. } => {
-                // Membership inside the RHS disables the fast path.
-                *outside_cols = true;
+            Expr::ScalarRef { id, key } => {
+                refs.push((*id, key.len()));
+                keys.extend(key.iter().cloned());
+                !key.iter().any(Expr::has_subquery_ref)
             }
-            Expr::Column(_) => *outside_cols = true,
-            _ => {
-                for c in e.children() {
-                    walk(c, refs, outside_cols);
-                }
-            }
+            // Membership or a bare row column inside the RHS disables the
+            // fast path.
+            Expr::InSubquery { .. } | Expr::Column(_) => false,
+            _ => e.children().into_iter().all(|c| walk(c, keys, refs)),
         }
     }
-    let mut refs = Vec::new();
-    let mut outside = false;
-    walk(e, &mut refs, &mut outside);
-    if refs.len() == 1 && !outside {
-        Some(refs.pop().unwrap())
-    } else {
-        None
+    let (mut keys, mut refs) = (Vec::new(), Vec::new());
+    (walk(e, &mut keys, &mut refs) && !refs.is_empty()).then_some((keys, refs))
+}
+
+/// `a θ b` ⇔ `b θ' a`.
+fn flip(op: gola_expr::BinOp) -> gola_expr::BinOp {
+    use gola_expr::BinOp::*;
+    match op {
+        Lt => Gt,
+        LtEq => GtEq,
+        Gt => Lt,
+        GtEq => LtEq,
+        other => other,
     }
 }
 
-fn compile_fast_scalar_cmp(lin_filters: &[Expr]) -> Option<FastScalarCmp> {
-    let [Expr::Binary { op, left, right }] = lin_filters else {
-        return None;
-    };
-    if !op.is_comparison() {
-        return None;
-    }
-    if !left.has_subquery_ref() {
-        let key = cacheable_rhs(right)?;
-        return Some(FastScalarCmp {
-            op: *op,
-            lhs: (**left).clone(),
-            rhs: (**right).clone(),
-            key,
-        });
-    }
-    if !right.has_subquery_ref() {
-        let flipped = match op {
-            gola_expr::BinOp::Lt => gola_expr::BinOp::Gt,
-            gola_expr::BinOp::LtEq => gola_expr::BinOp::GtEq,
-            gola_expr::BinOp::Gt => gola_expr::BinOp::Lt,
-            gola_expr::BinOp::GtEq => gola_expr::BinOp::LtEq,
-            other => *other,
+fn compile_fast_scalar_cmp(lin_filters: &[Expr]) -> Option<Vec<FastScalarCmp>> {
+    let conjunct = |f: &Expr| {
+        let Expr::Binary { op, left, right } = f else {
+            return None;
         };
-        let key = cacheable_rhs(left)?;
-        return Some(FastScalarCmp {
-            op: flipped,
-            lhs: (**right).clone(),
-            rhs: (**left).clone(),
+        if !op.is_comparison() {
+            return None;
+        }
+        let (op, lhs, rhs) = if !left.has_subquery_ref() {
+            (*op, left, right)
+        } else if !right.has_subquery_ref() {
+            (flip(*op), right, left)
+        } else {
+            return None;
+        };
+        let (key, refs) = cacheable_rhs(rhs)?;
+        Some(FastScalarCmp {
+            op,
+            lhs: (**lhs).clone(),
+            rhs: (**rhs).clone(),
             key,
-        });
+            refs,
+        })
+    };
+    if lin_filters.is_empty() {
+        return None;
     }
-    None
+    lin_filters.iter().map(conjunct).collect()
 }
 
 impl CompiledBlock {
@@ -237,15 +246,8 @@ fn compile_fast_having(
                 out.push((*c, *op, constant(rhs)?));
             }
             (lhs, Expr::Column(c)) => {
-                // Flip `const θ col` into `col θ' const`.
-                let flipped = match op {
-                    gola_expr::BinOp::Lt => gola_expr::BinOp::Gt,
-                    gola_expr::BinOp::LtEq => gola_expr::BinOp::GtEq,
-                    gola_expr::BinOp::Gt => gola_expr::BinOp::Lt,
-                    gola_expr::BinOp::GtEq => gola_expr::BinOp::LtEq,
-                    other => *other,
-                };
-                out.push((*c, flipped, constant(lhs)?));
+                // `const θ col` is `col θ' const`.
+                out.push((*c, flip(*op), constant(lhs)?));
             }
             _ => return None,
         }
@@ -458,64 +460,79 @@ mod fast_path_tests {
         assert!(cb.fast_having.is_none());
     }
 
+    fn sref(id: usize, key: Vec<Expr>) -> Expr {
+        Expr::ScalarRef {
+            id: SubqueryId(id),
+            key,
+        }
+    }
+
+    fn fast_cmp(filters: Vec<Expr>) -> Option<Vec<FastScalarCmp>> {
+        CompiledBlock::new(base_block(filters, vec![], vec![AggKind::Sum])).fast_scalar_cmp
+    }
+
+    fn key_of(fsc: &FastScalarCmp) -> String {
+        let key: Vec<String> = fsc.key.iter().map(Expr::to_string).collect();
+        key.join(" ")
+    }
+
     #[test]
     fn fast_scalar_cmp_detected_and_flipped() {
         // x < 0.5 * $sq0[k] — cacheable by the correlation key.
-        let pred = Expr::lt(
+        let q17 = Expr::lt(
             Expr::col(1),
-            Expr::binary(
-                BinOp::Mul,
-                Expr::lit(0.5),
-                Expr::ScalarRef {
-                    id: SubqueryId(0),
-                    key: vec![Expr::col(0)],
-                },
-            ),
+            Expr::binary(BinOp::Mul, Expr::lit(0.5), sref(0, vec![Expr::col(0)])),
         );
-        let cb = CompiledBlock::new(base_block(vec![pred], vec![], vec![AggKind::Sum]));
-        let fsc = cb.fast_scalar_cmp.as_ref().unwrap();
-        assert_eq!(fsc.op, BinOp::Lt);
-        assert_eq!(fsc.key.len(), 1);
+        let fscs = fast_cmp(vec![q17.clone()]).unwrap();
+        assert_eq!(fscs.len(), 1);
+        assert_eq!(fscs[0].op, BinOp::Lt);
+        assert_eq!(key_of(&fscs[0]), "#0");
         // Flipped orientation normalizes the operator.
-        let pred = Expr::gt(
-            Expr::ScalarRef {
-                id: SubqueryId(0),
-                key: vec![],
-            },
-            Expr::col(1),
-        );
-        let cb = CompiledBlock::new(base_block(vec![pred], vec![], vec![AggKind::Sum]));
-        assert_eq!(cb.fast_scalar_cmp.as_ref().unwrap().op, BinOp::Lt);
-        // A row column outside the ref's key kills cacheability.
-        let pred = Expr::lt(
+        let flipped = Expr::gt(sref(0, vec![]), Expr::col(1));
+        let fscs = fast_cmp(vec![flipped]).unwrap();
+        assert_eq!(fscs[0].op, BinOp::Lt);
+        assert_eq!(fscs[0].lhs.to_string(), "#1");
+        assert!(fscs[0].key.is_empty());
+        // Several refs (C2: AVG + STDDEV, here one of them correlated on
+        // two columns like Q20): the key is every ref's key, in ref order.
+        let two_refs = Expr::gt(
             Expr::col(1),
             Expr::binary(
                 BinOp::Add,
-                Expr::col(1),
-                Expr::ScalarRef {
-                    id: SubqueryId(0),
-                    key: vec![],
-                },
+                sref(0, vec![Expr::col(0), Expr::col(1)]),
+                sref(1, vec![]),
             ),
         );
-        let cb = CompiledBlock::new(base_block(vec![pred], vec![], vec![AggKind::Sum]));
-        assert!(cb.fast_scalar_cmp.is_none());
-        // Two scalar refs: not cacheable by a single key.
-        let pred = Expr::lt(
+        let fscs = fast_cmp(vec![two_refs.clone()]).unwrap();
+        assert_eq!(key_of(&fscs[0]), "#0 #1");
+        assert_eq!(fscs[0].refs, [(SubqueryId(0), 2), (SubqueryId(1), 0)]);
+        // A conjunction of such comparisons compiles conjunct by conjunct.
+        let fscs = fast_cmp(vec![q17.clone(), two_refs]).unwrap();
+        assert_eq!(fscs.len(), 2);
+        assert_eq!((fscs[0].op, fscs[1].op), (BinOp::Lt, BinOp::Gt));
+    }
+
+    #[test]
+    fn fast_scalar_cmp_rejects_what_a_key_cannot_cache() {
+        let q17 = Expr::lt(Expr::col(1), sref(0, vec![Expr::col(0)]));
+        assert!(fast_cmp(vec![q17.clone()]).is_some());
+        // A row column outside the refs' keys: the RHS varies per tuple.
+        let outside = Expr::lt(
             Expr::col(1),
-            Expr::binary(
-                BinOp::Add,
-                Expr::ScalarRef {
-                    id: SubqueryId(0),
-                    key: vec![],
-                },
-                Expr::ScalarRef {
-                    id: SubqueryId(1),
-                    key: vec![],
-                },
-            ),
+            Expr::binary(BinOp::Add, Expr::col(1), sref(0, vec![])),
         );
-        let cb = CompiledBlock::new(base_block(vec![pred], vec![], vec![AggKind::Sum]));
-        assert!(cb.fast_scalar_cmp.is_none());
+        assert!(fast_cmp(vec![outside]).is_none());
+        // A key that itself reads a subquery moves with the trial.
+        let nested = Expr::lt(Expr::col(1), sref(0, vec![sref(1, vec![])]));
+        assert!(fast_cmp(vec![nested]).is_none());
+        // References on both sides leave no row-only LHS.
+        let both = Expr::lt(sref(0, vec![]), sref(1, vec![]));
+        assert!(fast_cmp(vec![both]).is_none());
+        // Not a comparison at the top, or a membership among the
+        // conjuncts: the whole filter list stays generic.
+        let disjunction = Expr::binary(BinOp::Or, q17.clone(), q17.clone());
+        assert!(fast_cmp(vec![disjunction]).is_none());
+        assert!(fast_cmp(vec![q17, member_filter()]).is_none());
+        assert!(fast_cmp(vec![]).is_none());
     }
 }

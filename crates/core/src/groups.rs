@@ -4,15 +4,19 @@
 //! and at every bootstrap trial ([`GroupEval`]).
 
 use std::borrow::Cow;
+use std::cmp::Ordering;
 
 use gola_agg::{FoldScratch, ReplicatedStates};
 use gola_bootstrap::VariationRange;
-use gola_common::{cmp_values, FxHashMap, Result, Value};
-use gola_expr::eval::{eval, eval_predicate, eval_tri};
+use gola_common::{cmp_values, row_u32, FxHashMap, Result, Value};
+use gola_expr::eval::{eval_predicate, eval_tri};
+use gola_expr::lanes::eval_lanes;
+use gola_expr::vector::{num_cmp_holds, num_total_cmp};
 use gola_expr::{BinOp, Expr, RangeVal, Tri};
 
 use crate::classify::CHUNK;
 use crate::compiled::FastScalarCmp;
+use crate::metrics;
 use crate::runtime::{
     entry_mut, sorted_entries, sorted_into_entries, BlockEnv, BlockRuntime, CtxMode, GroupCtx,
     TupleReader,
@@ -32,49 +36,75 @@ pub(crate) struct EffGroup<'a> {
     pub supported: bool,
 }
 
-/// `x (op) y` on floats.
-#[inline(always)]
-pub(crate) fn cmp_op(op: BinOp, x: f64, y: f64) -> bool {
+/// Zero the trials of weight row `row` in which `lx (op) rhs[b]` does not
+/// hold — a NULL RHS never holds — comparing like the generic evaluator
+/// ([`Value::total_cmp`]'s numeric order). The operator dispatch happens
+/// once per call so each arm compiles to a tight sweep over the trials.
+fn mask_cmp(row: &mut [u32], rhs: &[Option<f64>], op: BinOp, lx: f64) {
+    #[inline(always)]
+    fn sweep(row: &mut [u32], rhs: &[Option<f64>], lx: f64, holds: impl Fn(Ordering) -> bool) {
+        // Branch-free: an uncertain tuple is one whose trials disagree, so
+        // a branch on the outcome would mispredict about every other lane.
+        for (w, rv) in row.iter_mut().zip(rhs) {
+            *w *= u32::from(rv.is_some_and(|y| holds(num_total_cmp(lx, y))));
+        }
+    }
     match op {
-        BinOp::Lt => x < y,
-        BinOp::LtEq => x <= y,
-        BinOp::Gt => x > y,
-        BinOp::GtEq => x >= y,
-        // golint: allow(float-total-order) -- SQL `=`/`<>` on floats: NaN compares
-        // false/true per IEEE, the defined per-row-deterministic query result;
-        // no ordering is derived from it.
-        BinOp::Eq => x == y,
-        BinOp::NotEq => x != y,
-        _ => false,
+        BinOp::Lt => sweep(row, rhs, lx, Ordering::is_lt),
+        BinOp::LtEq => sweep(row, rhs, lx, Ordering::is_le),
+        BinOp::Gt => sweep(row, rhs, lx, Ordering::is_gt),
+        BinOp::GtEq => sweep(row, rhs, lx, Ordering::is_ge),
+        BinOp::Eq => sweep(row, rhs, lx, Ordering::is_eq),
+        BinOp::NotEq => sweep(row, rhs, lx, Ordering::is_ne),
+        _ => row.fill(0),
     }
 }
 
-/// Per-trial weight mask for the scalar-comparison fast path: `mask[b] =
-/// weights[b]` when trial `b`'s RHS is non-null and `lx (op) rhs[b]`
-/// holds, else `0`. The operator dispatch happens once per call so each
-/// arm compiles to a tight, bounds-check-free sweep over the trial vector.
-fn fill_cmp_mask(mask: &mut Vec<u32>, weights: &[u32], rhs: &[Option<f64>], op: BinOp, lx: f64) {
-    #[inline(always)]
-    fn sweep(
-        mask: &mut Vec<u32>,
-        weights: &[u32],
-        rhs: &[Option<f64>],
-        lx: f64,
-        f: impl Fn(f64, f64) -> bool,
-    ) {
-        mask.extend(weights.iter().zip(rhs).map(|(&w, &rv)| match rv {
-            Some(y) if f(lx, y) => w,
-            _ => 0,
-        }));
-    }
-    match op {
-        BinOp::Lt => sweep(mask, weights, rhs, lx, |x, y| x < y),
-        BinOp::LtEq => sweep(mask, weights, rhs, lx, |x, y| x <= y),
-        BinOp::Gt => sweep(mask, weights, rhs, lx, |x, y| x > y),
-        BinOp::GtEq => sweep(mask, weights, rhs, lx, |x, y| x >= y),
-        BinOp::Eq => sweep(mask, weights, rhs, lx, |x, y| x == y),
-        BinOp::NotEq => sweep(mask, weights, rhs, lx, |x, y| x != y),
-        _ => sweep(mask, weights, rhs, lx, |_, _| false),
+/// One `lhs θ rhs` conjunct prepared for a whole uncertain set: the RHS
+/// depends on a tuple only through its correlation key, so the tuples are
+/// bucketed by key and the RHS evaluated once per bucket, every mode of it
+/// in one walk.
+struct CmpSweep<'a> {
+    fsc: &'a FastScalarCmp,
+    /// Per uncertain tuple: its correlation key's bucket.
+    bucket_of: Vec<u32>,
+    /// Per bucket: the RHS at point (lane 0) and at each trial (lane
+    /// `1 + b`), `None` being NULL; no vector when some lane is a string.
+    rhs: Vec<Option<Vec<Option<f64>>>>,
+}
+
+impl<'a> CmpSweep<'a> {
+    fn new(
+        env: &BlockEnv<'_>,
+        fsc: &'a FastScalarCmp,
+        reader: &mut TupleReader<'_>,
+    ) -> Result<CmpSweep<'a>> {
+        let trials = env.config.bootstrap.trials;
+        let mut buckets: FxHashMap<Vec<Value>, u32> = FxHashMap::default();
+        let mut rhs = Vec::new();
+        let mut key: Vec<Value> = Vec::new();
+        let mut bucket_of = Vec::with_capacity(reader.chunk.len());
+        for i in 0..reader.chunk.len() {
+            reader.values_into(i, &fsc.key, CtxMode::Point, &mut key)?;
+            let bucket = match buckets.get(key.as_slice()) {
+                Some(&bucket) => bucket,
+                None => {
+                    let lanes = eval_lanes(&fsc.rhs, &reader.lanes(i, trials))?;
+                    rhs.push(lanes.numeric(1 + trials as usize));
+                    buckets.insert(key.clone(), row_u32(rhs.len() - 1));
+                    row_u32(rhs.len() - 1)
+                }
+            };
+            bucket_of.push(bucket);
+        }
+        if gola_obs::enabled() {
+            metrics::rhs_vectors().add(rhs.len() as u64);
+        }
+        Ok(CmpSweep {
+            fsc,
+            bucket_of,
+            rhs,
+        })
     }
 }
 
@@ -86,10 +116,9 @@ enum Inclusion<'a> {
     /// aggregates cannot merge): one hash lookup, then direct reads of the
     /// published per-trial membership bits.
     Member(gola_expr::SubqueryId, &'a [Expr], bool),
-    /// `lhs θ f(scalar-ref)`: the LHS evaluates once per tuple, the RHS
-    /// once per (correlation key, trial) — cached at point (index 0) and
-    /// per trial (1 + b).
-    ScalarCmp(&'a FastScalarCmp, FxHashMap<Vec<Value>, Vec<Option<f64>>>),
+    /// A conjunction of `lhs θ f(scalar-refs)`: each LHS evaluates once per
+    /// tuple and is swept against its bucket's RHS vector.
+    ScalarCmp(Vec<CmpSweep<'a>>),
     Generic,
 }
 
@@ -99,7 +128,7 @@ impl Inclusion<'_> {
     /// passes and `0` elsewhere. `key` is scratch space for the predicate's
     /// lookup key.
     fn decide(
-        &mut self,
+        &self,
         env: &BlockEnv<'_>,
         reader: &mut TupleReader<'_>,
         i: usize,
@@ -107,7 +136,6 @@ impl Inclusion<'_> {
         mask: &mut Vec<u32>,
         key: &mut Vec<Value>,
     ) -> Result<bool> {
-        let trials = 0..env.config.bootstrap.trials;
         match self {
             Inclusion::Member(id, key_exprs, negated) => {
                 reader.values_into(i, key_exprs, CtxMode::Point, key)?;
@@ -125,44 +153,65 @@ impl Inclusion<'_> {
                 }));
                 Ok(passes(entry.is_some_and(|m| m.point)))
             }
-            Inclusion::ScalarCmp(fsc, cache) => {
-                let lhs = reader.value(i, &fsc.lhs, CtxMode::Point)?.as_f64();
-                reader.values_into(i, &fsc.key, CtxMode::Point, key)?;
-                let rhs = entry_mut(cache, key, || {
-                    std::iter::once(CtxMode::Point)
-                        .chain(trials.map(CtxMode::Trial))
-                        .map(|mode| Ok(eval(&fsc.rhs, &reader.ctx(i, mode))?.as_f64()))
-                        .collect()
-                })?;
-                // A null LHS compares false against every RHS under every
-                // operator: no point support, no trial folds.
-                let Some(lx) = lhs else {
-                    mask.resize(mask.len() + weights.len(), 0);
-                    return Ok(false);
-                };
-                fill_cmp_mask(mask, weights, &rhs[1..], fsc.op, lx);
-                Ok(rhs[0].is_some_and(|y| cmp_op(fsc.op, lx, y)))
-            }
-            Inclusion::Generic => {
-                let mut pass = |mode| -> Result<bool> {
-                    let ctx = reader.ctx(i, mode);
-                    for f in &env.cb.lin_filters {
-                        if !eval_predicate(f, &ctx)? {
-                            return Ok(false);
+            Inclusion::ScalarCmp(sweeps) => {
+                let start = mask.len();
+                mask.extend_from_slice(weights);
+                let mut point = true;
+                for s in sweeps {
+                    let lhs = reader.value(i, &s.fsc.lhs, CtxMode::Point)?;
+                    let (false, Some(rhs)) = (
+                        matches!(lhs, Value::Str(_)),
+                        &s.rhs[s.bucket_of[i] as usize],
+                    ) else {
+                        // Strings compare by other rules: the generic
+                        // path decides this tuple.
+                        mask.truncate(start);
+                        return decide_generic(env, reader, i, weights, mask);
+                    };
+                    match lhs.as_f64() {
+                        Some(lx) => {
+                            mask_cmp(&mut mask[start..], &rhs[1..], s.fsc.op, lx);
+                            point &= rhs[0].is_some_and(|y| num_cmp_holds(s.fsc.op, lx, y));
+                        }
+                        // A null LHS compares false against every RHS under
+                        // every operator: no point support, no trial folds.
+                        None => {
+                            mask[start..].fill(0);
+                            point = false;
                         }
                     }
-                    Ok(true)
-                };
-                let point = pass(CtxMode::Point)?;
-                // Each trial sees that trial's own upstream values.
-                for (b, &w) in trials.zip(weights) {
-                    let keep = w != 0 && pass(CtxMode::Trial(b))?;
-                    mask.push(if keep { w } else { 0 });
                 }
                 Ok(point)
             }
+            Inclusion::Generic => decide_generic(env, reader, i, weights, mask),
         }
     }
+}
+
+/// [`Inclusion::decide`] by full predicate evaluation, per tuple and trial.
+fn decide_generic(
+    env: &BlockEnv<'_>,
+    reader: &mut TupleReader<'_>,
+    i: usize,
+    weights: &[u32],
+    mask: &mut Vec<u32>,
+) -> Result<bool> {
+    let mut pass = |mode| -> Result<bool> {
+        let ctx = reader.ctx(i, mode);
+        for f in &env.cb.lin_filters {
+            if !eval_predicate(f, &ctx)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    };
+    let point = pass(CtxMode::Point)?;
+    // Each trial sees that trial's own upstream values.
+    for (b, &w) in (0..env.config.bootstrap.trials).zip(weights) {
+        let keep = w != 0 && pass(CtxMode::Trial(b))?;
+        mask.push(if keep { w } else { 0 });
+    }
+    Ok(point)
 }
 
 /// Merge the uncertain set's current contributions into snapshots of the
@@ -193,17 +242,23 @@ pub(crate) fn effective_states<'a>(
 fn uncertain_states<'a>(env: &BlockEnv<'_>, rt: &'a BlockRuntime) -> Result<Vec<EffGroup<'a>>> {
     let cb = env.cb;
     let trials = env.config.bootstrap.trials;
-    let mut inclusion = match (&cb.lin_filters[..], &cb.fast_scalar_cmp) {
-        ([Expr::InSubquery { id, key, negated }], _) => Inclusion::Member(*id, key, *negated),
-        (_, Some(fsc)) => Inclusion::ScalarCmp(fsc, FxHashMap::default()),
-        _ => Inclusion::Generic,
-    };
     // The uncertain set carries its bootstrap weights — computed once when
     // each tuple entered the set — so no weight kernel runs here no matter
     // how many batches a tuple stays uncertain.
     let us = &rt.uncertain;
     let stride = trials as usize;
     let mut reader = TupleReader::new(&us.chunk, env.pubs);
+    let inclusion = match (&cb.lin_filters[..], &cb.fast_scalar_cmp) {
+        ([Expr::InSubquery { id, key, negated }], _) => Inclusion::Member(*id, key, *negated),
+        (_, Some(fscs)) => {
+            let sweeps = fscs.iter().map(|fsc| CmpSweep::new(env, fsc, &mut reader));
+            Inclusion::ScalarCmp(sweeps.collect::<Result<_>>()?)
+        }
+        _ => Inclusion::Generic,
+    };
+    if gola_obs::enabled() {
+        metrics::uncertain_evals().add(us.len() as u64);
+    }
     // The uncertain tuples of each group they touch, in set order.
     let mut touched: FxHashMap<Vec<Value>, Vec<usize>> = FxHashMap::default();
     let mut key: Vec<Value> = Vec::new();

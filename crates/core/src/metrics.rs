@@ -64,3 +64,9 @@ handle!(pub(crate) pool_queue_wait: Histogram =
     gola_obs::duration_histogram("pool.queue_wait_seconds"));
 handle!(pub(crate) pool_job_run: Histogram =
     gola_obs::duration_histogram("pool.job_run_seconds"));
+
+// The uncertain set's re-evaluation (`groups::effective_states`, reached
+// from publish, report and recover): tuples decided, and RHS vectors built
+// — one per (comparison, correlation key in the set), not per tuple.
+handle!(pub(crate) uncertain_evals: Counter = gola_obs::counter("publish.uncertain_evals"));
+handle!(pub(crate) rhs_vectors: Counter = gola_obs::counter("publish.rhs_vectors"));

@@ -11,11 +11,12 @@ use gola_agg::ReplicatedStates;
 use gola_bootstrap::VariationRange;
 use gola_common::{FxHashMap, Result, Row, Value};
 use gola_expr::eval::{eval, eval_predicate};
+use gola_expr::vector::num_cmp_holds;
 use gola_expr::{BinOp, Expr, RangeVal, Tri};
 use gola_plan::BlockRole;
 use gola_storage::Catalog;
 
-use crate::groups::{cmp_op, effective_states, having_pass, EffGroup, GroupEval};
+use crate::groups::{effective_states, having_pass, EffGroup, GroupEval};
 use crate::join::join_one;
 use crate::runtime::{
     sorted_into_entries, BlockEnv, BlockRuntime, CtxMode, Published, PublishedMember,
@@ -232,7 +233,7 @@ fn scalar_entry(
 /// Does every `aggregate θ constant` conjunct hold for these aggregates?
 fn all_pass(fh: &[(usize, BinOp, f64)], agg: impl Fn(usize) -> Option<f64>) -> bool {
     fh.iter()
-        .all(|&(j, op, k)| agg(j).is_some_and(|x| cmp_op(op, x, k)))
+        .all(|&(j, op, k)| agg(j).is_some_and(|x| num_cmp_holds(op, x, k)))
 }
 
 /// Finalize one membership group: HAVING at point and per trial, its

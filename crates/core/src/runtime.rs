@@ -5,6 +5,7 @@ use std::sync::Arc;
 
 use gola_agg::ReplicatedStates;
 use gola_common::{cmp_values, Error, FxHashMap, Result, Row, Value};
+use gola_expr::lanes::{LaneContext, ScalarLanes};
 use gola_expr::{EvalContext, Expr, RangeVal, SubqueryId, Tri};
 use gola_storage::ColumnChunk;
 
@@ -350,6 +351,42 @@ impl EvalContext for TupleCtx<'_> {
     }
 }
 
+/// One tuple under [`CtxMode::Point`] (lane `0`) and every
+/// [`CtxMode::Trial`] (lane `1 + b`) at once, for the lane evaluator.
+pub(crate) struct TupleLanes<'a> {
+    pub row: &'a [Value],
+    pub pubs: &'a [Published],
+    pub trials: u32,
+}
+
+impl LaneContext for TupleLanes<'_> {
+    fn lanes(&self) -> usize {
+        1 + self.trials as usize
+    }
+
+    fn eval_at(&self, lane: usize, expr: &Expr) -> Result<Value> {
+        let mode = match lane.checked_sub(1) {
+            Some(b) => CtxMode::Trial(gola_common::row_u32(b)),
+            None => CtxMode::Point,
+        };
+        let ctx = TupleCtx {
+            row: self.row,
+            pubs: self.pubs,
+            mode,
+        };
+        gola_expr::eval::eval(expr, &ctx)
+    }
+
+    fn scalar(&self, id: SubqueryId, key: &[Value]) -> Result<ScalarLanes<'_>> {
+        let (_, entry) = scalar_at(self.pubs, id, key)?;
+        // Missing group: NULL everywhere, as `scalar_current` reads it.
+        Ok(entry.map_or(ScalarLanes::NULL, |s| ScalarLanes {
+            point: &s.value,
+            trials: &s.trials,
+        }))
+    }
+}
+
 /// Reads per-tuple expressions off a candidate chunk: a plain column
 /// reference comes straight from the column and a literal is itself (the
 /// common cases — no row materialization, no expression-tree walk); a
@@ -384,6 +421,12 @@ impl<'a> TupleReader<'a> {
             pubs: self.pubs,
             mode,
         }
+    }
+
+    /// Tuple `i`'s full row under every point/trial mode.
+    pub fn lanes(&mut self, i: usize, trials: u32) -> TupleLanes<'_> {
+        let TupleCtx { row, pubs, .. } = self.ctx(i, CtxMode::Point);
+        TupleLanes { row, pubs, trials }
     }
 
     pub fn value(&mut self, i: usize, e: &Expr, mode: CtxMode) -> Result<Value> {

@@ -26,7 +26,7 @@ use crate::publish::PublishInput;
 use crate::recover::RecoverInput;
 use crate::report::{BatchReport, BatchTiming, ReportInput};
 use crate::runtime::{BlockEnv, BlockRuntime, Published, UncertainSet};
-use crate::{classify, fold, join, publish, recover, report};
+use crate::{classify, fold, groups, join, publish, recover, report};
 
 /// The online query executor for one prepared query.
 pub struct OnlineExecutor {
@@ -183,6 +183,16 @@ impl OnlineExecutor {
     /// Uncertain-set size of one block.
     pub fn uncertain_in_block(&self, block: usize) -> usize {
         self.runtimes[block].uncertain.len()
+    }
+
+    /// Re-evaluate the root block's uncertain set against the current
+    /// publications, exactly as each step's report does, and return
+    /// `(uncertain tuples, groups)`. Reads state, changes none: a
+    /// measurement hook for `benches/micro.rs`.
+    pub fn reevaluate_root(&self) -> Result<(usize, usize)> {
+        let root = self.meta.root;
+        let groups = groups::effective_states(&self.env(root), &self.runtimes[root])?;
+        Ok((self.uncertain_in_block(root), groups.len()))
     }
 
     /// `true` once every batch has been processed. For a growing query
@@ -424,26 +434,59 @@ mod tests {
     use gola_common::{DataType, Row, Schema};
     use gola_storage::{MiniBatchPartitioner, Table};
 
-    /// `t(k, q, x)`: 3000 rows over 60 keys, skewed quantities.
-    fn catalog() -> Catalog {
+    /// Which non-finite and NULL values `catalog_with` plants in `q`.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Hostile {
+        None,
+        Nan,
+        /// NaN, ±Inf, −0.0 and NULL.
+        All,
+    }
+
+    /// `t(k, j, q, x, s)`: 3000 rows over 60 keys `k` × 3 sub-keys `j`,
+    /// skewed quantities, a three-valued string. A hostile catalog replaces
+    /// one `q` in 80 — the compared column and the inner aggregates' input
+    /// alike — per kind of planted value.
+    fn catalog_with(hostile: Hostile) -> Catalog {
         let schema = Arc::new(Schema::from_pairs(&[
             ("k", DataType::Int),
+            ("j", DataType::Int),
             ("q", DataType::Float),
             ("x", DataType::Float),
+            ("s", DataType::Str),
         ]));
         let mut rng = SplitMix64::new(11);
         let rows: Vec<Row> = (0..3000)
-            .map(|_| {
+            .map(|r| {
                 let k = rng.next_below(60) as i64;
                 let q = 1.0 + 49.0 * rng.next_f64() * rng.next_f64();
                 let x = 100.0 + 900.0 * rng.next_f64() + k as f64;
-                Row::new(vec![Value::Int(k), Value::Float(q), Value::Float(x)])
+                let q = match (hostile, r % 80) {
+                    (Hostile::Nan | Hostile::All, 0) => Value::Float(f64::NAN),
+                    (Hostile::All, 16) => Value::Float(f64::INFINITY),
+                    (Hostile::All, 32) => Value::Float(f64::NEG_INFINITY),
+                    (Hostile::All, 48) => Value::Float(-0.0),
+                    (Hostile::All, 64) => Value::Null,
+                    _ => Value::Float(q),
+                };
+                let s = Value::Str(["a", "b", "c"][(r / 3 % 3) as usize].into());
+                Row::new(vec![
+                    Value::Int(k),
+                    Value::Int(r % 3),
+                    q,
+                    Value::Float(x),
+                    s,
+                ])
             })
             .collect();
         let mut catalog = Catalog::new();
         let table = Table::new_unchecked(schema, rows);
         catalog.register("t", Arc::new(table)).unwrap();
         catalog
+    }
+
+    fn catalog() -> Catalog {
+        catalog_with(Hostile::None)
     }
 
     fn executor(catalog: &Catalog, sql: &str, threads: usize) -> OnlineExecutor {
@@ -475,11 +518,18 @@ mod tests {
 
     /// `fast_scalar_cmp` and `fast_having` are pure shortcuts: with both
     /// cleared, every stage seam — classify output, published entries —
-    /// and every report must equal the fast-path run exactly.
+    /// and every report must equal the fast-path run exactly. The seams
+    /// are probed on a third executor's state: classifying marks reliance
+    /// on the publications it reads, which must not reach the two runs
+    /// whose reports are compared.
     fn assert_fast_equals_generic(sql: &str, threads: usize) {
-        let catalog = catalog();
-        let mut fast = executor(&catalog, sql, threads);
-        let mut generic = executor(&catalog, sql, threads);
+        assert_fast_equals_generic_over(&catalog(), sql, threads);
+    }
+
+    fn assert_fast_equals_generic_over(catalog: &Catalog, sql: &str, threads: usize) {
+        let mut fast = executor(catalog, sql, threads);
+        let mut generic = executor(catalog, sql, threads);
+        let mut probe = executor(catalog, sql, threads);
         let shortcut =
             |cb: &CompiledBlock| cb.fast_scalar_cmp.is_some() || cb.fast_having.is_some();
         assert!(
@@ -496,9 +546,9 @@ mod tests {
             let batch = fast.partitioner.batch(i);
             let m = fast.partitioner.multiplicity_after(i);
             let last = fast.partitioner.is_final_batch(i);
-            for b in 0..fast.compiled.len() {
+            for b in 0..probe.compiled.len() {
                 // Same state, same candidates; only the compiled block differs.
-                let env = fast.env(b);
+                let env = probe.env(b);
                 let plain = BlockEnv {
                     cb: &generic.compiled[b],
                     ..env
@@ -511,8 +561,8 @@ mod tests {
                     continue;
                 }
                 let input = || PublishInput {
-                    rt: &fast.runtimes[b],
-                    old: &fast.published[b],
+                    rt: &probe.runtimes[b],
+                    old: &probe.published[b],
                     m,
                     last,
                 };
@@ -525,6 +575,7 @@ mod tests {
                 );
                 assert_eq!(v_fast, v_plain);
             }
+            probe.step().unwrap();
             let (a, b) = (fast.step().unwrap(), generic.step().unwrap());
             assert_eq!(answer(&a), answer(&b), "batch {i}");
             for (p, q) in fast.published.iter().zip(&generic.published) {
@@ -543,6 +594,106 @@ mod tests {
                    WHERE q < 0.5 * (SELECT AVG(q) FROM t i WHERE i.k = l.k)";
         assert_fast_equals_generic(sql, 1);
         assert_fast_equals_generic(sql, 3);
+    }
+
+    /// The query's root block re-evaluates its uncertain set against
+    /// cached RHS vectors, not through `Inclusion::Generic`.
+    fn assert_root_takes_scalar_cmp(catalog: &Catalog, sql: &str, conjuncts: usize) {
+        let exec = executor(catalog, sql, 1);
+        let root = &exec.compiled[exec.meta.root];
+        let fscs = root.fast_scalar_cmp.as_ref();
+        assert_eq!(fscs.map(Vec::len), Some(conjuncts), "{sql}");
+    }
+
+    const C2_SHAPE: &str = "SELECT k, AVG(x) AS a, COUNT(*) AS n FROM t \
+                            WHERE q > (SELECT AVG(q) FROM t) + (SELECT STDDEV(q) FROM t) \
+                            GROUP BY k ORDER BY k";
+    const Q20_SHAPE: &str = "SELECT k, COUNT(*) AS n FROM t l \
+                             WHERE q > 0.1 * (SELECT SUM(q) FROM t i WHERE i.k = l.k AND i.j = l.j) \
+                             GROUP BY k ORDER BY k";
+    const TWO_CONJUNCTS: &str = "SELECT SUM(x) AS s, COUNT(*) AS n FROM t l \
+                                 WHERE q < 0.9 * (SELECT AVG(q) FROM t i WHERE i.k = l.k) \
+                                 AND x >= (SELECT AVG(x) FROM t) - (SELECT STDDEV(x) FROM t)";
+
+    #[test]
+    fn c2_shape_two_refs_fast_scalar_cmp_equals_generic() {
+        assert_root_takes_scalar_cmp(&catalog(), C2_SHAPE, 1);
+        assert_fast_equals_generic(C2_SHAPE, 1);
+        assert_fast_equals_generic(C2_SHAPE, 3);
+    }
+
+    #[test]
+    fn q20_shape_two_keys_fast_scalar_cmp_equals_generic() {
+        assert_root_takes_scalar_cmp(&catalog(), Q20_SHAPE, 1);
+        assert_fast_equals_generic(Q20_SHAPE, 1);
+        assert_fast_equals_generic(Q20_SHAPE, 3);
+    }
+
+    #[test]
+    fn two_conjuncts_fast_scalar_cmp_equals_generic() {
+        assert_root_takes_scalar_cmp(&catalog(), TWO_CONJUNCTS, 2);
+        assert_fast_equals_generic(TWO_CONJUNCTS, 1);
+        assert_fast_equals_generic(TWO_CONJUNCTS, 3);
+    }
+
+    /// Strings do not compare through `f64`: a tuple whose comparison has
+    /// a string on either side is decided by the generic path, inside the
+    /// fast one. (MIN alone never leaves a tuple uncertain; the COUNT puts
+    /// the small groups' values under the small-sample guard.)
+    #[test]
+    fn string_comparison_in_fast_scalar_cmp_equals_generic() {
+        let sql = "SELECT COUNT(*) AS n FROM t l WHERE s > \
+                   (SELECT CASE WHEN COUNT(*) > 0 THEN MIN(s) END FROM t i \
+                    WHERE i.k = l.k AND i.j = l.j)";
+        assert_root_takes_scalar_cmp(&catalog(), sql, 1);
+        assert_fast_equals_generic(sql, 1);
+    }
+
+    /// NaN, ±Inf, −0.0 and NULL in the compared column and in the inner
+    /// aggregates' input: the sweep orders them as the generic evaluator
+    /// does (`Value::total_cmp`), through every query shape. With NaN
+    /// alone the last report is also the exact engine's answer; a group
+    /// holding both a NaN and an Inf is left out of that claim, because
+    /// the exact engine's running sum and the online `ExactSum` disagree
+    /// on such a group's total — upstream of any comparison.
+    #[test]
+    fn hostile_floats_fast_scalar_cmp_equals_generic() {
+        let q17 = "SELECT SUM(x) / 7.0 AS s FROM t l \
+                   WHERE q < 0.5 * (SELECT AVG(q) FROM t i WHERE i.k = l.k)";
+        // The hostile values reach both sides of a comparison: MAX keeps a
+        // NaN or an Inf where AVG and SUM may not.
+        let max = "SELECT SUM(x) AS s, COUNT(*) AS n FROM t l \
+                   WHERE q >= (SELECT MAX(q) FROM t i WHERE i.k = l.k)";
+        let (all, nan) = (catalog_with(Hostile::All), catalog_with(Hostile::Nan));
+        for sql in [q17, max, C2_SHAPE, Q20_SHAPE, TWO_CONJUNCTS] {
+            assert_fast_equals_generic_over(&all, sql, 1);
+            assert_fast_equals_generic_over(&all, sql, 2);
+            assert_final_equals_exact(&nan, sql);
+        }
+    }
+
+    /// The last report is the exact engine's answer (to summation
+    /// rounding; NaN for NaN).
+    fn assert_final_equals_exact(catalog: &Catalog, sql: &str) {
+        let mut exec = executor(catalog, sql, 1);
+        let mut last = None;
+        while !exec.is_finished() {
+            last = Some(exec.step().unwrap());
+        }
+        let online = last.expect("at least one batch").table.rows();
+        let session = crate::OnlineSession::new(catalog.clone(), OnlineConfig::for_tests(8));
+        let exact = session.execute_exact(sql).unwrap().rows();
+        assert_eq!(online.len(), exact.len(), "{sql}: rows");
+        for (o, e) in online.iter().zip(&exact) {
+            for (o, e) in o.iter().zip(e.iter()) {
+                let close = match (o.as_f64(), e.as_f64()) {
+                    (Some(o), Some(e)) if o.is_nan() || e.is_nan() => o.is_nan() && e.is_nan(),
+                    (Some(o), Some(e)) => o == e || (o - e).abs() <= 1e-9 * e.abs(),
+                    _ => o == e,
+                };
+                assert!(close, "{sql}: online {o:?}, exact {e:?}");
+            }
+        }
     }
 
     #[test]

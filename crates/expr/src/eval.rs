@@ -120,7 +120,7 @@ pub fn eval(expr: &Expr, ctx: &dyn EvalContext) -> Result<Value> {
             match op {
                 UnaryOp::Neg => match v {
                     Value::Null => Ok(Value::Null),
-                    Value::Int(i) => Ok(Value::Int(-i)),
+                    Value::Int(i) => Ok(Value::Int(i.wrapping_neg())),
                     Value::Float(f) => Ok(Value::Float(-f)),
                     other => Err(Error::exec(format!("cannot negate {}", other.data_type()))),
                 },
@@ -301,26 +301,27 @@ pub fn eval_binary_values(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
         _ => {
             let a = l.expect_f64("arithmetic")?;
             let b = r.expect_f64("arithmetic")?;
-            let out = match op {
-                BinOp::Add => a + b,
-                BinOp::Sub => a - b,
-                BinOp::Mul => a * b,
-                BinOp::Div => {
-                    if b == 0.0 {
-                        return Ok(Value::Null);
-                    }
-                    a / b
-                }
-                BinOp::Mod => {
-                    if b == 0.0 {
-                        return Ok(Value::Null);
-                    }
-                    a.rem_euclid(b)
-                }
-                _ => unreachable!(),
-            };
-            Ok(Value::Float(out))
+            Ok(float_arith(op, a, b).map_or(Value::Null, Value::Float))
         }
+    }
+}
+
+/// Float arithmetic on two non-NULL numerics; `None` is SQL NULL (division
+/// or modulo by zero). The one definition behind [`eval_binary_values`] and
+/// the lane evaluator ([`crate::lanes`]) — and one body of machine code:
+/// which operand's payload a NaN result carries depends on the operand
+/// order the compiler picks at each inlined copy, and comparisons read a
+/// NaN's sign ([`gola_common::Value::total_cmp`]), so the two callers must
+/// not get copies of their own.
+#[inline(never)]
+pub(crate) fn float_arith(op: BinOp, a: f64, b: f64) -> Option<f64> {
+    match op {
+        BinOp::Add => Some(a + b),
+        BinOp::Sub => Some(a - b),
+        BinOp::Mul => Some(a * b),
+        BinOp::Div => (b != 0.0).then(|| a / b),
+        BinOp::Mod => (b != 0.0).then(|| a.rem_euclid(b)),
+        _ => unreachable!("float_arith on non-arithmetic operator"),
     }
 }
 

@@ -22,6 +22,7 @@ pub mod eval;
 pub mod expr;
 pub mod functions;
 pub mod interval;
+pub mod lanes;
 pub mod tri;
 pub mod types;
 pub mod vector;

@@ -118,10 +118,17 @@ fn op_holds(op: BinOp, ord: Ordering) -> bool {
 /// Match [`Value::total_cmp`]'s numeric arm exactly: normalize `-0.0` then
 /// compare under IEEE total order.
 #[inline]
-fn num_total_cmp(x: f64, y: f64) -> Ordering {
+pub fn num_total_cmp(x: f64, y: f64) -> Ordering {
     let x = if x == 0.0 { 0.0 } else { x };
     let y = if y == 0.0 { 0.0 } else { y };
     x.total_cmp(&y)
+}
+
+/// `x (op) y` on non-NULL numerics, as the scalar evaluator decides it.
+/// `op` must be a comparison.
+#[inline]
+pub fn num_cmp_holds(op: BinOp, x: f64, y: f64) -> bool {
+    op_holds(op, num_total_cmp(x, y))
 }
 
 /// Fill `out` from a per-row three-valued comparison outcome.

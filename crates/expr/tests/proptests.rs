@@ -474,3 +474,325 @@ mod kernel_equivalence {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Lane evaluator equivalence: `eval_lanes` vs `eval` run once per lane.
+//
+// One walk of a subquery-dependent expression must yield, in every lane,
+// the very value (same type, same float bits, NULL for NULL) the scalar
+// evaluator returns under that lane's context, and must fail exactly when
+// the scalar evaluator fails in some lane. The trees mix the lane-wise
+// subset (`+ − × ÷ %`, unary minus over `Float`/NULL lanes) with everything
+// that forces the per-lane fallback: `Int` and string values, functions,
+// `CASE`, mode-dependent keys, missing groups, short trial vectors.
+// ---------------------------------------------------------------------------
+
+mod lane_equivalence {
+    use std::cmp::Ordering;
+    use std::sync::Arc;
+
+    use gola_common::{cmp_values, Result, Row, Value};
+    use gola_expr::eval::eval;
+    use gola_expr::lanes::{eval_lanes, LaneContext, Lanes, ScalarLanes};
+    use gola_expr::{
+        BinOp, EvalContext, Expr, FunctionRegistry, RangeVal, SubqueryId, Tri, UnaryOp,
+    };
+    use proptest::prelude::*;
+
+    /// Point plus four trials.
+    const LANES: usize = 5;
+
+    /// One published group: its point value and (possibly fewer than
+    /// `LANES − 1`) trial values.
+    type Entry = (Value, Vec<Value>);
+
+    /// A row and the scalar subqueries' publications, keyed `(id, key)`.
+    #[derive(Debug)]
+    struct Modes {
+        row: Row,
+        entries: Vec<((usize, Vec<Value>), Entry)>,
+    }
+
+    impl Modes {
+        fn entry(&self, id: SubqueryId, key: &[Value]) -> Option<&Entry> {
+            let hit = |at: &&((usize, Vec<Value>), Entry)| {
+                at.0 .0 == id.0 && cmp_values(&at.0 .1, key) == Ordering::Equal
+            };
+            self.entries.iter().find(hit).map(|(_, e)| e)
+        }
+    }
+
+    /// The reference: the ordinary context of one lane.
+    struct Mode<'a> {
+        modes: &'a Modes,
+        lane: usize,
+    }
+
+    impl EvalContext for Mode<'_> {
+        fn column(&self, idx: usize) -> &Value {
+            self.modes.row.get(idx)
+        }
+        fn scalar_current(&self, id: SubqueryId, key: &[Value]) -> Result<Value> {
+            Ok(match self.modes.entry(id, key) {
+                Some((point, trials)) => {
+                    let trial = self.lane.checked_sub(1).and_then(|b| trials.get(b));
+                    trial.unwrap_or(point).clone()
+                }
+                None => Value::Null,
+            })
+        }
+        fn scalar_range(&self, id: SubqueryId, key: &[Value]) -> Result<RangeVal> {
+            Ok(RangeVal::Exact(self.scalar_current(id, key)?))
+        }
+        fn member_current(&self, _: SubqueryId, _: &[Value]) -> Result<bool> {
+            Ok(false)
+        }
+        fn member_tri(&self, _: SubqueryId, _: &[Value]) -> Result<Tri> {
+            Ok(Tri::False)
+        }
+    }
+
+    impl LaneContext for Modes {
+        fn lanes(&self) -> usize {
+            LANES
+        }
+        fn eval_at(&self, lane: usize, expr: &Expr) -> Result<Value> {
+            eval(expr, &Mode { modes: self, lane })
+        }
+        fn scalar(&self, id: SubqueryId, key: &[Value]) -> Result<ScalarLanes<'_>> {
+            Ok(match self.entry(id, key) {
+                Some((point, trials)) => ScalarLanes { point, trials },
+                None => ScalarLanes::NULL,
+            })
+        }
+    }
+
+    fn float_val() -> BoxedStrategy<Value> {
+        prop_oneof![
+            (-12i32..12).prop_map(|i| Value::Float(i as f64 * 0.75)),
+            (-12i32..12).prop_map(|i| Value::Float(i as f64 * 0.75)),
+            (-1e3f64..1e3).prop_map(Value::Float),
+            Just(Value::Float(0.0)),
+            Just(Value::Float(-0.0)),
+            Just(Value::Float(f64::NAN)),
+            Just(Value::Float(f64::INFINITY)),
+            Just(Value::Float(f64::NEG_INFINITY)),
+            Just(Value::Null),
+        ]
+        .boxed()
+    }
+
+    fn any_val() -> BoxedStrategy<Value> {
+        prop_oneof![
+            float_val(),
+            (-3i64..4).prop_map(Value::Int),
+            Just(Value::Int(i64::MAX)),
+            Just(Value::Str(Arc::from("s"))),
+        ]
+        .boxed()
+    }
+
+    /// Mostly all-`Float`/NULL groups (the lane-wise path), some mixed.
+    fn entry() -> BoxedStrategy<Entry> {
+        prop_oneof![
+            (float_val(), prop::collection::vec(float_val(), 0..LANES)),
+            (float_val(), prop::collection::vec(float_val(), LANES - 1)),
+            (any_val(), prop::collection::vec(any_val(), 0..LANES)),
+        ]
+        .boxed()
+    }
+
+    /// Subqueries 0..3, each with an uncorrelated group and groups at keys
+    /// 0 and 1 — any of them possibly missing; key 2 always is.
+    fn modes() -> BoxedStrategy<Modes> {
+        let groups = prop::collection::vec(prop::option::of(entry()), 9);
+        (float_val(), 0i64..3, groups)
+            .prop_map(|(x, k, groups)| {
+                let keys = [vec![], vec![Value::Int(0)], vec![Value::Int(1)]];
+                let slots = (0..3).flat_map(|id| keys.iter().map(move |key| (id, key.clone())));
+                Modes {
+                    row: Row::new(vec![x, Value::Int(k)]),
+                    entries: slots
+                        .zip(groups)
+                        .filter_map(|(at, e)| Some((at, e?)))
+                        .collect(),
+                }
+            })
+            .boxed()
+    }
+
+    fn sref(id: usize, key: Vec<Expr>) -> Expr {
+        Expr::ScalarRef {
+            id: SubqueryId(id),
+            key,
+        }
+    }
+
+    fn leaf() -> BoxedStrategy<Expr> {
+        prop_oneof![
+            float_val().prop_map(Expr::lit),
+            (-2i64..3).prop_map(Expr::lit),
+            Just(Expr::col(0)),
+            Just(Expr::col(1)),
+            (0usize..3).prop_map(|id| sref(id, vec![])),
+            (0usize..3).prop_map(|id| sref(id, vec![])),
+            (0usize..3).prop_map(|id| sref(id, vec![Expr::col(1)])),
+            (0usize..3, 0i64..3).prop_map(|(id, k)| sref(id, vec![Expr::lit(k)])),
+            // A key that moves with the mode.
+            (0usize..3, 0usize..3).prop_map(|(id, of)| sref(id, vec![sref(of, vec![])])),
+        ]
+        .boxed()
+    }
+
+    fn arith_op() -> BoxedStrategy<BinOp> {
+        prop_oneof![
+            Just(BinOp::Add),
+            Just(BinOp::Sub),
+            Just(BinOp::Mul),
+            Just(BinOp::Div),
+            Just(BinOp::Mod),
+        ]
+        .boxed()
+    }
+
+    fn tree() -> BoxedStrategy<Expr> {
+        let registry = FunctionRegistry::with_builtins();
+        let func = move |name: &str, args: Vec<Expr>| Expr::Func {
+            name: name.to_string(),
+            func: registry.get(name).unwrap(),
+            args,
+        };
+        leaf().prop_recursive(4, 24, 2, move |inner| {
+            let func = func.clone();
+            let func2 = func.clone();
+            prop_oneof![
+                (arith_op(), inner.clone(), inner.clone())
+                    .prop_map(|(op, l, r)| Expr::binary(op, l, r)),
+                (arith_op(), inner.clone(), inner.clone())
+                    .prop_map(|(op, l, r)| Expr::binary(op, l, r)),
+                (arith_op(), inner.clone(), inner.clone())
+                    .prop_map(|(op, l, r)| Expr::binary(op, l, r)),
+                inner.clone().prop_map(|e| Expr::Unary {
+                    op: UnaryOp::Neg,
+                    expr: Box::new(e),
+                }),
+                // Nodes outside the lane-wise subset: the fallback.
+                inner.clone().prop_map(move |e| func("abs", vec![e])),
+                (inner.clone(), inner.clone())
+                    .prop_map(move |(a, b)| func2("coalesce", vec![a, b])),
+                (inner.clone(), inner.clone(), inner.clone()).prop_map(|(c, t, e)| Expr::Case {
+                    branches: vec![(Expr::gt(c, Expr::lit(0.0)), t)],
+                    else_expr: Some(Box::new(e)),
+                }),
+            ]
+        })
+    }
+
+    /// Same type, same float bits, NULL for NULL.
+    fn same(a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+            (Value::Null, Value::Null) => true,
+            (Value::Int(x), Value::Int(y)) => x == y,
+            (Value::Bool(x), Value::Bool(y)) => x == y,
+            (Value::Str(x), Value::Str(y)) => x == y,
+            _ => false,
+        }
+    }
+
+    /// How `got` differs from `eval` run once per lane, if it does.
+    fn mismatch(expr: &Expr, modes: &Modes, got: &Result<Lanes>) -> Option<String> {
+        let want: Vec<Result<Value>> = (0..LANES).map(|l| modes.eval_at(l, expr)).collect();
+        let lanes = match got {
+            Ok(lanes) => lanes,
+            Err(_) if want.iter().any(|w| w.is_err()) => return None,
+            Err(e) => return Some(format!("failed ({e}) where every lane evaluates")),
+        };
+        for (l, w) in want.iter().enumerate() {
+            match w {
+                Ok(w) if same(w, &lanes.value(l)) => {}
+                Ok(w) => return Some(format!("lane {l}: {:?}, eval gives {w:?}", lanes.value(l))),
+                Err(e) => return Some(format!("lane {l}: eval fails ({e}), lanes did not")),
+            }
+        }
+        // The numeric view: every lane's `as_f64`, unless a lane is a string.
+        let want: Vec<&Value> = want.iter().flatten().collect();
+        let numeric = lanes.clone().numeric(LANES);
+        if want.iter().any(|w| matches!(w, Value::Str(_))) {
+            return numeric.map(|n| format!("numeric view {n:?} of a string lane"));
+        }
+        let bits = |x: Option<f64>| x.map(f64::to_bits);
+        match numeric {
+            Some(n)
+                if n.len() == LANES
+                    && n.iter()
+                        .zip(&want)
+                        .all(|(x, w)| bits(*x) == bits(w.as_f64())) =>
+            {
+                None
+            }
+            other => Some(format!("numeric view {other:?} of {want:?}")),
+        }
+    }
+
+    /// The planted bug: the first NULL lane read as `0.0`.
+    fn null_as_zero(lanes: &Lanes) -> Option<Lanes> {
+        let Lanes::Float(xs) = lanes else {
+            return None;
+        };
+        let mut xs = xs.clone();
+        *xs.iter_mut().find(|x| x.is_none())? = Some(0.0);
+        Some(Lanes::Float(xs))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn lanes_equal_eval_per_lane(expr in tree(), modes in modes()) {
+            let got = eval_lanes(&expr, &modes);
+            if let Some(diff) = mismatch(&expr, &modes, &got) {
+                return Err(TestCaseError::fail(format!("{expr} over {modes:?}: {diff}")));
+            }
+        }
+
+        /// The check above has teeth: whenever a lane is NULL, reading it as
+        /// `0.0` is reported.
+        #[test]
+        fn planted_null_as_zero_is_caught(expr in tree(), modes in modes()) {
+            if let Some(bugged) = eval_lanes(&expr, &modes).ok().as_ref().and_then(null_as_zero) {
+                prop_assert!(
+                    mismatch(&expr, &modes, &Ok(bugged)).is_some(),
+                    "NULL read as 0.0 went unnoticed in {}", expr
+                );
+            }
+        }
+    }
+
+    /// The planted-bug property is not vacuous, and the lane-wise path is
+    /// what the paper-shaped RHS takes.
+    #[test]
+    fn q17_rhs_is_lane_wise_and_its_null_lane_is_guarded() {
+        let entry = (
+            Value::Float(8.0),
+            vec![Value::Float(7.0), Value::Null, Value::Float(-0.0)],
+        );
+        let modes = Modes {
+            row: Row::new(vec![Value::Float(1.0), Value::Int(1)]),
+            entries: vec![((0, vec![Value::Int(1)]), entry)],
+        };
+        let rhs = Expr::binary(BinOp::Mul, Expr::lit(0.5), sref(0, vec![Expr::col(1)]));
+        let got = eval_lanes(&rhs, &modes).unwrap();
+        // Trial 3 is unpublished: it reads the point value.
+        let want = vec![Some(4.0), Some(3.5), None, Some(-0.0), Some(4.0)];
+        let Lanes::Float(xs) = &got else {
+            panic!("not lane-wise: {got:?}");
+        };
+        let bits =
+            |xs: &[Option<f64>]| -> Vec<_> { xs.iter().map(|x| x.map(f64::to_bits)).collect() };
+        assert_eq!(bits(xs), bits(&want));
+        assert!(mismatch(&rhs, &modes, &Ok(got.clone())).is_none());
+        let bugged = null_as_zero(&got).expect("a NULL lane to plant the bug in");
+        assert!(mismatch(&rhs, &modes, &Ok(bugged)).is_some());
+    }
+}

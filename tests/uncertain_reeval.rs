@@ -1,0 +1,61 @@
+//! The uncertain set is re-evaluated against one RHS vector per
+//! (comparison, correlation key), not one per tuple: Q17's root block
+//! compares each uncertain lineitem with `0.5 × AVG(quantity)` of its own
+//! part, so a call over an uncertain set of thousands of tuples builds at
+//! most as many vectors as the set has distinct parts.
+//!
+//! Counted through `groups::effective_states`' own `gola_obs` counters. One
+//! test function only: the registry is process-global.
+
+use std::sync::Arc;
+
+use g_ola::core::{OnlineConfig, OnlineSession};
+use g_ola::obs;
+use g_ola::storage::Catalog;
+use g_ola::workloads::{tpch, TpchGenerator};
+
+#[test]
+fn q17_builds_one_rhs_vector_per_correlation_key() {
+    let (rows, batches, parts) = (12_000, 8, 40u64);
+    let generator = TpchGenerator {
+        num_parts: parts,
+        ..Default::default()
+    };
+    let mut catalog = Catalog::new();
+    catalog
+        .register("lineitem_denorm", Arc::new(generator.generate(rows)))
+        .unwrap();
+    let evals = obs::counter("publish.uncertain_evals");
+    let vectors = obs::counter("publish.rhs_vectors");
+    let mut counts = Vec::new();
+    for threads in [1, 2] {
+        obs::set_enabled(true);
+        obs::reset();
+        let config = OnlineConfig::for_tests(batches)
+            .with_trials(32)
+            .with_threads(threads);
+        let session = OnlineSession::new(catalog.clone(), config);
+        let stream = session.execute_online(tpch::Q17).expect("query compiles");
+        let reports: Vec<_> = stream.map(|r| r.expect("batch succeeds")).collect();
+        obs::set_enabled(false);
+        assert_eq!(reports.len(), batches);
+        // Each step calls `effective_states` once for the root block (its
+        // report; a recovery replays ingest only) and once for the inner
+        // block, which has no uncertain tuples. Only the root's are
+        // uncertain, so the step's report counts exactly the set the call
+        // re-evaluated.
+        let sizes = reports.iter().map(|r| r.uncertain_tuples as u64);
+        assert_eq!(evals.get(), sizes.clone().sum::<u64>(), "threads={threads}");
+        // A call's set has at most `parts` distinct correlation keys.
+        let bound: u64 = sizes.map(|u| u.min(parts)).sum();
+        assert!(
+            vectors.get() <= bound,
+            "threads={threads}: {} vectors for at most {bound} (call, key) pairs",
+            vectors.get()
+        );
+        // Not vacuous: the sets are far larger than their key counts.
+        assert!(vectors.get() > 0 && evals.get() >= 10 * bound);
+        counts.push((evals.get(), vectors.get()));
+    }
+    assert_eq!(counts[0], counts[1], "thread count changed the work");
+}
