@@ -7,7 +7,6 @@
 //! *every* block, including ones whose aggregates cannot merge.
 
 use std::ops::Range;
-use std::sync::atomic::Ordering;
 
 use gola_common::{row_u32, FxHashMap, Result, Value};
 use gola_expr::eval::{eval, eval_range, eval_tri};
@@ -137,7 +136,7 @@ fn classify_scalar_cmp(
         // The decision relies on every conjunct's envelopes at this
         // tuple's keys, like `mark_reliance`.
         for ps in &relied {
-            ps.used.store(true, Ordering::Relaxed);
+            ps.mark_used();
         }
         if tri == Tri::True {
             out.folds.push(row_u32(r));
@@ -154,7 +153,7 @@ fn mark_reliance(filters: &[Expr], row: &[Value], pubs: &[Published]) -> Result<
             Expr::ScalarRef { id, key } => {
                 let keys: Result<Vec<Value>> = key.iter().map(|k| eval(k, ctx)).collect();
                 if let Some(s) = ctx.pubs[id.0].scalars.get(keys?.as_slice()) {
-                    s.used.store(true, Ordering::Relaxed);
+                    s.mark_used();
                 }
             }
             Expr::InSubquery { id, key, .. } => {

@@ -15,6 +15,7 @@ use gola_storage::{Catalog, ColumnChunk, MiniBatch};
 use crate::classify::CHUNK;
 use crate::compiled::CompiledBlock;
 use crate::pool::WorkerPool;
+use crate::recover::GroupScope;
 use crate::runtime::{BlockEnv, CtxMode, TupleCtx, TupleReader, UncertainSet};
 
 /// Per dimension join of one block: join key → dimension rows.
@@ -143,13 +144,16 @@ impl BatchWeights {
     }
 }
 
-/// Run the stage: `carried ++ new_candidates(batch)`.
+/// Run the stage: `carried ++ new_candidates(batch)`, the new ones limited
+/// to the groups in `scope` (a recovery's replay; every group otherwise).
 pub(crate) fn join(
     env: &BlockEnv<'_>,
     batch: &MiniBatch,
     carried: UncertainSet,
+    scope: &GroupScope,
 ) -> Result<Candidates> {
     let (batch_rows, new_chunk) = new_candidates(env, batch)?;
+    let (batch_rows, new_chunk) = scope.select(env, batch_rows, new_chunk)?;
     let mut ids = carried.tuple_ids;
     let carried_len = ids.len();
     ids.extend(batch_rows.iter().map(|&r| batch.tuple_ids[r as usize]));

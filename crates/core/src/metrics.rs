@@ -70,3 +70,12 @@ handle!(pub(crate) pool_job_run: Histogram =
 // — one per (comparison, correlation key in the set), not per tuple.
 handle!(pub(crate) uncertain_evals: Counter = gola_obs::counter("publish.uncertain_evals"));
 handle!(pub(crate) rhs_vectors: Counter = gola_obs::counter("publish.rhs_vectors"));
+
+// Recoveries (`recover::recover`): how many replayed a group scope and how
+// many every group, the violated keys that triggered them, and the batch
+// tuples their replays ingested again.
+handle!(pub(crate) recover_scoped: Counter = gola_obs::counter("recover.scoped"));
+handle!(pub(crate) recover_full: Counter = gola_obs::counter("recover.full"));
+handle!(pub(crate) recover_violated_keys: Counter = gola_obs::counter("recover.violated_keys"));
+handle!(pub(crate) recover_replayed_tuples: Counter =
+    gola_obs::counter("recover.replayed_tuples"));

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use gola_agg::ReplicatedStates;
 use gola_bootstrap::VariationRange;
-use gola_common::{FxHashMap, Result, Row, Value};
+use gola_common::{FxHashMap, FxHashSet, Result, Row, Value};
 use gola_expr::eval::{eval, eval_predicate};
 use gola_expr::vector::num_cmp_holds;
 use gola_expr::{BinOp, Expr, RangeVal, Tri};
@@ -58,11 +58,19 @@ enum PubEntry {
 /// allocation instead of cloning a `Vec<Value>` every batch.
 type PubChunk = Vec<(Arc<[Value]>, PubEntry, bool)>;
 
-/// Run the stage. Returns the block's new publication and whether a
+/// The keys of one publication whose relied-upon commitment broke: used
+/// scalars that left their envelope or vanished, relied-on members that
+/// flipped or vanished. Empty when nothing failed.
+pub(crate) type Violated = FxHashSet<Arc<[Value]>>;
+
+/// Run the stage. Returns the block's new publication and the keys whose
 /// relied-upon value violated its commitment. Finalizing a group only
 /// reads frozen state, so `PUB_CHUNK`-group chunks run in parallel and
 /// assemble in chunk order.
-pub(crate) fn publish(env: &BlockEnv<'_>, input: PublishInput<'_>) -> Result<(Published, bool)> {
+pub(crate) fn publish(
+    env: &BlockEnv<'_>,
+    input: PublishInput<'_>,
+) -> Result<(Published, Violated)> {
     let cb = env.cb;
     let n_keys = cb.num_keys();
     let mut eff = effective_states(env, input.rt)?;
@@ -86,13 +94,15 @@ pub(crate) fn publish(env: &BlockEnv<'_>, input: PublishInput<'_>) -> Result<(Pu
         live,
         ..Default::default()
     };
-    let mut violated = false;
+    let mut violated = Violated::default();
     for chunk in env
         .pool
         .map(eff.chunks(PUB_CHUNK), |chunk| publish_chunk(env, &p, chunk))
     {
         for (key, entry, v) in chunk? {
-            violated |= v;
+            if v {
+                violated.insert(Arc::clone(&key));
+            }
             match entry {
                 PubEntry::Scalar(s) => {
                     out.scalars.insert(key, s);
@@ -106,12 +116,17 @@ pub(crate) fn publish(env: &BlockEnv<'_>, input: PublishInput<'_>) -> Result<(Pu
     // Groups that vanished (their only contributions were uncertain tuples
     // that resolved to false): decisions that relied on them are void.
     // Relying on `false` for a vanished member stays correct.
-    // golint: allow(hash-order-leak) -- order-insensitive boolean OR over
-    // vanished groups; no value escapes
-    violated |= (p.old.scalars.iter()).any(|(k, s)| s.is_used() && !out.scalars.contains_key(k));
+    // golint: allow(hash-order-leak) -- collected into a set; no order
+    // escapes
+    let vanished = (p.old.scalars.iter())
+        .filter(|(k, s)| s.is_used() && !out.scalars.contains_key(*k))
+        .map(|(k, _)| k);
+    violated.extend(vanished.cloned());
     // golint: allow(hash-order-leak) -- as above
-    violated |= (p.old.members.iter())
-        .any(|(k, m)| m.relied_on() == Some(true) && !out.members.contains_key(k));
+    let vanished = (p.old.members.iter())
+        .filter(|(k, m)| m.relied_on() == Some(true) && !out.members.contains_key(*k))
+        .map(|(k, _)| k);
+    violated.extend(vanished.cloned());
     Ok((out, violated))
 }
 

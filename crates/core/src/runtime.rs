@@ -106,6 +106,27 @@ impl UncertainSet {
         self.weights.clear();
         self.chunk = ColumnChunk::empty(0);
     }
+
+    /// The tuples at `positions`, in that order, with their cached
+    /// `trials`-wide weight rows.
+    pub(crate) fn gather(&self, positions: &[usize], trials: usize) -> UncertainSet {
+        UncertainSet {
+            tuple_ids: positions.iter().map(|&i| self.tuple_ids[i]).collect(),
+            weights: (positions.iter())
+                .flat_map(|&i| &self.weights[i * trials..][..trials])
+                .copied()
+                .collect(),
+            chunk: self.chunk.gather(positions),
+        }
+    }
+
+    /// `self`'s tuples followed by `other`'s.
+    pub(crate) fn concat(mut self, other: UncertainSet) -> UncertainSet {
+        self.tuple_ids.extend(other.tuple_ids);
+        self.weights.extend(other.weights);
+        self.chunk = self.chunk.concat(&other.chunk);
+        self
+    }
 }
 
 /// The published output of a **scalar** block for one group.
@@ -126,6 +147,10 @@ pub struct PublishedScalar {
 impl PublishedScalar {
     pub fn is_used(&self) -> bool {
         self.used.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn mark_used(&self) {
+        self.used.store(true, Ordering::Relaxed);
     }
 }
 

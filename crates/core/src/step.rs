@@ -22,8 +22,8 @@ use crate::config::OnlineConfig;
 use crate::join::{BatchWeights, Candidates, DimMaps};
 use crate::metrics::SessionMetrics;
 use crate::pool::WorkerPool;
-use crate::publish::PublishInput;
-use crate::recover::RecoverInput;
+use crate::publish::{PublishInput, Violated};
+use crate::recover::{GroupScope, RecoverInput};
 use crate::report::{BatchReport, BatchTiming, ReportInput};
 use crate::runtime::{BlockEnv, BlockRuntime, Published, UncertainSet};
 use crate::{classify, fold, groups, join, publish, recover, report};
@@ -56,6 +56,13 @@ pub struct OnlineExecutor {
     /// through a counted failure event (see `step`), never silently.
     claimed_certain: FxHashSet<Vec<Value>>,
     cumulative: Duration,
+    /// The scoped-recovery oracle's switch: every recovery replays every
+    /// group, as before scoping existed.
+    #[cfg(test)]
+    pub(crate) full_scope_only: bool,
+    /// Recoveries that replayed a group scope rather than every group.
+    #[cfg(test)]
+    pub(crate) scoped_recoveries: usize,
 }
 
 impl OnlineExecutor {
@@ -125,6 +132,10 @@ impl OnlineExecutor {
             recomputations: 0,
             claimed_certain: FxHashSet::default(),
             cumulative: Duration::ZERO,
+            #[cfg(test)]
+            full_scope_only: false,
+            #[cfg(test)]
+            scoped_recoveries: 0,
         };
         // Static (non-streaming) producers publish once, exactly, in
         // topological order.
@@ -250,13 +261,20 @@ impl OnlineExecutor {
             }
             {
                 let _span = gola_obs::span!("ingest");
-                self.ingest_wave(&streaming, &batch, &mut weights, &mut timing)?;
+                self.ingest_wave(
+                    &streaming,
+                    &batch,
+                    &GroupScope::All,
+                    &mut weights,
+                    &mut timing,
+                )?;
             }
             let t_pub = Stopwatch::start();
             let _span = gola_obs::span!("publish");
             for &b in &streaming {
-                if self.publish_block(b, m, last)? {
-                    violated.push(b);
+                let keys = self.publish_block(b, m, last)?;
+                if !keys.is_empty() {
+                    violated.push((b, keys));
                 }
             }
             timing.publish += t_pub.elapsed();
@@ -339,14 +357,17 @@ impl OnlineExecutor {
     /// Between classify and fold the wave meets once, to generate the
     /// bootstrap weights its folds will read — each tuple's once per step,
     /// whichever blocks and waves need it (`weights` carries them from wave
-    /// to wave); that time is fold time.
+    /// to wave); that time is fold time. Only the batch's tuples in `scope`
+    /// are ingested; returns how many became candidates, summed over the
+    /// wave.
     pub(crate) fn ingest_wave(
         &mut self,
         blocks: &[usize],
         batch: &MiniBatch,
+        scope: &GroupScope,
         weights: &mut BatchWeights,
         timing: &mut BatchTiming,
-    ) -> Result<()> {
+    ) -> Result<usize> {
         // Take the wave's runtimes out so each item owns its block's state
         // while sharing `&self`.
         let taken: Vec<(usize, BlockRuntime)> = blocks
@@ -357,12 +378,13 @@ impl OnlineExecutor {
         let classified = this.pool.map(taken, |(b, mut rt)| {
             let mut t = BatchTiming::default();
             let carried = std::mem::take(&mut rt.uncertain);
-            let result = join_classify(&this.env(b), batch, carried, &mut t);
+            let result = join_classify(&this.env(b), batch, carried, scope, &mut t);
             (b, rt, t, result)
         });
 
         let t_weights = Stopwatch::start();
         let ready = (classified.iter()).filter_map(|(_, _, _, result)| result.as_ref().ok());
+        let fresh = ready.clone().map(|(cand, _)| cand.batch_rows.len()).sum();
         let needed = ready.flat_map(|(cand, classes)| fold::weights_needed(cand, classes));
         weights.extend(&this.config.bootstrap, &this.pool, batch, needed);
         timing.fold += t_weights.elapsed();
@@ -384,14 +406,15 @@ impl OnlineExecutor {
             timing.accumulate(&t);
             first_err = first_err.and(result);
         }
-        first_err
+        first_err.map(|()| fresh)
     }
 
-    /// Refresh block `b`'s published output. Returns `true` if a relied-upon
-    /// value violated its committed envelope (failure detected).
-    pub(crate) fn publish_block(&mut self, b: usize, m: f64, last: bool) -> Result<bool> {
+    /// Refresh block `b`'s published output. Returns the keys whose
+    /// relied-upon value violated its committed envelope (failure detected
+    /// when non-empty).
+    pub(crate) fn publish_block(&mut self, b: usize, m: f64, last: bool) -> Result<Violated> {
         if self.compiled[b].block.role == BlockRole::Root {
-            return Ok(false);
+            return Ok(Violated::default());
         }
         let old = std::mem::take(&mut self.published[b]);
         let input = PublishInput {
@@ -412,11 +435,12 @@ fn join_classify(
     env: &BlockEnv<'_>,
     batch: &MiniBatch,
     carried: UncertainSet,
+    scope: &GroupScope,
     timing: &mut BatchTiming,
 ) -> Result<(Candidates, Vec<ChunkClass>)> {
     let t = Stopwatch::start();
     let span = gola_obs::span!("join");
-    let cand = join::join(env, batch, carried)?;
+    let cand = join::join(env, batch, carried, scope)?;
     drop(span);
     timing.join += t.elapsed();
 
@@ -490,11 +514,19 @@ mod tests {
     }
 
     fn executor(catalog: &Catalog, sql: &str, threads: usize) -> OnlineExecutor {
-        let config = OnlineConfig::for_tests(8).with_threads(threads);
+        executor_with(
+            catalog,
+            sql,
+            OnlineConfig::for_tests(8).with_threads(threads),
+        )
+    }
+
+    fn executor_with(catalog: &Catalog, sql: &str, config: OnlineConfig) -> OnlineExecutor {
         let session = crate::OnlineSession::new(catalog.clone(), config.clone());
         let prepared = session.prepare(sql).unwrap();
         let table = catalog.get(&prepared.stream_table).unwrap();
-        let partitioner = MiniBatchPartitioner::new(table, 8, config.partition_seed).unwrap();
+        let (k, seed) = (config.num_batches, config.partition_seed);
+        let partitioner = MiniBatchPartitioner::new(table, k, seed).unwrap();
         let partitioner = Arc::new(Partitioner::Uniform(partitioner));
         OnlineExecutor::new(catalog, prepared.meta, partitioner, config).unwrap()
     }
@@ -553,7 +585,7 @@ mod tests {
                     cb: &generic.compiled[b],
                     ..env
                 };
-                let cand = join::join(&env, &batch, Default::default()).unwrap();
+                let cand = join::join(&env, &batch, Default::default(), &GroupScope::All).unwrap();
                 let classes = classify::classify(&env, &cand).unwrap();
                 assert_eq!(classes, classify::classify(&plain, &cand).unwrap());
                 uncertain_seen += classes.iter().map(|c| c.uncertain_idx.len()).sum::<usize>();
@@ -693,6 +725,90 @@ mod tests {
                 };
                 assert!(close, "{sql}: online {o:?}, exact {e:?}");
             }
+        }
+    }
+
+    /// Every report of a run to the end, each followed by every block's
+    /// published entries (reliance marks included), and how many of its
+    /// recoveries took a group scope. `full_scope_only` is the oracle:
+    /// every recovery replays every group.
+    fn run_recovering(
+        sql: &str,
+        threads: usize,
+        seed: u64,
+        full_scope_only: bool,
+    ) -> (Vec<String>, usize) {
+        // Tight envelopes: every seed's run recovers several times.
+        let config = OnlineConfig::for_tests(8)
+            .with_threads(threads)
+            .with_seed(seed)
+            .with_envelope_inflation(0.5);
+        let mut exec = executor_with(&catalog(), sql, config);
+        exec.full_scope_only = full_scope_only;
+        let mut seen = Vec::new();
+        while !exec.is_finished() {
+            seen.push(answer(&exec.step().unwrap()));
+            seen.extend(exec.published.iter().flat_map(entries));
+        }
+        assert!(exec.recomputations() > 0, "{sql} seed {seed}: no recovery");
+        (seen, exec.scoped_recoveries)
+    }
+
+    /// Scoped recovery is bit-identical to full replay — every report and
+    /// every publication after every step — at threads 1/2/3 over three
+    /// partition seeds; `scoped` says whether each run's recoveries take a
+    /// group scope (some must) or none may.
+    fn assert_scoped_equals_full(sql: &str, scoped: bool) {
+        for seed in [3, 17, 2024] {
+            for threads in [1, 2, 3] {
+                let (oracle, _) = run_recovering(sql, threads, seed, true);
+                let (seen, n) = run_recovering(sql, threads, seed, false);
+                assert_eq!(seen, oracle, "{sql} seed {seed} threads {threads}");
+                assert_eq!(n > 0, scoped, "{sql} seed {seed}: {n} scoped recoveries");
+            }
+        }
+    }
+
+    const Q20_FILTER: &str = "q > 0.1 * (SELECT SUM(q) FROM t i WHERE i.k = l.k AND i.j = l.j)";
+
+    #[test]
+    fn scoped_recovery_equals_full_replay() {
+        assert_scoped_equals_full(Q20_SHAPE, true);
+        // Grouped by the other key column, and by a column outside the key.
+        for group in ["j", "s"] {
+            let sql = format!(
+                "SELECT {group}, COUNT(*) AS n FROM t l WHERE {Q20_FILTER} \
+                 GROUP BY {group} ORDER BY {group}"
+            );
+            assert_scoped_equals_full(&sql, true);
+        }
+        let every_mergeable = format!(
+            "SELECT k, SUM(x) AS s, AVG(x) AS a, VAR_POP(x) AS v, MIN(x) AS lo, \
+             MAX(x) AS hi, COUNT(*) AS n FROM t l WHERE {Q20_FILTER} GROUP BY k ORDER BY k"
+        );
+        assert_scoped_equals_full(&every_mergeable, true);
+        // A second conjunct whose producer filters: its entry may be absent
+        // when the first conjunct decides a tuple, and published by the
+        // time a full replay re-decides it — which then relies on it.
+        let sparse = format!(
+            "SELECT k, COUNT(*) AS n FROM t l WHERE {Q20_FILTER} AND x < \
+             (SELECT AVG(x) FROM t m WHERE m.k = l.k AND m.j = l.j AND m.q > 35) \
+             GROUP BY k ORDER BY k"
+        );
+        assert_scoped_equals_full(&sparse, true);
+    }
+
+    /// P² quantile states depend on fold order, a root without GROUP BY has
+    /// one group, and an uncorrelated reference reaches every tuple: all
+    /// three replay every group.
+    #[test]
+    fn unscopable_recoveries_replay_every_group() {
+        let median =
+            format!("SELECT k, MEDIAN(x) AS m FROM t l WHERE {Q20_FILTER} GROUP BY k ORDER BY k");
+        let q17 = "SELECT SUM(x) / 7.0 AS s FROM t l \
+                   WHERE q < 0.5 * (SELECT AVG(q) FROM t i WHERE i.k = l.k)";
+        for sql in [median.as_str(), q17, C2_SHAPE] {
+            assert_scoped_equals_full(sql, false);
         }
     }
 

@@ -26,6 +26,12 @@ const CRASH_AFTER: usize = 3; // reports consumed before the "crash"
 const GROUPED_SQL: &str = "SELECT device, MAX(ad_revenue) AS a0 FROM sessions a \
      WHERE join_time > 1.5 * (SELECT AVG(join_time) FROM sessions t WHERE t.geo = a.geo) \
      OR content_id = 189 GROUP BY device ORDER BY a0 DESC";
+/// The grouped query without its `OR`: a correlated comparison under a
+/// GROUP BY with mergeable aggregates, so each of its recoveries replays
+/// only the groups the violated `geo` keys reach (scoped recovery).
+const SCOPED_SQL: &str = "SELECT device, MAX(ad_revenue) AS a0, COUNT(*) AS n FROM sessions a \
+     WHERE join_time > 1.5 * (SELECT AVG(join_time) FROM sessions t WHERE t.geo = a.geo) \
+     GROUP BY device ORDER BY device";
 const SCALAR_SQL: &str = "SELECT SUM(play_time) AS a0, AVG(buffer_time) AS a1, \
      AVG(buffer_time * 2.4) AS a2 FROM sessions a \
      WHERE buffer_time <= 0.8 * (SELECT AVG(play_time) FROM sessions t WHERE t.ad_id = a.ad_id) \
@@ -41,18 +47,20 @@ fn catalog() -> Catalog {
     c
 }
 
-fn config() -> OnlineConfig {
+fn config(threads: usize) -> OnlineConfig {
     OnlineConfig {
         num_batches: NUM_BATCHES,
         bootstrap: BootstrapSpec::new(24, 0x60_1A),
         partition_seed: 0xF1_00_DB,
+        threads,
         ..OnlineConfig::default()
     }
 }
 
-/// Run `sql` and collect at most `upto` reports, then drop the execution.
-fn run_prefix(catalog: &Catalog, sql: &str, upto: usize) -> Vec<BatchReport> {
-    let session = OnlineSession::new(catalog.clone(), config());
+/// Run `sql` on `threads` worker threads and collect at most `upto`
+/// reports, then drop the execution.
+fn run_prefix(catalog: &Catalog, sql: &str, upto: usize, threads: usize) -> Vec<BatchReport> {
+    let session = OnlineSession::new(catalog.clone(), config(threads));
     let exec = session.execute_online(sql).expect("query compiles");
     exec.take(upto)
         .map(|r| r.expect("batch succeeds"))
@@ -115,11 +123,17 @@ fn assert_report_identical(name: &str, a: &BatchReport, b: &BatchReport) {
     }
 }
 
-fn check_crash_replay(name: &str, sql: &str, min_recomputes: usize) {
+/// The contract at `threads` worker threads; returns the uninterrupted run.
+fn check_crash_replay(
+    name: &str,
+    sql: &str,
+    min_recomputes: usize,
+    threads: usize,
+) -> Vec<BatchReport> {
     let catalog = catalog();
 
     // The uninterrupted run — the reports the user actually saw.
-    let full = run_prefix(&catalog, sql, NUM_BATCHES);
+    let full = run_prefix(&catalog, sql, NUM_BATCHES, threads);
     assert_eq!(full.len(), NUM_BATCHES, "{name}: full run length");
     let recomputes = full.last().unwrap().recomputations;
     assert!(
@@ -129,24 +143,36 @@ fn check_crash_replay(name: &str, sql: &str, min_recomputes: usize) {
     );
 
     // Crash: consume a prefix, then lose the executor entirely.
-    let crashed = run_prefix(&catalog, sql, CRASH_AFTER);
+    let crashed = run_prefix(&catalog, sql, CRASH_AFTER, threads);
     assert_eq!(crashed.len(), CRASH_AFTER, "{name}: crashed run length");
 
     // Restart from scratch: the replay must walk through the identical
     // report sequence — matching the crashed prefix AND the uninterrupted
     // run's published reports, through to the exact final answer.
-    let replay = run_prefix(&catalog, sql, NUM_BATCHES);
+    let replay = run_prefix(&catalog, sql, NUM_BATCHES, threads);
     for (a, b) in crashed.iter().zip(&replay) {
         assert_report_identical(name, a, b);
     }
     for (a, b) in full.iter().zip(&replay) {
         assert_report_identical(name, a, b);
     }
+    full
 }
 
 #[test]
 fn crash_replay_reproduces_reports_grouped() {
-    check_crash_replay("grouped", GROUPED_SQL, 2);
+    check_crash_replay("grouped", GROUPED_SQL, 2, 1);
+}
+
+/// Scoped recovery is in the contract too, at either thread count — and
+/// the two thread counts agree.
+#[test]
+fn crash_replay_reproduces_reports_scoped() {
+    let t1 = check_crash_replay("scoped t1", SCOPED_SQL, 3, 1);
+    let t2 = check_crash_replay("scoped t2", SCOPED_SQL, 3, 2);
+    for (a, b) in t1.iter().zip(&t2) {
+        assert_report_identical("scoped t1 vs t2", a, b);
+    }
 }
 
 /// The durable path: the same crash-replay contract, but the restart
@@ -189,7 +215,7 @@ fn crash_replay_survives_restart_from_durable_segments() {
     };
 
     // The run the user saw before the crash.
-    let before = run_prefix(&durable_catalog(stream), GROUPED_SQL, NUM_BATCHES);
+    let before = run_prefix(&durable_catalog(stream), GROUPED_SQL, NUM_BATCHES, 1);
     assert_eq!(before.len(), NUM_BATCHES);
 
     // "Crash": every in-memory handle is gone; only the files remain.
@@ -198,7 +224,7 @@ fn crash_replay_survives_restart_from_durable_segments() {
     assert_eq!(reopened.watermark(), 360);
     assert!(reopened.is_closed(), "closed state must persist");
 
-    let after = run_prefix(&durable_catalog(reopened), GROUPED_SQL, NUM_BATCHES);
+    let after = run_prefix(&durable_catalog(reopened), GROUPED_SQL, NUM_BATCHES, 1);
     assert_eq!(after.len(), NUM_BATCHES);
     for (a, b) in before.iter().zip(&after) {
         assert_report_identical("durable-replay", a, b);
@@ -206,7 +232,7 @@ fn crash_replay_survives_restart_from_durable_segments() {
 
     // And the whole durable pipeline must agree with a plain in-memory
     // table holding the same rows — segment files are a lossless detour.
-    let in_memory = run_prefix(&catalog(), GROUPED_SQL, NUM_BATCHES);
+    let in_memory = run_prefix(&catalog(), GROUPED_SQL, NUM_BATCHES, 1);
     for (a, b) in in_memory.iter().zip(&after) {
         assert_report_identical("durable-vs-memory", a, b);
     }
@@ -216,5 +242,5 @@ fn crash_replay_survives_restart_from_durable_segments() {
 
 #[test]
 fn crash_replay_reproduces_reports_scalar() {
-    check_crash_replay("scalar", SCALAR_SQL, 1);
+    check_crash_replay("scalar", SCALAR_SQL, 1, 1);
 }
