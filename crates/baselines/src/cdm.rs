@@ -30,7 +30,7 @@ use gola_core::OnlineConfig;
 use gola_expr::eval::{eval, eval_predicate, ExactContext};
 use gola_expr::{Expr, RangeVal, Tri};
 use gola_plan::{BlockRole, MetaPlan};
-use gola_storage::{Catalog, MiniBatchPartitioner};
+use gola_storage::{Catalog, Partitioner};
 
 /// Classical-delta-maintenance executor with the same reporting interface
 /// as [`gola_core::OnlineExecutor`].
@@ -38,7 +38,7 @@ pub struct CdmExecutor {
     config: OnlineConfig,
     meta: MetaPlan,
     compiled: Vec<CompiledBlock>,
-    partitioner: Arc<MiniBatchPartitioner>,
+    partitioner: Arc<Partitioner>,
     dims: Vec<Vec<FxHashMap<Vec<Value>, Vec<Row>>>>,
     /// Incrementally maintained group states (blocks without uncertain
     /// predicates).
@@ -56,7 +56,7 @@ impl CdmExecutor {
     pub fn new(
         catalog: &Catalog,
         meta: MetaPlan,
-        partitioner: Arc<MiniBatchPartitioner>,
+        partitioner: Arc<Partitioner>,
         config: OnlineConfig,
     ) -> Result<CdmExecutor> {
         config.validate()?;

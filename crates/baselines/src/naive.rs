@@ -12,14 +12,14 @@ use gola_common::timing::Stopwatch;
 use gola_common::{Error, Result, Row};
 use gola_engine::BatchEngine;
 use gola_plan::QueryGraph;
-use gola_storage::{Catalog, MiniBatchPartitioner, Table};
+use gola_storage::{Catalog, Partitioner, Table};
 
 /// Re-runs the exact engine on the seen prefix after every batch.
 pub struct NaiveExecutor {
     catalog: Catalog,
     graph: QueryGraph,
     stream_table: String,
-    partitioner: Arc<MiniBatchPartitioner>,
+    partitioner: Arc<Partitioner>,
     seen: Vec<Row>,
     batches_done: usize,
     cumulative: Duration,
@@ -41,7 +41,7 @@ impl NaiveExecutor {
         catalog: &Catalog,
         graph: QueryGraph,
         stream_table: &str,
-        partitioner: Arc<MiniBatchPartitioner>,
+        partitioner: Arc<Partitioner>,
     ) -> Result<NaiveExecutor> {
         if !catalog.contains(stream_table) {
             return Err(Error::catalog(format!(

@@ -29,7 +29,7 @@ use gola_core::runtime::{CtxMode, GroupCtx, TupleCtx};
 use gola_expr::eval::{eval, eval_predicate, ExactContext};
 use gola_expr::Expr;
 use gola_plan::{AggCall, BlockRole, MetaPlan};
-use gola_storage::{Catalog, MiniBatchPartitioner};
+use gola_storage::{Catalog, Partitioner};
 
 /// One interval-annotated output cell.
 #[derive(Debug, Clone)]
@@ -61,7 +61,7 @@ struct GroupState {
 /// Classic OLA executor for monotonic single-block aggregate queries.
 pub struct ClassicOlaExecutor {
     compiled: CompiledBlock,
-    partitioner: Arc<MiniBatchPartitioner>,
+    partitioner: Arc<Partitioner>,
     dims: Vec<FxHashMap<Vec<Value>, Vec<Row>>>,
     groups: FxHashMap<Vec<Value>, GroupState>,
     ci_level: f64,
@@ -77,7 +77,7 @@ impl ClassicOlaExecutor {
     pub fn new(
         catalog: &Catalog,
         meta: &MetaPlan,
-        partitioner: Arc<MiniBatchPartitioner>,
+        partitioner: Arc<Partitioner>,
         ci_level: f64,
     ) -> Result<ClassicOlaExecutor> {
         if meta.blocks.len() != 1 {

@@ -8,7 +8,7 @@ use gola_baselines::{CdmExecutor, ClassicOlaExecutor, NaiveExecutor};
 use gola_common::rng::SplitMix64;
 use gola_common::{DataType, Row, Schema, Value};
 use gola_core::{OnlineConfig, OnlineExecutor, OnlineSession};
-use gola_storage::{Catalog, MiniBatchPartitioner, Table};
+use gola_storage::{Catalog, Partitioner, Table};
 
 fn sessions_table(n: usize, seed: u64) -> Table {
     let schema = Arc::new(Schema::from_pairs(&[
@@ -66,7 +66,7 @@ fn setup(
 ) -> (
     Catalog,
     gola_core::PreparedQuery,
-    Arc<MiniBatchPartitioner>,
+    Arc<Partitioner>,
     OnlineConfig,
 ) {
     let cat = catalog(n);
@@ -74,7 +74,7 @@ fn setup(
     let session = OnlineSession::new(cat.clone(), config.clone());
     let prepared = session.prepare(sql).unwrap();
     let table = cat.get("sessions").unwrap();
-    let partitioner = Arc::new(MiniBatchPartitioner::new(table, k, config.partition_seed).unwrap());
+    let partitioner = Arc::new(Partitioner::new(table, k, config.partition_seed).unwrap());
     (cat, prepared, partitioner, config)
 }
 
@@ -113,8 +113,7 @@ fn cdm_and_gola_agree_every_batch() {
         config.clone(),
     )
     .unwrap();
-    let uniform = Arc::new(gola_storage::Partitioner::Uniform((*partitioner).clone()));
-    let mut gola = OnlineExecutor::new(&cat, prepared.meta.clone(), uniform, config).unwrap();
+    let mut gola = OnlineExecutor::new(&cat, prepared.meta.clone(), partitioner, config).unwrap();
     for _ in 0..6 {
         let a = cdm.step().unwrap();
         let b = gola.step().unwrap();
@@ -186,8 +185,7 @@ fn classic_ola_simple_avg() {
     // partition seeds — a single seed can legitimately miss.
     let mut covered = 0;
     for seed in 0..10u64 {
-        let part =
-            Arc::new(MiniBatchPartitioner::new(cat.get("sessions").unwrap(), 10, seed).unwrap());
+        let part = Arc::new(Partitioner::new(cat.get("sessions").unwrap(), 10, seed).unwrap());
         let mut early = ClassicOlaExecutor::new(&cat, &prepared.meta, part, 0.95).unwrap();
         let r = early.step().unwrap();
         if r.cells[0].ci.contains(truth) {

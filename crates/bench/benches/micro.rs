@@ -13,7 +13,7 @@ use gola_common::rng::poisson_weight;
 use gola_common::{row, DataType, Schema, Value};
 use gola_expr::eval::{eval, eval_predicate, eval_tri, ExactContext};
 use gola_expr::{BinOp, Expr, SubqueryId};
-use gola_storage::{MiniBatchPartitioner, Table};
+use gola_storage::{Partitioner, Table};
 
 fn bench_expr_eval(c: &mut Criterion) {
     let r = row![42i64, 3.5f64, 17.0f64];
@@ -215,9 +215,9 @@ fn bench_partitioner(c: &mut Criterion) {
     let mut g = c.benchmark_group("partition");
     g.throughput(Throughput::Elements(100_000));
     g.bench_function("partition_100k_rows_100_batches", |b| {
-        b.iter(|| MiniBatchPartitioner::new(Arc::clone(&table), 100, 7).unwrap())
+        b.iter(|| Partitioner::new(Arc::clone(&table), 100, 7).unwrap())
     });
-    let p = MiniBatchPartitioner::new(Arc::clone(&table), 100, 7).unwrap();
+    let p = Partitioner::new(Arc::clone(&table), 100, 7).unwrap();
     g.throughput(Throughput::Elements(1000));
     g.bench_function("materialize_one_batch", |b| {
         b.iter(|| p.batch(black_box(50)))

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gola_core::{BatchReport, OnlineConfig, OnlineExecutor, OnlineSession, PreparedQuery};
-use gola_storage::{Catalog, MiniBatchPartitioner};
+use gola_storage::{Catalog, Partitioner};
 use gola_workloads::{ConvivaGenerator, TpchGenerator};
 
 /// Global scale factor from `GOLA_SCALE` (default 1.0). Use e.g.
@@ -89,13 +89,13 @@ pub fn prepare(
     catalog: &Catalog,
     sql: &str,
     config: &OnlineConfig,
-) -> (PreparedQuery, Arc<MiniBatchPartitioner>) {
+) -> (PreparedQuery, Arc<Partitioner>) {
     let session = OnlineSession::new(catalog.clone(), config.clone());
     let prepared = session.prepare(sql).expect("query must compile");
     let table = catalog.get(&prepared.stream_table).expect("stream table");
     let k = config.num_batches.min(table.num_rows()).max(1);
     let partitioner =
-        Arc::new(MiniBatchPartitioner::new(table, k, config.partition_seed).expect("partitioner"));
+        Arc::new(Partitioner::new(table, k, config.partition_seed).expect("partitioner"));
     (prepared, partitioner)
 }
 
@@ -103,13 +103,11 @@ pub fn prepare(
 pub fn gola_executor(
     catalog: &Catalog,
     prepared: &PreparedQuery,
-    partitioner: Arc<MiniBatchPartitioner>,
+    partitioner: Arc<Partitioner>,
     config: &OnlineConfig,
 ) -> OnlineExecutor {
-    // Same (table, k, seed) ⇒ the clone produces bit-identical batches, so
-    // baselines sharing `partitioner` still see the exact same schedule.
-    let uniform = Arc::new(gola_storage::Partitioner::Uniform((*partitioner).clone()));
-    OnlineExecutor::new(catalog, prepared.meta.clone(), uniform, config.clone()).expect("executor")
+    OnlineExecutor::new(catalog, prepared.meta.clone(), partitioner, config.clone())
+        .expect("executor")
 }
 
 /// Time the exact batch engine on a query.

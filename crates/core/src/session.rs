@@ -4,9 +4,7 @@ use std::sync::Arc;
 
 use gola_common::{Error, Result};
 use gola_plan::{MetaPlan, QueryContract, QueryGraph};
-use gola_storage::{
-    Catalog, GrowingPartitioner, MiniBatchPartitioner, Partitioner, StratifiedPartitioner, Table,
-};
+use gola_storage::{Catalog, Partitioner, Table};
 
 use crate::config::OnlineConfig;
 use crate::contract::ContractDriver;
@@ -110,6 +108,7 @@ impl OnlineSession {
         let table = self.catalog.get(&prepared.stream_table)?;
         // Never ask for more batches than rows.
         let k = self.config.num_batches.min(table.num_rows()).max(1);
+        let seed = self.config.partition_seed;
         let partitioner = Arc::new(match (&self.config.stratify_column, live) {
             (Some(_), Some(_)) => {
                 // Stratified allocation needs the whole population up
@@ -118,22 +117,9 @@ impl OnlineSession {
                     "stratified partitioning is not supported over a growing stream",
                 ));
             }
-            (None, Some(stream)) => Partitioner::Growing(GrowingPartitioner::new(
-                Arc::clone(stream),
-                k,
-                self.config.partition_seed,
-            )?),
-            (Some(col), None) => Partitioner::Stratified(StratifiedPartitioner::new(
-                table,
-                col,
-                k,
-                self.config.partition_seed,
-            )?),
-            (None, None) => Partitioner::Uniform(MiniBatchPartitioner::new(
-                table,
-                k,
-                self.config.partition_seed,
-            )?),
+            (None, Some(stream)) => Partitioner::growing(Arc::clone(stream), k, seed)?,
+            (Some(col), None) => Partitioner::stratified(table, col, k, seed)?,
+            (None, None) => Partitioner::new(table, k, seed)?,
         });
         let executor = OnlineExecutor::with_pool(
             &self.catalog,

@@ -456,7 +456,7 @@ mod tests {
     use super::*;
     use gola_common::rng::SplitMix64;
     use gola_common::{DataType, Row, Schema};
-    use gola_storage::{MiniBatchPartitioner, Table};
+    use gola_storage::Table;
 
     /// Which non-finite and NULL values `catalog_with` plants in `q`.
     #[derive(Clone, Copy, PartialEq)]
@@ -526,8 +526,7 @@ mod tests {
         let prepared = session.prepare(sql).unwrap();
         let table = catalog.get(&prepared.stream_table).unwrap();
         let (k, seed) = (config.num_batches, config.partition_seed);
-        let partitioner = MiniBatchPartitioner::new(table, k, seed).unwrap();
-        let partitioner = Arc::new(Partitioner::Uniform(partitioner));
+        let partitioner = Arc::new(Partitioner::new(table, k, seed).unwrap());
         OnlineExecutor::new(catalog, prepared.meta, partitioner, config).unwrap()
     }
 

@@ -1,26 +1,33 @@
 //! Storage substrate for G-OLA: an in-memory **columnar chunk store**, a
 //! table catalog, random shuffling, the **mini-batch partitioner** at the
-//! heart of the G-OLA execution model (paper §2.1–2.2), CSV
-//! import/export, and the **streaming ingest** path — appendable
-//! [`StreamTable`]s sealing into write-once columnar segment files, with a
-//! growing partitioner that exposes live appends as extra mini-batches
-//! (DESIGN.md §3.12).
+//! heart of the G-OLA execution model (paper §2.1–2.2) — one schedule
+//! type, optionally stratified or growing — CSV import/export, and the
+//! **streaming ingest** path: appendable [`StreamTable`]s sealing into
+//! write-once columnar segment files, which a growing schedule exposes as
+//! extra mini-batches (DESIGN.md §3.12).
 
 pub mod catalog;
 pub mod chunk;
 pub mod csv;
-pub mod growing;
 pub mod partition;
 pub mod segment;
 pub mod shuffle;
-pub mod stratified;
 pub mod stream;
 pub mod table;
 
+// Unit tests of the stratified and growing schedules, under the module
+// paths (and so the test ids) they had before the partitioners merged.
+#[cfg(test)]
+#[path = "partition_growing_tests.rs"]
+mod growing;
+#[cfg(test)]
+#[path = "partition_stratified_tests.rs"]
+mod stratified;
+
 pub use catalog::Catalog;
 pub use chunk::ColumnChunk;
-pub use growing::GrowingPartitioner;
-pub use partition::{MiniBatch, MiniBatchPartitioner};
-pub use stratified::{Partitioner, StratifiedPartitioner};
+pub use partition::{
+    GrowingPartitioner, MiniBatch, MiniBatchPartitioner, Partitioner, StratifiedPartitioner,
+};
 pub use stream::{SealedSegment, StreamTable};
 pub use table::{Table, TableBuilder, TABLE_CHUNK_ROWS};

@@ -8,8 +8,12 @@ use std::sync::Arc;
 use gola_common::{DataType, Row, Schema, Value};
 use gola_storage::csv::{read_csv, write_csv};
 use gola_storage::shuffle::permutation;
-use gola_storage::{MiniBatchPartitioner, StratifiedPartitioner, Table};
+use gola_storage::{MiniBatch, Partitioner, Table};
 use proptest::prelude::*;
+
+fn batches(p: &Partitioner) -> Vec<MiniBatch> {
+    (0..p.num_batches()).map(|i| p.batch(i)).collect()
+}
 
 /// Table of `n` rows whose `g` column cycles over `groups` distinct keys,
 /// so stratum sizes differ by at most one.
@@ -35,13 +39,13 @@ proptest! {
         let schema = Arc::new(Schema::from_pairs(&[("x", DataType::Int)]));
         let rows: Vec<Row> = (0..n).map(|i| Row::new(vec![Value::Int(i as i64)])).collect();
         let table = Arc::new(Table::new_unchecked(schema, rows));
-        let p = MiniBatchPartitioner::new(table, k, seed).unwrap();
+        let p = Partitioner::new(table, k, seed).unwrap();
         prop_assert_eq!(p.num_batches(), k);
-        let mut ids: Vec<u64> = p.iter().flat_map(|b| b.tuple_ids.clone()).collect();
+        let mut ids: Vec<u64> = batches(&p).into_iter().flat_map(|b| b.tuple_ids).collect();
         ids.sort_unstable();
         prop_assert_eq!(ids, (0..n as u64).collect::<Vec<_>>());
         // Near-uniform sizes.
-        let sizes: Vec<usize> = p.iter().map(|b| b.len()).collect();
+        let sizes: Vec<usize> = batches(&p).iter().map(MiniBatch::len).collect();
         let max = *sizes.iter().max().unwrap();
         let min = *sizes.iter().min().unwrap();
         prop_assert!(max - min <= 1);
@@ -61,8 +65,8 @@ proptest! {
         let rows: Vec<Row> = (0..n).map(|i| Row::new(vec![Value::Int(i as i64)])).collect();
         let table = Arc::new(Table::new_unchecked(schema, rows));
         let k = (n / 2).max(1);
-        let a = MiniBatchPartitioner::new(Arc::clone(&table), k, seed).unwrap();
-        let b = MiniBatchPartitioner::new(table, k, seed).unwrap();
+        let a = Partitioner::new(Arc::clone(&table), k, seed).unwrap();
+        let b = Partitioner::new(table, k, seed).unwrap();
         for i in 0..k {
             prop_assert_eq!(a.batch(i).tuple_ids, b.batch(i).tuple_ids);
         }
@@ -78,15 +82,16 @@ proptest! {
         let k = k.min(n);
         let groups = groups.min(n);
         let table = grouped_table(n, groups);
-        let p = StratifiedPartitioner::new(table, "g", k, seed).unwrap();
+        let p = Partitioner::stratified(table, "g", k, seed).unwrap();
         prop_assert_eq!(p.num_batches(), k);
-        prop_assert_eq!(p.num_strata(), groups);
+        // Exactly the `groups` keys are strata.
+        prop_assert!(p.stratum_rate(&Value::Int(groups as i64), 0).is_none());
         // Multiset match: every tuple appears exactly once across batches.
-        let mut ids: Vec<u64> = p.iter().flat_map(|b| b.tuple_ids.clone()).collect();
+        let mut ids: Vec<u64> = batches(&p).into_iter().flat_map(|b| b.tuple_ids).collect();
         ids.sort_unstable();
         prop_assert_eq!(ids, (0..n as u64).collect::<Vec<_>>());
         // Every batch nonempty, monotone row accounting.
-        let sizes: Vec<usize> = p.iter().map(|b| b.len()).collect();
+        let sizes: Vec<usize> = batches(&p).iter().map(MiniBatch::len).collect();
         prop_assert!(sizes.iter().all(|&s| s > 0));
         for i in 0..k {
             prop_assert_eq!(p.rows_seen_through(i), sizes[..=i].iter().sum::<usize>());
@@ -114,8 +119,8 @@ proptest! {
         let groups = groups.min(n);
         let table = grouped_table(n, groups);
         let k = (n / 2).max(1);
-        let a = StratifiedPartitioner::new(Arc::clone(&table), "g", k, seed).unwrap();
-        let b = StratifiedPartitioner::new(table, "g", k, seed).unwrap();
+        let a = Partitioner::stratified(Arc::clone(&table), "g", k, seed).unwrap();
+        let b = Partitioner::stratified(table, "g", k, seed).unwrap();
         // Same seed ⇒ bit-identical schedule, batch by batch.
         for i in 0..k {
             prop_assert_eq!(a.batch(i).tuple_ids, b.batch(i).tuple_ids);
@@ -134,7 +139,7 @@ proptest! {
         // k-1 batches can each keep at least one row.
         let groups = groups.min(n.saturating_sub(k - 1).max(1));
         let table = grouped_table(n, groups);
-        let p = StratifiedPartitioner::new(table, "g", k, seed).unwrap();
+        let p = Partitioner::stratified(table, "g", k, seed).unwrap();
         let first = p.batch(0);
         let mut seen = vec![false; groups];
         for &t in &first.tuple_ids {

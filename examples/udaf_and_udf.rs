@@ -15,7 +15,7 @@ use g_ola::core::{OnlineConfig, OnlineExecutor};
 use g_ola::expr::{FunctionRegistry, ScalarFn};
 use g_ola::plan::MetaPlan;
 use g_ola::sql::{parse_select, Binder};
-use g_ola::storage::{Catalog, MiniBatchPartitioner, Partitioner};
+use g_ola::storage::{Catalog, Partitioner};
 use g_ola::workloads::ConvivaGenerator;
 
 /// Scalar UDF: clamp a ratio into [0, 1].
@@ -109,11 +109,11 @@ fn main() -> Result<()> {
     let graph = Binder::with_registries(&catalog, functions, udafs).bind(&stmt)?;
     let meta = MetaPlan::compile(&graph, "sessions")?;
     let config = OnlineConfig::default().with_batches(20);
-    let partitioner = Arc::new(Partitioner::Uniform(MiniBatchPartitioner::new(
+    let partitioner = Arc::new(Partitioner::new(
         catalog.get("sessions")?,
         20,
         config.partition_seed,
-    )?));
+    )?);
     let mut exec = OnlineExecutor::new(&catalog, meta, partitioner, config)?;
     while !exec.is_finished() {
         let report = exec.step()?;

@@ -12,10 +12,9 @@
 # per class, the planted absolute-stopping bug, generated contract queries,
 # and the uniform-vs-stratified rare-group convergence check (≤60s).
 # Pass --service to run the multi-tenant service gates: the scheduler
-# simulator property tests in release, the gola-service conformance leg
+# simulator property tests in release and the gola-service conformance leg
 # (generated queries interleaved through the fair scheduler on a shared
-# pool, bit-compared against solo runs), and a 10-client gola-load smoke
-# over real sockets with a wall-clock budget.
+# pool, bit-compared against solo runs).
 # Pass --ingest to run the streaming-ingest gates: the gola-ingest
 # conformance leg (generated queries over streams growing under the query,
 # four variants per case bit-compared, durable manifests replayed) plus a
@@ -185,56 +184,12 @@ fi
 # property tests (fairness, no-starvation, admission, trace determinism)
 # in release; (2) the conformance service leg — generated queries
 # interleaved through the fair scheduler on a shared worker pool, every
-# stream bit-compared against its solo single-threaded run; (3) a
-# 10-client load smoke over real loopback sockets, with the run's
-# self-reported wall clock held to a budget (generous: shared CI hosts).
-service_load_smoke() {
-    local tmp out
-    tmp="$(mktemp -d)" || return 1
-    out="$tmp/load.json"
-    cargo run --release -q -p gola-load --bin gola-load -- \
-        --clients 10 --rows 8000 --batches 10 --out "$out" || return 1
-    python3 - "$out" <<'PY'
-import json
-import sys
-
-doc = json.load(open(sys.argv[1]))
-failed = False
-
-
-def err(msg):
-    global failed
-    print(f"    load smoke: {msg}", file=sys.stderr)
-    failed = True
-
-
-if doc.get("clients") != 10:
-    err(f"expected 10 clients, got {doc.get('clients')}")
-if doc.get("report_frames", 0) < 10 * doc.get("batches", 0):
-    err(f"only {doc.get('report_frames')} report frames for "
-        f"{doc.get('clients')}x{doc.get('batches')} client-batches")
-for key in ("ttfe_ms", "completion_ms"):
-    p = doc.get(key) or {}
-    if not (isinstance(p.get("p50"), (int, float))
-            and isinstance(p.get("p99"), (int, float))
-            and 0 <= p["p50"] <= p["p99"]):
-        err(f"{key} percentiles malformed: {p}")
-budget = 120.0
-wall = doc.get("wall_s", budget + 1)
-verdict = "ok" if wall <= budget else "OVER BUDGET"
-print(f"    load smoke: wall {wall:.1f}s (budget {budget:.0f}s) {verdict}")
-if wall > budget:
-    failed = True
-sys.exit(1 if failed else 0)
-PY
-    local rc=$?
-    rm -rf "$tmp"
-    return $rc
-}
+# stream bit-compared against its solo single-threaded run. Socket latency
+# is the benchmark's `svc_mix_2c` workload; the 503 at `max_connections`
+# is pinned by tests/http_surface.rs.
 if [ "$service" -eq 1 ]; then
     step cargo test --release -q -p gola-core --test sched_sim
     step cargo run --release -q -p gola-conformance --bin gola-service
-    step service_load_smoke
 fi
 
 # Streaming-ingest gates: (1) the gola-ingest conformance leg — generated

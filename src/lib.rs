@@ -47,7 +47,5 @@ pub mod prelude {
     pub use gola_core::{BatchReport, ContractStop, OnlineConfig, OnlineSession};
     pub use gola_engine::BatchEngine;
     pub use gola_plan::QueryContract;
-    pub use gola_storage::{
-        Catalog, MiniBatchPartitioner, Partitioner, StratifiedPartitioner, Table,
-    };
+    pub use gola_storage::{Catalog, Partitioner, Table};
 }
