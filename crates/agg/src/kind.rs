@@ -116,6 +116,7 @@ impl fmt::Display for AggKind {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact float results")]
 mod tests {
     use super::*;
 

@@ -14,6 +14,14 @@
 //! states per aggregate and is the unit of incremental maintenance inside
 //! every lineage block.
 
+// The determinism contract, checked by clippy (DESIGN.md §3.6).
+#![deny(
+    clippy::iter_over_hash_type,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::float_cmp
+)]
+
 pub mod kind;
 pub mod quantile;
 pub mod replicated;

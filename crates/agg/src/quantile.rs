@@ -108,6 +108,11 @@ impl P2Quantile {
 
     /// Add an observation with an integer weight (repeat semantics).
     pub fn add_weighted(&mut self, x: f64, weight: f64) {
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "rounded and clamped at zero; a saturating float-to-int cast"
+        )]
         let w = weight.round().max(0.0) as u32;
         for _ in 0..w {
             self.add(x);
@@ -137,6 +142,11 @@ impl P2Quantile {
     }
 
     fn linear(&self, i: usize, d: f64) -> f64 {
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "d is ±1, so this is the neighbouring marker index i ± 1"
+        )]
         let j = (i as f64 + d) as usize;
         self.heights[i]
             + d * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])

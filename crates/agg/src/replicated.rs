@@ -356,6 +356,7 @@ impl ReplicatedStates {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact float results")]
 mod tests {
     use super::*;
     use gola_common::stats::mean;

@@ -177,7 +177,8 @@ impl AggState {
     /// maintained sequentially.
     pub fn merge(&mut self, other: &AggState) {
         match (self, other) {
-            // golint: allow(merge-commutativity) -- Poisson bootstrap weights are small exact integers carried in f64; addition is exact below 2^53, hence order-free (multiset-exact)
+            // Weight sums are small exact integers carried in f64: addition is
+            // exact below 2^53, hence order-free (multiset-exact).
             (AggState::Count { weight_sum: a }, AggState::Count { weight_sum: b }) => *a += b,
             (
                 AggState::Sum {
@@ -192,7 +193,6 @@ impl AggState {
                 },
             ) => {
                 s1.merge(s2);
-                // golint: allow(merge-commutativity) -- Poisson bootstrap weights are small exact integers carried in f64; addition is exact below 2^53, hence order-free (multiset-exact)
                 *w1 += w2;
                 *n1 |= n2;
             }
@@ -207,7 +207,6 @@ impl AggState {
                 },
             ) => {
                 s1.merge(s2);
-                // golint: allow(merge-commutativity) -- Poisson bootstrap weights are small exact integers carried in f64; addition is exact below 2^53, hence order-free (multiset-exact)
                 *w1 += w2;
             }
             (AggState::Min { best: a }, AggState::Min { best: b }) => {

@@ -1,8 +1,9 @@
 //! Property tests for aggregate states: weighted updates equal repetition,
-//! merge is order-insensitive and matches single-pass accumulation, scaling
-//! laws hold, and monotone lower bounds actually bound.
+//! merge is order-insensitive and matches single-pass accumulation bit for
+//! bit, scaling laws hold, and monotone lower bounds actually bound.
 
-use gola_agg::{AggKind, AggState};
+use gola_agg::{AggKind, AggState, ReplicatedStates};
+use gola_bootstrap::BootstrapSpec;
 use gola_common::Value;
 use proptest::prelude::*;
 
@@ -31,6 +32,26 @@ fn close(a: &Value, b: &Value, tol: f64) -> bool {
         (Some(x), Some(y)) => (x - y).abs() <= tol * (1.0 + y.abs()),
         _ => a == b,
     }
+}
+
+/// Equal to the last bit. The mergeable states are multiset-exact
+/// (DESIGN.md §3.9), so any regrouping of the same tuples must finalize
+/// to the same bits.
+fn bits_eq(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        _ => a == b,
+    }
+}
+
+/// Replicated states over `xs`, tuple `t` carrying id `first_id + t`.
+fn feed_replicated(spec: &BootstrapSpec, first_id: u64, xs: &[f64]) -> ReplicatedStates {
+    let kinds = numeric_kinds();
+    let mut s = ReplicatedStates::new(&kinds, spec.trials);
+    for (t, &x) in (first_id..).zip(xs) {
+        s.update(&vec![Value::Float(x); kinds.len()], t, spec);
+    }
+    s
 }
 
 proptest! {
@@ -71,8 +92,10 @@ proptest! {
             let b = feed(&kind, &xs[split..]);
             a.merge(&b);
             prop_assert!(
-                close(&a.finalize(1.0), &whole.finalize(1.0), 1e-6),
-                "{kind} merge mismatch"
+                bits_eq(&a.finalize(1.0), &whole.finalize(1.0)),
+                "{kind} merge mismatch: {} vs {}",
+                a.finalize(1.0),
+                whole.finalize(1.0)
             );
         }
     }
@@ -87,7 +110,52 @@ proptest! {
             ab.merge(&feed(&kind, &ys));
             let mut ba = feed(&kind, &ys);
             ba.merge(&feed(&kind, &xs));
-            prop_assert!(close(&ab.finalize(1.0), &ba.finalize(1.0), 1e-6), "{kind}");
+            prop_assert!(bits_eq(&ab.finalize(1.0), &ba.finalize(1.0)), "{kind}");
+        }
+    }
+
+    #[test]
+    fn merge_regroups_bit_exactly(
+        xs in prop::collection::vec((-1e3f64..1e3, 1u8..3), 1..60),
+        cut1 in 0usize..60,
+        cut2 in 0usize..60,
+    ) {
+        // (a ⊕ b) ⊕ c ≡ a ⊕ (b ⊕ c) ≡ the single pass over a ++ b ++ c.
+        let (i, j) = (cut1.min(cut2).min(xs.len()), cut1.max(cut2).min(xs.len()));
+        let (xa, xb, xc) = (&xs[..i], &xs[i..j], &xs[j..]);
+        for kind in numeric_kinds() {
+            let whole = feed(&kind, &xs).finalize(1.0);
+            let mut left = feed(&kind, xa);
+            left.merge(&feed(&kind, xb));
+            left.merge(&feed(&kind, xc));
+            let mut bc = feed(&kind, xb);
+            bc.merge(&feed(&kind, xc));
+            let mut right = feed(&kind, xa);
+            right.merge(&bc);
+            prop_assert!(bits_eq(&left.finalize(1.0), &whole), "{kind}: (a⊕b)⊕c");
+            prop_assert!(bits_eq(&right.finalize(1.0), &whole), "{kind}: a⊕(b⊕c)");
+        }
+    }
+
+    #[test]
+    fn replicated_merge_matches_single_pass_on_every_lane(
+        xs in prop::collection::vec(-1e3f64..1e3, 1..80),
+        split in 0usize..80,
+        seed in any::<u64>(),
+    ) {
+        let spec = BootstrapSpec::new(20, seed);
+        let split = split.min(xs.len());
+        let whole = feed_replicated(&spec, 0, &xs);
+        let mut merged = feed_replicated(&spec, 0, &xs[..split]);
+        merged.merge(&feed_replicated(&spec, split as u64, &xs[split..]));
+        for (j, kind) in numeric_kinds().iter().enumerate() {
+            prop_assert!(bits_eq(&merged.value(j, 1.0), &whole.value(j, 1.0)), "{kind} main");
+            for b in 0..spec.trials {
+                prop_assert!(
+                    bits_eq(&merged.trial_value(j, b, 1.0), &whole.trial_value(j, b, 1.0)),
+                    "{kind} replica {b}"
+                );
+            }
         }
     }
 

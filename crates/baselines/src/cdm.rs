@@ -245,6 +245,10 @@ impl CdmExecutor {
             ..Default::default()
         };
         let empty;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "published into maps; no order escapes"
+        )]
         let iter: Box<dyn Iterator<Item = (&Vec<Value>, &ReplicatedStates)>> =
             if groups.is_empty() && cb.num_keys() == 0 {
                 empty = ReplicatedStates::new(&cb.agg_kinds, trials);
@@ -356,6 +360,11 @@ impl CdmExecutor {
 
         let empty;
         let groups = &self.groups[root];
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "rows are sorted by group key below; this baseline is outside the \
+                      determinism contract, so ORDER BY ties may keep hash order"
+        )]
         let iter: Box<dyn Iterator<Item = (&Vec<Value>, &ReplicatedStates)>> =
             if groups.is_empty() && n_keys == 0 {
                 empty = ReplicatedStates::new(&cb.agg_kinds, trials);

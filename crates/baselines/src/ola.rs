@@ -194,6 +194,7 @@ impl ClassicOlaExecutor {
         let post: &[Expr] = cb.block.post_project.as_deref().unwrap_or(&identity);
         let no_pubs: Vec<gola_core::runtime::Published> = Vec::new();
 
+        #[expect(clippy::disallowed_methods, reason = "sorted by group key below")]
         let mut entries: Vec<(&Vec<Value>, &GroupState)> = self.groups.iter().collect();
         entries.sort_by(|a, b| {
             for (x, y) in a.0.iter().zip(b.0.iter()) {

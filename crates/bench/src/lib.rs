@@ -7,8 +7,9 @@
 //! so results can be scraped into plots.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use gola_common::timing::Stopwatch;
 use gola_core::{BatchReport, OnlineConfig, OnlineExecutor, OnlineSession, PreparedQuery};
 use gola_storage::{Catalog, Partitioner};
 use gola_workloads::{ConvivaGenerator, TpchGenerator};
@@ -114,7 +115,7 @@ pub fn gola_executor(
 pub fn time_exact(catalog: &Catalog, sql: &str) -> (Duration, gola_storage::Table) {
     let graph = gola_sql::compile(sql, catalog).expect("compile");
     let engine = gola_engine::BatchEngine::new(catalog);
-    let t0 = Instant::now();
+    let t0 = Stopwatch::start();
     let out = engine.execute(&graph).expect("exact execution");
     (t0.elapsed(), out)
 }

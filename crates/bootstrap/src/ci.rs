@@ -173,7 +173,12 @@ impl fmt::Display for Estimate {
 /// approximation (Acklam) for everything else.
 pub fn z_for_level(level: f64) -> f64 {
     // Fast paths for the levels UIs actually use.
-    match (level * 1000.0).round() as i64 {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "only matched against three small constants; out-of-range levels saturate"
+    )]
+    let permille = (level * 1000.0).round() as i64;
+    match permille {
         900 => return 1.6449,
         950 => return 1.9600,
         990 => return 2.5758,
@@ -184,7 +189,10 @@ pub fn z_for_level(level: f64) -> f64 {
 }
 
 /// Acklam's inverse-normal-CDF approximation (relative error < 1.15e-9).
-#[allow(clippy::excessive_precision)] // published constants, kept verbatim
+#[expect(
+    clippy::excessive_precision,
+    reason = "published constants, kept verbatim"
+)]
 fn inverse_normal_cdf(p: f64) -> f64 {
     assert!(p > 0.0 && p < 1.0, "p must be in (0,1)");
     const A: [f64; 6] = [
@@ -232,6 +240,7 @@ fn inverse_normal_cdf(p: f64) -> f64 {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact float results")]
 mod tests {
     use super::*;
 

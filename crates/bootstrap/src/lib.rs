@@ -14,6 +14,14 @@
 //! **replayable**: re-touching a tuple during uncertain-set re-evaluation or
 //! failure-triggered recomputation reproduces the same weight.
 
+// The determinism contract, checked by clippy (DESIGN.md §3.6).
+#![deny(
+    clippy::iter_over_hash_type,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::float_cmp
+)]
+
 pub mod ci;
 pub mod range_policy;
 pub mod weights;

@@ -86,6 +86,7 @@ impl VariationRange {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact float results")]
 mod tests {
     use super::*;
 

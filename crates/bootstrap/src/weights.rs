@@ -119,6 +119,11 @@ impl BootstrapSpec {
         // u₁ = m₁ · 2⁻⁵³ (an exact product), u₁ ≤ e⁻¹ ⟺ m₁ ≤ this.
         const SCALE: f64 = 1.0 / (1u64 << 53) as f64;
         let limit = (-1.0f64).exp();
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "an exact power-of-two scaling of e⁻¹, so the truncating cast is the floor"
+        )]
         let t0 = (limit * (1u64 << 53) as f64) as u64;
         let bias = self.weight_bias;
         for b0 in (0..trials).step_by(BLOCK) {

@@ -24,6 +24,10 @@
 //! GROW-EXPANSION; the final rounding is the one of CPython's `math.fsum`;
 //! the pre-rounding is ExtractVector of S. M. Rump, T. Ogita, S. Oishi,
 //! "Accurate Floating-Point Summation" (2008).
+#![expect(
+    clippy::float_cmp,
+    reason = "error-free transforms test exact float identities; this module defines the order others use"
+)]
 
 /// Error-free transform: returns `(s, e)` with `s = fl(a + b)` and
 /// `a + b = s + e` exactly (Knuth's TwoSum; no magnitude precondition).
@@ -431,6 +435,11 @@ impl ExactVariance {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "test inputs are small bounded draws"
+)]
 mod tests {
     use super::*;
     use crate::rng::SplitMix64;

@@ -9,6 +9,13 @@
 //! Everything here is dependency-free so the rest of the workspace can build
 //! on a stable, minimal base.
 
+// The determinism contract, checked by clippy (DESIGN.md §3.6).
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::float_cmp
+)]
+
 pub mod column;
 pub mod error;
 pub mod fsum;
@@ -18,15 +25,17 @@ pub mod rng;
 pub mod row;
 pub mod schema;
 pub mod stats;
+pub mod sync;
 pub mod timing;
 pub mod value;
 
 pub use column::{Bitmap, Column, ColumnBuilder, ColumnData};
 
 /// Chunk-relative row index as `u32`, checked. Silent `usize → u32`
-/// truncation of a row count is exactly the bug class `lossy-cast-audit`
-/// exists for; chunk framing keeps real indices far below `u32::MAX`, so
-/// an overflow here is a framing bug and must fail loudly.
+/// truncation of a row count is exactly the bug class
+/// `clippy::cast_possible_truncation` exists for; chunk framing keeps real
+/// indices far below `u32::MAX`, so an overflow here is a framing bug and
+/// must fail loudly.
 #[inline]
 pub fn row_u32(n: usize) -> u32 {
     u32::try_from(n).expect("row index exceeds u32::MAX (chunk framing bug)")

@@ -44,9 +44,6 @@ impl SplitMix64 {
         debug_assert!(n > 0);
         // Multiply-shift bounded rand (Lemire); bias is negligible for the
         // table sizes used here and the method is branch-free.
-        // golint: allow(lossy-cast-audit) -- Lemire multiply-shift: the high
-        // 64 bits of the 128-bit product ARE the result; truncation is the
-        // algorithm, not an accident.
         ((self.next_u64() as u128 * n as u128) >> 64) as u64
     }
 }
@@ -95,6 +92,11 @@ pub fn poisson_from_stream(stream: u64) -> u32 {
     // 53-bit significand), so the truncating cast is the true floor.
     const SCALE: f64 = 1.0 / (1u64 << 53) as f64;
     let limit = (-1.0f64).exp();
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "an exact power-of-two scaling of e⁻¹, so the truncating cast is the floor"
+    )]
     let t0 = (limit * (1u64 << 53) as f64) as u64;
     let mut state = stream.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let m1 = (mix(state) >> 11) + 1;
@@ -144,7 +146,7 @@ mod tests {
         let mut g = SplitMix64::new(2);
         let mut seen = [false; 10];
         for _ in 0..1000 {
-            let x = g.next_below(10) as usize;
+            let x = usize::try_from(g.next_below(10)).unwrap();
             assert!(x < 10);
             seen[x] = true;
         }

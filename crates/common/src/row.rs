@@ -10,9 +10,9 @@ use std::sync::Arc;
 use crate::value::Value;
 
 /// A single tuple.
-// golint: allow(float-total-order) -- the derived impls delegate to `Value`,
-// whose PartialEq/Eq/Hash are the manual total order (value.rs): NaN equals
-// itself and hashes consistently, so the derive is total, not IEEE-partial.
+// The derived impls delegate to `Value`, whose PartialEq/Eq/Hash are the
+// manual total order (value.rs): NaN equals itself and hashes consistently,
+// so the derive is total, not IEEE-partial.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Row {
     values: Arc<[Value]>,
@@ -116,6 +116,20 @@ mod tests {
         assert_eq!(r, c);
         // Arc-backed: same allocation.
         assert!(std::ptr::eq(r.values().as_ptr(), c.values().as_ptr()));
+    }
+
+    /// The derived `PartialEq`/`Hash` are total, because `Value`'s are:
+    /// a NaN-bearing row equals and hashes like itself, and `-0.0` equals
+    /// and hashes like `0.0`, as under `Value::total_cmp`.
+    #[test]
+    fn derived_equality_is_total_on_floats() {
+        use crate::hash::FxHashSet;
+        let nan = row![f64::NAN, 1i64];
+        assert_eq!(nan, nan.clone());
+        assert_eq!(row![0.0f64], row![-0.0f64]);
+        let rows = [nan.clone(), nan, row![0.0f64], row![-0.0f64]];
+        let set: FxHashSet<Row> = rows.into_iter().collect();
+        assert_eq!(set.len(), 2);
     }
 
     #[test]

@@ -5,15 +5,14 @@ pub fn mean(xs: &[f64]) -> Option<f64> {
     if xs.is_empty() {
         return None;
     }
-    // golint: allow(float-fold-ordering) -- left-to-right over the caller's
-    // slice; every caller passes deterministically-ordered trial vectors
+    // Left to right over the caller's slice; every caller passes
+    // deterministically ordered trial vectors.
     Some(xs.iter().sum::<f64>() / xs.len() as f64)
 }
 
 /// Population standard deviation. Returns `None` for an empty slice.
 pub fn stddev_pop(xs: &[f64]) -> Option<f64> {
     let m = mean(xs)?;
-    // golint: allow(float-fold-ordering) -- same slice-order contract as mean
     let var = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64;
     Some(var.sqrt())
 }
@@ -24,7 +23,6 @@ pub fn stddev_sample(xs: &[f64]) -> Option<f64> {
         return None;
     }
     let m = mean(xs)?;
-    // golint: allow(float-fold-ordering) -- same slice-order contract as mean
     let var = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64;
     Some(var.sqrt())
 }
@@ -51,6 +49,11 @@ pub fn percentile(xs: &[f64], q: f64) -> Option<f64> {
 }
 
 /// Percentile over an already-sorted slice. Panics on empty input.
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "q is clamped to [0, 1], so floor and ceil of the position are valid indices"
+)]
 pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     assert!(!sorted.is_empty());
     let q = q.clamp(0.0, 1.0);
@@ -104,13 +107,12 @@ impl Welford {
             *self = *other;
             return;
         }
-        // golint: allow(merge-commutativity) -- parallel-variance formula is inherently rounding; Welford is the baseline/diagnostic accumulator — the engine's deterministic result path merges via ExactSum (fsum)
+        // The parallel-variance formula rounds, so this merge is not
+        // order-free. Welford is a baseline/diagnostic accumulator; the
+        // engine's result path merges through `ExactSum` (fsum).
         let total = self.count + other.count;
-        // golint: allow(merge-commutativity) -- see above: baseline-only accumulator
         let delta = other.mean - self.mean;
-        // golint: allow(merge-commutativity) -- see above: baseline-only accumulator
         self.mean += delta * other.count / total;
-        // golint: allow(merge-commutativity) -- see above: baseline-only accumulator
         self.m2 += other.m2 + delta * delta * self.count * other.count / total;
         self.count = total;
     }
@@ -135,6 +137,7 @@ impl Welford {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact float results")]
 mod tests {
     use super::*;
 

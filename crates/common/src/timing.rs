@@ -4,10 +4,11 @@
 //! `BatchReport`s) means estimator state must never depend on physical time
 //! or the physical schedule. Wall-clock reads are still needed — batch
 //! timing telemetry, baseline comparisons, the CLI's `\exact` timer — so
-//! they are funneled through this module, which `golint`'s `schedule-leak`
-//! rule blesses. Code anywhere else that touches `Instant`, `SystemTime`,
-//! thread identity, or thread counts is a lint diagnostic: either route it
-//! through a [`Stopwatch`], or it does not belong outside `crates/bench`.
+//! they are funneled through this module. `clippy.toml` lists
+//! `Instant::now`, `SystemTime::now`, thread identity and thread counts
+//! under `disallowed-methods`, and [`Stopwatch::start`] holds the one
+//! `#[expect]` for `Instant::now`: code anywhere else routes through a
+//! [`Stopwatch`].
 //!
 //! The rule this module encodes: a `Duration` may flow into *telemetry*
 //! (`BatchTiming`), never into *estimator state*. `Stopwatch` only hands
@@ -24,6 +25,7 @@ pub struct Stopwatch {
 
 impl Stopwatch {
     /// Start (or restart) a stopwatch at the current instant.
+    #[expect(clippy::disallowed_methods, reason = "the one `Instant` read")]
     pub fn start() -> Stopwatch {
         Stopwatch {
             anchor: Instant::now(),

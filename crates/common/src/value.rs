@@ -140,6 +140,10 @@ impl Value {
         let out = match (self, ty) {
             (v, t) if v.data_type() == t => v.clone(),
             (Value::Int(i), DataType::Float) => Value::Float(*i as f64),
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "SQL CAST semantics: truncate toward zero, saturate, NaN to 0"
+            )]
             (Value::Float(f), DataType::Int) => Value::Int(*f as i64),
             (Value::Bool(b), DataType::Int) => Value::Int(*b as i64),
             (Value::Bool(b), DataType::Float) => Value::Float(*b as i64 as f64),
@@ -213,7 +217,7 @@ impl Value {
 /// Lexicographic [`Value::total_cmp`] over value slices, shorter prefix
 /// first. This is the canonical key order for sorting grouped state before
 /// it can reach a `BatchReport` — hash-map iteration order must never be
-/// observable downstream (see the `hash-order-leak` lint).
+/// observable downstream (see `clippy.toml`'s `disallowed-methods`).
 pub fn cmp_values(a: &[Value], b: &[Value]) -> Ordering {
     for (x, y) in a.iter().zip(b.iter()) {
         let ord = x.total_cmp(y);

@@ -99,7 +99,10 @@ impl fmt::Display for Artifact {
 /// Shrink a failing `(query, data)` case. `data_seed`/`rows` must be the
 /// recipe that produced `data`. Returns the minimized artifact; if nothing
 /// shrinks, the artifact is the original case.
-#[allow(clippy::too_many_arguments)] // a replay recipe simply has this many parts
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a replay recipe simply has this many parts"
+)]
 pub fn shrink(
     class: SchemaClass,
     data_seed: u64,

@@ -158,6 +158,7 @@ impl CompiledBlock {
             e.collect_columns(&mut lineage_cols);
         }
         lineage_cols.sort_unstable();
+        #[expect(clippy::expect_used, reason = "collected from these expressions")]
         let remap = |src: usize| -> usize {
             lineage_cols
                 .binary_search(&src)

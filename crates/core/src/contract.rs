@@ -17,8 +17,8 @@
 //! observed throughput; everything inside each report remains the
 //! deterministic function of (data, seed, batch index) it always was.
 //!
-//! Wall-clock reads go through the blessed [`Stopwatch`] only, keeping
-//! golint's schedule-leak rule clean.
+//! Wall-clock reads go through [`Stopwatch`] only: `Instant::now` is a
+//! `disallowed-methods` entry in `clippy.toml`.
 
 use gola_common::timing::Stopwatch;
 use gola_plan::QueryContract;

@@ -56,9 +56,11 @@ pub(crate) fn fold(
         for shard in shards {
             let shard = shard?;
             merge_groups(&mut rt.groups, shard.groups);
-            // golint: allow(hash-order-leak) -- per-key merge into disjoint
-            // entries; visit order only affects map insertion order, which
-            // is sorted before anything observable reads it
+            #[expect(
+                clippy::iter_over_hash_type,
+                reason = "per-key merge into disjoint entries; the visit order only \
+                          moves map insertion order, which is sorted before it is read"
+            )]
             for (mkey, groups) in shard.semi_groups {
                 merge_groups(rt.semi_groups.entry(mkey).or_default(), groups);
             }
@@ -102,9 +104,11 @@ fn merge_groups(
     into: &mut FxHashMap<Vec<Value>, ReplicatedStates>,
     shard: FxHashMap<Vec<Value>, ReplicatedStates>,
 ) {
-    // golint: allow(hash-order-leak) -- per-key merge into disjoint entries;
-    // visit order only affects map insertion order, which is sorted before
-    // anything observable reads it
+    #[expect(
+        clippy::iter_over_hash_type,
+        reason = "per-key merge into disjoint entries; the visit order only \
+                  moves map insertion order, which is sorted before it is read"
+    )]
     for (key, states) in shard {
         match into.entry(key) {
             Entry::Occupied(mut e) => e.get_mut().merge(&states),
@@ -156,8 +160,10 @@ fn fold_chunk(
     // Stable: a run keeps candidate order.
     members.sort_by_key(|&(slot, _)| slot);
     let mut keys: Vec<&[Value]> = vec![&[]; slots.len()];
-    // golint: allow(hash-order-leak) -- each key lands at its own slot
-    // index; the visit order leaves no trace
+    #[expect(
+        clippy::iter_over_hash_type,
+        reason = "each key lands at its own slot index; the visit order leaves no trace"
+    )]
     for (key, &slot) in &slots {
         keys[slot as usize] = key;
     }

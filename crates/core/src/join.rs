@@ -24,8 +24,6 @@ pub(crate) type DimMaps = Vec<FxHashMap<Vec<Value>, Vec<Row>>>;
 /// Hash every dimension table of `cb` on its join key (NULL keys never
 /// match and are left out).
 pub(crate) fn hash_dims(catalog: &Catalog, cb: &CompiledBlock) -> Result<DimMaps> {
-    // golint: allow(hash-order-leak) -- `block.dims` is a Vec of join specs;
-    // the name collides with the hash-typed `dims` fields
     let specs = cb.block.dims.iter();
     specs
         .map(|d| {

@@ -36,6 +36,20 @@
 //! `recover` → [`report`], driven by [`step`]. DESIGN.md §3.9 tabulates
 //! what each one reads, returns and may mutate.
 
+// The determinism contract, checked by clippy (DESIGN.md §3.6).
+#![deny(
+    clippy::iter_over_hash_type,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::float_cmp
+)]
+
 pub(crate) mod classify;
 pub mod compiled;
 pub mod config;

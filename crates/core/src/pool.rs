@@ -31,8 +31,10 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use gola_common::rng::{hash_combine, SplitMix64};
+use gola_common::rng::hash_combine;
+use gola_common::sync::{lock, wait};
 use gola_common::timing::Stopwatch;
+use gola_storage::shuffle::shuffle_in_place;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -56,7 +58,7 @@ impl Shared {
     fn worker_loop(&self) {
         loop {
             let job = {
-                let mut q = self.queue.lock().unwrap();
+                let mut q = lock(&self.queue);
                 loop {
                     if let Some((_, job)) = q.jobs.pop_front() {
                         break job;
@@ -64,7 +66,7 @@ impl Shared {
                     if q.shutdown {
                         return;
                     }
-                    q = self.work_ready.wait(q).unwrap();
+                    q = wait(&self.work_ready, q);
                 }
             };
             job();
@@ -76,7 +78,7 @@ impl Shared {
     /// while a nested run drains (that would deadlock: the outer job could
     /// in turn wait on the inner run's latch it is already inside).
     fn try_pop(&self, run_id: u64) -> Option<Job> {
-        let mut q = self.queue.lock().unwrap();
+        let mut q = lock(&self.queue);
         let idx = q.jobs.iter().position(|(id, _)| *id == run_id)?;
         q.jobs.remove(idx).map(|(_, job)| job)
     }
@@ -97,7 +99,7 @@ impl Latch {
     }
 
     fn count_down(&self) {
-        let mut r = self.remaining.lock().unwrap();
+        let mut r = lock(&self.remaining);
         *r -= 1;
         if *r == 0 {
             self.done.notify_all();
@@ -105,9 +107,9 @@ impl Latch {
     }
 
     fn wait(&self) {
-        let mut r = self.remaining.lock().unwrap();
+        let mut r = lock(&self.remaining);
         while *r > 0 {
-            r = self.done.wait(r).unwrap();
+            r = wait(&self.done, r);
         }
     }
 }
@@ -133,7 +135,7 @@ impl WorkerPool {
     /// As [`WorkerPool::new`], but every `run`'s job queue is shuffled with
     /// a per-run RNG derived from `seed` before workers see it. Completion
     /// order becomes adversarial while results must stay bit-identical —
-    /// the dynamic complement to the static `schedule-leak` lint.
+    /// the dynamic complement to `clippy.toml`'s `disallowed-methods`.
     pub fn with_perturbation(threads: usize, seed: u64) -> WorkerPool {
         WorkerPool::build(threads, Some(seed))
     }
@@ -150,12 +152,11 @@ impl WorkerPool {
         let workers = (1..threads)
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
+                let spawned = std::thread::Builder::new()
                     .name(format!("gola-worker-{i}"))
-                    .spawn(move || shared.worker_loop())
-                    // golint: allow(panic-surface) -- session setup: failing to
-                    // spawn a worker leaves no meaningful way to continue
-                    .expect("spawn worker thread")
+                    .spawn(move || shared.worker_loop());
+                #[expect(clippy::expect_used, reason = "a pool that cannot spawn cannot run")]
+                spawned.expect("spawn worker thread")
             })
             .collect();
         WorkerPool {
@@ -198,13 +199,13 @@ impl WorkerPool {
                 })
                 .collect(),
         );
-        // golint: allow(panic-surface) -- `run` blocks until every job has
-        // executed (a panicking job re-raises above); an empty slot is a
-        // pool bug
-        slots
-            .into_iter()
-            .map(|r| r.expect("pool ran every item"))
-            .collect()
+        #[expect(
+            clippy::expect_used,
+            reason = "`run` returns only once every job has run (a panicking job \
+                      re-raises above), so an empty slot is a pool bug"
+        )]
+        let results = slots.into_iter().map(|r| r.expect("pool ran every item"));
+        results.collect()
     }
 
     /// Execute every closure in `jobs`, distributing across the pool's
@@ -223,7 +224,7 @@ impl WorkerPool {
             return;
         }
         let run_id = {
-            let mut id = self.next_run.lock().unwrap();
+            let mut id = lock(&self.next_run);
             *id += 1;
             *id
         };
@@ -259,7 +260,7 @@ impl WorkerPool {
                     });
                     let body = || {
                         if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
-                            panics.lock().unwrap().push((i, payload));
+                            lock(&panics).push((i, payload));
                         }
                     };
                     if span_path.is_empty() {
@@ -284,14 +285,10 @@ impl WorkerPool {
         // order, so observable behaviour (which panic propagates first) is
         // shuffle-invariant; only the physical completion order moves.
         if let Some(seed) = self.perturb {
-            let mut rng = SplitMix64::new(hash_combine(seed, run_id));
-            for i in (1..wrapped_jobs.len()).rev() {
-                let j = rng.next_below(i as u64 + 1) as usize;
-                wrapped_jobs.swap(i, j);
-            }
+            shuffle_in_place(&mut wrapped_jobs, hash_combine(seed, run_id));
         }
         {
-            let mut q = self.shared.queue.lock().unwrap();
+            let mut q = lock(&self.shared.queue);
             for wrapped in wrapped_jobs {
                 q.jobs.push_back((run_id, wrapped));
             }
@@ -303,7 +300,7 @@ impl WorkerPool {
             job();
         }
         latch.wait();
-        let mut panics = panics.lock().unwrap();
+        let mut panics = lock(&panics);
         if !panics.is_empty() {
             panics.sort_by_key(|(i, _)| *i);
             let (_, payload) = panics.remove(0);
@@ -315,7 +312,7 @@ impl WorkerPool {
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         {
-            let mut q = self.shared.queue.lock().unwrap();
+            let mut q = lock(&self.shared.queue);
             q.shutdown = true;
             self.shared.work_ready.notify_all();
         }

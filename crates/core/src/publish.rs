@@ -116,13 +116,12 @@ pub(crate) fn publish(
     // Groups that vanished (their only contributions were uncertain tuples
     // that resolved to false): decisions that relied on them are void.
     // Relying on `false` for a vanished member stays correct.
-    // golint: allow(hash-order-leak) -- collected into a set; no order
-    // escapes
+    #[expect(clippy::disallowed_methods, reason = "collected into a set")]
     let vanished = (p.old.scalars.iter())
         .filter(|(k, s)| s.is_used() && !out.scalars.contains_key(*k))
         .map(|(k, _)| k);
     violated.extend(vanished.cloned());
-    // golint: allow(hash-order-leak) -- as above
+    #[expect(clippy::disallowed_methods, reason = "collected into a set")]
     let vanished = (p.old.members.iter())
         .filter(|(k, m)| m.relied_on() == Some(true) && !out.members.contains_key(*k))
         .map(|(k, _)| k);
@@ -163,9 +162,8 @@ fn publish_chunk(env: &BlockEnv<'_>, p: &PubCtx<'_>, chunk: &[EffGroup<'_>]) -> 
 }
 
 /// A scalar block's first post-projection expression — its value.
+#[expect(clippy::expect_used, reason = "Scalar blocks carry a post projection")]
 fn scalar_projection<'a>(env: &BlockEnv<'a>) -> &'a Expr {
-    // golint: allow(panic-surface) -- Scalar blocks are built with a post
-    // projection; MetaPlan construction guarantees it
     &env.cb
         .block
         .post_project

@@ -155,7 +155,7 @@ fn scope(
     if exec.full_scope_only {
         return Ok(GroupScope::All);
     }
-    // golint: allow(hash-order-leak) -- a one-element set
+    #[expect(clippy::disallowed_methods, reason = "a one-element set")]
     let (Some(&c), 1) = (affected.iter().next(), affected.len()) else {
         return Ok(GroupScope::All);
     };

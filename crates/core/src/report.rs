@@ -456,6 +456,7 @@ pub(crate) fn build(env: &BlockEnv<'_>, input: ReportInput<'_>) -> Result<Report
 /// group whose only support is cached uncertain tuples — or, for semi-join
 /// aggregation, partitions whose membership is still range-classified
 /// `Maybe` — disappears if they all resolve false.
+#[expect(clippy::disallowed_methods, reason = "an order-free boolean OR")]
 fn membership_certain(env: &BlockEnv<'_>, rt: &BlockRuntime, key: &[Value]) -> bool {
     let Some((id, _, negated)) = &env.cb.semi_join else {
         return rt.groups.contains_key(key);
@@ -463,8 +464,6 @@ fn membership_certain(env: &BlockEnv<'_>, rt: &BlockRuntime, key: &[Value]) -> b
     let members = &env.pubs[id.0].members;
     // Deterministically *in* the (possibly negated) set.
     let settled = if *negated { Tri::False } else { Tri::True };
-    // golint: allow(hash-order-leak) -- order-insensitive boolean OR over
-    // partitions; no value escapes
     rt.semi_groups.iter().any(|(mkey, groups)| {
         groups.contains_key(key)
             && members
@@ -474,6 +473,7 @@ fn membership_certain(env: &BlockEnv<'_>, rt: &BlockRuntime, key: &[Value]) -> b
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact float results")]
 mod tests {
     use super::*;
     use gola_common::{row, DataType, Schema};

@@ -34,8 +34,7 @@ pub(crate) struct BlockEnv<'a> {
 /// chunk boundaries) goes through this helper instead. This is the single
 /// blessed crossing from hash-ordered storage to published order.
 pub fn sorted_entries<V>(map: &FxHashMap<Vec<Value>, V>) -> Vec<(&Vec<Value>, &V)> {
-    // golint: allow(hash-order-leak) -- entries are sorted by total key
-    // order before they can be observed
+    #[expect(clippy::disallowed_methods, reason = "sorted by total key order below")]
     let mut entries: Vec<(&Vec<Value>, &V)> = map.iter().collect();
     entries.sort_by(|a, b| cmp_values(a.0, b.0));
     entries
@@ -43,8 +42,8 @@ pub fn sorted_entries<V>(map: &FxHashMap<Vec<Value>, V>) -> Vec<(&Vec<Value>, &V
 
 /// Consuming variant of [`sorted_entries`].
 pub fn sorted_into_entries<V>(map: FxHashMap<Vec<Value>, V>) -> Vec<(Vec<Value>, V)> {
-    // golint: allow(hash-order-leak) -- entries are sorted by total key
-    // order before they can be observed
+    // `into_iter` is out of clippy.toml's reach; the sort below is what
+    // keeps hash order from escaping.
     let mut entries: Vec<(Vec<Value>, V)> = map.into_iter().collect();
     entries.sort_by(|a, b| cmp_values(&a.0, &b.0));
     entries
@@ -52,6 +51,7 @@ pub fn sorted_into_entries<V>(map: FxHashMap<Vec<Value>, V>) -> Vec<(Vec<Value>,
 
 /// `map[key]`, created by `new` on first sight. Probing with the borrowed
 /// slice means the key is cloned once per group, not once per tuple.
+#[expect(clippy::expect_used, reason = "the entry is inserted above if missing")]
 pub(crate) fn entry_mut<'m, V>(
     map: &'m mut FxHashMap<Vec<Value>, V>,
     key: &[Value],
@@ -60,7 +60,6 @@ pub(crate) fn entry_mut<'m, V>(
     if !map.contains_key(key) {
         map.insert(key.to_vec(), new()?);
     }
-    // golint: allow(panic-surface) -- inserted above if missing
     Ok(map.get_mut(key).expect("entry exists"))
 }
 

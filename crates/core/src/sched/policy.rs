@@ -189,9 +189,6 @@ impl SchedPolicy {
     /// `weight` is clamped to `1..=MAX_WEIGHT`.
     pub fn admit(&mut self, id: u64, weight: u64) -> Result<Admission, AdmissionError> {
         let weight = weight.clamp(1, MAX_WEIGHT);
-        // golint: allow(float-total-order) -- `q` and `id` are u64 session
-        // ids; the closure hides the integer type from the lint's local
-        // inference.
         if self.active.contains_key(&id) || self.queued.iter().any(|(q, _)| *q == id) {
             return Err(AdmissionError::DuplicateSession { id });
         }
@@ -254,7 +251,6 @@ impl SchedPolicy {
         if self.active.remove(&id).is_some() {
             return true;
         }
-        // golint: allow(float-total-order) -- u64 session ids, as in `admit`.
         if let Some(at) = self.queued.iter().position(|(q, _)| *q == id) {
             self.queued.remove(at);
             return true;

@@ -180,12 +180,11 @@ impl OnlineExecutor {
     /// membership is still classified as may-flip.
     pub fn uncertain_tuples(&self) -> usize {
         let cached: usize = self.runtimes.iter().map(|r| r.uncertain.len()).sum();
+        #[expect(clippy::disallowed_methods, reason = "a count; order-free")]
         let maybe_members: usize = self
             .published
             .iter()
             .filter(|p| p.live)
-            // golint: allow(hash-order-leak) -- counting only; the count is
-            // independent of iteration order
             .map(|p| p.members.values().filter(|m| m.tri == Tri::Maybe).count())
             .sum();
         cached + maybe_members
@@ -452,6 +451,7 @@ fn join_classify(
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact float results")]
 mod tests {
     use super::*;
     use gola_common::rng::SplitMix64;
@@ -493,7 +493,7 @@ mod tests {
                     (Hostile::All, 64) => Value::Null,
                     _ => Value::Float(q),
                 };
-                let s = Value::Str(["a", "b", "c"][(r / 3 % 3) as usize].into());
+                let s = Value::Str(["a", "b", "c"][usize::try_from(r / 3 % 3).unwrap()].into());
                 Row::new(vec![
                     Value::Int(k),
                     Value::Int(r % 3),
@@ -531,6 +531,7 @@ mod tests {
     }
 
     /// A publication's entries in key order, every bit visible.
+    #[expect(clippy::disallowed_methods, reason = "sorted before it is compared")]
     fn entries(p: &Published) -> Vec<String> {
         let scalars = p.scalars.iter().map(|(k, v)| format!("{k:?} {v:?}"));
         let members = p.members.iter().map(|(k, v)| format!("{k:?} {v:?}"));

@@ -247,8 +247,8 @@ fn hash_aggregate(
             aggs.iter().map(|a| a.kind.new_state()).collect(),
         );
     }
-    // golint: allow(hash-order-leak) -- rows are sorted by group key via
-    // sort_rows immediately below, erasing the hash iteration order
+    // Rows are sorted by group key via sort_rows immediately below, erasing
+    // the hash iteration order.
     let mut out: Vec<Row> = groups
         .into_iter()
         .map(|(key, states)| {

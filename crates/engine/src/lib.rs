@@ -13,6 +13,20 @@
 //! logical plan tree, not the meta-plan blocks the online executor uses, so
 //! agreement between the two is meaningful evidence of correctness.
 
+// The determinism contract, checked by clippy (DESIGN.md §3.6).
+#![deny(
+    clippy::iter_over_hash_type,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::float_cmp
+)]
+
 pub mod executor;
 
 pub use executor::BatchEngine;

@@ -76,6 +76,7 @@ impl RangeVal {
     pub fn is_exact(&self) -> bool {
         match self {
             RangeVal::Exact(_) => true,
+            #[expect(clippy::float_cmp, reason = "a degenerate range is exactly one point")]
             RangeVal::Num { lo, hi } => lo == hi,
             RangeVal::Unknown => false,
         }

@@ -18,6 +18,13 @@
 //! [`eval::EvalContext`], so the same expression tree runs unchanged under
 //! the exact batch engine, classical delta maintenance, and G-OLA.
 
+// The determinism contract, checked by clippy (DESIGN.md §3.6).
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::float_cmp
+)]
+
 pub mod eval;
 pub mod expr;
 pub mod functions;

@@ -36,7 +36,7 @@ impl Tri {
     }
 
     /// Kleene negation.
-    #[allow(clippy::should_implement_trait)] // domain term; `!tri` reads worse
+    #[expect(clippy::should_implement_trait, reason = "`!tri` reads worse")]
     pub fn not(self) -> Tri {
         match self {
             Tri::True => Tri::False,

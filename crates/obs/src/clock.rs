@@ -3,14 +3,16 @@
 //! Everything else in this crate measures elapsed time through
 //! [`gola_common::timing::Stopwatch`]; the only absolute-time value is the
 //! `generated_unix_ms` field stamped onto JSON snapshots, and only when the
-//! caller opted into wall-clock output (`--timings`). golint's
-//! schedule-leak rule blesses exactly this module, mirroring how
-//! `crates/common/src/timing.rs` is the blessed home for `Instant`.
+//! caller opted into wall-clock output (`--timings`). `SystemTime::now` is
+//! a `disallowed-methods` entry in `clippy.toml`; [`unix_millis`] is its
+//! one `#[expect]`, mirroring how `gola_common::timing` is the one home
+//! for `Instant::now`.
 
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Milliseconds since the Unix epoch (0 if the system clock reads earlier
 /// than the epoch, rather than panicking inside an exporter).
+#[expect(clippy::disallowed_methods, reason = "the one `SystemTime` read")]
 pub fn unix_millis() -> u128 {
     SystemTime::now()
         .duration_since(UNIX_EPOCH)

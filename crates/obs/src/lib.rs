@@ -3,9 +3,9 @@
 //! A span API plus a metrics registry (monotonic counters, gauges,
 //! fixed-bucket histograms) with two exporters: a JSON snapshot and the
 //! Prometheus text format. Zero external dependencies; all elapsed-time
-//! measurement routes through the blessed [`gola_common::timing::Stopwatch`]
-//! so golint's schedule-leak rule holds (the one absolute-time read lives
-//! in [`clock`], which the rule blesses explicitly).
+//! measurement routes through [`gola_common::timing::Stopwatch`], because
+//! `clippy.toml` disallows `Instant::now` and `SystemTime::now` (the one
+//! absolute-time read lives in [`clock`], behind an explicit `#[expect]`).
 //!
 //! # The no-perturbation contract
 //!

@@ -27,6 +27,18 @@
 //! frames carry no wall-clock fields, so streams are byte-deterministic
 //! (`tests/http_surface.rs` pins SSE byte for byte).
 
+// The determinism contract, checked by clippy (DESIGN.md §3.6).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss
+)]
+
 pub mod http;
 pub mod json;
 

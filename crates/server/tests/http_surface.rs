@@ -6,7 +6,9 @@
 //! same query — the strongest possible pin on the wire format.
 
 use std::sync::Arc;
+use std::time::Duration;
 
+use gola_common::timing::Stopwatch;
 use gola_core::sched::ServiceConfig;
 use gola_core::{OnlineConfig, OnlineSession};
 use gola_server::{json, raw_request, Server, ServerConfig};
@@ -207,7 +209,7 @@ fn job_submit_poll_cancel_lifecycle() {
 
     // Poll until done; frames must equal the solo-run stream.
     let want = solo_frames(conviva::SBI);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    let (started, limit) = (Stopwatch::start(), Duration::from_secs(30));
     let final_body = loop {
         let (status, _, body) = call(&server, get("/jobs/0"));
         assert_eq!(status, 200);
@@ -215,11 +217,8 @@ fn job_submit_poll_cancel_lifecycle() {
         if body.contains("\"status\":\"done\"") {
             break body;
         }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "job did not finish: {body}"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        assert!(started.elapsed() < limit, "job did not finish: {body}");
+        std::thread::sleep(Duration::from_millis(10));
     };
     let mut expected = String::from("{\"job\":0,\"status\":\"done\",\"reports\":[");
     expected.push_str(&want.join(","));
@@ -293,7 +292,7 @@ fn connection_cap_fails_closed_with_503_and_recovers() {
         .map(|_| std::net::TcpStream::connect(server.addr()).expect("holder connects"))
         .collect();
     // The holders are accepted asynchronously; poll until the cap bites.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let (started, limit) = (Stopwatch::start(), Duration::from_secs(10));
     let rejected = loop {
         let (status, head, body) = call(&server, get("/healthz"));
         if status == 503 {
@@ -301,11 +300,11 @@ fn connection_cap_fails_closed_with_503_and_recovers() {
         }
         assert_eq!(status, 200, "below the cap the server must still serve");
         assert!(
-            std::time::Instant::now() < deadline,
+            started.elapsed() < limit,
             "cap never engaged with {} held connections",
             holders.len()
         );
-        std::thread::sleep(std::time::Duration::from_millis(5));
+        std::thread::sleep(Duration::from_millis(5));
     };
     let (head, body) = rejected;
     assert!(
@@ -319,17 +318,17 @@ fn connection_cap_fails_closed_with_503_and_recovers() {
     assert!(body.contains("\"max_connections\":2"), "{body}");
     // Release the slots; the server must recover without restart.
     drop(holders);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let (started, limit) = (Stopwatch::start(), Duration::from_secs(10));
     loop {
         let (status, _, _) = call(&server, get("/healthz"));
         if status == 200 {
             break;
         }
         assert!(
-            std::time::Instant::now() < deadline,
+            started.elapsed() < limit,
             "server did not recover after holders closed"
         );
-        std::thread::sleep(std::time::Duration::from_millis(5));
+        std::thread::sleep(Duration::from_millis(5));
     }
 }
 

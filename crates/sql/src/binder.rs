@@ -619,7 +619,10 @@ impl<'a> Binder<'a> {
     /// Bind a SELECT/HAVING expression of an aggregate query. Output
     /// references the aggregate-row schema: group columns first, then one
     /// column per (deduplicated) aggregate call in `aggs`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the binder's scope, the aggregate lists and the output schemas are all inputs"
+    )]
     fn bind_projection_expr(
         &self,
         e: &AstExpr,

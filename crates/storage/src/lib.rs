@@ -6,6 +6,19 @@
 //! write-once columnar segment files, which a growing schedule exposes as
 //! extra mini-batches (DESIGN.md §3.12).
 
+// The determinism contract, checked by clippy (DESIGN.md §3.6).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::float_cmp
+)]
+
 pub mod catalog;
 pub mod chunk;
 pub mod csv;

@@ -56,6 +56,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use gola_common::rng::SplitMix64;
+use gola_common::sync::lock;
 use gola_common::{Error, Result, Row, Value};
 
 use crate::chunk::ColumnChunk;
@@ -257,6 +258,7 @@ impl Partitioner {
     /// larger than the visible batches while ingest is in flight: that
     /// slack keeps the FPC from claiming convergence against a population
     /// that can still grow.
+    #[expect(clippy::cast_possible_truncation, reason = "in-memory rows fit usize")]
     pub fn total_rows(&self) -> usize {
         self.tail
             .as_ref()
@@ -305,7 +307,7 @@ impl Partitioner {
         let Some(tail) = &self.tail else {
             return false;
         };
-        let mut state = tail.state.lock().unwrap();
+        let mut state = lock(&tail.state);
         if state.finalized {
             return false;
         }
@@ -329,9 +331,7 @@ impl Partitioner {
     /// `true` once the batch list can no longer grow: from birth without a
     /// tail.
     pub fn finalized(&self) -> bool {
-        self.tail
-            .as_ref()
-            .is_none_or(|t| t.state.lock().unwrap().finalized)
+        self.tail.as_ref().is_none_or(|t| lock(&t.state).finalized)
     }
 
     /// Is batch `i` the definitive last batch — the one whose report is
@@ -345,7 +345,7 @@ impl Partitioner {
     /// processed but the stream is still open; no-op without a tail.
     pub fn wait_for_growth(&self) {
         if let Some(tail) = &self.tail {
-            let seen = tail.state.lock().unwrap().segments_seen;
+            let seen = lock(&tail.state).segments_seen;
             tail.stream.wait_for_growth(seen);
             self.refresh();
         }
@@ -368,7 +368,7 @@ impl Partitioner {
     /// `f` over the tail's state, or over an empty one without a tail.
     fn grown<R>(&self, f: impl FnOnce(&GrowState) -> R) -> R {
         match &self.tail {
-            Some(tail) => f(&tail.state.lock().unwrap()),
+            Some(tail) => f(&lock(&tail.state)),
             None => f(&GrowState::default()),
         }
     }
@@ -444,7 +444,7 @@ pub type MiniBatchPartitioner = Partitioner;
 pub enum StratifiedPartitioner {}
 
 impl StratifiedPartitioner {
-    #[allow(clippy::new_ret_no_self)]
+    #[expect(clippy::new_ret_no_self, reason = "alias for a retired type name")]
     pub fn new(table: Arc<Table>, column: &str, k: usize, seed: u64) -> Result<Partitioner> {
         Partitioner::stratified(table, column, k, seed)
     }
@@ -454,7 +454,7 @@ impl StratifiedPartitioner {
 pub enum GrowingPartitioner {}
 
 impl GrowingPartitioner {
-    #[allow(clippy::new_ret_no_self)]
+    #[expect(clippy::new_ret_no_self, reason = "alias for a retired type name")]
     pub fn new(stream: Arc<StreamTable>, k: usize, seed: u64) -> Result<Partitioner> {
         Partitioner::growing(stream, k, seed)
     }

@@ -15,6 +15,7 @@ use crate::table::Table;
 pub fn shuffle_in_place<T>(items: &mut [T], seed: u64) {
     let mut rng = SplitMix64::new(seed);
     for i in (1..items.len()).rev() {
+        #[expect(clippy::cast_possible_truncation, reason = "< i + 1, a usize")]
         let j = rng.next_below(i as u64 + 1) as usize;
         items.swap(i, j);
     }
@@ -29,6 +30,7 @@ pub fn permutation(n: usize, seed: u64) -> Vec<usize> {
 
 /// Return a new table whose rows are a random permutation of `table`'s,
 /// materialized as a columnar gather of the permuted indices.
+#[expect(clippy::expect_used, reason = "gathering a valid table")]
 pub fn shuffle_table(table: &Table, seed: u64) -> Table {
     let perm = permutation(table.num_rows(), seed);
     let chunk = table.gather(&perm);

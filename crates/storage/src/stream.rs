@@ -34,6 +34,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 
+use gola_common::sync::{lock, wait};
 use gola_common::{DataType, Error, Result, Row, Schema};
 
 use crate::chunk::ColumnChunk;
@@ -259,7 +260,7 @@ impl StreamTable {
                 }
             }
         }
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         if inner.closed {
             return Err(Error::catalog(
                 "append: stream is closed to further ingest".to_string(),
@@ -274,7 +275,7 @@ impl StreamTable {
     /// manifest line (fsync) before it becomes visible. Returns the
     /// number of rows sealed; an empty buffer is a no-op.
     pub fn seal(&self) -> Result<usize> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         self.seal_locked(&mut inner)
     }
 
@@ -317,7 +318,7 @@ impl StreamTable {
     /// the close to the manifest, so a reopened stream is still closed —
     /// end-of-stream is part of what replay must reproduce.
     pub fn close(&self) -> Result<()> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         if inner.closed {
             return Ok(());
         }
@@ -335,30 +336,30 @@ impl StreamTable {
     }
 
     pub fn is_closed(&self) -> bool {
-        self.inner.lock().unwrap().closed
+        lock(&self.inner).closed
     }
 
     /// Rows sealed (queryable) so far.
     pub fn watermark(&self) -> u64 {
-        self.inner.lock().unwrap().sealed_rows
+        lock(&self.inner).sealed_rows
     }
 
     /// Rows appended but not yet sealed.
     pub fn pending_rows(&self) -> usize {
-        self.inner.lock().unwrap().buffer.len()
+        lock(&self.inner).buffer.len()
     }
 
     /// The live `N`: sealed + buffered rows. This is the population size
     /// finite-population corrections must divide by while the stream is
     /// open (see executor `build_report`).
     pub fn total_rows(&self) -> u64 {
-        let inner = self.inner.lock().unwrap();
+        let inner = lock(&self.inner);
         inner.sealed_rows + inner.buffer.len() as u64
     }
 
     /// Number of sealed segments.
     pub fn num_segments(&self) -> usize {
-        self.inner.lock().unwrap().segments.len()
+        lock(&self.inner).segments.len()
     }
 
     /// A point-in-time [`Table`] over the sealed segments (cheap: chunks
@@ -371,7 +372,7 @@ impl StreamTable {
     /// growing partitioner needs so its "segments consumed so far" cursor
     /// cannot straddle a concurrent seal.
     pub fn snapshot_with_segments(&self) -> Result<(Table, usize)> {
-        let inner = self.inner.lock().unwrap();
+        let inner = lock(&self.inner);
         let chunks: Vec<ColumnChunk> = inner.segments.iter().map(|s| s.chunk.clone()).collect();
         let n = inner.segments.len();
         Ok((Table::from_chunks(Arc::clone(&self.schema), chunks)?, n))
@@ -383,7 +384,7 @@ impl StreamTable {
     /// stream — the property that makes "last batch" well-defined under
     /// ingest.
     pub fn poll(&self, from: usize) -> (Vec<SealedSegment>, bool) {
-        let inner = self.inner.lock().unwrap();
+        let inner = lock(&self.inner);
         let fresh = inner.segments.get(from..).unwrap_or(&[]).to_vec();
         (fresh, inner.closed)
     }
@@ -393,9 +394,9 @@ impl StreamTable {
     /// by the executor when a growing query has drained every visible
     /// batch but the stream is still open.
     pub fn wait_for_growth(&self, seen_segments: usize) -> (usize, bool) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         while inner.segments.len() <= seen_segments && !inner.closed {
-            inner = self.growth.wait(inner).unwrap();
+            inner = wait(&self.growth, inner);
         }
         (inner.segments.len(), inner.closed)
     }

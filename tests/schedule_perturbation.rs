@@ -1,5 +1,6 @@
 //! Seeded schedule-perturbation stress for the parallel runtime — the
-//! dynamic complement to `golint`'s static `schedule-leak` rule.
+//! dynamic complement to the static `disallowed-methods` entries in
+//! `clippy.toml` (wall clock, thread identity, hash iteration order).
 //!
 //! `parallel_equivalence` shows threads=1 ≡ threads=N under the pool's
 //! *natural* dispatch order. That order is still fairly tame: jobs are
@@ -128,6 +129,7 @@ fn tpch_queries_survive_shuffled_schedules() {
     check(&catalog, "Q11", tpch::Q11);
     check(&catalog, "Q17", tpch::Q17);
     check(&catalog, "Q18", tpch::Q18);
+    check(&catalog, "Q20", tpch::Q20);
 }
 
 /// The shuffle must also leave pool-level panic semantics untouched: the
