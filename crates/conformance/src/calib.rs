@@ -147,50 +147,75 @@ impl std::fmt::Display for CalibReport {
 
 /// Run calibration for one class under `fault`.
 pub fn calibrate(class: &CalibClass, cfg: &CalibConfig, fault: Fault) -> CalibReport {
-    let bootstrap = BootstrapSpec::new(cfg.trials, 0x60_1A)
-        .with_weight_bias(u32::from(fault == Fault::WeightBias));
+    let config = OnlineConfig {
+        num_batches: cfg.num_batches,
+        bootstrap: BootstrapSpec::new(cfg.trials, 0x60_1A)
+            .with_weight_bias(u32::from(fault == Fault::WeightBias)),
+        ci_level: cfg.level,
+        ..OnlineConfig::default()
+    };
     let mut hits = 0;
-    let mut runs = 0;
-    for seed in 0..cfg.seeds as u64 {
-        let data = Arc::new(class.schema.generate(cfg.rows, 0xCA11B + seed * 7919));
-        let mut catalog = Catalog::new();
-        catalog
-            .register(class.schema.table_name(), data)
-            .expect("register calibration table");
-        let config = OnlineConfig {
-            num_batches: cfg.num_batches,
-            bootstrap,
-            ci_level: cfg.level,
-            // Vary the partition order with the dataset so coverage is
-            // averaged over both sources of randomness.
-            partition_seed: 0x9A_27 ^ seed,
-            ..OnlineConfig::default()
-        };
-        let session = OnlineSession::new(catalog, config);
-        let truth = session
-            .execute_exact(class.sql)
-            .expect("calibration query compiles")
-            .rows()[0]
-            .get(0)
-            .as_f64()
-            .expect("scalar numeric answer");
-        let mut exec = session.execute_online(class.sql).expect("online run");
-        let report = exec
-            .nth(cfg.report_batch)
-            .expect("report batch within k")
-            .expect("batch succeeds");
-        let ci = report.ci().expect("primary CI");
-        runs += 1;
-        hits += usize::from(ci.contains(truth));
-    }
-    let band = binomial_band(runs, cfg.level, cfg.band_alpha);
+    over_seeds(
+        class.schema,
+        class.sql,
+        cfg.rows,
+        cfg.seeds,
+        &config,
+        |session, truth| {
+            let report = session
+                .execute_online(class.sql)
+                .expect("online run")
+                .nth(cfg.report_batch)
+                .expect("report batch within k")
+                .expect("batch succeeds");
+            hits += usize::from(report.ci().expect("primary CI").contains(truth));
+        },
+    );
+    let band = binomial_band(cfg.seeds, cfg.level, cfg.band_alpha);
     CalibReport {
         kind: class.kind,
         schema: class.schema,
         hits,
-        runs,
+        runs: cfg.seeds,
         band,
         pass: band.0 <= hits && hits <= band.1,
+    }
+}
+
+/// The seeded experiment loop shared with the contract oracle: for each of
+/// `seeds` datasets, a fresh `rows`-row table and a session on `config`
+/// whose partition order varies with the dataset (so coverage averages
+/// over both sources of randomness). `trial` gets the session and the
+/// exact full-data answer of the scalar query `exact_sql`.
+pub(crate) fn over_seeds(
+    schema: SchemaClass,
+    exact_sql: &str,
+    rows: usize,
+    seeds: usize,
+    config: &OnlineConfig,
+    mut trial: impl FnMut(&OnlineSession, f64),
+) {
+    for seed in 0..seeds as u64 {
+        let data = Arc::new(schema.generate(rows, 0xCA11B + seed * 7919));
+        let mut catalog = Catalog::new();
+        catalog
+            .register(schema.table_name(), data)
+            .expect("register experiment table");
+        let session = OnlineSession::new(
+            catalog,
+            OnlineConfig {
+                partition_seed: 0x9A_27 ^ seed,
+                ..config.clone()
+            },
+        );
+        let truth = session
+            .execute_exact(exact_sql)
+            .expect("experiment query compiles")
+            .rows()[0]
+            .get(0)
+            .as_f64()
+            .expect("scalar numeric answer");
+        trial(&session, truth);
     }
 }
 

@@ -2,16 +2,17 @@
 //! their promise?
 //!
 //! For each query class the oracle runs the contracted query over many
-//! freshly seeded datasets and checks two things at the *stopping* report:
+//! freshly seeded datasets (calibration's seeded loop) and checks two
+//! things at the *stopping* report:
 //!
 //! 1. **Promise** (deterministic, per run) — if the run stopped with
-//!    [`ContractStop::ErrorTargetMet`], the reported achieved relative
-//!    error must actually be ≤ the contract's target. This is trivially
-//!    true for the honest relative stopping rule and is exactly what the
-//!    planted [`Fault::AbsoluteStop`] bug breaks: stopping on the
-//!    *absolute* half-width fires far too early on any aggregate whose
-//!    magnitude is far from 1 (e.g. a ≈0.05 failure *rate*), and the
-//!    honestly computed `achieved_rel_error` exposes it.
+//!    [`ContractStop::ErrorTargetMet`], the achieved relative error must
+//!    actually be ≤ the contract's target. This is trivially true for the
+//!    engine's relative stopping rule and is exactly what the planted
+//!    [`Fault::AbsoluteStop`] rule breaks: stopping on the *absolute*
+//!    half-width fires far too early on any aggregate whose magnitude is
+//!    far from 1 (e.g. a ≈0.05 failure *rate*), and the honestly computed
+//!    achieved relative error exposes it.
 //! 2. **Coverage** (statistical, per class) — the exact full-data answer
 //!    must fall inside the stopping report's CI at the contract's
 //!    confidence, about `c` of the time; the hit count must land in the
@@ -20,19 +21,13 @@
 //!    Stopping is data-dependent (optional stopping), so the band uses the
 //!    same generous per-class `alpha` as calibration rather than
 //!    pretending the stopped CI is a fixed-batch CI.
-//!
-//! Failures shrink like calibration failures: the evidence is a count over
-//! an experiment, so [`shrink_contract`] minimizes the experiment itself —
-//! smallest seed count, then smallest dataset — into a replayable artifact.
 
 use std::fmt;
-use std::sync::Arc;
 
 use gola_bootstrap::BootstrapSpec;
-use gola_core::{ContractStop, OnlineConfig, OnlineSession};
-use gola_storage::Catalog;
+use gola_core::{BatchReport, ContractStop, OnlineConfig, OnlineSession};
 
-use crate::calib::binomial_band;
+use crate::calib::{binomial_band, over_seeds};
 use crate::gen::SchemaClass;
 use crate::oracle::Fault;
 
@@ -158,17 +153,6 @@ impl ContractReport {
     pub fn coverage(&self) -> f64 {
         self.hits as f64 / self.runs as f64
     }
-
-    /// Shrink discriminant: which leg failed (`None` if the report passed).
-    pub fn failure_kind(&self) -> Option<&'static str> {
-        if self.violations > 0 {
-            Some("promise")
-        } else if !(self.band.0 <= self.hits && self.hits <= self.band.1) {
-            Some("coverage")
-        } else {
-            None
-        }
-    }
 }
 
 impl fmt::Display for ContractReport {
@@ -195,178 +179,93 @@ impl fmt::Display for ContractReport {
 
 /// Run the contract oracle for one class under `fault`.
 pub fn check_contract(class: &ContractClass, cfg: &ContractConfig, fault: Fault) -> ContractReport {
+    let config = OnlineConfig {
+        num_batches: cfg.num_batches,
+        bootstrap: BootstrapSpec::new(cfg.trials, 0x60_1A),
+        ci_level: class.confidence,
+        ..OnlineConfig::default()
+    };
     let mut hits = 0;
-    let mut runs = 0;
     let mut violations = 0;
     let mut stopped_early = 0;
     let mut stop_batches = 0usize;
-    for seed in 0..cfg.seeds as u64 {
-        // Same seeding discipline as calibration so artifacts line up.
-        let data = Arc::new(class.schema.generate(cfg.rows, 0xCA11B + seed * 7919));
-        let mut catalog = Catalog::new();
-        catalog
-            .register(class.schema.table_name(), data)
-            .expect("register contract table");
-        let config = OnlineConfig {
-            num_batches: cfg.num_batches,
-            bootstrap: BootstrapSpec::new(cfg.trials, 0x60_1A),
-            ci_level: class.confidence,
-            partition_seed: 0x9A_27 ^ seed,
-            stopping_rule_absolute: fault == Fault::AbsoluteStop,
-            ..OnlineConfig::default()
-        };
-        let session = OnlineSession::new(catalog, config);
-        let truth = session
-            .execute_exact(class.base_sql)
-            .expect("contract query compiles")
-            .rows()[0]
-            .get(0)
-            .as_f64()
-            .expect("scalar numeric answer");
-        let exec = session.execute_online(&class.sql()).expect("online run");
-        let reports: Vec<_> = exec
-            .collect::<Result<Vec<_>, _>>()
-            .expect("batches succeed");
-        let last = reports.last().expect("at least one report");
-        let progress = last.contract.as_ref().expect("contracted run");
-        runs += 1;
-        stop_batches += last.batch_index + 1;
-        match progress.stop {
-            Some(ContractStop::ErrorTargetMet) => {
-                stopped_early += 1;
-                if progress.achieved_rel_error.is_none_or(|a| a > class.target) {
-                    violations += 1;
-                }
-                let in_ci = last.ci().is_some_and(|ci| ci.contains(truth));
-                hits += usize::from(in_ci);
+    over_seeds(
+        class.schema,
+        class.base_sql,
+        cfg.rows,
+        cfg.seeds,
+        &config,
+        |session, truth| {
+            let stop = match fault {
+                Fault::AbsoluteStop => absolute_stop(session, class),
+                _ => contract_stop(session, class),
+            };
+            stop_batches += stop.batch_index + 1;
+            if stop.is_final() {
+                // Exhausted every batch: the answer is exact — within
+                // contract by construction.
+                hits += 1;
+                return;
             }
-            // Exhausted every batch: the answer is exact — within contract
-            // by construction.
-            Some(ContractStop::Exhausted) => hits += 1,
-            other => panic!("error contract stopped with {other:?}"),
-        }
-    }
-    let band = binomial_band(runs, class.confidence, cfg.band_alpha);
+            stopped_early += 1;
+            if stop
+                .achieved_rel_error(class.confidence)
+                .is_none_or(|a| a > class.target)
+            {
+                violations += 1;
+            }
+            hits += usize::from(stop.ci().is_some_and(|ci| ci.contains(truth)));
+        },
+    );
+    let band = binomial_band(cfg.seeds, class.confidence, cfg.band_alpha);
     let hits_ok = band.0 <= hits && hits <= band.1;
     ContractReport {
         kind: class.kind,
         schema: class.schema,
-        runs,
+        runs: cfg.seeds,
         hits,
         band,
         violations,
         stopped_early,
-        mean_stop_batch: stop_batches as f64 / runs as f64,
+        mean_stop_batch: stop_batches as f64 / cfg.seeds as f64,
         pass: violations == 0 && hits_ok,
     }
 }
 
-/// A minimized, replayable contract-oracle failure — like
-/// [`crate::shrink::CalibArtifact`], the evidence is an experiment, so the
-/// artifact is the smallest experiment that still demonstrates it.
-#[derive(Debug, Clone)]
-pub struct ContractArtifact {
-    pub class: ContractClass,
-    pub cfg: ContractConfig,
-    pub fault: Fault,
-    pub report: ContractReport,
-    /// Oracle runs spent shrinking (including the initial full run).
-    pub runs_used: usize,
-}
-
-impl ContractArtifact {
-    /// Re-run the minimized experiment (replay check).
-    pub fn replay(&self) -> ContractReport {
-        check_contract(&self.class, &self.cfg, self.fault)
-    }
-}
-
-impl fmt::Display for ContractArtifact {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "--- contract failure artifact ---")?;
-        writeln!(f, "class:   {} ({})", self.class.kind, self.class.schema)?;
-        writeln!(f, "sql:     {}", self.class.sql())?;
-        writeln!(
-            f,
-            "recipe:  seeds={} rows={} k={} trials={} fault={:?}",
-            self.cfg.seeds, self.cfg.rows, self.cfg.num_batches, self.cfg.trials, self.fault
-        )?;
-        writeln!(f, "result:  {}", self.report)?;
-        write!(f, "---------------------------------")
-    }
-}
-
-/// Shrink a failing contract class to the smallest `(seeds, rows)` that
-/// still fails the same leg (promise vs coverage). Returns `None` if the
-/// class passes at `base`.
-pub fn shrink_contract(
-    class: &ContractClass,
-    base: &ContractConfig,
-    fault: Fault,
-) -> Option<ContractArtifact> {
-    const MIN_SEEDS: usize = 20;
-    let full = check_contract(class, base, fault);
-    let kind = full.failure_kind()?;
-    let mut runs_used = 1;
-    let mut cfg = base.clone();
-    let mut report = full;
-
-    let probe = |cfg: &ContractConfig, runs_used: &mut usize| -> Option<ContractReport> {
-        *runs_used += 1;
-        let r = check_contract(class, cfg, fault);
-        (r.failure_kind() == Some(kind)).then_some(r)
+/// The engine's stopping rule: the contracted SQL's last report, which
+/// must be flagged `ErrorTargetMet`, or `Exhausted` if it is final.
+fn contract_stop(session: &OnlineSession, class: &ContractClass) -> BatchReport {
+    let last = session
+        .execute_online(&class.sql())
+        .expect("online run")
+        .last()
+        .expect("at least one report")
+        .expect("batches succeed");
+    let stop = last.contract.as_ref().expect("contracted run").stop;
+    let want = if last.is_final() {
+        ContractStop::Exhausted
+    } else {
+        ContractStop::ErrorTargetMet
     };
+    assert_eq!(stop, Some(want), "error contract stopped with {stop:?}");
+    last
+}
 
-    // Phase 1: smallest failing seed count.
-    let mut fail_n = cfg.seeds;
-    let mut pass_n = MIN_SEEDS - 1;
-    while fail_n - pass_n > 1 {
-        let mid = pass_n + (fail_n - pass_n) / 2;
-        if mid < MIN_SEEDS {
-            break;
-        }
-        let c = ContractConfig {
-            seeds: mid,
-            ..cfg.clone()
-        };
-        match probe(&c, &mut runs_used) {
-            Some(r) => {
-                fail_n = mid;
-                report = r;
-            }
-            None => pass_n = mid,
+/// The planted [`Fault::AbsoluteStop`] rule: the uncontracted base query's
+/// first report whose worst *absolute* CI half-width is ≤ the target.
+fn absolute_stop(session: &OnlineSession, class: &ContractClass) -> BatchReport {
+    let mut exec = session.execute_online(class.base_sql).expect("online run");
+    loop {
+        let report = exec
+            .next()
+            .expect("runs until the final report")
+            .expect("batch succeeds");
+        let worst = report.estimates.iter().try_fold(0.0f64, |worst, cell| {
+            let ci = cell.estimate.ci_percentile(class.confidence)?;
+            Some(worst.max(ci.half_width()))
+        });
+        if report.is_final() || worst.is_some_and(|h| h <= class.target) {
+            return report;
         }
     }
-    cfg.seeds = fail_n;
-
-    // Phase 2: smallest failing dataset.
-    let min_rows = (cfg.num_batches * 8).max(16);
-    let mut fail_rows = cfg.rows;
-    let mut pass_rows = min_rows - 1;
-    while fail_rows - pass_rows > 1 {
-        let mid = pass_rows + (fail_rows - pass_rows) / 2;
-        if mid < min_rows {
-            break;
-        }
-        let c = ContractConfig {
-            rows: mid,
-            ..cfg.clone()
-        };
-        match probe(&c, &mut runs_used) {
-            Some(r) => {
-                fail_rows = mid;
-                report = r;
-            }
-            None => pass_rows = mid,
-        }
-    }
-    cfg.rows = fail_rows;
-
-    Some(ContractArtifact {
-        class: class.clone(),
-        cfg,
-        fault,
-        report,
-        runs_used,
-    })
 }

@@ -1,7 +1,7 @@
-//! Seeded, shrinkable query generator over the workload schemas.
+//! Seeded query generator over the workload schemas.
 //!
-//! Queries are held as a small AST ([`Query`]) rather than raw SQL so the
-//! shrinker can prune clauses structurally; [`Query::sql`] renders the
+//! Queries are held as a small AST ([`Query`]) rather than raw SQL so
+//! tests can count the shapes they exercise; [`Query::sql`] renders the
 //! dialect the `gola-sql` front end accepts. Thresholds are drawn from the
 //! actual column distributions (quantiles of the generated data), so
 //! predicates land in the selectivity band where classification is
@@ -23,7 +23,6 @@ use std::sync::Arc;
 
 use gola_common::rng::SplitMix64;
 use gola_common::Value;
-use gola_plan::QueryContract;
 use gola_storage::Table;
 use gola_workloads::{ConvivaGenerator, TpchGenerator};
 
@@ -259,7 +258,7 @@ pub struct OrderBy {
     pub desc: bool,
 }
 
-/// A generated query, structured for shrinking.
+/// A generated query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     pub aggs: Vec<AggSpec>,
@@ -270,11 +269,6 @@ pub struct Query {
     pub group_by: Option<GroupBy>,
     pub having: Option<Having>,
     pub order_by: Option<OrderBy>,
-    /// Optional trailing `ERROR p% [CONFIDENCE c%]` / `WITHIN n SECONDS`
-    /// clause ([`QueryGen::next_contract_query`]); `None` from
-    /// [`QueryGen::next_query`], keeping the uncontracted stream and its
-    /// rendered SQL byte-stable.
-    pub contract: Option<QueryContract>,
 }
 
 impl Query {
@@ -330,20 +324,6 @@ impl Query {
                 o.alias,
                 if o.desc { " DESC" } else { "" }
             );
-        }
-        match self.contract {
-            Some(QueryContract::Error { target, confidence }) => {
-                let _ = write!(
-                    s,
-                    " ERROR {:?}% CONFIDENCE {:?}%",
-                    target * 100.0,
-                    confidence * 100.0
-                );
-            }
-            Some(QueryContract::Within { seconds }) => {
-                let _ = write!(s, " WITHIN {seconds:?} SECONDS");
-            }
-            None => {}
         }
         s
     }
@@ -649,26 +629,7 @@ impl QueryGen {
             group_by,
             having,
             order_by,
-            contract: None,
         }
-    }
-
-    /// Generate the next query with a trailing accuracy contract: mostly
-    /// `ERROR p% [CONFIDENCE c%]`, occasionally `WITHIN n SECONDS` with a
-    /// small deadline (these are smoke-scale runs). A separate method so
-    /// the uncontracted [`QueryGen::next_query`] stream stays byte-stable.
-    pub fn next_contract_query(&mut self) -> Query {
-        let mut q = self.next_query();
-        q.contract = Some(if self.rng.next_below(4) == 0 {
-            QueryContract::Within {
-                seconds: (1 + self.rng.next_below(8)) as f64 / 20.0,
-            }
-        } else {
-            let target = *self.pick(&[1.0f64, 2.0, 5.0, 10.0, 20.0]) / 100.0;
-            let confidence = *self.pick(&[0.90f64, 0.95, 0.99]);
-            QueryContract::Error { target, confidence }
-        });
-        q
     }
 
     /// The table name queries render against.
@@ -753,7 +714,6 @@ mod tests {
                 alias: "a0".into(),
                 desc: true,
             }),
-            contract: None,
         };
         assert_eq!(
             q.sql("lineitem_denorm"),
@@ -762,44 +722,5 @@ mod tests {
              ORDER BY a0 DESC"
         );
         assert_eq!(q.key_cols(), 1);
-
-        let mut q = q;
-        q.contract = Some(QueryContract::Error {
-            target: 0.05,
-            confidence: 0.95,
-        });
-        assert!(q
-            .sql("lineitem_denorm")
-            .ends_with("ORDER BY a0 DESC ERROR 5.0% CONFIDENCE 95.0%"));
-        q.contract = Some(QueryContract::Within { seconds: 1.5 });
-        assert!(q.sql("lineitem_denorm").ends_with(" WITHIN 1.5 SECONDS"));
-    }
-
-    #[test]
-    fn contract_queries_parse_and_stay_separate() {
-        let mut g = generator(SchemaClass::Conviva);
-        let (mut errors, mut withins) = (0, 0);
-        for _ in 0..60 {
-            let q = g.next_contract_query();
-            match q.contract {
-                Some(QueryContract::Error { target, confidence }) => {
-                    errors += 1;
-                    assert!(target > 0.0 && target < 1.0);
-                    assert!(confidence > 0.0 && confidence < 1.0);
-                }
-                Some(QueryContract::Within { seconds }) => {
-                    withins += 1;
-                    assert!(seconds > 0.0);
-                }
-                None => panic!("contract query without contract"),
-            }
-            // The rendered clause must survive the real parser.
-            let stmt = gola_sql::parse_select(&q.sql("sessions")).unwrap();
-            assert_eq!(stmt.contract, q.contract);
-        }
-        assert!(errors >= 30, "{errors} ERROR contracts");
-        assert!(withins >= 5, "{withins} WITHIN contracts");
-        // The uncontracted stream never grows a contract.
-        assert!(g.next_query().contract.is_none());
     }
 }

@@ -13,28 +13,23 @@
 //!   same-seed reruns bit-identical, certain rows never retract (absent a
 //!   counted recomputation), multiplicity and row counts well-shaped.
 //! * **Are the error bars *honest*?** Empirical CI coverage over hundreds
-//!   of seeded datasets must land in an exact binomial band ([`calib`]).
+//!   of seeded datasets must land in an exact binomial band ([`calib`]),
+//!   and `ERROR p%` contracts must keep their promise ([`contract`]).
 //!
-//! Failing cases are minimized by the shrinker ([`shrink`]) into replayable
-//! `seed + SQL` artifacts. The harness runs as a `cargo test` smoke tier
-//! (`tests/smoke.rs`) and as a `--release` soak binary (`gola-soak`,
-//! wired into `scripts/check.sh --soak`).
+//! Every leg runs under plain `cargo test` (`tests/smoke.rs`); a failure
+//! prints the seed and SQL that replay it.
 
 pub mod calib;
 pub mod contract;
 pub mod gen;
-pub mod ingest;
 pub mod oracle;
-pub mod service;
-pub mod shrink;
 
 pub use calib::{binomial_band, calibrate, default_classes, CalibClass, CalibConfig, CalibReport};
 pub use contract::{
-    check_contract, default_contract_classes, shrink_contract, ContractArtifact, ContractClass,
-    ContractConfig, ContractReport,
+    check_contract, default_contract_classes, ContractClass, ContractConfig, ContractReport,
 };
 pub use gen::{Query, QueryGen, SchemaClass};
-pub use ingest::{run_ingest_leg, IngestLegConfig, IngestLegFailure, IngestLegStats};
-pub use oracle::{run_case, tables_bit_equal, CaseStats, Failure, Fault, OracleConfig};
-pub use service::{run_service_leg, ServiceLegConfig, ServiceLegFailure, ServiceLegStats};
-pub use shrink::{shrink, shrink_calibration, shrink_case, Artifact, CalibArtifact, ShrinkConfig};
+pub use oracle::{
+    assert_reports_identical, reports_identical, run_case, tables_bit_equal, CaseStats, Failure,
+    Fault, OracleConfig,
+};

@@ -14,7 +14,8 @@
 //! 3. **Fault transparency** — a [`Fault`] can be planted to prove the
 //!    oracle actually discriminates: `WeightBias` plants an off-by-one
 //!    bootstrap weight (caught by calibration, see `calib`), `SkewOnline`
-//!    perturbs the online answer before comparison (caught here).
+//!    perturbs the online answer before comparison (caught here), and
+//!    `AbsoluteStop` an absolute stopping rule (caught by `contract`).
 
 use std::fmt;
 use std::sync::Arc;
@@ -34,7 +35,7 @@ pub struct OracleConfig {
     pub trials: u32,
     /// Parallel thread count for the `threads = N` leg.
     pub threads: usize,
-    /// Seed of the mini-batch partitioner (part of the replay artifact).
+    /// Seed of the mini-batch partitioner (part of a case's replay recipe).
     pub partition_seed: u64,
 }
 
@@ -49,9 +50,8 @@ impl Default for OracleConfig {
     }
 }
 
-/// A deliberately planted estimator bug, used to prove the oracle and the
-/// shrinker work (ISSUE acceptance: an injected bug must be caught and
-/// shrunk to a minimal replayable case).
+/// A deliberately planted estimator bug, used to prove the oracles have
+/// teeth: each one must be caught by the oracle named on it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Fault {
     None,
@@ -66,15 +66,14 @@ pub enum Fault {
     SkewOnline(f64),
     /// Stop an `ERROR p%` contract when the *absolute* CI half-width drops
     /// below `p` instead of the relative half-width — the classic
-    /// absolute-vs-relative stopping-rule bug. Invisible to the
-    /// differential oracle (only *when* we stop changes, not the answer);
-    /// the contract oracle's promise check ([`crate::contract`]) catches it
-    /// on any aggregate whose magnitude is far from 1.
+    /// absolute-vs-relative stopping-rule bug. The contract oracle
+    /// ([`crate::contract`]) plants this rule itself over the uncontracted
+    /// query; its promise check catches it on any aggregate whose magnitude
+    /// is far from 1.
     AbsoluteStop,
 }
 
-/// Why a case failed. `kind` is the shrinker's discriminant: a reduction
-/// step is accepted only if the reduced case fails with the *same* kind.
+/// Why a case failed; [`Failure::kind`] names the oracle leg.
 #[derive(Debug, Clone)]
 pub enum Failure {
     /// SQL rejected or execution error in the exact engine.
@@ -318,27 +317,34 @@ fn row_key(report: &BatchReport, row: usize, key_cols: usize) -> Vec<gola_common
         .collect()
 }
 
-/// Bit-for-bit comparison of two full report sequences (the rerun/thread
-/// determinism contract; same checks as `tests/parallel_equivalence.rs`).
-pub(crate) fn reports_identical(
-    a: &[BatchReport],
-    b: &[BatchReport],
-) -> Result<(), (usize, String)> {
+/// Bit-for-bit comparison of two full report sequences — the one report
+/// comparator behind every determinism contract (reruns, thread counts,
+/// schedule perturbation, observability, the scheduler, crash replay and
+/// growing streams). On a mismatch returns the batch index and what
+/// differed.
+pub fn reports_identical(a: &[BatchReport], b: &[BatchReport]) -> Result<(), (usize, String)> {
     if a.len() != b.len() {
         return Err((0, format!("batch count {} vs {}", a.len(), b.len())));
     }
     for (ra, rb) in a.iter().zip(b) {
         let i = ra.batch_index;
-        if ra.uncertain_tuples != rb.uncertain_tuples {
-            return Err((
-                i,
-                format!("|U| {} vs {}", ra.uncertain_tuples, rb.uncertain_tuples),
-            ));
+        let fields = [
+            ("batch index", ra.batch_index, rb.batch_index),
+            ("num_batches", ra.num_batches, rb.num_batches),
+            ("rows seen", ra.rows_seen, rb.rows_seen),
+            ("total rows", ra.total_rows, rb.total_rows),
+            ("|U|", ra.uncertain_tuples, rb.uncertain_tuples),
+            ("recomputes", ra.recomputations, rb.recomputations),
+        ];
+        for (what, x, y) in fields {
+            if x != y {
+                return Err((i, format!("{what} {x} vs {y}")));
+            }
         }
-        if ra.recomputations != rb.recomputations {
+        if ra.multiplicity.to_bits() != rb.multiplicity.to_bits() {
             return Err((
                 i,
-                format!("recomputes {} vs {}", ra.recomputations, rb.recomputations),
+                format!("multiplicity {} vs {}", ra.multiplicity, rb.multiplicity),
             ));
         }
         if ra.row_certain != rb.row_certain {
@@ -351,31 +357,37 @@ pub(crate) fn reports_identical(
             return Err((i, "estimate count differs".into()));
         }
         for (ea, eb) in ra.estimates.iter().zip(&rb.estimates) {
-            if (ea.row, ea.col) != (eb.row, eb.col) {
+            let (x, y) = (&ea.estimate, &eb.estimate);
+            let cell = (ea.row, ea.col);
+            if cell != (eb.row, eb.col) {
                 return Err((i, "estimate cell ids differ".into()));
             }
-            if ea.estimate.value.to_bits() != eb.estimate.value.to_bits() {
-                return Err((
-                    i,
-                    format!(
-                        "estimate ({},{}) {} vs {}",
-                        ea.row, ea.col, ea.estimate.value, eb.estimate.value
-                    ),
-                ));
+            if x.value.to_bits() != y.value.to_bits() {
+                return Err((i, format!("estimate {cell:?} {} vs {}", x.value, y.value)));
             }
-            if ea.estimate.replicas.len() != eb.estimate.replicas.len()
-                || ea
-                    .estimate
-                    .replicas
+            if x.fpc.to_bits() != y.fpc.to_bits() {
+                return Err((i, format!("fpc of cell {cell:?} {} vs {}", x.fpc, y.fpc)));
+            }
+            if x.replicas.len() != y.replicas.len()
+                || x.replicas
                     .iter()
-                    .zip(&eb.estimate.replicas)
-                    .any(|(x, y)| x.to_bits() != y.to_bits())
+                    .zip(&y.replicas)
+                    .any(|(u, v)| u.to_bits() != v.to_bits())
             {
-                return Err((i, format!("replicas of cell ({},{})", ea.row, ea.col)));
+                return Err((i, format!("replicas of cell {cell:?}")));
             }
         }
     }
     Ok(())
+}
+
+/// [`reports_identical`] as an assertion, for tests: panics naming
+/// `what`, the batch and the differing field.
+#[track_caller]
+pub fn assert_reports_identical(what: &str, a: &[BatchReport], b: &[BatchReport]) {
+    if let Err((batch, detail)) = reports_identical(a, b) {
+        panic!("{what}: batch {batch}: {detail}");
+    }
 }
 
 /// In-order bit equality (determinism contract: same run → same row order).

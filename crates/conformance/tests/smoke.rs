@@ -6,24 +6,32 @@
 //!   and invariant oracles at threads {1, 4}
 //! * CI calibration of every default class over 200 seeded datasets,
 //!   checked against the exact binomial acceptance band
-//! * two planted estimator bugs demonstrably caught: the off-by-one
-//!   bootstrap weight (calibration oracle, per-aggregate-kind report) and
-//!   an online result skew (differential oracle) — each shrunk to a
-//!   minimal replayable artifact
+//! * the `ERROR p%` contract oracle (promise + coverage) over 200 seeds
+//!   per class, a `WITHIN` query end to end, and stratified mini-batches
+//!   reaching an error target in fewer batches than uniform ones
+//! * three planted bugs demonstrably caught: the off-by-one bootstrap
+//!   weight (calibration oracle), an online result skew (differential
+//!   oracle) and an absolute stopping rule (contract promise)
+//! * generated queries interleaved through one fair scheduler stream
+//!   bit-identically to their solo runs
+//! * byte-mutated generator SQL never panics the SQL front end
 //!
-//! The `--release` soak binary (`gola-soak`) runs the same oracles at
-//! fuzzing scale; see `scripts/check.sh --soak`.
+//! A failure prints the seed and SQL that replay it.
 
 use std::collections::BTreeSet;
+use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 
+use gola_common::rng::SplitMix64;
 use gola_conformance::gen::{Filter, GroupBy};
 use gola_conformance::{
-    calibrate, check_contract, default_classes, default_contract_classes, run_case,
-    shrink_calibration, shrink_case, shrink_contract, CalibConfig, ContractConfig, Fault,
-    OracleConfig, QueryGen, SchemaClass,
+    assert_reports_identical, calibrate, check_contract, default_classes, default_contract_classes,
+    run_case, CalibConfig, ContractConfig, Fault, OracleConfig, QueryGen, SchemaClass,
 };
-use gola_storage::{ColumnChunk, Table};
+use gola_core::sched::{Admitted, PolicyConfig, QueryTask, Scheduler};
+use gola_core::{BatchReport, ContractStop, OnlineConfig, OnlineSession, WorkerPool};
+use gola_storage::{Catalog, ColumnChunk, Table};
+use gola_workloads::ConvivaGenerator;
 
 const ROWS: usize = 360;
 const DATA_SEED: u64 = 0x5EED_DA7A;
@@ -36,6 +44,14 @@ fn oracle_cfg() -> OracleConfig {
         threads: 4,
         ..OracleConfig::default()
     }
+}
+
+fn catalog_of(class: SchemaClass, data: &Arc<Table>) -> Catalog {
+    let mut catalog = Catalog::new();
+    catalog
+        .register(class.table_name(), Arc::clone(data))
+        .expect("register table");
+    catalog
 }
 
 /// Differential + invariant oracles over a generated corpus: ≥ 100 distinct
@@ -127,10 +143,10 @@ fn contract_oracle_clean_within_band() {
 /// stops changes, not the answer — but on the `rate` class (a ≈0.04
 /// failure rate) an absolute 0.05 is satisfied almost immediately while
 /// the relative error is still ~10×, so the promise check trips
-/// deterministically. The failing experiment then shrinks to the cheapest
-/// replayable recipe, which must still fail on the same leg.
+/// deterministically. The honest rule on the same class stays clean: the
+/// fault is the rule, not the class.
 #[test]
-fn injected_absolute_stopping_rule_is_caught_and_shrunk() {
+fn injected_absolute_stopping_rule_is_caught() {
     let cfg = ContractConfig::default();
     let rate = default_contract_classes()
         .into_iter()
@@ -143,101 +159,48 @@ fn injected_absolute_stopping_rule_is_caught_and_shrunk() {
         report.violations > 0,
         "the promise leg, not just coverage, must trip: {report}"
     );
-
-    let artifact =
-        shrink_contract(&rate, &cfg, Fault::AbsoluteStop).expect("failing class must shrink");
-    assert!(
-        artifact.cfg.seeds < cfg.seeds && artifact.cfg.rows < cfg.rows,
-        "artifact not minimized: {artifact}"
-    );
-    let replay = artifact.replay();
-    assert!(!replay.pass, "artifact must replay the failure: {replay}");
-    assert!(
-        replay.violations > 0,
-        "replay lost the promise leg: {replay}"
-    );
-
-    // The honest rule on the same class is clean — the fault is the rule,
-    // not the class.
-    let clean = check_contract(&rate, &artifact.cfg, Fault::None);
+    let clean = check_contract(&rate, &cfg, Fault::None);
     assert_eq!(clean.violations, 0, "honest rule violated promise: {clean}");
 }
 
 /// Planted bug #1: the off-by-one bootstrap weight. Point estimates are
 /// untouched, so only the calibration oracle can see it — coverage
 /// collapses for SUM/COUNT-like classes (every replica roughly doubles)
-/// while AVG, a ratio whose skew cancels, degrades less. The failing class
-/// is then shrunk to the cheapest replayable experiment.
+/// while AVG, a ratio whose skew cancels, degrades less.
 #[test]
-fn injected_weight_bias_is_caught_and_shrunk() {
+fn injected_weight_bias_is_caught() {
     let cfg = CalibConfig::default();
-    let classes = default_classes();
-    let mut caught = Vec::new();
-    for class in &classes {
-        let report = calibrate(class, &cfg, Fault::WeightBias);
-        if !report.pass {
-            caught.push((class, report));
-        }
-    }
-    let kinds: Vec<&str> = caught.iter().map(|(c, _)| c.kind).collect();
+    let caught: Vec<&str> = default_classes()
+        .iter()
+        .filter(|class| !calibrate(class, &cfg, Fault::WeightBias).pass)
+        .map(|class| class.kind)
+        .collect();
     assert!(
-        kinds.contains(&"count") && kinds.contains(&"sum"),
-        "weight bias must collapse count/sum coverage; caught only {kinds:?}"
+        caught.contains(&"count") && caught.contains(&"sum"),
+        "weight bias must collapse count/sum coverage; caught only {caught:?}"
     );
-
-    let (class, _) = &caught[0];
-    let artifact =
-        shrink_calibration(class, &cfg, Fault::WeightBias).expect("failing class must shrink");
-    assert!(
-        artifact.cfg.seeds < cfg.seeds && artifact.cfg.rows < cfg.rows,
-        "artifact not minimized: {artifact}"
-    );
-    let replay = artifact.replay();
-    assert!(!replay.pass, "artifact must replay the failure: {replay}");
 }
 
 /// Planted bug #2: a multiplicative skew on the online executor's final
-/// float cells. The differential oracle catches it (final batch no longer
-/// bit-matches the exact engine), and the shrinker minimizes the first
-/// failing generated query to a small replayable `seed + SQL` artifact.
+/// float cells. The differential oracle catches it: the final batch no
+/// longer bit-matches the exact engine.
 #[test]
-fn injected_online_skew_is_caught_and_shrunk() {
+fn injected_online_skew_is_caught() {
     let class = SchemaClass::Conviva;
-    let fault = Fault::SkewOnline(1.001);
-    let cfg = oracle_cfg();
     let data = Arc::new(class.generate(ROWS, DATA_SEED));
     let mut gen = QueryGen::new(class, &data, 0xBAD_5EED);
-    let (query, failure) = std::iter::from_fn(|| Some(gen.next_query()))
+    let failure = std::iter::from_fn(|| Some(gen.next_query()))
         .take(50)
         .find_map(|q| {
             let sql = q.sql(class.table_name());
-            run_case(class, &data, &sql, q.key_cols(), &cfg, fault)
-                .err()
-                .map(|f| (q, f))
+            let skew = Fault::SkewOnline(1.001);
+            run_case(class, &data, &sql, q.key_cols(), &oracle_cfg(), skew).err()
         })
         .expect("skew fault must trip the differential oracle within 50 queries");
     assert_eq!(
         failure.kind(),
         "differential",
         "unexpected failure: {failure}"
-    );
-
-    let artifact = shrink_case(class, DATA_SEED, &data, &query, &cfg, fault, &failure);
-    assert_eq!(artifact.failure.kind(), "differential");
-    assert!(
-        artifact.rows < ROWS,
-        "rows not minimized: {} of {ROWS}",
-        artifact.rows
-    );
-    assert!(
-        artifact.sql.len() <= query.sql(class.table_name()).len(),
-        "shrinking must never grow the query"
-    );
-    let replayed = artifact.replay().expect("artifact must replay the failure");
-    assert_eq!(
-        replayed.kind(),
-        "differential",
-        "replay diverged: {replayed}"
     );
 }
 
@@ -322,25 +285,204 @@ fn columnar_chunk_splits_and_dictionary_strings_pass_oracles() {
     }
 }
 
-/// Service leg, smoke tier: generated queries interleaved through one fair
-/// scheduler on a shared pool must stream bit-identically to their solo
-/// single-threaded runs — with the admission queue actually exercised.
-/// (`gola-service` runs the same leg at fuzzing volume.)
+/// A `WITHIN` contract end to end through a session: every report carries
+/// contract progress, and the run ends because the deadline was reached or
+/// the data ran out.
+#[test]
+fn within_contract_query_reports_progress_and_stops() {
+    let class = SchemaClass::Conviva;
+    let data = Arc::new(class.generate(600, 0xC0_47AC7));
+    let session = OnlineSession::new(
+        catalog_of(class, &data),
+        OnlineConfig::for_tests(6).with_trials(24),
+    );
+    let reports = session
+        .execute_online(
+            "SELECT AVG(play_time) FROM sessions \
+             WHERE buffer_time > (SELECT AVG(buffer_time) FROM sessions) WITHIN 0.2 SECONDS",
+        )
+        .expect("contract query compiles")
+        .collect::<Result<Vec<_>, _>>()
+        .expect("batches succeed");
+    assert!(
+        reports.iter().all(|r| r.contract.is_some()),
+        "a report without contract progress"
+    );
+    let stop = reports.last().and_then(|r| r.contract.as_ref()?.stop);
+    assert!(
+        matches!(
+            stop,
+            Some(ContractStop::DeadlineReached | ContractStop::Exhausted)
+        ),
+        "WITHIN run stopped with {stop:?}"
+    );
+}
+
+/// Rare-group convergence (EXPERIMENTS.md, Contracts): on geo-skewed data
+/// (one geo ≈ 1% of rows) a grouped `ERROR 10%` query reaches its target
+/// in fewer batches, on average over seeds, when the mini-batches are
+/// stratified on `geo` than when they are uniform.
+#[test]
+fn stratified_batches_reach_the_error_target_sooner() {
+    const SQL: &str =
+        "SELECT geo, AVG(play_time) FROM sessions GROUP BY geo ERROR 10% CONFIDENCE 95%";
+    let (mut uniform, mut stratified) = (0usize, 0usize);
+    for seed in 0..3u64 {
+        let table = ConvivaGenerator {
+            seed: 0xF_EED5 + seed * 7919,
+            geo_skew: true,
+            ..Default::default()
+        }
+        .generate(4000);
+        let mut catalog = Catalog::new();
+        catalog.register("sessions", Arc::new(table)).unwrap();
+        let stop_batch = |config: OnlineConfig| {
+            let session = OnlineSession::new(catalog.clone(), config.with_seed(0x9A_27 ^ seed));
+            let reports = session
+                .execute_online(SQL)
+                .expect("query compiles")
+                .collect::<Result<Vec<_>, _>>()
+                .expect("batches succeed");
+            reports.last().expect("at least one report").batch_index + 1
+        };
+        let base = OnlineConfig::for_tests(16).with_trials(64);
+        uniform += stop_batch(base.clone());
+        stratified += stop_batch(base.with_stratify_column("geo"));
+    }
+    assert!(
+        stratified < uniform,
+        "stratified took {stratified} batches over 3 seeds, uniform {uniform}"
+    );
+}
+
+/// Generated queries interleaved through one fair scheduler on a shared
+/// pool — mixed weights, two active slots and a two-deep queue, so that
+/// admission queues and stalls — must stream bit-identically to their solo
+/// single-threaded runs.
 #[test]
 fn interleaved_service_streams_match_solo_runs() {
-    use gola_conformance::{run_service_leg, ServiceLegConfig};
-    let cfg = ServiceLegConfig {
-        cases: 10,
-        rows: ROWS,
-        ..ServiceLegConfig::default()
-    };
+    const CASES: usize = 10;
     for class in [SchemaClass::Conviva, SchemaClass::Tpch] {
-        let stats = run_service_leg(class, 0x05E4_A1CE, &cfg)
-            .unwrap_or_else(|f| panic!("service leg failed on {class} [{}]: {f}", f.kind()));
-        assert_eq!(stats.cases, 10);
+        let data = Arc::new(class.generate(ROWS, DATA_SEED));
+        let catalog = catalog_of(class, &data);
+        let mut gen = QueryGen::new(class, &data, 0x05E4_A1CE);
+        let mut seen = BTreeSet::new();
+        let queries: Vec<String> = std::iter::from_fn(|| Some(gen.next_query()))
+            .map(|q| q.sql(class.table_name()))
+            .filter(|sql| seen.insert(sql.clone()))
+            .take(CASES)
+            .collect();
+        let config = |threads| {
+            OnlineConfig::for_tests(5)
+                .with_trials(16)
+                .with_threads(threads)
+        };
+        let session = OnlineSession::new(catalog.clone(), config(2));
+        let pool = Arc::new(WorkerPool::new(2));
+        let policy = PolicyConfig {
+            max_active: 2,
+            queue_capacity: 2,
+        };
+        let mut sched: Scheduler<QueryTask> = Scheduler::new(policy);
+        let mut streams: Vec<Vec<BatchReport>> = vec![Vec::new(); CASES];
+        let mut round = |sched: &mut Scheduler<QueryTask>| {
+            if let Some(r) = sched.round() {
+                if let Some(report) = r.output {
+                    streams[r.id.0 as usize].push(report.expect("interleaved batch succeeds"));
+                }
+            }
+        };
+        let mut queued = 0;
+        for (i, sql) in queries.iter().enumerate() {
+            let prepared = session
+                .prepare(sql)
+                .unwrap_or_else(|e| panic!("{sql}: {e}"));
+            let exec = session
+                .execute_prepared_with_pool(&prepared, Arc::clone(&pool))
+                .unwrap_or_else(|e| panic!("{sql}: {e}"));
+            while sched.num_active() >= 2 && sched.num_queued() >= 2 {
+                round(&mut sched);
+            }
+            let admitted = sched
+                .submit(QueryTask::new(exec), (i % 4 + 1) as u64)
+                .unwrap_or_else(|e| panic!("{sql} admits: {e}"));
+            queued += usize::from(matches!(admitted, Admitted::Queued(_)));
+        }
+        while !sched.is_idle() {
+            round(&mut sched);
+        }
+        assert!(queued > 0, "{class}: admission queue never exercised");
+        for (sql, stream) in queries.iter().zip(&streams) {
+            let solo = OnlineSession::new(catalog.clone(), config(1))
+                .execute_online(sql)
+                .unwrap_or_else(|e| panic!("{sql}: {e}"))
+                .collect::<Result<Vec<_>, _>>()
+                .unwrap_or_else(|e| panic!("{sql}: {e}"));
+            assert_reports_identical(&format!("{class}: {sql}"), &solo, stream);
+        }
+    }
+}
+
+/// One random mutation of `sql`: truncate it at a byte, flip one bit, or
+/// delete or duplicate one space-separated token.
+fn mutate(sql: &str, rng: &mut SplitMix64) -> String {
+    let mut bytes = sql.as_bytes().to_vec();
+    let at = rng.next_below(bytes.len() as u64) as usize;
+    match rng.next_below(4) {
+        0 => bytes.truncate(at),
+        1 => bytes[at] ^= 1u8 << rng.next_below(8),
+        op => {
+            let mut tokens: Vec<&str> = sql.split(' ').collect();
+            let i = rng.next_below(tokens.len() as u64) as usize;
+            if op == 2 {
+                tokens.remove(i);
+            } else {
+                tokens.insert(i, tokens[i]);
+            }
+            return tokens.join(" ");
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// Robustness of the SQL front end: 2,000 byte-mutated generator queries
+/// per schema go through `gola_sql::compile` and `OnlineSession::prepare`.
+/// Generator SQL reaches the binder, which random token soup almost never
+/// does; every mutant must come back `Ok` or `Err`, never panic.
+#[test]
+fn mutated_generator_sql_never_panics_the_front_end() {
+    const MUTANTS: usize = 2000;
+    let mut panicked = Vec::new();
+    for class in [SchemaClass::Conviva, SchemaClass::Tpch] {
+        let data = Arc::new(class.generate(ROWS, DATA_SEED));
+        let catalog = catalog_of(class, &data);
+        let session = OnlineSession::new(catalog.clone(), OnlineConfig::default());
+        let mut gen = QueryGen::new(class, &data, 0xF0_22ED);
+        let mut rng = SplitMix64::new(0xB17_F11B ^ class.table_name().len() as u64);
+        let mut bound = 0usize;
+        for _ in 0..MUTANTS {
+            let mutant = mutate(&gen.next_query().sql(class.table_name()), &mut rng);
+            let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                let compiled = gola_sql::compile(&mutant, &catalog);
+                let _ = session.prepare(&mutant);
+                matches!(compiled, Ok(_) | Err(gola_common::Error::Bind(_)))
+            }));
+            match run {
+                Ok(reached_binder) => bound += usize::from(reached_binder),
+                Err(_) => panicked.push(mutant),
+            }
+        }
+        // Mutants that parse reach the binder; if almost none did, this
+        // would be the random-soup fuzzer again.
         assert!(
-            stats.queued_admissions > 0,
-            "{class}: admission queue never exercised ({stats:?})"
+            bound >= MUTANTS / 10,
+            "{class}: only {bound} of {MUTANTS} mutants reached the binder"
         );
     }
+    assert!(
+        panicked.is_empty(),
+        "{} mutant(s) panicked the front end:\n{}",
+        panicked.len(),
+        panicked.join("\n")
+    );
 }

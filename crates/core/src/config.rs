@@ -53,10 +53,6 @@ pub struct OnlineConfig {
     /// sampling uniformly. Estimates use per-stratum multiplicities and
     /// FPC when the query groups by this column (see DESIGN.md §3.10).
     pub stratify_column: Option<String>,
-    /// Planted-bug knob for the contract-conformance oracle: check the
-    /// CI half-width against the target *absolutely* instead of relative
-    /// to the estimate. Deliberately wrong; the oracle must catch it.
-    pub stopping_rule_absolute: bool,
     /// Session dimension for the observability registry. When set, the
     /// executor's per-report metrics (`report.batches`, `report.ci_width`,
     /// ...) are registered with a `session="<label>"` label so concurrent
@@ -81,7 +77,6 @@ impl Default for OnlineConfig {
             schedule_perturbation: None,
             contract: None,
             stratify_column: None,
-            stopping_rule_absolute: false,
             session_label: None,
         }
     }

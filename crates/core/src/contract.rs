@@ -30,11 +30,6 @@ use crate::report::{BatchReport, ContractProgress, ContractStop};
 #[derive(Debug)]
 pub(crate) struct ContractDriver {
     contract: QueryContract,
-    /// Planted-bug knob ([`crate::OnlineConfig::stopping_rule_absolute`]):
-    /// compare the CI half-width against the target absolutely instead of
-    /// relative to the estimate. Exists so the contract-conformance oracle
-    /// has a real bug to catch.
-    absolute_rule: bool,
     /// Started immediately before the first batch of a deadline run.
     clock: Option<Stopwatch>,
     /// EMA (α = 0.5) of observed per-batch wall seconds.
@@ -43,10 +38,9 @@ pub(crate) struct ContractDriver {
 }
 
 impl ContractDriver {
-    pub fn new(contract: QueryContract, absolute_rule: bool) -> ContractDriver {
+    pub fn new(contract: QueryContract) -> ContractDriver {
         ContractDriver {
             contract,
-            absolute_rule,
             clock: None,
             ema_batch_secs: None,
             stopped: false,
@@ -110,16 +104,9 @@ impl ContractDriver {
     pub fn observe(&mut self, report: &mut BatchReport, finished: bool) {
         let stop = match self.contract {
             QueryContract::Error { target, confidence } => {
-                let achieved = report.achieved_rel_error(confidence);
-                let met = if self.absolute_rule {
-                    // Deliberately broken stopping rule (see field docs):
-                    // a small-magnitude estimate trivially "meets" an
-                    // absolute half-width bound long before its relative
-                    // error does.
-                    worst_abs_half_width(report, confidence).is_some_and(|h| h <= target)
-                } else {
-                    achieved.is_some_and(|a| a <= target)
-                };
+                let met = report
+                    .achieved_rel_error(confidence)
+                    .is_some_and(|a| a <= target);
                 if finished {
                     Some(ContractStop::Exhausted)
                 } else if met {
@@ -156,17 +143,6 @@ impl ContractDriver {
             self.stopped = true;
         }
     }
-}
-
-/// Worst (largest) CI half-width across estimated cells, in absolute
-/// units. `None` if any cell lacks an interval.
-fn worst_abs_half_width(report: &BatchReport, level: f64) -> Option<f64> {
-    let mut worst: Option<f64> = None;
-    for cell in &report.estimates {
-        let half = cell.estimate.ci_percentile(level)?.half_width();
-        worst = Some(worst.map_or(half, |w: f64| w.max(half)));
-    }
-    worst
 }
 
 #[cfg(test)]
@@ -211,7 +187,7 @@ mod tests {
             confidence: 0.95,
         };
         // Loose CI: half-width ~50% of the value — keep running.
-        let mut d = ContractDriver::new(c, false);
+        let mut d = ContractDriver::new(c);
         let mut loose = report(10.0, vec![5.0, 7.0, 10.0, 13.0, 15.0], false);
         d.observe(&mut loose, false);
         assert!(!d.is_stopped());
@@ -234,7 +210,7 @@ mod tests {
             target: 0.0001,
             confidence: 0.95,
         };
-        let mut d = ContractDriver::new(c, false);
+        let mut d = ContractDriver::new(c);
         let mut r = report(10.0, vec![5.0, 10.0, 15.0], true);
         d.observe(&mut r, true);
         assert!(d.is_stopped());
@@ -242,34 +218,9 @@ mod tests {
     }
 
     #[test]
-    fn absolute_rule_stops_small_values_prematurely() {
-        // value 0.05, CI half-width ~0.04 → relative error ~80%, but the
-        // absolute half-width is far under the 5% "target". The broken
-        // rule stops; the honest rule keeps running.
-        let replicas = vec![0.01, 0.03, 0.05, 0.07, 0.09];
-        let c = QueryContract::Error {
-            target: 0.05,
-            confidence: 0.95,
-        };
-        let mut broken = ContractDriver::new(c, true);
-        let mut r = report(0.05, replicas.clone(), false);
-        broken.observe(&mut r, false);
-        assert_eq!(
-            r.contract.as_ref().unwrap().stop,
-            Some(ContractStop::ErrorTargetMet),
-            "the planted bug must fire on small-magnitude estimates"
-        );
-        assert!(r.contract.unwrap().achieved_rel_error.unwrap() > 0.05);
-        let mut honest = ContractDriver::new(c, false);
-        let mut r = report(0.05, replicas, false);
-        honest.observe(&mut r, false);
-        assert!(r.contract.unwrap().stop.is_none());
-    }
-
-    #[test]
     fn deadline_coalescing_grows_with_budget() {
         let c = QueryContract::Within { seconds: 60.0 };
-        let mut d = ContractDriver::new(c, false);
+        let mut d = ContractDriver::new(c);
         assert_eq!(d.batches_this_round(100), 1, "no observations yet");
         d.start_clock();
         d.note_batch(0.1); // 100ms/batch, 60s budget → large rounds
@@ -277,7 +228,7 @@ mod tests {
         assert!(round > 10, "round {round}");
         assert_eq!(d.batches_this_round(4), 4, "capped by remaining");
         // A nearly-spent budget forces the round back to 1.
-        let mut tight = ContractDriver::new(QueryContract::Within { seconds: 1e-9 }, false);
+        let mut tight = ContractDriver::new(QueryContract::Within { seconds: 1e-9 });
         tight.start_clock();
         tight.note_batch(0.1);
         assert_eq!(tight.batches_this_round(100), 1);
@@ -285,7 +236,7 @@ mod tests {
 
     #[test]
     fn deadline_stop_is_flagged() {
-        let mut d = ContractDriver::new(QueryContract::Within { seconds: 1e-9 }, false);
+        let mut d = ContractDriver::new(QueryContract::Within { seconds: 1e-9 });
         d.start_clock();
         d.note_batch(0.5);
         let mut r = report(10.0, vec![9.0, 10.0, 11.0], false);

@@ -8,8 +8,8 @@
 //! regardless of pool size or dispatch order, serializing quanta this way
 //! makes every session's report stream bit-identical to a solo run *by
 //! construction* — interleaving affects only latency, never answers
-//! (pinned end-to-end by `tests/sched_equivalence.rs` and the
-//! `gola-service` conformance leg).
+//! (pinned end-to-end by `tests/sched_equivalence.rs`: both workload
+//! suites, mixed weights, queued admissions, recovering sessions).
 //!
 //! Layering, simulator-first:
 //!
@@ -23,9 +23,8 @@
 //! * [`service`] — `QueryService`: the threaded runtime (one scheduler
 //!   thread, per-session report channels) that `gola-server` exposes.
 //!
-//! The sim, the conformance leg, and the live service all drive the *same*
-//! `Scheduler::round` code path, so what the simulator proves is what the
-//! service runs.
+//! The sim and the live service drive the *same* `Scheduler::round` code
+//! path, so what the simulator proves is what the service runs.
 
 pub mod policy;
 pub mod service;

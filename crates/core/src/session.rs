@@ -132,7 +132,7 @@ impl OnlineSession {
         let contract = prepared.meta.contract.or(self.config.contract);
         Ok(OnlineExecution {
             executor,
-            driver: contract.map(|c| ContractDriver::new(c, self.config.stopping_rule_absolute)),
+            driver: contract.map(ContractDriver::new),
         })
     }
 

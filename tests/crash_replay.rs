@@ -16,6 +16,7 @@ use g_ola::bootstrap::BootstrapSpec;
 use g_ola::core::{BatchReport, OnlineConfig, OnlineSession};
 use g_ola::storage::Catalog;
 use g_ola::workloads::ConvivaGenerator;
+use gola_conformance::assert_reports_identical;
 
 const NUM_BATCHES: usize = 5;
 const CRASH_AFTER: usize = 3; // reports consumed before the "crash"
@@ -67,62 +68,6 @@ fn run_prefix(catalog: &Catalog, sql: &str, upto: usize, threads: usize) -> Vec<
         .collect()
 }
 
-/// Bit-exact comparison of two reports from the same batch index.
-fn assert_report_identical(name: &str, a: &BatchReport, b: &BatchReport) {
-    let i = a.batch_index;
-    assert_eq!(i, b.batch_index, "{name}: batch index");
-    assert_eq!(a.rows_seen, b.rows_seen, "{name} batch {i}: rows seen");
-    assert_eq!(
-        a.uncertain_tuples, b.uncertain_tuples,
-        "{name} batch {i}: uncertain-set size"
-    );
-    assert_eq!(
-        a.recomputations, b.recomputations,
-        "{name} batch {i}: recompute count"
-    );
-    assert_eq!(a.row_certain, b.row_certain, "{name} batch {i}: certainty");
-    assert_eq!(
-        a.table.num_rows(),
-        b.table.num_rows(),
-        "{name} batch {i}: result rows"
-    );
-    for (x, y) in a.table.rows().iter().zip(b.table.rows()) {
-        for (u, v) in x.iter().zip(y.iter()) {
-            match (u.as_f64(), v.as_f64()) {
-                (Some(fu), Some(fv)) => {
-                    assert_eq!(fu.to_bits(), fv.to_bits(), "{name} batch {i}: cell")
-                }
-                _ => assert_eq!(u, v, "{name} batch {i}: cell"),
-            }
-        }
-    }
-    assert_eq!(
-        a.estimates.len(),
-        b.estimates.len(),
-        "{name} batch {i}: estimates"
-    );
-    for (ea, eb) in a.estimates.iter().zip(&b.estimates) {
-        assert_eq!(
-            (ea.row, ea.col),
-            (eb.row, eb.col),
-            "{name} batch {i}: cell id"
-        );
-        assert_eq!(
-            ea.estimate.value.to_bits(),
-            eb.estimate.value.to_bits(),
-            "{name} batch {i}: estimate value"
-        );
-        assert_eq!(
-            ea.estimate.replicas.len(),
-            eb.estimate.replicas.len(),
-            "{name} batch {i}: replica count"
-        );
-        for (x, y) in ea.estimate.replicas.iter().zip(&eb.estimate.replicas) {
-            assert_eq!(x.to_bits(), y.to_bits(), "{name} batch {i}: replica");
-        }
-    }
-}
-
 /// The contract at `threads` worker threads; returns the uninterrupted run.
 fn check_crash_replay(
     name: &str,
@@ -150,12 +95,8 @@ fn check_crash_replay(
     // report sequence — matching the crashed prefix AND the uninterrupted
     // run's published reports, through to the exact final answer.
     let replay = run_prefix(&catalog, sql, NUM_BATCHES, threads);
-    for (a, b) in crashed.iter().zip(&replay) {
-        assert_report_identical(name, a, b);
-    }
-    for (a, b) in full.iter().zip(&replay) {
-        assert_report_identical(name, a, b);
-    }
+    assert_reports_identical(name, &crashed, &replay[..CRASH_AFTER]);
+    assert_reports_identical(name, &full, &replay);
     full
 }
 
@@ -170,9 +111,7 @@ fn crash_replay_reproduces_reports_grouped() {
 fn crash_replay_reproduces_reports_scoped() {
     let t1 = check_crash_replay("scoped t1", SCOPED_SQL, 3, 1);
     let t2 = check_crash_replay("scoped t2", SCOPED_SQL, 3, 2);
-    for (a, b) in t1.iter().zip(&t2) {
-        assert_report_identical("scoped t1 vs t2", a, b);
-    }
+    assert_reports_identical("scoped t1 vs t2", &t1, &t2);
 }
 
 /// The durable path: the same crash-replay contract, but the restart
@@ -226,16 +165,12 @@ fn crash_replay_survives_restart_from_durable_segments() {
 
     let after = run_prefix(&durable_catalog(reopened), GROUPED_SQL, NUM_BATCHES, 1);
     assert_eq!(after.len(), NUM_BATCHES);
-    for (a, b) in before.iter().zip(&after) {
-        assert_report_identical("durable-replay", a, b);
-    }
+    assert_reports_identical("durable-replay", &before, &after);
 
     // And the whole durable pipeline must agree with a plain in-memory
     // table holding the same rows — segment files are a lossless detour.
     let in_memory = run_prefix(&catalog(), GROUPED_SQL, NUM_BATCHES, 1);
-    for (a, b) in in_memory.iter().zip(&after) {
-        assert_report_identical("durable-vs-memory", a, b);
-    }
+    assert_reports_identical("durable-vs-memory", &in_memory, &after);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -11,16 +11,20 @@
 //!   to zero while data was still arriving.
 //! * **Bit-identity** — with a deterministic append/seal/close schedule
 //!   (driven between iterator steps), the full report stream is identical
-//!   bit for bit at `threads = 1` vs `threads = N` and across same-seed
-//!   reruns, extra segment-batches included.
+//!   bit for bit at `threads = 1` vs `threads = N`, across same-seed
+//!   reruns, and between an in-memory and a durable stream, extra
+//!   segment-batches included; the drained stream's last report is the
+//!   exact answer.
 
+use std::path::Path;
 use std::sync::Arc;
 
 use g_ola::bootstrap::BootstrapSpec;
 use g_ola::common::Row;
 use g_ola::core::{BatchReport, OnlineConfig, OnlineSession};
-use g_ola::storage::{Catalog, StreamTable};
+use g_ola::storage::{Catalog, StreamTable, Table};
 use g_ola::workloads::ConvivaGenerator;
+use gola_conformance::{assert_reports_identical, tables_bit_equal};
 
 const SQL: &str = "SELECT device, AVG(play_time) AS a0, SUM(buffer_time) AS a1 FROM sessions \
      GROUP BY device ORDER BY a0 DESC";
@@ -55,71 +59,17 @@ fn session_over(stream: &Arc<StreamTable>, threads: usize) -> OnlineSession {
     OnlineSession::new(catalog, config(threads))
 }
 
-/// Bit-exact comparison of two reports from the same schedule position.
-fn assert_report_identical(name: &str, a: &BatchReport, b: &BatchReport) {
-    let i = a.batch_index;
-    assert_eq!(i, b.batch_index, "{name}: batch index");
-    assert_eq!(
-        a.num_batches, b.num_batches,
-        "{name} batch {i}: num_batches"
-    );
-    assert_eq!(a.rows_seen, b.rows_seen, "{name} batch {i}: rows seen");
-    assert_eq!(a.total_rows, b.total_rows, "{name} batch {i}: total rows");
-    assert_eq!(
-        a.multiplicity.to_bits(),
-        b.multiplicity.to_bits(),
-        "{name} batch {i}: multiplicity"
-    );
-    assert_eq!(a.row_certain, b.row_certain, "{name} batch {i}: certainty");
-    assert_eq!(
-        a.table.num_rows(),
-        b.table.num_rows(),
-        "{name} batch {i}: result rows"
-    );
-    for (x, y) in a.table.rows().iter().zip(b.table.rows()) {
-        for (u, v) in x.iter().zip(y.iter()) {
-            match (u.as_f64(), v.as_f64()) {
-                (Some(fu), Some(fv)) => {
-                    assert_eq!(fu.to_bits(), fv.to_bits(), "{name} batch {i}: cell")
-                }
-                _ => assert_eq!(u, v, "{name} batch {i}: cell"),
-            }
-        }
-    }
-    assert_eq!(
-        a.estimates.len(),
-        b.estimates.len(),
-        "{name} batch {i}: estimate count"
-    );
-    for (ea, eb) in a.estimates.iter().zip(&b.estimates) {
-        assert_eq!(
-            (ea.row, ea.col),
-            (eb.row, eb.col),
-            "{name} batch {i}: cell id"
-        );
-        assert_eq!(
-            ea.estimate.value.to_bits(),
-            eb.estimate.value.to_bits(),
-            "{name} batch {i}: estimate value"
-        );
-        assert_eq!(
-            ea.estimate.fpc.to_bits(),
-            eb.estimate.fpc.to_bits(),
-            "{name} batch {i}: fpc"
-        );
-        for (x, y) in ea.estimate.replicas.iter().zip(&eb.estimate.replicas) {
-            assert_eq!(x.to_bits(), y.to_bits(), "{name} batch {i}: replica");
-        }
-    }
-}
-
 /// Drive the canonical growing schedule: 240 rows sealed up front, one
 /// segment sealed mid-run, one more appended + sealed at close. Appends
 /// happen between iterator steps, so the schedule — and therefore the
-/// report stream — is deterministic.
-fn run_growing_schedule(threads: usize) -> Vec<BatchReport> {
+/// report stream — is deterministic. With `dir` the stream persists every
+/// segment there.
+fn run_growing_schedule(threads: usize, dir: Option<&Path>) -> Vec<BatchReport> {
     let (schema, rows) = all_rows();
-    let stream = StreamTable::new(schema);
+    let stream = match dir {
+        Some(dir) => StreamTable::create_dir(schema, dir).expect("create durable stream"),
+        None => StreamTable::new(schema),
+    };
     stream.append_rows(&rows[..240]).expect("seed rows");
     stream.seal().expect("seed segment");
     let session = session_over(&stream, threads);
@@ -147,25 +97,34 @@ fn run_growing_schedule(threads: usize) -> Vec<BatchReport> {
 
 #[test]
 fn growing_schedule_is_bit_identical_across_threads_and_reruns() {
-    let solo = run_growing_schedule(1);
+    let solo = run_growing_schedule(1, None);
     assert_eq!(solo.len(), BASE_BATCHES + 2);
 
     // Same-seed rerun: bit-exact.
-    let rerun = run_growing_schedule(1);
-    for (a, b) in solo.iter().zip(&rerun) {
-        assert_report_identical("rerun", a, b);
-    }
+    assert_reports_identical("rerun", &solo, &run_growing_schedule(1, None));
     // threads = N: bit-exact (the paper-repo's core contract, extended to
     // batches that did not exist when the query started).
-    let pooled = run_growing_schedule(4);
-    for (a, b) in solo.iter().zip(&pooled) {
-        assert_report_identical("threads", a, b);
-    }
+    assert_reports_identical("threads", &solo, &run_growing_schedule(4, None));
+
+    // Durable: the same schedule through segment files streams the same
+    // bits, and the directory reopens closed, at the full watermark, with
+    // every source row intact.
+    let dir = std::env::temp_dir().join(format!("gola-ingest-stream-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durable = run_growing_schedule(1, Some(&dir));
+    assert_reports_identical("durable", &solo, &durable);
+    let reopened = StreamTable::open_dir(&dir).expect("reopen from manifest");
+    assert!(reopened.is_closed(), "closed state must persist");
+    assert_eq!(reopened.watermark(), 360);
+    let (schema, rows) = all_rows();
+    let snapshot = reopened.snapshot().expect("snapshot");
+    tables_bit_equal(&snapshot, &Table::new_unchecked(schema, rows)).expect("lossless segments");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn final_report_of_a_drained_stream_is_exact() {
-    let reports = run_growing_schedule(1);
+    let reports = run_growing_schedule(1, None);
     let last = reports.last().expect("reports");
     assert!(last.is_final(), "drained + closed ⇒ final");
     assert_eq!(last.rows_seen, 360);
@@ -174,6 +133,16 @@ fn final_report_of_a_drained_stream_is_exact() {
     for cell in &last.estimates {
         assert_eq!(cell.estimate.fpc, 0.0, "final FPC is exactly 0");
     }
+    // ... and the answer is the batch engine's over all 360 rows.
+    let (schema, rows) = all_rows();
+    let mut catalog = Catalog::new();
+    catalog
+        .register("sessions", Arc::new(Table::new_unchecked(schema, rows)))
+        .expect("register table");
+    let exact = OnlineSession::new(catalog, config(1))
+        .execute_exact(SQL)
+        .expect("exact run");
+    tables_bit_equal(&last.table, &exact).expect("drained answer is exact");
     // No earlier report may claim finality: while the stream was open the
     // schedule could still grow.
     for r in &reports[..reports.len() - 1] {
@@ -217,9 +186,7 @@ fn append_after_batch_k_widens_or_holds_the_ci() {
     }
 
     // Before the append the two runs are the same run.
-    for k in 0..2 {
-        assert_report_identical("pre-append", &control[k], &grown[k]);
-    }
+    assert_reports_identical("pre-append", &control[..2], &grown[..2]);
     // After it, the same processed rows are extrapolated to the larger
     // live N: SUM-like estimates scale by exactly the multiplicity ratio,
     // AVG-like ones are unchanged, and every CI is computed against the

@@ -18,6 +18,7 @@ use g_ola::core::{BatchReport, OnlineConfig, OnlineSession};
 use g_ola::obs;
 use g_ola::storage::Catalog;
 use g_ola::workloads::{conviva, ConvivaGenerator};
+use gola_conformance::assert_reports_identical;
 
 fn run(catalog: &Catalog, sql: &str, threads: usize) -> Vec<BatchReport> {
     let config = OnlineConfig::for_tests(8)
@@ -26,65 +27,6 @@ fn run(catalog: &Catalog, sql: &str, threads: usize) -> Vec<BatchReport> {
     let session = OnlineSession::new(catalog.clone(), config);
     let exec = session.execute_online(sql).expect("query compiles");
     exec.map(|r| r.expect("batch succeeds")).collect()
-}
-
-/// Compare two runs batch by batch, bit-for-bit on every float (same
-/// discipline as `tests/parallel_equivalence.rs`).
-fn assert_identical(name: &str, a: &[BatchReport], b: &[BatchReport]) {
-    assert_eq!(a.len(), b.len(), "{name}: batch count");
-    for (ra, rb) in a.iter().zip(b) {
-        let i = ra.batch_index;
-        assert_eq!(
-            ra.uncertain_tuples, rb.uncertain_tuples,
-            "{name} batch {i}: uncertain-set size"
-        );
-        assert_eq!(
-            ra.recomputations, rb.recomputations,
-            "{name} batch {i}: recompute count"
-        );
-        assert_eq!(
-            ra.row_certain, rb.row_certain,
-            "{name} batch {i}: row certainty"
-        );
-        for (x, y) in ra.table.rows().iter().zip(rb.table.rows()) {
-            for (u, v) in x.iter().zip(y.iter()) {
-                match (u.as_f64(), v.as_f64()) {
-                    (Some(fu), Some(fv)) => assert_eq!(
-                        fu.to_bits(),
-                        fv.to_bits(),
-                        "{name} batch {i}: cell {fu} vs {fv}"
-                    ),
-                    _ => assert_eq!(u, v, "{name} batch {i}: cell"),
-                }
-            }
-        }
-        assert_eq!(
-            ra.estimates.len(),
-            rb.estimates.len(),
-            "{name} batch {i}: estimates"
-        );
-        for (ea, eb) in ra.estimates.iter().zip(&rb.estimates) {
-            assert_eq!(
-                ea.estimate.value.to_bits(),
-                eb.estimate.value.to_bits(),
-                "{name} batch {i}: estimate value"
-            );
-            for (x, y) in ea.estimate.replicas.iter().zip(&eb.estimate.replicas) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{name} batch {i}: replica");
-            }
-            match (
-                ea.estimate.ci_percentile(0.95),
-                eb.estimate.ci_percentile(0.95),
-            ) {
-                (Some(ca), Some(cb)) => {
-                    assert_eq!(ca.lo.to_bits(), cb.lo.to_bits(), "{name} batch {i}: CI lo");
-                    assert_eq!(ca.hi.to_bits(), cb.hi.to_bits(), "{name} batch {i}: CI hi");
-                }
-                (None, None) => {}
-                other => panic!("{name} batch {i}: CI presence differs: {other:?}"),
-            }
-        }
-    }
 }
 
 #[test]
@@ -118,12 +60,12 @@ fn observability_is_inert_and_deterministic() {
     obs::set_enabled(false);
 
     // 1. Inert: metrics on vs off, bit-identical at both thread counts.
-    assert_identical("threads=1 obs on vs off", &off1, &on1);
-    assert_identical("threads=4 obs on vs off", &off4, &on4);
-    assert_identical("threads=1 vs threads=4", &off1, &off4);
+    assert_reports_identical("threads=1 obs on vs off", &off1, &on1);
+    assert_reports_identical("threads=4 obs on vs off", &off4, &on4);
+    assert_reports_identical("threads=1 vs threads=4", &off1, &off4);
 
     // 2. Deterministic registry: identical runs, byte-identical snapshots.
-    assert_identical("threads=1 repeat", &on1, &on1_again);
+    assert_reports_identical("threads=1 repeat", &on1, &on1_again);
     assert_eq!(
         snap1, snap1_again,
         "two identical runs must export identical default snapshots"

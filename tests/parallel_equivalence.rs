@@ -14,6 +14,7 @@ use std::sync::Arc;
 use g_ola::core::{BatchReport, OnlineConfig, OnlineSession};
 use g_ola::storage::Catalog;
 use g_ola::workloads::{conviva, tpch, ConvivaGenerator, TpchGenerator};
+use gola_conformance::assert_reports_identical;
 
 fn run(catalog: &Catalog, sql: &str, threads: usize) -> Vec<BatchReport> {
     let config = OnlineConfig::for_tests(8)
@@ -24,83 +25,10 @@ fn run(catalog: &Catalog, sql: &str, threads: usize) -> Vec<BatchReport> {
     exec.map(|r| r.expect("batch succeeds")).collect()
 }
 
-/// Compare two runs batch by batch, bit-for-bit on every float.
-fn assert_identical(name: &str, a: &[BatchReport], b: &[BatchReport]) {
-    assert_eq!(a.len(), b.len(), "{name}: batch count");
-    for (ra, rb) in a.iter().zip(b) {
-        let i = ra.batch_index;
-        assert_eq!(
-            ra.uncertain_tuples, rb.uncertain_tuples,
-            "{name} batch {i}: uncertain-set size"
-        );
-        assert_eq!(
-            ra.recomputations, rb.recomputations,
-            "{name} batch {i}: recompute count"
-        );
-        assert_eq!(
-            ra.row_certain, rb.row_certain,
-            "{name} batch {i}: row certainty"
-        );
-        assert_eq!(
-            ra.table.num_rows(),
-            rb.table.num_rows(),
-            "{name} batch {i}: result rows"
-        );
-        for (x, y) in ra.table.rows().iter().zip(rb.table.rows()) {
-            for (u, v) in x.iter().zip(y.iter()) {
-                match (u.as_f64(), v.as_f64()) {
-                    (Some(fu), Some(fv)) => assert_eq!(
-                        fu.to_bits(),
-                        fv.to_bits(),
-                        "{name} batch {i}: cell {fu} vs {fv}"
-                    ),
-                    _ => assert_eq!(u, v, "{name} batch {i}: cell"),
-                }
-            }
-        }
-        assert_eq!(
-            ra.estimates.len(),
-            rb.estimates.len(),
-            "{name} batch {i}: estimates"
-        );
-        for (ea, eb) in ra.estimates.iter().zip(&rb.estimates) {
-            assert_eq!(
-                (ea.row, ea.col),
-                (eb.row, eb.col),
-                "{name} batch {i}: cell id"
-            );
-            assert_eq!(
-                ea.estimate.value.to_bits(),
-                eb.estimate.value.to_bits(),
-                "{name} batch {i}: estimate value"
-            );
-            assert_eq!(
-                ea.estimate.replicas.len(),
-                eb.estimate.replicas.len(),
-                "{name} batch {i}: replica count"
-            );
-            for (x, y) in ea.estimate.replicas.iter().zip(&eb.estimate.replicas) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{name} batch {i}: replica");
-            }
-            match (
-                ea.estimate.ci_percentile(0.95),
-                eb.estimate.ci_percentile(0.95),
-            ) {
-                (Some(ca), Some(cb)) => {
-                    assert_eq!(ca.lo.to_bits(), cb.lo.to_bits(), "{name} batch {i}: CI lo");
-                    assert_eq!(ca.hi.to_bits(), cb.hi.to_bits(), "{name} batch {i}: CI hi");
-                }
-                (None, None) => {}
-                other => panic!("{name} batch {i}: CI presence differs: {other:?}"),
-            }
-        }
-    }
-}
-
 fn check(catalog: &Catalog, name: &str, sql: &str) {
     let seq = run(catalog, sql, 1);
     let par = run(catalog, sql, 4);
-    assert_identical(name, &seq, &par);
+    assert_reports_identical(name, &seq, &par);
 }
 
 #[test]
@@ -150,7 +78,7 @@ fn stratified_and_error_contract_thread_invariant() {
                 .with_threads(threads),
         )
     };
-    assert_identical("C2/stratified", &strat(1), &strat(4));
+    assert_reports_identical("C2/stratified", &strat(1), &strat(4));
 
     // Error-bounded contract: both runs must stop at the same batch with
     // the same reports (stopping is deterministic — no wall clock).
@@ -163,7 +91,7 @@ fn stratified_and_error_contract_thread_invariant() {
     };
     let seq = contracted(1);
     let par = contracted(4);
-    assert_identical("C2/error-contract", &seq, &par);
+    assert_reports_identical("C2/error-contract", &seq, &par);
     let stop = |r: &[BatchReport]| r.last().and_then(|r| r.contract.as_ref()?.stop);
     assert_eq!(stop(&seq), stop(&par), "stopping reason must agree");
 
@@ -177,7 +105,7 @@ fn stratified_and_error_contract_thread_invariant() {
                 .with_threads(threads),
         )
     };
-    assert_identical("C2/stratified+contract", &both(1), &both(4));
+    assert_reports_identical("C2/stratified+contract", &both(1), &both(4));
 }
 
 #[test]
@@ -215,6 +143,6 @@ fn multi_chunk_batches_thread_invariant() {
         let config = |threads| OnlineConfig::for_tests(3).with_threads(threads);
         let seq = run_with(&catalog, sql, config(1));
         let par = run_with(&catalog, sql, config(2));
-        assert_identical(name, &seq, &par);
+        assert_reports_identical(name, &seq, &par);
     }
 }

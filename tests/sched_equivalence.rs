@@ -5,16 +5,17 @@
 //! same query run solo on a single-threaded session. Batch-granularity
 //! preemption plus the engine's threads=1/N contract make this hold by
 //! construction; this test holds the whole threaded stack (channels,
-//! scheduler thread, shared pool) to it — across seeds × {2, 4, 8}
-//! concurrent sessions, same bit-for-bit discipline as
-//! `tests/parallel_equivalence.rs`.
+//! scheduler thread, shared pool, admission queue) to it — across seeds ×
+//! {2, 4, 8} concurrent sessions of both workloads' queries, with mixed
+//! weights and two active slots so that larger mixes queue.
 
 use std::sync::Arc;
 
 use g_ola::core::sched::{QueryService, ServiceConfig};
 use g_ola::core::{BatchReport, OnlineConfig, OnlineSession};
 use g_ola::storage::Catalog;
-use g_ola::workloads::{conviva, ConvivaGenerator};
+use g_ola::workloads::{conviva, tpch, ConvivaGenerator, TpchGenerator};
+use gola_conformance::assert_reports_identical;
 
 fn catalog() -> Catalog {
     let mut catalog = Catalog::new();
@@ -25,7 +26,26 @@ fn catalog() -> Catalog {
         )
         .expect("register table");
     catalog
+        .register(
+            "lineitem_denorm",
+            Arc::new(TpchGenerator::default().generate(2000)),
+        )
+        .expect("register table");
+    catalog
 }
+
+/// Both suites, interleaved so that four sessions already mix the Conviva
+/// queries with TPC-H's correlated Q17 and Q20, which recover.
+const SUITE: [(&str, &str); 8] = [
+    ("SBI", conviva::SBI),
+    ("Q17", tpch::Q17),
+    ("C1", conviva::C1),
+    ("Q20", tpch::Q20),
+    ("C2", conviva::C2),
+    ("Q11", tpch::Q11),
+    ("C3", conviva::C3),
+    ("Q18", tpch::Q18),
+];
 
 fn base_config(seed: u64) -> OnlineConfig {
     OnlineConfig::for_tests(6).with_trials(16).with_seed(seed)
@@ -37,53 +57,9 @@ fn solo_stream(catalog: &Catalog, sql: &str, seed: u64) -> Vec<BatchReport> {
     exec.map(|r| r.expect("batch succeeds")).collect()
 }
 
-fn assert_identical(name: &str, solo: &[BatchReport], service: &[BatchReport]) {
-    assert_eq!(solo.len(), service.len(), "{name}: stream length");
-    for (a, b) in solo.iter().zip(service) {
-        let i = a.batch_index;
-        assert_eq!(b.batch_index, i, "{name}: batch order");
-        assert_eq!(a.rows_seen, b.rows_seen, "{name} batch {i}: rows seen");
-        assert_eq!(
-            a.uncertain_tuples, b.uncertain_tuples,
-            "{name} batch {i}: uncertain-set size"
-        );
-        assert_eq!(
-            a.recomputations, b.recomputations,
-            "{name} batch {i}: recompute count"
-        );
-        assert_eq!(a.row_certain, b.row_certain, "{name} batch {i}: certainty");
-        for (x, y) in a.table.rows().iter().zip(b.table.rows()) {
-            for (u, v) in x.iter().zip(y.iter()) {
-                match (u.as_f64(), v.as_f64()) {
-                    (Some(fu), Some(fv)) => assert_eq!(
-                        fu.to_bits(),
-                        fv.to_bits(),
-                        "{name} batch {i}: cell {fu} vs {fv}"
-                    ),
-                    _ => assert_eq!(u, v, "{name} batch {i}: cell"),
-                }
-            }
-        }
-        assert_eq!(
-            a.estimates.len(),
-            b.estimates.len(),
-            "{name} batch {i}: estimate count"
-        );
-        for (ea, eb) in a.estimates.iter().zip(&b.estimates) {
-            assert_eq!(
-                ea.estimate.value.to_bits(),
-                eb.estimate.value.to_bits(),
-                "{name} batch {i}: estimate value"
-            );
-            for (x, y) in ea.estimate.replicas.iter().zip(&eb.estimate.replicas) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{name} batch {i}: replica");
-            }
-        }
-    }
-}
-
-/// Run `n` sessions concurrently through one service and return each
-/// session's full stream, in submission order.
+/// Run `n` sessions concurrently through one service — two active, the
+/// rest queued, weights 1..=4 — and return each session's full stream, in
+/// submission order.
 fn service_streams(
     catalog: &Catalog,
     queries: &[(&str, &str)],
@@ -93,7 +69,7 @@ fn service_streams(
     let service = QueryService::new(
         catalog.clone(),
         ServiceConfig {
-            max_active: queries.len(),
+            max_active: 2,
             queue_capacity: queries.len(),
             threads,
             base: base_config(seed),
@@ -104,9 +80,10 @@ fn service_streams(
     // within one session is the scheduler's round order).
     let handles: Vec<_> = queries
         .iter()
-        .map(|(name, sql)| {
+        .enumerate()
+        .map(|(i, (name, sql))| {
             service
-                .submit(sql)
+                .submit_weighted(sql, (i % 4 + 1) as u64)
                 .unwrap_or_else(|e| panic!("{name} admits: {e}"))
         })
         .collect();
@@ -124,23 +101,25 @@ fn service_streams(
 #[test]
 fn concurrent_streams_are_bit_identical_to_solo_runs() {
     let catalog = catalog();
-    let suite = conviva::queries();
-    for &n in &[2usize, 4, 8] {
+    let mut recomputations = 0;
+    for n in [2usize, 4, 8] {
         for seed in [7u64, 20_260_809] {
-            // n sessions cycling through the query suite, all distinct
-            // work in flight at once on a threads=2 shared pool.
-            let queries: Vec<(&str, &str)> = (0..n).map(|i| suite[i % suite.len()]).collect();
-            let streams = service_streams(&catalog, &queries, seed, 2);
+            // The first n suite queries, all distinct work in flight at
+            // once on a threads=2 shared pool.
+            let queries = &SUITE[..n];
+            let streams = service_streams(&catalog, queries, seed, 2);
             for ((name, sql), stream) in queries.iter().zip(&streams) {
                 let solo = solo_stream(&catalog, sql, seed);
                 assert!(
                     !stream.is_empty(),
                     "{name} (n={n}, seed={seed}): empty stream"
                 );
-                assert_identical(&format!("{name} (n={n}, seed={seed})"), &solo, stream);
+                assert_reports_identical(&format!("{name} (n={n}, seed={seed})"), &solo, stream);
+                recomputations += stream.last().map_or(0, |r| r.recomputations);
             }
         }
     }
+    assert!(recomputations > 0, "no interleaved session ever recovered");
 }
 
 #[test]
@@ -162,5 +141,5 @@ fn cancellation_frees_a_slot_for_queued_sessions() {
     first.cancel();
     let stream: Vec<BatchReport> = second.map(|r| r.expect("batch succeeds")).collect();
     let solo = solo_stream(&catalog, conviva::C1, 3);
-    assert_identical("C1 after cancel", &solo, &stream);
+    assert_reports_identical("C1 after cancel", &solo, &stream);
 }

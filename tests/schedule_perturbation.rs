@@ -19,6 +19,7 @@ use std::sync::Arc;
 use g_ola::core::{BatchReport, OnlineConfig, OnlineSession};
 use g_ola::storage::Catalog;
 use g_ola::workloads::{conviva, tpch, ConvivaGenerator, TpchGenerator};
+use gola_conformance::assert_reports_identical;
 
 fn run(catalog: &Catalog, sql: &str, threads: usize, perturb: Option<u64>) -> Vec<BatchReport> {
     let mut config = OnlineConfig::for_tests(8)
@@ -30,63 +31,6 @@ fn run(catalog: &Catalog, sql: &str, threads: usize, perturb: Option<u64>) -> Ve
     exec.map(|r| r.expect("batch succeeds")).collect()
 }
 
-/// Compare two runs batch by batch, bit-for-bit on every float.
-fn assert_identical(name: &str, a: &[BatchReport], b: &[BatchReport]) {
-    assert_eq!(a.len(), b.len(), "{name}: batch count");
-    for (ra, rb) in a.iter().zip(b) {
-        let i = ra.batch_index;
-        assert_eq!(
-            ra.uncertain_tuples, rb.uncertain_tuples,
-            "{name} batch {i}: uncertain-set size"
-        );
-        assert_eq!(
-            ra.recomputations, rb.recomputations,
-            "{name} batch {i}: recompute count"
-        );
-        assert_eq!(
-            ra.row_certain, rb.row_certain,
-            "{name} batch {i}: row certainty"
-        );
-        assert_eq!(
-            ra.table.num_rows(),
-            rb.table.num_rows(),
-            "{name} batch {i}: result rows"
-        );
-        for (x, y) in ra.table.rows().iter().zip(rb.table.rows()) {
-            for (u, v) in x.iter().zip(y.iter()) {
-                match (u.as_f64(), v.as_f64()) {
-                    (Some(fu), Some(fv)) => assert_eq!(
-                        fu.to_bits(),
-                        fv.to_bits(),
-                        "{name} batch {i}: cell {fu} vs {fv}"
-                    ),
-                    _ => assert_eq!(u, v, "{name} batch {i}: cell"),
-                }
-            }
-        }
-        assert_eq!(
-            ra.estimates.len(),
-            rb.estimates.len(),
-            "{name} batch {i}: estimates"
-        );
-        for (ea, eb) in ra.estimates.iter().zip(&rb.estimates) {
-            assert_eq!(
-                (ea.row, ea.col),
-                (eb.row, eb.col),
-                "{name} batch {i}: cell id"
-            );
-            assert_eq!(
-                ea.estimate.value.to_bits(),
-                eb.estimate.value.to_bits(),
-                "{name} batch {i}: estimate value"
-            );
-            for (x, y) in ea.estimate.replicas.iter().zip(&eb.estimate.replicas) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{name} batch {i}: replica");
-            }
-        }
-    }
-}
-
 /// Unperturbed sequential reference vs. shuffled parallel runs across
 /// several thread counts and shuffle seeds.
 fn check(catalog: &Catalog, name: &str, sql: &str) {
@@ -94,7 +38,7 @@ fn check(catalog: &Catalog, name: &str, sql: &str) {
     for threads in [2, 4] {
         for seed in [0x5EED_0001u64, 0xDECADE, 0xFEED_BEEF] {
             let perturbed = run(catalog, sql, threads, Some(seed));
-            assert_identical(
+            assert_reports_identical(
                 &format!("{name} (threads={threads}, seed={seed:#x})"),
                 &reference,
                 &perturbed,
