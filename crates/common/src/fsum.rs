@@ -93,10 +93,14 @@ impl ExactSum {
     }
 
     /// Fold in `a · b` exactly (both rounding error and product are kept).
+    /// A non-finite product has no error term (the fma's would be NaN), so
+    /// it folds in alone: `add_product(±∞, w)` is `add(±∞)`.
     #[inline]
     pub fn add_product(&mut self, a: f64, b: f64) {
         let (p, e) = two_product(a, b);
-        self.add(e);
+        if p.is_finite() {
+            self.add(e);
+        }
         self.add(p);
     }
 
@@ -151,9 +155,18 @@ impl ExactSum {
     /// `hi` — a tie that round-to-even broke without seeing the lower
     /// components. The next one's sign says on which side of the tie the
     /// exact total lies (the correction of CPython's `math.fsum`).
+    ///
+    /// A NaN total is always the canonical [`f64::NAN`]: which NaN IEEE
+    /// addition hands back depends on the order its operands met (`∞ + −∞`
+    /// makes a fresh one, a NaN operand passes its own sign and payload),
+    /// and the result must not.
     pub fn value(&self) -> f64 {
         if self.special != 0.0 {
-            return self.special;
+            return if self.special.is_nan() {
+                f64::NAN
+            } else {
+                self.special
+            };
         }
         let Some((&top, mut rest)) = self.comps.split_last() else {
             return 0.0;
@@ -423,14 +436,18 @@ impl ExactVariance {
     }
 
     /// Population variance; `None` with no observations. Clamped at zero
-    /// (the subtraction can go negative by rounding when variance ≈ 0).
+    /// (the subtraction can go negative by rounding when variance ≈ 0),
+    /// except that NaN passes, as the canonical [`f64::NAN`]: a group
+    /// holding NaN or ±∞, or whose moments overflow, has no variance, not a
+    /// zero one.
     pub fn variance_pop(&self) -> Option<f64> {
         if self.count <= 0.0 {
             return None;
         }
         let mean = self.sum.value() / self.count;
         let ex2 = self.sumsq.value() / self.count;
-        Some((ex2 - mean * mean).max(0.0))
+        let var = ex2 - mean * mean;
+        Some(if var.is_nan() { f64::NAN } else { var.max(0.0) })
     }
 }
 
@@ -460,6 +477,37 @@ mod tests {
         let (p, e) = two_product(1.0 + f64::EPSILON, 1.0 + f64::EPSILON);
         assert_eq!(p, (1.0 + f64::EPSILON) * (1.0 + f64::EPSILON));
         assert!(e != 0.0, "square of 1+ε is not exactly representable");
+    }
+
+    #[test]
+    fn non_finite_products_fold_like_plain_adds() {
+        for x in [f64::INFINITY, f64::NEG_INFINITY] {
+            for w in [1.0, 2.0, 7.0] {
+                let (mut by_product, mut by_add) = (ExactSum::new(), ExactSum::new());
+                by_product.add(3.5);
+                by_add.add(3.5);
+                by_product.add_product(x, w);
+                by_add.add(x);
+                assert_eq!(by_product.value().to_bits(), by_add.value().to_bits());
+                assert_eq!(by_product.value(), x);
+            }
+        }
+        // A finite product that overflows saturates the same way.
+        let mut s = ExactSum::new();
+        s.add_product(1e308, 4.0);
+        assert_eq!(s.value(), f64::INFINITY);
+    }
+
+    #[test]
+    fn variance_of_non_finite_groups_is_nan() {
+        for xs in [[1.0, f64::NAN], [1.0, f64::INFINITY], [1e308, 1e308]] {
+            let mut v = ExactVariance::new();
+            xs.iter().for_each(|&x| v.add(x));
+            assert!(v.variance_pop().is_some_and(f64::is_nan), "{xs:?}");
+        }
+        let mut v = ExactVariance::new();
+        [2.0, 2.0].iter().for_each(|&x| v.add(x));
+        assert_eq!(v.variance_pop(), Some(0.0));
     }
 
     #[test]

@@ -1,17 +1,25 @@
 //! Exact batch query execution.
 //!
-//! [`BatchEngine`] interprets a [`gola_plan::QueryGraph`] directly over fully
-//! materialized tables — no sampling, no mini-batches, no error estimation.
-//! It plays two roles in the reproduction:
+//! [`BatchEngine`] executes a [`gola_plan::QueryGraph`] over whole tables —
+//! no sampling, no mini-batches, no error estimation. It plays two roles in
+//! the reproduction:
 //!
 //! * the **"traditional query engine"** baseline of the paper's Figure 3(a)
 //!   (the vertical bar G-OLA's online answers are compared against), and
 //! * the **ground truth** for differential testing: after the last
 //!   mini-batch G-OLA must produce exactly this engine's answer.
 //!
-//! It is deliberately an *independent* implementation: it executes the
+//! It runs on the catalog's column chunks with the online path's kernels:
+//! filters through `gola_expr::vector::predicate_mask`, aggregates through
+//! `ReplicatedStates::fold_run` at zero replicas and the same `AggState`
+//! finalize. So a fast baseline and the online answer share their
+//! arithmetic. What stays *independent* is the plan: it interprets the
 //! logical plan tree, not the meta-plan blocks the online executor uses, so
-//! agreement between the two is meaningful evidence of correctness.
+//! agreement between the two is still meaningful evidence of correctness.
+//!
+//! The row-at-a-time interpreter it replaced is kept, unchanged, as the
+//! test-only `executor::row_oracle`; the in-crate tests hold the columnar
+//! engine to it bit for bit.
 
 // The determinism contract, checked by clippy (DESIGN.md §3.6).
 #![deny(

@@ -50,7 +50,7 @@ pub trait EvalContext {
 /// Context for exact execution: subquery values are final, ranges are
 /// points, membership is certain.
 pub struct ExactContext<'a> {
-    row: &'a Row,
+    row: &'a [Value],
     resolver: Option<&'a dyn ExactResolver>,
 }
 
@@ -64,15 +64,21 @@ impl<'a> ExactContext<'a> {
     /// Context over a bare row; any subquery reference is an error.
     pub fn new(row: &'a Row) -> Self {
         ExactContext {
-            row,
+            row: row.values(),
             resolver: None,
         }
     }
 
     /// Context with exact subquery resolution.
     pub fn with_resolver(row: &'a Row, resolver: &'a dyn ExactResolver) -> Self {
+        Self::over_values(row.values(), resolver)
+    }
+
+    /// Context over a row's values in a caller-owned buffer (reused across
+    /// rows by columnar executors), with exact subquery resolution.
+    pub fn over_values(values: &'a [Value], resolver: &'a dyn ExactResolver) -> Self {
         ExactContext {
-            row,
+            row: values,
             resolver: Some(resolver),
         }
     }
@@ -80,7 +86,7 @@ impl<'a> ExactContext<'a> {
 
 impl EvalContext for ExactContext<'_> {
     fn column(&self, idx: usize) -> &Value {
-        self.row.get(idx)
+        &self.row[idx]
     }
 
     fn scalar_current(&self, id: SubqueryId, key: &[Value]) -> Result<Value> {
@@ -291,7 +297,7 @@ pub fn eval_binary_values(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
                     if *b == 0 {
                         Value::Null
                     } else {
-                        Value::Int(a.rem_euclid(*b))
+                        Value::Int(a.wrapping_rem_euclid(*b)) // i64::MIN % -1 is 0
                     }
                 }
                 _ => unreachable!(),

@@ -262,8 +262,9 @@ mod kernel_equivalence {
 
     use super::Ctx;
 
-    /// Float slots: a small lattice (for Eq collisions) plus the signed-zero
-    /// and NaN edges the total-order comparison must normalize, plus NULLs.
+    /// Float slots: a small lattice (for Eq collisions) plus the signed-zero,
+    /// NaN and ±∞ edges the total-order comparison must normalize, plus
+    /// NULLs.
     fn float_val() -> BoxedStrategy<Value> {
         prop_oneof![
             (-16i32..16).prop_map(|i| Value::Float(i as f64 * 0.5)),
@@ -271,16 +272,23 @@ mod kernel_equivalence {
             (-16i32..16).prop_map(|i| Value::Float(i as f64 * 0.5)),
             Just(Value::Float(-0.0)),
             Just(Value::Float(f64::NAN)),
+            Just(Value::Float(f64::INFINITY)),
+            Just(Value::Float(f64::NEG_INFINITY)),
             Just(Value::Null),
         ]
         .boxed()
     }
 
+    /// Int slots: a small lattice plus the i64 extremes and ±(2^53 + 1),
+    /// the first integers a cross-type comparison rounds through `f64`.
     fn int_val() -> BoxedStrategy<Value> {
         prop_oneof![
             (-8i64..8).prop_map(Value::Int),
             (-8i64..8).prop_map(Value::Int),
             (-8i64..8).prop_map(Value::Int),
+            (0usize..4).prop_map(|i| {
+                Value::Int([i64::MIN, i64::MAX, (1 << 53) + 1, -(1 << 53) - 1][i])
+            }),
             Just(Value::Null),
         ]
         .boxed()
@@ -472,6 +480,79 @@ mod kernel_equivalence {
                 prop_assert_eq!(mask.get(i), pass, "row {} of {:?}", i, &pred);
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Numerics at the edges: every integer, cast and numeric-function path
+// returns a value or a typed error at the i64 extremes and the IEEE
+// specials, and never panics.
+// ---------------------------------------------------------------------------
+
+mod edge_numerics {
+    use gola_common::{DataType, Row, Value};
+    use gola_expr::eval::eval_binary_values;
+    use gola_expr::{BinOp, ExactContext, FunctionRegistry};
+    use proptest::prelude::*;
+
+    fn edge() -> BoxedStrategy<Value> {
+        let ints = [i64::MIN, i64::MAX, -1, 0].map(Value::Int);
+        let floats = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0].map(Value::Float);
+        (0usize..8)
+            .prop_map(move |i| {
+                ints.iter()
+                    .chain(&floats)
+                    .nth(i)
+                    .cloned()
+                    .unwrap_or(Value::Null)
+            })
+            .boxed()
+    }
+
+    /// Arithmetic, unary minus, every cast and every numeric built-in on
+    /// `(l, r)` (one- and two-argument forms).
+    fn exercise(l: &Value, r: &Value) {
+        for op in [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div, BinOp::Mod] {
+            let _ = eval_binary_values(op, l, r);
+        }
+        let neg = gola_expr::Expr::Unary {
+            op: gola_expr::UnaryOp::Neg,
+            expr: Box::new(gola_expr::Expr::Literal(l.clone())),
+        };
+        let _ = gola_expr::eval(&neg, &ExactContext::new(&Row::default()));
+        for to in [
+            DataType::Bool,
+            DataType::Int,
+            DataType::Float,
+            DataType::Str,
+        ] {
+            let _ = l.cast(to);
+        }
+        let registry = FunctionRegistry::with_builtins();
+        let unary = [
+            "abs", "sqrt", "ln", "exp", "floor", "ceil", "sign", "log10", "log2",
+        ];
+        for name in unary.into_iter().chain(["trunc", "round"]) {
+            let _ = registry.get(name).unwrap().call(std::slice::from_ref(l));
+        }
+        for name in ["round", "pow", "least", "greatest"] {
+            let _ = registry.get(name).unwrap().call(&[l.clone(), r.clone()]);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn numeric_paths_never_panic_at_the_edges(l in edge(), r in edge()) {
+            exercise(&l, &r);
+        }
+    }
+
+    /// Found by the proptest above: `i64::MIN % -1` overflowed
+    /// `rem_euclid` and panicked. The remainder is 0.
+    #[test]
+    fn int_min_mod_minus_one_is_zero() {
+        let m = eval_binary_values(BinOp::Mod, &Value::Int(i64::MIN), &Value::Int(-1));
+        assert_eq!(m.unwrap(), Value::Int(0));
     }
 }
 

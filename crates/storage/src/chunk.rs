@@ -5,8 +5,8 @@
 //! [`Column`] per attribute, all the same length, shared via `Arc` so
 //! projections (lineage columns) and carried uncertain sets are reference
 //! bumps instead of row copies. Row-at-a-time views are reconstructed on
-//! demand (`row`, `to_rows`) for the exact engine and the tests; the hot
-//! paths read the typed vectors directly.
+//! demand (`row`, `to_rows`) for tests, display and the row-based
+//! baselines; the online and the exact executor read the typed vectors.
 
 use std::sync::Arc;
 
@@ -161,7 +161,8 @@ impl ColumnChunk {
         Row::new(self.columns.iter().map(|c| c.value(i)).collect())
     }
 
-    /// Materialize every tuple (compatibility view for the exact engine).
+    /// Materialize every tuple (a view for tests, display and the row-based
+    /// baselines).
     pub fn to_rows(&self) -> Vec<Row> {
         (0..self.len).map(|i| self.row(i)).collect()
     }

@@ -3,9 +3,10 @@
 //! Tables store tuples as a sequence of [`ColumnChunk`]s of up to
 //! [`TABLE_CHUNK_ROWS`] rows each: one typed column vector per attribute
 //! (i64 / f64 / bool / dictionary-encoded strings) with a validity bitmap
-//! where NULLs occur. The row-oriented API (`rows`, `into_rows`) is kept as
-//! a materializing compatibility view for the exact engine and tests; the
-//! online executor reads chunks directly.
+//! where NULLs occur. The online and the exact executor read the chunks
+//! directly; the row-oriented API (`rows`, `row`) is a materializing view
+//! for tests, display and the remaining row-based callers (the baselines,
+//! CSV export, the online path's dimension maps).
 
 use std::fmt;
 use std::sync::Arc;
@@ -149,8 +150,8 @@ impl Table {
         &self.chunks
     }
 
-    /// Materialize every tuple as a [`Row`] (compatibility view: the exact
-    /// engine and tests are row-oriented; the online path reads chunks).
+    /// Materialize every tuple as a [`Row`] (a view for tests, display and
+    /// row-based callers; the executors read chunks).
     pub fn rows(&self) -> Vec<Row> {
         let mut out = Vec::with_capacity(self.len);
         for c in &self.chunks {
@@ -165,11 +166,6 @@ impl Table {
 
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Materialize all tuples, consuming the table.
-    pub fn into_rows(self) -> Vec<Row> {
-        self.rows()
     }
 
     /// Locate global row index `i` as `(chunk, offset)`.

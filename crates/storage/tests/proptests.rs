@@ -1,10 +1,11 @@
 //! Property tests for the storage substrate: the mini-batch partitioner
 //! must be an exact random partition (every tuple exactly once, sizes
-//! near-uniform, deterministic under seed), and CSV must round-trip
-//! arbitrary tables.
+//! near-uniform, deterministic under seed), CSV must round-trip
+//! arbitrary tables, and the CSV reader must survive corrupted input.
 
 use std::sync::Arc;
 
+use gola_common::rng::SplitMix64;
 use gola_common::{DataType, Row, Schema, Value};
 use gola_storage::csv::{read_csv, write_csv};
 use gola_storage::shuffle::permutation;
@@ -207,4 +208,96 @@ proptest! {
             }
         }
     }
+}
+
+/// Uniform draw from `0..n` (`n > 0`).
+fn below(rng: &mut SplitMix64, n: usize) -> usize {
+    usize::try_from(rng.next_below(n as u64)).unwrap()
+}
+
+/// Byte offsets of the starts of `text`'s lines.
+fn line_starts(text: &[u8]) -> Vec<usize> {
+    let breaks = text.iter().enumerate().filter(|(_, &b)| b == b'\n');
+    std::iter::once(0)
+        .chain(breaks.map(|(i, _)| i + 1))
+        .collect()
+}
+
+/// One random corruption of `text`: truncate at a byte, flip a byte,
+/// delete or duplicate a line, drop or add a separator, or insert bytes
+/// that are not UTF-8.
+fn mutate(rng: &mut SplitMix64, text: &mut Vec<u8>) {
+    let at = below(rng, text.len() + 1);
+    match below(rng, 7) {
+        0 => text.truncate(at),
+        1 if at < text.len() => text[at] ^= 1 << below(rng, 8),
+        2 | 3 => {
+            let starts = line_starts(text);
+            let line = below(rng, starts.len());
+            let end = starts.get(line + 1).copied().unwrap_or(text.len());
+            let span = starts[line]..end;
+            if below(rng, 2) == 0 {
+                text.drain(span);
+            } else {
+                let copy = text[span.clone()].to_vec();
+                text.splice(span.start..span.start, copy);
+            }
+        }
+        4 => {
+            let commas: Vec<usize> = (0..text.len()).filter(|&i| text[i] == b',').collect();
+            if !commas.is_empty() {
+                text.remove(commas[below(rng, commas.len())]);
+            }
+        }
+        5 => text.insert(at, b','),
+        _ => {
+            let bad: &[u8] =
+                [&[0xff][..], &[0xc3], &[0xe2, 0x82], &[0xed, 0xa0, 0x80]][below(rng, 4)];
+            text.splice(at..at, bad.iter().copied());
+        }
+    }
+}
+
+/// 2,000 seeded corruptions of a Conviva table's CSV (with NULLs): the
+/// reader returns a table or a typed error for each, and never panics.
+#[test]
+fn corrupted_csv_reads_to_a_table_or_an_error() {
+    let base = gola_workloads::ConvivaGenerator::default().generate(60);
+    let mut rng = SplitMix64::new(11);
+    let rows: Vec<Row> = base
+        .rows()
+        .into_iter()
+        .map(|r| {
+            let mut values = r.values().to_vec();
+            for v in &mut values {
+                if below(&mut rng, 6) == 0 {
+                    *v = Value::Null;
+                }
+            }
+            Row::new(values)
+        })
+        .collect();
+    let table = Table::new_unchecked(Arc::clone(base.schema()), rows);
+    let mut csv = Vec::new();
+    write_csv(&table, &mut csv).unwrap();
+    assert_eq!(
+        read_csv(Arc::clone(table.schema()), &csv[..]).unwrap(),
+        table
+    );
+    let (mut tables, mut errors) = (0, 0);
+    for _ in 0..2000 {
+        let mut mutant = csv.clone();
+        for _ in 0..=below(&mut rng, 3) {
+            mutate(&mut rng, &mut mutant);
+        }
+        match read_csv(Arc::clone(table.schema()), &mutant[..]) {
+            Ok(_) => tables += 1,
+            Err(_) => errors += 1,
+        }
+    }
+    // Both outcomes occur: the mutants are neither all fatal nor all benign.
+    assert!(
+        tables > 100 && errors > 100,
+        "{tables} tables, {errors} errors"
+    );
 }

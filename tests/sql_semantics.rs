@@ -268,3 +268,97 @@ fn order_by_with_nulls_first() {
     assert_eq!(exact.rows()[1].get(0), &Value::Float(-5.0));
     assert_eq!(exact.rows()[4].get(0), &Value::Float(4.0));
 }
+
+/// Groups of non-finite and extreme values, one per `g`:
+///   1  x ∈ {2.0, +∞}          4  x = 1e308, 80 times (the sums overflow)
+///   2  x ∈ {3.0, NaN}         5  n ∈ {i64::MIN, i64::MAX, −1, 0, 1, 2^53 + 1}
+///   3  x ∈ {+∞, −∞}
+/// (`n` is 7 outside group 5, `x` is 0.5 in group 5.)
+fn non_finite_catalog() -> Catalog {
+    let schema = Arc::new(Schema::from_pairs(&[
+        ("g", DataType::Int),
+        ("x", DataType::Float),
+        ("n", DataType::Int),
+    ]));
+    let mut groups: Vec<(i64, f64, i64)> = vec![
+        (1, 2.0, 7),
+        (1, f64::INFINITY, 7),
+        (2, 3.0, 7),
+        (2, f64::NAN, 7),
+        (3, f64::INFINITY, 7),
+        (3, f64::NEG_INFINITY, 7),
+    ];
+    groups.extend((0..80).map(|_| (4, 1e308, 7)));
+    let extremes = [i64::MIN, i64::MAX, -1, 0, 1, (1 << 53) + 1];
+    groups.extend(extremes.iter().map(|&n| (5, 0.5, n)));
+    // Interleave the groups so every mini-batch mixes them.
+    let rows: Vec<Row> = (0..groups.len())
+        .map(|i| groups[(i * 37) % groups.len()])
+        .map(|(g, x, n)| Row::new(vec![Value::Int(g), Value::Float(x), Value::Int(n)]))
+        .collect();
+    let mut c = Catalog::new();
+    c.register("nf", Arc::new(Table::try_new(schema, rows).unwrap()))
+        .unwrap();
+    c
+}
+
+/// SUM/AVG of a group holding `+∞` is `+∞`, not NaN; VAR_POP/STDDEV of a
+/// group holding NaN or ±∞ (or whose moments overflow) is NaN, not 0.0 —
+/// as IEEE and PostgreSQL have it. The online final report bit-matches the
+/// exact engine at one and two threads.
+#[test]
+fn non_finite_groups_aggregate_as_ieee() {
+    let sql = "SELECT g, SUM(x), AVG(x), VAR_POP(x), STDDEV(x), MIN(x), MAX(x), COUNT(x), \
+               SUM(n), AVG(n), VAR_POP(n), STDDEV(n), MIN(n), MAX(n), COUNT(n) \
+               FROM nf GROUP BY g ORDER BY g";
+    let catalog = non_finite_catalog();
+    let session = OnlineSession::new(catalog.clone(), OnlineConfig::for_tests(4));
+    let exact = session.execute_exact(sql).unwrap();
+    assert_eq!(exact.num_rows(), 5);
+    let (inf, nan) = (f64::INFINITY, f64::NAN);
+    // SUM, AVG, VAR_POP, STDDEV, MIN, MAX, COUNT of x, per group.
+    let want_x: [[f64; 7]; 5] = [
+        [inf, inf, nan, nan, 2.0, inf, 2.0],
+        [nan, nan, nan, nan, 3.0, nan, 2.0],
+        [nan, nan, nan, nan, -inf, inf, 2.0],
+        [inf, inf, nan, nan, 1e308, 1e308, 80.0],
+        [3.0, 0.5, 0.0, 0.0, 0.5, 0.5, 6.0],
+    ];
+    for (g, want) in want_x.iter().enumerate() {
+        let row = exact.row(g);
+        assert_eq!(row.get(0), &Value::Int(g as i64 + 1));
+        for (j, &w) in want.iter().enumerate() {
+            let got = row.get(1 + j).as_f64().unwrap();
+            let same = if w.is_nan() { got.is_nan() } else { got == w };
+            assert!(same, "group {} x column {j}: {got} vs {w}", g + 1);
+        }
+    }
+    // The integer extremes sum exactly as doubles: −2^63 + 2^63 − 1 + 0 +
+    // 1 + 2^53 (2^53 + 1 rounds to 2^53).
+    let ext = exact.row(4);
+    let two53 = 9_007_199_254_740_992.0;
+    assert_eq!(ext.get(8), &Value::Float(two53));
+    assert_eq!(ext.get(9), &Value::Float(two53 / 6.0));
+    let var = ext.get(10).as_f64().unwrap();
+    let mean = two53 / 6.0;
+    let want_var = (2.0 * 2f64.powi(126) + 2.0 + two53 * two53) / 6.0 - mean * mean;
+    assert!(
+        (var - want_var).abs() <= want_var * 1e-15,
+        "{var} vs {want_var}"
+    );
+    assert_eq!(ext.get(11), &Value::Float(var.sqrt()));
+    assert_eq!(ext.get(12), &Value::Int(i64::MIN));
+    assert_eq!(ext.get(13), &Value::Int(i64::MAX));
+    assert_eq!(ext.get(14), &Value::Float(6.0));
+
+    for threads in [1, 2] {
+        let config = OnlineConfig::for_tests(4).with_threads(threads);
+        let online = OnlineSession::new(catalog.clone(), config)
+            .execute_online(sql)
+            .unwrap()
+            .run_to_completion()
+            .unwrap();
+        gola_conformance::oracle::tables_bit_equal(&online.table, &exact)
+            .unwrap_or_else(|e| panic!("threads {threads}: {e}"));
+    }
+}
