@@ -101,24 +101,36 @@ impl BootstrapSpec {
     /// Restructured for throughput while staying bit-identical to
     /// [`poisson_weight`]: the per-replica and per-seed `hash_combine`
     /// terms are hoisted out of the tuple loop, and each (tuple, block)
-    /// runs in two passes. Pass 1 derives every replica's first two draw
-    /// mantissas and resolves the draw count up to `k = 1` in a straight
-    /// branch-free sweep (vectorizable: four 64-bit mixes plus two float
-    /// multiplies per cell, no data-dependent control flow) — ~37% of
-    /// draws terminate at `k = 0` by an exact integer threshold test and
-    /// another ~37% at `k = 1`. Pass 2 emits the resolved weights; only the
-    /// remaining ~26% run the Knuth float-product continuation — the same
-    /// arithmetic [`poisson_from_stream`] performs, in the same order.
+    /// runs the Knuth product chain draw by draw across every lane of the
+    /// block. A lane's weight is the number of draws after which its
+    /// running product is still above `e⁻¹`, and the product never rises
+    /// (each uniform is ≤ 1 and rounding is monotone), so once a lane's
+    /// product has dropped to `e⁻¹` further draws cannot change its count.
+    /// That lets every lane take every draw without a branch:
+    ///
+    /// * Pass 1 derives every replica's first two draw mantissas and counts
+    ///   up to 2 in a straight sweep (vectorizable: four 64-bit mixes plus
+    ///   two float multiplies per cell). The first draw's test is an exact
+    ///   integer threshold; ~37% of cells end at 0 and ~37% at 1.
+    /// * Draws 3 and 4 are two more branch-free sweeps ([`draw_sweep`]) over
+    ///   every lane. A lane that already stopped computes a draw it does not
+    ///   need and keeps its count; that is cheaper than the mispredicted
+    ///   branch that the ~26% of cells still chaining, at random, would pay.
+    /// * Only the ~1.9% of cells still chaining after four draws take the
+    ///   scalar tail, which resumes the reference loop with the same cap at
+    ///   16.
+    ///
+    /// Every chaining lane performs the arithmetic of
+    /// [`poisson_from_stream`], in the same order, so no weight bit moves.
     ///
     /// [`poisson_from_stream`]: gola_common::rng::poisson_from_stream
     fn fill(&self, tuple_ids: &[u64], out: &mut [u32]) {
         let trials = self.trials as usize;
         assert_eq!(out.len(), tuple_ids.len() * trials, "one row per tuple");
         let seed_m = self.seed.wrapping_mul(PHI);
+        let limit = (-1.0f64).exp();
         // ⌊e⁻¹ · 2⁵³⌋, the exact integer form of the first-draw test: with
         // u₁ = m₁ · 2⁻⁵³ (an exact product), u₁ ≤ e⁻¹ ⟺ m₁ ≤ this.
-        const SCALE: f64 = 1.0 / (1u64 << 53) as f64;
-        let limit = (-1.0f64).exp();
         #[expect(
             clippy::cast_possible_truncation,
             clippy::cast_sign_loss,
@@ -135,43 +147,45 @@ impl BootstrapSpec {
                 *x = (b ^ 0xB0_07).wrapping_mul(PHI);
             }
             let mut states = [0u64; BLOCK];
-            let mut w01s = [0u32; BLOCK];
-            let mut p2s = [0f64; BLOCK];
+            let mut ks = [0u32; BLOCK];
+            let mut ps = [0f64; BLOCK];
+            let (states, ks, ps) = (&mut states[..width], &mut ks[..width], &mut ps[..width]);
             for (i, &t) in tuple_ids.iter().enumerate() {
-                // Pass 1: branch-free stream derivation AND draw resolution
-                // up to k = 1. `w01s[b]` is the draw count when ≤ 1, or 2
-                // when the product chain must continue; `p2s[b]` is the
-                // running product after two draws — `u₁ · (m₂ · 2⁻⁵³)`,
-                // with `m₂ · 2⁻⁵³` an exact power-of-two scaling, so every
-                // bit matches the reference loop in `poisson_from_stream` —
-                // and `states[b]` the second Knuth state, so the rare
-                // continuation can resume at draw 3.
-                for (((&x, state), w01), p2) in xb[..width]
+                // Pass 1: branch-free stream derivation and the first two
+                // draws. `ps[b]` is the running product after two draws —
+                // `u₁ · (m₂ · 2⁻⁵³)`, with `m₂ · 2⁻⁵³` an exact power-of-two
+                // scaling, so every bit matches the reference loop in
+                // `poisson_from_stream` — and `states[b]` the second Knuth
+                // state, so draw 3 resumes it. `u₁ ≤ e⁻¹` forces
+                // `p₂ ≤ e⁻¹`, so the two tests add up to the count.
+                for (((&x, state), k), p) in xb[..width]
                     .iter()
-                    .zip(&mut states)
-                    .zip(&mut w01s)
-                    .zip(&mut p2s)
+                    .zip(&mut *states)
+                    .zip(&mut *ks)
+                    .zip(&mut *ps)
                 {
                     let s1 = mix(mix(t ^ x) ^ seed_m).wrapping_add(PHI);
                     let s2 = s1.wrapping_add(PHI);
                     let m1 = (mix(s1) >> 11) + 1;
                     let m2 = (mix(s2) >> 11) + 1;
-                    *p2 = (m1 as f64 * SCALE) * ((m2 as f64) * SCALE);
-                    let nonzero = (m1 > t0) as u32;
+                    *p = (m1 as f64 * SCALE) * ((m2 as f64) * SCALE);
                     *state = s2;
-                    *w01 = nonzero + (nonzero & (*p2 > limit) as u32);
+                    *k = (m1 > t0) as u32 + (*p > limit) as u32;
                 }
-                // Pass 2: emit resolved draws; only chain cells (~26%)
-                // branch.
+                // Draws 3 and 4.
+                draw_sweep(limit, ks, ps, states);
+                draw_sweep(limit, ks, ps, states);
                 let row = &mut out[i * trials + b0..][..width];
-                for (((w, &w01), &p2), &s2) in row.iter_mut().zip(&w01s).zip(&p2s).zip(&states) {
-                    if w01 < 2 {
-                        *w = w01 + bias;
+                for (w, &k) in row.iter_mut().zip(&*ks) {
+                    *w = k + bias;
+                }
+                // Scalar tail: the ~1.9% of lanes whose chain survived four
+                // draws resume the reference loop at k = 4.
+                for (b, &k) in ks.iter().enumerate() {
+                    if k < 4 {
                         continue;
                     }
-                    let mut p = p2;
-                    let mut state = s2;
-                    let mut k = 2u32;
+                    let (mut p, mut state, mut k) = (ps[b], states[b], k);
                     loop {
                         state = state.wrapping_add(PHI);
                         p *= (((mix(state) >> 11) + 1) as f64) * SCALE;
@@ -185,10 +199,28 @@ impl BootstrapSpec {
                             break;
                         }
                     }
-                    *w = k + bias;
+                    row[b] = k + bias;
                 }
             }
         }
+    }
+}
+
+/// `2⁻⁵³`: turns a 53-bit draw mantissa into its uniform, exactly.
+const SCALE: f64 = 1.0 / (1u64 << 53) as f64;
+
+/// One Knuth draw across every lane of a block, without a branch: every
+/// lane advances its state, multiplies its product by the next uniform and
+/// counts the draw if the product is still above `limit` (`e⁻¹`). For a
+/// chaining lane that is one iteration of the reference loop in
+/// `poisson_from_stream`; a lane whose product already dropped to `limit`
+/// stays there, so its count holds.
+#[inline(always)]
+fn draw_sweep(limit: f64, ks: &mut [u32], ps: &mut [f64], states: &mut [u64]) {
+    for ((k, p), state) in ks.iter_mut().zip(ps.iter_mut()).zip(states.iter_mut()) {
+        *state = state.wrapping_add(PHI);
+        *p *= (((mix(*state) >> 11) + 1) as f64) * SCALE;
+        *k += (*p > limit) as u32;
     }
 }
 

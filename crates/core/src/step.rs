@@ -236,10 +236,17 @@ impl OnlineExecutor {
         }
         let start = Stopwatch::start();
         let i = self.batches_done;
-        let batch = self.partitioner.batch(i);
+        // The step's span opens before the batch is materialized, so its
+        // self time holds what no stage bucket does; `gather` names the
+        // largest part of it.
+        let batch_span = gola_obs::span!("batch", index = i);
+        let batch = {
+            let _span = gola_obs::span!("gather");
+            self.partitioner.batch(i)
+        };
+        batch_span.field("rows", batch.len() as f64);
         let m = self.partitioner.multiplicity_after(i);
         let last = self.partitioner.is_final_batch(i);
-        let _batch_span = gola_obs::span!("batch", index = i);
 
         let mut timing = BatchTiming {
             batch_rows: batch.len(),

@@ -70,8 +70,9 @@ impl std::fmt::Display for HttpError {
 
 impl std::error::Error for HttpError {}
 
-/// Read one request off the stream.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
+/// Read one request off the stream (a socket in the server; any byte
+/// source in tests).
+pub fn read_request<R: Read>(stream: &mut R) -> Result<Request, HttpError> {
     let mut reader = BufReader::new(stream);
     let mut head = Vec::new();
     // Read the head byte-wise up to the blank line, bounded.

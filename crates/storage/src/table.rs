@@ -11,7 +11,10 @@
 use std::fmt;
 use std::sync::Arc;
 
-use gola_common::{Bitmap, Column, ColumnBuilder, ColumnData, Error, Result, Row, Schema, Value};
+use gola_common::hash::FxHashMap;
+use gola_common::{
+    Bitmap, Column, ColumnBuilder, ColumnData, DataType, Error, Result, Row, Schema, Value,
+};
 
 use crate::chunk::ColumnChunk;
 
@@ -193,69 +196,74 @@ impl Table {
 
     /// Gather tuples by global row index into a single [`ColumnChunk`]
     /// (the partitioner's mini-batch materialization).
+    ///
+    /// Across chunk boundaries every index is resolved to its `(chunk,
+    /// offset)` once, and each column then copies from its chunks' typed
+    /// slices (see `gather_column`).
     pub fn gather(&self, indices: &[usize]) -> ColumnChunk {
         if self.chunks.len() == 1 {
             return self.chunks[0].gather(indices);
         }
+        let locs: Vec<(usize, usize)> = indices.iter().map(|&i| self.locate(i)).collect();
         let columns = (0..self.schema.len())
-            .map(|j| Arc::new(self.gather_column(j, indices)))
+            .map(|j| Arc::new(self.gather_column(j, &locs)))
             .collect();
         ColumnChunk::new(columns, indices.len())
     }
 
-    /// Gather one column across chunk boundaries.
-    fn gather_column(&self, j: usize, indices: &[usize]) -> Column {
-        // Typed fast paths when every chunk stores the same primitive
-        // variant; otherwise rebuild through the builder (re-encoding
-        // dictionary strings against a fresh per-gather dictionary).
-        let all_int = self
-            .chunks
-            .iter()
-            .all(|c| matches!(c.column(j).data(), ColumnData::Int(_)));
-        let all_float = !all_int
-            && self
-                .chunks
-                .iter()
-                .all(|c| matches!(c.column(j).data(), ColumnData::Float(_)));
-        let all_bool = !all_int
-            && !all_float
-            && self
-                .chunks
-                .iter()
-                .all(|c| matches!(c.column(j).data(), ColumnData::Bool(_)));
-        let any_null = self.chunks.iter().any(|c| c.column(j).validity().is_some());
-        macro_rules! typed_gather {
-            ($variant:ident) => {{
-                let mut out = Vec::with_capacity(indices.len());
-                let mut validity = if any_null { Some(Bitmap::new()) } else { None };
-                for &i in indices {
-                    let (c, o) = self.locate(i);
-                    let col = self.chunks[c].column(j);
-                    match col.data() {
-                        ColumnData::$variant(xs) => out.push(xs[o]),
-                        _ => unreachable!("variant checked above"),
-                    }
-                    if let Some(bm) = validity.as_mut() {
-                        bm.push(col.is_valid(o));
+    /// Gather one column across chunk boundaries, from resolved `(chunk,
+    /// offset)` locations. The output equals a [`ColumnBuilder`] fed the
+    /// gathered values row by row — same representation, dictionary order,
+    /// codes and validity — without paying a `Value` per cell:
+    ///
+    /// * when every chunk stores the same primitive variant, values copy
+    ///   straight from the typed slices;
+    /// * when every chunk stores dictionary strings under a `Str` schema
+    ///   field, each chunk's codes are remapped into one dictionary in
+    ///   first-appearance order, hashing a string once per distinct
+    ///   `(chunk, code)` rather than once per row;
+    /// * anything else (mixed representations) rebuilds through the
+    ///   builder.
+    fn gather_column(&self, j: usize, locs: &[(usize, usize)]) -> Column {
+        let cols: Vec<&Column> = self.chunks.iter().map(|c| c.column(j).as_ref()).collect();
+        let validity = || {
+            cols.iter().any(|c| c.validity().is_some()).then(|| {
+                let mut bm = Bitmap::new_clear(locs.len());
+                for (k, &(c, o)) in locs.iter().enumerate() {
+                    if cols[c].is_valid(o) {
+                        bm.set(k, true);
                     }
                 }
-                Column::new(ColumnData::$variant(out), validity)
-            }};
+                bm
+            })
+        };
+        macro_rules! primitive {
+            ($variant:ident) => {
+                if let Some(xs) = typed_slices(&cols, |d| match d {
+                    ColumnData::$variant(xs) => Some(xs),
+                    _ => None,
+                }) {
+                    return Column::new(ColumnData::$variant(pick(&xs, locs)), validity());
+                }
+            };
         }
-        if all_int {
-            typed_gather!(Int)
-        } else if all_float {
-            typed_gather!(Float)
-        } else if all_bool {
-            typed_gather!(Bool)
-        } else {
-            let mut b = ColumnBuilder::new(self.schema.field(j).data_type, indices.len());
-            for &i in indices {
-                let (c, o) = self.locate(i);
-                b.push(&self.chunks[c].column(j).value(o));
+        primitive!(Int);
+        primitive!(Float);
+        primitive!(Bool);
+        let dtype = self.schema.field(j).data_type;
+        if dtype == DataType::Str {
+            if let Some(parts) = typed_slices(&cols, |d| match d {
+                ColumnData::Str { dict, codes } => Some((dict.as_slice(), codes.as_slice())),
+                _ => None,
+            }) {
+                return gather_str(&cols, &parts, locs);
             }
-            b.finish()
         }
+        let mut b = ColumnBuilder::new(dtype, locs.len());
+        for &(c, o) in locs {
+            b.push(&cols[c].value(o));
+        }
+        b.finish()
     }
 
     /// Column values by name, for tests and quick inspection.
@@ -316,6 +324,73 @@ impl Table {
         }
         out
     }
+}
+
+/// One typed view per chunk, or `None` unless `view` accepts every chunk's
+/// payload.
+fn typed_slices<'a, T>(
+    cols: &[&'a Column],
+    view: impl Fn(&'a ColumnData) -> Option<T>,
+) -> Option<Vec<T>> {
+    cols.iter().map(|c| view(c.data())).collect()
+}
+
+/// Copy the value at each `(chunk, offset)`.
+fn pick<T: Copy>(slices: &[&Vec<T>], locs: &[(usize, usize)]) -> Vec<T> {
+    locs.iter().map(|&(c, o)| slices[c][o]).collect()
+}
+
+/// The dictionary-string gather: remap each chunk's codes into one
+/// dictionary in first-appearance order, exactly as [`ColumnBuilder`]
+/// would build it from the gathered values (NULL slots carry code 0 and
+/// add nothing to the dictionary). The chunk codes are copied first, in
+/// one pass of independent loads like the primitive gathers; the remap
+/// then runs over that cache-resident copy.
+fn gather_str(
+    cols: &[&Column],
+    parts: &[(&[Arc<str>], &[u32])],
+    locs: &[(usize, usize)],
+) -> Column {
+    const UNSEEN: u32 = u32::MAX;
+    let mut codes: Vec<u32> = locs.iter().map(|&(c, o)| parts[c].1[o]).collect();
+    // Per chunk, the output code of each of its dictionary codes; filled
+    // on first use, so a string is hashed once per distinct (chunk, code).
+    let mut remap: Vec<Vec<u32>> = parts.iter().map(|(d, _)| vec![UNSEEN; d.len()]).collect();
+    let mut dict: Vec<Arc<str>> = Vec::new();
+    let mut index: FxHashMap<Arc<str>, u32> = FxHashMap::default();
+    let mut validity = cols
+        .iter()
+        .any(|c| c.validity().is_some())
+        .then(|| Bitmap::new_clear(locs.len()));
+    for (k, (&(c, o), code)) in locs.iter().zip(&mut codes).enumerate() {
+        if let Some(bm) = validity.as_mut() {
+            if !cols[c].is_valid(o) {
+                *code = 0;
+                continue;
+            }
+            bm.set(k, true);
+        }
+        let slot = &mut remap[c][*code as usize];
+        if *slot == UNSEEN {
+            let s = &parts[c].0[*code as usize];
+            *slot = *index.entry(Arc::clone(s)).or_insert_with(|| {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a dictionary past u32 code space must fail, not alias (as in the builder)"
+                )]
+                let next = u32::try_from(dict.len()).expect("dictionary exceeds u32 codes");
+                dict.push(Arc::clone(s));
+                next
+            });
+        }
+        *code = *slot;
+    }
+    let data = ColumnData::Str {
+        dict: Arc::new(dict),
+        codes,
+    };
+    // An all-set map normalizes to `None`, as the builder's does.
+    Column::new(data, validity)
 }
 
 impl PartialEq for Table {

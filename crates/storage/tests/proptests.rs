@@ -1,15 +1,16 @@
 //! Property tests for the storage substrate: the mini-batch partitioner
 //! must be an exact random partition (every tuple exactly once, sizes
 //! near-uniform, deterministic under seed), CSV must round-trip
-//! arbitrary tables, and the CSV reader must survive corrupted input.
+//! arbitrary tables, the CSV reader must survive corrupted input, and a
+//! gather across chunk boundaries must equal a row-by-row rebuild.
 
 use std::sync::Arc;
 
 use gola_common::rng::SplitMix64;
-use gola_common::{DataType, Row, Schema, Value};
+use gola_common::{Bitmap, Column, ColumnBuilder, ColumnData, DataType, Row, Schema, Value};
 use gola_storage::csv::{read_csv, write_csv};
 use gola_storage::shuffle::permutation;
-use gola_storage::{MiniBatch, Partitioner, Table};
+use gola_storage::{ColumnChunk, MiniBatch, Partitioner, Table};
 use proptest::prelude::*;
 
 fn batches(p: &Partitioner) -> Vec<MiniBatch> {
@@ -30,6 +31,34 @@ fn grouped_table(n: usize, groups: usize) -> Arc<Table> {
 }
 
 proptest! {
+    #[test]
+    fn multi_chunk_gather_equals_a_row_by_row_rebuild(
+        seed in any::<u64>(),
+        filled in 1usize..5,
+        rows in 0usize..120,
+    ) {
+        let mut rng = SplitMix64::new(seed);
+        let table = uneven_table(&mut rng, filled, rows);
+        let n = table.num_rows();
+        let repeats: Vec<usize> = if n == 0 {
+            Vec::new()
+        } else {
+            (0..below(&mut rng, 2 * n + 1)).map(|_| below(&mut rng, n)).collect()
+        };
+        for indices in [repeats, Vec::new(), (0..n).collect()] {
+            let got = table.gather(&indices);
+            prop_assert_eq!(got.len(), indices.len());
+            for (j, field) in table.schema().fields().iter().enumerate() {
+                let mut want = ColumnBuilder::new(field.data_type, indices.len());
+                for &i in &indices {
+                    want.push(&table.value(i, j));
+                }
+                same_column(got.column(j), &want.finish())
+                    .map_err(|e| TestCaseError::fail(format!("column {}: {e}", field.name)))?;
+            }
+        }
+    }
+
     #[test]
     fn partitioner_is_exact_partition(
         n in 1usize..400,
@@ -300,4 +329,131 @@ fn corrupted_csv_reads_to_a_table_or_an_error() {
         tables > 100 && errors > 100,
         "{tables} tables, {errors} errors"
     );
+}
+
+/// A table of `filled` non-empty chunks of uneven length plus one empty
+/// chunk, `rows` rows in all (at least one per filled chunk). Every column
+/// carries NULLs. Each chunk's `s` dictionary is its own permutation of a
+/// shared pool, with unused entries and arbitrary codes under NULL slots;
+/// `m` is declared `Int` but turns `Mixed` in chunks that draw a `Float` or
+/// a string into it.
+fn uneven_table(rng: &mut SplitMix64, filled: usize, rows: usize) -> Table {
+    const POOL: [&str; 6] = ["us", "eu", "", "asia", "us ", "ü"];
+    let schema = Schema::from_pairs(&[
+        ("i", DataType::Int),
+        ("f", DataType::Float),
+        ("b", DataType::Bool),
+        ("s", DataType::Str),
+        ("m", DataType::Int),
+    ]);
+    let rows = rows.max(filled);
+    let mut cuts: Vec<usize> = (1..filled).map(|_| 1 + below(rng, rows - 1)).collect();
+    cuts.extend([0, rows]);
+    cuts.sort_unstable();
+    cuts.dedup();
+    let mut lens: Vec<usize> = cuts.windows(2).map(|w| w[1] - w[0]).collect();
+    lens.insert(below(rng, lens.len() + 1), 0);
+    let mut chunks = Vec::new();
+    for len in lens {
+        let null = |rng: &mut SplitMix64| below(rng, 5) == 0;
+        let floats = [0.5, -0.0, f64::NAN, f64::INFINITY, 1e300];
+        let rows: Vec<Row> = (0..len)
+            .map(|_| {
+                let i = if null(rng) {
+                    Value::Null
+                } else {
+                    Value::Int(below(rng, 9) as i64 - 4)
+                };
+                let f = if null(rng) {
+                    Value::Null
+                } else {
+                    Value::Float(floats[below(rng, 5)])
+                };
+                let b = if null(rng) {
+                    Value::Null
+                } else {
+                    Value::Bool(below(rng, 2) == 0)
+                };
+                let m = match below(rng, 8) {
+                    0 => Value::Null,
+                    1 => Value::Float(2.5),
+                    2 => Value::str("m"),
+                    _ => Value::Int(below(rng, 3) as i64),
+                };
+                Row::new(vec![i, f, b, Value::Null, m])
+            })
+            .collect();
+        let typed = ColumnChunk::from_rows(&schema, &rows);
+        // The `s` column, built by hand: a permuted pool as the dictionary.
+        let mut dict: Vec<Arc<str>> = POOL.iter().map(|&s| Arc::from(s)).collect();
+        for k in (1..dict.len()).rev() {
+            dict.swap(k, below(rng, k + 1));
+        }
+        dict.truncate(2 + below(rng, dict.len() - 1));
+        let mut validity = Bitmap::new_clear(len);
+        let codes: Vec<u32> = (0..len)
+            .map(|k| {
+                validity.set(k, !null(rng));
+                below(rng, dict.len()) as u32
+            })
+            .collect();
+        let s = Column::new(
+            ColumnData::Str {
+                dict: Arc::new(dict),
+                codes,
+            },
+            Some(validity),
+        );
+        let mut columns = typed.columns().to_vec();
+        columns[3] = Arc::new(s);
+        chunks.push(ColumnChunk::new(columns, len));
+    }
+    Table::from_chunks(Arc::new(schema), chunks).unwrap()
+}
+
+/// Representation-level equality of two columns: variant, payload bits
+/// (floats by `to_bits`, mixed values with their types), dictionary order,
+/// codes and validity. `Column` has no `PartialEq`, and `Value` equality
+/// is cross-type, so neither would do.
+fn same_column(got: &Column, want: &Column) -> Result<(), String> {
+    let same = match (got.data(), want.data()) {
+        (ColumnData::Int(a), ColumnData::Int(b)) => a == b,
+        (ColumnData::Float(a), ColumnData::Float(b)) => a
+            .iter()
+            .map(|x| x.to_bits())
+            .eq(b.iter().map(|x| x.to_bits())),
+        (ColumnData::Bool(a), ColumnData::Bool(b)) => a == b,
+        (
+            ColumnData::Str {
+                dict: da,
+                codes: ca,
+            },
+            ColumnData::Str {
+                dict: db,
+                codes: cb,
+            },
+        ) => da == db && ca == cb,
+        (ColumnData::Mixed(a), ColumnData::Mixed(b)) => {
+            a.len() == b.len()
+                && a.iter().zip(b).all(|(x, y)| {
+                    x.data_type() == y.data_type()
+                        && match (x, y) {
+                            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+                            _ => x == y,
+                        }
+                })
+        }
+        _ => false,
+    };
+    if !same {
+        return Err(format!("data {:?} != {:?}", got.data(), want.data()));
+    }
+    if got.validity() != want.validity() {
+        return Err(format!(
+            "validity {:?} != {:?}",
+            got.validity(),
+            want.validity()
+        ));
+    }
+    Ok(())
 }
