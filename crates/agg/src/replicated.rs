@@ -254,15 +254,6 @@ impl ReplicatedStates {
         }
     }
 
-    /// Merge another group's states (same kinds/trials; used when combining
-    /// partial aggregations).
-    pub fn merge(&mut self, other: &ReplicatedStates) {
-        assert_eq!(self.states.len(), other.states.len());
-        for (a, b) in self.states.iter_mut().zip(&other.states) {
-            a.merge(b);
-        }
-    }
-
     /// Merge only the main states (selective combination: per-trial
     /// inclusion of the other partition is decided separately).
     pub fn merge_main(&mut self, other: &ReplicatedStates) {
@@ -434,27 +425,6 @@ mod tests {
         rs.update(&[Value::str("abc")], 1, &spec());
         assert!(rs.estimate(0, 1.0).is_none());
         assert_eq!(rs.value(0, 1.0), Value::str("abc"));
-    }
-
-    #[test]
-    fn merge_combines_partials() {
-        let kinds = [AggKind::Sum];
-        let s = spec();
-        let mut a = ReplicatedStates::new(&kinds, 16);
-        let mut b = ReplicatedStates::new(&kinds, 16);
-        let mut whole = ReplicatedStates::new(&kinds, 16);
-        for t in 0..40u64 {
-            let v = [Value::Float(t as f64)];
-            whole.update(&v, t, &s);
-            if t % 2 == 0 {
-                a.update(&v, t, &s);
-            } else {
-                b.update(&v, t, &s);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.value(0, 1.0), whole.value(0, 1.0));
-        assert_eq!(a.replica_values(0, 1.0), whole.replica_values(0, 1.0));
     }
 
     #[test]

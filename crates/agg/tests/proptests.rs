@@ -146,8 +146,13 @@ proptest! {
         let spec = BootstrapSpec::new(20, seed);
         let split = split.min(xs.len());
         let whole = feed_replicated(&spec, 0, &xs);
+        // Lane by lane, as `groups::semi_join_states` merges partitions.
+        let tail = feed_replicated(&spec, split as u64, &xs[split..]);
         let mut merged = feed_replicated(&spec, 0, &xs[..split]);
-        merged.merge(&feed_replicated(&spec, split as u64, &xs[split..]));
+        merged.merge_main(&tail);
+        for b in 0..spec.trials {
+            merged.merge_replica(b, &tail);
+        }
         for (j, kind) in numeric_kinds().iter().enumerate() {
             prop_assert!(bits_eq(&merged.value(j, 1.0), &whole.value(j, 1.0)), "{kind} main");
             for b in 0..spec.trials {

@@ -7,7 +7,10 @@
 //! Small `ε` shrinks the uncertain sets but raises the probability that a
 //! future running value escapes the range (a *failure*, detected by the
 //! query controller and repaired by recomputation). The paper reports that
-//! `ε = stddev(û)` balances the two; that is [`EpsilonPolicy::default`].
+//! `ε = stddev(û)` balances the two. The online executor's default is
+//! `3 × stddev(û)` (`OnlineConfig::epsilon`): a committed envelope must
+//! cover a running value's whole remaining trajectory, not one batch's
+//! spread.
 
 use gola_common::stats::stddev_pop;
 
@@ -21,12 +24,6 @@ pub enum EpsilonPolicy {
     Fixed(f64),
     /// `ε = scale × |current estimate|` (relative slack).
     Relative(f64),
-}
-
-impl Default for EpsilonPolicy {
-    fn default() -> Self {
-        EpsilonPolicy::StdDevScaled(1.0)
-    }
 }
 
 impl EpsilonPolicy {
@@ -93,7 +90,7 @@ mod tests {
     #[test]
     fn stddev_policy_matches_paper_default() {
         let replicas = [36.0, 37.0, 38.0, 36.5, 37.5];
-        let r = VariationRange::from_replicas(37.0, &replicas, EpsilonPolicy::default());
+        let r = VariationRange::from_replicas(37.0, &replicas, EpsilonPolicy::StdDevScaled(1.0));
         let sd = stddev_pop(&replicas).unwrap();
         assert!((r.lo - (36.0 - sd)).abs() < 1e-12);
         assert!((r.hi - (38.0 + sd)).abs() < 1e-12);

@@ -15,37 +15,21 @@ pub struct OnlineConfig {
     /// uncertain predicate stays uncertain — only useful for overhead
     /// ablations).
     pub bootstrap: BootstrapSpec,
-    /// Slack policy for variation ranges; the paper recommends
-    /// `ε = stddev(bootstrap outputs)`.
+    /// Slack `ε` of the variation ranges that classify tuples (paper §3.2).
+    /// The paper recommends `ε = stddev(bootstrap outputs)`; the default is
+    /// three standard deviations. A committed envelope must cover the value's *entire
+    /// remaining trajectory*, not just its current bootstrap spread: under
+    /// mini-batch streaming a running aggregate legitimately drifts, and an
+    /// envelope sized for one batch gets crossed eventually (one violation
+    /// per few hundred group-batches adds up over thousands of groups).
+    /// Reported confidence intervals do not read it.
     pub epsilon: EpsilonPolicy,
     /// Seed of the random mini-batch partitioner.
     pub partition_seed: u64,
     /// Confidence level for reported intervals.
     pub ci_level: f64,
-    /// Stream this table; `None` picks the largest scanned table.
-    pub stream_table: Option<String>,
     /// Worker threads for per-batch processing (1 = sequential).
     pub threads: usize,
-    /// Small-sample guard: while a group's aggregate has fewer than this
-    /// many observations, its bootstrap variation range is not trusted for
-    /// deterministic classification (only monotone bounds apply). Bootstrap
-    /// ranges over a handful of observations are spuriously tight and would
-    /// cause failure/recompute churn on sparse groups.
-    pub min_group_obs: f64,
-    /// Committed envelopes must cover the value's *entire remaining
-    /// trajectory*, not just its current bootstrap spread — under
-    /// mini-batch streaming a running aggregate legitimately drifts, and an
-    /// envelope sized for one batch gets crossed eventually (one violation
-    /// per few hundred group-batches adds up over thousands of groups).
-    /// Classification ranges therefore use `ε × envelope_inflation`.
-    /// Reported confidence intervals are unaffected.
-    pub envelope_inflation: f64,
-    /// Stress knob: when set, the worker pool shuffles each run's job queue
-    /// with this seed before dispatch, forcing adversarial completion
-    /// orders. Reports must stay bit-identical — a failure under
-    /// perturbation is a schedule-dependence bug. Test-only; leave `None`
-    /// in production.
-    pub schedule_perturbation: Option<u64>,
     /// Accuracy/deadline contract applied when the query itself carries
     /// none (a SQL-level `ERROR`/`WITHIN` clause wins over this).
     pub contract: Option<QueryContract>,
@@ -67,14 +51,10 @@ impl Default for OnlineConfig {
         OnlineConfig {
             num_batches: 100,
             bootstrap: BootstrapSpec::default(),
-            epsilon: EpsilonPolicy::default(),
+            epsilon: EpsilonPolicy::StdDevScaled(3.0),
             partition_seed: 0xF1_00_DB,
             ci_level: 0.95,
-            stream_table: None,
             threads: 1,
-            min_group_obs: 5.0,
-            envelope_inflation: 3.0,
-            schedule_perturbation: None,
             contract: None,
             stratify_column: None,
             session_label: None,
@@ -107,11 +87,6 @@ impl OnlineConfig {
         self
     }
 
-    pub fn with_stream_table(mut self, table: impl Into<String>) -> Self {
-        self.stream_table = Some(table.into());
-        self
-    }
-
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.partition_seed = seed;
         self
@@ -119,21 +94,6 @@ impl OnlineConfig {
 
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    pub fn with_perturbation(mut self, seed: u64) -> Self {
-        self.schedule_perturbation = Some(seed);
-        self
-    }
-
-    pub fn with_min_group_obs(mut self, obs: f64) -> Self {
-        self.min_group_obs = obs;
-        self
-    }
-
-    pub fn with_envelope_inflation(mut self, factor: f64) -> Self {
-        self.envelope_inflation = factor;
         self
     }
 
@@ -152,17 +112,6 @@ impl OnlineConfig {
         self
     }
 
-    /// The epsilon policy used for *classification* envelopes: the
-    /// configured policy scaled by [`OnlineConfig::envelope_inflation`].
-    pub fn envelope_epsilon(&self) -> gola_bootstrap::EpsilonPolicy {
-        use gola_bootstrap::EpsilonPolicy::*;
-        match self.epsilon {
-            StdDevScaled(s) => StdDevScaled(s * self.envelope_inflation),
-            Fixed(e) => Fixed(e * self.envelope_inflation),
-            Relative(r) => Relative(r * self.envelope_inflation),
-        }
-    }
-
     /// Validate the configuration.
     pub fn validate(&self) -> Result<()> {
         if self.num_batches == 0 {
@@ -174,23 +123,18 @@ impl OnlineConfig {
                 self.ci_level
             )));
         }
-        // NaN must not slip past either check: a NaN guard trusts every
-        // group, and a NaN or negative inflation inverts every envelope
-        // (`lo > hi`), silently.
-        if self.min_group_obs.is_nan() || self.min_group_obs < 0.0 {
-            return Err(Error::config(format!(
-                "min_group_obs {} must be >= 0",
-                self.min_group_obs
-            )));
-        }
-        if !self.envelope_inflation.is_finite() || self.envelope_inflation < 0.0 {
-            return Err(Error::config(format!(
-                "envelope_inflation {} must be finite and >= 0",
-                self.envelope_inflation
-            )));
-        }
         if self.threads == 0 {
             return Err(Error::config("threads must be >= 1"));
+        }
+        // NaN must not slip past: a NaN or negative slack inverts every
+        // envelope (`lo > hi`), silently.
+        let (EpsilonPolicy::StdDevScaled(e) | EpsilonPolicy::Fixed(e) | EpsilonPolicy::Relative(e)) =
+            self.epsilon;
+        if !e.is_finite() || e < 0.0 {
+            return Err(Error::config(format!(
+                "epsilon {:?} must be finite and >= 0",
+                self.epsilon
+            )));
         }
         Ok(())
     }
@@ -210,13 +154,11 @@ mod tests {
         let c = OnlineConfig::default()
             .with_batches(10)
             .with_trials(5)
-            .with_stream_table("sessions")
             .with_seed(9)
             .with_threads(4)
             .with_epsilon(EpsilonPolicy::Fixed(0.5));
         assert_eq!(c.num_batches, 10);
         assert_eq!(c.bootstrap.trials, 5);
-        assert_eq!(c.stream_table.as_deref(), Some("sessions"));
         assert_eq!(c.partition_seed, 9);
         assert_eq!(c.threads, 4);
         assert!(c.validate().is_ok());
@@ -238,20 +180,23 @@ mod tests {
         c.threads = 0;
         assert!(c.validate().is_err());
         let valid = OnlineConfig::default;
-        for bad in [-1.0, f64::NAN] {
-            assert!(valid().with_min_group_obs(bad).validate().is_err());
-            assert!(valid().with_envelope_inflation(bad).validate().is_err());
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            for policy in [
+                EpsilonPolicy::StdDevScaled(bad),
+                EpsilonPolicy::Fixed(bad),
+                EpsilonPolicy::Relative(bad),
+            ] {
+                assert!(valid().with_epsilon(policy).validate().is_err());
+            }
         }
+        // The degenerate-but-sound end stays legal.
         assert!(valid()
-            .with_envelope_inflation(f64::INFINITY)
+            .with_epsilon(EpsilonPolicy::Fixed(0.0))
             .validate()
-            .is_err());
-        // The degenerate-but-sound ends stay legal.
-        assert!(valid().with_min_group_obs(0.0).validate().is_ok());
-        assert!(valid().with_envelope_inflation(0.0).validate().is_ok());
+            .is_ok());
         // Every rejection is the typed config error.
         let err = valid()
-            .with_envelope_inflation(-3.0)
+            .with_epsilon(EpsilonPolicy::StdDevScaled(-3.0))
             .validate()
             .unwrap_err();
         assert!(matches!(err, Error::Config(_)), "{err}");

@@ -2,22 +2,15 @@
 //! block's replicated aggregate states, then rebuild the uncertain set
 //! from the tuples classification left open.
 //!
-//! This is the only stage with two paths, and the pool's size picks
-//! between them. At one thread chunks fold in order straight into the
-//! block runtime — no shards, no merges. With workers and mergeable
-//! aggregates each chunk folds into a private shard and the shards merge
-//! in chunk order. Both produce the same bits: every mergeable state
-//! (COUNT/SUM/AVG/MIN/MAX/VAR) finalizes to a pure function of the folded
-//! *multiset* (`ExactSum` expansions; exact small-integer weight sums;
-//! strict MIN/MAX comparisons). Quantile/UDAF states cannot merge, so they
-//! take the direct path at any thread count. Neither path subsumes the
-//! other: sharding at one thread pays a state allocation and a merge per
-//! (chunk, group) for nothing, and the direct path cannot use workers —
-//! the benchmark keeps a workload on each side (`c2_fold_t1`, `c2_fold_t2`).
+//! One path at every thread count: chunks fold in order straight into the
+//! block runtime. Folding each chunk into a private shard on the pool and
+//! merging the shards in chunk order was measured and lost (DESIGN.md
+//! §3.5.8): it costs a state allocation and a 101-replica merge per
+//! (chunk, group), and the wave already keeps both cores busy
+//! (`ingest_wave` runs a wave's blocks on the pool, so C2's two inner
+//! blocks fold concurrently). Weights and classify stay chunk-parallel.
 
-use std::collections::hash_map::Entry;
-
-use gola_agg::{AggKind, FoldScratch, ReplicatedStates};
+use gola_agg::{FoldScratch, ReplicatedStates};
 use gola_common::{row_u32, FxHashMap, Result, Value};
 
 use crate::classify::{ChunkClass, CHUNK};
@@ -45,31 +38,9 @@ pub(crate) fn fold(
     weights: &BatchWeights,
     rt: &mut BlockRuntime,
 ) -> Result<()> {
-    let mergeable = env.cb.agg_kinds.iter().all(AggKind::is_mergeable);
-    if mergeable && classes.len() > 1 && env.pool.threads() > 1 {
-        let shards = env.pool.map(classes.iter().enumerate(), |(ci, class)| {
-            let mut shard = BlockRuntime::default();
-            let mut scratch = FoldScratch::default();
-            fold_chunk(env, cand, weights, ci, class, &mut shard, &mut scratch).map(|()| shard)
-        });
-        let _merge_span = gola_obs::span!("merge");
-        for shard in shards {
-            let shard = shard?;
-            merge_groups(&mut rt.groups, shard.groups);
-            #[expect(
-                clippy::iter_over_hash_type,
-                reason = "per-key merge into disjoint entries; the visit order only \
-                          moves map insertion order, which is sorted before it is read"
-            )]
-            for (mkey, groups) in shard.semi_groups {
-                merge_groups(rt.semi_groups.entry(mkey).or_default(), groups);
-            }
-        }
-    } else {
-        let mut scratch = FoldScratch::default();
-        for (ci, class) in classes.iter().enumerate() {
-            fold_chunk(env, cand, weights, ci, class, rt, &mut scratch)?;
-        }
+    let mut scratch = FoldScratch::default();
+    for (ci, class) in classes.iter().enumerate() {
+        fold_chunk(env, cand, weights, ci, class, rt, &mut scratch)?;
     }
 
     // The still-uncertain tuples, in candidate order (chunk order ×
@@ -97,26 +68,6 @@ pub(crate) fn fold(
         chunk: cand.chunk.gather(&keep),
     };
     Ok(())
-}
-
-/// Merge one shard's groups into `into`, key by key.
-fn merge_groups(
-    into: &mut FxHashMap<Vec<Value>, ReplicatedStates>,
-    shard: FxHashMap<Vec<Value>, ReplicatedStates>,
-) {
-    #[expect(
-        clippy::iter_over_hash_type,
-        reason = "per-key merge into disjoint entries; the visit order only \
-                  moves map insertion order, which is sorted before it is read"
-    )]
-    for (key, states) in shard {
-        match into.entry(key) {
-            Entry::Occupied(mut e) => e.get_mut().merge(&states),
-            Entry::Vacant(v) => {
-                v.insert(states);
-            }
-        }
-    }
 }
 
 /// Fold chunk `ci`'s deterministic-true tuples into `rt`, one *run* per

@@ -22,6 +22,13 @@ use crate::runtime::{
     TupleReader,
 };
 
+/// Small-sample guard: while a group's aggregate has fewer than this many
+/// observations, its bootstrap variation range is not trusted for
+/// deterministic classification (only monotone bounds apply). Bootstrap
+/// ranges over a handful of observations are spuriously tight and would
+/// cause failure/recompute churn on sparse groups.
+const MIN_GROUP_OBS: f64 = 5.0;
+
 /// One group's aggregate states at answer time: borrowed when no uncertain
 /// tuple touches the group, an owned merged snapshot otherwise.
 pub(crate) struct EffGroup<'a> {
@@ -461,7 +468,7 @@ impl<'a> GroupEval<'a> {
     /// * a **monotone lower bound** — COUNT and SUM over non-negative
     ///   values can only grow, so their raw running total bounds the final
     ///   value from below *with certainty*;
-    /// * a **small-sample guard** — with fewer than `min_group_obs`
+    /// * a **small-sample guard** — with fewer than [`MIN_GROUP_OBS`]
     ///   observations the bootstrap spread is untrustworthy, so only the
     ///   monotone bound is used (upper end stays unbounded).
     fn agg_range(&self, j: usize) -> RangeVal {
@@ -469,8 +476,7 @@ impl<'a> GroupEval<'a> {
         match self.point_aggs[j].as_f64() {
             Some(v) if !self.tiny(j) => {
                 let reps = self.states.replica_values(j, self.m);
-                let vr =
-                    VariationRange::from_replicas(v, &reps, self.env.config.envelope_epsilon());
+                let vr = VariationRange::from_replicas(v, &reps, self.env.config.epsilon);
                 let lo = lower.map_or(vr.lo, |l| vr.lo.max(l));
                 RangeVal::num(lo, vr.hi.max(lo))
             }
@@ -485,15 +491,14 @@ impl<'a> GroupEval<'a> {
     }
 
     /// Small-sample guard: with no replicas at all, or fewer than
-    /// `min_group_obs` observations, aggregate `j`'s bootstrap spread is
+    /// [`MIN_GROUP_OBS`] observations, aggregate `j`'s bootstrap spread is
     /// not trusted for deterministic classification.
     pub(crate) fn tiny(&self, j: usize) -> bool {
-        let config = self.env.config;
-        config.bootstrap.trials == 0
+        self.env.config.bootstrap.trials == 0
             || self
                 .states
                 .observations(j)
-                .is_some_and(|o| o < config.min_group_obs)
+                .is_some_and(|o| o < MIN_GROUP_OBS)
     }
 }
 

@@ -213,8 +213,7 @@ fn scalar_entry(
     let fresh = match value.as_f64() {
         _ if tiny => RangeVal::Unknown,
         Some(v) => {
-            let epsilon = env.config.envelope_epsilon();
-            let vr = VariationRange::from_replicas(v, &numeric_trials, epsilon);
+            let vr = VariationRange::from_replicas(v, &numeric_trials, env.config.epsilon);
             RangeVal::num(vr.lo, vr.hi)
         }
         None if value.is_null() && p.live => RangeVal::Unknown,

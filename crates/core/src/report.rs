@@ -47,7 +47,11 @@ pub struct ContractProgress {
     /// Worst (largest) achieved relative CI half-width across the
     /// estimated cells at this report, `half_width / |value|`. `None`
     /// while no cell has a usable interval (or for pure deadline runs
-    /// before the first interval exists).
+    /// before the first interval exists), and while any cell's estimate is
+    /// exactly 0 with a non-degenerate interval: relative error is then
+    /// undefined. An `ERROR` run whose estimate stays near 0 therefore
+    /// never meets its target; it stops only when the data runs out, with
+    /// [`ContractStop::Exhausted`] and the exact answer.
     pub achieved_rel_error: Option<f64>,
     /// Set on the report the run stops at; `None` while running.
     pub stop: Option<ContractStop>,

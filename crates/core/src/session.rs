@@ -40,36 +40,24 @@ impl OnlineSession {
         &self.config
     }
 
-    /// Compile `sql` to a meta query plan. The streamed table is the one
-    /// from [`OnlineConfig::stream_table`], or the largest scanned table —
-    /// the paper's default of streaming the fact table while reading small
-    /// dimension tables in entirety (§2).
+    /// Compile `sql` to a meta query plan. The streamed table is the
+    /// largest scanned table — the paper's default of streaming the fact
+    /// table while reading small dimension tables in entirety (§2).
     pub fn prepare(&self, sql: &str) -> Result<PreparedQuery> {
         let graph = gola_sql::compile(sql, &self.catalog)?;
-        let stream_table = match &self.config.stream_table {
-            Some(t) => {
-                let t = t.to_ascii_lowercase();
-                if !self.catalog.contains(&t) {
-                    return Err(Error::config(format!("stream table '{t}' not in catalog")));
-                }
-                t
+        let mut tables = Vec::new();
+        graph.root.scanned_tables(&mut tables);
+        for sq in &graph.subqueries {
+            sq.plan.scanned_tables(&mut tables);
+        }
+        let mut best: Option<(String, usize)> = None;
+        for t in tables {
+            let rows = self.catalog.get(&t)?.num_rows();
+            if best.as_ref().is_none_or(|(_, n)| rows > *n) {
+                best = Some((t, rows));
             }
-            None => {
-                let mut tables = Vec::new();
-                graph.root.scanned_tables(&mut tables);
-                for sq in &graph.subqueries {
-                    sq.plan.scanned_tables(&mut tables);
-                }
-                let mut best: Option<(String, usize)> = None;
-                for t in tables {
-                    let rows = self.catalog.get(&t)?.num_rows();
-                    if best.as_ref().is_none_or(|(_, n)| rows > *n) {
-                        best = Some((t, rows));
-                    }
-                }
-                best.ok_or_else(|| Error::plan("query scans no tables"))?.0
-            }
-        };
+        }
+        let stream_table = best.ok_or_else(|| Error::plan("query scans no tables"))?.0;
         let meta = MetaPlan::compile(&graph, &stream_table)?;
         Ok(PreparedQuery {
             graph,

@@ -80,10 +80,7 @@ impl OnlineExecutor {
 
     /// The pool a session that shares none runs on.
     pub(crate) fn own_pool(config: &OnlineConfig) -> Arc<WorkerPool> {
-        Arc::new(match config.schedule_perturbation {
-            Some(seed) => WorkerPool::with_perturbation(config.threads, seed),
-            None => WorkerPool::new(config.threads),
-        })
+        Arc::new(WorkerPool::new(config.threads))
     }
 
     /// As [`OnlineExecutor::new`], but execute on a caller-provided worker
@@ -461,6 +458,7 @@ fn join_classify(
 #[expect(clippy::float_cmp, reason = "tests pin exact float results")]
 mod tests {
     use super::*;
+    use gola_bootstrap::EpsilonPolicy;
     use gola_common::rng::SplitMix64;
     use gola_common::{DataType, Row, Schema};
     use gola_storage::Table;
@@ -749,7 +747,7 @@ mod tests {
         let config = OnlineConfig::for_tests(8)
             .with_threads(threads)
             .with_seed(seed)
-            .with_envelope_inflation(0.5);
+            .with_epsilon(EpsilonPolicy::StdDevScaled(0.5));
         let mut exec = executor_with(&catalog(), sql, config);
         exec.full_scope_only = full_scope_only;
         let mut seen = Vec::new();

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use gola_bootstrap::EpsilonPolicy;
 use gola_common::rng::SplitMix64;
 use gola_common::{DataType, Row, Schema, Value};
-use gola_core::{OnlineConfig, OnlineSession};
+use gola_core::{ContractStop, OnlineConfig, OnlineSession};
 use gola_storage::{Catalog, Table};
 
 /// Seeded synthetic Sessions log: session_id, ad_id, buffer_time,
@@ -383,17 +383,14 @@ fn row_certainty_flags_converge() {
 }
 
 #[test]
-fn stream_table_selection_auto_and_explicit() {
+fn stream_table_is_the_largest_scanned_table() {
     let s = session(2000, OnlineConfig::for_tests(5));
     let p = s.prepare("SELECT COUNT(*) FROM sessions").unwrap();
     assert_eq!(p.stream_table, "sessions");
-    let s = session(
-        2000,
-        OnlineConfig::for_tests(5).with_stream_table("sessions"),
-    );
-    assert!(s.prepare("SELECT COUNT(*) FROM sessions").is_ok());
-    let s = session(2000, OnlineConfig::for_tests(5).with_stream_table("nope"));
-    assert!(s.prepare("SELECT COUNT(*) FROM sessions").is_err());
+    let joined = "SELECT COUNT(*) FROM sessions s JOIN ads a ON s.ad_id = a.ad_id";
+    assert_eq!(s.prepare(joined).unwrap().stream_table, "sessions");
+    let p = s.prepare("SELECT COUNT(*) FROM ads").unwrap();
+    assert_eq!(p.stream_table, "ads");
 }
 
 #[test]
@@ -472,4 +469,49 @@ fn threaded_quantile_falls_back_to_sequential() {
     let a = last.table.rows()[0].get(0).as_f64().unwrap();
     let b = exact.rows()[0].get(0).as_f64().unwrap();
     assert!((a - b).abs() / b < 0.05, "{a} vs {b}");
+}
+
+/// An `ERROR` contract over a mean-zero column (values ±1): the estimate
+/// sits near 0 with a non-zero spread, so its relative error is undefined
+/// whenever the estimate is exactly 0 and large otherwise. The run must
+/// never claim the target; it stops only when the data runs out
+/// (`ContractStop::Exhausted`), on the exact answer.
+#[test]
+fn error_contract_near_zero_runs_to_exhaustion() {
+    let schema = Arc::new(Schema::from_pairs(&[("x", DataType::Int)]));
+    let rows: Vec<Row> = (0..400)
+        .map(|i| Row::new(vec![Value::Int(if i % 2 == 0 { 1 } else { -1 })]))
+        .collect();
+    let mut catalog = Catalog::new();
+    catalog
+        .register("t", Arc::new(Table::new_unchecked(schema, rows)))
+        .unwrap();
+    let sql = "SELECT SUM(x) FROM t ERROR 5%";
+    let mut exact_zeros = 0;
+    for seed in 0..8 {
+        let config = OnlineConfig::for_tests(20).with_seed(seed);
+        let session = OnlineSession::new(catalog.clone(), config);
+        let reports: Vec<_> = session
+            .execute_online(sql)
+            .unwrap()
+            .map(|r| r.unwrap())
+            .collect();
+        assert_eq!(reports.len(), 20, "seed {seed}: stopped early");
+        for r in &reports {
+            let progress = r.contract.as_ref().unwrap();
+            let est = &r.estimates[0].estimate;
+            let spread = est
+                .ci_percentile(0.95)
+                .is_some_and(|ci| ci.half_width() > 0.0);
+            if est.value == 0.0 && spread {
+                exact_zeros += 1;
+                assert_eq!(progress.achieved_rel_error, None, "seed {seed}");
+            }
+            let want = r.is_final().then_some(ContractStop::Exhausted);
+            assert_eq!(progress.stop, want, "seed {seed} batch {}", r.batch_index);
+        }
+        let last = reports.last().unwrap();
+        assert_eq!(last.table.rows()[0].get(0), &Value::Int(0), "seed {seed}");
+    }
+    assert!(exact_zeros > 0, "no report had an exact-zero estimate");
 }

@@ -12,7 +12,7 @@ use gola_common::timing::Stopwatch;
 use gola_core::sched::ServiceConfig;
 use gola_core::{OnlineConfig, OnlineSession};
 use gola_server::{json, raw_request, Server, ServerConfig};
-use gola_storage::Catalog;
+use gola_storage::{Catalog, StreamTable};
 use gola_workloads::{conviva, ConvivaGenerator};
 
 const ROWS: usize = 3000;
@@ -34,8 +34,12 @@ fn base_config() -> OnlineConfig {
 }
 
 fn start_server(max_active: usize, queue: usize, threads: usize) -> Server {
+    start_server_on(catalog(), max_active, queue, threads)
+}
+
+fn start_server_on(catalog: Catalog, max_active: usize, queue: usize, threads: usize) -> Server {
     Server::start(
-        catalog(),
+        catalog,
         ServerConfig {
             service: ServiceConfig {
                 max_active,
@@ -47,6 +51,45 @@ fn start_server(max_active: usize, queue: usize, threads: usize) -> Server {
         },
     )
     .expect("server binds")
+}
+
+/// A query over [`OpenStreamServer`]'s `events`: it drains the sealed
+/// rows, then waits for the stream to grow, so its job stays running
+/// until the stream closes.
+const OPEN_SQL: &str = "SELECT COUNT(*) FROM events";
+
+/// A server whose catalog holds `catalog()` plus `events`, an open stream
+/// with one sealed segment. Dropping it closes the stream before the
+/// server shuts down, also when an assertion fails, so the query waiting
+/// on the stream ends.
+struct OpenStreamServer {
+    server: Server,
+    events: Arc<StreamTable>,
+}
+
+impl OpenStreamServer {
+    fn start(max_active: usize, queue: usize, threads: usize) -> OpenStreamServer {
+        use gola_common::{DataType, Schema};
+
+        let schema = Arc::new(Schema::from_pairs(&[("ms", DataType::Int)]));
+        let events = StreamTable::new(schema);
+        events
+            .append_rows(&[gola_common::row![10i64], gola_common::row![20i64]])
+            .expect("seed rows");
+        events.seal().expect("seed segment");
+        let mut catalog = catalog();
+        catalog
+            .register_stream("events", Arc::clone(&events))
+            .expect("register stream");
+        let server = start_server_on(catalog, max_active, queue, threads);
+        OpenStreamServer { server, events }
+    }
+}
+
+impl Drop for OpenStreamServer {
+    fn drop(&mut self) {
+        let _ = self.events.close();
+    }
 }
 
 /// The solo reference frames for `sql`: one JSON line per report, from a
@@ -201,9 +244,10 @@ fn unknown_routes_and_methods_are_typed() {
 
 #[test]
 fn job_submit_poll_cancel_lifecycle() {
-    let server = start_server(2, 2, 1);
+    let open = OpenStreamServer::start(2, 2, 1);
+    let server = &open.server;
     // Submit: the job id is deterministic (first job on this server).
-    let (status, _, body) = call(&server, post("/jobs", conviva::SBI, None));
+    let (status, _, body) = call(server, post("/jobs", conviva::SBI, None));
     assert_eq!(status, 202);
     assert_eq!(String::from_utf8(body).expect("UTF-8"), "{\"job\":0}");
 
@@ -211,7 +255,7 @@ fn job_submit_poll_cancel_lifecycle() {
     let want = solo_frames(conviva::SBI);
     let (started, limit) = (Stopwatch::start(), Duration::from_secs(30));
     let final_body = loop {
-        let (status, _, body) = call(&server, get("/jobs/0"));
+        let (status, _, body) = call(server, get("/jobs/0"));
         assert_eq!(status, 200);
         let body = String::from_utf8(body).expect("UTF-8");
         if body.contains("\"status\":\"done\"") {
@@ -225,48 +269,67 @@ fn job_submit_poll_cancel_lifecycle() {
     expected.push_str("]}");
     assert_eq!(final_body, expected, "poll payload is solo-derived golden");
 
-    // Cancel a fresh job; the slot frees (a follow-up query still runs).
-    let (status, _, body) = call(&server, post("/jobs", conviva::C1, None));
+    // Cancel a fresh job. It reads the open stream, so it is still
+    // running when the cancel arrives.
+    let (status, _, body) = call(server, post("/jobs", OPEN_SQL, None));
     assert_eq!(status, 202);
     assert_eq!(String::from_utf8(body).expect("UTF-8"), "{\"job\":1}");
-    let (status, _, body) = call(&server, delete("/jobs/1"));
+    let (status, _, body) = call(server, delete("/jobs/1"));
     assert_eq!(status, 200);
     assert_eq!(
         String::from_utf8(body).expect("UTF-8"),
         "{\"job\":1,\"status\":\"canceled\"}"
     );
-    let (status, _, body) = call(&server, get("/jobs/1"));
+    let (status, _, body) = call(server, get("/jobs/1"));
     assert_eq!(status, 200);
     assert!(String::from_utf8(body)
         .expect("UTF-8")
         .contains("\"status\":\"canceled\""),);
+    open.events.close().expect("close stream");
 
     // Unknown job id.
-    let (status, _, _) = call(&server, get("/jobs/999"));
+    let (status, _, _) = call(server, get("/jobs/999"));
     assert_eq!(status, 404);
 }
 
 #[test]
 fn saturated_scheduler_returns_typed_429() {
-    // Capacity: one active, zero queued. Burst-submit detached jobs; with
-    // only one slot, at least one of the three must bounce with the exact
-    // admission payload (the first is still streaming batches).
-    let server = start_server(1, 0, 1);
-    let mut saw_429 = None;
-    for _ in 0..3 {
-        let (status, _, body) = call(&server, post("/jobs", conviva::SBI, None));
-        if status == 429 {
-            saw_429 = Some(String::from_utf8(body).expect("UTF-8"));
-            break;
+    // Capacity: one active, zero queued. The first job reads the open
+    // stream, so it holds the only slot until the stream closes, and the
+    // second submission must bounce with the exact admission payload.
+    let open = OpenStreamServer::start(1, 0, 1);
+    let server = &open.server;
+    let (status, _, _) = call(server, post("/jobs", OPEN_SQL, None));
+    assert_eq!(status, 202);
+    // Admission runs on the scheduler thread, which parks inside the first
+    // job's step while the stream has no new segment. Each append wakes it
+    // for one round, after which it answers queued submissions.
+    let body = std::thread::scope(|s| {
+        let burst = s.spawn(|| call(server, post("/jobs", conviva::SBI, None)));
+        let (started, limit) = (Stopwatch::start(), Duration::from_secs(30));
+        let events = &open.events;
+        while !burst.is_finished() {
+            if started.elapsed() > limit {
+                // Free the scheduler, so the scope can join the submitter.
+                let _ = events.close();
+                panic!("submission never answered");
+            }
+            events
+                .append_rows(&[gola_common::row![30i64]])
+                .expect("append");
+            events.seal().expect("seal");
+            std::thread::sleep(Duration::from_millis(5));
         }
-        assert_eq!(status, 202);
-    }
-    let body = saw_429.expect("burst must saturate a 1-slot scheduler");
+        let (status, _, body) = burst.join().expect("submitter");
+        assert_eq!(status, 429);
+        String::from_utf8(body).expect("UTF-8")
+    });
     assert!(body.contains("\"error\":\"scheduler saturated"), "{body}");
     assert!(
         body.contains("\"active\":1,\"queued\":0,\"max_active\":1,\"queue_capacity\":0"),
         "{body}"
     );
+    open.events.close().expect("close stream");
 }
 
 #[test]

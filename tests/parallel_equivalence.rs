@@ -4,10 +4,11 @@
 //! intervals, same uncertain-set sizes, same recompute counts.
 //!
 //! This holds because ingest uses fixed-size candidate chunks whose
-//! boundaries are independent of the thread count, folds each chunk into a
-//! private shard, and merges shards in chunk index order — and every
-//! mergeable aggregate state finalizes to a function of the multiset it
-//! folded, however the folds were cut into runs and shards.
+//! boundaries are independent of the thread count, the pool returns chunk
+//! results in chunk index order, and fold takes the chunks in that order
+//! on one thread at every thread count — and every mergeable aggregate
+//! state finalizes to a function of the multiset it folded, however the
+//! folds were cut into runs.
 
 use std::sync::Arc;
 
@@ -123,10 +124,11 @@ fn tpch_queries_thread_invariant() {
     check(&catalog, "Q20", tpch::Q20);
 }
 
-/// Batches of several chunks, so `threads = 2` takes the shard-and-merge
-/// fold while `threads = 1` folds chunk after chunk into the block: a
-/// chunk's tuples reach each group as one run, and runs cut at different
-/// places must still add up to the same bits. Q17 is the many-group,
+/// Batches of several chunks, so `threads = 2` weighs and classifies the
+/// chunks on two workers, and C2's two inner blocks fold concurrently,
+/// while `threads = 1` runs all of it inline. Each chunk's tuples reach
+/// each group as one run, and the runs must add up to the same bits
+/// whichever worker prepared their chunk. Q17 is the many-group,
 /// short-run shape (a few tuples per part and chunk); C2 the scalar nested
 /// one (whole chunks as single runs, STDDEV's three value streams).
 #[test]

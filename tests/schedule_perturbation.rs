@@ -4,30 +4,38 @@
 //!
 //! `parallel_equivalence` shows threads=1 ≡ threads=N under the pool's
 //! *natural* dispatch order. That order is still fairly tame: jobs are
-//! queued in submission order and workers drain front-to-back. Here the
-//! `WorkerPool` is put in perturbation mode (`schedule_perturbation` in
-//! [`OnlineConfig`]), which Fisher–Yates-shuffles every run's job queue
-//! under a per-run seeded RNG — chunk classify/fold jobs, block ingest
-//! jobs, and publish chunks all start (and therefore complete) in
-//! adversarial orders. Every perturbed run must still produce the exact
-//! bit-identical `BatchReport` stream as the unperturbed sequential
-//! reference; any divergence means some accumulator or output ordering
-//! silently depends on the physical schedule.
+//! queued in submission order and workers drain front-to-back. Here each
+//! run gets a pool built by [`WorkerPool::with_perturbation`], which
+//! Fisher–Yates-shuffles every run's job queue under a per-run seeded
+//! RNG — weight and classify chunk jobs, block ingest jobs, and publish
+//! chunks all start (and therefore complete) in adversarial orders. The
+//! query runs on that pool through the public
+//! `OnlineSession::execute_prepared_with_pool`. Every perturbed run must
+//! still produce the exact bit-identical `BatchReport` stream as the
+//! unperturbed sequential reference; any divergence means some
+//! accumulator or output ordering silently depends on the physical
+//! schedule.
 
 use std::sync::Arc;
 
-use g_ola::core::{BatchReport, OnlineConfig, OnlineSession};
+use g_ola::core::{BatchReport, OnlineConfig, OnlineSession, WorkerPool};
 use g_ola::storage::Catalog;
 use g_ola::workloads::{conviva, tpch, ConvivaGenerator, TpchGenerator};
 use gola_conformance::assert_reports_identical;
 
 fn run(catalog: &Catalog, sql: &str, threads: usize, perturb: Option<u64>) -> Vec<BatchReport> {
-    let mut config = OnlineConfig::for_tests(8)
+    let config = OnlineConfig::for_tests(8)
         .with_trials(32)
         .with_threads(threads);
-    config.schedule_perturbation = perturb;
+    let pool = match perturb {
+        Some(seed) => WorkerPool::with_perturbation(threads, seed),
+        None => WorkerPool::new(threads),
+    };
     let session = OnlineSession::new(catalog.clone(), config);
-    let exec = session.execute_online(sql).expect("query compiles");
+    let prepared = session.prepare(sql).expect("query compiles");
+    let exec = session
+        .execute_prepared_with_pool(&prepared, Arc::new(pool))
+        .expect("query starts");
     exec.map(|r| r.expect("batch succeeds")).collect()
 }
 
@@ -81,7 +89,6 @@ fn tpch_queries_survive_shuffled_schedules() {
 /// jobs physically ran in.
 #[test]
 fn perturbed_pool_keeps_panic_order() {
-    use g_ola::core::WorkerPool;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     let job = |i: usize| {
