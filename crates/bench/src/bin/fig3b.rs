@@ -4,13 +4,15 @@
 //!
 //! Paper's observed shape: the ratio grows roughly linearly with the batch
 //! index — CDM re-reads all previously-seen data every batch while G-OLA's
-//! per-batch cost stays near-constant (bounded by |ΔDᵢ| + |Uᵢ|).
+//! per-batch cost stays near-constant (bounded by |ΔDᵢ| + |Uᵢ|). Both run
+//! on the online executor over one shared partitioner: G-OLA through
+//! `step`, CDM through `step_recomputing`, which rebuilds every block that
+//! reads an inner aggregate from all the data seen so far.
 //!
 //! Run: `cargo run --release -p gola-bench --bin fig3b`
 
 use std::sync::Arc;
 
-use gola_baselines::CdmExecutor;
 use gola_bench::*;
 use gola_core::OnlineConfig;
 use gola_workloads::{conviva, tpch};
@@ -54,11 +56,11 @@ fn main() {
             gola_times.push(gola.step().expect("gola batch").batch_time);
         }
 
-        let mut cdm = CdmExecutor::new(catalog, prepared.meta.clone(), partitioner, config.clone())
-            .expect("cdm executor");
+        let mut cdm = gola_executor(catalog, &prepared, partitioner, &config);
         let mut cdm_times = Vec::with_capacity(BATCHES);
         while !cdm.is_finished() {
-            cdm_times.push(cdm.step().expect("cdm batch").batch_time);
+            let (report, _) = cdm.step_recomputing().expect("cdm batch");
+            cdm_times.push(report.batch_time);
         }
 
         let series: Vec<f64> = cdm_times

@@ -30,24 +30,26 @@ pub fn rows(base: usize) -> usize {
 }
 
 /// Worker-thread count shared by all bench binaries: `--threads N` (or
-/// `--threads=N`) on the command line, else `GOLA_THREADS`, else 1.
+/// `--threads=N`) on the command line, else `GOLA_THREADS`, else 1. A
+/// value that is not a number is fatal (exit 2), never the default.
 pub fn threads_arg() -> usize {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    for (i, a) in args.iter().enumerate() {
-        if a == "--threads" {
-            if let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) {
-                return v;
-            }
-        }
-        if let Some(v) = a.strip_prefix("--threads=").and_then(|v| v.parse().ok()) {
-            return v;
+    let flag = args.iter().enumerate().find_map(|(i, a)| match a.as_str() {
+        "--threads" => args.get(i + 1).cloned(),
+        _ => a.strip_prefix("--threads=").map(str::to_string),
+    });
+    let (name, value) = match (flag, std::env::var("GOLA_THREADS")) {
+        (Some(v), _) => ("--threads", v),
+        (None, Ok(v)) => ("GOLA_THREADS", v),
+        (None, Err(_)) => return 1,
+    };
+    match value.parse::<usize>() {
+        Ok(n) => n.max(1),
+        Err(_) => {
+            eprintln!("bad {name} '{value}'");
+            std::process::exit(2);
         }
     }
-    std::env::var("GOLA_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
-        .max(1)
 }
 
 /// Apply the bench-wide worker-thread count to a config.

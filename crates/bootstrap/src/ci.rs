@@ -8,14 +8,14 @@
 //! bootstrap doesn't know this — its replica spread models sampling *with*
 //! replacement from an infinite population, which inflates CI width by
 //! ≈ `1 / √(1 − n/N)` as a run approaches full data (and leaves a non-zero
-//! interval even at `n = N`). The classic-OLA closed-form baselines apply
-//! the standard correction `fpc = √(1 − n/N)` to their standard errors
-//! (`crates/baselines/src/ola.rs`); [`Estimate`] carries the same factor,
-//! set by the executor via [`Estimate::with_fpc`] from the batch schedule's
-//! sampling fraction. [`Estimate::std_error`] scales by it directly, and
+//! interval even at `n = N`). Classic closed-form online aggregation
+//! applies the standard correction `fpc = √(1 − n/N)` to its standard
+//! errors; [`Estimate`] carries the same factor, set by the executor via
+//! [`Estimate::with_fpc`] from the batch schedule's sampling fraction.
+//! [`Estimate::std_error`] scales by it directly, and
 //! [`Estimate::ci_percentile`] contracts the replica interval around the
 //! point estimate by it — so widths shrink by exactly `fpc` and collapse to
-//! zero at the final batch, matching the baselines.
+//! zero at the final batch.
 //!
 //! The correction applies only to *reported* uncertainty. Variation ranges
 //! (`range_policy`) deliberately keep the uncorrected replica spread: they
@@ -301,7 +301,7 @@ mod tests {
         assert!(ci.contains(10.0), "correction keeps the point estimate");
         assert!((half.std_error().unwrap() - est().std_error().unwrap() * 0.5).abs() < 1e-12);
         // Full population seen: the interval collapses onto the point
-        // estimate, exactly like the closed-form baselines.
+        // estimate, exactly like a closed-form interval.
         let done = est().with_fpc(0.0);
         let ci0 = done.ci_percentile(0.95).unwrap();
         assert_eq!((ci0.lo, ci0.hi), (10.0, 10.0));

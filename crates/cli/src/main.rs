@@ -68,14 +68,14 @@ fn main() {
     if let Some(threads) = flag_value(&args, "--threads") {
         console.config = console.config.clone().with_threads(threads);
     }
-    let error_pct = flag_float(&args, "--error");
-    let deadline = flag_float(&args, "--deadline");
+    let error_pct = flag_value::<f64>(&args, "--error");
+    let deadline = flag_value::<f64>(&args, "--deadline");
     if error_pct.is_some() && deadline.is_some() {
         eprintln!("gola: --error and --deadline are mutually exclusive");
         std::process::exit(2);
     }
     if let Some(p) = error_pct {
-        let c = flag_float(&args, "--confidence").unwrap_or(95.0);
+        let c = flag_value::<f64>(&args, "--confidence").unwrap_or(95.0);
         if !p.is_finite() || p <= 0.0 || p >= 100.0 || !c.is_finite() || c <= 0.0 || c >= 100.0 {
             eprintln!("gola: --error/--confidence expect percentages in (0, 100)");
             std::process::exit(2);
@@ -180,14 +180,7 @@ fn serve(args: &[String]) {
     if args.iter().any(|a| a == "--metrics") {
         gola_obs::set_enabled(true);
     }
-    let addr = flag_str(args, "--addr").unwrap_or_else(|| "127.0.0.1:8642".into());
-    let addr: std::net::SocketAddr = match addr.parse() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("gola serve: bad --addr '{addr}': {e}");
-            std::process::exit(2);
-        }
-    };
+    let addr = flag_value(args, "--addr").unwrap_or(([127, 0, 0, 1], 8642).into());
     let service = gola_core::sched::ServiceConfig {
         threads: flag_value(args, "--threads").unwrap_or(2),
         max_active: flag_value(args, "--max-active").unwrap_or(4),
@@ -241,14 +234,7 @@ fn ingest(args: &[String]) {
     };
     let workload = flag_str(args, "--workload").unwrap_or_else(|| "conviva".into());
     let rows = flag_value(args, "--rows").unwrap_or(10_000);
-    let seed = match flag_str(args, "--seed").map(|s| s.parse::<u64>()) {
-        None => None,
-        Some(Ok(s)) => Some(s),
-        Some(Err(e)) => {
-            eprintln!("gola ingest: bad --seed: {e}");
-            std::process::exit(2);
-        }
-    };
+    let seed = flag_value::<u64>(args, "--seed");
     let data = match workload.as_str() {
         "conviva" => {
             let mut g = ConvivaGenerator::default();
@@ -341,14 +327,17 @@ fn attach_streams(catalog: &mut Catalog, args: &[String]) {
     }
 }
 
-/// Parse `--flag N` or `--flag=N` from the argument list.
-fn flag_value(args: &[String], flag: &str) -> Option<usize> {
-    flag_str(args, flag).and_then(|v| v.parse().ok())
-}
-
-/// Parse `--flag X.Y` or `--flag=X.Y` from the argument list.
-fn flag_float(args: &[String], flag: &str) -> Option<f64> {
-    flag_str(args, flag).and_then(|v| v.parse().ok())
+/// Parse `--flag V` or `--flag=V` from the argument list. A value that
+/// does not parse is fatal (exit 2), never the default.
+fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
+    let v = flag_str(args, flag)?;
+    match v.parse() {
+        Ok(x) => Some(x),
+        Err(_) => {
+            eprintln!("gola: bad {flag} '{v}'");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// Parse `--flag VALUE` or `--flag=VALUE` from the argument list.

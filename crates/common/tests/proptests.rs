@@ -1,12 +1,12 @@
 //! Property tests for the foundation types: Eq/Hash consistency of values,
-//! Welford merge correctness, percentile bounds, and the determinism /
-//! distribution of the hash-derived Poisson sampler.
+//! percentile bounds, and the determinism / distribution of the
+//! hash-derived Poisson sampler.
 
 use std::hash::{Hash, Hasher};
 
 use gola_common::fsum::ExactSum;
 use gola_common::rng::{poisson_weight, SplitMix64};
-use gola_common::stats::{percentile, Welford};
+use gola_common::stats::percentile;
 use gola_common::{FxHasher, Value};
 use proptest::prelude::*;
 
@@ -72,30 +72,6 @@ proptest! {
         let float = Value::Float(i as f64);
         prop_assert_eq!(&int, &float);
         prop_assert_eq!(fx_hash(&int), fx_hash(&float));
-    }
-
-    #[test]
-    fn welford_merge_matches_single_pass(
-        xs in prop::collection::vec(-1e6f64..1e6, 1..200),
-        split in 0usize..200,
-    ) {
-        let split = split.min(xs.len());
-        let mut whole = Welford::new();
-        for &x in &xs {
-            whole.add(x);
-        }
-        let mut a = Welford::new();
-        let mut b = Welford::new();
-        for &x in &xs[..split] {
-            a.add(x);
-        }
-        for &x in &xs[split..] {
-            b.add(x);
-        }
-        a.merge(&b);
-        prop_assert!((a.mean - whole.mean).abs() <= 1e-6 * (1.0 + whole.mean.abs()));
-        let (va, vw) = (a.variance_pop().unwrap(), whole.variance_pop().unwrap());
-        prop_assert!((va - vw).abs() <= 1e-6 * (1.0 + vw));
     }
 
     #[test]

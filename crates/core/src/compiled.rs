@@ -19,11 +19,9 @@ pub struct CompiledBlock {
     pub block: Block,
     /// WHERE conjuncts with no subquery references, over the source schema.
     pub certain_filters: Vec<Expr>,
-    /// WHERE conjuncts referencing other blocks, over the source schema.
-    pub uncertain_filters: Vec<Expr>,
     /// Source-schema columns cached for uncertain tuples (sorted).
     pub lineage_cols: Vec<usize>,
-    /// `uncertain_filters` rewritten into lineage-row coordinates.
+    /// WHERE conjuncts referencing other blocks, in lineage-row coordinates.
     pub lin_filters: Vec<Expr>,
     /// Group-by expressions in lineage-row coordinates.
     pub lin_group_by: Vec<Expr>,
@@ -192,7 +190,6 @@ impl CompiledBlock {
         CompiledBlock {
             block,
             certain_filters,
-            uncertain_filters,
             lineage_cols,
             lin_filters,
             lin_group_by,
@@ -207,11 +204,6 @@ impl CompiledBlock {
     /// Number of group-key columns.
     pub fn num_keys(&self) -> usize {
         self.block.group_by.len()
-    }
-
-    /// `true` when tuples can need caching at all.
-    pub fn has_uncertainty(&self) -> bool {
-        !self.uncertain_filters.is_empty()
     }
 }
 
@@ -318,8 +310,7 @@ mod tests {
     fn filters_split_by_uncertainty() {
         let c = CompiledBlock::new(block());
         assert_eq!(c.certain_filters.len(), 1);
-        assert_eq!(c.uncertain_filters.len(), 1);
-        assert!(c.has_uncertainty());
+        assert_eq!(c.lin_filters.len(), 1);
     }
 
     #[test]

@@ -238,8 +238,8 @@ fn new_candidates(env: &BlockEnv<'_>, batch: &MiniBatch) -> Result<(Vec<u32>, Co
 }
 
 /// Join one fact row against the block's broadcast dimensions, appending
-/// every joined output row to `out`. Shared with the baseline executors.
-pub fn join_one(
+/// every joined output row to `out`.
+pub(crate) fn join_one(
     fact_row: &Row,
     dim_maps: &[FxHashMap<Vec<Value>, Vec<Row>>],
     dims: &[gola_plan::DimJoin],

@@ -32,7 +32,7 @@
 //! # Stages
 //!
 //! One module per stage of the per-batch loop, named as the obs spans and
-//! [`BatchTiming`] name them: [`join`] → `classify` → `fold` → `publish` →
+//! [`BatchTiming`] name them: `join` → `classify` → `fold` → `publish` →
 //! `recover` → [`report`], driven by [`step`]. DESIGN.md §3.9 tabulates
 //! what each one reads, returns and may mutate.
 
@@ -51,18 +51,18 @@
 )]
 
 pub(crate) mod classify;
-pub mod compiled;
+pub(crate) mod compiled;
 pub mod config;
 pub(crate) mod contract;
 pub(crate) mod fold;
 pub(crate) mod groups;
-pub mod join;
+pub(crate) mod join;
 pub(crate) mod metrics;
 pub mod pool;
 pub(crate) mod publish;
 pub(crate) mod recover;
 pub mod report;
-pub mod runtime;
+pub(crate) mod runtime;
 pub mod sched;
 pub mod session;
 pub mod step;

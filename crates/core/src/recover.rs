@@ -114,11 +114,7 @@ pub(crate) fn recover(exec: &mut OnlineExecutor, input: RecoverInput<'_>) -> Res
             (replay.iter().map(|&b| clear_scope(exec, b, &scope))).collect::<Result<Vec<_>>>()?;
         // Replay time lands in the step's `recover` bucket, not per stage.
         let mut scratch = BatchTiming::default();
-        for j in 0..=input.upto {
-            let batch = exec.partitioner.batch(j);
-            let mut weights = BatchWeights::new(&batch, &exec.config.bootstrap);
-            replayed += exec.ingest_wave(&replay, &batch, &scope, &mut weights, &mut scratch)?;
-        }
+        replayed += replay_batches(exec, &replay, input.upto, &scope, &mut scratch)?;
         // Publish once per block, from fresh (post-replay) state.
         for (&b, kept) in replay.iter().zip(kept) {
             let rt = &mut exec.runtimes[b];
@@ -136,6 +132,26 @@ pub(crate) fn recover(exec: &mut OnlineExecutor, input: RecoverInput<'_>) -> Res
         metrics::recover_replayed_tuples().add(replayed as u64);
     }
     Ok(affected.len())
+}
+
+/// Re-ingest batches `0..=upto` into `blocks`, one wave whose state the
+/// caller has cleared to `scope`, and return how many candidates the
+/// replay read. Recovery and [`OnlineExecutor::step_recomputing`] both
+/// rebuild through here.
+pub(crate) fn replay_batches(
+    exec: &mut OnlineExecutor,
+    blocks: &[usize],
+    upto: usize,
+    scope: &GroupScope,
+    timing: &mut BatchTiming,
+) -> Result<usize> {
+    let mut replayed = 0;
+    for j in 0..=upto {
+        let batch = exec.partitioner.batch(j);
+        let mut weights = BatchWeights::new(&batch, &exec.config.bootstrap);
+        replayed += exec.ingest_wave(blocks, &batch, scope, &mut weights, timing)?;
+    }
+    Ok(replayed)
 }
 
 /// The groups a recovery replays: every group, unless the violated keys

@@ -96,10 +96,6 @@ impl UncertainSet {
         self.tuple_ids.len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.tuple_ids.is_empty()
-    }
-
     pub fn clear(&mut self) {
         self.tuple_ids.clear();
         self.weights.clear();
@@ -717,7 +713,7 @@ mod tests {
         rt.uncertain.tuple_ids.push(1);
         rt.static_done = true;
         rt.reset();
-        assert!(rt.uncertain.is_empty());
+        assert_eq!(rt.uncertain.len(), 0);
         assert!(!rt.static_done);
     }
 }

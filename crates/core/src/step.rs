@@ -1,11 +1,12 @@
 //! The mini-batch step driver.
 //!
 //! [`OnlineExecutor::step`] runs one mini-batch through the stages, in
-//! topological block order, one module each: [`crate::join`] →
-//! [`crate::classify`] → [`crate::fold`] (together: a block's *ingest*),
-//! [`crate::publish`], [`crate::recover`] on a detected failure, then
-//! [`crate::report`]. The driver owns the state the stages pass between
-//! batches and times each stage into [`BatchTiming`].
+//! topological block order, one module each: `join` → `classify` → `fold`
+//! (together: a block's *ingest*), `publish`, `recover` on a detected
+//! failure, then [`crate::report`]. The driver owns the state the stages
+//! pass between batches and times each stage into [`BatchTiming`].
+//! [`OnlineExecutor::step_recomputing`] drives the same stages as classical
+//! delta maintenance, the paper's Fig. 3(b) baseline.
 
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -219,6 +220,25 @@ impl OnlineExecutor {
     /// stream closes. Ingest therefore drives query progress directly —
     /// no polling loop in between.
     pub fn step(&mut self) -> Result<BatchReport> {
+        self.advance(false).map(|(report, _)| report)
+    }
+
+    /// Process the next mini-batch as classical delta maintenance does
+    /// (paper §3.1, the Fig. 3(b) baseline): every streaming block whose
+    /// predicates read another block's output restarts empty and re-ingests
+    /// every batch seen so far, after the blocks it reads have taken this
+    /// batch; every other block ingests the new batch only. Such a step
+    /// needs no recovery — every block that reads a moved value was rebuilt
+    /// after it moved — and its report equals [`OnlineExecutor::step`]'s
+    /// bit for bit. Returns the report and how many candidates the rebuild
+    /// re-read.
+    pub fn step_recomputing(&mut self) -> Result<(BatchReport, usize)> {
+        self.advance(true)
+    }
+
+    /// One step of [`OnlineExecutor::step`], or with `recompute` of
+    /// [`OnlineExecutor::step_recomputing`].
+    fn advance(&mut self, recompute: bool) -> Result<(BatchReport, usize)> {
         if self.is_finished() {
             return Err(Error::exec("all mini-batches already processed"));
         }
@@ -250,6 +270,7 @@ impl OnlineExecutor {
             ..Default::default()
         };
         let mut violated = Vec::new();
+        let mut reread = 0;
         let mut weights = BatchWeights::new(&batch, &self.config.bootstrap);
         // Blocks in the same wavefront are mutually independent, so their
         // ingests run concurrently; publication follows per wave (in block
@@ -262,21 +283,24 @@ impl OnlineExecutor {
             if streaming.is_empty() {
                 continue;
             }
+            let (rebuilt, fresh): (Vec<usize>, Vec<usize>) = (streaming.iter())
+                .partition(|&&b| recompute && self.compiled[b].block.has_uncertain_predicates());
             {
                 let _span = gola_obs::span!("ingest");
-                self.ingest_wave(
-                    &streaming,
-                    &batch,
-                    &GroupScope::All,
-                    &mut weights,
-                    &mut timing,
-                )?;
+                if !fresh.is_empty() {
+                    self.ingest_wave(&fresh, &batch, &GroupScope::All, &mut weights, &mut timing)?;
+                }
+                if !rebuilt.is_empty() {
+                    rebuilt.iter().for_each(|&b| self.runtimes[b].reset());
+                    reread +=
+                        recover::replay_batches(self, &rebuilt, i, &GroupScope::All, &mut timing)?;
+                }
             }
             let t_pub = Stopwatch::start();
             let _span = gola_obs::span!("publish");
             for &b in &streaming {
                 let keys = self.publish_block(b, m, last)?;
-                if !keys.is_empty() {
+                if !keys.is_empty() && !recompute {
                     violated.push((b, keys));
                 }
             }
@@ -350,7 +374,7 @@ impl OnlineExecutor {
                 metrics.ci_width.set(ci.width());
             }
         }
-        Ok(report)
+        Ok((report, reread))
     }
 
     /// Ingest one batch into every block of a wavefront: join → classify →

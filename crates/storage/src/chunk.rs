@@ -5,8 +5,8 @@
 //! [`Column`] per attribute, all the same length, shared via `Arc` so
 //! projections (lineage columns) and carried uncertain sets are reference
 //! bumps instead of row copies. Row-at-a-time views are reconstructed on
-//! demand (`row`, `to_rows`) for tests, display and the row-based
-//! baselines; the online and the exact executor read the typed vectors.
+//! demand (`row`, `to_rows`) for tests, display and the dimension maps;
+//! the online and the exact executor read the typed vectors.
 
 use std::sync::Arc;
 
@@ -161,8 +161,7 @@ impl ColumnChunk {
         Row::new(self.columns.iter().map(|c| c.value(i)).collect())
     }
 
-    /// Materialize every tuple (a view for tests, display and the row-based
-    /// baselines).
+    /// Materialize every tuple (a view for tests and display).
     pub fn to_rows(&self) -> Vec<Row> {
         (0..self.len).map(|i| self.row(i)).collect()
     }

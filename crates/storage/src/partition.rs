@@ -98,7 +98,7 @@ impl MiniBatch {
         &self.chunk
     }
 
-    /// Materialize the batch as rows (row-oriented baselines).
+    /// Materialize the batch as rows (a view for tests).
     pub fn rows(&self) -> Vec<Row> {
         self.chunk.to_rows()
     }

@@ -5,8 +5,8 @@
 //! (i64 / f64 / bool / dictionary-encoded strings) with a validity bitmap
 //! where NULLs occur. The online and the exact executor read the chunks
 //! directly; the row-oriented API (`rows`, `row`) is a materializing view
-//! for tests, display and the remaining row-based callers (the baselines,
-//! CSV export, the online path's dimension maps).
+//! for tests, display and the remaining row-based callers (CSV export, the
+//! online path's dimension maps and static blocks).
 
 use std::fmt;
 use std::sync::Arc;

@@ -29,7 +29,6 @@
 //! ```
 
 pub use gola_agg as agg;
-pub use gola_baselines as baselines;
 pub use gola_bootstrap as bootstrap;
 pub use gola_common as common;
 pub use gola_core as core;

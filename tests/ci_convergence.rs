@@ -4,8 +4,7 @@
 //! As batches accumulate, the sampling fraction n/N grows, the fpc factor
 //! √(1 − n/N) falls, and the reported CI must tighten: non-increasing
 //! width batch over batch, and **exactly zero** at the final batch — once
-//! every tuple has been seen there is no sampling error left, matching the
-//! baselines' behaviour (`crates/baselines`).
+//! every tuple has been seen there is no sampling error left.
 //!
 //! Bootstrap replica spread is itself a random quantity that can tick up
 //! slightly between batches, so strict per-step monotonicity is checked
