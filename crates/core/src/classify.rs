@@ -6,6 +6,7 @@
 //! idempotent atomic store, so fixed-size chunks classify in parallel for
 //! *every* block, including ones whose aggregates cannot merge.
 
+use std::collections::hash_map::Entry;
 use std::ops::Range;
 
 use gola_common::{row_u32, FxHashMap, Result, Value};
@@ -62,7 +63,7 @@ fn classify_chunk(
     }
     let mut reader = TupleReader::new(&cand.chunk, env.pubs);
     if let Some(fsc) = &cb.fast_scalar_cmp {
-        classify_scalar_cmp(env, fsc, &mut reader, start, len, &mut out)?;
+        classify_scalar_cmp(env, fsc, cand, &mut reader, start, len, &mut out)?;
         return Ok(out);
     }
     for r in 0..len {
@@ -93,16 +94,19 @@ type RhsAtKey = (RangeVal, Range<usize>);
 /// Scalar-comparison fast classification: cache each conjunct's RHS
 /// variation range (and the producers' published entries) per correlation
 /// key, so each tuple classifies with two float comparisons per conjunct
-/// instead of a generic interval evaluation.
+/// instead of a generic interval evaluation. A carried tuple's key is its
+/// cached id; only a new tuple's key is read and hashed.
 fn classify_scalar_cmp(
     env: &BlockEnv<'_>,
     fscs: &[FastScalarCmp],
+    cand: &Candidates,
     reader: &mut TupleReader<'_>,
     start: usize,
     len: usize,
     out: &mut ChunkClass,
 ) -> Result<()> {
     let mut caches: Vec<FxHashMap<Vec<Value>, RhsAtKey>> = vec![FxHashMap::default(); fscs.len()];
+    let mut by_id: Vec<FxHashMap<u32, RhsAtKey>> = vec![FxHashMap::default(); fscs.len()];
     // Every published entry some cached RHS was read from (one arena, so a
     // cache miss allocates nothing of its own), and the current tuple's.
     let mut entries: Vec<&PublishedScalar> = Vec::new();
@@ -112,20 +116,23 @@ fn classify_scalar_cmp(
         let i = start + r;
         let mut tri = Tri::True;
         relied.clear();
-        for (fsc, cache) in fscs.iter().zip(&mut caches) {
-            reader.values_into(i, &fsc.key, CtxMode::Classify, &mut skey)?;
+        for (k, fsc) in fscs.iter().enumerate() {
             let lhs = reader.value(i, &fsc.lhs, CtxMode::Classify)?;
-            let (range, read) = entry_mut(cache, &skey, || {
-                // `skey` is every reference's key, one after the other.
-                let (from, mut rest) = (entries.len(), skey.as_slice());
-                for &(id, n) in &fsc.refs {
-                    let (own, tail) = rest.split_at(n);
-                    entries.extend(env.pubs[id.0].scalars.get(own));
-                    rest = tail;
+            let (range, read) = match cand.carried_key_id(i, k, fscs.len()) {
+                Some(id) => match by_id[k].entry(id) {
+                    Entry::Occupied(e) => e.into_mut(),
+                    Entry::Vacant(e) => {
+                        reader.values_into(i, &fsc.key, CtxMode::Classify, &mut skey)?;
+                        e.insert(rhs_at_key(env, fsc, reader, i, &skey, &mut entries)?)
+                    }
+                },
+                None => {
+                    reader.values_into(i, &fsc.key, CtxMode::Classify, &mut skey)?;
+                    entry_mut(&mut caches[k], &skey, || {
+                        rhs_at_key(env, fsc, reader, i, &skey, &mut entries)
+                    })?
                 }
-                let range = eval_range(&fsc.rhs, &reader.ctx(i, CtxMode::Classify))?;
-                Ok((range, from..entries.len()))
-            })?;
+            };
             tri = tri.and(classify_cmp(&lhs, fsc.op, range));
             relied.extend_from_slice(&entries[read.clone()]);
         }
@@ -143,6 +150,27 @@ fn classify_scalar_cmp(
         }
     }
     Ok(())
+}
+
+/// Conjunct `fsc`'s RHS at candidate `i`'s correlation key `skey`; the
+/// published entries it reads are appended to `entries`.
+fn rhs_at_key<'p>(
+    env: &BlockEnv<'p>,
+    fsc: &FastScalarCmp,
+    reader: &mut TupleReader<'_>,
+    i: usize,
+    skey: &[Value],
+    entries: &mut Vec<&'p PublishedScalar>,
+) -> Result<RhsAtKey> {
+    // `skey` is every reference's key, one after the other.
+    let (from, mut rest) = (entries.len(), skey);
+    for &(id, n) in &fsc.refs {
+        let (own, tail) = rest.split_at(n);
+        entries.extend(env.pubs[id.0].scalars.get(own));
+        rest = tail;
+    }
+    let range = eval_range(&fsc.rhs, &reader.ctx(i, CtxMode::Classify))?;
+    Ok((range, from..entries.len()))
 }
 
 /// Record that a deterministic decision was made against the referenced

@@ -205,6 +205,12 @@ impl CompiledBlock {
     pub fn num_keys(&self) -> usize {
         self.block.group_by.len()
     }
+
+    /// Number of [`FastScalarCmp`] conjuncts: the width of an uncertain
+    /// tuple's row of correlation-key ids.
+    pub fn cmp_conjuncts(&self) -> usize {
+        self.fast_scalar_cmp.as_ref().map_or(0, Vec::len)
+    }
 }
 
 /// Recognize `Column θ constant` / `constant θ Column` HAVING conjuncts and

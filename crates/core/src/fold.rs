@@ -45,8 +45,9 @@ pub(crate) fn fold(
 
     // The still-uncertain tuples, in candidate order (chunk order ×
     // chunk-relative index order). Carried tuples keep their cached
-    // bootstrap weights; tuples entering the set copy their row of the
-    // step's matrix, so publish never recomputes a weight.
+    // bootstrap weights and key ids; tuples entering the set copy their
+    // row of the step's matrix and intern their correlation keys, so
+    // publish never recomputes a weight or hashes a key.
     let keep: Vec<usize> = classes
         .iter()
         .enumerate()
@@ -62,9 +63,26 @@ pub(crate) fn fold(
     for &i in &keep {
         kept_weights.extend_from_slice(cand.weights_of(weights, i));
     }
+    let fscs = env.cb.fast_scalar_cmp.as_deref().unwrap_or_default();
+    let mut key_ids: Vec<u32> = Vec::with_capacity(keep.len() * fscs.len());
+    let mut reader = TupleReader::new(&cand.chunk, env.pubs);
+    let mut key: Vec<Value> = Vec::new();
+    for &i in &keep {
+        for (k, fsc) in fscs.iter().enumerate() {
+            let id = match cand.carried_key_id(i, k, fscs.len()) {
+                Some(id) => id,
+                None => {
+                    reader.values_into(i, &fsc.key, CtxMode::Point, &mut key)?;
+                    rt.key_ids.intern(&key)
+                }
+            };
+            key_ids.push(id);
+        }
+    }
     rt.uncertain = UncertainSet {
         tuple_ids: keep.iter().map(|&i| cand.ids[i]).collect(),
         weights: kept_weights,
+        key_ids,
         chunk: cand.chunk.gather(&keep),
     };
     Ok(())

@@ -4,14 +4,13 @@
 //! and at every bootstrap trial ([`GroupEval`]).
 
 use std::borrow::Cow;
-use std::cmp::Ordering;
 
 use gola_agg::{FoldScratch, ReplicatedStates};
 use gola_bootstrap::VariationRange;
-use gola_common::{cmp_values, row_u32, FxHashMap, Result, Value};
+use gola_common::{cmp_values, row_u32, ColumnData, FxHashMap, Result, Value};
 use gola_expr::eval::{eval_predicate, eval_tri};
-use gola_expr::lanes::eval_lanes;
-use gola_expr::vector::{num_cmp_holds, num_total_cmp};
+use gola_expr::lanes::{eval_lanes, numeric_view};
+use gola_expr::vector::{num_total_key, op_holds};
 use gola_expr::{BinOp, Expr, RangeVal, Tri};
 
 use crate::classify::CHUNK;
@@ -43,74 +42,127 @@ pub(crate) struct EffGroup<'a> {
     pub supported: bool,
 }
 
-/// Zero the trials of weight row `row` in which `lx (op) rhs[b]` does not
-/// hold — a NULL RHS never holds — comparing like the generic evaluator
-/// ([`Value::total_cmp`]'s numeric order). The operator dispatch happens
-/// once per call so each arm compiles to a tight sweep over the trials.
-fn mask_cmp(row: &mut [u32], rhs: &[Option<f64>], op: BinOp, lx: f64) {
+/// Zero the trials of weight row `row` in which `lk (op) keys[b]` does not
+/// hold or `valid[b]` is `0` — a NULL RHS never holds. The operands are
+/// [`num_total_key`]s, so integer order is the generic evaluator's
+/// ([`Value::total_cmp`]'s numeric order, NaN, ±∞ and −0.0 included) and
+/// this one sweep serves every numeric operand. The operator dispatch
+/// happens once per call so each arm compiles to a tight sweep over the
+/// trials.
+fn mask_cmp(row: &mut [u32], keys: &[i64], valid: &[u32], op: BinOp, lk: i64) {
     #[inline(always)]
-    fn sweep(row: &mut [u32], rhs: &[Option<f64>], lx: f64, holds: impl Fn(Ordering) -> bool) {
+    fn sweep(row: &mut [u32], keys: &[i64], valid: &[u32], holds: impl Fn(i64) -> bool) {
         // Branch-free: an uncertain tuple is one whose trials disagree, so
         // a branch on the outcome would mispredict about every other lane.
-        for (w, rv) in row.iter_mut().zip(rhs) {
-            *w *= u32::from(rv.is_some_and(|y| holds(num_total_cmp(lx, y))));
+        for ((w, &rk), &ok) in row.iter_mut().zip(keys).zip(valid) {
+            *w *= ok & u32::from(holds(rk));
         }
     }
     match op {
-        BinOp::Lt => sweep(row, rhs, lx, Ordering::is_lt),
-        BinOp::LtEq => sweep(row, rhs, lx, Ordering::is_le),
-        BinOp::Gt => sweep(row, rhs, lx, Ordering::is_gt),
-        BinOp::GtEq => sweep(row, rhs, lx, Ordering::is_ge),
-        BinOp::Eq => sweep(row, rhs, lx, Ordering::is_eq),
-        BinOp::NotEq => sweep(row, rhs, lx, Ordering::is_ne),
+        BinOp::Lt => sweep(row, keys, valid, |rk| lk < rk),
+        BinOp::LtEq => sweep(row, keys, valid, |rk| lk <= rk),
+        BinOp::Gt => sweep(row, keys, valid, |rk| lk > rk),
+        BinOp::GtEq => sweep(row, keys, valid, |rk| lk >= rk),
+        BinOp::Eq => sweep(row, keys, valid, |rk| lk == rk),
+        BinOp::NotEq => sweep(row, keys, valid, |rk| lk != rk),
         _ => row.fill(0),
     }
 }
 
+/// [`CmpSweep::row_of`] of a key id no tuple of the set holds.
+const UNSEEN: u32 = u32::MAX;
+/// [`CmpSweep::row_of`] of a key id whose RHS holds a string in some lane.
+const NOT_NUMERIC: u32 = u32::MAX - 1;
+
 /// One `lhs θ rhs` conjunct prepared for a whole uncertain set: the RHS
-/// depends on a tuple only through its correlation key, so the tuples are
-/// bucketed by key and the RHS evaluated once per bucket, every mode of it
-/// in one walk.
+/// depends on a tuple only through its correlation key, whose id the set
+/// carries ([`crate::runtime::UncertainSet::key_ids`]), so it is evaluated
+/// once per id present — every mode of it in one walk — and keyed once
+/// for [`mask_cmp`].
 struct CmpSweep<'a> {
     fsc: &'a FastScalarCmp,
-    /// Per uncertain tuple: its correlation key's bucket.
-    bucket_of: Vec<u32>,
-    /// Per bucket: the RHS at point (lane 0) and at each trial (lane
-    /// `1 + b`), `None` being NULL; no vector when some lane is a string.
-    rhs: Vec<Option<Vec<Option<f64>>>>,
+    /// Tuple `i`'s key id is `key_ids[i * conjuncts + k]`.
+    key_ids: &'a [u32],
+    conjuncts: usize,
+    k: usize,
+    /// `1 + trials`.
+    lanes: usize,
+    /// Per key id: its RHS row, [`UNSEEN`] or [`NOT_NUMERIC`].
+    row_of: Vec<u32>,
+    /// `lanes` per RHS row — the point, then each trial — as total-order
+    /// keys and 0/1 validity (`0` = NULL).
+    keys: Vec<i64>,
+    valid: Vec<u32>,
 }
 
 impl<'a> CmpSweep<'a> {
+    /// Conjunct `k` of `fscs`, the block's `fast_scalar_cmp`, over `rt`'s
+    /// uncertain set.
     fn new(
         env: &BlockEnv<'_>,
-        fsc: &'a FastScalarCmp,
+        fscs: &'a [FastScalarCmp],
+        k: usize,
+        rt: &'a BlockRuntime,
         reader: &mut TupleReader<'_>,
     ) -> Result<CmpSweep<'a>> {
         let trials = env.config.bootstrap.trials;
-        let mut buckets: FxHashMap<Vec<Value>, u32> = FxHashMap::default();
-        let mut rhs = Vec::new();
-        let mut key: Vec<Value> = Vec::new();
-        let mut bucket_of = Vec::with_capacity(reader.chunk.len());
-        for i in 0..reader.chunk.len() {
-            reader.values_into(i, &fsc.key, CtxMode::Point, &mut key)?;
-            let bucket = match buckets.get(key.as_slice()) {
-                Some(&bucket) => bucket,
-                None => {
-                    let lanes = eval_lanes(&fsc.rhs, &reader.lanes(i, trials))?;
-                    rhs.push(lanes.numeric(1 + trials as usize));
-                    buckets.insert(key.clone(), row_u32(rhs.len() - 1));
-                    row_u32(rhs.len() - 1)
-                }
-            };
-            bucket_of.push(bucket);
+        let mut sweep = CmpSweep {
+            fsc: &fscs[k],
+            key_ids: &rt.uncertain.key_ids,
+            conjuncts: fscs.len(),
+            k,
+            lanes: 1 + trials as usize,
+            row_of: vec![UNSEEN; rt.key_ids.len()],
+            keys: Vec::new(),
+            valid: Vec::new(),
+        };
+        let mut vectors = 0u64;
+        for i in 0..rt.uncertain.len() {
+            let id = sweep.id(i);
+            if sweep.row_of[id] != UNSEEN {
+                continue;
+            }
+            let rhs = eval_lanes(&sweep.fsc.rhs, &reader.lanes(i, trials))?;
+            let row = row_u32(sweep.keys.len() / sweep.lanes);
+            let numeric = rhs.total_order_keys(sweep.lanes, &mut sweep.keys, &mut sweep.valid);
+            sweep.row_of[id] = if numeric { row } else { NOT_NUMERIC };
+            vectors += 1;
         }
         if gola_obs::enabled() {
-            metrics::rhs_vectors().add(rhs.len() as u64);
+            metrics::rhs_vectors().add(vectors);
         }
-        Ok(CmpSweep {
-            fsc,
-            bucket_of,
-            rhs,
+        Ok(sweep)
+    }
+
+    fn id(&self, i: usize) -> usize {
+        self.key_ids[i * self.conjuncts + self.k] as usize
+    }
+
+    /// Tuple `i`'s RHS lanes as `(keys, validity)`; `None` when a lane is
+    /// a string.
+    fn rhs(&self, i: usize) -> Option<(&[i64], &[u32])> {
+        let row = self.row_of[self.id(i)];
+        (row != NOT_NUMERIC).then(|| {
+            let at = row as usize * self.lanes;
+            (
+                &self.keys[at..][..self.lanes],
+                &self.valid[at..][..self.lanes],
+            )
+        })
+    }
+
+    /// Tuple `i`'s LHS as a numeric comparison reads it: `Some(None)` for
+    /// NULL, `None` for a string. A column is read straight from its
+    /// typed data, no [`Value`] built.
+    fn lhs(&self, reader: &mut TupleReader<'_>, i: usize) -> Result<Option<Option<f64>>> {
+        let col = match &self.fsc.lhs {
+            Expr::Column(c) => reader.chunk.column(*c),
+            e => return Ok(numeric_view(&reader.value(i, e, CtxMode::Point)?)),
+        };
+        Ok(match col.data() {
+            ColumnData::Str { .. } if col.is_valid(i) => None,
+            ColumnData::Mixed(vs) => numeric_view(&vs[i]),
+            _ => Some(col.as_f64(i)),
         })
     }
 }
@@ -123,8 +175,8 @@ enum Inclusion<'a> {
     /// aggregates cannot merge): one hash lookup, then direct reads of the
     /// published per-trial membership bits.
     Member(gola_expr::SubqueryId, &'a [Expr], bool),
-    /// A conjunction of `lhs θ f(scalar-refs)`: each LHS evaluates once per
-    /// tuple and is swept against its bucket's RHS vector.
+    /// A conjunction of `lhs θ f(scalar-refs)`: each LHS is read and keyed
+    /// once per tuple, then swept against its key id's RHS row.
     ScalarCmp(Vec<CmpSweep<'a>>),
     Generic,
 }
@@ -165,20 +217,17 @@ impl Inclusion<'_> {
                 mask.extend_from_slice(weights);
                 let mut point = true;
                 for s in sweeps {
-                    let lhs = reader.value(i, &s.fsc.lhs, CtxMode::Point)?;
-                    let (false, Some(rhs)) = (
-                        matches!(lhs, Value::Str(_)),
-                        &s.rhs[s.bucket_of[i] as usize],
-                    ) else {
+                    let (Some(lhs), Some((keys, valid))) = (s.lhs(reader, i)?, s.rhs(i)) else {
                         // Strings compare by other rules: the generic
                         // path decides this tuple.
                         mask.truncate(start);
                         return decide_generic(env, reader, i, weights, mask);
                     };
-                    match lhs.as_f64() {
+                    match lhs {
                         Some(lx) => {
-                            mask_cmp(&mut mask[start..], &rhs[1..], s.fsc.op, lx);
-                            point &= rhs[0].is_some_and(|y| num_cmp_holds(s.fsc.op, lx, y));
+                            let lk = num_total_key(lx);
+                            mask_cmp(&mut mask[start..], &keys[1..], &valid[1..], s.fsc.op, lk);
+                            point &= valid[0] == 1 && op_holds(s.fsc.op, lk.cmp(&keys[0]));
                         }
                         // A null LHS compares false against every RHS under
                         // every operator: no point support, no trial folds.
@@ -229,6 +278,9 @@ pub(crate) fn effective_states<'a>(
     env: &BlockEnv<'_>,
     rt: &'a BlockRuntime,
 ) -> Result<Vec<EffGroup<'a>>> {
+    // Report, publish and recover all come through here: the span puts the
+    // re-merge under whichever of them called it.
+    let _span = gola_obs::span!("reeval", tuples = rt.uncertain.len());
     let cb = env.cb;
     let trials = env.config.bootstrap.trials;
     let mut out = match &cb.semi_join {
@@ -249,16 +301,17 @@ pub(crate) fn effective_states<'a>(
 fn uncertain_states<'a>(env: &BlockEnv<'_>, rt: &'a BlockRuntime) -> Result<Vec<EffGroup<'a>>> {
     let cb = env.cb;
     let trials = env.config.bootstrap.trials;
-    // The uncertain set carries its bootstrap weights — computed once when
-    // each tuple entered the set — so no weight kernel runs here no matter
-    // how many batches a tuple stays uncertain.
+    // The uncertain set carries its bootstrap weights and correlation-key
+    // ids — computed once when each tuple entered the set — so no weight
+    // kernel and no key hashing runs here no matter how many batches a
+    // tuple stays uncertain.
     let us = &rt.uncertain;
     let stride = trials as usize;
     let mut reader = TupleReader::new(&us.chunk, env.pubs);
     let inclusion = match (&cb.lin_filters[..], &cb.fast_scalar_cmp) {
         ([Expr::InSubquery { id, key, negated }], _) => Inclusion::Member(*id, key, *negated),
         (_, Some(fscs)) => {
-            let sweeps = fscs.iter().map(|fsc| CmpSweep::new(env, fsc, &mut reader));
+            let sweeps = (0..fscs.len()).map(|k| CmpSweep::new(env, fscs, k, rt, &mut reader));
             Inclusion::ScalarCmp(sweeps.collect::<Result<_>>()?)
         }
         _ => Inclusion::Generic,
@@ -266,16 +319,27 @@ fn uncertain_states<'a>(env: &BlockEnv<'_>, rt: &'a BlockRuntime) -> Result<Vec<
     if gola_obs::enabled() {
         metrics::uncertain_evals().add(us.len() as u64);
     }
-    // The uncertain tuples of each group they touch, in set order.
-    let mut touched: FxHashMap<Vec<Value>, Vec<usize>> = FxHashMap::default();
-    let mut key: Vec<Value> = Vec::new();
-    for i in 0..us.len() {
-        reader.values_into(i, &cb.lin_group_by, CtxMode::Point, &mut key)?;
-        entry_mut(&mut touched, &key, || Ok(Vec::new()))?.push(i);
-    }
+    // The uncertain tuples of each group they touch, in set order, sorted
+    // by group key. Without GROUP BY every tuple touches the one group.
+    let touched: Vec<(Vec<Value>, Vec<usize>)> = if cb.lin_group_by.is_empty() {
+        match us.len() {
+            0 => Vec::new(),
+            n => vec![(Vec::new(), (0..n).collect())],
+        }
+    } else {
+        let mut touched: FxHashMap<Vec<Value>, Vec<usize>> = FxHashMap::default();
+        let mut key: Vec<Value> = Vec::new();
+        for i in 0..us.len() {
+            reader.values_into(i, &cb.lin_group_by, CtxMode::Point, &mut key)?;
+            entry_mut(&mut touched, &key, || Ok(Vec::new()))?.push(i);
+        }
+        sorted_into_entries(touched)
+    };
+    let is_touched =
+        |key: &[Value]| (touched.binary_search_by(|(k, _)| cmp_values(k, key))).is_ok();
     let mut out: Vec<EffGroup<'a>> = Vec::with_capacity(rt.groups.len() + touched.len());
     for (key, states) in sorted_entries(&rt.groups) {
-        if !touched.contains_key(key) {
+        if !is_touched(key) {
             out.push(EffGroup {
                 key: Cow::Borrowed(key.as_slice()),
                 states: Cow::Borrowed(states),
@@ -288,7 +352,7 @@ fn uncertain_states<'a>(env: &BlockEnv<'_>, rt: &'a BlockRuntime) -> Result<Vec<
     let mut lanes: Vec<Vec<Value>> = vec![Vec::new(); cb.lin_agg_args.len()];
     let mut masks: Vec<u32> = Vec::new();
     let mut lookup_key: Vec<Value> = Vec::new();
-    for (key, tuples) in sorted_into_entries(touched) {
+    for (key, tuples) in touched {
         // A snapshot of the group's deterministic states takes the
         // uncertain contributions.
         let det = rt.groups.get(key.as_slice());
@@ -510,4 +574,81 @@ pub(crate) fn having_pass(having: &[Expr], ctx: &GroupCtx<'_>) -> Result<bool> {
         }
     }
     Ok(true)
+}
+
+#[cfg(test)]
+mod tests {
+    use gola_expr::lanes::Lanes;
+    use gola_expr::vector::num_total_cmp;
+    use proptest::prelude::*;
+
+    use super::*;
+
+    const OPS: [BinOp; 6] = [
+        BinOp::Lt,
+        BinOp::LtEq,
+        BinOp::Gt,
+        BinOp::GtEq,
+        BinOp::Eq,
+        BinOp::NotEq,
+    ];
+
+    /// Any `f64` bit pattern, with the ones a total order gets wrong most
+    /// easily drawn often: both zeros, both infinities, NaNs of either
+    /// sign and several payloads, subnormals, and the extremes.
+    fn float() -> impl Strategy<Value = f64> {
+        let edges = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0x7ff8_dead_beef_0001),
+            f64::from_bits(0xfff0_0000_0000_0001),
+            f64::from_bits(u64::MAX),
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE / 3.0,
+            -f64::MIN_POSITIVE / 3.0,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            1.0,
+            -1.0,
+        ];
+        prop_oneof![
+            any::<u64>().prop_map(f64::from_bits),
+            (0..edges.len()).prop_map(move |i| edges[i]),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The key sweep keeps weight `w` in exactly the trials where the
+        /// scalar evaluator's comparison holds, under every operator, and
+        /// never against a NULL RHS. The RHS is keyed the way the
+        /// re-evaluation keys it ([`Lanes::total_order_keys`]).
+        #[test]
+        fn mask_cmp_equals_scalar_reference(
+            lx in float(),
+            rhs in prop::collection::vec(prop::option::of(float()), 0..48),
+            seed in 1u32..7,
+        ) {
+            let weights: Vec<u32> = (0..rhs.len()).map(|b| (row_u32(b) * seed) % 5).collect();
+            let (mut keys, mut valid) = (Vec::new(), Vec::new());
+            prop_assert!(Lanes::Float(rhs.clone()).total_order_keys(rhs.len(), &mut keys, &mut valid));
+            for op in OPS {
+                let mut row = weights.clone();
+                mask_cmp(&mut row, &keys, &valid, op, num_total_key(lx));
+                for (b, (&got, y)) in row.iter().zip(&rhs).enumerate() {
+                    let holds = y.is_some_and(|y| op_holds(op, num_total_cmp(lx, y)));
+                    let want = if holds { weights[b] } else { 0 };
+                    prop_assert_eq!(got, want, "{:?} {:?} {:?} ({:#x} vs {:?})", lx, op, y, lx.to_bits(), y.map(f64::to_bits));
+                }
+            }
+        }
+    }
 }

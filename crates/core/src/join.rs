@@ -54,6 +54,9 @@ pub(crate) struct Candidates {
     /// keep the bootstrap weights cached there (`carried_len × trials`).
     pub carried_len: usize,
     pub carried_weights: Vec<u32>,
+    /// ... and the correlation-key ids cached there (`carried_len ×
+    /// conjuncts`, see [`UncertainSet::key_ids`]).
+    pub carried_key_ids: Vec<u32>,
     /// Per new candidate (those after the carried ones): the batch row it
     /// came from, which is where [`BatchWeights`] keeps its weights.
     pub batch_rows: Vec<u32>,
@@ -63,6 +66,12 @@ impl Candidates {
     /// The batch row of candidate `i`, `None` for a carried one.
     pub(crate) fn batch_row(&self, i: usize) -> Option<u32> {
         Some(self.batch_rows[i.checked_sub(self.carried_len)?])
+    }
+
+    /// Carried candidate `i`'s correlation-key id for conjunct `k` of
+    /// `conjuncts`; `None` for a new candidate, which has none yet.
+    pub(crate) fn carried_key_id(&self, i: usize, k: usize, conjuncts: usize) -> Option<u32> {
+        (i < self.carried_len).then(|| self.carried_key_ids[i * conjuncts + k])
     }
 
     /// Bootstrap weights of candidate `i`: a carried tuple's cached row,
@@ -160,6 +169,7 @@ pub(crate) fn join(
         ids,
         carried_len,
         carried_weights: carried.weights,
+        carried_key_ids: carried.key_ids,
         batch_rows,
     })
 }

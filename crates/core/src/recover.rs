@@ -264,9 +264,11 @@ fn clear_scope(exec: &mut OnlineExecutor, b: usize, scope: &GroupScope) -> Resul
     };
     let uncertain = &exec.runtimes[b].uncertain;
     let outside = positions(&exec.env(b), &uncertain.chunk, groups, false)?;
-    let kept = uncertain.gather(&outside, exec.config.bootstrap.trials as usize);
+    let trials = exec.config.bootstrap.trials as usize;
+    let kept = uncertain.gather(&outside, trials, exec.compiled[b].cmp_conjuncts());
     let rt = &mut exec.runtimes[b];
     rt.groups.retain(|key, _| !groups.contains(key));
+    // `key_ids` stays: the kept tuples' ids must go on naming their keys.
     rt.uncertain.clear();
     Ok(kept)
 }

@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use gola_agg::ReplicatedStates;
-use gola_common::{cmp_values, Error, FxHashMap, Result, Row, Value};
+use gola_common::{cmp_values, row_u32, Error, FxHashMap, Result, Row, Value};
 use gola_expr::lanes::{LaneContext, ScalarLanes};
 use gola_expr::{EvalContext, Expr, RangeVal, SubqueryId, Tri};
 use gola_storage::ColumnChunk;
@@ -64,19 +64,26 @@ pub(crate) fn entry_mut<'m, V>(
 }
 
 /// The uncertain set `Uᵢ` of one block, stored struct-of-arrays: stable
-/// tuple ids, the tuples' bootstrap weights, and their lineage projections
-/// as a columnar chunk.
+/// tuple ids, the tuples' bootstrap weights and correlation-key ids, and
+/// their lineage projections as a columnar chunk.
 ///
-/// Weights are a pure function of `(tuple_id, trial, seed)`, so they are
-/// computed exactly once — when a tuple first stays uncertain — and carried
-/// here for every later re-evaluation (`effective_states`) and re-classify,
-/// instead of re-deriving `|Uᵢ| × trials` hash streams per batch.
+/// Weights are a pure function of `(tuple_id, trial, seed)`, and a tuple's
+/// correlation key — the key its `FastScalarCmp` conjuncts read the
+/// producers at — a pure function of the tuple, so both are computed
+/// exactly once, when a tuple first stays uncertain, and carried here for
+/// every later re-evaluation (`effective_states`) and re-classify, instead
+/// of re-deriving `|Uᵢ| × trials` hash streams and re-hashing `|Uᵢ|` value
+/// keys per batch.
 #[derive(Debug)]
 pub struct UncertainSet {
     /// Stable per-tuple ids (row index in the source table).
     pub tuple_ids: Vec<u64>,
     /// Bootstrap weights, row-major `len × trials`.
     pub weights: Vec<u32>,
+    /// Correlation-key ids from the block's [`KeyIds`], row-major
+    /// `len × conjuncts` (one per `FastScalarCmp` conjunct; empty when the
+    /// block has none).
+    pub key_ids: Vec<u32>,
     /// Lineage projections, column-major (one column per lineage column).
     pub chunk: ColumnChunk,
 }
@@ -86,6 +93,7 @@ impl Default for UncertainSet {
         UncertainSet {
             tuple_ids: Vec::new(),
             weights: Vec::new(),
+            key_ids: Vec::new(),
             chunk: ColumnChunk::empty(0),
         }
     }
@@ -99,18 +107,26 @@ impl UncertainSet {
     pub fn clear(&mut self) {
         self.tuple_ids.clear();
         self.weights.clear();
+        self.key_ids.clear();
         self.chunk = ColumnChunk::empty(0);
     }
 
     /// The tuples at `positions`, in that order, with their cached
-    /// `trials`-wide weight rows.
-    pub(crate) fn gather(&self, positions: &[usize], trials: usize) -> UncertainSet {
+    /// `trials`-wide weight rows and `conjuncts`-wide key-id rows.
+    pub(crate) fn gather(
+        &self,
+        positions: &[usize],
+        trials: usize,
+        conjuncts: usize,
+    ) -> UncertainSet {
+        let rows = |v: &[u32], width: usize| -> Vec<u32> {
+            let row = |&i: &usize| &v[i * width..][..width];
+            positions.iter().flat_map(row).copied().collect()
+        };
         UncertainSet {
             tuple_ids: positions.iter().map(|&i| self.tuple_ids[i]).collect(),
-            weights: (positions.iter())
-                .flat_map(|&i| &self.weights[i * trials..][..trials])
-                .copied()
-                .collect(),
+            weights: rows(&self.weights, trials),
+            key_ids: rows(&self.key_ids, conjuncts),
             chunk: self.chunk.gather(positions),
         }
     }
@@ -119,8 +135,39 @@ impl UncertainSet {
     pub(crate) fn concat(mut self, other: UncertainSet) -> UncertainSet {
         self.tuple_ids.extend(other.tuple_ids);
         self.weights.extend(other.weights);
+        self.key_ids.extend(other.key_ids);
         self.chunk = self.chunk.concat(&other.chunk);
         self
+    }
+}
+
+/// A block's correlation keys, each interned to a dense `u32` id the first
+/// time a tuple holding it enters the uncertain set. Ids only ever bucket
+/// tuples by key — no answer depends on their numbering — and stay valid
+/// until [`BlockRuntime::reset`] drops the set that holds them.
+///
+/// Nothing is forgotten before that: the interner holds one entry per
+/// correlation key that ever reached the set. When the producer reads the
+/// same stream as its consumer (Q17, Q20, C3), those keys are among the
+/// producer's own groups, each of which it already publishes with a whole
+/// trial vector, so the interner adds no growth of its own.
+#[derive(Debug, Default)]
+pub struct KeyIds(FxHashMap<Vec<Value>, u32>);
+
+impl KeyIds {
+    /// `key`'s id, assigning the next one on first sight.
+    pub fn intern(&mut self, key: &[Value]) -> u32 {
+        if let Some(&id) = self.0.get(key) {
+            return id;
+        }
+        let id = row_u32(self.0.len());
+        self.0.insert(key.to_vec(), id);
+        id
+    }
+
+    /// Ids assigned so far: every id is below this.
+    pub fn len(&self) -> usize {
+        self.0.len()
     }
 }
 
@@ -202,6 +249,8 @@ pub struct BlockRuntime {
     pub groups: FxHashMap<Vec<Value>, ReplicatedStates>,
     /// The uncertain set `Uᵢ`.
     pub uncertain: UncertainSet,
+    /// The ids of `uncertain.key_ids`.
+    pub key_ids: KeyIds,
     /// Semi-join partial aggregates: membership key → (group key → states).
     /// Used instead of `groups`/`uncertain` when the block compiles to the
     /// semi-join aggregation strategy.
@@ -215,6 +264,7 @@ impl BlockRuntime {
     pub fn reset(&mut self) {
         self.groups.clear();
         self.uncertain.clear();
+        self.key_ids = KeyIds::default();
         self.semi_groups.clear();
         self.static_done = false;
     }
@@ -711,9 +761,11 @@ mod tests {
     fn runtime_reset() {
         let mut rt = BlockRuntime::default();
         rt.uncertain.tuple_ids.push(1);
+        assert_eq!(rt.key_ids.intern(&[Value::Int(7)]), 0);
         rt.static_done = true;
         rt.reset();
         assert_eq!(rt.uncertain.len(), 0);
+        assert_eq!(rt.key_ids.len(), 0);
         assert!(!rt.static_done);
     }
 }

@@ -479,7 +479,6 @@ fn join_classify(
 }
 
 #[cfg(test)]
-#[expect(clippy::float_cmp, reason = "tests pin exact float results")]
 mod tests {
     use super::*;
     use gola_bootstrap::EpsilonPolicy;
@@ -588,9 +587,21 @@ mod tests {
     }
 
     fn assert_fast_equals_generic_over(catalog: &Catalog, sql: &str, threads: usize) {
-        let mut fast = executor(catalog, sql, threads);
-        let mut generic = executor(catalog, sql, threads);
-        let mut probe = executor(catalog, sql, threads);
+        let config = OnlineConfig::for_tests(8).with_threads(threads);
+        assert_fast_equals_generic_with(catalog, sql, config);
+    }
+
+    /// [`assert_fast_equals_generic`] under `config`; returns the fast
+    /// run's recomputations and how many of its recoveries took a group
+    /// scope.
+    fn assert_fast_equals_generic_with(
+        catalog: &Catalog,
+        sql: &str,
+        config: OnlineConfig,
+    ) -> (usize, usize) {
+        let mut fast = executor_with(catalog, sql, config.clone());
+        let mut generic = executor_with(catalog, sql, config.clone());
+        let mut probe = executor_with(catalog, sql, config);
         let shortcut =
             |cb: &CompiledBlock| cb.fast_scalar_cmp.is_some() || cb.fast_having.is_some();
         assert!(
@@ -647,14 +658,36 @@ mod tests {
             uncertain_seen > 0,
             "nothing was ever uncertain: vacuous run"
         );
+        (fast.recomputations(), fast.scoped_recoveries)
     }
+
+    const Q17_SHAPE: &str = "SELECT SUM(x) / 7.0 AS s FROM t l \
+                             WHERE q < 0.5 * (SELECT AVG(q) FROM t i WHERE i.k = l.k)";
 
     #[test]
     fn q17_shape_fast_scalar_cmp_equals_generic() {
-        let sql = "SELECT SUM(x) / 7.0 AS s FROM t l \
-                   WHERE q < 0.5 * (SELECT AVG(q) FROM t i WHERE i.k = l.k)";
-        assert_fast_equals_generic(sql, 1);
-        assert_fast_equals_generic(sql, 3);
+        assert_fast_equals_generic(Q17_SHAPE, 1);
+        assert_fast_equals_generic(Q17_SHAPE, 3);
+    }
+
+    /// Under tight envelopes the runs recover: Q17's recoveries replay
+    /// every group, so `reset` drops the key ids and the replay assigns
+    /// them afresh; Q20's take a group scope, so the uncertain tuples
+    /// outside it keep their ids beside the replay's new ones. The fast
+    /// path must still equal the generic one everywhere.
+    #[test]
+    fn fast_scalar_cmp_equals_generic_under_recovery() {
+        for (sql, scoped) in [(Q17_SHAPE, false), (Q20_SHAPE, true)] {
+            for threads in [1, 2] {
+                let config = OnlineConfig::for_tests(8)
+                    .with_threads(threads)
+                    .with_epsilon(EpsilonPolicy::StdDevScaled(0.5));
+                let (recoveries, n_scoped) =
+                    assert_fast_equals_generic_with(&catalog(), sql, config);
+                assert!(recoveries > 0, "{sql} threads {threads}: no recovery");
+                assert_eq!(n_scoped > 0, scoped, "{sql}: {n_scoped} scoped recoveries");
+            }
+        }
     }
 
     /// The query's root block re-evaluates its uncertain set against
@@ -712,29 +745,26 @@ mod tests {
 
     /// NaN, ±Inf, −0.0 and NULL in the compared column and in the inner
     /// aggregates' input: the sweep orders them as the generic evaluator
-    /// does (`Value::total_cmp`), through every query shape. With NaN
-    /// alone the last report is also the exact engine's answer; a group
-    /// holding both a NaN and an Inf is left out of that claim, because
-    /// the exact engine's running sum and the online `ExactSum` disagree
-    /// on such a group's total — upstream of any comparison.
+    /// does (`Value::total_cmp`), through every query shape, and the last
+    /// report is the exact engine's answer bit for bit — NaN and ±∞ groups
+    /// included, since both engines sum through `ExactSum`, which folds
+    /// non-finite values as IEEE does.
     #[test]
     fn hostile_floats_fast_scalar_cmp_equals_generic() {
-        let q17 = "SELECT SUM(x) / 7.0 AS s FROM t l \
-                   WHERE q < 0.5 * (SELECT AVG(q) FROM t i WHERE i.k = l.k)";
         // The hostile values reach both sides of a comparison: MAX keeps a
         // NaN or an Inf where AVG and SUM may not.
         let max = "SELECT SUM(x) AS s, COUNT(*) AS n FROM t l \
                    WHERE q >= (SELECT MAX(q) FROM t i WHERE i.k = l.k)";
         let (all, nan) = (catalog_with(Hostile::All), catalog_with(Hostile::Nan));
-        for sql in [q17, max, C2_SHAPE, Q20_SHAPE, TWO_CONJUNCTS] {
+        for sql in [Q17_SHAPE, max, C2_SHAPE, Q20_SHAPE, TWO_CONJUNCTS] {
             assert_fast_equals_generic_over(&all, sql, 1);
             assert_fast_equals_generic_over(&all, sql, 2);
             assert_final_equals_exact(&nan, sql);
+            assert_final_equals_exact(&all, sql);
         }
     }
 
-    /// The last report is the exact engine's answer (to summation
-    /// rounding; NaN for NaN).
+    /// The last report is the exact engine's answer, bit for bit.
     fn assert_final_equals_exact(catalog: &Catalog, sql: &str) {
         let mut exec = executor(catalog, sql, 1);
         let mut last = None;
@@ -747,12 +777,11 @@ mod tests {
         assert_eq!(online.len(), exact.len(), "{sql}: rows");
         for (o, e) in online.iter().zip(&exact) {
             for (o, e) in o.iter().zip(e.iter()) {
-                let close = match (o.as_f64(), e.as_f64()) {
-                    (Some(o), Some(e)) if o.is_nan() || e.is_nan() => o.is_nan() && e.is_nan(),
-                    (Some(o), Some(e)) => o == e || (o - e).abs() <= 1e-9 * e.abs(),
+                let same = match (o, e) {
+                    (Value::Float(o), Value::Float(e)) => o.to_bits() == e.to_bits(),
                     _ => o == e,
                 };
-                assert!(close, "{sql}: online {o:?}, exact {e:?}");
+                assert!(same, "{sql}: online {o:?}, exact {e:?}");
             }
         }
     }
@@ -834,9 +863,7 @@ mod tests {
     fn unscopable_recoveries_replay_every_group() {
         let median =
             format!("SELECT k, MEDIAN(x) AS m FROM t l WHERE {Q20_FILTER} GROUP BY k ORDER BY k");
-        let q17 = "SELECT SUM(x) / 7.0 AS s FROM t l \
-                   WHERE q < 0.5 * (SELECT AVG(q) FROM t i WHERE i.k = l.k)";
-        for sql in [median.as_str(), q17, C2_SHAPE] {
+        for sql in [median.as_str(), Q17_SHAPE, C2_SHAPE] {
             assert_scoped_equals_full(sql, false);
         }
     }

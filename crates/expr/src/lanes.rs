@@ -22,6 +22,7 @@ use gola_common::{Result, Value};
 
 use crate::eval::{eval_binary_values, float_arith};
 use crate::expr::{BinOp, Expr, SubqueryId, UnaryOp};
+use crate::vector::num_total_key;
 
 /// A scalar subquery's value for one key, at every mode: lane `0` reads
 /// `point`, lane `1 + b` reads `trials[b]` (`point` again where the
@@ -82,16 +83,48 @@ impl Lanes {
         }
     }
 
-    /// Every lane's [`Value::as_f64`] view (`None` = NULL) — all a numeric
-    /// comparison needs, since [`Value::total_cmp`] orders `Int`, `Float`
-    /// and `Bool` through it. `None` when some lane holds a string, which
-    /// compares by other rules.
-    pub fn numeric(self, lanes: usize) -> Option<Vec<Option<f64>>> {
+    /// Append every lane as a numeric comparison sees it: lane `l`'s
+    /// [`num_total_key`] to `keys` and its validity to `valid` (`1`, or `0`
+    /// for NULL, whose key is `0`). That is all a comparison needs, since
+    /// [`Value::total_cmp`] orders `Int`, `Float` and `Bool` through their
+    /// [`Value::as_f64`] view in [`crate::vector::num_total_cmp`]'s order.
+    /// Returns `false`, appending nothing, when some lane holds a string,
+    /// which compares by other rules.
+    pub fn total_order_keys(
+        &self,
+        lanes: usize,
+        keys: &mut Vec<i64>,
+        valid: &mut Vec<u32>,
+    ) -> bool {
+        let key = |x: Option<f64>| x.map_or((0, 0), |x| (num_total_key(x), 1));
+        let start = keys.len();
         match self {
-            Lanes::Const(v) => Some(vec![numeric_view(&v)?; lanes]),
-            Lanes::Float(xs) => Some(xs),
-            Lanes::Values(vs) => vs.iter().map(numeric_view).collect(),
+            Lanes::Const(v) => {
+                let Some(x) = numeric_view(v) else {
+                    return false;
+                };
+                let (k, ok) = key(x);
+                keys.resize(start + lanes, k);
+                valid.resize(start + lanes, ok);
+            }
+            Lanes::Float(xs) => {
+                keys.extend(xs.iter().map(|x| x.map_or(0, num_total_key)));
+                valid.extend(xs.iter().map(|x| u32::from(x.is_some())));
+            }
+            Lanes::Values(vs) => {
+                for v in vs {
+                    let Some(x) = numeric_view(v) else {
+                        keys.truncate(start);
+                        valid.truncate(start);
+                        return false;
+                    };
+                    let (k, ok) = key(x);
+                    keys.push(k);
+                    valid.push(ok);
+                }
+            }
         }
+        true
     }
 }
 
@@ -187,7 +220,7 @@ fn per_lane(expr: &Expr, cx: &dyn LaneContext) -> Result<Lanes> {
 
 /// A value's [`Value::as_f64`] view (inner `None` = NULL); `None` for a
 /// string, which neither computes nor compares through `f64`.
-fn numeric_view(v: &Value) -> Option<Option<f64>> {
+pub fn numeric_view(v: &Value) -> Option<Option<f64>> {
     match v {
         Value::Str(_) => None,
         v => Some(v.as_f64()),

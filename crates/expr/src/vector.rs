@@ -101,8 +101,9 @@ impl<'a> Operand<'a> {
     }
 }
 
+/// Does comparison `op` hold for operands ordered `ord`?
 #[inline]
-fn op_holds(op: BinOp, ord: Ordering) -> bool {
+pub fn op_holds(op: BinOp, ord: Ordering) -> bool {
     match op {
         BinOp::Eq => ord == Ordering::Equal,
         BinOp::NotEq => ord != Ordering::Equal,
@@ -122,6 +123,20 @@ pub fn num_total_cmp(x: f64, y: f64) -> Ordering {
     let x = if x == 0.0 { 0.0 } else { x };
     let y = if y == 0.0 { 0.0 } else { y };
     x.total_cmp(&y)
+}
+
+/// `x` as an `i64` whose signed order is [`num_total_cmp`]'s: `-0.0`
+/// folded into `0.0`, then `f64::total_cmp`'s own bit transform (flip the
+/// magnitude bits of a negative), so `num_total_cmp(x, y)` is
+/// `num_total_key(x).cmp(&num_total_key(y))` for every pair of bit
+/// patterns — NaNs of either sign and any payload, infinities and
+/// subnormals included. A sweep over many comparisons keys each operand
+/// once and compares integers.
+#[inline]
+pub fn num_total_key(x: f64) -> i64 {
+    let x = if x == 0.0 { 0.0 } else { x };
+    let bits = x.to_bits() as i64;
+    bits ^ ((bits >> 63) & i64::MAX)
 }
 
 /// `x (op) y` on non-NULL numerics, as the scalar evaluator decides it.

@@ -575,6 +575,7 @@ mod lane_equivalence {
     use gola_common::{cmp_values, Result, Row, Value};
     use gola_expr::eval::eval;
     use gola_expr::lanes::{eval_lanes, LaneContext, Lanes, ScalarLanes};
+    use gola_expr::vector::num_total_key;
     use gola_expr::{
         BinOp, EvalContext, Expr, FunctionRegistry, RangeVal, SubqueryId, Tri, UnaryOp,
     };
@@ -796,24 +797,19 @@ mod lane_equivalence {
                 Err(e) => return Some(format!("lane {l}: eval fails ({e}), lanes did not")),
             }
         }
-        // The numeric view: every lane's `as_f64`, unless a lane is a string.
+        // The comparison view: every lane's `as_f64` as a total-order key
+        // and a validity bit, unless a lane is a string.
         let want: Vec<&Value> = want.iter().flatten().collect();
-        let numeric = lanes.clone().numeric(LANES);
+        let (mut keys, mut valid) = (Vec::new(), Vec::new());
+        let numeric = lanes.total_order_keys(LANES, &mut keys, &mut valid);
         if want.iter().any(|w| matches!(w, Value::Str(_))) {
-            return numeric.map(|n| format!("numeric view {n:?} of a string lane"));
+            return (numeric || !keys.is_empty())
+                .then(|| format!("comparison keys {keys:?} of a string lane"));
         }
-        let bits = |x: Option<f64>| x.map(f64::to_bits);
-        match numeric {
-            Some(n)
-                if n.len() == LANES
-                    && n.iter()
-                        .zip(&want)
-                        .all(|(x, w)| bits(*x) == bits(w.as_f64())) =>
-            {
-                None
-            }
-            other => Some(format!("numeric view {other:?} of {want:?}")),
-        }
+        let key = |w: &Value| w.as_f64().map_or((0, 0), |x| (num_total_key(x), 1));
+        let expect: Vec<(i64, u32)> = want.iter().map(|w| key(w)).collect();
+        let got: Vec<(i64, u32)> = keys.into_iter().zip(valid).collect();
+        (!numeric || got != expect).then(|| format!("comparison keys {got:?} of {want:?}"))
     }
 
     /// The planted bug: the first NULL lane read as `0.0`.

@@ -4,8 +4,9 @@
 //! part, so a call over an uncertain set of thousands of tuples builds at
 //! most as many vectors as the set has distinct parts.
 //!
-//! Counted through `groups::effective_states`' own `gola_obs` counters. One
-//! test function only: the registry is process-global.
+//! Counted through `groups::effective_states`' own `gola_obs` counters and
+//! its `reeval` span. One test function only: the registry is
+//! process-global.
 
 use std::sync::Arc;
 
@@ -37,6 +38,7 @@ fn q17_builds_one_rhs_vector_per_correlation_key() {
         let session = OnlineSession::new(catalog.clone(), config);
         let stream = session.execute_online(tpch::Q17).expect("query compiles");
         let reports: Vec<_> = stream.map(|r| r.expect("batch succeeds")).collect();
+        let snapshot = obs::snapshot_json(false);
         obs::set_enabled(false);
         assert_eq!(reports.len(), batches);
         // Each step calls `effective_states` once for the root block (its
@@ -55,6 +57,17 @@ fn q17_builds_one_rhs_vector_per_correlation_key() {
         );
         // Not vacuous: the sets are far larger than their key counts.
         assert!(vectors.get() > 0 && evals.get() >= 10 * bound);
+        // Each call runs in a `reeval` span under the stage that made it:
+        // the inner block's publish and the root's report, once a step.
+        // Its `tuples` field holds the last call's set: the root's.
+        let spans = format!(
+            "\"reeval\": {{\"count\": {}, \"parents\": {{\"publish\": {batches}, \"report\": {batches}}}}}",
+            2 * batches
+        );
+        assert!(snapshot.contains(&spans), "want {spans} in {snapshot}");
+        let last = reports.last().map(|r| r.uncertain_tuples);
+        let tuples = format!("\"reeval.tuples\": {}", last.unwrap_or_default());
+        assert!(snapshot.contains(&tuples), "want {tuples} in {snapshot}");
         counts.push((evals.get(), vectors.get()));
     }
     assert_eq!(counts[0], counts[1], "thread count changed the work");
