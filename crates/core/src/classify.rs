@@ -94,8 +94,10 @@ type RhsAtKey = (RangeVal, Range<usize>);
 /// Scalar-comparison fast classification: cache each conjunct's RHS
 /// variation range (and the producers' published entries) per correlation
 /// key, so each tuple classifies with two float comparisons per conjunct
-/// instead of a generic interval evaluation. A carried tuple's key is its
-/// cached id; only a new tuple's key is read and hashed.
+/// instead of a generic interval evaluation. A tuple's key is its id when
+/// it has one (a carried tuple's cached id, or any candidate's in a block
+/// that keeps a seen index); only an unlabelled tuple's key is read and
+/// hashed.
 fn classify_scalar_cmp(
     env: &BlockEnv<'_>,
     fscs: &[FastScalarCmp],
@@ -118,7 +120,7 @@ fn classify_scalar_cmp(
         relied.clear();
         for (k, fsc) in fscs.iter().enumerate() {
             let lhs = reader.value(i, &fsc.lhs, CtxMode::Classify)?;
-            let (range, read) = match cand.carried_key_id(i, k, fscs.len()) {
+            let (range, read) = match cand.key_id(i, k, fscs.len()) {
                 Some(id) => match by_id[k].entry(id) {
                     Entry::Occupied(e) => e.into_mut(),
                     Entry::Vacant(e) => {

@@ -45,9 +45,10 @@ pub(crate) fn fold(
 
     // The still-uncertain tuples, in candidate order (chunk order ×
     // chunk-relative index order). Carried tuples keep their cached
-    // bootstrap weights and key ids; tuples entering the set copy their
-    // row of the step's matrix and intern their correlation keys, so
-    // publish never recomputes a weight or hashes a key.
+    // bootstrap weights and ids; tuples entering the set copy their row of
+    // the step's matrix and their seen-index ids, or intern their
+    // correlation keys, so publish never recomputes a weight or hashes a
+    // key.
     let keep: Vec<usize> = classes
         .iter()
         .enumerate()
@@ -69,7 +70,7 @@ pub(crate) fn fold(
     let mut key: Vec<Value> = Vec::new();
     for &i in &keep {
         for (k, fsc) in fscs.iter().enumerate() {
-            let id = match cand.carried_key_id(i, k, fscs.len()) {
+            let id = match cand.key_id(i, k, fscs.len()) {
                 Some(id) => id,
                 None => {
                     reader.values_into(i, &fsc.key, CtxMode::Point, &mut key)?;
@@ -83,6 +84,10 @@ pub(crate) fn fold(
         tuple_ids: keep.iter().map(|&i| cand.ids[i]).collect(),
         weights: kept_weights,
         key_ids,
+        group_ids: keep
+            .iter()
+            .filter_map(|&i| cand.group_ids.get(i).copied())
+            .collect(),
         chunk: cand.chunk.gather(&keep),
     };
     Ok(())

@@ -74,6 +74,12 @@ const UNSEEN: u32 = u32::MAX;
 /// [`CmpSweep::row_of`] of a key id whose RHS holds a string in some lane.
 const NOT_NUMERIC: u32 = u32::MAX - 1;
 
+/// One more than the largest of `ids`: the length a table indexed by them
+/// needs.
+fn ids_below(ids: &[u32]) -> usize {
+    ids.iter().max().map_or(0, |&m| m as usize + 1)
+}
+
 /// One `lhs θ rhs` conjunct prepared for a whole uncertain set: the RHS
 /// depends on a tuple only through its correlation key, whose id the set
 /// carries ([`crate::runtime::UncertainSet::key_ids`]), so it is evaluated
@@ -112,7 +118,7 @@ impl<'a> CmpSweep<'a> {
             conjuncts: fscs.len(),
             k,
             lanes: 1 + trials as usize,
-            row_of: vec![UNSEEN; rt.key_ids.len()],
+            row_of: vec![UNSEEN; ids_below(&rt.uncertain.key_ids)],
             keys: Vec::new(),
             valid: Vec::new(),
         };

@@ -15,7 +15,6 @@ use gola_storage::{Catalog, ColumnChunk, MiniBatch};
 use crate::classify::CHUNK;
 use crate::compiled::CompiledBlock;
 use crate::pool::WorkerPool;
-use crate::recover::GroupScope;
 use crate::runtime::{BlockEnv, CtxMode, TupleCtx, TupleReader, UncertainSet};
 
 /// Per dimension join of one block: join key → dimension rows.
@@ -54,9 +53,12 @@ pub(crate) struct Candidates {
     /// keep the bootstrap weights cached there (`carried_len × trials`).
     pub carried_len: usize,
     pub carried_weights: Vec<u32>,
-    /// ... and the correlation-key ids cached there (`carried_len ×
-    /// conjuncts`, see [`UncertainSet::key_ids`]).
-    pub carried_key_ids: Vec<u32>,
+    /// Correlation-key ids, `× conjuncts` (see [`UncertainSet::key_ids`]):
+    /// the carried candidates' cached ones, then, in a block that keeps a
+    /// [`crate::recover::SeenIndex`], the new candidates' as it labels them.
+    pub key_ids: Vec<u32>,
+    /// Group ids likewise (see [`UncertainSet::group_ids`]).
+    pub group_ids: Vec<u32>,
     /// Per new candidate (those after the carried ones): the batch row it
     /// came from, which is where [`BatchWeights`] keeps its weights.
     pub batch_rows: Vec<u32>,
@@ -68,10 +70,10 @@ impl Candidates {
         Some(self.batch_rows[i.checked_sub(self.carried_len)?])
     }
 
-    /// Carried candidate `i`'s correlation-key id for conjunct `k` of
-    /// `conjuncts`; `None` for a new candidate, which has none yet.
-    pub(crate) fn carried_key_id(&self, i: usize, k: usize, conjuncts: usize) -> Option<u32> {
-        (i < self.carried_len).then(|| self.carried_key_ids[i * conjuncts + k])
+    /// Candidate `i`'s correlation-key id for conjunct `k` of `conjuncts`;
+    /// `None` for a new candidate no seen index has labelled.
+    pub(crate) fn key_id(&self, i: usize, k: usize, conjuncts: usize) -> Option<u32> {
+        self.key_ids.get(i * conjuncts + k).copied()
     }
 
     /// Bootstrap weights of candidate `i`: a carried tuple's cached row,
@@ -151,16 +153,13 @@ impl BatchWeights {
     }
 }
 
-/// Run the stage: `carried ++ new_candidates(batch)`, the new ones limited
-/// to the groups in `scope` (a recovery's replay; every group otherwise).
+/// Run the stage: `carried ++ new_candidates(batch)`.
 pub(crate) fn join(
     env: &BlockEnv<'_>,
     batch: &MiniBatch,
     carried: UncertainSet,
-    scope: &GroupScope,
 ) -> Result<Candidates> {
     let (batch_rows, new_chunk) = new_candidates(env, batch)?;
-    let (batch_rows, new_chunk) = scope.select(env, batch_rows, new_chunk)?;
     let mut ids = carried.tuple_ids;
     let carried_len = ids.len();
     ids.extend(batch_rows.iter().map(|&r| batch.tuple_ids[r as usize]));
@@ -169,7 +168,8 @@ pub(crate) fn join(
         ids,
         carried_len,
         carried_weights: carried.weights,
-        carried_key_ids: carried.key_ids,
+        key_ids: carried.key_ids,
+        group_ids: carried.group_ids,
         batch_rows,
     })
 }

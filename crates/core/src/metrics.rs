@@ -11,18 +11,7 @@
 //! flows back into computation. `tests/obs_inert.rs` holds this to
 //! bit-identical `BatchReport`s.
 
-use std::sync::OnceLock;
-
-use gola_obs::{Counter, Gauge, Histogram};
-
-macro_rules! handle {
-    ($vis:vis $fn_name:ident: $ty:ty = $ctor:expr) => {
-        $vis fn $fn_name() -> &'static $ty {
-            static H: OnceLock<$ty> = OnceLock::new();
-            H.get_or_init(|| $ctor)
-        }
-    };
-}
+use gola_obs::{handle, Counter, Gauge, Histogram};
 
 /// Per-report instrumentation handles for one executor. A single-process
 /// session (`session_label = None`) resolves the historical unlabeled
@@ -72,10 +61,12 @@ handle!(pub(crate) uncertain_evals: Counter = gola_obs::counter("publish.uncerta
 handle!(pub(crate) rhs_vectors: Counter = gola_obs::counter("publish.rhs_vectors"));
 
 // Recoveries (`recover::recover`): how many replayed a group scope and how
-// many every group, the violated keys that triggered them, and the batch
-// tuples their replays ingested again.
+// many every group, the violated keys that triggered them, the batch
+// tuples their replays ingested again, and the batch rows they gathered to
+// do so.
 handle!(pub(crate) recover_scoped: Counter = gola_obs::counter("recover.scoped"));
 handle!(pub(crate) recover_full: Counter = gola_obs::counter("recover.full"));
 handle!(pub(crate) recover_violated_keys: Counter = gola_obs::counter("recover.violated_keys"));
 handle!(pub(crate) recover_replayed_tuples: Counter =
     gola_obs::counter("recover.replayed_tuples"));
+handle!(pub(crate) recover_gathered_rows: Counter = gola_obs::counter("recover.gathered_rows"));

@@ -3,17 +3,26 @@
 //! recomputation jobs, paper §4) — for every group of those blocks, or,
 //! when the violated keys can reach only some groups of one block, for just
 //! those groups: its *group scope* (DESIGN.md §3.5.8, "Scoped replay").
+//!
+//! A block that can be scoped keeps a [`SeenIndex`]: each seen candidate's
+//! batch row, group id and correlation-key ids, appended once when its
+//! batch is first ingested. A scoped recovery reads only the index and the
+//! rows it replays. Pass 1 ([`violated_groups`]) is an integer scan of the
+//! index: the groups holding a violated key, and the reliance marks a full
+//! replay would leave. Pass 2 gathers each batch's in-scope rows alone
+//! ([`Partitioner::batch_rows`](gola_storage::Partitioner::batch_rows)) and
+//! ingests them. A full-scope recovery replays whole batches.
 
 use gola_agg::AggKind;
-use gola_common::{FxHashMap, FxHashSet, Result, Value};
+use gola_common::{row_u32, Result, Value};
 use gola_expr::SubqueryId;
-use gola_storage::ColumnChunk;
 
-use crate::join::{self, BatchWeights};
+use crate::compiled::{CompiledBlock, FastScalarCmp};
+use crate::join::{BatchWeights, Candidates};
 use crate::metrics;
 use crate::publish::Violated;
 use crate::report::BatchTiming;
-use crate::runtime::{entry_mut, BlockEnv, CtxMode, PublishedScalar, TupleReader, UncertainSet};
+use crate::runtime::{BlockEnv, CtxMode, KeyIds, TupleReader, UncertainSet};
 use crate::step::OnlineExecutor;
 
 /// What the stage reads besides the executor it repairs.
@@ -39,61 +48,114 @@ impl RecoverInput<'_> {
 pub(crate) enum GroupScope {
     /// Every group: the blocks restart empty.
     All,
-    /// These groups of the one affected block; its other groups, and their
-    /// uncertain tuples, stand.
-    Groups(FxHashSet<Vec<Value>>),
+    /// The groups of the one affected block whose [`SeenIndex`] id is
+    /// `true` here; its other groups, and their uncertain tuples, stand.
+    Groups(Vec<bool>),
 }
 
-impl GroupScope {
-    /// One batch's new candidates — batch rows and lineage chunk — limited
-    /// to the groups in scope.
-    pub(crate) fn select(
-        &self,
+/// Every seen candidate of one block a recovery can scope, as integer
+/// columns: its batch row, its group id and one correlation-key id per
+/// `FastScalarCmp` conjunct, in candidate order. Ingest appends a batch's
+/// candidates once, the first time it ingests that batch; replays only
+/// look their ids up. The ids also name the block's uncertain tuples
+/// ([`UncertainSet::key_ids`] and [`UncertainSet::group_ids`]).
+///
+/// Costs 4 B × (2 + conjuncts) per seen candidate, plus one interned key
+/// per distinct group and correlation key; it lives as long as the query.
+#[derive(Debug, Default)]
+pub struct SeenIndex {
+    /// Exclusive end of each ingested batch's entries.
+    ends: Vec<usize>,
+    rows: Vec<u32>,
+    groups: Vec<u32>,
+    /// Row-major `len × conjuncts`.
+    keys: Vec<u32>,
+    group_ids: KeyIds,
+    /// One interner per conjunct.
+    key_ids: Vec<KeyIds>,
+}
+
+impl SeenIndex {
+    /// Give `cand`'s new candidates (batch `batch` of the schedule) their
+    /// group and correlation-key ids, after the carried ones', and index
+    /// them if the batch is new.
+    pub(crate) fn label(
+        &mut self,
         env: &BlockEnv<'_>,
-        rows: Vec<u32>,
-        chunk: ColumnChunk,
-    ) -> Result<(Vec<u32>, ColumnChunk)> {
-        let GroupScope::Groups(groups) = self else {
-            return Ok((rows, chunk));
-        };
-        let sel = positions(env, &chunk, groups, true)?;
-        Ok((sel.iter().map(|&i| rows[i]).collect(), chunk.gather(&sel)))
+        batch: usize,
+        cand: &mut Candidates,
+    ) -> Result<()> {
+        let fscs = env.cb.fast_scalar_cmp.as_deref().unwrap_or_default();
+        self.key_ids.resize_with(fscs.len(), KeyIds::default);
+        let mut reader = TupleReader::new(&cand.chunk, env.pubs);
+        let mut key = Vec::new();
+        for i in cand.carried_len..cand.chunk.len() {
+            reader.values_into(i, &env.cb.lin_group_by, CtxMode::Point, &mut key)?;
+            cand.group_ids.push(self.group_ids.intern(&key));
+            for (fsc, ids) in fscs.iter().zip(&mut self.key_ids) {
+                reader.values_into(i, &fsc.key, CtxMode::Point, &mut key)?;
+                cand.key_ids.push(ids.intern(&key));
+            }
+        }
+        if batch == self.ends.len() {
+            self.rows.extend_from_slice(&cand.batch_rows);
+            self.groups
+                .extend_from_slice(&cand.group_ids[cand.carried_len..]);
+            self.keys
+                .extend_from_slice(&cand.key_ids[cand.carried_len * fscs.len()..]);
+            self.ends.push(self.rows.len());
+        }
+        Ok(())
+    }
+
+    /// Conjunct `k`'s correlation keys, in id order.
+    fn keys(&self, k: usize) -> impl Iterator<Item = &[Value]> {
+        let ids = &self.key_ids[k];
+        (0..ids.len()).map(|x| ids.key(row_u32(x)))
+    }
+
+    /// The batch rows of batch `j`'s candidates whose group is in scope.
+    fn rows_in(&self, j: usize, in_scope: &[bool]) -> Vec<usize> {
+        let start = if j == 0 { 0 } else { self.ends[j - 1] };
+        let entries = start..self.ends[j];
+        let rows = entries.filter(|&s| in_scope[self.groups[s] as usize]);
+        rows.map(|s| self.rows[s] as usize).collect()
     }
 }
 
-/// The positions of `chunk`'s tuples whose group is (`inside`) or is not
-/// in `groups`.
-fn positions(
-    env: &BlockEnv<'_>,
-    chunk: &ColumnChunk,
-    groups: &FxHashSet<Vec<Value>>,
-    inside: bool,
-) -> Result<Vec<usize>> {
-    let mut reader = TupleReader::new(chunk, env.pubs);
-    let (mut key, mut out) = (Vec::new(), Vec::new());
-    for i in 0..chunk.len() {
-        reader.values_into(i, &env.cb.lin_group_by, CtxMode::Point, &mut key)?;
-        if groups.contains(key.as_slice()) == inside {
-            out.push(i);
-        }
-    }
-    Ok(out)
+/// Can a recovery ever scope block `cb`, whose direct consumers are
+/// `consumers`? Only a streaming block with no consumers of its own that
+/// compiles to `fast_scalar_cmp` (so every reference it makes sits in a
+/// comparison's correlation key; a semi-join block never does) with at
+/// least one correlated reference, has a GROUP BY and no dimension joins,
+/// and whose aggregates all merge. Such a block keeps a [`SeenIndex`].
+pub(crate) fn scopable(cb: &CompiledBlock, consumers: &[usize]) -> bool {
+    let correlated =
+        |fscs: &Vec<FastScalarCmp>| fscs.iter().any(|f| f.refs.iter().any(|r| r.1 > 0));
+    cb.block.is_streaming
+        && consumers.is_empty()
+        && cb.fast_scalar_cmp.as_ref().is_some_and(correlated)
+        && cb.num_keys() > 0
+        && cb.block.dims.is_empty()
+        && cb.agg_kinds.iter().all(AggKind::is_mergeable)
 }
 
 /// Run the stage. Mutates the affected blocks' runtimes and publications
 /// (and producers' reliance marks) and returns how many blocks were
 /// recomputed.
 pub(crate) fn recover(exec: &mut OnlineExecutor, input: RecoverInput<'_>) -> Result<usize> {
-    let mut affected: FxHashSet<usize> = FxHashSet::default();
+    let span = gola_obs::span!("recover", blocks = input.violated.len());
+    let mut affected: Vec<bool> = vec![false; exec.compiled.len()];
     let mut stack: Vec<usize> = input.violated.iter().map(|(b, _)| *b).collect();
     while let Some(v) = stack.pop() {
         for &c in &exec.consumers[v] {
-            if affected.insert(c) {
+            if !affected[c] {
+                affected[c] = true;
                 stack.push(c);
             }
         }
     }
-    let scope = scope(exec, &input, &affected)?;
+    let scope = scope(exec, &input, &affected);
     #[cfg(test)]
     if let GroupScope::Groups(_) = scope {
         exec.scoped_recoveries += 1;
@@ -104,17 +166,19 @@ pub(crate) fn recover(exec: &mut OnlineExecutor, input: RecoverInput<'_>) -> Res
     // semantically identical to replaying each block to completion — same
     // per-block ingest sequence, and no block of a wave reads another's
     // output.
-    let mut replayed: usize = 0;
+    let (mut replayed, mut gathered) = (0, 0);
     for wave in exec.meta.wavefronts() {
-        let replay: Vec<usize> = wave.into_iter().filter(|b| affected.contains(b)).collect();
+        let replay: Vec<usize> = wave.into_iter().filter(|&b| affected[b]).collect();
         if replay.is_empty() {
             continue;
         }
-        let kept =
-            (replay.iter().map(|&b| clear_scope(exec, b, &scope))).collect::<Result<Vec<_>>>()?;
+        let kept: Vec<UncertainSet> = (replay.iter())
+            .map(|&b| clear_scope(exec, b, &scope))
+            .collect();
         // Replay time lands in the step's `recover` bucket, not per stage.
         let mut scratch = BatchTiming::default();
-        replayed += replay_batches(exec, &replay, input.upto, &scope, &mut scratch)?;
+        let (r, g) = replay_batches(exec, &replay, input.upto, &scope, &mut scratch)?;
+        (replayed, gathered) = (replayed + r, gathered + g);
         // Publish once per block, from fresh (post-replay) state.
         for (&b, kept) in replay.iter().zip(kept) {
             let rt = &mut exec.runtimes[b];
@@ -123,78 +187,110 @@ pub(crate) fn recover(exec: &mut OnlineExecutor, input: RecoverInput<'_>) -> Res
         }
     }
     if gola_obs::enabled() {
-        match scope {
-            GroupScope::All => metrics::recover_full().inc(),
-            GroupScope::Groups(_) => metrics::recover_scoped().inc(),
-        }
+        let groups = match &scope {
+            GroupScope::All => {
+                metrics::recover_full().inc();
+                None
+            }
+            GroupScope::Groups(in_scope) => {
+                metrics::recover_scoped().inc();
+                Some(in_scope.iter().filter(|&&g| g).count())
+            }
+        };
         let keys = input.violated.iter().map(|(_, keys)| keys.len() as u64);
         metrics::recover_violated_keys().add(keys.sum());
         metrics::recover_replayed_tuples().add(replayed as u64);
+        metrics::recover_gathered_rows().add(gathered as u64);
+        span.field("scope", f64::from(u8::from(groups.is_some())));
+        span.field("groups", groups.unwrap_or(0) as f64);
+        span.field("gathered", gathered as f64);
     }
-    Ok(affected.len())
+    Ok(affected.iter().filter(|&&a| a).count())
 }
 
 /// Re-ingest batches `0..=upto` into `blocks`, one wave whose state the
-/// caller has cleared to `scope`, and return how many candidates the
-/// replay read. Recovery and [`OnlineExecutor::step_recomputing`] both
-/// rebuild through here.
+/// caller has cleared to `scope`: whole batches, or under a group scope
+/// each batch's in-scope rows alone, gathered from the block's
+/// [`SeenIndex`]. Returns how many candidates the replay read and how many
+/// batch rows it gathered. Recovery and
+/// [`OnlineExecutor::step_recomputing`] both rebuild through here.
 pub(crate) fn replay_batches(
     exec: &mut OnlineExecutor,
     blocks: &[usize],
     upto: usize,
     scope: &GroupScope,
     timing: &mut BatchTiming,
-) -> Result<usize> {
-    let mut replayed = 0;
+) -> Result<(usize, usize)> {
+    let (mut replayed, mut gathered) = (0, 0);
     for j in 0..=upto {
-        let batch = exec.partitioner.batch(j);
+        let batch = match (scope, &exec.runtimes[blocks[0]].seen) {
+            (GroupScope::Groups(in_scope), Some(seen)) => {
+                let rows = seen.rows_in(j, in_scope);
+                if rows.is_empty() {
+                    // Nothing new to ingest, and no carried tuple can
+                    // change class: the publications do not move during
+                    // a replay, and each was uncertain against them.
+                    continue;
+                }
+                exec.partitioner.batch_rows(j, &rows)
+            }
+            _ => exec.partitioner.batch(j),
+        };
+        gathered += batch.len();
         let mut weights = BatchWeights::new(&batch, &exec.config.bootstrap);
-        replayed += exec.ingest_wave(blocks, &batch, scope, &mut weights, timing)?;
+        replayed += exec.ingest_wave(blocks, &batch, &mut weights, timing)?;
     }
-    Ok(replayed)
+    Ok((replayed, gathered))
 }
 
 /// The groups a recovery replays: every group, unless the violated keys
 /// can reach only some groups of one block — the violated producers' only
-/// transitive consumer is one block with no consumers of its own, it
-/// compiles to `fast_scalar_cmp` (so every reference it makes sits in a
-/// comparison's correlation key; a semi-join block never does), it has a
-/// GROUP BY and no dimension joins, every aggregate is mergeable, and every
-/// reference to a violated producer has a correlation key. Then those
-/// groups are [`violated_groups`].
-fn scope(
-    exec: &OnlineExecutor,
-    input: &RecoverInput<'_>,
-    affected: &FxHashSet<usize>,
-) -> Result<GroupScope> {
+/// transitive consumer is one block that keeps a [`SeenIndex`] (see
+/// [`scopable`]), and every reference it makes to a violated producer has
+/// a correlation key. Then those groups are [`violated_groups`].
+fn scope(exec: &OnlineExecutor, input: &RecoverInput<'_>, affected: &[bool]) -> GroupScope {
     #[cfg(test)]
     if exec.full_scope_only {
-        return Ok(GroupScope::All);
+        return GroupScope::All;
     }
-    #[expect(clippy::disallowed_methods, reason = "a one-element set")]
-    let (Some(&c), 1) = (affected.iter().next(), affected.len()) else {
-        return Ok(GroupScope::All);
+    let mut blocks = (0..affected.len()).filter(|&b| affected[b]);
+    let (Some(c), None) = (blocks.next(), blocks.next()) else {
+        return GroupScope::All;
     };
-    let cb = &exec.compiled[c];
-    let Some(fscs) = &cb.fast_scalar_cmp else {
-        return Ok(GroupScope::All);
+    let (Some(fscs), Some(seen)) = (&exec.compiled[c].fast_scalar_cmp, &exec.runtimes[c].seen)
+    else {
+        return GroupScope::All;
     };
     let mut refs = fscs.iter().flat_map(|f| &f.refs);
-    let correlated = refs.all(|&(id, n)| n > 0 || input.keys_of(id).is_none());
-    if !exec.consumers[c].is_empty()
-        || cb.num_keys() == 0
-        || !cb.block.dims.is_empty()
-        || !cb.agg_kinds.iter().all(AggKind::is_mergeable)
-        || !correlated
-    {
-        return Ok(GroupScope::All);
+    if !refs.all(|&(id, n)| n > 0 || input.keys_of(id).is_none()) {
+        return GroupScope::All;
     }
-    Ok(GroupScope::Groups(violated_groups(exec, c, input)?))
+    GroupScope::Groups(violated_groups(
+        &exec.env(c),
+        seen,
+        &exec.runtimes[c].uncertain,
+        input,
+    ))
 }
 
-/// Pass 1 of a scoped recovery: the groups of block `c` that hold a seen
-/// candidate reading a violated key. Gathers and joins batches
-/// `0..=input.upto` again, without weights, classify or fold.
+/// Each reference of `fsc` with its own slice of `key`, one of the
+/// conjunct's correlation keys (every reference's key, one after the
+/// other).
+fn own_keys<'k>(
+    fsc: &'k FastScalarCmp,
+    mut key: &'k [Value],
+) -> impl Iterator<Item = (SubqueryId, &'k [Value])> + 'k {
+    fsc.refs.iter().map(move |&(producer, n)| {
+        let (own, rest) = key.split_at(n);
+        key = rest;
+        (producer, own)
+    })
+}
+
+/// Pass 1 of a scoped recovery: the groups of the block (`env`, with seen
+/// index `seen` and uncertain set `uncertain`) that hold a seen candidate
+/// reading a violated key, as an in-scope flag per group id. An integer
+/// scan of the index: no batch is gathered or joined.
 ///
 /// A full replay also re-marks reliance for every candidate it decides.
 /// Outside the scope those are the candidates not in the uncertain set —
@@ -202,73 +298,77 @@ fn scope(
 /// was decided; but an entry published since, one the decision did not
 /// need (a NULL LHS, another conjunct already false), the full replay
 /// would mark now. This pass marks it too, so the producers' envelopes
-/// carry on exactly as after a full replay.
+/// carry on exactly as after a full replay: per (conjunct, key), it
+/// counts the seen candidates reading no violated key, less the uncertain
+/// tuples among them, and marks the key's entries when some remain.
 fn violated_groups(
-    exec: &OnlineExecutor,
-    c: usize,
+    env: &BlockEnv<'_>,
+    seen: &SeenIndex,
+    uncertain: &UncertainSet,
     input: &RecoverInput<'_>,
-) -> Result<FxHashSet<Vec<Value>>> {
-    let env = exec.env(c);
+) -> Vec<bool> {
     let fscs = env.cb.fast_scalar_cmp.as_deref().unwrap_or_default();
-    let uncertain: FxHashSet<u64> = exec.runtimes[c]
-        .uncertain
-        .tuple_ids
-        .iter()
-        .copied()
+    let is_violated =
+        |(p, own): (SubqueryId, &[Value])| input.keys_of(p).is_some_and(|v| v.contains(own));
+    // Per conjunct, per key id: does the key read a violated entry?
+    let violated: Vec<Vec<bool>> = (fscs.iter().enumerate())
+        .map(|(k, fsc)| {
+            seen.keys(k)
+                .map(|key| own_keys(fsc, key).any(is_violated))
+                .collect()
+        })
         .collect();
-    // Per correlation key (every conjunct's, one after the other): does it
-    // read a violated entry, and which entries it reads are still unmarked.
-    let mut keys: FxHashMap<Vec<Value>, (bool, Vec<&PublishedScalar>)> = FxHashMap::default();
-    let mut groups: FxHashSet<Vec<Value>> = FxHashSet::default();
-    let (mut key, mut group) = (Vec::new(), Vec::new());
-    for j in 0..=input.upto {
-        let batch = exec.partitioner.batch(j);
-        let cand = join::join(&env, &batch, UncertainSet::default(), &GroupScope::All)?;
-        let mut reader = TupleReader::new(&cand.chunk, env.pubs);
-        for i in 0..cand.chunk.len() {
-            key.clear();
-            for e in fscs.iter().flat_map(|f| &f.key) {
-                key.push(reader.value(i, e, CtxMode::Point)?);
-            }
-            let (violated, unmarked) = entry_mut(&mut keys, &key, || {
-                let (mut violated, mut unmarked, mut rest) = (false, Vec::new(), key.as_slice());
-                for &(id, n) in fscs.iter().flat_map(|f| &f.refs) {
-                    let (own, tail) = rest.split_at(n);
-                    rest = tail;
-                    violated |= input.keys_of(id).is_some_and(|keys| keys.contains(own));
-                    let entry = env.pubs[id.0].scalars.get(own);
-                    unmarked.extend(entry.filter(|s| !s.is_used()));
+    let reads_violated = |ids: &[u32]| (ids.iter().zip(&violated)).any(|(&x, v)| v[x as usize]);
+    let mut in_scope = vec![false; seen.group_ids.len()];
+    let mut decided: Vec<Vec<i32>> = violated.iter().map(|v| vec![0; v.len()]).collect();
+    let mut count = |ids: &[u32], by: i32| {
+        for (&x, n) in ids.iter().zip(&mut decided) {
+            n[x as usize] += by;
+        }
+    };
+    for (ids, &group) in seen.keys.chunks_exact(fscs.len()).zip(&seen.groups) {
+        if reads_violated(ids) {
+            in_scope[group as usize] = true;
+        } else {
+            count(ids, 1);
+        }
+    }
+    for ids in uncertain.key_ids.chunks_exact(fscs.len()) {
+        if !reads_violated(ids) {
+            count(ids, -1);
+        }
+    }
+    for ((k, fsc), n) in fscs.iter().enumerate().zip(&decided) {
+        for (key, _) in seen.keys(k).zip(n).filter(|(_, &n)| n > 0) {
+            for (producer, own) in own_keys(fsc, key) {
+                if let Some(entry) = env.pubs[producer.0].scalars.get(own) {
+                    entry.mark_used();
                 }
-                Ok((violated, unmarked))
-            })?;
-            if *violated {
-                reader.values_into(i, &env.cb.lin_group_by, CtxMode::Point, &mut group)?;
-                if !groups.contains(group.as_slice()) {
-                    groups.insert(group.clone());
-                }
-            } else if !unmarked.is_empty() && !uncertain.contains(&cand.ids[i]) {
-                unmarked.drain(..).for_each(PublishedScalar::mark_used);
             }
         }
     }
-    Ok(groups)
+    in_scope
 }
 
 /// Clear what a replay in `scope` rebuilds of block `b`'s state, and hand
 /// back its uncertain tuples outside the scope: they stand, and the replay
 /// must not ingest them again.
-fn clear_scope(exec: &mut OnlineExecutor, b: usize, scope: &GroupScope) -> Result<UncertainSet> {
-    let GroupScope::Groups(groups) = scope else {
-        exec.runtimes[b].reset();
-        return Ok(UncertainSet::default());
+fn clear_scope(exec: &mut OnlineExecutor, b: usize, scope: &GroupScope) -> UncertainSet {
+    let rt = &mut exec.runtimes[b];
+    let (GroupScope::Groups(in_scope), Some(seen)) = (scope, &rt.seen) else {
+        rt.reset();
+        return UncertainSet::default();
     };
-    let uncertain = &exec.runtimes[b].uncertain;
-    let outside = positions(&exec.env(b), &uncertain.chunk, groups, false)?;
+    let uncertain = &rt.uncertain;
+    let outside: Vec<usize> = (0..uncertain.len())
+        .filter(|&i| !in_scope[uncertain.group_ids[i] as usize])
+        .collect();
     let trials = exec.config.bootstrap.trials as usize;
     let kept = uncertain.gather(&outside, trials, exec.compiled[b].cmp_conjuncts());
-    let rt = &mut exec.runtimes[b];
-    rt.groups.retain(|key, _| !groups.contains(key));
-    // `key_ids` stays: the kept tuples' ids must go on naming their keys.
+    for (g, _) in in_scope.iter().enumerate().filter(|(_, &s)| s) {
+        rt.groups.remove(seen.group_ids.key(row_u32(g)));
+    }
+    // The key ids stay: the kept tuples' ids must go on naming their keys.
     rt.uncertain.clear();
-    Ok(kept)
+    kept
 }

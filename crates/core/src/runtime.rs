@@ -12,6 +12,7 @@ use gola_storage::ColumnChunk;
 use crate::compiled::CompiledBlock;
 use crate::config::OnlineConfig;
 use crate::pool::WorkerPool;
+use crate::recover::SeenIndex;
 
 /// Everything a stage may read about the block it runs for. Frozen while
 /// the stage runs, and `Sync`, so chunk jobs on pool workers share it.
@@ -64,8 +65,8 @@ pub(crate) fn entry_mut<'m, V>(
 }
 
 /// The uncertain set `Uᵢ` of one block, stored struct-of-arrays: stable
-/// tuple ids, the tuples' bootstrap weights and correlation-key ids, and
-/// their lineage projections as a columnar chunk.
+/// tuple ids, the tuples' bootstrap weights, correlation-key ids and group
+/// ids, and their lineage projections as a columnar chunk.
 ///
 /// Weights are a pure function of `(tuple_id, trial, seed)`, and a tuple's
 /// correlation key — the key its `FastScalarCmp` conjuncts read the
@@ -84,6 +85,9 @@ pub struct UncertainSet {
     /// `len × conjuncts` (one per `FastScalarCmp` conjunct; empty when the
     /// block has none).
     pub key_ids: Vec<u32>,
+    /// Group ids from the block's [`SeenIndex`], one per tuple; empty when
+    /// the block keeps no index.
+    pub group_ids: Vec<u32>,
     /// Lineage projections, column-major (one column per lineage column).
     pub chunk: ColumnChunk,
 }
@@ -94,6 +98,7 @@ impl Default for UncertainSet {
             tuple_ids: Vec::new(),
             weights: Vec::new(),
             key_ids: Vec::new(),
+            group_ids: Vec::new(),
             chunk: ColumnChunk::empty(0),
         }
     }
@@ -108,11 +113,13 @@ impl UncertainSet {
         self.tuple_ids.clear();
         self.weights.clear();
         self.key_ids.clear();
+        self.group_ids.clear();
         self.chunk = ColumnChunk::empty(0);
     }
 
     /// The tuples at `positions`, in that order, with their cached
-    /// `trials`-wide weight rows and `conjuncts`-wide key-id rows.
+    /// `trials`-wide weight rows, `conjuncts`-wide key-id rows and group
+    /// ids.
     pub(crate) fn gather(
         &self,
         positions: &[usize],
@@ -127,6 +134,9 @@ impl UncertainSet {
             tuple_ids: positions.iter().map(|&i| self.tuple_ids[i]).collect(),
             weights: rows(&self.weights, trials),
             key_ids: rows(&self.key_ids, conjuncts),
+            group_ids: (positions.iter())
+                .filter_map(|&i| self.group_ids.get(i).copied())
+                .collect(),
             chunk: self.chunk.gather(positions),
         }
     }
@@ -136,38 +146,52 @@ impl UncertainSet {
         self.tuple_ids.extend(other.tuple_ids);
         self.weights.extend(other.weights);
         self.key_ids.extend(other.key_ids);
+        self.group_ids.extend(other.group_ids);
         self.chunk = self.chunk.concat(&other.chunk);
         self
     }
 }
 
-/// A block's correlation keys, each interned to a dense `u32` id the first
-/// time a tuple holding it enters the uncertain set. Ids only ever bucket
-/// tuples by key — no answer depends on their numbering — and stay valid
-/// until [`BlockRuntime::reset`] drops the set that holds them.
+/// A block's correlation keys (or group keys), each interned to a dense
+/// `u32` id the first time a tuple holding it is seen. Ids only ever
+/// bucket tuples by key — no answer depends on their numbering — and
+/// [`KeyIds::key`] reads a key back from its id.
 ///
-/// Nothing is forgotten before that: the interner holds one entry per
-/// correlation key that ever reached the set. When the producer reads the
-/// same stream as its consumer (Q17, Q20, C3), those keys are among the
-/// producer's own groups, each of which it already publishes with a whole
-/// trial vector, so the interner adds no growth of its own.
+/// The runtime's interner names the keys of the uncertain set's tuples and
+/// is dropped by [`BlockRuntime::reset`] with the set; a [`SeenIndex`]
+/// owns its own, one for group keys and one per conjunct. Nothing is
+/// forgotten before that: an interner holds one entry per key it ever saw.
+/// When the producer reads the same stream as its consumer (Q17, Q20, C3),
+/// those keys are among the producer's own groups, each of which it
+/// already publishes with a whole trial vector, so the interner adds no
+/// growth of its own.
 #[derive(Debug, Default)]
-pub struct KeyIds(FxHashMap<Vec<Value>, u32>);
+pub struct KeyIds {
+    ids: FxHashMap<Arc<[Value]>, u32>,
+    keys: Vec<Arc<[Value]>>,
+}
 
 impl KeyIds {
     /// `key`'s id, assigning the next one on first sight.
     pub fn intern(&mut self, key: &[Value]) -> u32 {
-        if let Some(&id) = self.0.get(key) {
+        if let Some(&id) = self.ids.get(key) {
             return id;
         }
-        let id = row_u32(self.0.len());
-        self.0.insert(key.to_vec(), id);
+        let id = row_u32(self.keys.len());
+        let key: Arc<[Value]> = Arc::from(key);
+        self.keys.push(Arc::clone(&key));
+        self.ids.insert(key, id);
         id
+    }
+
+    /// The key interned as `id`.
+    pub fn key(&self, id: u32) -> &[Value] {
+        &self.keys[id as usize]
     }
 
     /// Ids assigned so far: every id is below this.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.keys.len()
     }
 }
 
@@ -257,10 +281,15 @@ pub struct BlockRuntime {
     pub semi_groups: FxHashMap<Vec<Value>, FxHashMap<Vec<Value>, ReplicatedStates>>,
     /// `true` once a static (non-streaming) block has been computed.
     pub static_done: bool,
+    /// Every seen candidate by group and correlation key, for a block a
+    /// recovery can scope (`None` for any other block).
+    pub seen: Option<SeenIndex>,
 }
 
 impl BlockRuntime {
-    /// Drop all accumulated state (failure-triggered recomputation).
+    /// Drop all accumulated state (failure-triggered recomputation). The
+    /// seen index stays: it records which candidates the batches hold, not
+    /// what was decided about them, and replays add nothing to it.
     pub fn reset(&mut self) {
         self.groups.clear();
         self.uncertain.clear();

@@ -24,7 +24,7 @@ use crate::join::{BatchWeights, Candidates, DimMaps};
 use crate::metrics::SessionMetrics;
 use crate::pool::WorkerPool;
 use crate::publish::{PublishInput, Violated};
-use crate::recover::{GroupScope, RecoverInput};
+use crate::recover::{GroupScope, RecoverInput, SeenIndex};
 use crate::report::{BatchReport, BatchTiming, ReportInput};
 use crate::runtime::{BlockEnv, BlockRuntime, Published, UncertainSet};
 use crate::{classify, fold, groups, join, publish, recover, report};
@@ -135,6 +135,11 @@ impl OnlineExecutor {
             #[cfg(test)]
             scoped_recoveries: 0,
         };
+        for (b, cb) in exec.compiled.iter().enumerate() {
+            if recover::scopable(cb, &exec.consumers[b]) {
+                exec.runtimes[b].seen = Some(SeenIndex::default());
+            }
+        }
         // Static (non-streaming) producers publish once, exactly, in
         // topological order.
         for b in exec.meta.order.clone() {
@@ -288,12 +293,12 @@ impl OnlineExecutor {
             {
                 let _span = gola_obs::span!("ingest");
                 if !fresh.is_empty() {
-                    self.ingest_wave(&fresh, &batch, &GroupScope::All, &mut weights, &mut timing)?;
+                    self.ingest_wave(&fresh, &batch, &mut weights, &mut timing)?;
                 }
                 if !rebuilt.is_empty() {
                     rebuilt.iter().for_each(|&b| self.runtimes[b].reset());
-                    reread +=
-                        recover::replay_batches(self, &rebuilt, i, &GroupScope::All, &mut timing)?;
+                    let all = &GroupScope::All;
+                    reread += recover::replay_batches(self, &rebuilt, i, all, &mut timing)?.0;
                 }
             }
             let t_pub = Stopwatch::start();
@@ -309,7 +314,6 @@ impl OnlineExecutor {
 
         if !violated.is_empty() {
             let t_rec = Stopwatch::start();
-            let _span = gola_obs::span!("recover", blocks = violated.len());
             let input = RecoverInput {
                 violated: &violated,
                 upto: i,
@@ -384,14 +388,12 @@ impl OnlineExecutor {
     /// Between classify and fold the wave meets once, to generate the
     /// bootstrap weights its folds will read — each tuple's once per step,
     /// whichever blocks and waves need it (`weights` carries them from wave
-    /// to wave); that time is fold time. Only the batch's tuples in `scope`
-    /// are ingested; returns how many became candidates, summed over the
-    /// wave.
+    /// to wave); that time is fold time. Returns how many of the batch's
+    /// tuples became candidates, summed over the wave.
     pub(crate) fn ingest_wave(
         &mut self,
         blocks: &[usize],
         batch: &MiniBatch,
-        scope: &GroupScope,
         weights: &mut BatchWeights,
         timing: &mut BatchTiming,
     ) -> Result<usize> {
@@ -405,7 +407,7 @@ impl OnlineExecutor {
         let classified = this.pool.map(taken, |(b, mut rt)| {
             let mut t = BatchTiming::default();
             let carried = std::mem::take(&mut rt.uncertain);
-            let result = join_classify(&this.env(b), batch, carried, scope, &mut t);
+            let result = join_classify(&this.env(b), batch, carried, rt.seen.as_mut(), &mut t);
             (b, rt, t, result)
         });
 
@@ -457,17 +459,21 @@ impl OnlineExecutor {
 }
 
 /// The first two stages of one block's ingest of one batch, each timed into
-/// `timing` under the span of the same name.
+/// `timing` under the span of the same name. A block's seen index labels
+/// the candidates as part of the join.
 fn join_classify(
     env: &BlockEnv<'_>,
     batch: &MiniBatch,
     carried: UncertainSet,
-    scope: &GroupScope,
+    seen: Option<&mut SeenIndex>,
     timing: &mut BatchTiming,
 ) -> Result<(Candidates, Vec<ChunkClass>)> {
     let t = Stopwatch::start();
     let span = gola_obs::span!("join");
-    let cand = join::join(env, batch, carried, scope)?;
+    let mut cand = join::join(env, batch, carried)?;
+    if let Some(seen) = seen {
+        seen.label(env, batch.index, &mut cand)?;
+    }
     drop(span);
     timing.join += t.elapsed();
 
@@ -625,7 +631,7 @@ mod tests {
                     cb: &generic.compiled[b],
                     ..env
                 };
-                let cand = join::join(&env, &batch, Default::default(), &GroupScope::All).unwrap();
+                let cand = join::join(&env, &batch, Default::default()).unwrap();
                 let classes = classify::classify(&env, &cand).unwrap();
                 assert_eq!(classes, classify::classify(&plain, &cand).unwrap());
                 uncertain_seen += classes.iter().map(|c| c.uncertain_idx.len()).sum::<usize>();

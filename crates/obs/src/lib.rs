@@ -55,3 +55,18 @@ pub use registry::{
     reset, set_enabled, Counter, Gauge, Histogram, DURATION_BOUNDS,
 };
 pub use span::SpanGuard;
+
+/// A cached metric handle: `handle!(pub(crate) name: Counter =
+/// gola_obs::counter("a.b"))` defines `fn name() -> &'static Counter`,
+/// which resolves the registry entry on first call (the registry takes a
+/// mutex) and is one atomic load afterwards. Call it only behind
+/// [`enabled`], so a disabled registry registers nothing.
+#[macro_export]
+macro_rules! handle {
+    ($vis:vis $fn_name:ident: $ty:ty = $ctor:expr) => {
+        $vis fn $fn_name() -> &'static $ty {
+            static H: ::std::sync::OnceLock<$ty> = ::std::sync::OnceLock::new();
+            H.get_or_init(|| $ctor)
+        }
+    };
+}

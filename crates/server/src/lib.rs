@@ -23,7 +23,9 @@
 //! | `GET /metrics` | Prometheus export of the obs registry |
 //!
 //! Malformed SQL returns `400` with the engine diagnostic; a saturated
-//! scheduler returns `429` with the exact admission numbers. Report
+//! scheduler returns `429` with the exact admission numbers; a client that
+//! has not sent its whole request 5 s after connecting gets `408` and is
+//! closed, and a response write that blocks for 10 s fails. Report
 //! frames carry no wall-clock fields, so streams are byte-deterministic
 //! (`tests/http_surface.rs` pins SSE byte for byte).
 
@@ -43,16 +45,28 @@ pub mod http;
 pub mod json;
 
 use std::collections::BTreeMap;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
+
+use gola_common::timing::Stopwatch;
 
 use gola_core::sched::{AdmissionError, QueryHandle, QueryService, ServiceConfig, SubmitError};
 use gola_storage::Catalog;
 
 use http::{read_request, HttpError, Request, Response};
+
+/// How long a client has to send its whole request, head and body. A
+/// slower one is answered `408` and closed, so an idle or trickling socket
+/// cannot hold a `max_connections` slot for longer than this.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
+/// How long one response write may block on a client that stops reading.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+/// How long a rejected connection is drained before it is closed.
+const DRAIN_DEADLINE: Duration = Duration::from_secs(2);
 
 /// Server configuration: the service sizing plus the listen address.
 #[derive(Debug, Clone)]
@@ -178,6 +192,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, stop: Arc<AtomicBool>
         // Bounded acceptor: at the cap, fail closed on the accepting
         // thread itself — a 503 with Retry-After and no spawned handler —
         // so connection floods cost this process one write, not a thread.
+        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
         let active = Arc::clone(&shared.active_connections);
         if active.fetch_add(1, Ordering::SeqCst) >= shared.max_connections {
             active.fetch_sub(1, Ordering::SeqCst);
@@ -208,11 +223,12 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, stop: Arc<AtomicBool>
 }
 
 fn handle_connection(mut stream: TcpStream, shared: &Shared) {
-    let request = match read_request(&mut stream) {
+    let request = match read_request(&mut Deadline::new(&stream, REQUEST_DEADLINE)) {
         Ok(r) => r,
         Err(e) => {
-            let status = match e {
+            let status = match &e {
                 HttpError::TooLarge(_) => 413,
+                HttpError::Io(io) if Deadline::passed(io) => 408,
                 _ => 400,
             };
             let body = json::error_json(&e.to_string(), &[]);
@@ -228,16 +244,53 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     }
 }
 
+/// Reads from a socket until a total deadline: each read waits at most
+/// the time left, and none starts once it has passed. A per-read timeout
+/// alone would let a client that trickles a byte at a time read forever.
+struct Deadline<'a> {
+    stream: &'a TcpStream,
+    started: Stopwatch,
+    limit: Duration,
+}
+
+impl Deadline<'_> {
+    fn new(stream: &TcpStream, limit: Duration) -> Deadline<'_> {
+        Deadline {
+            stream,
+            started: Stopwatch::start(),
+            limit,
+        }
+    }
+
+    /// Did a read fail because the deadline passed? (A socket read timeout
+    /// surfaces as `WouldBlock` on Unix and `TimedOut` on Windows.)
+    fn passed(e: &std::io::Error) -> bool {
+        use std::io::ErrorKind::{TimedOut, WouldBlock};
+        matches!(e.kind(), WouldBlock | TimedOut)
+    }
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.limit.saturating_sub(self.started.elapsed());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        let mut stream = self.stream;
+        stream.read(buf)
+    }
+}
+
 /// Gracefully end a connection whose request was rejected before its body
 /// was consumed: closing with unread input would RST the client and eat
-/// the diagnostic we just sent. Half-close, then drain (bounded by a read
-/// timeout) until the client hangs up.
+/// the diagnostic we just sent. Half-close, then drain (for at most
+/// [`DRAIN_DEADLINE`] in all) until the client hangs up.
 fn drain_then_close(stream: &TcpStream) {
     let _ = stream.shutdown(std::net::Shutdown::Write);
-    let _ = stream.set_read_timeout(Some(std::time::Duration::from_secs(2)));
+    let mut reader = Deadline::new(stream, DRAIN_DEADLINE);
     let mut buf = [0u8; 8192];
-    let mut reader = stream;
-    while let Ok(n) = std::io::Read::read(&mut reader, &mut buf) {
+    while let Ok(n) = reader.read(&mut buf) {
         if n == 0 {
             return;
         }

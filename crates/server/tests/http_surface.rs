@@ -396,6 +396,50 @@ fn connection_cap_fails_closed_with_503_and_recovers() {
 }
 
 #[test]
+fn idle_connections_time_out_with_408_and_free_their_slots() {
+    // Two slots held by sockets that connect and never send a byte, nor
+    // hang up: a slow-loris client. Once the request deadline passes, the
+    // server answers each with 408 and closes it, and serves again.
+    let server = Server::start(
+        catalog(),
+        ServerConfig {
+            max_connections: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server binds");
+    let mut holders: Vec<std::net::TcpStream> = (0..2)
+        .map(|_| std::net::TcpStream::connect(server.addr()).expect("holder connects"))
+        .collect();
+    let (started, limit) = (Stopwatch::start(), Duration::from_secs(30));
+    let mut bounced = 0;
+    loop {
+        let (status, _, _) = call(&server, get("/healthz"));
+        if status == 200 {
+            break;
+        }
+        assert_eq!(status, 503, "a held server bounces at the cap");
+        bounced += 1;
+        assert!(
+            started.elapsed() < limit,
+            "idle holders kept every slot for {:?}",
+            started.elapsed()
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    assert!(bounced > 0, "the holders never held the slots");
+    for holder in &mut holders {
+        holder
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("set timeout");
+        let mut response = Vec::new();
+        std::io::Read::read_to_end(holder, &mut response).expect("server closes");
+        let response = String::from_utf8(response).expect("UTF-8");
+        assert!(response.starts_with("HTTP/1.1 408 "), "{response}");
+    }
+}
+
+#[test]
 fn append_route_feeds_stream_backed_tables() {
     use gola_common::{DataType, Schema};
     use gola_storage::StreamTable;

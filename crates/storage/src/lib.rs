@@ -22,6 +22,7 @@
 pub mod catalog;
 pub mod chunk;
 pub mod csv;
+mod metrics;
 pub mod partition;
 pub mod segment;
 pub mod shuffle;

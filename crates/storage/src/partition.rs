@@ -295,6 +295,26 @@ impl Partitioner {
         )
     }
 
+    /// Rows `rows` of batch `i`, as a batch of their own: the tuple ids and
+    /// values `batch(i)` holds at those rows, gathered without
+    /// materializing the rest of the batch.
+    pub fn batch_rows(&self, i: usize, rows: &[usize]) -> MiniBatch {
+        let Some(&end) = self.bounds.get(i) else {
+            return self.grown(|g| {
+                let batch = &g.extra[i - self.bounds.len()];
+                let ids = rows.iter().map(|&r| batch.tuple_ids[r]).collect();
+                MiniBatch::new(i, ids, batch.chunk.gather(rows))
+            });
+        };
+        let start = if i == 0 { 0 } else { self.bounds[i - 1] };
+        let idxs: Vec<usize> = rows.iter().map(|&r| self.perm[start..end][r]).collect();
+        MiniBatch::new(
+            i,
+            idxs.iter().map(|&x| x as u64).collect(),
+            self.table.gather(&idxs),
+        )
+    }
+
     /// The base table (for a growing schedule, the snapshot at start).
     pub fn table(&self) -> &Arc<Table> {
         &self.table
@@ -461,7 +481,7 @@ impl GrowingPartitioner {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use gola_common::{row, DataType, Schema};
 
@@ -484,6 +504,29 @@ mod tests {
         assert_eq!(ids.len(), 103);
         ids.sort_unstable();
         assert_eq!(ids, (0..103u64).collect::<Vec<_>>());
+    }
+
+    /// `batch_rows(i, rows)` is `batch(i)` at `rows`: same ids, same
+    /// values, same batch index.
+    pub(crate) fn assert_batch_rows_subset(p: &Partitioner) {
+        for i in 0..p.num_batches() {
+            let whole = p.batch(i);
+            let rows: Vec<usize> = (0..whole.len()).filter(|r| r % 3 != 1).collect();
+            let part = p.batch_rows(i, &rows);
+            assert_eq!(part.index, i);
+            let ids: Vec<u64> = rows.iter().map(|&r| whole.tuple_ids[r]).collect();
+            assert_eq!(part.tuple_ids, ids, "batch {i}");
+            assert_eq!(
+                part.rows(),
+                whole.chunk().gather(&rows).to_rows(),
+                "batch {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn batch_rows_is_the_batch_at_those_rows() {
+        assert_batch_rows_subset(&Partitioner::new(table(103), 10, 5).unwrap());
     }
 
     #[test]

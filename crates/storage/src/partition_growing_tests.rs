@@ -38,6 +38,7 @@ mod tests {
         let b = p.batch(4);
         assert_eq!(b.index, 4);
         assert_eq!(b.tuple_ids, (40..50u64).collect::<Vec<_>>());
+        crate::partition::tests::assert_batch_rows_subset(&p);
         assert_eq!(p.rows_seen_through(4), 50);
         assert!(!p.is_final_batch(4));
 

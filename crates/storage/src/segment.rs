@@ -26,6 +26,7 @@ use std::sync::Arc;
 use gola_common::{Bitmap, Column, ColumnData, DataType, Error, Result, Schema, Value};
 
 use crate::chunk::ColumnChunk;
+use crate::metrics;
 
 /// File magic: "GSEG" + format version.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"GSEG";
@@ -362,7 +363,10 @@ pub fn write_segment(path: &Path, schema: &Schema, chunk: &ColumnChunk) -> Resul
     let file = w
         .into_inner()
         .map_err(|e| Error::Io(format!("segment flush: {e}")))?;
-    file.sync_all()?;
+    metrics::sync(&file)?;
+    if gola_obs::enabled() {
+        metrics::segment_bytes().add(file.metadata()?.len());
+    }
     Ok(())
 }
 

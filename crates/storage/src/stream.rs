@@ -38,6 +38,7 @@ use gola_common::sync::{lock, wait};
 use gola_common::{DataType, Error, Result, Row, Schema};
 
 use crate::chunk::ColumnChunk;
+use crate::metrics;
 use crate::segment::{read_segment, write_segment};
 use crate::table::Table;
 
@@ -123,7 +124,7 @@ impl StreamTable {
         header.push('\n');
         let mut f = std::fs::File::create(&manifest)?;
         f.write_all(header.as_bytes())?;
-        f.sync_all()?;
+        metrics::sync(&f)?;
         Ok(Arc::new(StreamTable {
             schema,
             dir: Some(dir.to_path_buf()),
@@ -143,6 +144,11 @@ impl StreamTable {
     /// partial final manifest line (no trailing newline) is discarded —
     /// both are the expected residue of a crash mid-seal.
     pub fn open_dir(dir: &Path) -> Result<Arc<StreamTable>> {
+        metrics::timed(metrics::open_dir, || StreamTable::replay_dir(dir))
+    }
+
+    /// [`StreamTable::open_dir`], untimed.
+    fn replay_dir(dir: &Path) -> Result<Arc<StreamTable>> {
         let manifest_path = dir.join(MANIFEST_FILE);
         let text = std::fs::read_to_string(&manifest_path).map_err(|e| {
             Error::Io(format!(
@@ -283,6 +289,11 @@ impl StreamTable {
         if inner.buffer.is_empty() {
             return Ok(0);
         }
+        metrics::timed(metrics::seal, || self.seal_buffer(inner))
+    }
+
+    /// Seal the nonempty write buffer: [`StreamTable::seal_locked`]'s work.
+    fn seal_buffer(&self, inner: &mut StreamInner) -> Result<usize> {
         let rows = std::mem::take(&mut inner.buffer);
         let chunk = ColumnChunk::from_rows(&self.schema, &rows);
         let id = inner.next_id;
@@ -328,7 +339,7 @@ impl StreamTable {
                 .append(true)
                 .open(dir.join(MANIFEST_FILE))?;
             f.write_all(format!("{CLOSE_LINE}\n").as_bytes())?;
-            f.sync_all()?;
+            metrics::sync(&f)?;
         }
         inner.closed = true;
         self.growth.notify_all();
@@ -478,7 +489,7 @@ fn append_manifest_line(dir: &Path, id: u64, file: &str, rows: usize) -> Result<
         .append(true)
         .open(dir.join(MANIFEST_FILE))?;
     f.write_all(format!("seg\t{id}\t{file}\t{rows}\n").as_bytes())?;
-    f.sync_all()?;
+    metrics::sync(&f)?;
     Ok(())
 }
 
