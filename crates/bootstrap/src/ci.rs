@@ -25,7 +25,7 @@
 
 use std::fmt;
 
-use gola_common::stats::{mean, percentile, stddev_pop};
+use gola_common::stats::{percentile, stddev_pop};
 
 /// A two-sided confidence interval.
 #[derive(Debug, Clone, Copy)]
@@ -152,11 +152,6 @@ impl Estimate {
             hi: self.value + z * se,
             level,
         })
-    }
-
-    /// Mean of the replica distribution (bootstrap bias diagnostic).
-    pub fn replica_mean(&self) -> Option<f64> {
-        mean(&self.replicas)
     }
 }
 

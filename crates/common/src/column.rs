@@ -108,11 +108,6 @@ impl Bitmap {
         self.count_set() == self.len
     }
 
-    /// `true` iff no bit is set.
-    pub fn none_set(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
     /// In-place intersection with another bitmap of the same length.
     pub fn and_with(&mut self, other: &Bitmap) {
         debug_assert_eq!(self.len, other.len);

@@ -252,8 +252,7 @@ fn columnar_chunk_splits_and_dictionary_strings_pass_oracles() {
                 "{class}: generator starved of string-key queries"
             );
             let q = gen.next_query();
-            let grouped_on_str =
-                matches!(&q.group_by, Some(GroupBy::Key(c)) if strs.contains(c.as_str()));
+            let grouped_on_str = matches!(&q.group_by, Some(GroupBy::Key { col, .. }) if strs.contains(col.as_str()));
             let filtered_on_str = q
                 .filters
                 .iter()

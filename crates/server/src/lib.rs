@@ -28,6 +28,11 @@
 //! closed, and a response write that blocks for 10 s fails. Report
 //! frames carry no wall-clock fields, so streams are byte-deterministic
 //! (`tests/http_surface.rs` pins SSE byte for byte).
+//!
+//! While the `gola_obs` registry is on, the server counts connections it
+//! accepted (`server.connections.accepted`) and refused with `503` at the
+//! cap (`server.connections.refused`), and requests answered `408`
+//! (`server.requests.timed_out`).
 
 // The determinism contract, checked by clippy (DESIGN.md §3.6).
 #![deny(
@@ -53,6 +58,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use gola_common::timing::Stopwatch;
+use gola_obs::{handle, Counter};
 
 use gola_core::sched::{AdmissionError, QueryHandle, QueryService, ServiceConfig, SubmitError};
 use gola_storage::Catalog;
@@ -67,6 +73,17 @@ const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
 const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 /// How long a rejected connection is drained before it is closed.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(2);
+
+handle!(accepted: Counter = gola_obs::counter("server.connections.accepted"));
+handle!(refused: Counter = gola_obs::counter("server.connections.refused"));
+handle!(timed_out: Counter = gola_obs::counter("server.requests.timed_out"));
+
+/// Bump `counter` while the obs registry is on.
+fn count(counter: fn() -> &'static Counter) {
+    if gola_obs::enabled() {
+        counter().inc();
+    }
+}
 
 /// Server configuration: the service sizing plus the listen address.
 #[derive(Debug, Clone)]
@@ -196,6 +213,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, stop: Arc<AtomicBool>
         let active = Arc::clone(&shared.active_connections);
         if active.fetch_add(1, Ordering::SeqCst) >= shared.max_connections {
             active.fetch_sub(1, Ordering::SeqCst);
+            count(refused);
             let body = json::error_json(
                 "connection limit reached",
                 &[("max_connections", shared.max_connections as u64)],
@@ -209,6 +227,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, stop: Arc<AtomicBool>
             drain_then_close(&stream);
             continue;
         }
+        count(accepted);
         let shared = Arc::clone(&shared);
         let guard = ConnGuard(active);
         // A refused spawn drops the closure — and with it the guard — so
@@ -231,6 +250,9 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
                 HttpError::Io(io) if Deadline::passed(io) => 408,
                 _ => 400,
             };
+            if status == 408 {
+                count(timed_out);
+            }
             let body = json::error_json(&e.to_string(), &[]);
             let _ = Response::new(&mut stream).send(status, "application/json", body.as_bytes());
             drain_then_close(&stream);

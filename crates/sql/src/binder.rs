@@ -12,6 +12,14 @@
 //!   style correlated subqueries into streamable lineage blocks;
 //! * `x IN (SELECT k FROM t ... [GROUP BY k HAVING ...])` → a
 //!   [`SubqueryKind::Membership`] plan referenced as [`Expr::InSubquery`].
+//!
+//! Every clause lowers its expressions through one recursive function,
+//! `Binder::lower`. SELECT, HAVING and ORDER BY of an aggregate query add
+//! one rule on top, over the aggregate row (group columns, then aggregate
+//! columns): an aggregate call becomes its agg-row column, a subtree equal
+//! to a GROUP BY expression becomes that group's column, a source column
+//! outside every group is an error, and a scalar subquery's correlation
+//! keys must each be a group.
 
 use std::sync::Arc;
 
@@ -56,7 +64,7 @@ impl<'a> Binder<'a> {
 
     /// Bind a parsed statement into a resolved query graph.
     pub fn bind(&self, stmt: &SelectStmt) -> Result<QueryGraph> {
-        if stmt.contract.is_some() && !self.is_aggregate_stmt(stmt) {
+        if stmt.contract.is_some() && !self.is_aggregate(stmt) {
             return Err(Error::bind(
                 "ERROR/WITHIN contracts require an aggregate query",
             ));
@@ -70,10 +78,9 @@ impl<'a> Binder<'a> {
         })
     }
 
-    /// `true` if the statement aggregates (any aggregate call in the select
-    /// list or HAVING, or a GROUP BY) — mirrors `bind_select`'s
-    /// classification, before binding.
-    fn is_aggregate_stmt(&self, stmt: &SelectStmt) -> bool {
+    /// `true` if the statement aggregates: a GROUP BY, or an aggregate call
+    /// in the select list or HAVING.
+    fn is_aggregate(&self, stmt: &SelectStmt) -> bool {
         !stmt.group_by.is_empty()
             || stmt
                 .items
@@ -99,7 +106,8 @@ impl<'a> Binder<'a> {
         ctx: &mut BindCtx,
         extra_group: &[(Expr, String)],
     ) -> Result<LogicalPlan> {
-        let (scope, mut plan, join_residue) = self.bind_from(stmt, ctx)?;
+        let scope = self.scope_of(stmt)?;
+        let (mut plan, join_residue) = self.bind_from(stmt, &scope, outer, ctx)?;
 
         // WHERE — aggregates are not allowed here.
         let mut where_parts: Vec<Expr> = join_residue;
@@ -108,7 +116,7 @@ impl<'a> Binder<'a> {
                 if contains_agg(c, &self.udafs) {
                     return Err(Error::bind("aggregate functions are not allowed in WHERE"));
                 }
-                where_parts.push(self.bind_scalar_expr(c, &scope, outer, ctx)?);
+                where_parts.push(self.lower(c, &scope, outer, ctx, None)?);
             }
         }
         let source_env = scope.type_env(ctx);
@@ -134,39 +142,22 @@ impl<'a> Binder<'a> {
             groups.push((expr, name));
         }
 
-        let has_agg_items = stmt
-            .items
-            .iter()
-            .any(|i| contains_agg(&i.expr, &self.udafs))
-            || stmt
-                .having
-                .as_ref()
-                .is_some_and(|h| contains_agg(h, &self.udafs));
-        let is_aggregate_query = has_agg_items || !groups.is_empty();
-
-        if !is_aggregate_query {
+        if groups.is_empty() && !self.is_aggregate(stmt) {
             if stmt.having.is_some() {
                 return Err(Error::bind("HAVING requires GROUP BY or aggregates"));
             }
             return self.finish_plain_select(stmt, plan, &scope, outer, ctx);
         }
 
-        // Aggregate query: extract aggregate calls from SELECT and HAVING.
-        let mut aggs: Vec<AggCall> = Vec::new();
-        let mut agg_keys: Vec<String> = Vec::new();
+        // Aggregate query: SELECT and HAVING read the aggregate row.
+        let mut row = AggRow {
+            groups: &groups,
+            aggs: Vec::new(),
+        };
         let mut select_exprs = Vec::with_capacity(stmt.items.len());
         let mut select_names = Vec::with_capacity(stmt.items.len());
         for item in &stmt.items {
-            let e = self.bind_projection_expr(
-                &item.expr,
-                &scope,
-                outer,
-                ctx,
-                &groups,
-                &mut aggs,
-                &mut agg_keys,
-            )?;
-            select_exprs.push(e);
+            select_exprs.push(self.lower(&item.expr, &scope, outer, ctx, Some(&mut row))?);
             select_names.push(
                 item.alias
                     .clone()
@@ -176,17 +167,15 @@ impl<'a> Binder<'a> {
         let having_expr = stmt
             .having
             .as_ref()
-            .map(|h| {
-                self.bind_projection_expr(h, &scope, outer, ctx, &groups, &mut aggs, &mut agg_keys)
-            })
+            .map(|h| self.lower(h, &scope, outer, ctx, Some(&mut row)))
             .transpose()?;
 
         // Aggregate-row schema: group columns then aggregate columns.
-        let mut agg_row_fields: Vec<Field> = Vec::with_capacity(groups.len() + aggs.len());
+        let mut agg_row_fields: Vec<Field> = Vec::with_capacity(groups.len() + row.aggs.len());
         for (g, name) in &groups {
             agg_row_fields.push(Field::new(name.clone(), infer_type(g, &source_env)?));
         }
-        for a in &aggs {
+        for a in &row.aggs {
             let arg_t = infer_type(&a.arg, &source_env)?;
             agg_row_fields.push(Field::new(a.name.clone(), a.kind.return_type(arg_t)?));
         }
@@ -195,7 +184,7 @@ impl<'a> Binder<'a> {
         plan = LogicalPlan::Aggregate {
             input: Box::new(plan),
             group_by: groups.iter().map(|(g, _)| g.clone()).collect(),
-            aggs,
+            aggs: row.aggs.clone(),
             schema: Arc::clone(&agg_row_schema),
         };
 
@@ -226,22 +215,11 @@ impl<'a> Binder<'a> {
             schema: Arc::clone(&out_schema),
         };
 
-        // ORDER BY / LIMIT.
+        // ORDER BY / LIMIT. An ORDER BY expression binds over a copy of the
+        // aggregate row, for display matching against the select list.
         if !stmt.order_by.is_empty() {
             let keys = self.resolve_order_keys(stmt, &select_exprs, &out_schema, |ast| {
-                // Re-bind an ORDER BY expression in projection mode for
-                // display matching against the select list.
-                let mut tmp_aggs = Vec::new();
-                let mut tmp_keys = agg_keys.clone();
-                self.bind_projection_expr(
-                    ast,
-                    &scope,
-                    outer,
-                    ctx,
-                    &groups,
-                    &mut tmp_aggs,
-                    &mut tmp_keys,
-                )
+                self.lower(ast, &scope, outer, ctx, Some(&mut row.clone()))
             })?;
             plan = LogicalPlan::Sort {
                 input: Box::new(plan),
@@ -257,31 +235,42 @@ impl<'a> Binder<'a> {
         Ok(plan)
     }
 
-    /// Bind FROM + JOIN clauses: returns the scope, the join plan, and any
-    /// non-equi join conjuncts to apply as filters.
+    /// The name scope of one SELECT: its FROM table, then each JOIN's.
+    fn scope_of(&self, stmt: &SelectStmt) -> Result<Scope> {
+        let mut scope = Scope::default();
+        for t in std::iter::once(&stmt.from).chain(stmt.joins.iter().map(|j| &j.table)) {
+            scope.push(t, self.catalog.get(&t.table)?.schema());
+        }
+        Ok(scope)
+    }
+
+    /// Bind FROM + JOIN clauses over the statement's `scope`: returns the
+    /// join plan and any non-equi join conjuncts to apply as filters.
     fn bind_from(
         &self,
         stmt: &SelectStmt,
+        scope: &Scope,
+        outer: Option<&Scope>,
         ctx: &mut BindCtx,
-    ) -> Result<(Scope, LogicalPlan, Vec<Expr>)> {
-        let _ = ctx;
-        let mut scope = Scope::default();
-        let base = self.catalog.get(&stmt.from.table)?;
-        scope.push(&stmt.from, base.schema());
-        let mut plan = LogicalPlan::Scan {
-            table: stmt.from.table.to_ascii_lowercase(),
-            schema: Arc::clone(base.schema()),
+    ) -> Result<(LogicalPlan, Vec<Expr>)> {
+        let scan = |i: usize| {
+            let (_, table, schema, _) = &scope.entries[i];
+            LogicalPlan::Scan {
+                table: table.clone(),
+                schema: Arc::clone(schema),
+            }
         };
+        let mut plan = scan(0);
         let mut residue = Vec::new();
-        for join in &stmt.joins {
-            let dim = self.catalog.get(&join.table.table)?;
-            let left_width = scope.width();
-            scope.push(&join.table, dim.schema());
-            // Bind the ON condition over the combined scope, then split each
-            // equality conjunct into (left-expr, right-expr-in-dim-coords).
+        for (i, join) in stmt.joins.iter().enumerate() {
+            // Bind the ON condition over the tables joined so far plus this
+            // one, then split each equality conjunct into (left-expr,
+            // right-expr-in-dim-coords).
+            let on_scope = scope.prefix(i + 2);
+            let left_width = scope.entries[i + 1].3; // this table's column offset
             let mut on_pairs = Vec::new();
             for c in join.on.conjuncts() {
-                let bound = self.bind_scalar_expr(c, &scope, None, &mut BindCtx::default())?;
+                let bound = self.lower(c, &on_scope, outer, ctx, None)?;
                 match &bound {
                     Expr::Binary {
                         op: BinOp::Eq,
@@ -310,18 +299,16 @@ impl<'a> Binder<'a> {
                     join.table.table
                 )));
             }
-            let joined_schema = Arc::new(plan.schema().join(dim.schema()));
+            let right = scan(i + 1);
+            let joined_schema = Arc::new(plan.schema().join(right.schema()));
             plan = LogicalPlan::Join {
                 left: Box::new(plan),
-                right: Box::new(LogicalPlan::Scan {
-                    table: join.table.table.to_ascii_lowercase(),
-                    schema: Arc::clone(dim.schema()),
-                }),
+                right: Box::new(right),
                 on: on_pairs,
                 schema: joined_schema,
             };
         }
-        Ok((scope, plan, residue))
+        Ok((plan, residue))
     }
 
     fn finish_plain_select(
@@ -336,7 +323,7 @@ impl<'a> Binder<'a> {
         let mut exprs = Vec::with_capacity(stmt.items.len());
         let mut fields = Vec::with_capacity(stmt.items.len());
         for item in &stmt.items {
-            let e = self.bind_scalar_expr(&item.expr, scope, outer, ctx)?;
+            let e = self.lower(&item.expr, scope, outer, ctx, None)?;
             let name = item
                 .alias
                 .clone()
@@ -352,7 +339,7 @@ impl<'a> Binder<'a> {
         };
         if !stmt.order_by.is_empty() {
             let keys = self.resolve_order_keys(stmt, &exprs, &out_schema, |ast| {
-                self.bind_scalar_expr(ast, scope, outer, ctx)
+                self.lower(ast, scope, outer, ctx, None)
             })?;
             plan = LogicalPlan::Sort {
                 input: Box::new(plan),
@@ -443,7 +430,7 @@ impl<'a> Binder<'a> {
                             parts[0]
                         )));
                     }
-                    let e = self.bind_scalar_expr(&item.expr, scope, outer, ctx)?;
+                    let e = self.lower(&item.expr, scope, outer, ctx, None)?;
                     return Ok((e, parts[0].clone()));
                 }
             }
@@ -453,76 +440,84 @@ impl<'a> Binder<'a> {
                 "GROUP BY expressions may not contain aggregates",
             ));
         }
-        let e = self.bind_scalar_expr(g, scope, outer, ctx)?;
+        let e = self.lower(g, scope, outer, ctx, None)?;
         Ok((e, ast_display(g)))
     }
 
     // -----------------------------------------------------------------
-    // Expression binding (source mode)
+    // Expression lowering
     // -----------------------------------------------------------------
 
-    /// Bind an expression over the source scope. Aggregate calls are
-    /// rejected; subqueries are lowered via `ctx`.
-    fn bind_scalar_expr(
+    /// Lower an expression over `scope`; subqueries are planned into `ctx`.
+    ///
+    /// Without `row` the result reads the source row and an aggregate call
+    /// is an error. With `row` (SELECT, HAVING and ORDER BY of an aggregate
+    /// query) it reads the aggregate row: an aggregate call becomes its
+    /// agg-row column, and every aggregate-free subtree is lowered over the
+    /// source and then moved onto the aggregate row by [`AggRow::regroup`].
+    fn lower(
         &self,
         e: &AstExpr,
         scope: &Scope,
         outer: Option<&Scope>,
         ctx: &mut BindCtx,
+        mut row: Option<&mut AggRow>,
     ) -> Result<Expr> {
-        match e {
-            AstExpr::Ident(parts) => match scope.resolve(parts) {
-                Ok((idx, _)) => Ok(Expr::Column(idx)),
-                Err(e) => {
-                    // A name that resolves in the enclosing query is a
-                    // correlated reference used outside the supported
-                    // equality-in-WHERE position.
-                    if outer.is_some_and(|o| o.resolve(parts).is_ok()) {
-                        Err(Error::bind(format!(
-                            "correlated reference '{}' is only supported as an \
-                             equality predicate in the subquery's WHERE clause",
-                            parts.join(".")
-                        )))
-                    } else {
-                        Err(e)
-                    }
-                }
-            },
-            AstExpr::IntLit(v) => Ok(Expr::Literal(Value::Int(*v))),
-            AstExpr::FloatLit(v) => Ok(Expr::Literal(Value::Float(*v))),
-            AstExpr::StringLit(s) => Ok(Expr::Literal(Value::str(s))),
-            AstExpr::BoolLit(b) => Ok(Expr::Literal(Value::Bool(*b))),
-            AstExpr::NullLit => Ok(Expr::Literal(Value::Null)),
-            AstExpr::Binary { op, left, right } => Ok(Expr::binary(
-                lower_binop(*op),
-                self.bind_scalar_expr(left, scope, outer, ctx)?,
-                self.bind_scalar_expr(right, scope, outer, ctx)?,
-            )),
-            AstExpr::Neg(inner) => Ok(Expr::Unary {
-                op: UnaryOp::Neg,
-                expr: Box::new(self.bind_scalar_expr(inner, scope, outer, ctx)?),
-            }),
-            AstExpr::Not(inner) => Ok(Expr::Unary {
-                op: UnaryOp::Not,
-                expr: Box::new(self.bind_scalar_expr(inner, scope, outer, ctx)?),
-            }),
-            AstExpr::Call { name, args, star } => {
-                if is_aggregate_name(name, &self.udafs) || *star {
+        if let Some(r) = row.as_deref_mut() {
+            if !contains_agg(e, &self.udafs) {
+                let bound = self.lower(e, scope, outer, ctx, None)?;
+                return r.regroup(&bound, e);
+            }
+        }
+        if let AstExpr::Call { name, args, star } = e {
+            if *star || is_aggregate_name(name, &self.udafs) {
+                let Some(r) = row else {
                     return Err(Error::bind(format!(
                         "aggregate '{name}' is not allowed in this context"
                     )));
-                }
-                let func = self.functions.get(name)?;
-                let bound: Result<Vec<Expr>> = args
-                    .iter()
-                    .map(|a| self.bind_scalar_expr(a, scope, outer, ctx))
-                    .collect();
-                Ok(Expr::Func {
-                    name: name.to_ascii_lowercase(),
-                    func,
-                    args: bound?,
-                })
+                };
+                let call = self.bind_agg_call(name, args, *star, scope, outer, ctx)?;
+                return Ok(r.column(call));
             }
+        }
+        let mut sub =
+            |x: &AstExpr, ctx: &mut BindCtx| self.lower(x, scope, outer, ctx, row.as_deref_mut());
+        Ok(match e {
+            AstExpr::Ident(parts) => match scope.resolve(parts) {
+                Ok((idx, _)) => Expr::Column(idx),
+                // A name that resolves in the enclosing query is a
+                // correlated reference used outside the supported
+                // equality-in-WHERE position.
+                Err(_) if outer.is_some_and(|o| o.resolve(parts).is_ok()) => {
+                    return Err(Error::bind(format!(
+                        "correlated reference '{}' is only supported as an \
+                         equality predicate in the subquery's WHERE clause",
+                        parts.join(".")
+                    )))
+                }
+                Err(err) => return Err(err),
+            },
+            AstExpr::IntLit(v) => Expr::Literal(Value::Int(*v)),
+            AstExpr::FloatLit(v) => Expr::Literal(Value::Float(*v)),
+            AstExpr::StringLit(s) => Expr::Literal(Value::str(s)),
+            AstExpr::BoolLit(b) => Expr::Literal(Value::Bool(*b)),
+            AstExpr::NullLit => Expr::Literal(Value::Null),
+            AstExpr::Binary { op, left, right } => {
+                Expr::binary(lower_binop(*op), sub(left, ctx)?, sub(right, ctx)?)
+            }
+            AstExpr::Neg(inner) => Expr::Unary {
+                op: UnaryOp::Neg,
+                expr: Box::new(sub(inner, ctx)?),
+            },
+            AstExpr::Not(inner) => Expr::Unary {
+                op: UnaryOp::Not,
+                expr: Box::new(sub(inner, ctx)?),
+            },
+            AstExpr::Call { name, args, .. } => Expr::Func {
+                func: self.functions.get(name)?,
+                name: name.to_ascii_lowercase(),
+                args: args.iter().map(|a| sub(a, ctx)).collect::<Result<_>>()?,
+            },
             AstExpr::Case {
                 operand,
                 branches,
@@ -535,292 +530,66 @@ impl<'a> Binder<'a> {
                         Some(op) => AstExpr::binary(AstBinOp::Eq, (**op).clone(), cond.clone()),
                         None => cond.clone(),
                     };
-                    bound_branches.push((
-                        self.bind_scalar_expr(&cond_ast, scope, outer, ctx)?,
-                        self.bind_scalar_expr(result, scope, outer, ctx)?,
-                    ));
+                    bound_branches.push((sub(&cond_ast, ctx)?, sub(result, ctx)?));
                 }
-                let else_bound = else_expr
-                    .as_ref()
-                    .map(|e| self.bind_scalar_expr(e, scope, outer, ctx))
-                    .transpose()?;
-                Ok(Expr::Case {
+                Expr::Case {
                     branches: bound_branches,
-                    else_expr: else_bound.map(Box::new),
-                })
+                    else_expr: else_expr
+                        .as_deref()
+                        .map(|x| sub(x, ctx).map(Box::new))
+                        .transpose()?,
+                }
             }
-            AstExpr::Cast { expr, ty } => Ok(Expr::Cast {
-                expr: Box::new(self.bind_scalar_expr(expr, scope, outer, ctx)?),
+            AstExpr::Cast { expr, ty } => Expr::Cast {
+                expr: Box::new(sub(expr, ctx)?),
                 to: parse_type_name(ty)?,
-            }),
-            AstExpr::IsNull { expr, negated } => Ok(Expr::IsNull {
-                expr: Box::new(self.bind_scalar_expr(expr, scope, outer, ctx)?),
+            },
+            AstExpr::IsNull { expr, negated } => Expr::IsNull {
+                expr: Box::new(sub(expr, ctx)?),
                 negated: *negated,
-            }),
+            },
             AstExpr::Between {
                 expr,
                 low,
                 high,
                 negated,
             } => {
-                let e = self.bind_scalar_expr(expr, scope, outer, ctx)?;
-                let lo = self.bind_scalar_expr(low, scope, outer, ctx)?;
-                let hi = self.bind_scalar_expr(high, scope, outer, ctx)?;
+                let e = sub(expr, ctx)?;
+                let lo = sub(low, ctx)?;
+                let hi = sub(high, ctx)?;
                 let between = Expr::and(
                     Expr::binary(BinOp::GtEq, e.clone(), lo),
                     Expr::binary(BinOp::LtEq, e, hi),
                 );
-                Ok(if *negated {
+                if *negated {
                     Expr::Unary {
                         op: UnaryOp::Not,
                         expr: Box::new(between),
                     }
                 } else {
                     between
-                })
+                }
             }
             AstExpr::InList {
                 expr,
                 list,
                 negated,
-            } => {
-                let e = self.bind_scalar_expr(expr, scope, outer, ctx)?;
-                let items: Result<Vec<Expr>> = list
-                    .iter()
-                    .map(|i| self.bind_scalar_expr(i, scope, outer, ctx))
-                    .collect();
-                Ok(Expr::InList {
-                    expr: Box::new(e),
-                    list: items?,
-                    negated: *negated,
-                })
-            }
-            AstExpr::InSubquery {
-                expr,
-                subquery,
-                negated,
-            } => {
-                let key = self.bind_scalar_expr(expr, scope, outer, ctx)?;
-                let id = self.bind_membership_subquery(subquery, ctx)?;
-                Ok(Expr::InSubquery {
-                    id,
-                    key: vec![key],
-                    negated: *negated,
-                })
-            }
-            AstExpr::ScalarSubquery(sub) => self.bind_scalar_subquery(sub, scope, ctx),
-        }
-    }
-
-    // -----------------------------------------------------------------
-    // Expression binding (projection mode: over the aggregate row)
-    // -----------------------------------------------------------------
-
-    /// Bind a SELECT/HAVING expression of an aggregate query. Output
-    /// references the aggregate-row schema: group columns first, then one
-    /// column per (deduplicated) aggregate call in `aggs`.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "the binder's scope, the aggregate lists and the output schemas are all inputs"
-    )]
-    fn bind_projection_expr(
-        &self,
-        e: &AstExpr,
-        scope: &Scope,
-        outer: Option<&Scope>,
-        ctx: &mut BindCtx,
-        groups: &[(Expr, String)],
-        aggs: &mut Vec<AggCall>,
-        agg_keys: &mut Vec<String>,
-    ) -> Result<Expr> {
-        // Case 1: an aggregate call.
-        if let AstExpr::Call { name, args, star } = e {
-            if is_aggregate_name(name, &self.udafs) || *star {
-                let call = self.bind_agg_call(name, args, *star, scope, outer, ctx)?;
-                let key = format!("{}({})", call.kind.name(), call.arg);
-                let idx = match agg_keys.iter().position(|k| k == &key) {
-                    Some(i) => i,
-                    None => {
-                        agg_keys.push(key);
-                        aggs.push(call);
-                        aggs.len() - 1
-                    }
-                };
-                return Ok(Expr::Column(groups.len() + idx));
-            }
-        }
-        // Case 2: the whole expression matches a GROUP BY expression.
-        if !contains_agg(e, &self.udafs) {
-            if let Ok(bound) = self.bind_scalar_expr(e, scope, outer, ctx) {
-                let key = bound.to_string();
-                if let Some(i) = groups.iter().position(|(g, _)| g.to_string() == key) {
-                    return Ok(Expr::Column(i));
-                }
-                // A constant (no source columns) can pass through directly.
-                let mut cols = Vec::new();
-                bound.collect_columns(&mut cols);
-                if cols.is_empty() {
-                    return Ok(bound);
-                }
-                // Select alias matching a group name.
-                if let AstExpr::Ident(parts) = e {
-                    if parts.len() == 1 {
-                        if let Some(i) = groups
-                            .iter()
-                            .position(|(_, n)| n.eq_ignore_ascii_case(&parts[0]))
-                        {
-                            return Ok(Expr::Column(i));
-                        }
-                    }
-                }
-                return Err(Error::bind(format!(
-                    "expression {} must appear in GROUP BY or inside an aggregate",
-                    ast_display(e)
-                )));
-            }
-        }
-        // Case 3: recurse structurally.
-        match e {
-            AstExpr::Binary { op, left, right } => Ok(Expr::binary(
-                lower_binop(*op),
-                self.bind_projection_expr(left, scope, outer, ctx, groups, aggs, agg_keys)?,
-                self.bind_projection_expr(right, scope, outer, ctx, groups, aggs, agg_keys)?,
-            )),
-            AstExpr::Neg(inner) => Ok(Expr::Unary {
-                op: UnaryOp::Neg,
-                expr: Box::new(
-                    self.bind_projection_expr(inner, scope, outer, ctx, groups, aggs, agg_keys)?,
-                ),
-            }),
-            AstExpr::Not(inner) => Ok(Expr::Unary {
-                op: UnaryOp::Not,
-                expr: Box::new(
-                    self.bind_projection_expr(inner, scope, outer, ctx, groups, aggs, agg_keys)?,
-                ),
-            }),
-            AstExpr::Call { name, args, .. } => {
-                let func = self.functions.get(name)?;
-                let bound: Result<Vec<Expr>> = args
-                    .iter()
-                    .map(|a| {
-                        self.bind_projection_expr(a, scope, outer, ctx, groups, aggs, agg_keys)
-                    })
-                    .collect();
-                Ok(Expr::Func {
-                    name: name.to_ascii_lowercase(),
-                    func,
-                    args: bound?,
-                })
-            }
-            AstExpr::Case {
-                operand,
-                branches,
-                else_expr,
-            } => {
-                let mut bound_branches = Vec::with_capacity(branches.len());
-                for (cond, result) in branches {
-                    let cond_ast = match operand {
-                        Some(op) => AstExpr::binary(AstBinOp::Eq, (**op).clone(), cond.clone()),
-                        None => cond.clone(),
-                    };
-                    bound_branches.push((
-                        self.bind_projection_expr(
-                            &cond_ast, scope, outer, ctx, groups, aggs, agg_keys,
-                        )?,
-                        self.bind_projection_expr(
-                            result, scope, outer, ctx, groups, aggs, agg_keys,
-                        )?,
-                    ));
-                }
-                let else_bound = else_expr
-                    .as_ref()
-                    .map(|x| {
-                        self.bind_projection_expr(x, scope, outer, ctx, groups, aggs, agg_keys)
-                    })
-                    .transpose()?;
-                Ok(Expr::Case {
-                    branches: bound_branches,
-                    else_expr: else_bound.map(Box::new),
-                })
-            }
-            AstExpr::Cast { expr, ty } => Ok(Expr::Cast {
-                expr: Box::new(
-                    self.bind_projection_expr(expr, scope, outer, ctx, groups, aggs, agg_keys)?,
-                ),
-                to: parse_type_name(ty)?,
-            }),
-            AstExpr::IsNull { expr, negated } => Ok(Expr::IsNull {
-                expr: Box::new(
-                    self.bind_projection_expr(expr, scope, outer, ctx, groups, aggs, agg_keys)?,
-                ),
+            } => Expr::InList {
+                expr: Box::new(sub(expr, ctx)?),
+                list: list.iter().map(|i| sub(i, ctx)).collect::<Result<_>>()?,
                 negated: *negated,
-            }),
-            AstExpr::ScalarSubquery(sub) => {
-                // Subquery in HAVING/SELECT: correlation keys must be group
-                // expressions, so the reference stays valid over group rows.
-                let bound = self.bind_scalar_subquery(sub, scope, ctx)?;
-                remap_subquery_keys_to_groups(bound, groups)
-            }
+            },
             AstExpr::InSubquery {
                 expr,
                 subquery,
                 negated,
-            } => {
-                let key =
-                    self.bind_projection_expr(expr, scope, outer, ctx, groups, aggs, agg_keys)?;
-                let id = self.bind_membership_subquery(subquery, ctx)?;
-                Ok(Expr::InSubquery {
-                    id,
-                    key: vec![key],
-                    negated: *negated,
-                })
-            }
-            AstExpr::InList {
-                expr,
-                list,
-                negated,
-            } => {
-                let e2 =
-                    self.bind_projection_expr(expr, scope, outer, ctx, groups, aggs, agg_keys)?;
-                let items: Result<Vec<Expr>> = list
-                    .iter()
-                    .map(|i| {
-                        self.bind_projection_expr(i, scope, outer, ctx, groups, aggs, agg_keys)
-                    })
-                    .collect();
-                Ok(Expr::InList {
-                    expr: Box::new(e2),
-                    list: items?,
-                    negated: *negated,
-                })
-            }
-            AstExpr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => {
-                let rewritten = AstExpr::binary(
-                    AstBinOp::And,
-                    AstExpr::binary(AstBinOp::GtEq, (**expr).clone(), (**low).clone()),
-                    AstExpr::binary(AstBinOp::LtEq, (**expr).clone(), (**high).clone()),
-                );
-                let bound = self
-                    .bind_projection_expr(&rewritten, scope, outer, ctx, groups, aggs, agg_keys)?;
-                Ok(if *negated {
-                    Expr::Unary {
-                        op: UnaryOp::Not,
-                        expr: Box::new(bound),
-                    }
-                } else {
-                    bound
-                })
-            }
-            other => Err(Error::bind(format!(
-                "expression {} must appear in GROUP BY or inside an aggregate",
-                ast_display(other)
-            ))),
-        }
+            } => Expr::InSubquery {
+                key: vec![sub(expr, ctx)?],
+                id: self.bind_membership_subquery(subquery, ctx)?,
+                negated: *negated,
+            },
+            AstExpr::ScalarSubquery(sq) => self.bind_scalar_subquery(sq, scope, ctx)?,
+        })
     }
 
     /// Bind one aggregate call (built-in or UDAF).
@@ -886,7 +655,7 @@ impl<'a> Binder<'a> {
         if contains_agg(&args[0], &self.udafs) {
             return Err(Error::bind("nested aggregate calls are not allowed"));
         }
-        let arg = self.bind_scalar_expr(&args[0], scope, outer, ctx)?;
+        let arg = self.lower(&args[0], scope, outer, ctx, None)?;
         if arg.has_subquery_ref() {
             return Err(Error::bind(format!(
                 "aggregate argument {} may not reference a subquery",
@@ -927,8 +696,8 @@ impl<'a> Binder<'a> {
                 "scalar subquery must be an aggregate (G-OLA streams aggregates)",
             ));
         }
-        // Build the inner scope to classify correlation predicates.
-        let (inner_scope, _, _) = self.bind_from(sub, &mut BindCtx::default())?;
+        // The inner scope classifies correlation predicates.
+        let inner_scope = self.scope_of(sub)?;
 
         let mut kept_conjuncts: Vec<AstExpr> = Vec::new();
         let mut corr_inner: Vec<(Expr, String)> = Vec::new();
@@ -1059,27 +828,121 @@ fn correlation_err(parts: &[String]) -> Error {
     ))
 }
 
-/// When a scalar subquery is referenced from HAVING/SELECT of an aggregate
-/// query, its correlation keys (bound over the source) must be rewritten to
-/// group-row columns.
-fn remap_subquery_keys_to_groups(expr: Expr, groups: &[(Expr, String)]) -> Result<Expr> {
-    match expr {
-        Expr::ScalarRef { id, key } => {
-            let mut remapped = Vec::with_capacity(key.len());
-            for k in key {
-                let ks = k.to_string();
-                match groups.iter().position(|(g, _)| g.to_string() == ks) {
-                    Some(i) => remapped.push(Expr::Column(i)),
-                    None => {
-                        return Err(Error::bind(format!(
-                            "correlated key {ks} in HAVING/SELECT must be a GROUP BY expression"
-                        )))
-                    }
-                }
+/// The row an aggregate query's SELECT, HAVING and ORDER BY read: one
+/// column per GROUP BY expression, then one per distinct aggregate call.
+#[derive(Clone)]
+struct AggRow<'g> {
+    groups: &'g [(Expr, String)],
+    aggs: Vec<AggCall>,
+}
+
+impl AggRow<'_> {
+    /// The agg-row column of `call`, appending it unless an equal call is
+    /// already there.
+    fn column(&mut self, call: AggCall) -> Expr {
+        let key = |a: &AggCall| format!("{}({})", a.kind.name(), a.arg);
+        let k = key(&call);
+        let idx = match self.aggs.iter().position(|a| key(a) == k) {
+            Some(i) => i,
+            None => {
+                self.aggs.push(call);
+                self.aggs.len() - 1
             }
-            Ok(Expr::ScalarRef { id, key: remapped })
+        };
+        Expr::Column(self.groups.len() + idx)
+    }
+
+    /// The group whose expression equals `e`.
+    fn group_of(&self, e: &Expr) -> Option<usize> {
+        let key = e.to_string();
+        self.groups.iter().position(|(g, _)| g.to_string() == key)
+    }
+
+    /// Move `e`, an aggregate-free subtree bound over the source row, onto
+    /// the aggregate row, top down: a subtree equal to a GROUP BY
+    /// expression becomes that group's column, a subtree without source
+    /// columns stays as it is, a source column left outside every group is
+    /// an error, and a scalar subquery's correlation keys must each be a
+    /// group. `ast` is the subtree as written, for the error message.
+    fn regroup(&self, e: &Expr, ast: &AstExpr) -> Result<Expr> {
+        if let Some(i) = self.group_of(e) {
+            return Ok(Expr::Column(i));
         }
-        other => Ok(other),
+        let mut cols = Vec::new();
+        e.collect_columns(&mut cols);
+        if cols.is_empty() {
+            return Ok(e.clone());
+        }
+        let sub = |x: &Expr| self.regroup(x, ast);
+        let boxed = |x: &Expr| sub(x).map(Box::new);
+        let all = |xs: &[Expr]| xs.iter().map(sub).collect::<Result<Vec<_>>>();
+        Ok(match e {
+            Expr::Column(_) | Expr::Literal(_) => {
+                return Err(Error::bind(format!(
+                    "expression {} must appear in GROUP BY or inside an aggregate",
+                    ast_display(ast)
+                )))
+            }
+            Expr::ScalarRef { id, key } => Expr::ScalarRef {
+                id: *id,
+                key: key
+                    .iter()
+                    .map(|k| {
+                        self.group_of(k).map(Expr::Column).ok_or_else(|| {
+                            Error::bind(format!(
+                                "correlated key {k} in HAVING/SELECT must be a GROUP BY expression"
+                            ))
+                        })
+                    })
+                    .collect::<Result<_>>()?,
+            },
+            Expr::Unary { op, expr } => Expr::Unary {
+                op: *op,
+                expr: boxed(expr)?,
+            },
+            Expr::Binary { op, left, right } => Expr::Binary {
+                op: *op,
+                left: boxed(left)?,
+                right: boxed(right)?,
+            },
+            Expr::Func { name, func, args } => Expr::Func {
+                name: name.clone(),
+                func: Arc::clone(func),
+                args: all(args)?,
+            },
+            Expr::Case {
+                branches,
+                else_expr,
+            } => Expr::Case {
+                branches: branches
+                    .iter()
+                    .map(|(c, r)| Ok((sub(c)?, sub(r)?)))
+                    .collect::<Result<_>>()?,
+                else_expr: else_expr.as_deref().map(boxed).transpose()?,
+            },
+            Expr::Cast { expr, to } => Expr::Cast {
+                expr: boxed(expr)?,
+                to: *to,
+            },
+            Expr::IsNull { expr, negated } => Expr::IsNull {
+                expr: boxed(expr)?,
+                negated: *negated,
+            },
+            Expr::InSubquery { id, key, negated } => Expr::InSubquery {
+                id: *id,
+                key: all(key)?,
+                negated: *negated,
+            },
+            Expr::InList {
+                expr,
+                list,
+                negated,
+            } => Expr::InList {
+                expr: boxed(expr)?,
+                list: all(list)?,
+                negated: *negated,
+            },
+        })
     }
 }
 
@@ -1111,8 +974,13 @@ impl Scope {
         self.width += schema.len();
     }
 
-    fn width(&self) -> usize {
-        self.width
+    /// The scope of the first `n` tables only.
+    fn prefix(&self, n: usize) -> Scope {
+        let entries = self.entries[..n].to_vec();
+        let width = entries
+            .last()
+            .map_or(0, |(_, _, schema, offset)| offset + schema.len());
+        Scope { entries, width }
     }
 
     /// Resolve a possibly-qualified column reference to a global index.

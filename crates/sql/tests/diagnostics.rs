@@ -292,3 +292,33 @@ fn binder_unknown_cast_type() {
         "unknown type 'DECIMAL128' in CAST",
     );
 }
+
+#[test]
+fn binder_source_column_outside_every_group() {
+    assert_diag(
+        "SELECT x + 1, COUNT(*) FROM t GROUP BY k",
+        "bind error",
+        "expression (x + 1) must appear in GROUP BY or inside an aggregate",
+    );
+}
+
+#[test]
+fn binder_correlated_having_key_not_grouped() {
+    // The subquery correlates on `a.k`, but the outer query groups by `s`,
+    // so the key has no column on the aggregate row.
+    assert_diag(
+        "SELECT s, SUM(x) FROM t a GROUP BY s \
+         HAVING SUM(x) > (SELECT AVG(b.x) FROM u b WHERE b.k = a.k)",
+        "bind error",
+        "correlated key #0 in HAVING/SELECT must be a GROUP BY expression",
+    );
+}
+
+#[test]
+fn binder_order_by_aggregate_outside_select_list() {
+    assert_diag(
+        "SELECT k, SUM(x) FROM t GROUP BY k ORDER BY AVG(x)",
+        "bind error",
+        "ORDER BY expression avg(x) must appear in the select list",
+    );
+}

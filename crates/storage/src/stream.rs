@@ -235,11 +235,6 @@ impl StreamTable {
         &self.schema
     }
 
-    /// `true` when this stream persists sealed segments to disk.
-    pub fn is_durable(&self) -> bool {
-        self.dir.is_some()
-    }
-
     /// Append rows to the write buffer. Rows are arity- and type-checked
     /// against the stream schema (`NULL` is valid in any column). Fails
     /// once the stream is closed — `closed` is final, which is what makes
@@ -353,11 +348,6 @@ impl StreamTable {
     /// Rows sealed (queryable) so far.
     pub fn watermark(&self) -> u64 {
         lock(&self.inner).sealed_rows
-    }
-
-    /// Rows appended but not yet sealed.
-    pub fn pending_rows(&self) -> usize {
-        lock(&self.inner).buffer.len()
     }
 
     /// The live `N`: sealed + buffered rows. This is the population size
