@@ -1,0 +1,118 @@
+//! Report-stream golden: every report of the Conviva and TPC-H suites over
+//! small seeded tables, pinned by digest to `report_golden.txt`.
+//!
+//! Each line is one report: the run's name, its batch index and the 64-bit
+//! FNV-1a digest of its [`json::report_json`] line (the NDJSON frame the
+//! server sends). The runs use one thread; two threads must give the same
+//! lines. A refactor that must not move a report bit leaves this file
+//! byte-identical. On a mismatch the test prints the first differing
+//! report in full and then the whole new text, so a deliberate change can
+//! be reviewed against the checked-in file and copied over it by hand.
+
+use std::sync::Arc;
+
+use gola_bootstrap::EpsilonPolicy;
+use gola_core::{OnlineConfig, OnlineSession};
+use gola_server::json;
+use gola_storage::Catalog;
+use gola_workloads::{conviva, tpch, ConvivaGenerator, TpchGenerator};
+
+const GOLDEN: &str = include_str!("report_golden.txt");
+
+const BATCHES: usize = 6;
+
+fn catalog() -> Catalog {
+    let mut catalog = Catalog::new();
+    let sessions = ConvivaGenerator::default().generate(4000);
+    catalog.register("sessions", Arc::new(sessions)).unwrap();
+    let generator = TpchGenerator {
+        num_parts: 60,
+        ..Default::default()
+    };
+    let lineitem = generator.generate(6000);
+    catalog
+        .register("lineitem_denorm", Arc::new(lineitem))
+        .unwrap();
+    catalog
+}
+
+/// Every run: its name, its SQL and whether it uses the tight slack
+/// `ε = 0.5σ` (the default is 3σ), which makes it recover.
+fn runs() -> Vec<(String, &'static str, bool)> {
+    let suites = conviva::queries().into_iter().chain(tpch::queries());
+    let mut runs: Vec<_> = suites
+        .map(|(name, sql)| (name.to_string(), sql, false))
+        .collect();
+    runs.push(("C3@0.5sd".into(), conviva::C3, true));
+    runs.push(("Q20@0.5sd".into(), tpch::Q20, true));
+    runs
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// Every report of every run at `threads`, as `(golden line, JSON line)`,
+/// and the recomputations each tight run ended with.
+fn reports(catalog: &Catalog, threads: usize) -> (Vec<(String, String)>, Vec<usize>) {
+    let mut lines = Vec::new();
+    let mut recomputations = Vec::new();
+    for (name, sql, tight) in runs() {
+        let mut config = OnlineConfig::for_tests(BATCHES)
+            .with_trials(16)
+            .with_threads(threads);
+        if tight {
+            config = config.with_epsilon(EpsilonPolicy::StdDevScaled(0.5));
+        }
+        let session = OnlineSession::new(catalog.clone(), config);
+        let stream = session.execute_online(sql).expect("query compiles");
+        let mut last = 0;
+        for report in stream {
+            let report = report.expect("batch succeeds");
+            let line = json::report_json(&report);
+            let digest = fnv1a(line.as_bytes());
+            lines.push((format!("{name} {} {digest:016x}", report.batch_index), line));
+            last = report.recomputations;
+        }
+        if tight {
+            recomputations.push(last);
+        }
+    }
+    (lines, recomputations)
+}
+
+#[test]
+fn every_report_matches_its_golden_digest() {
+    let catalog = catalog();
+    let (lines, recomputations) = reports(&catalog, 1);
+    assert!(
+        recomputations.iter().all(|&n| n > 0),
+        "a tight run did not recover: {recomputations:?}"
+    );
+    let text: String = lines.iter().map(|(l, _)| format!("{l}\n")).collect();
+    if text != GOLDEN {
+        let golden: Vec<&str> = GOLDEN.lines().collect();
+        let first = lines
+            .iter()
+            .enumerate()
+            .find(|(i, (l, _))| golden.get(*i) != Some(&l.as_str()));
+        if let Some((i, (line, report))) = first {
+            eprintln!(
+                "first differing report (line {}): {line}, golden {:?}\n{report}",
+                i + 1,
+                golden.get(i)
+            );
+        }
+        panic!("report golden mismatch; the new text is:\n{text}<<< end of new text");
+    }
+    let (two, _) = reports(&catalog, 2);
+    for ((a, report), (b, _)) in lines.iter().zip(&two) {
+        assert_eq!(a, b, "threads 2 differs:\n{report}");
+    }
+    assert_eq!(lines.len(), two.len());
+}
