@@ -15,9 +15,7 @@ use gola_expr::{BinOp, Expr, RangeVal, Tri};
 
 use crate::compiled::FastScalarCmp;
 use crate::join::Candidates;
-use crate::runtime::{
-    entry_mut, BlockEnv, CtxMode, Published, PublishedScalar, TupleCtx, TupleReader,
-};
+use crate::runtime::{BlockEnv, CtxMode, Published, PublishedScalar, TupleCtx, TupleReader};
 
 /// Candidate-chunk size of the classify → fold pipeline. Chunk boundaries
 /// depend only on candidate order — never on the thread count — so
@@ -93,11 +91,9 @@ type RhsAtKey = (RangeVal, Range<usize>);
 
 /// Scalar-comparison fast classification: cache each conjunct's RHS
 /// variation range (and the producers' published entries) per correlation
-/// key, so each tuple classifies with two float comparisons per conjunct
-/// instead of a generic interval evaluation. A tuple's key is its id when
-/// it has one (a carried tuple's cached id, or any candidate's in a block
-/// that keeps a seen index); only an unlabelled tuple's key is read and
-/// hashed.
+/// key id, so each tuple classifies with two float comparisons per
+/// conjunct instead of a generic interval evaluation. A key is read only
+/// the first time the chunk meets its id.
 fn classify_scalar_cmp(
     env: &BlockEnv<'_>,
     fscs: &[FastScalarCmp],
@@ -107,7 +103,6 @@ fn classify_scalar_cmp(
     len: usize,
     out: &mut ChunkClass,
 ) -> Result<()> {
-    let mut caches: Vec<FxHashMap<Vec<Value>, RhsAtKey>> = vec![FxHashMap::default(); fscs.len()];
     let mut by_id: Vec<FxHashMap<u32, RhsAtKey>> = vec![FxHashMap::default(); fscs.len()];
     // Every published entry some cached RHS was read from (one arena, so a
     // cache miss allocates nothing of its own), and the current tuple's.
@@ -120,19 +115,11 @@ fn classify_scalar_cmp(
         relied.clear();
         for (k, fsc) in fscs.iter().enumerate() {
             let lhs = reader.value(i, &fsc.lhs, CtxMode::Classify)?;
-            let (range, read) = match cand.key_id(i, k, fscs.len()) {
-                Some(id) => match by_id[k].entry(id) {
-                    Entry::Occupied(e) => e.into_mut(),
-                    Entry::Vacant(e) => {
-                        reader.values_into(i, &fsc.key, CtxMode::Classify, &mut skey)?;
-                        e.insert(rhs_at_key(env, fsc, reader, i, &skey, &mut entries)?)
-                    }
-                },
-                None => {
+            let (range, read) = match by_id[k].entry(cand.key_id(i, k, fscs.len())) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => {
                     reader.values_into(i, &fsc.key, CtxMode::Classify, &mut skey)?;
-                    entry_mut(&mut caches[k], &skey, || {
-                        rhs_at_key(env, fsc, reader, i, &skey, &mut entries)
-                    })?
+                    e.insert(rhs_at_key(env, fsc, reader, i, &skey, &mut entries)?)
                 }
             };
             tri = tri.and(classify_cmp(&lhs, fsc.op, range));

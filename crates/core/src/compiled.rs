@@ -23,8 +23,10 @@ pub struct CompiledBlock {
     pub lineage_cols: Vec<usize>,
     /// WHERE conjuncts referencing other blocks, in lineage-row coordinates.
     pub lin_filters: Vec<Expr>,
-    /// Group-by expressions in lineage-row coordinates.
-    pub lin_group_by: Vec<Expr>,
+    /// A candidate's fold slot key, its group label, in lineage-row
+    /// coordinates: the membership key then the group-by key for a
+    /// [`CompiledBlock::semi_join`] block, the group-by key otherwise.
+    pub lin_slot_key: Vec<Expr>,
     /// Aggregate argument expressions in lineage-row coordinates.
     pub lin_agg_args: Vec<Expr>,
     /// Aggregate kinds (for state construction).
@@ -185,6 +187,8 @@ impl CompiledBlock {
             }
             _ => None,
         };
+        let member_key = semi_join.iter().flat_map(|(_, key, _)| key);
+        let lin_slot_key = member_key.cloned().chain(lin_group_by).collect();
         let fast_having = compile_fast_having(&block.having);
         let fast_scalar_cmp = compile_fast_scalar_cmp(&lin_filters);
         CompiledBlock {
@@ -192,7 +196,7 @@ impl CompiledBlock {
             certain_filters,
             lineage_cols,
             lin_filters,
-            lin_group_by,
+            lin_slot_key,
             lin_agg_args,
             agg_kinds,
             semi_join,
@@ -333,7 +337,7 @@ mod tests {
         // Source col 2 → lineage idx 1.
         assert_eq!(c.lin_filters[0].to_string(), "(#1 > $sq0)");
         // group col 3 → lineage idx 2.
-        assert_eq!(c.lin_group_by[0].to_string(), "#2");
+        assert_eq!(c.lin_slot_key[0].to_string(), "#2");
         // agg arg (#1 + #3) → (#0 + #2).
         assert_eq!(c.lin_agg_args[0].to_string(), "(#0 + #2)");
         assert_eq!(c.num_keys(), 1);

@@ -11,11 +11,13 @@
 //! blocks fold concurrently). Weights and classify stay chunk-parallel.
 
 use gola_agg::{FoldScratch, ReplicatedStates};
-use gola_common::{row_u32, FxHashMap, Result, Value};
+use gola_common::{FxHashMap, Result, Value};
 
 use crate::classify::{ChunkClass, CHUNK};
 use crate::join::{BatchWeights, Candidates};
-use crate::runtime::{entry_mut, BlockEnv, BlockRuntime, CtxMode, TupleReader, UncertainSet};
+use crate::runtime::{
+    entry_mut, gather_rows, BlockEnv, BlockRuntime, CtxMode, TupleReader, UncertainSet,
+};
 
 /// The batch rows whose bootstrap weights this stage will read for one
 /// block: every new candidate classification folds or leaves uncertain.
@@ -45,10 +47,9 @@ pub(crate) fn fold(
 
     // The still-uncertain tuples, in candidate order (chunk order ×
     // chunk-relative index order). Carried tuples keep their cached
-    // bootstrap weights and ids; tuples entering the set copy their row of
-    // the step's matrix and their seen-index ids, or intern their
-    // correlation keys, so publish never recomputes a weight or hashes a
-    // key.
+    // bootstrap weights; tuples entering the set copy their row of the
+    // step's matrix. Every candidate carries its key ids from the join
+    // stage's label, so publish never recomputes a weight or hashes a key.
     let keep: Vec<usize> = classes
         .iter()
         .enumerate()
@@ -64,42 +65,24 @@ pub(crate) fn fold(
     for &i in &keep {
         kept_weights.extend_from_slice(cand.weights_of(weights, i));
     }
-    let fscs = env.cb.fast_scalar_cmp.as_deref().unwrap_or_default();
-    let mut key_ids: Vec<u32> = Vec::with_capacity(keep.len() * fscs.len());
-    let mut reader = TupleReader::new(&cand.chunk, env.pubs);
-    let mut key: Vec<Value> = Vec::new();
-    for &i in &keep {
-        for (k, fsc) in fscs.iter().enumerate() {
-            let id = match cand.key_id(i, k, fscs.len()) {
-                Some(id) => id,
-                None => {
-                    reader.values_into(i, &fsc.key, CtxMode::Point, &mut key)?;
-                    rt.key_ids.intern(&key)
-                }
-            };
-            key_ids.push(id);
-        }
-    }
     rt.uncertain = UncertainSet {
         tuple_ids: keep.iter().map(|&i| cand.ids[i]).collect(),
         weights: kept_weights,
-        key_ids,
-        group_ids: keep
-            .iter()
-            .filter_map(|&i| cand.group_ids.get(i).copied())
-            .collect(),
+        key_ids: gather_rows(&cand.key_ids, env.cb.cmp_conjuncts(), &keep),
+        group_ids: gather_rows(&cand.group_ids, 1, &keep),
         chunk: cand.chunk.gather(&keep),
     };
     Ok(())
 }
 
 /// Fold chunk `ci`'s deterministic-true tuples into `rt`, one *run* per
-/// group the chunk touches: the tuples are bucketed by group first, so
+/// group the chunk touches: the tuples are bucketed by group id first, so
 /// every (group, aggregate lane) takes its tuples' values and weight rows
 /// in a single [`ReplicatedStates::fold_run`] instead of one exact update
-/// per (tuple, replica). A run keeps candidate order, which is all the
-/// order-sensitive states (MIN/MAX ties, QUANTILE, UDAF) can see: each
-/// state only ever meets its own group's tuples.
+/// per (tuple, replica), and each group's states are looked up once. A run
+/// keeps candidate order, which is all the order-sensitive states
+/// (MIN/MAX ties, QUANTILE, UDAF) can see: each state only ever meets its
+/// own group's tuples.
 fn fold_chunk(
     env: &BlockEnv<'_>,
     cand: &Candidates,
@@ -111,42 +94,24 @@ fn fold_chunk(
 ) -> Result<()> {
     let cb = env.cb;
     let mut reader = TupleReader::new(&cand.chunk, env.pubs);
-    // Semi-join aggregation keys the partial aggregates by the membership
-    // key first, so a slot's key is `member key ++ group key`.
-    let member_key = cb.semi_join.as_ref().map_or(&[][..], |(_, key, _)| key);
-    let mut slots: FxHashMap<Vec<Value>, u32> = FxHashMap::default();
-    // (slot, candidate) per folded tuple.
-    let mut members: Vec<(u32, usize)> = Vec::with_capacity(class.folds.len());
-    let mut key: Vec<Value> = Vec::new();
-    for &r in &class.folds {
-        let i = ci * CHUNK + r as usize;
-        reader.values_into(i, member_key, CtxMode::Point, &mut key)?;
-        // NULL never passes `IN (...)`.
-        if key.iter().any(Value::is_null) {
-            continue;
-        }
-        for e in &cb.lin_group_by {
-            key.push(reader.value(i, e, CtxMode::Point)?);
-        }
-        let fresh = row_u32(slots.len());
-        members.push((*entry_mut(&mut slots, &key, || Ok(fresh))?, i));
-    }
-    // Stable: a run keeps candidate order.
-    members.sort_by_key(|&(slot, _)| slot);
-    let mut keys: Vec<&[Value]> = vec![&[]; slots.len()];
-    #[expect(
-        clippy::iter_over_hash_type,
-        reason = "each key lands at its own slot index; the visit order leaves no trace"
-    )]
-    for (key, &slot) in &slots {
-        keys[slot as usize] = key;
-    }
+    // (group id, candidate) per folded tuple; stable, so a run keeps
+    // candidate order.
+    let mut members: Vec<(u32, usize)> = (class.folds.iter())
+        .map(|&r| ci * CHUNK + r as usize)
+        .map(|i| (cand.group_ids[i], i))
+        .collect();
+    members.sort_by_key(|&(group, _)| group);
+    // A semi-join block's group label is `member key ++ group key`: its
+    // partial aggregates are keyed by the membership key first.
+    let member_len = cb.semi_join.as_ref().map_or(0, |(_, key, _)| key.len());
     let trials = env.config.bootstrap.trials;
     let mut rows: Vec<&[u32]> = Vec::new();
     let mut lanes: Vec<Vec<Value>> = vec![Vec::new(); cb.lin_agg_args.len()];
     for run in members.chunk_by(|a, b| a.0 == b.0) {
-        let (mkey, gkey) = keys[run[0].0 as usize].split_at(member_key.len());
+        let (mkey, gkey) = rt.labels.groups.key(run[0].0).split_at(member_len);
         let groups = match &cb.semi_join {
+            // NULL never passes `IN (...)`.
+            Some(_) if mkey.iter().any(Value::is_null) => continue,
             Some(_) => entry_mut(&mut rt.semi_groups, mkey, || Ok(FxHashMap::default()))?,
             None => &mut rt.groups,
         };

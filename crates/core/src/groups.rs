@@ -17,8 +17,7 @@ use crate::classify::CHUNK;
 use crate::compiled::FastScalarCmp;
 use crate::metrics;
 use crate::runtime::{
-    entry_mut, sorted_entries, sorted_into_entries, BlockEnv, BlockRuntime, CtxMode, GroupCtx,
-    TupleReader,
+    sorted_entries, sorted_into_entries, BlockEnv, BlockRuntime, CtxMode, GroupCtx, TupleReader,
 };
 
 /// Small-sample guard: while a group's aggregate has fewer than this many
@@ -307,10 +306,10 @@ pub(crate) fn effective_states<'a>(
 fn uncertain_states<'a>(env: &BlockEnv<'_>, rt: &'a BlockRuntime) -> Result<Vec<EffGroup<'a>>> {
     let cb = env.cb;
     let trials = env.config.bootstrap.trials;
-    // The uncertain set carries its bootstrap weights and correlation-key
-    // ids — computed once when each tuple entered the set — so no weight
-    // kernel and no key hashing runs here no matter how many batches a
-    // tuple stays uncertain.
+    // The uncertain set carries its bootstrap weights and its group and
+    // correlation-key ids — computed once per tuple — so no weight kernel
+    // and no key hashing runs here no matter how many batches a tuple stays
+    // uncertain.
     let us = &rt.uncertain;
     let stride = trials as usize;
     let mut reader = TupleReader::new(&us.chunk, env.pubs);
@@ -326,21 +325,18 @@ fn uncertain_states<'a>(env: &BlockEnv<'_>, rt: &'a BlockRuntime) -> Result<Vec<
         metrics::uncertain_evals().add(us.len() as u64);
     }
     // The uncertain tuples of each group they touch, in set order, sorted
-    // by group key. Without GROUP BY every tuple touches the one group.
-    let touched: Vec<(Vec<Value>, Vec<usize>)> = if cb.lin_group_by.is_empty() {
-        match us.len() {
-            0 => Vec::new(),
-            n => vec![(Vec::new(), (0..n).collect())],
-        }
-    } else {
-        let mut touched: FxHashMap<Vec<Value>, Vec<usize>> = FxHashMap::default();
-        let mut key: Vec<Value> = Vec::new();
-        for i in 0..us.len() {
-            reader.values_into(i, &cb.lin_group_by, CtxMode::Point, &mut key)?;
-            entry_mut(&mut touched, &key, || Ok(Vec::new()))?.push(i);
-        }
-        sorted_into_entries(touched)
-    };
+    // by group key: bucketed by group id (stable, so set order holds within
+    // a group), then ordered by the keys the ids name.
+    let mut by_group: Vec<(u32, usize)> = (us.group_ids.iter().copied()).zip(0..us.len()).collect();
+    by_group.sort_by_key(|&(group, _)| group);
+    let mut touched: Vec<(&'a [Value], Vec<usize>)> = by_group
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|run| {
+            let key = rt.labels.groups.key(run[0].0);
+            (key, run.iter().map(|&(_, i)| i).collect())
+        })
+        .collect();
+    touched.sort_by(|a, b| cmp_values(a.0, b.0));
     let is_touched =
         |key: &[Value]| (touched.binary_search_by(|(k, _)| cmp_values(k, key))).is_ok();
     let mut out: Vec<EffGroup<'a>> = Vec::with_capacity(rt.groups.len() + touched.len());
@@ -361,7 +357,7 @@ fn uncertain_states<'a>(env: &BlockEnv<'_>, rt: &'a BlockRuntime) -> Result<Vec<
     for (key, tuples) in touched {
         // A snapshot of the group's deterministic states takes the
         // uncertain contributions.
-        let det = rt.groups.get(key.as_slice());
+        let det = rt.groups.get(key);
         let mut states =
             (det.cloned()).unwrap_or_else(|| ReplicatedStates::new(&cb.agg_kinds, trials));
         let mut supported = det.is_some();
@@ -391,7 +387,7 @@ fn uncertain_states<'a>(env: &BlockEnv<'_>, rt: &'a BlockRuntime) -> Result<Vec<
             }
         }
         out.push(EffGroup {
-            key: Cow::Owned(key),
+            key: Cow::Borrowed(key),
             states: Cow::Owned(states),
             supported,
         });

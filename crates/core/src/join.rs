@@ -3,7 +3,9 @@
 //! New fact tuples are joined against the broadcast dimensions, pass the
 //! certain filters once, and are projected to lineage columns (paper
 //! §3.3); the block's carried uncertain set is prepended, because every
-//! batch re-examines it against fresher envelopes.
+//! batch re-examines it against fresher envelopes. Every new candidate is
+//! then labelled with its group id and correlation-key ids from the
+//! block's [`Labels`], the one place a key is hashed.
 
 use gola_bootstrap::BootstrapSpec;
 use gola_common::{row_u32, Bitmap, FxHashMap, Result, Row, Value};
@@ -15,7 +17,7 @@ use gola_storage::{Catalog, ColumnChunk, MiniBatch};
 use crate::classify::CHUNK;
 use crate::compiled::CompiledBlock;
 use crate::pool::WorkerPool;
-use crate::runtime::{BlockEnv, CtxMode, TupleCtx, TupleReader, UncertainSet};
+use crate::runtime::{BlockEnv, CtxMode, Labels, TupleCtx, TupleReader, UncertainSet};
 
 /// Per dimension join of one block: join key → dimension rows.
 pub(crate) type DimMaps = Vec<FxHashMap<Vec<Value>, Vec<Row>>>;
@@ -54,10 +56,11 @@ pub(crate) struct Candidates {
     pub carried_len: usize,
     pub carried_weights: Vec<u32>,
     /// Correlation-key ids, `× conjuncts` (see [`UncertainSet::key_ids`]):
-    /// the carried candidates' cached ones, then, in a block that keeps a
-    /// [`crate::recover::SeenIndex`], the new candidates' as it labels them.
+    /// the carried candidates' cached ones, then the new candidates' as
+    /// [`label`] names them.
     pub key_ids: Vec<u32>,
-    /// Group ids likewise (see [`UncertainSet::group_ids`]).
+    /// Group ids likewise, one per candidate (see
+    /// [`UncertainSet::group_ids`]).
     pub group_ids: Vec<u32>,
     /// Per new candidate (those after the carried ones): the batch row it
     /// came from, which is where [`BatchWeights`] keeps its weights.
@@ -70,10 +73,9 @@ impl Candidates {
         Some(self.batch_rows[i.checked_sub(self.carried_len)?])
     }
 
-    /// Candidate `i`'s correlation-key id for conjunct `k` of `conjuncts`;
-    /// `None` for a new candidate no seen index has labelled.
-    pub(crate) fn key_id(&self, i: usize, k: usize, conjuncts: usize) -> Option<u32> {
-        self.key_ids.get(i * conjuncts + k).copied()
+    /// Candidate `i`'s correlation-key id for conjunct `k` of `conjuncts`.
+    pub(crate) fn key_id(&self, i: usize, k: usize, conjuncts: usize) -> u32 {
+        self.key_ids[i * conjuncts + k]
     }
 
     /// Bootstrap weights of candidate `i`: a carried tuple's cached row,
@@ -153,17 +155,19 @@ impl BatchWeights {
     }
 }
 
-/// Run the stage: `carried ++ new_candidates(batch)`.
+/// Run the stage: `carried ++ new_candidates(batch)`, the new candidates
+/// labelled from (and into) `labels`.
 pub(crate) fn join(
     env: &BlockEnv<'_>,
     batch: &MiniBatch,
     carried: UncertainSet,
+    labels: &mut Labels,
 ) -> Result<Candidates> {
     let (batch_rows, new_chunk) = new_candidates(env, batch)?;
     let mut ids = carried.tuple_ids;
     let carried_len = ids.len();
     ids.extend(batch_rows.iter().map(|&r| batch.tuple_ids[r as usize]));
-    Ok(Candidates {
+    let mut cand = Candidates {
         chunk: carried.chunk.concat(&new_chunk),
         ids,
         carried_len,
@@ -171,7 +175,31 @@ pub(crate) fn join(
         key_ids: carried.key_ids,
         group_ids: carried.group_ids,
         batch_rows,
-    })
+    };
+    label(env, labels, &mut cand)?;
+    Ok(cand)
+}
+
+/// Give `cand`'s new candidates (those after the carried ones) their group
+/// id and one correlation-key id per `FastScalarCmp` conjunct, interning
+/// keys `labels` has not seen.
+fn label(env: &BlockEnv<'_>, labels: &mut Labels, cand: &mut Candidates) -> Result<()> {
+    let cb = env.cb;
+    let fscs = cb.fast_scalar_cmp.as_deref().unwrap_or_default();
+    labels.keys.resize_with(fscs.len(), Default::default);
+    let mut reader = TupleReader::new(&cand.chunk, env.pubs);
+    let mut key = Vec::new();
+    for i in cand.carried_len..cand.chunk.len() {
+        let group = labels
+            .groups
+            .label(&mut reader, i, &cb.lin_slot_key, &mut key)?;
+        cand.group_ids.push(group);
+        for (fsc, ids) in fscs.iter().zip(&mut labels.keys) {
+            cand.key_ids
+                .push(ids.label(&mut reader, i, &fsc.key, &mut key)?);
+        }
+    }
+    Ok(())
 }
 
 /// Join one batch against the block's dimensions, apply the certain

@@ -5,11 +5,13 @@
 //! those groups: its *group scope* (DESIGN.md §3.5.8, "Scoped replay").
 //!
 //! A block that can be scoped keeps a [`SeenIndex`]: each seen candidate's
-//! batch row, group id and correlation-key ids, appended once when its
-//! batch is first ingested. A scoped recovery reads only the index and the
-//! rows it replays. Pass 1 ([`violated_groups`]) is an integer scan of the
-//! index: the groups holding a violated key, and the reliance marks a full
-//! replay would leave. Pass 2 gathers each batch's in-scope rows alone
+//! batch row, group id and correlation-key ids — the ids the join stage
+//! labelled it with from the block's [`Labels`] — appended once when its
+//! batch is first ingested. A scoped recovery reads only the index, the
+//! label set's keys and the rows it replays. Pass 1 ([`violated_groups`])
+//! is an integer scan of the index: the groups holding a violated key, and
+//! the reliance marks a full replay would leave. Pass 2 gathers each
+//! batch's in-scope rows alone
 //! ([`Partitioner::batch_rows`](gola_storage::Partitioner::batch_rows)) and
 //! ingests them. A full-scope recovery replays whole batches.
 
@@ -22,7 +24,7 @@ use crate::join::{BatchWeights, Candidates};
 use crate::metrics;
 use crate::publish::Violated;
 use crate::report::BatchTiming;
-use crate::runtime::{BlockEnv, CtxMode, KeyIds, TupleReader, UncertainSet};
+use crate::runtime::{BlockEnv, BlockRuntime, Labels, UncertainSet};
 use crate::step::OnlineExecutor;
 
 /// What the stage reads besides the executor it repairs.
@@ -48,20 +50,20 @@ impl RecoverInput<'_> {
 pub(crate) enum GroupScope {
     /// Every group: the blocks restart empty.
     All,
-    /// The groups of the one affected block whose [`SeenIndex`] id is
-    /// `true` here; its other groups, and their uncertain tuples, stand.
+    /// The groups of the one affected block whose group id is `true` here;
+    /// its other groups, and their uncertain tuples, stand.
     Groups(Vec<bool>),
 }
 
 /// Every seen candidate of one block a recovery can scope, as integer
 /// columns: its batch row, its group id and one correlation-key id per
 /// `FastScalarCmp` conjunct, in candidate order. Ingest appends a batch's
-/// candidates once, the first time it ingests that batch; replays only
-/// look their ids up. The ids also name the block's uncertain tuples
+/// candidates once, the first time it ingests that batch. The ids are the
+/// block's [`Labels`], which name its uncertain tuples too
 /// ([`UncertainSet::key_ids`] and [`UncertainSet::group_ids`]).
 ///
-/// Costs 4 B × (2 + conjuncts) per seen candidate, plus one interned key
-/// per distinct group and correlation key; it lives as long as the query.
+/// Costs 4 B × (2 + conjuncts) per seen candidate; it lives as long as the
+/// query.
 #[derive(Debug, Default)]
 pub struct SeenIndex {
     /// Exclusive end of each ingested batch's entries.
@@ -70,48 +72,20 @@ pub struct SeenIndex {
     groups: Vec<u32>,
     /// Row-major `len × conjuncts`.
     keys: Vec<u32>,
-    group_ids: KeyIds,
-    /// One interner per conjunct.
-    key_ids: Vec<KeyIds>,
 }
 
 impl SeenIndex {
-    /// Give `cand`'s new candidates (batch `batch` of the schedule) their
-    /// group and correlation-key ids, after the carried ones', and index
-    /// them if the batch is new.
-    pub(crate) fn label(
-        &mut self,
-        env: &BlockEnv<'_>,
-        batch: usize,
-        cand: &mut Candidates,
-    ) -> Result<()> {
-        let fscs = env.cb.fast_scalar_cmp.as_deref().unwrap_or_default();
-        self.key_ids.resize_with(fscs.len(), KeyIds::default);
-        let mut reader = TupleReader::new(&cand.chunk, env.pubs);
-        let mut key = Vec::new();
-        for i in cand.carried_len..cand.chunk.len() {
-            reader.values_into(i, &env.cb.lin_group_by, CtxMode::Point, &mut key)?;
-            cand.group_ids.push(self.group_ids.intern(&key));
-            for (fsc, ids) in fscs.iter().zip(&mut self.key_ids) {
-                reader.values_into(i, &fsc.key, CtxMode::Point, &mut key)?;
-                cand.key_ids.push(ids.intern(&key));
-            }
-        }
+    /// Index `cand`'s new candidates, batch `batch` of the schedule, if
+    /// the batch is new.
+    pub(crate) fn record(&mut self, batch: usize, cand: &Candidates, conjuncts: usize) {
         if batch == self.ends.len() {
             self.rows.extend_from_slice(&cand.batch_rows);
             self.groups
                 .extend_from_slice(&cand.group_ids[cand.carried_len..]);
             self.keys
-                .extend_from_slice(&cand.key_ids[cand.carried_len * fscs.len()..]);
+                .extend_from_slice(&cand.key_ids[cand.carried_len * conjuncts..]);
             self.ends.push(self.rows.len());
         }
-        Ok(())
-    }
-
-    /// Conjunct `k`'s correlation keys, in id order.
-    fn keys(&self, k: usize) -> impl Iterator<Item = &[Value]> {
-        let ids = &self.key_ids[k];
-        (0..ids.len()).map(|x| ids.key(row_u32(x)))
     }
 
     /// The batch rows of batch `j`'s candidates whose group is in scope.
@@ -265,12 +239,8 @@ fn scope(exec: &OnlineExecutor, input: &RecoverInput<'_>, affected: &[bool]) -> 
     if !refs.all(|&(id, n)| n > 0 || input.keys_of(id).is_none()) {
         return GroupScope::All;
     }
-    GroupScope::Groups(violated_groups(
-        &exec.env(c),
-        seen,
-        &exec.runtimes[c].uncertain,
-        input,
-    ))
+    let rt = &exec.runtimes[c];
+    GroupScope::Groups(violated_groups(&exec.env(c), seen, rt, input))
 }
 
 /// Each reference of `fsc` with its own slice of `key`, one of the
@@ -288,9 +258,9 @@ fn own_keys<'k>(
 }
 
 /// Pass 1 of a scoped recovery: the groups of the block (`env`, with seen
-/// index `seen` and uncertain set `uncertain`) that hold a seen candidate
-/// reading a violated key, as an in-scope flag per group id. An integer
-/// scan of the index: no batch is gathered or joined.
+/// index `seen` and runtime `rt`) that hold a seen candidate reading a
+/// violated key, as an in-scope flag per group id. An integer scan of the
+/// index: no batch is gathered or joined.
 ///
 /// A full replay also re-marks reliance for every candidate it decides.
 /// Outside the scope those are the candidates not in the uncertain set —
@@ -304,22 +274,23 @@ fn own_keys<'k>(
 fn violated_groups(
     env: &BlockEnv<'_>,
     seen: &SeenIndex,
-    uncertain: &UncertainSet,
+    rt: &BlockRuntime,
     input: &RecoverInput<'_>,
 ) -> Vec<bool> {
     let fscs = env.cb.fast_scalar_cmp.as_deref().unwrap_or_default();
+    let Labels { groups, keys } = &rt.labels;
     let is_violated =
         |(p, own): (SubqueryId, &[Value])| input.keys_of(p).is_some_and(|v| v.contains(own));
     // Per conjunct, per key id: does the key read a violated entry?
-    let violated: Vec<Vec<bool>> = (fscs.iter().enumerate())
-        .map(|(k, fsc)| {
-            seen.keys(k)
-                .map(|key| own_keys(fsc, key).any(is_violated))
+    let violated: Vec<Vec<bool>> = (fscs.iter().zip(keys))
+        .map(|(fsc, ids)| {
+            (0..ids.len())
+                .map(|x| own_keys(fsc, ids.key(row_u32(x))).any(is_violated))
                 .collect()
         })
         .collect();
     let reads_violated = |ids: &[u32]| (ids.iter().zip(&violated)).any(|(&x, v)| v[x as usize]);
-    let mut in_scope = vec![false; seen.group_ids.len()];
+    let mut in_scope = vec![false; groups.len()];
     let mut decided: Vec<Vec<i32>> = violated.iter().map(|v| vec![0; v.len()]).collect();
     let mut count = |ids: &[u32], by: i32| {
         for (&x, n) in ids.iter().zip(&mut decided) {
@@ -333,14 +304,14 @@ fn violated_groups(
             count(ids, 1);
         }
     }
-    for ids in uncertain.key_ids.chunks_exact(fscs.len()) {
+    for ids in rt.uncertain.key_ids.chunks_exact(fscs.len()) {
         if !reads_violated(ids) {
             count(ids, -1);
         }
     }
-    for ((k, fsc), n) in fscs.iter().enumerate().zip(&decided) {
-        for (key, _) in seen.keys(k).zip(n).filter(|(_, &n)| n > 0) {
-            for (producer, own) in own_keys(fsc, key) {
+    for ((fsc, ids), n) in fscs.iter().zip(keys).zip(&decided) {
+        for (x, _) in n.iter().enumerate().filter(|(_, &n)| n > 0) {
+            for (producer, own) in own_keys(fsc, ids.key(row_u32(x))) {
                 if let Some(entry) = env.pubs[producer.0].scalars.get(own) {
                     entry.mark_used();
                 }
@@ -355,7 +326,7 @@ fn violated_groups(
 /// must not ingest them again.
 fn clear_scope(exec: &mut OnlineExecutor, b: usize, scope: &GroupScope) -> UncertainSet {
     let rt = &mut exec.runtimes[b];
-    let (GroupScope::Groups(in_scope), Some(seen)) = (scope, &rt.seen) else {
+    let GroupScope::Groups(in_scope) = scope else {
         rt.reset();
         return UncertainSet::default();
     };
@@ -366,9 +337,8 @@ fn clear_scope(exec: &mut OnlineExecutor, b: usize, scope: &GroupScope) -> Uncer
     let trials = exec.config.bootstrap.trials as usize;
     let kept = uncertain.gather(&outside, trials, exec.compiled[b].cmp_conjuncts());
     for (g, _) in in_scope.iter().enumerate().filter(|(_, &s)| s) {
-        rt.groups.remove(seen.group_ids.key(row_u32(g)));
+        rt.groups.remove(rt.labels.groups.key(row_u32(g)));
     }
-    // The key ids stay: the kept tuples' ids must go on naming their keys.
     rt.uncertain.clear();
     kept
 }

@@ -26,7 +26,7 @@ use crate::pool::WorkerPool;
 use crate::publish::{PublishInput, Violated};
 use crate::recover::{GroupScope, RecoverInput, SeenIndex};
 use crate::report::{BatchReport, BatchTiming, ReportInput};
-use crate::runtime::{BlockEnv, BlockRuntime, Published, UncertainSet};
+use crate::runtime::{BlockEnv, BlockRuntime, Published};
 use crate::{classify, fold, groups, join, publish, recover, report};
 
 /// The online query executor for one prepared query.
@@ -406,8 +406,7 @@ impl OnlineExecutor {
         let this = &*self;
         let classified = this.pool.map(taken, |(b, mut rt)| {
             let mut t = BatchTiming::default();
-            let carried = std::mem::take(&mut rt.uncertain);
-            let result = join_classify(&this.env(b), batch, carried, rt.seen.as_mut(), &mut t);
+            let result = join_classify(&this.env(b), batch, &mut rt, &mut t);
             (b, rt, t, result)
         });
 
@@ -459,20 +458,21 @@ impl OnlineExecutor {
 }
 
 /// The first two stages of one block's ingest of one batch, each timed into
-/// `timing` under the span of the same name. A block's seen index labels
-/// the candidates as part of the join.
+/// `timing` under the span of the same name. The join takes the block's
+/// uncertain set as its carried candidates, labels the new ones from the
+/// block's label set, and records them in its seen index if it keeps one.
 fn join_classify(
     env: &BlockEnv<'_>,
     batch: &MiniBatch,
-    carried: UncertainSet,
-    seen: Option<&mut SeenIndex>,
+    rt: &mut BlockRuntime,
     timing: &mut BatchTiming,
 ) -> Result<(Candidates, Vec<ChunkClass>)> {
     let t = Stopwatch::start();
     let span = gola_obs::span!("join");
-    let mut cand = join::join(env, batch, carried)?;
-    if let Some(seen) = seen {
-        seen.label(env, batch.index, &mut cand)?;
+    let carried = std::mem::take(&mut rt.uncertain);
+    let cand = join::join(env, batch, carried, &mut rt.labels)?;
+    if let Some(seen) = &mut rt.seen {
+        seen.record(batch.index, &cand, env.cb.cmp_conjuncts());
     }
     drop(span);
     timing.join += t.elapsed();
@@ -487,9 +487,10 @@ fn join_classify(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::{KeyIds, Labels, UncertainSet};
     use gola_bootstrap::EpsilonPolicy;
     use gola_common::rng::SplitMix64;
-    use gola_common::{DataType, Row, Schema};
+    use gola_common::{cmp_values, row_u32, DataType, Row, Schema};
     use gola_storage::Table;
 
     /// Which non-finite and NULL values `catalog_with` plants in `q`.
@@ -631,7 +632,8 @@ mod tests {
                     cb: &generic.compiled[b],
                     ..env
                 };
-                let cand = join::join(&env, &batch, Default::default()).unwrap();
+                let labels = &mut Labels::default();
+                let cand = join::join(&env, &batch, Default::default(), labels).unwrap();
                 let classes = classify::classify(&env, &cand).unwrap();
                 assert_eq!(classes, classify::classify(&plain, &cand).unwrap());
                 uncertain_seen += classes.iter().map(|c| c.uncertain_idx.len()).sum::<usize>();
@@ -677,10 +679,9 @@ mod tests {
     }
 
     /// Under tight envelopes the runs recover: Q17's recoveries replay
-    /// every group, so `reset` drops the key ids and the replay assigns
-    /// them afresh; Q20's take a group scope, so the uncertain tuples
-    /// outside it keep their ids beside the replay's new ones. The fast
-    /// path must still equal the generic one everywhere.
+    /// every group, Q20's take a group scope, so the uncertain tuples
+    /// outside it keep their ids beside the replay's. The fast path must
+    /// still equal the generic one everywhere.
     #[test]
     fn fast_scalar_cmp_equals_generic_under_recovery() {
         for (sql, scoped) in [(Q17_SHAPE, false), (Q20_SHAPE, true)] {
@@ -793,7 +794,24 @@ mod tests {
     }
 
     /// Every report of a run to the end, each followed by every block's
-    /// published entries (reliance marks included), and how many of its
+    /// published entries (reliance marks included), after `setup` has
+    /// prepared the executor; and the executor as the run left it.
+    fn run_to_end(
+        sql: &str,
+        config: OnlineConfig,
+        setup: impl FnOnce(&mut OnlineExecutor),
+    ) -> (Vec<String>, OnlineExecutor) {
+        let mut exec = executor_with(&catalog(), sql, config);
+        setup(&mut exec);
+        let mut seen = Vec::new();
+        while !exec.is_finished() {
+            seen.push(answer(&exec.step().unwrap()));
+            seen.extend(exec.published.iter().flat_map(entries));
+        }
+        (seen, exec)
+    }
+
+    /// [`run_to_end`] under tight envelopes, and how many of its
     /// recoveries took a group scope. `full_scope_only` is the oracle:
     /// every recovery replays every group.
     fn run_recovering(
@@ -807,15 +825,72 @@ mod tests {
             .with_threads(threads)
             .with_seed(seed)
             .with_epsilon(EpsilonPolicy::StdDevScaled(0.5));
-        let mut exec = executor_with(&catalog(), sql, config);
-        exec.full_scope_only = full_scope_only;
-        let mut seen = Vec::new();
-        while !exec.is_finished() {
-            seen.push(answer(&exec.step().unwrap()));
-            seen.extend(exec.published.iter().flat_map(entries));
-        }
+        let (seen, exec) = run_to_end(sql, config, |exec| {
+            exec.full_scope_only = full_scope_only;
+        });
         assert!(exec.recomputations() > 0, "{sql} seed {seed}: no recovery");
         (seen, exec.scoped_recoveries)
+    }
+
+    /// Pre-intern every key each streaming block's candidates will ever
+    /// hold, in reverse sorted order: ids that number the keys unlike any
+    /// run's first-seen order.
+    fn reverse_labels(exec: &mut OnlineExecutor) {
+        let reversed = |ids: &KeyIds| {
+            let mut keys: Vec<&[Value]> = (0..ids.len()).map(|x| ids.key(row_u32(x))).collect();
+            keys.sort_by(|a, b| cmp_values(b, a));
+            let mut out = KeyIds::default();
+            for key in keys {
+                out.intern(key);
+            }
+            out
+        };
+        for b in 0..exec.compiled.len() {
+            if !exec.compiled[b].block.is_streaming {
+                continue;
+            }
+            let mut all = Labels::default();
+            for j in 0..exec.num_batches() {
+                let batch = exec.partitioner.batch(j);
+                join::join(&exec.env(b), &batch, UncertainSet::default(), &mut all).unwrap();
+            }
+            exec.runtimes[b].labels = Labels {
+                groups: reversed(&all.groups),
+                keys: all.keys.iter().map(reversed).collect(),
+            };
+        }
+    }
+
+    /// Ids only bucket tuples, never order them: with every block's keys
+    /// numbered in reverse sorted order, every report and every published
+    /// entry equals a normal run's bit for bit — through full (Q17) and
+    /// scoped (Q20) recoveries too. Rows whose ORDER BY values tie keep
+    /// the order the groups come in.
+    #[test]
+    fn id_numbering_leaves_no_trace() {
+        let ties =
+            format!("SELECT k, COUNT(*) AS n FROM t l WHERE {Q20_FILTER} GROUP BY k ORDER BY n");
+        let shapes = [
+            (Q17_SHAPE, 3.0),
+            (C2_SHAPE, 3.0),
+            (Q20_SHAPE, 3.0),
+            (Q17_SHAPE, 0.5),
+            (Q20_SHAPE, 0.5),
+            (ties.as_str(), 0.5),
+        ];
+        for (sql, sd) in shapes {
+            for threads in [1, 2] {
+                let config = OnlineConfig::for_tests(8)
+                    .with_threads(threads)
+                    .with_epsilon(EpsilonPolicy::StdDevScaled(sd));
+                let (normal, exec) = run_to_end(sql, config.clone(), |_| {});
+                let (reversed, _) = run_to_end(sql, config, reverse_labels);
+                assert_eq!(normal, reversed, "{sql} at {sd}σ, threads {threads}");
+                if sd < 1.0 {
+                    assert!(exec.recomputations() > 0, "{sql}: no recovery");
+                }
+            }
+        }
     }
 
     /// Scoped recovery is bit-identical to full replay — every report and
