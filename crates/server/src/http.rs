@@ -3,7 +3,9 @@
 //!
 //! Scope (deliberate):
 //! * one request per connection (`Connection: close` on every response),
-//! * `Content-Length` bodies only (no inbound chunked decoding),
+//! * `Content-Length` bodies only: a request with a `Transfer-Encoding`
+//!   header, or with `Content-Length` headers that disagree, is malformed
+//!   (no inbound chunked decoding),
 //! * hard size limits on head and body (the server fails closed on
 //!   oversized or malformed input — it never panics on hostile bytes),
 //! * outbound `Transfer-Encoding: chunked` for streaming responses, one
@@ -125,14 +127,20 @@ pub fn read_request<R: Read>(stream: &mut R) -> Result<Request, HttpError> {
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
 
-    let content_length = headers
-        .iter()
-        .rev()
-        .find(|(k, _)| k == "content-length")
-        .map(|(_, v)| v.parse::<usize>())
-        .transpose()
-        .map_err(|_| HttpError::Malformed("bad content-length"))?
-        .unwrap_or(0);
+    // RFC 9112 §6.3: a body this server cannot frame is a 400, never a
+    // guess. It decodes no inbound chunked body, so any transfer coding is
+    // refused, and `Content-Length` headers that disagree have no length.
+    if headers.iter().any(|(k, _)| k == "transfer-encoding") {
+        return Err(HttpError::Malformed("transfer-encoding not supported"));
+    }
+    let mut lengths = (headers.iter())
+        .filter(|(k, _)| k == "content-length")
+        .map(|(_, v)| v.parse::<usize>());
+    let content_length = match lengths.next().transpose() {
+        Ok(first) if lengths.all(|v| v.ok() == first) => first.unwrap_or(0),
+        Ok(_) => return Err(HttpError::Malformed("conflicting content-length")),
+        Err(_) => return Err(HttpError::Malformed("bad content-length")),
+    };
     if content_length > MAX_BODY_BYTES {
         return Err(HttpError::TooLarge("body"));
     }

@@ -5,9 +5,13 @@
 //! allocate more than `MAX_BODY_BYTES` at once, whatever its
 //! `Content-Length` claims.
 //!
+//! Two framings are refused outright (RFC 9112 §6.3): `Content-Length`
+//! headers that disagree, and any `Transfer-Encoding`, since the server
+//! decodes no inbound chunked body.
+//!
 //! The binary counts allocations through its own global allocator, so it
-//! holds this one test only: another test running alongside would show up
-//! in the count.
+//! holds the mutant test and one small one only: another test allocating a
+//! large buffer alongside would show up in the count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::panic::AssertUnwindSafe;
@@ -190,4 +194,32 @@ fn mutated_requests_frame_to_a_request_or_a_typed_error() {
     ] {
         assert!(n >= 20, "only {n} {what} among 2000 mutants");
     }
+}
+
+#[test]
+fn conflicting_lengths_and_transfer_encodings_are_malformed() {
+    let request = |headers: &str, body: &str| {
+        format!("POST /query HTTP/1.1\r\nhost: localhost\r\n{headers}\r\n{body}").into_bytes()
+    };
+    let malformed = [
+        request("content-length: 3\r\ncontent-length: 5\r\n", "12345"),
+        request("content-length: 5\r\ncontent-length: 3\r\n", "12345"),
+        request("transfer-encoding: chunked\r\n", "5\r\n12345\r\n0\r\n\r\n"),
+        request(
+            "content-length: 5\r\ntransfer-encoding: chunked\r\n",
+            "12345",
+        ),
+    ];
+    for bytes in &malformed {
+        let outcome = read_request(&mut &bytes[..]);
+        assert!(
+            matches!(outcome, Err(HttpError::Malformed(_))),
+            "{outcome:?} for {:?}",
+            String::from_utf8_lossy(bytes)
+        );
+    }
+    // Repeating one length is no conflict.
+    let same = request("content-length: 5\r\ncontent-length: 5\r\n", "12345");
+    let req = read_request(&mut &same[..]).expect("one length, twice");
+    assert_eq!(req.body, b"12345");
 }
