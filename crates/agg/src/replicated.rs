@@ -338,12 +338,6 @@ impl ReplicatedStates {
     pub fn is_empty(&self) -> bool {
         self.row(0).iter().all(AggState::is_empty)
     }
-
-    /// Snapshot the states (cheap for the numeric aggregates; quantile and
-    /// UDAF states deep-clone).
-    pub fn snapshot(&self) -> ReplicatedStates {
-        self.clone()
-    }
 }
 
 #[cfg(test)]
@@ -425,17 +419,6 @@ mod tests {
         rs.update(&[Value::str("abc")], 1, &spec());
         assert!(rs.estimate(0, 1.0).is_none());
         assert_eq!(rs.value(0, 1.0), Value::str("abc"));
-    }
-
-    #[test]
-    fn snapshot_isolates() {
-        let kinds = [AggKind::Count];
-        let mut rs = ReplicatedStates::new(&kinds, 2);
-        rs.update(&[Value::Int(1)], 0, &spec());
-        let snap = rs.snapshot();
-        rs.update(&[Value::Int(1)], 1, &spec());
-        assert_eq!(snap.value(0, 1.0), Value::Float(1.0));
-        assert_eq!(rs.value(0, 1.0), Value::Float(2.0));
     }
 
     #[test]

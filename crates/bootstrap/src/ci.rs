@@ -141,18 +141,6 @@ impl Estimate {
             level,
         })
     }
-
-    /// Normal-approximation CI centered on the point estimate. `None`
-    /// without replicas.
-    pub fn ci_normal(&self, level: f64) -> Option<ConfidenceInterval> {
-        let se = self.std_error()?;
-        let z = z_for_level(level);
-        Some(ConfidenceInterval {
-            lo: self.value - z * se,
-            hi: self.value + z * se,
-            level,
-        })
-    }
 }
 
 impl fmt::Display for Estimate {
@@ -161,76 +149,6 @@ impl fmt::Display for Estimate {
             Some(ci) => write!(f, "{:.4} ± {:.4}", self.value, ci.half_width()),
             None => write!(f, "{:.4}", self.value),
         }
-    }
-}
-
-/// Two-sided standard-normal quantile for common levels, with a rational
-/// approximation (Acklam) for everything else.
-pub fn z_for_level(level: f64) -> f64 {
-    // Fast paths for the levels UIs actually use.
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "only matched against three small constants; out-of-range levels saturate"
-    )]
-    let permille = (level * 1000.0).round() as i64;
-    match permille {
-        900 => return 1.6449,
-        950 => return 1.9600,
-        990 => return 2.5758,
-        _ => {}
-    }
-    let p = 1.0 - (1.0 - level) / 2.0;
-    inverse_normal_cdf(p)
-}
-
-/// Acklam's inverse-normal-CDF approximation (relative error < 1.15e-9).
-#[expect(
-    clippy::excessive_precision,
-    reason = "published constants, kept verbatim"
-)]
-fn inverse_normal_cdf(p: f64) -> f64 {
-    assert!(p > 0.0 && p < 1.0, "p must be in (0,1)");
-    const A: [f64; 6] = [
-        -3.969683028665376e+01,
-        2.209460984245205e+02,
-        -2.759285104469687e+02,
-        1.383577518672690e+02,
-        -3.066479806614716e+01,
-        2.506628277459239e+00,
-    ];
-    const B: [f64; 5] = [
-        -5.447609879822406e+01,
-        1.615858368580409e+02,
-        -1.556989798598866e+02,
-        6.680131188771972e+01,
-        -1.328068155288572e+01,
-    ];
-    const C: [f64; 6] = [
-        -7.784894002430293e-03,
-        -3.223964580411365e-01,
-        -2.400758277161838e+00,
-        -2.549732539343734e+00,
-        4.374664141464968e+00,
-        2.938163982698783e+00,
-    ];
-    const D: [f64; 4] = [
-        7.784695709041462e-03,
-        3.224671290700398e-01,
-        2.445134137142996e+00,
-        3.754408661907416e+00,
-    ];
-    const P_LOW: f64 = 0.02425;
-    if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        -inverse_normal_cdf(1.0 - p)
     }
 }
 
@@ -261,25 +179,6 @@ mod tests {
         assert!(ci.hi > 10.9 && ci.hi < 11.0, "hi {}", ci.hi);
         assert!(ci.contains(10.0));
         assert!(!ci.contains(20.0));
-    }
-
-    #[test]
-    fn normal_ci_symmetry() {
-        let e = est();
-        let ci = e.ci_normal(0.95).unwrap();
-        assert!((10.0 - ci.lo - (ci.hi - 10.0)).abs() < 1e-12);
-        assert!((ci.half_width() - 1.96 * e.std_error().unwrap()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn z_values() {
-        assert!((z_for_level(0.95) - 1.96).abs() < 1e-3);
-        assert!((z_for_level(0.99) - 2.5758).abs() < 1e-3);
-        assert!((z_for_level(0.80) - 1.2816).abs() < 1e-3);
-        // Acklam approximation sanity at the median.
-        assert!(inverse_normal_cdf(0.5).abs() < 1e-9);
-        assert!((inverse_normal_cdf(0.975) - 1.959964).abs() < 1e-5);
-        assert!((inverse_normal_cdf(0.001) + 3.090232).abs() < 1e-4);
     }
 
     #[test]

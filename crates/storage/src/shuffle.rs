@@ -1,15 +1,12 @@
-//! Random shuffling of tables.
+//! Seeded random permutations.
 //!
 //! G-OLA's statistical guarantees require that any prefix of the processed
 //! data is a uniform random sample of the whole dataset (paper §2). When the
 //! physical layout is correlated with query attributes, the paper's
-//! pre-processing tool randomly shuffles the input; this module is that tool.
-
-use std::sync::Arc;
+//! pre-processing tool randomly shuffles the input; here the partitioner
+//! draws its batches through a [`permutation`] instead.
 
 use gola_common::rng::SplitMix64;
-
-use crate::table::Table;
 
 /// Fisher–Yates shuffle of `items` under a deterministic seed.
 pub fn shuffle_in_place<T>(items: &mut [T], seed: u64) {
@@ -28,20 +25,9 @@ pub fn permutation(n: usize, seed: u64) -> Vec<usize> {
     idx
 }
 
-/// Return a new table whose rows are a random permutation of `table`'s,
-/// materialized as a columnar gather of the permuted indices.
-#[expect(clippy::expect_used, reason = "gathering a valid table")]
-pub fn shuffle_table(table: &Table, seed: u64) -> Table {
-    let perm = permutation(table.num_rows(), seed);
-    let chunk = table.gather(&perm);
-    Table::from_chunks(Arc::clone(table.schema()), vec![chunk])
-        .expect("gather of a valid table yields a schema-consistent chunk")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gola_common::{row, DataType, Schema, Value};
 
     #[test]
     fn permutation_is_a_permutation() {
@@ -55,30 +41,6 @@ mod tests {
     fn deterministic_under_seed() {
         assert_eq!(permutation(100, 3), permutation(100, 3));
         assert_ne!(permutation(100, 3), permutation(100, 4));
-    }
-
-    #[test]
-    fn shuffle_table_preserves_multiset() {
-        let schema = Arc::new(Schema::from_pairs(&[("x", DataType::Int)]));
-        let rows: Vec<_> = (0..50).map(|i| row![i as i64]).collect();
-        let t = Table::new_unchecked(schema, rows);
-        let s = shuffle_table(&t, 11);
-        let mut orig: Vec<i64> = t
-            .rows()
-            .iter()
-            .map(|r| r.get(0).as_i64().unwrap())
-            .collect();
-        let mut shuf: Vec<i64> = s
-            .rows()
-            .iter()
-            .map(|r| r.get(0).as_i64().unwrap())
-            .collect();
-        assert_ne!(orig, shuf, "seed 11 should actually move rows");
-        orig.sort_unstable();
-        shuf.sort_unstable();
-        assert_eq!(orig, shuf);
-        assert_eq!(s.column("x").unwrap().len(), 50);
-        assert!(s.column("x").unwrap().contains(&Value::Int(49)));
     }
 
     #[test]
