@@ -22,17 +22,14 @@ pub enum EpsilonPolicy {
     StdDevScaled(f64),
     /// A fixed absolute slack.
     Fixed(f64),
-    /// `ε = scale × |current estimate|` (relative slack).
-    Relative(f64),
 }
 
 impl EpsilonPolicy {
-    /// Compute `ε` given the replica values and the current estimate.
-    pub fn epsilon(&self, replicas: &[f64], current: f64) -> f64 {
+    /// Compute `ε` given the replica values.
+    pub fn epsilon(&self, replicas: &[f64]) -> f64 {
         match *self {
             EpsilonPolicy::StdDevScaled(scale) => scale * stddev_pop(replicas).unwrap_or(0.0),
             EpsilonPolicy::Fixed(eps) => eps,
-            EpsilonPolicy::Relative(scale) => scale * current.abs(),
         }
     }
 }
@@ -49,7 +46,7 @@ impl VariationRange {
     /// The current value is always included so the range is non-empty even
     /// with zero replicas (then it degenerates to a point ± ε).
     pub fn from_replicas(current: f64, replicas: &[f64], policy: EpsilonPolicy) -> Self {
-        let eps = policy.epsilon(replicas, current);
+        let eps = policy.epsilon(replicas);
         let mut lo = current;
         let mut hi = current;
         for &r in replicas {
@@ -102,13 +99,6 @@ mod tests {
         let r = VariationRange::from_replicas(10.0, &[9.0, 11.0], EpsilonPolicy::Fixed(0.5));
         assert_eq!(r.lo, 8.5);
         assert_eq!(r.hi, 11.5);
-    }
-
-    #[test]
-    fn relative_policy() {
-        let r = VariationRange::from_replicas(-20.0, &[], EpsilonPolicy::Relative(0.1));
-        assert_eq!(r.lo, -22.0);
-        assert_eq!(r.hi, -18.0);
     }
 
     #[test]

@@ -128,8 +128,7 @@ impl OnlineConfig {
         }
         // NaN must not slip past: a NaN or negative slack inverts every
         // envelope (`lo > hi`), silently.
-        let (EpsilonPolicy::StdDevScaled(e) | EpsilonPolicy::Fixed(e) | EpsilonPolicy::Relative(e)) =
-            self.epsilon;
+        let (EpsilonPolicy::StdDevScaled(e) | EpsilonPolicy::Fixed(e)) = self.epsilon;
         if !e.is_finite() || e < 0.0 {
             return Err(Error::config(format!(
                 "epsilon {:?} must be finite and >= 0",
@@ -181,11 +180,7 @@ mod tests {
         assert!(c.validate().is_err());
         let valid = OnlineConfig::default;
         for bad in [-1.0, f64::NAN, f64::INFINITY] {
-            for policy in [
-                EpsilonPolicy::StdDevScaled(bad),
-                EpsilonPolicy::Fixed(bad),
-                EpsilonPolicy::Relative(bad),
-            ] {
+            for policy in [EpsilonPolicy::StdDevScaled(bad), EpsilonPolicy::Fixed(bad)] {
                 assert!(valid().with_epsilon(policy).validate().is_err());
             }
         }

@@ -2,6 +2,11 @@
 //! block's replicated aggregate states, then rebuild the uncertain set
 //! from the tuples classification left open.
 //!
+//! The states live in the block's fold-state table, one slot per group id
+//! the join stage labelled (`BlockRuntime::slots`): a fold indexes it and
+//! hashes no key. A semi-join block's group id names its whole slot key,
+//! membership key then GROUP BY key, so both strategies fold the same way.
+//!
 //! One path at every thread count: chunks fold in order straight into the
 //! block runtime. Folding each chunk into a private shard on the pool and
 //! merging the shards in chunk order was measured and lost (DESIGN.md
@@ -11,13 +16,11 @@
 //! blocks fold concurrently). Weights and classify stay chunk-parallel.
 
 use gola_agg::{FoldScratch, ReplicatedStates};
-use gola_common::{FxHashMap, Result, Value};
+use gola_common::{Result, Value};
 
 use crate::classify::{ChunkClass, CHUNK};
 use crate::join::{BatchWeights, Candidates};
-use crate::runtime::{
-    entry_mut, gather_rows, BlockEnv, BlockRuntime, CtxMode, TupleReader, UncertainSet,
-};
+use crate::runtime::{gather_rows, BlockEnv, BlockRuntime, CtxMode, TupleReader, UncertainSet};
 
 /// The batch rows whose bootstrap weights this stage will read for one
 /// block: every new candidate classification folds or leaves uncertain.
@@ -31,8 +34,8 @@ pub(crate) fn weights_needed<'a>(
     })
 }
 
-/// Run the stage. Mutates `rt` only: `groups`/`semi_groups` gain the
-/// folds, `uncertain` is replaced by the still-uncertain candidates.
+/// Run the stage. Mutates `rt` only: `slots` gain the folds, `uncertain`
+/// is replaced by the still-uncertain candidates.
 pub(crate) fn fold(
     env: &BlockEnv<'_>,
     cand: &Candidates,
@@ -40,6 +43,7 @@ pub(crate) fn fold(
     weights: &BatchWeights,
     rt: &mut BlockRuntime,
 ) -> Result<()> {
+    rt.slots.resize_with(rt.labels.groups.len(), || None);
     let mut scratch = FoldScratch::default();
     for (ci, class) in classes.iter().enumerate() {
         fold_chunk(env, cand, weights, ci, class, rt, &mut scratch)?;
@@ -79,7 +83,7 @@ pub(crate) fn fold(
 /// group the chunk touches: the tuples are bucketed by group id first, so
 /// every (group, aggregate lane) takes its tuples' values and weight rows
 /// in a single [`ReplicatedStates::fold_run`] instead of one exact update
-/// per (tuple, replica), and each group's states are looked up once. A run
+/// per (tuple, replica), and each group's slot is indexed once. A run
 /// keeps candidate order, which is all the order-sensitive states
 /// (MIN/MAX ties, QUANTILE, UDAF) can see: each state only ever meets its
 /// own group's tuples.
@@ -101,23 +105,20 @@ fn fold_chunk(
         .map(|i| (cand.group_ids[i], i))
         .collect();
     members.sort_by_key(|&(group, _)| group);
-    // A semi-join block's group label is `member key ++ group key`: its
-    // partial aggregates are keyed by the membership key first.
+    // A semi-join block's group key starts with its membership key.
     let member_len = cb.semi_join.as_ref().map_or(0, |(_, key, _)| key.len());
     let trials = env.config.bootstrap.trials;
     let mut rows: Vec<&[u32]> = Vec::new();
     let mut lanes: Vec<Vec<Value>> = vec![Vec::new(); cb.lin_agg_args.len()];
     for run in members.chunk_by(|a, b| a.0 == b.0) {
-        let (mkey, gkey) = rt.labels.groups.key(run[0].0).split_at(member_len);
-        let groups = match &cb.semi_join {
-            // NULL never passes `IN (...)`.
-            Some(_) if mkey.iter().any(Value::is_null) => continue,
-            Some(_) => entry_mut(&mut rt.semi_groups, mkey, || Ok(FxHashMap::default()))?,
-            None => &mut rt.groups,
-        };
-        let states = entry_mut(groups, gkey, || {
-            Ok(ReplicatedStates::new(&cb.agg_kinds, trials))
-        })?;
+        let group = run[0].0;
+        // NULL never passes `IN (...)`.
+        let member_key = &rt.labels.groups.key(group)[..member_len];
+        if member_key.iter().any(Value::is_null) {
+            continue;
+        }
+        let states = rt.slots[group as usize]
+            .get_or_insert_with(|| ReplicatedStates::new(&cb.agg_kinds, trials));
         rows.clear();
         rows.extend(run.iter().map(|&(_, i)| cand.weights_of(weights, i)));
         lanes.iter_mut().for_each(Vec::clear);

@@ -336,8 +336,8 @@ fn clear_scope(exec: &mut OnlineExecutor, b: usize, scope: &GroupScope) -> Uncer
         .collect();
     let trials = exec.config.bootstrap.trials as usize;
     let kept = uncertain.gather(&outside, trials, exec.compiled[b].cmp_conjuncts());
-    for (g, _) in in_scope.iter().enumerate().filter(|(_, &s)| s) {
-        rt.groups.remove(rt.labels.groups.key(row_u32(g)));
+    for (slot, _) in rt.slots.iter_mut().zip(in_scope).filter(|(_, &s)| s) {
+        *slot = None;
     }
     rt.uncertain.clear();
     kept

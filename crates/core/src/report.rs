@@ -366,7 +366,7 @@ pub(crate) fn build(env: &BlockEnv<'_>, input: ReportInput<'_>) -> Result<Report
         // is exact, so every row is certain.
         let certain = exists
             && (last
-                || ((n_keys == 0 || membership_certain(env, rt, key))
+                || ((n_keys == 0 || group.settled)
                     && (cb.block.having.is_empty() || g.having_tri()? == Tri::True)));
         claims.push((key.to_vec(), certain));
         if !exists {
@@ -452,27 +452,6 @@ pub(crate) fn build(env: &BlockEnv<'_>, input: ReportInput<'_>) -> Result<Report
         report,
         claims,
         fpc,
-    })
-}
-
-/// Is this group's *presence* in the root output settled? A group backed
-/// by at least one deterministically-folded tuple can never vanish. A
-/// group whose only support is cached uncertain tuples — or, for semi-join
-/// aggregation, partitions whose membership is still range-classified
-/// `Maybe` — disappears if they all resolve false.
-#[expect(clippy::disallowed_methods, reason = "an order-free boolean OR")]
-fn membership_certain(env: &BlockEnv<'_>, rt: &BlockRuntime, key: &[Value]) -> bool {
-    let Some((id, _, negated)) = &env.cb.semi_join else {
-        return rt.groups.contains_key(key);
-    };
-    let members = &env.pubs[id.0].members;
-    // Deterministically *in* the (possibly negated) set.
-    let settled = if *negated { Tri::False } else { Tri::True };
-    rt.semi_groups.iter().any(|(mkey, groups)| {
-        groups.contains_key(key)
-            && members
-                .get(mkey.as_slice())
-                .is_some_and(|m| m.tri == settled)
     })
 }
 

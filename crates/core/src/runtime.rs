@@ -1,9 +1,12 @@
 //! Per-block runtime state and the online evaluation contexts.
 //!
-//! A block's [`BlockRuntime`] holds its deterministic folds, its uncertain
-//! set and its [`Labels`]: one label set per block for the query's
-//! lifetime, naming every group and correlation key its candidates hold by
-//! a dense id, so no later stage hashes a key.
+//! A block's [`BlockRuntime`] holds its fold-state table, its uncertain set
+//! and its [`Labels`]: one label set per block for the query's lifetime,
+//! naming every group and correlation key its candidates hold by a dense
+//! id, so no later stage hashes a key. The table is indexed by those group
+//! ids. Ids never order anything a report can see: a walk over them that
+//! reaches one goes through [`KeyIds::sorted`], the one crossing from id
+//! order to key order.
 
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -32,41 +35,17 @@ pub(crate) struct BlockEnv<'a> {
     pub pubs: &'a [Published],
 }
 
-/// Borrow a hash map's entries in canonical key order ([`cmp_values`]).
+/// A hash map's entries in canonical key order ([`cmp_values`]).
 ///
-/// The runtime keeps grouped state in `FxHashMap`s (lookup-heavy hot path),
-/// but hash iteration order must never be observable downstream — any walk
-/// whose effects can reach a `BatchReport` (float merge order, row order,
-/// chunk boundaries) goes through this helper instead. This is the single
-/// blessed crossing from hash-ordered storage to published order.
-pub fn sorted_entries<V>(map: &FxHashMap<Vec<Value>, V>) -> Vec<(&Vec<Value>, &V)> {
-    #[expect(clippy::disallowed_methods, reason = "sorted by total key order below")]
-    let mut entries: Vec<(&Vec<Value>, &V)> = map.iter().collect();
-    entries.sort_by(|a, b| cmp_values(a.0, b.0));
-    entries
-}
-
-/// Consuming variant of [`sorted_entries`].
+/// Hash iteration order must never be observable downstream: any walk of a
+/// `FxHashMap` whose effects can reach a `BatchReport` (float merge order,
+/// row order, chunk boundaries) goes through this sort.
 pub fn sorted_into_entries<V>(map: FxHashMap<Vec<Value>, V>) -> Vec<(Vec<Value>, V)> {
     // `into_iter` is out of clippy.toml's reach; the sort below is what
     // keeps hash order from escaping.
     let mut entries: Vec<(Vec<Value>, V)> = map.into_iter().collect();
     entries.sort_by(|a, b| cmp_values(&a.0, &b.0));
     entries
-}
-
-/// `map[key]`, created by `new` on first sight. Probing with the borrowed
-/// slice means the key is cloned once per group, not once per tuple.
-#[expect(clippy::expect_used, reason = "the entry is inserted above if missing")]
-pub(crate) fn entry_mut<'m, V>(
-    map: &'m mut FxHashMap<Vec<Value>, V>,
-    key: &[Value],
-    new: impl FnOnce() -> Result<V>,
-) -> Result<&'m mut V> {
-    if !map.contains_key(key) {
-        map.insert(key.to_vec(), new()?);
-    }
-    Ok(map.get_mut(key).expect("entry exists"))
 }
 
 /// The uncertain set `Uᵢ` of one block, stored struct-of-arrays: stable
@@ -209,6 +188,20 @@ impl KeyIds {
     pub fn len(&self) -> usize {
         self.keys.len()
     }
+
+    /// `ids` with their keys, in canonical key order ([`cmp_values`]).
+    ///
+    /// Ids number keys in the order the join stage first met them, which
+    /// batch layout, chunking and replays decide, so that order must never
+    /// be observable downstream: any walk over ids whose effects can reach
+    /// a `BatchReport` (float merge order, row order, chunk boundaries)
+    /// goes through this sort. It is the one crossing from id order to
+    /// published order.
+    pub(crate) fn sorted(&self, ids: impl Iterator<Item = u32>) -> Vec<(u32, &[Value])> {
+        let mut out: Vec<(u32, &[Value])> = ids.map(|id| (id, self.key(id))).collect();
+        out.sort_by(|a, b| cmp_values(a.1, b.1));
+        out
+    }
 }
 
 /// A block's label set: the names of every key its candidates hold, one
@@ -222,10 +215,11 @@ impl KeyIds {
 /// A group key is the block's fold slot key: the membership key followed
 /// by the GROUP BY key for a semi-join block, the GROUP BY key otherwise.
 /// Each streaming block interns one key per distinct group and correlation
-/// key it ever saw. Its folds hold a group's key already, and when a
-/// producer reads the same stream as its consumer (Q17, Q20, C3), the
-/// correlation keys are among the producer's own groups, each of which it
-/// already publishes with a whole trial vector.
+/// key it ever saw. Its group keys are held nowhere else — the fold-state
+/// table is indexed by their ids — and when a producer reads the same
+/// stream as its consumer (Q17, Q20, C3), the correlation keys are among
+/// the producer's own groups, each of which it already publishes with a
+/// whole trial vector.
 #[derive(Debug, Default)]
 pub struct Labels {
     pub groups: KeyIds,
@@ -307,18 +301,16 @@ pub struct Published {
 /// Runtime state of one lineage block.
 #[derive(Debug, Default)]
 pub struct BlockRuntime {
-    /// Deterministic aggregate states per group (main + bootstrap replicas).
-    pub groups: FxHashMap<Vec<Value>, ReplicatedStates>,
+    /// The fold-state table: each group's deterministic aggregate states
+    /// (main + bootstrap replicas), indexed by its id in
+    /// [`Labels::groups`]; `None` while no tuple of the group has folded.
+    /// A semi-join block's group is its fold slot — membership key, then
+    /// GROUP BY key — so its partial aggregates live here too.
+    pub slots: Vec<Option<ReplicatedStates>>,
     /// The uncertain set `Uᵢ`.
     pub uncertain: UncertainSet,
     /// The ids of every key the block's candidates hold.
     pub labels: Labels,
-    /// Semi-join partial aggregates: membership key → (group key → states).
-    /// Used instead of `groups`/`uncertain` when the block compiles to the
-    /// semi-join aggregation strategy.
-    pub semi_groups: FxHashMap<Vec<Value>, FxHashMap<Vec<Value>, ReplicatedStates>>,
-    /// `true` once a static (non-streaming) block has been computed.
-    pub static_done: bool,
     /// Every seen candidate by group and correlation key, for a block a
     /// recovery can scope (`None` for any other block).
     pub seen: Option<SeenIndex>,
@@ -330,10 +322,13 @@ impl BlockRuntime {
     /// candidates the batches hold, not what was decided about them, and
     /// replays add nothing to them.
     pub fn reset(&mut self) {
-        self.groups.clear();
+        self.slots.clear();
         self.uncertain.clear();
-        self.semi_groups.clear();
-        self.static_done = false;
+    }
+
+    /// Group `id`'s deterministic states, if any tuple of it has folded.
+    pub(crate) fn slot(&self, id: u32) -> Option<&ReplicatedStates> {
+        self.slots.get(id as usize)?.as_ref()
     }
 }
 
@@ -828,13 +823,13 @@ mod tests {
     fn runtime_reset() {
         let mut rt = BlockRuntime::default();
         rt.uncertain.tuple_ids.push(1);
+        rt.slots.push(None);
         assert_eq!(rt.labels.groups.intern(&[Value::Int(7)]), 0);
-        rt.static_done = true;
         rt.reset();
         assert_eq!(rt.uncertain.len(), 0);
+        assert!(rt.slots.is_empty());
         // The label set outlives a reset: a replay finds the same ids.
         assert_eq!(rt.labels.groups.len(), 1);
         assert_eq!(rt.labels.groups.intern(&[Value::Int(7)]), 0);
-        assert!(!rt.static_done);
     }
 }

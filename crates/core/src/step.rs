@@ -146,7 +146,6 @@ impl OnlineExecutor {
             let block = &exec.compiled[b].block;
             if !block.is_streaming && block.role != BlockRole::Root {
                 exec.published[b] = publish::publish_static(&exec.env(b), catalog)?;
-                exec.runtimes[b].static_done = true;
             }
         }
         Ok(exec)
@@ -865,15 +864,29 @@ mod tests {
     /// numbered in reverse sorted order, every report and every published
     /// entry equals a normal run's bit for bit — through full (Q17) and
     /// scoped (Q20) recoveries too. Rows whose ORDER BY values tie keep
-    /// the order the groups come in.
+    /// the order the groups come in. A grouped semi-join and its negation
+    /// merge their (membership key, group key) slots in key order.
     #[test]
     fn id_numbering_leaves_no_trace() {
         let ties =
             format!("SELECT k, COUNT(*) AS n FROM t l WHERE {Q20_FILTER} GROUP BY k ORDER BY n");
+        let semi = |not: &str| {
+            format!(
+                "SELECT s, COUNT(*) AS n, AVG(x) AS a FROM t WHERE k {not} IN \
+                 (SELECT k FROM t GROUP BY k HAVING SUM(q) > 620) GROUP BY s ORDER BY s"
+            )
+        };
+        let (semi_in, semi_not_in) = (semi(""), semi("NOT"));
+        for sql in [&semi_in, &semi_not_in] {
+            let exec = executor(&catalog(), sql, 1);
+            assert!(exec.compiled[exec.meta.root].semi_join.is_some(), "{sql}");
+        }
         let shapes = [
             (Q17_SHAPE, 3.0),
             (C2_SHAPE, 3.0),
             (Q20_SHAPE, 3.0),
+            (semi_in.as_str(), 3.0),
+            (semi_not_in.as_str(), 3.0),
             (Q17_SHAPE, 0.5),
             (Q20_SHAPE, 0.5),
             (ties.as_str(), 0.5),
