@@ -1,5 +1,6 @@
 //! Report-stream golden: every report of the Conviva and TPC-H suites over
-//! small seeded tables, pinned by digest to `report_golden.txt`.
+//! small seeded tables, plus MyTube runs with dimension joins and static
+//! producers, pinned by digest to `report_golden.txt`.
 //!
 //! Each line is one report: the run's name, its batch index and the 64-bit
 //! FNV-1a digest of its [`json::report_json`] line (the NDJSON frame the
@@ -12,10 +13,11 @@
 use std::sync::Arc;
 
 use gola_bootstrap::EpsilonPolicy;
+use gola_common::{DataType, Row, Schema, Value};
 use gola_core::{OnlineConfig, OnlineSession};
 use gola_server::json;
-use gola_storage::Catalog;
-use gola_workloads::{conviva, tpch, ConvivaGenerator, TpchGenerator};
+use gola_storage::{Catalog, Table};
+use gola_workloads::{conviva, tpch, ConvivaGenerator, MyTubeGenerator, TpchGenerator};
 
 const GOLDEN: &str = include_str!("report_golden.txt");
 
@@ -32,6 +34,72 @@ const SEMI_NOT_IN: &str = "SELECT suppkey, COUNT(*) AS n, AVG(extendedprice) AS 
      (SELECT orderkey FROM lineitem_denorm GROUP BY orderkey HAVING SUM(quantity) > 300) \
      GROUP BY suppkey ORDER BY suppkey";
 
+/// MyTube runs over `mytube_sessions` (streamed), `ads` and [`ad_tiers`]
+/// (static): (a) a streaming block with two dimension joins and a
+/// streaming scalar, (b) an uncorrelated static scalar whose filter reads
+/// another static scalar, (c) a correlated static scalar whose block joins
+/// `ads` to `ad_tiers` and filters the joined rows, and (d) a grouped
+/// semi-join and its `NOT IN` twin against a static membership producer.
+const MYTUBE: [(&str, &str); 5] = [
+    (
+        "MT_DIMS",
+        "SELECT a.category, COUNT(*) AS n, SUM(t.tier * s.play_time) AS w, \
+         AVG(s.play_time) AS p FROM mytube_sessions s JOIN ads a ON s.ad_id = a.ad_id \
+         JOIN ad_tiers t ON a.category = t.category \
+         WHERE s.buffer_time > (SELECT AVG(buffer_time) FROM mytube_sessions) \
+         GROUP BY a.category ORDER BY a.category",
+    ),
+    (
+        "MT_STATIC_SCALAR",
+        "SELECT hour_of_day, COUNT(*) AS n, AVG(play_time) AS p FROM mytube_sessions \
+         WHERE buffer_time > \
+         (SELECT AVG(cpm) FROM ads WHERE cpm < (SELECT MAX(cpm) FROM ads)) \
+         GROUP BY hour_of_day ORDER BY hour_of_day",
+    ),
+    (
+        "MT_STATIC_CORR",
+        "SELECT experiment, COUNT(*) AS n, AVG(play_time) AS p FROM mytube_sessions s \
+         WHERE s.buffer_time < (SELECT AVG(a.cpm * t.tier) FROM ads a \
+         JOIN ad_tiers t ON a.category = t.category WHERE a.ad_id = s.ad_id AND t.tier < 3) \
+         GROUP BY experiment ORDER BY experiment",
+    ),
+    (
+        "MT_SEMI_IN",
+        "SELECT experiment, COUNT(*) AS n, SUM(play_time) AS p FROM mytube_sessions \
+         WHERE ad_id IN (SELECT ad_id FROM ads GROUP BY ad_id HAVING MAX(cpm) > 4.0) \
+         GROUP BY experiment ORDER BY experiment",
+    ),
+    (
+        "MT_SEMI_NOT_IN",
+        "SELECT experiment, COUNT(*) AS n, SUM(play_time) AS p FROM mytube_sessions \
+         WHERE ad_id NOT IN (SELECT ad_id FROM ads GROUP BY ad_id HAVING MAX(cpm) > 4.0) \
+         GROUP BY experiment ORDER BY experiment",
+    ),
+];
+
+/// A static dimension over `ads.category`: one category matches twice
+/// (its sessions join both rows, in table order), and a NULL key matches
+/// nothing.
+fn ad_tiers() -> Table {
+    let schema = Arc::new(Schema::from_pairs(&[
+        ("category", DataType::Str),
+        ("tier", DataType::Int),
+    ]));
+    let tiers = [
+        (Value::str("retail"), 1),
+        (Value::str("auto"), 2),
+        (Value::str("games"), 1),
+        (Value::str("travel"), 3),
+        (Value::Null, 4),
+        (Value::str("finance"), 2),
+        (Value::str("games"), 3),
+    ];
+    let rows = tiers
+        .into_iter()
+        .map(|(c, t)| Row::new(vec![c, Value::Int(t)]));
+    Table::try_new(schema, rows.collect()).unwrap()
+}
+
 fn catalog() -> Catalog {
     let mut catalog = Catalog::new();
     let sessions = ConvivaGenerator::default().generate(4000);
@@ -44,6 +112,13 @@ fn catalog() -> Catalog {
     catalog
         .register("lineitem_denorm", Arc::new(lineitem))
         .unwrap();
+    let mytube = MyTubeGenerator::default().catalog(4000);
+    for name in mytube.names() {
+        catalog
+            .register(name.as_str(), mytube.get(&name).unwrap())
+            .unwrap();
+    }
+    catalog.register("ad_tiers", Arc::new(ad_tiers())).unwrap();
     catalog
 }
 
@@ -58,6 +133,7 @@ fn runs() -> Vec<(String, &'static str, bool)> {
     runs.push(("Q20@0.5sd".into(), tpch::Q20, true));
     runs.push(("SEMI_IN".into(), SEMI_IN, false));
     runs.push(("SEMI_NOT_IN".into(), SEMI_NOT_IN, false));
+    runs.extend(MYTUBE.map(|(name, sql)| (name.to_string(), sql, false)));
     runs
 }
 
