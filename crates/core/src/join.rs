@@ -8,41 +8,46 @@
 //! block's [`Labels`], the one place a key is hashed.
 
 use gola_bootstrap::BootstrapSpec;
-use gola_common::{row_u32, Bitmap, FxHashMap, Result, Row, Value};
-use gola_expr::eval::{eval, eval_predicate, ExactContext};
+use gola_common::{row_u32, Bitmap, Result};
+use gola_engine::HashIndex;
+use gola_expr::eval::{eval_predicate, NoResolver};
 use gola_expr::vector::predicate_mask;
 use gola_expr::Expr;
+use gola_plan::Block;
 use gola_storage::{Catalog, ColumnChunk, MiniBatch};
 
 use crate::classify::CHUNK;
-use crate::compiled::CompiledBlock;
 use crate::pool::WorkerPool;
-use crate::runtime::{BlockEnv, CtxMode, Labels, TupleCtx, TupleReader, UncertainSet};
+use crate::runtime::{BlockEnv, CtxMode, Labels, TupleReader, UncertainSet};
 
-/// Per dimension join of one block: join key → dimension rows.
-pub(crate) type DimMaps = Vec<FxHashMap<Vec<Value>, Vec<Row>>>;
+/// Index every dimension table of `block` on its join keys.
+pub(crate) fn index_dims(catalog: &Catalog, block: &Block) -> Result<Vec<HashIndex>> {
+    let build = |d: &gola_plan::DimJoin| {
+        HashIndex::build(&*catalog.get(&d.table)?, &d.dim_keys, &NoResolver)
+    };
+    block.dims.iter().map(build).collect()
+}
 
-/// Hash every dimension table of `cb` on its join key (NULL keys never
-/// match and are left out).
-pub(crate) fn hash_dims(catalog: &Catalog, cb: &CompiledBlock) -> Result<DimMaps> {
-    let specs = cb.block.dims.iter();
-    specs
-        .map(|d| {
-            let mut map: FxHashMap<Vec<Value>, Vec<Row>> = FxHashMap::default();
-            for row in catalog.get(&d.table)?.rows() {
-                let ctx = ExactContext::new(&row);
-                let key: Vec<Value> = d
-                    .dim_keys
-                    .iter()
-                    .map(|k| eval(k, &ctx))
-                    .collect::<Result<_>>()?;
-                if !key.iter().any(Value::is_null) {
-                    map.entry(key).or_default().push(row);
-                }
-            }
-            Ok(map)
-        })
-        .collect()
+/// Join `chunk` against `block`'s dimensions in turn, through their
+/// `indexes`: the chunk row of each joined row (`None` when the block has
+/// no dimension, so every row is its own), and the joined chunk (fact
+/// columns, then each dimension's). Join keys read no subquery.
+pub(crate) fn join_dims(
+    block: &Block,
+    indexes: &[HashIndex],
+    chunk: &ColumnChunk,
+) -> Result<(Option<Vec<usize>>, ColumnChunk)> {
+    let mut rows: Option<Vec<usize>> = None;
+    let mut joined = chunk.clone();
+    for (d, index) in block.dims.iter().zip(indexes) {
+        let (left, next) = index.probe(&joined, &d.fact_keys, &NoResolver)?;
+        rows = Some(match rows {
+            Some(r) => left.iter().map(|&i| r[i]).collect(),
+            None => left,
+        });
+        joined = next;
+    }
+    Ok((rows, joined))
 }
 
 /// The join stage's output: carried uncertain tuples followed by the
@@ -206,100 +211,45 @@ fn label(env: &BlockEnv<'_>, labels: &mut Labels, cand: &mut Candidates) -> Resu
 /// filters, and project to lineage columns; returns each surviving
 /// candidate's batch row beside the projection.
 ///
-/// Without dimension joins this is vectorized: certain filters the kernel
-/// supports become selection bitmaps, and the lineage projection of the
-/// survivors is an `Arc` bump (all rows pass) or a typed gather — no `Row`
-/// is ever materialized.
+/// Columnar throughout: the joins are [`HashIndex`] probes, certain
+/// filters the kernel supports become selection bitmaps (the rest run row
+/// by row over the survivors), and the lineage projection is an `Arc` bump
+/// (all rows pass) or a typed gather.
 fn new_candidates(env: &BlockEnv<'_>, batch: &MiniBatch) -> Result<(Vec<u32>, ColumnChunk)> {
     let cb = env.cb;
-    if cb.block.dims.is_empty() {
-        let chunk = batch.chunk();
-        let len = chunk.len();
-        let lineage = chunk.project(&cb.lineage_cols);
-        let mut mask: Option<Bitmap> = None;
-        let mut fallback: Vec<&Expr> = Vec::new();
-        for f in &cb.certain_filters {
-            match (predicate_mask(f, chunk.columns(), len), mask.as_mut()) {
-                (Some(m), Some(acc)) => acc.and_with(&m),
-                (Some(m), None) => mask = Some(m),
-                (None, _) => fallback.push(f),
-            }
-        }
-        let all_rows = || (0..row_u32(len)).collect();
-        if mask.is_none() && fallback.is_empty() {
-            return Ok((all_rows(), lineage));
-        }
-        let mut reader = TupleReader::new(chunk, env.pubs);
-        let mut sel: Vec<usize> = Vec::new();
-        'rows: for i in 0..len {
-            if mask.as_ref().is_some_and(|m| !m.get(i)) {
-                continue;
-            }
-            for &f in &fallback {
-                if !eval_predicate(f, &reader.ctx(i, CtxMode::Point))? {
-                    continue 'rows;
-                }
-            }
-            sel.push(i);
-        }
-        if sel.len() == len {
-            return Ok((all_rows(), lineage));
-        }
-        let rows = sel.iter().map(|&i| row_u32(i)).collect();
-        return Ok((rows, lineage.gather(&sel)));
-    }
-    // Dimension joins stay row-at-a-time (broadcast hash join), then the
-    // joined lineage rows transpose back into a columnar chunk.
-    let mut batch_rows: Vec<u32> = Vec::new();
-    let mut rows: Vec<Row> = Vec::new();
-    let mut joined_buf: Vec<Row> = Vec::new();
-    for (r, (_, fact_row)) in batch.iter().enumerate() {
-        joined_buf.clear();
-        join_one(&fact_row, env.dims, &cb.block.dims, &mut joined_buf)?;
-        'joined: for joined in &joined_buf {
-            let ctx = TupleCtx {
-                row: joined.values(),
-                pubs: env.pubs,
-                mode: CtxMode::Point,
-            };
-            for f in &cb.certain_filters {
-                if !eval_predicate(f, &ctx)? {
-                    continue 'joined;
-                }
-            }
-            batch_rows.push(row_u32(r));
-            rows.push(joined.project(&cb.lineage_cols));
+    let (joined_rows, chunk) = join_dims(&cb.block, env.dims, batch.chunk())?;
+    let batch_row = |i: usize| row_u32(joined_rows.as_ref().map_or(i, |r| r[i]));
+    let len = chunk.len();
+    let lineage = chunk.project(&cb.lineage_cols);
+    let mut mask: Option<Bitmap> = None;
+    let mut fallback: Vec<&Expr> = Vec::new();
+    for f in &cb.certain_filters {
+        match (predicate_mask(f, chunk.columns(), len), mask.as_mut()) {
+            (Some(m), Some(acc)) => acc.and_with(&m),
+            (Some(m), None) => mask = Some(m),
+            (None, _) => fallback.push(f),
         }
     }
-    let chunk = ColumnChunk::from_rows_untyped(cb.lineage_cols.len(), &rows);
-    Ok((batch_rows, chunk))
-}
-
-/// Join one fact row against the block's broadcast dimensions, appending
-/// every joined output row to `out`.
-pub(crate) fn join_one(
-    fact_row: &Row,
-    dim_maps: &[FxHashMap<Vec<Value>, Vec<Row>>],
-    dims: &[gola_plan::DimJoin],
-    out: &mut Vec<Row>,
-) -> Result<()> {
-    out.push(fact_row.clone());
-    for (d, map) in dims.iter().zip(dim_maps) {
-        let mut next = Vec::with_capacity(out.len());
-        for acc in out.iter() {
-            let ctx = ExactContext::new(acc);
-            let key: Result<Vec<Value>> = d.fact_keys.iter().map(|k| eval(k, &ctx)).collect();
-            let key = key?;
-            if key.iter().any(Value::is_null) {
-                continue;
-            }
-            if let Some(matches) = map.get(&key) {
-                for mrow in matches {
-                    next.push(acc.concat(mrow));
-                }
+    let all_rows = || (0..len).map(batch_row).collect();
+    if mask.is_none() && fallback.is_empty() {
+        return Ok((all_rows(), lineage));
+    }
+    let mut reader = TupleReader::new(&chunk, env.pubs);
+    let mut sel: Vec<usize> = Vec::new();
+    'rows: for i in 0..len {
+        if mask.as_ref().is_some_and(|m| !m.get(i)) {
+            continue;
+        }
+        for &f in &fallback {
+            if !eval_predicate(f, &reader.ctx(i, CtxMode::Point))? {
+                continue 'rows;
             }
         }
-        *out = next;
+        sel.push(i);
     }
-    Ok(())
+    if sel.len() == len {
+        return Ok((all_rows(), lineage));
+    }
+    let rows = sel.iter().map(|&i| batch_row(i)).collect();
+    Ok((rows, lineage.gather(&sel)))
 }

@@ -7,20 +7,19 @@
 use std::sync::atomic::{AtomicBool, AtomicU8};
 use std::sync::Arc;
 
-use gola_agg::ReplicatedStates;
 use gola_bootstrap::VariationRange;
-use gola_common::{FxHashMap, FxHashSet, Result, Row, Value};
-use gola_expr::eval::{eval, eval_predicate};
+use gola_common::{FxHashSet, Result, Value};
+use gola_expr::eval::eval;
 use gola_expr::vector::num_cmp_holds;
 use gola_expr::{BinOp, Expr, RangeVal, Tri};
 use gola_plan::BlockRole;
-use gola_storage::Catalog;
+use gola_storage::{Catalog, Table};
 
 use crate::groups::{effective_states, having_pass, EffGroup, GroupEval};
-use crate::join::join_one;
+use crate::join;
 use crate::runtime::{
-    sorted_into_entries, BlockEnv, BlockRuntime, CtxMode, Published, PublishedMember,
-    PublishedScalar, TupleCtx,
+    BlockEnv, BlockRuntime, CtxMode, GroupCtx, PointResolver, Published, PublishedMember,
+    PublishedScalar,
 };
 
 /// Group-entry chunk size for parallel publication.
@@ -294,61 +293,60 @@ fn member_entry(
     Ok((entry, violated))
 }
 
-/// Publish a static (non-streaming) block once, exactly: a full table has
-/// no sampling error, so every trial equals the point value and nothing
-/// can ever violate.
-pub(crate) fn publish_static(env: &BlockEnv<'_>, catalog: &Catalog) -> Result<Published> {
-    let cb = env.cb;
+/// Publish a static (non-streaming) block once, exactly, on the exact
+/// engine's operators: its source table joined to its dimensions, one
+/// filter per WHERE conjunct, then the aggregation into group rows. A full
+/// table has no sampling error, so every trial equals the point value and
+/// nothing can ever violate. Every group publishes; a membership group
+/// HAVING rejects publishes `false`.
+pub(crate) fn publish_exact(env: &BlockEnv<'_>, catalog: &Catalog) -> Result<Published> {
+    let block = &env.cb.block;
+    let resolver = PointResolver(env.pubs);
+    let indexes = join::index_dims(catalog, block)?;
+    let source = catalog.get(&block.source_table)?;
+    let mut joined = Vec::with_capacity(source.chunks().len());
+    for c in source.chunks() {
+        joined.push(join::join_dims(block, &indexes, c)?.1);
+    }
+    let mut t = Table::from_chunks(Arc::clone(&block.source_schema), joined)?;
+    for f in &block.filters {
+        t = gola_engine::filter(&t, f, &resolver)?;
+    }
+    let schema = Arc::clone(&block.agg_row_schema);
+    let groups = gola_engine::aggregate(schema, &t, &block.group_by, &block.aggs, &resolver)?;
     let trials = env.config.bootstrap.trials as usize;
-    let mut groups: FxHashMap<Vec<Value>, ReplicatedStates> = FxHashMap::default();
-    let mut joined_buf: Vec<Row> = Vec::new();
-    for row in catalog.get(&cb.block.source_table)?.rows() {
-        joined_buf.clear();
-        join_one(&row, env.dims, &cb.block.dims, &mut joined_buf)?;
-        'rows: for joined in &joined_buf {
-            let ctx = TupleCtx {
-                row: joined.values(),
+    let mut out = Published::default();
+    let mut row = Vec::new();
+    for c in groups.chunks() {
+        for i in 0..c.len() {
+            c.row_values_into(i, &mut row);
+            let (keys, aggs) = row.split_at(env.cb.num_keys());
+            let point = GroupCtx {
+                keys,
+                aggs,
+                agg_ranges: None,
                 pubs: env.pubs,
                 mode: CtxMode::Point,
             };
-            for f in &cb.block.filters {
-                if !eval_predicate(f, &ctx)? {
-                    continue 'rows;
-                }
+            if block.role == BlockRole::Scalar {
+                let value = eval(scalar_projection(env), &point)?;
+                let entry = PublishedScalar {
+                    trials: vec![value.clone(); trials],
+                    env: RangeVal::Exact(value.clone()),
+                    value,
+                    used: AtomicBool::new(false),
+                };
+                out.scalars.insert(keys.into(), entry);
+            } else {
+                let pass = having_pass(&block.having, &point)?;
+                let entry = PublishedMember {
+                    point: pass,
+                    trials: vec![pass; trials],
+                    tri: Tri::from(pass),
+                    relied: AtomicU8::new(0),
+                };
+                out.members.insert(keys.into(), entry);
             }
-            let key: Result<Vec<Value>> = cb.block.group_by.iter().map(|g| eval(g, &ctx)).collect();
-            let args: Result<Vec<Value>> =
-                cb.block.aggs.iter().map(|a| eval(&a.arg, &ctx)).collect();
-            groups
-                .entry(key?)
-                .or_insert_with(|| ReplicatedStates::new(&cb.agg_kinds, 0))
-                .update_main(&args?);
-        }
-    }
-    if groups.is_empty() && cb.num_keys() == 0 {
-        groups.insert(Vec::new(), ReplicatedStates::new(&cb.agg_kinds, 0));
-    }
-    let mut out = Published::default();
-    for (key, states) in sorted_into_entries(groups) {
-        let g = GroupEval::new(env, &key, &states, 1.0);
-        if cb.block.role == BlockRole::Scalar {
-            let value = eval(scalar_projection(env), &g.point_ctx())?;
-            let entry = PublishedScalar {
-                trials: vec![value.clone(); trials],
-                env: RangeVal::Exact(value.clone()),
-                value,
-                used: AtomicBool::new(false),
-            };
-            out.scalars.insert(key.into(), entry);
-        } else {
-            let point = having_pass(&cb.block.having, &g.point_ctx())?;
-            let entry = PublishedMember {
-                point,
-                trials: vec![point; trials],
-                tri: Tri::from(point),
-                relied: AtomicU8::new(0),
-            };
-            out.members.insert(key.into(), entry);
         }
     }
     Ok(out)

@@ -12,7 +12,9 @@ use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use gola_agg::ReplicatedStates;
-use gola_common::{cmp_values, row_u32, Error, FxHashMap, Result, Row, Value};
+use gola_common::{cmp_values, row_u32, Error, FxHashMap, Result, Value};
+use gola_engine::HashIndex;
+use gola_expr::eval::ExactResolver;
 use gola_expr::lanes::{LaneContext, ScalarLanes};
 use gola_expr::{EvalContext, Expr, RangeVal, SubqueryId, Tri};
 use gola_storage::ColumnChunk;
@@ -27,8 +29,10 @@ use crate::recover::SeenIndex;
 #[derive(Clone, Copy)]
 pub(crate) struct BlockEnv<'a> {
     pub cb: &'a CompiledBlock,
-    /// Per dimension join of the block: join key → dimension rows.
-    pub dims: &'a [FxHashMap<Vec<Value>, Vec<Row>>],
+    /// Per dimension join of a block that runs the join stage: the
+    /// dimension table indexed on its join keys (empty for a static
+    /// producer, which indexes its own).
+    pub dims: &'a [HashIndex],
     pub config: &'a OnlineConfig,
     pub pool: &'a WorkerPool,
     /// Published output of every block, indexed by block id.
@@ -450,6 +454,21 @@ fn member_tri_impl(
             }
         }
     })
+}
+
+/// Exact subquery resolution from published outputs at their point values,
+/// as [`CtxMode::Point`] reads them: what a static producer's expressions
+/// see, since its producers are static and so exact too.
+pub(crate) struct PointResolver<'a>(pub &'a [Published]);
+
+impl ExactResolver for PointResolver<'_> {
+    fn scalar(&self, id: SubqueryId, key: &[Value]) -> Result<Value> {
+        scalar_current_impl(self.0, id, key, CtxMode::Point)
+    }
+
+    fn member(&self, id: SubqueryId, key: &[Value]) -> Result<bool> {
+        member_current_impl(self.0, id, key, CtxMode::Point)
+    }
 }
 
 /// Context for evaluating block-source expressions over one tuple. The row

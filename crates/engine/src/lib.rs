@@ -13,13 +13,20 @@
 //! filters through `gola_expr::vector::predicate_mask`, aggregates through
 //! `ReplicatedStates::fold_run` at zero replicas and the same `AggState`
 //! finalize. So a fast baseline and the online answer share their
-//! arithmetic. What stays *independent* is the plan: it interprets the
-//! logical plan tree, not the meta-plan blocks the online executor uses, so
-//! agreement between the two is still meaningful evidence of correctness.
+//! arithmetic.
 //!
-//! The row-at-a-time interpreter it replaced is kept, unchanged, as the
-//! test-only `executor::row_oracle`; the in-crate tests hold the columnar
-//! engine to it bit for bit.
+//! Its operators — [`HashIndex`] (a join's build and probe), [`filter`]
+//! and [`aggregate`] — are also the online executor's for everything
+//! exact: a static producer (a subquery over a table that is not streamed)
+//! runs on them once, and every streaming block joins its batches against
+//! its dimensions through a `HashIndex`. What stays *independent* is the
+//! plan: the engine interprets the logical plan tree, not the meta-plan
+//! blocks the online executor uses, so agreement between the two is still
+//! meaningful evidence that the block decomposition is right.
+//!
+//! The row-at-a-time interpreter the operators replaced is kept, unchanged,
+//! as the test-only `executor::row_oracle`; the in-crate tests hold the
+//! columnar engine to it bit for bit.
 
 // The determinism contract, checked by clippy (DESIGN.md §3.6).
 #![deny(
@@ -37,4 +44,4 @@
 
 pub mod executor;
 
-pub use executor::BatchEngine;
+pub use executor::{aggregate, filter, BatchEngine, HashIndex};

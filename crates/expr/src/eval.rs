@@ -51,7 +51,7 @@ pub trait EvalContext {
 /// points, membership is certain.
 pub struct ExactContext<'a> {
     row: &'a [Value],
-    resolver: Option<&'a dyn ExactResolver>,
+    resolver: &'a dyn ExactResolver,
 }
 
 /// Exact subquery resolution used by the batch engine.
@@ -60,13 +60,24 @@ pub trait ExactResolver {
     fn member(&self, id: SubqueryId, key: &[Value]) -> Result<bool>;
 }
 
+/// Resolves nothing: any subquery reference is an error. For expressions
+/// that must not read a subquery, such as join keys.
+pub struct NoResolver;
+
+impl ExactResolver for NoResolver {
+    fn scalar(&self, id: SubqueryId, _key: &[Value]) -> Result<Value> {
+        Err(Error::exec(format!("no resolver for subquery {id}")))
+    }
+
+    fn member(&self, id: SubqueryId, _key: &[Value]) -> Result<bool> {
+        Err(Error::exec(format!("no resolver for subquery {id}")))
+    }
+}
+
 impl<'a> ExactContext<'a> {
     /// Context over a bare row; any subquery reference is an error.
     pub fn new(row: &'a Row) -> Self {
-        ExactContext {
-            row: row.values(),
-            resolver: None,
-        }
+        Self::over_values(row.values(), &NoResolver)
     }
 
     /// Context with exact subquery resolution.
@@ -79,7 +90,7 @@ impl<'a> ExactContext<'a> {
     pub fn over_values(values: &'a [Value], resolver: &'a dyn ExactResolver) -> Self {
         ExactContext {
             row: values,
-            resolver: Some(resolver),
+            resolver,
         }
     }
 }
@@ -90,10 +101,7 @@ impl EvalContext for ExactContext<'_> {
     }
 
     fn scalar_current(&self, id: SubqueryId, key: &[Value]) -> Result<Value> {
-        match self.resolver {
-            Some(r) => r.scalar(id, key),
-            None => Err(Error::exec(format!("no resolver for subquery {id}"))),
-        }
+        self.resolver.scalar(id, key)
     }
 
     fn scalar_range(&self, id: SubqueryId, key: &[Value]) -> Result<RangeVal> {
@@ -101,10 +109,7 @@ impl EvalContext for ExactContext<'_> {
     }
 
     fn member_current(&self, id: SubqueryId, key: &[Value]) -> Result<bool> {
-        match self.resolver {
-            Some(r) => r.member(id, key),
-            None => Err(Error::exec(format!("no resolver for subquery {id}"))),
-        }
+        self.resolver.member(id, key)
     }
 
     fn member_tri(&self, id: SubqueryId, key: &[Value]) -> Result<Tri> {

@@ -5,8 +5,8 @@
 //! [`Column`] per attribute, all the same length, shared via `Arc` so
 //! projections (lineage columns) and carried uncertain sets are reference
 //! bumps instead of row copies. Row-at-a-time views are reconstructed on
-//! demand (`row`, `to_rows`) for tests, display and the dimension maps;
-//! the online and the exact executor read the typed vectors.
+//! demand (`row`, `to_rows`) for tests and display; the online and the
+//! exact executor read the typed vectors.
 
 use std::sync::Arc;
 
@@ -55,26 +55,6 @@ impl ColumnChunk {
             .map(|f| ColumnBuilder::new(f.data_type, rows.len()))
             .collect();
         for row in rows {
-            for (b, v) in builders.iter_mut().zip(row.iter()) {
-                b.push(v);
-            }
-        }
-        ColumnChunk {
-            columns: builders.into_iter().map(|b| Arc::new(b.finish())).collect(),
-            len: rows.len(),
-        }
-    }
-
-    /// Transpose rows into columns without a declared schema: each column
-    /// adopts the type of its first non-null value (and degrades to a mixed
-    /// column on mismatch). Used where no source schema is available, e.g.
-    /// lineage projections of dimension-joined rows.
-    pub fn from_rows_untyped(width: usize, rows: &[Row]) -> ColumnChunk {
-        let mut builders: Vec<ColumnBuilder> = (0..width)
-            .map(|_| ColumnBuilder::new(gola_common::DataType::Null, rows.len()))
-            .collect();
-        for row in rows {
-            debug_assert_eq!(row.len(), width);
             for (b, v) in builders.iter_mut().zip(row.iter()) {
                 b.push(v);
             }

@@ -4,9 +4,9 @@
 //! [`TABLE_CHUNK_ROWS`] rows each: one typed column vector per attribute
 //! (i64 / f64 / bool / dictionary-encoded strings) with a validity bitmap
 //! where NULLs occur. The online and the exact executor read the chunks
-//! directly; the row-oriented API (`rows`, `row`) is a materializing view
-//! for tests, display and the remaining row-based callers (CSV export, the
-//! online path's dimension maps and static blocks).
+//! directly — the online executor's dimension joins and static producers
+//! run on the exact engine's operators — and the row-oriented API (`rows`,
+//! `row`) is a materializing view for tests, display and CSV export.
 
 use std::fmt;
 use std::sync::Arc;
