@@ -114,7 +114,16 @@ impl MetaPlan {
                 SubqueryKind::Scalar => BlockRole::Scalar,
                 SubqueryKind::Membership => BlockRole::Membership,
             };
-            blocks.push(blockify(&sq.plan, i, role, stream_table)?);
+            let block = blockify(&sq.plan, i, role, stream_table)?;
+            // Scalar publication has no HAVING step: a group HAVING rejects
+            // would be read as its value instead of NULL.
+            if role == BlockRole::Scalar && !block.having.is_empty() {
+                return Err(Error::plan(format!(
+                    "scalar subquery {i} has a HAVING clause, which online execution \
+                     does not support; run the query exactly"
+                )));
+            }
+            blocks.push(block);
         }
         let root_id = blocks.len();
         blocks.push(blockify(
