@@ -11,7 +11,7 @@ use std::time::Duration;
 use gola_common::timing::Stopwatch;
 use gola_core::sched::ServiceConfig;
 use gola_core::{OnlineConfig, OnlineSession};
-use gola_server::{json, raw_request, Server, ServerConfig};
+use gola_server::{json, raw_request, Server, ServerConfig, FINISHED_JOBS_KEPT};
 use gola_storage::{Catalog, StreamTable};
 use gola_workloads::{conviva, ConvivaGenerator};
 
@@ -290,6 +290,54 @@ fn job_submit_poll_cancel_lifecycle() {
     // Unknown job id.
     let (status, _, _) = call(server, get("/jobs/999"));
     assert_eq!(status, 404);
+}
+
+/// Poll job `id` until it is done; returns the final poll body.
+fn poll_until_done(server: &Server, id: usize) -> String {
+    let (started, limit) = (Stopwatch::start(), Duration::from_secs(30));
+    loop {
+        let (status, _, body) = call(server, get(&format!("/jobs/{id}")));
+        assert_eq!(status, 200);
+        let body = String::from_utf8(body).expect("UTF-8");
+        if body.contains("\"status\":\"done\"") {
+            return body;
+        }
+        assert!(started.elapsed() < limit, "job {id} did not finish: {body}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// The job table keeps [`FINISHED_JOBS_KEPT`] finished jobs. With one
+/// active slot the jobs run in submission order, so once the last of
+/// `FINISHED_JOBS_KEPT + 1` jobs is done all are, though only the last was
+/// polled. The next admission evicts the oldest alone: it answers 404,
+/// and the next-oldest, never polled, still returns every frame.
+#[test]
+fn job_table_evicts_the_oldest_finished_job_past_its_cap() {
+    let server = start_server(1, FINISHED_JOBS_KEPT + 2, 1);
+    let want = solo_frames(conviva::SBI);
+    let done = |id: usize| {
+        let mut body = format!("{{\"job\":{id},\"status\":\"done\",\"reports\":[");
+        body.push_str(&want.join(","));
+        body + "]}"
+    };
+    for id in 0..=FINISHED_JOBS_KEPT + 1 {
+        let (status, _, body) = call(&server, post("/jobs", conviva::SBI, None));
+        assert_eq!(status, 202);
+        assert_eq!(
+            String::from_utf8(body).expect("UTF-8"),
+            format!("{{\"job\":{id}}}")
+        );
+        if id == FINISHED_JOBS_KEPT {
+            poll_until_done(&server, id);
+        }
+    }
+    let newest = FINISHED_JOBS_KEPT + 1;
+    assert_eq!(poll_until_done(&server, newest), done(newest));
+    assert_eq!(call(&server, get("/jobs/0")).0, 404, "oldest kept");
+    let (status, _, body) = call(&server, get("/jobs/1"));
+    assert_eq!(status, 200);
+    assert_eq!(String::from_utf8(body).expect("UTF-8"), done(1));
 }
 
 #[test]
