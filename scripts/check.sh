@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full pre-merge gate: release build, workspace tests (the conformance
 # oracles, the contract checks and the scheduler simulator included),
-# formatting, lints, and a CLI ingest/replay smoke. `cargo fmt` is skipped
+# formatting, lints, a run of every example program, and a CLI
+# ingest/replay smoke. `cargo fmt` is skipped
 # with a warning where it is not installed; `cargo clippy` is required,
 # because it enforces the determinism contract (DESIGN.md §3.6).
 #
@@ -58,6 +59,18 @@ ingest_cli_smoke() {
     return "$ok"
 }
 
+# Every example program in examples/ runs in release and exits 0: `cargo
+# test` only compiles them. `ad_optimization` is the one end-to-end
+# dimension-join program, and `udaf_and_udf` builds an executor by hand.
+examples_smoke() {
+    local ex
+    for ex in examples/*.rs; do
+        ex="$(basename "$ex" .rs)"
+        cargo run --release -q -p g-ola --example "$ex" >/dev/null \
+            || { echo "    example $ex failed" >&2; return 1; }
+    done
+}
+
 # One online query through the console with the registry enabled
 # (--threads 2 so the worker pool registers its metrics). The nested query
 # keeps an uncertain candidate set alive, which drives the chunked classify
@@ -87,6 +100,7 @@ else
     echo "==> cargo fmt not installed — skipping"
 fi
 step cargo clippy --workspace --all-targets -- -D warnings
+step examples_smoke
 step ingest_cli_smoke
 [ "$metrics" -eq 1 ] && step metrics_smoke
 [ "$bench_smoke" -eq 1 ] && step benchmarks/run.sh --quick
