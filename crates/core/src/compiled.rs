@@ -223,11 +223,10 @@ impl CompiledBlock {
 fn compile_fast_having(
     having: &[Expr],
 ) -> Option<Vec<(usize, gola_expr::BinOp, gola_common::Value)>> {
-    use gola_expr::eval::{eval, ExactContext};
+    use gola_expr::eval::{eval, ExactContext, NoResolver};
     if having.is_empty() {
         return None;
     }
-    let empty_row = gola_common::Row::new(vec![]);
     let mut out = Vec::with_capacity(having.len());
     for h in having {
         let Expr::Binary { op, left, right } = h else {
@@ -242,7 +241,7 @@ fn compile_fast_having(
             if !cols.is_empty() || e.has_subquery_ref() {
                 return None;
             }
-            eval(e, &ExactContext::new(&empty_row)).ok()
+            eval(e, &ExactContext::over_values(&[], &NoResolver)).ok()
         };
         match (left.as_ref(), right.as_ref()) {
             (Expr::Column(c), rhs) => {

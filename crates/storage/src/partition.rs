@@ -102,14 +102,6 @@ impl MiniBatch {
     pub fn rows(&self) -> Vec<Row> {
         self.chunk.to_rows()
     }
-
-    /// Iterate `(tuple_id, row)` pairs, materializing each row.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, Row)> + '_ {
-        self.tuple_ids
-            .iter()
-            .copied()
-            .zip((0..self.chunk.len()).map(|i| self.chunk.row(i)))
-    }
 }
 
 /// A random schedule of mini-batches over one table, with optional strata
@@ -566,7 +558,7 @@ pub(crate) mod tests {
     fn rows_match_tuple_ids() {
         let p = Partitioner::new(table(30), 3, 2).unwrap();
         for b in batches(&p) {
-            for (id, row) in b.iter() {
+            for (&id, row) in b.tuple_ids.iter().zip(b.rows()) {
                 assert_eq!(row.get(0).as_i64().unwrap(), id as i64);
             }
         }
@@ -596,9 +588,9 @@ pub(crate) mod tests {
         let b = p.batch(1);
         assert_eq!(b.chunk().len(), b.len());
         let rows = b.rows();
-        for (i, (id, row)) in b.iter().enumerate() {
-            assert_eq!(row, rows[i]);
-            assert_eq!(id, b.tuple_ids[i]);
+        assert_eq!(rows.len(), b.tuple_ids.len());
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(row, &b.chunk().row(i));
         }
     }
 }
