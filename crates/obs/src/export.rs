@@ -140,56 +140,47 @@ pub fn prometheus(timings: bool) -> String {
     let mut last_family = String::new();
     for (key, metric) in map.iter() {
         let (name, labels) = crate::registry::split_labels(key);
+        // A histogram bucket's `le` joins the series' own labels.
+        let le = labels.map(|l| format!("{l},")).unwrap_or_default();
         let labels = labels.map(|l| format!("{{{l}}}")).unwrap_or_default();
+        let n = prom_name(name);
+        let first = last_family != n;
+        last_family.clone_from(&n);
+        let mut typed = |series: &str, kind: &str| {
+            if first {
+                let _ = writeln!(out, "# TYPE {series} {kind}");
+            }
+        };
         match metric {
             Metric::Counter(c) => {
-                let n = prom_name(name);
-                if last_family != n {
-                    let _ = writeln!(out, "# TYPE {n}_total counter");
-                    last_family = n.clone();
-                }
+                typed(&format!("{n}_total"), "counter");
                 let _ = writeln!(out, "{n}_total{labels} {}", c.load(Ordering::Relaxed));
             }
             Metric::Gauge(g) => {
-                let n = prom_name(name);
-                if last_family != n {
-                    let _ = writeln!(out, "# TYPE {n} gauge");
-                    last_family = n.clone();
-                }
-                let _ = writeln!(
-                    out,
-                    "{n}{labels} {}",
-                    prom_f64(f64::from_bits(g.load(Ordering::Relaxed)))
-                );
+                typed(&n, "gauge");
+                let value = prom_f64(f64::from_bits(g.load(Ordering::Relaxed)));
+                let _ = writeln!(out, "{n}{labels} {value}");
             }
             Metric::Histogram(h) => {
-                let n = prom_name(name);
                 let count = h.count.load(Ordering::Relaxed);
                 if h.timing && !timings {
                     // Deterministic face of a wall-clock histogram: only
                     // the event count.
-                    let _ = writeln!(out, "# TYPE {n}_count counter");
-                    let _ = writeln!(out, "{n}_count {count}");
+                    typed(&format!("{n}_count"), "counter");
+                    let _ = writeln!(out, "{n}_count{labels} {count}");
                     continue;
                 }
-                let _ = writeln!(out, "# TYPE {n} histogram");
+                typed(&n, "histogram");
                 let mut cumulative = 0u64;
-                for (i, bound) in h.bounds.iter().enumerate() {
-                    cumulative += h.buckets[i].load(Ordering::Relaxed);
-                    let _ = writeln!(
-                        out,
-                        "{n}_bucket{{le=\"{}\"}} {cumulative}",
-                        prom_f64(*bound)
-                    );
+                let bounds = h.bounds.iter().copied().chain([f64::INFINITY]);
+                for (bound, bucket) in bounds.zip(&h.buckets) {
+                    cumulative += bucket.load(Ordering::Relaxed);
+                    let bound = prom_f64(bound);
+                    let _ = writeln!(out, "{n}_bucket{{{le}le=\"{bound}\"}} {cumulative}");
                 }
-                cumulative += h.buckets[h.bounds.len()].load(Ordering::Relaxed);
-                let _ = writeln!(out, "{n}_bucket{{le=\"+Inf\"}} {cumulative}");
-                let _ = writeln!(
-                    out,
-                    "{n}_sum {}",
-                    prom_f64(f64::from_bits(h.sum_bits.load(Ordering::Relaxed)))
-                );
-                let _ = writeln!(out, "{n}_count {count}");
+                let sum = prom_f64(f64::from_bits(h.sum_bits.load(Ordering::Relaxed)));
+                let _ = writeln!(out, "{n}_sum{labels} {sum}");
+                let _ = writeln!(out, "{n}_count{labels} {count}");
             }
             Metric::Span(s) => {
                 let n = prom_name(&format!("span_{name}"));
@@ -300,6 +291,27 @@ mod tests {
         assert!(text.contains("gola_test_prom_labeled_total{session=\"a\"} 2"));
         assert!(text.contains("gola_test_prom_labeled_total{session=\"b\"} 4"));
         assert!(text.contains("gola_test_prom_lgauge{session=\"a\"} 0.5"));
+
+        // Histogram series keep their labels, `le` included in the block.
+        for route in ["a", "b"] {
+            let key = registry::labeled("test.prom.lhist", &[("route", route)]);
+            registry::histogram(&key, &[1.0]).observe(0.5);
+            let key = registry::labeled("test.prom.ltiming", &[("route", route)]);
+            registry::duration_histogram(&key).observe(0.5);
+        }
+        let text = prometheus(false);
+        assert_eq!(
+            text.matches("# TYPE gola_test_prom_lhist histogram")
+                .count(),
+            1
+        );
+        assert!(text.contains("gola_test_prom_lhist_bucket{route=\"b\",le=\"1\"} 1"));
+        assert!(text.contains("gola_test_prom_lhist_bucket{route=\"a\",le=\"+Inf\"} 1"));
+        assert!(text.contains("gola_test_prom_lhist_sum{route=\"a\"} 0.5"));
+        assert!(text.contains("gola_test_prom_lhist_count{route=\"b\"} 1"));
+        let timing = "# TYPE gola_test_prom_ltiming_count counter";
+        assert_eq!(text.matches(timing).count(), 1, "{text}");
+        assert!(text.contains("gola_test_prom_ltiming_count{route=\"a\"} 1"));
     }
 
     #[test]

@@ -17,22 +17,34 @@
 //! |---|---|
 //! | `POST /query` | body = SQL; streams one JSON report per line (NDJSON), or SSE frames with `Accept: text/event-stream` |
 //! | `POST /jobs` | body = SQL; `202 {"job":n}`, runs detached |
-//! | `GET /jobs/<n>` | poll: status + reports so far; `404` once evicted (the last [`FINISHED_JOBS_KEPT`] finished jobs are kept) |
-//! | `DELETE /jobs/<n>` | cancel |
-//! | `GET /healthz` | liveness + pool/queue shape |
+//! | `GET /jobs/<n>` | poll: status + reports so far; `404` once evicted (the last [`FINISHED_JOBS_KEPT`] finished jobs are kept), `400` for an `<n>` that is not a number |
+//! | `DELETE /jobs/<n>` | cancel; `404`/`400` as for a poll |
+//! | `POST /append/<table>` | body = CSV with a header row; appends and seals a segment of a stream-backed table |
+//! | `GET /healthz` | liveness + pool size |
 //! | `GET /metrics` | Prometheus export of the obs registry |
+//! | anything else | `404`, or `405` for a wrong method on a fixed route |
 //!
-//! Malformed SQL returns `400` with the engine diagnostic; a saturated
-//! scheduler returns `429` with the exact admission numbers; a client that
-//! has not sent its whole request 5 s after connecting gets `408` and is
-//! closed, and a response write that blocks for 10 s fails. Report
-//! frames carry no wall-clock fields, so streams are byte-deterministic
-//! (`tests/http_surface.rs` pins SSE byte for byte).
+//! Every failure takes one path: a handler returns it, and one responder
+//! writes the status with a `{"error": …}` JSON body (plus numeric detail
+//! fields where there are any). `/query` and `/jobs` submit through one
+//! function, so both name the same diagnostic: malformed SQL returns `400`
+//! with the engine diagnostic, a body that is not UTF-8 or is empty `400`,
+//! and a saturated scheduler `429` with the exact admission numbers. A
+//! client that has not sent its whole request 5 s after connecting gets
+//! `408` and is closed, and a response write that blocks for 10 s fails.
+//! Report frames carry no wall-clock fields, so streams are
+//! byte-deterministic (`tests/http_surface.rs` pins SSE byte for byte).
 //!
 //! While the `gola_obs` registry is on, the server counts connections it
 //! accepted (`server.connections.accepted`) and refused with `503` at the
-//! cap (`server.connections.refused`), and requests answered `408`
-//! (`server.requests.timed_out`).
+//! cap (`server.connections.refused`), requests answered `408`
+//! (`server.requests.timed_out`), and every request it answers by route
+//! and status (`server.requests{route,status}`), with its duration from
+//! the first read to the last byte of the answer
+//! (`server.request_seconds{route}`). `route` is one of
+//! `query`, `jobs`, `job`, `append`, `healthz`, `metrics`, `other`, or
+//! `unread` for a request that could not be read, so the label sets stay
+//! bounded.
 
 // The determinism contract, checked by clippy (DESIGN.md §3.6).
 #![deny(
@@ -53,7 +65,7 @@ use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -108,11 +120,12 @@ impl Default for ServerConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A job's lifecycle. Only a running job holds its handle; dropping the
+/// handle cancels the session.
 enum JobStatus {
-    Running,
+    Running(QueryHandle),
     Done,
-    Failed,
+    Failed(String),
     Canceled,
 }
 
@@ -120,8 +133,6 @@ struct JobState {
     status: JobStatus,
     /// Rendered report frames, in order.
     frames: Vec<String>,
-    error: Option<String>,
-    handle: Option<QueryHandle>,
 }
 
 /// Finished jobs (done, failed or canceled) the job table keeps, with
@@ -147,7 +158,6 @@ pub struct Server {
 struct Shared {
     service: QueryService,
     jobs: Jobs,
-    threads: usize,
     /// The served catalog (shares `Arc`s — including live streams — with
     /// the scheduler's copy), so `POST /append/<table>` feeds running
     /// growing queries.
@@ -164,7 +174,6 @@ impl Server {
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let shared = Arc::new(Shared {
-            threads: config.service.threads,
             service: QueryService::new(catalog.clone(), config.service),
             jobs: Jobs::default(),
             catalog,
@@ -241,17 +250,22 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, stop: Arc<AtomicBool>
         let _ = std::thread::Builder::new()
             .name("gola-conn".into())
             .spawn(move || {
-                let _guard = guard;
-                handle_connection(stream, &shared);
+                let mut stream = stream;
+                handle_connection(&mut stream, &shared);
+                // Free the slot before the close reaches the client: one
+                // that has read its whole answer finds the slot free.
+                drop(guard);
             });
     }
 }
 
-fn handle_connection(mut stream: TcpStream, shared: &Shared) {
-    let request = match read_request(&mut Deadline::new(&stream, REQUEST_DEADLINE)) {
-        Ok(r) => r,
+fn handle_connection(stream: &mut TcpStream, shared: &Shared) {
+    let started = Stopwatch::start();
+    let request = read_request(&mut Deadline::new(stream, REQUEST_DEADLINE));
+    let (name, status) = match &request {
+        Ok(request) => route(request, stream, shared),
         Err(e) => {
-            let status = match &e {
+            let status = match e {
                 HttpError::TooLarge(_) => 413,
                 HttpError::Io(io) if Deadline::passed(io) => 408,
                 _ => 400,
@@ -259,16 +273,18 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
             if status == 408 {
                 count(timed_out);
             }
-            let body = json::error_json(&e.to_string(), &[]);
-            let _ = Response::new(&mut stream).send(status, "application/json", body.as_bytes());
-            drain_then_close(&stream);
-            return;
+            let status = respond(stream, Fail::new(status, e.to_string()));
+            ("unread", status)
         }
     };
-    if let Err(e) = route(&request, &mut stream, shared) {
-        // Best effort: the head may already be on the wire.
-        let body = json::error_json(&format!("internal error: {e}"), &[]);
-        let _ = Response::new(&mut stream).send(500, "application/json", body.as_bytes());
+    if gola_obs::enabled() {
+        let status = status.to_string();
+        gola_obs::counter_with("server.requests", &[("route", name), ("status", &status)]).inc();
+        let seconds = gola_obs::labeled("server.request_seconds", &[("route", name)]);
+        gola_obs::duration_histogram(&seconds).observe_duration(started.elapsed());
+    }
+    if request.is_err() {
+        drain_then_close(stream);
     }
 }
 
@@ -325,35 +341,83 @@ fn drain_then_close(stream: &TcpStream) {
     }
 }
 
-fn route(req: &Request, stream: &mut TcpStream, shared: &Shared) -> std::io::Result<()> {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("POST", "/query") => query(req, stream, shared),
-        ("POST", "/jobs") => submit_job(req, stream, shared),
-        ("GET", "/healthz") => healthz(stream, shared),
-        ("GET", "/metrics") => metrics(stream),
-        ("GET", path) if path.starts_with("/jobs/") => poll_job(path, stream, shared),
-        ("DELETE", path) if path.starts_with("/jobs/") => cancel_job(path, stream, shared),
-        ("POST", path) if path.starts_with("/append/") => append_rows(req, path, stream, shared),
-        (_, "/query" | "/jobs" | "/healthz" | "/metrics") => {
-            let body = json::error_json("method not allowed", &[]);
-            Response::new(stream).send(405, "application/json", body.as_bytes())
-        }
-        _ => {
-            let body = json::error_json("no such route", &[]);
-            Response::new(stream).send(404, "application/json", body.as_bytes())
-        }
+/// Why a handler did not answer: an HTTP failure, rendered as
+/// `{"error": message, ...detail}`, or a socket error.
+enum Fail {
+    Status(u16, String, Vec<(&'static str, u64)>),
+    Io(std::io::Error),
+}
+
+impl Fail {
+    fn new(status: u16, message: impl Into<String>) -> Fail {
+        Fail::Status(status, message.into(), Vec::new())
     }
 }
 
-/// Map a submit failure to its HTTP response.
-fn submit_failure(e: SubmitError, stream: &mut TcpStream) -> std::io::Result<()> {
-    match e {
-        SubmitError::Compile(diag) => {
-            let body = json::error_json(&diag.to_string(), &[]);
-            Response::new(stream).send(400, "application/json", body.as_bytes())
-        }
+impl From<std::io::Error> for Fail {
+    fn from(e: std::io::Error) -> Fail {
+        Fail::Io(e)
+    }
+}
+
+/// A handler's outcome: the status it sent, or the failure to send.
+type Answer = Result<u16, Fail>;
+
+/// Send `body` as a JSON response with `status`.
+fn send_json(stream: &mut TcpStream, status: u16, body: &str) -> Answer {
+    Response::new(stream).send(status, "application/json", body.as_bytes())?;
+    Ok(status)
+}
+
+/// The one failure responder; returns the status it sent.
+fn respond(stream: &mut TcpStream, fail: Fail) -> u16 {
+    let (status, message, detail) = match fail {
+        Fail::Status(status, message, detail) => (status, message, detail),
+        // Best effort: the head may already be on the wire.
+        Fail::Io(e) => (500, format!("internal error: {e}"), Vec::new()),
+    };
+    let body = json::error_json(&message, &detail);
+    let _ = Response::new(stream).send(status, "application/json", body.as_bytes());
+    status
+}
+
+/// Answer one request; returns its route label (a fixed list, so metric
+/// labels stay bounded) and the status sent.
+fn route(req: &Request, stream: &mut TcpStream, shared: &Shared) -> (&'static str, u16) {
+    let name = match req.path.as_str() {
+        "/query" => "query",
+        "/jobs" => "jobs",
+        "/healthz" => "healthz",
+        "/metrics" => "metrics",
+        path if path.starts_with("/jobs/") => "job",
+        path if path.starts_with("/append/") => "append",
+        _ => "other",
+    };
+    let answer = match (name, req.method.as_str()) {
+        ("query", "POST") => query(req, stream, shared),
+        ("jobs", "POST") => submit_job(req, stream, shared),
+        ("healthz", "GET") => healthz(stream, shared),
+        ("metrics", "GET") => metrics(stream),
+        ("job", "GET") => poll_job(req, stream, shared),
+        ("job", "DELETE") => cancel_job(req, stream, shared),
+        ("append", "POST") => append_rows(req, stream, shared),
+        ("job" | "append" | "other", _) => Err(Fail::new(404, "no such route")),
+        _ => Err(Fail::new(405, "method not allowed")),
+    };
+    (name, answer.unwrap_or_else(|fail| respond(stream, fail)))
+}
+
+/// Submit the request body's SQL: the one entry of `/query` and `/jobs`.
+fn submit(req: &Request, shared: &Shared) -> Result<QueryHandle, Fail> {
+    let sql = req.body_utf8().map_err(|e| Fail::new(400, e.to_string()))?;
+    let sql = sql.trim();
+    if sql.is_empty() {
+        return Err(Fail::new(400, "empty query body"));
+    }
+    shared.service.submit(sql).map_err(|e| match e {
+        SubmitError::Compile(diag) => Fail::new(400, diag.to_string()),
         SubmitError::Admission(a) => {
-            let extra: Vec<(&str, u64)> = match &a {
+            let detail = match &a {
                 AdmissionError::Saturated {
                     active,
                     queued,
@@ -367,38 +431,25 @@ fn submit_failure(e: SubmitError, stream: &mut TcpStream) -> std::io::Result<()>
                 ],
                 AdmissionError::DuplicateSession { id } => vec![("session", *id)],
             };
-            let body = json::error_json(&a.to_string(), &extra);
-            Response::new(stream).send(429, "application/json", body.as_bytes())
+            Fail::Status(429, a.to_string(), detail)
         }
-        SubmitError::Shutdown => {
-            let body = json::error_json("service is shutting down", &[]);
-            Response::new(stream).send(500, "application/json", body.as_bytes())
-        }
-    }
+        SubmitError::Shutdown => Fail::new(500, "service is shutting down"),
+    })
 }
 
 /// `POST /query` — submit and stream every report progressively.
-fn query(req: &Request, stream: &mut TcpStream, shared: &Shared) -> std::io::Result<()> {
-    let sql = match req.body_utf8() {
-        Ok(s) if !s.trim().is_empty() => s.trim().to_string(),
-        Ok(_) => {
-            let body = json::error_json("empty query body", &[]);
-            return Response::new(stream).send(400, "application/json", body.as_bytes());
-        }
-        Err(e) => {
-            let body = json::error_json(&e.to_string(), &[]);
-            return Response::new(stream).send(400, "application/json", body.as_bytes());
-        }
-    };
-    let handle = match shared.service.submit(&sql) {
-        Ok(h) => h,
-        Err(e) => return submit_failure(e, stream),
-    };
+fn query(req: &Request, stream: &mut TcpStream, shared: &Shared) -> Answer {
+    let handle = submit(req, shared)?;
     let sse = req.wants_sse();
     let content_type = if sse {
         "text/event-stream"
     } else {
         "application/x-ndjson"
+    };
+    // One report, error or end frame: an SSE event, or an NDJSON line.
+    let frame = |event: &str, line: &str| match sse {
+        true => format!("event: {event}\ndata: {line}\n\n"),
+        false => format!("{line}\n"),
     };
     let mut body = Response::new(stream).stream(200, content_type)?;
     let mut batches = 0usize;
@@ -406,82 +457,47 @@ fn query(req: &Request, stream: &mut TcpStream, shared: &Shared) -> std::io::Res
         let frame = match report {
             Ok(report) => {
                 batches += 1;
-                let line = json::report_json(&report);
-                if sse {
-                    format!("event: report\ndata: {line}\n\n")
-                } else {
-                    format!("{line}\n")
-                }
+                frame("report", &json::report_json(&report))
             }
-            Err(e) => {
-                let line = json::error_json(&e.to_string(), &[]);
-                if sse {
-                    format!("event: error\ndata: {line}\n\n")
-                } else {
-                    format!("{line}\n")
-                }
-            }
+            Err(e) => frame("error", &json::error_json(&e.to_string(), &[])),
         };
         if body.chunk(frame.as_bytes()).is_err() {
             // Client hung up; the dropped handle cancels the session.
-            return Ok(());
+            return Ok(200);
         }
     }
     if sse {
-        body.chunk(format!("event: done\ndata: {{\"batches\":{batches}}}\n\n").as_bytes())?;
+        body.chunk(frame("done", &format!("{{\"batches\":{batches}}}")).as_bytes())?;
     }
-    body.finish()
+    body.finish()?;
+    Ok(200)
 }
 
 /// `POST /jobs` — submit detached; polls drain its frames. Admission evicts
 /// finished jobs past [`FINISHED_JOBS_KEPT`].
-fn submit_job(req: &Request, stream: &mut TcpStream, shared: &Shared) -> std::io::Result<()> {
-    let sql = match req.body_utf8() {
-        Ok(s) if !s.trim().is_empty() => s.trim().to_string(),
-        _ => {
-            let body = json::error_json("empty query body", &[]);
-            return Response::new(stream).send(400, "application/json", body.as_bytes());
-        }
-    };
-    let handle = match shared.service.submit(&sql) {
-        Ok(h) => h,
-        Err(e) => return submit_failure(e, stream),
-    };
+fn submit_job(req: &Request, stream: &mut TcpStream, shared: &Shared) -> Answer {
+    let handle = submit(req, shared)?;
     let id = shared.jobs.next.fetch_add(1, Ordering::Relaxed);
-    if let Ok(mut table) = shared.jobs.table.lock() {
-        evict_finished(&mut table);
-        table.insert(
-            id,
-            JobState {
-                status: JobStatus::Running,
-                frames: Vec::new(),
-                error: None,
-                handle: Some(handle),
-            },
-        );
-    }
+    let mut table = lock_jobs(shared)?;
+    evict_finished(&mut table);
+    let (status, frames) = (JobStatus::Running(handle), Vec::new());
+    table.insert(id, JobState { status, frames });
+    drop(table);
     // No drainer thread: the scheduler pushes reports into the handle's
     // channel on its own; polls pull whatever is ready (`drain_ready`).
-    let body = format!("{{\"job\":{id}}}");
-    Response::new(stream).send(202, "application/json", body.as_bytes())
+    send_json(stream, 202, &format!("{{\"job\":{id}}}"))
 }
 
 /// `POST /append/<table>` — append CSV rows (with header) to a
 /// stream-backed table and seal them into a segment, so running growing
 /// queries pick the new data up as extra mini-batches. Returns the
 /// stream's new watermark.
-fn append_rows(
-    req: &Request,
-    path: &str,
-    stream: &mut TcpStream,
-    shared: &Shared,
-) -> std::io::Result<()> {
-    let name = path.trim_start_matches("/append/").to_ascii_lowercase();
+fn append_rows(req: &Request, stream: &mut TcpStream, shared: &Shared) -> Answer {
+    let name = req.path.trim_start_matches("/append/").to_ascii_lowercase();
     let Some(live) = shared.catalog.stream(&name) else {
-        let body = json::error_json("no stream-backed table with that name", &[]);
-        return Response::new(stream).send(404, "application/json", body.as_bytes());
+        return Err(Fail::new(404, "no stream-backed table with that name"));
     };
-    let parsed = req
+    let sealed = req
         .body_utf8()
         .map_err(|e| e.to_string())
         .and_then(|text| {
@@ -492,79 +508,83 @@ fn append_rows(
             live.append_rows(&table.rows())
                 .and_then(|()| live.seal())
                 .map_err(|e| e.to_string())
-        });
-    match parsed {
-        Ok(sealed) => {
-            let body = format!(
-                "{{\"table\":{},\"appended\":{sealed},\"watermark\":{},\"segments\":{}}}",
-                gola_common::json::str_lit(&name),
-                live.watermark(),
-                live.num_segments(),
-            );
-            Response::new(stream).send(200, "application/json", body.as_bytes())
-        }
-        Err(e) => {
-            let body = json::error_json(&e, &[]);
-            Response::new(stream).send(400, "application/json", body.as_bytes())
-        }
-    }
-}
-
-fn healthz(stream: &mut TcpStream, shared: &Shared) -> std::io::Result<()> {
+        })
+        .map_err(|e| Fail::new(400, e))?;
     let body = format!(
-        "{{\"status\":\"ok\",\"pool_threads\":{}}}",
-        shared.threads.max(1)
+        "{{\"table\":{},\"appended\":{sealed},\"watermark\":{},\"segments\":{}}}",
+        gola_common::json::str_lit(&name),
+        live.watermark(),
+        live.num_segments(),
     );
-    Response::new(stream).send(200, "application/json", body.as_bytes())
+    send_json(stream, 200, &body)
 }
 
-fn metrics(stream: &mut TcpStream) -> std::io::Result<()> {
+fn healthz(stream: &mut TcpStream, shared: &Shared) -> Answer {
+    let threads = shared.service.threads();
+    let body = format!("{{\"status\":\"ok\",\"pool_threads\":{threads}}}");
+    send_json(stream, 200, &body)
+}
+
+fn metrics(stream: &mut TcpStream) -> Answer {
     let body = if gola_obs::enabled() {
         gola_obs::prometheus(false)
     } else {
         "# metrics registry disabled (start with observability enabled)\n".to_string()
     };
-    Response::new(stream).send(200, "text/plain; version=0.0.4", body.as_bytes())
+    Response::new(stream).send(200, "text/plain; version=0.0.4", body.as_bytes())?;
+    Ok(200)
 }
 
-fn job_id(path: &str) -> Option<u64> {
-    path.strip_prefix("/jobs/")?.parse().ok()
+fn lock_jobs(shared: &Shared) -> Result<MutexGuard<'_, BTreeMap<u64, JobState>>, Fail> {
+    (shared.jobs.table.lock()).map_err(|_| Fail::new(500, "job table poisoned"))
 }
 
-fn poll_job(path: &str, stream: &mut TcpStream, shared: &Shared) -> std::io::Result<()> {
-    let Some(id) = job_id(path) else {
-        let body = json::error_json("bad job id", &[]);
-        return Response::new(stream).send(400, "application/json", body.as_bytes());
-    };
-    let Ok(mut table) = shared.jobs.table.lock() else {
-        let body = json::error_json("job table poisoned", &[]);
-        return Response::new(stream).send(500, "application/json", body.as_bytes());
-    };
+/// The job `/jobs/<id>` names, with its ready reports drained, handed to
+/// `answer`; the table stays locked only while `answer` runs.
+fn with_job(
+    req: &Request,
+    shared: &Shared,
+    answer: impl FnOnce(u64, &mut JobState) -> String,
+) -> Result<String, Fail> {
+    let id = req.path.strip_prefix("/jobs/").unwrap_or_default().parse();
+    let id = id.map_err(|_| Fail::new(400, "bad job id"))?;
+    let mut table = lock_jobs(shared)?;
     let Some(job) = table.get_mut(&id) else {
-        let body = json::error_json("no such job", &[]);
-        return Response::new(stream).send(404, "application/json", body.as_bytes());
+        return Err(Fail::new(404, "no such job"));
     };
     drain_ready(job);
-    let status = match job.status {
-        JobStatus::Running => "running",
-        JobStatus::Done => "done",
-        JobStatus::Failed => "failed",
-        JobStatus::Canceled => "canceled",
-    };
-    let mut body = format!("{{\"job\":{id},\"status\":\"{status}\",\"reports\":[");
-    for (i, frame) in job.frames.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
+    Ok(answer(id, job))
+}
+
+fn poll_job(req: &Request, stream: &mut TcpStream, shared: &Shared) -> Answer {
+    let body = with_job(req, shared, |id, job| {
+        let (status, error) = match &job.status {
+            JobStatus::Running(_) => ("running", None),
+            JobStatus::Done => ("done", None),
+            JobStatus::Failed(e) => ("failed", Some(e)),
+            JobStatus::Canceled => ("canceled", None),
+        };
+        let mut body = format!("{{\"job\":{id},\"status\":\"{status}\",\"reports\":[");
+        body.push_str(&job.frames.join(","));
+        body.push(']');
+        if let Some(e) = error {
+            body.push_str(",\"error\":");
+            gola_common::json::push_str_lit(&mut body, e);
         }
-        body.push_str(frame);
-    }
-    body.push(']');
-    if let Some(e) = &job.error {
-        body.push_str(",\"error\":");
-        gola_common::json::push_str_lit(&mut body, e);
-    }
-    body.push('}');
-    Response::new(stream).send(200, "application/json", body.as_bytes())
+        body + "}"
+    })?;
+    send_json(stream, 200, &body)
+}
+
+fn cancel_job(req: &Request, stream: &mut TcpStream, shared: &Shared) -> Answer {
+    let body = with_job(req, shared, |id, job| {
+        if let JobStatus::Running(handle) = &job.status {
+            handle.cancel();
+            job.status = JobStatus::Canceled;
+        }
+        format!("{{\"job\":{id},\"status\":\"canceled\"}}")
+    })?;
+    send_json(stream, 200, &body)
 }
 
 /// Keep at most [`FINISHED_JOBS_KEPT`] finished jobs, evicting the oldest;
@@ -575,7 +595,7 @@ fn evict_finished(table: &mut BTreeMap<u64, JobState>) {
     table.values_mut().for_each(drain_ready);
     let finished = table
         .iter()
-        .filter(|(_, job)| job.status != JobStatus::Running);
+        .filter(|(_, job)| !matches!(job.status, JobStatus::Running(_)));
     let finished: Vec<u64> = finished.map(|(&id, _)| id).collect();
     for id in &finished[..finished.len().saturating_sub(FINISHED_JOBS_KEPT)] {
         table.remove(id);
@@ -585,48 +605,15 @@ fn evict_finished(table: &mut BTreeMap<u64, JobState>) {
 /// Pull every report the scheduler has already produced (non-blocking) so
 /// polls observe progressive refinement without a drainer thread.
 fn drain_ready(job: &mut JobState) {
-    let Some(handle) = &job.handle else { return };
-    loop {
+    use std::sync::mpsc::TryRecvError;
+    while let JobStatus::Running(handle) = &job.status {
         match handle.try_recv() {
             Ok(Ok(report)) => job.frames.push(json::report_json(&report)),
-            Ok(Err(e)) => {
-                job.error = Some(e.to_string());
-                job.status = JobStatus::Failed;
-                job.handle = None;
-                return;
-            }
-            Err(std::sync::mpsc::TryRecvError::Empty) => return,
-            Err(std::sync::mpsc::TryRecvError::Disconnected) => {
-                if job.status == JobStatus::Running {
-                    job.status = JobStatus::Done;
-                }
-                job.handle = None;
-                return;
-            }
+            Ok(Err(e)) => job.status = JobStatus::Failed(e.to_string()),
+            Err(TryRecvError::Empty) => return,
+            Err(TryRecvError::Disconnected) => job.status = JobStatus::Done,
         }
     }
-}
-
-fn cancel_job(path: &str, stream: &mut TcpStream, shared: &Shared) -> std::io::Result<()> {
-    let Some(id) = job_id(path) else {
-        let body = json::error_json("bad job id", &[]);
-        return Response::new(stream).send(400, "application/json", body.as_bytes());
-    };
-    let Ok(mut table) = shared.jobs.table.lock() else {
-        let body = json::error_json("job table poisoned", &[]);
-        return Response::new(stream).send(500, "application/json", body.as_bytes());
-    };
-    let Some(job) = table.get_mut(&id) else {
-        let body = json::error_json("no such job", &[]);
-        return Response::new(stream).send(404, "application/json", body.as_bytes());
-    };
-    drain_ready(job);
-    if let Some(handle) = job.handle.take() {
-        handle.cancel();
-        job.status = JobStatus::Canceled;
-    }
-    let body = format!("{{\"job\":{id},\"status\":\"canceled\"}}");
-    Response::new(stream).send(200, "application/json", body.as_bytes())
 }
 
 /// Blocking helper for clients/tests: POST `sql` to a running server and

@@ -105,8 +105,8 @@ fn solo_frames(sql: &str) -> Vec<String> {
 
 /// Issue one request; returns `(status, headers, body)` with any chunked
 /// transfer encoding decoded.
-fn call(server: &Server, request: String) -> (u16, String, Vec<u8>) {
-    let raw = raw_request(server.addr(), request.as_bytes()).expect("request round-trips");
+fn call(server: &Server, request: impl AsRef<[u8]>) -> (u16, String, Vec<u8>) {
+    let raw = raw_request(server.addr(), request.as_ref()).expect("request round-trips");
     let split = raw
         .windows(4)
         .position(|w| w == b"\r\n\r\n")
@@ -225,15 +225,35 @@ fn malformed_sql_returns_diagnostic_payload() {
     assert!(String::from_utf8(body)
         .expect("UTF-8")
         .contains("empty query body"),);
+
+    // A body that is not UTF-8 is named as such on both submit routes.
+    for path in ["/query", "/jobs"] {
+        let mut request = post(path, "\0\0", None).into_bytes();
+        let len = request.len();
+        request[len - 2..].copy_from_slice(&[0xff, 0xfe]);
+        let (status, _, body) = call(&server, request);
+        assert_eq!(status, 400, "{path}");
+        let body = String::from_utf8(body).expect("UTF-8");
+        assert!(body.contains("body is not UTF-8"), "{path}: {body}");
+    }
 }
 
 #[test]
 fn unknown_routes_and_methods_are_typed() {
     let server = start_server(2, 2, 1);
-    let (status, _, _) = call(&server, get("/nope"));
-    assert_eq!(status, 404);
-    let (status, _, _) = call(&server, get("/query"));
-    assert_eq!(status, 405);
+    let cases = [
+        (get("/nope"), 404),
+        (get("/query"), 405),
+        (get("/jobs/x"), 400),
+        (delete("/jobs/999"), 404),
+    ];
+    for (request, want) in cases {
+        let (status, head, body) = call(&server, &request);
+        assert_eq!(status, want, "{request}");
+        assert!(head.contains("content-type: application/json"), "{head}");
+        let body = String::from_utf8(body).expect("UTF-8");
+        assert!(body.starts_with("{\"error\":\""), "{request}: {body}");
+    }
     let (status, _, body) = call(&server, get("/healthz"));
     assert_eq!(status, 200);
     assert_eq!(

@@ -1,6 +1,7 @@
 //! The server's own metrics: connections accepted, connections refused
-//! with `503` at `max_connections`, and requests answered `408`, all
-//! recorded only while the `gola_obs` registry is on.
+//! with `503` at `max_connections`, requests answered `408`, and requests
+//! by route and status with their durations, all recorded only while the
+//! `gola_obs` registry is on.
 //!
 //! One test function only: the registry is process-global.
 
@@ -14,11 +15,13 @@ use gola_storage::Catalog;
 
 /// The status code of one `GET /healthz`.
 fn healthz(server: &Server) -> u16 {
-    let response = raw_request(
-        server.addr(),
-        b"GET /healthz HTTP/1.1\r\nhost: test\r\nconnection: close\r\n\r\n",
-    )
-    .expect("request completes");
+    get(server, "/healthz")
+}
+
+/// The status code of one `GET path`.
+fn get(server: &Server, path: &str) -> u16 {
+    let request = format!("GET {path} HTTP/1.1\r\nhost: test\r\nconnection: close\r\n\r\n");
+    let response = raw_request(server.addr(), request.as_bytes()).expect("request completes");
     let head = String::from_utf8_lossy(&response);
     head.split(' ')
         .nth(1)
@@ -40,9 +43,11 @@ fn connections_and_timeouts_are_counted_only_while_enabled() {
     )
     .expect("server binds");
 
-    // Off: a served request moves nothing.
+    // Off: a served request moves nothing and registers no series.
     assert_eq!(healthz(&server), 200);
     assert_eq!((accepted.get(), refused.get(), timed_out.get()), (0, 0, 0));
+    let snapshot = gola_obs::snapshot_json(false);
+    assert!(!snapshot.contains("server.requests{") && !snapshot.contains("server.request_seconds"));
 
     gola_obs::set_enabled(true);
     gola_obs::reset();
@@ -82,13 +87,39 @@ fn connections_and_timeouts_are_counted_only_while_enabled() {
         assert!(started.elapsed() < limit, "the slot never came back");
         std::thread::sleep(Duration::from_millis(5));
     }
+    // The last probe's slot may not be free yet: a 503 is retried.
+    let (started, limit) = (Stopwatch::start(), Duration::from_secs(10));
+    loop {
+        match get(&server, "/nope") {
+            404 => break,
+            503 => bounced += 1,
+            other => panic!("unexpected status {other}"),
+        }
+        assert!(started.elapsed() < limit, "the 404 never got a slot");
+        std::thread::sleep(Duration::from_millis(5));
+    }
     gola_obs::set_enabled(false);
 
     assert_eq!(
         accepted.get(),
-        served + 1,
-        "every served probe and the holder"
+        served + 2,
+        "every served probe, the holder and the 404"
     );
     assert_eq!(refused.get(), bounced, "one per 503");
     assert_eq!(timed_out.get(), 1, "the holder's 408");
+    // Requests by route and status: a 503 at the cap never reaches one.
+    let requests = |route, status| {
+        gola_obs::counter_with("server.requests", &[("route", route), ("status", status)]).get()
+    };
+    assert_eq!(requests("healthz", "200"), served);
+    assert_eq!(requests("other", "404"), 1);
+    assert_eq!(requests("unread", "408"), 1);
+    let seconds = |route| {
+        let key = gola_obs::labeled("server.request_seconds", &[("route", route)]);
+        gola_obs::duration_histogram(&key).count()
+    };
+    assert_eq!((seconds("healthz"), seconds("other")), (served, 1));
+    let text = gola_obs::prometheus(false);
+    assert!(text.contains("gola_server_requests_total{route=\"other\",status=\"404\"} 1"));
+    assert!(text.contains("gola_server_request_seconds_count{route=\"unread\"} 1"));
 }
