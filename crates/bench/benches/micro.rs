@@ -11,8 +11,8 @@ use gola_agg::{AggKind, FoldScratch, ReplicatedStates};
 use gola_bootstrap::BootstrapSpec;
 use gola_common::rng::poisson_weight;
 use gola_common::{row, DataType, Schema, Value};
-use gola_expr::eval::{eval, eval_predicate, eval_tri, ExactContext};
-use gola_expr::{BinOp, Expr, SubqueryId};
+use gola_expr::eval::{eval, eval_predicate, eval_tri};
+use gola_expr::{BinOp, Expr, NoResolver, Resolver, RowContext, SubqueryId};
 use gola_storage::{Partitioner, Table};
 
 fn bench_expr_eval(c: &mut Criterion) {
@@ -26,7 +26,7 @@ fn bench_expr_eval(c: &mut Criterion) {
     g.throughput(Throughput::Elements(1));
     g.bench_function("eval_arithmetic", |b| {
         b.iter(|| {
-            let ctx = ExactContext::new(black_box(&r));
+            let ctx = RowContext::new(black_box(r.values()), &NoResolver);
             eval(black_box(&e), &ctx).unwrap()
         })
     });
@@ -36,7 +36,7 @@ fn bench_expr_eval(c: &mut Criterion) {
     );
     g.bench_function("eval_predicate", |b| {
         b.iter(|| {
-            let ctx = ExactContext::new(black_box(&r));
+            let ctx = RowContext::new(black_box(r.values()), &NoResolver);
             eval_predicate(black_box(&pred), &ctx).unwrap()
         })
     });
@@ -52,13 +52,19 @@ impl gola_expr::EvalContext for RangeCtx {
     fn column(&self, idx: usize) -> &Value {
         self.row.get(idx)
     }
-    fn scalar_current(&self, _: SubqueryId, _: &[Value]) -> gola_common::Result<Value> {
+    fn resolver(&self) -> &dyn Resolver {
+        self
+    }
+}
+
+impl Resolver for RangeCtx {
+    fn scalar(&self, _: SubqueryId, _: &[Value]) -> gola_common::Result<Value> {
         Ok(Value::Float(37.0))
     }
     fn scalar_range(&self, _: SubqueryId, _: &[Value]) -> gola_common::Result<gola_expr::RangeVal> {
         Ok(self.range.clone())
     }
-    fn member_current(&self, _: SubqueryId, _: &[Value]) -> gola_common::Result<bool> {
+    fn member(&self, _: SubqueryId, _: &[Value]) -> gola_common::Result<bool> {
         Ok(false)
     }
     fn member_tri(&self, _: SubqueryId, _: &[Value]) -> gola_common::Result<gola_expr::Tri> {

@@ -15,7 +15,7 @@
 //! once, to nearest-even) depends only on the *multiset* of inputs, never
 //! on the order they arrived or how partial sums were merged.
 //!
-//! [`RunSums`] is the bulk form: the exact weighted sums of a whole *run*
+//! [`WeightedRun`] is the bulk form: the exact weighted sums of a whole *run*
 //! of values against many weight columns at once, in plain vectorizable
 //! `f64` arithmetic, by pre-rounding the values onto a common grid first.
 //!
@@ -237,7 +237,7 @@ pub struct RunBuf {
 /// **What is handed back** ([`WeightedRun::leftover`]) for `add_product`:
 /// non-finite values, everything if `σ` would overflow (`|x|` within `2^K`
 /// of `f64::MAX`) or the weights leave no headroom, and remainders that
-/// outlive [`MAX_LEVELS`]. All are properties of the run's values and
+/// outlive `MAX_LEVELS` (6) levels. All are properties of the run's values and
 /// weights alone.
 pub struct WeightedRun<'a> {
     rows: &'a [&'a [u32]],

@@ -11,11 +11,11 @@ use std::ops::Range;
 
 use gola_common::{row_u32, FxHashMap, Result, Value};
 use gola_expr::eval::{eval, eval_range, eval_tri};
-use gola_expr::{BinOp, Expr, RangeVal, Tri};
+use gola_expr::{BinOp, Expr, RangeVal, RowContext, Tri};
 
 use crate::compiled::FastScalarCmp;
 use crate::join::Candidates;
-use crate::runtime::{BlockEnv, CtxMode, Published, PublishedScalar, TupleCtx, TupleReader};
+use crate::runtime::{BlockEnv, CtxMode, PubView, Published, PublishedScalar, TupleReader};
 
 /// Candidate-chunk size of the classify → fold pipeline. Chunk boundaries
 /// depend only on candidate order — never on the thread count — so
@@ -165,17 +165,16 @@ fn rhs_at_key<'p>(
 /// Record that a deterministic decision was made against the referenced
 /// producers' envelopes/membership.
 fn mark_reliance(filters: &[Expr], row: &[Value], pubs: &[Published]) -> Result<()> {
-    fn walk(e: &Expr, ctx: &TupleCtx<'_>) -> Result<()> {
+    fn walk(e: &Expr, ctx: &RowContext<'_>, view: &PubView<'_>) -> Result<()> {
+        let keys = |key: &[Expr]| key.iter().map(|k| eval(k, ctx)).collect::<Result<Vec<_>>>();
         match e {
             Expr::ScalarRef { id, key } => {
-                let keys: Result<Vec<Value>> = key.iter().map(|k| eval(k, ctx)).collect();
-                if let Some(s) = ctx.pubs[id.0].scalars.get(keys?.as_slice()) {
+                if let Some(s) = view.producer(*id)?.scalars.get(keys(key)?.as_slice()) {
                     s.mark_used();
                 }
             }
             Expr::InSubquery { id, key, .. } => {
-                let keys: Result<Vec<Value>> = key.iter().map(|k| eval(k, ctx)).collect();
-                if let Some(m) = ctx.pubs[id.0].members.get(keys?.as_slice()) {
+                if let Some(m) = view.producer(*id)?.members.get(keys(key)?.as_slice()) {
                     if m.tri.is_deterministic() {
                         m.mark_relied(m.tri == Tri::True);
                     }
@@ -183,14 +182,16 @@ fn mark_reliance(filters: &[Expr], row: &[Value], pubs: &[Published]) -> Result<
             }
             _ => {}
         }
-        e.children().into_iter().try_for_each(|c| walk(c, ctx))
+        e.children()
+            .into_iter()
+            .try_for_each(|c| walk(c, ctx, view))
     }
-    let ctx = TupleCtx {
-        row,
+    let view = PubView {
         pubs,
         mode: CtxMode::Point,
     };
-    filters.iter().try_for_each(|f| walk(f, &ctx))
+    let ctx = RowContext::new(row, &view);
+    filters.iter().try_for_each(|f| walk(f, &ctx, &view))
 }
 
 /// Classify `lhs θ rhs-range` exactly like the generic three-valued

@@ -223,7 +223,7 @@ impl CompiledBlock {
 fn compile_fast_having(
     having: &[Expr],
 ) -> Option<Vec<(usize, gola_expr::BinOp, gola_common::Value)>> {
-    use gola_expr::eval::{eval, ExactContext, NoResolver};
+    use gola_expr::eval::{eval, NoResolver, RowContext};
     if having.is_empty() {
         return None;
     }
@@ -241,7 +241,7 @@ fn compile_fast_having(
             if !cols.is_empty() || e.has_subquery_ref() {
                 return None;
             }
-            eval(e, &ExactContext::over_values(&[], &NoResolver)).ok()
+            eval(e, &RowContext::new(&[], &NoResolver)).ok()
         };
         match (left.as_ref(), right.as_ref()) {
             (Expr::Column(c), rhs) => {

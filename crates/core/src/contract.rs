@@ -205,6 +205,28 @@ mod tests {
     }
 
     #[test]
+    fn an_undefined_cell_error_keeps_the_contract_running() {
+        let c = QueryContract::Error {
+            target: 0.05,
+            confidence: 0.95,
+        };
+        // A tight cell beside one whose SUM overflowed: `[∞, ∞]` has a NaN
+        // half-width, so the report's error is undefined, not the tight
+        // cell's 1%.
+        let mut r = report(10.0, vec![9.9, 9.95, 10.0, 10.05, 10.1], false);
+        r.estimates.push(CellEstimate {
+            row: 0,
+            col: 1,
+            estimate: Estimate::new(f64::INFINITY, vec![f64::INFINITY; 5]),
+        });
+        assert_eq!(r.achieved_rel_error(0.95), None);
+        let mut d = ContractDriver::new(c);
+        d.observe(&mut r, false);
+        assert!(!d.is_stopped());
+        assert_eq!(r.contract.unwrap().stop, None);
+    }
+
+    #[test]
     fn exhaustion_beats_error_target() {
         let c = QueryContract::Error {
             target: 0.0001,

@@ -16,7 +16,9 @@ use gola_expr::{BinOp, Expr, RangeVal, Tri};
 use crate::classify::CHUNK;
 use crate::compiled::FastScalarCmp;
 use crate::metrics;
-use crate::runtime::{sorted_into_entries, BlockEnv, BlockRuntime, CtxMode, GroupCtx, TupleReader};
+use crate::runtime::{
+    sorted_into_entries, BlockEnv, BlockRuntime, CtxMode, GroupCtx, PubView, TupleReader,
+};
 
 /// Small-sample guard: while a group's aggregate has fewer than this many
 /// observations, its bootstrap variation range is not trusted for
@@ -493,8 +495,10 @@ impl<'a> GroupEval<'a> {
             keys: self.key,
             aggs,
             agg_ranges,
-            pubs: self.env.pubs,
-            mode,
+            view: PubView {
+                pubs: self.env.pubs,
+                mode,
+            },
         }
     }
 

@@ -18,8 +18,7 @@ use gola_storage::{Catalog, Table};
 use crate::groups::{effective_states, having_pass, EffGroup, GroupEval};
 use crate::join;
 use crate::runtime::{
-    BlockEnv, BlockRuntime, CtxMode, GroupCtx, PointResolver, Published, PublishedMember,
-    PublishedScalar,
+    BlockEnv, BlockRuntime, CtxMode, GroupCtx, PubView, Published, PublishedMember, PublishedScalar,
 };
 
 /// Group-entry chunk size for parallel publication.
@@ -301,7 +300,10 @@ fn member_entry(
 /// HAVING rejects publishes `false`.
 pub(crate) fn publish_exact(env: &BlockEnv<'_>, catalog: &Catalog) -> Result<Published> {
     let block = &env.cb.block;
-    let resolver = PointResolver(env.pubs);
+    let view = PubView {
+        pubs: env.pubs,
+        mode: CtxMode::Point,
+    };
     let indexes = join::index_dims(catalog, block)?;
     let source = catalog.get(&block.source_table)?;
     let mut joined = Vec::with_capacity(source.chunks().len());
@@ -310,10 +312,10 @@ pub(crate) fn publish_exact(env: &BlockEnv<'_>, catalog: &Catalog) -> Result<Pub
     }
     let mut t = Table::from_chunks(Arc::clone(&block.source_schema), joined)?;
     for f in &block.filters {
-        t = gola_engine::filter(&t, f, &resolver)?;
+        t = gola_engine::filter(&t, f, &view)?;
     }
     let schema = Arc::clone(&block.agg_row_schema);
-    let groups = gola_engine::aggregate(schema, &t, &block.group_by, &block.aggs, &resolver)?;
+    let groups = gola_engine::aggregate(schema, &t, &block.group_by, &block.aggs, &view)?;
     let trials = env.config.bootstrap.trials as usize;
     let mut out = Published::default();
     let mut row = Vec::new();
@@ -325,8 +327,7 @@ pub(crate) fn publish_exact(env: &BlockEnv<'_>, catalog: &Catalog) -> Result<Pub
                 keys,
                 aggs,
                 agg_ranges: None,
-                pubs: env.pubs,
-                mode: CtxMode::Point,
+                view,
             };
             if block.role == BlockRole::Scalar {
                 let value = eval(scalar_projection(env), &point)?;

@@ -186,22 +186,23 @@ impl BatchReport {
     }
 
     /// Worst achieved relative CI half-width across all estimated cells at
-    /// `level`: `max_cells half_width / |value|`. `None` if no cell has a
-    /// percentile interval, or any estimated cell's value is (near) zero
-    /// while its interval is not degenerate (relative error undefined).
+    /// `level`: `max_cells half_width / |value|`, where a degenerate
+    /// interval counts 0. `None` if no cell has a percentile interval, or
+    /// any cell's relative error is not finite: a zero value under a
+    /// non-degenerate interval, or a NaN half-width (an overflowed SUM's
+    /// `[∞, ∞]` interval), which `f64::max` would otherwise drop.
     pub fn achieved_rel_error(&self, level: f64) -> Option<f64> {
         let mut worst: Option<f64> = None;
         for cell in &self.estimates {
-            let ci = cell.estimate.ci_percentile(level)?;
-            let half = ci.half_width();
-            let scale = cell.estimate.value.abs();
+            let half = cell.estimate.ci_percentile(level)?.half_width();
             let rel = if half == 0.0 {
                 0.0
-            } else if scale > 0.0 {
-                half / scale
             } else {
-                return None;
+                half / cell.estimate.value.abs()
             };
+            if !rel.is_finite() {
+                return None;
+            }
             worst = Some(worst.map_or(rel, |w: f64| w.max(rel)));
         }
         worst

@@ -1,4 +1,11 @@
-//! Per-block runtime state and the online evaluation contexts.
+//! Per-block runtime state, the blocks' publications, and [`PubView`], the
+//! one reader of those publications.
+//!
+//! Every online evaluation that reads a producer — a candidate's filters
+//! under classification, point or a bootstrap trial, a group's HAVING and
+//! projection, a static producer's exact publication, reliance marking —
+//! reads it through a [`PubView`] in one [`CtxMode`], the
+//! [`gola_expr::Resolver`] that holds the reading rules.
 //!
 //! A block's [`BlockRuntime`] holds its fold-state table, its uncertain set
 //! and its [`Labels`]: one label set per block for the query's lifetime,
@@ -14,9 +21,8 @@ use std::sync::Arc;
 use gola_agg::ReplicatedStates;
 use gola_common::{cmp_values, row_u32, Error, FxHashMap, Result, Value};
 use gola_engine::HashIndex;
-use gola_expr::eval::ExactResolver;
 use gola_expr::lanes::{LaneContext, ScalarLanes};
-use gola_expr::{EvalContext, Expr, RangeVal, SubqueryId, Tri};
+use gola_expr::{EvalContext, Expr, RangeVal, Resolver, RowContext, SubqueryId, Tri};
 use gola_storage::ColumnChunk;
 
 use crate::compiled::CompiledBlock;
@@ -347,158 +353,76 @@ pub enum CtxMode {
     Trial(u32),
 }
 
-fn scalar_at<'a>(
-    pubs: &'a [Published],
-    id: SubqueryId,
-    key: &[Value],
-) -> Result<(&'a Published, Option<&'a PublishedScalar>)> {
-    let p = pubs
-        .get(id.0)
-        .ok_or_else(|| Error::exec(format!("no published output for {id}")))?;
-    Ok((p, p.scalars.get(key)))
-}
-
-fn member_at<'a>(
-    pubs: &'a [Published],
-    id: SubqueryId,
-    key: &[Value],
-) -> Result<(&'a Published, Option<&'a PublishedMember>)> {
-    let p = pubs
-        .get(id.0)
-        .ok_or_else(|| Error::exec(format!("no published output for {id}")))?;
-    Ok((p, p.members.get(key)))
-}
-
-fn scalar_current_impl(
-    pubs: &[Published],
-    id: SubqueryId,
-    key: &[Value],
-    mode: CtxMode,
-) -> Result<Value> {
-    let (_, entry) = scalar_at(pubs, id, key)?;
-    Ok(match entry {
-        Some(s) => match mode {
-            CtxMode::Trial(b) => s
-                .trials
-                .get(b as usize)
-                .cloned()
-                .unwrap_or_else(|| s.value.clone()),
-            _ => s.value.clone(),
-        },
-        // Missing group: behaves like an empty subquery (NULL) for now.
-        None => Value::Null,
-    })
-}
-
-fn scalar_range_impl(
-    pubs: &[Published],
-    id: SubqueryId,
-    key: &[Value],
-    mode: CtxMode,
-) -> Result<RangeVal> {
-    let (p, entry) = scalar_at(pubs, id, key)?;
-    Ok(match (entry, mode) {
-        (Some(s), CtxMode::Classify) => s.env.clone(),
-        (Some(s), CtxMode::Point) => RangeVal::Exact(s.value.clone()),
-        (Some(s), CtxMode::Trial(b)) => RangeVal::Exact(
-            s.trials
-                .get(b as usize)
-                .cloned()
-                .unwrap_or_else(|| s.value.clone()),
-        ),
-        (None, _) => {
-            if p.live && mode == CtxMode::Classify {
-                // The group may still appear — nothing can be bounded.
-                RangeVal::Unknown
-            } else {
-                RangeVal::Exact(Value::Null)
-            }
-        }
-    })
-}
-
-fn member_current_impl(
-    pubs: &[Published],
-    id: SubqueryId,
-    key: &[Value],
-    mode: CtxMode,
-) -> Result<bool> {
-    let (_, entry) = member_at(pubs, id, key)?;
-    Ok(match entry {
-        Some(m) => match mode {
-            CtxMode::Trial(b) => m.trials.get(b as usize).copied().unwrap_or(m.point),
-            _ => m.point,
-        },
-        None => false,
-    })
-}
-
-fn member_tri_impl(
-    pubs: &[Published],
-    id: SubqueryId,
-    key: &[Value],
-    mode: CtxMode,
-) -> Result<Tri> {
-    let (p, entry) = member_at(pubs, id, key)?;
-    Ok(match entry {
-        Some(m) => match mode {
-            CtxMode::Classify => m.tri,
-            CtxMode::Point => Tri::from(m.point),
-            CtxMode::Trial(b) => Tri::from(m.trials.get(b as usize).copied().unwrap_or(m.point)),
-        },
-        None => {
-            if p.live && mode == CtxMode::Classify {
-                Tri::Maybe
-            } else {
-                Tri::False
-            }
-        }
-    })
-}
-
-/// Exact subquery resolution from published outputs at their point values,
-/// as [`CtxMode::Point`] reads them: what a static producer's expressions
-/// see, since its producers are static and so exact too.
-pub(crate) struct PointResolver<'a>(pub &'a [Published]);
-
-impl ExactResolver for PointResolver<'_> {
-    fn scalar(&self, id: SubqueryId, key: &[Value]) -> Result<Value> {
-        scalar_current_impl(self.0, id, key, CtxMode::Point)
-    }
-
-    fn member(&self, id: SubqueryId, key: &[Value]) -> Result<bool> {
-        member_current_impl(self.0, id, key, CtxMode::Point)
-    }
-}
-
-/// Context for evaluating block-source expressions over one tuple. The row
-/// is a plain value slice so both materialized [`gola_common::Row`]s
-/// (`row.values()`) and reused per-chunk row buffers work without copies.
-pub struct TupleCtx<'a> {
-    pub row: &'a [Value],
+/// Every block's publications read in one [`CtxMode`]: the one place that
+/// says how a subquery reference reads its producer.
+///
+/// * A group the producer has not published reads as NULL (a scalar) or
+///   not-a-member — except under [`CtxMode::Classify`] while the producer
+///   is live, where it may still appear: `Unknown` / `Maybe`.
+/// * [`CtxMode::Trial`] past the published trials reads the point.
+/// * Under [`CtxMode::Classify`] a published scalar reads its committed
+///   envelope and a membership its range-classified `tri`.
+#[derive(Clone, Copy)]
+pub(crate) struct PubView<'a> {
     pub pubs: &'a [Published],
     pub mode: CtxMode,
 }
 
-impl EvalContext for TupleCtx<'_> {
-    fn column(&self, idx: usize) -> &Value {
-        &self.row[idx]
+impl<'a> PubView<'a> {
+    /// Producer `id`'s publication.
+    pub fn producer(&self, id: SubqueryId) -> Result<&'a Published> {
+        self.pubs
+            .get(id.0)
+            .ok_or_else(|| Error::exec(format!("no published output for {id}")))
     }
 
-    fn scalar_current(&self, id: SubqueryId, key: &[Value]) -> Result<Value> {
-        scalar_current_impl(self.pubs, id, key, self.mode)
+    /// `point`, or under [`CtxMode::Trial`] that trial's value when it was
+    /// published.
+    fn pick<'v, T>(&self, point: &'v T, trials: &'v [T]) -> &'v T {
+        match self.mode {
+            CtxMode::Trial(b) => trials.get(b as usize).unwrap_or(point),
+            _ => point,
+        }
+    }
+
+    fn may_appear(&self, p: &Published) -> bool {
+        p.live && self.mode == CtxMode::Classify
+    }
+}
+
+impl Resolver for PubView<'_> {
+    fn scalar(&self, id: SubqueryId, key: &[Value]) -> Result<Value> {
+        Ok(match self.producer(id)?.scalars.get(key) {
+            Some(s) => self.pick(&s.value, &s.trials).clone(),
+            None => Value::Null,
+        })
+    }
+
+    fn member(&self, id: SubqueryId, key: &[Value]) -> Result<bool> {
+        Ok(match self.producer(id)?.members.get(key) {
+            Some(m) => *self.pick(&m.point, &m.trials),
+            None => false,
+        })
     }
 
     fn scalar_range(&self, id: SubqueryId, key: &[Value]) -> Result<RangeVal> {
-        scalar_range_impl(self.pubs, id, key, self.mode)
-    }
-
-    fn member_current(&self, id: SubqueryId, key: &[Value]) -> Result<bool> {
-        member_current_impl(self.pubs, id, key, self.mode)
+        let p = self.producer(id)?;
+        Ok(match p.scalars.get(key) {
+            Some(s) if self.mode == CtxMode::Classify => s.env.clone(),
+            Some(s) => RangeVal::Exact(self.pick(&s.value, &s.trials).clone()),
+            None if self.may_appear(p) => RangeVal::Unknown,
+            None => RangeVal::Exact(Value::Null),
+        })
     }
 
     fn member_tri(&self, id: SubqueryId, key: &[Value]) -> Result<Tri> {
-        member_tri_impl(self.pubs, id, key, self.mode)
+        let p = self.producer(id)?;
+        Ok(match p.members.get(key) {
+            Some(m) if self.mode == CtxMode::Classify => m.tri,
+            Some(m) => Tri::from(*self.pick(&m.point, &m.trials)),
+            None if self.may_appear(p) => Tri::Maybe,
+            None => Tri::False,
+        })
     }
 }
 
@@ -506,7 +430,7 @@ impl EvalContext for TupleCtx<'_> {
 /// [`CtxMode::Trial`] (lane `1 + b`) at once, for the lane evaluator.
 pub(crate) struct TupleLanes<'a> {
     pub row: &'a [Value],
-    pub pubs: &'a [Published],
+    pub view: PubView<'a>,
     pub trials: u32,
 }
 
@@ -517,24 +441,22 @@ impl LaneContext for TupleLanes<'_> {
 
     fn eval_at(&self, lane: usize, expr: &Expr) -> Result<Value> {
         let mode = match lane.checked_sub(1) {
-            Some(b) => CtxMode::Trial(gola_common::row_u32(b)),
+            Some(b) => CtxMode::Trial(row_u32(b)),
             None => CtxMode::Point,
         };
-        let ctx = TupleCtx {
-            row: self.row,
-            pubs: self.pubs,
-            mode,
-        };
-        gola_expr::eval::eval(expr, &ctx)
+        let view = PubView { mode, ..self.view };
+        gola_expr::eval::eval(expr, &RowContext::new(self.row, &view))
     }
 
     fn scalar(&self, id: SubqueryId, key: &[Value]) -> Result<ScalarLanes<'_>> {
-        let (_, entry) = scalar_at(self.pubs, id, key)?;
-        // Missing group: NULL everywhere, as `scalar_current` reads it.
-        Ok(entry.map_or(ScalarLanes::NULL, |s| ScalarLanes {
-            point: &s.value,
-            trials: &s.trials,
-        }))
+        // Missing group: NULL everywhere, as `PubView::scalar` reads it.
+        Ok(match self.view.producer(id)?.scalars.get(key) {
+            Some(s) => ScalarLanes {
+                point: &s.value,
+                trials: &s.trials,
+            },
+            None => ScalarLanes::NULL,
+        })
     }
 }
 
@@ -545,7 +467,7 @@ impl LaneContext for TupleLanes<'_> {
 /// tuple.
 pub(crate) struct TupleReader<'a> {
     pub chunk: &'a ColumnChunk,
-    pubs: &'a [Published],
+    view: PubView<'a>,
     rowbuf: Vec<Value>,
     /// The tuple `rowbuf` currently holds.
     filled: Option<usize>,
@@ -555,29 +477,31 @@ impl<'a> TupleReader<'a> {
     pub fn new(chunk: &'a ColumnChunk, pubs: &'a [Published]) -> TupleReader<'a> {
         TupleReader {
             chunk,
-            pubs,
+            view: PubView {
+                pubs,
+                mode: CtxMode::Point,
+            },
             rowbuf: Vec::new(),
             filled: None,
         }
     }
 
-    /// Evaluation context over tuple `i`'s full row.
-    pub fn ctx(&mut self, i: usize, mode: CtxMode) -> TupleCtx<'_> {
+    /// Evaluation context over tuple `i`'s full row, reading the producers
+    /// in `mode`.
+    pub fn ctx(&mut self, i: usize, mode: CtxMode) -> RowContext<'_> {
         if self.filled != Some(i) {
             self.chunk.row_values_into(i, &mut self.rowbuf);
             self.filled = Some(i);
         }
-        TupleCtx {
-            row: &self.rowbuf,
-            pubs: self.pubs,
-            mode,
-        }
+        self.view.mode = mode;
+        RowContext::new(&self.rowbuf, &self.view)
     }
 
     /// Tuple `i`'s full row under every point/trial mode.
     pub fn lanes(&mut self, i: usize, trials: u32) -> TupleLanes<'_> {
-        let TupleCtx { row, pubs, .. } = self.ctx(i, CtxMode::Point);
-        TupleLanes { row, pubs, trials }
+        let view = self.view;
+        let row = self.ctx(i, CtxMode::Point).row;
+        TupleLanes { row, view, trials }
     }
 
     pub fn value(&mut self, i: usize, e: &Expr, mode: CtxMode) -> Result<Value> {
@@ -613,8 +537,7 @@ pub struct GroupCtx<'a> {
     pub aggs: &'a [Value],
     /// Variation range per aggregate column (classification mode).
     pub agg_ranges: Option<&'a [RangeVal]>,
-    pub pubs: &'a [Published],
-    pub mode: CtxMode,
+    pub view: PubView<'a>,
 }
 
 impl EvalContext for GroupCtx<'_> {
@@ -635,20 +558,8 @@ impl EvalContext for GroupCtx<'_> {
         RangeVal::Exact(self.column(idx).clone())
     }
 
-    fn scalar_current(&self, id: SubqueryId, key: &[Value]) -> Result<Value> {
-        scalar_current_impl(self.pubs, id, key, self.mode)
-    }
-
-    fn scalar_range(&self, id: SubqueryId, key: &[Value]) -> Result<RangeVal> {
-        scalar_range_impl(self.pubs, id, key, self.mode)
-    }
-
-    fn member_current(&self, id: SubqueryId, key: &[Value]) -> Result<bool> {
-        member_current_impl(self.pubs, id, key, self.mode)
-    }
-
-    fn member_tri(&self, id: SubqueryId, key: &[Value]) -> Result<Tri> {
-        member_tri_impl(self.pubs, id, key, self.mode)
+    fn resolver(&self) -> &dyn Resolver {
+        &self.view
     }
 }
 
@@ -682,32 +593,42 @@ mod tests {
         }
     }
 
+    fn view(pubs: &[Published], mode: CtxMode) -> PubView<'_> {
+        PubView { pubs, mode }
+    }
+
     #[test]
     fn tuple_ctx_modes() {
         let pubs = pubs_with_scalar(true);
         let row = row![35.0f64];
         let pred = Expr::gt(Expr::col(0), sref());
+        let ctx = |v: &PubView<'_>| eval(&pred, &RowContext::new(row.values(), v)).unwrap();
         // Point: 35 > 37 → false.
-        let ctx = TupleCtx {
-            row: row.values(),
-            pubs: &pubs,
-            mode: CtxMode::Point,
-        };
-        assert_eq!(eval(&pred, &ctx).unwrap(), Value::Bool(false));
+        assert_eq!(ctx(&view(&pubs, CtxMode::Point)), Value::Bool(false));
         // Trial 0: 35 > 36 → false; trial 1: 35 > 38 → false.
-        let ctx = TupleCtx {
-            row: row.values(),
-            pubs: &pubs,
-            mode: CtxMode::Trial(0),
-        };
-        assert_eq!(eval(&pred, &ctx).unwrap(), Value::Bool(false));
+        assert_eq!(ctx(&view(&pubs, CtxMode::Trial(0))), Value::Bool(false));
         // Classify: 35 ∈ [28.9, 45.1] → Maybe.
-        let ctx = TupleCtx {
-            row: row.values(),
-            pubs: &pubs,
-            mode: CtxMode::Classify,
-        };
-        assert_eq!(eval_tri(&pred, &ctx).unwrap(), Tri::Maybe);
+        let classify = view(&pubs, CtxMode::Classify);
+        let tri = eval_tri(&pred, &RowContext::new(row.values(), &classify));
+        assert_eq!(tri.unwrap(), Tri::Maybe);
+        // The whole scalar table: point, each trial, a trial past the
+        // published ones (the point), and the range each mode reads.
+        let (id, exact) = (SubqueryId(0), |x| RangeVal::Exact(Value::Float(x)));
+        for (mode, value, range) in [
+            (CtxMode::Point, 37.0, exact(37.0)),
+            (CtxMode::Trial(0), 36.0, exact(36.0)),
+            (CtxMode::Trial(1), 38.0, exact(38.0)),
+            (CtxMode::Trial(2), 37.0, exact(37.0)),
+            (CtxMode::Classify, 37.0, RangeVal::num(28.9, 45.1)),
+        ] {
+            let v = view(&pubs, mode);
+            assert_eq!(v.scalar(id, &[]).unwrap(), Value::Float(value), "{mode:?}");
+            assert_eq!(v.scalar_range(id, &[]).unwrap(), range, "{mode:?}");
+        }
+        // A producer that was never published is an error, in every mode.
+        assert!(view(&pubs, CtxMode::Point)
+            .scalar(SubqueryId(1), &[])
+            .is_err());
     }
 
     #[test]
@@ -722,77 +643,92 @@ mod tests {
             },
         );
         // Unknown group while live: uncertain.
-        let ctx = TupleCtx {
-            row: row.values(),
-            pubs: &pubs,
-            mode: CtxMode::Classify,
-        };
+        let classify = view(&pubs, CtxMode::Classify);
+        let ctx = RowContext::new(row.values(), &classify);
         assert_eq!(eval_tri(&pred, &ctx).unwrap(), Tri::Maybe);
         // Point: NULL comparison → filtered.
-        let ctx = TupleCtx {
-            row: row.values(),
-            pubs: &pubs,
-            mode: CtxMode::Point,
-        };
+        let point = view(&pubs, CtxMode::Point);
+        let ctx = RowContext::new(row.values(), &point);
         assert_eq!(eval(&pred, &ctx).unwrap(), Value::Null);
+        // Only classification of a live producer leaves a missing group
+        // open; every other mode reads NULL.
+        let key = [Value::Int(99)];
+        for (live, mode, range) in [
+            (true, CtxMode::Classify, RangeVal::Unknown),
+            (true, CtxMode::Point, RangeVal::Exact(Value::Null)),
+            (true, CtxMode::Trial(1), RangeVal::Exact(Value::Null)),
+            (false, CtxMode::Classify, RangeVal::Exact(Value::Null)),
+        ] {
+            let pubs = pubs_with_scalar(live);
+            let v = view(&pubs, mode);
+            assert_eq!(v.scalar(SubqueryId(0), &key).unwrap(), Value::Null);
+            assert_eq!(v.scalar_range(SubqueryId(0), &key).unwrap(), range);
+        }
         // Once the producer is finished, missing = deterministic NULL.
         let pubs = pubs_with_scalar(false);
-        let ctx = TupleCtx {
-            row: row.values(),
-            pubs: &pubs,
-            mode: CtxMode::Classify,
-        };
+        let classify = view(&pubs, CtxMode::Classify);
+        let ctx = RowContext::new(row.values(), &classify);
         assert_eq!(eval_tri(&pred, &ctx).unwrap(), Tri::False);
     }
 
     #[test]
     fn membership_semantics() {
-        let mut p = Published {
-            live: true,
-            ..Default::default()
+        let members = |live: bool| {
+            let mut p = Published {
+                live,
+                ..Default::default()
+            };
+            p.members.insert(
+                Arc::from(vec![Value::Int(7)]),
+                PublishedMember {
+                    point: true,
+                    trials: vec![true, false],
+                    tri: Tri::Maybe,
+                    relied: AtomicU8::new(0),
+                },
+            );
+            vec![p]
         };
-        p.members.insert(
-            Arc::from(vec![Value::Int(7)]),
-            PublishedMember {
-                point: true,
-                trials: vec![true, false],
-                tri: Tri::Maybe,
-                relied: AtomicU8::new(0),
-            },
-        );
-        let pubs = vec![p];
+        let pubs = members(true);
         let row = row![7i64];
         let e = Expr::InSubquery {
             id: SubqueryId(0),
             key: vec![Expr::col(0)],
             negated: false,
         };
-        let ctx = TupleCtx {
-            row: row.values(),
-            pubs: &pubs,
-            mode: CtxMode::Classify,
-        };
+        let classify = view(&pubs, CtxMode::Classify);
+        let ctx = RowContext::new(row.values(), &classify);
         assert_eq!(eval_tri(&e, &ctx).unwrap(), Tri::Maybe);
-        let ctx = TupleCtx {
-            row: row.values(),
-            pubs: &pubs,
-            mode: CtxMode::Point,
-        };
+        let point = view(&pubs, CtxMode::Point);
+        let ctx = RowContext::new(row.values(), &point);
         assert_eq!(eval(&e, &ctx).unwrap(), Value::Bool(true));
-        let ctx = TupleCtx {
-            row: row.values(),
-            pubs: &pubs,
-            mode: CtxMode::Trial(1),
-        };
+        let trial = view(&pubs, CtxMode::Trial(1));
+        let ctx = RowContext::new(row.values(), &trial);
         assert_eq!(eval(&e, &ctx).unwrap(), Value::Bool(false));
         // Missing key while live → Maybe; not live → False.
         let row2 = row![8i64];
-        let ctx = TupleCtx {
-            row: row2.values(),
-            pubs: &pubs,
-            mode: CtxMode::Classify,
-        };
+        let ctx = RowContext::new(row2.values(), &classify);
         assert_eq!(eval_tri(&e, &ctx).unwrap(), Tri::Maybe);
+        // The whole membership table, present key 7 and missing key 8.
+        let id = SubqueryId(0);
+        let (k7, k8) = ([Value::Int(7)], [Value::Int(8)]);
+        for (live, mode, member, tri, missing) in [
+            (true, CtxMode::Point, true, Tri::True, Tri::False),
+            (true, CtxMode::Trial(0), true, Tri::True, Tri::False),
+            (true, CtxMode::Trial(1), false, Tri::False, Tri::False),
+            // Past the published trials: the point.
+            (true, CtxMode::Trial(2), true, Tri::True, Tri::False),
+            (true, CtxMode::Classify, true, Tri::Maybe, Tri::Maybe),
+            // A finished producer's missing member is deterministic.
+            (false, CtxMode::Classify, true, Tri::Maybe, Tri::False),
+        ] {
+            let pubs = members(live);
+            let v = view(&pubs, mode);
+            assert_eq!(v.member(id, &k7).unwrap(), member, "{live} {mode:?}");
+            assert_eq!(v.member_tri(id, &k7).unwrap(), tri, "{live} {mode:?}");
+            assert!(!v.member(id, &k8).unwrap(), "{live} {mode:?}");
+            assert_eq!(v.member_tri(id, &k8).unwrap(), missing, "{live} {mode:?}");
+        }
     }
 
     #[test]
@@ -807,8 +743,7 @@ mod tests {
             keys: &keys,
             aggs: &aggs,
             agg_ranges: Some(&ranges),
-            pubs: &pubs,
-            mode: CtxMode::Classify,
+            view: view(&pubs, CtxMode::Classify),
         };
         assert_eq!(eval_tri(&having, &ctx).unwrap(), Tri::Maybe);
         // Point evaluation passes.
@@ -816,8 +751,7 @@ mod tests {
             keys: &keys,
             aggs: &aggs,
             agg_ranges: None,
-            pubs: &pubs,
-            mode: CtxMode::Point,
+            view: view(&pubs, CtxMode::Point),
         };
         assert_eq!(eval(&having, &ctx).unwrap(), Value::Bool(true));
     }

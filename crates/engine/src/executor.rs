@@ -15,7 +15,7 @@ use gola_common::{
     cmp_values, row_u32, Column, ColumnBuilder, DataType, Error, FxHashMap, FxHashSet, Result,
     Schema, Value,
 };
-use gola_expr::eval::{eval, eval_predicate, ExactContext, ExactResolver};
+use gola_expr::eval::{eval, eval_predicate, Resolver, RowContext};
 use gola_expr::vector::predicate_mask;
 use gola_expr::{Expr, SubqueryId};
 use gola_plan::{AggCall, LogicalPlan, QueryGraph, SubqueryKind};
@@ -42,7 +42,7 @@ struct Resolved {
     members: Vec<Option<FxHashSet<Vec<Value>>>>,
 }
 
-impl ExactResolver for Resolved {
+impl Resolver for Resolved {
     fn scalar(&self, id: SubqueryId, key: &[Value]) -> Result<Value> {
         let map = self
             .scalars
@@ -119,7 +119,7 @@ impl<'a> BatchEngine<'a> {
             .ok_or_else(|| Error::exec("scalar subquery plan has no aggregate node".to_string()))?;
         let mut map = FxHashMap::default();
         for_each_row(&self.execute_plan(input, resolved)?, |row| {
-            let value = eval(&project_exprs[0], &ExactContext::over_values(row, resolved))?;
+            let value = eval(&project_exprs[0], &RowContext::new(row, resolved))?;
             map.insert(row[..n_group].to_vec(), value);
             Ok(())
         })?;
@@ -196,14 +196,14 @@ fn traced(span: gola_obs::span::SpanGuard, out: Result<Table>) -> Result<Table> 
 /// once with the row evaluator itself, so its bits are the bits every row
 /// would have computed. A subtree that fails to evaluate stays, and the
 /// rows report its error as before. (Scalar functions are pure.)
-fn fold_constants(expr: &Expr, resolved: &dyn ExactResolver) -> Expr {
+fn fold_constants(expr: &Expr, resolved: &dyn Resolver) -> Expr {
     expr.transform(&|e| {
         let constant = match e {
             Expr::Column(_) | Expr::Literal(_) | Expr::InSubquery { .. } => false,
             Expr::ScalarRef { key, .. } => key.is_empty(),
             _ => e.children().iter().all(|c| matches!(c, Expr::Literal(_))),
         };
-        let ctx = ExactContext::over_values(&[], resolved);
+        let ctx = RowContext::new(&[], resolved);
         constant
             .then(|| eval(e, &ctx).ok())
             .flatten()
@@ -228,8 +228,8 @@ fn for_each_row(table: &Table, mut f: impl FnMut(&[Value]) -> Result<()>) -> Res
 fn each_row_ctx(
     chunk: &ColumnChunk,
     expr: &Expr,
-    resolved: &dyn ExactResolver,
-    mut f: impl FnMut(usize, &ExactContext<'_>) -> Result<()>,
+    resolved: &dyn Resolver,
+    mut f: impl FnMut(usize, &RowContext<'_>) -> Result<()>,
 ) -> Result<()> {
     let mut cols = Vec::new();
     expr.collect_columns(&mut cols);
@@ -238,18 +238,14 @@ fn each_row_ctx(
         for &c in &cols {
             buf[c] = chunk.column(c).value(i);
         }
-        f(i, &ExactContext::over_values(&buf, resolved))?;
+        f(i, &RowContext::new(&buf, resolved))?;
     }
     Ok(())
 }
 
 /// Evaluate `expr` on every row of `chunk`: a bare column is shared,
 /// anything else runs the row evaluator.
-fn eval_chunk(
-    expr: &Expr,
-    chunk: &ColumnChunk,
-    resolved: &dyn ExactResolver,
-) -> Result<Arc<Column>> {
+fn eval_chunk(expr: &Expr, chunk: &ColumnChunk, resolved: &dyn Resolver) -> Result<Arc<Column>> {
     if let Expr::Column(i) = expr {
         return Ok(Arc::clone(chunk.column(*i)));
     }
@@ -263,7 +259,7 @@ fn eval_chunk(
 
 /// Keep the rows on which `predicate` is SQL `TRUE`: through the vector
 /// kernel where it takes the shape, else row by row.
-pub fn filter(t: &Table, predicate: &Expr, resolved: &dyn ExactResolver) -> Result<Table> {
+pub fn filter(t: &Table, predicate: &Expr, resolved: &dyn Resolver) -> Result<Table> {
     let predicate = fold_constants(predicate, resolved);
     let mut chunks = Vec::with_capacity(t.chunks().len());
     for c in t.chunks() {
@@ -310,7 +306,7 @@ pub struct HashIndex {
 
 impl HashIndex {
     /// Index `table`'s rows on `keys`, expressions over its schema.
-    pub fn build(table: &Table, keys: &[Expr], resolved: &dyn ExactResolver) -> Result<HashIndex> {
+    pub fn build(table: &Table, keys: &[Expr], resolved: &dyn Resolver) -> Result<HashIndex> {
         let mut rows: FxHashMap<Vec<Value>, Vec<usize>> = FxHashMap::default();
         let mut base = 0;
         for c in table.chunks() {
@@ -338,7 +334,7 @@ impl HashIndex {
         &self,
         chunk: &ColumnChunk,
         keys: &[Expr],
-        resolved: &dyn ExactResolver,
+        resolved: &dyn Resolver,
     ) -> Result<(Vec<usize>, ColumnChunk)> {
         let cols = keys.iter().map(|k| eval_chunk(k, chunk, resolved));
         let cols = cols.collect::<Result<Vec<_>>>()?;
@@ -369,7 +365,7 @@ fn hash_join(
     left: &Table,
     right: &Table,
     on: &[(Expr, Expr)],
-    resolved: &dyn ExactResolver,
+    resolved: &dyn Resolver,
 ) -> Result<Table> {
     let (left_keys, right_keys): (Vec<Expr>, Vec<Expr>) = on.iter().cloned().unzip();
     let index = HashIndex::build(right, &right_keys, resolved)?;
@@ -391,7 +387,7 @@ pub fn aggregate(
     t: &Table,
     group_by: &[Expr],
     aggs: &[AggCall],
-    resolved: &dyn ExactResolver,
+    resolved: &dyn Resolver,
 ) -> Result<Table> {
     let kinds: Vec<AggKind> = aggs.iter().map(|a| a.kind.clone()).collect();
     let mut slots: FxHashMap<Vec<Value>, u32> = FxHashMap::default();
@@ -538,7 +534,7 @@ pub(crate) mod row_oracle {
     use std::sync::Arc;
 
     use gola_common::{Error, FxHashMap, FxHashSet, Result, Row, Value};
-    use gola_expr::eval::{eval, eval_predicate, ExactContext};
+    use gola_expr::eval::{eval, eval_predicate, RowContext};
     use gola_expr::Expr;
     use gola_plan::{AggCall, LogicalPlan, QueryGraph, SubqueryKind};
     use gola_storage::{Catalog, Table};
@@ -605,7 +601,7 @@ pub(crate) mod row_oracle {
             let rows = self.execute_plan(input, resolved)?;
             let mut map = FxHashMap::default();
             for row in rows {
-                let ctx = ExactContext::with_resolver(&row, resolved);
+                let ctx = RowContext::new(row.values(), resolved);
                 let value = eval(&project_exprs[0], &ctx)?;
                 map.insert(row.values()[..n_group].to_vec(), value);
             }
@@ -620,7 +616,7 @@ pub(crate) mod row_oracle {
                     let rows = self.execute_plan(input, resolved)?;
                     let mut out = Vec::new();
                     for row in rows {
-                        let ctx = ExactContext::with_resolver(&row, resolved);
+                        let ctx = RowContext::new(row.values(), resolved);
                         if eval_predicate(predicate, &ctx)? {
                             out.push(row);
                         }
@@ -631,7 +627,7 @@ pub(crate) mod row_oracle {
                     let rows = self.execute_plan(input, resolved)?;
                     let mut out = Vec::with_capacity(rows.len());
                     for row in rows {
-                        let ctx = ExactContext::with_resolver(&row, resolved);
+                        let ctx = RowContext::new(row.values(), resolved);
                         let values: Result<Vec<Value>> =
                             exprs.iter().map(|e| eval(e, &ctx)).collect();
                         out.push(Row::new(values?));
@@ -691,7 +687,7 @@ pub(crate) mod row_oracle {
         // Build on the right side (dimension side by construction).
         let mut table: FxHashMap<Vec<Value>, Vec<&Row>> = FxHashMap::default();
         for row in right_rows {
-            let ctx = ExactContext::with_resolver(row, resolved);
+            let ctx = RowContext::new(row.values(), resolved);
             let key: Result<Vec<Value>> = on.iter().map(|(_, r)| eval(r, &ctx)).collect();
             let key = key?;
             if key.iter().any(Value::is_null) {
@@ -701,7 +697,7 @@ pub(crate) mod row_oracle {
         }
         let mut out = Vec::new();
         for row in left_rows {
-            let ctx = ExactContext::with_resolver(row, resolved);
+            let ctx = RowContext::new(row.values(), resolved);
             let key: Result<Vec<Value>> = on.iter().map(|(l, _)| eval(l, &ctx)).collect();
             let key = key?;
             if key.iter().any(Value::is_null) {
@@ -724,7 +720,7 @@ pub(crate) mod row_oracle {
     ) -> Result<Vec<Row>> {
         let mut groups: FxHashMap<Vec<Value>, Vec<gola_agg::AggState>> = FxHashMap::default();
         for row in rows {
-            let ctx = ExactContext::with_resolver(row, resolved);
+            let ctx = RowContext::new(row.values(), resolved);
             let key: Result<Vec<Value>> = group_by.iter().map(|g| eval(g, &ctx)).collect();
             let key = key?;
             let states = groups

@@ -11,17 +11,18 @@
 //!   (`{TRUE}`, `{FALSE, NULL}`, ...), collapsed to [`Tri`] under filter
 //!   semantics: a tuple passes a filter iff the predicate is SQL `TRUE`.
 //!
-//! The values behind subquery references come from an [`EvalContext`], so
-//! the batch engine (exact values), classical delta maintenance, and the
-//! G-OLA online executor (estimates + ranges) share this code.
+//! The values behind subquery references come from the context's
+//! [`Resolver`], so the batch engine (exact values) and the G-OLA online
+//! executor (estimates + ranges) share this code.
 
-use gola_common::{Error, Result, Row, Value};
+use gola_common::{Error, Result, Value};
 
 use crate::expr::{BinOp, Expr, SubqueryId, UnaryOp};
 use crate::interval::RangeVal;
 use crate::tri::Tri;
 
-/// Supplies row data and subquery values during evaluation.
+/// Supplies one row during evaluation, and through [`EvalContext::resolver`]
+/// the values behind its subquery references.
 pub trait EvalContext {
     /// Current row's value for column `idx`.
     fn column(&self, idx: usize) -> &Value;
@@ -33,38 +34,38 @@ pub trait EvalContext {
         RangeVal::Exact(self.column(idx).clone())
     }
 
-    /// Current point estimate of a scalar subquery for `key` (empty for an
-    /// uncorrelated subquery). `Null` when the group has no rows yet.
-    fn scalar_current(&self, id: SubqueryId, key: &[Value]) -> Result<Value>;
-
-    /// Variation range of a scalar subquery for `key`.
-    fn scalar_range(&self, id: SubqueryId, key: &[Value]) -> Result<RangeVal>;
-
-    /// Current membership estimate of `key` in a subquery's result set.
-    fn member_current(&self, id: SubqueryId, key: &[Value]) -> Result<bool>;
-
-    /// Three-valued membership of `key` (deterministic in/out, or may flip).
-    fn member_tri(&self, id: SubqueryId, key: &[Value]) -> Result<Tri>;
+    /// How the row's subquery references read their producers.
+    fn resolver(&self) -> &dyn Resolver;
 }
 
-/// Context for exact execution: subquery values are final, ranges are
-/// points, membership is certain.
-pub struct ExactContext<'a> {
-    row: &'a [Value],
-    resolver: &'a dyn ExactResolver,
-}
-
-/// Exact subquery resolution used by the batch engine.
-pub trait ExactResolver {
+/// Reads subquery producers for an evaluation: exact final values for the
+/// batch engine, a published estimate in one mode for the online executor.
+pub trait Resolver {
+    /// Scalar subquery `id`'s value for `key` (empty for an uncorrelated
+    /// subquery). `Null` when the group has no rows.
     fn scalar(&self, id: SubqueryId, key: &[Value]) -> Result<Value>;
+
+    /// Is `key` in membership subquery `id`'s result set?
     fn member(&self, id: SubqueryId, key: &[Value]) -> Result<bool>;
+
+    /// Variation range of a scalar subquery for `key`; the exact value by
+    /// default.
+    fn scalar_range(&self, id: SubqueryId, key: &[Value]) -> Result<RangeVal> {
+        Ok(RangeVal::Exact(self.scalar(id, key)?))
+    }
+
+    /// Three-valued membership of `key` (deterministic in/out, or may
+    /// flip); the exact membership by default.
+    fn member_tri(&self, id: SubqueryId, key: &[Value]) -> Result<Tri> {
+        Ok(Tri::from(self.member(id, key)?))
+    }
 }
 
 /// Resolves nothing: any subquery reference is an error. For expressions
 /// that must not read a subquery, such as join keys.
 pub struct NoResolver;
 
-impl ExactResolver for NoResolver {
+impl Resolver for NoResolver {
     fn scalar(&self, id: SubqueryId, _key: &[Value]) -> Result<Value> {
         Err(Error::exec(format!("no resolver for subquery {id}")))
     }
@@ -74,46 +75,26 @@ impl ExactResolver for NoResolver {
     }
 }
 
-impl<'a> ExactContext<'a> {
-    /// Context over a bare row; any subquery reference is an error.
-    pub fn new(row: &'a Row) -> Self {
-        Self::over_values(row.values(), &NoResolver)
-    }
+/// A row's values (a caller-owned buffer, reused across rows by columnar
+/// executors) with the resolver its subquery references read.
+pub struct RowContext<'a> {
+    pub row: &'a [Value],
+    pub resolver: &'a dyn Resolver,
+}
 
-    /// Context with exact subquery resolution.
-    pub fn with_resolver(row: &'a Row, resolver: &'a dyn ExactResolver) -> Self {
-        Self::over_values(row.values(), resolver)
-    }
-
-    /// Context over a row's values in a caller-owned buffer (reused across
-    /// rows by columnar executors), with exact subquery resolution.
-    pub fn over_values(values: &'a [Value], resolver: &'a dyn ExactResolver) -> Self {
-        ExactContext {
-            row: values,
-            resolver,
-        }
+impl<'a> RowContext<'a> {
+    pub fn new(row: &'a [Value], resolver: &'a dyn Resolver) -> Self {
+        RowContext { row, resolver }
     }
 }
 
-impl EvalContext for ExactContext<'_> {
+impl EvalContext for RowContext<'_> {
     fn column(&self, idx: usize) -> &Value {
         &self.row[idx]
     }
 
-    fn scalar_current(&self, id: SubqueryId, key: &[Value]) -> Result<Value> {
-        self.resolver.scalar(id, key)
-    }
-
-    fn scalar_range(&self, id: SubqueryId, key: &[Value]) -> Result<RangeVal> {
-        Ok(RangeVal::Exact(self.scalar_current(id, key)?))
-    }
-
-    fn member_current(&self, id: SubqueryId, key: &[Value]) -> Result<bool> {
-        self.resolver.member(id, key)
-    }
-
-    fn member_tri(&self, id: SubqueryId, key: &[Value]) -> Result<Tri> {
-        Ok(Tri::from(self.member_current(id, key)?))
+    fn resolver(&self) -> &dyn Resolver {
+        self.resolver
     }
 }
 
@@ -185,14 +166,14 @@ pub fn eval(expr: &Expr, ctx: &dyn EvalContext) -> Result<Value> {
         }
         Expr::ScalarRef { id, key } => {
             let keys = eval_keys(key, ctx)?;
-            ctx.scalar_current(*id, &keys)
+            ctx.resolver().scalar(*id, &keys)
         }
         Expr::InSubquery { id, key, negated } => {
             let keys = eval_keys(key, ctx)?;
             if keys.iter().any(Value::is_null) {
                 return Ok(Value::Null);
             }
-            let m = ctx.member_current(*id, &keys)?;
+            let m = ctx.resolver().member(*id, &keys)?;
             Ok(Value::Bool(m != *negated))
         }
         Expr::InList {
@@ -465,7 +446,7 @@ pub fn eval_range(expr: &Expr, ctx: &dyn EvalContext) -> Result<RangeVal> {
                     _ => return Ok(RangeVal::Unknown),
                 }
             }
-            ctx.scalar_range(*id, &keys)
+            ctx.resolver().scalar_range(*id, &keys)
         }
     }
 }
@@ -664,7 +645,7 @@ pub fn eval_tri_set(expr: &Expr, ctx: &dyn EvalContext) -> Result<TriSet> {
                     _ => return Ok(TriSet::ANY),
                 }
             }
-            let t = ctx.member_tri(*id, &keys)?;
+            let t = ctx.resolver().member_tri(*id, &keys)?;
             let s = TriSet::from_tri_nonnull(t);
             Ok(if *negated { s.not() } else { s })
         }
@@ -711,7 +692,7 @@ pub fn eval_tri_set(expr: &Expr, ctx: &dyn EvalContext) -> Result<TriSet> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gola_common::row;
+    use gola_common::{row, Row};
 
     struct TestCtx {
         row: Row,
@@ -735,13 +716,19 @@ mod tests {
         fn column(&self, idx: usize) -> &Value {
             self.row.get(idx)
         }
-        fn scalar_current(&self, _: SubqueryId, _: &[Value]) -> Result<Value> {
+        fn resolver(&self) -> &dyn Resolver {
+            self
+        }
+    }
+
+    impl Resolver for TestCtx {
+        fn scalar(&self, _: SubqueryId, _: &[Value]) -> Result<Value> {
             Ok(self.scalar.clone())
         }
         fn scalar_range(&self, _: SubqueryId, _: &[Value]) -> Result<RangeVal> {
             Ok(self.range.clone())
         }
-        fn member_current(&self, _: SubqueryId, _: &[Value]) -> Result<bool> {
+        fn member(&self, _: SubqueryId, _: &[Value]) -> Result<bool> {
             Ok(self.member == Tri::True)
         }
         fn member_tri(&self, _: SubqueryId, _: &[Value]) -> Result<Tri> {
@@ -947,7 +934,7 @@ mod tests {
     #[test]
     fn exact_context_errors_without_resolver() {
         let r = row![1i64];
-        let ctx = ExactContext::new(&r);
+        let ctx = RowContext::new(r.values(), &NoResolver);
         assert!(eval(&sref(), &ctx).is_err());
     }
 

@@ -2,7 +2,7 @@
 //!
 //! The online executor re-evaluates the same expression under many
 //! *modes* — at the producers' point estimates and at each bootstrap
-//! trial's values. [`crate::eval`] answers one mode per tree walk, and
+//! trial's values. [`crate::eval::eval`] answers one mode per tree walk, and
 //! every walk re-evaluates the reference keys, looks the same published
 //! entry up again and clones a [`Value`] per node. [`eval_lanes`] walks the
 //! tree **once** and carries one slot per mode — a *lane*; lane `0` is the

@@ -14,9 +14,13 @@
 //! Inner aggregates appear as [`Expr::ScalarRef`] (a scalar produced by
 //! another lineage block, optionally keyed by correlation columns) and
 //! [`Expr::InSubquery`] (membership in another block's filtered group set).
-//! The concrete values/ranges behind those references are supplied by an
-//! [`eval::EvalContext`], so the same expression tree runs unchanged under
-//! the exact batch engine, classical delta maintenance, and G-OLA.
+//! An [`EvalContext`] supplies the row; its [`Resolver`] supplies the
+//! values behind those references — a scalar and a membership, plus a
+//! variation range and a three-valued membership that default to the exact
+//! ones. The batch engine's resolver reads final subquery values and the
+//! online executor's reads the producers' publications in one mode (point,
+//! one bootstrap trial, or classification), so the same expression tree
+//! runs unchanged under both.
 
 // The determinism contract, checked by clippy (DESIGN.md §3.6).
 #![deny(
@@ -34,7 +38,9 @@ pub mod tri;
 pub mod types;
 pub mod vector;
 
-pub use eval::{eval, eval_predicate, eval_range, eval_tri, EvalContext, ExactContext};
+pub use eval::{
+    eval, eval_predicate, eval_range, eval_tri, EvalContext, NoResolver, Resolver, RowContext,
+};
 pub use expr::{BinOp, Expr, SubqueryId, UnaryOp};
 pub use functions::{FunctionRegistry, ScalarFn};
 pub use interval::RangeVal;

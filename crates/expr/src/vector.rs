@@ -1,6 +1,6 @@
 //! Vectorized predicate kernels over typed column vectors.
 //!
-//! The row-at-a-time evaluator ([`crate::eval`]) walks the expression tree
+//! The row-at-a-time evaluator ([`crate::eval::eval`]) walks the expression tree
 //! once per tuple; on the classify hot path that interpretation overhead
 //! dwarfs the comparisons themselves. This module compiles the common
 //! predicate shapes — comparisons between columns and literals, `IS NULL`,

@@ -8,7 +8,7 @@
 
 use gola_common::{Result, Row, Value};
 use gola_expr::eval::{eval, eval_predicate, eval_range, eval_tri};
-use gola_expr::{BinOp, EvalContext, Expr, RangeVal, SubqueryId, Tri};
+use gola_expr::{BinOp, EvalContext, Expr, RangeVal, Resolver, SubqueryId, Tri};
 use proptest::prelude::*;
 
 /// Context with one uncertain scalar (`sq0`) whose current value can be
@@ -25,13 +25,19 @@ impl EvalContext for Ctx {
     fn column(&self, idx: usize) -> &Value {
         self.row.get(idx)
     }
-    fn scalar_current(&self, _: SubqueryId, _: &[Value]) -> Result<Value> {
+    fn resolver(&self) -> &dyn Resolver {
+        self
+    }
+}
+
+impl Resolver for Ctx {
+    fn scalar(&self, _: SubqueryId, _: &[Value]) -> Result<Value> {
         Ok(Value::Float(self.value))
     }
     fn scalar_range(&self, _: SubqueryId, _: &[Value]) -> Result<RangeVal> {
         Ok(RangeVal::num(self.range.0, self.range.1))
     }
-    fn member_current(&self, _: SubqueryId, _: &[Value]) -> Result<bool> {
+    fn member(&self, _: SubqueryId, _: &[Value]) -> Result<bool> {
         Ok(self.member_point)
     }
     fn member_tri(&self, _: SubqueryId, _: &[Value]) -> Result<Tri> {
@@ -490,9 +496,9 @@ mod kernel_equivalence {
 // ---------------------------------------------------------------------------
 
 mod edge_numerics {
-    use gola_common::{DataType, Row, Value};
+    use gola_common::{DataType, Value};
     use gola_expr::eval::eval_binary_values;
-    use gola_expr::{BinOp, ExactContext, FunctionRegistry};
+    use gola_expr::{BinOp, FunctionRegistry, NoResolver, RowContext};
     use proptest::prelude::*;
 
     fn edge() -> BoxedStrategy<Value> {
@@ -519,7 +525,7 @@ mod edge_numerics {
             op: gola_expr::UnaryOp::Neg,
             expr: Box::new(gola_expr::Expr::Literal(l.clone())),
         };
-        let _ = gola_expr::eval(&neg, &ExactContext::new(&Row::default()));
+        let _ = gola_expr::eval(&neg, &RowContext::new(&[], &NoResolver));
         for to in [
             DataType::Bool,
             DataType::Int,
@@ -576,9 +582,7 @@ mod lane_equivalence {
     use gola_expr::eval::eval;
     use gola_expr::lanes::{eval_lanes, LaneContext, Lanes, ScalarLanes};
     use gola_expr::vector::num_total_key;
-    use gola_expr::{
-        BinOp, EvalContext, Expr, FunctionRegistry, RangeVal, SubqueryId, Tri, UnaryOp,
-    };
+    use gola_expr::{BinOp, EvalContext, Expr, FunctionRegistry, Resolver, SubqueryId, UnaryOp};
     use proptest::prelude::*;
 
     /// Point plus four trials.
@@ -614,7 +618,13 @@ mod lane_equivalence {
         fn column(&self, idx: usize) -> &Value {
             self.modes.row.get(idx)
         }
-        fn scalar_current(&self, id: SubqueryId, key: &[Value]) -> Result<Value> {
+        fn resolver(&self) -> &dyn Resolver {
+            self
+        }
+    }
+
+    impl Resolver for Mode<'_> {
+        fn scalar(&self, id: SubqueryId, key: &[Value]) -> Result<Value> {
             Ok(match self.modes.entry(id, key) {
                 Some((point, trials)) => {
                     let trial = self.lane.checked_sub(1).and_then(|b| trials.get(b));
@@ -623,14 +633,8 @@ mod lane_equivalence {
                 None => Value::Null,
             })
         }
-        fn scalar_range(&self, id: SubqueryId, key: &[Value]) -> Result<RangeVal> {
-            Ok(RangeVal::Exact(self.scalar_current(id, key)?))
-        }
-        fn member_current(&self, _: SubqueryId, _: &[Value]) -> Result<bool> {
+        fn member(&self, _: SubqueryId, _: &[Value]) -> Result<bool> {
             Ok(false)
-        }
-        fn member_tri(&self, _: SubqueryId, _: &[Value]) -> Result<Tri> {
-            Ok(Tri::False)
         }
     }
 

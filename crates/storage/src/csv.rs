@@ -35,7 +35,8 @@ pub fn write_csv<W: Write>(table: &Table, out: &mut W) -> Result<()> {
 }
 
 /// Read CSV with a header row into a table with the given schema. Column
-/// order must match the schema; empty cells become `NULL`.
+/// order must match the schema. An empty cell is `NULL`, except a quoted
+/// one (`""`) in a `Str` column, which is the empty string.
 pub fn read_csv<R: Read>(schema: Arc<Schema>, input: R) -> Result<Table> {
     let mut reader = BufReader::new(input);
     let mut text = String::new();
@@ -65,33 +66,37 @@ pub fn read_csv<R: Read>(schema: Arc<Schema>, input: R) -> Result<Table> {
         let values: Result<Vec<Value>> = rec
             .into_iter()
             .enumerate()
-            .map(|(i, cell)| parse_cell(&cell, schema.field(i).data_type))
+            .map(|(i, (cell, quoted))| parse_cell(&cell, quoted, schema.field(i).data_type))
             .collect();
         builder.push(Row::new(values?))?;
     }
     builder.finish_checked()
 }
 
-fn parse_cell(cell: &str, ty: DataType) -> Result<Value> {
-    if cell.is_empty() {
+fn parse_cell(cell: &str, quoted: bool, ty: DataType) -> Result<Value> {
+    if cell.is_empty() && !(quoted && ty == DataType::Str) {
         return Ok(Value::Null);
     }
     Value::str(cell).cast(ty)
 }
 
+/// `s` as one CSV field: quoted when it is empty (so it reads back as a
+/// string, not `NULL`) or holds a comma, quote or line break.
 fn escape(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') || s.contains('\r') {
+    if s.is_empty() || s.contains([',', '"', '\n', '\r']) {
         format!("\"{}\"", s.replace('"', "\"\""))
     } else {
         s.to_string()
     }
 }
 
-/// RFC-4180-ish record parser handling quoted fields.
-fn parse_records(text: &str) -> Result<Vec<Vec<String>>> {
+/// RFC-4180-ish record parser handling quoted fields. Each field comes with
+/// whether any of it was quoted.
+fn parse_records(text: &str) -> Result<Vec<Vec<(String, bool)>>> {
     let mut records = Vec::new();
-    let mut record: Vec<String> = Vec::new();
+    let mut record: Vec<(String, bool)> = Vec::new();
     let mut field = String::new();
+    let mut quoted = false;
     let mut chars = text.chars().peekable();
     let mut in_quotes = false;
     let mut saw_any = false;
@@ -111,13 +116,11 @@ fn parse_records(text: &str) -> Result<Vec<Vec<String>>> {
             }
         } else {
             match c {
-                '"' => in_quotes = true,
-                ',' => {
-                    record.push(std::mem::take(&mut field));
-                }
+                '"' => (in_quotes, quoted) = (true, true),
+                ',' => record.push((std::mem::take(&mut field), std::mem::take(&mut quoted))),
                 '\r' => {} // swallow; \n terminates the record
                 '\n' => {
-                    record.push(std::mem::take(&mut field));
+                    record.push((std::mem::take(&mut field), std::mem::take(&mut quoted)));
                     records.push(std::mem::take(&mut record));
                 }
                 _ => field.push(c),
@@ -127,8 +130,8 @@ fn parse_records(text: &str) -> Result<Vec<Vec<String>>> {
     if in_quotes {
         return Err(Error::Io("unterminated quoted csv field".into()));
     }
-    if saw_any && (!field.is_empty() || !record.is_empty()) {
-        record.push(field);
+    if saw_any && (!field.is_empty() || quoted || !record.is_empty()) {
+        record.push((field, quoted));
         records.push(record);
     }
     Ok(records)
@@ -166,6 +169,28 @@ mod tests {
         assert_eq!(back.rows()[1].get(1), &Value::str("with,comma"));
         assert_eq!(back.rows()[2].get(1), &Value::str("with \"quote\""));
         assert!(back.rows()[3].get(1).is_null());
+    }
+
+    #[test]
+    fn a_quoted_empty_field_is_an_empty_string_only_in_a_str_column() {
+        let t = Table::try_new(
+            schema(),
+            vec![
+                row![1i64, "", 1.5f64],
+                Row::new(vec![Value::Int(2), Value::Null, Value::Null]),
+            ],
+        )
+        .unwrap();
+        let mut buf = Vec::new();
+        write_csv(&t, &mut buf).unwrap();
+        assert_eq!(buf, b"id,name,score\n1,\"\",1.5\n2,,\n");
+        assert_eq!(read_csv(schema(), &buf[..]).unwrap(), t);
+        // `""` in a non-string column, like an unquoted empty cell, is NULL.
+        let t = read_csv(schema(), "id,name,score\n\"\",,\"\"".as_bytes()).unwrap();
+        assert!(t.rows()[0].iter().all(Value::is_null));
+        let one = Arc::new(Schema::from_pairs(&[("name", DataType::Str)]));
+        let t = read_csv(one, "name\n\"\"".as_bytes()).unwrap();
+        assert_eq!(t.rows()[0].get(0), &Value::str(""));
     }
 
     #[test]

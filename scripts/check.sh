@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full pre-merge gate: release build, workspace tests (the conformance
 # oracles, the contract checks and the scheduler simulator included),
-# formatting, lints, a run of every example program, and a CLI
-# ingest/replay smoke. `cargo fmt` is skipped
+# formatting, lints, rustdoc links, a run of every example program, and a
+# CLI ingest/replay smoke. `cargo fmt` is skipped
 # with a warning where it is not installed; `cargo clippy` is required,
 # because it enforces the determinism contract (DESIGN.md §3.6).
 #
@@ -100,6 +100,9 @@ else
     echo "==> cargo fmt not installed — skipping"
 fi
 step cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc warnings fail the gate, so a renamed public item cannot leave a
+# dead intra-doc link behind.
+step env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 step examples_smoke
 step ingest_cli_smoke
 [ "$metrics" -eq 1 ] && step metrics_smoke
