@@ -8,9 +8,16 @@
 //! states finalize into an [`Estimate`] carrying a value plus its bootstrap
 //! distribution — from which confidence intervals *and* variation ranges
 //! are derived.
+//!
+//! Storage is lane-major: each aggregate keeps its main state and all its
+//! replicas together (index `0` the main state, `1 + b` replica `b`). The
+//! summing kinds (COUNT/SUM/AVG/VAR/STDDEV) keep them as dense arrays —
+//! one weight total and one exact sum ([`DenseSums`]) per replica — so a
+//! run fold and a finalize over every replica are straight loops over
+//! contiguous `f64`s; MIN/MAX/QUANTILE/UDAF keep one [`AggState`] each.
 
 use gola_bootstrap::{BootstrapSpec, Estimate};
-use gola_common::fsum::{two_product, RunBuf, WeightedRun};
+use gola_common::fsum::{self, two_product, DenseSums, RunBuf, WeightedRun};
 use gola_common::Value;
 
 use crate::kind::AggKind;
@@ -24,60 +31,203 @@ pub struct FoldScratch {
     /// Both halves of `two_product(x, x)` per tuple (VAR/STDDEV).
     hi: Vec<f64>,
     lo: Vec<f64>,
-    /// Per replica: OR of the weights of the run's negative tuples (SUM).
-    neg: Vec<u32>,
+}
+
+/// What a [`Dense`] lane finalizes to.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Moment {
+    Count,
+    Sum,
+    Avg,
+    Var { stddev: bool },
+}
+
+/// A summing aggregate's main state and replicas, one array slot each.
+/// Slot `i` holds what [`AggState`]'s matching variant would: COUNT's
+/// `weight_sum`, SUM/AVG's `weight_sum` and `sum`, VAR's `count`, `sum`
+/// and `sumsq`.
+#[derive(Debug, Clone)]
+struct Dense {
+    moment: Moment,
+    weight: Vec<f64>,
+    /// `Σw·x` (none for COUNT).
+    sum: DenseSums,
+    /// `Σw·x²` (VAR only).
+    sumsq: DenseSums,
+    /// SUM: the main state took a negative contribution. (A replica's mark
+    /// would have no reader: only the main state has a lower bound.)
+    saw_negative: bool,
+}
+
+impl Dense {
+    fn new(moment: Moment, slots: usize) -> Dense {
+        let sums = |on: bool| DenseSums::new(if on { slots } else { 0 });
+        Dense {
+            moment,
+            weight: vec![0.0; slots],
+            sum: sums(moment != Moment::Count),
+            sumsq: sums(matches!(moment, Moment::Var { .. })),
+            saw_negative: false,
+        }
+    }
+
+    /// [`AggState::update`] on slot `i`.
+    fn update(&mut self, i: usize, v: &Value, w: f64) {
+        if v.is_null() || w <= 0.0 {
+            return;
+        }
+        if self.moment == Moment::Count {
+            self.weight[i] += w;
+            return;
+        }
+        let Some(x) = v.as_f64() else { return };
+        self.weight[i] += w;
+        self.sum.add_product(i, x, w);
+        match self.moment {
+            Moment::Sum if x < 0.0 && i == 0 => self.saw_negative = true,
+            Moment::Var { .. } => {
+                // `add_product(·, 1.0)` is `add(·)`, so this is
+                // `ExactVariance::add_weighted` at every weight.
+                let (p, e) = two_product(x, x);
+                self.sumsq.add_product(i, e, w);
+                self.sumsq.add_product(i, p, w);
+            }
+            _ => {}
+        }
+    }
+
+    /// [`AggState::merge`] of `other`'s slot `i` into slot `i`.
+    fn merge(&mut self, i: usize, other: &Dense) {
+        self.weight[i] += other.weight[i];
+        if !self.sum.is_empty() {
+            self.sum.merge(i, &other.sum, i);
+        }
+        if !self.sumsq.is_empty() {
+            self.sumsq.merge(i, &other.sumsq, i);
+        }
+        if i == 0 {
+            self.saw_negative |= other.saw_negative;
+        }
+    }
+
+    /// [`AggState::finalize_f64`] of slot `i`.
+    #[inline]
+    fn finalize_f64(&self, i: usize, scale: f64) -> Option<f64> {
+        let w = self.weight[i];
+        match self.moment {
+            Moment::Count => Some(w * scale),
+            _ if w == 0.0 => None,
+            Moment::Sum => Some(self.sum.value(i) * scale),
+            Moment::Avg => Some(self.sum.value(i) / w),
+            Moment::Var { stddev } => {
+                let sums = || (self.sum.value(i), self.sumsq.value(i));
+                fsum::variance_pop(w, sums).map(|v| if stddev { v.sqrt() } else { v })
+            }
+        }
+    }
+
+    /// Add the stream `run` summed last into `sums`: each level's pieces
+    /// with one [`DenseSums::add_slice`] over the replicas (and one `add`
+    /// for the main state), then one `add_product` per cell of what the
+    /// run handed back — in each slot the order a per-replica fold takes.
+    fn take_sums(sums: &mut DenseSums, run: &WeightedRun<'_>, rows: &[&[u32]], main: bool) {
+        let trials = sums.len() - 1;
+        for level in run.levels() {
+            sums.add_slice(1, &level[..trials]);
+            if main {
+                sums.add(0, level[trials]);
+            }
+        }
+        for &(t, x) in run.leftover() {
+            for (i, &w) in (1..).zip(rows[t]) {
+                if w != 0 {
+                    sums.add_product(i, x, f64::from(w));
+                }
+            }
+            if main {
+                sums.add_product(0, x, 1.0);
+            }
+        }
+    }
+}
+
+/// One aggregate's states, lane-major (slot `0` main, `1 + b` replica `b`).
+#[derive(Debug, Clone)]
+enum Lane {
+    Dense(Dense),
+    /// MIN/MAX/QUANTILE/UDAF: they look at every value themselves.
+    States(Vec<AggState>),
+}
+
+impl Lane {
+    fn new(kind: &AggKind, slots: usize) -> Lane {
+        let moment = match kind {
+            AggKind::Count => Moment::Count,
+            AggKind::Sum => Moment::Sum,
+            AggKind::Avg => Moment::Avg,
+            AggKind::VarPop => Moment::Var { stddev: false },
+            AggKind::StdDev => Moment::Var { stddev: true },
+            _ => return Lane::States((0..slots).map(|_| kind.new_state()).collect()),
+        };
+        Lane::Dense(Dense::new(moment, slots))
+    }
+
+    fn update(&mut self, i: usize, v: &Value, w: f64) {
+        match self {
+            Lane::Dense(d) => d.update(i, v, w),
+            Lane::States(s) => s[i].update(v, w),
+        }
+    }
+
+    fn merge(&mut self, i: usize, other: &Lane) {
+        match (self, other) {
+            (Lane::Dense(a), Lane::Dense(b)) => a.merge(i, b),
+            (Lane::States(a), Lane::States(b)) => a[i].merge(&b[i]),
+            (a, b) => panic!("cannot merge lanes of different kinds: {a:?} / {b:?}"),
+        }
+    }
+
+    fn finalize(&self, i: usize, scale: f64) -> Value {
+        match self {
+            Lane::Dense(d) => d.finalize_f64(i, scale).map_or(Value::Null, Value::Float),
+            Lane::States(s) => s[i].finalize(scale),
+        }
+    }
+
+    #[inline]
+    fn finalize_f64(&self, i: usize, scale: f64) -> Option<f64> {
+        match self {
+            Lane::Dense(d) => d.finalize_f64(i, scale),
+            Lane::States(s) => s[i].finalize_f64(scale),
+        }
+    }
 }
 
 /// Main + replica accumulators for a list of aggregates over one group.
 #[derive(Debug, Clone)]
 pub struct ReplicatedStates {
-    /// Flat, replica-major storage: row `0` holds the main state of each
-    /// aggregate, row `1 + b` holds replica `b`; row stride is `num_aggs`.
-    /// A single allocation keeps the per-tuple replica update loop walking
-    /// one contiguous region.
-    states: Vec<AggState>,
-    num_aggs: usize,
+    lanes: Vec<Lane>,
+    trials: u32,
 }
 
 impl ReplicatedStates {
     /// Fresh states for `kinds` with `trials` bootstrap replicas.
     pub fn new(kinds: &[AggKind], trials: u32) -> Self {
-        let rows = 1 + trials as usize;
-        let mut states = Vec::with_capacity(rows * kinds.len());
-        for _ in 0..rows {
-            states.extend(kinds.iter().map(AggKind::new_state));
-        }
+        let slots = 1 + trials as usize;
         ReplicatedStates {
-            states,
-            num_aggs: kinds.len(),
+            lanes: kinds.iter().map(|k| Lane::new(k, slots)).collect(),
+            trials,
         }
-    }
-
-    #[inline]
-    fn row(&self, r: usize) -> &[AggState] {
-        &self.states[r * self.num_aggs..(r + 1) * self.num_aggs]
-    }
-
-    #[inline]
-    fn row_mut(&mut self, r: usize) -> &mut [AggState] {
-        let stride = self.num_aggs;
-        &mut self.states[r * stride..(r + 1) * stride]
     }
 
     /// Number of bootstrap replicas.
     pub fn trials(&self) -> u32 {
-        match self.states.len().checked_div(self.num_aggs) {
-            // `rows == 0` (empty state table) must not underflow, and a
-            // replica count that overflows `u32` is a construction bug —
-            // fail loudly instead of truncating.
-            Some(rows) if rows > 0 => u32::try_from(rows - 1).expect("replica count exceeds u32"),
-            _ => 0,
-        }
+        self.trials
     }
 
     /// Number of aggregates per state.
     pub fn num_aggs(&self) -> usize {
-        self.num_aggs
+        self.lanes.len()
     }
 
     /// Fold one tuple in: `values[j]` is the j-th aggregate's argument
@@ -85,28 +235,15 @@ impl ReplicatedStates {
     /// replica with the tuple's hash-derived Poisson weight.
     pub fn update(&mut self, values: &[Value], tuple_id: u64, bootstrap: &BootstrapSpec) {
         debug_assert_eq!(values.len(), self.num_aggs());
-        for (s, v) in self.row_mut(0).iter_mut().zip(values) {
-            s.update(v, 1.0);
-        }
-        for b in 0..self.trials() {
-            let w = bootstrap.weight(tuple_id, b);
-            if w == 0 {
-                continue;
-            }
-            for (s, v) in self.row_mut(1 + b as usize).iter_mut().zip(values) {
-                s.update(v, w as f64);
+        let row: Vec<u32> = (0..self.trials)
+            .map(|b| bootstrap.weight(tuple_id, b))
+            .collect();
+        for (lane, v) in self.lanes.iter_mut().zip(values) {
+            lane.update(0, v, 1.0);
+            for (i, &w) in (1..).zip(&row).filter(|(_, &w)| w != 0) {
+                lane.update(i, v, f64::from(w));
             }
         }
-    }
-
-    /// Lane `j`'s replica states, in trial order.
-    fn replicas_mut(&mut self, j: usize) -> impl Iterator<Item = &mut AggState> {
-        let stride = self.num_aggs;
-        // `get_mut(..)`, not `[..]`: with zero replicas the slice start
-        // lies past the main-row-only allocation.
-        (self.states.get_mut(stride + j..).unwrap_or_default())
-            .iter_mut()
-            .step_by(stride)
     }
 
     /// Fold a *run* of tuples into aggregate lane `j`: `values[t]` is the
@@ -133,40 +270,36 @@ impl ReplicatedStates {
         scratch: &mut FoldScratch,
     ) {
         assert_eq!(values.len(), rows.len(), "one weight row per tuple");
-        if !include_main && self.trials() == 0 {
+        let trials = self.trials as usize;
+        if !include_main && trials == 0 {
             return; // no state to fold into
         }
-        if self.states[j].weight_total_mut().is_none() {
-            for (v, row) in values.iter().zip(rows) {
-                if v.is_null() {
-                    continue;
-                }
-                if include_main {
-                    self.states[j].update(v, 1.0);
-                }
-                for (st, &w) in self.replicas_mut(j).zip(*row) {
-                    if w != 0 {
-                        st.update(v, f64::from(w));
+        let lane = match &mut self.lanes[j] {
+            Lane::Dense(lane) => lane,
+            Lane::States(states) => {
+                let (main, replicas) = states.split_at_mut(1);
+                for (v, row) in values.iter().zip(rows).filter(|(v, _)| !v.is_null()) {
+                    if include_main {
+                        main[0].update(v, 1.0);
+                    }
+                    for (st, &w) in replicas.iter_mut().zip(*row) {
+                        if w != 0 {
+                            st.update(v, f64::from(w));
+                        }
                     }
                 }
+                return;
             }
-            return;
-        }
+        };
         // COUNT takes every non-null argument, the sums every numeric one;
         // the tuples a lane skips leave the run before it is weighed.
-        let counts = matches!(self.states[j], AggState::Count { .. });
+        let counts = lane.moment == Moment::Count;
         let arg = |v: &Value| match v {
             Value::Null => None,
             _ if counts => Some(0.0),
             v => v.as_f64(),
         };
-        let FoldScratch {
-            run,
-            xs,
-            hi,
-            lo,
-            neg,
-        } = scratch;
+        let FoldScratch { run, xs, hi, lo } = scratch;
         xs.clear();
         xs.extend(values.iter().filter_map(arg));
         let kept: Vec<&[u32]>;
@@ -177,23 +310,19 @@ impl ReplicatedStates {
             kept = taken.map(|(row, _)| *row).collect();
             &kept
         };
-        let mut run = WeightedRun::new(rows, self.trials() as usize, include_main, run);
-        let tallies = self.replicas_mut(j).filter_map(AggState::weight_total_mut);
-        for (tally, &total) in tallies.zip(run.totals()) {
-            // Exact: a run's weight total is far below 2^53.
-            *tally += total as f64;
-        }
+        let mut run = WeightedRun::new(rows, trials, include_main, run);
+        // Exact: a run's weight total is far below 2^53.
+        let tallies = lane.weight[1..].iter_mut().zip(run.totals());
+        tallies.for_each(|(tally, &total)| *tally += total as f64);
         if include_main {
-            if let Some(tally) = self.states[j].weight_total_mut() {
-                *tally += rows.len() as f64;
-            }
+            lane.weight[0] += rows.len() as f64;
         }
         if counts {
             return;
         }
         run.sum(xs);
-        self.take_sums(j, &run, rows, include_main, false);
-        if matches!(self.states[j], AggState::Var { .. }) {
+        Dense::take_sums(&mut lane.sum, &run, rows, include_main);
+        if matches!(lane.moment, Moment::Var { .. }) {
             hi.clear();
             lo.clear();
             for (p, e) in xs.iter().map(|&x| two_product(x, x)) {
@@ -202,75 +331,27 @@ impl ReplicatedStates {
             }
             for half in [&*lo, &*hi] {
                 run.sum(half);
-                self.take_sums(j, &run, rows, include_main, true);
+                Dense::take_sums(&mut lane.sumsq, &run, rows, include_main);
             }
         }
-        // SUM remembers having seen a negative contribution.
-        if matches!(self.states[j], AggState::Sum { .. }) && xs.iter().any(|&x| x < 0.0) {
-            neg.clear();
-            neg.resize(self.trials() as usize, 0);
-            for (_, row) in xs.iter().zip(rows).filter(|(&x, _)| x < 0.0) {
-                for (n, &w) in neg.iter_mut().zip(*row) {
-                    *n |= w;
-                }
-            }
-            if include_main {
-                self.states[j].mark_negative();
-            }
-            let hit = self.replicas_mut(j).zip(&*neg).filter(|(_, &n)| n != 0);
-            hit.for_each(|(st, _)| st.mark_negative());
-        }
-    }
-
-    /// Add the stream `run` summed last into lane `j`'s `Σw·x` sums (or,
-    /// with `squares`, its `Σw·x²` sums): each level's piece with one
-    /// `add`, what the run handed back with one `add_product` per cell.
-    fn take_sums(
-        &mut self,
-        j: usize,
-        run: &WeightedRun<'_>,
-        rows: &[&[u32]],
-        include_main: bool,
-        squares: bool,
-    ) {
-        let trials = self.trials() as usize;
-        let sums = (self.replicas_mut(j)).filter_map(|st| st.exact_sum_mut(squares));
-        for (b, sum) in sums.enumerate() {
-            run.pieces(b).for_each(|piece| sum.add(piece));
-            for &(t, x) in run.leftover() {
-                if rows[t][b] != 0 {
-                    sum.add_product(x, f64::from(rows[t][b]));
-                }
-            }
-        }
-        if let Some(sum) = self.states[j]
-            .exact_sum_mut(squares)
-            .filter(|_| include_main)
-        {
-            run.pieces(trials).for_each(|piece| sum.add(piece));
-            for &(_, x) in run.leftover() {
-                sum.add_product(x, 1.0);
-            }
+        // SUM's main state remembers having seen a negative contribution.
+        if lane.moment == Moment::Sum && include_main && xs.iter().any(|&x| x < 0.0) {
+            lane.saw_negative = true;
         }
     }
 
     /// Merge only the main states (selective combination: per-trial
     /// inclusion of the other partition is decided separately).
     pub fn merge_main(&mut self, other: &ReplicatedStates) {
-        let stride = self.num_aggs;
-        for (a, b) in self.states[..stride]
-            .iter_mut()
-            .zip(&other.states[..stride])
-        {
-            a.merge(b);
+        for (a, b) in self.lanes.iter_mut().zip(&other.lanes) {
+            a.merge(0, b);
         }
     }
 
     /// Merge only replica `b`'s states.
     pub fn merge_replica(&mut self, b: u32, other: &ReplicatedStates) {
-        let idx = 1 + b as usize;
-        for (a, o) in self.row_mut(idx).iter_mut().zip(other.row(idx)) {
-            a.merge(o);
+        for (a, o) in self.lanes.iter_mut().zip(&other.lanes) {
+            a.merge(1 + b as usize, o);
         }
     }
 
@@ -278,52 +359,69 @@ impl ReplicatedStates {
     /// per-trial inclusion of a tuple is decided separately (uncertain-set
     /// evaluation at answer time).
     pub fn update_main(&mut self, values: &[Value]) {
-        for (s, v) in self.row_mut(0).iter_mut().zip(values) {
-            s.update(v, 1.0);
+        for (lane, v) in self.lanes.iter_mut().zip(values) {
+            lane.update(0, v, 1.0);
         }
     }
 
     /// Fold one tuple into replica `b` only, with an explicit weight.
     pub fn update_replica(&mut self, b: u32, values: &[Value], weight: f64) {
-        for (s, v) in self.row_mut(1 + b as usize).iter_mut().zip(values) {
-            s.update(v, weight);
+        for (lane, v) in self.lanes.iter_mut().zip(values) {
+            lane.update(1 + b as usize, v, weight);
         }
     }
 
     /// Current value of aggregate `j` from the main state.
     pub fn value(&self, j: usize, scale: f64) -> Value {
-        self.states[j].finalize(scale)
+        self.lanes[j].finalize(0, scale)
     }
 
     /// Value of aggregate `j` in bootstrap replica `b`.
     pub fn trial_value(&self, j: usize, b: u32, scale: f64) -> Value {
-        self.states[(1 + b as usize) * self.num_aggs + j].finalize(scale)
+        self.lanes[j].finalize(1 + b as usize, scale)
     }
 
-    /// Numeric value of aggregate `j` in replica `b`, without boxing —
-    /// the hot path of per-trial membership tests.
-    #[inline]
-    pub fn trial_value_f64(&self, j: usize, b: u32, scale: f64) -> Option<f64> {
-        self.states[(1 + b as usize) * self.num_aggs + j].finalize_f64(scale)
+    /// Aggregate `j`'s value in every replica, in trial order: one pass
+    /// over the lane.
+    pub fn trial_values(&self, j: usize, scale: f64) -> impl Iterator<Item = Value> + '_ {
+        let lane = &self.lanes[j];
+        (1..=self.trials as usize).map(move |i| lane.finalize(i, scale))
+    }
+
+    /// [`trial_values`](Self::trial_values) as numbers, without boxing
+    /// (`None`: null or non-numeric).
+    pub fn trial_values_f64(&self, j: usize, scale: f64) -> impl Iterator<Item = Option<f64>> + '_ {
+        let lane = &self.lanes[j];
+        (1..=self.trials as usize).map(move |i| lane.finalize_f64(i, scale))
     }
 
     /// Monotone lower bound on aggregate `j`'s final value (see
     /// [`AggState::monotone_lower_bound`]).
     pub fn lower_bound(&self, j: usize) -> Option<f64> {
-        self.states[j].monotone_lower_bound()
+        match &self.lanes[j] {
+            Lane::Dense(d) => match d.moment {
+                Moment::Count => Some(d.weight[0]),
+                Moment::Sum if !d.saw_negative && d.weight[0] != 0.0 => Some(d.sum.value(0)),
+                _ => None,
+            },
+            Lane::States(s) => s[0].monotone_lower_bound(),
+        }
     }
 
     /// Observation count of aggregate `j`'s main state, if tracked.
     pub fn observations(&self, j: usize) -> Option<f64> {
-        self.states[j].observations()
+        match &self.lanes[j] {
+            Lane::Dense(d) => Some(d.weight[0]),
+            Lane::States(s) => s[0].observations(),
+        }
     }
 
     /// Replica values of aggregate `j` (numeric replicas only; non-numeric
     /// and null replica outcomes are dropped from the distribution).
     pub fn replica_values(&self, j: usize, scale: f64) -> Vec<f64> {
-        (0..self.trials())
-            .filter_map(|b| self.trial_value_f64(j, b, scale))
-            .collect()
+        let mut out = Vec::with_capacity(self.trials as usize);
+        out.extend(self.trial_values_f64(j, scale).flatten());
+        out
     }
 
     /// Full [`Estimate`] (value + bootstrap distribution) of aggregate `j`.
@@ -336,7 +434,10 @@ impl ReplicatedStates {
 
     /// `true` if the main states saw no data.
     pub fn is_empty(&self) -> bool {
-        self.row(0).iter().all(AggState::is_empty)
+        self.lanes.iter().all(|lane| match lane {
+            Lane::Dense(d) => d.weight[0] == 0.0,
+            Lane::States(s) => s[0].is_empty(),
+        })
     }
 }
 

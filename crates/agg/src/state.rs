@@ -137,40 +137,6 @@ impl AggState {
         }
     }
 
-    /// The total-weight tally of a summing state (COUNT's count, SUM/AVG's
-    /// `weight_sum`, VAR's `count`) — `None` for the kinds that look at
-    /// every value themselves (MIN/MAX/QUANTILE/UDAF). Run folds bump it by
-    /// a whole run's weight total at once.
-    pub(crate) fn weight_total_mut(&mut self) -> Option<&mut f64> {
-        match self {
-            AggState::Count { weight_sum }
-            | AggState::Sum { weight_sum, .. }
-            | AggState::Avg { weight_sum, .. } => Some(weight_sum),
-            AggState::Var { acc, .. } => Some(&mut acc.count),
-            _ => None,
-        }
-    }
-
-    /// The exact sum a summing state keeps of `w·x` (SUM/AVG/VAR) or, with
-    /// `squares`, of `w·x²` (VAR).
-    pub(crate) fn exact_sum_mut(&mut self, squares: bool) -> Option<&mut ExactSum> {
-        match self {
-            AggState::Sum { sum, .. } | AggState::Avg { sum, .. } if !squares => Some(sum),
-            AggState::Var { acc, .. } => {
-                let (sum, sumsq) = acc.sums_mut();
-                Some(if squares { sumsq } else { sum })
-            }
-            _ => None,
-        }
-    }
-
-    /// Record that a SUM took a negative contribution (no-op elsewhere).
-    pub(crate) fn mark_negative(&mut self) {
-        if let AggState::Sum { saw_negative, .. } = self {
-            *saw_negative = true;
-        }
-    }
-
     /// Merge another state of the same kind (parallel partial aggregation;
     /// panics on kind mismatch — states are paired by construction).
     /// Quantile and UDAF states do not support merging and must be

@@ -232,22 +232,34 @@ proptest! {
     }
 }
 
-/// Equivalence of the run fold against the row-major reference path.
-/// `ReplicatedStates::fold_run` is documented bit-identical, at every
-/// finalize, to updating main + each replica in ascending trial order
-/// through `AggState::update`, tuple after tuple; this holds it to that —
-/// on every lane kind, run lengths from 1 to a full 1024-tuple chunk,
-/// trial counts {0, 1, 100}, biased and masked and all-zero weight rows,
-/// and values picked to break a pre-rounding kernel.
+/// The replicated states against an oracle that shares none of their
+/// layout: one plain [`AggState`] per (slot, aggregate), slot 0 the main
+/// state and `1 + b` replica `b`, fed tuple by tuple through
+/// `AggState::update` in ascending trial order and merged through
+/// `AggState::merge`. `ReplicatedStates` is documented bit-identical to
+/// that at every finalize — through `fold_run`, `update_main`/
+/// `update_replica`, `merge_main`/`merge_replica` and `clone` — and this
+/// holds it there on every lane kind, run lengths from 1 to a full
+/// 1024-tuple chunk, trial counts {0, 1, 100}, biased and masked and
+/// all-zero weight rows, and values picked to break a pre-rounding kernel
+/// or a one-double sum (NaN, ±∞, ±1e308, subnormals, integers above 2^53).
+///
+/// `PROPTEST_CASES` raises the case count (`scripts/check.sh` runs 2000 in
+/// release); the default keeps `cargo test` quick.
 mod run_fold_equivalence {
     use std::sync::Arc;
 
     use gola_agg::udaf::GeometricMean;
-    use gola_agg::{AggKind, FoldScratch, ReplicatedStates};
+    use gola_agg::{AggKind, AggState, FoldScratch, ReplicatedStates};
     use gola_bootstrap::BootstrapSpec;
     use gola_common::rng::SplitMix64;
     use gola_common::Value;
     use proptest::prelude::*;
+
+    fn cases() -> u32 {
+        let env = std::env::var("PROPTEST_CASES").ok();
+        env.and_then(|c| c.parse().ok()).unwrap_or(96)
+    }
 
     /// One lane per aggregate kind.
     fn kinds() -> Vec<AggKind> {
@@ -262,6 +274,46 @@ mod run_fold_equivalence {
             AggKind::Quantile(0.5),
             AggKind::Udaf(Arc::new(GeometricMean)),
         ]
+    }
+
+    /// The kinds whose states merge.
+    fn mergeable_kinds() -> Vec<AggKind> {
+        kinds().into_iter().filter(AggKind::is_mergeable).collect()
+    }
+
+    /// The oracle: `slots[i][j]` is aggregate `j`'s state in slot `i`.
+    #[derive(Clone)]
+    struct Reference {
+        slots: Vec<Vec<AggState>>,
+    }
+
+    impl Reference {
+        fn new(kinds: &[AggKind], trials: u32) -> Reference {
+            let row: Vec<AggState> = kinds.iter().map(AggKind::new_state).collect();
+            Reference {
+                slots: vec![row; 1 + trials as usize],
+            }
+        }
+
+        /// Tuple after tuple: the main state at weight 1 (if asked), then
+        /// each replica with a non-zero weight, in trial order.
+        fn fold(&mut self, run: &Run, include_main: bool) {
+            for (t, row) in run.weights.iter().enumerate() {
+                let weighted = (1..).zip(row).filter(|(_, &w)| w != 0);
+                let main = include_main.then_some((0, &1));
+                for (i, &w) in main.into_iter().chain(weighted) {
+                    for (st, lane) in self.slots[i].iter_mut().zip(&run.lanes) {
+                        st.update(&lane[t], f64::from(w));
+                    }
+                }
+            }
+        }
+
+        fn merge(&mut self, i: usize, other: &Reference) {
+            for (a, b) in self.slots[i].iter_mut().zip(&other.slots[i]) {
+                a.merge(b);
+            }
+        }
     }
 
     /// A lane argument from value family `family`: families keep a run's
@@ -315,7 +367,7 @@ mod run_fold_equivalence {
         weights: Vec<Vec<u32>>,
     }
 
-    fn run(rng: &mut SplitMix64, spec: &BootstrapSpec) -> Run {
+    fn run(rng: &mut SplitMix64, spec: &BootstrapSpec, lanes: usize) -> Run {
         // Mostly short runs (many-group shapes), sometimes a full chunk.
         let n = match rng.next_below(8) {
             0 => 1,
@@ -337,7 +389,7 @@ mod run_fold_equivalence {
             weights.push(row.clone());
         }
         let family = rng.next_below(8);
-        let lanes = (0..kinds().len())
+        let lanes = (0..lanes)
             .map(|_| (0..n).map(|_| lane_val(rng, family)).collect())
             .collect();
         Run { lanes, weights }
@@ -350,77 +402,173 @@ mod run_fold_equivalence {
         }
     }
 
+    fn f64_bits(x: Option<f64>) -> Option<u64> {
+        x.map(f64::to_bits)
+    }
+
+    /// Every reader of the states against the oracle's.
     fn assert_states_match(
-        kernel: &ReplicatedStates,
-        reference: &ReplicatedStates,
-        trials: u32,
+        states: &ReplicatedStates,
+        oracle: &Reference,
         what: &str,
     ) -> Result<(), TestCaseError> {
+        let trials = states.trials();
+        prop_assert_eq!(trials as usize + 1, oracle.slots.len(), "{}", what);
         for scale in [1.0, 1.5] {
-            for j in 0..kernel.num_aggs() {
+            for j in 0..states.num_aggs() {
+                let main = &oracle.slots[0][j];
+                let want = main.finalize(scale);
                 prop_assert!(
-                    bits_eq(&kernel.value(j, scale), &reference.value(j, scale)),
-                    "{what}: main lane {j} scale {scale}: {:?} vs {:?}",
-                    kernel.value(j, scale),
-                    reference.value(j, scale)
+                    bits_eq(&states.value(j, scale), &want),
+                    "{what}: main lane {j} scale {scale}: {:?} vs {want:?}",
+                    states.value(j, scale)
                 );
-                for b in 0..trials {
+                let slots = &oracle.slots[1..];
+                let values: Vec<Value> = states.trial_values(j, scale).collect();
+                let numbers: Vec<Option<f64>> = states.trial_values_f64(j, scale).collect();
+                prop_assert_eq!(values.len(), slots.len(), "{}", what);
+                for (b, slot) in slots.iter().enumerate() {
+                    let want = slot[j].finalize(scale);
+                    let got = states.trial_value(j, b as u32, scale);
                     prop_assert!(
-                        bits_eq(
-                            &kernel.trial_value(j, b, scale),
-                            &reference.trial_value(j, b, scale)
-                        ),
-                        "{what}: lane {j} trial {b} scale {scale}: {:?} vs {:?}",
-                        kernel.trial_value(j, b, scale),
-                        reference.trial_value(j, b, scale)
+                        bits_eq(&got, &want) && bits_eq(&values[b], &want),
+                        "{what}: lane {j} trial {b} scale {scale}: {got:?} vs {want:?}"
+                    );
+                    let want = f64_bits(slot[j].finalize_f64(scale));
+                    prop_assert_eq!(
+                        f64_bits(numbers[b]),
+                        want,
+                        "{}: lane {} trial {}",
+                        what,
+                        j,
+                        b
                     );
                 }
-                prop_assert_eq!(kernel.lower_bound(j), reference.lower_bound(j), "{}", what);
+                let replicas: Vec<f64> = slots
+                    .iter()
+                    .filter_map(|s| s[j].finalize_f64(scale))
+                    .collect();
+                let got: Vec<u64> = (states.replica_values(j, scale).iter())
+                    .map(|x| x.to_bits())
+                    .collect();
+                let want: Vec<u64> = replicas.iter().map(|x| x.to_bits()).collect();
+                prop_assert_eq!(got, want, "{}: lane {} replica values", what, j);
+                let estimate = states.estimate(j, scale);
+                match main.finalize(scale).as_f64() {
+                    Some(v) => {
+                        let e = estimate.expect("numeric main value has an estimate");
+                        prop_assert_eq!(e.value.to_bits(), v.to_bits(), "{}", what);
+                        let reps: Vec<u64> = e.replicas.iter().map(|x| x.to_bits()).collect();
+                        let want: Vec<u64> = replicas.iter().map(|x| x.to_bits()).collect();
+                        prop_assert_eq!(reps, want, "{}: lane {} estimate", what, j);
+                    }
+                    None => prop_assert!(estimate.is_none(), "{}: lane {} estimate", what, j),
+                }
                 prop_assert_eq!(
-                    kernel.observations(j),
-                    reference.observations(j),
-                    "{}",
-                    what
+                    f64_bits(states.lower_bound(j)),
+                    f64_bits(main.monotone_lower_bound()),
+                    "{}: lane {} lower bound",
+                    what,
+                    j
+                );
+                prop_assert_eq!(
+                    f64_bits(states.observations(j)),
+                    f64_bits(main.observations()),
+                    "{}: lane {} observations",
+                    what,
+                    j
                 );
             }
         }
+        let empty = oracle.slots[0].iter().all(AggState::is_empty);
+        prop_assert_eq!(states.is_empty(), empty, "{}", what);
         Ok(())
     }
 
+    /// `run` into every lane of `states` through `fold_run`.
+    fn fold_run(states: &mut ReplicatedStates, run: &Run, main: bool, scratch: &mut FoldScratch) {
+        let rows: Vec<&[u32]> = run.weights.iter().map(Vec::as_slice).collect();
+        for (j, values) in run.lanes.iter().enumerate() {
+            states.fold_run(j, values, &rows, main, scratch);
+        }
+    }
+
+    /// A bootstrap spec of 0, 1 or 100 trials, sometimes biased.
+    fn spec(rng: &mut SplitMix64) -> BootstrapSpec {
+        let trials = [0, 1, 100][rng.next_below(3) as usize];
+        let bias = [0, 0, 1, 3][rng.next_below(4) as usize];
+        BootstrapSpec::new(trials, rng.next_u64()).with_weight_bias(bias)
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(96))]
+        #![proptest_config(ProptestConfig::with_cases(cases()))]
         /// Two runs in a row (the second lands on non-empty states), with
-        /// and without the main state, against the row-major reference.
+        /// and without the main state: `fold_run`, and the per-tuple
+        /// `update_main` + `update_replica`, each against the oracle.
         #[test]
         fn run_fold_matches_row_major(seed in any::<u64>(), include_main in any::<bool>()) {
             let mut rng = SplitMix64::new(seed);
-            let trials = [0, 1, 100][rng.next_below(3) as usize];
-            let bias = [0, 0, 1, 3][rng.next_below(4) as usize];
-            let spec = BootstrapSpec::new(trials, rng.next_u64()).with_weight_bias(bias);
+            let spec = spec(&mut rng);
             let ks = kinds();
-            let mut kernel = ReplicatedStates::new(&ks, trials);
-            let mut reference = ReplicatedStates::new(&ks, trials);
+            let mut kernel = ReplicatedStates::new(&ks, spec.trials);
+            let mut per_tuple = ReplicatedStates::new(&ks, spec.trials);
+            let mut oracle = Reference::new(&ks, spec.trials);
             let mut scratch = FoldScratch::default();
             for _ in 0..2 {
-                let run = run(&mut rng, &spec);
-                let rows: Vec<&[u32]> = run.weights.iter().map(Vec::as_slice).collect();
-                for (j, values) in run.lanes.iter().enumerate() {
-                    kernel.fold_run(j, values, &rows, include_main, &mut scratch);
-                }
-                for (t, row) in rows.iter().enumerate() {
+                let run = run(&mut rng, &spec, ks.len());
+                fold_run(&mut kernel, &run, include_main, &mut scratch);
+                for (t, row) in run.weights.iter().enumerate() {
                     let values: Vec<Value> = run.lanes.iter().map(|l| l[t].clone()).collect();
                     if include_main {
-                        reference.update_main(&values);
+                        per_tuple.update_main(&values);
                     }
-                    for (b, &w) in row.iter().enumerate() {
-                        if w != 0 {
-                            reference.update_replica(b as u32, &values, f64::from(w));
-                        }
+                    for (b, &w) in (0..).zip(row).filter(|(_, &w)| w != 0) {
+                        per_tuple.update_replica(b, &values, f64::from(w));
                     }
                 }
+                oracle.fold(&run, include_main);
             }
-            assert_states_match(&kernel, &reference, trials, "fold_run")?;
-            prop_assert_eq!(kernel.is_empty(), reference.is_empty());
+            assert_states_match(&kernel, &oracle, "fold_run")?;
+            assert_states_match(&per_tuple, &oracle, "update_main/update_replica")?;
+        }
+
+        /// Partitions folded apart, then combined the way a semi-join block
+        /// combines them: the main states, and a random subset of replicas.
+        /// A clone is a snapshot: folding into it leaves the original as it
+        /// was, and it goes on like the oracle's clone.
+        #[test]
+        fn merge_and_clone_match_the_oracle(seed in any::<u64>()) {
+            let mut rng = SplitMix64::new(seed);
+            let spec = spec(&mut rng);
+            let ks = mergeable_kinds();
+            let mut scratch = FoldScratch::default();
+            let mut part = |rng: &mut SplitMix64| {
+                let mut states = ReplicatedStates::new(&ks, spec.trials);
+                let mut oracle = Reference::new(&ks, spec.trials);
+                for _ in 0..1 + rng.next_below(2) {
+                    let run = run(rng, &spec, ks.len());
+                    fold_run(&mut states, &run, true, &mut scratch);
+                    oracle.fold(&run, true);
+                }
+                (states, oracle)
+            };
+            let (mut states, mut oracle) = part(&mut rng);
+            let (other, other_oracle) = part(&mut rng);
+            states.merge_main(&other);
+            oracle.merge(0, &other_oracle);
+            for b in (0..spec.trials).filter(|_| rng.next_below(2) == 0) {
+                states.merge_replica(b, &other);
+                oracle.merge(1 + b as usize, &other_oracle);
+            }
+            assert_states_match(&states, &oracle, "merge")?;
+
+            let (mut copy, mut copy_oracle) = (states.clone(), oracle.clone());
+            let include_main = rng.next_below(2) == 0;
+            let run = run(&mut rng, &spec, ks.len());
+            fold_run(&mut copy, &run, include_main, &mut scratch);
+            copy_oracle.fold(&run, include_main);
+            assert_states_match(&copy, &copy_oracle, "clone")?;
+            assert_states_match(&states, &oracle, "original after its clone moved")?;
         }
     }
 }

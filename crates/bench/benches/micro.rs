@@ -131,7 +131,9 @@ fn bench_agg_updates(c: &mut Criterion) {
     let xs: Vec<Value> = (ids.iter())
         .map(|&t| Value::Float(12.5 + t as f64 * 0.37))
         .collect();
-    for len in [1usize, 8, 1024] {
+    // 3 is the many-group producers' run length (Q17's and Q20's inner
+    // blocks fold most of their groups a few tuples at a time).
+    for len in [1usize, 3, 8, 1024] {
         g.throughput(Throughput::Elements(len as u64));
         g.bench_function(&format!("fold_run_100_trials/{len}"), |b| {
             let mut rs = ReplicatedStates::new(&kinds, 100);
@@ -146,6 +148,35 @@ fn bench_agg_updates(c: &mut Criterion) {
             })
         });
     }
+    // Publish's read of a many-group block: every replica of (SUM, AVG)
+    // over integer quantities in 400 groups, each fed four 3-tuple runs.
+    // One iteration finalizes them all; elements/s is per replica value.
+    let groups: Vec<ReplicatedStates> = (0..400usize)
+        .map(|g| {
+            let mut rs = ReplicatedStates::new(&kinds, 100);
+            let mut scratch = FoldScratch::default();
+            for run in 0..4 {
+                let at = (g * 12 + run * 3) % 1022;
+                let qty: Vec<Value> = (at..at + 3)
+                    .map(|t| Value::Int(1 + t as i64 % 50))
+                    .collect();
+                for j in 0..kinds.len() {
+                    rs.fold_run(j, &qty, &rows[at..at + 3], true, &mut scratch);
+                }
+            }
+            rs
+        })
+        .collect();
+    g.throughput(Throughput::Elements(400 * 2 * 100));
+    g.bench_function("trial_values_100", |b| {
+        b.iter(|| {
+            for rs in black_box(&groups) {
+                for j in 0..kinds.len() {
+                    black_box(rs.replica_values(j, 1.5));
+                }
+            }
+        })
+    });
     g.finish();
 }
 

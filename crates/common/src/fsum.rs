@@ -193,6 +193,146 @@ impl ExactSum {
     }
 }
 
+/// The payload bits of a quiet NaN: where a spilled cell keeps its index.
+const PAYLOAD: u64 = (1 << 51) - 1;
+
+/// A NaN whose payload is index `k` of a [`DenseSums`]' side vector.
+fn spill_mark(k: usize) -> f64 {
+    f64::from_bits(f64::NAN.to_bits() | k as u64)
+}
+
+/// The side-vector index a [`DenseSums`] cell marks, if it marks one.
+#[inline]
+fn spill_index(d: f64) -> Option<usize> {
+    let k = (d.to_bits() & PAYLOAD) as usize;
+    d.is_nan().then_some(k)
+}
+
+/// A vector of [`ExactSum`]s stored one `f64` each while that is exact.
+///
+/// Cell `i` is either *dense* — a finite double `d` standing for the
+/// `ExactSum` whose only component is `d` (none when `d == 0`) — or
+/// *spilled*: a NaN marking its full `ExactSum` in a side vector. Every
+/// operation does what the same operation on cell `i`'s `ExactSum` would
+/// do, and a cell spills exactly when that `ExactSum` would leave the
+/// one-component form: a `two_sum` error term, a non-finite value, or an
+/// overflow. So a cell is always in the state its `ExactSum` would be in,
+/// and [`value`](Self::value) returns the same bits. Sums of integers
+/// (counts, quantities) stay dense for as long as they fit 53 bits, and
+/// adding a row of pieces that all stay exact ([`add_slice`](Self::add_slice))
+/// is one plain vector add.
+#[derive(Debug, Clone)]
+pub struct DenseSums {
+    dense: Vec<f64>,
+    spilled: Vec<ExactSum>,
+}
+
+impl DenseSums {
+    /// `n` empty sums.
+    pub fn new(n: usize) -> Self {
+        DenseSums {
+            dense: vec![0.0; n],
+            spilled: Vec::new(),
+        }
+    }
+
+    /// Number of sums.
+    pub fn len(&self) -> usize {
+        self.dense.len()
+    }
+
+    /// `true` when there are no sums.
+    pub fn is_empty(&self) -> bool {
+        self.dense.is_empty()
+    }
+
+    /// Sum `i` as its side `ExactSum`, moved there (same state) if it is
+    /// still dense.
+    fn exact(&mut self, i: usize) -> &mut ExactSum {
+        match spill_index(self.dense[i]) {
+            Some(k) => &mut self.spilled[k],
+            None => self.spill(i),
+        }
+    }
+
+    /// Move dense sum `i` to a side `ExactSum` in the same state.
+    #[cold]
+    fn spill(&mut self, i: usize) -> &mut ExactSum {
+        let mut sum = ExactSum::new();
+        sum.add(self.dense[i]);
+        let k = self.spilled.len();
+        self.dense[i] = spill_mark(k);
+        self.spilled.push(sum);
+        &mut self.spilled[k]
+    }
+
+    /// [`ExactSum::add`] on sum `i`.
+    #[inline]
+    pub fn add(&mut self, i: usize, x: f64) {
+        let d = self.dense[i];
+        if let Some(k) = spill_index(d) {
+            return self.spilled[k].add(x);
+        }
+        // `ExactSum::grow` on the component list `[d]`: one `two_sum`.
+        let (s, e) = two_sum(x, d);
+        if e == 0.0 && s.is_finite() {
+            self.dense[i] = s;
+        } else {
+            self.spill(i).add(x);
+        }
+    }
+
+    /// [`ExactSum::add_product`] on sum `i`.
+    #[inline]
+    pub fn add_product(&mut self, i: usize, a: f64, b: f64) {
+        if let Some(k) = spill_index(self.dense[i]) {
+            return self.spilled[k].add_product(a, b);
+        }
+        let (p, e) = two_product(a, b);
+        if p.is_finite() {
+            self.add(i, e);
+        }
+        self.add(i, p);
+    }
+
+    /// [`add`](Self::add) `xs[k]` to sum `start + k`, for every `k`. When
+    /// every one of those sums is dense and stays exact, that is one plain
+    /// vector add; otherwise each cell goes its own way.
+    pub fn add_slice(&mut self, start: usize, xs: &[f64]) {
+        let all_spilled = self.spilled.len() == self.dense.len();
+        let dense = &mut self.dense[start..][..xs.len()];
+        let exact = !all_spilled
+            && dense.iter().zip(xs).fold(true, |ok, (&d, &x)| {
+                let (s, e) = two_sum(x, d);
+                ok & (e == 0.0) & s.is_finite()
+            });
+        if exact {
+            dense.iter_mut().zip(xs).for_each(|(d, &x)| *d += x);
+        } else {
+            (start..).zip(xs).for_each(|(i, &x)| self.add(i, x));
+        }
+    }
+
+    /// [`ExactSum::merge`] of `other`'s sum `j` into sum `i`.
+    pub fn merge(&mut self, i: usize, other: &DenseSums, j: usize) {
+        let d = other.dense[j];
+        match spill_index(d) {
+            Some(k) => self.exact(i).merge(&other.spilled[k]),
+            None => self.add(i, d),
+        }
+    }
+
+    /// [`ExactSum::value`] of sum `i`.
+    #[inline]
+    pub fn value(&self, i: usize) -> f64 {
+        let d = self.dense[i];
+        match spill_index(d) {
+            Some(k) => self.spilled[k].value(),
+            None => d,
+        }
+    }
+}
+
 /// Pre-rounding levels a run gets before what is still left of its values
 /// is handed back ([`WeightedRun::leftover`]). A level takes the top
 /// `53 − K` bits off every remainder (`K` ≈ 11 for a 1024-tuple run), so six
@@ -230,7 +370,7 @@ pub struct RunBuf {
 /// exactly representable, hence every operation of the sweep is exact and
 /// its order irrelevant. The remainders (at most `u/2`) get the next
 /// level, until none is left. Each level's column sum is handed out as one
-/// exact piece ([`WeightedRun::pieces`]); adding the pieces to an
+/// exact piece ([`WeightedRun::levels`]); adding the pieces to an
 /// [`ExactSum`] leaves it representing the same real number as one
 /// `add_product` per (tuple, column) would — so `value()` cannot differ.
 ///
@@ -285,7 +425,7 @@ impl<'a> WeightedRun<'a> {
     }
 
     /// Sum the value stream `xs` (one per row) against every column;
-    /// replaces the previous stream's [`pieces`](Self::pieces) and
+    /// replaces the previous stream's [`levels`](Self::levels) and
     /// [`leftover`](Self::leftover).
     pub fn sum(&mut self, xs: &[f64]) {
         assert_eq!(xs.len(), self.rows.len(), "one value per weight row");
@@ -312,6 +452,9 @@ impl<'a> WeightedRun<'a> {
             if self.levels == MAX_LEVELS || self.headroom > MAX_HEADROOM || sigma_exp > 2045 {
                 let rest = buf.rem.iter().enumerate().filter(|(_, r)| **r != 0.0);
                 buf.leftover.extend(rest.map(|(t, r)| (t, *r)));
+                // In row order, as a cell-by-cell fold meets them: once a
+                // running total overflows, IEEE order decides ±∞ vs NaN.
+                buf.leftover.sort_unstable_by_key(|&(t, _)| t);
                 break;
             }
             let sigma = f64::from_bits(sigma_exp << 52 | 1 << 51);
@@ -349,16 +492,17 @@ impl<'a> WeightedRun<'a> {
         }
     }
 
-    /// Exact pieces of column `c`'s sum (`c == width`: the unit column),
-    /// at most one per level; zero pieces included.
-    pub fn pieces(&self, c: usize) -> impl Iterator<Item = f64> + '_ {
-        let cols = self.cols();
-        debug_assert!(c < cols);
-        (0..self.levels).map(move |l| self.buf.pieces[l * cols + c])
+    /// One row per level: that level's exact piece of every column's sum
+    /// (the weight columns, then the unit column, if any); zero pieces
+    /// included. A column's sum is its pieces plus what
+    /// [`leftover`](Self::leftover) owes it.
+    pub fn levels(&self) -> impl Iterator<Item = &[f64]> + '_ {
+        // No column, no piece: `max(1)` only keeps `chunks_exact` legal.
+        self.buf.pieces.chunks_exact(self.cols().max(1))
     }
 
-    /// `(row, value)` pairs no level consumed: the caller owes every column
-    /// `c` an `add_product(value, rows[row][c])`.
+    /// `(row, value)` pairs no level consumed, in row order: the caller
+    /// owes every column `c` an `add_product(value, rows[row][c])`.
     pub fn leftover(&self) -> &[(usize, f64)] {
         &self.buf.leftover
     }
@@ -414,12 +558,6 @@ impl ExactVariance {
         self.add_weighted(x, 1.0);
     }
 
-    /// The `Σw·x` and `Σw·x²` sums, for bulk folds that feed them a
-    /// [`WeightedRun`] of `x`, and of both halves of `two_product(x, x)`.
-    pub fn sums_mut(&mut self) -> (&mut ExactSum, &mut ExactSum) {
-        (&mut self.sum, &mut self.sumsq)
-    }
-
     /// Merge another accumulator (exact, order-insensitive).
     pub fn merge(&mut self, other: &ExactVariance) {
         self.count += other.count;
@@ -435,20 +573,28 @@ impl ExactVariance {
         Some(self.sum.value() / self.count)
     }
 
-    /// Population variance; `None` with no observations. Clamped at zero
-    /// (the subtraction can go negative by rounding when variance ≈ 0),
-    /// except that NaN passes, as the canonical [`f64::NAN`]: a group
-    /// holding NaN or ±∞, or whose moments overflow, has no variance, not a
-    /// zero one.
+    /// Population variance; see [`variance_pop`].
     pub fn variance_pop(&self) -> Option<f64> {
-        if self.count <= 0.0 {
-            return None;
-        }
-        let mean = self.sum.value() / self.count;
-        let ex2 = self.sumsq.value() / self.count;
-        let var = ex2 - mean * mean;
-        Some(if var.is_nan() { f64::NAN } else { var.max(0.0) })
+        variance_pop(self.count, || (self.sum.value(), self.sumsq.value()))
     }
+}
+
+/// Population variance from the total weight and the exact `Σw·x` and
+/// `Σw·x²` (`sums`, read only when there is weight); `None` with no
+/// observations. Clamped at zero (the subtraction can go negative by
+/// rounding when variance ≈ 0), except that NaN passes, as the canonical
+/// [`f64::NAN`]: a group holding NaN or ±∞, or whose moments overflow, has
+/// no variance, not a zero one.
+#[inline]
+pub fn variance_pop(count: f64, sums: impl FnOnce() -> (f64, f64)) -> Option<f64> {
+    if count <= 0.0 {
+        return None;
+    }
+    let (sum, sumsq) = sums();
+    let mean = sum / count;
+    let ex2 = sumsq / count;
+    let var = ex2 - mean * mean;
+    Some(if var.is_nan() { f64::NAN } else { var.max(0.0) })
 }
 
 #[cfg(test)]
@@ -598,7 +744,7 @@ mod tests {
     fn from_run(run: &WeightedRun<'_>, rows: &[&[u32]], c: Option<usize>) -> ExactSum {
         let mut s = ExactSum::new();
         let width = rows.first().map_or(0, |r| r.len());
-        run.pieces(c.unwrap_or(width)).for_each(|p| s.add(p));
+        run.levels().for_each(|l| s.add(l[c.unwrap_or(width)]));
         for &(t, x) in run.leftover() {
             s.add_product(x, c.map_or(1.0, |c| f64::from(rows[t][c])));
         }
@@ -643,11 +789,11 @@ mod tests {
         run.sum(&xs);
         let back: Vec<usize> = run.leftover().iter().map(|&(t, _)| t).collect();
         assert_eq!(back, [1, 3]);
-        assert_eq!(run.pieces(0).sum::<f64>(), 1.5 + 3.25);
-        assert_eq!(run.pieces(1).sum::<f64>(), 6.5);
+        assert_eq!(run.levels().map(|l| l[0]).sum::<f64>(), 1.5 + 3.25);
+        assert_eq!(run.levels().map(|l| l[1]).sum::<f64>(), 6.5);
         run.sum(&[f64::MAX, 1.0, 0.0, 0.0, -f64::MAX]);
         assert_eq!(run.leftover().len(), 3, "σ would overflow: all handed back");
-        assert_eq!(run.pieces(0).count(), 0);
+        assert_eq!(run.levels().count(), 0);
         // Wider than MAX_LEVELS can consume: the tails come back, and the
         // assembled sums still match.
         let wide: Vec<f64> = (0..40).map(|i| 2f64.powi(-25 * i) * 1.000000123).collect();
@@ -664,6 +810,89 @@ mod tests {
         let mut run = WeightedRun::new(&huge, 1, false, &mut buf);
         run.sum(&[1.0; 600]);
         assert_eq!(run.leftover().len(), 600);
+    }
+
+    /// Every `DenseSums` cell is in the very state (components and sticky
+    /// scalar) its `ExactSum` would be in, after any mix of `add`,
+    /// `add_product`, `add_slice` and `merge` over values that round, cancel,
+    /// overflow and are not finite.
+    #[test]
+    fn dense_sums_keep_their_exact_sums_state() {
+        let mut rng = SplitMix64::new(11);
+        let pick = |rng: &mut SplitMix64| -> f64 {
+            let xs = [
+                1.0,
+                -3.0,
+                0.5,
+                2f64.powi(53),
+                1e308,
+                -1e308,
+                5e-324,
+                0.1,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::NAN,
+                0.0,
+            ];
+            let x = xs[rng.next_below(xs.len() as u64) as usize];
+            // Mostly small integers, which stay dense.
+            if rng.next_below(3) == 0 {
+                x
+            } else {
+                rng.next_below(1000) as f64 - 500.0
+            }
+        };
+        // The state as bits: a NaN is not equal to itself.
+        let bits = |s: &ExactSum| {
+            let comps: Vec<u64> = s.comps.iter().map(|c| c.to_bits()).collect();
+            (comps, s.special.to_bits())
+        };
+        let state = |d: &DenseSums, i: usize| match spill_index(d.dense[i]) {
+            Some(k) => bits(&d.spilled[k]),
+            None => {
+                let mut s = ExactSum::new();
+                s.add(d.dense[i]);
+                bits(&s)
+            }
+        };
+        for round in 0..200 {
+            let n = 1 + rng.next_below(6) as usize;
+            let (mut dense, mut other) = (DenseSums::new(n), DenseSums::new(n));
+            let (mut exact, mut other_exact) = (vec![ExactSum::new(); n], vec![ExactSum::new(); n]);
+            for _ in 0..40 {
+                let i = rng.next_below(n as u64) as usize;
+                let (x, w) = (pick(&mut rng), rng.next_below(4) as f64);
+                match rng.next_below(5) {
+                    0 => {
+                        dense.add(i, x);
+                        exact[i].add(x);
+                    }
+                    1 => {
+                        dense.add_product(i, x, w);
+                        exact[i].add_product(x, w);
+                    }
+                    2 => {
+                        let xs: Vec<f64> = (i..n).map(|_| pick(&mut rng)).collect();
+                        dense.add_slice(i, &xs);
+                        (i..).zip(&xs).for_each(|(c, &x)| exact[c].add(x));
+                    }
+                    3 => {
+                        other.add(i, x);
+                        other_exact[i].add(x);
+                    }
+                    _ => {
+                        let j = rng.next_below(n as u64) as usize;
+                        dense.merge(i, &other, j);
+                        let o = other_exact[j].clone();
+                        exact[i].merge(&o);
+                    }
+                }
+                for (c, e) in exact.iter().enumerate() {
+                    assert_eq!(state(&dense, c), bits(e), "round {round} cell {c}");
+                    assert_eq!(dense.value(c).to_bits(), e.value().to_bits());
+                }
+            }
+        }
     }
 
     #[test]

@@ -20,6 +20,7 @@ use gola_common::{Result, Value};
 
 use crate::classify::{ChunkClass, CHUNK};
 use crate::join::{BatchWeights, Candidates};
+use crate::metrics;
 use crate::runtime::{gather_rows, BlockEnv, BlockRuntime, CtxMode, TupleReader, UncertainSet};
 
 /// The batch rows whose bootstrap weights this stage will read for one
@@ -110,6 +111,7 @@ fn fold_chunk(
     let trials = env.config.bootstrap.trials;
     let mut rows: Vec<&[u32]> = Vec::new();
     let mut lanes: Vec<Vec<Value>> = vec![Vec::new(); cb.lin_agg_args.len()];
+    let (mut runs, mut run_tuples) = (0, 0);
     for run in members.chunk_by(|a, b| a.0 == b.0) {
         let group = run[0].0;
         // NULL never passes `IN (...)`.
@@ -132,6 +134,18 @@ fn fold_chunk(
         for (j, values) in lanes.iter().enumerate() {
             states.fold_run(j, values, &rows, true, scratch);
         }
+        runs += lanes.len();
+        run_tuples += lanes.len() * run.len();
     }
+    count_runs(runs, run_tuples);
     Ok(())
+}
+
+/// Add `runs` `fold_run` calls over `tuples` tuples to the replica-work
+/// counters.
+pub(crate) fn count_runs(runs: usize, tuples: usize) {
+    if gola_obs::enabled() {
+        metrics::fold_runs().add(runs as u64);
+        metrics::fold_run_tuples().add(tuples as u64);
+    }
 }

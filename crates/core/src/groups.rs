@@ -351,6 +351,7 @@ fn uncertain_states<'a>(env: &BlockEnv<'_>, rt: &'a BlockRuntime) -> Result<Vec<
     let mut lanes: Vec<Vec<Value>> = vec![Vec::new(); cb.lin_agg_args.len()];
     let mut masks: Vec<u32> = Vec::new();
     let mut lookup_key: Vec<Value> = Vec::new();
+    let (mut runs, mut run_tuples) = (0, 0);
     for (g, key) in groups {
         let det = rt.slot(g);
         let tuples = touched[g as usize];
@@ -392,6 +393,8 @@ fn uncertain_states<'a>(env: &BlockEnv<'_>, rt: &'a BlockRuntime) -> Result<Vec<
             for (j, values) in lanes.iter().enumerate() {
                 states.fold_run(j, values, &rows, false, &mut scratch);
             }
+            runs += lanes.len();
+            run_tuples += lanes.len() * run.len();
         }
         out.push(EffGroup {
             key: Cow::Borrowed(key),
@@ -400,6 +403,7 @@ fn uncertain_states<'a>(env: &BlockEnv<'_>, rt: &'a BlockRuntime) -> Result<Vec<
             settled: det.is_some(),
         });
     }
+    crate::fold::count_runs(runs, run_tuples);
     Ok(out)
 }
 
@@ -513,13 +517,31 @@ impl<'a> GroupEval<'a> {
         mut f: impl FnMut(&GroupCtx<'_>) -> Result<()>,
     ) -> Result<()> {
         let n_aggs = self.point_aggs.len();
-        let mut aggs: Vec<Value> = Vec::with_capacity(n_aggs);
-        for t in 0..self.env.config.bootstrap.trials {
-            aggs.clear();
-            aggs.extend((0..n_aggs).map(|j| self.states.trial_value(j, t, self.m)));
-            f(&self.ctx(&aggs, None, CtxMode::Trial(t)))?;
+        let trials = self.env.config.bootstrap.trials;
+        // Trial-major: finalized lane by lane, read trial by trial.
+        let mut table = vec![Value::Null; trials as usize * n_aggs];
+        for j in 0..n_aggs {
+            let cells = table[j..].iter_mut().step_by(n_aggs);
+            cells.zip(self.trial_values(j)).for_each(|(c, v)| *c = v);
+        }
+        for t in 0..trials {
+            let aggs = &table[t as usize * n_aggs..][..n_aggs];
+            f(&self.ctx(aggs, None, CtxMode::Trial(t)))?;
         }
         Ok(())
+    }
+
+    /// Aggregate `j`'s value in every trial (counted as replica work).
+    pub(crate) fn trial_values(&self, j: usize) -> impl Iterator<Item = Value> + '_ {
+        count_finalizes(self.states.trials());
+        self.states.trial_values(j, self.m)
+    }
+
+    /// [`GroupEval::trial_values`] as numbers (`None`: null or
+    /// non-numeric).
+    pub(crate) fn trial_values_f64(&self, j: usize) -> impl Iterator<Item = Option<f64>> + '_ {
+        count_finalizes(self.states.trials());
+        self.states.trial_values_f64(j, self.m)
     }
 
     /// Classify the block's HAVING over the aggregates' variation ranges
@@ -556,6 +578,7 @@ impl<'a> GroupEval<'a> {
         let lower = self.states.lower_bound(j);
         match self.point_aggs[j].as_f64() {
             Some(v) if !self.tiny(j) => {
+                count_finalizes(self.states.trials());
                 let reps = self.states.replica_values(j, self.m);
                 let vr = VariationRange::from_replicas(v, &reps, self.env.config.epsilon);
                 let lo = lower.map_or(vr.lo, |l| vr.lo.max(l));
@@ -580,6 +603,13 @@ impl<'a> GroupEval<'a> {
                 .states
                 .observations(j)
                 .is_some_and(|o| o < MIN_GROUP_OBS)
+    }
+}
+
+/// Add `n` finalized replica values to the replica-work counter.
+fn count_finalizes(n: u32) {
+    if gola_obs::enabled() {
+        metrics::replica_finalizes().add(u64::from(n));
     }
 }
 

@@ -60,6 +60,14 @@ handle!(pub(crate) pool_job_run: Histogram =
 handle!(pub(crate) uncertain_evals: Counter = gola_obs::counter("publish.uncertain_evals"));
 handle!(pub(crate) rhs_vectors: Counter = gola_obs::counter("publish.rhs_vectors"));
 
+// Replica work: the `fold_run` calls of the fold stage and of the
+// uncertain set's re-merge, the tuples they fold (one per lane and tuple),
+// and the replica values publish and report finalize.
+handle!(pub(crate) fold_runs: Counter = gola_obs::counter("fold.runs"));
+handle!(pub(crate) fold_run_tuples: Counter = gola_obs::counter("fold.run_tuples"));
+handle!(pub(crate) replica_finalizes: Counter =
+    gola_obs::counter("publish.replica_finalizes"));
+
 // Recoveries (`recover::recover`): how many replayed a group scope and how
 // many every group, the violated keys that triggered them, the batch
 // tuples their replays ingested again, and the batch rows they gathered to

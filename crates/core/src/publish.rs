@@ -193,7 +193,7 @@ fn scalar_entry(
             g.key[*c].clone()
         }
         Expr::Column(c) if *c < n_keys + n_aggs => {
-            (0..trials).for_each(|t| push(g.states.trial_value(c - n_keys, t, g.m)));
+            g.trial_values(c - n_keys).for_each(push);
             g.point_aggs[c - n_keys].clone()
         }
         _ => {
@@ -259,8 +259,13 @@ fn member_entry(
     let mut trial_pass: Vec<bool> = Vec::with_capacity(trials as usize);
     let point = match &p.numeric_having {
         Some(fh) => {
-            let trial = |b| all_pass(fh, |j| g.states.trial_value_f64(j, b, g.m));
-            trial_pass.extend((0..trials).map(trial));
+            // Conjunct by conjunct, each over its lane's trial values.
+            trial_pass.resize(trials as usize, true);
+            for &(j, op, k) in fh {
+                let holds = |x: Option<f64>| x.is_some_and(|x| num_cmp_holds(op, x, k));
+                let lane = trial_pass.iter_mut().zip(g.trial_values_f64(j));
+                lane.for_each(|(pass, x)| *pass &= holds(x));
+            }
             all_pass(fh, |j| g.point_aggs[j].as_f64())
         }
         None => {

@@ -38,7 +38,7 @@ pub use policy::{
     Admission, AdmissionError, PolicyConfig, SchedPolicy, Urgency, MAX_WEIGHT, STRIDE_ONE,
     URGENT_BOOST,
 };
-pub use service::{QueryHandle, QueryService, ServiceConfig, SubmitError};
+pub use service::{QueryHandle, QueryService, ServiceConfig, SubmitError, SESSION_SERIES_KEPT};
 pub use sim::{Arrival, SchedulerSim, ScriptedTask, SimEvent, SimOutcome};
 pub use task::QueryTask;
 

@@ -14,9 +14,13 @@
 //! service itself maintains `service.submitted` / `service.rejected` /
 //! `service.completed` / `service.canceled` counters plus
 //! `service.active` / `service.queued` gauges — all behind
-//! [`gola_obs::enabled`], preserving the obs-inert contract.
+//! [`gola_obs::enabled`], preserving the obs-inert contract. The series of
+//! the [`SESSION_SERIES_KEPT`] newest ended sessions stay; an older one's
+//! are retired ([`gola_obs::retire`]: its counters fold into the
+//! unlabelled totals, its gauges go), so a long-running server's registry
+//! does not grow with every query.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TryRecvError};
@@ -32,6 +36,11 @@ use crate::report::BatchReport;
 use crate::sched::task::QueryTask;
 use crate::sched::{AdmissionError, Admitted, PolicyConfig, Scheduler, SessionId};
 use crate::session::OnlineSession;
+
+/// Ended sessions whose `session="s<id>"` metric series stay exported, so
+/// a scrape after a query ends still sees its numbers (the server keeps as
+/// many finished jobs).
+pub const SESSION_SERIES_KEPT: usize = 32;
 
 /// Capacity and sizing of a [`QueryService`].
 #[derive(Debug, Clone)]
@@ -265,6 +274,17 @@ fn scheduler_loop(policy: PolicyConfig, cmds: Receiver<Command>) {
     let mut sched: Scheduler<QueryTask> = Scheduler::new(policy);
     let mut streams: BTreeMap<SessionId, Sender<Result<BatchReport>>> = BTreeMap::new();
     let metrics = gola_obs::enabled().then(ServiceMetrics::resolve);
+    // Ended sessions, oldest first. A session ends on the scheduler thread,
+    // after its last batch round, so nothing writes its series any more.
+    let mut ended: VecDeque<SessionId> = VecDeque::new();
+    let mut end = |id: SessionId| {
+        ended.push_back(id);
+        while ended.len() > SESSION_SERIES_KEPT {
+            if let Some(old) = ended.pop_front() {
+                gola_obs::retire("session", &old.to_string());
+            }
+        }
+    };
 
     loop {
         // Idle: block for the next command. Busy: drain without blocking.
@@ -303,6 +323,7 @@ fn scheduler_loop(policy: PolicyConfig, cmds: Receiver<Command>) {
                 Command::Cancel(id) => {
                     if sched.cancel(id) {
                         streams.remove(&id);
+                        end(id);
                         if let Some(m) = &metrics {
                             m.canceled.inc();
                         }
@@ -329,6 +350,7 @@ fn scheduler_loop(policy: PolicyConfig, cmds: Receiver<Command>) {
             }
             if gone {
                 streams.remove(&round.id);
+                end(round.id);
                 if round.finished {
                     if let Some(m) = &metrics {
                         m.completed.inc();

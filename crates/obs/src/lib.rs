@@ -52,7 +52,7 @@ pub mod span;
 pub use export::{prometheus, snapshot_json};
 pub use registry::{
     counter, counter_with, duration_histogram, enabled, gauge, gauge_with, histogram, labeled,
-    reset, set_enabled, Counter, Gauge, Histogram, DURATION_BOUNDS,
+    reset, retire, set_enabled, Counter, Gauge, Histogram, DURATION_BOUNDS,
 };
 pub use span::SpanGuard;
 

@@ -207,7 +207,8 @@ fn register<T>(
 /// Labels exist for *dimensions with bounded, code-controlled
 /// cardinality* — the canonical use is the query service's per-session
 /// `session` dimension, so concurrent sessions never write through the
-/// same gauge cell. Do not put user input in label values.
+/// same gauge cell; the service [`retire`]s a finished session's series.
+/// Do not put user input in label values.
 pub fn labeled(name: &str, labels: &[(&str, &str)]) -> String {
     if labels.is_empty() {
         return name.to_string();
@@ -243,6 +244,32 @@ pub(crate) fn split_labels(key: &str) -> (&str, Option<&str>) {
     match key.split_once('{') {
         Some((name, rest)) => (name, rest.strip_suffix('}')),
         None => (key, None),
+    }
+}
+
+/// Retire every series whose only label is `key="value"`: a counter's
+/// count folds into the family's unlabelled series, anything else (a
+/// gauge's last value) is dropped. Keeps a long-lived registry bounded when
+/// label values come and go, as the query service's sessions do. Call it
+/// after the last write through the series' handles: a handle still held
+/// writes into a cell no export reads.
+pub fn retire(key: &str, value: &str) {
+    let block = labeled("", &[(key, value)]);
+    let mut map = global().metrics.lock().unwrap();
+    let names: Vec<String> = (map.keys())
+        .filter(|k| k.ends_with(&block))
+        .cloned()
+        .collect();
+    for name in names {
+        let Some(Metric::Counter(cell)) = map.remove(&name) else {
+            continue;
+        };
+        let total = name.strip_suffix(&block).unwrap_or(&name).to_string();
+        let counted = cell.load(Ordering::Relaxed);
+        let new_total = || Metric::Counter(Arc::new(AtomicU64::new(0)));
+        if let Metric::Counter(c) = map.entry(total).or_insert_with(new_total) {
+            c.fetch_add(counted, Ordering::Relaxed);
+        }
     }
 }
 
@@ -431,5 +458,34 @@ mod tests {
             counter_with("test.reg.sessions", &[("session", "a")]).get(),
             3
         );
+    }
+
+    #[test]
+    fn retired_series_fold_counters_and_drop_gauges() {
+        let keys = || -> Vec<String> {
+            let map = global().metrics.lock().unwrap();
+            let ours = map.keys().filter(|k| k.starts_with("test.reg.retire"));
+            ours.cloned().collect()
+        };
+        counter("test.reg.retire.c").add(1);
+        for (s, n) in [("x", 2), ("y", 4)] {
+            counter_with("test.reg.retire.c", &[("session", s)]).add(n);
+            gauge_with("test.reg.retire.g", &[("session", s)]).set(0.5);
+        }
+        counter_with("test.reg.retire.c", &[("session", "x"), ("z", "1")]).add(8);
+        retire("session", "x");
+        assert_eq!(counter("test.reg.retire.c").get(), 1 + 2);
+        assert_eq!(
+            keys(),
+            [
+                "test.reg.retire.c",
+                "test.reg.retire.c{session=\"x\",z=\"1\"}",
+                "test.reg.retire.c{session=\"y\"}",
+                "test.reg.retire.g{session=\"y\"}",
+            ]
+        );
+        retire("session", "y");
+        assert_eq!(counter("test.reg.retire.c").get(), 1 + 2 + 4);
+        assert_eq!(keys().len(), 2);
     }
 }

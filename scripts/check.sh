@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full pre-merge gate: release build, workspace tests (the conformance
-# oracles, the contract checks and the scheduler simulator included),
-# formatting, lints, rustdoc links, a run of every example program, and a
-# CLI ingest/replay smoke. `cargo fmt` is skipped
+# oracles, the contract checks and the scheduler simulator included), a
+# deeper run of the replica-state oracle, formatting, lints, rustdoc
+# links, a run of every example program, and a CLI ingest/replay smoke.
+# `cargo fmt` is skipped
 # with a warning where it is not installed; `cargo clippy` is required,
 # because it enforces the determinism contract (DESIGN.md §3.6).
 #
@@ -94,6 +95,10 @@ metrics_smoke() {
 
 step cargo build --release --workspace
 step cargo test --workspace -q
+# The replicated states against their plain per-replica oracle at 2000
+# cases in release (seconds), far past the 96 of the workspace run: the
+# dense sums' spill paths on hostile values.
+step env PROPTEST_CASES=2000 cargo test --release -q -p gola-agg --test proptests run_fold_equivalence
 if cargo fmt --version >/dev/null 2>&1; then
     step cargo fmt --check
 else

@@ -4,8 +4,11 @@
 //! shared matrix, and a tuple entering an uncertain set copies its row
 //! instead of regenerating it.
 //!
-//! Counted through the weight kernel's own `gola_obs` instruments. One
-//! test function only: the registry is process-global.
+//! Counted through the weight kernel's own `gola_obs` instruments. The
+//! replica work — `fold_run` calls, the tuples they fold, and the replica
+//! values publish and report finalize — is a count too, so it is the same
+//! at every thread count. One test function only: the registry is
+//! process-global.
 
 use std::sync::Arc;
 
@@ -22,6 +25,8 @@ fn c2_generates_each_tuples_weights_once() {
     catalog.register("sessions", Arc::new(table)).unwrap();
     let cells = obs::counter("bootstrap.weight_cells");
     let calls = obs::duration_histogram("bootstrap.weights_seconds");
+    let work = ["fold.runs", "fold.run_tuples", "publish.replica_finalizes"].map(obs::counter);
+    let mut at_one_thread = None;
     for threads in [1, 2] {
         obs::set_enabled(true);
         obs::reset();
@@ -43,5 +48,12 @@ fn c2_generates_each_tuples_weights_once() {
         assert_eq!(cells.get(), rows * trials, "threads={threads}");
         // 750-row batches fit one kernel call each.
         assert_eq!(calls.count(), batches, "threads={threads}");
+        let counts = work.clone().map(|c| c.get());
+        assert!(counts.iter().all(|&n| n > 0), "{counts:?}");
+        assert_eq!(
+            *at_one_thread.get_or_insert(counts),
+            counts,
+            "threads={threads}"
+        );
     }
 }
