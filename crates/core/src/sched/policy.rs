@@ -1,5 +1,7 @@
-//! The fair-share scheduling policy: stride scheduling with contract-aware
-//! priority and bounded admission.
+//! The fair-share policy: stride scheduling with contract-aware priority
+//! and bounded admission. [`crate::sched::Scheduler`] keeps each session's
+//! pass, weight and urgency beside its task and applies the arithmetic
+//! below; this module holds the policy's constants and types.
 //!
 //! # Model
 //!
@@ -26,15 +28,14 @@
 //! At most `max_active` sessions are scheduled; up to `queue_capacity`
 //! more wait in FIFO order. Beyond that, submission fails with the typed
 //! [`AdmissionError`] — the caller (HTTP surface) maps it to `429`. An
-//! *admitted* session (active or queued) is never dropped by the policy;
-//! it leaves only by finishing or by explicit cancellation.
+//! *admitted* session (active or queued) is never dropped by the
+//! scheduler; it leaves only by finishing or by explicit cancellation.
 //!
 //! New sessions (and sessions activated from the wait queue) start at the
 //! global virtual time — the pass of the most recently scheduled session —
 //! so an arrival can neither monopolize the scheduler with a stale small
 //! pass nor be penalized for history it did not witness.
 
-use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 /// One quantum's worth of virtual time for a weight-1, normal-urgency
@@ -106,7 +107,7 @@ impl fmt::Display for AdmissionError {
 
 impl std::error::Error for AdmissionError {}
 
-/// Capacity knobs of the policy.
+/// Capacity knobs of the scheduler.
 #[derive(Debug, Clone, Copy)]
 pub struct PolicyConfig {
     /// Sessions scheduled concurrently (time-sliced, one quantum at a time).
@@ -115,180 +116,45 @@ pub struct PolicyConfig {
     pub queue_capacity: usize,
 }
 
-impl Default for PolicyConfig {
-    fn default() -> Self {
-        PolicyConfig {
-            max_active: 4,
-            queue_capacity: 16,
-        }
-    }
-}
-
-/// Where an admitted session landed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
-    /// Scheduled immediately.
-    Active,
-    /// Admitted; will activate in FIFO order as slots free up.
-    Queued,
-}
-
-#[derive(Debug)]
-struct Entry {
-    weight: u64,
-    urgency: Urgency,
-    pass: u64,
-}
-
-impl Entry {
-    fn stride(&self) -> u64 {
-        STRIDE_ONE / (self.weight * self.urgency.boost())
-    }
-}
-
-/// Pure scheduling bookkeeping: no tasks, no threads, no clocks. The
-/// generic [`crate::sched::Scheduler`] pairs it with tasks; the simulator
-/// and the live service both drive that same code.
-#[derive(Debug)]
-pub struct SchedPolicy {
-    cfg: PolicyConfig,
-    active: BTreeMap<u64, Entry>,
-    /// FIFO of admitted sessions waiting for an active slot: `(id, weight)`.
-    queued: VecDeque<(u64, u64)>,
-    /// Global virtual time: the pass of the most recently scheduled
-    /// session at the moment it was picked. Monotone non-decreasing.
-    vtime: u64,
-}
-
-impl SchedPolicy {
-    pub fn new(cfg: PolicyConfig) -> SchedPolicy {
-        SchedPolicy {
-            cfg: PolicyConfig {
-                max_active: cfg.max_active.max(1),
-                queue_capacity: cfg.queue_capacity,
-            },
-            active: BTreeMap::new(),
-            queued: VecDeque::new(),
-            vtime: 0,
-        }
-    }
-
-    pub fn config(&self) -> PolicyConfig {
-        self.cfg
-    }
-
-    pub fn num_active(&self) -> usize {
-        self.active.len()
-    }
-
-    pub fn num_queued(&self) -> usize {
-        self.queued.len()
-    }
-
-    /// Admit session `id`, either into the active set or the wait queue.
-    /// `weight` is clamped to `1..=MAX_WEIGHT`.
-    pub fn admit(&mut self, id: u64, weight: u64) -> Result<Admission, AdmissionError> {
-        let weight = weight.clamp(1, MAX_WEIGHT);
-        if self.active.contains_key(&id) || self.queued.iter().any(|(q, _)| *q == id) {
-            return Err(AdmissionError::DuplicateSession { id });
-        }
-        if self.active.len() < self.cfg.max_active {
-            self.activate(id, weight);
-            return Ok(Admission::Active);
-        }
-        if self.queued.len() < self.cfg.queue_capacity {
-            self.queued.push_back((id, weight));
-            return Ok(Admission::Queued);
-        }
-        Err(AdmissionError::Saturated {
-            active: self.active.len(),
-            queued: self.queued.len(),
-            max_active: self.cfg.max_active,
-            queue_capacity: self.cfg.queue_capacity,
-        })
-    }
-
-    fn activate(&mut self, id: u64, weight: u64) {
-        self.active.insert(
-            id,
-            Entry {
-                weight,
-                urgency: Urgency::Normal,
-                pass: self.vtime,
-            },
-        );
-    }
-
-    /// The next session to run: smallest `(pass, id)` among the active
-    /// set. Pure (no state change); `charge` records the decision.
-    pub fn pick(&self) -> Option<u64> {
-        self.active
-            .iter()
-            .min_by_key(|(id, e)| (e.pass, **id))
-            .map(|(id, _)| *id)
-    }
-
-    /// Charge one executed quantum to session `id`: global virtual time
-    /// catches up to its pass, then its pass advances by its stride.
-    pub fn charge(&mut self, id: u64) {
-        if let Some(e) = self.active.get_mut(&id) {
-            self.vtime = self.vtime.max(e.pass);
-            e.pass += e.stride();
-        }
-    }
-
-    /// Update a session's contract urgency (affects its stride from the
-    /// next charge on).
-    pub fn set_urgency(&mut self, id: u64, urgency: Urgency) {
-        if let Some(e) = self.active.get_mut(&id) {
-            e.urgency = urgency;
-        }
-    }
-
-    /// Remove a session (finished or cancelled), wherever it is. Returns
-    /// `false` if the id is unknown.
-    pub fn remove(&mut self, id: u64) -> bool {
-        if self.active.remove(&id).is_some() {
-            return true;
-        }
-        if let Some(at) = self.queued.iter().position(|(q, _)| *q == id) {
-            self.queued.remove(at);
-            return true;
-        }
-        false
-    }
-
-    /// Promote the longest-waiting queued session into a free active slot.
-    /// Call after `remove`; returns the activated id, if any.
-    pub fn activate_next(&mut self) -> Option<u64> {
-        if self.active.len() >= self.cfg.max_active {
-            return None;
-        }
-        let (id, weight) = self.queued.pop_front()?;
-        self.activate(id, weight);
-        Some(id)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::{Admitted, Scheduler, ScriptedTask, SessionId};
 
-    fn policy(max_active: usize, queue: usize) -> SchedPolicy {
-        SchedPolicy::new(PolicyConfig {
+    /// Longer than any test below runs it, so no session finishes early.
+    const LONG: u64 = 1_000;
+
+    fn scheduler(max_active: usize, queue: usize) -> Scheduler<ScriptedTask> {
+        Scheduler::new(PolicyConfig {
             max_active,
             queue_capacity: queue,
         })
     }
 
+    fn admit(s: &mut Scheduler<ScriptedTask>, id: u64, weight: u64) -> Admitted {
+        s.submit_with_id(SessionId(id), ScriptedTask::new(LONG), weight)
+            .expect("admits")
+    }
+
+    /// Run `rounds` quanta and count them per session id.
+    fn counts(s: &mut Scheduler<ScriptedTask>, rounds: usize) -> [u32; 2] {
+        let mut counts = [0u32; 2];
+        for _ in 0..rounds {
+            let id = s.round().expect("runs").id;
+            counts[usize::try_from(id.0).expect("small id")] += 1;
+        }
+        counts
+    }
+
     #[test]
     fn admission_fills_active_then_queue_then_rejects() {
-        let mut p = policy(2, 1);
-        assert_eq!(p.admit(0, 1), Ok(Admission::Active));
-        assert_eq!(p.admit(1, 1), Ok(Admission::Active));
-        assert_eq!(p.admit(2, 1), Ok(Admission::Queued));
+        let mut s = scheduler(2, 1);
+        let mut submit = |id, total| s.submit_with_id(SessionId(id), ScriptedTask::new(total), 1);
+        assert_eq!(submit(0, 1), Ok(Admitted::Active(SessionId(0))));
+        assert_eq!(submit(1, LONG), Ok(Admitted::Active(SessionId(1))));
+        assert_eq!(submit(2, LONG), Ok(Admitted::Queued(SessionId(2))));
         assert_eq!(
-            p.admit(3, 1),
+            submit(3, LONG),
             Err(AdmissionError::Saturated {
                 active: 2,
                 queued: 1,
@@ -297,77 +163,56 @@ mod tests {
             })
         );
         assert_eq!(
-            p.admit(1, 1),
+            submit(1, LONG),
             Err(AdmissionError::DuplicateSession { id: 1 })
         );
         // A finishing session frees a slot for the queued one.
-        assert!(p.remove(0));
-        assert_eq!(p.activate_next(), Some(2));
-        assert_eq!(p.num_active(), 2);
-        assert_eq!(p.num_queued(), 0);
+        let done = s.round().expect("runs");
+        assert_eq!((done.id, done.finished), (SessionId(0), true));
+        assert_eq!(s.num_active(), 2);
+        assert_eq!(s.num_queued(), 0);
+        let next = [s.round(), s.round()].map(|r| r.expect("runs").id);
+        assert_eq!(next, [SessionId(1), SessionId(2)]);
     }
 
     #[test]
     fn equal_weights_round_robin() {
-        let mut p = policy(3, 0);
+        let mut s = scheduler(3, 0);
         for id in 0..3 {
-            p.admit(id, 1).expect("admits");
+            admit(&mut s, id, 1);
         }
-        let mut order = Vec::new();
-        for _ in 0..6 {
-            let id = p.pick().expect("picks");
-            order.push(id);
-            p.charge(id);
-        }
+        let order: Vec<u64> = (0..6).map(|_| s.round().expect("runs").id.0).collect();
         assert_eq!(order, vec![0, 1, 2, 0, 1, 2]);
     }
 
     #[test]
     fn weights_give_proportional_share() {
-        let mut p = policy(2, 0);
-        p.admit(0, 3).expect("admits");
-        p.admit(1, 1).expect("admits");
-        let mut counts = [0u32; 2];
-        for _ in 0..400 {
-            let id = p.pick().expect("picks");
-            counts[usize::try_from(id).expect("small id")] += 1;
-            p.charge(id);
-        }
+        let mut s = scheduler(2, 0);
+        admit(&mut s, 0, 3);
+        admit(&mut s, 1, 1);
+        let counts = counts(&mut s, 400);
         // 3:1 share within rounding slack.
         assert!(counts[0] >= 295 && counts[0] <= 305, "{counts:?}");
     }
 
     #[test]
     fn urgency_doubles_share() {
-        let mut p = policy(2, 0);
-        p.admit(0, 1).expect("admits");
-        p.admit(1, 1).expect("admits");
-        p.set_urgency(0, Urgency::Urgent);
-        let mut counts = [0u32; 2];
-        for _ in 0..300 {
-            let id = p.pick().expect("picks");
-            counts[usize::try_from(id).expect("small id")] += 1;
-            p.charge(id);
-        }
+        let mut s = scheduler(2, 0);
+        let urgent = ScriptedTask::new(LONG).urgent_after(0);
+        s.submit_with_id(SessionId(0), urgent, 1).expect("admits");
+        admit(&mut s, 1, 1);
+        let counts = counts(&mut s, 300);
         assert!(counts[0] >= 195 && counts[0] <= 205, "{counts:?}");
     }
 
     #[test]
     fn late_arrival_starts_at_virtual_time() {
-        let mut p = policy(2, 0);
-        p.admit(0, 1).expect("admits");
-        for _ in 0..100 {
-            let id = p.pick().expect("picks");
-            p.charge(id);
-        }
-        p.admit(1, 1).expect("admits");
+        let mut s = scheduler(2, 0);
+        admit(&mut s, 0, 1);
+        counts(&mut s, 100);
+        admit(&mut s, 1, 1);
         // The newcomer must not monopolize: within a few rounds both run.
-        let mut counts = [0u32; 2];
-        for _ in 0..10 {
-            let id = p.pick().expect("picks");
-            counts[usize::try_from(id).expect("small id")] += 1;
-            p.charge(id);
-        }
+        let counts = counts(&mut s, 10);
         assert!(counts[0] >= 4, "{counts:?}");
         assert!(counts[1] >= 4, "{counts:?}");
     }

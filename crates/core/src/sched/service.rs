@@ -20,7 +20,7 @@
 //! unlabelled totals, its gauges go), so a long-running server's registry
 //! does not grow with every query.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TryRecvError};
@@ -34,7 +34,9 @@ use crate::config::OnlineConfig;
 use crate::pool::WorkerPool;
 use crate::report::BatchReport;
 use crate::sched::task::QueryTask;
-use crate::sched::{AdmissionError, Admitted, PolicyConfig, Scheduler, SessionId};
+use crate::sched::{
+    AdmissionError, Admitted, PolicyConfig, Quantum, SchedTask, Scheduler, SessionId,
+};
 use crate::session::OnlineSession;
 
 /// Ended sessions whose `session="s<id>"` metric series stay exported, so
@@ -93,13 +95,35 @@ impl std::error::Error for SubmitError {}
 enum Command {
     Submit {
         id: SessionId,
-        task: Box<QueryTask>,
+        query: Box<ScheduledQuery>,
         weight: u64,
-        reports: Sender<Result<BatchReport>>,
         reply: SyncSender<std::result::Result<Admitted, AdmissionError>>,
     },
     Cancel(SessionId),
     Shutdown,
+}
+
+/// One admitted query as the scheduler holds it: the task and the channel
+/// its reports go out on, so a session leaves the scheduler and closes its
+/// client's stream in one step.
+struct ScheduledQuery {
+    task: QueryTask,
+    reports: Sender<Result<BatchReport>>,
+}
+
+impl SchedTask for ScheduledQuery {
+    /// Whether the quantum's report reached the client; `false` once the
+    /// client has dropped its [`QueryHandle`].
+    type Output = bool;
+
+    fn run_quantum(&mut self) -> Quantum<bool> {
+        let quantum = self.task.run_quantum();
+        Quantum {
+            output: quantum.output.map(|r| self.reports.send(r).is_ok()),
+            finished: quantum.finished,
+            urgency: quantum.urgency,
+        }
+    }
 }
 
 /// A client's view of one admitted session: iterate it for the report
@@ -232,12 +256,15 @@ impl QueryService {
 
         let (report_tx, report_rx) = std::sync::mpsc::channel();
         let (reply_tx, reply_rx) = std::sync::mpsc::sync_channel(1);
+        let query = ScheduledQuery {
+            task: QueryTask::new(exec),
+            reports: report_tx,
+        };
         self.cmds
             .send(Command::Submit {
                 id,
-                task: Box::new(QueryTask::new(exec)),
+                query: Box::new(query),
                 weight,
-                reports: report_tx,
                 reply: reply_tx,
             })
             .map_err(|_| SubmitError::Shutdown)?;
@@ -271,8 +298,7 @@ impl Drop for QueryService {
 /// one quantum, forever. Exactly one session's batch round executes at any
 /// moment — that serialization is what carries bit-identity.
 fn scheduler_loop(policy: PolicyConfig, cmds: Receiver<Command>) {
-    let mut sched: Scheduler<QueryTask> = Scheduler::new(policy);
-    let mut streams: BTreeMap<SessionId, Sender<Result<BatchReport>>> = BTreeMap::new();
+    let mut sched: Scheduler<ScheduledQuery> = Scheduler::new(policy);
     let metrics = gola_obs::enabled().then(ServiceMetrics::resolve);
     // Ended sessions, oldest first. A session ends on the scheduler thread,
     // after its last batch round, so nothing writes its series any more.
@@ -303,15 +329,11 @@ fn scheduler_loop(policy: PolicyConfig, cmds: Receiver<Command>) {
             match cmd {
                 Command::Submit {
                     id,
-                    task,
+                    query,
                     weight,
-                    reports,
                     reply,
                 } => {
-                    let outcome = sched.submit_with_id(id, *task, weight);
-                    if outcome.is_ok() {
-                        streams.insert(id, reports);
-                    }
+                    let outcome = sched.submit_with_id(id, *query, weight);
                     if let Some(m) = &metrics {
                         match &outcome {
                             Ok(_) => m.submitted.inc(),
@@ -322,7 +344,6 @@ fn scheduler_loop(policy: PolicyConfig, cmds: Receiver<Command>) {
                 }
                 Command::Cancel(id) => {
                     if sched.cancel(id) {
-                        streams.remove(&id);
                         end(id);
                         if let Some(m) = &metrics {
                             m.canceled.inc();
@@ -334,25 +355,18 @@ fn scheduler_loop(policy: PolicyConfig, cmds: Receiver<Command>) {
         }
 
         if let Some(round) = sched.round() {
-            let mut gone = round.finished;
-            if let Some(output) = round.output {
-                let delivered = streams
-                    .get(&round.id)
-                    .is_some_and(|tx| tx.send(output).is_ok());
-                if !delivered && !round.finished {
-                    // Client dropped its handle: reclaim the slot.
-                    sched.cancel(round.id);
-                    gone = true;
-                    if let Some(m) = &metrics {
-                        m.canceled.inc();
-                    }
-                }
+            // An undelivered report: the client dropped its handle, so
+            // reclaim the slot.
+            let canceled = round.output == Some(false) && !round.finished;
+            if canceled {
+                sched.cancel(round.id);
             }
-            if gone {
-                streams.remove(&round.id);
+            if canceled || round.finished {
                 end(round.id);
-                if round.finished {
-                    if let Some(m) = &metrics {
+                if let Some(m) = &metrics {
+                    if canceled {
+                        m.canceled.inc();
+                    } else {
                         m.completed.inc();
                     }
                 }

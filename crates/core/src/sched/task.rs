@@ -28,10 +28,6 @@ impl QueryTask {
     pub fn new(exec: OnlineExecution) -> QueryTask {
         QueryTask { exec }
     }
-
-    pub fn execution(&self) -> &OnlineExecution {
-        &self.exec
-    }
 }
 
 impl SchedTask for QueryTask {
