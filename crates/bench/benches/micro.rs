@@ -148,6 +148,25 @@ fn bench_agg_updates(c: &mut Criterion) {
             })
         });
     }
+    // The dense path those producers take: the same 3-tuple runs over
+    // integer quantities, folded into a fresh state every iteration, so no
+    // replica sum ever spills. The fresh state's allocation is timed too,
+    // as a group's first fold pays it.
+    let qty: Vec<Value> = ids.iter().map(|&t| Value::Int(1 + t as i64 % 50)).collect();
+    g.throughput(Throughput::Elements(3));
+    g.bench_function("fold_run_100_trials_int/3", |b| {
+        let mut scratch = FoldScratch::default();
+        let mut start = 0;
+        b.iter(|| {
+            let mut rs = ReplicatedStates::new(&kinds, 100);
+            let (xs, rows) = (&qty[start..start + 3], &rows[start..start + 3]);
+            for j in 0..kinds.len() {
+                rs.fold_run(j, black_box(xs), black_box(rows), true, &mut scratch);
+            }
+            start = (start + 3) % (1024 - 3 + 1);
+            rs
+        })
+    });
     // Publish's read of a many-group block: every replica of (SUM, AVG)
     // over integer quantities in 400 groups, each fed four 3-tuple runs.
     // One iteration finalizes them all; elements/s is per replica value.

@@ -311,7 +311,6 @@ mod tests {
             order_by: vec![],
             limit: None,
             deps: vec![SubqueryId(0)],
-            lineage_cols: vec![],
         }
     }
 
@@ -389,7 +388,6 @@ mod fast_path_tests {
             order_by: vec![],
             limit: None,
             deps: vec![],
-            lineage_cols: vec![],
         }
     }
 

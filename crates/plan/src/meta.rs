@@ -76,10 +76,6 @@ pub struct Block {
     pub limit: Option<usize>,
     /// Subqueries this block's expressions reference.
     pub deps: Vec<SubqueryId>,
-    /// The lineage projection: indices of `source_schema` columns that must
-    /// be cached with uncertain tuples (everything group-by, aggregate
-    /// arguments and filters touch).
-    pub lineage_cols: Vec<usize>,
 }
 
 impl Block {
@@ -390,17 +386,6 @@ fn blockify(plan: &LogicalPlan, id: usize, role: BlockRole, stream_table: &str) 
         return Err(Error::plan(format!("block {id} references itself")));
     }
 
-    // Lineage projection: columns of source_schema needed downstream.
-    let mut lineage_cols = Vec::new();
-    for e in group_by
-        .iter()
-        .chain(aggs.iter().map(|a| &a.arg))
-        .chain(filters.iter())
-    {
-        e.collect_columns(&mut lineage_cols);
-    }
-    lineage_cols.sort_unstable();
-
     let output_schema = match (&post_project, output_schema_from_project) {
         (Some(_), Some(s)) => s,
         _ => Arc::clone(&agg_row_schema),
@@ -424,7 +409,6 @@ fn blockify(plan: &LogicalPlan, id: usize, role: BlockRole, stream_table: &str) 
         order_by,
         limit,
         deps,
-        lineage_cols,
     })
 }
 
@@ -561,8 +545,6 @@ mod tests {
         let root = &mp.blocks[1];
         assert_eq!(root.deps, vec![SubqueryId(0)]);
         assert!(root.has_uncertain_predicates());
-        // Lineage: the root needs buffer_time (filter) and play_time (agg).
-        assert_eq!(root.lineage_cols, vec![1, 2]);
     }
 
     #[test]
