@@ -130,7 +130,7 @@ impl Dense {
     /// with one [`DenseSums::add_slice`] over the replicas (and one `add`
     /// for the main state), then one `add_product` per cell of what the
     /// run handed back — in each slot the order a per-replica fold takes.
-    fn take_sums(sums: &mut DenseSums, run: &WeightedRun<'_>, rows: &[&[u32]], main: bool) {
+    fn take_sums(sums: &mut DenseSums, run: &WeightedRun<'_>, rows: &[&[u8]], main: bool) {
         let trials = sums.len() - 1;
         for level in run.levels() {
             sums.add_slice(1, &level[..trials]);
@@ -265,7 +265,7 @@ impl ReplicatedStates {
         &mut self,
         j: usize,
         values: &[Value],
-        rows: &[&[u32]],
+        rows: &[&[u8]],
         include_main: bool,
         scratch: &mut FoldScratch,
     ) {
@@ -302,7 +302,7 @@ impl ReplicatedStates {
         let FoldScratch { run, xs, hi, lo } = scratch;
         xs.clear();
         xs.extend(values.iter().filter_map(arg));
-        let kept: Vec<&[u32]>;
+        let kept: Vec<&[u8]>;
         let rows = if xs.len() == values.len() {
             rows
         } else {

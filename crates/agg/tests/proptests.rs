@@ -364,7 +364,7 @@ mod run_fold_equivalence {
     /// One run: per lane the tuples' arguments, and per tuple a weight row.
     struct Run {
         lanes: Vec<Vec<Value>>,
-        weights: Vec<Vec<u32>>,
+        weights: Vec<Vec<u8>>,
     }
 
     fn run(rng: &mut SplitMix64, spec: &BootstrapSpec, lanes: usize) -> Run {
@@ -383,7 +383,7 @@ mod run_fold_equivalence {
             match rng.next_below(6) {
                 // An all-zero row; a masked row (uncertain-set shape).
                 0 => row.iter_mut().for_each(|w| *w = 0),
-                1 => row.iter_mut().for_each(|w| *w *= rng.next_below(2) as u32),
+                1 => row.iter_mut().for_each(|w| *w *= rng.next_below(2) as u8),
                 _ => {}
             }
             weights.push(row.clone());
@@ -487,7 +487,7 @@ mod run_fold_equivalence {
 
     /// `run` into every lane of `states` through `fold_run`.
     fn fold_run(states: &mut ReplicatedStates, run: &Run, main: bool, scratch: &mut FoldScratch) {
-        let rows: Vec<&[u32]> = run.weights.iter().map(Vec::as_slice).collect();
+        let rows: Vec<&[u8]> = run.weights.iter().map(Vec::as_slice).collect();
         for (j, values) in run.lanes.iter().enumerate() {
             states.fold_run(j, values, &rows, main, scratch);
         }

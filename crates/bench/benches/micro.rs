@@ -127,7 +127,7 @@ fn bench_agg_updates(c: &mut Criterion) {
     let ids: Vec<u64> = (0..1024).collect();
     let mut matrix = Vec::new();
     spec.weights_batch(&ids, &mut matrix);
-    let rows: Vec<&[u32]> = matrix.chunks(100).collect();
+    let rows: Vec<&[u8]> = matrix.chunks(100).collect();
     let xs: Vec<Value> = (ids.iter())
         .map(|&t| Value::Float(12.5 + t as f64 * 0.37))
         .collect();

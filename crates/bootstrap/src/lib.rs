@@ -28,4 +28,4 @@ pub mod weights;
 
 pub use ci::{ConfidenceInterval, Estimate};
 pub use range_policy::{EpsilonPolicy, VariationRange};
-pub use weights::BootstrapSpec;
+pub use weights::{BootstrapSpec, MAX_WEIGHT_BIAS};

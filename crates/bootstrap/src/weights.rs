@@ -36,12 +36,16 @@ pub struct BootstrapSpec {
     pub trials: u32,
     /// Seed of the hash-derived weight streams.
     pub seed: u64,
-    /// Fault-injection offset added to every replica weight. Always `0` in
-    /// production; the conformance harness sets `1` to plant a canonical
-    /// "off-by-one bootstrap weight" estimator bug and prove its
-    /// calibration oracle catches the resulting overconfident CIs.
-    pub weight_bias: u32,
+    /// Fault-injection offset added to every replica weight (see
+    /// [`BootstrapSpec::with_weight_bias`], which holds it to
+    /// [`MAX_WEIGHT_BIAS`]).
+    weight_bias: u8,
 }
+
+/// The largest [`BootstrapSpec::with_weight_bias`]: a draw is at most 16
+/// (the cap of [`poisson_weight`]), and every weight the kernel stores is a
+/// `u8`, so `16 + bias` must fit one.
+pub const MAX_WEIGHT_BIAS: u8 = u8::MAX - 16;
 
 impl BootstrapSpec {
     pub fn new(trials: u32, seed: u64) -> Self {
@@ -52,8 +56,19 @@ impl BootstrapSpec {
         }
     }
 
-    /// Fault-injection constructor: see [`BootstrapSpec::weight_bias`].
-    pub fn with_weight_bias(mut self, bias: u32) -> Self {
+    /// Fault-injection constructor: add `bias` to every replica weight.
+    /// Always `0` in production; the conformance harness sets `1` to plant
+    /// a canonical "off-by-one bootstrap weight" estimator bug and prove
+    /// its calibration oracle catches the resulting overconfident CIs.
+    ///
+    /// # Panics
+    ///
+    /// If `bias` exceeds [`MAX_WEIGHT_BIAS`]: a stored weight would wrap.
+    pub fn with_weight_bias(mut self, bias: u8) -> Self {
+        assert!(
+            bias <= MAX_WEIGHT_BIAS,
+            "weight bias {bias} exceeds {MAX_WEIGHT_BIAS}: a biased weight must fit a u8"
+        );
         self.weight_bias = bias;
         self
     }
@@ -63,11 +78,11 @@ impl BootstrapSpec {
     /// weight under a given seed.
     #[inline]
     pub fn weight(&self, tuple_id: u64, trial: u32) -> u32 {
-        poisson_weight(tuple_id, trial, self.seed) + self.weight_bias
+        poisson_weight(tuple_id, trial, self.seed) + u32::from(self.weight_bias)
     }
 
     /// All replica weights of one tuple, reusing `buf`.
-    pub fn weights_into(&self, tuple_id: u64, buf: &mut Vec<u32>) {
+    pub fn weights_into(&self, tuple_id: u64, buf: &mut Vec<u8>) {
         buf.clear();
         buf.resize(self.trials as usize, 0);
         self.fill(&[tuple_id], buf);
@@ -76,8 +91,9 @@ impl BootstrapSpec {
     /// Batched weight kernel: the full `tuples × trials` weight matrix as a
     /// flat row-major buffer, `out[i * trials + b]` = weight of
     /// `tuple_ids[i]` in replica `b`. Bit-identical to calling
-    /// [`BootstrapSpec::weight`] per cell.
-    pub fn weights_batch(&self, tuple_ids: &[u64], out: &mut Vec<u32>) {
+    /// [`BootstrapSpec::weight`] per cell: every weight is at most
+    /// `16 + MAX_WEIGHT_BIAS`, so a `u8` holds it.
+    pub fn weights_batch(&self, tuple_ids: &[u64], out: &mut Vec<u8>) {
         out.clear();
         out.resize(tuple_ids.len() * self.trials as usize, 0);
         self.weights_fill(tuple_ids, out);
@@ -86,7 +102,7 @@ impl BootstrapSpec {
     /// [`BootstrapSpec::weights_batch`] into a caller-sized slice
     /// (`tuple_ids.len() × trials`), so pool workers can fill disjoint
     /// parts of one matrix.
-    pub fn weights_fill(&self, tuple_ids: &[u64], out: &mut [u32]) {
+    pub fn weights_fill(&self, tuple_ids: &[u64], out: &mut [u8]) {
         let sw = gola_obs::enabled().then(gola_common::timing::Stopwatch::start);
         self.fill(tuple_ids, out);
         if let Some(sw) = sw {
@@ -124,7 +140,7 @@ impl BootstrapSpec {
     /// [`poisson_from_stream`], in the same order, so no weight bit moves.
     ///
     /// [`poisson_from_stream`]: gola_common::rng::poisson_from_stream
-    fn fill(&self, tuple_ids: &[u64], out: &mut [u32]) {
+    fn fill(&self, tuple_ids: &[u64], out: &mut [u8]) {
         let trials = self.trials as usize;
         assert_eq!(out.len(), tuple_ids.len() * trials, "one row per tuple");
         let seed_m = self.seed.wrapping_mul(PHI);
@@ -147,7 +163,7 @@ impl BootstrapSpec {
                 *x = (b ^ 0xB0_07).wrapping_mul(PHI);
             }
             let mut states = [0u64; BLOCK];
-            let mut ks = [0u32; BLOCK];
+            let mut ks = [0u8; BLOCK];
             let mut ps = [0f64; BLOCK];
             let (states, ks, ps) = (&mut states[..width], &mut ks[..width], &mut ps[..width]);
             for (i, &t) in tuple_ids.iter().enumerate() {
@@ -170,7 +186,7 @@ impl BootstrapSpec {
                     let m2 = (mix(s2) >> 11) + 1;
                     *p = (m1 as f64 * SCALE) * ((m2 as f64) * SCALE);
                     *state = s2;
-                    *k = (m1 > t0) as u32 + (*p > limit) as u32;
+                    *k = u8::from(m1 > t0) + u8::from(*p > limit);
                 }
                 // Draws 3 and 4.
                 draw_sweep(limit, ks, ps, states);
@@ -216,11 +232,11 @@ const SCALE: f64 = 1.0 / (1u64 << 53) as f64;
 /// `poisson_from_stream`; a lane whose product already dropped to `limit`
 /// stays there, so its count holds.
 #[inline(always)]
-fn draw_sweep(limit: f64, ks: &mut [u32], ps: &mut [f64], states: &mut [u64]) {
+fn draw_sweep(limit: f64, ks: &mut [u8], ps: &mut [f64], states: &mut [u64]) {
     for ((k, p), state) in ks.iter_mut().zip(ps.iter_mut()).zip(states.iter_mut()) {
         *state = state.wrapping_add(PHI);
         *p *= (((mix(*state) >> 11) + 1) as f64) * SCALE;
-        *k += (*p > limit) as u32;
+        *k += u8::from(*p > limit);
     }
 }
 
@@ -277,7 +293,8 @@ mod tests {
         assert_eq!(batch.len(), ids.len() * 33);
         for (i, &t) in ids.iter().enumerate() {
             for b in 0..33u32 {
-                assert_eq!(batch[i * 33 + b as usize], spec.weight(t, b), "t={t} b={b}");
+                let w = u32::from(batch[i * 33 + b as usize]);
+                assert_eq!(w, spec.weight(t, b), "t={t} b={b}");
             }
         }
     }
@@ -285,9 +302,23 @@ mod tests {
     #[test]
     fn batch_with_zero_trials_is_empty() {
         let spec = BootstrapSpec::new(0, 7);
-        let mut batch = vec![4u32];
+        let mut batch = vec![4u8];
         spec.weights_batch(&[1, 2, 3], &mut batch);
         assert!(batch.is_empty());
+    }
+
+    #[test]
+    fn the_largest_bias_fits_every_weight() {
+        let spec = BootstrapSpec::new(100, 7).with_weight_bias(MAX_WEIGHT_BIAS);
+        let mut batch = Vec::new();
+        spec.weights_batch(&[1, 2, 3], &mut batch);
+        assert!(batch.iter().all(|&w| w >= MAX_WEIGHT_BIAS));
+    }
+
+    #[test]
+    #[should_panic(expected = "must fit a u8")]
+    fn a_bias_that_could_wrap_is_refused() {
+        let _ = BootstrapSpec::new(1, 7).with_weight_bias(MAX_WEIGHT_BIAS + 1);
     }
 
     #[test]

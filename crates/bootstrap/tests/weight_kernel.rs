@@ -1,9 +1,11 @@
 //! Property test: the batched Poisson-weight kernel is bit-identical to the
 //! scalar `BootstrapSpec::weight` for arbitrary tuple ids, trial counts,
-//! seeds and weight biases. The executor's determinism contract (threads =
-//! 1 ≡ threads = N) rests on this equivalence.
+//! seeds and weight biases up to the largest allowed one, whose biased
+//! weights fill the kernel's `u8` cells to the top. The executor's
+//! determinism contract (threads = 1 ≡ threads = N) rests on this
+//! equivalence.
 
-use gola_bootstrap::BootstrapSpec;
+use gola_bootstrap::{BootstrapSpec, MAX_WEIGHT_BIAS};
 use proptest::prelude::*;
 
 proptest! {
@@ -13,7 +15,7 @@ proptest! {
         // Past 256, so a run crosses the 128-replica block boundary twice.
         trials in 0u32..300,
         seed in any::<u64>(),
-        bias in 0u32..2,
+        bias in prop_oneof![0u8..2, Just(MAX_WEIGHT_BIAS), 0..=MAX_WEIGHT_BIAS],
     ) {
         let spec = BootstrapSpec::new(trials, seed).with_weight_bias(bias);
         let mut out = Vec::new();
@@ -22,7 +24,7 @@ proptest! {
         for (i, &t) in tuple_ids.iter().enumerate() {
             for b in 0..trials {
                 prop_assert_eq!(
-                    out[i * trials as usize + b as usize],
+                    u32::from(out[i * trials as usize + b as usize]),
                     spec.weight(t, b),
                     "tuple {} trial {} seed {} bias {}", t, b, seed, bias
                 );
@@ -35,7 +37,7 @@ proptest! {
         let spec = BootstrapSpec::new(b + 1, seed);
         let mut out = Vec::new();
         spec.weights_batch(&[t], &mut out);
-        prop_assert_eq!(out[b as usize], spec.weight(t, b));
+        prop_assert_eq!(u32::from(out[b as usize]), spec.weight(t, b));
     }
 }
 
@@ -53,7 +55,7 @@ fn every_cell_and_every_chain_length_matches_the_scalar_draw() {
     for (i, &t) in ids.iter().enumerate() {
         for b in 0..100u32 {
             let w = out[i * 100 + b as usize];
-            assert_eq!(w, spec.weight(t, b), "tuple {t} trial {b}");
+            assert_eq!(u32::from(w), spec.weight(t, b), "tuple {t} trial {b}");
             seen[w as usize] += 1;
         }
     }

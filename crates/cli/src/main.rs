@@ -152,8 +152,10 @@ fn main() {
 ///
 /// Flags: `--addr HOST:PORT` (default 127.0.0.1:8642), `--workload
 /// conviva|tpch` (default conviva), `--rows N` (default 100000),
-/// `--threads N` (shared worker-pool width), `--max-active N` / `--queue
-/// N` (admission window), `--batches N`, `--metrics` (enable the
+/// `--threads N` (width of the intra-query worker pool every session's
+/// batches share; how many sessions run at once is `min(max-active,
+/// CPUs)`, not this flag), `--max-active N` / `--queue N` (admission
+/// window), `--batches N`, `--metrics` (enable the
 /// observability registry; scrape `GET /metrics`), `--max-connections N`
 /// (fail-closed accept cap, default 64), `--append NAME=DIR` (serve the
 /// durable stream at DIR as table NAME; `POST /append/NAME` then feeds

@@ -339,10 +339,6 @@ impl DenseSums {
 /// consume doubles spread over ~200 binades; a wider run hands back tails.
 const MAX_LEVELS: usize = 6;
 
-/// Headroom bits `K` past which a level would extract too little to be
-/// worth a sweep (weights near `u32::MAX`): the whole run is handed back.
-const MAX_HEADROOM: u64 = 40;
-
 /// Reusable buffers of [`WeightedRun`]s (one per fold loop, not per run).
 #[derive(Debug, Default)]
 pub struct RunBuf {
@@ -376,11 +372,12 @@ pub struct RunBuf {
 ///
 /// **What is handed back** ([`WeightedRun::leftover`]) for `add_product`:
 /// non-finite values, everything if `σ` would overflow (`|x|` within `2^K`
-/// of `f64::MAX`) or the weights leave no headroom, and remainders that
-/// outlive `MAX_LEVELS` (6) levels. All are properties of the run's values and
-/// weights alone.
+/// of `f64::MAX`), and remainders that outlive `MAX_LEVELS` (6) levels.
+/// All are properties of the run's values and weights alone. Weights are
+/// `u8`, so `K ≤ 8 + log₂(rows)`: every level of a run shorter than 2³²
+/// rows still takes at least 13 bits off each remainder.
 pub struct WeightedRun<'a> {
-    rows: &'a [&'a [u32]],
+    rows: &'a [&'a [u8]],
     /// Weight columns (`rows[t].len()`); the unit column, if any, follows.
     width: usize,
     unit: bool,
@@ -392,7 +389,7 @@ pub struct WeightedRun<'a> {
 impl<'a> WeightedRun<'a> {
     /// Start a run over `rows` (one weight row of `width` columns per
     /// tuple): totals every column.
-    pub fn new(rows: &'a [&'a [u32]], width: usize, unit: bool, buf: &'a mut RunBuf) -> Self {
+    pub fn new(rows: &'a [&'a [u8]], width: usize, unit: bool, buf: &'a mut RunBuf) -> Self {
         buf.totals.clear();
         buf.totals.resize(width, 0);
         for row in rows {
@@ -449,7 +446,7 @@ impl<'a> WeightedRun<'a> {
         while top != 0 {
             // Biased exponent of σ: that of the largest remainder, plus K.
             let sigma_exp = (top >> 52) + self.headroom;
-            if self.levels == MAX_LEVELS || self.headroom > MAX_HEADROOM || sigma_exp > 2045 {
+            if self.levels == MAX_LEVELS || sigma_exp > 2045 {
                 let rest = buf.rem.iter().enumerate().filter(|(_, r)| **r != 0.0);
                 buf.leftover.extend(rest.map(|(t, r)| (t, *r)));
                 // In row order, as a cell-by-cell fold meets them: once a
@@ -732,7 +729,7 @@ mod tests {
     }
 
     /// Reference for [`WeightedRun`]: one `add_product` per cell.
-    fn cellwise(xs: &[f64], rows: &[&[u32]], c: Option<usize>) -> ExactSum {
+    fn cellwise(xs: &[f64], rows: &[&[u8]], c: Option<usize>) -> ExactSum {
         let mut s = ExactSum::new();
         for (&x, row) in xs.iter().zip(rows) {
             s.add_product(x, c.map_or(1.0, |c| f64::from(row[c])));
@@ -741,7 +738,7 @@ mod tests {
     }
 
     /// Column `c`'s sum from a run, the way a caller assembles it.
-    fn from_run(run: &WeightedRun<'_>, rows: &[&[u32]], c: Option<usize>) -> ExactSum {
+    fn from_run(run: &WeightedRun<'_>, rows: &[&[u8]], c: Option<usize>) -> ExactSum {
         let mut s = ExactSum::new();
         let width = rows.first().map_or(0, |r| r.len());
         run.levels().for_each(|l| s.add(l[c.unwrap_or(width)]));
@@ -762,8 +759,8 @@ mod tests {
                     (rng.next_f64() - 0.5) * 2f64.powi(e)
                 })
                 .collect();
-            let flat: Vec<u32> = (0..n * 7).map(|_| rng.next_below(5) as u32).collect();
-            let rows: Vec<&[u32]> = flat.chunks(7).collect();
+            let flat: Vec<u8> = (0..n * 7).map(|_| rng.next_below(5) as u8).collect();
+            let rows: Vec<&[u8]> = flat.chunks(7).collect();
             let mut run = WeightedRun::new(&rows, 7, true, &mut buf);
             let totals: Vec<u64> = (0..7)
                 .map(|c| rows.iter().map(|r| u64::from(r[c])).sum())
@@ -781,7 +778,7 @@ mod tests {
     #[test]
     fn weighted_run_hands_back_what_it_cannot_bin() {
         let mut buf = RunBuf::default();
-        let w = |ws: &'static [u32]| ws;
+        let w = |ws: &'static [u8]| ws;
         // Non-finite values and a value too close to f64::MAX for σ.
         let xs = [1.5, f64::INFINITY, -0.0, f64::NAN, 3.25];
         let rows = [w(&[1, 0]), w(&[2, 1]), w(&[3, 3]), w(&[0, 1]), w(&[1, 2])];
@@ -797,7 +794,7 @@ mod tests {
         // Wider than MAX_LEVELS can consume: the tails come back, and the
         // assembled sums still match.
         let wide: Vec<f64> = (0..40).map(|i| 2f64.powi(-25 * i) * 1.000000123).collect();
-        let ones: Vec<&[u32]> = (0..40).map(|_| w(&[1, 3])).collect();
+        let ones: Vec<&[u8]> = (0..40).map(|_| w(&[1, 3])).collect();
         let mut run = WeightedRun::new(&ones, 2, true, &mut buf);
         run.sum(&wide);
         assert!(!run.leftover().is_empty());
@@ -805,11 +802,16 @@ mod tests {
             let (a, b) = (from_run(&run, &ones, c), cellwise(&wide, &ones, c));
             assert_eq!(a.value().to_bits(), b.value().to_bits(), "c={c:?}");
         }
-        // No headroom at all under u32::MAX-sized weights: handed back.
-        let huge = [w(&[u32::MAX]); 600];
-        let mut run = WeightedRun::new(&huge, 1, false, &mut buf);
-        run.sum(&[1.0; 600]);
-        assert_eq!(run.leftover().len(), 600);
+        // The widest weights: every level still bins the run exactly.
+        let top = [w(&[u8::MAX]); 600];
+        let xs: Vec<f64> = (0..600).map(|i| f64::from(i) * 0.3 - 77.0).collect();
+        let mut run = WeightedRun::new(&top, 1, true, &mut buf);
+        run.sum(&xs);
+        assert!(run.leftover().is_empty());
+        for c in [Some(0), None] {
+            let (a, b) = (from_run(&run, &top, c), cellwise(&xs, &top, c));
+            assert_eq!(a.value().to_bits(), b.value().to_bits(), "c={c:?}");
+        }
     }
 
     /// Every `DenseSums` cell is in the very state (components and sticky

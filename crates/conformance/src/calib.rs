@@ -150,7 +150,7 @@ pub fn calibrate(class: &CalibClass, cfg: &CalibConfig, fault: Fault) -> CalibRe
     let config = OnlineConfig {
         num_batches: cfg.num_batches,
         bootstrap: BootstrapSpec::new(cfg.trials, 0x60_1A)
-            .with_weight_bias(u32::from(fault == Fault::WeightBias)),
+            .with_weight_bias(u8::from(fault == Fault::WeightBias)),
         ci_level: cfg.level,
         ..OnlineConfig::default()
     };

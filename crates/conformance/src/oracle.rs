@@ -159,7 +159,7 @@ pub fn run_case(
         .map_err(|e| Failure::Exact(e.to_string()))?;
 
     let bootstrap = BootstrapSpec::new(cfg.trials, 0x60_1A)
-        .with_weight_bias(u32::from(fault == Fault::WeightBias));
+        .with_weight_bias(u8::from(fault == Fault::WeightBias));
     let config = |threads: usize| OnlineConfig {
         num_batches: cfg.num_batches,
         bootstrap,

@@ -66,7 +66,7 @@ pub(crate) fn fold(
         })
         .collect();
     let trials = env.config.bootstrap.trials as usize;
-    let mut kept_weights: Vec<u32> = Vec::with_capacity(keep.len() * trials);
+    let mut kept_weights: Vec<u8> = Vec::with_capacity(keep.len() * trials);
     for &i in &keep {
         kept_weights.extend_from_slice(cand.weights_of(weights, i));
     }
@@ -109,7 +109,7 @@ fn fold_chunk(
     // A semi-join block's group key starts with its membership key.
     let member_len = cb.semi_join.as_ref().map_or(0, |(_, key, _)| key.len());
     let trials = env.config.bootstrap.trials;
-    let mut rows: Vec<&[u32]> = Vec::new();
+    let mut rows: Vec<&[u8]> = Vec::new();
     let mut lanes: Vec<Vec<Value>> = vec![Vec::new(); cb.lin_agg_args.len()];
     let (mut runs, mut run_tuples) = (0, 0);
     for run in members.chunk_by(|a, b| a.0 == b.0) {

@@ -53,13 +53,13 @@ pub(crate) struct EffGroup<'a> {
 /// this one sweep serves every numeric operand. The operator dispatch
 /// happens once per call so each arm compiles to a tight sweep over the
 /// trials.
-fn mask_cmp(row: &mut [u32], keys: &[i64], valid: &[u32], op: BinOp, lk: i64) {
+fn mask_cmp(row: &mut [u8], keys: &[i64], valid: &[u32], op: BinOp, lk: i64) {
     #[inline(always)]
-    fn sweep(row: &mut [u32], keys: &[i64], valid: &[u32], holds: impl Fn(i64) -> bool) {
+    fn sweep(row: &mut [u8], keys: &[i64], valid: &[u32], holds: impl Fn(i64) -> bool) {
         // Branch-free: an uncertain tuple is one whose trials disagree, so
         // a branch on the outcome would mispredict about every other lane.
         for ((w, &rk), &ok) in row.iter_mut().zip(keys).zip(valid) {
-            *w *= ok & u32::from(holds(rk));
+            *w *= u8::from(ok != 0) & u8::from(holds(rk));
         }
     }
     match op {
@@ -201,8 +201,8 @@ impl Inclusion<'_> {
         env: &BlockEnv<'_>,
         reader: &mut TupleReader<'_>,
         i: usize,
-        weights: &[u32],
-        mask: &mut Vec<u32>,
+        weights: &[u8],
+        mask: &mut Vec<u8>,
         key: &mut Vec<Value>,
     ) -> Result<bool> {
         match self {
@@ -259,8 +259,8 @@ fn decide_generic(
     env: &BlockEnv<'_>,
     reader: &mut TupleReader<'_>,
     i: usize,
-    weights: &[u32],
-    mask: &mut Vec<u32>,
+    weights: &[u8],
+    mask: &mut Vec<u8>,
 ) -> Result<bool> {
     let mut pass = |mode| -> Result<bool> {
         let ctx = reader.ctx(i, mode);
@@ -349,7 +349,7 @@ fn uncertain_states<'a>(env: &BlockEnv<'_>, rt: &'a BlockRuntime) -> Result<Vec<
     let mut scratch = FoldScratch::default();
     let mut args: Vec<Value> = Vec::new();
     let mut lanes: Vec<Vec<Value>> = vec![Vec::new(); cb.lin_agg_args.len()];
-    let mut masks: Vec<u32> = Vec::new();
+    let mut masks: Vec<u8> = Vec::new();
     let mut lookup_key: Vec<Value> = Vec::new();
     let (mut runs, mut run_tuples) = (0, 0);
     for (g, key) in groups {
@@ -387,7 +387,7 @@ fn uncertain_states<'a>(env: &BlockEnv<'_>, rt: &'a BlockRuntime) -> Result<Vec<
                     lane.push(v);
                 }
             }
-            let rows: Vec<&[u32]> = (0..run.len())
+            let rows: Vec<&[u8]> = (0..run.len())
                 .map(|t| &masks[t * stride..][..stride])
                 .collect();
             for (j, values) in lanes.iter().enumerate() {
@@ -684,7 +684,9 @@ mod tests {
             rhs in prop::collection::vec(prop::option::of(float()), 0..48),
             seed in 1u32..7,
         ) {
-            let weights: Vec<u32> = (0..rhs.len()).map(|b| (row_u32(b) * seed) % 5).collect();
+            let weights: Vec<u8> = (0..rhs.len())
+                .map(|b| u8::try_from(row_u32(b) * seed % 5).unwrap())
+                .collect();
             let (mut keys, mut valid) = (Vec::new(), Vec::new());
             prop_assert!(Lanes::Float(rhs.clone()).total_order_keys(rhs.len(), &mut keys, &mut valid));
             for op in OPS {

@@ -59,7 +59,7 @@ pub(crate) struct Candidates {
     /// The first `carried_len` candidates came from the uncertain set and
     /// keep the bootstrap weights cached there (`carried_len × trials`).
     pub carried_len: usize,
-    pub carried_weights: Vec<u32>,
+    pub carried_weights: Vec<u8>,
     /// Correlation-key ids, `× conjuncts` (see [`UncertainSet::key_ids`]):
     /// the carried candidates' cached ones, then the new candidates' as
     /// [`label`] names them.
@@ -85,7 +85,7 @@ impl Candidates {
 
     /// Bootstrap weights of candidate `i`: a carried tuple's cached row,
     /// a new tuple's row of the step's shared matrix.
-    pub(crate) fn weights_of<'a>(&'a self, fresh: &'a BatchWeights, i: usize) -> &'a [u32] {
+    pub(crate) fn weights_of<'a>(&'a self, fresh: &'a BatchWeights, i: usize) -> &'a [u8] {
         match self.batch_row(i) {
             Some(row) => fresh.row(row),
             None => &self.carried_weights[i * fresh.trials..][..fresh.trials],
@@ -99,13 +99,13 @@ impl Candidates {
 /// reads the same rows. Rows are generated on first need — a wave asks for
 /// the batch rows its blocks will fold or keep uncertain — so a query whose
 /// certain filters drop most of a batch does not pay for the dropped rows.
-/// Lives for one step (`batch_rows × trials × 4` bytes at most).
+/// Lives for one step (`batch_rows × trials` bytes at most).
 pub(crate) struct BatchWeights {
     trials: usize,
     /// Batch row → row of `data`, `NONE` until a block needs the tuple.
     slot: Vec<u32>,
     /// `generated × trials`, row-major.
-    data: Vec<u32>,
+    data: Vec<u8>,
     generated: usize,
 }
 
@@ -150,7 +150,7 @@ impl BatchWeights {
         });
     }
 
-    fn row(&self, batch_row: u32) -> &[u32] {
+    fn row(&self, batch_row: u32) -> &[u8] {
         let slot = self.slot[batch_row as usize];
         debug_assert_ne!(
             slot, NONE,

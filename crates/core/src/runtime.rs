@@ -73,7 +73,7 @@ pub struct UncertainSet {
     /// Stable per-tuple ids (row index in the source table).
     pub tuple_ids: Vec<u64>,
     /// Bootstrap weights, row-major `len × trials`.
-    pub weights: Vec<u32>,
+    pub weights: Vec<u8>,
     /// Correlation-key ids from the block's [`Labels::keys`], row-major
     /// `len × conjuncts` (one per `FastScalarCmp` conjunct; empty when the
     /// block has none).
@@ -140,7 +140,7 @@ impl UncertainSet {
 
 /// Rows `positions` of the row-major `width`-wide matrix `v`, in that
 /// order.
-pub(crate) fn gather_rows(v: &[u32], width: usize, positions: &[usize]) -> Vec<u32> {
+pub(crate) fn gather_rows<T: Copy>(v: &[T], width: usize, positions: &[usize]) -> Vec<T> {
     let row = |&i: &usize| &v[i * width..][..width];
     positions.iter().flat_map(row).copied().collect()
 }

@@ -110,7 +110,8 @@ impl std::error::Error for AdmissionError {}
 /// Capacity knobs of the scheduler.
 #[derive(Debug, Clone, Copy)]
 pub struct PolicyConfig {
-    /// Sessions scheduled concurrently (time-sliced, one quantum at a time).
+    /// Sessions scheduled concurrently (time-sliced; the service runs up
+    /// to `min(max_active, CPUs)` of their quanta at once).
     pub max_active: usize,
     /// Admitted-but-waiting sessions beyond the active set.
     pub queue_capacity: usize,

@@ -1,13 +1,26 @@
-//! The threaded multi-tenant query service: one scheduler thread
-//! time-slicing every admitted session over one shared [`WorkerPool`].
+//! The threaded multi-tenant query service: `min(max_active, CPUs)`
+//! runner threads time-slicing every admitted session, side by side, over
+//! one session table and one shared intra-query [`WorkerPool`].
 //!
-//! Clients call [`QueryService::submit`] from any thread; admission is
-//! answered synchronously (typed [`SubmitError`] on refusal, so the HTTP
-//! layer can emit a 429 with the exact saturation numbers). Each admitted
-//! session gets its own report channel — the [`QueryHandle`] iterates it
-//! exactly like a solo [`crate::session::OnlineExecution`], and because the
-//! scheduler runs one batch round at a time on the shared pool, the stream
-//! it sees is bit-identical to that solo run (`tests/sched_equivalence.rs`).
+//! Clients call [`QueryService::submit`] from any thread; admission runs on
+//! that thread under the table's lock and is answered synchronously (typed
+//! [`SubmitError`] on refusal, so the HTTP layer can emit a 429 with the
+//! exact saturation numbers). Each runner loops: under the lock it
+//! [`pick`](Scheduler::pick)s the lowest-`(pass, id)` session no other
+//! runner holds, runs that session's quantum outside the lock (the quantum
+//! sends its own report), and [`charge`](Scheduler::charge)s it under the
+//! lock again. So different sessions' quanta overlap, one session's never
+//! do, and its quanta run in order.
+//!
+//! Each admitted session gets its own report channel — the [`QueryHandle`]
+//! iterates it exactly like a solo [`crate::session::OnlineExecution`].
+//! The stream is bit-identical to that solo run because a session's step
+//! is a pure function of its own state and batch: nothing another session
+//! does, and no pool size or dispatch order, reaches its answers
+//! (`tests/sched_equivalence.rs`). A session ends exactly once, when it
+//! leaves the table: at its last quantum's charge, at a cancel of a session
+//! no runner holds, or — for one canceled while its quantum runs — at that
+//! quantum's charge (`tests/sched_cancel.rs`).
 //!
 //! Observability: every session's executor metrics carry a
 //! `session="s<id>"` label (see `OnlineConfig::session_label`), and the
@@ -23,10 +36,11 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender, SyncSender, TryRecvError};
-use std::sync::Arc;
+use std::sync::mpsc::{Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 
+use gola_common::sync::{lock, wait};
 use gola_common::Result;
 use gola_storage::Catalog;
 
@@ -35,7 +49,7 @@ use crate::pool::WorkerPool;
 use crate::report::BatchReport;
 use crate::sched::task::QueryTask;
 use crate::sched::{
-    AdmissionError, Admitted, PolicyConfig, Quantum, SchedTask, Scheduler, SessionId,
+    AdmissionError, Charged, PolicyConfig, Quantum, SchedTask, Scheduler, SessionId,
 };
 use crate::session::OnlineSession;
 
@@ -47,11 +61,14 @@ pub const SESSION_SERIES_KEPT: usize = 32;
 /// Capacity and sizing of a [`QueryService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Sessions time-slicing concurrently; more wait in the queue.
+    /// Sessions time-slicing concurrently; more wait in the queue. The
+    /// service runs `min(max_active, CPUs)` sessions' quanta at once.
     pub max_active: usize,
     /// Admitted-but-waiting sessions beyond the active set.
     pub queue_capacity: usize,
-    /// Threads of the one shared worker pool (1 = sequential batches).
+    /// Width of the one intra-query worker pool every quantum shares (1 =
+    /// sequential batches). It does not set how many sessions run at once:
+    /// the runner count comes from the CPUs and `max_active`.
     pub threads: usize,
     /// Per-session execution defaults; `session_label`, `threads` and the
     /// worker pool itself are overridden per session by the service.
@@ -92,20 +109,10 @@ impl fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-enum Command {
-    Submit {
-        id: SessionId,
-        query: Box<ScheduledQuery>,
-        weight: u64,
-        reply: SyncSender<std::result::Result<Admitted, AdmissionError>>,
-    },
-    Cancel(SessionId),
-    Shutdown,
-}
-
 /// One admitted query as the scheduler holds it: the task and the channel
 /// its reports go out on, so a session leaves the scheduler and closes its
-/// client's stream in one step.
+/// client's stream in one step. A runner's quantum sends the report itself,
+/// outside the table's lock.
 struct ScheduledQuery {
     task: QueryTask,
     reports: Sender<Result<BatchReport>>,
@@ -128,12 +135,12 @@ impl SchedTask for ScheduledQuery {
 
 /// A client's view of one admitted session: iterate it for the report
 /// stream (ends after the final report; an execution error is the last
-/// item). Dropping the handle lazily cancels the session — the scheduler
+/// item). Dropping the handle lazily cancels the session — the runner
 /// notices the closed channel at its next report and reclaims the slot.
 pub struct QueryHandle {
     id: SessionId,
     reports: Receiver<Result<BatchReport>>,
-    cmds: Sender<Command>,
+    service: Weak<Shared>,
 }
 
 impl QueryHandle {
@@ -155,7 +162,9 @@ impl QueryHandle {
 
     /// Cancel the session now (idempotent; finishing first is fine).
     pub fn cancel(&self) {
-        let _ = self.cmds.send(Command::Cancel(self.id));
+        if let Some(shared) = self.service.upgrade() {
+            shared.cancel(self.id);
+        }
     }
 }
 
@@ -189,36 +198,145 @@ impl ServiceMetrics {
     }
 }
 
-/// The multi-tenant service. Owns the scheduler thread and the shared
-/// pool; dropping it shuts the scheduler down (in-flight sessions see
-/// their streams end early).
+/// What the runners and the submitting threads share: the one session
+/// table behind one lock, and the condvar idle runners park on.
+struct Shared {
+    state: Mutex<State>,
+    /// Signalled when a session may have become pickable, and at shutdown.
+    ready: Condvar,
+    metrics: Option<ServiceMetrics>,
+}
+
+struct State {
+    sched: Scheduler<ScheduledQuery>,
+    /// Ended sessions, oldest first. A session ends when it leaves the
+    /// table, and a held one leaves only at its charge, so no quantum of an
+    /// ended session is running and nothing writes its series any more.
+    ended: VecDeque<SessionId>,
+    shutdown: bool,
+}
+
+impl Shared {
+    /// Count session `id`'s end, once: every path out of the table comes
+    /// through here.
+    fn end(&self, state: &mut State, id: SessionId, canceled: bool) {
+        if let Some(m) = &self.metrics {
+            if canceled {
+                m.canceled.inc();
+            } else {
+                m.completed.inc();
+            }
+        }
+        state.ended.push_back(id);
+        while state.ended.len() > SESSION_SERIES_KEPT {
+            if let Some(old) = state.ended.pop_front() {
+                gola_obs::retire("session", &old.to_string());
+            }
+        }
+    }
+
+    /// The table changed: refresh the gauges and wake the idle runners.
+    fn changed(&self, state: &State) {
+        if let Some(m) = &self.metrics {
+            m.active.set(state.sched.num_active() as f64);
+            m.queued.set(state.sched.num_queued() as f64);
+        }
+        self.ready.notify_all();
+    }
+
+    fn cancel(&self, id: SessionId) {
+        let mut state = lock(&self.state);
+        // A held session is only marked; its runner ends it at the charge.
+        if state.sched.cancel(id) {
+            self.end(&mut state, id, true);
+            self.changed(&state);
+        }
+    }
+
+    /// One runner: pick the most deserving session nobody holds, run its
+    /// quantum outside the lock, charge it; park while nothing can be
+    /// picked; return at shutdown.
+    fn run(&self) {
+        let mut state = lock(&self.state);
+        loop {
+            if state.shutdown {
+                return;
+            }
+            let Some((id, mut query)) = state.sched.pick() else {
+                state = wait(&self.ready, state);
+                continue;
+            };
+            drop(state);
+            let quantum = query.run_quantum();
+            state = lock(&self.state);
+            match state.sched.charge(id, query, &quantum) {
+                Charged::Finished => self.end(&mut state, id, false),
+                Charged::Canceled => self.end(&mut state, id, true),
+                // An undelivered report: the client dropped its handle,
+                // so reclaim the slot.
+                Charged::Running if quantum.output == Some(false) => {
+                    if state.sched.cancel(id) {
+                        self.end(&mut state, id, true);
+                    }
+                }
+                Charged::Running => {}
+            }
+            self.changed(&state);
+        }
+    }
+}
+
+/// The multi-tenant service. Owns the runner threads and the shared pool;
+/// dropping it shuts the runners down (in-flight sessions see their
+/// streams end early).
 pub struct QueryService {
     session: Arc<OnlineSession>,
     pool: Arc<WorkerPool>,
-    cmds: Sender<Command>,
+    shared: Arc<Shared>,
     next_id: AtomicU64,
-    worker: Option<JoinHandle<()>>,
+    runners: Vec<JoinHandle<()>>,
 }
 
 impl QueryService {
+    /// Start `min(max_active, CPUs)` runners over one session table (see
+    /// the module doc); `cfg.threads` sizes the intra-query pool they
+    /// share.
     pub fn new(catalog: Catalog, cfg: ServiceConfig) -> QueryService {
         let pool = Arc::new(WorkerPool::new(cfg.threads.max(1)));
         let policy = PolicyConfig {
             max_active: cfg.max_active,
             queue_capacity: cfg.queue_capacity,
         };
+        let shared = Arc::new(Shared {
+            state: Mutex::new(State {
+                sched: Scheduler::new(policy),
+                ended: VecDeque::new(),
+                shutdown: false,
+            }),
+            ready: Condvar::new(),
+            metrics: gola_obs::enabled().then(ServiceMetrics::resolve),
+        });
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the runner count sets how many sessions' quanta overlap, never what a report holds"
+        )]
+        let cpus = std::thread::available_parallelism().map_or(1, usize::from);
+        let runners = (0..cfg.max_active.clamp(1, cpus))
+            .map_while(|i| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("gola-runner-{i}"))
+                    .spawn(move || shared.run())
+                    .ok()
+            })
+            .collect();
         let session = Arc::new(OnlineSession::new(catalog, cfg.base));
-        let (cmds, rx) = std::sync::mpsc::channel();
-        let worker = std::thread::Builder::new()
-            .name("gola-sched".into())
-            .spawn(move || scheduler_loop(policy, rx))
-            .ok();
         QueryService {
             session,
             pool,
-            cmds,
+            shared,
             next_id: AtomicU64::new(0),
-            worker,
+            runners,
         }
     }
 
@@ -233,12 +351,15 @@ impl QueryService {
     }
 
     /// Compile `sql` on the calling thread (so diagnostics return before
-    /// admission), then hand the execution to the scheduler.
+    /// admission), then admit the execution, also on the calling thread.
     pub fn submit_weighted(
         &self,
         sql: &str,
         weight: u64,
     ) -> std::result::Result<QueryHandle, SubmitError> {
+        if self.runners.is_empty() {
+            return Err(SubmitError::Shutdown);
+        }
         let id = SessionId(self.next_id.fetch_add(1, Ordering::Relaxed));
         // Per-session config: labeled metrics, threads pinned to the
         // shared pool's size (informational only — the pool is shared).
@@ -255,127 +376,43 @@ impl QueryService {
             .map_err(SubmitError::Compile)?;
 
         let (report_tx, report_rx) = std::sync::mpsc::channel();
-        let (reply_tx, reply_rx) = std::sync::mpsc::sync_channel(1);
         let query = ScheduledQuery {
             task: QueryTask::new(exec),
             reports: report_tx,
         };
-        self.cmds
-            .send(Command::Submit {
-                id,
-                query: Box::new(query),
-                weight,
-                reply: reply_tx,
-            })
-            .map_err(|_| SubmitError::Shutdown)?;
-        match reply_rx.recv() {
-            Ok(Ok(_admitted)) => Ok(QueryHandle {
+        let shared = &self.shared;
+        let mut state = lock(&shared.state);
+        let outcome = state.sched.submit_with_id(id, query, weight);
+        if let Some(m) = &shared.metrics {
+            match &outcome {
+                Ok(_) => m.submitted.inc(),
+                Err(_) => m.rejected.inc(),
+            }
+        }
+        shared.changed(&state);
+        drop(state);
+        match outcome {
+            Ok(_admitted) => Ok(QueryHandle {
                 id,
                 reports: report_rx,
-                cmds: self.cmds.clone(),
+                service: Arc::downgrade(shared),
             }),
-            Ok(Err(e)) => Err(SubmitError::Admission(e)),
-            Err(_) => Err(SubmitError::Shutdown),
+            Err(e) => Err(SubmitError::Admission(e)),
         }
     }
 
     /// Cancel a session by id (idempotent).
     pub fn cancel(&self, id: SessionId) {
-        let _ = self.cmds.send(Command::Cancel(id));
+        self.shared.cancel(id);
     }
 }
 
 impl Drop for QueryService {
     fn drop(&mut self) {
-        let _ = self.cmds.send(Command::Shutdown);
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-    }
-}
-
-/// The scheduler thread: drain commands (blocking while idle), then run
-/// one quantum, forever. Exactly one session's batch round executes at any
-/// moment — that serialization is what carries bit-identity.
-fn scheduler_loop(policy: PolicyConfig, cmds: Receiver<Command>) {
-    let mut sched: Scheduler<ScheduledQuery> = Scheduler::new(policy);
-    let metrics = gola_obs::enabled().then(ServiceMetrics::resolve);
-    // Ended sessions, oldest first. A session ends on the scheduler thread,
-    // after its last batch round, so nothing writes its series any more.
-    let mut ended: VecDeque<SessionId> = VecDeque::new();
-    let mut end = |id: SessionId| {
-        ended.push_back(id);
-        while ended.len() > SESSION_SERIES_KEPT {
-            if let Some(old) = ended.pop_front() {
-                gola_obs::retire("session", &old.to_string());
-            }
-        }
-    };
-
-    loop {
-        // Idle: block for the next command. Busy: drain without blocking.
-        loop {
-            let cmd = if sched.is_idle() {
-                match cmds.recv() {
-                    Ok(c) => c,
-                    Err(_) => return,
-                }
-            } else {
-                match cmds.try_recv() {
-                    Ok(c) => c,
-                    Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
-                }
-            };
-            match cmd {
-                Command::Submit {
-                    id,
-                    query,
-                    weight,
-                    reply,
-                } => {
-                    let outcome = sched.submit_with_id(id, *query, weight);
-                    if let Some(m) = &metrics {
-                        match &outcome {
-                            Ok(_) => m.submitted.inc(),
-                            Err(_) => m.rejected.inc(),
-                        }
-                    }
-                    let _ = reply.send(outcome);
-                }
-                Command::Cancel(id) => {
-                    if sched.cancel(id) {
-                        end(id);
-                        if let Some(m) = &metrics {
-                            m.canceled.inc();
-                        }
-                    }
-                }
-                Command::Shutdown => return,
-            }
-        }
-
-        if let Some(round) = sched.round() {
-            // An undelivered report: the client dropped its handle, so
-            // reclaim the slot.
-            let canceled = round.output == Some(false) && !round.finished;
-            if canceled {
-                sched.cancel(round.id);
-            }
-            if canceled || round.finished {
-                end(round.id);
-                if let Some(m) = &metrics {
-                    if canceled {
-                        m.canceled.inc();
-                    } else {
-                        m.completed.inc();
-                    }
-                }
-            }
-        }
-
-        if let Some(m) = &metrics {
-            m.active.set(sched.num_active() as f64);
-            m.queued.set(sched.num_queued() as f64);
+        lock(&self.shared.state).shutdown = true;
+        self.shared.ready.notify_all();
+        for runner in self.runners.drain(..) {
+            let _ = runner.join();
         }
     }
 }

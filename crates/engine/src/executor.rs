@@ -424,7 +424,7 @@ pub fn aggregate(
     // Stable: a group's run keeps table-row order.
     members.sort_by_key(|m| m.0);
     let mut states = vec![ReplicatedStates::new(&kinds, 0); keys.len()];
-    let no_weights: Vec<&[u32]> = vec![&[]; members.len()];
+    let no_weights: Vec<&[u8]> = vec![&[]; members.len()];
     let (mut scratch, mut values) = (FoldScratch::default(), Vec::new());
     for run in members.chunk_by(|a, b| a.0 == b.0) {
         let st = &mut states[run[0].0 as usize];

@@ -369,9 +369,11 @@ fn saturated_scheduler_returns_typed_429() {
     let server = &open.server;
     let (status, _, _) = call(server, post("/jobs", OPEN_SQL, None));
     assert_eq!(status, 202);
-    // Admission runs on the scheduler thread, which parks inside the first
-    // job's step while the stream has no new segment. Each append wakes it
-    // for one round, after which it answers queued submissions.
+    // Admission runs on the submitting thread under the session table's
+    // lock, which the runner parked inside the first job's step (the
+    // stream has no new segment) does not hold, so the burst is answered
+    // without waiting for a round. The appends keep the first job moving
+    // meanwhile.
     let body = std::thread::scope(|s| {
         let burst = s.spawn(|| call(server, post("/jobs", conviva::SBI, None)));
         let (started, limit) = (Stopwatch::start(), Duration::from_secs(30));

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full pre-merge gate: release build, workspace tests (the conformance
 # oracles, the contract checks and the scheduler simulator included), a
-# deeper run of the replica-state oracle, formatting, lints, rustdoc
+# deeper run of the replica-state oracle, repeated runs of the service's
+# concurrency tests, formatting, lints, rustdoc
 # links, a run of every example program, and a CLI ingest/replay smoke.
 # `cargo fmt` is skipped
 # with a warning where it is not installed; `cargo clippy` is required,
@@ -38,6 +39,17 @@ step() {
 }
 
 gola() { cargo run --release -q -p gola-cli --bin gola -- "$@"; }
+
+# The service's runners pick and charge sessions concurrently, so one green
+# run of its tests shows little about ordering races: run the bit-identity
+# and end-exactly-once tests 20 times in release (~11 s on 2 CPUs).
+sched_race_loop() {
+    local i
+    for i in $(seq 20); do
+        cargo test --release -q --test sched_equivalence --test sched_cancel >/dev/null \
+            || { echo "    run $i failed" >&2; return 1; }
+    done
+}
 
 # `gola ingest` seals a workload into write-once segments, then two
 # `--append` console runs replay the directory; their drained final answers
@@ -99,6 +111,7 @@ step cargo test --workspace -q
 # cases in release (seconds), far past the 96 of the workspace run: the
 # dense sums' spill paths on hostile values.
 step env PROPTEST_CASES=2000 cargo test --release -q -p gola-agg --test proptests run_fold_equivalence
+step sched_race_loop
 if cargo fmt --version >/dev/null 2>&1; then
     step cargo fmt --check
 else

@@ -1,13 +1,15 @@
 //! The multi-tenant preemption-safety contract, end to end.
 //!
-//! N concurrent sessions time-slicing one shared worker pool through the
-//! `QueryService` must each see a report stream **bit-identical** to the
-//! same query run solo on a single-threaded session. Batch-granularity
-//! preemption plus the engine's threads=1/N contract make this hold by
-//! construction; this test holds the whole threaded stack (channels,
-//! scheduler thread, shared pool, admission queue) to it — across seeds ×
-//! {2, 4, 8} concurrent sessions of both workloads' queries, with mixed
-//! weights and two active slots so that larger mixes queue.
+//! N concurrent sessions time-slicing the `QueryService`'s runners and
+//! one shared worker pool must each see a report stream **bit-identical**
+//! to the same query run solo on a single-threaded session. Each session's
+//! step is a pure function of its own state, quanta of different sessions
+//! run side by side but never two of one session, and the engine's
+//! threads=1/N contract holds per quantum, so this holds by construction;
+//! this test holds the whole threaded stack (channels, runners, shared
+//! pool, admission queue) to it — across seeds × {2, 4, 8} concurrent
+//! sessions of both workloads' queries, with mixed weights and two active
+//! slots so that larger mixes queue.
 
 use std::sync::Arc;
 
