@@ -3,8 +3,10 @@
 //! (drop), or uncertain (cache and re-examine next batch; paper §3.2).
 //!
 //! Classification is per-tuple independent and reliance marking is an
-//! idempotent atomic store, so fixed-size chunks classify in parallel for
-//! *every* block, including ones whose aggregates cannot merge.
+//! idempotent atomic store. Candidates classify in fixed-size chunks, one
+//! [`ChunkClass`] each, on the thread running the block's ingest: with the
+//! next batch's gather and weights on the pool, splitting a block's chunks
+//! across threads no longer paid (DESIGN.md §3.5.8).
 
 use std::collections::hash_map::Entry;
 use std::ops::Range;
@@ -17,10 +19,11 @@ use crate::compiled::FastScalarCmp;
 use crate::join::Candidates;
 use crate::runtime::{BlockEnv, CtxMode, PubView, Published, PublishedScalar, TupleReader};
 
-/// Candidate-chunk size of the classify → fold pipeline. Chunk boundaries
-/// depend only on candidate order — never on the thread count — so
-/// chunk-order merging yields bit-identical runtimes (and therefore
-/// bit-identical reports) for `threads = 1` and `threads = N`.
+/// Candidate-chunk size of the classify → fold pipeline, and of the
+/// on-demand weight fill's pool items. Chunk boundaries depend only on
+/// candidate order — never on the thread count — so chunk-order merging
+/// yields bit-identical runtimes (and therefore bit-identical reports) for
+/// `threads = 1` and `threads = N`.
 pub(crate) const CHUNK: usize = 1024;
 
 /// Classification of one candidate chunk, as chunk-relative indices: the
@@ -35,10 +38,9 @@ pub(crate) struct ChunkClass {
 /// Run the stage: one [`ChunkClass`] per `CHUNK` candidates, in order.
 pub(crate) fn classify(env: &BlockEnv<'_>, cand: &Candidates) -> Result<Vec<ChunkClass>> {
     let n = cand.chunk.len();
-    let starts = (0..n).step_by(CHUNK);
-    env.pool
-        .map(starts, |s| classify_chunk(env, cand, s, CHUNK.min(n - s)))
-        .into_iter()
+    (0..n)
+        .step_by(CHUNK)
+        .map(|s| classify_chunk(env, cand, s, CHUNK.min(n - s)))
         .collect()
 }
 

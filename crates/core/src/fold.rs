@@ -13,7 +13,9 @@
 //! §3.5.8): it costs a state allocation and a 101-replica merge per
 //! (chunk, group), and the wave already keeps both cores busy
 //! (`ingest_wave` runs a wave's blocks on the pool, so C2's two inner
-//! blocks fold concurrently). Weights and classify stay chunk-parallel.
+//! blocks fold concurrently). Weights are filled before fold reads them:
+//! ahead of the step on the pool (`join::Prefetch`) when a block folds
+//! every row, chunk-parallel on demand otherwise.
 
 use gola_agg::{FoldScratch, ReplicatedStates};
 use gola_common::{Result, Value};

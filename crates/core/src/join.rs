@@ -7,17 +7,21 @@
 //! then labelled with its group id and correlation-key ids from the
 //! block's [`Labels`], the one place a key is hashed.
 
+use std::sync::Arc;
+
 use gola_bootstrap::BootstrapSpec;
+use gola_common::timing::Stopwatch;
 use gola_common::{row_u32, Bitmap, Result};
 use gola_engine::HashIndex;
 use gola_expr::eval::{eval_predicate, NoResolver};
 use gola_expr::vector::predicate_mask;
 use gola_expr::Expr;
 use gola_plan::Block;
-use gola_storage::{Catalog, ColumnChunk, MiniBatch};
+use gola_storage::{Catalog, ColumnChunk, MiniBatch, Partitioner};
 
 use crate::classify::CHUNK;
-use crate::pool::WorkerPool;
+use crate::metrics;
+use crate::pool::{Task, WorkerPool};
 use crate::runtime::{BlockEnv, CtxMode, Labels, TupleReader, UncertainSet};
 
 /// Index every dimension table of `block` on its join keys.
@@ -150,6 +154,18 @@ impl BatchWeights {
         });
     }
 
+    /// Every row's weights at once, from `parts` in batch-row order.
+    fn complete(trials: usize, rows: usize, parts: impl IntoIterator<Item = Vec<u8>>) -> Self {
+        let mut data = Vec::with_capacity(rows * trials);
+        parts.into_iter().for_each(|part| data.extend(part));
+        BatchWeights {
+            trials,
+            slot: (0..row_u32(rows)).collect(),
+            data,
+            generated: rows,
+        }
+    }
+
     fn row(&self, batch_row: u32) -> &[u8] {
         let slot = self.slot[batch_row as usize];
         debug_assert_ne!(
@@ -157,6 +173,67 @@ impl BatchWeights {
             "weights of batch row {batch_row} never requested"
         );
         &self.data[slot as usize * self.trials..][..self.trials]
+    }
+}
+
+/// One mini-batch's gather and bootstrap weights, running on the pool
+/// ahead of the step that reads them: one job gathers the batch, one per
+/// [`CHUNK`] tuples fills their rows of the weight matrix. Weights are a
+/// pure function of `(tuple id, trial, seed)`, so a prefetched matrix is
+/// the one the step would generate on demand.
+pub(crate) struct Prefetch {
+    pub index: usize,
+    batch: Task<MiniBatch>,
+    weights: Vec<Task<Vec<u8>>>,
+}
+
+impl Prefetch {
+    /// Submit batch `index`'s jobs to `pool`.
+    pub(crate) fn submit(
+        pool: &WorkerPool,
+        partitioner: &Arc<Partitioner>,
+        spec: &BootstrapSpec,
+        index: usize,
+    ) -> Prefetch {
+        let source = Arc::clone(partitioner);
+        let batch = pool.spawn(move || source.batch(index));
+        // No replicas, no weights: `BatchWeights::extend` skips them too.
+        let ids = match spec.trials {
+            0 => Vec::new(),
+            _ => partitioner.tuple_ids(index),
+        };
+        let spec = *spec;
+        let weights = (ids.chunks(CHUNK).map(<[u64]>::to_vec))
+            .map(|ids| {
+                pool.spawn(move || {
+                    let mut out = vec![0; ids.len() * spec.trials as usize];
+                    spec.weights_fill(&ids, &mut out);
+                    out
+                })
+            })
+            .collect();
+        Prefetch {
+            index,
+            batch,
+            weights,
+        }
+    }
+
+    /// The batch and its whole weight matrix. The calling thread runs every
+    /// job no worker has started, then waits for the ones still running.
+    pub(crate) fn join(self, spec: &BootstrapSpec) -> (MiniBatch, BatchWeights) {
+        self.batch.try_run();
+        self.weights.iter().for_each(Task::try_run);
+        let wait = gola_obs::enabled().then(Stopwatch::start);
+        let batch = self.batch.join();
+        let parts: Vec<Vec<u8>> = self.weights.into_iter().map(Task::join).collect();
+        let weights = BatchWeights::complete(spec.trials as usize, batch.len(), parts);
+        if let Some(wait) = wait {
+            metrics::prefetch_wait().observe_duration(wait.elapsed());
+            metrics::prefetch_batches().inc();
+            metrics::prefetch_weight_cells().add(weights.data.len() as u64);
+        }
+        (batch, weights)
     }
 }
 

@@ -54,6 +54,15 @@ handle!(pub(crate) pool_queue_wait: Histogram =
 handle!(pub(crate) pool_job_run: Histogram =
     gola_obs::duration_histogram("pool.job_run_seconds"));
 
+// One-batch-ahead prefetch (`join::Prefetch`): batches a step adopted
+// from the pool instead of generating on demand, the weight cells they
+// carried, and how long the step waited for prefetch jobs still running.
+handle!(pub(crate) prefetch_batches: Counter = gola_obs::counter("core.prefetch.batches"));
+handle!(pub(crate) prefetch_weight_cells: Counter =
+    gola_obs::counter("core.prefetch.weight_cells"));
+handle!(pub(crate) prefetch_wait: Histogram =
+    gola_obs::duration_histogram("core.prefetch.wait_seconds"));
+
 // The uncertain set's re-evaluation (`groups::effective_states`, reached
 // from publish, report and recover): tuples decided, and RHS vectors built
 // — one per (comparison, correlation key in the set), not per tuple.

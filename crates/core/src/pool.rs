@@ -4,30 +4,34 @@
 //! on every mini-batch ingest — thread creation cost on the critical path of
 //! every batch, for every block. [`WorkerPool`] instead spawns `threads - 1`
 //! workers once per session and keeps them parked on a condvar between
-//! batches; [`WorkerPool::run`] then executes a batch of borrowed closures
-//! across the workers *and* the calling thread.
+//! batches.
 //!
-//! Design points:
+//! One primitive, two shapes. Every job is a *cell* a queued stub points
+//! at: whichever thread reaches the cell first — a worker popping the stub,
+//! or the thread waiting for the result — runs the job; the other finds it
+//! started and either waits (the waiter) or moves on (the worker).
 //!
-//! * **The caller participates.** `run` executes jobs on the calling thread
-//!   while workers drain the same queue. With `threads = 1` there are no
-//!   workers at all and `run` degenerates to a sequential loop — the
-//!   determinism baseline. Caller participation also makes *nested* `run`
-//!   calls safe: an inner `run` simply executes on whichever thread entered
-//!   it (jobs are tagged with a run id, so an inner run never steals the
-//!   outer run's jobs), which the executor relies on when a parallel
-//!   wavefront ingest reaches a per-block parallel chunk fold.
-//! * **Borrowed jobs.** Jobs capture `&'a` state from the caller's stack.
-//!   They are transmuted to `'static` to cross the thread boundary; this is
-//!   sound because `run` does not return (normally or by panic) until every
-//!   job of that run has finished executing, so no borrow outlives the call.
-//! * **Panic propagation.** Worker-side panics are caught, carried back as
-//!   results, and re-raised on the calling thread after the whole run
-//!   completes — identical observable behaviour to the scoped-thread code it
-//!   replaces.
+//! * [`WorkerPool::spawn`] submits one owned job and returns its [`Task`].
+//!   The step uses it to gather and weigh the next mini-batch while the
+//!   current one runs; [`Task::join`] runs the job inline if no worker has
+//!   started it.
+//! * [`WorkerPool::map`] submits one cell per item, then the calling thread
+//!   runs every cell no worker has started and waits for the rest. With
+//!   `threads = 1` there are no workers at all and `map` is a plain loop —
+//!   the determinism baseline. A *nested* `map` (a wave's block job reaching
+//!   a chunk-parallel stage) cannot deadlock: a thread only ever waits for
+//!   a cell another thread is running, and that job only waits for cells
+//!   it submitted itself.
+//!
+//! Panics are caught in the cell and re-raised on the thread that takes the
+//! result: `map` re-raises the first panic by item index once every item
+//! has finished — identical observable behaviour to the scoped-thread code
+//! it replaces.
 
 use std::collections::VecDeque;
+use std::mem;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -38,11 +42,8 @@ use gola_storage::shuffle::shuffle_in_place;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// A panic payload tagged with its job's submission index.
-type IndexedPanic = (usize, Box<dyn std::any::Any + Send>);
-
 struct QueueState {
-    jobs: VecDeque<(u64, Job)>,
+    jobs: VecDeque<Job>,
     shutdown: bool,
 }
 
@@ -53,14 +54,14 @@ struct Shared {
 }
 
 impl Shared {
-    /// Worker loop: pop any job (regardless of run id — workers are
-    /// stateless) or park until one arrives.
+    /// Worker loop: pop the next job or park until one arrives. A job
+    /// whose cell another thread already started returns at once.
     fn worker_loop(&self) {
         loop {
             let job = {
                 let mut q = lock(&self.queue);
                 loop {
-                    if let Some((_, job)) = q.jobs.pop_front() {
+                    if let Some(job) = q.jobs.pop_front() {
                         break job;
                     }
                     if q.shutdown {
@@ -72,44 +73,90 @@ impl Shared {
             job();
         }
     }
-
-    /// Pop a job belonging to run `run_id`, if any remain queued. Used by
-    /// the submitting thread, which must not steal jobs of an *outer* run
-    /// while a nested run drains (that would deadlock: the outer job could
-    /// in turn wait on the inner run's latch it is already inside).
-    fn try_pop(&self, run_id: u64) -> Option<Job> {
-        let mut q = lock(&self.queue);
-        let idx = q.jobs.iter().position(|(id, _)| *id == run_id)?;
-        q.jobs.remove(idx).map(|(_, job)| job)
-    }
 }
 
-/// Completion latch for one `run` call.
-struct Latch {
-    remaining: Mutex<usize>,
+/// Where one job is: queued (its closure inside), running on some thread,
+/// done (its result or panic payload), or its result taken.
+enum State<'a, R> {
+    Queued(Box<dyn FnOnce() -> R + Send + 'a>),
+    Running,
+    Done(std::thread::Result<R>),
+    Taken,
+}
+
+/// One job's hand-off between the thread that runs it and the one that
+/// takes its result.
+struct Cell<'a, R> {
+    state: Mutex<State<'a, R>>,
     done: Condvar,
 }
 
-impl Latch {
-    fn new(n: usize) -> Arc<Latch> {
-        Arc::new(Latch {
-            remaining: Mutex::new(n),
+impl<'a, R> Cell<'a, R> {
+    fn new(job: Box<dyn FnOnce() -> R + Send + 'a>) -> Arc<Cell<'a, R>> {
+        Arc::new(Cell {
+            state: Mutex::new(State::Queued(job)),
             done: Condvar::new(),
         })
     }
 
-    fn count_down(&self) {
-        let mut r = lock(&self.remaining);
-        *r -= 1;
-        if *r == 0 {
-            self.done.notify_all();
-        }
+    /// Run the job on this thread unless a thread already started it.
+    fn try_run(&self) {
+        let job = {
+            let mut state = lock(&self.state);
+            match mem::replace(&mut *state, State::Running) {
+                State::Queued(job) => job,
+                other => {
+                    *state = other;
+                    return;
+                }
+            }
+        };
+        let result = catch_unwind(AssertUnwindSafe(job));
+        *lock(&self.state) = State::Done(result);
+        self.done.notify_all();
     }
 
-    fn wait(&self) {
-        let mut r = lock(&self.remaining);
-        while *r > 0 {
-            r = wait(&self.done, r);
+    /// The job's result: run here if no thread has started it, otherwise
+    /// waited for.
+    fn join(&self) -> std::thread::Result<R> {
+        self.try_run();
+        let mut state = lock(&self.state);
+        loop {
+            match mem::replace(&mut *state, State::Taken) {
+                State::Done(result) => return result,
+                other => *state = other,
+            }
+            state = wait(&self.done, state);
+        }
+    }
+}
+
+/// An owned job submitted with [`WorkerPool::spawn`]. Dropping a task
+/// that no thread has started drops its job unrun.
+pub struct Task<R> {
+    cell: Arc<Cell<'static, R>>,
+}
+
+impl<R> Task<R> {
+    /// Run the job on this thread unless a thread has started it.
+    pub fn try_run(&self) {
+        self.cell.try_run();
+    }
+
+    /// The job's result: run on this thread if no worker has started it,
+    /// otherwise waited for. Re-raises the job's panic.
+    pub fn join(self) -> R {
+        self.cell
+            .join()
+            .unwrap_or_else(|payload| resume_unwind(payload))
+    }
+}
+
+impl<R> Drop for Task<R> {
+    fn drop(&mut self) {
+        let mut state = lock(&self.cell.state);
+        if matches!(*state, State::Queued(_)) {
+            *state = State::Taken;
         }
     }
 }
@@ -119,23 +166,24 @@ pub struct WorkerPool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
     threads: usize,
-    next_run: Mutex<u64>,
-    /// Schedule-perturbation seed: when set, each run's queue is shuffled
-    /// (seeded per run) before dispatch to stress schedule independence.
+    /// Schedule-perturbation seed: when set, each `map`'s jobs are queued
+    /// and run in an order shuffled under a per-`map` seed.
     perturb: Option<u64>,
+    /// `map` calls so far, the per-`map` part of a perturbation seed.
+    maps: AtomicU64,
 }
 
 impl WorkerPool {
-    /// Build a pool that executes runs on `threads` threads total (the
-    /// caller counts as one; `threads <= 1` spawns nothing).
+    /// Build a pool that executes on `threads` threads total (the caller
+    /// counts as one; `threads <= 1` spawns nothing).
     pub fn new(threads: usize) -> WorkerPool {
         WorkerPool::build(threads, None)
     }
 
-    /// As [`WorkerPool::new`], but every `run`'s job queue is shuffled with
-    /// a per-run RNG derived from `seed` before workers see it. Completion
-    /// order becomes adversarial while results must stay bit-identical —
-    /// the dynamic complement to `clippy.toml`'s `disallowed-methods`.
+    /// As [`WorkerPool::new`], but every `map`'s dispatch order is
+    /// shuffled with an RNG derived from `seed`. Completion order becomes
+    /// adversarial while results must stay bit-identical — the dynamic
+    /// complement to `clippy.toml`'s `disallowed-methods`.
     pub fn with_perturbation(threads: usize, seed: u64) -> WorkerPool {
         WorkerPool::build(threads, Some(seed))
     }
@@ -163,149 +211,117 @@ impl WorkerPool {
             shared,
             workers,
             threads,
-            next_run: Mutex::new(0),
             perturb,
+            maps: AtomicU64::new(0),
         }
     }
 
-    /// Total threads a run executes on (workers + caller).
+    /// Total threads a `map` executes on (workers + caller).
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// Wrap `job` with the pool's (inert) instrumentation: queue-wait and
+    /// run-time histograms, and the submitting thread's span path captured
+    /// here — at submission, deterministically — and re-established around
+    /// the job wherever it runs, so span parent links are independent of
+    /// which thread executes it.
+    fn instrument<'a, R: 'a>(
+        job: impl FnOnce() -> R + Send + 'a,
+    ) -> Box<dyn FnOnce() -> R + Send + 'a> {
+        if !gola_obs::enabled() {
+            return Box::new(job);
+        }
+        crate::metrics::pool_jobs().inc();
+        let submitted = Stopwatch::start();
+        let span_path = gola_obs::span::current_path();
+        Box::new(move || {
+            crate::metrics::pool_queue_wait().observe_duration(submitted.elapsed());
+            let run = Stopwatch::start();
+            let result = if span_path.is_empty() {
+                job()
+            } else {
+                gola_obs::span::with_path(&span_path, job)
+            };
+            crate::metrics::pool_job_run().observe_duration(run.elapsed());
+            result
+        })
+    }
+
+    /// Queue `jobs` for the workers.
+    fn enqueue(&self, jobs: impl IntoIterator<Item = Job>) {
+        lock(&self.shared.queue).jobs.extend(jobs);
+        self.shared.work_ready.notify_all();
+    }
+
+    /// Submit one owned job. A worker runs it when it reaches it in the
+    /// queue, unless [`Task::join`] gets there first and runs it inline;
+    /// with one thread there is no worker and `join` always does.
+    pub fn spawn<R: Send + 'static>(&self, job: impl FnOnce() -> R + Send + 'static) -> Task<R> {
+        let cell = Cell::new(WorkerPool::instrument(job));
+        if !self.workers.is_empty() {
+            let stub = Arc::clone(&cell);
+            self.enqueue([Box::new(move || stub.try_run()) as Job]);
+        }
+        Task { cell }
     }
 
     /// Apply `f` to every item across the pool and return the results in
     /// item order — the one parallel shape the stages use. With one thread
     /// or at most one item this is a plain inline loop (no boxing, no
-    /// queue); otherwise each item is one [`WorkerPool::run`] job, so the
-    /// first panic by item index propagates once every item has finished.
+    /// queue); otherwise each item is one job the caller and the workers
+    /// share, and the first panic by item index propagates once every item
+    /// has finished.
     pub fn map<T: Send, R: Send>(
         &self,
         items: impl IntoIterator<Item = T>,
         f: impl Fn(T) -> R + Sync,
     ) -> Vec<R> {
         let items: Vec<T> = items.into_iter().collect();
-        if self.threads == 1 || items.len() <= 1 {
+        if self.workers.is_empty() || items.len() <= 1 {
             return items.into_iter().map(f).collect();
         }
-        let mut slots: Vec<Option<R>> = Vec::new();
-        slots.resize_with(items.len(), || None);
+        if gola_obs::enabled() {
+            crate::metrics::pool_runs().inc();
+        }
         let f = &f;
-        self.run(
-            items
-                .into_iter()
-                .zip(slots.iter_mut())
-                .map(|(item, slot)| {
-                    Box::new(move || *slot = Some(f(item))) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect(),
-        );
-        #[expect(
-            clippy::expect_used,
-            reason = "`run` returns only once every job has run (a panicking job \
-                      re-raises above), so an empty slot is a pool bug"
-        )]
-        let results = slots.into_iter().map(|r| r.expect("pool ran every item"));
-        results.collect()
+        let cells: Vec<Arc<Cell<'_, R>>> = items
+            .into_iter()
+            .map(|item| Cell::new(WorkerPool::instrument(move || f(item))))
+            .collect();
+        // Schedule-perturbation stress: queue and run in a shuffled order.
+        // Results are taken in item order below, so which panic propagates
+        // is shuffle-invariant; only the physical completion order moves.
+        let mut order: Vec<usize> = (0..cells.len()).collect();
+        if let Some(seed) = self.perturb {
+            let nth = self.maps.fetch_add(1, Ordering::Relaxed);
+            shuffle_in_place(&mut order, hash_combine(seed, nth));
+        }
+        self.enqueue(order.iter().map(|&i| {
+            let stub = Arc::clone(&cells[i]);
+            let stub: Box<dyn FnOnce() + Send + '_> = Box::new(move || stub.try_run());
+            // SAFETY: `map` returns (normally or by panic) only after every
+            // cell is `Taken` — each was run or waited for below, and a
+            // job's panic is caught inside its cell. A stub still queued
+            // after that holds nothing borrowed: its `try_run` finds the
+            // cell taken and returns, and dropping it drops an empty state.
+            unsafe { mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(stub) }
+        }));
+        // The caller runs every job no worker has started, then waits for
+        // the ones still running.
+        for &i in &order {
+            cells[i].try_run();
+        }
+        let results: Vec<_> = cells.iter().map(|c| c.join()).collect();
+        (results.into_iter())
+            .map(|r| r.unwrap_or_else(|payload| resume_unwind(payload)))
+            .collect()
     }
 
-    /// Execute every closure in `jobs`, distributing across the pool's
-    /// workers and the calling thread. Blocks until all have finished; if
-    /// any panicked, re-raises the first panic (by job order) on the caller.
+    /// Execute every closure in `jobs` across the pool; the first panic by
+    /// job order re-raises once all have finished.
     pub fn run<'a>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'a>>) {
-        let n = jobs.len();
-        if n == 0 {
-            return;
-        }
-        if self.threads == 1 || n == 1 {
-            // Sequential fast path — same code the workers would run.
-            for job in jobs {
-                job();
-            }
-            return;
-        }
-        let run_id = {
-            let mut id = lock(&self.next_run);
-            *id += 1;
-            *id
-        };
-        // Observability (inert): queue-wait and run-time histograms per job,
-        // plus the submitting thread's span path captured *here* — at
-        // submission, deterministically — and re-established around the job
-        // body wherever it lands, so span parent links are independent of
-        // which thread executes the job.
-        let obs = gola_obs::enabled();
-        if obs {
-            crate::metrics::pool_runs().inc();
-            crate::metrics::pool_jobs().add(n as u64);
-        }
-        let span_path = if obs {
-            gola_obs::span::current_path()
-        } else {
-            Vec::new()
-        };
-        let latch = Latch::new(n);
-        let panics: Arc<Mutex<Vec<IndexedPanic>>> = Arc::new(Mutex::new(Vec::new()));
-        let mut wrapped_jobs: Vec<Job> = jobs
-            .into_iter()
-            .enumerate()
-            .map(|(i, job)| {
-                let latch = Arc::clone(&latch);
-                let panics = Arc::clone(&panics);
-                let submitted = obs.then(Stopwatch::start);
-                let span_path = span_path.clone();
-                let wrapped: Box<dyn FnOnce() + Send + 'a> = Box::new(move || {
-                    let run_sw = submitted.map(|sw| {
-                        crate::metrics::pool_queue_wait().observe_duration(sw.elapsed());
-                        Stopwatch::start()
-                    });
-                    let body = || {
-                        if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
-                            lock(&panics).push((i, payload));
-                        }
-                    };
-                    if span_path.is_empty() {
-                        body();
-                    } else {
-                        gola_obs::span::with_path(&span_path, body);
-                    }
-                    if let Some(sw) = run_sw {
-                        crate::metrics::pool_job_run().observe_duration(sw.elapsed());
-                    }
-                    latch.count_down();
-                });
-                // SAFETY: `run` blocks on the latch until every wrapped job
-                // has executed (panics included — the latch counts down in
-                // all cases), so the `'a` borrows inside `job` are live for
-                // as long as any thread can touch them.
-                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'a>, Job>(wrapped) }
-            })
-            .collect();
-        // Schedule-perturbation stress: shuffle the dispatch order with a
-        // per-run RNG. Panic indices were captured above, at submission
-        // order, so observable behaviour (which panic propagates first) is
-        // shuffle-invariant; only the physical completion order moves.
-        if let Some(seed) = self.perturb {
-            shuffle_in_place(&mut wrapped_jobs, hash_combine(seed, run_id));
-        }
-        {
-            let mut q = lock(&self.shared.queue);
-            for wrapped in wrapped_jobs {
-                q.jobs.push_back((run_id, wrapped));
-            }
-            self.shared.work_ready.notify_all();
-        }
-        // The caller drains its own run's jobs, then waits for stragglers
-        // still executing on workers.
-        while let Some(job) = self.shared.try_pop(run_id) {
-            job();
-        }
-        latch.wait();
-        let mut panics = lock(&panics);
-        if !panics.is_empty() {
-            panics.sort_by_key(|(i, _)| *i);
-            let (_, payload) = panics.remove(0);
-            resume_unwind(payload);
-        }
+        self.map(jobs, |job| job());
     }
 }
 
@@ -333,7 +349,7 @@ impl std::fmt::Debug for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::AtomicUsize;
 
     fn jobs_touching(counter: &AtomicUsize, n: usize) -> Vec<Box<dyn FnOnce() + Send + '_>> {
         (0..n)
@@ -384,8 +400,8 @@ mod tests {
         pool.run(jobs);
         let by_run: Vec<u64> = sums.iter().map(|s| *s.lock().unwrap()).collect();
         assert_eq!(by_run.iter().sum::<u64>(), 999 * 1000 / 2);
-        // `map` is the same run with the slots built in: results come back
-        // in item order whichever thread produced them.
+        // `map` returns results in item order whichever thread produced
+        // them.
         let by_map = pool.map(data.chunks(250), |chunk| chunk.iter().sum::<u64>());
         assert_eq!(by_map, by_run);
     }
@@ -449,5 +465,41 @@ mod tests {
         let counter = AtomicUsize::new(0);
         pool.run(jobs_touching(&counter, 5));
         assert_eq!(counter.load(Ordering::Relaxed), 5);
+    }
+
+    /// A spawned job runs exactly once — on a worker or inside `join` —
+    /// and a task dropped before any thread starts it never runs.
+    #[test]
+    fn spawned_jobs_run_once_wherever_they_land() {
+        for threads in [1, 2, 4] {
+            let pool = WorkerPool::new(threads);
+            let counter = Arc::new(AtomicUsize::new(0));
+            let tasks: Vec<Task<usize>> = (0..64)
+                .map(|i| {
+                    let counter = Arc::clone(&counter);
+                    pool.spawn(move || {
+                        counter.fetch_add(1, Ordering::Relaxed);
+                        i * i
+                    })
+                })
+                .collect();
+            let squares: Vec<usize> = tasks.into_iter().map(Task::join).collect();
+            assert_eq!(squares, (0..64).map(|i| i * i).collect::<Vec<_>>());
+            assert_eq!(counter.load(Ordering::Relaxed), 64, "threads={threads}");
+        }
+        let pool = WorkerPool::new(1);
+        let ran = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&ran);
+        drop(pool.spawn(move || seen.fetch_add(1, Ordering::Relaxed)));
+        assert_eq!(ran.load(Ordering::Relaxed), 0, "a dropped task ran");
+    }
+
+    #[test]
+    fn spawned_panic_reraises_on_join() {
+        let pool = WorkerPool::new(2);
+        let task = pool.spawn(|| -> u32 { panic!("spawned job exploded") });
+        let err = catch_unwind(AssertUnwindSafe(|| task.join())).unwrap_err();
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"spawned job exploded"));
+        assert_eq!(pool.map(0..4u32, |i| i + 1), vec![1, 2, 3, 4]);
     }
 }

@@ -21,9 +21,6 @@ use crate::runtime::{
     BlockEnv, BlockRuntime, CtxMode, GroupCtx, PubView, Published, PublishedMember, PublishedScalar,
 };
 
-/// Group-entry chunk size for parallel publication.
-const PUB_CHUNK: usize = 64;
-
 /// What the stage reads besides the block's [`BlockEnv`].
 pub(crate) struct PublishInput<'a> {
     pub rt: &'a BlockRuntime,
@@ -51,10 +48,10 @@ enum PubEntry {
     Member(PublishedMember),
 }
 
-/// Publication output of one group chunk: `(key, entry, violated)` each.
+/// Publication output of the groups: `(key, entry, violated)` each.
 /// Keys are interned `Arc` slices so live groups reuse the previous batch's
 /// allocation instead of cloning a `Vec<Value>` every batch.
-type PubChunk = Vec<(Arc<[Value]>, PubEntry, bool)>;
+type PubEntries = Vec<(Arc<[Value]>, PubEntry, bool)>;
 
 /// The keys of one publication whose relied-upon commitment broke: used
 /// scalars that left their envelope or vanished, relied-on members that
@@ -62,9 +59,7 @@ type PubChunk = Vec<(Arc<[Value]>, PubEntry, bool)>;
 pub(crate) type Violated = FxHashSet<Arc<[Value]>>;
 
 /// Run the stage. Returns the block's new publication and the keys whose
-/// relied-upon value violated its commitment. Finalizing a group only
-/// reads frozen state, so `PUB_CHUNK`-group chunks run in parallel and
-/// assemble in chunk order.
+/// relied-upon value violated its commitment.
 pub(crate) fn publish(
     env: &BlockEnv<'_>,
     input: PublishInput<'_>,
@@ -93,21 +88,16 @@ pub(crate) fn publish(
         ..Default::default()
     };
     let mut violated = Violated::default();
-    for chunk in env
-        .pool
-        .map(eff.chunks(PUB_CHUNK), |chunk| publish_chunk(env, &p, chunk))
-    {
-        for (key, entry, v) in chunk? {
-            if v {
-                violated.insert(Arc::clone(&key));
+    for (key, entry, v) in publish_groups(env, &p, &eff)? {
+        if v {
+            violated.insert(Arc::clone(&key));
+        }
+        match entry {
+            PubEntry::Scalar(s) => {
+                out.scalars.insert(key, s);
             }
-            match entry {
-                PubEntry::Scalar(s) => {
-                    out.scalars.insert(key, s);
-                }
-                PubEntry::Member(m) => {
-                    out.members.insert(key, m);
-                }
+            PubEntry::Member(m) => {
+                out.members.insert(key, m);
             }
         }
     }
@@ -127,10 +117,14 @@ pub(crate) fn publish(
     Ok((out, violated))
 }
 
-/// Finalize one chunk of groups.
-fn publish_chunk(env: &BlockEnv<'_>, p: &PubCtx<'_>, chunk: &[EffGroup<'_>]) -> Result<PubChunk> {
+/// Finalize every group.
+fn publish_groups(
+    env: &BlockEnv<'_>,
+    p: &PubCtx<'_>,
+    groups: &[EffGroup<'_>],
+) -> Result<PubEntries> {
     let scalar = env.cb.block.role == BlockRole::Scalar;
-    chunk
+    groups
         .iter()
         .map(|group| {
             let key: &[Value] = &group.key;

@@ -27,11 +27,11 @@ use gola_storage::ColumnChunk;
 
 use crate::compiled::CompiledBlock;
 use crate::config::OnlineConfig;
-use crate::pool::WorkerPool;
 use crate::recover::SeenIndex;
 
 /// Everything a stage may read about the block it runs for. Frozen while
-/// the stage runs, and `Sync`, so chunk jobs on pool workers share it.
+/// the stage runs, and `Sync`, so a wave's block jobs on pool workers
+/// share it.
 #[derive(Clone, Copy)]
 pub(crate) struct BlockEnv<'a> {
     pub cb: &'a CompiledBlock,
@@ -40,7 +40,6 @@ pub(crate) struct BlockEnv<'a> {
     /// producer, which indexes its own).
     pub dims: &'a [HashIndex],
     pub config: &'a OnlineConfig,
-    pub pool: &'a WorkerPool,
     /// Published output of every block, indexed by block id.
     pub pubs: &'a [Published],
 }

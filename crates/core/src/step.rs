@@ -4,7 +4,9 @@
 //! topological block order, one module each: `join` → `classify` → `fold`
 //! (together: a block's *ingest*), `publish`, `recover` on a detected
 //! failure, then [`crate::report`]. The driver owns the state the stages
-//! pass between batches and times each stage into [`BatchTiming`].
+//! pass between batches and times each stage into [`BatchTiming`]. On a
+//! pool with a worker it also gathers and weighs the next batch while a
+//! step runs (`join::Prefetch`).
 //! [`OnlineExecutor::step_recomputing`] drives the same stages as classical
 //! delta maintenance, the paper's Fig. 3(b) baseline.
 
@@ -21,7 +23,7 @@ use gola_storage::{Catalog, MiniBatch, Partitioner};
 use crate::classify::ChunkClass;
 use crate::compiled::CompiledBlock;
 use crate::config::OnlineConfig;
-use crate::join::{BatchWeights, Candidates};
+use crate::join::{BatchWeights, Candidates, Prefetch};
 use crate::metrics::SessionMetrics;
 use crate::pool::WorkerPool;
 use crate::publish::{PublishInput, Violated};
@@ -45,10 +47,13 @@ pub struct OnlineExecutor {
     pub(crate) consumers: Vec<Vec<usize>>,
     /// Persistent worker pool, alive for the whole query session (workers
     /// park between batches instead of respawning per ingest). Under the
-    /// multi-tenant scheduler many sessions share one pool
-    /// ([`OnlineExecutor::with_pool`]); batch-granularity preemption means
-    /// at most one session's batch runs on it at a time.
+    /// multi-tenant scheduler sessions may share one pool
+    /// ([`OnlineExecutor::with_pool`]), and the service's runners can run
+    /// several sessions' batches on it at once.
     pool: Arc<WorkerPool>,
+    /// The next batch's prefetch, once submitted (see
+    /// [`OnlineExecutor::prefetch_next`]).
+    prefetch: Option<Prefetch>,
     /// Lazily resolved per-session metric handles, so a disabled registry
     /// never registers anything (see [`SessionMetrics`]).
     session_metrics: OnceLock<SessionMetrics>,
@@ -87,9 +92,9 @@ impl OnlineExecutor {
     }
 
     /// As [`OnlineExecutor::new`], but execute on a caller-provided worker
-    /// pool. The multi-tenant scheduler uses this so every session
-    /// time-slices one shared pool instead of spawning `threads - 1` OS
-    /// threads per session. The determinism contract makes sharing safe:
+    /// pool, which other sessions may share — the service's runners use it
+    /// so concurrent sessions need not spawn `threads - 1` OS threads each.
+    /// The determinism contract makes sharing safe:
     /// reports are bit-identical at any thread count, so the pool's size
     /// (not `config.threads`) governing physical parallelism cannot change
     /// any session's output.
@@ -133,6 +138,7 @@ impl OnlineExecutor {
             dims,
             consumers,
             pool,
+            prefetch: None,
             session_metrics: OnceLock::new(),
             batches_done: 0,
             recomputations: 0,
@@ -164,7 +170,6 @@ impl OnlineExecutor {
             cb: &self.compiled[b],
             dims: &self.dims[b],
             config: &self.config,
-            pool: &self.pool,
             pubs: &self.published,
         }
     }
@@ -268,21 +273,43 @@ impl OnlineExecutor {
         // self time holds what no stage bucket does; `gather` names the
         // largest part of it.
         let batch_span = gola_obs::span!("batch", index = i);
-        let batch = {
+        let spec = &self.config.bootstrap;
+        let mut adopted = None;
+        let (batch, mut weights) = {
             let _span = gola_obs::span!("gather");
-            self.partitioner.batch(i)
+            match self.prefetch.take_if(|p| p.index == i) {
+                Some(prefetch) => {
+                    let t = Stopwatch::start();
+                    let out = prefetch.join(spec);
+                    adopted = Some(t.elapsed());
+                    out
+                }
+                None => {
+                    let batch = self.partitioner.batch(i);
+                    let weights = BatchWeights::new(&batch, spec);
+                    (batch, weights)
+                }
+            }
         };
+        // Batch i + 1 is gathered and weighed on the pool while this step
+        // runs. A step that fills its own weights (batch 0, or a segment
+        // sealed after the step before it started) submits only once it is
+        // done, so its chunk-parallel fill keeps every thread.
+        if adopted.is_some() {
+            self.prefetch_next(i + 1);
+        }
         batch_span.field("rows", batch.len() as f64);
         let m = self.partitioner.multiplicity_after(i);
         let last = self.partitioner.is_final_batch(i);
 
         let mut timing = BatchTiming {
             batch_rows: batch.len(),
+            // Adopting a prefetch is weight generation: fold time.
+            fold: adopted.unwrap_or_default(),
             ..Default::default()
         };
         let mut violated = Vec::new();
         let mut reread = 0;
-        let mut weights = BatchWeights::new(&batch, &self.config.bootstrap);
         // Blocks in the same wavefront are mutually independent, so their
         // ingests run concurrently; publication follows per wave (in block
         // order) so later waves classify against fresh envelopes.
@@ -367,6 +394,7 @@ impl OnlineExecutor {
         // The report is the root block's publication — same bucket.
         timing.publish += t_rep.elapsed();
         self.batches_done += 1;
+        self.prefetch_next(i + 1);
         let elapsed = start.elapsed();
         self.cumulative += elapsed;
         report.batch_time = elapsed;
@@ -390,7 +418,7 @@ impl OnlineExecutor {
     /// Ingest one batch into every block of a wavefront: join → classify →
     /// fold per block. The blocks are mutually independent, so each is one
     /// pool item (block-level parallelism composes with the chunk-level
-    /// parallelism inside the stages via the pool's nested-run support).
+    /// parallelism inside the stages: a nested `map` is safe).
     /// Between classify and fold the wave meets once, to generate the
     /// bootstrap weights its folds will read — each tuple's once per step,
     /// whichever blocks and waves need it (`weights` carries them from wave
@@ -443,6 +471,19 @@ impl OnlineExecutor {
         first_err.map(|()| fresh)
     }
 
+    /// Submit batch `next`'s gather and weights to the pool when none is in
+    /// flight, the batch is visible, the pool has a worker, and some
+    /// streaming block folds every row (see [`folds_every_row`]) — so every
+    /// weight the prefetch fills is one the step would fill anyway.
+    fn prefetch_next(&mut self, next: usize) {
+        let wanted = self.pool.threads() > 1 && self.compiled.iter().any(folds_every_row);
+        if wanted && self.prefetch.is_none() && next < self.partitioner.num_batches() {
+            let spec = &self.config.bootstrap;
+            let prefetch = Prefetch::submit(&self.pool, &self.partitioner, spec, next);
+            self.prefetch = Some(prefetch);
+        }
+    }
+
     /// Refresh block `b`'s published output. Returns the keys whose
     /// relied-upon value violated its committed envelope (failure detected
     /// when non-empty).
@@ -467,6 +508,17 @@ impl OnlineExecutor {
 /// over a table that is not streamed.
 fn static_producer(cb: &CompiledBlock) -> bool {
     !cb.block.is_streaming && cb.block.role != BlockRole::Root
+}
+
+/// A streaming block with no dimension join, no certain filter and no
+/// uncertain predicate: it folds every row of every batch, so each step
+/// needs every row's bootstrap weights.
+fn folds_every_row(cb: &CompiledBlock) -> bool {
+    let b = &cb.block;
+    b.is_streaming
+        && b.dims.is_empty()
+        && cb.certain_filters.is_empty()
+        && cb.lin_filters.is_empty()
 }
 
 /// The first two stages of one block's ingest of one batch, each timed into

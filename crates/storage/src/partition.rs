@@ -279,12 +279,21 @@ impl Partitioner {
             return self.grown(|g| g.extra[i - self.bounds.len()].clone());
         };
         let start = if i == 0 { 0 } else { self.bounds[i - 1] };
-        let idxs = &self.perm[start..end];
         MiniBatch::new(
             i,
-            idxs.iter().map(|&x| x as u64).collect(),
-            self.table.gather(idxs),
+            self.tuple_ids(i),
+            self.table.gather(&self.perm[start..end]),
         )
+    }
+
+    /// Batch `i`'s tuple ids, in row order, without gathering its values:
+    /// what the bootstrap weights of its tuples are a function of.
+    pub fn tuple_ids(&self, i: usize) -> Vec<u64> {
+        let Some(&end) = self.bounds.get(i) else {
+            return self.grown(|g| g.extra[i - self.bounds.len()].tuple_ids.clone());
+        };
+        let start = if i == 0 { 0 } else { self.bounds[i - 1] };
+        self.perm[start..end].iter().map(|&x| x as u64).collect()
     }
 
     /// Rows `rows` of batch `i`, as a batch of their own: the tuple ids and

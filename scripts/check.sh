@@ -2,7 +2,7 @@
 # Full pre-merge gate: release build, workspace tests (the conformance
 # oracles, the contract checks and the scheduler simulator included), a
 # deeper run of the replica-state oracle, repeated runs of the service's
-# concurrency tests, formatting, lints, rustdoc
+# and the prefetch's concurrency tests, formatting, lints, rustdoc
 # links, a run of every example program, and a CLI ingest/replay smoke.
 # `cargo fmt` is skipped
 # with a warning where it is not installed; `cargo clippy` is required,
@@ -51,6 +51,18 @@ sched_race_loop() {
     done
 }
 
+# On two or more threads a step's next batch is gathered and weighed on the
+# pool while the step runs, and a shuffled pool reorders every parallel
+# stage: run the bit-identity and weights-once tests 20 times in release.
+prefetch_race_loop() {
+    local i
+    for i in $(seq 20); do
+        cargo test --release -q --test parallel_equivalence --test schedule_perturbation \
+            --test weights_once >/dev/null \
+            || { echo "    run $i failed" >&2; return 1; }
+    done
+}
+
 # `gola ingest` seals a workload into write-once segments, then two
 # `--append` console runs replay the directory; their drained final answers
 # must match byte for byte (streamed report lines carry wall-clock timings,
@@ -85,9 +97,8 @@ examples_smoke() {
 }
 
 # One online query through the console with the registry enabled
-# (--threads 2 so the worker pool registers its metrics). The nested query
-# keeps an uncertain candidate set alive, which drives the chunked classify
-# through the pool.
+# (--threads 2 so the worker pool registers its metrics: the first batch's
+# weight fill runs on it, and every later batch is prefetched on it).
 metrics_smoke() {
     local tmp out fam
     tmp="$(mktemp -d)" || return 1
@@ -112,6 +123,7 @@ step cargo test --workspace -q
 # dense sums' spill paths on hostile values.
 step env PROPTEST_CASES=2000 cargo test --release -q -p gola-agg --test proptests run_fold_equivalence
 step sched_race_loop
+step prefetch_race_loop
 if cargo fmt --version >/dev/null 2>&1; then
     step cargo fmt --check
 else

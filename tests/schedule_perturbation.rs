@@ -6,9 +6,10 @@
 //! *natural* dispatch order. That order is still fairly tame: jobs are
 //! queued in submission order and workers drain front-to-back. Here each
 //! run gets a pool built by [`WorkerPool::with_perturbation`], which
-//! Fisher–Yates-shuffles every run's job queue under a per-run seeded
-//! RNG — weight and classify chunk jobs, block ingest jobs, and publish
-//! chunks all start (and therefore complete) in adversarial orders. The
+//! Fisher–Yates-shuffles every `map`'s jobs under a per-`map` seeded
+//! RNG — weight chunk jobs and block ingest jobs start (and therefore
+//! complete) in adversarial orders, beside the next batch's prefetch
+//! jobs wherever a query takes the prefetch. The
 //! query runs on that pool through the public
 //! `OnlineSession::execute_prepared_with_pool`. Every perturbed run must
 //! still produce the exact bit-identical `BatchReport` stream as the

@@ -7,8 +7,11 @@
 //! Counted through the weight kernel's own `gola_obs` instruments. The
 //! replica work — `fold_run` calls, the tuples they fold, and the replica
 //! values publish and report finalize — is a count too, so it is the same
-//! at every thread count. One test function only: the registry is
-//! process-global.
+//! at every thread count. On two threads every batch after the first is
+//! gathered and weighed ahead, while the step before it runs; that moves
+//! no weight cell, it only moves where the cells are filled. A query whose
+//! every block filters prefetches nothing. One test function only: the
+//! registry is process-global.
 
 use std::sync::Arc;
 
@@ -16,6 +19,11 @@ use g_ola::core::{OnlineConfig, OnlineSession};
 use g_ola::obs;
 use g_ola::storage::Catalog;
 use g_ola::workloads::{conviva, ConvivaGenerator};
+
+/// A query whose only block has a certain filter: no block folds every
+/// row, so no weight is generated ahead.
+const FILTERED: &str =
+    "SELECT geo, AVG(play_time) FROM sessions WHERE buffer_time > 5 GROUP BY geo";
 
 #[test]
 fn c2_generates_each_tuples_weights_once() {
@@ -25,34 +33,58 @@ fn c2_generates_each_tuples_weights_once() {
     catalog.register("sessions", Arc::new(table)).unwrap();
     let cells = obs::counter("bootstrap.weight_cells");
     let calls = obs::duration_histogram("bootstrap.weights_seconds");
+    let prefetched = obs::counter("core.prefetch.weight_cells");
     let work = ["fold.runs", "fold.run_tuples", "publish.replica_finalizes"].map(obs::counter);
     let mut at_one_thread = None;
+    let mut filtered_at_one_thread = None;
     for threads in [1, 2] {
-        obs::set_enabled(true);
-        obs::reset();
-        let config = OnlineConfig::for_tests(batches as usize)
-            .with_trials(trials as u32)
-            .with_threads(threads);
-        let session = OnlineSession::new(catalog.clone(), config);
-        let stream = session.execute_online(conviva::C2).expect("query compiles");
-        let reports: Vec<_> = stream.map(|r| r.expect("batch succeeds")).collect();
-        obs::set_enabled(false);
-        assert_eq!(reports.len() as u64, batches);
-        assert_eq!(
-            reports.iter().map(|r| r.recomputations).max(),
-            Some(0),
-            "a replayed batch regenerates its weights; pick a run without one"
-        );
+        let run = |sql| {
+            obs::set_enabled(true);
+            obs::reset();
+            let config = OnlineConfig::for_tests(batches as usize)
+                .with_trials(trials as u32)
+                .with_threads(threads);
+            let session = OnlineSession::new(catalog.clone(), config);
+            let stream = session.execute_online(sql).expect("query compiles");
+            let reports: Vec<_> = stream.map(|r| r.expect("batch succeeds")).collect();
+            obs::set_enabled(false);
+            assert_eq!(reports.len() as u64, batches);
+            assert_eq!(
+                reports.iter().map(|r| r.recomputations).max(),
+                Some(0),
+                "a replayed batch regenerates its weights; pick a run without one"
+            );
+        };
+        run(conviva::C2);
         // Every session is folded by the two scalar blocks, so every
         // tuple's weights are needed — and generated exactly once.
         assert_eq!(cells.get(), rows * trials, "threads={threads}");
         // 750-row batches fit one kernel call each.
         assert_eq!(calls.count(), batches, "threads={threads}");
+        // Batch 0 fills its own weights; on two threads every later batch
+        // is filled ahead, on one thread none is.
+        let ahead = if threads == 1 { 0 } else { batches - 1 };
+        let per_batch = rows / batches;
+        assert_eq!(
+            prefetched.get(),
+            ahead * per_batch * trials,
+            "threads={threads}"
+        );
         let counts = work.clone().map(|c| c.get());
         assert!(counts.iter().all(|&n| n > 0), "{counts:?}");
         assert_eq!(
             *at_one_thread.get_or_insert(counts),
             counts,
+            "threads={threads}"
+        );
+
+        run(FILTERED);
+        let filtered = cells.get();
+        assert!(filtered > 0 && filtered < rows * trials, "{filtered}");
+        assert_eq!(prefetched.get(), 0, "threads={threads}");
+        assert_eq!(
+            *filtered_at_one_thread.get_or_insert(filtered),
+            filtered,
             "threads={threads}"
         );
     }
