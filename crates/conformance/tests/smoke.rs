@@ -29,7 +29,7 @@ use gola_conformance::{
     run_case, CalibConfig, ContractConfig, Fault, OracleConfig, QueryGen, SchemaClass,
 };
 use gola_core::sched::{Admitted, PolicyConfig, QueryTask, Scheduler};
-use gola_core::{BatchReport, ContractStop, OnlineConfig, OnlineSession, WorkerPool};
+use gola_core::{BatchReport, ContractStop, OnlineConfig, OnlineSession, WeightStore, WorkerPool};
 use gola_storage::{Catalog, ColumnChunk, Table};
 use gola_workloads::ConvivaGenerator;
 
@@ -378,6 +378,8 @@ fn interleaved_service_streams_match_solo_runs() {
         };
         let session = OnlineSession::new(catalog.clone(), config(2));
         let pool = Arc::new(WorkerPool::new(2));
+        // One weight store for every session, as a `QueryService` shares.
+        let store = Arc::new(WeightStore::new(session.config().bootstrap, ROWS));
         let policy = PolicyConfig {
             max_active: 2,
             queue_capacity: 2,
@@ -397,7 +399,7 @@ fn interleaved_service_streams_match_solo_runs() {
                 .prepare(sql)
                 .unwrap_or_else(|e| panic!("{sql}: {e}"));
             let exec = session
-                .execute_prepared_with_pool(&prepared, Arc::clone(&pool))
+                .execute_prepared_with_pool(&prepared, Arc::clone(&pool), Arc::clone(&store))
                 .unwrap_or_else(|e| panic!("{sql}: {e}"));
             while sched.num_active() >= 2 && sched.num_queued() >= 2 {
                 round(&mut sched);

@@ -7,7 +7,8 @@
 //! then labelled with its group id and correlation-key ids from the
 //! block's [`Labels`], the one place a key is hashed.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use gola_bootstrap::BootstrapSpec;
 use gola_common::timing::Stopwatch;
@@ -97,13 +98,178 @@ impl Candidates {
     }
 }
 
+/// A nibble that stands for "15 or more": the cell's weight is read back
+/// through [`BootstrapSpec::weight`], so the bias and the cap at 16 stay
+/// exact.
+const ESCAPE: u8 = 15;
+
+/// Ids per kernel call while a block is generated, so the unpacked cells
+/// a generation holds stay small beside the packed block.
+const PIECE: usize = 64;
+
+/// The one place a step's bootstrap weights come from: a memo of one
+/// [`BootstrapSpec`]'s rows for the tuple ids in `[0, rows)`.
+///
+/// Weights are a pure function of `(tuple id, trial, seed)`, and a tuple
+/// id is a row index, so every query over one catalog under one spec needs
+/// the same rows. The store keeps them in blocks of 1,024 (`CHUNK`)
+/// consecutive ids, each generated once by the weight kernel on first need
+/// (under a `OnceLock`, so racing fills wait for the one that generates)
+/// and held at 4 bits per weight. A cell of 15 (`ESCAPE`) is re-read
+/// through the scalar [`BootstrapSpec::weight`]; under the default spec
+/// that is a weight of 15 or 16, ~3e-13 of cells. Ids at or above `rows`,
+/// and every fill under another spec, go straight to the kernel, so an
+/// empty store (`rows = 0`, the [`Default`]) is the kernel itself.
+///
+/// A [`crate::sched::QueryService`] owns one store over its catalog's
+/// largest static table and hands it to every session: memory is
+/// `rows × ⌈trials / 2⌉` bytes at most (≈ 1 MB for 20k rows at B = 100),
+/// bounded by data the service already holds.
+#[derive(Debug, Default)]
+pub struct WeightStore {
+    spec: BootstrapSpec,
+    rows: u64,
+    blocks: Box<[OnceLock<StoredBlock>]>,
+    /// Ids generated into the store so far.
+    stored: AtomicUsize,
+}
+
+/// One block's rows, `⌈trials / 2⌉` bytes each: trial `b` in the low (even
+/// `b`) or high (odd `b`) nibble of byte `b / 2`, capped at [`ESCAPE`].
+#[derive(Debug)]
+struct StoredBlock {
+    nibbles: Box<[u8]>,
+    /// Whether some cell reads [`ESCAPE`].
+    escapes: bool,
+}
+
+impl WeightStore {
+    /// A store for `spec`'s rows of tuple ids `[0, rows)`, every block
+    /// still empty.
+    pub fn new(spec: BootstrapSpec, rows: usize) -> WeightStore {
+        let rows = if spec.trials == 0 { 0 } else { rows };
+        WeightStore {
+            spec,
+            rows: rows as u64,
+            blocks: (0..rows.div_ceil(CHUNK)).map(|_| OnceLock::new()).collect(),
+            stored: AtomicUsize::new(0),
+        }
+    }
+
+    /// Bytes of weights held.
+    pub(crate) fn bytes(&self) -> usize {
+        self.stored.load(Ordering::Relaxed) * self.stride()
+    }
+
+    fn stride(&self) -> usize {
+        (self.spec.trials as usize).div_ceil(2)
+    }
+
+    /// [`BootstrapSpec::weights_fill`] through the store: `out` gets
+    /// `ids.len() × spec.trials` cells, row-major, bit-identical to the
+    /// kernel's.
+    pub(crate) fn fill(&self, spec: &BootstrapSpec, ids: &[u64], out: &mut [u8]) {
+        let trials = spec.trials as usize;
+        if *spec != self.spec || self.blocks.is_empty() {
+            return spec.weights_fill(ids, out);
+        }
+        let mut tail = Vec::new();
+        for (i, (&id, row)) in ids.iter().zip(out.chunks_exact_mut(trials)).enumerate() {
+            if id < self.rows {
+                self.read(id, row);
+            } else {
+                tail.push(i);
+            }
+        }
+        if gola_obs::enabled() {
+            metrics::weights_reused_cells().add(((ids.len() - tail.len()) * trials) as u64);
+        }
+        if tail.is_empty() {
+            return;
+        }
+        let tail_ids: Vec<u64> = tail.iter().map(|&i| ids[i]).collect();
+        let mut rows = vec![0; tail_ids.len() * trials];
+        spec.weights_fill(&tail_ids, &mut rows);
+        for (&i, row) in tail.iter().zip(rows.chunks_exact(trials)) {
+            out[i * trials..][..trials].copy_from_slice(row);
+        }
+    }
+
+    /// Copy `id`'s row (`id < rows`) out of its block, generating the block
+    /// first if no fill has.
+    fn read(&self, id: u64, row: &mut [u8]) {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "id < rows, and rows came from a usize"
+        )]
+        let (b, at) = ((id / CHUNK as u64) as usize, (id % CHUNK as u64) as usize);
+        let block = self.blocks[b].get_or_init(|| self.generate(b));
+        let stride = self.stride();
+        let packed = &block.nibbles[at * stride..][..stride];
+        let mut pairs = row.chunks_exact_mut(2);
+        for (pair, &byte) in (&mut pairs).zip(packed) {
+            pair[0] = byte & 0x0F;
+            pair[1] = byte >> 4;
+        }
+        if let ([last], Some(&byte)) = (pairs.into_remainder(), packed.last()) {
+            *last = byte & 0x0F;
+        }
+        if block.escapes {
+            for (trial, w) in (0u32..).zip(row) {
+                if *w == ESCAPE {
+                    // Never clamps: a weight is at most 16 + MAX_WEIGHT_BIAS.
+                    *w = u8::try_from(self.spec.weight(id, trial)).unwrap_or(u8::MAX);
+                }
+            }
+        }
+    }
+
+    /// Run the kernel over block `b`'s ids, [`PIECE`] at a time, and pack
+    /// their rows.
+    fn generate(&self, b: usize) -> StoredBlock {
+        let (trials, stride) = (self.spec.trials as usize, self.stride());
+        let ids: Vec<u64> = (b as u64 * CHUNK as u64..self.rows).take(CHUNK).collect();
+        let mut nibbles = vec![0; ids.len() * stride];
+        let mut cells = vec![0; PIECE * trials];
+        let mut escapes = false;
+        for (ids, packed) in ids.chunks(PIECE).zip(nibbles.chunks_mut(PIECE * stride)) {
+            let cells = &mut cells[..ids.len() * trials];
+            self.spec.weights_fill(ids, cells);
+            // A max, not `any`: the max vectorizes, the early exit does not.
+            escapes |= cells.iter().fold(0, |max, &w| max.max(w)) >= ESCAPE;
+            for (row, packed) in cells
+                .chunks_exact(trials)
+                .zip(packed.chunks_exact_mut(stride))
+            {
+                let mut pairs = row.chunks_exact(2);
+                for (pair, byte) in (&mut pairs).zip(&mut *packed) {
+                    *byte = pair[0].min(ESCAPE) | pair[1].min(ESCAPE) << 4;
+                }
+                if let ([last], Some(byte)) = (pairs.remainder(), packed.last_mut()) {
+                    *byte = (*last).min(ESCAPE);
+                }
+            }
+        }
+        self.stored.fetch_add(ids.len(), Ordering::Relaxed);
+        if gola_obs::enabled() {
+            metrics::weights_stored_cells().add((ids.len() * trials) as u64);
+            metrics::mem_weight_store().set(self.bytes() as f64);
+        }
+        StoredBlock {
+            escapes,
+            nibbles: nibbles.into(),
+        }
+    }
+}
+
 /// The bootstrap weights of one mini-batch's tuples, generated at most
 /// once per step however many blocks fold the tuple: weights are a pure
 /// function of `(tuple id, trial, seed)`, so every block of every wave
 /// reads the same rows. Rows are generated on first need — a wave asks for
 /// the batch rows its blocks will fold or keep uncertain — so a query whose
 /// certain filters drop most of a batch does not pay for the dropped rows.
-/// Lives for one step (`batch_rows × trials` bytes at most).
+/// Rows come from the session's [`WeightStore`]. Lives for one step
+/// (`batch_rows × trials` bytes at most).
 pub(crate) struct BatchWeights {
     trials: usize,
     /// Batch row → row of `data`, `NONE` until a block needs the tuple.
@@ -125,10 +291,11 @@ impl BatchWeights {
         }
     }
 
-    /// Generate the rows among `need` (batch rows) that no earlier call
-    /// generated, [`CHUNK`] tuples per pool item.
+    /// Fill the rows among `need` (batch rows) that no earlier call
+    /// filled, [`CHUNK`] tuples per pool item, through `store`.
     pub(crate) fn extend(
         &mut self,
+        store: &WeightStore,
         spec: &BootstrapSpec,
         pool: &WorkerPool,
         batch: &MiniBatch,
@@ -150,7 +317,7 @@ impl BatchWeights {
         self.data.resize(start + ids.len() * self.trials, 0);
         let parts = self.data[start..].chunks_mut(CHUNK * self.trials);
         pool.map(ids.chunks(CHUNK).zip(parts), |(ids, out)| {
-            spec.weights_fill(ids, out)
+            store.fill(spec, ids, out)
         });
     }
 
@@ -178,9 +345,10 @@ impl BatchWeights {
 
 /// One mini-batch's gather and bootstrap weights, running on the pool
 /// ahead of the step that reads them: one job gathers the batch, one per
-/// [`CHUNK`] tuples fills their rows of the weight matrix. Weights are a
-/// pure function of `(tuple id, trial, seed)`, so a prefetched matrix is
-/// the one the step would generate on demand.
+/// [`CHUNK`] tuples fills their rows of the weight matrix through the
+/// session's [`WeightStore`]. Weights are a pure function of `(tuple id,
+/// trial, seed)`, so a prefetched matrix is the one the step would fill on
+/// demand.
 pub(crate) struct Prefetch {
     pub index: usize,
     batch: Task<MiniBatch>,
@@ -192,6 +360,7 @@ impl Prefetch {
     pub(crate) fn submit(
         pool: &WorkerPool,
         partitioner: &Arc<Partitioner>,
+        store: &Arc<WeightStore>,
         spec: &BootstrapSpec,
         index: usize,
     ) -> Prefetch {
@@ -205,9 +374,10 @@ impl Prefetch {
         let spec = *spec;
         let weights = (ids.chunks(CHUNK).map(<[u64]>::to_vec))
             .map(|ids| {
+                let store = Arc::clone(store);
                 pool.spawn(move || {
                     let mut out = vec![0; ids.len() * spec.trials as usize];
-                    spec.weights_fill(&ids, &mut out);
+                    store.fill(&spec, &ids, &mut out);
                     out
                 })
             })
@@ -329,4 +499,109 @@ fn new_candidates(env: &BlockEnv<'_>, batch: &MiniBatch) -> Result<(Vec<u32>, Co
     }
     let rows = sel.iter().map(|&i| batch_row(i)).collect();
     Ok((rows, lineage.gather(&sel)))
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Barrier;
+
+    use gola_bootstrap::MAX_WEIGHT_BIAS;
+
+    use super::*;
+
+    /// Three blocks, the last one partial.
+    const ROWS: usize = 2 * CHUNK + 552;
+
+    /// Every id below `ROWS + 40` once, scattered: consecutive ids land in
+    /// different blocks, every block edge is crossed, and 40 ids are past
+    /// the store.
+    fn scattered() -> Vec<u64> {
+        let n = ROWS as u64 + 40;
+        (0..n).map(|i| i * 7919 % n).collect()
+    }
+
+    /// `ids`' rows through `store`, each cell checked against the scalar
+    /// oracle.
+    fn read_checked(store: &WeightStore, spec: &BootstrapSpec, ids: &[u64]) -> Vec<u8> {
+        let trials = spec.trials as usize;
+        let mut out = vec![0xAA; ids.len() * trials];
+        store.fill(spec, ids, &mut out);
+        for (&id, row) in ids.iter().zip(out.chunks_exact(trials)) {
+            for (trial, &w) in (0u32..).zip(row) {
+                assert_eq!(
+                    u32::from(w),
+                    spec.weight(id, trial),
+                    "id {id} trial {trial}"
+                );
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn weight_store_cells_equal_the_scalar_weight() {
+        let ids = scattered();
+        for trials in [1, 7, 100, 128, 130] {
+            // Bias 14 sends every weight above 0 through the escape.
+            for bias in [0, 14, MAX_WEIGHT_BIAS] {
+                let spec = BootstrapSpec::new(trials, 0x60_1A).with_weight_bias(bias);
+                let store = WeightStore::new(spec, ROWS);
+                let generated = read_checked(&store, &spec, &ids);
+                assert_eq!(store.bytes(), ROWS * (trials as usize).div_ceil(2));
+                let escapes = store.blocks.iter().map(|b| b.get().unwrap().escapes);
+                assert!(escapes.clone().all(|e| e == (bias > 0)), "bias {bias}");
+                // The second read copies every stored row out again.
+                assert_eq!(read_checked(&store, &spec, &ids), generated);
+                assert_eq!(store.bytes(), ROWS * (trials as usize).div_ceil(2));
+            }
+        }
+    }
+
+    #[test]
+    fn weight_store_empty_or_foreign_is_the_kernel() {
+        let spec = BootstrapSpec::new(100, 7);
+        let ids = scattered();
+        for store in [
+            WeightStore::default(),
+            WeightStore::new(spec, 0),
+            WeightStore::new(BootstrapSpec::new(100, 8), ROWS),
+            WeightStore::new(BootstrapSpec::new(64, 7), ROWS),
+        ] {
+            read_checked(&store, &spec, &ids);
+            assert_eq!(store.bytes(), 0, "{store:?}");
+        }
+    }
+
+    /// Two threads fill overlapping id sets at once, in opposite orders:
+    /// every block is generated exactly once, and both read the kernel's
+    /// rows.
+    #[test]
+    fn weight_store_racing_fills_generate_each_block_once() {
+        let spec = BootstrapSpec::new(100, 7);
+        let forward = scattered();
+        let backward: Vec<u64> = forward.iter().rev().copied().collect();
+        let kernel = |ids: &[u64]| {
+            let mut out = Vec::new();
+            spec.weights_batch(ids, &mut out);
+            out
+        };
+        let expected = [kernel(&forward), kernel(&backward)];
+        for _ in 0..4 {
+            let store = WeightStore::new(spec, ROWS);
+            let start = Barrier::new(2);
+            let fill = |ids: &[u64]| {
+                start.wait();
+                let mut out = vec![0; ids.len() * 100];
+                store.fill(&spec, ids, &mut out);
+                out
+            };
+            let read = std::thread::scope(|s| {
+                let a = s.spawn(|| fill(&forward));
+                let b = s.spawn(|| fill(&backward));
+                [a.join().unwrap(), b.join().unwrap()]
+            });
+            assert_eq!(store.stored.load(Ordering::Relaxed), ROWS);
+            assert!(read == expected);
+        }
+    }
 }

@@ -69,6 +69,7 @@ pub mod step;
 
 pub use config::OnlineConfig;
 pub use gola_plan::QueryContract;
+pub use join::WeightStore;
 pub use pool::WorkerPool;
 pub use report::{BatchReport, BatchTiming, CellEstimate, ContractProgress, ContractStop};
 pub use session::{OnlineExecution, OnlineSession, PreparedQuery};

@@ -63,6 +63,14 @@ handle!(pub(crate) prefetch_weight_cells: Counter =
 handle!(pub(crate) prefetch_wait: Histogram =
     gola_obs::duration_histogram("core.prefetch.wait_seconds"));
 
+// The weight store (`join::WeightStore`): cells the kernel generated into
+// it, cells fills copied out of it, and the bytes it holds.
+handle!(pub(crate) weights_stored_cells: Counter =
+    gola_obs::counter("core.weights.stored_cells"));
+handle!(pub(crate) weights_reused_cells: Counter =
+    gola_obs::counter("core.weights.reused_cells"));
+handle!(pub(crate) mem_weight_store: Gauge = gola_obs::gauge("core.mem.weight_store"));
+
 // The uncertain set's re-evaluation (`groups::effective_states`, reached
 // from publish, report and recover): tuples decided, and RHS vectors built
 // — one per (comparison, correlation key in the set), not per tuple.

@@ -45,6 +45,7 @@ use gola_common::Result;
 use gola_storage::Catalog;
 
 use crate::config::OnlineConfig;
+use crate::join::WeightStore;
 use crate::pool::WorkerPool;
 use crate::report::BatchReport;
 use crate::sched::task::QueryTask;
@@ -71,7 +72,11 @@ pub struct ServiceConfig {
     /// the runner count comes from the CPUs and `max_active`.
     pub threads: usize,
     /// Per-session execution defaults; `session_label`, `threads` and the
-    /// worker pool itself are overridden per session by the service.
+    /// worker pool itself are overridden per session by the service. Its
+    /// `bootstrap` spec is every session's, so the service's one
+    /// [`WeightStore`] holds that spec's rows for the ids of the catalog's
+    /// largest static table (`⌈trials / 2⌉` bytes per id, filled on first
+    /// need) and every session reads them.
     pub base: OnlineConfig,
 }
 
@@ -286,12 +291,15 @@ impl Shared {
     }
 }
 
-/// The multi-tenant service. Owns the runner threads and the shared pool;
-/// dropping it shuts the runners down (in-flight sessions see their
-/// streams end early).
+/// The multi-tenant service. Owns the runner threads, the shared pool and
+/// the shared [`WeightStore`]; dropping it shuts the runners down
+/// (in-flight sessions see their streams end early).
 pub struct QueryService {
     session: Arc<OnlineSession>,
     pool: Arc<WorkerPool>,
+    /// Every session's bootstrap weights for the ids of the catalog's
+    /// largest static table, generated once per service.
+    store: Arc<WeightStore>,
     shared: Arc<Shared>,
     next_id: AtomicU64,
     runners: Vec<JoinHandle<()>>,
@@ -330,10 +338,13 @@ impl QueryService {
                     .ok()
             })
             .collect();
+        let rows = largest_table(&catalog);
+        let store = Arc::new(WeightStore::new(cfg.base.bootstrap, rows));
         let session = Arc::new(OnlineSession::new(catalog, cfg.base));
         QueryService {
             session,
             pool,
+            store,
             shared,
             next_id: AtomicU64::new(0),
             runners,
@@ -372,7 +383,7 @@ impl QueryService {
         let tenant = OnlineSession::new(self.session.catalog().clone(), config);
         let prepared = tenant.prepare(sql).map_err(SubmitError::Compile)?;
         let exec = tenant
-            .execute_prepared_with_pool(&prepared, Arc::clone(&self.pool))
+            .execute_prepared_with_pool(&prepared, Arc::clone(&self.pool), Arc::clone(&self.store))
             .map_err(SubmitError::Compile)?;
 
         let (report_tx, report_rx) = std::sync::mpsc::channel();
@@ -405,6 +416,19 @@ impl QueryService {
     pub fn cancel(&self, id: SessionId) {
         self.shared.cancel(id);
     }
+}
+
+/// Rows of `catalog`'s largest static table: a tuple id is a row index, so
+/// every id below this is one a session may read weights for again. A
+/// stream is left out, so its tail never grows the store.
+fn largest_table(catalog: &Catalog) -> usize {
+    let names = catalog.names().into_iter();
+    let tables = names.filter(|name| catalog.stream(name).is_none());
+    tables
+        .filter_map(|name| catalog.get(&name).ok())
+        .map(|table| table.num_rows())
+        .max()
+        .unwrap_or(0)
 }
 
 impl Drop for QueryService {

@@ -8,6 +8,7 @@ use gola_storage::{Catalog, Partitioner, Table};
 
 use crate::config::OnlineConfig;
 use crate::contract::ContractDriver;
+use crate::join::WeightStore;
 use crate::report::BatchReport;
 use crate::step::OnlineExecutor;
 
@@ -74,20 +75,24 @@ impl OnlineSession {
     }
 
     /// Start online execution of an already-prepared query on a worker
-    /// pool of its own, sized by [`OnlineConfig::threads`].
+    /// pool of its own, sized by [`OnlineConfig::threads`], with an empty
+    /// [`WeightStore`] (every weight from the kernel).
     pub fn execute_prepared(&self, prepared: &PreparedQuery) -> Result<OnlineExecution> {
-        self.execute_prepared_with_pool(prepared, OnlineExecutor::own_pool(&self.config))
+        let pool = OnlineExecutor::own_pool(&self.config);
+        self.execute_prepared_with_pool(prepared, pool, Arc::default())
     }
 
-    /// Start online execution on a shared worker pool (the multi-tenant
-    /// scheduler's entry point: every admitted session time-slices one
-    /// pool instead of spawning its own workers). Results are unaffected —
+    /// Start online execution on a shared worker pool and weight store
+    /// (the multi-tenant service's entry point: every admitted session
+    /// time-slices one pool instead of spawning its own workers, and reads
+    /// the weights an earlier session generated). Results are unaffected —
     /// the threads=1/N bit-identity contract means pool size never reaches
-    /// a report.
+    /// a report, and the store memoizes a pure function.
     pub fn execute_prepared_with_pool(
         &self,
         prepared: &PreparedQuery,
         pool: Arc<crate::WorkerPool>,
+        store: Arc<WeightStore>,
     ) -> Result<OnlineExecution> {
         // A stream-backed scan table makes this a *growing* query: the
         // base schedule covers the sealed snapshot at start, and segments
@@ -115,6 +120,7 @@ impl OnlineSession {
             partitioner,
             self.config.clone(),
             pool,
+            store,
         )?;
         // A SQL-level contract wins over the config-level default.
         let contract = prepared.meta.contract.or(self.config.contract);

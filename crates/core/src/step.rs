@@ -23,7 +23,7 @@ use gola_storage::{Catalog, MiniBatch, Partitioner};
 use crate::classify::ChunkClass;
 use crate::compiled::CompiledBlock;
 use crate::config::OnlineConfig;
-use crate::join::{BatchWeights, Candidates, Prefetch};
+use crate::join::{BatchWeights, Candidates, Prefetch, WeightStore};
 use crate::metrics::SessionMetrics;
 use crate::pool::WorkerPool;
 use crate::publish::{PublishInput, Violated};
@@ -51,6 +51,9 @@ pub struct OnlineExecutor {
     /// ([`OnlineExecutor::with_pool`]), and the service's runners can run
     /// several sessions' batches on it at once.
     pool: Arc<WorkerPool>,
+    /// Where every bootstrap weight of the session comes from: the
+    /// service's store, shared by its sessions, or an empty one.
+    store: Arc<WeightStore>,
     /// The next batch's prefetch, once submitted (see
     /// [`OnlineExecutor::prefetch_next`]).
     prefetch: Option<Prefetch>,
@@ -83,7 +86,7 @@ impl OnlineExecutor {
         config: OnlineConfig,
     ) -> Result<OnlineExecutor> {
         let pool = OnlineExecutor::own_pool(&config);
-        OnlineExecutor::with_pool(catalog, meta, partitioner, config, pool)
+        OnlineExecutor::with_pool(catalog, meta, partitioner, config, pool, Arc::default())
     }
 
     /// The pool a session that shares none runs on.
@@ -97,13 +100,16 @@ impl OnlineExecutor {
     /// The determinism contract makes sharing safe:
     /// reports are bit-identical at any thread count, so the pool's size
     /// (not `config.threads`) governing physical parallelism cannot change
-    /// any session's output.
+    /// any session's output. Every weight fill goes through `store`, which
+    /// other sessions may share too; it memoizes a pure function, so which
+    /// session generated a block cannot reach a report either.
     pub fn with_pool(
         catalog: &Catalog,
         meta: MetaPlan,
         partitioner: Arc<Partitioner>,
         config: OnlineConfig,
         pool: Arc<WorkerPool>,
+        store: Arc<WeightStore>,
     ) -> Result<OnlineExecutor> {
         config.validate()?;
         let compiled: Vec<CompiledBlock> = meta
@@ -138,6 +144,7 @@ impl OnlineExecutor {
             dims,
             consumers,
             pool,
+            store,
             prefetch: None,
             session_metrics: OnceLock::new(),
             batches_done: 0,
@@ -448,7 +455,13 @@ impl OnlineExecutor {
         let ready = (classified.iter()).filter_map(|(_, _, _, result)| result.as_ref().ok());
         let fresh = ready.clone().map(|(cand, _)| cand.batch_rows.len()).sum();
         let needed = ready.flat_map(|(cand, classes)| fold::weights_needed(cand, classes));
-        weights.extend(&this.config.bootstrap, &this.pool, batch, needed);
+        weights.extend(
+            &this.store,
+            &this.config.bootstrap,
+            &this.pool,
+            batch,
+            needed,
+        );
         timing.fold += t_weights.elapsed();
 
         let weights = &*weights;
@@ -479,7 +492,7 @@ impl OnlineExecutor {
         let wanted = self.pool.threads() > 1 && self.compiled.iter().any(folds_every_row);
         if wanted && self.prefetch.is_none() && next < self.partitioner.num_batches() {
             let spec = &self.config.bootstrap;
-            let prefetch = Prefetch::submit(&self.pool, &self.partitioner, spec, next);
+            let prefetch = Prefetch::submit(&self.pool, &self.partitioner, &self.store, spec, next);
             self.prefetch = Some(prefetch);
         }
     }

@@ -40,13 +40,15 @@ step() {
 
 gola() { cargo run --release -q -p gola-cli --bin gola -- "$@"; }
 
-# The service's runners pick and charge sessions concurrently, so one green
-# run of its tests shows little about ordering races: run the bit-identity
-# and end-exactly-once tests 20 times in release (~11 s on 2 CPUs).
+# The service's runners pick and charge sessions concurrently, and its
+# sessions fill one weight store, so one green run of their tests shows
+# little about ordering races: run the bit-identity, end-exactly-once and
+# store-race tests 20 times in release.
 sched_race_loop() {
     local i
     for i in $(seq 20); do
         cargo test --release -q --test sched_equivalence --test sched_cancel >/dev/null \
+            && cargo test --release -q -p gola-core --lib weight_store_racing >/dev/null \
             || { echo "    run $i failed" >&2; return 1; }
     done
 }

@@ -72,7 +72,7 @@ fn start(
     let pool = Arc::new(pool);
     let weak = Arc::downgrade(&pool);
     let exec = session
-        .execute_prepared_with_pool(&prepared, pool)
+        .execute_prepared_with_pool(&prepared, pool, Arc::default())
         .expect("query starts");
     (exec, weak)
 }

@@ -11,7 +11,8 @@
 //! complete) in adversarial orders, beside the next batch's prefetch
 //! jobs wherever a query takes the prefetch. The
 //! query runs on that pool through the public
-//! `OnlineSession::execute_prepared_with_pool`. Every perturbed run must
+//! `OnlineSession::execute_prepared_with_pool`, filling a fresh
+//! `WeightStore` whose blocks the shuffled jobs generate. Every perturbed run must
 //! still produce the exact bit-identical `BatchReport` stream as the
 //! unperturbed sequential reference; any divergence means some
 //! accumulator or output ordering silently depends on the physical
@@ -19,7 +20,7 @@
 
 use std::sync::Arc;
 
-use g_ola::core::{BatchReport, OnlineConfig, OnlineSession, WorkerPool};
+use g_ola::core::{BatchReport, OnlineConfig, OnlineSession, WeightStore, WorkerPool};
 use g_ola::storage::Catalog;
 use g_ola::workloads::{conviva, tpch, ConvivaGenerator, TpchGenerator};
 use gola_conformance::assert_reports_identical;
@@ -32,10 +33,23 @@ fn run(catalog: &Catalog, sql: &str, threads: usize, perturb: Option<u64>) -> Ve
         Some(seed) => WorkerPool::with_perturbation(threads, seed),
         None => WorkerPool::new(threads),
     };
+    let spec = config.bootstrap;
     let session = OnlineSession::new(catalog.clone(), config);
     let prepared = session.prepare(sql).expect("query compiles");
+    // Perturbed runs fill a fresh weight store from shuffled jobs; the
+    // reference reads every weight from the kernel.
+    let store = match perturb {
+        Some(_) => {
+            let rows = catalog
+                .get(&prepared.stream_table)
+                .expect("table")
+                .num_rows();
+            Arc::new(WeightStore::new(spec, rows))
+        }
+        None => Arc::default(),
+    };
     let exec = session
-        .execute_prepared_with_pool(&prepared, Arc::new(pool))
+        .execute_prepared_with_pool(&prepared, Arc::new(pool), store)
         .expect("query starts");
     exec.map(|r| r.expect("batch succeeds")).collect()
 }
