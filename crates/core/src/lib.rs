@@ -31,10 +31,11 @@
 //!
 //! # Stages
 //!
-//! One module per stage of the per-batch loop, named as the obs spans and
-//! [`BatchTiming`] name them: `join` → `classify` → `fold` → `publish` →
-//! `recover` → [`report`], driven by [`step`]. DESIGN.md §3.9 tabulates
-//! what each one reads, returns and may mutate.
+//! One list of the per-batch loop's stages, [`Stage::ALL`]: `gather` →
+//! `join` → `classify` → `fold` → `publish` → `recover` → `report`, each
+//! named as its obs span, timed into its [`BatchTiming`] bucket by one
+//! wrapper, and (but `gather`) one module, driven by [`step`]. DESIGN.md
+//! §3.9 tabulates what each one reads, returns and may mutate.
 
 // The determinism contract, checked by clippy (DESIGN.md §3.6).
 #![deny(
@@ -73,4 +74,4 @@ pub use join::WeightStore;
 pub use pool::WorkerPool;
 pub use report::{BatchReport, BatchTiming, CellEstimate, ContractProgress, ContractStop};
 pub use session::{OnlineExecution, OnlineSession, PreparedQuery};
-pub use step::OnlineExecutor;
+pub use step::{OnlineExecutor, Stage};

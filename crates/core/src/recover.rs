@@ -18,6 +18,7 @@
 use gola_agg::AggKind;
 use gola_common::{row_u32, Result, Value};
 use gola_expr::SubqueryId;
+use gola_obs::span::SpanGuard;
 
 use crate::compiled::{CompiledBlock, FastScalarCmp};
 use crate::join::{BatchWeights, Candidates};
@@ -114,11 +115,15 @@ pub(crate) fn scopable(cb: &CompiledBlock, consumers: &[usize]) -> bool {
         && cb.agg_kinds.iter().all(AggKind::is_mergeable)
 }
 
-/// Run the stage. Mutates the affected blocks' runtimes and publications
-/// (and producers' reliance marks) and returns how many blocks were
-/// recomputed.
-pub(crate) fn recover(exec: &mut OnlineExecutor, input: RecoverInput<'_>) -> Result<usize> {
-    let span = gola_obs::span!("recover", blocks = input.violated.len());
+/// Run the stage under its `span`. Mutates the affected blocks' runtimes
+/// and publications (and producers' reliance marks) and returns how many
+/// blocks were recomputed.
+pub(crate) fn recover(
+    exec: &mut OnlineExecutor,
+    input: RecoverInput<'_>,
+    span: &SpanGuard,
+) -> Result<usize> {
+    span.field("blocks", input.violated.len() as f64);
     let mut affected: Vec<bool> = vec![false; exec.compiled.len()];
     let mut stack: Vec<usize> = input.violated.iter().map(|(b, _)| *b).collect();
     while let Some(v) = stack.pop() {

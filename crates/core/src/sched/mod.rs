@@ -40,6 +40,7 @@ pub mod task;
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::task::Waker;
 
 pub use policy::{AdmissionError, PolicyConfig, Urgency, MAX_WEIGHT, STRIDE_ONE, URGENT_BOOST};
 pub use service::{QueryHandle, QueryService, ServiceConfig, SubmitError, SESSION_SERIES_KEPT};
@@ -64,6 +65,10 @@ pub struct Quantum<O> {
     /// `true` when the task will produce nothing further; the scheduler
     /// retires it and activates the next queued session.
     pub finished: bool,
+    /// `true` when the task found nothing to do yet and registered the
+    /// quantum's waker for when it will: the scheduler parks it until a
+    /// wake ([`Scheduler::wake`]).
+    pub parked: bool,
     /// Contract pressure for the *next* quantum's priority.
     pub urgency: Urgency,
 }
@@ -71,11 +76,13 @@ pub struct Quantum<O> {
 /// A schedulable unit of work. One `run_quantum` call must be one
 /// *preemption-safe* step: for query tasks that is exactly one report
 /// round — the task must never hold partial-batch state that another
-/// session's quantum could perturb.
+/// session's quantum could perturb. A quantum never waits: a task with
+/// nothing to do yet registers `waker` where the work will come from and
+/// returns a parked quantum.
 pub trait SchedTask {
     type Output;
 
-    fn run_quantum(&mut self) -> Quantum<Self::Output>;
+    fn run_quantum(&mut self, waker: &Waker) -> Quantum<Self::Output>;
 }
 
 /// Where a submission landed (admission never silently drops).
@@ -108,7 +115,7 @@ pub struct Round<O> {
 /// back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Charged {
-    /// Still scheduled; it can be picked again.
+    /// Still scheduled: it can be picked again, or it parked until a wake.
     Running,
     /// Its task finished: it left the table.
     Finished,
@@ -130,8 +137,35 @@ enum Slot<T> {
     /// Waiting to be picked.
     Ready(T),
     /// [`Scheduler::pick`] handed the task out; [`Scheduler::charge`]
-    /// brings it back. `canceled` once a cancel came in meanwhile.
-    Held { canceled: bool },
+    /// brings it back. `canceled` once a cancel came in meanwhile, `woken`
+    /// once a wake did.
+    Held { canceled: bool, woken: bool },
+    /// Its last quantum parked: never picked until a wake.
+    Parked(T),
+}
+
+impl<T> Entry<T> {
+    /// A parked session becomes ready at `max(pass, vtime)`, as an
+    /// arriving one starts at `vtime`, so a long park earns no burst of
+    /// quanta. A held one is marked, so that its charge makes it ready
+    /// instead of parking it: a wake during the quantum is not lost.
+    fn wake(&mut self, vtime: u64) {
+        let woken = Slot::Held {
+            canceled: false,
+            woken: true,
+        };
+        self.slot = match std::mem::replace(&mut self.slot, woken) {
+            Slot::Parked(task) => {
+                self.pass = self.pass.max(vtime);
+                Slot::Ready(task)
+            }
+            Slot::Held { canceled, .. } => Slot::Held {
+                canceled,
+                woken: true,
+            },
+            ready => ready,
+        };
+    }
 }
 
 /// A fair scheduler over a set of tasks: repeatedly pick the most
@@ -177,6 +211,12 @@ impl<T: SchedTask> Scheduler<T> {
         self.queued.len()
     }
 
+    /// Active sessions parked until a wake.
+    pub fn num_parked(&self) -> usize {
+        let parked = |e: &&Entry<T>| matches!(e.slot, Slot::Parked(_));
+        self.active.values().filter(parked).count()
+    }
+
     /// `true` when no admitted session remains.
     pub fn is_idle(&self) -> bool {
         self.active.is_empty() && self.queued.is_empty()
@@ -219,15 +259,15 @@ impl<T: SchedTask> Scheduler<T> {
         Ok(admitted)
     }
 
-    /// Cancel a session, active or queued, and promote the longest-waiting
-    /// queued session into a freed slot. Returns whether the session left
-    /// the table now: `false` for unknown ids (already finished, never
-    /// admitted) and for a held session, which is only marked — it keeps
-    /// its slot until [`Scheduler::charge`] takes its quantum back and
-    /// reports [`Charged::Canceled`].
+    /// Cancel a session, active (ready or parked) or queued, and promote
+    /// the longest-waiting queued session into a freed slot. Returns
+    /// whether the session left the table now: `false` for unknown ids
+    /// (already finished, never admitted) and for a held session, which is
+    /// only marked — it keeps its slot until [`Scheduler::charge`] takes
+    /// its quantum back and reports [`Charged::Canceled`].
     pub fn cancel(&mut self, id: SessionId) -> bool {
         if let Some(Entry {
-            slot: Slot::Held { canceled },
+            slot: Slot::Held { canceled, .. },
             ..
         }) = self.active.get_mut(&id.0)
         {
@@ -242,14 +282,32 @@ impl<T: SchedTask> Scheduler<T> {
         known
     }
 
+    /// Wake session `id` (see [`Scheduler::wake_all`]); a no-op for an id
+    /// that is not active.
+    pub fn wake(&mut self, id: SessionId) {
+        let vtime = self.vtime;
+        if let Some(entry) = self.active.get_mut(&id.0) {
+            entry.wake(vtime);
+        }
+    }
+
+    /// Make every parked session ready and mark every held one, so that a
+    /// parking charge makes it ready instead. A session woken for another's
+    /// stream just parks again at its next quantum.
+    pub fn wake_all(&mut self) {
+        let vtime = self.vtime;
+        self.active.values_mut().for_each(|e| e.wake(vtime));
+    }
+
     /// Run one quantum of the session with the smallest `(pass, id)`:
     /// [`Scheduler::pick`], `run_quantum`, [`Scheduler::charge`]. `None`
-    /// when no session can be picked (idle, everything held, or everything
-    /// still queued — impossible by construction, queued implies active is
-    /// full).
+    /// when no session can be picked (idle, everything held or parked, or
+    /// everything still queued — impossible by construction, queued
+    /// implies active is full). The quantum's waker does nothing: a task
+    /// that parks here stays parked until [`Scheduler::wake`].
     pub fn round(&mut self) -> Option<Round<T::Output>> {
         let (id, mut task) = self.pick()?;
-        let quantum = task.run_quantum();
+        let quantum = task.run_quantum(Waker::noop());
         self.charge(id, task, &quantum);
         Some(Round {
             id,
@@ -259,30 +317,44 @@ impl<T: SchedTask> Scheduler<T> {
     }
 
     /// Hand out the task of the session with the smallest `(pass, id)`
-    /// among those not already held. The session stays in the table,
-    /// held, until [`Scheduler::charge`] brings the task back.
+    /// among the ready ones (neither held nor parked). The session stays
+    /// in the table, held, until [`Scheduler::charge`] brings the task
+    /// back.
     pub fn pick(&mut self) -> Option<(SessionId, T)> {
         let (&id, entry) = (self.active.iter_mut())
             .filter(|(_, e)| matches!(e.slot, Slot::Ready(_)))
             .min_by_key(|(id, e)| (e.pass, **id))?;
-        match std::mem::replace(&mut entry.slot, Slot::Held { canceled: false }) {
+        let held = Slot::Held {
+            canceled: false,
+            woken: false,
+        };
+        match std::mem::replace(&mut entry.slot, held) {
             Slot::Ready(task) => Some((SessionId(id), task)),
-            Slot::Held { .. } => None,
+            _ => None,
         }
     }
 
     /// Take back the task [`Scheduler::pick`] handed out for `id`, with
     /// the quantum it ran. A finished or meanwhile-canceled session leaves
-    /// the table (its task is dropped) and the queue head takes its slot;
-    /// any other is charged its stride and can be picked again. An id that
-    /// is not in the table counts as canceled.
+    /// the table (its task is dropped) and the queue head takes its slot.
+    /// A parked quantum did no work and is charged nothing: the session
+    /// parks, or is ready at once if a wake came in while it ran. Any other
+    /// is charged its stride and can be picked again. An id that is not in
+    /// the table counts as canceled.
     pub fn charge(&mut self, id: SessionId, task: T, quantum: &Quantum<T::Output>) -> Charged {
         let Some(entry) = self.active.get_mut(&id.0) else {
             return Charged::Canceled;
         };
         let outcome = match entry.slot {
-            Slot::Held { canceled: true } => Charged::Canceled,
+            Slot::Held { canceled: true, .. } => Charged::Canceled,
             _ if quantum.finished => Charged::Finished,
+            Slot::Held { woken, .. } if quantum.parked => {
+                entry.slot = Slot::Parked(task);
+                if woken {
+                    entry.wake(self.vtime);
+                }
+                return Charged::Running;
+            }
             _ => {
                 // Global virtual time catches up to the pass, then the
                 // pass advances by the stride; the new urgency counts from
@@ -339,8 +411,8 @@ mod tests {
     impl SchedTask for Tracked {
         type Output = u64;
 
-        fn run_quantum(&mut self) -> Quantum<u64> {
-            self.task.run_quantum()
+        fn run_quantum(&mut self, waker: &Waker) -> Quantum<u64> {
+            self.task.run_quantum(waker)
         }
     }
 
@@ -367,7 +439,7 @@ mod tests {
         s: &mut Scheduler<T>,
         (id, mut task): (SessionId, T),
     ) -> Charged {
-        let quantum = task.run_quantum();
+        let quantum = task.run_quantum(Waker::noop());
         s.charge(id, task, &quantum)
     }
 
@@ -441,5 +513,94 @@ mod tests {
         let order: Vec<u64> = (0..4).map(|_| s.round().expect("runs").id.0).collect();
         assert_eq!(order, [2, 1, 2, 1]);
         assert_eq!(drops.get(), 1);
+    }
+
+    /// The pass of session `id`, as the next pick would order it.
+    fn pass<T: SchedTask>(s: &Scheduler<T>, id: u64) -> u64 {
+        s.active[&id].pass
+    }
+
+    /// Session 0 parks on its first quantum; session 1 never does.
+    fn parking_pair() -> Scheduler<ScriptedTask> {
+        let mut s = Scheduler::new(PolicyConfig {
+            max_active: 2,
+            queue_capacity: 1,
+        });
+        let parks = ScriptedTask::new(LONG).parks_after(0);
+        s.submit_with_id(SessionId(0), parks, 1).expect("admits");
+        s.submit_with_id(SessionId(1), ScriptedTask::new(LONG), 1)
+            .expect("admits");
+        s
+    }
+
+    #[test]
+    fn a_parked_session_is_never_picked_and_is_charged_nothing() {
+        let mut s = parking_pair();
+        let parked = s.round().expect("runs");
+        assert_eq!((parked.id, parked.output), (SessionId(0), None));
+        assert_eq!((pass(&s, 0), s.num_parked()), (0, 1));
+        let order: Vec<u64> = (0..5).map(|_| s.round().expect("runs").id.0).collect();
+        assert_eq!(order, [1; 5], "the parked session holds the lowest pass");
+        assert_eq!(pass(&s, 0), 0, "and is charged nothing");
+        let one = s.pick().expect("picks");
+        assert!(s.pick().is_none(), "held and parked: nothing to pick");
+        assert_eq!(run_and_charge(&mut s, one), Charged::Running);
+    }
+
+    #[test]
+    fn a_wake_while_the_session_is_held_is_not_lost() {
+        let mut s = parking_pair();
+        let (id, mut task) = s.pick().expect("picks");
+        assert_eq!(id, SessionId(0));
+        let quantum = task.run_quantum(Waker::noop());
+        assert!(quantum.parked);
+        // The stream grew after the quantum looked and before its charge.
+        s.wake_all();
+        assert_eq!(s.charge(id, task, &quantum), Charged::Running);
+        assert_eq!(s.num_parked(), 0, "the charge made it ready");
+        assert_eq!(s.round().expect("runs").output, Some(0));
+    }
+
+    #[test]
+    fn a_long_park_resumes_at_virtual_time_without_a_burst() {
+        let mut s = parking_pair();
+        assert!(s.round().expect("runs").output.is_none());
+        for _ in 0..100 {
+            assert_eq!(s.round().expect("runs").id, SessionId(1));
+        }
+        s.wake(SessionId(0));
+        assert_eq!(pass(&s, 0), s.vtime, "resumes at virtual time");
+        assert_eq!(s.vtime, 99 * STRIDE_ONE);
+        // Session 1's pass is one stride past virtual time and session 0
+        // wins ties by id: it runs twice, as an arrival would, and then the
+        // two alternate; not the hundred quanta its old pass would allow.
+        let order: Vec<u64> = (0..6).map(|_| s.round().expect("runs").id.0).collect();
+        assert_eq!(order, [0, 0, 1, 0, 1, 0]);
+    }
+
+    #[test]
+    fn cancelling_a_parked_session_promotes_the_queue_head() {
+        let mut s = parking_pair();
+        s.submit_with_id(SessionId(2), ScriptedTask::new(LONG), 1)
+            .expect("queues");
+        assert!(s.round().expect("runs").output.is_none());
+        assert_eq!((s.num_parked(), s.num_queued()), (1, 1));
+        assert!(s.cancel(SessionId(0)), "a parked session leaves at once");
+        assert_eq!((s.num_active(), s.num_parked(), s.num_queued()), (2, 0, 0));
+        let order: Vec<u64> = (0..2).map(|_| s.round().expect("runs").id.0).collect();
+        assert_eq!(order, [1, 2], "the promoted session starts at vtime");
+    }
+
+    #[test]
+    fn a_wake_of_an_ended_session_is_a_no_op() {
+        let mut s = scheduler(1, 0, 0);
+        s.submit_with_id(SessionId(0), ScriptedTask::new(1), 1)
+            .expect("admits");
+        assert!(s.round().expect("runs").finished);
+        s.wake(SessionId(0));
+        s.wake(SessionId(7));
+        s.wake_all();
+        assert!(s.is_idle());
+        assert!(s.round().is_none());
     }
 }

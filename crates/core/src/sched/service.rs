@@ -12,32 +12,42 @@
 //! lock again. So different sessions' quanta overlap, one session's never
 //! do, and its quanta run in order.
 //!
+//! No quantum waits. A session caught up with an open stream parks: its
+//! quantum registers the service's one [`Waker`] with the stream and
+//! returns, and the scheduler skips the session until a wake. A seal or
+//! close on any stream a session waits on unparks every parked session
+//! and wakes the idle runners; one parked on another stream just polls
+//! again and parks again. A runner sleeps only while every active session
+//! is held or parked.
+//!
 //! Each admitted session gets its own report channel — the [`QueryHandle`]
 //! iterates it exactly like a solo [`crate::session::OnlineExecution`].
 //! The stream is bit-identical to that solo run because a session's step
 //! is a pure function of its own state and batch: nothing another session
 //! does, and no pool size or dispatch order, reaches its answers
 //! (`tests/sched_equivalence.rs`). A session ends exactly once, when it
-//! leaves the table: at its last quantum's charge, at a cancel of a session
-//! no runner holds, or — for one canceled while its quantum runs — at that
-//! quantum's charge (`tests/sched_cancel.rs`).
+//! leaves the table: at its last quantum's charge, at a cancel (or a
+//! dropped handle) of a session no runner holds, or — for one canceled
+//! while its quantum runs — at that quantum's charge
+//! (`tests/sched_cancel.rs`, `tests/sched_park.rs`).
 //!
 //! Observability: every session's executor metrics carry a
 //! `session="s<id>"` label (see `OnlineConfig::session_label`), and the
 //! service itself maintains `service.submitted` / `service.rejected` /
 //! `service.completed` / `service.canceled` counters plus
-//! `service.active` / `service.queued` gauges — all behind
-//! [`gola_obs::enabled`], preserving the obs-inert contract. The series of
-//! the [`SESSION_SERIES_KEPT`] newest ended sessions stay; an older one's
-//! are retired ([`gola_obs::retire`]: its counters fold into the
-//! unlabelled totals, its gauges go), so a long-running server's registry
-//! does not grow with every query.
+//! `service.active` / `service.queued` / `service.parked` gauges — all
+//! behind [`gola_obs::enabled`], preserving the obs-inert contract. The
+//! series of the [`SESSION_SERIES_KEPT`] newest ended sessions stay; an
+//! older one's are retired ([`gola_obs::retire`]: its counters fold into
+//! the unlabelled totals, its gauges go), so a long-running server's
+//! registry does not grow with every query.
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::task::{Wake, Waker};
 use std::thread::JoinHandle;
 
 use gola_common::sync::{lock, wait};
@@ -124,15 +134,16 @@ struct ScheduledQuery {
 }
 
 impl SchedTask for ScheduledQuery {
-    /// Whether the quantum's report reached the client; `false` once the
-    /// client has dropped its [`QueryHandle`].
-    type Output = bool;
+    /// The report went out (a client that hung up cancels the session as
+    /// it drops its [`QueryHandle`]).
+    type Output = ();
 
-    fn run_quantum(&mut self) -> Quantum<bool> {
-        let quantum = self.task.run_quantum();
+    fn run_quantum(&mut self, waker: &Waker) -> Quantum<()> {
+        let quantum = self.task.run_quantum(waker);
         Quantum {
-            output: quantum.output.map(|r| self.reports.send(r).is_ok()),
+            output: quantum.output.map(|r| drop(self.reports.send(r))),
             finished: quantum.finished,
+            parked: quantum.parked,
             urgency: quantum.urgency,
         }
     }
@@ -140,8 +151,7 @@ impl SchedTask for ScheduledQuery {
 
 /// A client's view of one admitted session: iterate it for the report
 /// stream (ends after the final report; an execution error is the last
-/// item). Dropping the handle lazily cancels the session — the runner
-/// notices the closed channel at its next report and reclaims the slot.
+/// item). Dropping the handle cancels the session, parked or not.
 pub struct QueryHandle {
     id: SessionId,
     reports: Receiver<Result<BatchReport>>,
@@ -173,6 +183,12 @@ impl QueryHandle {
     }
 }
 
+impl Drop for QueryHandle {
+    fn drop(&mut self) {
+        self.cancel();
+    }
+}
+
 impl Iterator for QueryHandle {
     type Item = Result<BatchReport>;
 
@@ -188,6 +204,7 @@ struct ServiceMetrics {
     canceled: gola_obs::Counter,
     active: gola_obs::Gauge,
     queued: gola_obs::Gauge,
+    parked: gola_obs::Gauge,
 }
 
 impl ServiceMetrics {
@@ -199,17 +216,41 @@ impl ServiceMetrics {
             canceled: gola_obs::counter("service.canceled"),
             active: gola_obs::gauge("service.active"),
             queued: gola_obs::gauge("service.queued"),
+            parked: gola_obs::gauge("service.parked"),
         }
     }
 }
 
 /// What the runners and the submitting threads share: the one session
-/// table behind one lock, and the condvar idle runners park on.
+/// table behind one lock, the condvar idle runners park on, and the waker
+/// every parked session registers.
 struct Shared {
     state: Mutex<State>,
     /// Signalled when a session may have become pickable, and at shutdown.
     ready: Condvar,
+    /// A [`Wakeup`] of this service.
+    waker: Waker,
     metrics: Option<ServiceMetrics>,
+}
+
+/// The service's waker: a seal or close on a stream that a parked session
+/// waits on makes every parked session ready (see the module doc). It
+/// holds the service weakly, so a stream outliving the service keeps
+/// nothing alive, and a wake after the service is gone does nothing.
+struct Wakeup(Weak<Shared>);
+
+impl Wake for Wakeup {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        if let Some(shared) = self.0.upgrade() {
+            let mut state = lock(&shared.state);
+            state.sched.wake_all();
+            shared.changed(&state);
+        }
+    }
 }
 
 struct State {
@@ -245,6 +286,7 @@ impl Shared {
         if let Some(m) = &self.metrics {
             m.active.set(state.sched.num_active() as f64);
             m.queued.set(state.sched.num_queued() as f64);
+            m.parked.set(state.sched.num_parked() as f64);
         }
         self.ready.notify_all();
     }
@@ -258,9 +300,9 @@ impl Shared {
         }
     }
 
-    /// One runner: pick the most deserving session nobody holds, run its
-    /// quantum outside the lock, charge it; park while nothing can be
-    /// picked; return at shutdown.
+    /// One runner: pick the most deserving ready session, run its quantum
+    /// outside the lock, charge it; sleep while nothing can be picked;
+    /// return at shutdown.
     fn run(&self) {
         let mut state = lock(&self.state);
         loop {
@@ -272,18 +314,11 @@ impl Shared {
                 continue;
             };
             drop(state);
-            let quantum = query.run_quantum();
+            let quantum = query.run_quantum(&self.waker);
             state = lock(&self.state);
             match state.sched.charge(id, query, &quantum) {
                 Charged::Finished => self.end(&mut state, id, false),
                 Charged::Canceled => self.end(&mut state, id, true),
-                // An undelivered report: the client dropped its handle,
-                // so reclaim the slot.
-                Charged::Running if quantum.output == Some(false) => {
-                    if state.sched.cancel(id) {
-                        self.end(&mut state, id, true);
-                    }
-                }
                 Charged::Running => {}
             }
             self.changed(&state);
@@ -291,9 +326,10 @@ impl Shared {
     }
 }
 
-/// The multi-tenant service. Owns the runner threads, the shared pool and
-/// the shared [`WeightStore`]; dropping it shuts the runners down
-/// (in-flight sessions see their streams end early).
+/// The multi-tenant service. Owns the runner threads, the shared pool, the
+/// shared [`WeightStore`] and the one waker of its parked sessions;
+/// dropping it shuts the runners down (in-flight and parked sessions see
+/// their streams end early).
 pub struct QueryService {
     session: Arc<OnlineSession>,
     pool: Arc<WorkerPool>,
@@ -315,13 +351,14 @@ impl QueryService {
             max_active: cfg.max_active,
             queue_capacity: cfg.queue_capacity,
         };
-        let shared = Arc::new(Shared {
+        let shared = Arc::new_cyclic(|service| Shared {
             state: Mutex::new(State {
                 sched: Scheduler::new(policy),
                 ended: VecDeque::new(),
                 shutdown: false,
             }),
             ready: Condvar::new(),
+            waker: Waker::from(Arc::new(Wakeup(Weak::clone(service)))),
             metrics: gola_obs::enabled().then(ServiceMetrics::resolve),
         });
         #[expect(

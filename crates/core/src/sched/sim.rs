@@ -10,6 +10,7 @@
 //! assert fairness, starvation bounds and admission behavior exactly.
 
 use std::collections::BTreeMap;
+use std::task::Waker;
 
 use crate::sched::{AdmissionError, PolicyConfig, SchedTask, Scheduler, SessionId, Urgency};
 
@@ -153,11 +154,14 @@ impl SchedulerSim {
 
 /// A synthetic task for simulation: yields `total` quanta of output
 /// (`0..total`), optionally turning urgent once `urgent_after` quanta have
-/// run — a stand-in for a contracted query entering its endgame.
+/// run — a stand-in for a contracted query entering its endgame — and
+/// optionally parking once, after `park_after` quanta — a stand-in for a
+/// query that has caught up with an open stream.
 #[derive(Debug, Clone)]
 pub struct ScriptedTask {
     total: u64,
     urgent_after: Option<u64>,
+    park_after: Option<u64>,
     done: u64,
 }
 
@@ -166,6 +170,7 @@ impl ScriptedTask {
         ScriptedTask {
             total: total.max(1),
             urgent_after: None,
+            park_after: None,
             done: 0,
         }
     }
@@ -173,6 +178,12 @@ impl ScriptedTask {
     /// Report [`Urgency::Urgent`] from the `after`-th quantum on.
     pub fn urgent_after(mut self, after: u64) -> ScriptedTask {
         self.urgent_after = Some(after);
+        self
+    }
+
+    /// Run one parked quantum (no output) once `after` quanta have run.
+    pub fn parks_after(mut self, after: u64) -> ScriptedTask {
+        self.park_after = Some(after);
         self
     }
 
@@ -185,7 +196,19 @@ impl ScriptedTask {
 impl SchedTask for ScriptedTask {
     type Output = u64;
 
-    fn run_quantum(&mut self) -> crate::sched::Quantum<u64> {
+    fn run_quantum(&mut self, _waker: &Waker) -> crate::sched::Quantum<u64> {
+        if self
+            .park_after
+            .take_if(|after| *after == self.done)
+            .is_some()
+        {
+            return crate::sched::Quantum {
+                output: None,
+                finished: false,
+                parked: true,
+                urgency: Urgency::Normal,
+            };
+        }
         let index = self.done;
         self.done += 1;
         let urgency = if self.urgent_after.is_some_and(|after| self.done >= after) {
@@ -196,6 +219,7 @@ impl SchedTask for ScriptedTask {
         crate::sched::Quantum {
             output: Some(index),
             finished: self.done >= self.total,
+            parked: false,
             urgency,
         }
     }

@@ -1,5 +1,7 @@
 //! A real online query as a schedulable task.
 
+use std::task::{Poll, Waker};
+
 use gola_common::Result;
 use gola_plan::QueryContract;
 
@@ -17,9 +19,10 @@ pub const URGENT_ERROR_FACTOR: f64 = 4.0;
 pub const URGENT_DEADLINE_FRACTION: f64 = 0.5;
 
 /// One online query under the scheduler. A quantum is exactly one
-/// `OnlineExecution::next()` report round — the engine's preemption-safe
-/// unit: between rounds the execution holds only its own accumulators, so
-/// interleaving sessions cannot perturb answers.
+/// `OnlineExecution::poll_next` report round — the engine's
+/// preemption-safe unit: between rounds the execution holds only its own
+/// accumulators, so interleaving sessions cannot perturb answers. A query
+/// caught up with an open stream gives back a parked quantum.
 pub struct QueryTask {
     exec: OnlineExecution,
 }
@@ -33,29 +36,32 @@ impl QueryTask {
 impl SchedTask for QueryTask {
     type Output = Result<BatchReport>;
 
-    fn run_quantum(&mut self) -> Quantum<Self::Output> {
-        match self.exec.next() {
-            None => Quantum {
-                output: None,
-                finished: true,
-                urgency: Urgency::Normal,
+    fn run_quantum(&mut self, waker: &Waker) -> Quantum<Self::Output> {
+        let ended = Quantum {
+            output: None,
+            finished: true,
+            parked: false,
+            urgency: Urgency::Normal,
+        };
+        match self.exec.poll_next(waker) {
+            Poll::Pending => Quantum {
+                finished: false,
+                parked: true,
+                ..ended
             },
-            Some(Err(e)) => Quantum {
-                // An execution error ends the stream; surface it as the
-                // final output.
+            Poll::Ready(None) => ended,
+            // An execution error ends the stream; surface it as the final
+            // output.
+            Poll::Ready(Some(Err(e))) => Quantum {
                 output: Some(Err(e)),
-                finished: true,
-                urgency: Urgency::Normal,
+                ..ended
             },
-            Some(Ok(report)) => {
-                let urgency = urgency_from(&report);
-                let finished = self.exec.is_complete();
-                Quantum {
-                    output: Some(Ok(report)),
-                    finished,
-                    urgency,
-                }
-            }
+            Poll::Ready(Some(Ok(report))) => Quantum {
+                urgency: urgency_from(&report),
+                finished: self.exec.is_complete(),
+                output: Some(Ok(report)),
+                ..ended
+            },
         }
     }
 }

@@ -1,6 +1,7 @@
 //! The user-facing online session API.
 
 use std::sync::Arc;
+use std::task::{ready, Poll, Waker};
 
 use gola_common::{Error, Result};
 use gola_plan::{MetaPlan, QueryContract, QueryGraph};
@@ -10,7 +11,7 @@ use crate::config::OnlineConfig;
 use crate::contract::ContractDriver;
 use crate::join::WeightStore;
 use crate::report::BatchReport;
-use crate::step::OnlineExecutor;
+use crate::step::{block_on, OnlineExecutor};
 
 /// A catalog plus an online configuration; the entry point for running SQL
 /// with progressively-refined answers.
@@ -140,7 +141,8 @@ impl OnlineSession {
 
 /// A running online query. Each `next()` processes one mini-batch (or, for
 /// deadline-contracted runs, a coalesced round of them) and yields the
-/// refined answer; drop it at any time to stop the query. When the query
+/// refined answer; drop it at any time to stop the query. `poll_next` is
+/// the same without waiting for a stream to grow. When the query
 /// carries an `ERROR`/`WITHIN` contract the iterator ends at the
 /// contract's stopping report (flagged in [`BatchReport::contract`])
 /// instead of running every batch.
@@ -168,26 +170,38 @@ impl OnlineExecution {
         self.driver.as_ref().is_some_and(ContractDriver::is_stopped) || self.executor.is_finished()
     }
 
-    /// One published report: a single executor step, or — under a deadline
-    /// contract — a coalesced round of steps sized to the remaining budget.
-    fn step_round(&mut self) -> Result<BatchReport> {
+    /// The next report without waiting: one executor step, or — under a
+    /// deadline contract — a coalesced round of steps sized to the
+    /// remaining budget, which ends early at a batch that is not visible
+    /// yet. `Pending` when the query has caught up with a stream that is
+    /// still open (`waker` is registered for the stream's next seal or its
+    /// close); `Ready(None)` once the iterator has ended, which a stream
+    /// that closes with nothing new also ends, with no error.
+    pub fn poll_next(&mut self, waker: &Waker) -> Poll<Option<Result<BatchReport>>> {
+        if self.is_complete() {
+            return Poll::Ready(None);
+        }
         let Some(driver) = &mut self.driver else {
-            return self.executor.step();
+            return self.executor.poll_step(waker);
         };
         driver.start_clock();
         let remaining = self.executor.num_batches() - self.executor.batches_done();
         let round = driver.batches_this_round(remaining);
-        let mut report = self.executor.step()?;
+        let mut report = match ready!(self.executor.poll_step(waker)) {
+            Some(Ok(report)) => report,
+            end => return Poll::Ready(end),
+        };
         driver.note_batch(report.batch_time.as_secs_f64());
         for _ in 1..round {
-            if self.executor.is_finished() {
-                break;
-            }
-            report = self.executor.step()?;
+            report = match self.executor.poll_step(waker) {
+                Poll::Ready(Some(Ok(report))) => report,
+                Poll::Ready(Some(Err(e))) => return Poll::Ready(Some(Err(e))),
+                Poll::Ready(None) | Poll::Pending => break,
+            };
             driver.note_batch(report.batch_time.as_secs_f64());
         }
         driver.observe(&mut report, self.executor.is_finished());
-        Ok(report)
+        Poll::Ready(Some(Ok(report)))
     }
 
     /// Run until the iterator ends — the final (exact) batch, or the
@@ -219,11 +233,9 @@ impl OnlineExecution {
 impl Iterator for OnlineExecution {
     type Item = Result<BatchReport>;
 
+    /// [`OnlineExecution::poll_next`], waiting on the calling thread while
+    /// the query has caught up with an open stream.
     fn next(&mut self) -> Option<Self::Item> {
-        if self.is_complete() {
-            None
-        } else {
-            Some(self.step_round())
-        }
+        block_on(|waker| self.poll_next(waker))
     }
 }

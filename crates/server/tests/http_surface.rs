@@ -54,14 +54,12 @@ fn start_server_on(catalog: Catalog, max_active: usize, queue: usize, threads: u
 }
 
 /// A query over [`OpenStreamServer`]'s `events`: it drains the sealed
-/// rows, then waits for the stream to grow, so its job stays running
+/// rows, then parks until the stream grows, so its job stays running
 /// until the stream closes.
 const OPEN_SQL: &str = "SELECT COUNT(*) FROM events";
 
 /// A server whose catalog holds `catalog()` plus `events`, an open stream
-/// with one sealed segment. Dropping it closes the stream before the
-/// server shuts down, also when an assertion fails, so the query waiting
-/// on the stream ends.
+/// with one sealed segment.
 struct OpenStreamServer {
     server: Server,
     events: Arc<StreamTable>,
@@ -83,12 +81,6 @@ impl OpenStreamServer {
             .expect("register stream");
         let server = start_server_on(catalog, max_active, queue, threads);
         OpenStreamServer { server, events }
-    }
-}
-
-impl Drop for OpenStreamServer {
-    fn drop(&mut self) {
-        let _ = self.events.close();
     }
 }
 
@@ -370,30 +362,10 @@ fn saturated_scheduler_returns_typed_429() {
     let (status, _, _) = call(server, post("/jobs", OPEN_SQL, None));
     assert_eq!(status, 202);
     // Admission runs on the submitting thread under the session table's
-    // lock, which the runner parked inside the first job's step (the
-    // stream has no new segment) does not hold, so the burst is answered
-    // without waiting for a round. The appends keep the first job moving
-    // meanwhile.
-    let body = std::thread::scope(|s| {
-        let burst = s.spawn(|| call(server, post("/jobs", conviva::SBI, None)));
-        let (started, limit) = (Stopwatch::start(), Duration::from_secs(30));
-        let events = &open.events;
-        while !burst.is_finished() {
-            if started.elapsed() > limit {
-                // Free the scheduler, so the scope can join the submitter.
-                let _ = events.close();
-                panic!("submission never answered");
-            }
-            events
-                .append_rows(&[gola_common::row![30i64]])
-                .expect("append");
-            events.seal().expect("seal");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let (status, _, body) = burst.join().expect("submitter");
-        assert_eq!(status, 429);
-        String::from_utf8(body).expect("UTF-8")
-    });
+    // lock, so the burst is answered without waiting for a round.
+    let (status, _, body) = call(server, post("/jobs", conviva::SBI, None));
+    assert_eq!(status, 429);
+    let body = String::from_utf8(body).expect("UTF-8");
     assert!(body.contains("\"error\":\"scheduler saturated"), "{body}");
     assert!(
         body.contains("\"active\":1,\"queued\":0,\"max_active\":1,\"queue_capacity\":0"),

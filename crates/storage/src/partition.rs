@@ -54,6 +54,7 @@
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
+use std::task::{Poll, Waker};
 
 use gola_common::rng::SplitMix64;
 use gola_common::sync::lock;
@@ -325,6 +326,24 @@ impl Partitioner {
     /// segment in seal order. `true` when new batches appeared; idempotent
     /// and cheap when nothing changed, and always `false` without a tail.
     pub fn refresh(&self) -> bool {
+        self.pull(None)
+    }
+
+    /// [`Partitioner::refresh`] for a caller that must not wait: `Ready`
+    /// when new batches appeared or the batch list is final, `Pending`
+    /// when the stream is open with nothing new, with `waker` registered
+    /// for its next seal or its close.
+    pub fn poll_refresh(&self, waker: &Waker) -> Poll<()> {
+        if self.pull(Some(waker)) || self.finalized() {
+            Poll::Ready(())
+        } else {
+            Poll::Pending
+        }
+    }
+
+    /// [`Partitioner::refresh`], registering `waker` when it finds
+    /// nothing on an open stream.
+    fn pull(&self, waker: Option<&Waker>) -> bool {
         let Some(tail) = &self.tail else {
             return false;
         };
@@ -332,7 +351,7 @@ impl Partitioner {
         if state.finalized {
             return false;
         }
-        let (fresh, closed) = tail.stream.poll(state.segments_seen);
+        let (fresh, closed) = tail.stream.poll(state.segments_seen, waker);
         let grew = !fresh.is_empty();
         for seg in fresh {
             let len = seg.chunk.len();
@@ -359,17 +378,6 @@ impl Partitioner {
     /// exact? While a stream is open, no batch is.
     pub fn is_final_batch(&self, i: usize) -> bool {
         self.finalized() && i + 1 == self.num_batches()
-    }
-
-    /// Block until the stream seals a segment not yet consumed, or closes,
-    /// then pull it in. Used by the executor when every visible batch is
-    /// processed but the stream is still open; no-op without a tail.
-    pub fn wait_for_growth(&self) {
-        if let Some(tail) = &self.tail {
-            let seen = lock(&tail.state).segments_seen;
-            tail.stream.wait_for_growth(seen);
-            self.refresh();
-        }
     }
 
     /// The stratification column, when stratified.

@@ -83,22 +83,27 @@ mod tests {
         assert!(Partitioner::growing(s, 2, 1).is_err());
     }
 
+    /// `poll_refresh` is `Pending` exactly while the stream is open with
+    /// nothing new, and `Ready` once a seal adds a batch or the close ends
+    /// the list.
     #[test]
-    fn wait_for_growth_wakes_on_seal_and_close() {
+    fn poll_refresh_is_pending_until_a_seal_or_the_close() {
+        use std::task::{Poll, Waker};
         let s = seeded_stream(10);
         let p = Partitioner::growing(Arc::clone(&s), 1, 1).unwrap();
-        let s2 = Arc::clone(&s);
-        let t = std::thread::spawn(move || {
-            s2.append_rows(&rows(10, 3)).unwrap();
-            s2.seal().unwrap();
-            s2.close().unwrap();
-        });
-        // Either wakeup order is fine; after the thread ends we must see
-        // the extra batch and the final state.
-        p.wait_for_growth();
-        t.join().unwrap();
-        p.refresh();
-        assert!(p.finalized());
+        let waker = Waker::noop();
+        assert_eq!(p.poll_refresh(waker), Poll::Pending);
+        s.append_rows(&rows(10, 3)).unwrap();
+        assert_eq!(p.poll_refresh(waker), Poll::Pending, "buffered, not sealed");
+        s.seal().unwrap();
+        assert_eq!(p.poll_refresh(waker), Poll::Ready(()));
         assert_eq!(p.num_batches(), 2);
+        assert_eq!(p.poll_refresh(waker), Poll::Pending);
+        s.close().unwrap();
+        assert_eq!(p.poll_refresh(waker), Poll::Ready(()));
+        assert!(p.finalized());
+        assert_eq!(p.num_batches(), 2, "close adds no batch");
+        let fixed = Partitioner::new(Arc::new(s.snapshot().unwrap()), 2, 1).unwrap();
+        assert_eq!(fixed.poll_refresh(waker), Poll::Ready(()), "no tail");
     }
 }

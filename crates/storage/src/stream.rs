@@ -32,9 +32,10 @@
 use std::collections::BTreeSet;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
+use std::task::Waker;
 
-use gola_common::sync::{lock, wait};
+use gola_common::sync::lock;
 use gola_common::{DataType, Error, Result, Row, Schema};
 
 use crate::chunk::ColumnChunk;
@@ -59,6 +60,7 @@ pub struct SealedSegment {
     pub chunk: ColumnChunk,
 }
 
+#[derive(Default)]
 struct StreamInner {
     segments: Vec<SealedSegment>,
     buffer: Vec<Row>,
@@ -66,6 +68,9 @@ struct StreamInner {
     next_id: u64,
     /// Rows sealed so far (== sum of segment lengths).
     sealed_rows: u64,
+    /// Who waits for the next seal or the close (see
+    /// [`StreamTable::poll`]); each seal and the close wake and drain it.
+    wakers: Vec<Waker>,
 }
 
 /// An appendable table: sealed segments + a write buffer. Shared via
@@ -74,7 +79,6 @@ pub struct StreamTable {
     schema: Arc<Schema>,
     dir: Option<PathBuf>,
     inner: Mutex<StreamInner>,
-    growth: Condvar,
 }
 
 impl std::fmt::Debug for StreamTable {
@@ -92,14 +96,7 @@ impl StreamTable {
         Arc::new(StreamTable {
             schema,
             dir: None,
-            inner: Mutex::new(StreamInner {
-                segments: Vec::new(),
-                buffer: Vec::new(),
-                closed: false,
-                next_id: 0,
-                sealed_rows: 0,
-            }),
-            growth: Condvar::new(),
+            inner: Mutex::default(),
         })
     }
 
@@ -128,14 +125,7 @@ impl StreamTable {
         Ok(Arc::new(StreamTable {
             schema,
             dir: Some(dir.to_path_buf()),
-            inner: Mutex::new(StreamInner {
-                segments: Vec::new(),
-                buffer: Vec::new(),
-                closed: false,
-                next_id: 0,
-                sealed_rows: 0,
-            }),
-            growth: Condvar::new(),
+            inner: Mutex::default(),
         }))
     }
 
@@ -226,8 +216,8 @@ impl StreamTable {
                 closed,
                 next_id,
                 sealed_rows,
+                wakers: Vec::new(),
             }),
-            growth: Condvar::new(),
         }))
     }
 
@@ -277,7 +267,15 @@ impl StreamTable {
     /// number of rows sealed; an empty buffer is a no-op.
     pub fn seal(&self) -> Result<usize> {
         let mut inner = lock(&self.inner);
-        self.seal_locked(&mut inner)
+        let n = self.seal_locked(&mut inner)?;
+        let wakers = if n > 0 {
+            std::mem::take(&mut inner.wakers)
+        } else {
+            Vec::new()
+        };
+        drop(inner);
+        wakers.into_iter().for_each(Waker::wake);
+        Ok(n)
     }
 
     fn seal_locked(&self, inner: &mut StreamInner) -> Result<usize> {
@@ -314,13 +312,12 @@ impl StreamTable {
         });
         inner.next_id = id + 1;
         inner.sealed_rows += n as u64;
-        self.growth.notify_all();
         Ok(n)
     }
 
     /// Seal any pending rows, then close the stream to further appends.
     /// Idempotent. After `close`, `watermark == total_rows` and waiting
-    /// queries are woken to run their final batch. Durable streams commit
+    /// queries are woken to run their final batch or end. Durable streams commit
     /// the close to the manifest, so a reopened stream is still closed —
     /// end-of-stream is part of what replay must reproduce.
     pub fn close(&self) -> Result<()> {
@@ -337,7 +334,9 @@ impl StreamTable {
             metrics::sync(&f)?;
         }
         inner.closed = true;
-        self.growth.notify_all();
+        let wakers = std::mem::take(&mut inner.wakers);
+        drop(inner);
+        wakers.into_iter().for_each(Waker::wake);
         Ok(())
     }
 
@@ -383,23 +382,20 @@ impl StreamTable {
     /// Because `closed` forbids further appends and seals, a `true` here
     /// with the returned tail consumed means the caller has seen the whole
     /// stream — the property that makes "last batch" well-defined under
-    /// ingest.
-    pub fn poll(&self, from: usize) -> (Vec<SealedSegment>, bool) {
-        let inner = lock(&self.inner);
-        let fresh = inner.segments.get(from..).unwrap_or(&[]).to_vec();
-        (fresh, inner.closed)
-    }
-
-    /// Block until more than `seen_segments` segments are sealed or the
-    /// stream closes. Returns `(num_segments, closed)` at wake-up. Used
-    /// by the executor when a growing query has drained every visible
-    /// batch but the stream is still open.
-    pub fn wait_for_growth(&self, seen_segments: usize) -> (usize, bool) {
+    /// ingest. When there is nothing new and the stream is open, `waker`
+    /// is registered in the same critical section, so the next seal or the
+    /// close wakes it and no growth can slip in between. A waker that
+    /// [`Waker::will_wake`] an already registered one is not added again,
+    /// so the list holds one entry per distinct waiter.
+    pub fn poll(&self, from: usize, waker: Option<&Waker>) -> (Vec<SealedSegment>, bool) {
         let mut inner = lock(&self.inner);
-        while inner.segments.len() <= seen_segments && !inner.closed {
-            inner = wait(&self.growth, inner);
+        let fresh = inner.segments.get(from..).unwrap_or(&[]).to_vec();
+        if let Some(waker) = waker.filter(|_| fresh.is_empty() && !inner.closed) {
+            if !inner.wakers.iter().any(|w| w.will_wake(waker)) {
+                inner.wakers.push(waker.clone());
+            }
         }
-        (inner.segments.len(), inner.closed)
+        (fresh, inner.closed)
     }
 }
 
@@ -591,6 +587,42 @@ mod tests {
         assert_eq!(r.num_segments(), 1);
         assert_eq!(r.watermark(), 6);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Counts its wakes.
+    struct Count(std::sync::atomic::AtomicUsize);
+
+    impl std::task::Wake for Count {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    /// One waiter registered a thousand times is one entry, and the seal
+    /// and the close each wake it once and drain the list.
+    #[test]
+    fn a_waker_registers_once_and_seal_and_close_each_wake_it() {
+        let s = StreamTable::new(schema());
+        let count = Arc::new(Count(Default::default()));
+        let waker = Waker::from(Arc::clone(&count));
+        let wakes = || count.0.load(std::sync::atomic::Ordering::Relaxed);
+        let registered = || lock(&s.inner).wakers.len();
+        for _ in 0..1_000 {
+            s.poll(0, Some(&waker.clone()));
+        }
+        assert_eq!(registered(), 1);
+        s.append_rows(&some_rows(0, 3)).unwrap();
+        assert_eq!(wakes(), 0, "an append is not a seal");
+        s.seal().unwrap();
+        assert_eq!((wakes(), registered()), (1, 0));
+        let (fresh, closed) = s.poll(1, Some(&waker));
+        assert!(fresh.is_empty() && !closed);
+        assert_eq!(registered(), 1);
+        s.close().unwrap();
+        assert_eq!((wakes(), registered()), (2, 0));
+        // A closed stream registers nobody: nothing will wake them.
+        s.poll(1, Some(&waker));
+        assert_eq!(registered(), 0);
     }
 
     #[test]

@@ -42,12 +42,13 @@ gola() { cargo run --release -q -p gola-cli --bin gola -- "$@"; }
 
 # The service's runners pick and charge sessions concurrently, and its
 # sessions fill one weight store, so one green run of their tests shows
-# little about ordering races: run the bit-identity, end-exactly-once and
-# store-race tests 20 times in release.
+# little about ordering races: run the bit-identity, end-exactly-once,
+# park-and-wake and store-race tests 20 times in release.
 sched_race_loop() {
     local i
     for i in $(seq 20); do
-        cargo test --release -q --test sched_equivalence --test sched_cancel >/dev/null \
+        cargo test --release -q --test sched_equivalence --test sched_cancel \
+            --test sched_park >/dev/null \
             && cargo test --release -q -p gola-core --lib weight_store_racing >/dev/null \
             || { echo "    run $i failed" >&2; return 1; }
     done

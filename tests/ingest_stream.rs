@@ -15,12 +15,15 @@
 //!   reruns, and between an in-memory and a durable stream, extra
 //!   segment-batches included; the drained stream's last report is the
 //!   exact answer.
+//! * **Clean end** — a stream closed while its query has caught up ends
+//!   the query, solo and through a service, with no error item.
 
 use std::path::Path;
 use std::sync::Arc;
 
 use g_ola::bootstrap::BootstrapSpec;
 use g_ola::common::Row;
+use g_ola::core::sched::{QueryService, ServiceConfig};
 use g_ola::core::{BatchReport, OnlineConfig, OnlineSession};
 use g_ola::storage::{Catalog, StreamTable, Table};
 use g_ola::workloads::ConvivaGenerator;
@@ -248,4 +251,72 @@ fn append_after_batch_k_widens_or_holds_the_ci() {
     // correction legitimately reaches zero against the *current*
     // population, but the report must not claim finality — N can move.
     assert!(!control.last().unwrap().is_final());
+}
+
+/// A query that has caught up with an open stream, over a stream then
+/// closed with nothing new (an empty write buffer): it ends, solo and
+/// through a service, with no error item. No batch is left to report, so
+/// its last report, sent while the stream was open, is not flagged final.
+#[test]
+fn closing_a_caught_up_stream_ends_the_query_cleanly() {
+    let (schema, rows) = all_rows();
+    let seeded = || {
+        let stream = StreamTable::new(Arc::clone(&schema));
+        stream.append_rows(&rows[..240]).expect("seed rows");
+        stream.seal().expect("seed segment");
+        stream
+    };
+    let caught_up = |reports: &[BatchReport]| {
+        assert_eq!(reports.len(), BASE_BATCHES, "every sealed batch");
+        assert!(reports.iter().all(|r| !r.is_final()), "an open stream");
+    };
+
+    // Solo, closed between two calls, then closed while `next` waits.
+    for wait in [false, true] {
+        let stream = seeded();
+        let session = session_over(&stream, 1);
+        let mut exec = session.execute_online(SQL).expect("query compiles");
+        let reports: Vec<BatchReport> = (0..BASE_BATCHES)
+            .map(|_| exec.next().expect("base batch").expect("succeeds"))
+            .collect();
+        caught_up(&reports);
+        let rest = if wait {
+            let waiting = std::thread::spawn(move || exec.next().map(|r| r.map(|_| ())));
+            stream.close().expect("close");
+            waiting.join().expect("iterator thread")
+        } else {
+            stream.close().expect("close");
+            exec.next().map(|r| r.map(|_| ()))
+        };
+        assert!(rest.is_none(), "wait {wait}: the iterator ends: {rest:?}");
+    }
+
+    // Through a service: the session parks once caught up, and the close
+    // ends its stream.
+    let stream = seeded();
+    let mut catalog = Catalog::new();
+    catalog
+        .register_stream("sessions", Arc::clone(&stream))
+        .expect("register stream");
+    let service = QueryService::new(
+        catalog,
+        ServiceConfig {
+            max_active: 1,
+            queue_capacity: 0,
+            threads: 1,
+            base: config(1),
+        },
+    );
+    let handle = service.submit(SQL).expect("admits");
+    let reports: Vec<BatchReport> = (0..BASE_BATCHES)
+        .map(|_| handle.recv().expect("base batch").expect("succeeds"))
+        .collect();
+    caught_up(&reports);
+    stream.close().expect("close");
+    let rest: Vec<_> = handle.collect();
+    assert!(
+        rest.is_empty(),
+        "the stream ends: {} more items",
+        rest.len()
+    );
 }

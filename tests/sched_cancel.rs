@@ -1,11 +1,10 @@
 //! A session ends exactly once, and its slot goes to the queued one.
 //!
-//! Dropping a handle cancels its session lazily: a runner notices the
-//! closed report channel when it next delivers a report, ends the session
-//! as canceled and activates the next queued one. With one active slot
-//! and one queue place, C2 runs, its client reads one report and hangs
-//! up, and SBI, queued behind it, must then run to its final report with a
-//! stream bit-identical to a solo run. With obs on, the service counts one
+//! Dropping a handle cancels its session: the service ends it as canceled
+//! (a held one at its runner's charge) and activates the next queued one.
+//! With one active slot and one queue place, C2 runs, its client reads one
+//! report and hangs up, and SBI, queued behind it, must then run to its
+//! final report with a stream bit-identical to a solo run. With obs on, the service counts one
 //! cancel and one completion.
 //!
 //! A `QueryService::cancel` from another thread while the session's
