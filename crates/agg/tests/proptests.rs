@@ -503,8 +503,10 @@ mod run_fold_equivalence {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(cases()))]
         /// Two runs in a row (the second lands on non-empty states), with
-        /// and without the main state: `fold_run`, and the per-tuple
-        /// `update_main` + `update_replica`, each against the oracle.
+        /// and without the main state: `fold_run`, the per-tuple
+        /// `update_main` + `update_replica`, and one `fold_run` over both
+        /// runs concatenated (where a run is cut cannot matter), each
+        /// against the oracle.
         #[test]
         fn run_fold_matches_row_major(seed in any::<u64>(), include_main in any::<bool>()) {
             let mut rng = SplitMix64::new(seed);
@@ -512,8 +514,13 @@ mod run_fold_equivalence {
             let ks = kinds();
             let mut kernel = ReplicatedStates::new(&ks, spec.trials);
             let mut per_tuple = ReplicatedStates::new(&ks, spec.trials);
+            let mut whole = ReplicatedStates::new(&ks, spec.trials);
             let mut oracle = Reference::new(&ks, spec.trials);
             let mut scratch = FoldScratch::default();
+            let mut both = Run {
+                lanes: vec![Vec::new(); ks.len()],
+                weights: Vec::new(),
+            };
             for _ in 0..2 {
                 let run = run(&mut rng, &spec, ks.len());
                 fold_run(&mut kernel, &run, include_main, &mut scratch);
@@ -527,9 +534,15 @@ mod run_fold_equivalence {
                     }
                 }
                 oracle.fold(&run, include_main);
+                for (all, lane) in both.lanes.iter_mut().zip(&run.lanes) {
+                    all.extend_from_slice(lane);
+                }
+                both.weights.extend(run.weights);
             }
+            fold_run(&mut whole, &both, include_main, &mut scratch);
             assert_states_match(&kernel, &oracle, "fold_run")?;
             assert_states_match(&per_tuple, &oracle, "update_main/update_replica")?;
+            assert_states_match(&whole, &oracle, "fold_run over both runs")?;
         }
 
         /// Partitions folded apart, then combined the way a semi-join block

@@ -21,6 +21,7 @@
 use std::collections::BTreeSet;
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
+use std::task::{Poll, Waker};
 
 use gola_common::rng::SplitMix64;
 use gola_conformance::gen::{Filter, GroupBy};
@@ -28,8 +29,11 @@ use gola_conformance::{
     assert_reports_identical, calibrate, check_contract, default_classes, default_contract_classes,
     run_case, CalibConfig, ContractConfig, Fault, OracleConfig, QueryGen, SchemaClass,
 };
-use gola_core::sched::{Admitted, PolicyConfig, QueryTask, Scheduler};
-use gola_core::{BatchReport, ContractStop, OnlineConfig, OnlineSession, WeightStore, WorkerPool};
+use gola_core::sched::{Admitted, PolicyConfig, Quantum, SchedTask, Scheduler, Urgency};
+use gola_core::{
+    BatchReport, ContractStop, OnlineConfig, OnlineExecution, OnlineSession, WeightStore,
+    WorkerPool,
+};
 use gola_storage::{Catalog, ColumnChunk, Table};
 use gola_workloads::ConvivaGenerator;
 
@@ -354,6 +358,27 @@ fn stratified_batches_reach_the_error_target_sooner() {
     );
 }
 
+/// A generated query under the scheduler: one quantum is one report round.
+/// Generated queries carry no contract and read a table that does not
+/// grow, so a quantum is never urgent and never parks.
+struct Session(OnlineExecution);
+
+impl SchedTask for Session {
+    type Output = gola_common::Result<BatchReport>;
+
+    fn run_quantum(&mut self, waker: &Waker) -> Quantum<Self::Output> {
+        let Poll::Ready(output) = self.0.poll_next(waker) else {
+            panic!("a query over a table that does not grow parked");
+        };
+        Quantum {
+            finished: !matches!(output, Some(Ok(_))) || self.0.is_complete(),
+            output,
+            parked: false,
+            urgency: Urgency::Normal,
+        }
+    }
+}
+
 /// Generated queries interleaved through one fair scheduler on a shared
 /// pool — mixed weights, two active slots and a two-deep queue, so that
 /// admission queues and stalls — must stream bit-identically to their solo
@@ -384,9 +409,9 @@ fn interleaved_service_streams_match_solo_runs() {
             max_active: 2,
             queue_capacity: 2,
         };
-        let mut sched: Scheduler<QueryTask> = Scheduler::new(policy);
+        let mut sched: Scheduler<Session> = Scheduler::new(policy);
         let mut streams: Vec<Vec<BatchReport>> = vec![Vec::new(); CASES];
-        let mut round = |sched: &mut Scheduler<QueryTask>| {
+        let mut round = |sched: &mut Scheduler<Session>| {
             if let Some(r) = sched.round() {
                 if let Some(report) = r.output {
                     streams[r.id.0 as usize].push(report.expect("interleaved batch succeeds"));
@@ -405,7 +430,7 @@ fn interleaved_service_streams_match_solo_runs() {
                 round(&mut sched);
             }
             let admitted = sched
-                .submit(QueryTask::new(exec), (i % 4 + 1) as u64)
+                .submit(Session(exec), (i % 4 + 1) as u64)
                 .unwrap_or_else(|e| panic!("{sql} admits: {e}"));
             queued += usize::from(matches!(admitted, Admitted::Queued(_)));
         }

@@ -3,15 +3,15 @@
 //! (drop), or uncertain (cache and re-examine next batch; paper §3.2).
 //!
 //! Classification is per-tuple independent and reliance marking is an
-//! idempotent atomic store. Candidates classify in fixed-size chunks, one
-//! [`ChunkClass`] each, on the thread running the block's ingest: with the
-//! next batch's gather and weights on the pool, splitting a block's chunks
-//! across threads no longer paid (DESIGN.md §3.5.8).
+//! idempotent atomic store. A block's candidates classify in one pass, on
+//! the thread running the block's ingest: with the next batch's gather and
+//! weights on the pool, splitting a block's candidates across threads no
+//! longer paid (DESIGN.md §3.5.8).
 
 use std::collections::hash_map::Entry;
 use std::ops::Range;
 
-use gola_common::{row_u32, FxHashMap, Result, Value};
+use gola_common::{FxHashMap, Result, Value};
 use gola_expr::eval::{eval, eval_range, eval_tri};
 use gola_expr::{BinOp, Expr, RangeVal, RowContext, Tri};
 
@@ -19,55 +19,36 @@ use crate::compiled::FastScalarCmp;
 use crate::join::Candidates;
 use crate::runtime::{BlockEnv, CtxMode, PubView, Published, PublishedScalar, TupleReader};
 
-/// Candidate-chunk size of the classify → fold pipeline, and of the
-/// on-demand weight fill's pool items. Chunk boundaries depend only on
-/// candidate order — never on the thread count — so chunk-order merging
-/// yields bit-identical runtimes (and therefore bit-identical reports) for
-/// `threads = 1` and `threads = N`.
-pub(crate) const CHUNK: usize = 1024;
-
-/// Classification of one candidate chunk, as chunk-relative indices: the
+/// The stage's output, as candidate indices in candidate order: the
 /// deterministic-true tuples (the fold stage reads their inputs straight
 /// off the candidate columns) and the ones that stay uncertain.
 #[derive(Debug, Default, PartialEq)]
-pub(crate) struct ChunkClass {
-    pub folds: Vec<u32>,
-    pub uncertain_idx: Vec<u32>,
+pub(crate) struct Classes {
+    pub folds: Vec<usize>,
+    pub uncertain: Vec<usize>,
 }
 
-/// Run the stage: one [`ChunkClass`] per `CHUNK` candidates, in order.
-pub(crate) fn classify(env: &BlockEnv<'_>, cand: &Candidates) -> Result<Vec<ChunkClass>> {
-    let n = cand.chunk.len();
-    (0..n)
-        .step_by(CHUNK)
-        .map(|s| classify_chunk(env, cand, s, CHUNK.min(n - s)))
-        .collect()
-}
-
-fn classify_chunk(
-    env: &BlockEnv<'_>,
-    cand: &Candidates,
-    start: usize,
-    len: usize,
-) -> Result<ChunkClass> {
+/// Run the stage over every candidate of `cand`.
+pub(crate) fn classify(env: &BlockEnv<'_>, cand: &Candidates) -> Result<Classes> {
     let cb = env.cb;
-    let mut out = ChunkClass::default();
+    let n = cand.chunk.len();
+    let mut out = Classes::default();
     // Semi-join aggregation folds every candidate into partial aggregates
     // keyed by its membership key — no classification, no caching, no
     // reliance on the producer; the answer re-selects member partitions
     // each batch, so membership flips cost nothing. Likewise a block with
     // no uncertain predicates folds everything.
     if cb.semi_join.is_some() || cb.lin_filters.is_empty() {
-        out.folds = (0..row_u32(len)).collect();
+        out.folds = (0..n).collect();
         return Ok(out);
     }
     let mut reader = TupleReader::new(&cand.chunk, env.pubs);
     if let Some(fsc) = &cb.fast_scalar_cmp {
-        classify_scalar_cmp(env, fsc, cand, &mut reader, start, len, &mut out)?;
+        classify_scalar_cmp(env, fsc, cand, &mut reader, &mut out)?;
         return Ok(out);
     }
-    for r in 0..len {
-        let ctx = reader.ctx(start + r, CtxMode::Classify);
+    for i in 0..n {
+        let ctx = reader.ctx(i, CtxMode::Classify);
         let mut tri = Tri::True;
         for f in &cb.lin_filters {
             tri = tri.and(eval_tri(f, &ctx)?);
@@ -76,12 +57,12 @@ fn classify_chunk(
             }
         }
         if tri == Tri::Maybe {
-            out.uncertain_idx.push(row_u32(r));
+            out.uncertain.push(i);
             continue;
         }
         mark_reliance(&cb.lin_filters, ctx.row, env.pubs)?;
         if tri == Tri::True {
-            out.folds.push(row_u32(r));
+            out.folds.push(i);
         }
     }
     Ok(out)
@@ -95,15 +76,13 @@ type RhsAtKey = (RangeVal, Range<usize>);
 /// variation range (and the producers' published entries) per correlation
 /// key id, so each tuple classifies with two float comparisons per
 /// conjunct instead of a generic interval evaluation. A key is read only
-/// the first time the chunk meets its id.
+/// the first time the batch meets its id.
 fn classify_scalar_cmp(
     env: &BlockEnv<'_>,
     fscs: &[FastScalarCmp],
     cand: &Candidates,
     reader: &mut TupleReader<'_>,
-    start: usize,
-    len: usize,
-    out: &mut ChunkClass,
+    out: &mut Classes,
 ) -> Result<()> {
     let mut by_id: Vec<FxHashMap<u32, RhsAtKey>> = vec![FxHashMap::default(); fscs.len()];
     // Every published entry some cached RHS was read from (one arena, so a
@@ -111,8 +90,7 @@ fn classify_scalar_cmp(
     let mut entries: Vec<&PublishedScalar> = Vec::new();
     let mut relied: Vec<&PublishedScalar> = Vec::new();
     let mut skey: Vec<Value> = Vec::new();
-    for r in 0..len {
-        let i = start + r;
+    for i in 0..cand.chunk.len() {
         let mut tri = Tri::True;
         relied.clear();
         for (k, fsc) in fscs.iter().enumerate() {
@@ -128,7 +106,7 @@ fn classify_scalar_cmp(
             relied.extend_from_slice(&entries[read.clone()]);
         }
         if tri == Tri::Maybe {
-            out.uncertain_idx.push(row_u32(r));
+            out.uncertain.push(i);
             continue;
         }
         // The decision relies on every conjunct's envelopes at this
@@ -137,7 +115,7 @@ fn classify_scalar_cmp(
             ps.mark_used();
         }
         if tri == Tri::True {
-            out.folds.push(row_u32(r));
+            out.folds.push(i);
         }
     }
     Ok(())

@@ -29,10 +29,10 @@ pub struct OnlineConfig {
     /// Confidence level for reported intervals.
     pub ci_level: f64,
     /// Threads of the session's own worker pool (1 = sequential). With
-    /// more than one, a step's blocks, classify chunks and on-demand weight
-    /// fill run on the pool, and when some streaming block folds every row
-    /// the next batch is gathered and weighed on it while the step runs.
-    /// Never reaches a report bit.
+    /// more than one, a wave's blocks and the on-demand weight fill run on
+    /// the pool, and when some streaming block folds every row the next
+    /// batch is gathered and weighed on it while the step runs. Never
+    /// reaches a report bit.
     pub threads: usize,
     /// Accuracy/deadline contract applied when the query itself carries
     /// none (a SQL-level `ERROR`/`WITHIN` clause wins over this).

@@ -1,26 +1,25 @@
-//! Stage **fold**: add each chunk's deterministic-true tuples to the
-//! block's replicated aggregate states, then rebuild the uncertain set
-//! from the tuples classification left open.
+//! Stage **fold**: add the block's deterministic-true tuples to its
+//! replicated aggregate states, then rebuild the uncertain set from the
+//! tuples classification left open.
 //!
 //! The states live in the block's fold-state table, one slot per group id
 //! the join stage labelled (`BlockRuntime::slots`): a fold indexes it and
 //! hashes no key. A semi-join block's group id names its whole slot key,
 //! membership key then GROUP BY key, so both strategies fold the same way.
 //!
-//! One path at every thread count: chunks fold in order straight into the
-//! block runtime. Folding each chunk into a private shard on the pool and
-//! merging the shards in chunk order was measured and lost (DESIGN.md
-//! §3.5.8): it costs a state allocation and a 101-replica merge per
-//! (chunk, group), and the wave already keeps both cores busy
-//! (`ingest_wave` runs a wave's blocks on the pool, so C2's two inner
-//! blocks fold concurrently). Weights are filled before fold reads them:
-//! ahead of the step on the pool (`join::Prefetch`) when a block folds
-//! every row, chunk-parallel on demand otherwise.
+//! One path at every thread count: a block's folds go in one pass straight
+//! into the block runtime. Folding on the pool into private shards and
+//! merging them was measured and lost (DESIGN.md §3.5.8): it costs a state
+//! allocation and a 101-replica merge per (shard, group), and the wave
+//! already keeps both cores busy (`ingest_wave` runs a wave's blocks on the
+//! pool, so C2's two inner blocks fold concurrently). Weights are filled
+//! before fold reads them: ahead of the step on the pool
+//! (`join::Prefetch`) when a block folds every row, on demand otherwise.
 
 use gola_agg::{FoldScratch, ReplicatedStates};
 use gola_common::{Result, Value};
 
-use crate::classify::{ChunkClass, CHUNK};
+use crate::classify::Classes;
 use crate::join::{BatchWeights, Candidates};
 use crate::metrics;
 use crate::runtime::{gather_rows, BlockEnv, BlockRuntime, CtxMode, TupleReader, UncertainSet};
@@ -29,83 +28,37 @@ use crate::runtime::{gather_rows, BlockEnv, BlockRuntime, CtxMode, TupleReader, 
 /// block: every new candidate classification folds or leaves uncertain.
 pub(crate) fn weights_needed<'a>(
     cand: &'a Candidates,
-    classes: &'a [ChunkClass],
+    classes: &'a Classes,
 ) -> impl Iterator<Item = u32> + 'a {
-    classes.iter().enumerate().flat_map(move |(ci, class)| {
-        let kept = class.folds.iter().chain(&class.uncertain_idx);
-        kept.filter_map(move |&r| cand.batch_row(ci * CHUNK + r as usize))
-    })
+    let kept = classes.folds.iter().chain(&classes.uncertain);
+    kept.filter_map(|&i| cand.batch_row(i))
 }
 
 /// Run the stage. Mutates `rt` only: `slots` gain the folds, `uncertain`
 /// is replaced by the still-uncertain candidates.
+///
+/// The folds go in one *run* per group: the tuples are bucketed by group id
+/// first, so every (group, aggregate lane) takes its tuples' values and
+/// weight rows in a single [`ReplicatedStates::fold_run`] instead of one
+/// exact update per (tuple, replica), and each group's slot is indexed
+/// once. A run keeps candidate order, which is all the order-sensitive
+/// states (MIN/MAX ties, QUANTILE, UDAF) can see: each state only ever
+/// meets its own group's tuples.
 pub(crate) fn fold(
     env: &BlockEnv<'_>,
     cand: &Candidates,
-    classes: &[ChunkClass],
+    classes: &Classes,
     weights: &BatchWeights,
     rt: &mut BlockRuntime,
-) -> Result<()> {
-    rt.slots.resize_with(rt.labels.groups.len(), || None);
-    let mut scratch = FoldScratch::default();
-    for (ci, class) in classes.iter().enumerate() {
-        fold_chunk(env, cand, weights, ci, class, rt, &mut scratch)?;
-    }
-
-    // The still-uncertain tuples, in candidate order (chunk order ×
-    // chunk-relative index order). Carried tuples keep their cached
-    // bootstrap weights; tuples entering the set copy their row of the
-    // step's matrix. Every candidate carries its key ids from the join
-    // stage's label, so publish never recomputes a weight or hashes a key.
-    let keep: Vec<usize> = classes
-        .iter()
-        .enumerate()
-        .flat_map(|(ci, class)| {
-            class
-                .uncertain_idx
-                .iter()
-                .map(move |&r| ci * CHUNK + r as usize)
-        })
-        .collect();
-    let trials = env.config.bootstrap.trials as usize;
-    let mut kept_weights: Vec<u8> = Vec::with_capacity(keep.len() * trials);
-    for &i in &keep {
-        kept_weights.extend_from_slice(cand.weights_of(weights, i));
-    }
-    rt.uncertain = UncertainSet {
-        tuple_ids: keep.iter().map(|&i| cand.ids[i]).collect(),
-        weights: kept_weights,
-        key_ids: gather_rows(&cand.key_ids, env.cb.cmp_conjuncts(), &keep),
-        group_ids: gather_rows(&cand.group_ids, 1, &keep),
-        chunk: cand.chunk.gather(&keep),
-    };
-    Ok(())
-}
-
-/// Fold chunk `ci`'s deterministic-true tuples into `rt`, one *run* per
-/// group the chunk touches: the tuples are bucketed by group id first, so
-/// every (group, aggregate lane) takes its tuples' values and weight rows
-/// in a single [`ReplicatedStates::fold_run`] instead of one exact update
-/// per (tuple, replica), and each group's slot is indexed once. A run
-/// keeps candidate order, which is all the order-sensitive states
-/// (MIN/MAX ties, QUANTILE, UDAF) can see: each state only ever meets its
-/// own group's tuples.
-fn fold_chunk(
-    env: &BlockEnv<'_>,
-    cand: &Candidates,
-    weights: &BatchWeights,
-    ci: usize,
-    class: &ChunkClass,
-    rt: &mut BlockRuntime,
-    scratch: &mut FoldScratch,
 ) -> Result<()> {
     let cb = env.cb;
+    rt.slots.resize_with(rt.labels.groups.len(), || None);
     let mut reader = TupleReader::new(&cand.chunk, env.pubs);
+    let mut scratch = FoldScratch::default();
     // (group id, candidate) per folded tuple; stable, so a run keeps
     // candidate order.
-    let mut members: Vec<(u32, usize)> = (class.folds.iter())
-        .map(|&r| ci * CHUNK + r as usize)
-        .map(|i| (cand.group_ids[i], i))
+    let mut members: Vec<(u32, usize)> = (classes.folds.iter())
+        .map(|&i| (cand.group_ids[i], i))
         .collect();
     members.sort_by_key(|&(group, _)| group);
     // A semi-join block's group key starts with its membership key.
@@ -134,12 +87,30 @@ fn fold_chunk(
             }
         }
         for (j, values) in lanes.iter().enumerate() {
-            states.fold_run(j, values, &rows, true, scratch);
+            states.fold_run(j, values, &rows, true, &mut scratch);
         }
         runs += lanes.len();
         run_tuples += lanes.len() * run.len();
     }
     count_runs(runs, run_tuples);
+
+    // The still-uncertain tuples, in candidate order. Carried tuples keep
+    // their cached bootstrap weights; tuples entering the set copy their
+    // row of the step's matrix. Every candidate carries its key ids from
+    // the join stage's label, so publish never recomputes a weight or
+    // hashes a key.
+    let keep = &classes.uncertain;
+    let mut kept_weights: Vec<u8> = Vec::with_capacity(keep.len() * trials as usize);
+    for &i in keep {
+        kept_weights.extend_from_slice(cand.weights_of(weights, i));
+    }
+    rt.uncertain = UncertainSet {
+        tuple_ids: keep.iter().map(|&i| cand.ids[i]).collect(),
+        weights: kept_weights,
+        key_ids: gather_rows(&cand.key_ids, cb.cmp_conjuncts(), keep),
+        group_ids: gather_rows(&cand.group_ids, 1, keep),
+        chunk: cand.chunk.gather(keep),
+    };
     Ok(())
 }
 

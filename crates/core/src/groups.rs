@@ -13,8 +13,8 @@ use gola_expr::lanes::{eval_lanes, numeric_view};
 use gola_expr::vector::{num_total_key, op_holds};
 use gola_expr::{BinOp, Expr, RangeVal, Tri};
 
-use crate::classify::CHUNK;
 use crate::compiled::FastScalarCmp;
+use crate::join::CHUNK;
 use crate::metrics;
 use crate::runtime::{
     sorted_into_entries, BlockEnv, BlockRuntime, CtxMode, GroupCtx, PubView, TupleReader,

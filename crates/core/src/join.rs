@@ -20,7 +20,6 @@ use gola_expr::Expr;
 use gola_plan::Block;
 use gola_storage::{Catalog, ColumnChunk, MiniBatch, Partitioner};
 
-use crate::classify::CHUNK;
 use crate::metrics;
 use crate::pool::{Task, WorkerPool};
 use crate::runtime::{BlockEnv, CtxMode, Labels, TupleReader, UncertainSet};
@@ -102,6 +101,12 @@ impl Candidates {
 /// through [`BootstrapSpec::weight`], so the bias and the cap at 16 stay
 /// exact.
 const ESCAPE: u8 = 15;
+
+/// Tuple ids per [`WeightStore`] block, and tuples per pool item of the
+/// weight fill ([`BatchWeights::extend`], [`Prefetch`]). Neither boundary
+/// depends on the thread count, and neither can reach a report bit: a
+/// weight is a pure function of its tuple id.
+pub(crate) const CHUNK: usize = 1024;
 
 /// Ids per kernel call while a block is generated, so the unpacked cells
 /// a generation holds stay small beside the packed block.

@@ -18,10 +18,10 @@
 //! * [`WorkerPool::map`] submits one cell per item, then the calling thread
 //!   runs every cell no worker has started and waits for the rest. With
 //!   `threads = 1` there are no workers at all and `map` is a plain loop —
-//!   the determinism baseline. A *nested* `map` (a wave's block job reaching
-//!   a chunk-parallel stage) cannot deadlock: a thread only ever waits for
-//!   a cell another thread is running, and that job only waits for cells
-//!   it submitted itself.
+//!   the determinism baseline. A *nested* `map` (an item that maps on the
+//!   pool itself) cannot deadlock: a thread only ever waits for a cell
+//!   another thread is running, and that job only waits for cells it
+//!   submitted itself.
 //!
 //! Panics are caught in the cell and re-raised on the thread that takes the
 //! result: `map` re-raises the first panic by item index once every item
@@ -317,12 +317,6 @@ impl WorkerPool {
             .map(|r| r.unwrap_or_else(|payload| resume_unwind(payload)))
             .collect()
     }
-
-    /// Execute every closure in `jobs` across the pool; the first panic by
-    /// job order re-raises once all have finished.
-    pub fn run<'a>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'a>>) {
-        self.map(jobs, |job| job());
-    }
 }
 
 impl Drop for WorkerPool {
@@ -366,7 +360,7 @@ mod tests {
     fn runs_all_jobs_single_threaded() {
         let pool = WorkerPool::new(1);
         let counter = AtomicUsize::new(0);
-        pool.run(jobs_touching(&counter, 17));
+        pool.map(jobs_touching(&counter, 17), |job| job());
         assert_eq!(counter.load(Ordering::Relaxed), 17);
         let squares: Vec<u64> = (0..17).map(|i| i * i).collect();
         assert_eq!(pool.map(0..17u64, |i| i * i), squares);
@@ -378,7 +372,7 @@ mod tests {
         assert_eq!(pool.threads(), 4);
         let counter = AtomicUsize::new(0);
         for _ in 0..50 {
-            pool.run(jobs_touching(&counter, 23));
+            pool.map(jobs_touching(&counter, 23), |job| job());
         }
         assert_eq!(counter.load(Ordering::Relaxed), 50 * 23);
     }
@@ -397,7 +391,7 @@ mod tests {
                 }) as Box<dyn FnOnce() + Send + '_>
             })
             .collect();
-        pool.run(jobs);
+        pool.map(jobs, |job| job());
         let by_run: Vec<u64> = sums.iter().map(|s| *s.lock().unwrap()).collect();
         assert_eq!(by_run.iter().sum::<u64>(), 999 * 1000 / 2);
         // `map` returns results in item order whichever thread produced
@@ -423,11 +417,11 @@ mod tests {
                             }) as Box<dyn FnOnce() + Send + '_>
                         })
                         .collect();
-                    pool.run(inner);
+                    pool.map(inner, |job| job());
                 }) as Box<dyn FnOnce() + Send + '_>
             })
             .collect();
-        pool.run(outer);
+        pool.map(outer, |job| job());
         assert_eq!(counter.load(Ordering::Relaxed), 16);
     }
 
@@ -443,7 +437,7 @@ mod tests {
         };
         let via_run = || {
             let jobs = (0..8).map(|i| Box::new(move || job(i)) as Box<dyn FnOnce() + Send + '_>);
-            pool.run(jobs.collect())
+            drop(pool.map(jobs, |job| job()))
         };
         let via_map = || drop(pool.map(0..8, job));
         for (ran, drive) in [(7, &via_run as &dyn Fn()), (14, &via_map)] {
@@ -461,9 +455,9 @@ mod tests {
         let bad: Vec<Box<dyn FnOnce() + Send + '_>> = (0..2)
             .map(|_| Box::new(|| panic!("boom")) as Box<dyn FnOnce() + Send + '_>)
             .collect();
-        assert!(catch_unwind(AssertUnwindSafe(|| pool.run(bad))).is_err());
+        assert!(catch_unwind(AssertUnwindSafe(|| pool.map(bad, |job| job()))).is_err());
         let counter = AtomicUsize::new(0);
-        pool.run(jobs_touching(&counter, 5));
+        pool.map(jobs_touching(&counter, 5), |job| job());
         assert_eq!(counter.load(Ordering::Relaxed), 5);
     }
 

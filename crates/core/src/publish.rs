@@ -15,7 +15,7 @@ use gola_expr::{BinOp, Expr, RangeVal, Tri};
 use gola_plan::BlockRole;
 use gola_storage::{Catalog, Table};
 
-use crate::groups::{effective_states, having_pass, EffGroup, GroupEval};
+use crate::groups::{effective_states, having_pass, GroupEval};
 use crate::join;
 use crate::runtime::{
     BlockEnv, BlockRuntime, CtxMode, GroupCtx, PubView, Published, PublishedMember, PublishedScalar,
@@ -41,17 +41,6 @@ struct PubCtx<'a> {
     /// against a numeric constant — `(aggregate, op, constant)` each.
     numeric_having: Option<Vec<(usize, BinOp, f64)>>,
 }
-
-/// One group's publication result (scalar or membership block).
-enum PubEntry {
-    Scalar(PublishedScalar),
-    Member(PublishedMember),
-}
-
-/// Publication output of the groups: `(key, entry, violated)` each.
-/// Keys are interned `Arc` slices so live groups reuse the previous batch's
-/// allocation instead of cloning a `Vec<Value>` every batch.
-type PubEntries = Vec<(Arc<[Value]>, PubEntry, bool)>;
 
 /// The keys of one publication whose relied-upon commitment broke: used
 /// scalars that left their envelope or vanished, relied-on members that
@@ -88,17 +77,26 @@ pub(crate) fn publish(
         ..Default::default()
     };
     let mut violated = Violated::default();
-    for (key, entry, v) in publish_groups(env, &p, &eff)? {
+    let scalar = cb.block.role == BlockRole::Scalar;
+    for group in &eff {
+        let key: &[Value] = &group.key;
+        let g = GroupEval::new(env, key, &group.states, p.m);
+        // Keys are interned `Arc` slices: a live group reuses the previous
+        // batch's allocation instead of cloning a `Vec<Value>` every batch.
+        let intern = |prev: Option<&Arc<[Value]>>| prev.map_or_else(|| Arc::from(key), Arc::clone);
+        let (interned, v) = if scalar {
+            let (s, v) = scalar_entry(env, &p, &g)?;
+            let k = intern(p.old.scalars.get_key_value(key).map(|(k, _)| k));
+            out.scalars.insert(Arc::clone(&k), s);
+            (k, v)
+        } else {
+            let (m, v) = member_entry(env, &p, &g)?;
+            let k = intern(p.old.members.get_key_value(key).map(|(k, _)| k));
+            out.members.insert(Arc::clone(&k), m);
+            (k, v)
+        };
         if v {
-            violated.insert(Arc::clone(&key));
-        }
-        match entry {
-            PubEntry::Scalar(s) => {
-                out.scalars.insert(key, s);
-            }
-            PubEntry::Member(m) => {
-                out.members.insert(key, m);
-            }
+            violated.insert(interned);
         }
     }
     // Groups that vanished (their only contributions were uncertain tuples
@@ -115,42 +113,6 @@ pub(crate) fn publish(
         .map(|(k, _)| k);
     violated.extend(vanished.cloned());
     Ok((out, violated))
-}
-
-/// Finalize every group.
-fn publish_groups(
-    env: &BlockEnv<'_>,
-    p: &PubCtx<'_>,
-    groups: &[EffGroup<'_>],
-) -> Result<PubEntries> {
-    let scalar = env.cb.block.role == BlockRole::Scalar;
-    groups
-        .iter()
-        .map(|group| {
-            let key: &[Value] = &group.key;
-            let g = GroupEval::new(env, key, &group.states, p.m);
-            let (entry, violated, prev) = if scalar {
-                let (s, v) = scalar_entry(env, p, &g)?;
-                (
-                    PubEntry::Scalar(s),
-                    v,
-                    p.old.scalars.get_key_value(key).map(|(k, _)| k),
-                )
-            } else {
-                let (m, v) = member_entry(env, p, &g)?;
-                (
-                    PubEntry::Member(m),
-                    v,
-                    p.old.members.get_key_value(key).map(|(k, _)| k),
-                )
-            };
-            Ok((
-                prev.map_or_else(|| Arc::from(key), Arc::clone),
-                entry,
-                violated,
-            ))
-        })
-        .collect()
 }
 
 /// A scalar block's first post-projection expression — its value.

@@ -21,11 +21,12 @@
 //!   fully deterministic.
 //! * [`sim`] — `SchedulerSim`: scripted arrivals driving a [`Scheduler`]
 //!   under a virtual round clock; the property tests run here.
-//! * [`task`] — `QueryTask`: a real `OnlineExecution` as a [`SchedTask`],
-//!   with contract-aware urgency.
+//! * [`task`] — contract-aware urgency: how a query's latest report sets
+//!   the priority of its next quantum.
 //! * [`service`] — `QueryService`: the threaded runtime (runners that
-//!   pick, run and charge sessions; each scheduled session owns its report
-//!   channel) that `gola-server` exposes.
+//!   pick, run and charge sessions; each scheduled session is a real
+//!   `OnlineExecution` as a [`SchedTask`] and owns its report channel)
+//!   that `gola-server` exposes.
 //!
 //! The sim's `Scheduler::round` is `pick` → `run_quantum` → `charge`, the
 //! very steps a service runner takes, so what the simulator proves about
@@ -45,7 +46,6 @@ use std::task::Waker;
 pub use policy::{AdmissionError, PolicyConfig, Urgency, MAX_WEIGHT, STRIDE_ONE, URGENT_BOOST};
 pub use service::{QueryHandle, QueryService, ServiceConfig, SubmitError, SESSION_SERIES_KEPT};
 pub use sim::{Arrival, SchedulerSim, ScriptedTask, SimEvent, SimOutcome};
-pub use task::QueryTask;
 
 /// Identifies one admitted session within a scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

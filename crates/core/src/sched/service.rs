@@ -47,7 +47,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, Weak};
-use std::task::{Wake, Waker};
+use std::task::{Poll, Wake, Waker};
 use std::thread::JoinHandle;
 
 use gola_common::sync::{lock, wait};
@@ -58,11 +58,11 @@ use crate::config::OnlineConfig;
 use crate::join::WeightStore;
 use crate::pool::WorkerPool;
 use crate::report::BatchReport;
-use crate::sched::task::QueryTask;
+use crate::sched::task::urgency_from;
 use crate::sched::{
-    AdmissionError, Charged, PolicyConfig, Quantum, SchedTask, Scheduler, SessionId,
+    AdmissionError, Charged, PolicyConfig, Quantum, SchedTask, Scheduler, SessionId, Urgency,
 };
-use crate::session::OnlineSession;
+use crate::session::{OnlineExecution, OnlineSession};
 
 /// Ended sessions whose `session="s<id>"` metric series stay exported, so
 /// a scrape after a query ends still sees its numbers (the server keeps as
@@ -124,12 +124,12 @@ impl fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// One admitted query as the scheduler holds it: the task and the channel
-/// its reports go out on, so a session leaves the scheduler and closes its
-/// client's stream in one step. A runner's quantum sends the report itself,
-/// outside the table's lock.
+/// One admitted query as the scheduler holds it: its execution and the
+/// channel its reports go out on, so a session leaves the scheduler and
+/// closes its client's stream in one step. A runner's quantum sends the
+/// report itself, outside the table's lock.
 struct ScheduledQuery {
-    task: QueryTask,
+    exec: OnlineExecution,
     reports: Sender<Result<BatchReport>>,
 }
 
@@ -138,13 +138,30 @@ impl SchedTask for ScheduledQuery {
     /// it drops its [`QueryHandle`]).
     type Output = ();
 
+    /// One `OnlineExecution::poll_next` report round — the engine's
+    /// preemption-safe unit: between rounds the execution holds only its
+    /// own accumulators, so interleaving sessions cannot perturb answers.
+    /// A query caught up with an open stream gives back a parked quantum.
     fn run_quantum(&mut self, waker: &Waker) -> Quantum<()> {
-        let quantum = self.task.run_quantum(waker);
+        let Poll::Ready(next) = self.exec.poll_next(waker) else {
+            return Quantum {
+                output: None,
+                finished: false,
+                parked: true,
+                urgency: Urgency::Normal,
+            };
+        };
+        let urgency = match &next {
+            Some(Ok(report)) => urgency_from(report),
+            _ => Urgency::Normal,
+        };
+        // An execution error ends the stream as its last item.
+        let finished = !matches!(next, Some(Ok(_))) || self.exec.is_complete();
         Quantum {
-            output: quantum.output.map(|r| drop(self.reports.send(r))),
-            finished: quantum.finished,
-            parked: quantum.parked,
-            urgency: quantum.urgency,
+            output: next.map(|r| drop(self.reports.send(r))),
+            finished,
+            parked: false,
+            urgency,
         }
     }
 }
@@ -425,7 +442,7 @@ impl QueryService {
 
         let (report_tx, report_rx) = std::sync::mpsc::channel();
         let query = ScheduledQuery {
-            task: QueryTask::new(exec),
+            exec,
             reports: report_tx,
         };
         let shared = &self.shared;

@@ -1,13 +1,10 @@
-//! A real online query as a schedulable task.
+//! Contract-aware urgency: how a query's latest report sets the priority
+//! of its next quantum.
 
-use std::task::{Poll, Waker};
-
-use gola_common::Result;
 use gola_plan::QueryContract;
 
 use crate::report::BatchReport;
-use crate::sched::{Quantum, SchedTask, Urgency};
-use crate::session::OnlineExecution;
+use crate::sched::Urgency;
 
 /// An `ERROR` contract turns urgent when its achieved relative error is
 /// within this factor of the target — the query is in its endgame, so
@@ -17,54 +14,6 @@ pub const URGENT_ERROR_FACTOR: f64 = 4.0;
 /// A `WITHIN <n> SECONDS` contract turns urgent past this fraction of its
 /// deadline budget.
 pub const URGENT_DEADLINE_FRACTION: f64 = 0.5;
-
-/// One online query under the scheduler. A quantum is exactly one
-/// `OnlineExecution::poll_next` report round — the engine's
-/// preemption-safe unit: between rounds the execution holds only its own
-/// accumulators, so interleaving sessions cannot perturb answers. A query
-/// caught up with an open stream gives back a parked quantum.
-pub struct QueryTask {
-    exec: OnlineExecution,
-}
-
-impl QueryTask {
-    pub fn new(exec: OnlineExecution) -> QueryTask {
-        QueryTask { exec }
-    }
-}
-
-impl SchedTask for QueryTask {
-    type Output = Result<BatchReport>;
-
-    fn run_quantum(&mut self, waker: &Waker) -> Quantum<Self::Output> {
-        let ended = Quantum {
-            output: None,
-            finished: true,
-            parked: false,
-            urgency: Urgency::Normal,
-        };
-        match self.exec.poll_next(waker) {
-            Poll::Pending => Quantum {
-                finished: false,
-                parked: true,
-                ..ended
-            },
-            Poll::Ready(None) => ended,
-            // An execution error ends the stream; surface it as the final
-            // output.
-            Poll::Ready(Some(Err(e))) => Quantum {
-                output: Some(Err(e)),
-                ..ended
-            },
-            Poll::Ready(Some(Ok(report))) => Quantum {
-                urgency: urgency_from(&report),
-                finished: self.exec.is_complete(),
-                output: Some(Ok(report)),
-                ..ended
-            },
-        }
-    }
-}
 
 /// Contract pressure from the latest report.
 ///

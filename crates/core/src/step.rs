@@ -32,7 +32,7 @@ use gola_obs::span::SpanGuard;
 use gola_plan::{BlockRole, MetaPlan};
 use gola_storage::{Catalog, MiniBatch, Partitioner};
 
-use crate::classify::ChunkClass;
+use crate::classify::Classes;
 use crate::compiled::CompiledBlock;
 use crate::config::OnlineConfig;
 use crate::join::{BatchWeights, Candidates, Prefetch, WeightStore};
@@ -506,13 +506,11 @@ impl OnlineExecutor {
 
     /// Ingest one batch into every block of a wavefront: join → classify →
     /// fold per block. The blocks are mutually independent, so each is one
-    /// pool item (block-level parallelism composes with the chunk-level
-    /// parallelism inside the stages: a nested `map` is safe).
-    /// Between classify and fold the wave meets once, to generate the
-    /// bootstrap weights its folds will read — each tuple's once per step,
-    /// whichever blocks and waves need it (`weights` carries them from wave
-    /// to wave); that time is fold time. Returns how many of the batch's
-    /// tuples became candidates, summed over the wave.
+    /// pool item. Between classify and fold the wave meets once, to
+    /// generate the bootstrap weights its folds will read — each tuple's
+    /// once per step, whichever blocks and waves need it (`weights` carries
+    /// them from wave to wave); that time is fold time. Returns how many of
+    /// the batch's tuples became candidates, summed over the wave.
     pub(crate) fn ingest_wave(
         &mut self,
         blocks: &[usize],
@@ -618,7 +616,7 @@ fn join_classify(
     batch: &MiniBatch,
     rt: &mut BlockRuntime,
     timing: &mut BatchTiming,
-) -> Result<(Candidates, Vec<ChunkClass>)> {
+) -> Result<(Candidates, Classes)> {
     let cand = stage(Stage::Join, timing, |_, _| {
         let carried = std::mem::take(&mut rt.uncertain);
         let cand = join::join(env, batch, carried, &mut rt.labels)?;
@@ -968,7 +966,7 @@ mod tests {
                 let cand = join::join(&env, &batch, Default::default(), labels).unwrap();
                 let classes = classify::classify(&env, &cand).unwrap();
                 assert_eq!(classes, classify::classify(&plain, &cand).unwrap());
-                uncertain_seen += classes.iter().map(|c| c.uncertain_idx.len()).sum::<usize>();
+                uncertain_seen += classes.uncertain.len();
                 if env.cb.block.role == BlockRole::Root {
                     continue;
                 }

@@ -115,7 +115,7 @@ fn perturbed_pool_keeps_panic_order() {
         let pool = WorkerPool::with_perturbation(4, seed);
         let via_run = || {
             let jobs = (0..16).map(|i| Box::new(move || job(i)) as Box<dyn FnOnce() + Send + '_>);
-            pool.run(jobs.collect())
+            drop(pool.map(jobs, |job| job()))
         };
         let via_map = || drop(pool.map(0..16, job));
         for (name, drive) in [("run", &via_run as &dyn Fn()), ("map", &via_map)] {
