@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use gola_common::{DataType, Error, Result, Value};
+use gola_common::{DataType, Error, ExactSum, Result, Value};
 
 /// Factory for a user-defined aggregate.
 pub trait Udaf: Send + Sync {
@@ -102,9 +102,11 @@ impl UdafRegistry {
 /// Example UDAF: weighted geometric mean (scale-free).
 pub struct GeometricMean;
 
+/// The weighted log-sum is exact, so the answer does not depend on the
+/// order the values came in.
 #[derive(Clone, Default)]
 struct GeoMeanState {
-    log_sum: f64,
+    log_sum: ExactSum,
     weight: f64,
 }
 
@@ -132,7 +134,7 @@ impl UdafState for GeoMeanState {
     fn update(&mut self, value: &Value, weight: f64) {
         if let Some(x) = value.as_f64() {
             if x > 0.0 && weight > 0.0 {
-                self.log_sum += x.ln() * weight;
+                self.log_sum.add_product(x.ln(), weight);
                 self.weight += weight;
             }
         }
@@ -142,7 +144,7 @@ impl UdafState for GeoMeanState {
         if self.weight == 0.0 {
             Value::Null
         } else {
-            Value::Float((self.log_sum / self.weight).exp())
+            Value::Float((self.log_sum.value() / self.weight).exp())
         }
     }
 

@@ -232,13 +232,12 @@ fn bench_uncertain_reeval(c: &mut Criterion) {
         let mut run = session.execute_online(sql).unwrap();
         // Stop at the first batch that leaves 2k tuples uncertain, or at
         // the end of the data.
-        let big =
-            |run: &gola_core::OnlineExecution| run.executor().reevaluate_root().unwrap().0 >= 2000;
+        let big = |run: &gola_core::OnlineExecution| run.reevaluate_root().unwrap().0 >= 2000;
         while !big(&run) && run.next().is_some() {}
-        let (tuples, _) = run.executor().reevaluate_root().unwrap();
+        let (tuples, _) = run.reevaluate_root().unwrap();
         g.throughput(Throughput::Elements(tuples as u64));
         g.bench_function(&format!("uncertain_reeval/{name}"), |b| {
-            b.iter(|| black_box(run.executor().reevaluate_root().unwrap()))
+            b.iter(|| black_box(run.reevaluate_root().unwrap()))
         });
     }
     g.finish();

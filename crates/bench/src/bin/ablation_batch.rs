@@ -10,12 +10,12 @@
 
 use gola_bench::*;
 use gola_core::OnlineConfig;
-use gola_workloads::conviva;
+use gola_workloads::{conviva, ConvivaGenerator};
 
 fn main() {
     let n = rows(200_000);
     println!("== batch-granularity ablation, SBI query, {n} rows ==\n");
-    let catalog = conviva_catalog(n);
+    let catalog = ConvivaGenerator::default().catalog(n);
     let (batch_time, _) = time_exact(&catalog, conviva::SBI);
     println!("batch engine: {}s\n", secs(batch_time));
 

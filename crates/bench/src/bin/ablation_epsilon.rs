@@ -12,14 +12,14 @@
 use gola_bench::*;
 use gola_bootstrap::EpsilonPolicy;
 use gola_core::OnlineConfig;
-use gola_workloads::{conviva, tpch};
+use gola_workloads::{conviva, tpch, ConvivaGenerator, TpchGenerator};
 
 fn main() {
     let n = rows(150_000);
     println!("== ε ablation: recompute probability vs uncertain-set size ({n} rows) ==\n");
     let suites = [
-        ("SBI", conviva::SBI, conviva_catalog(n)),
-        ("Q17", tpch::Q17, tpch_catalog(n)),
+        ("SBI", conviva::SBI, ConvivaGenerator::default().catalog(n)),
+        ("Q17", tpch::Q17, TpchGenerator::default().catalog(n)),
     ];
     let policies: [(&str, EpsilonPolicy); 6] = [
         ("0", EpsilonPolicy::Fixed(0.0)),

@@ -12,12 +12,12 @@
 
 use gola_bench::*;
 use gola_core::OnlineConfig;
-use gola_workloads::tpch;
+use gola_workloads::{tpch, TpchGenerator};
 
 fn main() {
     let n = rows(400_000);
     println!("== Figure 3(a): rel-stddev vs time, TPC-H Q17, {n} rows ==\n");
-    let catalog = tpch_catalog(n);
+    let catalog = TpchGenerator::default().catalog(n);
 
     let (batch_time, _) = time_exact(&catalog, tpch::Q17);
     println!(

@@ -4,18 +4,16 @@
 //!
 //! Paper's observed shape: the ratio grows roughly linearly with the batch
 //! index — CDM re-reads all previously-seen data every batch while G-OLA's
-//! per-batch cost stays near-constant (bounded by |ΔDᵢ| + |Uᵢ|). Both run
-//! on the online executor over one shared partitioner: G-OLA through
-//! `step`, CDM through `step_recomputing`, which rebuilds every block that
-//! reads an inner aggregate from all the data seen so far.
+//! per-batch cost stays near-constant (bounded by |ΔDᵢ| + |Uᵢ|). Both are
+//! executions of one prepared query, so they see the same batches: G-OLA
+//! through `next`, CDM through `step_recomputing`, which rebuilds every
+//! block that reads an inner aggregate from all the data seen so far.
 //!
 //! Run: `cargo run --release -p gola-bench --bin fig3b`
 
-use std::sync::Arc;
-
 use gola_bench::*;
-use gola_core::OnlineConfig;
-use gola_workloads::{conviva, tpch};
+use gola_core::{OnlineConfig, OnlineSession};
+use gola_workloads::{conviva, tpch, ConvivaGenerator, TpchGenerator};
 
 const BATCHES: usize = 10;
 
@@ -26,8 +24,8 @@ fn main() {
         "== Figure 3(b): CDM / G-OLA per-batch time ratio, first {BATCHES} batches ==\n\
          (conviva {conviva_rows} rows, tpch {tpch_rows} rows)\n"
     );
-    let conviva_cat = conviva_catalog(conviva_rows);
-    let tpch_cat = tpch_catalog(tpch_rows);
+    let conviva_cat = ConvivaGenerator::default().catalog(conviva_rows);
+    let tpch_cat = TpchGenerator::default().catalog(tpch_rows);
 
     let mut suites: Vec<(&str, &str, &gola_storage::Catalog)> = Vec::new();
     for (name, sql) in [
@@ -48,19 +46,17 @@ fn main() {
     );
     let mut ratios: Vec<(String, Vec<f64>)> = Vec::new();
     for (name, sql, catalog) in suites {
-        let (prepared, partitioner) = prepare(catalog, sql, &config);
+        let session = OnlineSession::new(catalog.clone(), config.clone());
+        let prepared = session.prepare(sql).expect("query must compile");
+        let execute = || session.execute_prepared(&prepared).expect("execution");
 
-        let mut gola = gola_executor(catalog, &prepared, Arc::clone(&partitioner), &config);
-        let mut gola_times = Vec::with_capacity(BATCHES);
-        while !gola.is_finished() {
-            gola_times.push(gola.step().expect("gola batch").batch_time);
-        }
+        let gola = execute().map(|report| report.expect("gola batch").batch_time);
+        let gola_times: Vec<_> = gola.collect();
 
-        let mut cdm = gola_executor(catalog, &prepared, partitioner, &config);
+        let mut cdm = execute();
         let mut cdm_times = Vec::with_capacity(BATCHES);
-        while !cdm.is_finished() {
-            let (report, _) = cdm.step_recomputing().expect("cdm batch");
-            cdm_times.push(report.batch_time);
+        while let Some(step) = cdm.step_recomputing() {
+            cdm_times.push(step.expect("cdm batch").0.batch_time);
         }
 
         let series: Vec<f64> = cdm_times

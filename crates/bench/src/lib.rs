@@ -6,13 +6,11 @@
 //! human-readable table and machine-readable CSV lines (prefixed `csv,`)
 //! so results can be scraped into plots.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use gola_common::timing::Stopwatch;
-use gola_core::{BatchReport, OnlineConfig, OnlineExecutor, OnlineSession, PreparedQuery};
-use gola_storage::{Catalog, Partitioner};
-use gola_workloads::{ConvivaGenerator, TpchGenerator};
+use gola_core::{BatchReport, OnlineConfig, OnlineSession};
+use gola_storage::Catalog;
 
 /// Global scale factor from `GOLA_SCALE` (default 1.0). Use e.g.
 /// `GOLA_SCALE=0.1` for a quick smoke run of every figure.
@@ -35,7 +33,8 @@ pub fn rows(base: usize) -> usize {
 pub fn threads_arg() -> usize {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flag = args.iter().enumerate().find_map(|(i, a)| match a.as_str() {
-        "--threads" => args.get(i + 1).cloned(),
+        // A trailing `--threads` has an empty value, which does not parse.
+        "--threads" => Some(args.get(i + 1).cloned().unwrap_or_default()),
         _ => a.strip_prefix("--threads=").map(str::to_string),
     });
     let (name, value) = match (flag, std::env::var("GOLA_THREADS")) {
@@ -57,60 +56,11 @@ pub fn with_bench_threads(config: OnlineConfig) -> OnlineConfig {
     config.with_threads(threads_arg())
 }
 
-/// Catalog with the Conviva-like sessions fact table.
-pub fn conviva_catalog(n: usize) -> Catalog {
-    let mut c = Catalog::new();
-    c.register(
-        "sessions",
-        Arc::new(ConvivaGenerator::default().generate(n)),
-    )
-    .expect("fresh catalog");
-    c
-}
-
-/// Catalog with the denormalized TPC-H-like fact table.
-pub fn tpch_catalog(n: usize) -> Catalog {
-    let mut c = Catalog::new();
-    c.register(
-        "lineitem_denorm",
-        Arc::new(TpchGenerator::default().generate(n)),
-    )
-    .expect("fresh catalog");
-    c
-}
-
 /// Run a query online to completion, returning every report.
 pub fn run_online(catalog: &Catalog, sql: &str, config: &OnlineConfig) -> Vec<BatchReport> {
     let session = OnlineSession::new(catalog.clone(), config.clone());
     let exec = session.execute_online(sql).expect("query must compile");
     exec.map(|r| r.expect("batch must succeed")).collect()
-}
-
-/// Build the pieces for driving executors manually (shared partitioner so
-/// different strategies see identical batches).
-pub fn prepare(
-    catalog: &Catalog,
-    sql: &str,
-    config: &OnlineConfig,
-) -> (PreparedQuery, Arc<Partitioner>) {
-    let session = OnlineSession::new(catalog.clone(), config.clone());
-    let prepared = session.prepare(sql).expect("query must compile");
-    let table = catalog.get(&prepared.stream_table).expect("stream table");
-    let k = config.num_batches.min(table.num_rows()).max(1);
-    let partitioner =
-        Arc::new(Partitioner::new(table, k, config.partition_seed).expect("partitioner"));
-    (prepared, partitioner)
-}
-
-/// Construct a G-OLA executor over a shared partitioner.
-pub fn gola_executor(
-    catalog: &Catalog,
-    prepared: &PreparedQuery,
-    partitioner: Arc<Partitioner>,
-    config: &OnlineConfig,
-) -> OnlineExecutor {
-    OnlineExecutor::new(catalog, prepared.meta.clone(), partitioner, config.clone())
-        .expect("executor")
 }
 
 /// Time the exact batch engine on a query.
@@ -170,22 +120,12 @@ mod tests {
 
     #[test]
     fn harness_round_trip_smoke() {
-        let catalog = conviva_catalog(2000);
+        let catalog = gola_workloads::ConvivaGenerator::default().catalog(2000);
         let config = OnlineConfig::for_tests(4);
         let reports = run_online(&catalog, "SELECT AVG(play_time) FROM sessions", &config);
         assert_eq!(reports.len(), 4);
         let (elapsed, table) = time_exact(&catalog, "SELECT AVG(play_time) FROM sessions");
         assert!(elapsed.as_nanos() > 0);
         assert_eq!(table.num_rows(), 1);
-    }
-
-    #[test]
-    fn prepare_and_manual_executor() {
-        let catalog = tpch_catalog(2000);
-        let config = OnlineConfig::for_tests(4);
-        let (prepared, partitioner) = prepare(&catalog, gola_workloads::tpch::Q17, &config);
-        let mut exec = gola_executor(&catalog, &prepared, partitioner, &config);
-        let r = exec.step().unwrap();
-        assert_eq!(r.batch_index, 0);
     }
 }

@@ -163,21 +163,14 @@ fn main() {
 fn serve(args: &[String]) {
     let workload = flag_str(args, "--workload").unwrap_or_else(|| "conviva".into());
     let rows = flag_value(args, "--rows").unwrap_or(100_000);
-    let mut catalog = Catalog::new();
-    match workload.as_str() {
-        "conviva" => catalog.register_or_replace(
-            "sessions",
-            Arc::new(ConvivaGenerator::default().generate(rows)),
-        ),
-        "tpch" => catalog.register_or_replace(
-            "lineitem_denorm",
-            Arc::new(TpchGenerator::default().generate(rows)),
-        ),
+    let mut catalog = match workload.as_str() {
+        "conviva" => ConvivaGenerator::default().catalog(rows),
+        "tpch" => TpchGenerator::default().catalog(rows),
         other => {
             eprintln!("gola serve: unknown workload '{other}' (conviva | tpch)");
             std::process::exit(2);
         }
-    }
+    };
     attach_streams(&mut catalog, args);
     if args.iter().any(|a| a == "--metrics") {
         gola_obs::set_enabled(true);
@@ -295,13 +288,10 @@ fn ingest(args: &[String]) {
 /// catalog. Failures are fatal up front — a missing manifest or a name
 /// collision would otherwise surface later as a confusing query error.
 fn attach_streams(catalog: &mut Catalog, args: &[String]) {
-    for (i, a) in args.iter().enumerate() {
-        let spec = if a == "--append" {
-            args.get(i + 1).cloned()
-        } else {
-            a.strip_prefix("--append=").map(str::to_string)
+    for i in 0..args.len() {
+        let Some(spec) = flag_at(args, i, "--append") else {
+            continue;
         };
-        let Some(spec) = spec else { continue };
         let Some((name, dir)) = spec.split_once('=') else {
             eprintln!("gola: --append expects NAME=DIR, got '{spec}'");
             std::process::exit(2);
@@ -344,15 +334,21 @@ fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
 
 /// Parse `--flag VALUE` or `--flag=VALUE` from the argument list.
 fn flag_str(args: &[String], flag: &str) -> Option<String> {
-    for (i, a) in args.iter().enumerate() {
-        if a == flag {
-            return args.get(i + 1).cloned();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
+    (0..args.len()).find_map(|i| flag_at(args, i, flag))
+}
+
+/// The value of `flag` if argument `i` is `--flag VALUE` or
+/// `--flag=VALUE`. A flag given last, with no value, is fatal (exit 2).
+fn flag_at(args: &[String], i: usize, flag: &str) -> Option<String> {
+    if args[i] == flag {
+        let Some(v) = args.get(i + 1) else {
+            eprintln!("gola: {flag} expects a value");
+            std::process::exit(2);
+        };
+        return Some(v.clone());
     }
-    None
+    let v = args[i].strip_prefix(flag)?.strip_prefix('=')?;
+    Some(v.to_string())
 }
 
 impl Console {
@@ -437,31 +433,29 @@ impl Console {
     }
 
     fn load(&mut self, kind: &str, rows: usize) {
-        match kind {
-            "conviva" => {
-                self.catalog.register_or_replace(
-                    "sessions",
-                    Arc::new(ConvivaGenerator::default().generate(rows)),
-                );
-                println!("  registered 'sessions' ({rows} rows). try:");
-                println!("    SELECT AVG(play_time) FROM sessions WHERE buffer_time >");
-                println!("      (SELECT AVG(buffer_time) FROM sessions);");
+        let (loaded, hint) = match kind {
+            "conviva" => (
+                ConvivaGenerator::default().catalog(rows),
+                "try:\n    SELECT AVG(play_time) FROM sessions WHERE buffer_time >\n      \
+                 (SELECT AVG(buffer_time) FROM sessions);",
+            ),
+            "tpch" => (
+                TpchGenerator::default().catalog(rows),
+                "see Q11/Q17/Q18/Q20",
+            ),
+            "mytube" => (MyTubeGenerator::default().catalog(rows), ""),
+            other => {
+                println!("unknown workload '{other}' (conviva | tpch | mytube)");
+                return;
             }
-            "tpch" => {
-                self.catalog.register_or_replace(
-                    "lineitem_denorm",
-                    Arc::new(TpchGenerator::default().generate(rows)),
-                );
-                println!("  registered 'lineitem_denorm' (~{rows} rows); see Q11/Q17/Q18/Q20");
-            }
-            "mytube" => {
-                let g = MyTubeGenerator::default();
-                self.catalog
-                    .register_or_replace("mytube_sessions", Arc::new(g.sessions(rows)));
-                self.catalog.register_or_replace("ads", Arc::new(g.ads()));
-                println!("  registered 'mytube_sessions' ({rows} rows) and 'ads'");
-            }
-            other => println!("unknown workload '{other}' (conviva | tpch | mytube)"),
+        };
+        for name in loaded.names() {
+            let table = loaded.get(&name).expect("listed table");
+            println!("  registered '{name}' ({} rows)", table.num_rows());
+            self.catalog.register_or_replace(name, table);
+        }
+        if !hint.is_empty() {
+            println!("  {hint}");
         }
     }
 

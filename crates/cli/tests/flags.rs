@@ -1,6 +1,6 @@
-//! A numeric flag whose value does not parse stops `gola` with exit status
-//! 2 before it loads data, binds a port or writes a file; it never runs on
-//! the flag's default.
+//! A numeric flag whose value does not parse, or any flag given last with
+//! no value, stops `gola` with exit status 2 before it loads data, binds a
+//! port or writes a file; it never runs on the flag's default.
 
 use std::process::{Command, ExitStatus, Stdio};
 use std::time::Duration;
@@ -33,7 +33,7 @@ fn gola(args: &[&str]) -> ExitStatus {
 
 #[test]
 fn malformed_numeric_flags_exit_2() {
-    let cases: [&[&str]; 7] = [
+    let cases: [&[&str]; 11] = [
         &["--error", "5%", "--deadline", "10"],
         &["--deadline", "ten"],
         &["--confidence=high", "--error", "5"],
@@ -41,6 +41,11 @@ fn malformed_numeric_flags_exit_2() {
         &["serve", "--rows", "1e6", "--addr", "127.0.0.1:0"],
         &["serve", "--addr", "localhost"],
         &["ingest", "--dir", "unused", "--seed", "-1"],
+        // A flag given last has no value: never its default, never off.
+        &["serve", "--addr", "127.0.0.1:0", "--rows"],
+        &["--metrics-out"],
+        &["--append"],
+        &["--threads"],
     ];
     for args in cases {
         assert_eq!(gola(args).code(), Some(2), "gola {args:?}");

@@ -1,8 +1,8 @@
 //! Honoring `ERROR`/`WITHIN` query contracts (BlinkDB-style, PAPERS.md
 //! §1203.5485) on top of the mini-batch executor.
 //!
-//! The [`ContractDriver`] sits between [`crate::OnlineExecution`] and the
-//! executor. For an **error-bounded** query it annotates every report with
+//! The [`ContractDriver`] is a field of the [`crate::OnlineExecution`]
+//! it sizes and stops, read between its steps. For an **error-bounded** query it annotates every report with
 //! the achieved relative error (worst CI half-width over |value| across
 //! all estimated cells, at the contract's confidence) and stops at the
 //! first batch where it meets the target — a decision computed purely from
@@ -25,8 +25,8 @@ use gola_plan::QueryContract;
 
 use crate::report::{BatchReport, ContractProgress, ContractStop};
 
-/// Per-run state for one contract. Created by the session when the query
-/// (or the config) carries a contract.
+/// Per-run state for one contract. Created with the execution when the
+/// query (or the config) carries a contract.
 #[derive(Debug)]
 pub(crate) struct ContractDriver {
     contract: QueryContract,
@@ -45,10 +45,6 @@ impl ContractDriver {
             ema_batch_secs: None,
             stopped: false,
         }
-    }
-
-    pub fn contract(&self) -> QueryContract {
-        self.contract
     }
 
     /// `true` once a stop decision has been made; the execution yields no

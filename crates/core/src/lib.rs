@@ -29,6 +29,17 @@
 //! failure-driven recomputation of the affected downstream blocks (paper
 //! §3.2's recovery mechanism, scheduled by the Query Controller of §4).
 //!
+//! # One session, one execution
+//!
+//! [`OnlineSession`] is the only way to start a query: `prepare` (or
+//! `prepare_graph`, for a graph bound with custom function and UDAF
+//! registries) picks the stream table, and `execute_prepared` builds the
+//! batch schedule and the [`OnlineExecution`] — the one handle a query
+//! has. It yields one [`BatchReport`] per mini-batch, through
+//! [`OnlineExecution::poll_next`] or blocking as an [`Iterator`], until the
+//! data runs out or the query's `ERROR`/`WITHIN` contract is met;
+//! [`OnlineExecution::step_recomputing`] is the Fig. 3(b) baseline.
+//!
 //! # Stages
 //!
 //! One list of the per-batch loop's stages, [`Stage::ALL`]: `gather` →
@@ -73,5 +84,5 @@ pub use gola_plan::QueryContract;
 pub use join::WeightStore;
 pub use pool::WorkerPool;
 pub use report::{BatchReport, BatchTiming, CellEstimate, ContractProgress, ContractStop};
-pub use session::{OnlineExecution, OnlineSession, PreparedQuery};
-pub use step::{OnlineExecutor, Stage};
+pub use session::{OnlineSession, PreparedQuery};
+pub use step::{OnlineExecution, Stage};

@@ -26,7 +26,7 @@ use crate::metrics;
 use crate::publish::Violated;
 use crate::report::BatchTiming;
 use crate::runtime::{BlockEnv, BlockRuntime, Labels, UncertainSet};
-use crate::step::OnlineExecutor;
+use crate::step::OnlineExecution;
 
 /// What the stage reads besides the executor it repairs.
 pub(crate) struct RecoverInput<'a> {
@@ -119,7 +119,7 @@ pub(crate) fn scopable(cb: &CompiledBlock, consumers: &[usize]) -> bool {
 /// and publications (and producers' reliance marks) and returns how many
 /// blocks were recomputed.
 pub(crate) fn recover(
-    exec: &mut OnlineExecutor,
+    exec: &mut OnlineExecution,
     input: RecoverInput<'_>,
     span: &SpanGuard,
 ) -> Result<usize> {
@@ -192,9 +192,9 @@ pub(crate) fn recover(
 /// each batch's in-scope rows alone, gathered from the block's
 /// [`SeenIndex`]. Returns how many candidates the replay read and how many
 /// batch rows it gathered. Recovery and
-/// [`OnlineExecutor::step_recomputing`] both rebuild through here.
+/// [`OnlineExecution::step_recomputing`] both rebuild through here.
 pub(crate) fn replay_batches(
-    exec: &mut OnlineExecutor,
+    exec: &mut OnlineExecution,
     blocks: &[usize],
     upto: usize,
     scope: &GroupScope,
@@ -227,7 +227,7 @@ pub(crate) fn replay_batches(
 /// transitive consumer is one block that keeps a [`SeenIndex`] (see
 /// [`scopable`]), and every reference it makes to a violated producer has
 /// a correlation key. Then those groups are [`violated_groups`].
-fn scope(exec: &OnlineExecutor, input: &RecoverInput<'_>, affected: &[bool]) -> GroupScope {
+fn scope(exec: &OnlineExecution, input: &RecoverInput<'_>, affected: &[bool]) -> GroupScope {
     #[cfg(test)]
     if exec.full_scope_only {
         return GroupScope::All;
@@ -329,7 +329,7 @@ fn violated_groups(
 /// Clear what a replay in `scope` rebuilds of block `b`'s state, and hand
 /// back its uncertain tuples outside the scope: they stand, and the replay
 /// must not ingest them again.
-fn clear_scope(exec: &mut OnlineExecutor, b: usize, scope: &GroupScope) -> UncertainSet {
+fn clear_scope(exec: &mut OnlineExecution, b: usize, scope: &GroupScope) -> UncertainSet {
     let rt = &mut exec.runtimes[b];
     let GroupScope::Groups(in_scope) = scope else {
         rt.reset();

@@ -21,7 +21,7 @@
 //! is held or parked.
 //!
 //! Each admitted session gets its own report channel — the [`QueryHandle`]
-//! iterates it exactly like a solo [`crate::session::OnlineExecution`].
+//! iterates it exactly like a solo [`crate::OnlineExecution`].
 //! The stream is bit-identical to that solo run because a session's step
 //! is a pure function of its own state and batch: nothing another session
 //! does, and no pool size or dispatch order, reaches its answers
@@ -62,7 +62,8 @@ use crate::sched::task::urgency_from;
 use crate::sched::{
     AdmissionError, Charged, PolicyConfig, Quantum, SchedTask, Scheduler, SessionId, Urgency,
 };
-use crate::session::{OnlineExecution, OnlineSession};
+use crate::session::OnlineSession;
+use crate::step::OnlineExecution;
 
 /// Ended sessions whose `session="s<id>"` metric series stay exported, so
 /// a scrape after a query ends still sees its numbers (the server keeps as

@@ -1,4 +1,5 @@
-//! The mini-batch step driver.
+//! The running query, [`OnlineExecution`], and the mini-batch step that
+//! drives it.
 //!
 //! A step is one list of stages, [`Stage::ALL`], run in order, each one
 //! function over the step's state: `gather` (the next batch, adopted from
@@ -6,19 +7,20 @@
 //! a block's *ingest*, once per streaming block of a wavefront) →
 //! `publish` (once per wavefront) → `recover` on a detected failure →
 //! `report` ([`crate::report`]). One wrapper, `stage`, opens each
-//! stage's span and times it into its [`BatchTiming`] bucket. The driver
-//! owns the state the stages pass between batches. On a pool with a
-//! worker it also gathers and weighs the next batch while a step runs
-//! (`join::Prefetch`).
+//! stage's span and times it into its [`BatchTiming`] bucket. The
+//! execution owns the state the stages pass between batches. On a pool
+//! with a worker it also gathers and weighs the next batch while a step
+//! runs (`join::Prefetch`).
 //!
 //! A step never waits. When every visible batch of a growing stream is
 //! processed and the stream is still open, `gather` registers the caller's
-//! waker with the stream and [`OnlineExecutor::poll_step`] returns
+//! waker with the stream and [`OnlineExecution::poll_next`] returns
 //! `Pending`; the stream's next seal or its close wakes the waker. The
-//! blocking [`OnlineExecutor::step`] waits for that wake on the calling
-//! thread (`block_on`).
-//! [`OnlineExecutor::step_recomputing`] drives the same stages as classical
-//! delta maintenance, the paper's Fig. 3(b) baseline.
+//! blocking [`Iterator::next`] waits for that wake on the calling thread
+//! (`block_on`). Under an `ERROR`/`WITHIN` contract one poll is a round of
+//! steps its driver sizes, and the execution ends at the contract's
+//! stopping report. [`OnlineExecution::step_recomputing`] drives the same
+//! stages as classical delta maintenance, the paper's Fig. 3(b) baseline.
 
 use std::sync::{Arc, OnceLock};
 use std::task::{ready, Poll, Wake, Waker};
@@ -35,6 +37,7 @@ use gola_storage::{Catalog, MiniBatch, Partitioner};
 use crate::classify::Classes;
 use crate::compiled::CompiledBlock;
 use crate::config::OnlineConfig;
+use crate::contract::ContractDriver;
 use crate::join::{BatchWeights, Candidates, Prefetch, WeightStore};
 use crate::metrics::SessionMetrics;
 use crate::pool::WorkerPool;
@@ -44,8 +47,15 @@ use crate::report::{BatchReport, BatchTiming, ReportInput};
 use crate::runtime::{BlockEnv, BlockRuntime, Published};
 use crate::{classify, fold, groups, join, publish, recover, report};
 
-/// The online query executor for one prepared query.
-pub struct OnlineExecutor {
+/// A running online query, started by an
+/// [`OnlineSession`](crate::OnlineSession). Each `next()` processes one
+/// mini-batch (or, for deadline-contracted runs, a coalesced round of them)
+/// and yields the refined answer; drop it at any time to stop the query.
+/// [`OnlineExecution::poll_next`] is the same without waiting for a stream
+/// to grow. When the query carries an `ERROR`/`WITHIN` contract the
+/// iterator ends at the contract's stopping report (flagged in
+/// [`BatchReport::contract`]) instead of running every batch.
+pub struct OnlineExecution {
     pub(crate) config: OnlineConfig,
     pub(crate) meta: MetaPlan,
     pub(crate) compiled: Vec<CompiledBlock>,
@@ -57,21 +67,22 @@ pub struct OnlineExecutor {
     pub(crate) published: Vec<Published>,
     /// Direct consumers of each block.
     pub(crate) consumers: Vec<Vec<usize>>,
-    /// Persistent worker pool, alive for the whole query session (workers
-    /// park between batches instead of respawning per ingest). Under the
-    /// multi-tenant scheduler sessions may share one pool
-    /// ([`OnlineExecutor::with_pool`]), and the service's runners can run
-    /// several sessions' batches on it at once.
+    /// Persistent worker pool, alive for the whole query (workers park
+    /// between batches instead of respawning per ingest). Under the
+    /// multi-tenant scheduler sessions share one pool, and the service's
+    /// runners can run several sessions' batches on it at once.
     pool: Arc<WorkerPool>,
     /// Where every bootstrap weight of the session comes from: the
     /// service's store, shared by its sessions, or an empty one.
     store: Arc<WeightStore>,
     /// The next batch's prefetch, once submitted (see
-    /// [`OnlineExecutor::prefetch_next`]).
+    /// [`OnlineExecution::prefetch_next`]).
     prefetch: Option<Prefetch>,
     /// Lazily resolved per-session metric handles, so a disabled registry
     /// never registers anything (see [`SessionMetrics`]).
     session_metrics: OnceLock<SessionMetrics>,
+    /// The query's `ERROR`/`WITHIN` contract, if it carries one.
+    driver: Option<ContractDriver>,
     batches_done: usize,
     recomputations: usize,
     /// Root-block group keys the user has already seen flagged
@@ -88,41 +99,23 @@ pub struct OnlineExecutor {
     pub(crate) scoped_recoveries: usize,
 }
 
-impl OnlineExecutor {
-    /// Build an executor: compiles blocks, hashes dimension tables, and
-    /// computes static (non-streaming) blocks exactly.
-    pub fn new(
-        catalog: &Catalog,
-        meta: MetaPlan,
-        partitioner: Arc<Partitioner>,
-        config: OnlineConfig,
-    ) -> Result<OnlineExecutor> {
-        let pool = OnlineExecutor::own_pool(&config);
-        OnlineExecutor::with_pool(catalog, meta, partitioner, config, pool, Arc::default())
-    }
-
-    /// The pool a session that shares none runs on.
-    pub(crate) fn own_pool(config: &OnlineConfig) -> Arc<WorkerPool> {
-        Arc::new(WorkerPool::new(config.threads))
-    }
-
-    /// As [`OnlineExecutor::new`], but execute on a caller-provided worker
-    /// pool, which other sessions may share — the service's runners use it
-    /// so concurrent sessions need not spawn `threads - 1` OS threads each.
-    /// The determinism contract makes sharing safe:
-    /// reports are bit-identical at any thread count, so the pool's size
-    /// (not `config.threads`) governing physical parallelism cannot change
-    /// any session's output. Every weight fill goes through `store`, which
-    /// other sessions may share too; it memoizes a pure function, so which
-    /// session generated a block cannot reach a report either.
-    pub fn with_pool(
+impl OnlineExecution {
+    /// Compile `meta`'s blocks, hash their dimension tables, and compute
+    /// static (non-streaming) blocks exactly, on a worker pool and weight
+    /// store other sessions may share. The determinism contract makes
+    /// sharing safe: reports are bit-identical at any thread count, so the
+    /// pool's size (not `config.threads`) governing physical parallelism
+    /// cannot change any session's output; the store memoizes a pure
+    /// function, so which session generated a block cannot reach a report
+    /// either. A SQL-level contract wins over `config`'s.
+    pub(crate) fn with_pool(
         catalog: &Catalog,
         meta: MetaPlan,
         partitioner: Arc<Partitioner>,
         config: OnlineConfig,
         pool: Arc<WorkerPool>,
         store: Arc<WeightStore>,
-    ) -> Result<OnlineExecutor> {
+    ) -> Result<OnlineExecution> {
         config.validate()?;
         let compiled: Vec<CompiledBlock> = meta
             .blocks
@@ -146,7 +139,8 @@ impl OnlineExecutor {
                 consumers[d.0].push(cb.block.id);
             }
         }
-        let mut exec = OnlineExecutor {
+        let driver = meta.contract.or(config.contract).map(ContractDriver::new);
+        let mut exec = OnlineExecution {
             config,
             runtimes: compiled.iter().map(|_| BlockRuntime::default()).collect(),
             published: compiled.iter().map(|_| Published::default()).collect(),
@@ -159,6 +153,7 @@ impl OnlineExecutor {
             store,
             prefetch: None,
             session_metrics: OnceLock::new(),
+            driver,
             batches_done: 0,
             recomputations: 0,
             claimed_certain: FxHashSet::default(),
@@ -193,25 +188,112 @@ impl OnlineExecutor {
         }
     }
 
-    /// Number of batches processed so far.
-    pub fn batches_done(&self) -> usize {
-        self.batches_done
+    /// `true` once the execution will yield no further reports — the
+    /// contract stopped it, or every mini-batch has been processed. The
+    /// scheduler polls this between quanta.
+    pub fn is_complete(&self) -> bool {
+        self.driver.as_ref().is_some_and(ContractDriver::is_stopped) || self.is_finished()
     }
 
-    /// Total mini-batches `k`.
-    pub fn num_batches(&self) -> usize {
-        self.partitioner.num_batches()
+    /// The next report without waiting: one step, or — under a deadline
+    /// contract — a coalesced round of steps sized to the remaining
+    /// budget, which ends early at a batch that is not visible yet.
+    /// `Pending` when the query has caught up with a stream that is still
+    /// open (`waker` is registered for the stream's next seal or its
+    /// close); `Ready(None)` once the iterator has ended, which a stream
+    /// that closes with nothing new also ends, with no error.
+    pub fn poll_next(&mut self, waker: &Waker) -> Poll<Option<Result<BatchReport>>> {
+        if self.is_complete() {
+            return Poll::Ready(None);
+        }
+        let Some(mut driver) = self.driver.take() else {
+            return self.poll_advance(false, waker).map_ok(|(report, _)| report);
+        };
+        let round = self.poll_round(&mut driver, waker);
+        self.driver = Some(driver);
+        round
     }
 
-    /// Cumulative failure-triggered recomputations.
-    pub fn recomputations(&self) -> usize {
-        self.recomputations
+    /// [`OnlineExecution::poll_next`] under a contract: the round of steps
+    /// `driver` sizes, the last one's report annotated with its progress.
+    fn poll_round(
+        &mut self,
+        driver: &mut ContractDriver,
+        waker: &Waker,
+    ) -> Poll<Option<Result<BatchReport>>> {
+        let step = |exec: &mut Self| exec.poll_advance(false, waker).map_ok(|(report, _)| report);
+        driver.start_clock();
+        let round = driver.batches_this_round(self.partitioner.num_batches() - self.batches_done);
+        let mut report = match ready!(step(self)) {
+            Some(Ok(report)) => report,
+            end => return Poll::Ready(end),
+        };
+        driver.note_batch(report.batch_time.as_secs_f64());
+        for _ in 1..round {
+            report = match step(self) {
+                Poll::Ready(Some(Ok(report))) => report,
+                Poll::Ready(Some(Err(e))) => return Poll::Ready(Some(Err(e))),
+                Poll::Ready(None) | Poll::Pending => break,
+            };
+            driver.note_batch(report.batch_time.as_secs_f64());
+        }
+        driver.observe(&mut report, self.is_finished());
+        Poll::Ready(Some(Ok(report)))
+    }
+
+    /// The next mini-batch as classical delta maintenance processes it
+    /// (paper §3.1, the Fig. 3(b) baseline): every streaming block whose
+    /// predicates read another block's output restarts empty and re-ingests
+    /// every batch seen so far, after the blocks it reads have taken this
+    /// batch; every other block ingests the new batch only. Such a step
+    /// needs no recovery — every block that reads a moved value was rebuilt
+    /// after it moved — and its report equals `next`'s bit for bit. It
+    /// blocks like `next` and ends like it, but never consults the
+    /// contract. Returns the report and how many candidates the rebuild
+    /// re-read.
+    pub fn step_recomputing(&mut self) -> Option<Result<(BatchReport, usize)>> {
+        block_on(|waker| self.poll_advance(true, waker))
+    }
+
+    /// Run until the iterator ends — the final (exact) batch, or the
+    /// contract's stopping report. Returns the last report.
+    pub fn run_to_completion(mut self) -> Result<BatchReport> {
+        let mut last = None;
+        for report in &mut self {
+            last = Some(report?);
+        }
+        last.ok_or_else(|| Error::exec("query had no batches"))
+    }
+
+    /// Run until the primary estimate's relative standard deviation drops
+    /// below `target` (or data runs out). Returns the stopping report.
+    pub fn run_until_rel_stddev(mut self, target: f64) -> Result<BatchReport> {
+        let mut last: Option<BatchReport> = None;
+        for report in &mut self {
+            let report = report?;
+            let done = report.primary_rel_stddev().is_some_and(|rsd| rsd <= target);
+            last = Some(report);
+            if done {
+                break;
+            }
+        }
+        last.ok_or_else(|| Error::exec("query had no batches"))
+    }
+
+    /// Re-evaluate the root block's uncertain set against the current
+    /// publications, exactly as each step's report does, and return
+    /// `(uncertain tuples, groups)`. Reads state, changes none: a
+    /// measurement hook for `benches/micro.rs`.
+    pub fn reevaluate_root(&self) -> Result<(usize, usize)> {
+        let root = self.meta.root;
+        let groups = groups::effective_states(&self.env(root), &self.runtimes[root])?;
+        Ok((self.runtimes[root].uncertain.len(), groups.len()))
     }
 
     /// Total uncertain items across all blocks: cached uncertain tuples
     /// plus, for live membership producers, the number of group keys whose
     /// membership is still classified as may-flip.
-    pub fn uncertain_tuples(&self) -> usize {
+    fn uncertain_tuples(&self) -> usize {
         let cached: usize = self.runtimes.iter().map(|r| r.uncertain.len()).sum();
         #[expect(clippy::disallowed_methods, reason = "a count; order-free")]
         let maybe_members: usize = self
@@ -223,70 +305,17 @@ impl OnlineExecutor {
         cached + maybe_members
     }
 
-    /// Uncertain-set size of one block.
-    pub fn uncertain_in_block(&self, block: usize) -> usize {
-        self.runtimes[block].uncertain.len()
-    }
-
-    /// Re-evaluate the root block's uncertain set against the current
-    /// publications, exactly as each step's report does, and return
-    /// `(uncertain tuples, groups)`. Reads state, changes none: a
-    /// measurement hook for `benches/micro.rs`.
-    pub fn reevaluate_root(&self) -> Result<(usize, usize)> {
-        let root = self.meta.root;
-        let groups = groups::effective_states(&self.env(root), &self.runtimes[root])?;
-        Ok((self.uncertain_in_block(root), groups.len()))
-    }
-
     /// `true` once every batch has been processed. For a growing query
     /// this first pulls newly sealed segments into the schedule, so
     /// "finished" means the stream is closed *and* drained — a query that
     /// has merely caught up with an open stream is not finished.
-    pub fn is_finished(&self) -> bool {
+    fn is_finished(&self) -> bool {
         self.partitioner.refresh();
         self.batches_done == self.partitioner.num_batches() && self.partitioner.finalized()
     }
 
-    /// Process the next mini-batch and return the refined answer.
-    ///
-    /// Over a growing stream this **blocks** the calling thread when every
-    /// visible batch is processed but the stream is still open, until a
-    /// segment seals (another mini-batch) or the stream closes; a closed,
-    /// drained stream is an error, as past the last batch of a table.
-    /// [`OnlineExecutor::poll_step`] is the same step without the wait.
-    pub fn step(&mut self) -> Result<BatchReport> {
-        self.block_on_step(false).map(|(report, _)| report)
-    }
-
-    /// Process the next mini-batch as classical delta maintenance does
-    /// (paper §3.1, the Fig. 3(b) baseline): every streaming block whose
-    /// predicates read another block's output restarts empty and re-ingests
-    /// every batch seen so far, after the blocks it reads have taken this
-    /// batch; every other block ingests the new batch only. Such a step
-    /// needs no recovery — every block that reads a moved value was rebuilt
-    /// after it moved — and its report equals [`OnlineExecutor::step`]'s
-    /// bit for bit. Returns the report and how many candidates the rebuild
-    /// re-read.
-    pub fn step_recomputing(&mut self) -> Result<(BatchReport, usize)> {
-        self.block_on_step(true)
-    }
-
-    /// [`OnlineExecutor::step`] without waiting: `Pending` when every
-    /// visible batch is processed and the stream is still open (`waker` is
-    /// then registered for the stream's next seal or its close), and
-    /// `Ready(None)` once no batch will come.
-    pub fn poll_step(&mut self, waker: &Waker) -> Poll<Option<Result<BatchReport>>> {
-        self.poll_advance(false, waker).map_ok(|(report, _)| report)
-    }
-
-    /// A blocking step: one of [`OnlineExecutor::poll_advance`], waited for.
-    fn block_on_step(&mut self, recompute: bool) -> Result<(BatchReport, usize)> {
-        block_on(|waker| self.poll_advance(recompute, waker))
-            .unwrap_or_else(|| Err(Error::exec("all mini-batches already processed")))
-    }
-
-    /// One step of [`OnlineExecutor::poll_step`], or with `recompute` of
-    /// [`OnlineExecutor::step_recomputing`]: the stages of [`Stage::ALL`],
+    /// One step of [`OnlineExecution::poll_next`], or with `recompute` of
+    /// [`OnlineExecution::step_recomputing`]: the stages of [`Stage::ALL`],
     /// in order.
     fn poll_advance(
         &mut self,
@@ -366,7 +395,7 @@ impl OnlineExecutor {
     }
 
     /// Stages `join` → `classify` → `fold` (a block's ingest, see
-    /// [`OnlineExecutor::ingest_wave`]) and `publish`, wavefront by
+    /// [`OnlineExecution::ingest_wave`]) and `publish`, wavefront by
     /// wavefront. Blocks in the same wavefront are mutually independent,
     /// so their ingests run concurrently; publication follows per wave (in
     /// block order) so later waves classify against fresh envelopes. A
@@ -718,7 +747,7 @@ struct Step {
     /// Its multiplicity annotation, and whether it is the last batch.
     m: f64,
     last: bool,
-    /// See [`OnlineExecutor::step_recomputing`].
+    /// See [`OnlineExecution::step_recomputing`].
     recompute: bool,
     batch: MiniBatch,
     /// Its tuples' bootstrap weights, filled as the waves need them.
@@ -733,6 +762,16 @@ struct Step {
     _span: SpanGuard,
 }
 
+impl Iterator for OnlineExecution {
+    type Item = Result<BatchReport>;
+
+    /// [`OnlineExecution::poll_next`], waiting on the calling thread while
+    /// the query has caught up with an open stream.
+    fn next(&mut self) -> Option<Self::Item> {
+        block_on(|waker| self.poll_next(waker))
+    }
+}
+
 /// Poll `f` until it is ready, parking the calling thread between polls;
 /// the waker `f` registers unparks it. Each thread has one such waker, so
 /// a step that never waits allocates nothing here.
@@ -740,7 +779,7 @@ struct Step {
     clippy::disallowed_methods,
     reason = "the waker wakes the thread that waits; no report reads it"
 )]
-pub(crate) fn block_on<T>(mut f: impl FnMut(&Waker) -> Poll<T>) -> T {
+fn block_on<T>(mut f: impl FnMut(&Waker) -> Poll<T>) -> T {
     struct Unpark(std::thread::Thread);
     impl Wake for Unpark {
         fn wake(self: Arc<Self>) {
@@ -822,7 +861,7 @@ mod tests {
         catalog_with(Hostile::None)
     }
 
-    fn executor(catalog: &Catalog, sql: &str, threads: usize) -> OnlineExecutor {
+    fn executor(catalog: &Catalog, sql: &str, threads: usize) -> OnlineExecution {
         executor_with(
             catalog,
             sql,
@@ -830,13 +869,14 @@ mod tests {
         )
     }
 
-    fn executor_with(catalog: &Catalog, sql: &str, config: OnlineConfig) -> OnlineExecutor {
-        let session = crate::OnlineSession::new(catalog.clone(), config.clone());
-        let prepared = session.prepare(sql).unwrap();
-        let table = catalog.get(&prepared.stream_table).unwrap();
-        let (k, seed) = (config.num_batches, config.partition_seed);
-        let partitioner = Arc::new(Partitioner::new(table, k, seed).unwrap());
-        OnlineExecutor::new(catalog, prepared.meta, partitioner, config).unwrap()
+    fn executor_with(catalog: &Catalog, sql: &str, config: OnlineConfig) -> OnlineExecution {
+        let session = crate::OnlineSession::new(catalog.clone(), config);
+        session.execute_online(sql).unwrap()
+    }
+
+    /// The next report of a run that has one.
+    fn step(exec: &mut OnlineExecution) -> BatchReport {
+        exec.next().unwrap().unwrap()
     }
 
     /// A publication's entries in key order, every bit visible.
@@ -883,7 +923,7 @@ mod tests {
         let root = exec.meta.root;
         let env = exec.env(root);
         let d1_rows = catalog.get("d1").unwrap().rows();
-        for i in 0..exec.num_batches() {
+        for i in 0..exec.partitioner.num_batches() {
             let batch = exec.partitioner.batch(i);
             let mut labels = Labels::default();
             let cand = join::join(&env, &batch, UncertainSet::default(), &mut labels).unwrap();
@@ -951,7 +991,7 @@ mod tests {
         }
         let mut uncertain_seen = 0;
         while !fast.is_finished() {
-            let i = fast.batches_done();
+            let i = fast.batches_done;
             let batch = fast.partitioner.batch(i);
             let m = fast.partitioner.multiplicity_after(i);
             let last = fast.partitioner.is_final_batch(i);
@@ -985,8 +1025,8 @@ mod tests {
                 );
                 assert_eq!(v_fast, v_plain);
             }
-            probe.step().unwrap();
-            let (a, b) = (fast.step().unwrap(), generic.step().unwrap());
+            step(&mut probe);
+            let (a, b) = (step(&mut fast), step(&mut generic));
             assert_eq!(answer(&a), answer(&b), "batch {i}");
             for (p, q) in fast.published.iter().zip(&generic.published) {
                 assert_eq!(entries(p), entries(q), "after batch {i}");
@@ -996,7 +1036,7 @@ mod tests {
             uncertain_seen > 0,
             "nothing was ever uncertain: vacuous run"
         );
-        (fast.recomputations(), fast.scoped_recoveries)
+        (fast.recomputations, fast.scoped_recoveries)
     }
 
     const Q17_SHAPE: &str = "SELECT SUM(x) / 7.0 AS s FROM t l \
@@ -1106,7 +1146,7 @@ mod tests {
         let mut exec = executor(catalog, sql, 1);
         let mut last = None;
         while !exec.is_finished() {
-            last = Some(exec.step().unwrap());
+            last = Some(step(&mut exec));
         }
         let online = last.expect("at least one batch").table.rows();
         let session = crate::OnlineSession::new(catalog.clone(), OnlineConfig::for_tests(8));
@@ -1129,13 +1169,13 @@ mod tests {
     fn run_to_end(
         sql: &str,
         config: OnlineConfig,
-        setup: impl FnOnce(&mut OnlineExecutor),
-    ) -> (Vec<String>, OnlineExecutor) {
+        setup: impl FnOnce(&mut OnlineExecution),
+    ) -> (Vec<String>, OnlineExecution) {
         let mut exec = executor_with(&catalog(), sql, config);
         setup(&mut exec);
         let mut seen = Vec::new();
         while !exec.is_finished() {
-            seen.push(answer(&exec.step().unwrap()));
+            seen.push(answer(&step(&mut exec)));
             seen.extend(exec.published.iter().flat_map(entries));
         }
         (seen, exec)
@@ -1158,14 +1198,14 @@ mod tests {
         let (seen, exec) = run_to_end(sql, config, |exec| {
             exec.full_scope_only = full_scope_only;
         });
-        assert!(exec.recomputations() > 0, "{sql} seed {seed}: no recovery");
+        assert!(exec.recomputations > 0, "{sql} seed {seed}: no recovery");
         (seen, exec.scoped_recoveries)
     }
 
     /// Pre-intern every key each streaming block's candidates will ever
     /// hold, in reverse sorted order: ids that number the keys unlike any
     /// run's first-seen order.
-    fn reverse_labels(exec: &mut OnlineExecutor) {
+    fn reverse_labels(exec: &mut OnlineExecution) {
         let reversed = |ids: &KeyIds| {
             let mut keys: Vec<&[Value]> = (0..ids.len()).map(|x| ids.key(row_u32(x))).collect();
             keys.sort_by(|a, b| cmp_values(b, a));
@@ -1180,7 +1220,7 @@ mod tests {
                 continue;
             }
             let mut all = Labels::default();
-            for j in 0..exec.num_batches() {
+            for j in 0..exec.partitioner.num_batches() {
                 let batch = exec.partitioner.batch(j);
                 join::join(&exec.env(b), &batch, UncertainSet::default(), &mut all).unwrap();
             }
@@ -1231,7 +1271,7 @@ mod tests {
                 let (reversed, _) = run_to_end(sql, config, reverse_labels);
                 assert_eq!(normal, reversed, "{sql} at {sd}σ, threads {threads}");
                 if sd < 1.0 {
-                    assert!(exec.recomputations() > 0, "{sql}: no recovery");
+                    assert!(exec.recomputations > 0, "{sql}: no recovery");
                 }
             }
         }
@@ -1305,8 +1345,7 @@ mod tests {
 
     /// A stream that closes while some of its visible batches are still
     /// unprocessed: the step that takes the last of them flags it final,
-    /// through `step()` as through the iterator, and the next step has
-    /// nothing left.
+    /// and the execution ends after it, recomputing or not.
     #[test]
     fn the_last_batch_of_a_stream_closed_early_is_final() {
         let table = catalog().get("t").unwrap();
@@ -1315,21 +1354,16 @@ mod tests {
         stream.seal().unwrap();
         let mut live = Catalog::new();
         live.register_stream("t", Arc::clone(&stream)).unwrap();
-        let config = OnlineConfig::for_tests(4);
-        let session = crate::OnlineSession::new(live.clone(), config.clone());
-        let meta = session
-            .prepare("SELECT k, COUNT(*) AS n FROM t GROUP BY k")
-            .unwrap()
-            .meta;
-        let partitioner = Arc::new(Partitioner::growing(Arc::clone(&stream), 4, 1).unwrap());
-        let mut exec = OnlineExecutor::new(&live, meta, partitioner, config).unwrap();
-        let finals = |exec: &mut OnlineExecutor, n| -> Vec<bool> {
-            (0..n).map(|_| exec.step().unwrap().is_final()).collect()
+        let sql = "SELECT k, COUNT(*) AS n FROM t GROUP BY k";
+        let mut exec = executor_with(&live, sql, OnlineConfig::for_tests(4).with_seed(1));
+        let finals = |exec: &mut OnlineExecution, n| -> Vec<bool> {
+            (0..n).map(|_| step(exec).is_final()).collect()
         };
         assert_eq!(finals(&mut exec, 2), [false, false]);
         stream.close().unwrap();
         assert_eq!(finals(&mut exec, 2), [false, true]);
-        assert!(exec.is_finished());
-        assert!(exec.step().is_err(), "no batch is left");
+        assert!(exec.is_complete());
+        assert!(exec.next().is_none(), "no batch is left");
+        assert!(exec.step_recomputing().is_none(), "no batch is left");
     }
 }

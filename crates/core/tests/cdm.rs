@@ -1,44 +1,27 @@
 //! Classical delta maintenance (paper §3.1, the Fig. 3(b) baseline) as
-//! [`OnlineExecutor::step_recomputing`]: every block that reads an inner
+//! [`OnlineExecution::step_recomputing`]: every block that reads an inner
 //! aggregate is rebuilt from all the data seen so far, every batch. Its
-//! reports must equal G-OLA's `step` bit for bit — both report
+//! reports must equal G-OLA's `next` bit for bit — both report
 //! `Q(Dᵢ, k/i)` from the same bootstrap weights — while its work grows
 //! quadratically in the batch index.
 
-use std::sync::Arc;
-
 use gola_bootstrap::EpsilonPolicy;
 use gola_common::Value;
-use gola_core::{BatchReport, OnlineConfig, OnlineExecutor, OnlineSession, PreparedQuery};
-use gola_storage::{Catalog, Partitioner, Table};
+use gola_core::{BatchReport, OnlineConfig, OnlineExecution, OnlineSession, PreparedQuery};
+use gola_storage::Catalog;
 use gola_workloads::{conviva, tpch, ConvivaGenerator, TpchGenerator};
 
-fn catalog_of(table: &str, rows: Table) -> Catalog {
-    let mut c = Catalog::new();
-    c.register(table, Arc::new(rows)).unwrap();
-    c
-}
-
-/// Two executors of one query over identically partitioned batches.
-fn executors(
+/// Two executions of one prepared query: a schedule is a function of
+/// (table, k, seed), so both see the same batches.
+fn executions(
     catalog: &Catalog,
     sql: &str,
     config: &OnlineConfig,
-) -> (PreparedQuery, OnlineExecutor, OnlineExecutor) {
-    let prepared = OnlineSession::new(catalog.clone(), config.clone())
-        .prepare(sql)
-        .unwrap();
-    let table = catalog.get(&prepared.stream_table).unwrap();
-    let exec = || {
-        let partitioner = Partitioner::new(
-            Arc::clone(&table),
-            config.num_batches,
-            config.partition_seed,
-        );
-        let partitioner = Arc::new(partitioner.unwrap());
-        OnlineExecutor::new(catalog, prepared.meta.clone(), partitioner, config.clone()).unwrap()
-    };
-    let (a, b) = (exec(), exec());
+) -> (PreparedQuery, OnlineExecution, OnlineExecution) {
+    let session = OnlineSession::new(catalog.clone(), config.clone());
+    let prepared = session.prepare(sql).unwrap();
+    let execute = || session.execute_prepared(&prepared).unwrap();
+    let (a, b) = (execute(), execute());
     (prepared, a, b)
 }
 
@@ -77,8 +60,8 @@ fn assert_same_answer(what: &str, a: &BatchReport, b: &BatchReport) {
 
 #[test]
 fn recomputing_steps_match_step_bit_for_bit() {
-    let conviva_cat = catalog_of("sessions", ConvivaGenerator::default().generate(2_000));
-    let tpch_cat = catalog_of("lineitem_denorm", TpchGenerator::default().generate(2_000));
+    let conviva_cat = ConvivaGenerator::default().catalog(2_000);
+    let tpch_cat = TpchGenerator::default().catalog(2_000);
     let mut suites: Vec<(&str, &str, &Catalog)> = vec![
         ("SBI", conviva::SBI, &conviva_cat),
         ("C1", conviva::C1, &conviva_cat),
@@ -98,26 +81,26 @@ fn recomputing_steps_match_step_bit_for_bit() {
     for (name, sql, catalog) in suites {
         for (config, seed) in configs.iter().flat_map(|c| (1..=3).map(move |s| (c, s))) {
             let config = config.clone().with_seed(seed);
-            let (_, mut gola, mut cdm) = executors(catalog, sql, &config);
+            let (_, gola, mut cdm) = executions(catalog, sql, &config);
             let run = format!("{name}, ε {:?}, seed {seed}", config.epsilon);
-            while !gola.is_finished() {
-                let a = gola.step().unwrap();
-                let (b, _) = cdm.step_recomputing().unwrap();
+            for a in gola {
+                let a = a.unwrap();
+                let (b, _) = cdm.step_recomputing().unwrap().unwrap();
                 assert_same_answer(&format!("{run}, batch {}", a.batch_index), &a, &b);
             }
-            assert!(cdm.is_finished(), "{run}");
+            assert!(cdm.step_recomputing().is_none(), "{run}");
         }
     }
 }
 
 #[test]
 fn cdm_work_grows_quadratically() {
-    let catalog = catalog_of("sessions", ConvivaGenerator::default().generate(1200));
-    let (_, _, mut cdm) = executors(&catalog, conviva::SBI, &OnlineConfig::for_tests(6));
+    let catalog = ConvivaGenerator::default().catalog(1200);
+    let (_, _, mut cdm) = executions(&catalog, conviva::SBI, &OnlineConfig::for_tests(6));
     let mut reread = 0;
     let mut reprocessed = Vec::new();
-    while !cdm.is_finished() {
-        reread += cdm.step_recomputing().unwrap().1;
+    while let Some(step) = cdm.step_recomputing() {
+        reread += step.unwrap().1;
         reprocessed.push(reread);
     }
     // After batch i the outer block has re-read 200·(1+2+…+i) tuples.
@@ -127,7 +110,7 @@ fn cdm_work_grows_quadratically() {
 
 #[test]
 fn cdm_final_matches_exact() {
-    let catalog = catalog_of("sessions", ConvivaGenerator::default().generate(1500));
+    let catalog = ConvivaGenerator::default().catalog(1500);
     for sql in [
         conviva::SBI,
         "SELECT SUM(play_time) FROM sessions s \
@@ -136,13 +119,13 @@ fn cdm_final_matches_exact() {
         "SELECT COUNT(*) FROM sessions WHERE ad_id IN \
          (SELECT ad_id FROM sessions GROUP BY ad_id HAVING AVG(buffer_time) > 14)",
     ] {
-        let (prepared, _, mut cdm) = executors(&catalog, sql, &OnlineConfig::for_tests(6));
+        let (prepared, _, mut cdm) = executions(&catalog, sql, &OnlineConfig::for_tests(6));
         let exact = gola_engine::BatchEngine::new(&catalog)
             .execute(&prepared.graph)
             .unwrap();
         let mut last = None;
-        while !cdm.is_finished() {
-            last = Some(cdm.step_recomputing().unwrap().0);
+        while let Some(step) = cdm.step_recomputing() {
+            last = Some(step.unwrap().0);
         }
         let last = last.unwrap();
         assert_eq!(last.table.num_rows(), exact.num_rows(), "{sql}");

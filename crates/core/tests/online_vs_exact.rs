@@ -8,6 +8,7 @@ use std::sync::Arc;
 use gola_bootstrap::EpsilonPolicy;
 use gola_common::rng::SplitMix64;
 use gola_common::{DataType, Error, Row, Schema, Value};
+use gola_conformance::{assert_reports_identical, tables_bit_equal};
 use gola_core::{ContractStop, OnlineConfig, OnlineSession};
 use gola_storage::{Catalog, Table};
 use gola_workloads::ConvivaGenerator;
@@ -69,35 +70,12 @@ fn session(n: usize, config: OnlineConfig) -> OnlineSession {
     OnlineSession::new(catalog, config)
 }
 
-fn assert_tables_match(online: &Table, exact: &Table, tol: f64) {
-    assert_eq!(online.num_rows(), exact.num_rows(), "row count mismatch");
+/// The online table equals the exact engine's bit for bit, rows in any
+/// order (ORDER BY ties may come out either way).
+fn assert_tables_match(online: &Table, exact: &Table) {
     assert_eq!(online.schema().len(), exact.schema().len());
-    let sort = |t: &Table| {
-        let mut rows = t.rows().to_vec();
-        rows.sort_by(|a, b| {
-            for (x, y) in a.iter().zip(b.iter()) {
-                let ord = x.total_cmp(y);
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        rows
-    };
-    for (a, b) in sort(online).iter().zip(sort(exact).iter()) {
-        for (x, y) in a.iter().zip(b.iter()) {
-            match (x.as_f64(), y.as_f64()) {
-                (Some(fx), Some(fy)) => {
-                    let scale = fy.abs().max(1.0);
-                    assert!(
-                        (fx - fy).abs() / scale < tol,
-                        "value mismatch: {fx} vs {fy} (row {a} vs {b})"
-                    );
-                }
-                _ => assert_eq!(x, y, "non-numeric mismatch in {a} vs {b}"),
-            }
-        }
+    if let Err(e) = tables_bit_equal(online, exact) {
+        panic!("online vs exact: {e}");
     }
 }
 
@@ -108,7 +86,7 @@ fn check_final_matches(sql: &str, n: usize, batches: usize) -> gola_core::BatchR
     let exec = s.execute_online(sql).unwrap();
     let last = exec.run_to_completion().unwrap();
     assert!(last.is_final());
-    assert_tables_match(&last.table, &exact, 1e-6);
+    assert_tables_match(&last.table, &exact);
     last
 }
 
@@ -383,7 +361,7 @@ fn forced_failures_recompute_and_stay_correct() {
     );
     let exact = s.execute_exact(sql).unwrap();
     let last = s.execute_online(sql).unwrap().run_to_completion().unwrap();
-    assert_tables_match(&last.table, &exact, 1e-6);
+    assert_tables_match(&last.table, &exact);
 }
 
 #[test]
@@ -462,7 +440,7 @@ fn zero_trials_still_correct() {
     let s = session(1500, OnlineConfig::for_tests(6).with_trials(0));
     let exact = s.execute_exact(sql).unwrap();
     let last = s.execute_online(sql).unwrap().run_to_completion().unwrap();
-    assert_tables_match(&last.table, &exact, 1e-6);
+    assert_tables_match(&last.table, &exact);
     assert!(last.primary().is_none() || last.primary().unwrap().replicas.is_empty());
 }
 
@@ -477,9 +455,8 @@ fn empty_filter_result_matches_exact() {
 
 #[test]
 fn threaded_execution_matches_sequential() {
-    // Sharded parallel ingest must produce the same answers as the
-    // sequential path (identical bootstrap weights; only float summation
-    // order differs, within tolerance).
+    // Fold has one path at every thread count and weights are per tuple
+    // id, so 4 threads report what 1 does, bit for bit, batch by batch.
     for sql in [
         "SELECT AVG(play_time), SUM(buffer_time), COUNT(*) FROM sessions",
         "SELECT AVG(play_time) FROM sessions \
@@ -490,21 +467,10 @@ fn threaded_execution_matches_sequential() {
     ] {
         let run = |threads: usize| {
             let s = session(6000, OnlineConfig::for_tests(4).with_threads(threads));
-            s.execute_online(sql).unwrap().run_to_completion().unwrap()
+            let reports = s.execute_online(sql).unwrap().map(Result::unwrap);
+            reports.collect::<Vec<_>>()
         };
-        let seq = run(1);
-        let par = run(4);
-        assert_tables_match(&par.table, &seq.table, 1e-9);
-        // Replica values must agree too (weights are per-tuple-id).
-        for (a, b) in seq.estimates.iter().zip(&par.estimates) {
-            assert_eq!(a.estimate.replicas.len(), b.estimate.replicas.len());
-            for (x, y) in a.estimate.replicas.iter().zip(&b.estimate.replicas) {
-                assert!(
-                    (x - y).abs() <= 1e-6 * (1.0 + y.abs()),
-                    "{x} vs {y} ({sql})"
-                );
-            }
-        }
+        assert_reports_identical(sql, &run(1), &run(4));
     }
 }
 

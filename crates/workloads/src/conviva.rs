@@ -74,6 +74,14 @@ impl ConvivaGenerator {
         ]))
     }
 
+    /// A ready-to-use catalog with `n` rows of `sessions` registered.
+    pub fn catalog(&self, n: usize) -> gola_storage::Catalog {
+        let mut c = gola_storage::Catalog::new();
+        c.register("sessions", Arc::new(self.generate(n)))
+            .expect("fresh catalog");
+        c
+    }
+
     /// Generate `n` session rows.
     pub fn generate(&self, n: usize) -> Table {
         let mut rng = SplitMix64::new(self.seed);
@@ -164,17 +172,6 @@ pub fn queries() -> Vec<(&'static str, &'static str)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gola_storage::Catalog;
-
-    fn catalog(n: usize) -> Catalog {
-        let mut c = Catalog::new();
-        c.register(
-            "sessions",
-            Arc::new(ConvivaGenerator::default().generate(n)),
-        )
-        .unwrap();
-        c
-    }
 
     #[test]
     fn generator_is_deterministic() {
@@ -252,7 +249,7 @@ mod tests {
 
     #[test]
     fn all_queries_compile_and_run_exactly() {
-        let cat = catalog(1500);
+        let cat = ConvivaGenerator::default().catalog(1500);
         for (name, sql) in queries() {
             let graph = gola_sql::compile(sql, &cat)
                 .unwrap_or_else(|e| panic!("{name} failed to compile: {e}"));
@@ -265,7 +262,7 @@ mod tests {
 
     #[test]
     fn sbi_selects_a_minority_with_lower_play_time() {
-        let cat = catalog(5000);
+        let cat = ConvivaGenerator::default().catalog(5000);
         let overall = gola_engine::BatchEngine::new(&cat)
             .execute(&gola_sql::compile("SELECT AVG(play_time) FROM sessions", &cat).unwrap())
             .unwrap();

@@ -56,6 +56,14 @@ impl TpchGenerator {
         ]))
     }
 
+    /// A ready-to-use catalog with roughly `n` rows of `lineitem_denorm` registered.
+    pub fn catalog(&self, n: usize) -> gola_storage::Catalog {
+        let mut c = gola_storage::Catalog::new();
+        c.register("lineitem_denorm", Arc::new(self.generate(n)))
+            .expect("fresh catalog");
+        c
+    }
+
     /// Generate roughly `n` lineitem rows (whole orders, so the exact count
     /// may exceed `n` by at most one order).
     pub fn generate(&self, n: usize) -> Table {
@@ -144,17 +152,6 @@ pub fn queries() -> Vec<(&'static str, &'static str)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gola_storage::Catalog;
-
-    fn catalog(n: usize) -> Catalog {
-        let mut c = Catalog::new();
-        c.register(
-            "lineitem_denorm",
-            Arc::new(TpchGenerator::default().generate(n)),
-        )
-        .unwrap();
-        c
-    }
 
     #[test]
     fn generator_deterministic_and_sized() {
@@ -192,7 +189,7 @@ mod tests {
 
     #[test]
     fn all_queries_compile_run_and_select_nontrivially() {
-        let cat = catalog(4000);
+        let cat = TpchGenerator::default().catalog(4000);
         let total = 4000.0;
         for (name, sql) in queries() {
             let graph = gola_sql::compile(sql, &cat)
@@ -215,7 +212,7 @@ mod tests {
 
     #[test]
     fn q11_keeps_a_strict_subset_of_parts() {
-        let cat = catalog(4000);
+        let cat = TpchGenerator::default().catalog(4000);
         let out = gola_engine::BatchEngine::new(&cat)
             .execute(&gola_sql::compile(Q11, &cat).unwrap())
             .unwrap();

@@ -11,11 +11,9 @@ use std::sync::Arc;
 
 use g_ola::agg::{Udaf, UdafRegistry, UdafState};
 use g_ola::common::{DataType, Error, Result, Value};
-use g_ola::core::{OnlineConfig, OnlineExecutor};
+use g_ola::core::{OnlineConfig, OnlineSession};
 use g_ola::expr::{FunctionRegistry, ScalarFn};
-use g_ola::plan::MetaPlan;
 use g_ola::sql::{parse_select, Binder};
-use g_ola::storage::{Catalog, Partitioner};
 use g_ola::workloads::ConvivaGenerator;
 
 /// Scalar UDF: clamp a ratio into [0, 1].
@@ -86,11 +84,7 @@ impl UdafState for HarmonicState {
 }
 
 fn main() -> Result<()> {
-    let mut catalog = Catalog::new();
-    catalog.register(
-        "sessions",
-        Arc::new(ConvivaGenerator::default().generate(80_000)),
-    )?;
+    let catalog = ConvivaGenerator::default().catalog(80_000);
 
     // Register the extensions.
     let mut functions = FunctionRegistry::with_builtins();
@@ -104,19 +98,14 @@ fn main() -> Result<()> {
                WHERE buffer_time > (SELECT AVG(buffer_time) FROM sessions)";
     println!("query with UDF + UDAF over an uncertain filter:\n{sql}\n");
 
-    // With custom registries we drive the lower-level API directly.
+    // With custom registries we bind the query ourselves; the session
+    // plans and runs the bound graph like any other query.
     let stmt = parse_select(sql)?;
     let graph = Binder::with_registries(&catalog, functions, udafs).bind(&stmt)?;
-    let meta = MetaPlan::compile(&graph, "sessions")?;
-    let config = OnlineConfig::default().with_batches(20);
-    let partitioner = Arc::new(Partitioner::new(
-        catalog.get("sessions")?,
-        20,
-        config.partition_seed,
-    )?);
-    let mut exec = OnlineExecutor::new(&catalog, meta, partitioner, config)?;
-    while !exec.is_finished() {
-        let report = exec.step()?;
+    let session = OnlineSession::new(catalog, OnlineConfig::default().with_batches(20));
+    let prepared = session.prepare_graph(graph)?;
+    for report in session.execute_prepared(&prepared)? {
+        let report = report?;
         if report.batch_index % 4 == 0 || report.is_final() {
             let h = report.estimate_at(0, 0).expect("harmonic estimate");
             let s = report.estimate_at(0, 1).expect("score estimate");

@@ -3,7 +3,8 @@
 # oracles, the contract checks and the scheduler simulator included), a
 # deeper run of the replica-state oracle, repeated runs of the service's
 # and the prefetch's concurrency tests, formatting, lints, rustdoc
-# links, a run of every example program, and a CLI ingest/replay smoke.
+# links, a check of the benchmark crate, a run of every example program,
+# and a CLI ingest/replay smoke.
 # `cargo fmt` is skipped
 # with a warning where it is not installed; `cargo clippy` is required,
 # because it enforces the determinism contract (DESIGN.md §3.6).
@@ -99,6 +100,20 @@ examples_smoke() {
     done
 }
 
+# The frozen benchmark crate under benchmarks/ builds against this tree's
+# public API: check it on every run, so an API change breaks here rather
+# than at benchmark time. Cargo rewrites that crate's stale lock file as it
+# resolves; the tracked one is put back.
+spine_check() {
+    local lock ok=0
+    lock="$(mktemp)" || return 1
+    cp benchmarks/Cargo.lock "$lock"
+    cargo check --offline -q --manifest-path benchmarks/Cargo.toml || ok=1
+    cp "$lock" benchmarks/Cargo.lock
+    rm -f "$lock"
+    return "$ok"
+}
+
 # One online query through the console with the registry enabled
 # (--threads 2 so the worker pool registers its metrics: the first batch's
 # weight fill runs on it, and every later batch is prefetched on it).
@@ -136,6 +151,7 @@ step cargo clippy --workspace --all-targets -- -D warnings
 # Rustdoc warnings fail the gate, so a renamed public item cannot leave a
 # dead intra-doc link behind.
 step env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+step spine_check
 step examples_smoke
 step ingest_cli_smoke
 [ "$metrics" -eq 1 ] && step metrics_smoke

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use g_ola::core::{OnlineConfig, OnlineSession};
-use g_ola::storage::{Catalog, Table};
+use g_ola::storage::Catalog;
 use g_ola::workloads::{conviva, tpch, ConvivaGenerator, TpchGenerator};
 
 fn conviva_session(n: usize, k: usize) -> OnlineSession {
@@ -30,53 +30,16 @@ fn tpch_session(n: usize, k: usize) -> OnlineSession {
     OnlineSession::new(catalog, OnlineConfig::for_tests(k))
 }
 
-/// `tol == 0.0` demands bit-for-bit equality — since SUM/AVG/VAR fold
-/// through exact expansions, the final-batch online answer is identical to
-/// the batch engine's regardless of mini-batch order.
-fn assert_tables_match(online: &Table, exact: &Table, tol: f64, name: &str) {
-    assert_eq!(online.num_rows(), exact.num_rows(), "{name}: row count");
-    let sort = |t: &Table| {
-        let mut rows = t.rows().to_vec();
-        rows.sort_by(|a, b| {
-            for (x, y) in a.iter().zip(b.iter()) {
-                let ord = x.total_cmp(y);
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        rows
-    };
-    for (a, b) in sort(online).iter().zip(sort(exact).iter()) {
-        for (x, y) in a.iter().zip(b.iter()) {
-            match (x.as_f64(), y.as_f64()) {
-                (Some(fx), Some(fy)) if tol == 0.0 => {
-                    assert_eq!(
-                        fx.to_bits(),
-                        fy.to_bits(),
-                        "{name}: {fx} vs {fy} (row {a} vs {b})"
-                    );
-                }
-                (Some(fx), Some(fy)) => {
-                    let scale = fy.abs().max(1.0);
-                    assert!(
-                        (fx - fy).abs() / scale < tol,
-                        "{name}: {fx} vs {fy} (row {a} vs {b})"
-                    );
-                }
-                _ => assert_eq!(x, y, "{name}: non-numeric mismatch"),
-            }
-        }
-    }
-}
-
 fn check(session: &OnlineSession, name: &str, sql: &str) {
     let exact = session.execute_exact(sql).unwrap();
     let exec = session.execute_online(sql).unwrap();
     let last = exec.run_to_completion().unwrap();
     assert!(last.is_final(), "{name}");
-    assert_tables_match(&last.table, &exact, 0.0, name);
+    // SUM/AVG/VAR fold through exact expansions, so the final-batch online
+    // answer is the batch engine's, bit for bit, whatever the batch order.
+    if let Err(e) = gola_conformance::tables_bit_equal(&last.table, &exact) {
+        panic!("{name}: {e}");
+    }
 }
 
 #[test]
