@@ -5,10 +5,16 @@
 //! `EXPERIMENTS.md` for recorded results). The binaries print both a
 //! human-readable table and machine-readable CSV lines (prefixed `csv,`)
 //! so results can be scraped into plots.
+//!
+//! Every binary takes one flag, `--threads N` (default 1), read by
+//! [`with_bench_threads`] through the workspace's one flag reader
+//! ([`gola_common::Flags`]): any other argument exits 2. `GOLA_SCALE`
+//! shrinks every row count ([`scale`]).
 
 use std::time::Duration;
 
 use gola_common::timing::Stopwatch;
+use gola_common::Flags;
 use gola_core::{BatchReport, OnlineConfig, OnlineSession};
 use gola_storage::Catalog;
 
@@ -27,33 +33,20 @@ pub fn rows(base: usize) -> usize {
     ((base as f64 * scale()) as usize).max(1000)
 }
 
-/// Worker-thread count shared by all bench binaries: `--threads N` (or
-/// `--threads=N`) on the command line, else `GOLA_THREADS`, else 1. A
-/// value that is not a number is fatal (exit 2), never the default.
-pub fn threads_arg() -> usize {
+/// Apply the bench-wide worker-thread count to a config: `--threads N`
+/// (or `--threads=N`) on the command line, else 1. Any other argument, a
+/// missing value or one that is not a number is fatal (exit 2), never the
+/// default.
+pub fn with_bench_threads(config: OnlineConfig) -> OnlineConfig {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = args.iter().enumerate().find_map(|(i, a)| match a.as_str() {
-        // A trailing `--threads` has an empty value, which does not parse.
-        "--threads" => Some(args.get(i + 1).cloned().unwrap_or_default()),
-        _ => a.strip_prefix("--threads=").map(str::to_string),
-    });
-    let (name, value) = match (flag, std::env::var("GOLA_THREADS")) {
-        (Some(v), _) => ("--threads", v),
-        (None, Ok(v)) => ("GOLA_THREADS", v),
-        (None, Err(_)) => return 1,
-    };
-    match value.parse::<usize>() {
-        Ok(n) => n.max(1),
-        Err(_) => {
-            eprintln!("bad {name} '{value}'");
+    let flags = Flags::parse(&args, "", "--threads");
+    match flags.and_then(|f| f.value_or("--threads", 1)) {
+        Ok(threads) => config.with_threads(threads),
+        Err(e) => {
+            eprintln!("gola-bench: {e}");
             std::process::exit(2);
         }
     }
-}
-
-/// Apply the bench-wide worker-thread count to a config.
-pub fn with_bench_threads(config: OnlineConfig) -> OnlineConfig {
-    config.with_threads(threads_arg())
 }
 
 /// Run a query online to completion, returning every report.

@@ -21,14 +21,22 @@
 //! contract), `--stratify COLUMN` (stratified mini-batch partitioning),
 //! `--append NAME=DIR` (open the durable stream at DIR and register it as
 //! table NAME; repeatable). A contract clause written in the SQL statement
-//! overrides the session-level flag for that query.
+//! overrides the session-level flag for that query. `\load` never
+//! shadows an attached stream: a generated table whose name a stream holds
+//! is refused, and the workload's other tables load.
 //!
 //! Subcommands: `gola serve` (HTTP query service), `gola ingest` (write a
 //! generated workload into a durable segment directory).
+//!
+//! Every command reads its flags through [`gola_common::Flags`]: an
+//! unknown flag or argument, a flag with no value, a value that starts
+//! with `--` and a value that does not parse each print `gola: …` and exit
+//! 2 before any data is loaded, any port is bound or any file is written.
 
 use std::io::{BufRead, Write};
 use std::sync::Arc;
 
+use gola_common::{Error, Flags, Result};
 use gola_core::{OnlineConfig, OnlineSession};
 use gola_plan::QueryContract;
 use gola_storage::{Catalog, StreamTable};
@@ -50,62 +58,66 @@ struct Console {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("serve") {
-        serve(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("ingest") {
-        ingest(&args[1..]);
-        return;
-    }
-    let mut console = Console {
-        catalog: Catalog::new(),
-        config: OnlineConfig::default().with_batches(40),
-        progress: args.iter().any(|a| a == "--progress"),
-        timings: args.iter().any(|a| a == "--timings"),
-        metrics_out: flag_str(&args, "--metrics-out").map(std::path::PathBuf::from),
+    let result = match args.first().map(String::as_str) {
+        Some("serve") => serve(&args[1..]),
+        Some("ingest") => ingest(&args[1..]),
+        _ => console(&args),
     };
-    if let Some(threads) = flag_value(&args, "--threads") {
-        console.config = console.config.clone().with_threads(threads);
-    }
-    let error_pct = flag_value::<f64>(&args, "--error");
-    let deadline = flag_value::<f64>(&args, "--deadline");
-    if error_pct.is_some() && deadline.is_some() {
-        eprintln!("gola: --error and --deadline are mutually exclusive");
+    // Every usage error ends here, before any data is loaded, any port is
+    // bound or any file is written.
+    if let Err(e) = result {
+        eprintln!("gola: {e}");
         std::process::exit(2);
     }
+}
+
+fn console(args: &[String]) -> Result<()> {
+    let flags = Flags::parse(
+        args,
+        "--progress --timings --demo",
+        "--threads --metrics-out --error --confidence --deadline --stratify --append",
+    )?;
+    let mut config = OnlineConfig::default().with_batches(40);
+    if let Some(threads) = flags.value("--threads")? {
+        config = config.with_threads(threads);
+    }
+    let error_pct = flags.value::<f64>("--error")?;
+    let c = flags.value_or("--confidence", 95.0_f64)?;
+    let deadline = flags.value::<f64>("--deadline")?;
+    if error_pct.is_some() && deadline.is_some() {
+        return Err(Error::config("--error and --deadline exclude each other"));
+    }
     if let Some(p) = error_pct {
-        let c = flag_value::<f64>(&args, "--confidence").unwrap_or(95.0);
         if !p.is_finite() || p <= 0.0 || p >= 100.0 || !c.is_finite() || c <= 0.0 || c >= 100.0 {
-            eprintln!("gola: --error/--confidence expect percentages in (0, 100)");
-            std::process::exit(2);
+            return Err(Error::config("--error/--confidence must be in (0, 100)"));
         }
-        console.config = console.config.clone().with_contract(QueryContract::Error {
-            target: p / 100.0,
-            confidence: c / 100.0,
-        });
+        let (target, confidence) = (p / 100.0, c / 100.0);
+        config = config.with_contract(QueryContract::Error { target, confidence });
     }
     if let Some(seconds) = deadline {
         if !seconds.is_finite() || seconds <= 0.0 {
-            eprintln!("gola: --deadline expects a positive number of seconds");
-            std::process::exit(2);
+            return Err(Error::config("--deadline expects seconds > 0"));
         }
-        console.config = console
-            .config
-            .clone()
-            .with_contract(QueryContract::Within { seconds });
+        config = config.with_contract(QueryContract::Within { seconds });
     }
-    if let Some(column) = flag_str(&args, "--stratify") {
-        console.config = console.config.clone().with_stratify_column(column);
+    if let Some(column) = flags.value::<String>("--stratify")? {
+        config = config.with_stratify_column(column);
     }
+    let mut console = Console {
+        catalog: Catalog::new(),
+        config,
+        progress: flags.on("--progress"),
+        timings: flags.on("--timings"),
+        metrics_out: flags.value("--metrics-out")?,
+    };
     if console.metrics_out.is_some() {
         gola_obs::set_enabled(true);
     }
-    attach_streams(&mut console.catalog, &args);
-    if args.iter().any(|a| a == "--demo") {
+    attach_streams(&mut console.catalog, &flags)?;
+    if flags.on("--demo") {
         console.load("mytube", 100_000);
         console.demo();
-        return;
+        return Ok(());
     }
     println!("G-OLA interactive console — type \\help for commands.");
     console.load("conviva", 50_000);
@@ -145,6 +157,7 @@ fn main() {
             }
         }
     }
+    Ok(())
 }
 
 /// `gola serve` — run the multi-tenant HTTP query service in the
@@ -160,33 +173,40 @@ fn main() {
 /// (fail-closed accept cap, default 64), `--append NAME=DIR` (serve the
 /// durable stream at DIR as table NAME; `POST /append/NAME` then feeds
 /// it, and appended segments persist across restarts).
-fn serve(args: &[String]) {
-    let workload = flag_str(args, "--workload").unwrap_or_else(|| "conviva".into());
-    let rows = flag_value(args, "--rows").unwrap_or(100_000);
-    let mut catalog = match workload.as_str() {
-        "conviva" => ConvivaGenerator::default().catalog(rows),
-        "tpch" => TpchGenerator::default().catalog(rows),
-        other => {
-            eprintln!("gola serve: unknown workload '{other}' (conviva | tpch)");
-            std::process::exit(2);
-        }
-    };
-    attach_streams(&mut catalog, args);
-    if args.iter().any(|a| a == "--metrics") {
-        gola_obs::set_enabled(true);
-    }
-    let addr = flag_value(args, "--addr").unwrap_or(([127, 0, 0, 1], 8642).into());
+fn serve(args: &[String]) -> Result<()> {
+    let flags = Flags::parse(
+        args,
+        "--metrics",
+        "--addr --workload --rows --threads --max-active --queue --batches --max-connections \
+         --append",
+    )?;
+    let workload = flags.value_or("--workload", "conviva".to_string())?;
+    let rows = flags.value_or("--rows", 100_000)?;
+    let addr = flags.value_or("--addr", ([127, 0, 0, 1], 8642).into())?;
     let service = gola_core::sched::ServiceConfig {
-        threads: flag_value(args, "--threads").unwrap_or(2),
-        max_active: flag_value(args, "--max-active").unwrap_or(4),
-        queue_capacity: flag_value(args, "--queue").unwrap_or(16),
-        base: OnlineConfig::default().with_batches(flag_value(args, "--batches").unwrap_or(40)),
+        threads: flags.value_or("--threads", 2)?,
+        max_active: flags.value_or("--max-active", 4)?,
+        queue_capacity: flags.value_or("--queue", 16)?,
+        base: OnlineConfig::default().with_batches(flags.value_or("--batches", 40)?),
     };
     let config = gola_server::ServerConfig {
         addr,
         service,
-        max_connections: flag_value(args, "--max-connections").unwrap_or(64).max(1),
+        max_connections: flags.value_or("--max-connections", 64)?.max(1),
     };
+    let mut catalog = match workload.as_str() {
+        "conviva" => ConvivaGenerator::default().catalog(rows),
+        "tpch" => TpchGenerator::default().catalog(rows),
+        other => {
+            return Err(Error::config(format!(
+                "serve: unknown workload '{other}' (conviva | tpch)"
+            )))
+        }
+    };
+    attach_streams(&mut catalog, &flags)?;
+    if flags.on("--metrics") {
+        gola_obs::set_enabled(true);
+    }
     let server = match gola_server::Server::start(catalog, config) {
         Ok(s) => s,
         Err(e) => {
@@ -222,36 +242,37 @@ fn serve(args: &[String]) {
 /// Flags: `--dir PATH` (required), `--workload conviva|tpch` (default
 /// conviva), `--rows N` (default 10000), `--seal-rows K` (default ⌈N/4⌉),
 /// `--seed S` (decimal), `--keep-open`.
-fn ingest(args: &[String]) {
-    let Some(dir) = flag_str(args, "--dir") else {
-        eprintln!("gola ingest: --dir is required");
-        std::process::exit(2);
+fn ingest(args: &[String]) -> Result<()> {
+    let flags = Flags::parse(
+        args,
+        "--keep-open",
+        "--dir --workload --rows --seal-rows --seed",
+    )?;
+    let Some(dir) = flags.value::<String>("--dir")? else {
+        return Err(Error::config("ingest: --dir is required"));
     };
-    let workload = flag_str(args, "--workload").unwrap_or_else(|| "conviva".into());
-    let rows = flag_value(args, "--rows").unwrap_or(10_000);
-    let seed = flag_value::<u64>(args, "--seed");
+    let workload = flags.value_or("--workload", "conviva".to_string())?;
+    let rows = flags.value_or("--rows", 10_000)?;
+    let seed = flags.value::<u64>("--seed")?;
     let data = match workload.as_str() {
         "conviva" => {
-            let mut g = ConvivaGenerator::default();
-            if let Some(s) = seed {
-                g.seed = s;
-            }
-            g.generate(rows)
+            let default = ConvivaGenerator::default();
+            let seed = seed.unwrap_or(default.seed);
+            ConvivaGenerator { seed, ..default }.generate(rows)
         }
         "tpch" => {
-            let mut g = TpchGenerator::default();
-            if let Some(s) = seed {
-                g.seed = s;
-            }
-            g.generate(rows)
+            let default = TpchGenerator::default();
+            let seed = seed.unwrap_or(default.seed);
+            TpchGenerator { seed, ..default }.generate(rows)
         }
         other => {
-            eprintln!("gola ingest: unknown workload '{other}' (conviva | tpch)");
-            std::process::exit(2);
+            return Err(Error::config(format!(
+                "ingest: unknown workload '{other}' (conviva | tpch)"
+            )))
         }
     };
-    let seal_rows = flag_value(args, "--seal-rows")
-        .unwrap_or_else(|| data.num_rows().div_ceil(4))
+    let seal_rows = flags
+        .value_or("--seal-rows", data.num_rows().div_ceil(4))?
         .max(1);
     let path = std::path::Path::new(&dir);
     let result = (|| {
@@ -264,7 +285,7 @@ fn ingest(args: &[String]) {
             stream.append_rows(chunk)?;
             stream.seal()?;
         }
-        if !args.iter().any(|a| a == "--keep-open") {
+        if !flags.on("--keep-open") {
             stream.close()?;
         }
         Ok::<_, gola_common::Error>(stream)
@@ -282,73 +303,30 @@ fn ingest(args: &[String]) {
             std::process::exit(1);
         }
     }
+    Ok(())
 }
 
 /// Open each `--append NAME=DIR` durable stream and register it in the
-/// catalog. Failures are fatal up front — a missing manifest or a name
-/// collision would otherwise surface later as a confusing query error.
-fn attach_streams(catalog: &mut Catalog, args: &[String]) {
-    for i in 0..args.len() {
-        let Some(spec) = flag_at(args, i, "--append") else {
-            continue;
-        };
+/// catalog. Failures are usage errors up front — a missing manifest or a
+/// name collision would otherwise surface later as a confusing query error.
+fn attach_streams(catalog: &mut Catalog, flags: &Flags) -> Result<()> {
+    for spec in flags.all("--append") {
         let Some((name, dir)) = spec.split_once('=') else {
-            eprintln!("gola: --append expects NAME=DIR, got '{spec}'");
-            std::process::exit(2);
+            return Err(Error::config(format!(
+                "--append expects NAME=DIR, got '{spec}'"
+            )));
         };
-        let stream = match StreamTable::open_dir(std::path::Path::new(dir)) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("gola: --append {name}: cannot open '{dir}': {e}");
-                std::process::exit(2);
-            }
-        };
-        let (segments, watermark, closed) = (
+        let stream = StreamTable::open_dir(std::path::Path::new(dir))
+            .map_err(|e| Error::config(format!("--append {name}: cannot open '{dir}': {e}")))?;
+        catalog.register_stream(name, Arc::clone(&stream))?;
+        println!(
+            "  attached stream '{name}' from {dir} ({} segments, watermark {}{})",
             stream.num_segments(),
             stream.watermark(),
-            stream.is_closed(),
-        );
-        if let Err(e) = catalog.register_stream(name, stream) {
-            eprintln!("gola: --append: {e}");
-            std::process::exit(2);
-        }
-        println!(
-            "  attached stream '{name}' from {dir} ({segments} segments, watermark {watermark}{})",
-            if closed { ", closed" } else { "" },
+            if stream.is_closed() { ", closed" } else { "" },
         );
     }
-}
-
-/// Parse `--flag V` or `--flag=V` from the argument list. A value that
-/// does not parse is fatal (exit 2), never the default.
-fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    let v = flag_str(args, flag)?;
-    match v.parse() {
-        Ok(x) => Some(x),
-        Err(_) => {
-            eprintln!("gola: bad {flag} '{v}'");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Parse `--flag VALUE` or `--flag=VALUE` from the argument list.
-fn flag_str(args: &[String], flag: &str) -> Option<String> {
-    (0..args.len()).find_map(|i| flag_at(args, i, flag))
-}
-
-/// The value of `flag` if argument `i` is `--flag VALUE` or
-/// `--flag=VALUE`. A flag given last, with no value, is fatal (exit 2).
-fn flag_at(args: &[String], i: usize, flag: &str) -> Option<String> {
-    if args[i] == flag {
-        let Some(v) = args.get(i + 1) else {
-            eprintln!("gola: {flag} expects a value");
-            std::process::exit(2);
-        };
-        return Some(v.clone());
-    }
-    let v = args[i].strip_prefix(flag)?.strip_prefix('=')?;
-    Some(v.to_string())
+    Ok(())
 }
 
 impl Console {
@@ -372,6 +350,9 @@ impl Console {
                 println!("  SQL contracts: append ERROR p% [CONFIDENCE c%] or WITHIN n SECONDS");
                 println!("  to an aggregate query; flags --error/--confidence/--deadline set a");
                 println!("  session default and --stratify <col> stratifies the mini-batches.");
+                println!("  An unknown flag, or a flag whose value is missing, starts with --");
+                println!("  or does not parse, exits 2. \\load leaves a stream attached with");
+                println!("  --append NAME=DIR in place of a generated table of the same name.");
             }
             "\\tables" => {
                 for name in self.catalog.names() {
@@ -451,8 +432,12 @@ impl Console {
         };
         for name in loaded.names() {
             let table = loaded.get(&name).expect("listed table");
-            println!("  registered '{name}' ({} rows)", table.num_rows());
-            self.catalog.register_or_replace(name, table);
+            let rows = table.num_rows();
+            // An attached stream keeps its name; the other tables load.
+            match self.catalog.register_or_replace(&name, table) {
+                Ok(()) => println!("  registered '{name}' ({rows} rows)"),
+                Err(e) => println!("  {e}"),
+            }
         }
         if !hint.is_empty() {
             println!("  {hint}");
@@ -521,7 +506,7 @@ impl Console {
     /// Scripted dashboard: cycles the demo metrics like the paper's booth
     /// dashboard, printing refreshed estimates as they refine.
     fn demo(&mut self) {
-        if !self.catalog.contains("mytube_sessions") {
+        if self.catalog.entry("mytube_sessions").is_err() {
             self.load("mytube", 100_000);
         }
         let metrics = [

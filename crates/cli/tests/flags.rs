@@ -1,16 +1,19 @@
-//! A numeric flag whose value does not parse, or any flag given last with
-//! no value, stops `gola` with exit status 2 before it loads data, binds a
+//! A command line that names an unknown flag, gives a valued flag no value
+//! (given last, or followed by another flag) or gives a value that does
+//! not parse stops `gola` with exit status 2 before it loads data, binds a
 //! port or writes a file; it never runs on the flag's default.
 
+use std::path::Path;
 use std::process::{Command, ExitStatus, Stdio};
 use std::time::Duration;
 
 use gola_common::timing::Stopwatch;
 
-/// Run `gola` with `args` and no stdin (the console reads EOF and quits),
-/// killing it if it has not exited within a minute.
-fn gola(args: &[&str]) -> ExitStatus {
+/// Run `gola` with `args` and no stdin (the console reads EOF and quits)
+/// in `cwd`, killing it if it has not exited within a minute.
+fn gola(cwd: &Path, args: &[&str]) -> ExitStatus {
     let mut child = Command::new(env!("CARGO_BIN_EXE_gola"))
+        .current_dir(cwd)
         .args(args)
         .stdin(Stdio::null())
         .stdout(Stdio::null())
@@ -33,7 +36,7 @@ fn gola(args: &[&str]) -> ExitStatus {
 
 #[test]
 fn malformed_numeric_flags_exit_2() {
-    let cases: [&[&str]; 11] = [
+    let cases: [&[&str]; 17] = [
         &["--error", "5%", "--deadline", "10"],
         &["--deadline", "ten"],
         &["--confidence=high", "--error", "5"],
@@ -46,13 +49,32 @@ fn malformed_numeric_flags_exit_2() {
         &["--metrics-out"],
         &["--append"],
         &["--threads"],
+        // A value that starts with `--` is the next flag, not a value:
+        // these once wrote files or a directory named `--threads`/`--rows`.
+        &["--metrics-out", "--threads", "2"],
+        &["--append", "--threads", "2"],
+        &["serve", "--workload", "--rows", "5"],
+        &["ingest", "--dir", "--rows", "5"],
+        // A misspelt flag once ran on defaults; `--help` once served.
+        &["--thread", "2"],
+        &["serve", "--help"],
     ];
+    // Each case runs in an empty working directory that must stay empty.
+    let cwd = std::env::temp_dir().join(format!("gola-cli-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&cwd).unwrap();
     for args in cases {
-        assert_eq!(gola(args).code(), Some(2), "gola {args:?}");
+        assert_eq!(gola(&cwd, args).code(), Some(2), "gola {args:?}");
+        let written: Vec<_> = std::fs::read_dir(&cwd).unwrap().collect();
+        assert!(written.is_empty(), "gola {args:?} wrote {written:?}");
     }
+    std::fs::remove_dir(&cwd).unwrap();
 }
 
 #[test]
 fn well_formed_flags_run() {
-    assert_eq!(gola(&["--threads", "2", "--error", "5"]).code(), Some(0));
+    let cwd = std::env::temp_dir();
+    assert_eq!(
+        gola(&cwd, &["--threads", "2", "--error", "5"]).code(),
+        Some(0)
+    );
 }

@@ -18,6 +18,7 @@
 
 pub mod column;
 pub mod error;
+pub mod flags;
 pub mod fsum;
 pub mod hash;
 pub mod json;
@@ -41,6 +42,7 @@ pub fn row_u32(n: usize) -> u32 {
     u32::try_from(n).expect("row index exceeds u32::MAX (chunk framing bug)")
 }
 pub use error::{Error, Result};
+pub use flags::Flags;
 pub use fsum::{ExactSum, ExactVariance};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use row::Row;

@@ -79,16 +79,6 @@ pub struct BatchTiming {
 }
 
 impl BatchTiming {
-    /// Streamed-tuple throughput of this batch, from the stage-bucket sum.
-    pub fn tuples_per_sec(&self) -> f64 {
-        let total = self.total().as_secs_f64();
-        if total > 0.0 {
-            self.batch_rows as f64 / total
-        } else {
-            0.0
-        }
-    }
-
     /// Sum of all stage buckets.
     pub fn total(&self) -> Duration {
         self.join + self.classify + self.fold + self.publish + self.recover
@@ -511,11 +501,9 @@ mod tests {
             batch_rows: 1000,
         };
         assert_eq!(t.total(), Duration::from_millis(100));
-        assert!((t.tuples_per_sec() - 10_000.0).abs() < 1e-6);
         t.accumulate(&t.clone());
         assert_eq!(t.total(), Duration::from_millis(200));
         assert_eq!(t.batch_rows, 2000);
-        assert_eq!(BatchTiming::default().tuples_per_sec(), 0.0);
     }
 
     #[test]

@@ -52,6 +52,7 @@ use std::thread::JoinHandle;
 
 use gola_common::sync::{lock, wait};
 use gola_common::Result;
+use gola_storage::catalog::Entry;
 use gola_storage::Catalog;
 
 use crate::config::OnlineConfig;
@@ -477,13 +478,11 @@ impl QueryService {
 /// every id below this is one a session may read weights for again. A
 /// stream is left out, so its tail never grows the store.
 fn largest_table(catalog: &Catalog) -> usize {
-    let names = catalog.names().into_iter();
-    let tables = names.filter(|name| catalog.stream(name).is_none());
-    tables
-        .filter_map(|name| catalog.get(&name).ok())
-        .map(|table| table.num_rows())
-        .max()
-        .unwrap_or(0)
+    let tables = catalog.entries().filter_map(|(_, entry)| match entry {
+        Entry::Static(table) => Some(table.num_rows()),
+        Entry::Stream(_) => None,
+    });
+    tables.max().unwrap_or(0)
 }
 
 impl Drop for QueryService {

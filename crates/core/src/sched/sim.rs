@@ -182,6 +182,7 @@ impl ScriptedTask {
     }
 
     /// Run one parked quantum (no output) once `after` quanta have run.
+    #[cfg(test)]
     pub fn parks_after(mut self, after: u64) -> ScriptedTask {
         self.park_after = Some(after);
         self

@@ -13,6 +13,7 @@ use std::sync::Arc;
 
 use gola_common::{Error, Result};
 use gola_plan::{MetaPlan, QueryGraph};
+use gola_storage::catalog::Entry;
 use gola_storage::{Catalog, Partitioner, Table};
 
 use crate::config::OnlineConfig;
@@ -111,8 +112,12 @@ impl OnlineSession {
         // A stream-backed scan table makes this a *growing* query: the
         // base schedule covers the sealed snapshot at start, and segments
         // sealed afterwards surface as extra mini-batches (moving N).
-        let live = self.catalog.stream(&prepared.stream_table);
-        let table = self.catalog.get(&prepared.stream_table)?;
+        let entry = self.catalog.entry(&prepared.stream_table)?;
+        let table = entry.table()?;
+        let live = match entry {
+            Entry::Stream(stream) => Some(stream),
+            Entry::Static(_) => None,
+        };
         // Never ask for more batches than rows.
         let k = self.config.num_batches.min(table.num_rows()).max(1);
         let seed = self.config.partition_seed;

@@ -72,16 +72,6 @@ impl RangeVal {
         }
     }
 
-    /// `true` iff the range pins down a single value.
-    pub fn is_exact(&self) -> bool {
-        match self {
-            RangeVal::Exact(_) => true,
-            #[expect(clippy::float_cmp, reason = "a degenerate range is exactly one point")]
-            RangeVal::Num { lo, hi } => lo == hi,
-            RangeVal::Unknown => false,
-        }
-    }
-
     /// Does `x` lie inside the range? (`Unknown` contains everything.)
     pub fn contains(&self, x: f64) -> bool {
         match self.bounds() {
@@ -346,9 +336,6 @@ mod tests {
     fn exact_value_bounds() {
         assert_eq!(RangeVal::Exact(Value::Int(3)).bounds(), Some((3.0, 3.0)));
         assert_eq!(RangeVal::Exact(Value::str("x")).bounds(), None);
-        assert!(RangeVal::Exact(Value::Int(3)).is_exact());
-        assert!(!RangeVal::num(1.0, 2.0).is_exact());
-        assert!(RangeVal::num(2.0, 2.0).is_exact());
     }
 
     #[test]

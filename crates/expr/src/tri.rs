@@ -49,16 +49,6 @@ impl Tri {
     pub fn is_deterministic(self) -> bool {
         self != Tri::Maybe
     }
-
-    /// Collapse to a bool using the current best estimate (`Maybe` needs a
-    /// point decision supplied by the caller).
-    pub fn resolve_with(self, point: bool) -> bool {
-        match self {
-            Tri::True => true,
-            Tri::False => false,
-            Tri::Maybe => point,
-        }
-    }
 }
 
 impl From<bool> for Tri {
@@ -106,13 +96,5 @@ mod tests {
                 assert_eq!(a.or(b), b.or(a));
             }
         }
-    }
-
-    #[test]
-    fn resolve() {
-        assert!(True.resolve_with(false));
-        assert!(!False.resolve_with(true));
-        assert!(Maybe.resolve_with(true));
-        assert!(!Maybe.resolve_with(false));
     }
 }

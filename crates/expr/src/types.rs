@@ -23,11 +23,6 @@ impl TypeEnv {
         }
     }
 
-    pub fn with_scalar(mut self, id: SubqueryId, ty: DataType) -> Self {
-        self.scalars.insert(id, ty);
-        self
-    }
-
     pub fn set_scalar(&mut self, id: SubqueryId, ty: DataType) {
         self.scalars.insert(id, ty);
     }
@@ -186,13 +181,14 @@ mod tests {
     use crate::functions::FunctionRegistry;
 
     fn env() -> TypeEnv {
-        TypeEnv::new(vec![
+        let mut env = TypeEnv::new(vec![
             DataType::Int,
             DataType::Float,
             DataType::Str,
             DataType::Bool,
-        ])
-        .with_scalar(SubqueryId(0), DataType::Float)
+        ]);
+        env.set_scalar(SubqueryId(0), DataType::Float);
+        env
     }
 
     #[test]

@@ -272,6 +272,7 @@ pub struct QueryGraph {
 
 impl QueryGraph {
     /// A graph with no subqueries.
+    #[cfg(test)]
     pub fn simple(root: LogicalPlan) -> Self {
         QueryGraph {
             subqueries: Vec::new(),

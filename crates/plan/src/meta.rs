@@ -155,6 +155,7 @@ impl MetaPlan {
         })
     }
 
+    #[cfg(test)]
     pub fn root_block(&self) -> &Block {
         &self.blocks[self.root]
     }

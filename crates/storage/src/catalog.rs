@@ -8,20 +8,39 @@ use gola_common::{Error, Result};
 use crate::stream::StreamTable;
 use crate::table::Table;
 
-/// A case-insensitive map from table name to table.
+/// What one catalog name resolves to: a static table or a live stream,
+/// never both.
+#[derive(Debug, Clone)]
+pub enum Entry {
+    Static(Arc<Table>),
+    Stream(Arc<StreamTable>),
+}
+
+impl Entry {
+    /// The table a query reads: the static table itself, or a fresh
+    /// point-in-time snapshot of the stream's sealed segments (cheap —
+    /// chunks are `Arc`-shared).
+    pub fn table(&self) -> Result<Arc<Table>> {
+        match self {
+            Entry::Static(table) => Ok(Arc::clone(table)),
+            Entry::Stream(stream) => Ok(Arc::new(stream.snapshot()?)),
+        }
+    }
+}
+
+/// A case-insensitive map from table name to one [`Entry`].
 ///
 /// `BTreeMap` keeps iteration deterministic (catalog listings in tests and
-/// the CLI are stable across runs).
-///
-/// A name can also be backed by a [`StreamTable`]: `get` then materializes
-/// a point-in-time snapshot of the sealed segments (cheap — chunks are
-/// `Arc`-shared), while [`Catalog::stream`] hands out the live handle so
-/// growing queries and ingest paths observe appends. Cloning a catalog
-/// clones the `Arc`s, so a clone shares every stream with the original.
+/// the CLI are stable across runs). One map holds static tables and
+/// streams alike, so a name cannot resolve to a static table for the exact
+/// engine and to a stream for a growing query. [`Catalog::get`] resolves a
+/// stream-backed name to a snapshot, while [`Catalog::stream`] hands out
+/// the live handle so growing queries and ingest paths observe appends.
+/// Cloning a catalog clones the `Arc`s, so a clone shares every stream
+/// with the original.
 #[derive(Debug, Default, Clone)]
 pub struct Catalog {
-    tables: BTreeMap<String, Arc<Table>>,
-    streams: BTreeMap<String, Arc<StreamTable>>,
+    entries: BTreeMap<String, Entry>,
 }
 
 impl Catalog {
@@ -31,12 +50,7 @@ impl Catalog {
 
     /// Register a table; errors on duplicate names.
     pub fn register(&mut self, name: impl Into<String>, table: Arc<Table>) -> Result<()> {
-        let key = name.into().to_ascii_lowercase();
-        if self.tables.contains_key(&key) || self.streams.contains_key(&key) {
-            return Err(Error::catalog(format!("table '{key}' already exists")));
-        }
-        self.tables.insert(key, table);
-        Ok(())
+        self.insert(name.into(), Entry::Static(table))
     }
 
     /// Register an appendable stream under `name`; errors on duplicates.
@@ -47,65 +61,71 @@ impl Catalog {
         name: impl Into<String>,
         stream: Arc<StreamTable>,
     ) -> Result<()> {
-        let key = name.into().to_ascii_lowercase();
-        if self.tables.contains_key(&key) || self.streams.contains_key(&key) {
+        self.insert(name.into(), Entry::Stream(stream))
+    }
+
+    fn insert(&mut self, name: String, entry: Entry) -> Result<()> {
+        let key = name.to_ascii_lowercase();
+        if self.entries.contains_key(&key) {
             return Err(Error::catalog(format!("table '{key}' already exists")));
         }
-        self.streams.insert(key, stream);
+        self.entries.insert(key, entry);
         Ok(())
+    }
+
+    /// Replace or insert a static table. A stream-backed name is refused:
+    /// a static table never shadows a stream.
+    pub fn register_or_replace(
+        &mut self,
+        name: impl Into<String>,
+        table: Arc<Table>,
+    ) -> Result<()> {
+        let key = name.into().to_ascii_lowercase();
+        if let Some(Entry::Stream(_)) = self.entries.get(&key) {
+            return Err(Error::catalog(format!(
+                "table '{key}' is an attached stream; a static table does not replace it"
+            )));
+        }
+        self.entries.insert(key, Entry::Static(table));
+        Ok(())
+    }
+
+    /// What `name` (case-insensitive) resolves to; an unknown name's error
+    /// lists the names there are.
+    pub fn entry(&self, name: &str) -> Result<&Entry> {
+        self.entries.get(&name.to_ascii_lowercase()).ok_or_else(|| {
+            Error::catalog(format!(
+                "unknown table '{name}' (available: {})",
+                self.names().join(", ")
+            ))
+        })
+    }
+
+    /// Every name with its entry, in name order.
+    pub fn entries(&self) -> impl Iterator<Item = (&str, &Entry)> {
+        self.entries
+            .iter()
+            .map(|(name, entry)| (name.as_str(), entry))
     }
 
     /// The live stream handle behind `name`, if `name` is stream-backed.
     pub fn stream(&self, name: &str) -> Option<&Arc<StreamTable>> {
-        self.streams.get(&name.to_ascii_lowercase())
-    }
-
-    /// Replace or insert a table.
-    pub fn register_or_replace(&mut self, name: impl Into<String>, table: Arc<Table>) {
-        self.tables.insert(name.into().to_ascii_lowercase(), table);
-    }
-
-    /// Remove a table, returning it if present.
-    pub fn deregister(&mut self, name: &str) -> Option<Arc<Table>> {
-        self.tables.remove(&name.to_ascii_lowercase())
+        match self.entries.get(&name.to_ascii_lowercase())? {
+            Entry::Stream(stream) => Some(stream),
+            Entry::Static(_) => None,
+        }
     }
 
     /// Look up a table by name (case-insensitive). A stream-backed name
     /// yields a fresh snapshot of its sealed segments, so batch engines and
     /// dimension reads see a consistent point-in-time table.
     pub fn get(&self, name: &str) -> Result<Arc<Table>> {
-        let key = name.to_ascii_lowercase();
-        if let Some(t) = self.tables.get(&key) {
-            return Ok(Arc::clone(t));
-        }
-        if let Some(s) = self.streams.get(&key) {
-            return Ok(Arc::new(s.snapshot()?));
-        }
-        Err(Error::catalog(format!(
-            "unknown table '{name}' (available: {})",
-            self.names().join(", ")
-        )))
+        self.entry(name)?.table()
     }
 
-    pub fn contains(&self, name: &str) -> bool {
-        let key = name.to_ascii_lowercase();
-        self.tables.contains_key(&key) || self.streams.contains_key(&key)
-    }
-
-    /// Sorted table names (static tables and streams alike).
+    /// Sorted table names (static tables and streams alike), each once.
     pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.tables.keys().cloned().collect();
-        names.extend(self.streams.keys().cloned());
-        names.sort();
-        names
-    }
-
-    pub fn len(&self) -> usize {
-        self.tables.len() + self.streams.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.tables.is_empty() && self.streams.is_empty()
+        self.entries.keys().cloned().collect()
     }
 }
 
@@ -125,7 +145,7 @@ mod tests {
         c.register("Sessions", table()).unwrap();
         assert!(c.get("sessions").is_ok());
         assert!(c.get("SESSIONS").is_ok());
-        assert!(c.contains("SeSsIoNs"));
+        assert!(c.entry("SeSsIoNs").is_ok());
     }
 
     #[test]
@@ -133,8 +153,8 @@ mod tests {
         let mut c = Catalog::new();
         c.register("t", table()).unwrap();
         assert!(c.register("T", table()).is_err());
-        c.register_or_replace("T", table());
-        assert_eq!(c.len(), 1);
+        c.register_or_replace("T", table()).unwrap();
+        assert_eq!(c.names(), ["t"]);
     }
 
     #[test]
@@ -153,7 +173,7 @@ mod tests {
         let s = StreamTable::new(Arc::clone(&schema));
         let mut c = Catalog::new();
         c.register_stream("Live", Arc::clone(&s)).unwrap();
-        assert!(c.contains("live"));
+        assert!(c.entry("live").is_ok());
         assert!(c.register("LIVE", table()).is_err(), "name is taken");
         assert!(c.register_stream("live", StreamTable::new(schema)).is_err());
         // Snapshot sees only sealed rows; a catalog clone shares the stream.
@@ -168,11 +188,36 @@ mod tests {
     }
 
     #[test]
-    fn deregister() {
+    fn a_static_table_does_not_shadow_a_stream() {
+        let schema = Arc::new(Schema::from_pairs(&[("x", DataType::Int)]));
+        let s = StreamTable::new(schema);
+        s.append_rows(&[row![1i64], row![2i64]]).unwrap();
+        s.seal().unwrap();
         let mut c = Catalog::new();
-        c.register("t", table()).unwrap();
-        assert!(c.deregister("T").is_some());
-        assert!(c.deregister("t").is_none());
-        assert!(c.is_empty());
+        c.register_stream("sessions", Arc::clone(&s)).unwrap();
+        let e = c.register_or_replace("Sessions", table()).unwrap_err();
+        assert!(matches!(e, Error::Catalog(_)), "{e}");
+        // The name still resolves to the stream, for the live handle and
+        // the snapshot alike.
+        assert!(c.stream("sessions").is_some());
+        assert_eq!(c.get("sessions").unwrap().num_rows(), 2);
+        assert!(matches!(c.entry("SESSIONS").unwrap(), Entry::Stream(_)));
+    }
+
+    #[test]
+    fn names_list_each_name_once() {
+        let schema = Arc::new(Schema::from_pairs(&[("x", DataType::Int)]));
+        let mut c = Catalog::new();
+        c.register("b", table()).unwrap();
+        c.register_stream("a", StreamTable::new(schema)).unwrap();
+        c.register_or_replace("B", table()).unwrap();
+        c.register_or_replace("c", table()).unwrap();
+        assert!(c.register_or_replace("A", table()).is_err());
+        assert_eq!(c.names(), ["a", "b", "c"]);
+        let kinds: Vec<bool> = c
+            .entries()
+            .map(|(_, e)| matches!(e, Entry::Stream(_)))
+            .collect();
+        assert_eq!(kinds, [true, false, false]);
     }
 }

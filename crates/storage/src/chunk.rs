@@ -27,12 +27,10 @@ impl ColumnChunk {
         ColumnChunk { columns, len }
     }
 
-    /// Assemble from externally produced columns **without** the equal-
-    /// length debug assertion. Loaders that cannot vouch for their input
-    /// (file readers, network decoders) build chunks here and rely on
-    /// [`crate::Table::from_chunks`] for the checked validation — that is
-    /// where a ragged chunk becomes a typed error instead of a deferred
-    /// index panic.
+    /// Assemble from columns **without** the equal-length debug assertion,
+    /// so a test can build the ragged chunk that
+    /// [`crate::Table::from_chunks`] must turn into a typed error.
+    #[cfg(test)]
     pub fn from_columns_untrusted(columns: Vec<Arc<Column>>, len: usize) -> ColumnChunk {
         ColumnChunk { columns, len }
     }

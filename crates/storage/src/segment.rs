@@ -19,7 +19,7 @@
 //! and row order is preserved, which is what lets crash recovery replay a
 //! durable stream to a bit-identical report stream.
 
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -374,8 +374,12 @@ pub fn write_segment(path: &Path, schema: &Schema, chunk: &ColumnChunk) -> Resul
 /// [`Error::Io`] on any malformed or truncated input — a torn segment from
 /// a crash is rejected here, never half-loaded.
 pub fn read_segment(path: &Path) -> Result<(Schema, ColumnChunk)> {
-    let file = std::fs::File::open(path)?;
-    let mut r = BufReader::new(file);
+    // Decode from the file's bytes in memory: a slice's `read_exact` is
+    // always inlined, so the per-value reads below do not depend on how
+    // the compiler splits this crate into codegen units, as a
+    // `BufReader`'s did.
+    let bytes = std::fs::read(path)?;
+    let mut r = bytes.as_slice();
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
     if magic != SEGMENT_MAGIC {

@@ -3,8 +3,9 @@
 # oracles, the contract checks and the scheduler simulator included), a
 # deeper run of the replica-state oracle, repeated runs of the service's
 # and the prefetch's concurrency tests, formatting, lints, rustdoc
-# links, a check of the benchmark crate, a run of every example program,
-# and a CLI ingest/replay smoke.
+# links, the bit-pinning suites built for baseline x86-64, a check of the
+# benchmark crate, a run of every example program, and a CLI
+# ingest/replay smoke.
 # `cargo fmt` is skipped
 # with a warning where it is not installed; `cargo clippy` is required,
 # because it enforces the determinism contract (DESIGN.md §3.6).
@@ -100,6 +101,17 @@ examples_smoke() {
     done
 }
 
+# `.cargo/config.toml` builds for the host ISA and claims that moves no
+# bit. Build the suites that pin report, plan and scheduler bits for
+# baseline x86-64, in their own target directory, and run them: a kernel
+# whose numbers depend on the build's CPU features fails here.
+portable_bits() {
+    RUSTFLAGS="-C target-cpu=x86-64" cargo test --release -q --target-dir target/x86-64 \
+        -p gola-server -p gola-sql -p gola-core -p gola-conformance \
+        --test report_golden --test plan_golden --test sched_trace --test cdm \
+        --test smoke >/dev/null
+}
+
 # The frozen benchmark crate under benchmarks/ builds against this tree's
 # public API: check it on every run, so an API change breaks here rather
 # than at benchmark time. Cargo rewrites that crate's stale lock file as it
@@ -151,6 +163,7 @@ step cargo clippy --workspace --all-targets -- -D warnings
 # Rustdoc warnings fail the gate, so a renamed public item cannot leave a
 # dead intra-doc link behind.
 step env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+step portable_bits
 step spine_check
 step examples_smoke
 step ingest_cli_smoke
