@@ -355,9 +355,8 @@ impl Console {
                 println!("  --append NAME=DIR in place of a generated table of the same name.");
             }
             "\\tables" => {
-                for name in self.catalog.names() {
-                    let t = self.catalog.get(&name).expect("listed table");
-                    println!("  {name} ({} rows) {}", t.num_rows(), t.schema());
+                for (name, entry) in self.catalog.entries() {
+                    println!("  {name} ({} rows) {}", entry.num_rows(), entry.schema());
                 }
             }
             "\\load" => {

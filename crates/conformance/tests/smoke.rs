@@ -29,7 +29,7 @@ use gola_conformance::{
     assert_reports_identical, calibrate, check_contract, default_classes, default_contract_classes,
     run_case, CalibConfig, ContractConfig, Fault, OracleConfig, QueryGen, SchemaClass,
 };
-use gola_core::sched::{Admitted, PolicyConfig, Quantum, SchedTask, Scheduler, Urgency};
+use gola_core::sched::{Admitted, Quantum, SchedTask, Scheduler, Urgency};
 use gola_core::{
     BatchReport, ContractStop, OnlineConfig, OnlineExecution, OnlineSession, WeightStore,
     WorkerPool,
@@ -311,6 +311,12 @@ fn within_contract_query_reports_progress_and_stops() {
         reports.iter().all(|r| r.contract.is_some()),
         "a report without contract progress"
     );
+    // One report per step: a deadline never folds batches into one report.
+    let batches: Vec<usize> = reports.iter().map(|r| r.batch_index).collect();
+    assert!(
+        batches.iter().enumerate().all(|(i, &b)| b == i),
+        "WITHIN reports skip batches: {batches:?}"
+    );
     let stop = reports.last().and_then(|r| r.contract.as_ref()?.stop);
     assert!(
         matches!(
@@ -380,9 +386,9 @@ impl SchedTask for Session {
 }
 
 /// Generated queries interleaved through one fair scheduler on a shared
-/// pool — mixed weights, two active slots and a two-deep queue, so that
-/// admission queues and stalls — must stream bit-identically to their solo
-/// single-threaded runs.
+/// pool — two active slots and a two-deep queue, so that admission queues
+/// and stalls — must stream bit-identically to their solo single-threaded
+/// runs.
 #[test]
 fn interleaved_service_streams_match_solo_runs() {
     const CASES: usize = 10;
@@ -405,11 +411,7 @@ fn interleaved_service_streams_match_solo_runs() {
         let pool = Arc::new(WorkerPool::new(2));
         // One weight store for every session, as a `QueryService` shares.
         let store = Arc::new(WeightStore::new(session.config().bootstrap, ROWS));
-        let policy = PolicyConfig {
-            max_active: 2,
-            queue_capacity: 2,
-        };
-        let mut sched: Scheduler<Session> = Scheduler::new(policy);
+        let mut sched: Scheduler<Session> = Scheduler::new(2, 2);
         let mut streams: Vec<Vec<BatchReport>> = vec![Vec::new(); CASES];
         let mut round = |sched: &mut Scheduler<Session>| {
             if let Some(r) = sched.round() {
@@ -419,7 +421,7 @@ fn interleaved_service_streams_match_solo_runs() {
             }
         };
         let mut queued = 0;
-        for (i, sql) in queries.iter().enumerate() {
+        for sql in &queries {
             let prepared = session
                 .prepare(sql)
                 .unwrap_or_else(|e| panic!("{sql}: {e}"));
@@ -430,7 +432,7 @@ fn interleaved_service_streams_match_solo_runs() {
                 round(&mut sched);
             }
             let admitted = sched
-                .submit(Session(exec), (i % 4 + 1) as u64)
+                .submit(Session(exec))
                 .unwrap_or_else(|e| panic!("{sql} admits: {e}"));
             queued += usize::from(matches!(admitted, Admitted::Queued(_)));
         }

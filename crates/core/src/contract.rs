@@ -2,20 +2,26 @@
 //! §1203.5485) on top of the mini-batch executor.
 //!
 //! The [`ContractDriver`] is a field of the [`crate::OnlineExecution`]
-//! it sizes and stops, read between its steps. For an **error-bounded** query it annotates every report with
-//! the achieved relative error (worst CI half-width over |value| across
-//! all estimated cells, at the contract's confidence) and stops at the
-//! first batch where it meets the target — a decision computed purely from
-//! the report's floats, so it is deterministic and thread-invariant. For a
-//! **time-bounded** query it adapts the *effective* mini-batch size to the
-//! deadline (PF-OLA-style report coalescing, PAPERS.md §1206.0051): it
+//! it stops, and reads every step's report. For an **error-bounded** query
+//! it annotates every report with the achieved relative error (worst CI
+//! half-width over |value| across all estimated cells, at the contract's
+//! confidence) and stops at the first batch where it meets the target — a
+//! decision computed purely from the report's floats, so it is
+//! deterministic and thread-invariant. For a **time-bounded** query it
 //! tracks an EMA of per-batch wall time from the executor's existing
-//! timings, folds several partitioner batches into one published report
-//! when the remaining budget allows, and stops once one more batch would
-//! cross the deadline. The *stopping batch index* of a deadline run is the
-//! one explicitly nondeterministic output of this module — it depends on
-//! observed throughput; everything inside each report remains the
-//! deterministic function of (data, seed, batch index) it always was.
+//! timings and stops once one more batch would cross the deadline; every
+//! batch before that still yields its report. The *stopping batch index*
+//! of a deadline run is the one explicitly nondeterministic output of this
+//! module — it depends on observed throughput; everything inside each
+//! report remains the deterministic function of (data, seed, batch index)
+//! it always was.
+//!
+//! The driver also sets the [`Urgency`] of the query's next scheduler
+//! quantum: an `ERROR` query turns urgent once its achieved error is within
+//! [`URGENT_ERROR_FACTOR`] of the target, a `WITHIN` query once the
+//! driver's clock — the one its stop reads — passes
+//! [`URGENT_DEADLINE_FRACTION`] of the budget. Urgency can shift *when* a
+//! query runs, never what any query answers.
 //!
 //! Wall-clock reads go through [`Stopwatch`] only: `Instant::now` is a
 //! `disallowed-methods` entry in `clippy.toml`.
@@ -24,6 +30,16 @@ use gola_common::timing::Stopwatch;
 use gola_plan::QueryContract;
 
 use crate::report::{BatchReport, ContractProgress, ContractStop};
+use crate::sched::Urgency;
+
+/// An `ERROR` contract turns urgent when its achieved relative error is
+/// within this factor of the target — the query is in its endgame, so
+/// boosting it drains the contract (and frees its slot) sooner.
+const URGENT_ERROR_FACTOR: f64 = 4.0;
+
+/// A `WITHIN <n> SECONDS` contract turns urgent past this fraction of its
+/// deadline budget.
+const URGENT_DEADLINE_FRACTION: f64 = 0.5;
 
 /// Per-run state for one contract. Created with the execution when the
 /// query (or the config) carries a contract.
@@ -34,6 +50,8 @@ pub(crate) struct ContractDriver {
     clock: Option<Stopwatch>,
     /// EMA (α = 0.5) of observed per-batch wall seconds.
     ema_batch_secs: Option<f64>,
+    /// Scheduling pressure from the latest observed report.
+    urgency: Urgency,
     stopped: bool,
 }
 
@@ -43,6 +61,7 @@ impl ContractDriver {
             contract,
             clock: None,
             ema_batch_secs: None,
+            urgency: Urgency::Normal,
             stopped: false,
         }
     }
@@ -51,6 +70,11 @@ impl ContractDriver {
     /// further reports.
     pub fn is_stopped(&self) -> bool {
         self.stopped
+    }
+
+    /// The urgency [`ContractDriver::observe`] set for the next quantum.
+    pub fn urgency(&self) -> Urgency {
+        self.urgency
     }
 
     /// Start the deadline clock (idempotent; no-op for error contracts,
@@ -69,47 +93,20 @@ impl ContractDriver {
         });
     }
 
-    /// How many partitioner batches to fold into the next published report
-    /// (PF-OLA report coalescing). Error-bounded runs always report every
-    /// batch — each report is a stopping opportunity. Deadline runs size
-    /// the round so roughly two more reports fit in the remaining budget.
-    pub fn batches_this_round(&self, remaining: usize) -> usize {
-        let QueryContract::Within { seconds } = self.contract else {
-            return 1;
-        };
-        let (Some(clock), Some(ema)) = (&self.clock, self.ema_batch_secs) else {
-            return 1; // first round: no throughput observation yet
-        };
-        let remaining = remaining.max(1);
-        if ema <= 0.0 {
-            // Batches are too fast to time: no need to coalesce.
-            return 1;
-        }
-        let left = seconds - clock.elapsed().as_secs_f64();
-        let mut c = 1usize;
-        // Grow the round while twice its predicted cost still fits, so a
-        // second report remains affordable after this one.
-        while c < remaining && (c + 1) as f64 * ema * 2.0 <= left {
-            c += 1;
-        }
-        c
-    }
-
-    /// Inspect the report that ends a round, annotate it with contract
-    /// progress, and decide whether the run stops here.
+    /// Inspect one step's report, annotate it with contract progress, set
+    /// the urgency of the next quantum, and decide whether the run stops
+    /// here.
     pub fn observe(&mut self, report: &mut BatchReport, finished: bool) {
-        let stop = match self.contract {
-            QueryContract::Error { target, confidence } => {
-                let met = report
-                    .achieved_rel_error(confidence)
-                    .is_some_and(|a| a <= target);
-                if finished {
-                    Some(ContractStop::Exhausted)
-                } else if met {
-                    Some(ContractStop::ErrorTargetMet)
-                } else {
-                    None
-                }
+        let confidence = match self.contract {
+            QueryContract::Error { confidence, .. } => confidence,
+            QueryContract::Within { .. } => report.ci_level,
+        };
+        let achieved = report.achieved_rel_error(confidence);
+        let (stop, urgent) = match self.contract {
+            QueryContract::Error { target, .. } => {
+                let met = achieved.is_some_and(|a| a <= target);
+                let near = achieved.is_some_and(|a| a <= target * URGENT_ERROR_FACTOR);
+                (met.then_some(ContractStop::ErrorTargetMet), near)
             }
             QueryContract::Within { seconds } => {
                 let elapsed = self
@@ -117,22 +114,24 @@ impl ContractDriver {
                     .as_ref()
                     .map_or(0.0, |c| c.elapsed().as_secs_f64());
                 let next = self.ema_batch_secs.unwrap_or(0.0);
-                if finished {
-                    Some(ContractStop::Exhausted)
-                } else if elapsed + next >= seconds {
-                    Some(ContractStop::DeadlineReached)
-                } else {
-                    None
-                }
+                let late = elapsed + next >= seconds;
+                let urgent = elapsed >= seconds * URGENT_DEADLINE_FRACTION;
+                (late.then_some(ContractStop::DeadlineReached), urgent)
             }
         };
-        let confidence = match self.contract {
-            QueryContract::Error { confidence, .. } => confidence,
-            QueryContract::Within { .. } => report.ci_level,
+        let stop = if finished {
+            Some(ContractStop::Exhausted)
+        } else {
+            stop
+        };
+        self.urgency = if urgent {
+            Urgency::Urgent
+        } else {
+            Urgency::Normal
         };
         report.contract = Some(ContractProgress {
             contract: self.contract,
-            achieved_rel_error: report.achieved_rel_error(confidence),
+            achieved_rel_error: achieved,
             stop,
         });
         if stop.is_some() {
@@ -236,20 +235,51 @@ mod tests {
     }
 
     #[test]
-    fn deadline_coalescing_grows_with_budget() {
-        let c = QueryContract::Within { seconds: 60.0 };
+    fn error_contract_turns_urgent_near_target() {
+        let c = QueryContract::Error {
+            target: 0.005,
+            confidence: 0.95,
+        };
         let mut d = ContractDriver::new(c);
-        assert_eq!(d.batches_this_round(100), 1, "no observations yet");
-        d.start_clock();
-        d.note_batch(0.1); // 100ms/batch, 60s budget → large rounds
-        let round = d.batches_this_round(100);
-        assert!(round > 10, "round {round}");
-        assert_eq!(d.batches_this_round(4), 4, "capped by remaining");
-        // A nearly-spent budget forces the round back to 1.
-        let mut tight = ContractDriver::new(QueryContract::Within { seconds: 1e-9 });
-        tight.start_clock();
-        tight.note_batch(0.1);
-        assert_eq!(tight.batches_this_round(100), 1);
+        assert_eq!(d.urgency(), Urgency::Normal, "nothing observed yet");
+        // Undefined error (an overflowed cell), then ~50%: far from target.
+        let mut undefined = report(10.0, vec![9.9, 9.95, 10.0, 10.05, 10.1], false);
+        undefined.estimates.push(CellEstimate {
+            row: 0,
+            col: 1,
+            estimate: Estimate::new(f64::INFINITY, vec![f64::INFINITY; 5]),
+        });
+        d.observe(&mut undefined, false);
+        assert_eq!(d.urgency(), Urgency::Normal);
+        d.observe(
+            &mut report(10.0, vec![5.0, 7.0, 10.0, 13.0, 15.0], false),
+            false,
+        );
+        assert_eq!(d.urgency(), Urgency::Normal);
+        // ~1%: within 4× of the 0.5% target, which it does not yet meet.
+        let mut near = report(10.0, vec![9.9, 9.95, 10.0, 10.05, 10.1], false);
+        d.observe(&mut near, false);
+        assert_eq!(d.urgency(), Urgency::Urgent);
+        assert!(!d.is_stopped());
+        assert_eq!(near.contract.unwrap().stop, None);
+    }
+
+    /// Urgency reads the driver's clock, the one the deadline stop reads:
+    /// a spent budget is urgent at once, a budget of years never is.
+    #[test]
+    fn deadline_contract_turns_urgent_past_half_budget() {
+        let mut spent = ContractDriver::new(QueryContract::Within { seconds: 1e-9 });
+        spent.start_clock();
+        std::thread::sleep(Duration::from_millis(1));
+        assert_eq!(spent.urgency(), Urgency::Normal, "nothing observed yet");
+        spent.observe(&mut report(10.0, vec![9.0, 10.0, 11.0], false), false);
+        assert_eq!(spent.urgency(), Urgency::Urgent);
+        let mut long = ContractDriver::new(QueryContract::Within { seconds: 1e9 });
+        long.start_clock();
+        long.note_batch(0.5);
+        long.observe(&mut report(10.0, vec![9.0, 10.0, 11.0], false), false);
+        assert_eq!(long.urgency(), Urgency::Normal);
+        assert!(!long.is_stopped());
     }
 
     #[test]

@@ -2,17 +2,17 @@
 //! the service's runners and one shared [`crate::WorkerPool`] with
 //! **batch-granularity preemption**.
 //!
-//! The scheduler only ever yields *between* mini-batch report rounds —
-//! never inside one. One quantum = one `OnlineExecution::next()` call, run
-//! to completion by one runner; other runners run other sessions' quanta
-//! meanwhile, never another quantum of the same session. A session's step
-//! is a pure function of its own state and batch, and the engine's
-//! threads=1/N contract makes each report bit-identical regardless of pool
-//! size or dispatch order, so every session's report stream is
+//! The scheduler only ever yields *between* mini-batches — never inside
+//! one. One quantum = one `OnlineExecution::poll_next` call = one
+//! mini-batch, run to completion by one runner; other runners run other
+//! sessions' quanta meanwhile, never another quantum of the same session.
+//! A session's step is a pure function of its own state and batch, and the
+//! engine's threads=1/N contract makes each report bit-identical regardless
+//! of pool size or dispatch order, so every session's report stream is
 //! bit-identical to a solo run *by construction* — which sessions run
 //! beside it, and when, affects only latency, never answers (pinned
-//! end-to-end by `tests/sched_equivalence.rs`: both workload suites, mixed
-//! weights, queued admissions, recovering sessions).
+//! end-to-end by `tests/sched_equivalence.rs`: both workload suites,
+//! queued admissions, recovering sessions).
 //!
 //! Layering, simulator-first:
 //!
@@ -21,12 +21,11 @@
 //!   fully deterministic.
 //! * [`sim`] — `SchedulerSim`: scripted arrivals driving a [`Scheduler`]
 //!   under a virtual round clock; the property tests run here.
-//! * [`task`] — contract-aware urgency: how a query's latest report sets
-//!   the priority of its next quantum.
 //! * [`service`] — `QueryService`: the threaded runtime (runners that
 //!   pick, run and charge sessions; each scheduled session is a real
 //!   `OnlineExecution` as a [`SchedTask`] and owns its report channel)
-//!   that `gola-server` exposes.
+//!   that `gola-server` exposes. A session's [`Urgency`] for its next
+//!   quantum is what its query's contract driver set at the last report.
 //!
 //! The sim's `Scheduler::round` is `pick` → `run_quantum` → `charge`, the
 //! very steps a service runner takes, so what the simulator proves about
@@ -37,13 +36,12 @@
 pub mod policy;
 pub mod service;
 pub mod sim;
-pub mod task;
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::task::Waker;
 
-pub use policy::{AdmissionError, PolicyConfig, Urgency, MAX_WEIGHT, STRIDE_ONE, URGENT_BOOST};
+pub use policy::{AdmissionError, Urgency, STRIDE_ONE, URGENT_BOOST};
 pub use service::{QueryHandle, QueryService, ServiceConfig, SubmitError, SESSION_SERIES_KEPT};
 pub use sim::{Arrival, SchedulerSim, ScriptedTask, SimEvent, SimOutcome};
 
@@ -60,7 +58,7 @@ impl fmt::Display for SessionId {
 /// What one quantum produced.
 #[derive(Debug)]
 pub struct Quantum<O> {
-    /// The quantum's output (a `BatchReport` round), if it produced one.
+    /// The quantum's output (a query's `BatchReport`), if it produced one.
     pub output: Option<O>,
     /// `true` when the task will produce nothing further; the scheduler
     /// retires it and activates the next queued session.
@@ -74,8 +72,8 @@ pub struct Quantum<O> {
 }
 
 /// A schedulable unit of work. One `run_quantum` call must be one
-/// *preemption-safe* step: for query tasks that is exactly one report
-/// round — the task must never hold partial-batch state that another
+/// *preemption-safe* step: for query tasks that is exactly one mini-batch
+/// — the task must never hold partial-batch state that another
 /// session's quantum could perturb. A quantum never waits: a task with
 /// nothing to do yet registers `waker` where the work will come from and
 /// returns a parked quantum.
@@ -126,7 +124,6 @@ pub enum Charged {
 
 /// An active session: its stride-scheduling state beside its task.
 struct Entry<T> {
-    weight: u64,
     urgency: Urgency,
     pass: u64,
     slot: Slot<T>,
@@ -177,12 +174,15 @@ impl<T> Entry<T> {
 /// and [`charge`](Scheduler::charge) them, so no session is ever run by
 /// two runners at once.
 pub struct Scheduler<T: SchedTask> {
-    cfg: PolicyConfig,
+    /// Sessions scheduled concurrently (time-sliced; the service runs up
+    /// to `min(max_active, CPUs)` of their quanta at once).
+    max_active: usize,
+    /// Admitted-but-waiting sessions beyond the active set.
+    queue_capacity: usize,
     /// The scheduled sessions, by id.
     active: BTreeMap<u64, Entry<T>>,
-    /// FIFO of admitted sessions waiting for an active slot:
-    /// `(id, weight, task)`.
-    queued: VecDeque<(u64, u64, T)>,
+    /// FIFO of admitted sessions waiting for an active slot: `(id, task)`.
+    queued: VecDeque<(u64, T)>,
     /// Global virtual time: the pass of the most recently scheduled
     /// session at the moment it was picked. Monotone non-decreasing.
     vtime: u64,
@@ -190,12 +190,12 @@ pub struct Scheduler<T: SchedTask> {
 }
 
 impl<T: SchedTask> Scheduler<T> {
-    pub fn new(cfg: PolicyConfig) -> Scheduler<T> {
+    /// A scheduler running up to `max_active` sessions (at least one),
+    /// with `queue_capacity` more waiting.
+    pub fn new(max_active: usize, queue_capacity: usize) -> Scheduler<T> {
         Scheduler {
-            cfg: PolicyConfig {
-                max_active: cfg.max_active.max(1),
-                ..cfg
-            },
+            max_active: max_active.max(1),
+            queue_capacity,
             active: BTreeMap::new(),
             queued: VecDeque::new(),
             vtime: 0,
@@ -223,36 +223,29 @@ impl<T: SchedTask> Scheduler<T> {
     }
 
     /// Submit a task with the next free session id.
-    pub fn submit(&mut self, task: T, weight: u64) -> Result<Admitted, AdmissionError> {
+    pub fn submit(&mut self, task: T) -> Result<Admitted, AdmissionError> {
         let id = SessionId(self.next_id);
-        self.submit_with_id(id, task, weight)
+        self.submit_with_id(id, task)
     }
 
     /// Submit a task under a caller-chosen id (the service pre-assigns ids
-    /// so the obs session label exists before admission). `weight` is
-    /// clamped to `1..=MAX_WEIGHT`.
-    pub fn submit_with_id(
-        &mut self,
-        id: SessionId,
-        task: T,
-        weight: u64,
-    ) -> Result<Admitted, AdmissionError> {
-        let weight = weight.clamp(1, MAX_WEIGHT);
-        if self.active.contains_key(&id.0) || self.queued.iter().any(|(q, ..)| *q == id.0) {
+    /// so the obs session label exists before admission).
+    pub fn submit_with_id(&mut self, id: SessionId, task: T) -> Result<Admitted, AdmissionError> {
+        if self.active.contains_key(&id.0) || self.queued.iter().any(|(q, _)| *q == id.0) {
             return Err(AdmissionError::DuplicateSession { id: id.0 });
         }
-        let admitted = if self.active.len() < self.cfg.max_active {
-            self.activate(id.0, weight, task);
+        let admitted = if self.active.len() < self.max_active {
+            self.activate(id.0, task);
             Admitted::Active(id)
-        } else if self.queued.len() < self.cfg.queue_capacity {
-            self.queued.push_back((id.0, weight, task));
+        } else if self.queued.len() < self.queue_capacity {
+            self.queued.push_back((id.0, task));
             Admitted::Queued(id)
         } else {
             return Err(AdmissionError::Saturated {
                 active: self.active.len(),
                 queued: self.queued.len(),
-                max_active: self.cfg.max_active,
-                queue_capacity: self.cfg.queue_capacity,
+                max_active: self.max_active,
+                queue_capacity: self.queue_capacity,
             });
         };
         self.next_id = self.next_id.max(id.0 + 1);
@@ -275,7 +268,7 @@ impl<T: SchedTask> Scheduler<T> {
             return false;
         }
         let known = self.active.remove(&id.0).is_some()
-            || (self.queued.iter().position(|(q, ..)| *q == id.0))
+            || (self.queued.iter().position(|(q, _)| *q == id.0))
                 .and_then(|at| self.queued.remove(at))
                 .is_some();
         self.promote();
@@ -360,7 +353,7 @@ impl<T: SchedTask> Scheduler<T> {
                 // pass advances by the stride; the new urgency counts from
                 // the next charge on.
                 self.vtime = self.vtime.max(entry.pass);
-                entry.pass += STRIDE_ONE / (entry.weight * entry.urgency.boost());
+                entry.pass += STRIDE_ONE / entry.urgency.boost();
                 entry.urgency = quantum.urgency;
                 entry.slot = Slot::Ready(task);
                 return Charged::Running;
@@ -373,17 +366,16 @@ impl<T: SchedTask> Scheduler<T> {
 
     /// Move the longest-waiting queued session into a free active slot.
     fn promote(&mut self) {
-        if self.active.len() < self.cfg.max_active {
-            if let Some((id, weight, task)) = self.queued.pop_front() {
-                self.activate(id, weight, task);
+        if self.active.len() < self.max_active {
+            if let Some((id, task)) = self.queued.pop_front() {
+                self.activate(id, task);
             }
         }
     }
 
     /// A new or promoted session starts at the global virtual time.
-    fn activate(&mut self, id: u64, weight: u64, task: T) {
+    fn activate(&mut self, id: u64, task: T) {
         let entry = Entry {
-            weight,
             urgency: Urgency::Normal,
             pass: self.vtime,
             slot: Slot::Ready(task),
@@ -423,12 +415,9 @@ mod tests {
     }
 
     fn scheduler(max_active: usize, queue: usize, sessions: u64) -> Scheduler<ScriptedTask> {
-        let mut s = Scheduler::new(PolicyConfig {
-            max_active,
-            queue_capacity: queue,
-        });
+        let mut s = Scheduler::new(max_active, queue);
         for id in 0..sessions {
-            s.submit_with_id(SessionId(id), ScriptedTask::new(LONG), 1)
+            s.submit_with_id(SessionId(id), ScriptedTask::new(LONG))
                 .expect("admits");
         }
         s
@@ -475,16 +464,13 @@ mod tests {
     #[test]
     fn charging_a_session_canceled_while_held_ends_it_and_promotes_at_vtime() {
         let drops = Rc::new(Cell::new(0));
-        let mut s: Scheduler<Tracked> = Scheduler::new(PolicyConfig {
-            max_active: 2,
-            queue_capacity: 1,
-        });
+        let mut s: Scheduler<Tracked> = Scheduler::new(2, 1);
         for id in 0..3 {
             let task = Tracked {
                 task: ScriptedTask::new(LONG),
                 drops: Rc::clone(&drops),
             };
-            s.submit_with_id(SessionId(id), task, 1).expect("admits");
+            s.submit_with_id(SessionId(id), task).expect("admits");
         }
         // Two rounds each: both passes reach 2 strides, virtual time 1.
         let order: Vec<u64> = (0..4).map(|_| s.round().expect("runs").id.0).collect();
@@ -522,13 +508,10 @@ mod tests {
 
     /// Session 0 parks on its first quantum; session 1 never does.
     fn parking_pair() -> Scheduler<ScriptedTask> {
-        let mut s = Scheduler::new(PolicyConfig {
-            max_active: 2,
-            queue_capacity: 1,
-        });
+        let mut s = Scheduler::new(2, 1);
         let parks = ScriptedTask::new(LONG).parks_after(0);
-        s.submit_with_id(SessionId(0), parks, 1).expect("admits");
-        s.submit_with_id(SessionId(1), ScriptedTask::new(LONG), 1)
+        s.submit_with_id(SessionId(0), parks).expect("admits");
+        s.submit_with_id(SessionId(1), ScriptedTask::new(LONG))
             .expect("admits");
         s
     }
@@ -581,7 +564,7 @@ mod tests {
     #[test]
     fn cancelling_a_parked_session_promotes_the_queue_head() {
         let mut s = parking_pair();
-        s.submit_with_id(SessionId(2), ScriptedTask::new(LONG), 1)
+        s.submit_with_id(SessionId(2), ScriptedTask::new(LONG))
             .expect("queues");
         assert!(s.round().expect("runs").output.is_none());
         assert_eq!((s.num_parked(), s.num_queued()), (1, 1));
@@ -594,7 +577,7 @@ mod tests {
     #[test]
     fn a_wake_of_an_ended_session_is_a_no_op() {
         let mut s = scheduler(1, 0, 0);
-        s.submit_with_id(SessionId(0), ScriptedTask::new(1), 1)
+        s.submit_with_id(SessionId(0), ScriptedTask::new(1))
             .expect("admits");
         assert!(s.round().expect("runs").finished);
         s.wake(SessionId(0));

@@ -1,27 +1,27 @@
 //! The fair-share policy: stride scheduling with contract-aware priority
 //! and bounded admission. [`crate::sched::Scheduler`] keeps each session's
-//! pass, weight and urgency beside its task and applies the arithmetic
-//! below; this module holds the policy's constants and types.
+//! pass and urgency beside its task and applies the arithmetic below; this
+//! module holds the policy's constants and types.
 //!
 //! # Model
 //!
 //! Every *active* session holds a `pass` value (a virtual timestamp). Each
 //! scheduling round picks the runnable session with the smallest
-//! `(pass, id)` pair and, after its quantum, advances its pass by
-//! `STRIDE_ONE / (weight × boost)` — classic stride scheduling
-//! (Waldspurger & Weihl, OSDI '94). Consequences, all deterministic:
+//! `(pass, id)` pair and, after its quantum — one mini-batch — advances its
+//! pass by `STRIDE_ONE / boost` — classic stride scheduling (Waldspurger &
+//! Weihl, OSDI '94). Consequences, all deterministic:
 //!
 //! * **Proportional share.** Over any long window a session receives
-//!   quanta in proportion to `weight × boost`.
+//!   quanta in proportion to its boost: equal sessions round-robin.
 //! * **No starvation.** A runnable session's pass is frozen while it
 //!   waits; every other session's pass strictly grows when it runs, so the
 //!   waiter becomes the minimum within a bounded number of rounds (at most
-//!   `Σ_j ceil(stride_i / stride_j)` ≈ `Σ_j (w_i·b_i)/(w_j·b_j)` rounds,
+//!   `Σ_j ceil(stride_i / stride_j)` ≈ `Σ_j b_i / b_j` rounds,
 //!   property-tested in `crates/core/tests/sched_sim.rs`).
 //! * **Contract preference.** A session whose `ERROR`/`WITHIN` contract is
-//!   close to its target reports [`Urgency::Urgent`] and its boost doubles:
-//!   nearly-done contracted queries drain first, freeing their slot
-//!   (BlinkDB-style accuracy contracts meet PF-OLA-style shared scheduling).
+//!   close to its target — as its query's contract driver judges at each
+//!   report — is [`Urgency::Urgent`] and its boost doubles: nearly-done
+//!   contracted queries drain first, freeing their slot.
 //!
 //! # Admission
 //!
@@ -38,14 +38,9 @@
 
 use std::fmt;
 
-/// One quantum's worth of virtual time for a weight-1, normal-urgency
-/// session. Strides divide this; with `weight × boost ≤ 32` the integer
-/// division loses at most 1/32768 of precision per charge.
+/// One quantum's worth of virtual time for a normal-urgency session.
+/// Strides divide this by the boost, exactly.
 pub const STRIDE_ONE: u64 = 1 << 20;
-
-/// Weights are clamped to `1..=MAX_WEIGHT` so the starvation bound stays
-/// small and `STRIDE_ONE / (weight × boost)` stays far from zero.
-pub const MAX_WEIGHT: u64 = 16;
 
 /// How much a session's share is boosted by contract urgency.
 pub const URGENT_BOOST: u64 = 2;
@@ -107,16 +102,6 @@ impl fmt::Display for AdmissionError {
 
 impl std::error::Error for AdmissionError {}
 
-/// Capacity knobs of the scheduler.
-#[derive(Debug, Clone, Copy)]
-pub struct PolicyConfig {
-    /// Sessions scheduled concurrently (time-sliced; the service runs up
-    /// to `min(max_active, CPUs)` of their quanta at once).
-    pub max_active: usize,
-    /// Admitted-but-waiting sessions beyond the active set.
-    pub queue_capacity: usize,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,15 +110,8 @@ mod tests {
     /// Longer than any test below runs it, so no session finishes early.
     const LONG: u64 = 1_000;
 
-    fn scheduler(max_active: usize, queue: usize) -> Scheduler<ScriptedTask> {
-        Scheduler::new(PolicyConfig {
-            max_active,
-            queue_capacity: queue,
-        })
-    }
-
-    fn admit(s: &mut Scheduler<ScriptedTask>, id: u64, weight: u64) -> Admitted {
-        s.submit_with_id(SessionId(id), ScriptedTask::new(LONG), weight)
+    fn admit(s: &mut Scheduler<ScriptedTask>, id: u64) -> Admitted {
+        s.submit_with_id(SessionId(id), ScriptedTask::new(LONG))
             .expect("admits")
     }
 
@@ -149,8 +127,8 @@ mod tests {
 
     #[test]
     fn admission_fills_active_then_queue_then_rejects() {
-        let mut s = scheduler(2, 1);
-        let mut submit = |id, total| s.submit_with_id(SessionId(id), ScriptedTask::new(total), 1);
+        let mut s = Scheduler::new(2, 1);
+        let mut submit = |id, total| s.submit_with_id(SessionId(id), ScriptedTask::new(total));
         assert_eq!(submit(0, 1), Ok(Admitted::Active(SessionId(0))));
         assert_eq!(submit(1, LONG), Ok(Admitted::Active(SessionId(1))));
         assert_eq!(submit(2, LONG), Ok(Admitted::Queued(SessionId(2))));
@@ -178,40 +156,30 @@ mod tests {
 
     #[test]
     fn equal_weights_round_robin() {
-        let mut s = scheduler(3, 0);
+        let mut s = Scheduler::new(3, 0);
         for id in 0..3 {
-            admit(&mut s, id, 1);
+            admit(&mut s, id);
         }
         let order: Vec<u64> = (0..6).map(|_| s.round().expect("runs").id.0).collect();
         assert_eq!(order, vec![0, 1, 2, 0, 1, 2]);
     }
 
     #[test]
-    fn weights_give_proportional_share() {
-        let mut s = scheduler(2, 0);
-        admit(&mut s, 0, 3);
-        admit(&mut s, 1, 1);
-        let counts = counts(&mut s, 400);
-        // 3:1 share within rounding slack.
-        assert!(counts[0] >= 295 && counts[0] <= 305, "{counts:?}");
-    }
-
-    #[test]
     fn urgency_doubles_share() {
-        let mut s = scheduler(2, 0);
+        let mut s = Scheduler::new(2, 0);
         let urgent = ScriptedTask::new(LONG).urgent_after(0);
-        s.submit_with_id(SessionId(0), urgent, 1).expect("admits");
-        admit(&mut s, 1, 1);
+        s.submit_with_id(SessionId(0), urgent).expect("admits");
+        admit(&mut s, 1);
         let counts = counts(&mut s, 300);
         assert!(counts[0] >= 195 && counts[0] <= 205, "{counts:?}");
     }
 
     #[test]
     fn late_arrival_starts_at_virtual_time() {
-        let mut s = scheduler(2, 0);
-        admit(&mut s, 0, 1);
+        let mut s = Scheduler::new(2, 0);
+        admit(&mut s, 0);
         counts(&mut s, 100);
-        admit(&mut s, 1, 1);
+        admit(&mut s, 1);
         // The newcomer must not monopolize: within a few rounds both run.
         let counts = counts(&mut s, 10);
         assert!(counts[0] >= 4, "{counts:?}");

@@ -59,10 +59,7 @@ use crate::config::OnlineConfig;
 use crate::join::WeightStore;
 use crate::pool::WorkerPool;
 use crate::report::BatchReport;
-use crate::sched::task::urgency_from;
-use crate::sched::{
-    AdmissionError, Charged, PolicyConfig, Quantum, SchedTask, Scheduler, SessionId, Urgency,
-};
+use crate::sched::{AdmissionError, Charged, Quantum, SchedTask, Scheduler, SessionId, Urgency};
 use crate::session::OnlineSession;
 use crate::step::OnlineExecution;
 
@@ -140,10 +137,11 @@ impl SchedTask for ScheduledQuery {
     /// it drops its [`QueryHandle`]).
     type Output = ();
 
-    /// One `OnlineExecution::poll_next` report round — the engine's
-    /// preemption-safe unit: between rounds the execution holds only its
+    /// One `OnlineExecution::poll_next` mini-batch — the engine's
+    /// preemption-safe unit: between batches the execution holds only its
     /// own accumulators, so interleaving sessions cannot perturb answers.
     /// A query caught up with an open stream gives back a parked quantum.
+    /// The next quantum's urgency is what the query's contract driver set.
     fn run_quantum(&mut self, waker: &Waker) -> Quantum<()> {
         let Poll::Ready(next) = self.exec.poll_next(waker) else {
             return Quantum {
@@ -153,17 +151,13 @@ impl SchedTask for ScheduledQuery {
                 urgency: Urgency::Normal,
             };
         };
-        let urgency = match &next {
-            Some(Ok(report)) => urgency_from(report),
-            _ => Urgency::Normal,
-        };
         // An execution error ends the stream as its last item.
         let finished = !matches!(next, Some(Ok(_))) || self.exec.is_complete();
         Quantum {
             output: next.map(|r| drop(self.reports.send(r))),
             finished,
             parked: false,
-            urgency,
+            urgency: self.exec.urgency(),
         }
     }
 }
@@ -366,13 +360,9 @@ impl QueryService {
     /// share.
     pub fn new(catalog: Catalog, cfg: ServiceConfig) -> QueryService {
         let pool = Arc::new(WorkerPool::new(cfg.threads.max(1)));
-        let policy = PolicyConfig {
-            max_active: cfg.max_active,
-            queue_capacity: cfg.queue_capacity,
-        };
         let shared = Arc::new_cyclic(|service| Shared {
             state: Mutex::new(State {
-                sched: Scheduler::new(policy),
+                sched: Scheduler::new(cfg.max_active, cfg.queue_capacity),
                 ended: VecDeque::new(),
                 shutdown: false,
             }),
@@ -412,18 +402,9 @@ impl QueryService {
         self.pool.threads()
     }
 
-    /// Compile `sql` and submit it as a weight-1 session.
-    pub fn submit(&self, sql: &str) -> std::result::Result<QueryHandle, SubmitError> {
-        self.submit_weighted(sql, 1)
-    }
-
     /// Compile `sql` on the calling thread (so diagnostics return before
     /// admission), then admit the execution, also on the calling thread.
-    pub fn submit_weighted(
-        &self,
-        sql: &str,
-        weight: u64,
-    ) -> std::result::Result<QueryHandle, SubmitError> {
+    pub fn submit(&self, sql: &str) -> std::result::Result<QueryHandle, SubmitError> {
         if self.runners.is_empty() {
             return Err(SubmitError::Shutdown);
         }
@@ -449,7 +430,7 @@ impl QueryService {
         };
         let shared = &self.shared;
         let mut state = lock(&shared.state);
-        let outcome = state.sched.submit_with_id(id, query, weight);
+        let outcome = state.sched.submit_with_id(id, query);
         if let Some(m) = &shared.metrics {
             match &outcome {
                 Ok(_) => m.submitted.inc(),

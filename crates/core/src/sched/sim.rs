@@ -3,7 +3,7 @@
 //!
 //! The virtual clock is the *round counter* — each scheduling quantum is
 //! one tick, matching the live system where a quantum is one mini-batch
-//! round on the shared pool. There are no threads, no sockets and no wall
+//! on the shared pool. There are no threads, no sockets and no wall
 //! clocks anywhere in here: the same script always produces the same
 //! event trace byte for byte, which is what lets the property tests in
 //! `crates/core/tests/sched_sim.rs` sweep seeds × session counts and
@@ -12,14 +12,13 @@
 use std::collections::BTreeMap;
 use std::task::Waker;
 
-use crate::sched::{AdmissionError, PolicyConfig, SchedTask, Scheduler, SessionId, Urgency};
+use crate::sched::{AdmissionError, SchedTask, Scheduler, SessionId, Urgency};
 
 /// A scripted session arrival. Arrivals are submitted in declaration order
 /// once the virtual clock reaches `at_round`.
 #[derive(Debug)]
 pub struct Arrival<T> {
     pub at_round: u64,
-    pub weight: u64,
     pub task: T,
 }
 
@@ -89,11 +88,10 @@ pub struct SchedulerSim;
 
 impl SchedulerSim {
     pub fn run<T: SchedTask>(
-        cfg: PolicyConfig,
+        mut sched: Scheduler<T>,
         arrivals: Vec<Arrival<T>>,
         max_rounds: u64,
     ) -> SimOutcome<T::Output> {
-        let mut sched: Scheduler<T> = Scheduler::new(cfg);
         let mut events = Vec::new();
         let mut outputs: BTreeMap<SessionId, Vec<T::Output>> = BTreeMap::new();
         let mut rejected = 0usize;
@@ -104,7 +102,7 @@ impl SchedulerSim {
         loop {
             while pending.peek().is_some_and(|a| a.at_round <= round) {
                 let Some(arrival) = pending.next() else { break };
-                match sched.submit(arrival.task, arrival.weight) {
+                match sched.submit(arrival.task) {
                     Ok(admitted) => {
                         let id = admitted.id();
                         outputs.entry(id).or_default();

@@ -68,7 +68,7 @@ impl OnlineSession {
         }
         let mut best: Option<(String, usize)> = None;
         for t in tables {
-            let rows = self.catalog.get(&t)?.num_rows();
+            let rows = self.catalog.entry(&t)?.num_rows();
             if best.as_ref().is_none_or(|(_, n)| rows > *n) {
                 best = Some((t, rows));
             }
@@ -113,25 +113,21 @@ impl OnlineSession {
         // base schedule covers the sealed snapshot at start, and segments
         // sealed afterwards surface as extra mini-batches (moving N).
         let entry = self.catalog.entry(&prepared.stream_table)?;
-        let table = entry.table()?;
-        let live = match entry {
-            Entry::Stream(stream) => Some(stream),
-            Entry::Static(_) => None,
-        };
-        // Never ask for more batches than rows.
-        let k = self.config.num_batches.min(table.num_rows()).max(1);
+        // Never ask for more batches than rows. A stream's watermark only
+        // grows, so the growing partitioner's snapshot holds at least `k`.
+        let k = self.config.num_batches.min(entry.num_rows()).max(1);
         let seed = self.config.partition_seed;
-        let partitioner = Arc::new(match (&self.config.stratify_column, live) {
-            (Some(_), Some(_)) => {
+        let partitioner = Arc::new(match (&self.config.stratify_column, entry) {
+            (Some(_), Entry::Stream(_)) => {
                 // Stratified allocation needs the whole population up
                 // front; a growing stream contradicts that by definition.
                 return Err(Error::config(
                     "stratified partitioning is not supported over a growing stream",
                 ));
             }
-            (None, Some(stream)) => Partitioner::growing(Arc::clone(stream), k, seed)?,
-            (Some(col), None) => Partitioner::stratified(table, col, k, seed)?,
-            (None, None) => Partitioner::new(table, k, seed)?,
+            (None, Entry::Stream(stream)) => Partitioner::growing(Arc::clone(stream), k, seed)?,
+            (Some(col), Entry::Static(_)) => Partitioner::stratified(entry.table()?, col, k, seed)?,
+            (None, Entry::Static(_)) => Partitioner::new(entry.table()?, k, seed)?,
         });
         OnlineExecution::with_pool(
             &self.catalog,

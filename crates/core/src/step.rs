@@ -17,10 +17,11 @@
 //! waker with the stream and [`OnlineExecution::poll_next`] returns
 //! `Pending`; the stream's next seal or its close wakes the waker. The
 //! blocking [`Iterator::next`] waits for that wake on the calling thread
-//! (`block_on`). Under an `ERROR`/`WITHIN` contract one poll is a round of
-//! steps its driver sizes, and the execution ends at the contract's
-//! stopping report. [`OnlineExecution::step_recomputing`] drives the same
-//! stages as classical delta maintenance, the paper's Fig. 3(b) baseline.
+//! (`block_on`). One poll is one step under an `ERROR`/`WITHIN` contract
+//! too: the contract's driver reads every report, and the execution ends
+//! at its stopping report. [`OnlineExecution::step_recomputing`] drives
+//! the same stages as classical delta maintenance, the paper's Fig. 3(b)
+//! baseline.
 
 use std::sync::{Arc, OnceLock};
 use std::task::{ready, Poll, Wake, Waker};
@@ -45,14 +46,14 @@ use crate::publish::{PublishInput, Violated};
 use crate::recover::{GroupScope, RecoverInput, SeenIndex};
 use crate::report::{BatchReport, BatchTiming, ReportInput};
 use crate::runtime::{BlockEnv, BlockRuntime, Published};
+use crate::sched::Urgency;
 use crate::{classify, fold, groups, join, publish, recover, report};
 
 /// A running online query, started by an
 /// [`OnlineSession`](crate::OnlineSession). Each `next()` processes one
-/// mini-batch (or, for deadline-contracted runs, a coalesced round of them)
-/// and yields the refined answer; drop it at any time to stop the query.
-/// [`OnlineExecution::poll_next`] is the same without waiting for a stream
-/// to grow. When the query carries an `ERROR`/`WITHIN` contract the
+/// mini-batch and yields the refined answer; drop it at any time to stop
+/// the query. [`OnlineExecution::poll_next`] is the same without waiting
+/// for a stream to grow. When the query carries an `ERROR`/`WITHIN` contract the
 /// iterator ends at the contract's stopping report (flagged in
 /// [`BatchReport::contract`]) instead of running every batch.
 pub struct OnlineExecution {
@@ -195,50 +196,37 @@ impl OnlineExecution {
         self.driver.as_ref().is_some_and(ContractDriver::is_stopped) || self.is_finished()
     }
 
-    /// The next report without waiting: one step, or — under a deadline
-    /// contract — a coalesced round of steps sized to the remaining
-    /// budget, which ends early at a batch that is not visible yet.
-    /// `Pending` when the query has caught up with a stream that is still
-    /// open (`waker` is registered for the stream's next seal or its
-    /// close); `Ready(None)` once the iterator has ended, which a stream
-    /// that closes with nothing new also ends, with no error.
+    /// The next report without waiting: one step, whose report a contract
+    /// annotates with its progress. `Pending` when the query has caught up
+    /// with a stream that is still open (`waker` is registered for the
+    /// stream's next seal or its close); `Ready(None)` once the iterator
+    /// has ended, which a stream that closes with nothing new also ends,
+    /// with no error.
     pub fn poll_next(&mut self, waker: &Waker) -> Poll<Option<Result<BatchReport>>> {
         if self.is_complete() {
             return Poll::Ready(None);
         }
-        let Some(mut driver) = self.driver.take() else {
-            return self.poll_advance(false, waker).map_ok(|(report, _)| report);
-        };
-        let round = self.poll_round(&mut driver, waker);
-        self.driver = Some(driver);
-        round
-    }
-
-    /// [`OnlineExecution::poll_next`] under a contract: the round of steps
-    /// `driver` sizes, the last one's report annotated with its progress.
-    fn poll_round(
-        &mut self,
-        driver: &mut ContractDriver,
-        waker: &Waker,
-    ) -> Poll<Option<Result<BatchReport>>> {
-        let step = |exec: &mut Self| exec.poll_advance(false, waker).map_ok(|(report, _)| report);
-        driver.start_clock();
-        let round = driver.batches_this_round(self.partitioner.num_batches() - self.batches_done);
-        let mut report = match ready!(step(self)) {
+        if let Some(driver) = &mut self.driver {
+            driver.start_clock();
+        }
+        let mut report = match ready!(self.poll_advance(false, waker).map_ok(|(r, _)| r)) {
             Some(Ok(report)) => report,
             end => return Poll::Ready(end),
         };
-        driver.note_batch(report.batch_time.as_secs_f64());
-        for _ in 1..round {
-            report = match step(self) {
-                Poll::Ready(Some(Ok(report))) => report,
-                Poll::Ready(Some(Err(e))) => return Poll::Ready(Some(Err(e))),
-                Poll::Ready(None) | Poll::Pending => break,
-            };
+        if let Some(mut driver) = self.driver.take() {
             driver.note_batch(report.batch_time.as_secs_f64());
+            driver.observe(&mut report, self.is_finished());
+            self.driver = Some(driver);
         }
-        driver.observe(&mut report, self.is_finished());
         Poll::Ready(Some(Ok(report)))
+    }
+
+    /// The scheduling pressure the contract driver set at the last report;
+    /// an uncontracted query is always normal.
+    pub(crate) fn urgency(&self) -> Urgency {
+        self.driver
+            .as_ref()
+            .map_or(Urgency::Normal, ContractDriver::urgency)
     }
 
     /// The next mini-batch as classical delta maintenance processes it
@@ -261,21 +249,6 @@ impl OnlineExecution {
         let mut last = None;
         for report in &mut self {
             last = Some(report?);
-        }
-        last.ok_or_else(|| Error::exec("query had no batches"))
-    }
-
-    /// Run until the primary estimate's relative standard deviation drops
-    /// below `target` (or data runs out). Returns the stopping report.
-    pub fn run_until_rel_stddev(mut self, target: f64) -> Result<BatchReport> {
-        let mut last: Option<BatchReport> = None;
-        for report in &mut self {
-            let report = report?;
-            let done = report.primary_rel_stddev().is_some_and(|rsd| rsd <= target);
-            last = Some(report);
-            if done {
-                break;
-            }
         }
         last.ok_or_else(|| Error::exec("query had no batches"))
     }
@@ -1365,5 +1338,24 @@ mod tests {
         assert!(exec.is_complete());
         assert!(exec.next().is_none(), "no batch is left");
         assert!(exec.step_recomputing().is_none(), "no batch is left");
+    }
+
+    /// The scheduler reads a query's urgency from its contract driver: an
+    /// uncontracted query stays normal, and an `ERROR` query that met its
+    /// target is urgent.
+    #[test]
+    fn urgency_comes_from_the_contract_driver() {
+        let catalog = catalog();
+        let mut plain = executor(&catalog, "SELECT SUM(q) FROM t", 1);
+        while plain.next().is_some() {
+            assert_eq!(plain.urgency(), Urgency::Normal);
+        }
+        let sql = "SELECT SUM(q) FROM t ERROR 10% CONFIDENCE 95%";
+        let mut exec = executor(&catalog, sql, 1);
+        let last = exec.by_ref().map(Result::unwrap).last().unwrap();
+        let stop = last.contract.as_ref().unwrap().stop;
+        assert_eq!(stop, Some(crate::ContractStop::ErrorTargetMet));
+        assert!(!last.is_final(), "the target is met early");
+        assert_eq!(exec.urgency(), Urgency::Urgent);
     }
 }

@@ -393,7 +393,8 @@ fn early_stop_by_target_accuracy() {
     let report = s
         .execute_online("SELECT AVG(play_time) FROM sessions")
         .unwrap()
-        .run_until_rel_stddev(0.01)
+        .map(Result::unwrap)
+        .find(|r| r.is_final() || r.primary_rel_stddev().is_some_and(|rsd| rsd <= 0.01))
         .unwrap();
     assert!(!report.is_final(), "should stop before the last batch");
     assert!(report.primary_rel_stddev().unwrap() <= 0.01);

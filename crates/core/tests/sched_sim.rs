@@ -9,7 +9,8 @@
 //! Properties:
 //! 1. **No starvation** — while a session is runnable its inter-run gap is
 //!    bounded (stride scheduling freezes a waiter's pass).
-//! 2. **Proportional share** — quanta track `weight × boost`.
+//! 2. **Proportional share** — quanta track the urgency boost (the
+//!    policy unit test `urgency_doubles_share`).
 //! 3. **Contract priority** — an urgent session finishes ahead of an
 //!    otherwise-identical normal one, without starving anyone.
 //! 4. **Admission** — typed rejection exactly at saturation; every
@@ -18,19 +19,18 @@
 
 use gola_common::rng::SplitMix64;
 use gola_core::sched::{
-    AdmissionError, Arrival, PolicyConfig, SchedulerSim, ScriptedTask, SessionId, SimEvent,
-    MAX_WEIGHT, URGENT_BOOST,
+    AdmissionError, Arrival, Scheduler, SchedulerSim, ScriptedTask, SessionId, SimEvent,
+    URGENT_BOOST,
 };
 
-fn cfg(max_active: usize, queue: usize) -> PolicyConfig {
-    PolicyConfig {
-        max_active,
-        queue_capacity: queue,
-    }
+/// A scheduler of scripted tasks: `max_active` slots, `queue` more waiting.
+fn sched(max_active: usize, queue: usize) -> Scheduler<ScriptedTask> {
+    Scheduler::new(max_active, queue)
 }
 
 /// A seeded random script: `n` sessions, arrival rounds in `0..spread`,
-/// lengths in `1..=max_len`, weights in `1..=4`.
+/// lengths in `1..=max_len`, one in three urgent after a random number of
+/// quanta.
 fn random_script(seed: u64, n: usize, spread: u64, max_len: u64) -> Vec<Arrival<ScriptedTask>> {
     let mut rng = SplitMix64::new(seed);
     let mut arrivals: Vec<Arrival<ScriptedTask>> = (0..n)
@@ -42,7 +42,6 @@ fn random_script(seed: u64, n: usize, spread: u64, max_len: u64) -> Vec<Arrival<
             }
             Arrival {
                 at_round: rng.next_below(spread),
-                weight: 1 + rng.next_below(4),
                 task,
             }
         })
@@ -57,7 +56,7 @@ fn every_admitted_session_completes_across_seeds_and_sizes() {
         for seed in 0..12u64 {
             let script = random_script(seed ^ (n as u64) << 32, n, 6, 12);
             let lengths: Vec<u64> = script.iter().map(|a| a.task.total()).collect();
-            let out = SchedulerSim::run(cfg(n.min(4), n), script, 10_000);
+            let out = SchedulerSim::run(sched(n.min(4), n), script, 10_000);
             assert!(out.drained, "seed {seed} n {n}: sim hit round bound");
             assert_eq!(out.rejected, 0, "seed {seed} n {n}: capacity fits all");
             // Never dropped, never truncated, outputs in order.
@@ -73,17 +72,17 @@ fn every_admitted_session_completes_across_seeds_and_sizes() {
 
 #[test]
 fn no_starvation_within_bounded_rounds() {
-    // Weights ≤ 4 and boost ≤ URGENT_BOOST give a worst-case stride ratio
-    // of 8: between two consecutive runs of any runnable session, each
-    // competitor fits at most ceil(ratio) + 1 quanta. Session churn
+    // Boost ≤ URGENT_BOOST gives a worst-case stride ratio of
+    // URGENT_BOOST: between two consecutive runs of any runnable session,
+    // each competitor fits at most ceil(ratio) + 1 quanta. Session churn
     // (arrivals entering at virtual time) can add slack, so the sweep
     // asserts a generous multiple of that structural bound.
     for &n in &[2usize, 4, 8] {
-        let per_competitor = 4 * URGENT_BOOST + 1;
+        let per_competitor = URGENT_BOOST + 1;
         let bound = 2 * (n as u64 - 1) * per_competitor + 1;
         for seed in 0..12u64 {
             let out = SchedulerSim::run(
-                cfg(n, 0),
+                sched(n, 0),
                 random_script(seed.wrapping_mul(0x9E37) ^ n as u64, n, 4, 20),
                 10_000,
             );
@@ -103,34 +102,6 @@ fn no_starvation_within_bounded_rounds() {
 }
 
 #[test]
-fn share_is_proportional_to_weight() {
-    // Two long sessions, weights 3:1, same arrival. Count quanta over the
-    // window where both are running: stride scheduling must hand out
-    // 3:1 ± 1 quantum per window prefix.
-    let script = vec![
-        Arrival {
-            at_round: 0,
-            weight: 3,
-            task: ScriptedTask::new(300),
-        },
-        Arrival {
-            at_round: 0,
-            weight: 1,
-            task: ScriptedTask::new(300),
-        },
-    ];
-    let out = SchedulerSim::run(cfg(2, 0), script, 10_000);
-    let heavy = out.run_rounds(SessionId(0));
-    // In the first 400 rounds both sessions are alive (lengths 300 + 300);
-    // the weight-3 session must own ~300 of them.
-    let in_window = heavy.iter().filter(|r| **r < 400).count();
-    assert!(
-        (295..=305).contains(&in_window),
-        "weight-3 session ran {in_window}/400"
-    );
-}
-
-#[test]
 fn urgent_session_finishes_first_without_starving_peers() {
     // Three identical-length sessions; only one is urgent from the start.
     // Urgency doubles its share, so it must finish strictly first — while
@@ -146,21 +117,18 @@ fn urgent_session_finishes_first_without_starving_peers() {
     let script = vec![
         Arrival {
             at_round: 0,
-            weight: 1,
             task: task(false),
         },
         Arrival {
             at_round: 0,
-            weight: 1,
             task: task(true),
         },
         Arrival {
             at_round: 0,
-            weight: 1,
             task: task(false),
         },
     ];
-    let out = SchedulerSim::run(cfg(3, 0), script, 10_000);
+    let out = SchedulerSim::run(sched(3, 0), script, 10_000);
     assert!(out.drained);
     let finish = |id: u64| {
         out.events
@@ -197,11 +165,10 @@ fn admission_rejects_exactly_at_saturation_with_typed_error() {
     let script: Vec<Arrival<ScriptedTask>> = (0..5)
         .map(|_| Arrival {
             at_round: 0,
-            weight: 1,
             task: ScriptedTask::new(5),
         })
         .collect();
-    let out = SchedulerSim::run(cfg(2, 1), script, 10_000);
+    let out = SchedulerSim::run(sched(2, 1), script, 10_000);
     assert_eq!(out.rejected, 2);
     let rejections: Vec<&AdmissionError> = out
         .events
@@ -247,37 +214,10 @@ fn admission_rejects_exactly_at_saturation_with_typed_error() {
 }
 
 #[test]
-fn weights_are_clamped_to_max_weight() {
-    // An absurd weight must not buy more than MAX_WEIGHT shares.
-    let script = vec![
-        Arrival {
-            at_round: 0,
-            weight: u64::MAX,
-            task: ScriptedTask::new(200),
-        },
-        Arrival {
-            at_round: 0,
-            weight: 1,
-            task: ScriptedTask::new(200),
-        },
-    ];
-    let out = SchedulerSim::run(cfg(2, 0), script, 100_000);
-    assert!(out.drained);
-    // In the first MAX_WEIGHT+1 rounds the weight-1 session runs at least
-    // once: the heavy session's stride is STRIDE_ONE/MAX_WEIGHT > 0.
-    let light = out.run_rounds(SessionId(1));
-    assert!(
-        light[0] <= MAX_WEIGHT + 1,
-        "light first ran at {}",
-        light[0]
-    );
-}
-
-#[test]
 fn identical_scripts_produce_identical_traces() {
     for seed in 0..8u64 {
-        let a = SchedulerSim::run(cfg(3, 4), random_script(seed, 6, 5, 10), 10_000);
-        let b = SchedulerSim::run(cfg(3, 4), random_script(seed, 6, 5, 10), 10_000);
+        let a = SchedulerSim::run(sched(3, 4), random_script(seed, 6, 5, 10), 10_000);
+        let b = SchedulerSim::run(sched(3, 4), random_script(seed, 6, 5, 10), 10_000);
         assert_eq!(a.events, b.events, "seed {seed}: trace determinism");
         assert_eq!(a.outputs, b.outputs, "seed {seed}: output determinism");
     }

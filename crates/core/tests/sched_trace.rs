@@ -15,21 +15,19 @@ use std::fmt::Write;
 
 use gola_common::rng::SplitMix64;
 use gola_core::sched::{
-    Admitted, Arrival, PolicyConfig, Scheduler, SchedulerSim, ScriptedTask, SessionId, SimEvent,
+    Admitted, Arrival, Scheduler, SchedulerSim, ScriptedTask, SessionId, SimEvent,
 };
 
 const GOLDEN: &str = include_str!("sched_trace_golden.txt");
 
-fn cfg(max_active: usize, queue: usize) -> PolicyConfig {
-    PolicyConfig {
-        max_active,
-        queue_capacity: queue,
-    }
+/// A scheduler of scripted tasks: `max_active` slots, `queue` more waiting.
+fn sched(max_active: usize, queue: usize) -> Scheduler<ScriptedTask> {
+    Scheduler::new(max_active, queue)
 }
 
 /// The seeded script shape of `sched_sim.rs`: `n` sessions, arrival
-/// rounds in `0..spread`, lengths in `1..=max_len`, weights in `1..=4`,
-/// one in three urgent after a random number of quanta.
+/// rounds in `0..spread`, lengths in `1..=max_len`, one in three urgent
+/// after a random number of quanta.
 fn random_script(seed: u64, n: usize, spread: u64, max_len: u64) -> Vec<Arrival<ScriptedTask>> {
     let mut rng = SplitMix64::new(seed);
     let mut arrivals: Vec<Arrival<ScriptedTask>> = (0..n)
@@ -41,7 +39,6 @@ fn random_script(seed: u64, n: usize, spread: u64, max_len: u64) -> Vec<Arrival<
             }
             Arrival {
                 at_round: rng.next_below(spread),
-                weight: 1 + rng.next_below(4),
                 task,
             }
         })
@@ -50,17 +47,18 @@ fn random_script(seed: u64, n: usize, spread: u64, max_len: u64) -> Vec<Arrival<
     arrivals
 }
 
-fn arrival(at_round: u64, weight: u64, task: ScriptedTask) -> Arrival<ScriptedTask> {
-    Arrival {
-        at_round,
-        weight,
-        task,
-    }
+fn arrival(at_round: u64, task: ScriptedTask) -> Arrival<ScriptedTask> {
+    Arrival { at_round, task }
 }
 
 /// Append one titled simulation's trace to `text`.
-fn trace(text: &mut String, title: &str, cfg: PolicyConfig, script: Vec<Arrival<ScriptedTask>>) {
-    let out = SchedulerSim::run(cfg, script, 10_000);
+fn trace(
+    text: &mut String,
+    title: &str,
+    sched: Scheduler<ScriptedTask>,
+    script: Vec<Arrival<ScriptedTask>>,
+) {
+    let out = SchedulerSim::run(sched, script, 10_000);
     assert!(out.drained, "{title}: sim hit round bound");
     writeln!(text, "== {title} ==").expect("write to string");
     for ev in &out.events {
@@ -73,11 +71,11 @@ fn trace(text: &mut String, title: &str, cfg: PolicyConfig, script: Vec<Arrival<
 /// plus one `Canceled` line per cancel with what `cancel` returned.
 fn cancel_trace(text: &mut String) {
     writeln!(text, "== cancel activates the queued session ==").expect("write to string");
-    let mut sched: Scheduler<ScriptedTask> = Scheduler::new(cfg(2, 2));
+    let mut sched = sched(2, 2);
     let mut round = 0u64;
-    for (total, weight) in [(6, 1), (6, 2), (4, 1), (3, 3)] {
+    for total in [6, 6, 4, 3] {
         let admitted = sched
-            .submit(ScriptedTask::new(total), weight)
+            .submit(ScriptedTask::new(total))
             .expect("capacity fits");
         let ev = SimEvent::Admitted {
             round: 0,
@@ -132,42 +130,47 @@ fn scheduler_decisions_match_their_golden_trace() {
         for seed in 0..3u64 {
             let script = random_script(seed ^ (n as u64) << 32, n, 6, 12);
             let title = format!("completion shape n {n} seed {seed}");
-            trace(&mut text, &title, cfg(n.min(4), n), script);
+            trace(&mut text, &title, sched(n.min(4), n), script);
             let script = random_script(seed.wrapping_mul(0x9E37) ^ n as u64, n, 4, 20);
             let title = format!("starvation shape n {n} seed {seed}");
-            trace(&mut text, &title, cfg(n, 0), script);
+            trace(&mut text, &title, sched(n, 0), script);
             let script = random_script(seed, n, 5, 10);
             let title = format!("queueing shape n {n} seed {seed}");
-            trace(&mut text, &title, cfg(2, n), script);
+            trace(&mut text, &title, sched(2, n), script);
         }
     }
     let saturated = (0..5)
-        .map(|i| arrival(0, 1 + i % 2, ScriptedTask::new(3 + i)))
-        .chain([arrival(2, 1, ScriptedTask::new(2))])
+        .map(|i| arrival(0, ScriptedTask::new(3 + i)))
+        .chain([arrival(2, ScriptedTask::new(2))])
         .collect();
-    trace(&mut text, "saturated admission", cfg(2, 1), saturated);
+    trace(&mut text, "saturated admission", sched(2, 1), saturated);
     let finish = vec![
-        arrival(0, 1, ScriptedTask::new(3)),
-        arrival(0, 2, ScriptedTask::new(5)),
-        arrival(1, 1, ScriptedTask::new(2)),
+        arrival(0, ScriptedTask::new(3)),
+        arrival(0, ScriptedTask::new(5)),
+        arrival(1, ScriptedTask::new(2)),
     ];
     trace(
         &mut text,
         "finish activates the queued session",
-        cfg(1, 2),
+        sched(1, 2),
         finish,
     );
     cancel_trace(&mut text);
     let late = vec![
-        arrival(0, 1, ScriptedTask::new(130)),
-        arrival(100, 1, ScriptedTask::new(12)),
+        arrival(0, ScriptedTask::new(130)),
+        arrival(100, ScriptedTask::new(12)),
     ];
-    trace(&mut text, "late arrival after 100 rounds", cfg(2, 0), late);
+    trace(
+        &mut text,
+        "late arrival after 100 rounds",
+        sched(2, 0),
+        late,
+    );
     let urgent = vec![
-        arrival(0, 2, ScriptedTask::new(20)),
-        arrival(0, 2, ScriptedTask::new(20).urgent_after(3)),
+        arrival(0, ScriptedTask::new(20)),
+        arrival(0, ScriptedTask::new(20).urgent_after(3)),
     ];
-    trace(&mut text, "urgent beside normal", cfg(2, 0), urgent);
+    trace(&mut text, "urgent beside normal", sched(2, 0), urgent);
     assert!(
         text == GOLDEN,
         "scheduler trace golden mismatch; the new text is:\n{text}<<< end of new text"

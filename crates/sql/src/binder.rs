@@ -239,7 +239,7 @@ impl<'a> Binder<'a> {
     fn scope_of(&self, stmt: &SelectStmt) -> Result<Scope> {
         let mut scope = Scope::default();
         for t in std::iter::once(&stmt.from).chain(stmt.joins.iter().map(|j| &j.table)) {
-            scope.push(t, self.catalog.get(&t.table)?.schema());
+            scope.push(t, self.catalog.entry(&t.table)?.schema());
         }
         Ok(scope)
     }

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use gola_common::{Error, Result};
+use gola_common::{Error, Result, Schema};
 
 use crate::stream::StreamTable;
 use crate::table::Table;
@@ -24,6 +24,25 @@ impl Entry {
         match self {
             Entry::Static(table) => Ok(Arc::clone(table)),
             Entry::Stream(stream) => Ok(Arc::new(stream.snapshot()?)),
+        }
+    }
+
+    /// The schema of [`Entry::table`], without taking a snapshot.
+    pub fn schema(&self) -> &Arc<Schema> {
+        match self {
+            Entry::Static(table) => table.schema(),
+            Entry::Stream(stream) => stream.schema(),
+        }
+    }
+
+    /// The rows of [`Entry::table`], without taking a snapshot: a stream's
+    /// watermark, its sealed rows. It only grows, so a later snapshot
+    /// holds at least this many.
+    #[expect(clippy::cast_possible_truncation, reason = "in-memory rows fit usize")]
+    pub fn num_rows(&self) -> usize {
+        match self {
+            Entry::Static(table) => table.num_rows(),
+            Entry::Stream(stream) => stream.watermark() as usize,
         }
     }
 }
@@ -219,5 +238,25 @@ mod tests {
             .map(|(_, e)| matches!(e, Entry::Stream(_)))
             .collect();
         assert_eq!(kinds, [true, false, false]);
+    }
+
+    #[test]
+    fn a_stream_entry_reads_schema_and_rows_as_its_snapshot_does() {
+        let schema = Arc::new(Schema::from_pairs(&[("x", DataType::Int)]));
+        let s = StreamTable::new(Arc::clone(&schema));
+        let entry = Entry::Stream(Arc::clone(&s));
+        let same = |entry: &Entry| {
+            let snapshot = entry.table().unwrap();
+            assert_eq!(entry.num_rows(), snapshot.num_rows());
+            assert_eq!(entry.schema(), snapshot.schema());
+        };
+        same(&entry);
+        s.append_rows(&[row![1i64], row![2i64]]).unwrap();
+        s.seal().unwrap();
+        // A sealed segment, and rows still in the write buffer.
+        s.append_rows(&[row![3i64]]).unwrap();
+        same(&entry);
+        assert_eq!((entry.num_rows(), s.total_rows()), (2, 3));
+        same(&Entry::Static(table()));
     }
 }

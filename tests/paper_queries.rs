@@ -93,7 +93,8 @@ fn q17_early_stopping_is_accurate() {
     let report = s
         .execute_online(tpch::Q17)
         .unwrap()
-        .run_until_rel_stddev(0.05)
+        .map(Result::unwrap)
+        .find(|r| r.is_final() || r.primary_rel_stddev().is_some_and(|rsd| rsd <= 0.05))
         .unwrap();
     let est = report.primary().unwrap().value;
     assert!(

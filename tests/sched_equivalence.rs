@@ -8,8 +8,8 @@
 //! threads=1/N contract holds per quantum, so this holds by construction;
 //! this test holds the whole threaded stack (channels, runners, shared
 //! pool, admission queue) to it — across seeds × {2, 4, 8} concurrent
-//! sessions of both workloads' queries, with mixed weights and two active
-//! slots so that larger mixes queue.
+//! sessions of both workloads' queries, with two active slots so that
+//! larger mixes queue.
 
 use std::sync::Arc;
 
@@ -60,8 +60,8 @@ fn solo_stream(catalog: &Catalog, sql: &str, seed: u64) -> Vec<BatchReport> {
 }
 
 /// Run `n` sessions concurrently through one service — two active, the
-/// rest queued, weights 1..=4 — and return each session's full stream, in
-/// submission order.
+/// rest queued — and return each session's full stream, in submission
+/// order.
 fn service_streams(
     catalog: &Catalog,
     queries: &[(&str, &str)],
@@ -82,10 +82,9 @@ fn service_streams(
     // within one session is the scheduler's round order).
     let handles: Vec<_> = queries
         .iter()
-        .enumerate()
-        .map(|(i, (name, sql))| {
+        .map(|(name, sql)| {
             service
-                .submit_weighted(sql, (i % 4 + 1) as u64)
+                .submit(sql)
                 .unwrap_or_else(|e| panic!("{name} admits: {e}"))
         })
         .collect();
