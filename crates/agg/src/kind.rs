@@ -76,6 +76,16 @@ impl AggKind {
         !matches!(self, AggKind::Quantile(_) | AggKind::Udaf(_))
     }
 
+    /// `true` if this kind's states are exact sums (COUNT, SUM, AVG,
+    /// VAR_POP, STDDEV), so a contribution folded in can be taken back out
+    /// ([`crate::ReplicatedStates::retract_run`]) without moving a bit.
+    pub fn is_retractable(&self) -> bool {
+        matches!(
+            self,
+            AggKind::Count | AggKind::Sum | AggKind::Avg | AggKind::VarPop | AggKind::StdDev
+        )
+    }
+
     /// Fresh accumulator.
     pub fn new_state(&self) -> AggState {
         AggState::new(self)

@@ -15,9 +15,15 @@
 //! one weight total and one exact sum ([`DenseSums`]) per replica — so a
 //! run fold and a finalize over every replica are straight loops over
 //! contiguous `f64`s; MIN/MAX/QUANTILE/UDAF keep one [`AggState`] each.
+//!
+//! Every summing lane is exact — integer weight tallies and [`DenseSums`]
+//! — so a contribution folded in can be taken back out
+//! ([`ReplicatedStates::retract_run`], [`ReplicatedStates::retract_main`])
+//! and the states finalize as if it had never been folded, as long as no
+//! sum leaves the finite range ([`ReplicatedStates::retracts_exactly`]).
 
 use gola_bootstrap::{BootstrapSpec, Estimate};
-use gola_common::fsum::{self, two_product, DenseSums, RunBuf, WeightedRun};
+use gola_common::fsum::{self, two_product, CellBuf, DenseSums, RunBuf, WeightedRun};
 use gola_common::Value;
 
 use crate::kind::AggKind;
@@ -31,6 +37,10 @@ pub struct FoldScratch {
     /// Both halves of `two_product(x, x)` per tuple (VAR/STDDEV).
     hi: Vec<f64>,
     lo: Vec<f64>,
+    /// [`ReplicatedStates::move_cells`]' cells of one lane, and the
+    /// kernel's buffers.
+    cells: Vec<(u32, u32, i16)>,
+    cell_buf: CellBuf,
 }
 
 /// What a [`Dense`] lane finalizes to.
@@ -54,10 +64,22 @@ struct Dense {
     sum: DenseSums,
     /// `Σw·x²` (VAR only).
     sumsq: DenseSums,
-    /// SUM: the main state took a negative contribution. (A replica's mark
-    /// would have no reader: only the main state has a lower bound.)
-    saw_negative: bool,
+    /// SUM: how many of the main state's contributions are negative, net
+    /// of retractions (states that only carry a difference may hold fewer
+    /// than none). A replica's count would have no reader: only the main
+    /// state has a lower bound.
+    negatives: i64,
 }
+
+/// Largest magnitude of an argument a summing lane folds and retracts
+/// exactly: its weighted square, times 2^50 contributions, stays below
+/// 2^900, so no exact sum of such contributions overflows.
+const RETRACT_BOUND: f64 = 1.0e120;
+
+/// Largest magnitude of a finite sum that takes a merge of retractable
+/// contributions exactly (2^1020): the merged total stays finite, so it
+/// rounds as a fold of the same contributions would.
+const MERGE_BOUND: f64 = f64::from_bits((1023 + 1020) << 52);
 
 impl Dense {
     fn new(moment: Moment, slots: usize) -> Dense {
@@ -67,30 +89,41 @@ impl Dense {
             weight: vec![0.0; slots],
             sum: sums(moment != Moment::Count),
             sumsq: sums(matches!(moment, Moment::Var { .. })),
-            saw_negative: false,
+            negatives: 0,
         }
     }
 
     /// [`AggState::update`] on slot `i`.
     fn update(&mut self, i: usize, v: &Value, w: f64) {
+        self.put(i, v, w, 1.0);
+    }
+
+    /// Take an [`update`](Self::update) of slot `i` back out: the same
+    /// terms, negated.
+    fn retract(&mut self, i: usize, v: &Value, w: f64) {
+        self.put(i, v, w, -1.0);
+    }
+
+    /// [`update`](Self::update) with every term times `sign` (`±1`).
+    fn put(&mut self, i: usize, v: &Value, w: f64, sign: f64) {
         if v.is_null() || w <= 0.0 {
             return;
         }
         if self.moment == Moment::Count {
-            self.weight[i] += w;
+            self.weight[i] += sign * w;
             return;
         }
         let Some(x) = v.as_f64() else { return };
-        self.weight[i] += w;
-        self.sum.add_product(i, x, w);
+        self.weight[i] += sign * w;
+        self.sum.add_product(i, sign * x, w);
         match self.moment {
-            Moment::Sum if x < 0.0 && i == 0 => self.saw_negative = true,
+            Moment::Sum if x < 0.0 && i == 0 => self.negatives += if sign < 0.0 { -1 } else { 1 },
             Moment::Var { .. } => {
                 // `add_product(·, 1.0)` is `add(·)`, so this is
                 // `ExactVariance::add_weighted` at every weight.
                 let (p, e) = two_product(x, x);
-                self.sumsq.add_product(i, e, w);
-                self.sumsq.add_product(i, p, w);
+                self.sumsq.add_product(i, sign * e, w);
+                self.sumsq.add_product(i, sign * p, w);
             }
             _ => {}
         }
@@ -106,8 +139,29 @@ impl Dense {
             self.sumsq.merge(i, &other.sumsq, i);
         }
         if i == 0 {
-            self.saw_negative |= other.saw_negative;
+            self.negatives += other.negatives;
         }
+    }
+
+    /// [`merge`](Self::merge) of every slot at once.
+    fn merge_all(&mut self, other: &Dense) {
+        let weights = self.weight.iter_mut().zip(&other.weight);
+        weights.for_each(|(a, &b)| *a += b);
+        self.sum.merge_all(&other.sum);
+        self.sumsq.merge_all(&other.sumsq);
+        self.negatives += other.negatives;
+    }
+
+    /// Is every sum non-finite (no finite term moves it) or within
+    /// [`MERGE_BOUND`]?
+    fn within_merge_bound(&self) -> bool {
+        let fits = |sums: &DenseSums| {
+            (0..sums.len()).all(|i| {
+                let v = sums.value(i);
+                !v.is_finite() || v.abs() <= MERGE_BOUND
+            })
+        };
+        fits(&self.sum) && fits(&self.sumsq)
     }
 
     /// [`AggState::finalize_f64`] of slot `i`.
@@ -123,6 +177,25 @@ impl Dense {
                 let sums = || (self.sum.value(i), self.sumsq.value(i));
                 fsum::variance_pop(w, sums).map(|v| if stddev { v.sqrt() } else { v })
             }
+        }
+    }
+
+    /// [`finalize_f64`](Self::finalize_f64) of every replica, appended to
+    /// `out` in trial order: one pass over the arrays while the sums are
+    /// dense.
+    fn finalize_replicas(&self, scale: f64, out: &mut Vec<Option<f64>>) {
+        let weights = &self.weight[1..];
+        match (self.moment, self.sum.dense_values()) {
+            (Moment::Count, _) => out.extend(weights.iter().map(|&w| Some(w * scale))),
+            (Moment::Sum, Some(sums)) => {
+                let each = weights.iter().zip(&sums[1..]);
+                out.extend(each.map(|(&w, &s)| (w != 0.0).then_some(s * scale)));
+            }
+            (Moment::Avg, Some(sums)) => {
+                let each = weights.iter().zip(&sums[1..]);
+                out.extend(each.map(|(&w, &s)| (w != 0.0).then_some(s / w)));
+            }
+            _ => out.extend((1..self.weight.len()).map(|i| self.finalize_f64(i, scale))),
         }
     }
 
@@ -269,6 +342,36 @@ impl ReplicatedStates {
         include_main: bool,
         scratch: &mut FoldScratch,
     ) {
+        self.fold_signed(j, values, rows, include_main, 1.0, scratch);
+    }
+
+    /// Take a replica-only [`fold_run`](Self::fold_run) of the same values
+    /// and rows back out of summing lane `j`: the weight tallies drop by
+    /// the run's totals and the sums take the negated values, so the
+    /// states finalize as if the run had never been folded — provided every
+    /// value [`retracts_exactly`](Self::retracts_exactly). Panics on a
+    /// MIN/MAX/QUANTILE/UDAF lane, which cannot forget a value.
+    pub fn retract_run(
+        &mut self,
+        j: usize,
+        values: &[Value],
+        rows: &[&[u8]],
+        scratch: &mut FoldScratch,
+    ) {
+        self.fold_signed(j, values, rows, false, -1.0, scratch);
+    }
+
+    /// [`fold_run`](Self::fold_run) with every value times `sign` (`±1`);
+    /// `-1` takes the weight tallies down instead of up.
+    fn fold_signed(
+        &mut self,
+        j: usize,
+        values: &[Value],
+        rows: &[&[u8]],
+        include_main: bool,
+        sign: f64,
+        scratch: &mut FoldScratch,
+    ) {
         assert_eq!(values.len(), rows.len(), "one weight row per tuple");
         let trials = self.trials as usize;
         if !include_main && trials == 0 {
@@ -276,6 +379,7 @@ impl ReplicatedStates {
         }
         let lane = match &mut self.lanes[j] {
             Lane::Dense(lane) => lane,
+            Lane::States(_) if sign < 0.0 => panic!("lane {j} cannot retract: not a summing lane"),
             Lane::States(states) => {
                 let (main, replicas) = states.split_at_mut(1);
                 for (v, row) in values.iter().zip(rows).filter(|(v, _)| !v.is_null()) {
@@ -299,9 +403,11 @@ impl ReplicatedStates {
             _ if counts => Some(0.0),
             v => v.as_f64(),
         };
-        let FoldScratch { run, xs, hi, lo } = scratch;
+        let FoldScratch {
+            run, xs, hi, lo, ..
+        } = scratch;
         xs.clear();
-        xs.extend(values.iter().filter_map(arg));
+        xs.extend(values.iter().filter_map(arg).map(|x| sign * x));
         let kept: Vec<&[u8]>;
         let rows = if xs.len() == values.len() {
             rows
@@ -313,7 +419,7 @@ impl ReplicatedStates {
         let mut run = WeightedRun::new(rows, trials, include_main, run);
         // Exact: a run's weight total is far below 2^53.
         let tallies = lane.weight[1..].iter_mut().zip(run.totals());
-        tallies.for_each(|(tally, &total)| *tally += total as f64);
+        tallies.for_each(|(tally, &total)| *tally += sign * total as f64);
         if include_main {
             lane.weight[0] += rows.len() as f64;
         }
@@ -326,17 +432,27 @@ impl ReplicatedStates {
             hi.clear();
             lo.clear();
             for (p, e) in xs.iter().map(|&x| two_product(x, x)) {
-                hi.push(p);
-                lo.push(e);
+                hi.push(sign * p);
+                lo.push(sign * e);
             }
             for half in [&*lo, &*hi] {
                 run.sum(half);
                 Dense::take_sums(&mut lane.sumsq, &run, rows, include_main);
             }
         }
-        // SUM's main state remembers having seen a negative contribution.
-        if lane.moment == Moment::Sum && include_main && xs.iter().any(|&x| x < 0.0) {
-            lane.saw_negative = true;
+        // SUM's main state counts its negative contributions.
+        if lane.moment == Moment::Sum && include_main {
+            lane.negatives += xs.iter().filter(|&&x| x < 0.0).count() as i64;
+        }
+    }
+
+    /// Merge every state of `other` — main and replicas — into `self`'s.
+    pub fn merge(&mut self, other: &ReplicatedStates) {
+        for (a, b) in self.lanes.iter_mut().zip(&other.lanes) {
+            match (a, b) {
+                (Lane::Dense(a), Lane::Dense(b)) => a.merge_all(b),
+                (a, b) => (0..=self.trials as usize).for_each(|i| a.merge(i, b)),
+            }
         }
     }
 
@@ -364,10 +480,106 @@ impl ReplicatedStates {
         }
     }
 
+    /// Take an [`update_main`](Self::update_main) back out (see
+    /// [`retract_run`](Self::retract_run)).
+    pub fn retract_main(&mut self, values: &[Value]) {
+        for (j, (lane, v)) in self.lanes.iter_mut().zip(values).enumerate() {
+            match lane {
+                Lane::Dense(d) => d.retract(0, v, 1.0),
+                Lane::States(_) => panic!("lane {j} cannot retract: not a summing lane"),
+            }
+        }
+    }
+
+    /// `true` when `v`, as lane `j`'s argument, can be folded and later
+    /// retracted without moving a bit: COUNT takes any value; SUM, AVG and
+    /// VAR a NULL, a non-numeric value (which they skip) or a finite number
+    /// of magnitude at most 1e120, so no exact sum of such terms leaves
+    /// the finite range.
+    pub fn retracts_exactly(&self, j: usize, v: &Value) -> bool {
+        match &self.lanes[j] {
+            Lane::Dense(d) if d.moment == Moment::Count => true,
+            Lane::Dense(_) => v.as_f64().is_none_or(|x| x.abs() <= RETRACT_BOUND),
+            Lane::States(_) => false,
+        }
+    }
+
+    /// `true` when a [`merge`](Self::merge) of retractable contributions
+    /// into `self` finalizes as a fold of those contributions would: every
+    /// sum is non-finite, which no finite term moves, or at most 2^1020 in
+    /// magnitude, so the merged total stays finite.
+    pub fn takes_exact_merge(&self) -> bool {
+        self.lanes.iter().all(|lane| match lane {
+            Lane::Dense(d) => d.within_merge_bound(),
+            Lane::States(_) => false,
+        })
+    }
+
     /// Fold one tuple into replica `b` only, with an explicit weight.
     pub fn update_replica(&mut self, b: u32, values: &[Value], weight: f64) {
         for (lane, v) in self.lanes.iter_mut().zip(values) {
             lane.update(1 + b as usize, v, weight);
+        }
+    }
+
+    /// Move many tuples' replica decisions at once. Tuple `t`'s arguments
+    /// are `values[t * lanes..][..lanes]`, one per lane; a cell `(t, b, w)`
+    /// folds them into replica `b` at weight `w` (one
+    /// [`update_replica`](Self::update_replica)), or with `w < 0` takes
+    /// such a fold at `-w` back out. Per lane one exact pass over the cells
+    /// ([`DenseSums::add_cells`]), so the states finalize as the per-cell
+    /// updates would — provided every value
+    /// [`retracts_exactly`](Self::retracts_exactly). Panics on a
+    /// MIN/MAX/QUANTILE/UDAF lane.
+    pub fn move_cells(
+        &mut self,
+        values: &[Value],
+        cells: &[(u32, u32, i16)],
+        scratch: &mut FoldScratch,
+    ) {
+        let lanes = self.lanes.len();
+        let FoldScratch {
+            xs,
+            hi,
+            lo,
+            cells: kept,
+            cell_buf,
+            ..
+        } = scratch;
+        for (j, lane) in self.lanes.iter_mut().enumerate() {
+            let Lane::Dense(d) = lane else {
+                panic!("lane {j} cannot move cells: not a summing lane");
+            };
+            let counts = d.moment == Moment::Count;
+            let args = values.iter().skip(j).step_by(lanes);
+            let arg = |v: &Value| match v {
+                Value::Null => None,
+                _ if counts => Some(0.0),
+                v => v.as_f64(),
+            };
+            xs.clear();
+            xs.extend(args.map(|v| arg(v).unwrap_or(f64::NAN)));
+            kept.clear();
+            for &(t, b, w) in cells {
+                if arg(&values[t as usize * lanes + j]).is_some() {
+                    d.weight[1 + b as usize] += f64::from(w);
+                    kept.push((t, 1 + b, w));
+                }
+            }
+            if counts {
+                continue;
+            }
+            d.sum.add_cells(xs, kept, cell_buf);
+            if matches!(d.moment, Moment::Var { .. }) {
+                hi.clear();
+                lo.clear();
+                for (p, e) in xs.iter().map(|&x| two_product(x, x)) {
+                    hi.push(p);
+                    lo.push(e);
+                }
+                d.sumsq.add_cells(lo, kept, cell_buf);
+                d.sumsq.add_cells(hi, kept, cell_buf);
+            }
         }
     }
 
@@ -395,13 +607,28 @@ impl ReplicatedStates {
         (1..=self.trials as usize).map(move |i| lane.finalize_f64(i, scale))
     }
 
+    /// Append [`trial_values_f64`](Self::trial_values_f64) of a summing
+    /// lane — every value is `Float` or NULL, so this is
+    /// [`trial_values`](Self::trial_values) unboxed — to `out`, in one pass
+    /// over the lane's arrays. Returns `false`, appending nothing, for a
+    /// MIN/MAX/QUANTILE/UDAF lane.
+    pub fn trial_floats_into(&self, j: usize, scale: f64, out: &mut Vec<Option<f64>>) -> bool {
+        match &self.lanes[j] {
+            Lane::Dense(d) => {
+                d.finalize_replicas(scale, out);
+                true
+            }
+            Lane::States(_) => false,
+        }
+    }
+
     /// Monotone lower bound on aggregate `j`'s final value (see
     /// [`AggState::monotone_lower_bound`]).
     pub fn lower_bound(&self, j: usize) -> Option<f64> {
         match &self.lanes[j] {
             Lane::Dense(d) => match d.moment {
                 Moment::Count => Some(d.weight[0]),
-                Moment::Sum if !d.saw_negative && d.weight[0] != 0.0 => Some(d.sum.value(0)),
+                Moment::Sum if d.negatives == 0 && d.weight[0] != 0.0 => Some(d.sum.value(0)),
                 _ => None,
             },
             Lane::States(s) => s[0].monotone_lower_bound(),

@@ -281,6 +281,14 @@ mod run_fold_equivalence {
         kinds().into_iter().filter(AggKind::is_mergeable).collect()
     }
 
+    /// The kinds whose states retract.
+    fn retractable_kinds() -> Vec<AggKind> {
+        kinds()
+            .into_iter()
+            .filter(AggKind::is_retractable)
+            .collect()
+    }
+
     /// The oracle: `slots[i][j]` is aggregate `j`'s state in slot `i`.
     #[derive(Clone)]
     struct Reference {
@@ -582,6 +590,68 @@ mod run_fold_equivalence {
             copy_oracle.fold(&run, include_main);
             assert_states_match(&copy, &copy_oracle, "clone")?;
             assert_states_match(&states, &oracle, "original after its clone moved")?;
+        }
+
+        /// The uncertain set's delta re-merge: a contribution that took
+        /// two runs and gave one back (`retract_run`, `retract_main`),
+        /// merged into deterministic states, finalizes like those states
+        /// with the kept run folded in — whenever every value retracts
+        /// exactly and the states take an exact merge. Hostile values
+        /// (non-finite, near overflow) are the ones the predicates refuse.
+        #[test]
+        fn retract_then_merge_matches_the_oracle(seed in any::<u64>()) {
+            let mut rng = SplitMix64::new(seed);
+            let spec = spec(&mut rng);
+            let ks = retractable_kinds();
+            let mut scratch = FoldScratch::default();
+            let base = run(&mut rng, &spec, ks.len());
+            let mut det = ReplicatedStates::new(&ks, spec.trials);
+            fold_run(&mut det, &base, true, &mut scratch);
+            let mut oracle = Reference::new(&ks, spec.trials);
+            oracle.fold(&base, true);
+            let (kept, taken) = (run(&mut rng, &spec, ks.len()), run(&mut rng, &spec, ks.len()));
+            let (kept_main, taken_main) = (rng.next_below(2) == 0, rng.next_below(2) == 0);
+            let mut contrib = ReplicatedStates::new(&ks, spec.trials);
+            let exact = det.takes_exact_merge()
+                && [&kept, &taken].iter().all(|r| {
+                    (r.lanes.iter().enumerate())
+                        .all(|(j, vs)| vs.iter().all(|v| contrib.retracts_exactly(j, v)))
+                });
+            let tuple = |r: &Run, t: usize| -> Vec<Value> {
+                r.lanes.iter().map(|l| l[t].clone()).collect()
+            };
+            for (r, main) in [(&taken, taken_main), (&kept, kept_main)] {
+                fold_run(&mut contrib, r, false, &mut scratch);
+                for t in (0..r.weights.len()).filter(|_| main) {
+                    contrib.update_main(&tuple(r, t));
+                }
+            }
+            // The taken run's trials go back out as one run per lane, or
+            // as signed cells (`move_cells`), as the re-merge does a
+            // carried tuple's flipped trials.
+            if rng.next_below(2) == 0 {
+                let rows: Vec<&[u8]> = taken.weights.iter().map(Vec::as_slice).collect();
+                for (j, values) in taken.lanes.iter().enumerate() {
+                    contrib.retract_run(j, values, &rows, &mut scratch);
+                }
+            } else {
+                let values: Vec<Value> = (0..taken.weights.len()).flat_map(|t| tuple(&taken, t)).collect();
+                let cells: Vec<(u32, u32, i16)> = (taken.weights.iter().enumerate())
+                    .flat_map(|(t, row)| {
+                        let weighted = (0..).zip(row).filter(|(_, &w)| w != 0);
+                        weighted.map(move |(b, &w)| (t as u32, b, -i16::from(w)))
+                    })
+                    .collect();
+                contrib.move_cells(&values, &cells, &mut scratch);
+            }
+            for t in (0..taken.weights.len()).filter(|_| taken_main) {
+                contrib.retract_main(&tuple(&taken, t));
+            }
+            det.merge(&contrib);
+            oracle.fold(&kept, kept_main);
+            if exact {
+                assert_states_match(&det, &oracle, "retract then merge")?;
+            }
         }
     }
 }

@@ -232,8 +232,8 @@ fn bench_uncertain_reeval(c: &mut Criterion) {
         let mut run = session.execute_online(sql).unwrap();
         // Stop at the first batch that leaves 2k tuples uncertain, or at
         // the end of the data.
-        let big = |run: &gola_core::OnlineExecution| run.reevaluate_root().unwrap().0 >= 2000;
-        while !big(&run) && run.next().is_some() {}
+        let big = |run: &mut gola_core::OnlineExecution| run.reevaluate_root().unwrap().0 >= 2000;
+        while !big(&mut run) && run.next().is_some() {}
         let (tuples, _) = run.reevaluate_root().unwrap();
         g.throughput(Throughput::Elements(tuples as u64));
         g.bench_function(&format!("uncertain_reeval/{name}"), |b| {

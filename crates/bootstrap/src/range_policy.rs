@@ -12,7 +12,7 @@
 //! cover a running value's whole remaining trajectory, not one batch's
 //! spread.
 
-use gola_common::stats::stddev_pop;
+use gola_common::stats::{stddev_pop, stddev_pop_around};
 
 /// How to derive the slack `ε` from the bootstrap replica values.
 #[derive(Debug, Clone, Copy)]
@@ -46,13 +46,23 @@ impl VariationRange {
     /// The current value is always included so the range is non-empty even
     /// with zero replicas (then it degenerates to a point ± ε).
     pub fn from_replicas(current: f64, replicas: &[f64], policy: EpsilonPolicy) -> Self {
-        let eps = policy.epsilon(replicas);
-        let mut lo = current;
-        let mut hi = current;
+        // One pass for the extremes and for the sum behind the mean: three
+        // independent chains, each in replica order, so every figure is
+        // the one `EpsilonPolicy::epsilon` and a separate min/max pass
+        // compute.
+        let mut sum: f64 = std::iter::empty::<f64>().sum();
+        let (mut lo, mut hi) = (current, current);
         for &r in replicas {
+            sum += r;
             lo = lo.min(r);
             hi = hi.max(r);
         }
+        let eps = match policy {
+            EpsilonPolicy::StdDevScaled(scale) if !replicas.is_empty() => {
+                scale * stddev_pop_around(replicas, sum / replicas.len() as f64)
+            }
+            policy => policy.epsilon(replicas),
+        };
         VariationRange {
             lo: lo - eps,
             hi: hi + eps,
@@ -92,6 +102,41 @@ mod tests {
         assert!((r.lo - (36.0 - sd)).abs() < 1e-12);
         assert!((r.hi - (38.0 + sd)).abs() < 1e-12);
         assert!(r.contains(37.0));
+    }
+
+    /// The one-pass range is the two-pass one bit for bit: `ε` from
+    /// `EpsilonPolicy::epsilon`, the extremes from a separate min/max
+    /// pass — signed zeros, NaN, infinities and huge values included.
+    #[test]
+    fn one_pass_range_equals_the_two_pass_one() {
+        let reference = |current: f64, replicas: &[f64], policy: EpsilonPolicy| {
+            let eps = policy.epsilon(replicas);
+            let lo = replicas.iter().fold(current, |lo, &r| lo.min(r));
+            let hi = replicas.iter().fold(current, |hi, &r| hi.max(r));
+            (lo - eps, hi + eps)
+        };
+        let cases: [&[f64]; 6] = [
+            &[],
+            &[-0.0],
+            &[-0.0, -0.0, 0.0],
+            &[1e308, 1e308, -3.5, 0.25],
+            &[f64::NAN, 2.0, -1.0],
+            &[f64::INFINITY, 1.0, f64::NEG_INFINITY],
+        ];
+        for replicas in cases {
+            for current in [0.0, -0.0, 7.5, f64::NAN] {
+                for policy in [EpsilonPolicy::StdDevScaled(3.0), EpsilonPolicy::Fixed(0.5)] {
+                    let got = VariationRange::from_replicas(current, replicas, policy);
+                    let (lo, hi) = reference(current, replicas, policy);
+                    let bits = |x: f64| x.to_bits();
+                    assert_eq!(
+                        (bits(got.lo), bits(got.hi)),
+                        (bits(lo), bits(hi)),
+                        "{replicas:?} at {current} under {policy:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

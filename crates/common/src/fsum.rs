@@ -322,6 +322,95 @@ impl DenseSums {
         }
     }
 
+    /// [`merge`](Self::merge) of every sum of `other` into the same sum
+    /// here: one [`add_slice`](Self::add_slice) while `other` has no
+    /// spilled sum.
+    pub fn merge_all(&mut self, other: &DenseSums) {
+        assert_eq!(self.len(), other.len(), "sums of equal length");
+        if other.spilled.is_empty() {
+            self.add_slice(0, &other.dense);
+        } else {
+            (0..other.len()).for_each(|i| self.merge(i, other, i));
+        }
+    }
+
+    /// Add `w · xs[t]` to sum `i` for every cell `(t, i, w)` of `cells`:
+    /// what one [`add_product`](Self::add_product) per cell does, by the
+    /// pre-rounding of [`WeightedRun`] — each level rounds every remaining
+    /// value onto one grid, after which every product and every partial
+    /// sum of a cell's sum is plain, exact `f64` arithmetic (see that
+    /// type's doc: the weights here are signed, and `2^K` bounds each
+    /// sum's `Σ|w|`). Each level hands each touched sum one piece, so a
+    /// sum that many sparse cells reach is grown a few times, not twice a
+    /// cell. Non-finite values, and remainders past the last level, go
+    /// cell by cell. Equal at [`value`](Self::value) while no sum's
+    /// running total overflows.
+    pub fn add_cells(&mut self, xs: &[f64], cells: &[(u32, u32, i16)], buf: &mut CellBuf) {
+        let CellBuf { total, acc, rem, q } = buf;
+        total.clear();
+        total.resize(self.len(), 0);
+        for &(_, i, w) in cells {
+            total[i as usize] += u64::from(w.unsigned_abs());
+        }
+        let bound = total.iter().copied().max().unwrap_or(0);
+        // Smallest K ≥ 2 with 2^K ≥ bound.
+        let headroom = u64::from(64 - bound.saturating_sub(1).leading_zeros()).max(2);
+        rem.clear();
+        rem.extend_from_slice(xs);
+        let mut top = 0u64;
+        for r in rem.iter_mut() {
+            if r.is_finite() {
+                top = top.max(r.abs().to_bits());
+            }
+        }
+        for &(t, i, w) in cells {
+            if !xs[t as usize].is_finite() {
+                self.add_product(i as usize, xs[t as usize], f64::from(w));
+            }
+        }
+        rem.iter_mut()
+            .filter(|r| !r.is_finite())
+            .for_each(|r| *r = 0.0);
+        acc.clear();
+        acc.resize(self.len(), 0.0);
+        for level in 0..=MAX_LEVELS {
+            if top == 0 {
+                break;
+            }
+            let sigma_exp = (top >> 52) + headroom;
+            if level == MAX_LEVELS || sigma_exp > 2045 {
+                for &(t, i, w) in cells.iter().filter(|c| rem[c.0 as usize] != 0.0) {
+                    self.add_product(i as usize, rem[t as usize], f64::from(w));
+                }
+                break;
+            }
+            let sigma = f64::from_bits(sigma_exp << 52 | 1 << 51);
+            q.clear();
+            top = 0;
+            for r in rem.iter_mut() {
+                let grid = (sigma + *r) - sigma;
+                *r -= grid;
+                top = top.max(r.abs().to_bits());
+                q.push(grid);
+            }
+            // Exact: every product and partial sum is a multiple of
+            // ulp(σ) of at most 2^53 ulps.
+            for &(t, i, w) in cells {
+                acc[i as usize] += f64::from(w) * q[t as usize];
+            }
+            for (i, piece) in acc.iter_mut().enumerate().filter(|(_, p)| **p != 0.0) {
+                self.add(i, *piece);
+                *piece = 0.0;
+            }
+        }
+    }
+
+    /// Every sum's [`value`](Self::value) as one slice, while no sum has
+    /// spilled.
+    pub fn dense_values(&self) -> Option<&[f64]> {
+        self.spilled.is_empty().then_some(&self.dense)
+    }
+
     /// [`ExactSum::value`] of sum `i`.
     #[inline]
     pub fn value(&self, i: usize) -> f64 {
@@ -338,6 +427,15 @@ impl DenseSums {
 /// `53 − K` bits off every remainder (`K` ≈ 11 for a 1024-tuple run), so six
 /// consume doubles spread over ~200 binades; a wider run hands back tails.
 const MAX_LEVELS: usize = 6;
+
+/// Reusable buffers of [`DenseSums::add_cells`].
+#[derive(Debug, Default)]
+pub struct CellBuf {
+    total: Vec<u64>,
+    acc: Vec<f64>,
+    rem: Vec<f64>,
+    q: Vec<f64>,
+}
 
 /// Reusable buffers of [`WeightedRun`]s (one per fold loop, not per run).
 #[derive(Debug, Default)]
@@ -893,6 +991,57 @@ mod tests {
                     assert_eq!(state(&dense, c), bits(e), "round {round} cell {c}");
                     assert_eq!(dense.value(c).to_bits(), e.value().to_bits());
                 }
+            }
+        }
+    }
+
+    /// `add_cells` sums to the bits of one `add_product` per cell: signed
+    /// weights, values over ~600 binades, exact cancellations, repeated
+    /// and idle sums, and a few non-finite values.
+    #[test]
+    fn add_cells_equals_one_add_product_per_cell() {
+        let mut rng = SplitMix64::new(5);
+        let mut buf = CellBuf::default();
+        for round in 0..300 {
+            let (n, tuples) = (
+                1 + rng.next_below(8) as usize,
+                1 + rng.next_below(40) as usize,
+            );
+            let xs: Vec<f64> = (0..tuples)
+                .map(|_| match rng.next_below(40) {
+                    0 => f64::INFINITY,
+                    1 => f64::NAN,
+                    2 => 0.1,
+                    3 => -0.0,
+                    _ => {
+                        let scale = 2f64.powi(rng.next_below(600) as i32 - 300);
+                        (rng.next_f64() - 0.5) * scale
+                    }
+                })
+                .collect();
+            let cells: Vec<(u32, u32, i16)> = (0..rng.next_below(120))
+                .map(|_| {
+                    let w = rng.next_below(511) as i16 - 255;
+                    (
+                        rng.next_below(tuples as u64) as u32,
+                        rng.next_below(n as u64) as u32,
+                        w,
+                    )
+                })
+                .collect();
+            let (mut kernel, mut reference) = (DenseSums::new(n), DenseSums::new(n));
+            for i in 0..n {
+                let start = (rng.next_f64() - 0.5) * 1e6;
+                kernel.add(i, start);
+                reference.add(i, start);
+            }
+            kernel.add_cells(&xs, &cells, &mut buf);
+            for &(t, i, w) in &cells {
+                reference.add_product(i as usize, xs[t as usize], f64::from(w));
+            }
+            for i in 0..n {
+                let (got, want) = (kernel.value(i), reference.value(i));
+                assert_eq!(got.to_bits(), want.to_bits(), "round {round} sum {i}");
             }
         }
     }

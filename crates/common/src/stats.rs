@@ -12,9 +12,13 @@ pub fn mean(xs: &[f64]) -> Option<f64> {
 
 /// Population standard deviation. Returns `None` for an empty slice.
 pub fn stddev_pop(xs: &[f64]) -> Option<f64> {
-    let m = mean(xs)?;
+    Some(stddev_pop_around(xs, mean(xs)?))
+}
+
+/// [`stddev_pop`] of a non-empty `xs` whose [`mean`] is `m`.
+pub fn stddev_pop_around(xs: &[f64], m: f64) -> f64 {
     let var = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64;
-    Some(var.sqrt())
+    var.sqrt()
 }
 
 /// Percentile with linear interpolation (`q` in `[0, 1]`), like numpy's

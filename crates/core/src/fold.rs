@@ -22,7 +22,9 @@ use gola_common::{Result, Value};
 use crate::classify::Classes;
 use crate::join::{BatchWeights, Candidates};
 use crate::metrics;
-use crate::runtime::{gather_rows, BlockEnv, BlockRuntime, CtxMode, TupleReader, UncertainSet};
+use crate::runtime::{
+    decision_words, gather_rows, BlockEnv, BlockRuntime, CtxMode, TupleReader, UncertainSet,
+};
 
 /// The batch rows whose bootstrap weights this stage will read for one
 /// block: every new candidate classification folds or leaves uncertain.
@@ -35,7 +37,8 @@ pub(crate) fn weights_needed<'a>(
 }
 
 /// Run the stage. Mutates `rt` only: `slots` gain the folds, `uncertain`
-/// is replaced by the still-uncertain candidates.
+/// is replaced by the still-uncertain candidates, and the carried tuples
+/// that left it go to the re-merge to be retracted.
 ///
 /// The folds go in one *run* per group: the tuples are bucketed by group id
 /// first, so every (group, aggregate lane) takes its tuples' values and
@@ -95,23 +98,67 @@ pub(crate) fn fold(
     count_runs(runs, run_tuples);
 
     // The still-uncertain tuples, in candidate order. Carried tuples keep
-    // their cached bootstrap weights; tuples entering the set copy their
-    // row of the step's matrix. Every candidate carries its key ids from
-    // the join stage's label, so publish never recomputes a weight or
-    // hashes a key.
+    // their cached bootstrap weights and last decisions; tuples entering
+    // the set copy their row of the step's matrix and are undecided. Every
+    // candidate carries its key ids from the join stage's label, so
+    // publish never recomputes a weight or hashes a key.
     let keep = &classes.uncertain;
+    let words = decision_words(trials);
     let mut kept_weights: Vec<u8> = Vec::with_capacity(keep.len() * trials as usize);
+    let mut decisions: Vec<u64> = Vec::with_capacity(keep.len() * words);
     for &i in keep {
         kept_weights.extend_from_slice(cand.weights_of(weights, i));
+        match cand.batch_row(i) {
+            None => decisions.extend_from_slice(&cand.carried_decisions[i * words..][..words]),
+            Some(_) => decisions.resize(decisions.len() + words, 0),
+        }
     }
     rt.uncertain = UncertainSet {
         tuple_ids: keep.iter().map(|&i| cand.ids[i]).collect(),
         weights: kept_weights,
         key_ids: gather_rows(&cand.key_ids, cb.cmp_conjuncts(), keep),
         group_ids: gather_rows(&cand.group_ids, 1, keep),
+        decisions,
         chunk: cand.chunk.gather(keep),
     };
+    record_gone(cand, keep, trials as usize, words, rt);
     Ok(())
+}
+
+/// Hand the re-merge the carried tuples that left the uncertain set and
+/// still count in their group's contribution: those whose last decision
+/// folded them somewhere, in a group the re-merge keeps a contribution
+/// for. `keep` is the still-uncertain candidates, ascending.
+fn record_gone(
+    cand: &Candidates,
+    keep: &[usize],
+    trials: usize,
+    words: usize,
+    rt: &mut BlockRuntime,
+) {
+    let mut kept = keep.iter().copied().peekable();
+    let gone: Vec<usize> = (0..cand.carried_len)
+        .filter(|&i| kept.next_if_eq(&i).is_none())
+        .filter(|&i| rt.remerge.tracks(cand.group_ids[i]))
+        .filter(|&i| {
+            cand.carried_decisions[i * words..][..words]
+                .iter()
+                .any(|&w| w != 0)
+        })
+        .collect();
+    if gone.is_empty() {
+        return;
+    }
+    let exits = UncertainSet {
+        tuple_ids: gone.iter().map(|&i| cand.ids[i]).collect(),
+        weights: gather_rows(&cand.carried_weights, trials, &gone),
+        key_ids: Vec::new(),
+        group_ids: gather_rows(&cand.group_ids, 1, &gone),
+        decisions: gather_rows(&cand.carried_decisions, words, &gone),
+        chunk: cand.chunk.gather(&gone),
+    };
+    let prior = std::mem::take(&mut rt.remerge.gone);
+    rt.remerge.gone = prior.concat(exits);
 }
 
 /// Add `runs` `fold_run` calls over `tuples` tuples to the replica-work

@@ -4,20 +4,22 @@
 //! and at every bootstrap trial ([`GroupEval`]).
 
 use std::borrow::Cow;
+use std::ops::Range;
 
-use gola_agg::{FoldScratch, ReplicatedStates};
+use gola_agg::{AggKind, FoldScratch, ReplicatedStates};
 use gola_bootstrap::VariationRange;
 use gola_common::{row_u32, ColumnData, FxHashMap, Result, Value};
-use gola_expr::eval::{eval_predicate, eval_tri};
-use gola_expr::lanes::{eval_lanes, numeric_view};
+use gola_expr::eval::{eval, eval_predicate, eval_tri};
+use gola_expr::lanes::{eval_lanes, numeric_view, LaneContext, Lanes, ScalarLanes};
 use gola_expr::vector::{num_total_key, op_holds};
-use gola_expr::{BinOp, Expr, RangeVal, Tri};
+use gola_expr::{BinOp, Expr, RangeVal, SubqueryId, Tri};
 
 use crate::compiled::FastScalarCmp;
 use crate::join::CHUNK;
 use crate::metrics;
 use crate::runtime::{
-    sorted_into_entries, BlockEnv, BlockRuntime, CtxMode, GroupCtx, PubView, TupleReader,
+    decision_words, sorted_into_entries, BlockEnv, BlockRuntime, CtxMode, GroupCtx, Labels,
+    PubView, TupleReader, UncertainSet,
 };
 
 /// Small-sample guard: while a group's aggregate has fewer than this many
@@ -112,22 +114,22 @@ impl<'a> CmpSweep<'a> {
         env: &BlockEnv<'_>,
         fscs: &'a [FastScalarCmp],
         k: usize,
-        rt: &'a BlockRuntime,
+        key_ids: &'a [u32],
         reader: &mut TupleReader<'_>,
     ) -> Result<CmpSweep<'a>> {
         let trials = env.config.bootstrap.trials;
         let mut sweep = CmpSweep {
             fsc: &fscs[k],
-            key_ids: &rt.uncertain.key_ids,
+            key_ids,
             conjuncts: fscs.len(),
             k,
             lanes: 1 + trials as usize,
-            row_of: vec![UNSEEN; ids_below(&rt.uncertain.key_ids)],
+            row_of: vec![UNSEEN; ids_below(key_ids)],
             keys: Vec::new(),
             valid: Vec::new(),
         };
         let mut vectors = 0u64;
-        for i in 0..rt.uncertain.len() {
+        for i in 0..reader.chunk.len() {
             let id = sweep.id(i);
             if sweep.row_of[id] != UNSEEN {
                 continue;
@@ -286,7 +288,7 @@ fn decide_generic(
 /// must not leak id numbering or hash layout.
 pub(crate) fn effective_states<'a>(
     env: &BlockEnv<'_>,
-    rt: &'a BlockRuntime,
+    rt: &'a mut BlockRuntime,
 ) -> Result<Vec<EffGroup<'a>>> {
     // Report, publish and recover all come through here: the span puts the
     // re-merge under whichever of them called it.
@@ -310,51 +312,90 @@ pub(crate) fn effective_states<'a>(
 }
 
 /// One walk over the block's groups in key order: a group no uncertain
-/// tuple touches is borrowed from its slot, a touched one gets a merged
-/// snapshot.
-fn uncertain_states<'a>(env: &BlockEnv<'_>, rt: &'a BlockRuntime) -> Result<Vec<EffGroup<'a>>> {
+/// tuple touches is borrowed from its slot, a touched one gets a snapshot
+/// of its deterministic states merged with U's contribution.
+///
+/// Every tuple of U is decided again — point and every trial — and its
+/// decision stored ([`UncertainSet::decisions`]). Where the block's
+/// aggregates are exact sums of row-only arguments, each group keeps U's
+/// contribution between calls ([`Remerge`]) and a call applies only the
+/// difference: a tuple entering U is folded as a run, a carried tuple's
+/// flipped trials are added or retracted as signed cells of one exact pass
+/// per lane, and a tuple the fold stage moved out is retracted as a run. A group with no kept contribution (first call,
+/// after a reset, a group new to U) rebuilds it from every decision. Where
+/// a contribution could not retract exactly — an argument that is not
+/// finite or is huge — or the deterministic sums are too close to
+/// overflow for a merge, the group folds its decisions straight into a
+/// copy of its deterministic states instead, as does every group of a
+/// block with a MIN, MAX, QUANTILE or UDAF lane. The choice reads only lane
+/// kinds and values, and every path hands out the same bits.
+fn uncertain_states<'a>(env: &BlockEnv<'_>, rt: &'a mut BlockRuntime) -> Result<Vec<EffGroup<'a>>> {
     let cb = env.cb;
     let trials = env.config.bootstrap.trials;
+    let (stride, words) = (trials as usize, decision_words(trials));
+    let BlockRuntime {
+        slots,
+        uncertain,
+        labels,
+        remerge,
+        ..
+    } = rt;
+    let (slots, labels): (&'a [Option<ReplicatedStates>], &'a Labels) = (slots, labels);
+    let slot = |g: u32| slots.get(g as usize).and_then(Option::as_ref);
+    // Contributions are kept only where every lane is an exact sum of
+    // row-only arguments: what an unchanged decision folds never moves.
+    let keeps = cb.agg_kinds.iter().all(AggKind::is_retractable)
+        && !cb.lin_agg_args.iter().any(Expr::has_subquery_ref)
+        && !remerge.straight_only();
+    let gone = std::mem::take(&mut remerge.gone);
+    if !keeps {
+        remerge.clear();
+    }
+    remerge.contrib.resize_with(labels.groups.len(), || None);
     // The uncertain set carries its bootstrap weights and its group and
     // correlation-key ids — computed once per tuple — so no weight kernel
     // and no key hashing runs here no matter how many batches a tuple stays
     // uncertain.
-    let us = &rt.uncertain;
-    let stride = trials as usize;
-    let mut reader = TupleReader::new(&us.chunk, env.pubs);
+    let UncertainSet {
+        weights,
+        key_ids,
+        group_ids,
+        decisions,
+        chunk,
+        ..
+    } = uncertain;
+    let mut reader = TupleReader::new(chunk, env.pubs);
     let inclusion = match (&cb.lin_filters[..], &cb.fast_scalar_cmp) {
         ([Expr::InSubquery { id, key, negated }], _) => Inclusion::Member(*id, key, *negated),
         (_, Some(fscs)) => {
-            let sweeps = (0..fscs.len()).map(|k| CmpSweep::new(env, fscs, k, rt, &mut reader));
+            let sweeps = (0..fscs.len()).map(|k| CmpSweep::new(env, fscs, k, key_ids, &mut reader));
             Inclusion::ScalarCmp(sweeps.collect::<Result<_>>()?)
         }
         _ => Inclusion::Generic,
     };
     if gola_obs::enabled() {
-        metrics::uncertain_evals().add(us.len() as u64);
+        metrics::uncertain_evals().add(group_ids.len() as u64);
     }
-    // Per group id, the uncertain tuples of the group in set order: bucketed
-    // by a stable sort on the id.
-    let mut by_group: Vec<(u32, usize)> = (us.group_ids.iter().copied()).zip(0..us.len()).collect();
-    by_group.sort_by_key(|&(group, _)| group);
-    let mut touched: Vec<&[(u32, usize)]> = vec![&[]; rt.labels.groups.len()];
-    for run in by_group.chunk_by(|a, b| a.0 == b.0) {
-        touched[run[0].0 as usize] = run;
-    }
+    // Per group id, the uncertain tuples of the group in set order, and the
+    // tuples that left U since the last call.
+    let touched = Buckets::new(group_ids, labels.groups.len());
+    let left = Buckets::new(&gone.group_ids, labels.groups.len());
+    let mut gone_reader = TupleReader::new(&gone.chunk, env.pubs);
     // Every group with a fold or an uncertain tuple, in key order.
-    let live = (0..row_u32(touched.len()))
-        .filter(|&g| rt.slot(g).is_some() || !touched[g as usize].is_empty());
-    let groups = rt.labels.groups.sorted(live);
+    let live = (0..row_u32(labels.groups.len()))
+        .filter(|&g| slot(g).is_some() || !touched.of(g).is_empty());
+    let groups = labels.groups.sorted(live);
     let mut out: Vec<EffGroup<'a>> = Vec::with_capacity(groups.len());
-    let mut scratch = FoldScratch::default();
-    let mut args: Vec<Value> = Vec::new();
-    let mut lanes: Vec<Vec<Value>> = vec![Vec::new(); cb.lin_agg_args.len()];
-    let mut masks: Vec<u8> = Vec::new();
-    let mut lookup_key: Vec<Value> = Vec::new();
-    let (mut runs, mut run_tuples) = (0, 0);
+    let fresh = || ReplicatedStates::new(&cb.agg_kinds, trials);
+    let mut work = Work::default();
+    let (mut masks, mut points) = (Vec::new(), Vec::new());
+    let (mut lookup_key, mut args) = (Vec::new(), Vec::new());
+    let mut decided = vec![0u64; words];
+    // A run's tuples whose decision moved, and their stored decisions.
+    let (mut moved, mut before): (Vec<usize>, Vec<u64>) = (Vec::new(), Vec::new());
     for (g, key) in groups {
-        let det = rt.slot(g);
-        let tuples = touched[g as usize];
+        let det = slot(g);
+        let tuples = touched.of(g);
         if let (Some(states), []) = (det, tuples) {
             out.push(EffGroup {
                 key: Cow::Borrowed(key),
@@ -364,38 +405,109 @@ fn uncertain_states<'a>(env: &BlockEnv<'_>, rt: &'a BlockRuntime) -> Result<Vec<
             });
             continue;
         }
-        // A snapshot of the group's deterministic states takes the
-        // uncertain contributions.
-        let mut states =
-            (det.cloned()).unwrap_or_else(|| ReplicatedStates::new(&cb.agg_kinds, trials));
+        // Where the tuples fold: U's kept contribution, moved by the
+        // difference; a fresh one, rebuilt; or a copy of the deterministic
+        // states, for a block that keeps none.
+        let kept = remerge.contrib[g as usize].take();
+        let delta = kept.is_some();
+        let mut target = match kept {
+            Some(c) => c,
+            None if keeps => fresh(),
+            None => det.cloned().unwrap_or_else(fresh),
+        };
+        let mut exact = true;
         let mut supported = det.is_some();
-        // Main inclusion is per tuple, at point values. The replicas take
-        // the group's tuples as runs (of at most a chunk, which bounds the
-        // mask buffer): excluded trials are masked to weight 0 — a no-op —
-        // so one replica-only run per aggregate lane covers every trial.
+        // Decided in runs of at most a chunk, which bounds the mask buffer.
         for run in tuples.chunks(CHUNK) {
             masks.clear();
-            lanes.iter_mut().for_each(Vec::clear);
-            for &(_, i) in run {
-                let weights = &us.weights[i * stride..][..stride];
+            points.clear();
+            for &i in run {
+                let w = &weights[i * stride..][..stride];
+                points.push(inclusion.decide(
+                    env,
+                    &mut reader,
+                    i,
+                    w,
+                    &mut masks,
+                    &mut lookup_key,
+                )?);
+            }
+            // The new decisions replace the stored ones; a tuple whose
+            // decision moved (every tuple, when nothing is kept) keeps its
+            // old one in `before`.
+            moved.clear();
+            before.clear();
+            for (t, &i) in run.iter().enumerate() {
+                decision_bits(points[t], &masks[t * stride..][..stride], &mut decided);
+                let stored = &mut decisions[i * words..][..words];
+                if !delta || stored.iter().zip(&decided).any(|(a, b)| a != b) {
+                    moved.push(t);
+                    before.extend_from_slice(stored);
+                    stored.iter_mut().zip(&decided).for_each(|(s, &d)| *s = d);
+                }
+            }
+            supported |= points.iter().any(|&p| p);
+            for (k, &t) in moved.iter().enumerate() {
+                let i = run[t];
+                let (was, now) = (
+                    &before[k * words..][..words],
+                    &decisions[i * words..][..words],
+                );
+                let held = delta && any_set(was);
+                if !held && !any_set(now) {
+                    continue;
+                }
                 reader.values_into(i, &cb.lin_agg_args, CtxMode::Point, &mut args)?;
-                if inclusion.decide(env, &mut reader, i, weights, &mut masks, &mut lookup_key)? {
-                    states.update_main(&args);
-                    supported = true;
-                }
-                for (lane, v) in lanes.iter_mut().zip(args.drain(..)) {
-                    lane.push(v);
+                exact &= !keeps || retracts_exactly(&target, &args);
+                let w = &weights[i * stride..][..stride];
+                match held {
+                    true => work.flip(&mut target, &args, w, was, now),
+                    false => work.add(&args, &masks[t * stride..][..stride], points[t]),
                 }
             }
-            let rows: Vec<&[u8]> = (0..run.len())
-                .map(|t| &masks[t * stride..][..stride])
-                .collect();
-            for (j, values) in lanes.iter().enumerate() {
-                states.fold_run(j, values, &rows, false, &mut scratch);
-            }
-            runs += lanes.len();
-            run_tuples += lanes.len() * run.len();
+            work.flush(&mut target);
         }
+        work.flush_cells(&mut target);
+        for part in left.of(g).chunks(CHUNK).filter(|_| delta) {
+            for &e in part {
+                gone_reader.values_into(e, &cb.lin_agg_args, CtxMode::Point, &mut args)?;
+                exact &= retracts_exactly(&target, &args);
+                let weights = &gone.weights[e * stride..][..stride];
+                work.decided(&args, weights, &gone.decisions[e * words..][..words], true);
+            }
+            work.flush(&mut target);
+        }
+        let (states, contrib) = match (keeps, exact) {
+            (false, _) => {
+                remerge.took(STRAIGHT);
+                (target, None)
+            }
+            (true, true) if det.is_none_or(ReplicatedStates::takes_exact_merge) => {
+                remerge.took(if delta { KEPT } else { REBUILT });
+                let mut states = det.cloned().unwrap_or_else(fresh);
+                states.merge(&target);
+                (states, Some(target))
+            }
+            // The decisions just stored, straight into a copy of the
+            // deterministic states; a contribution that would not retract
+            // exactly is dropped and rebuilt.
+            (true, exact) => {
+                remerge.took(STRAIGHT);
+                let mut states = det.cloned().unwrap_or_else(fresh);
+                for part in tuples.chunks(CHUNK) {
+                    for &i in part {
+                        let decision = &decisions[i * words..][..words];
+                        if any_set(decision) {
+                            reader.values_into(i, &cb.lin_agg_args, CtxMode::Point, &mut args)?;
+                            work.decided(&args, &weights[i * stride..][..stride], decision, false);
+                        }
+                    }
+                    work.flush(&mut states);
+                }
+                (states, exact.then_some(target))
+            }
+        };
+        remerge.contrib[g as usize] = contrib;
         out.push(EffGroup {
             key: Cow::Borrowed(key),
             states: Cow::Owned(states),
@@ -403,8 +515,294 @@ fn uncertain_states<'a>(env: &BlockEnv<'_>, rt: &'a BlockRuntime) -> Result<Vec<
             settled: det.is_some(),
         });
     }
-    crate::fold::count_runs(runs, run_tuples);
+    // A group with no uncertain tuple left contributes nothing.
+    for (g, c) in (0..).zip(&mut remerge.contrib) {
+        if touched.of(g).is_empty() {
+            *c = None;
+        }
+    }
+    work.count();
     Ok(out)
+}
+
+/// The ways a group is re-merged, as `Remerge::took` counts them: from
+/// the kept contribution, from a rebuilt one, or straight into a copy of
+/// the deterministic states.
+pub(crate) const KEPT: usize = 0;
+pub(crate) const REBUILT: usize = 1;
+pub(crate) const STRAIGHT: usize = 2;
+
+/// Positions of a set's tuples bucketed by group id, each bucket in set
+/// order (a stable sort on the id).
+struct Buckets {
+    order: Vec<usize>,
+    /// Per group id, its bucket's range of `order`.
+    ranges: Vec<Range<usize>>,
+}
+
+impl Buckets {
+    fn new(group_ids: &[u32], groups: usize) -> Buckets {
+        let mut order: Vec<usize> = (0..group_ids.len()).collect();
+        order.sort_by_key(|&i| group_ids[i]);
+        let mut ranges = vec![0..0; groups];
+        let mut at = 0;
+        for run in order.chunk_by(|&a, &b| group_ids[a] == group_ids[b]) {
+            ranges[group_ids[run[0]] as usize] = at..at + run.len();
+            at += run.len();
+        }
+        Buckets { order, ranges }
+    }
+
+    fn of(&self, g: u32) -> &[usize] {
+        &self.order[self.ranges[g as usize].clone()]
+    }
+}
+
+/// Replace `out` with the decision `point` and weight row `mask` stand
+/// for (see [`UncertainSet::decisions`]): word `0` the point, then a bit
+/// per trial, set where the trial keeps a weight.
+fn decision_bits(point: bool, mask: &[u8], out: &mut [u64]) {
+    out[0] = u64::from(point);
+    for (word, trials) in out[1..].iter_mut().zip(mask.chunks(64)) {
+        let eights = trials.chunks_exact(8);
+        let tail = eights.remainder();
+        *word = (0..).zip(eights).fold(0, |word, (k, eight)| {
+            let bytes: [u8; 8] = eight.try_into().unwrap_or_default();
+            word | nonzero_bytes(u64::from_le_bytes(bytes)) << (8 * k)
+        });
+        let at = trials.len() - tail.len();
+        for (i, &w) in (at..).zip(tail) {
+            *word |= u64::from(w != 0) << i;
+        }
+    }
+}
+
+/// One bit per byte of `m`, bit `i` set where byte `i` is non-zero.
+fn nonzero_bytes(m: u64) -> u64 {
+    // Gather bit `8i + 7` to bit `56 + i`: the products land on distinct
+    // bits, so nothing carries into the top byte.
+    (nonzero_bytes_high(m) >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56
+}
+
+/// Bit 7 of each byte of `m` set where the byte is non-zero, every other
+/// bit clear (no carry crosses a byte: `(b & 0x7f) + 0x7f ≤ 0xfe`).
+fn nonzero_bytes_high(m: u64) -> u64 {
+    const LOW: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    (((m & LOW) + LOW) | m) & !LOW
+}
+
+/// Append to `out` the weights of `weights` whose trial bit is set in
+/// `trials` (a decision's trial words), and zero for the others.
+fn keep_weights(trials: &[u64], weights: &[u8], out: &mut Vec<u8>) {
+    for (&bits, chunk) in trials.iter().zip(weights.chunks(64)) {
+        let eights = chunk.chunks_exact(8);
+        let tail = eights.remainder();
+        for (k, eight) in (0..).zip(eights) {
+            let w = u64::from_le_bytes(eight.try_into().unwrap_or_default());
+            out.extend_from_slice(&(w & byte_mask(bits >> (8 * k) & 0xff)).to_le_bytes());
+        }
+        let at = chunk.len() - tail.len();
+        out.extend(
+            (at..)
+                .zip(tail)
+                .map(|(i, &w)| w * u8::from(bits >> i & 1 != 0)),
+        );
+    }
+}
+
+/// `0xff` in byte `i` where bit `i` of `bits` (below 256) is set, else 0.
+fn byte_mask(bits: u64) -> u64 {
+    // Byte `i` keeps bit `i` of its copy of `bits`.
+    let spread = bits.wrapping_mul(0x0101_0101_0101_0101) & 0x8040_2010_0804_0201;
+    (nonzero_bytes_high(spread) >> 7).wrapping_mul(0xff)
+}
+
+fn any_set(decision: &[u64]) -> bool {
+    decision.iter().any(|&w| w != 0)
+}
+
+/// Does every argument of one tuple retract exactly from `states`?
+fn retracts_exactly(states: &ReplicatedStates, args: &[Value]) -> bool {
+    (args.iter().enumerate()).all(|(j, v)| states.retracts_exactly(j, v))
+}
+
+/// Tuples on their way into (or out of) some states as one run: per
+/// aggregate lane their arguments, per tuple its weight row with only the
+/// trials it counts in, and the arguments of those that count at point.
+#[derive(Default)]
+struct Run {
+    lanes: Vec<Vec<Value>>,
+    rows: Vec<u8>,
+    len: usize,
+    /// One tuple's arguments after another.
+    mains: Vec<Value>,
+    /// Point and trial decisions the run applies.
+    cells: u64,
+}
+
+impl Run {
+    /// One tuple: `row` appends its kept weights to the run's rows.
+    fn push(&mut self, args: &[Value], point: bool, row: impl FnOnce(&mut Vec<u8>)) {
+        if point {
+            self.mains.extend_from_slice(args);
+            self.cells += 1;
+        }
+        let at = self.rows.len();
+        row(&mut self.rows);
+        let kept = self.rows[at..]
+            .iter()
+            .map(|&w| u64::from(w != 0))
+            .sum::<u64>();
+        if kept == 0 {
+            self.rows.truncate(at);
+            return;
+        }
+        self.cells += kept;
+        self.lanes.resize_with(args.len(), Vec::new);
+        for (lane, v) in self.lanes.iter_mut().zip(args) {
+            lane.push(v.clone());
+        }
+        self.len += 1;
+    }
+
+    /// Fold the run into `states` (or take it back out), then empty it.
+    /// Returns the `fold_run` calls made and the tuples they held.
+    fn apply(
+        &mut self,
+        states: &mut ReplicatedStates,
+        retract: bool,
+        scratch: &mut FoldScratch,
+    ) -> (usize, usize) {
+        let stride = states.trials() as usize;
+        let rows: Vec<&[u8]> = (0..self.len)
+            .map(|t| &self.rows[t * stride..][..stride])
+            .collect();
+        for (j, values) in self.lanes.iter().enumerate() {
+            match retract {
+                true => states.retract_run(j, values, &rows, scratch),
+                false => states.fold_run(j, values, &rows, false, scratch),
+            }
+        }
+        for args in self.mains.chunks(states.num_aggs().max(1)) {
+            match retract {
+                true => states.retract_main(args),
+                false => states.update_main(args),
+            }
+        }
+        let counted = (self.lanes.len(), self.lanes.len() * self.len);
+        self.lanes.iter_mut().for_each(Vec::clear);
+        self.rows.clear();
+        self.mains.clear();
+        self.len = 0;
+        counted
+    }
+}
+
+/// The folds and retractions of one re-merge call, and what they count.
+#[derive(Default)]
+struct Work {
+    add: Run,
+    sub: Run,
+    /// Flipped trials not yet applied: `(tuple, trial, ±weight)`, the
+    /// tuple's arguments at `moved_args[tuple * lanes..]`.
+    cells: Vec<(u32, u32, i16)>,
+    moved_args: Vec<Value>,
+    moved: usize,
+    scratch: FoldScratch,
+    runs: usize,
+    run_tuples: usize,
+    /// Decisions [`Work::flip`] applied.
+    flipped: u64,
+}
+
+impl Work {
+    /// A tuple entering the states: `row` its kept weights, `point`
+    /// whether it counts at point.
+    fn add(&mut self, args: &[Value], row: &[u8], point: bool) {
+        self.add
+            .push(args, point, |rows| rows.extend_from_slice(row));
+    }
+
+    /// Move a carried tuple's contribution from decision `was` to `now`
+    /// where they differ: the point at once into `states`, each flipped
+    /// trial as a cell for [`Work::flush_cells`]. A carried tuple flips few
+    /// trials at a time, where a run would sweep its whole weight row.
+    fn flip(
+        &mut self,
+        states: &mut ReplicatedStates,
+        args: &[Value],
+        weights: &[u8],
+        was: &[u64],
+        now: &[u64],
+    ) {
+        if was[0] != now[0] {
+            match now[0] != 0 {
+                true => states.update_main(args),
+                false => states.retract_main(args),
+            }
+            self.flipped += 1;
+        }
+        let t = row_u32(self.moved);
+        self.moved += 1;
+        self.moved_args.extend_from_slice(args);
+        for (k, (&a, &b)) in was[1..].iter().zip(&now[1..]).enumerate() {
+            let mut diff = a ^ b;
+            self.flipped += u64::from(diff.count_ones());
+            while diff != 0 {
+                let i = diff.trailing_zeros() as usize;
+                diff &= diff - 1;
+                let trial = 64 * k + i;
+                let w = i16::from(weights[trial]);
+                let w = if b >> i & 1 != 0 { w } else { -w };
+                self.cells.push((t, row_u32(trial), w));
+            }
+        }
+    }
+
+    /// Apply the flipped cells gathered since the last call to `states`,
+    /// one exact pass per lane ([`ReplicatedStates::move_cells`]).
+    fn flush_cells(&mut self, states: &mut ReplicatedStates) {
+        if self.moved == 0 {
+            return;
+        }
+        states.move_cells(&self.moved_args, &self.cells, &mut self.scratch);
+        self.runs += states.num_aggs();
+        self.run_tuples += states.num_aggs() * self.moved;
+        self.moved_args.clear();
+        self.cells.clear();
+        self.moved = 0;
+    }
+
+    /// A tuple entering the states under a stored `decision` — or, with
+    /// `leaving`, leaving them: its weights where the decision keeps them,
+    /// through the runs.
+    fn decided(&mut self, args: &[Value], weights: &[u8], decision: &[u64], leaving: bool) {
+        let run = if leaving {
+            &mut self.sub
+        } else {
+            &mut self.add
+        };
+        run.push(args, decision[0] != 0, |rows| {
+            keep_weights(&decision[1..], weights, rows)
+        });
+    }
+
+    /// Apply the pending runs to `states`.
+    fn flush(&mut self, states: &mut ReplicatedStates) {
+        for (run, retract) in [(&mut self.add, false), (&mut self.sub, true)] {
+            let (runs, tuples) = run.apply(states, retract, &mut self.scratch);
+            self.runs += runs;
+            self.run_tuples += tuples;
+        }
+    }
+
+    /// Add the call's work to the counters.
+    fn count(&self) {
+        crate::fold::count_runs(self.runs, self.run_tuples);
+        if gola_obs::enabled() {
+            metrics::flipped_cells().add(self.flipped + self.add.cells + self.sub.cells);
+        }
+    }
 }
 
 /// Combine semi-join partial aggregates: merge, per output group, the
@@ -531,6 +929,48 @@ impl<'a> GroupEval<'a> {
         Ok(())
     }
 
+    /// `expr` over the group at point (lane `0`) and at every trial (lane
+    /// `1 + b`), in one walk of the lane evaluator: an aggregate that
+    /// finalizes to `Float`/NULL enters as bare `f64` lanes read off its
+    /// replicas, and only what the evaluator cannot do lane-wise is
+    /// evaluated once per lane.
+    pub(crate) fn lanes(&self, expr: &Expr) -> Result<Lanes> {
+        if let Expr::Column(c) = expr {
+            return Ok(self.column_lanes(*c));
+        }
+        let mut cols = Vec::new();
+        expr.collect_columns(&mut cols);
+        let n_keys = self.key.len();
+        // Columns `expr` does not read stay NULL: nothing looks at them.
+        let mut aggs = vec![Lanes::Const(Value::Null); self.point_aggs.len()];
+        for c in cols.into_iter().filter(|&c| c >= n_keys) {
+            if matches!(aggs[c - n_keys], Lanes::Const(Value::Null)) {
+                aggs[c - n_keys] = self.column_lanes(c);
+            }
+        }
+        eval_lanes(expr, &GroupLanes { g: self, aggs })
+    }
+
+    /// Group column `c` — a key, the same in every lane, or an aggregate,
+    /// read off its replicas — in every lane.
+    fn column_lanes(&self, c: usize) -> Lanes {
+        let Some(j) = c.checked_sub(self.key.len()) else {
+            return Lanes::Const(self.key[c].clone());
+        };
+        let point = &self.point_aggs[j];
+        let mut xs = Vec::with_capacity(1 + self.states.trials() as usize);
+        if let Value::Float(_) | Value::Null = point {
+            xs.push(point.as_f64());
+            if self.states.trial_floats_into(j, self.m, &mut xs) {
+                count_finalizes(self.states.trials());
+                return Lanes::Float(xs);
+            }
+        }
+        let mut vs = vec![point.clone()];
+        vs.extend(self.trial_values(j));
+        Lanes::Values(vs)
+    }
+
     /// Aggregate `j`'s value in every trial (counted as replica work).
     pub(crate) fn trial_values(&self, j: usize) -> impl Iterator<Item = Value> + '_ {
         count_finalizes(self.states.trials());
@@ -603,6 +1043,53 @@ impl<'a> GroupEval<'a> {
                 .states
                 .observations(j)
                 .is_some_and(|o| o < MIN_GROUP_OBS)
+    }
+}
+
+/// A group under every mode at once, for [`GroupEval::lanes`]: its keys
+/// are the same in every lane, aggregate `j` moves with the lane.
+struct GroupLanes<'g> {
+    g: &'g GroupEval<'g>,
+    /// Per aggregate, its value in every lane.
+    aggs: Vec<Lanes>,
+}
+
+impl GroupLanes<'_> {
+    fn mode(lane: usize) -> CtxMode {
+        match lane.checked_sub(1) {
+            Some(b) => CtxMode::Trial(row_u32(b)),
+            None => CtxMode::Point,
+        }
+    }
+}
+
+impl LaneContext for GroupLanes<'_> {
+    fn lanes(&self) -> usize {
+        1 + self.g.env.config.bootstrap.trials as usize
+    }
+
+    fn eval_at(&self, lane: usize, expr: &Expr) -> Result<Value> {
+        let aggs: Vec<Value> = self.aggs.iter().map(|a| a.value(lane)).collect();
+        eval(expr, &self.g.ctx(&aggs, None, Self::mode(lane)))
+    }
+
+    fn scalar(&self, id: SubqueryId, key: &[Value]) -> Result<ScalarLanes<'_>> {
+        let view = PubView {
+            pubs: self.g.env.pubs,
+            mode: CtxMode::Point,
+        };
+        view.scalar_lanes(id, key)
+    }
+
+    fn column(&self, idx: usize) -> Option<Lanes> {
+        let j = idx.checked_sub(self.g.key.len())?;
+        Some(self.aggs[j].clone())
+    }
+
+    fn moves(&self, expr: &Expr) -> bool {
+        let mut cols = Vec::new();
+        expr.collect_columns(&mut cols);
+        expr.has_subquery_ref() || cols.iter().any(|&c| c >= self.g.key.len())
     }
 }
 

@@ -64,6 +64,9 @@ pub(crate) struct Candidates {
     /// keep the bootstrap weights cached there (`carried_len × trials`).
     pub carried_len: usize,
     pub carried_weights: Vec<u8>,
+    /// The carried candidates' last re-merge decisions (see
+    /// [`UncertainSet::decisions`]).
+    pub carried_decisions: Vec<u64>,
     /// Correlation-key ids, `× conjuncts` (see [`UncertainSet::key_ids`]):
     /// the carried candidates' cached ones, then the new candidates' as
     /// [`label`] names them.
@@ -429,6 +432,7 @@ pub(crate) fn join(
         ids,
         carried_len,
         carried_weights: carried.weights,
+        carried_decisions: carried.decisions,
         key_ids: carried.key_ids,
         group_ids: carried.group_ids,
         batch_rows,

@@ -76,6 +76,10 @@ handle!(pub(crate) mem_weight_store: Gauge = gola_obs::gauge("core.mem.weight_st
 // — one per (comparison, correlation key in the set), not per tuple.
 handle!(pub(crate) uncertain_evals: Counter = gola_obs::counter("publish.uncertain_evals"));
 handle!(pub(crate) rhs_vectors: Counter = gola_obs::counter("publish.rhs_vectors"));
+// Point and trial decisions the re-merge applied to a group's uncertain
+// contribution: flips, tuples entering U and tuples leaving it (a rebuilt
+// group applies every decision it folds).
+handle!(pub(crate) flipped_cells: Counter = gola_obs::counter("publish.flipped_cells"));
 
 // Replica work: the `fold_run` calls of the fold stage and of the
 // uncertain set's re-merge, the tuples they fold (one per lane and tuple),

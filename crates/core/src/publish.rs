@@ -8,8 +8,9 @@ use std::sync::atomic::{AtomicBool, AtomicU8};
 use std::sync::Arc;
 
 use gola_bootstrap::VariationRange;
-use gola_common::{FxHashSet, Result, Value};
+use gola_common::{FxHashMap, FxHashSet, Result, Value};
 use gola_expr::eval::eval;
+use gola_expr::lanes::{Lanes, Trials};
 use gola_expr::vector::num_cmp_holds;
 use gola_expr::{BinOp, Expr, RangeVal, Tri};
 use gola_plan::BlockRole;
@@ -23,7 +24,7 @@ use crate::runtime::{
 
 /// What the stage reads besides the block's [`BlockEnv`].
 pub(crate) struct PublishInput<'a> {
-    pub rt: &'a BlockRuntime,
+    pub rt: &'a mut BlockRuntime,
     /// The block's previous publication: envelopes and reliance marks.
     pub old: &'a Published,
     /// Multiplicity `k/i` scaling the states to full-data estimates.
@@ -72,9 +73,11 @@ pub(crate) fn publish(
                 .collect()
         }),
     };
+    // Sized for last batch's groups, so a live block's map never grows.
     let mut out = Published {
         live,
-        ..Default::default()
+        scalars: FxHashMap::with_capacity_and_hasher(input.old.scalars.len(), Default::default()),
+        members: FxHashMap::with_capacity_and_hasher(input.old.members.len(), Default::default()),
     };
     let mut violated = Violated::default();
     let scalar = cb.block.role == BlockRole::Scalar;
@@ -132,38 +135,27 @@ fn scalar_entry(
     p: &PubCtx<'_>,
     g: &GroupEval<'_>,
 ) -> Result<(PublishedScalar, bool)> {
-    let post = scalar_projection(env);
-    let trials = env.config.bootstrap.trials;
-    let (n_keys, n_aggs) = (g.key.len(), g.point_aggs.len());
-    let mut trial_vals: Vec<Value> = Vec::with_capacity(trials as usize);
-    let mut numeric_trials: Vec<f64> = Vec::with_capacity(trials as usize);
-    let mut push = |v: Value| {
-        numeric_trials.extend(v.as_f64());
-        trial_vals.push(v);
+    let n_trials = env.config.bootstrap.trials as usize;
+    let n_aggs = g.point_aggs.len();
+    // One walk of the lane evaluator: a summing aggregate's replicas and
+    // arithmetic over them stay `f64` lanes, published as such.
+    let (value, trials) = match g.lanes(scalar_projection(env))? {
+        Lanes::Float(mut xs) => {
+            let point = xs.remove(0);
+            (point.map_or(Value::Null, Value::Float), Trials::Float(xs))
+        }
+        Lanes::Const(v) => (v.clone(), Trials::from_values(vec![v; n_trials])),
+        Lanes::Values(mut vs) => (vs.remove(0), Trials::from_values(vs)),
     };
-    let value = match post {
-        // A plain column reference (group key or aggregate) reads the
-        // replicated states directly — no eval context per trial.
-        Expr::Column(c) if *c < n_keys => {
-            (0..trials).for_each(|_| push(g.key[*c].clone()));
-            g.key[*c].clone()
-        }
-        Expr::Column(c) if *c < n_keys + n_aggs => {
-            g.trial_values(c - n_keys).for_each(push);
-            g.point_aggs[c - n_keys].clone()
-        }
-        _ => {
-            g.for_each_trial(|ctx| {
-                push(eval(post, ctx)?);
-                Ok(())
-            })?;
-            eval(post, &g.point_ctx())?
-        }
-    };
+    let mut numeric_trials: Vec<f64> = Vec::with_capacity(n_trials);
+    match &trials {
+        Trials::Float(xs) => numeric_trials.extend(xs.iter().flatten()),
+        Trials::Values(vs) => numeric_trials.extend(vs.iter().filter_map(Value::as_f64)),
+    }
     // Small-sample guard: do not trust the bootstrap range of a scalar
     // derived from a handful of observations. With no replicas at all
     // there is no error model — nothing classifies deterministically.
-    let tiny = p.live && (trials == 0 || (0..n_aggs).any(|j| g.tiny(j)));
+    let tiny = p.live && (n_trials == 0 || (0..n_aggs).any(|j| g.tiny(j)));
     let fresh = match value.as_f64() {
         _ if tiny => RangeVal::Unknown,
         Some(v) => {
@@ -176,8 +168,11 @@ fn scalar_entry(
     let mut violated = false;
     let (env_range, used) = match p.old.scalars.get(g.key) {
         Some(prev) if prev.is_used() => {
-            let inside = value.as_f64().is_some_and(|v| prev.env.contains(v))
-                && numeric_trials.iter().all(|&v| prev.env.contains(v));
+            // `RangeVal::contains`, with the bounds read once.
+            let bounds = prev.env.bounds();
+            let contains = |v: f64| bounds.is_none_or(|(lo, hi)| lo <= v && v <= hi);
+            let inside =
+                value.as_f64().is_some_and(contains) && numeric_trials.iter().all(|&v| contains(v));
             violated = !inside;
             if inside {
                 (prev.env.intersect(&fresh).unwrap_or(fresh), true)
@@ -189,7 +184,7 @@ fn scalar_entry(
     };
     let entry = PublishedScalar {
         value,
-        trials: trial_vals,
+        trials,
         env: env_range,
         used: AtomicBool::new(used),
     };
@@ -293,7 +288,7 @@ pub(crate) fn publish_exact(env: &BlockEnv<'_>, catalog: &Catalog) -> Result<Pub
             if block.role == BlockRole::Scalar {
                 let value = eval(scalar_projection(env), &point)?;
                 let entry = PublishedScalar {
-                    trials: vec![value.clone(); trials],
+                    trials: Trials::from_values(vec![value.clone(); trials]),
                     env: RangeVal::Exact(value.clone()),
                     value,
                     used: AtomicBool::new(false),

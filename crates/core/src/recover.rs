@@ -339,11 +339,13 @@ fn clear_scope(exec: &mut OnlineExecution, b: usize, scope: &GroupScope) -> Unce
     let outside: Vec<usize> = (0..uncertain.len())
         .filter(|&i| !in_scope[uncertain.group_ids[i] as usize])
         .collect();
-    let trials = exec.config.bootstrap.trials as usize;
+    let trials = exec.config.bootstrap.trials;
     let kept = uncertain.gather(&outside, trials, exec.compiled[b].cmp_conjuncts());
     for (slot, _) in rt.slots.iter_mut().zip(in_scope).filter(|(_, &s)| s) {
         *slot = None;
     }
     rt.uncertain.clear();
+    // The replay decides again what the re-merge last saw: it rebuilds.
+    rt.remerge.clear();
     kept
 }

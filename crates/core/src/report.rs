@@ -241,7 +241,7 @@ impl fmt::Display for BatchReport {
 
 /// What the report stage reads besides the root block's [`BlockEnv`].
 pub(crate) struct ReportInput<'a> {
-    pub rt: &'a BlockRuntime,
+    pub rt: &'a mut BlockRuntime,
     pub partitioner: &'a Partitioner,
     pub batch_index: usize,
     /// Global multiplicity `k/i`.

@@ -15,13 +15,14 @@
 //! reaches one goes through [`KeyIds::sorted`], the one crossing from id
 //! order to key order.
 
+use std::cell::OnceCell;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use gola_agg::ReplicatedStates;
 use gola_common::{cmp_values, row_u32, Error, FxHashMap, Result, Value};
 use gola_engine::HashIndex;
-use gola_expr::lanes::{LaneContext, ScalarLanes};
+use gola_expr::lanes::{LaneContext, ScalarLanes, Trials};
 use gola_expr::{EvalContext, Expr, RangeVal, Resolver, RowContext, SubqueryId, Tri};
 use gola_storage::ColumnChunk;
 
@@ -58,8 +59,9 @@ pub fn sorted_into_entries<V>(map: FxHashMap<Vec<Value>, V>) -> Vec<(Vec<Value>,
 }
 
 /// The uncertain set `Uᵢ` of one block, stored struct-of-arrays: stable
-/// tuple ids, the tuples' bootstrap weights, correlation-key ids and group
-/// ids, and their lineage projections as a columnar chunk.
+/// tuple ids, the tuples' bootstrap weights, correlation-key ids, group
+/// ids and last decisions, and their lineage projections as a columnar
+/// chunk.
 ///
 /// Weights are a pure function of `(tuple_id, trial, seed)`, and a tuple's
 /// keys a pure function of the tuple, so both are computed exactly once —
@@ -79,8 +81,20 @@ pub struct UncertainSet {
     pub key_ids: Vec<u32>,
     /// Group ids from the block's [`Labels::groups`], one per tuple.
     pub group_ids: Vec<u32>,
+    /// Each tuple's decision at the last re-merge, row-major `len ×`
+    /// [`decision_words`]: word `0` is the point (`1` when the tuple folds
+    /// into the main state), then bit `b % 64` of word `1 + b / 64` is
+    /// trial `b` (set when it folds into replica `b`). All zero for a tuple
+    /// no re-merge has decided, which has contributed nothing.
+    pub decisions: Vec<u64>,
     /// Lineage projections, column-major (one column per lineage column).
     pub chunk: ColumnChunk,
+}
+
+/// `u64` words per tuple of [`UncertainSet::decisions`]: one for the
+/// point, then a bit per trial.
+pub(crate) fn decision_words(trials: u32) -> usize {
+    1 + (trials as usize).div_ceil(64)
 }
 
 impl Default for UncertainSet {
@@ -90,6 +104,7 @@ impl Default for UncertainSet {
             weights: Vec::new(),
             key_ids: Vec::new(),
             group_ids: Vec::new(),
+            decisions: Vec::new(),
             chunk: ColumnChunk::empty(0),
         }
     }
@@ -105,23 +120,25 @@ impl UncertainSet {
         self.weights.clear();
         self.key_ids.clear();
         self.group_ids.clear();
+        self.decisions.clear();
         self.chunk = ColumnChunk::empty(0);
     }
 
     /// The tuples at `positions`, in that order, with their cached
-    /// `trials`-wide weight rows, `conjuncts`-wide key-id rows and group
-    /// ids.
+    /// `trials`-wide weight rows, `conjuncts`-wide key-id rows, group ids
+    /// and decisions.
     pub(crate) fn gather(
         &self,
         positions: &[usize],
-        trials: usize,
+        trials: u32,
         conjuncts: usize,
     ) -> UncertainSet {
         UncertainSet {
             tuple_ids: positions.iter().map(|&i| self.tuple_ids[i]).collect(),
-            weights: gather_rows(&self.weights, trials, positions),
+            weights: gather_rows(&self.weights, trials as usize, positions),
             key_ids: gather_rows(&self.key_ids, conjuncts, positions),
             group_ids: gather_rows(&self.group_ids, 1, positions),
+            decisions: gather_rows(&self.decisions, decision_words(trials), positions),
             chunk: self.chunk.gather(positions),
         }
     }
@@ -132,9 +149,73 @@ impl UncertainSet {
         self.weights.extend(other.weights);
         self.key_ids.extend(other.key_ids);
         self.group_ids.extend(other.group_ids);
+        self.decisions.extend(other.decisions);
         self.chunk = self.chunk.concat(&other.chunk);
         self
     }
+}
+
+/// What the uncertain set's re-merge (`groups::effective_states`) keeps
+/// between calls, so that a call folds only what changed.
+///
+/// Per group id, U's contribution at the last call: every tuple's stored
+/// decision ([`UncertainSet::decisions`]) folded into fresh states — its
+/// arguments into the main state where the point bit is set, at its
+/// weight into each replica whose bit is set. Summing lanes are exact
+/// sums, so the next call takes it forward by adding what entered and
+/// retracting what left, and hands out the deterministic states merged
+/// with it. `None` for a group the next call rebuilds from scratch: one no
+/// call has merged, one whose contribution would not retract exactly
+/// (non-finite or huge arguments), and every group after a reset.
+#[derive(Debug, Default)]
+pub struct Remerge {
+    pub(crate) contrib: Vec<Option<ReplicatedStates>>,
+    /// Tuples that left U (folded or dropped) since the last call, from
+    /// groups with a contribution, with the decisions that call stored:
+    /// the next call retracts them.
+    pub(crate) gone: UncertainSet,
+    /// The test oracle's switch: every call folds every decided tuple
+    /// straight into a copy of the deterministic states and keeps nothing.
+    #[cfg(test)]
+    pub(crate) straight_only: bool,
+    /// Groups re-merged from a kept contribution, from a rebuilt one, and
+    /// straight into a copy of the deterministic states.
+    #[cfg(test)]
+    pub(crate) paths: [usize; 3],
+}
+
+impl Remerge {
+    /// Does group `g` have a contribution a tuple leaving U must be
+    /// retracted from?
+    pub(crate) fn tracks(&self, g: u32) -> bool {
+        self.contrib.get(g as usize).is_some_and(Option::is_some)
+    }
+
+    /// Forget every contribution: the next call rebuilds every group.
+    pub(crate) fn clear(&mut self) {
+        self.contrib.clear();
+        self.gone.clear();
+    }
+
+    /// Does the test oracle's switch hold contributions off?
+    #[cfg(test)]
+    pub(crate) fn straight_only(&self) -> bool {
+        self.straight_only
+    }
+
+    #[cfg(not(test))]
+    pub(crate) fn straight_only(&self) -> bool {
+        false
+    }
+
+    /// Count a group re-merged through path `path` (see `paths`).
+    #[cfg(test)]
+    pub(crate) fn took(&mut self, path: usize) {
+        self.paths[path] += 1;
+    }
+
+    #[cfg(not(test))]
+    pub(crate) fn took(&mut self, _path: usize) {}
 }
 
 /// Rows `positions` of the row-major `width`-wide matrix `v`, in that
@@ -242,8 +323,10 @@ pub struct PublishedScalar {
     /// Current point estimate of the subquery value.
     pub value: Value,
     /// Per-bootstrap-trial values (used for consistent replica propagation
-    /// into consumer aggregates).
-    pub trials: Vec<Value>,
+    /// into consumer aggregates): bare `f64` lanes when every trial is
+    /// `Float` or NULL — what a summing aggregate finalizes to — and
+    /// `Value`s for an `Int`, `Bool` or string scalar.
+    pub trials: Trials,
     /// The committed envelope: the intersection of every variation range a
     /// consumer decision was made against. Only narrows while `used`.
     pub env: RangeVal,
@@ -254,6 +337,16 @@ pub struct PublishedScalar {
 impl PublishedScalar {
     pub fn is_used(&self) -> bool {
         self.used.load(Ordering::Relaxed)
+    }
+
+    /// The value a reference reads under `mode`: trial `b`'s where it was
+    /// published, the point otherwise.
+    fn at(&self, mode: CtxMode) -> Value {
+        let trial = match mode {
+            CtxMode::Trial(b) => self.trials.get(b as usize),
+            _ => None,
+        };
+        trial.unwrap_or_else(|| self.value.clone())
     }
 
     pub(crate) fn mark_used(&self) {
@@ -323,6 +416,8 @@ pub struct BlockRuntime {
     /// Every seen candidate by group and correlation key, for a block a
     /// recovery can scope (`None` for any other block).
     pub seen: Option<SeenIndex>,
+    /// The uncertain set's contribution per group at the last re-merge.
+    pub remerge: Remerge,
 }
 
 impl BlockRuntime {
@@ -333,6 +428,7 @@ impl BlockRuntime {
     pub fn reset(&mut self) {
         self.slots.clear();
         self.uncertain.clear();
+        self.remerge.clear();
     }
 
     /// Group `id`'s deterministic states, if any tuple of it has folded.
@@ -387,12 +483,24 @@ impl<'a> PubView<'a> {
     fn may_appear(&self, p: &Published) -> bool {
         p.live && self.mode == CtxMode::Classify
     }
+
+    /// Scalar producer `id`'s entry for `key` in every lane; a missing
+    /// group is NULL everywhere, as [`Resolver::scalar`] reads it.
+    pub fn scalar_lanes(&self, id: SubqueryId, key: &[Value]) -> Result<ScalarLanes<'a>> {
+        Ok(match self.producer(id)?.scalars.get(key) {
+            Some(s) => ScalarLanes {
+                point: &s.value,
+                trials: &s.trials,
+            },
+            None => ScalarLanes::NULL,
+        })
+    }
 }
 
 impl Resolver for PubView<'_> {
     fn scalar(&self, id: SubqueryId, key: &[Value]) -> Result<Value> {
         Ok(match self.producer(id)?.scalars.get(key) {
-            Some(s) => self.pick(&s.value, &s.trials).clone(),
+            Some(s) => s.at(self.mode),
             None => Value::Null,
         })
     }
@@ -408,7 +516,7 @@ impl Resolver for PubView<'_> {
         let p = self.producer(id)?;
         Ok(match p.scalars.get(key) {
             Some(s) if self.mode == CtxMode::Classify => s.env.clone(),
-            Some(s) => RangeVal::Exact(self.pick(&s.value, &s.trials).clone()),
+            Some(s) => RangeVal::Exact(s.at(self.mode)),
             None if self.may_appear(p) => RangeVal::Unknown,
             None => RangeVal::Exact(Value::Null),
         })
@@ -426,11 +534,15 @@ impl Resolver for PubView<'_> {
 }
 
 /// One tuple under [`CtxMode::Point`] (lane `0`) and every
-/// [`CtxMode::Trial`] (lane `1 + b`) at once, for the lane evaluator.
+/// [`CtxMode::Trial`] (lane `1 + b`) at once, for the lane evaluator. A
+/// column is read straight off the chunk; the whole row is built only for
+/// an expression that needs it.
 pub(crate) struct TupleLanes<'a> {
-    pub row: &'a [Value],
-    pub view: PubView<'a>,
-    pub trials: u32,
+    chunk: &'a ColumnChunk,
+    i: usize,
+    row: OnceCell<Vec<Value>>,
+    view: PubView<'a>,
+    trials: u32,
 }
 
 impl LaneContext for TupleLanes<'_> {
@@ -439,23 +551,24 @@ impl LaneContext for TupleLanes<'_> {
     }
 
     fn eval_at(&self, lane: usize, expr: &Expr) -> Result<Value> {
+        if let Expr::Column(c) = expr {
+            return Ok(self.chunk.column(*c).value(self.i));
+        }
         let mode = match lane.checked_sub(1) {
             Some(b) => CtxMode::Trial(row_u32(b)),
             None => CtxMode::Point,
         };
         let view = PubView { mode, ..self.view };
-        gola_expr::eval::eval(expr, &RowContext::new(self.row, &view))
+        let row = self.row.get_or_init(|| {
+            let mut row = Vec::new();
+            self.chunk.row_values_into(self.i, &mut row);
+            row
+        });
+        gola_expr::eval::eval(expr, &RowContext::new(row, &view))
     }
 
     fn scalar(&self, id: SubqueryId, key: &[Value]) -> Result<ScalarLanes<'_>> {
-        // Missing group: NULL everywhere, as `PubView::scalar` reads it.
-        Ok(match self.view.producer(id)?.scalars.get(key) {
-            Some(s) => ScalarLanes {
-                point: &s.value,
-                trials: &s.trials,
-            },
-            None => ScalarLanes::NULL,
-        })
+        self.view.scalar_lanes(id, key)
     }
 }
 
@@ -496,11 +609,15 @@ impl<'a> TupleReader<'a> {
         RowContext::new(&self.rowbuf, &self.view)
     }
 
-    /// Tuple `i`'s full row under every point/trial mode.
-    pub fn lanes(&mut self, i: usize, trials: u32) -> TupleLanes<'_> {
-        let view = self.view;
-        let row = self.ctx(i, CtxMode::Point).row;
-        TupleLanes { row, view, trials }
+    /// Tuple `i` under every point/trial mode.
+    pub fn lanes(&self, i: usize, trials: u32) -> TupleLanes<'a> {
+        TupleLanes {
+            chunk: self.chunk,
+            i,
+            row: OnceCell::new(),
+            view: self.view,
+            trials,
+        }
     }
 
     pub fn value(&mut self, i: usize, e: &Expr, mode: CtxMode) -> Result<Value> {
@@ -577,7 +694,7 @@ mod tests {
             Arc::from(Vec::new()),
             PublishedScalar {
                 value: Value::Float(37.0),
-                trials: vec![Value::Float(36.0), Value::Float(38.0)],
+                trials: Trials::from_values(vec![Value::Float(36.0), Value::Float(38.0)]),
                 env: RangeVal::num(28.9, 45.1),
                 used: AtomicBool::new(false),
             },

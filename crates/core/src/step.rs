@@ -189,6 +189,18 @@ impl OnlineExecution {
         }
     }
 
+    /// [`env`](Self::env) beside block `b`'s runtime, which the uncertain
+    /// set's re-merge updates.
+    fn env_mut(&mut self, b: usize) -> (BlockEnv<'_>, &mut BlockRuntime) {
+        let env = BlockEnv {
+            cb: &self.compiled[b],
+            dims: &self.dims[b],
+            config: &self.config,
+            pubs: &self.published,
+        };
+        (env, &mut self.runtimes[b])
+    }
+
     /// `true` once the execution will yield no further reports — the
     /// contract stopped it, or every mini-batch has been processed. The
     /// scheduler polls this between quanta.
@@ -255,12 +267,13 @@ impl OnlineExecution {
 
     /// Re-evaluate the root block's uncertain set against the current
     /// publications, exactly as each step's report does, and return
-    /// `(uncertain tuples, groups)`. Reads state, changes none: a
-    /// measurement hook for `benches/micro.rs`.
-    pub fn reevaluate_root(&self) -> Result<(usize, usize)> {
-        let root = self.meta.root;
-        let groups = groups::effective_states(&self.env(root), &self.runtimes[root])?;
-        Ok((self.runtimes[root].uncertain.len(), groups.len()))
+    /// `(uncertain tuples, groups)`. It stores the decisions it takes, as
+    /// a report would, and changes nothing a report reads: a measurement
+    /// hook for `benches/micro.rs`.
+    pub fn reevaluate_root(&mut self) -> Result<(usize, usize)> {
+        let (env, rt) = self.env_mut(self.meta.root);
+        let groups = groups::effective_states(&env, rt)?.len();
+        Ok((rt.uncertain.len(), groups))
     }
 
     /// Total uncertain items across all blocks: cached uncertain tuples
@@ -448,17 +461,20 @@ impl OnlineExecution {
     /// plus the counted recomputation that makes the correction auditable.
     fn report(&mut self, step: &mut Step) -> Result<BatchReport> {
         stage(Stage::Report, &mut step.timing, |_, _| {
-            let root = self.meta.root;
+            let uncertain_tuples = self.uncertain_tuples();
+            let (recomputations, partitioner) =
+                (self.recomputations, Arc::clone(&self.partitioner));
+            let (env, rt) = self.env_mut(self.meta.root);
             let input = ReportInput {
-                rt: &self.runtimes[root],
-                partitioner: &self.partitioner,
+                rt,
+                partitioner: &partitioner,
                 batch_index: step.i,
                 m: step.m,
                 last: step.last,
-                uncertain_tuples: self.uncertain_tuples(),
-                recomputations: self.recomputations,
+                uncertain_tuples,
+                recomputations,
             };
-            let out = report::build(&self.env(root), input)?;
+            let out = report::build(&env, input)?;
             let mut report = out.report;
             let still_certain: FxHashSet<&Vec<Value>> =
                 (out.claims.iter().filter(|(_, c)| *c).map(|(k, _)| k)).collect();
@@ -580,13 +596,14 @@ impl OnlineExecution {
             return Ok(Violated::default());
         }
         let old = std::mem::take(&mut self.published[b]);
+        let (env, rt) = self.env_mut(b);
         let input = PublishInput {
-            rt: &self.runtimes[b],
+            rt,
             old: &old,
             m,
             last,
         };
-        let (new_pub, violated) = publish::publish(&self.env(b), input)?;
+        let (new_pub, violated) = publish::publish(&env, input)?;
         self.published[b] = new_pub;
         Ok(violated)
     }
@@ -786,6 +803,9 @@ mod tests {
         Nan,
         /// NaN, ±Inf, −0.0 and NULL.
         All,
+        /// NaN, ±Inf and ±1e308 in `x` instead: the aggregated column of
+        /// the shapes below, not the compared one.
+        Aggregated,
     }
 
     /// `t(k, j, q, x, s)`: 3000 rows over 60 keys `k` × 3 sub-keys `j`,
@@ -815,6 +835,14 @@ mod tests {
                     _ => Value::Float(q),
                 };
                 let s = Value::Str(["a", "b", "c"][usize::try_from(r / 3 % 3).unwrap()].into());
+                let x = match (hostile, r % 97) {
+                    (Hostile::Aggregated, 0) => f64::NAN,
+                    (Hostile::Aggregated, 19) => f64::INFINITY,
+                    (Hostile::Aggregated, 38) => f64::NEG_INFINITY,
+                    (Hostile::Aggregated, 57) => 1e308,
+                    (Hostile::Aggregated, 76) => -1e308,
+                    _ => x,
+                };
                 Row::new(vec![
                     Value::Int(k),
                     Value::Int(r % 3),
@@ -969,7 +997,10 @@ mod tests {
             let m = fast.partitioner.multiplicity_after(i);
             let last = fast.partitioner.is_final_batch(i);
             for b in 0..probe.compiled.len() {
-                // Same state, same candidates; only the compiled block differs.
+                // Same state, same candidates; only the compiled block
+                // differs. Publishing re-merges the uncertain set, which
+                // takes the runtime forward: both publish from it in turn.
+                let mut rt = std::mem::take(&mut probe.runtimes[b]);
                 let env = probe.env(b);
                 let plain = BlockEnv {
                     cb: &generic.compiled[b],
@@ -980,23 +1011,27 @@ mod tests {
                 let classes = classify::classify(&env, &cand).unwrap();
                 assert_eq!(classes, classify::classify(&plain, &cand).unwrap());
                 uncertain_seen += classes.uncertain.len();
-                if env.cb.block.role == BlockRole::Root {
-                    continue;
+                if env.cb.block.role != BlockRole::Root {
+                    let old = &probe.published[b];
+                    let mut publish = |env| {
+                        let input = PublishInput {
+                            rt: &mut rt,
+                            old,
+                            m,
+                            last,
+                        };
+                        publish::publish(env, input).unwrap()
+                    };
+                    let (by_fast, v_fast) = publish(&env);
+                    let (by_plain, v_plain) = publish(&plain);
+                    assert_eq!(
+                        entries(&by_fast),
+                        entries(&by_plain),
+                        "block {b}, batch {i}"
+                    );
+                    assert_eq!(v_fast, v_plain);
                 }
-                let input = || PublishInput {
-                    rt: &probe.runtimes[b],
-                    old: &probe.published[b],
-                    m,
-                    last,
-                };
-                let (by_fast, v_fast) = publish::publish(&env, input()).unwrap();
-                let (by_plain, v_plain) = publish::publish(&plain, input()).unwrap();
-                assert_eq!(
-                    entries(&by_fast),
-                    entries(&by_plain),
-                    "block {b}, batch {i}"
-                );
-                assert_eq!(v_fast, v_plain);
+                probe.runtimes[b] = rt;
             }
             step(&mut probe);
             let (a, b) = (step(&mut fast), step(&mut generic));
@@ -1304,6 +1339,163 @@ mod tests {
         for sql in [median.as_str(), Q17_SHAPE, C2_SHAPE] {
             assert_scoped_equals_full(sql, false);
         }
+    }
+
+    const C3_SHAPE: &str = "SELECT k, AVG(x) AS a, COUNT(*) AS n FROM t l \
+                            WHERE q < (SELECT AVG(q) FROM t i WHERE i.k = l.k) \
+                            GROUP BY k ORDER BY k";
+
+    /// Every streaming block's re-merge, one line per group: block, key,
+    /// point support, settledness, and per lane its point, every trial,
+    /// its lower bound and its observations, as bits.
+    fn remerged(exec: &mut OnlineExecution) -> Vec<String> {
+        let bits = |v: Value| match v {
+            Value::Float(x) => format!("{:#x}", x.to_bits()),
+            v => format!("{v:?}"),
+        };
+        let mut out = Vec::new();
+        for b in 0..exec.compiled.len() {
+            if !exec.compiled[b].block.is_streaming {
+                continue;
+            }
+            let (env, rt) = exec.env_mut(b);
+            for g in groups::effective_states(&env, rt).unwrap() {
+                let lanes: Vec<String> = (0..g.states.num_aggs())
+                    .map(|j| {
+                        let trials: Vec<String> = g.states.trial_values(j, 1.0).map(bits).collect();
+                        let bound = g.states.lower_bound(j).map(f64::to_bits);
+                        let obs = g.states.observations(j).map(f64::to_bits);
+                        format!(
+                            "{} {trials:?} {bound:?} {obs:?}",
+                            bits(g.states.value(j, 1.0))
+                        )
+                    })
+                    .collect();
+                out.push(format!(
+                    "{b} {:?} {} {} {lanes:?}",
+                    g.key, g.supported, g.settled
+                ));
+            }
+        }
+        out
+    }
+
+    /// How a run's groups were re-merged, summed over its blocks: from a
+    /// kept contribution, from a rebuilt one, straight into a copy of the
+    /// deterministic states.
+    fn remerge_paths(exec: &OnlineExecution) -> [usize; 3] {
+        let mut paths = [0; 3];
+        for rt in &exec.runtimes {
+            paths
+                .iter_mut()
+                .zip(rt.remerge.paths)
+                .for_each(|(a, b)| *a += b);
+        }
+        paths
+    }
+
+    /// The delta re-merge against the reference — every group folded from
+    /// scratch, straight into a copy of its deterministic states — in
+    /// lockstep: after every batch, every report and every block's
+    /// re-merged groups (every lane's finalize bits, point support,
+    /// settledness) are equal. Returns the delta run's re-merge paths and
+    /// its recoveries (scoped ones apart).
+    fn assert_delta_equals_reference(
+        catalog: &Catalog,
+        sql: &str,
+        config: OnlineConfig,
+        full_scope_only: bool,
+    ) -> ([usize; 3], usize, usize) {
+        let mut delta = executor_with(catalog, sql, config.clone());
+        let mut reference = executor_with(catalog, sql, config);
+        delta.full_scope_only = full_scope_only;
+        reference.full_scope_only = full_scope_only;
+        reference
+            .runtimes
+            .iter_mut()
+            .for_each(|rt| rt.remerge.straight_only = true);
+        while !delta.is_finished() {
+            let i = delta.batches_done;
+            let (a, b) = (step(&mut delta), step(&mut reference));
+            assert_eq!(answer(&a), answer(&b), "{sql}: batch {i}");
+            assert_eq!(
+                remerged(&mut delta),
+                remerged(&mut reference),
+                "{sql}: batch {i}"
+            );
+        }
+        let oracle = remerge_paths(&reference);
+        assert_eq!(
+            oracle[KEPT] + oracle[REBUILT],
+            0,
+            "{sql}: the reference kept a contribution"
+        );
+        (
+            remerge_paths(&delta),
+            delta.recomputations,
+            delta.scoped_recoveries,
+        )
+    }
+
+    use crate::groups::{KEPT, REBUILT, STRAIGHT};
+
+    /// The U re-merge takes each group forward from its kept contribution
+    /// and hands out what a from-scratch fold hands out: on the Q17, Q20
+    /// and C3 shapes at k = 20, and through a full (Q17) and a scoped (Q20)
+    /// recovery, after which it rebuilds.
+    #[test]
+    fn delta_remerge_equals_the_reference_at_every_batch() {
+        let catalog = catalog();
+        for sql in [Q17_SHAPE, Q20_SHAPE, C3_SHAPE] {
+            let config = OnlineConfig::for_tests(20);
+            let (paths, _, _) = assert_delta_equals_reference(&catalog, sql, config, false);
+            assert!(paths[KEPT] > 0 && paths[STRAIGHT] == 0, "{sql}: {paths:?}");
+        }
+        for (sql, scoped) in [(Q17_SHAPE, false), (Q20_SHAPE, true)] {
+            let config = OnlineConfig::for_tests(20).with_epsilon(EpsilonPolicy::StdDevScaled(0.5));
+            let (paths, recoveries, n_scoped) =
+                assert_delta_equals_reference(&catalog, sql, config, !scoped);
+            assert!(recoveries > 0, "{sql}: no recovery");
+            assert_eq!(n_scoped > 0, scoped, "{sql}: {n_scoped} scoped recoveries");
+            assert!(paths[KEPT] > 0 && paths[REBUILT] > 0, "{sql}: {paths:?}");
+        }
+    }
+
+    /// A MIN/MAX root cannot retract: every group folds straight. NaN, ±∞
+    /// and ±1e308 in the aggregated column send the groups holding them
+    /// straight too, and the rest keep their contributions; either way the
+    /// bits are the reference's.
+    #[test]
+    fn delta_remerge_falls_back_where_it_cannot_retract() {
+        let min_max = "SELECT k, MIN(x) AS lo, MAX(x) AS hi FROM t l \
+                       WHERE q < (SELECT AVG(q) FROM t i WHERE i.k = l.k) GROUP BY k ORDER BY k";
+        let config = OnlineConfig::for_tests(20);
+        let (paths, _, _) = assert_delta_equals_reference(&catalog(), min_max, config, false);
+        assert!(
+            paths[KEPT] + paths[REBUILT] == 0 && paths[STRAIGHT] > 0,
+            "{paths:?}"
+        );
+        let hostile = catalog_with(Hostile::Aggregated);
+        for sql in [Q17_SHAPE, C3_SHAPE] {
+            let config = OnlineConfig::for_tests(20);
+            let (paths, _, _) = assert_delta_equals_reference(&hostile, sql, config, false);
+            assert!(paths[STRAIGHT] > 0, "{sql}: {paths:?}");
+            if sql == C3_SHAPE {
+                assert!(paths[KEPT] > 0, "{sql}: {paths:?}");
+            }
+        }
+    }
+
+    /// An `Int` producer (MAX over an integer column) keeps integer
+    /// arithmetic on the fast path: its trials publish as values, and
+    /// `2 * MAX(k)` is an integer in every lane.
+    #[test]
+    fn int_scalar_fast_scalar_cmp_equals_generic() {
+        let sql = "SELECT SUM(x) AS s, COUNT(*) AS n FROM t l \
+                   WHERE k + j > 2 * (SELECT MAX(k) FROM t i WHERE i.j = l.j) - 62";
+        assert_root_takes_scalar_cmp(&catalog(), sql, 1);
+        assert_fast_equals_generic(sql, 1);
+        assert_fast_equals_generic(sql, 2);
     }
 
     #[test]

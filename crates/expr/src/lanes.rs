@@ -17,6 +17,12 @@
 //! function, `CASE`, a cast, a predicate — is evaluated by `eval` itself,
 //! once per lane, and rejoins the lane walk if it came out `Float`/`NULL`.
 //! Property-tested in `tests/proptests.rs::lane_equivalence`.
+//!
+//! A producer publishes its trials as [`Trials`]: bare `f64` lanes when
+//! every trial is `Float` or NULL, which a reference copies straight into
+//! its lanes, and [`Value`]s otherwise. A context may also hold columns
+//! that move with the lane — a group's aggregates, whose replicas are the
+//! trials ([`LaneContext::column`]).
 
 use gola_common::{Result, Value};
 
@@ -24,27 +30,81 @@ use crate::eval::{eval_binary_values, float_arith};
 use crate::expr::{BinOp, Expr, SubqueryId, UnaryOp};
 use crate::vector::num_total_key;
 
+/// A scalar producer's value in each bootstrap trial.
+#[derive(Debug, Clone)]
+pub enum Trials {
+    /// Every trial `Float` (`Some`) or NULL (`None`): no [`Value`] per
+    /// trial, and a reference copies them straight into its lanes.
+    Float(Vec<Option<f64>>),
+    /// Trials holding some other type (`Int`, `Bool`, `Str`).
+    Values(Vec<Value>),
+}
+
+/// No trials at all: every trial of a reference reads the point.
+static NO_TRIALS: Trials = Trials::Values(Vec::new());
+
+impl Trials {
+    /// `values` as `Float` lanes when each is `Float` or NULL, else as
+    /// they are.
+    pub fn from_values(values: Vec<Value>) -> Trials {
+        match values.iter().map(float_or_null).collect() {
+            Some(xs) => Trials::Float(xs),
+            None => Trials::Values(values),
+        }
+    }
+
+    pub fn len(&self) -> usize {
+        match self {
+            Trials::Float(xs) => xs.len(),
+            Trials::Values(vs) => vs.len(),
+        }
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Trial `b`'s value, as `eval` reads it; `None` past the last trial.
+    pub fn get(&self, b: usize) -> Option<Value> {
+        match self {
+            Trials::Float(xs) => xs.get(b).map(|x| x.map_or(Value::Null, Value::Float)),
+            Trials::Values(vs) => vs.get(b).cloned(),
+        }
+    }
+}
+
 /// A scalar subquery's value for one key, at every mode: lane `0` reads
-/// `point`, lane `1 + b` reads `trials[b]` (`point` again where the
+/// `point`, lane `1 + b` reads trial `b` (`point` again where the
 /// producer published fewer trials).
 #[derive(Debug, Clone, Copy)]
 pub struct ScalarLanes<'a> {
     pub point: &'a Value,
-    pub trials: &'a [Value],
+    pub trials: &'a Trials,
 }
 
 impl ScalarLanes<'_> {
     /// A group the producer has not published: NULL in every lane.
     pub const NULL: ScalarLanes<'static> = ScalarLanes {
         point: &Value::Null,
-        trials: &[],
+        trials: &NO_TRIALS,
     };
 
-    fn lane(&self, lane: usize) -> &Value {
-        match lane.checked_sub(1) {
-            Some(b) => self.trials.get(b).unwrap_or(self.point),
-            None => self.point,
-        }
+    fn lane(&self, lane: usize) -> Value {
+        let trial = lane.checked_sub(1).and_then(|b| self.trials.get(b));
+        trial.unwrap_or_else(|| self.point.clone())
+    }
+
+    /// Every lane as `Float` lanes, copied straight from `Float` trials;
+    /// `None` when the point or a trial is of another type.
+    fn floats(&self, lanes: usize) -> Option<Vec<Option<f64>>> {
+        let (Some(point), Trials::Float(ts)) = (float_or_null(self.point), self.trials) else {
+            return None;
+        };
+        let mut xs = Vec::with_capacity(lanes);
+        xs.push(point);
+        xs.extend(ts.iter().take(lanes.saturating_sub(1)));
+        xs.resize(lanes, point);
+        Some(xs)
     }
 }
 
@@ -59,6 +119,19 @@ pub trait LaneContext {
 
     /// Scalar subquery `id`'s published value for `key`, every lane of it.
     fn scalar(&self, id: SubqueryId, key: &[Value]) -> Result<ScalarLanes<'_>>;
+
+    /// Column `idx` in every lane when it moves with the lane (a group's
+    /// aggregate, whose trials are its replicas); `None` for a column that
+    /// is the same in every lane, which is read at lane `0`.
+    fn column(&self, _idx: usize) -> Option<Lanes> {
+        None
+    }
+
+    /// Can `expr`'s value differ between lanes? Every subquery reference
+    /// can; so can a column [`column`](Self::column) moves.
+    fn moves(&self, expr: &Expr) -> bool {
+        expr.has_subquery_ref()
+    }
 }
 
 /// An expression's value in every lane.
@@ -134,7 +207,10 @@ impl Lanes {
 pub fn eval_lanes(expr: &Expr, cx: &dyn LaneContext) -> Result<Lanes> {
     match expr {
         Expr::Literal(v) => Ok(Lanes::Const(v.clone())),
-        Expr::Column(_) => Ok(Lanes::Const(cx.eval_at(0, expr)?)),
+        Expr::Column(idx) => match cx.column(*idx) {
+            Some(lanes) => Ok(lanes),
+            None => Ok(Lanes::Const(cx.eval_at(0, expr)?)),
+        },
         Expr::ScalarRef { id, key } => {
             let mut at = Vec::with_capacity(key.len());
             for k in key {
@@ -147,17 +223,14 @@ pub fn eval_lanes(expr: &Expr, cx: &dyn LaneContext) -> Result<Lanes> {
             }
             let scalar = cx.scalar(*id, &at)?;
             let lanes = cx.lanes();
-            let mut xs = Vec::with_capacity(lanes);
-            for l in 0..lanes {
-                match float_or_null(scalar.lane(l)) {
-                    Some(x) => xs.push(x),
-                    None => {
-                        let values = (0..lanes).map(|l| scalar.lane(l).clone());
-                        return Ok(Lanes::Values(values.collect()));
-                    }
-                }
+            if let Some(xs) = scalar.floats(lanes) {
+                return Ok(Lanes::Float(xs));
             }
-            Ok(Lanes::Float(xs))
+            let values: Vec<Value> = (0..lanes).map(|l| scalar.lane(l)).collect();
+            Ok(match values.iter().map(float_or_null).collect() {
+                Some(xs) => Lanes::Float(xs),
+                None => Lanes::Values(values),
+            })
         }
         Expr::Unary {
             op: UnaryOp::Neg,
@@ -193,21 +266,50 @@ fn arith(op: BinOp, l: Lanes, r: Lanes) -> Result<Option<Lanes>> {
         // A constant operand meets `Float` lanes as `eval` would coerce it:
         // NULL poisons every lane, `Int`/`Bool` widen to `f64`.
         (Lanes::Float(mut xs), Lanes::Const(c)) => numeric_view(&c).map(|c| {
-            xs.iter_mut().for_each(|x| *x = lane(*x, c));
+            if !c.is_some_and(|c| const_arith(op, &mut xs, c, false)) {
+                xs.iter_mut().for_each(|x| *x = lane(*x, c));
+            }
             Lanes::Float(xs)
         }),
         (Lanes::Const(c), Lanes::Float(mut ys)) => numeric_view(&c).map(|c| {
-            ys.iter_mut().for_each(|y| *y = lane(c, *y));
+            if !c.is_some_and(|c| const_arith(op, &mut ys, c, true)) {
+                ys.iter_mut().for_each(|y| *y = lane(c, *y));
+            }
             Lanes::Float(ys)
         }),
         _ => None,
     })
 }
 
+/// `x (op) c` in every lane `x` of `xs` — `c (op) x` with `c_left` — for
+/// `+ − × ÷` and a constant `c` that is not NaN, computed in line. Equal
+/// to [`float_arith`] bit for bit: IEEE arithmetic is exact up to operand
+/// order only in which NaN payload a result carries when both operands
+/// are NaN, and `c` is not. NULL lanes stay NULL. Returns `false`,
+/// touching nothing, for `%` or a NaN `c`.
+fn const_arith(op: BinOp, xs: &mut [Option<f64>], c: f64, c_left: bool) -> bool {
+    if c.is_nan() {
+        return false;
+    }
+    let each = |f: &dyn Fn(f64) -> Option<f64>, xs: &mut [Option<f64>]| {
+        xs.iter_mut().for_each(|x| *x = x.and_then(f));
+    };
+    match (op, c_left) {
+        (BinOp::Add, _) => xs.iter_mut().flatten().for_each(|x| *x += c),
+        (BinOp::Mul, _) => xs.iter_mut().flatten().for_each(|x| *x *= c),
+        (BinOp::Sub, false) => xs.iter_mut().flatten().for_each(|x| *x -= c),
+        (BinOp::Sub, true) => xs.iter_mut().flatten().for_each(|x| *x = c - *x),
+        (BinOp::Div, false) => each(&|x| (c != 0.0).then(|| x / c), xs),
+        (BinOp::Div, true) => each(&|x| (x != 0.0).then(|| c / x), xs),
+        _ => return false,
+    }
+    true
+}
+
 /// The fallback: `eval` the node itself, once per lane — or once in all
 /// when nothing under it depends on the mode.
 fn per_lane(expr: &Expr, cx: &dyn LaneContext) -> Result<Lanes> {
-    if !expr.has_subquery_ref() {
+    if !cx.moves(expr) {
         return Ok(Lanes::Const(cx.eval_at(0, expr)?));
     }
     let lanes = (0..cx.lanes()).map(|l| cx.eval_at(l, expr));

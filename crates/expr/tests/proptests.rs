@@ -571,7 +571,9 @@ mod edge_numerics {
 // the scalar evaluator fails in some lane. The trees mix the lane-wise
 // subset (`+ − × ÷ %`, unary minus over `Float`/NULL lanes) with everything
 // that forces the per-lane fallback: `Int` and string values, functions,
-// `CASE`, mode-dependent keys, missing groups, short trial vectors.
+// `CASE`, mode-dependent keys, missing groups, short trial vectors. A
+// producer publishes its trials either as `Value`s or, where every trial is
+// `Float`/NULL, as bare `f64` lanes (`Trials::Float`); both must read alike.
 // ---------------------------------------------------------------------------
 
 mod lane_equivalence {
@@ -580,7 +582,7 @@ mod lane_equivalence {
 
     use gola_common::{cmp_values, Result, Row, Value};
     use gola_expr::eval::eval;
-    use gola_expr::lanes::{eval_lanes, LaneContext, Lanes, ScalarLanes};
+    use gola_expr::lanes::{eval_lanes, LaneContext, Lanes, ScalarLanes, Trials};
     use gola_expr::vector::num_total_key;
     use gola_expr::{BinOp, EvalContext, Expr, FunctionRegistry, Resolver, SubqueryId, UnaryOp};
     use proptest::prelude::*;
@@ -592,19 +594,42 @@ mod lane_equivalence {
     /// `LANES − 1`) trial values.
     type Entry = (Value, Vec<Value>);
 
-    /// A row and the scalar subqueries' publications, keyed `(id, key)`.
+    /// A row and the scalar subqueries' publications, keyed `(id, key)`,
+    /// each beside its trials as the lane evaluator reads them.
     #[derive(Debug)]
     struct Modes {
         row: Row,
-        entries: Vec<((usize, Vec<Value>), Entry)>,
+        entries: Vec<((usize, Vec<Value>), Entry, Trials)>,
     }
 
+    type Slot = (usize, Vec<Value>);
+
     impl Modes {
-        fn entry(&self, id: SubqueryId, key: &[Value]) -> Option<&Entry> {
-            let hit = |at: &&((usize, Vec<Value>), Entry)| {
+        /// `entries` published with `Float`/NULL trials as `f64` lanes
+        /// (`floats`) or every trial as a `Value`.
+        fn new(row: Row, entries: Vec<(Slot, Entry)>, floats: bool) -> Modes {
+            let publish = |trials: &Vec<Value>| match floats {
+                true => Trials::from_values(trials.clone()),
+                false => Trials::Values(trials.clone()),
+            };
+            let entries = (entries.into_iter())
+                .map(|(at, e)| {
+                    let trials = publish(&e.1);
+                    (at, e, trials)
+                })
+                .collect();
+            Modes { row, entries }
+        }
+
+        fn published(&self, id: SubqueryId, key: &[Value]) -> Option<(&Entry, &Trials)> {
+            let hit = |at: &&(Slot, Entry, Trials)| {
                 at.0 .0 == id.0 && cmp_values(&at.0 .1, key) == Ordering::Equal
             };
-            self.entries.iter().find(hit).map(|(_, e)| e)
+            self.entries.iter().find(hit).map(|(_, e, t)| (e, t))
+        }
+
+        fn entry(&self, id: SubqueryId, key: &[Value]) -> Option<&Entry> {
+            self.published(id, key).map(|(e, _)| e)
         }
     }
 
@@ -646,8 +671,8 @@ mod lane_equivalence {
             eval(expr, &Mode { modes: self, lane })
         }
         fn scalar(&self, id: SubqueryId, key: &[Value]) -> Result<ScalarLanes<'_>> {
-            Ok(match self.entry(id, key) {
-                Some((point, trials)) => ScalarLanes { point, trials },
+            Ok(match self.published(id, key) {
+                Some(((point, _), trials)) => ScalarLanes { point, trials },
                 None => ScalarLanes::NULL,
             })
         }
@@ -689,20 +714,16 @@ mod lane_equivalence {
     }
 
     /// Subqueries 0..3, each with an uncorrelated group and groups at keys
-    /// 0 and 1 — any of them possibly missing; key 2 always is.
+    /// 0 and 1 — any of them possibly missing; key 2 always is. Trials are
+    /// published as `f64` lanes where they can be, or all as values.
     fn modes() -> BoxedStrategy<Modes> {
         let groups = prop::collection::vec(prop::option::of(entry()), 9);
-        (float_val(), 0i64..3, groups)
-            .prop_map(|(x, k, groups)| {
+        (float_val(), 0i64..3, groups, any::<bool>())
+            .prop_map(|(x, k, groups, floats)| {
                 let keys = [vec![], vec![Value::Int(0)], vec![Value::Int(1)]];
                 let slots = (0..3).flat_map(|id| keys.iter().map(move |key| (id, key.clone())));
-                Modes {
-                    row: Row::new(vec![x, Value::Int(k)]),
-                    entries: slots
-                        .zip(groups)
-                        .filter_map(|(at, e)| Some((at, e?)))
-                        .collect(),
-                }
+                let entries = slots.zip(groups).filter_map(|(at, e)| Some((at, e?)));
+                Modes::new(Row::new(vec![x, Value::Int(k)]), entries.collect(), floats)
             })
             .boxed()
     }
@@ -851,29 +872,70 @@ mod lane_equivalence {
     }
 
     /// The planted-bug property is not vacuous, and the lane-wise path is
-    /// what the paper-shaped RHS takes.
+    /// what the paper-shaped RHS takes, from either trial representation.
     #[test]
     fn q17_rhs_is_lane_wise_and_its_null_lane_is_guarded() {
         let entry = (
             Value::Float(8.0),
             vec![Value::Float(7.0), Value::Null, Value::Float(-0.0)],
         );
-        let modes = Modes {
-            row: Row::new(vec![Value::Float(1.0), Value::Int(1)]),
-            entries: vec![((0, vec![Value::Int(1)]), entry)],
-        };
-        let rhs = Expr::binary(BinOp::Mul, Expr::lit(0.5), sref(0, vec![Expr::col(1)]));
-        let got = eval_lanes(&rhs, &modes).unwrap();
-        // Trial 3 is unpublished: it reads the point value.
-        let want = vec![Some(4.0), Some(3.5), None, Some(-0.0), Some(4.0)];
-        let Lanes::Float(xs) = &got else {
-            panic!("not lane-wise: {got:?}");
-        };
-        let bits =
-            |xs: &[Option<f64>]| -> Vec<_> { xs.iter().map(|x| x.map(f64::to_bits)).collect() };
-        assert_eq!(bits(xs), bits(&want));
-        assert!(mismatch(&rhs, &modes, &Ok(got.clone())).is_none());
-        let bugged = null_as_zero(&got).expect("a NULL lane to plant the bug in");
-        assert!(mismatch(&rhs, &modes, &Ok(bugged)).is_some());
+        for floats in [false, true] {
+            let row = Row::new(vec![Value::Float(1.0), Value::Int(1)]);
+            let modes = Modes::new(row, vec![((0, vec![Value::Int(1)]), entry.clone())], floats);
+            let rhs = Expr::binary(BinOp::Mul, Expr::lit(0.5), sref(0, vec![Expr::col(1)]));
+            let got = eval_lanes(&rhs, &modes).unwrap();
+            // Trial 3 is unpublished: it reads the point value.
+            let want = vec![Some(4.0), Some(3.5), None, Some(-0.0), Some(4.0)];
+            let Lanes::Float(xs) = &got else {
+                panic!("not lane-wise: {got:?}");
+            };
+            let bits =
+                |xs: &[Option<f64>]| -> Vec<_> { xs.iter().map(|x| x.map(f64::to_bits)).collect() };
+            assert_eq!(bits(xs), bits(&want), "floats: {floats}");
+            assert!(mismatch(&rhs, &modes, &Ok(got.clone())).is_none());
+            let bugged = null_as_zero(&got).expect("a NULL lane to plant the bug in");
+            assert!(mismatch(&rhs, &modes, &Ok(bugged)).is_some());
+        }
+    }
+
+    /// A reference to `Float` lanes copies them bit for bit — NULL, NaN,
+    /// ±∞ and −0.0 included — and pads a short trial vector with the point;
+    /// the same trials published as values read the same, and an `Int`
+    /// point keeps the per-lane path.
+    #[test]
+    fn float_trials_copy_into_the_lanes() {
+        let trials = vec![
+            Value::Null,
+            Value::Float(f64::NAN),
+            Value::Float(f64::NEG_INFINITY),
+        ];
+        let exprs = [
+            sref(0, vec![]),
+            Expr::binary(BinOp::Sub, sref(0, vec![]), Expr::lit(1.0)),
+            Expr::Unary {
+                op: UnaryOp::Neg,
+                expr: Box::new(sref(0, vec![])),
+            },
+        ];
+        for point in [
+            Value::Float(-0.0),
+            Value::Float(f64::INFINITY),
+            Value::Null,
+            Value::Int(3),
+        ] {
+            let entry = (point.clone(), trials.clone());
+            for floats in [false, true] {
+                let row = Row::new(vec![Value::Float(1.0), Value::Int(0)]);
+                let modes = Modes::new(row, vec![((0, vec![]), entry.clone())], floats);
+                let published = &modes.entries[0].2;
+                assert_eq!(matches!(published, Trials::Float(_)), floats);
+                for expr in &exprs {
+                    let got = eval_lanes(expr, &modes);
+                    if let Some(diff) = mismatch(expr, &modes, &got) {
+                        panic!("{expr} at point {point:?}, floats {floats}: {diff}");
+                    }
+                }
+            }
+        }
     }
 }

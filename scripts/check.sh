@@ -4,8 +4,8 @@
 # deeper run of the replica-state oracle, repeated runs of the service's
 # and the prefetch's concurrency tests, formatting, lints, rustdoc
 # links, the bit-pinning suites built for baseline x86-64, a check of the
-# benchmark crate, a run of every example program, and a CLI
-# ingest/replay smoke.
+# benchmark crate, a run of every example program, a CLI ingest/replay
+# smoke, and one pair of the paired ruler (scripts/bench_pair.sh).
 # `cargo fmt` is skipped
 # with a warning where it is not installed; `cargo clippy` is required,
 # because it enforces the determinism contract (DESIGN.md §3.6).
@@ -126,6 +126,22 @@ spine_check() {
     return "$ok"
 }
 
+# The paired ruler end to end: HEAD against itself, one quick pair of one
+# workload, its row checked against the ledger schema
+# (tests/bench_trajectory.rs reads the file BENCH_LEDGER names).
+bench_pair_smoke() {
+    local tmp ok=0
+    tmp="$(mktemp -d)" || return 1
+    scripts/bench_pair.sh HEAD HEAD --workloads c2_fold_t1 --pairs 1 --seconds 1 --quick \
+        --out "$tmp/row.json" >/dev/null 2>"$tmp/log" || { tail -5 "$tmp/log" >&2; ok=1; }
+    if [ "$ok" -eq 0 ]; then
+        { printf '{"rows": ['; cat "$tmp/row.json"; printf ']}\n'; } >"$tmp/ledger.json"
+        BENCH_LEDGER="$tmp/ledger.json" cargo test -q --test bench_trajectory >/dev/null || ok=1
+    fi
+    rm -rf "$tmp"
+    return "$ok"
+}
+
 # One online query through the console with the registry enabled
 # (--threads 2 so the worker pool registers its metrics: the first batch's
 # weight fill runs on it, and every later batch is prefetched on it).
@@ -167,6 +183,7 @@ step portable_bits
 step spine_check
 step examples_smoke
 step ingest_cli_smoke
+step bench_pair_smoke
 [ "$metrics" -eq 1 ] && step metrics_smoke
 [ "$bench_smoke" -eq 1 ] && step benchmarks/run.sh --quick
 

@@ -6,13 +6,19 @@
 //! parent/change pairs and, per metric, the median and quartiles of both
 //! sides. Workload and metric names must be ones `BENCHMARK.json`
 //! declares, so a row can always be read against the benchmark's bounds.
+//! With `BENCH_LEDGER` set to a file, that file is checked instead:
+//! `scripts/check.sh` points it at a fresh `scripts/bench_pair.sh` row.
 
 use std::collections::BTreeMap;
 
 use g_ola::obs::json::{parse, Value};
 
+/// `file` under the repository root, or itself when absolute.
 fn read(file: &str) -> Value {
-    let path = format!("{}/{file}", env!("CARGO_MANIFEST_DIR"));
+    let path = match file.starts_with('/') {
+        true => file.to_string(),
+        false => format!("{}/{file}", env!("CARGO_MANIFEST_DIR")),
+    };
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
     parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
@@ -69,7 +75,8 @@ fn every_ledger_row_has_commit_seeds_and_paired_quartiles() {
     let bench = read("BENCHMARK.json");
     let workloads = declared(&bench, "workloads");
     let metrics = declared(&bench, "end_to_end");
-    let ledger = read("BENCH_trajectory.json");
+    let ledger = std::env::var("BENCH_LEDGER")
+        .map_or_else(|_| read("BENCH_trajectory.json"), |file| read(&file));
     let rows = array(ledger.get("rows"), "rows");
     assert!(!rows.is_empty(), "the ledger has no rows");
     for (i, row) in rows.iter().enumerate() {

@@ -5,8 +5,9 @@
 //! most as many vectors as the set has distinct parts.
 //!
 //! Counted through `groups::effective_states`' own `gola_obs` counters and
-//! its `reeval` span. One test function only: the registry is
-//! process-global.
+//! its `reeval` span; `publish.flipped_cells` counts the point and trial
+//! decisions the delta re-merge applied. One test function only: the
+//! registry is process-global.
 
 use std::sync::Arc;
 
@@ -28,6 +29,7 @@ fn q17_builds_one_rhs_vector_per_correlation_key() {
         .unwrap();
     let evals = obs::counter("publish.uncertain_evals");
     let vectors = obs::counter("publish.rhs_vectors");
+    let flipped = obs::counter("publish.flipped_cells");
     let mut counts = Vec::new();
     for threads in [1, 2] {
         obs::set_enabled(true);
@@ -68,7 +70,16 @@ fn q17_builds_one_rhs_vector_per_correlation_key() {
         let last = reports.last().map(|r| r.uncertain_tuples);
         let tuples = format!("\"reeval.tuples\": {}", last.unwrap_or_default());
         assert!(snapshot.contains(&tuples), "want {tuples} in {snapshot}");
-        counts.push((evals.get(), vectors.get()));
+        // Every decision applied is a flip, an entry or an exit: at most
+        // one per (lane, tuple) a call decided or saw leave.
+        let lanes = 1 + 32;
+        assert!(
+            flipped.get() > 0 && flipped.get() <= 2 * lanes * evals.get(),
+            "threads={threads}: {} decisions applied over {} evaluations",
+            flipped.get(),
+            evals.get()
+        );
+        counts.push((evals.get(), vectors.get(), flipped.get()));
     }
     assert_eq!(counts[0], counts[1], "thread count changed the work");
 }
