@@ -86,7 +86,7 @@ impl ExactSum {
             return;
         }
         if !x.is_finite() || self.special != 0.0 {
-            self.special += x;
+            self.stick(x);
             return;
         }
         self.grow(x);
@@ -107,7 +107,7 @@ impl ExactSum {
     /// Fold another exact sum in (exact; order of merges is irrelevant).
     pub fn merge(&mut self, other: &ExactSum) {
         if other.special != 0.0 {
-            self.special += other.special;
+            self.stick(other.special);
         }
         for &c in &other.comps {
             self.add(c);
@@ -132,11 +132,22 @@ impl ExactSum {
             // The running total escaped the f64 range: from here on results
             // are saturated and only IEEE-deterministic, not exact.
             self.comps.clear();
-            self.special += q;
+            self.stick(q);
             return;
         }
         if q != 0.0 {
             self.comps.push(q);
+        }
+    }
+
+    /// Add `x` to the sticky scalar. A NaN there is always the canonical
+    /// [`f64::NAN`]: which NaN IEEE addition hands back depends on code
+    /// generation (`∞ + −∞` makes a fresh one, whose sign the target
+    /// chooses), and the state must not.
+    fn stick(&mut self, x: f64) {
+        self.special += x;
+        if self.special.is_nan() {
+            self.special = f64::NAN;
         }
     }
 

@@ -11,7 +11,11 @@
 //!    change any report, rows classified *certain* never retract while no
 //!    recomputation intervenes, and the uncertain sets drain to zero by the
 //!    final batch.
-//! 3. **Fault transparency** — a [`Fault`] can be planted to prove the
+//! 3. **Replay** — under a slack tight enough that envelopes fail and
+//!    recovery fires, every report equals classical delta maintenance's
+//!    ([`OnlineExecution::step_recomputing`], which rebuilds every block
+//!    that reads an inner aggregate, every batch) bit for bit.
+//! 4. **Fault transparency** — a [`Fault`] can be planted to prove the
 //!    oracle actually discriminates: `WeightBias` plants an off-by-one
 //!    bootstrap weight (caught by calibration, see `calib`), `SkewOnline`
 //!    perturbs the online answer before comparison (caught here), and
@@ -20,8 +24,8 @@
 use std::fmt;
 use std::sync::Arc;
 
-use gola_bootstrap::BootstrapSpec;
-use gola_core::{BatchReport, OnlineConfig, OnlineSession};
+use gola_bootstrap::{BootstrapSpec, EpsilonPolicy};
+use gola_core::{BatchReport, OnlineConfig, OnlineExecution, OnlineSession};
 use gola_storage::{Catalog, Table};
 
 use crate::gen::SchemaClass;
@@ -86,6 +90,9 @@ pub enum Failure {
     Rerun { batch: usize, detail: String },
     /// `threads = 1` and `threads = N` reports differ.
     Threads { batch: usize, detail: String },
+    /// Under a tight slack, a report differs from classical delta
+    /// maintenance's.
+    Replay { batch: usize, detail: String },
     /// A certain row vanished or reverted with no recomputation in between.
     Retraction { batch: usize, detail: String },
     /// The refinement trajectory itself is malformed: coverage not
@@ -102,6 +109,7 @@ impl Failure {
             Failure::Differential(_) => "differential",
             Failure::Rerun { .. } => "rerun",
             Failure::Threads { .. } => "threads",
+            Failure::Replay { .. } => "replay",
             Failure::Retraction { .. } => "retraction",
             Failure::Shape { .. } => "shape",
         }
@@ -120,6 +128,12 @@ impl fmt::Display for Failure {
             Failure::Threads { batch, detail } => {
                 write!(f, "thread counts diverged at batch {batch}: {detail}")
             }
+            Failure::Replay { batch, detail } => {
+                write!(
+                    f,
+                    "recovery diverged from a rebuild at batch {batch}: {detail}"
+                )
+            }
             Failure::Retraction { batch, detail } => {
                 write!(f, "certain row retracted at batch {batch}: {detail}")
             }
@@ -136,6 +150,8 @@ impl fmt::Display for Failure {
 pub struct CaseStats {
     pub batches: usize,
     pub recomputations: usize,
+    /// Recomputations of the replay leg's tight-slack run.
+    pub replay_recomputations: usize,
     pub uncertain_peak: usize,
     pub result_rows: usize,
 }
@@ -192,6 +208,8 @@ pub fn run_case(
     }
 
     check_trajectory(&seq, key_cols)?;
+    let tight = config(1).with_epsilon(EpsilonPolicy::StdDevScaled(REPLAY_SLACK));
+    let replay_recomputations = check_replay(&catalog, sql, tight)?;
 
     let last = seq
         .last()
@@ -207,9 +225,41 @@ pub fn run_case(
     Ok(CaseStats {
         batches: seq.len(),
         recomputations: last.recomputations,
+        replay_recomputations,
         uncertain_peak: seq.iter().map(|r| r.uncertain_tuples).max().unwrap_or(0),
         result_rows: last.table.num_rows(),
     })
+}
+
+/// The replay leg's slack, in standard deviations (the default is 3σ):
+/// tight enough that envelopes fail on a small table's few batches.
+const REPLAY_SLACK: f64 = 0.25;
+
+/// The replay leg: two executions of `sql` under `config`, one stepped by
+/// `next` (which recovers when an envelope fails), one by
+/// `step_recomputing`; every pair of reports must be identical bit for bit
+/// but for the recomputation count, which only the first keeps. Returns
+/// that count.
+fn check_replay(catalog: &Catalog, sql: &str, config: OnlineConfig) -> Result<usize, Failure> {
+    let online = |e: gola_common::Error| Failure::Online(e.to_string());
+    let session = OnlineSession::new(catalog.clone(), config);
+    let prepared = session.prepare(sql).map_err(online)?;
+    let execute = || session.execute_prepared(&prepared).map_err(online);
+    let (mut gola, mut cdm): (OnlineExecution, OnlineExecution) = (execute()?, execute()?);
+    let (mut batch, mut recomputations) = (0, 0);
+    loop {
+        let (a, b) = match (gola.next(), cdm.step_recomputing()) {
+            (None, None) => return Ok(recomputations),
+            (Some(a), Some(b)) => (a.map_err(online)?, b.map_err(online)?.0),
+            (a, _) => {
+                let ended = if a.is_some() { "rebuilt" } else { "recovering" };
+                let detail = format!("the {ended} run ended first");
+                return Err(Failure::Replay { batch, detail });
+            }
+        };
+        answers_identical(&a, &b).map_err(|detail| Failure::Replay { batch, detail })?;
+        (batch, recomputations) = (batch + 1, a.recomputations);
+    }
 }
 
 /// Per-batch invariants along one run's refinement trajectory.
@@ -327,55 +377,64 @@ pub fn reports_identical(a: &[BatchReport], b: &[BatchReport]) -> Result<(), (us
         return Err((0, format!("batch count {} vs {}", a.len(), b.len())));
     }
     for (ra, rb) in a.iter().zip(b) {
-        let i = ra.batch_index;
-        let fields = [
-            ("batch index", ra.batch_index, rb.batch_index),
-            ("num_batches", ra.num_batches, rb.num_batches),
-            ("rows seen", ra.rows_seen, rb.rows_seen),
-            ("total rows", ra.total_rows, rb.total_rows),
-            ("|U|", ra.uncertain_tuples, rb.uncertain_tuples),
-            ("recomputes", ra.recomputations, rb.recomputations),
-        ];
-        for (what, x, y) in fields {
-            if x != y {
-                return Err((i, format!("{what} {x} vs {y}")));
-            }
+        let (x, y) = (ra.recomputations, rb.recomputations);
+        if x != y {
+            return Err((ra.batch_index, format!("recomputes {x} vs {y}")));
         }
-        if ra.multiplicity.to_bits() != rb.multiplicity.to_bits() {
-            return Err((
-                i,
-                format!("multiplicity {} vs {}", ra.multiplicity, rb.multiplicity),
-            ));
+        answers_identical(ra, rb).map_err(|d| (ra.batch_index, d))?;
+    }
+    Ok(())
+}
+
+/// Bit-for-bit comparison of two reports of one batch in everything but
+/// their recomputation counts: position, coverage, |U|, multiplicity, row
+/// certainty, the table in row order and every estimate's cell, value,
+/// finite-population correction and replicas.
+fn answers_identical(ra: &BatchReport, rb: &BatchReport) -> Result<(), String> {
+    let fields = [
+        ("batch index", ra.batch_index, rb.batch_index),
+        ("num_batches", ra.num_batches, rb.num_batches),
+        ("rows seen", ra.rows_seen, rb.rows_seen),
+        ("total rows", ra.total_rows, rb.total_rows),
+        ("|U|", ra.uncertain_tuples, rb.uncertain_tuples),
+    ];
+    for (what, x, y) in fields {
+        if x != y {
+            return Err(format!("{what} {x} vs {y}"));
         }
-        if ra.row_certain != rb.row_certain {
-            return Err((i, "row certainty differs".into()));
+    }
+    if ra.multiplicity.to_bits() != rb.multiplicity.to_bits() {
+        return Err(format!(
+            "multiplicity {} vs {}",
+            ra.multiplicity, rb.multiplicity
+        ));
+    }
+    if ra.row_certain != rb.row_certain {
+        return Err("row certainty differs".into());
+    }
+    rows_bit_equal_in_order(&ra.table, &rb.table)?;
+    if ra.estimates.len() != rb.estimates.len() {
+        return Err("estimate count differs".into());
+    }
+    for (ea, eb) in ra.estimates.iter().zip(&rb.estimates) {
+        let (x, y) = (&ea.estimate, &eb.estimate);
+        let cell = (ea.row, ea.col);
+        if cell != (eb.row, eb.col) {
+            return Err("estimate cell ids differ".into());
         }
-        if let Err(d) = rows_bit_equal_in_order(&ra.table, &rb.table) {
-            return Err((i, d));
+        if x.value.to_bits() != y.value.to_bits() {
+            return Err(format!("estimate {cell:?} {} vs {}", x.value, y.value));
         }
-        if ra.estimates.len() != rb.estimates.len() {
-            return Err((i, "estimate count differs".into()));
+        if x.fpc.to_bits() != y.fpc.to_bits() {
+            return Err(format!("fpc of cell {cell:?} {} vs {}", x.fpc, y.fpc));
         }
-        for (ea, eb) in ra.estimates.iter().zip(&rb.estimates) {
-            let (x, y) = (&ea.estimate, &eb.estimate);
-            let cell = (ea.row, ea.col);
-            if cell != (eb.row, eb.col) {
-                return Err((i, "estimate cell ids differ".into()));
-            }
-            if x.value.to_bits() != y.value.to_bits() {
-                return Err((i, format!("estimate {cell:?} {} vs {}", x.value, y.value)));
-            }
-            if x.fpc.to_bits() != y.fpc.to_bits() {
-                return Err((i, format!("fpc of cell {cell:?} {} vs {}", x.fpc, y.fpc)));
-            }
-            if x.replicas.len() != y.replicas.len()
-                || x.replicas
-                    .iter()
-                    .zip(&y.replicas)
-                    .any(|(u, v)| u.to_bits() != v.to_bits())
-            {
-                return Err((i, format!("replicas of cell {cell:?}")));
-            }
+        if x.replicas.len() != y.replicas.len()
+            || x.replicas
+                .iter()
+                .zip(&y.replicas)
+                .any(|(u, v)| u.to_bits() != v.to_bits())
+        {
+            return Err(format!("replicas of cell {cell:?}"));
         }
     }
     Ok(())

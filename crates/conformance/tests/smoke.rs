@@ -41,6 +41,16 @@ const ROWS: usize = 360;
 const DATA_SEED: u64 = 0x5EED_DA7A;
 const QUERIES_PER_SCHEMA: usize = 100;
 
+/// Generated queries per schema: [`QUERIES_PER_SCHEMA`], or more where
+/// `CONFORMANCE_QUERIES` says so (`scripts/check.sh` runs a deeper corpus
+/// in release).
+fn queries_per_schema() -> usize {
+    let deeper = std::env::var("CONFORMANCE_QUERIES").ok();
+    deeper
+        .and_then(|n| n.parse().ok())
+        .unwrap_or(QUERIES_PER_SCHEMA)
+}
+
 fn oracle_cfg() -> OracleConfig {
     OracleConfig {
         num_batches: 5,
@@ -58,11 +68,13 @@ fn catalog_of(class: SchemaClass, data: &Arc<Table>) -> Catalog {
     catalog
 }
 
-/// Differential + invariant oracles over a generated corpus: ≥ 100 distinct
-/// queries per schema, each run at threads 1, 1 (rerun), and 4.
+/// Differential, invariant and replay oracles over a generated corpus:
+/// ≥ 100 distinct queries per schema, each run at threads 1, 1 (rerun),
+/// and 4, and at a tight slack against classical delta maintenance.
 #[test]
 fn generated_corpus_passes_differential_and_invariant_oracles() {
     let cfg = oracle_cfg();
+    let queries = queries_per_schema();
     for class in [SchemaClass::Conviva, SchemaClass::Tpch] {
         let data = Arc::new(class.generate(ROWS, DATA_SEED));
         let mut gen = QueryGen::new(class, &data, 0xC0FFEE ^ class.table_name().len() as u64);
@@ -70,8 +82,9 @@ fn generated_corpus_passes_differential_and_invariant_oracles() {
         let mut grouped = 0usize;
         let mut subquery = 0usize;
         let mut with_uncertainty = 0usize;
+        let mut recovered = 0usize;
         let mut failures = Vec::new();
-        while seen.len() < QUERIES_PER_SCHEMA {
+        while seen.len() < queries {
             let q = gen.next_query();
             let sql = q.sql(class.table_name());
             if !seen.insert(sql.clone()) {
@@ -85,7 +98,10 @@ fn generated_corpus_passes_differential_and_invariant_oracles() {
                 )
             }));
             match run_case(class, &data, &sql, q.key_cols(), &cfg, Fault::None) {
-                Ok(stats) => with_uncertainty += usize::from(stats.uncertain_peak > 0),
+                Ok(stats) => {
+                    with_uncertainty += usize::from(stats.uncertain_peak > 0);
+                    recovered += usize::from(stats.replay_recomputations > 0);
+                }
                 Err(f) => failures.push(format!("{sql}\n    -> {f}")),
             }
         }
@@ -103,6 +119,7 @@ fn generated_corpus_passes_differential_and_invariant_oracles() {
             with_uncertainty >= 1,
             "{class}: no query ever produced an uncertain set"
         );
+        assert!(recovered >= 1, "{class}: the replay leg never recovered");
     }
 }
 

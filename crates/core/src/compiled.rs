@@ -215,6 +215,15 @@ impl CompiledBlock {
     pub fn cmp_conjuncts(&self) -> usize {
         self.fast_scalar_cmp.as_ref().map_or(0, Vec::len)
     }
+
+    /// Can a tuple folded into this block's states be taken back out?
+    /// Every lane is an exact sum ([`AggKind::is_retractable`]) of an
+    /// argument that reads the row alone, so what a tuple folds never
+    /// depends on when it was folded.
+    pub fn retracts(&self) -> bool {
+        self.agg_kinds.iter().all(AggKind::is_retractable)
+            && !self.lin_agg_args.iter().any(Expr::has_subquery_ref)
+    }
 }
 
 /// Recognize `Column θ constant` / `constant θ Column` HAVING conjuncts and

@@ -37,8 +37,9 @@ pub(crate) fn weights_needed<'a>(
 }
 
 /// Run the stage. Mutates `rt` only: `slots` gain the folds, `uncertain`
-/// is replaced by the still-uncertain candidates, and the carried tuples
-/// that left it go to the re-merge to be retracted.
+/// is replaced by the still-uncertain candidates, the carried tuples that
+/// left it go to the re-merge to be retracted, and the seen index, if the
+/// block keeps one, learns which candidates folded.
 ///
 /// The folds go in one *run* per group: the tuples are bucketed by group id
 /// first, so every (group, aggregate lane) takes its tuples' values and
@@ -96,6 +97,9 @@ pub(crate) fn fold(
         run_tuples += lanes.len() * run.len();
     }
     count_runs(runs, run_tuples);
+    if let Some(seen) = &mut rt.seen {
+        classes.folds.iter().for_each(|&i| seen.fold(cand.seen[i]));
+    }
 
     // The still-uncertain tuples, in candidate order. Carried tuples keep
     // their cached bootstrap weights and last decisions; tuples entering
@@ -119,6 +123,7 @@ pub(crate) fn fold(
         key_ids: gather_rows(&cand.key_ids, cb.cmp_conjuncts(), keep),
         group_ids: gather_rows(&cand.group_ids, 1, keep),
         decisions,
+        seen: gather_rows(&cand.seen, usize::from(!cand.seen.is_empty()), keep),
         chunk: cand.chunk.gather(keep),
     };
     record_gone(cand, keep, trials as usize, words, rt);
@@ -155,6 +160,7 @@ fn record_gone(
         key_ids: Vec::new(),
         group_ids: gather_rows(&cand.group_ids, 1, &gone),
         decisions: gather_rows(&cand.carried_decisions, words, &gone),
+        seen: Vec::new(),
         chunk: cand.chunk.gather(&gone),
     };
     let prior = std::mem::take(&mut rt.remerge.gone);

@@ -6,7 +6,7 @@
 use std::borrow::Cow;
 use std::ops::Range;
 
-use gola_agg::{AggKind, FoldScratch, ReplicatedStates};
+use gola_agg::{FoldScratch, ReplicatedStates};
 use gola_bootstrap::VariationRange;
 use gola_common::{row_u32, ColumnData, FxHashMap, Result, Value};
 use gola_expr::eval::{eval, eval_predicate, eval_tri};
@@ -344,9 +344,7 @@ fn uncertain_states<'a>(env: &BlockEnv<'_>, rt: &'a mut BlockRuntime) -> Result<
     let slot = |g: u32| slots.get(g as usize).and_then(Option::as_ref);
     // Contributions are kept only where every lane is an exact sum of
     // row-only arguments: what an unchanged decision folds never moves.
-    let keeps = cb.agg_kinds.iter().all(AggKind::is_retractable)
-        && !cb.lin_agg_args.iter().any(Expr::has_subquery_ref)
-        && !remerge.straight_only();
+    let keeps = cb.retracts() && !remerge.straight_only();
     let gone = std::mem::take(&mut remerge.gone);
     if !keeps {
         remerge.clear();
@@ -622,7 +620,7 @@ fn any_set(decision: &[u64]) -> bool {
 }
 
 /// Does every argument of one tuple retract exactly from `states`?
-fn retracts_exactly(states: &ReplicatedStates, args: &[Value]) -> bool {
+pub(crate) fn retracts_exactly(states: &ReplicatedStates, args: &[Value]) -> bool {
     (args.iter().enumerate()).all(|(j, v)| states.retracts_exactly(j, v))
 }
 

@@ -77,6 +77,11 @@ pub(crate) struct Candidates {
     /// Per new candidate (those after the carried ones): the batch row it
     /// came from, which is where [`BatchWeights`] keeps its weights.
     pub batch_rows: Vec<u32>,
+    /// Each candidate's entry in the block's seen index (see
+    /// [`UncertainSet::seen`]): the carried candidates' cached ones, then
+    /// the new candidates' once the index has recorded them. Empty for a
+    /// block that keeps no index.
+    pub seen: Vec<u32>,
 }
 
 impl Candidates {
@@ -436,6 +441,7 @@ pub(crate) fn join(
         key_ids: carried.key_ids,
         group_ids: carried.group_ids,
         batch_rows,
+        seen: carried.seen,
     };
     label(env, labels, &mut cand)?;
     Ok(cand)

@@ -27,6 +27,8 @@ pub(crate) struct SessionMetrics {
     pub(crate) fpc: Gauge,
     pub(crate) uncertain: Gauge,
     pub(crate) recomputations: Gauge,
+    /// Bytes of the session's seen indexes (`recover::SeenIndex`).
+    pub(crate) seen_index: Gauge,
 }
 
 impl SessionMetrics {
@@ -41,6 +43,7 @@ impl SessionMetrics {
             fpc: gola_obs::gauge_with("report.fpc", &labels),
             uncertain: gola_obs::gauge_with("report.uncertain", &labels),
             recomputations: gola_obs::gauge_with("report.recomputations", &labels),
+            seen_index: gola_obs::gauge_with("core.mem.seen_index", &labels),
         }
     }
 }
@@ -89,10 +92,9 @@ handle!(pub(crate) fold_run_tuples: Counter = gola_obs::counter("fold.run_tuples
 handle!(pub(crate) replica_finalizes: Counter =
     gola_obs::counter("publish.replica_finalizes"));
 
-// Recoveries (`recover::recover`): how many replayed a group scope and how
-// many every group, the violated keys that triggered them, the batch
-// tuples their replays ingested again, and the batch rows they gathered to
-// do so.
+// Recoveries (`recover::recover`): how many took a key scope and how many
+// replayed every group, the violated keys that triggered them, the batch
+// tuples they decided again, and the batch rows they gathered to do so.
 handle!(pub(crate) recover_scoped: Counter = gola_obs::counter("recover.scoped"));
 handle!(pub(crate) recover_full: Counter = gola_obs::counter("recover.full"));
 handle!(pub(crate) recover_violated_keys: Counter = gola_obs::counter("recover.violated_keys"));

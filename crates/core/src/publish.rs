@@ -233,11 +233,15 @@ fn member_entry(
         Tri::from(point)
     };
     // Reliance carries over (1 = relied on `false`, 2 = on `true`) unless
-    // the point or any trial now contradicts it.
-    let (relied, violated) = match p.old.members.get(g.key).and_then(|prev| prev.relied_on()) {
-        Some(r) if point != r || trial_pass.iter().any(|&t| t != r) => (0, true),
-        Some(r) => (1 + u8::from(r), false),
-        None => (0, false),
+    // the point or any trial now contradicts it. While it holds, the
+    // membership stays committed to the relied-upon value, as a used
+    // scalar's envelope only narrows: a range that now overlaps the HAVING
+    // boundary must not turn a decision taken against it uncertain, or a
+    // rebuild would decide otherwise than the decision that stands.
+    let (relied, violated, tri) = match p.old.members.get(g.key).and_then(|prev| prev.relied_on()) {
+        Some(r) if point != r || trial_pass.iter().any(|&t| t != r) => (0, true, tri),
+        Some(r) => (1 + u8::from(r), false, Tri::from(r)),
+        None => (0, false, tri),
     };
     let entry = PublishedMember {
         point,

@@ -1,32 +1,51 @@
-//! Stage **recover**: after a failure, replay all seen batches for every
-//! transitive consumer of the violated blocks (the Query Controller's
-//! recomputation jobs, paper §4) — for every group of those blocks, or,
-//! when the violated keys can reach only some groups of one block, for just
-//! those groups: its *group scope* (DESIGN.md §3.5.8, "Scoped replay").
+//! Stage **recover**: after a failure, recompute what relied on a violated
+//! envelope (the Query Controller's recomputation jobs, paper §4). Either
+//! every transitive consumer of the violated blocks replays every seen
+//! batch, or — when the violated keys can reach only one block, and that
+//! block keeps a seen index — only that block's seen candidates that read a
+//! violated key are decided again: its *key scope* (DESIGN.md §3.5.8,
+//! "Scoped recovery").
 //!
 //! A block that can be scoped keeps a [`SeenIndex`]: each seen candidate's
 //! batch row, group id and correlation-key ids — the ids the join stage
 //! labelled it with from the block's [`Labels`] — appended once when its
-//! batch is first ingested. A scoped recovery reads only the index, the
-//! label set's keys and the rows it replays. Pass 1 ([`violated_groups`])
-//! is an integer scan of the index: the groups holding a violated key, and
-//! the reliance marks a full replay would leave. Pass 2 gathers each
-//! batch's in-scope rows alone
-//! ([`Partitioner::batch_rows`](gola_storage::Partitioner::batch_rows)) and
-//! ingests them. A full-scope recovery replays whole batches.
+//! batch is first ingested, and whether it is folded in its group's slot.
+//! A scoped recovery reads only the index, the label set's keys and the
+//! rows it decides again. Pass 1 ([`violated_candidates`]) is an integer
+//! scan of the index: the candidates that read a violated key, and the
+//! reliance marks a full replay would leave. Pass 2 ([`redecide`]) gathers
+//! the in-scope candidates outside the uncertain set in one gather across
+//! their batches
+//! ([`Partitioner::batch_rows`](gola_storage::Partitioner::batch_rows)),
+//! retracts the folded ones from their groups' slots, and ingests them all
+//! once against the current publications.
+//!
+//! Why that equals a full replay. A candidate outside the scope read only
+//! envelopes that held; a committed envelope only narrows while it holds,
+//! and a decision against a range stays the decision against any range
+//! inside it, so a full replay would fold, drop or keep it as it stands.
+//! An in-scope candidate in the uncertain set was classified in this very
+//! step, after every producer it reads published, so against the
+//! publications a recovery reads — which do not move during it — it is
+//! uncertain again, and stays. Every summing lane finalizes to a function
+//! of the multiset it folded (DESIGN.md §3.9), so a retraction leaves a
+//! slot as if the tuple had never been folded. A group whose states cannot
+//! forget a value (MIN/MAX), or whose arguments or sums would not retract
+//! exactly, is cleared and folded again instead.
 
-use gola_agg::AggKind;
-use gola_common::{row_u32, Result, Value};
+use gola_agg::{AggKind, FoldScratch, ReplicatedStates};
+use gola_common::{row_u32, Bitmap, Result, Value};
 use gola_expr::SubqueryId;
 use gola_obs::span::SpanGuard;
+use gola_storage::{MiniBatch, Partitioner};
 
 use crate::compiled::{CompiledBlock, FastScalarCmp};
 use crate::join::{BatchWeights, Candidates};
-use crate::metrics;
 use crate::publish::Violated;
 use crate::report::BatchTiming;
-use crate::runtime::{BlockEnv, BlockRuntime, Labels, UncertainSet};
+use crate::runtime::{BlockEnv, BlockRuntime, CtxMode, Labels, TupleReader, UncertainSet};
 use crate::step::OnlineExecution;
+use crate::{classify, fold, groups, join, metrics};
 
 /// What the stage reads besides the executor it repairs.
 pub(crate) struct RecoverInput<'a> {
@@ -47,24 +66,62 @@ impl RecoverInput<'_> {
     }
 }
 
-/// The groups of the affected blocks a recovery replays.
+/// What a recovery recomputes.
 pub(crate) enum GroupScope {
-    /// Every group: the blocks restart empty.
+    /// Every group of every affected block: the blocks restart empty and
+    /// replay every seen batch.
     All,
-    /// The groups of the one affected block whose group id is `true` here;
-    /// its other groups, and their uncertain tuples, stand.
-    Groups(Vec<bool>),
+    /// The seen candidates of one block that read a violated key.
+    Keys(KeyScope),
+}
+
+/// Pass 1's answer for one block: which of its seen candidates read a
+/// violated key, and per group id how many do.
+pub(crate) struct KeyScope {
+    block: usize,
+    /// The seen-index entries in scope, ascending.
+    in_scope: Vec<u32>,
+    groups: Vec<GroupCount>,
+}
+
+/// One group's seen candidates: in scope, and folded in scope.
+#[derive(Clone, Copy, Default)]
+struct GroupCount {
+    in_scope: u32,
+    folded_in_scope: u32,
+}
+
+/// What pass 2 does to one group of the scoped block.
+#[derive(Clone, Copy, PartialEq)]
+enum Redo {
+    /// No candidate of the group reads a violated key: it stands.
+    Stands,
+    /// Its folded in-scope candidates are retracted from its slot, and its
+    /// in-scope candidates outside the uncertain set are decided again.
+    Retract,
+    /// Its slot restarts empty, and every candidate outside the uncertain
+    /// set that is folded or in scope is decided again.
+    Refold,
+    /// The whole group restarts — its slot and its uncertain tuples — and
+    /// every one of its candidates is decided again in seen order, as a
+    /// full replay decides them: a MIN/MAX lane cannot forget a value, and
+    /// its ties are broken by fold order.
+    Replay,
 }
 
 /// Every seen candidate of one block a recovery can scope, as integer
-/// columns: its batch row, its group id and one correlation-key id per
-/// `FastScalarCmp` conjunct, in candidate order. Ingest appends a batch's
-/// candidates once, the first time it ingests that batch. The ids are the
-/// block's [`Labels`], which name its uncertain tuples too
+/// columns: its batch row, its group id, one correlation-key id per
+/// `FastScalarCmp` conjunct, and whether it is folded in its group's slot,
+/// in candidate order, and each group's count of folded entries. Ingest
+/// appends a batch's candidates once, the first time it ingests that
+/// batch; the fold stage sets the folded bit, and a reset or a recovery
+/// that decides the candidate again clears it. The ids are the block's
+/// [`Labels`], which name its uncertain tuples too
 /// ([`UncertainSet::key_ids`] and [`UncertainSet::group_ids`]).
 ///
-/// Costs 4 B × (2 + conjuncts) per seen candidate; it lives as long as the
-/// query.
+/// Costs 4 B × (2 + conjuncts) and a bit per seen candidate, and 4 B per
+/// group; it lives as long as the query (its bytes are the gauge
+/// `core.mem.seen_index`).
 #[derive(Debug, Default)]
 pub struct SeenIndex {
     /// Exclusive end of each ingested batch's entries.
@@ -73,28 +130,69 @@ pub struct SeenIndex {
     groups: Vec<u32>,
     /// Row-major `len × conjuncts`.
     keys: Vec<u32>,
+    folded: Bitmap,
+    /// Per group id, its entries whose folded bit is set.
+    folded_in: Vec<u32>,
 }
 
 impl SeenIndex {
-    /// Index `cand`'s new candidates, batch `batch` of the schedule, if
-    /// the batch is new.
-    pub(crate) fn record(&mut self, batch: usize, cand: &Candidates, conjuncts: usize) {
+    /// Give `cand`'s new candidates, batch `batch` of the schedule, their
+    /// entries: appended if the batch is new, the batch's own if it is
+    /// replayed (a batch always yields the same candidates).
+    pub(crate) fn record(&mut self, batch: usize, cand: &mut Candidates, conjuncts: usize) {
+        let new = cand.batch_rows.len();
         if batch == self.ends.len() {
             self.rows.extend_from_slice(&cand.batch_rows);
-            self.groups
-                .extend_from_slice(&cand.group_ids[cand.carried_len..]);
+            let groups = &cand.group_ids[cand.carried_len..];
+            self.groups.extend_from_slice(groups);
+            let most = groups.iter().max().map_or(0, |&g| g as usize + 1);
+            self.folded_in.resize(self.folded_in.len().max(most), 0);
             self.keys
                 .extend_from_slice(&cand.key_ids[cand.carried_len * conjuncts..]);
+            (0..new).for_each(|_| self.folded.push(false));
             self.ends.push(self.rows.len());
+        }
+        let start = batch.checked_sub(1).map_or(0, |b| self.ends[b]);
+        debug_assert_eq!(self.ends[batch] - start, new, "batch {batch}");
+        cand.seen.extend(row_u32(start)..row_u32(start + new));
+    }
+
+    /// Entry `s` is folded in its group's slot.
+    pub(crate) fn fold(&mut self, s: u32) {
+        self.folded.set(s as usize, true);
+        self.folded_in[self.groups[s as usize] as usize] += 1;
+    }
+
+    /// Entry `s` is not folded (any more).
+    fn unfold(&mut self, s: u32) {
+        if self.folded.get(s as usize) {
+            self.folded.set(s as usize, false);
+            self.folded_in[self.groups[s as usize] as usize] -= 1;
         }
     }
 
-    /// The batch rows of batch `j`'s candidates whose group is in scope.
-    fn rows_in(&self, j: usize, in_scope: &[bool]) -> Vec<usize> {
-        let start = if j == 0 { 0 } else { self.ends[j - 1] };
-        let entries = start..self.ends[j];
-        let rows = entries.filter(|&s| in_scope[self.groups[s] as usize]);
-        rows.map(|s| self.rows[s] as usize).collect()
+    /// No entry is folded: the slots were dropped.
+    pub(crate) fn unfold_all(&mut self) {
+        self.folded = Bitmap::new_clear(self.rows.len());
+        self.folded_in.fill(0);
+    }
+
+    /// Bytes the index holds.
+    pub(crate) fn bytes(&self) -> usize {
+        let ids = self.rows.len() + self.groups.len() + self.keys.len() + self.folded_in.len();
+        4 * ids + 8 * (self.ends.len() + self.rows.len().div_ceil(64))
+    }
+
+    /// The batch rows of `entries` (ascending) as one batch of their own,
+    /// in entry order.
+    fn gather(&self, partitioner: &Partitioner, entries: &[u32]) -> MiniBatch {
+        let picks: Vec<(usize, usize)> = (entries.iter())
+            .map(|&s| {
+                let j = self.ends.partition_point(|&end| end <= s as usize);
+                (j, self.rows[s as usize] as usize)
+            })
+            .collect();
+        partitioner.batch_rows(&picks)
     }
 }
 
@@ -102,17 +200,19 @@ impl SeenIndex {
 /// `consumers`? Only a streaming block with no consumers of its own that
 /// compiles to `fast_scalar_cmp` (so every reference it makes sits in a
 /// comparison's correlation key; a semi-join block never does) with at
-/// least one correlated reference, has a GROUP BY and no dimension joins,
-/// and whose aggregates all merge. Such a block keeps a [`SeenIndex`].
+/// least one correlated reference, has no dimension joins, and whose
+/// aggregates all merge — and either has a GROUP BY, or retracts a folded
+/// tuple ([`CompiledBlock::retracts`]): a block whose one group cannot
+/// forget a value would replay whole. Such a block keeps a [`SeenIndex`].
 pub(crate) fn scopable(cb: &CompiledBlock, consumers: &[usize]) -> bool {
     let correlated =
         |fscs: &Vec<FastScalarCmp>| fscs.iter().any(|f| f.refs.iter().any(|r| r.1 > 0));
     cb.block.is_streaming
         && consumers.is_empty()
         && cb.fast_scalar_cmp.as_ref().is_some_and(correlated)
-        && cb.num_keys() > 0
         && cb.block.dims.is_empty()
         && cb.agg_kinds.iter().all(AggKind::is_mergeable)
+        && (cb.num_keys() > 0 || cb.retracts())
 }
 
 /// Run the stage under its `span`. Mutates the affected blocks' runtimes
@@ -134,51 +234,32 @@ pub(crate) fn recover(
             }
         }
     }
-    let scope = scope(exec, &input, &affected);
-    #[cfg(test)]
-    if let GroupScope::Groups(_) = scope {
-        exec.scoped_recoveries += 1;
-    }
-    // Replay wavefront by wavefront: blocks within a wave are mutually
-    // independent, so each batch re-ingests across the whole wave in
-    // parallel. Interleaving batches across a wave's blocks is
-    // semantically identical to replaying each block to completion — same
-    // per-block ingest sequence, and no block of a wave reads another's
-    // output.
-    let (mut replayed, mut gathered) = (0, 0);
-    for wave in exec.meta.wavefronts() {
-        let replay: Vec<usize> = wave.into_iter().filter(|&b| affected[b]).collect();
-        if replay.is_empty() {
-            continue;
+    let (decided, gathered, groups) = match scope(exec, &input, &affected) {
+        GroupScope::Keys(keys) => {
+            #[cfg(test)]
+            {
+                exec.scoped_recoveries += 1;
+            }
+            let block = keys.block;
+            let (decided, redone) = redecide(exec, &keys)?;
+            #[cfg(test)]
+            (exec.redone.iter_mut().zip(redone)).for_each(|(a, b)| *a += b);
+            exec.publish_block(block, input.m, input.last)?;
+            (decided, decided, Some(redone.iter().sum::<usize>()))
         }
-        let kept: Vec<UncertainSet> = (replay.iter())
-            .map(|&b| clear_scope(exec, b, &scope))
-            .collect();
-        // Replay time lands in the step's `recover` bucket, not per stage.
-        let mut scratch = BatchTiming::default();
-        let (r, g) = replay_batches(exec, &replay, input.upto, &scope, &mut scratch)?;
-        (replayed, gathered) = (replayed + r, gathered + g);
-        // Publish once per block, from fresh (post-replay) state.
-        for (&b, kept) in replay.iter().zip(kept) {
-            let rt = &mut exec.runtimes[b];
-            rt.uncertain = kept.concat(std::mem::take(&mut rt.uncertain));
-            exec.publish_block(b, input.m, input.last)?;
+        GroupScope::All => {
+            let (replayed, gathered) = replay_all(exec, &affected, &input)?;
+            (replayed, gathered, None)
         }
-    }
+    };
     if gola_obs::enabled() {
-        let groups = match &scope {
-            GroupScope::All => {
-                metrics::recover_full().inc();
-                None
-            }
-            GroupScope::Groups(in_scope) => {
-                metrics::recover_scoped().inc();
-                Some(in_scope.iter().filter(|&&g| g).count())
-            }
-        };
+        match groups {
+            Some(_) => metrics::recover_scoped().inc(),
+            None => metrics::recover_full().inc(),
+        }
         let keys = input.violated.iter().map(|(_, keys)| keys.len() as u64);
         metrics::recover_violated_keys().add(keys.sum());
-        metrics::recover_replayed_tuples().add(replayed as u64);
+        metrics::recover_replayed_tuples().add(decided as u64);
         metrics::recover_gathered_rows().add(gathered as u64);
         span.field("scope", f64::from(u8::from(groups.is_some())));
         span.field("groups", groups.unwrap_or(0) as f64);
@@ -187,34 +268,50 @@ pub(crate) fn recover(
     Ok(affected.iter().filter(|&&a| a).count())
 }
 
-/// Re-ingest batches `0..=upto` into `blocks`, one wave whose state the
-/// caller has cleared to `scope`: whole batches, or under a group scope
-/// each batch's in-scope rows alone, gathered from the block's
-/// [`SeenIndex`]. Returns how many candidates the replay read and how many
-/// batch rows it gathered. Recovery and
+/// Replay every seen batch into every affected block, wavefront by
+/// wavefront: blocks within a wave are mutually independent, so each batch
+/// re-ingests across the whole wave in parallel. Interleaving batches
+/// across a wave's blocks is semantically identical to replaying each block
+/// to completion — same per-block ingest sequence, and no block of a wave
+/// reads another's output. Returns the candidates read and the rows
+/// gathered.
+fn replay_all(
+    exec: &mut OnlineExecution,
+    affected: &[bool],
+    input: &RecoverInput<'_>,
+) -> Result<(usize, usize)> {
+    let (mut replayed, mut gathered) = (0, 0);
+    for wave in exec.meta.wavefronts() {
+        let replay: Vec<usize> = wave.into_iter().filter(|&b| affected[b]).collect();
+        if replay.is_empty() {
+            continue;
+        }
+        replay.iter().for_each(|&b| exec.runtimes[b].reset());
+        // Replay time lands in the step's `recover` bucket, not per stage.
+        let mut scratch = BatchTiming::default();
+        let (r, g) = replay_batches(exec, &replay, input.upto, &mut scratch)?;
+        (replayed, gathered) = (replayed + r, gathered + g);
+        // Publish once per block, from fresh (post-replay) state.
+        for &b in &replay {
+            exec.publish_block(b, input.m, input.last)?;
+        }
+    }
+    Ok((replayed, gathered))
+}
+
+/// Re-ingest batches `0..=upto`, whole, into `blocks`, one wave whose
+/// state the caller has reset. Returns how many candidates the replay read
+/// and how many batch rows it gathered. A full recovery and
 /// [`OnlineExecution::step_recomputing`] both rebuild through here.
 pub(crate) fn replay_batches(
     exec: &mut OnlineExecution,
     blocks: &[usize],
     upto: usize,
-    scope: &GroupScope,
     timing: &mut BatchTiming,
 ) -> Result<(usize, usize)> {
     let (mut replayed, mut gathered) = (0, 0);
     for j in 0..=upto {
-        let batch = match (scope, &exec.runtimes[blocks[0]].seen) {
-            (GroupScope::Groups(in_scope), Some(seen)) => {
-                let rows = seen.rows_in(j, in_scope);
-                if rows.is_empty() {
-                    // Nothing new to ingest, and no carried tuple can
-                    // change class: the publications do not move during
-                    // a replay, and each was uncertain against them.
-                    continue;
-                }
-                exec.partitioner.batch_rows(j, &rows)
-            }
-            _ => exec.partitioner.batch(j),
-        };
+        let batch = exec.partitioner.batch(j);
         gathered += batch.len();
         let mut weights = BatchWeights::new(&batch, &exec.config.bootstrap);
         replayed += exec.ingest_wave(blocks, &batch, &mut weights, timing)?;
@@ -222,11 +319,11 @@ pub(crate) fn replay_batches(
     Ok((replayed, gathered))
 }
 
-/// The groups a recovery replays: every group, unless the violated keys
-/// can reach only some groups of one block — the violated producers' only
-/// transitive consumer is one block that keeps a [`SeenIndex`] (see
-/// [`scopable`]), and every reference it makes to a violated producer has
-/// a correlation key. Then those groups are [`violated_groups`].
+/// The scope of a recovery: every group, unless the violated keys can
+/// reach only one block that keeps a [`SeenIndex`] (see [`scopable`]) —
+/// the violated producers' only transitive consumer — and every reference
+/// it makes to a violated producer has a correlation key. Then it is the
+/// block's candidates that read a violated key ([`violated_candidates`]).
 fn scope(exec: &OnlineExecution, input: &RecoverInput<'_>, affected: &[bool]) -> GroupScope {
     #[cfg(test)]
     if exec.full_scope_only {
@@ -245,7 +342,7 @@ fn scope(exec: &OnlineExecution, input: &RecoverInput<'_>, affected: &[bool]) ->
         return GroupScope::All;
     }
     let rt = &exec.runtimes[c];
-    GroupScope::Groups(violated_groups(&exec.env(c), seen, rt, input))
+    GroupScope::Keys(violated_candidates(c, &exec.env(c), seen, rt, input))
 }
 
 /// Each reference of `fsc` with its own slice of `key`, one of the
@@ -262,10 +359,10 @@ fn own_keys<'k>(
     })
 }
 
-/// Pass 1 of a scoped recovery: the groups of the block (`env`, with seen
-/// index `seen` and runtime `rt`) that hold a seen candidate reading a
-/// violated key, as an in-scope flag per group id. An integer scan of the
-/// index: no batch is gathered or joined.
+/// Pass 1 of a scoped recovery: the seen candidates of block `block`
+/// (`env`, with seen index `seen` and runtime `rt`) that read a violated
+/// key, and per group how many do and how many of those are folded. An
+/// integer scan of the index: no batch is gathered or joined.
 ///
 /// A full replay also re-marks reliance for every candidate it decides.
 /// Outside the scope those are the candidates not in the uncertain set —
@@ -276,12 +373,13 @@ fn own_keys<'k>(
 /// carry on exactly as after a full replay: per (conjunct, key), it
 /// counts the seen candidates reading no violated key, less the uncertain
 /// tuples among them, and marks the key's entries when some remain.
-fn violated_groups(
+fn violated_candidates(
+    block: usize,
     env: &BlockEnv<'_>,
     seen: &SeenIndex,
     rt: &BlockRuntime,
     input: &RecoverInput<'_>,
-) -> Vec<bool> {
+) -> KeyScope {
     let fscs = env.cb.fast_scalar_cmp.as_deref().unwrap_or_default();
     let Labels { groups, keys } = &rt.labels;
     let is_violated =
@@ -295,16 +393,21 @@ fn violated_groups(
         })
         .collect();
     let reads_violated = |ids: &[u32]| (ids.iter().zip(&violated)).any(|(&x, v)| v[x as usize]);
-    let mut in_scope = vec![false; groups.len()];
+    let mut in_scope = Vec::new();
+    let mut counts = vec![GroupCount::default(); groups.len()];
     let mut decided: Vec<Vec<i32>> = violated.iter().map(|v| vec![0; v.len()]).collect();
     let mut count = |ids: &[u32], by: i32| {
         for (&x, n) in ids.iter().zip(&mut decided) {
             n[x as usize] += by;
         }
     };
-    for (ids, &group) in seen.keys.chunks_exact(fscs.len()).zip(&seen.groups) {
+    let entries = seen.keys.chunks_exact(fscs.len()).zip(&seen.groups);
+    for (s, (ids, &group)) in entries.enumerate() {
         if reads_violated(ids) {
-            in_scope[group as usize] = true;
+            let c = &mut counts[group as usize];
+            c.in_scope += 1;
+            c.folded_in_scope += u32::from(seen.folded.get(s));
+            in_scope.push(row_u32(s));
         } else {
             count(ids, 1);
         }
@@ -323,29 +426,187 @@ fn violated_groups(
             }
         }
     }
-    in_scope
+    KeyScope {
+        block,
+        in_scope,
+        groups: counts,
+    }
 }
 
-/// Clear what a replay in `scope` rebuilds of block `b`'s state, and hand
-/// back its uncertain tuples outside the scope: they stand, and the replay
-/// must not ingest them again.
-fn clear_scope(exec: &mut OnlineExecution, b: usize, scope: &GroupScope) -> UncertainSet {
-    let rt = &mut exec.runtimes[b];
-    let GroupScope::Groups(in_scope) = scope else {
-        rt.reset();
-        return UncertainSet::default();
-    };
-    let uncertain = &rt.uncertain;
-    let outside: Vec<usize> = (0..uncertain.len())
-        .filter(|&i| !in_scope[uncertain.group_ids[i] as usize])
+/// Pass 2 of a scoped recovery: take `scope`'s block to where a full
+/// replay would leave it. Per group ([`Redo`]): retract its in-scope folded
+/// candidates from its slot, or clear the slot, and then decide every
+/// candidate that left a slot, or was dropped in scope, again — one
+/// ingest of their rows against the current publications, the tuples it
+/// leaves uncertain appended to the uncertain set. Returns how many
+/// candidates were decided again (the rows gathered) and how many groups
+/// the scope touched, per way: retracted, refolded, replayed.
+fn redecide(exec: &mut OnlineExecution, scope: &KeyScope) -> Result<(usize, [usize; 3])> {
+    let mut rt = std::mem::take(&mut exec.runtimes[scope.block]);
+    let out = redecide_in(exec, scope, &mut rt);
+    exec.runtimes[scope.block] = rt;
+    out
+}
+
+#[expect(
+    clippy::expect_used,
+    reason = "a recovery takes a key scope only where the block keeps a seen index"
+)]
+fn redecide_in(
+    exec: &OnlineExecution,
+    scope: &KeyScope,
+    rt: &mut BlockRuntime,
+) -> Result<(usize, [usize; 3])> {
+    let env = exec.env(scope.block);
+    let (cb, spec) = (env.cb, &exec.config.bootstrap);
+    let retracts = cb.retracts();
+    let slot = |g: usize| rt.slots.get(g).and_then(Option::as_ref);
+    let seen = rt.seen.as_ref().expect("a scoped block keeps a seen index");
+    let mut redo: Vec<Redo> = (scope.groups.iter().enumerate())
+        .map(|(g, c)| match c {
+            c if c.in_scope == 0 => Redo::Stands,
+            _ if !retracts => Redo::Replay,
+            c if c.folded_in_scope == seen.folded_in[g] => Redo::Refold,
+            _ if slot(g).is_some_and(ReplicatedStates::takes_exact_merge) => Redo::Retract,
+            _ => Redo::Refold,
+        })
         .collect();
-    let trials = exec.config.bootstrap.trials;
-    let kept = uncertain.gather(&outside, trials, exec.compiled[b].cmp_conjuncts());
-    for (slot, _) in rt.slots.iter_mut().zip(in_scope).filter(|(_, &s)| s) {
-        *slot = None;
+    let mut in_u = Bitmap::new_clear(seen.rows.len());
+    (rt.uncertain.seen.iter()).for_each(|&s| in_u.set(s as usize, true));
+    // The entries to decide again, and the candidates among them that
+    // leave their slot by retraction with their arguments. A group with an
+    // argument that would not retract exactly is refolded instead.
+    let (entries, batch, cand, retracted, args) = loop {
+        let in_scope = |s: u32| scope.in_scope.binary_search(&s).is_ok();
+        let picked = |s: u32| match redo[seen.groups[s as usize] as usize] {
+            Redo::Stands => false,
+            Redo::Retract => in_scope(s) && !in_u.get(s as usize),
+            Redo::Refold => (seen.folded.get(s as usize) || in_scope(s)) && !in_u.get(s as usize),
+            Redo::Replay => true,
+        };
+        // Only a group that restarts decides again what is outside the
+        // scope.
+        let restarts = redo
+            .iter()
+            .any(|r| matches!(r, Redo::Refold | Redo::Replay));
+        let entries: Vec<u32> = if restarts {
+            (0..row_u32(seen.rows.len()))
+                .filter(|&s| picked(s))
+                .collect()
+        } else {
+            scope
+                .in_scope
+                .iter()
+                .copied()
+                .filter(|&s| picked(s))
+                .collect()
+        };
+        if entries.is_empty() {
+            break (entries, None, None, Vec::new(), Vec::new());
+        }
+        let batch = seen.gather(&exec.partitioner, &entries);
+        let cand = join::join(&env, &batch, UncertainSet::default(), &mut rt.labels)?;
+        debug_assert_eq!(
+            cand.chunk.len(),
+            entries.len(),
+            "a seen candidate was filtered"
+        );
+        let mut reader = TupleReader::new(&cand.chunk, env.pubs);
+        let (mut retracted, mut args, mut one) = (Vec::new(), Vec::new(), Vec::new());
+        let mut inexact = Vec::new();
+        for (i, &s) in entries.iter().enumerate() {
+            let g = seen.groups[s as usize] as usize;
+            if redo[g] != Redo::Retract || !seen.folded.get(s as usize) {
+                continue;
+            }
+            reader.values_into(i, &cb.lin_agg_args, CtxMode::Point, &mut one)?;
+            match slot(g).is_some_and(|states| groups::retracts_exactly(states, &one)) {
+                true => {
+                    retracted.push((g, i));
+                    args.extend_from_slice(&one);
+                }
+                false => inexact.push(g),
+            }
+        }
+        if inexact.is_empty() {
+            break (entries, Some(batch), Some(cand), retracted, args);
+        }
+        inexact.into_iter().for_each(|g| redo[g] = Redo::Refold);
+    };
+    // Groups that restart: a replayed one's uncertain tuples go too, to be
+    // decided again in seen order.
+    for (g, _) in
+        (redo.iter().enumerate()).filter(|(_, r)| matches!(r, Redo::Refold | Redo::Replay))
+    {
+        if let Some(s) = rt.slots.get_mut(g) {
+            *s = None;
+        }
     }
-    rt.uncertain.clear();
-    // The replay decides again what the re-merge last saw: it rebuilds.
-    rt.remerge.clear();
-    kept
+    if redo.contains(&Redo::Replay) {
+        let u = &rt.uncertain;
+        let stays: Vec<usize> = (0..u.len())
+            .filter(|&i| redo[u.group_ids[i] as usize] != Redo::Replay)
+            .collect();
+        rt.uncertain = u.gather(&stays, spec.trials, cb.cmp_conjuncts());
+    }
+    let ways = [Redo::Retract, Redo::Refold, Redo::Replay];
+    let touched = ways.map(|way| redo.iter().filter(|&&r| r == way).count());
+    let (Some(batch), Some(mut cand)) = (batch, cand) else {
+        return Ok((0, touched));
+    };
+    let mut weights = BatchWeights::new(&batch, spec);
+    let rows = retracted.iter().map(|&(_, i)| cand.batch_rows[i]);
+    weights.extend(&exec.store, spec, &exec.pool, &batch, rows);
+    retract(
+        rt,
+        &cand,
+        &weights,
+        (&retracted, &args),
+        cb.lin_agg_args.len(),
+    );
+    let seen = rt.seen.as_mut().expect("a scoped block keeps a seen index");
+    entries.iter().for_each(|&s| seen.unfold(s));
+    cand.seen = entries;
+    let classes = classify::classify(&env, &cand)?;
+    let needed = fold::weights_needed(&cand, &classes);
+    weights.extend(&exec.store, spec, &exec.pool, &batch, needed);
+    let kept = std::mem::take(&mut rt.uncertain);
+    fold::fold(&env, &cand, &classes, &weights, rt)?;
+    rt.uncertain = kept.concat(std::mem::take(&mut rt.uncertain));
+    Ok((cand.chunk.len(), touched))
+}
+
+/// Take `retracted` — `(group id, candidate)`, each with its `lanes`
+/// arguments in `args`, one tuple after another — back out of their
+/// groups' slots: per group one replica run per lane and the main states
+/// tuple by tuple, the inverse of the fold stage's runs.
+fn retract(
+    rt: &mut BlockRuntime,
+    cand: &Candidates,
+    weights: &BatchWeights,
+    (retracted, args): (&[(usize, usize)], &[Value]),
+    lanes: usize,
+) {
+    let mut order: Vec<usize> = (0..retracted.len()).collect();
+    order.sort_by_key(|&k| retracted[k].0);
+    let (mut scratch, mut values) = (FoldScratch::default(), Vec::new());
+    let (mut runs, mut run_tuples) = (0, 0);
+    for run in order.chunk_by(|&a, &b| retracted[a].0 == retracted[b].0) {
+        let Some(states) = rt.slots[retracted[run[0]].0].as_mut() else {
+            continue;
+        };
+        let of = |k: usize| &args[k * lanes..][..lanes];
+        let rows: Vec<&[u8]> = run
+            .iter()
+            .map(|&k| cand.weights_of(weights, retracted[k].1))
+            .collect();
+        for j in 0..lanes {
+            values.clear();
+            values.extend(run.iter().map(|&k| of(k)[j].clone()));
+            states.retract_run(j, &values, &rows, &mut scratch);
+        }
+        run.iter().for_each(|&k| states.retract_main(of(k)));
+        (runs, run_tuples) = (runs + lanes, run_tuples + lanes * run.len());
+    }
+    fold::count_runs(runs, run_tuples);
 }

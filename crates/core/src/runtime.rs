@@ -60,8 +60,8 @@ pub fn sorted_into_entries<V>(map: FxHashMap<Vec<Value>, V>) -> Vec<(Vec<Value>,
 
 /// The uncertain set `Uᵢ` of one block, stored struct-of-arrays: stable
 /// tuple ids, the tuples' bootstrap weights, correlation-key ids, group
-/// ids and last decisions, and their lineage projections as a columnar
-/// chunk.
+/// ids, last decisions and seen-index entries, and their lineage
+/// projections as a columnar chunk.
 ///
 /// Weights are a pure function of `(tuple_id, trial, seed)`, and a tuple's
 /// keys a pure function of the tuple, so both are computed exactly once —
@@ -87,6 +87,9 @@ pub struct UncertainSet {
     /// trial `b` (set when it folds into replica `b`). All zero for a tuple
     /// no re-merge has decided, which has contributed nothing.
     pub decisions: Vec<u64>,
+    /// Each tuple's entry in the block's [`SeenIndex`], so the index learns
+    /// when a carried tuple folds (empty for a block that keeps none).
+    pub seen: Vec<u32>,
     /// Lineage projections, column-major (one column per lineage column).
     pub chunk: ColumnChunk,
 }
@@ -105,6 +108,7 @@ impl Default for UncertainSet {
             key_ids: Vec::new(),
             group_ids: Vec::new(),
             decisions: Vec::new(),
+            seen: Vec::new(),
             chunk: ColumnChunk::empty(0),
         }
     }
@@ -121,12 +125,13 @@ impl UncertainSet {
         self.key_ids.clear();
         self.group_ids.clear();
         self.decisions.clear();
+        self.seen.clear();
         self.chunk = ColumnChunk::empty(0);
     }
 
     /// The tuples at `positions`, in that order, with their cached
-    /// `trials`-wide weight rows, `conjuncts`-wide key-id rows, group ids
-    /// and decisions.
+    /// `trials`-wide weight rows, `conjuncts`-wide key-id rows, group ids,
+    /// decisions and seen-index entries.
     pub(crate) fn gather(
         &self,
         positions: &[usize],
@@ -139,6 +144,7 @@ impl UncertainSet {
             key_ids: gather_rows(&self.key_ids, conjuncts, positions),
             group_ids: gather_rows(&self.group_ids, 1, positions),
             decisions: gather_rows(&self.decisions, decision_words(trials), positions),
+            seen: gather_rows(&self.seen, usize::from(!self.seen.is_empty()), positions),
             chunk: self.chunk.gather(positions),
         }
     }
@@ -150,6 +156,7 @@ impl UncertainSet {
         self.key_ids.extend(other.key_ids);
         self.group_ids.extend(other.group_ids);
         self.decisions.extend(other.decisions);
+        self.seen.extend(other.seen);
         self.chunk = self.chunk.concat(&other.chunk);
         self
     }
@@ -413,8 +420,9 @@ pub struct BlockRuntime {
     pub uncertain: UncertainSet,
     /// The ids of every key the block's candidates hold.
     pub labels: Labels,
-    /// Every seen candidate by group and correlation key, for a block a
-    /// recovery can scope (`None` for any other block).
+    /// Every seen candidate by group and correlation key, and whether it
+    /// is folded, for a block a recovery can scope (`None` for any other
+    /// block).
     pub seen: Option<SeenIndex>,
     /// The uncertain set's contribution per group at the last re-merge.
     pub remerge: Remerge,
@@ -423,12 +431,16 @@ pub struct BlockRuntime {
 impl BlockRuntime {
     /// Drop all accumulated state (failure-triggered recomputation). The
     /// label set and the seen index stay: they record which keys and
-    /// candidates the batches hold, not what was decided about them, and
-    /// replays add nothing to them.
+    /// candidates the batches hold, and replays add nothing to them. Only
+    /// the index's record of which candidates are folded goes, with the
+    /// folds.
     pub fn reset(&mut self) {
         self.slots.clear();
         self.uncertain.clear();
         self.remerge.clear();
+        if let Some(seen) = &mut self.seen {
+            seen.unfold_all();
+        }
     }
 
     /// Group `id`'s deterministic states, if any tuple of it has folded.

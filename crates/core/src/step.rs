@@ -43,7 +43,7 @@ use crate::join::{BatchWeights, Candidates, Prefetch, WeightStore};
 use crate::metrics::SessionMetrics;
 use crate::pool::WorkerPool;
 use crate::publish::{PublishInput, Violated};
-use crate::recover::{GroupScope, RecoverInput, SeenIndex};
+use crate::recover::{RecoverInput, SeenIndex};
 use crate::report::{BatchReport, BatchTiming, ReportInput};
 use crate::runtime::{BlockEnv, BlockRuntime, Published};
 use crate::sched::Urgency;
@@ -72,10 +72,10 @@ pub struct OnlineExecution {
     /// between batches instead of respawning per ingest). Under the
     /// multi-tenant scheduler sessions share one pool, and the service's
     /// runners can run several sessions' batches on it at once.
-    pool: Arc<WorkerPool>,
+    pub(crate) pool: Arc<WorkerPool>,
     /// Where every bootstrap weight of the session comes from: the
     /// service's store, shared by its sessions, or an empty one.
-    store: Arc<WeightStore>,
+    pub(crate) store: Arc<WeightStore>,
     /// The next batch's prefetch, once submitted (see
     /// [`OnlineExecution::prefetch_next`]).
     prefetch: Option<Prefetch>,
@@ -95,9 +95,12 @@ pub struct OnlineExecution {
     /// group, as before scoping existed.
     #[cfg(test)]
     pub(crate) full_scope_only: bool,
-    /// Recoveries that replayed a group scope rather than every group.
+    /// Recoveries that took a key scope rather than replaying every group.
     #[cfg(test)]
     pub(crate) scoped_recoveries: usize,
+    /// Groups those recoveries retracted from, refolded and replayed.
+    #[cfg(test)]
+    pub(crate) redone: [usize; 3],
 }
 
 impl OnlineExecution {
@@ -163,6 +166,8 @@ impl OnlineExecution {
             full_scope_only: false,
             #[cfg(test)]
             scoped_recoveries: 0,
+            #[cfg(test)]
+            redone: [0; 3],
         };
         for (b, cb) in exec.compiled.iter().enumerate() {
             if recover::scopable(cb, &exec.consumers[b]) {
@@ -406,9 +411,8 @@ impl OnlineExecution {
                 }
                 if !rebuilt.is_empty() {
                     rebuilt.iter().for_each(|&b| self.runtimes[b].reset());
-                    let (all, upto) = (&GroupScope::All, step.i);
                     let timing = &mut step.timing;
-                    step.reread += recover::replay_batches(self, &rebuilt, upto, all, timing)?.0;
+                    step.reread += recover::replay_batches(self, &rebuilt, step.i, timing)?.0;
                 }
             }
             self.publish_wave(&streaming, step)?;
@@ -509,6 +513,10 @@ impl OnlineExecution {
             metrics.batches.inc();
             metrics.uncertain.set(report.uncertain_tuples as f64);
             metrics.recomputations.set(report.recomputations as f64);
+            let seen = self.runtimes.iter().filter_map(|rt| rt.seen.as_ref());
+            metrics
+                .seen_index
+                .set(seen.map(SeenIndex::bytes).sum::<usize>() as f64);
             if let Some(ci) = report.ci() {
                 metrics.ci_width.set(ci.width());
             }
@@ -638,9 +646,9 @@ fn join_classify(
 ) -> Result<(Candidates, Classes)> {
     let cand = stage(Stage::Join, timing, |_, _| {
         let carried = std::mem::take(&mut rt.uncertain);
-        let cand = join::join(env, batch, carried, &mut rt.labels)?;
+        let mut cand = join::join(env, batch, carried, &mut rt.labels)?;
         if let Some(seen) = &mut rt.seen {
-            seen.record(batch.index, &cand, env.cb.cmp_conjuncts());
+            seen.record(batch.index, &mut cand, env.cb.cmp_conjuncts());
         }
         Ok::<_, Error>(cand)
     })?;
@@ -1049,6 +1057,7 @@ mod tests {
 
     const Q17_SHAPE: &str = "SELECT SUM(x) / 7.0 AS s FROM t l \
                              WHERE q < 0.5 * (SELECT AVG(q) FROM t i WHERE i.k = l.k)";
+    const Q17_FILTER: &str = "q < 0.5 * (SELECT AVG(q) FROM t i WHERE i.k = l.k)";
 
     #[test]
     fn q17_shape_fast_scalar_cmp_equals_generic() {
@@ -1056,13 +1065,14 @@ mod tests {
         assert_fast_equals_generic(Q17_SHAPE, 3);
     }
 
-    /// Under tight envelopes the runs recover: Q17's recoveries replay
-    /// every group, Q20's take a group scope, so the uncertain tuples
-    /// outside it keep their ids beside the replay's. The fast path must
-    /// still equal the generic one everywhere.
+    /// Under tight envelopes the runs recover, and both shapes' recoveries
+    /// take a key scope, so the uncertain tuples they keep carry their ids
+    /// beside the ones decided again (the generic run, with no fast path,
+    /// replays in full). The fast path must still equal the generic one
+    /// everywhere.
     #[test]
     fn fast_scalar_cmp_equals_generic_under_recovery() {
-        for (sql, scoped) in [(Q17_SHAPE, false), (Q20_SHAPE, true)] {
+        for (sql, scoped) in [(Q17_SHAPE, true), (Q20_SHAPE, true)] {
             for threads in [1, 2] {
                 let config = OnlineConfig::for_tests(8)
                     .with_threads(threads)
@@ -1197,7 +1207,7 @@ mod tests {
         threads: usize,
         seed: u64,
         full_scope_only: bool,
-    ) -> (Vec<String>, usize) {
+    ) -> (Vec<String>, usize, [usize; 3]) {
         // Tight envelopes: every seed's run recovers several times.
         let config = OnlineConfig::for_tests(8)
             .with_threads(threads)
@@ -1207,7 +1217,7 @@ mod tests {
             exec.full_scope_only = full_scope_only;
         });
         assert!(exec.recomputations > 0, "{sql} seed {seed}: no recovery");
-        (seen, exec.scoped_recoveries)
+        (seen, exec.scoped_recoveries, exec.redone)
     }
 
     /// Pre-intern every key each streaming block's candidates will ever
@@ -1241,8 +1251,8 @@ mod tests {
 
     /// Ids only bucket tuples, never order them: with every block's keys
     /// numbered in reverse sorted order, every report and every published
-    /// entry equals a normal run's bit for bit — through full (Q17) and
-    /// scoped (Q20) recoveries too. Rows whose ORDER BY values tie keep
+    /// entry equals a normal run's bit for bit — through scoped (Q17, Q20)
+    /// recoveries too. Rows whose ORDER BY values tie keep
     /// the order the groups come in. A grouped semi-join and its negation
     /// merge their (membership key, group key) slots in key order.
     #[test]
@@ -1288,36 +1298,58 @@ mod tests {
     /// Scoped recovery is bit-identical to full replay — every report and
     /// every publication after every step — at threads 1/2/3 over three
     /// partition seeds; `scoped` says whether each run's recoveries take a
-    /// group scope (some must) or none may.
-    fn assert_scoped_equals_full(sql: &str, scoped: bool) {
+    /// key scope (some must) or none may. Returns the groups the scoped
+    /// runs retracted from, refolded and replayed.
+    fn assert_scoped_equals_full(sql: &str, scoped: bool) -> [usize; 3] {
+        let mut redone = [0; 3];
         for seed in [3, 17, 2024] {
             for threads in [1, 2, 3] {
-                let (oracle, _) = run_recovering(sql, threads, seed, true);
-                let (seen, n) = run_recovering(sql, threads, seed, false);
+                let (oracle, _, _) = run_recovering(sql, threads, seed, true);
+                let (seen, n, ways) = run_recovering(sql, threads, seed, false);
                 assert_eq!(seen, oracle, "{sql} seed {seed} threads {threads}");
                 assert_eq!(n > 0, scoped, "{sql} seed {seed}: {n} scoped recoveries");
+                redone.iter_mut().zip(ways).for_each(|(a, b)| *a += b);
             }
         }
+        redone
     }
 
     const Q20_FILTER: &str = "q > 0.1 * (SELECT SUM(q) FROM t i WHERE i.k = l.k AND i.j = l.j)";
 
     #[test]
     fn scoped_recovery_equals_full_replay() {
-        assert_scoped_equals_full(Q20_SHAPE, true);
+        // A violated `(k, j)` covers group `k` in part, or covers all its
+        // folds.
+        let [retracted, refolded, replayed] = assert_scoped_equals_full(Q20_SHAPE, true);
+        assert!(retracted > 0 && refolded > 0 && replayed == 0);
+        // One group, whose folds a recovery retracts.
+        let [retracted, refolded, _] = assert_scoped_equals_full(Q17_SHAPE, true);
+        assert!(retracted > 0 && refolded == 0);
+        // Groups that a violated key covers in part (`j` is outside the
+        // correlation key, so one `k`'s tuples fall in every group), with
+        // every retractable lane.
+        let partial = format!(
+            "SELECT j, SUM(x) AS s, AVG(x) AS a, VAR_POP(x) AS v, STDDEV(x) AS sd, \
+             COUNT(*) AS n FROM t l WHERE {Q17_FILTER} GROUP BY j ORDER BY j"
+        );
+        let [retracted, _, replayed] = assert_scoped_equals_full(&partial, true);
+        assert!(retracted > 0 && replayed == 0);
         // Grouped by the other key column, and by a column outside the key.
         for group in ["j", "s"] {
             let sql = format!(
                 "SELECT {group}, COUNT(*) AS n FROM t l WHERE {Q20_FILTER} \
                  GROUP BY {group} ORDER BY {group}"
             );
-            assert_scoped_equals_full(&sql, true);
+            let [retracted, _, _] = assert_scoped_equals_full(&sql, true);
+            assert!(retracted > 0, "{sql}");
         }
+        // MIN and MAX cannot retract: the scope widens to whole groups.
         let every_mergeable = format!(
             "SELECT k, SUM(x) AS s, AVG(x) AS a, VAR_POP(x) AS v, MIN(x) AS lo, \
              MAX(x) AS hi, COUNT(*) AS n FROM t l WHERE {Q20_FILTER} GROUP BY k ORDER BY k"
         );
-        assert_scoped_equals_full(&every_mergeable, true);
+        let [retracted, refolded, replayed] = assert_scoped_equals_full(&every_mergeable, true);
+        assert!(retracted + refolded == 0 && replayed > 0);
         // A second conjunct whose producer filters: its entry may be absent
         // when the first conjunct decides a tuple, and published by the
         // time a full replay re-decides it — which then relies on it.
@@ -1329,14 +1361,16 @@ mod tests {
         assert_scoped_equals_full(&sparse, true);
     }
 
-    /// P² quantile states depend on fold order, a root without GROUP BY has
-    /// one group, and an uncorrelated reference reaches every tuple: all
-    /// three replay every group.
+    /// P² quantile states depend on fold order, a root without GROUP BY
+    /// whose one group cannot forget a value would replay whole, and an
+    /// uncorrelated reference reaches every tuple: all three replay every
+    /// group.
     #[test]
     fn unscopable_recoveries_replay_every_group() {
         let median =
             format!("SELECT k, MEDIAN(x) AS m FROM t l WHERE {Q20_FILTER} GROUP BY k ORDER BY k");
-        for sql in [median.as_str(), Q17_SHAPE, C2_SHAPE] {
+        let max = format!("SELECT MAX(x) AS hi, COUNT(*) AS n FROM t l WHERE {Q17_FILTER}");
+        for sql in [median.as_str(), max.as_str(), C2_SHAPE] {
             assert_scoped_equals_full(sql, false);
         }
     }
@@ -1441,8 +1475,8 @@ mod tests {
 
     /// The U re-merge takes each group forward from its kept contribution
     /// and hands out what a from-scratch fold hands out: on the Q17, Q20
-    /// and C3 shapes at k = 20, and through a full (Q17) and a scoped (Q20)
-    /// recovery, after which it rebuilds.
+    /// and C3 shapes at k = 20, through full Q17 recoveries, after which it
+    /// rebuilds, and through scoped Q17 and Q20 ones, which keep it.
     #[test]
     fn delta_remerge_equals_the_reference_at_every_batch() {
         let catalog = catalog();
@@ -1451,7 +1485,7 @@ mod tests {
             let (paths, _, _) = assert_delta_equals_reference(&catalog, sql, config, false);
             assert!(paths[KEPT] > 0 && paths[STRAIGHT] == 0, "{sql}: {paths:?}");
         }
-        for (sql, scoped) in [(Q17_SHAPE, false), (Q20_SHAPE, true)] {
+        for (sql, scoped) in [(Q17_SHAPE, false), (Q17_SHAPE, true), (Q20_SHAPE, true)] {
             let config = OnlineConfig::for_tests(20).with_epsilon(EpsilonPolicy::StdDevScaled(0.5));
             let (paths, recoveries, n_scoped) =
                 assert_delta_equals_reference(&catalog, sql, config, !scoped);

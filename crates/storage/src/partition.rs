@@ -297,24 +297,32 @@ impl Partitioner {
         self.perm[start..end].iter().map(|&x| x as u64).collect()
     }
 
-    /// Rows `rows` of batch `i`, as a batch of their own: the tuple ids and
-    /// values `batch(i)` holds at those rows, gathered without
-    /// materializing the rest of the batch.
-    pub fn batch_rows(&self, i: usize, rows: &[usize]) -> MiniBatch {
-        let Some(&end) = self.bounds.get(i) else {
-            return self.grown(|g| {
-                let batch = &g.extra[i - self.bounds.len()];
-                let ids = rows.iter().map(|&r| batch.tuple_ids[r]).collect();
-                MiniBatch::new(i, ids, batch.chunk.gather(rows))
+    /// Rows of several batches as a batch of their own: per `(batch, row)`
+    /// of `picks` (batches ascending), the tuple id and values
+    /// `batch(batch)` holds at `row`, in that order, gathered without
+    /// materializing the rest of any batch — the schedule's batches in one
+    /// gather of the table. It takes the last pick's batch index.
+    pub fn batch_rows(&self, picks: &[(usize, usize)]) -> MiniBatch {
+        let scheduled = picks.partition_point(|&(i, _)| i < self.bounds.len());
+        let idxs: Vec<usize> = (picks[..scheduled].iter())
+            .map(|&(i, r)| {
+                let start = if i == 0 { 0 } else { self.bounds[i - 1] };
+                self.perm[start..self.bounds[i]][r]
+            })
+            .collect();
+        let mut ids: Vec<u64> = idxs.iter().map(|&x| x as u64).collect();
+        let mut chunk = self.table.gather(&idxs);
+        if scheduled < picks.len() {
+            self.grown(|g| {
+                for run in picks[scheduled..].chunk_by(|a, b| a.0 == b.0) {
+                    let batch = &g.extra[run[0].0 - self.bounds.len()];
+                    let rows: Vec<usize> = run.iter().map(|&(_, r)| r).collect();
+                    ids.extend(rows.iter().map(|&r| batch.tuple_ids[r]));
+                    chunk = chunk.concat(&batch.chunk.gather(&rows));
+                }
             });
-        };
-        let start = if i == 0 { 0 } else { self.bounds[i - 1] };
-        let idxs: Vec<usize> = rows.iter().map(|&r| self.perm[start..end][r]).collect();
-        MiniBatch::new(
-            i,
-            idxs.iter().map(|&x| x as u64).collect(),
-            self.table.gather(&idxs),
-        )
+        }
+        MiniBatch::new(picks.last().map_or(0, |&(i, _)| i), ids, chunk)
     }
 
     /// The base table (for a growing schedule, the snapshot at start).
@@ -515,22 +523,33 @@ pub(crate) mod tests {
         assert_eq!(ids, (0..103u64).collect::<Vec<_>>());
     }
 
-    /// `batch_rows(i, rows)` is `batch(i)` at `rows`: same ids, same
-    /// values, same batch index.
+    /// `batch_rows` of one batch's rows is `batch(i)` at those rows, and of
+    /// every batch's, each batch's one after the other: same ids, same
+    /// values, the last batch's index.
     pub(crate) fn assert_batch_rows_subset(p: &Partitioner) {
+        let (mut every, mut ids, mut rows) = (Vec::new(), Vec::new(), Vec::new());
         for i in 0..p.num_batches() {
             let whole = p.batch(i);
-            let rows: Vec<usize> = (0..whole.len()).filter(|r| r % 3 != 1).collect();
-            let part = p.batch_rows(i, &rows);
+            let picks: Vec<(usize, usize)> = (0..whole.len())
+                .filter(|r| r % 3 != 1)
+                .map(|r| (i, r))
+                .collect();
+            let part = p.batch_rows(&picks);
             assert_eq!(part.index, i);
-            let ids: Vec<u64> = rows.iter().map(|&r| whole.tuple_ids[r]).collect();
-            assert_eq!(part.tuple_ids, ids, "batch {i}");
-            assert_eq!(
-                part.rows(),
-                whole.chunk().gather(&rows).to_rows(),
-                "batch {i}"
+            let at: Vec<usize> = picks.iter().map(|&(_, r)| r).collect();
+            let (batch_ids, batch_rows) = (
+                at.iter().map(|&r| whole.tuple_ids[r]).collect::<Vec<u64>>(),
+                whole.chunk().gather(&at).to_rows(),
             );
+            assert_eq!(part.tuple_ids, batch_ids, "batch {i}");
+            assert_eq!(part.rows(), batch_rows, "batch {i}");
+            every.extend(picks);
+            ids.extend(batch_ids);
+            rows.extend(batch_rows);
         }
+        let all = p.batch_rows(&every);
+        assert_eq!(all.index, p.num_batches() - 1);
+        assert_eq!((all.rows(), all.tuple_ids), (rows, ids));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full pre-merge gate: release build, workspace tests (the conformance
 # oracles, the contract checks and the scheduler simulator included), a
-# deeper run of the replica-state oracle, repeated runs of the service's
+# deeper run of the replica-state oracle and of the generated corpus, the
+# exact sums' unit tests in release, repeated runs of the service's
 # and the prefetch's concurrency tests, formatting, lints, rustdoc
 # links, the bit-pinning suites built for baseline x86-64, a check of the
 # benchmark crate, a run of every example program, a CLI ingest/replay
@@ -168,6 +169,15 @@ step cargo test --workspace -q
 # cases in release (seconds), far past the 96 of the workspace run: the
 # dense sums' spill paths on hostile values.
 step env PROPTEST_CASES=2000 cargo test --release -q -p gola-agg --test proptests run_fold_equivalence
+# The exact sums' and replicated states' unit tests in release too: a
+# state bit that depends on code generation (a NaN's sign) fails here,
+# where the debug workspace run would pass it.
+step cargo test --release -q -p gola-common -p gola-agg --lib
+# The generated corpus at 1000 queries per schema in release, far past the
+# 100 of the workspace run: every leg, the replay leg's recoveries against
+# classical delta maintenance included.
+step env CONFORMANCE_QUERIES=1000 cargo test --release -q -p gola-conformance --test smoke \
+    generated_corpus
 step sched_race_loop
 step prefetch_race_loop
 if cargo fmt --version >/dev/null 2>&1; then

@@ -76,6 +76,10 @@ fn concurrent_sessions_have_isolated_deterministic_metrics() {
             snap.contains(&format!("report.ci_width{{session=\\\"{session}\\\"}}")),
             "per-session gauge missing for {session}: {snap}"
         );
+        // The bytes of the session's seen indexes, at `/metrics` too
+        // (neither query keeps one).
+        let seen_index = format!("gola_core_mem_seen_index{{session=\"{session}\"}} 0");
+        assert!(prom.contains(&seen_index), "{seen_index} missing: {prom}");
     }
     // No unlabeled report.* series may exist in a service run — an
     // unlabeled cell is exactly the cross-session corruption vector.
